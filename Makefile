@@ -64,16 +64,20 @@ REPAIRBENCH_OUT ?= BENCH_PR10.json
 
 .PHONY: tier1 check build vet test race-fast bench benchcmp fmt-check servebench clusterbench chipbench fleetbench surrogatebench repairbench
 
+# benchmark/ is a module of its own, so ./... above never reaches it;
+# without this an exported-name change breaks the benchmark silently.
 tier1: ## build + vet + gofmt gate + full tests under the race detector
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(MAKE) fmt-check
 	$(GO) test -race ./...
+	$(GO) vet -C benchmark . && $(GO) test -C benchmark .
 
 check: ## quick gate: build + vet + full tests (no race detector)
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test ./...
+	$(GO) vet -C benchmark . && $(GO) test -C benchmark .
 
 fmt-check: ## fail if any file is not gofmt-formatted
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

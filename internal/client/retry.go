@@ -119,33 +119,41 @@ func RetryHint(err error) time.Duration {
 	return 0
 }
 
-// EvalWithRetry submits and waits like Eval, retrying retryable
-// failures under the policy. The context deadline is load-bearing: a
-// backoff that would outlive it returns the last error immediately
-// instead of sleeping into a guaranteed DeadlineExceeded.
-func (c *Client) EvalWithRetry(ctx context.Context, req server.JobRequest, p *RetryPolicy) (server.JobStatus, error) {
+// do runs call until it succeeds, fails with an error not worth
+// retrying, or the policy's attempts run out, sleeping the policy's
+// backoff (floored by the server's hint) between attempts. A nil policy
+// means one attempt. The context deadline is load-bearing: a backoff
+// that would outlive it returns the last error immediately instead of
+// sleeping into a guaranteed DeadlineExceeded.
+func (p *RetryPolicy) do(ctx context.Context, call func() error) error {
 	if p == nil {
 		p = &RetryPolicy{}
 	}
-	var (
-		st      server.JobStatus
-		lastErr error
-	)
 	for attempt := 1; ; attempt++ {
-		st, lastErr = c.Eval(ctx, req)
-		if lastErr == nil || attempt >= p.attempts() || !Retryable(lastErr) {
-			return st, lastErr
+		err := call()
+		if err == nil || attempt >= p.attempts() || !Retryable(err) {
+			return err
 		}
-		d := p.Delay(attempt, RetryHint(lastErr))
+		d := p.Delay(attempt, RetryHint(err))
 		if dl, ok := ctx.Deadline(); ok && time.Until(dl) < d {
-			return st, lastErr
+			return err
 		}
 		t := time.NewTimer(d)
 		select {
 		case <-t.C:
 		case <-ctx.Done():
 			t.Stop()
-			return st, lastErr
+			return err
 		}
 	}
+}
+
+// EvalWithRetry submits and waits like Eval, retrying retryable
+// failures under the policy.
+func (c *Client) EvalWithRetry(ctx context.Context, req server.JobRequest, p *RetryPolicy) (st server.JobStatus, err error) {
+	err = p.do(ctx, func() (err error) {
+		st, err = c.Eval(ctx, req)
+		return err
+	})
+	return st, err
 }

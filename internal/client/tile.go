@@ -2,11 +2,7 @@ package client
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"net/http"
-	"strings"
-	"time"
 
 	"repro/internal/server"
 	"repro/internal/tiling"
@@ -31,83 +27,23 @@ func (e *TileFailed) Error() string {
 // falls back to polling the job it already paid to enqueue rather than
 // resubmitting — the satellite of the 202-on-wait-cancel contract.
 func (c *Client) EvalTile(ctx context.Context, req *tiling.TileRequest) (*tiling.TileResult, tiling.TileServed, error) {
-	tr, served, _, err := c.settleTile(ctx, server.JobRequest{Kind: server.KindTile, Tile: req})
-	return tr, served, err
-}
-
-// settleTile submits one tile-shaped job (full or delta) and blocks
-// until it settles, returning the result and the job's content address.
-func (c *Client) settleTile(ctx context.Context, jr server.JobRequest) (*tiling.TileResult, tiling.TileServed, string, error) {
-	st, err := c.Eval(ctx, jr)
+	st, err := c.Eval(ctx, server.JobRequest{Kind: server.KindTile, Tile: req})
 	if err != nil {
-		return nil, tiling.TileServed{}, "", err
+		return nil, tiling.TileServed{}, err
 	}
 	if st.State != server.StateDone && st.State != server.StateFailed {
 		if st, err = c.Wait(ctx, st.ID, 0); err != nil {
-			return nil, tiling.TileServed{}, st.Key, err
+			return nil, tiling.TileServed{}, err
 		}
 	}
 	served := tiling.TileServed{Cached: st.Cached, Deduped: st.Deduped}
 	if st.State == server.StateFailed {
-		return nil, served, st.Key, &TileFailed{ID: st.ID, Msg: st.Error}
+		return nil, served, &TileFailed{ID: st.ID, Msg: st.Error}
 	}
 	if st.Tile == nil {
-		return nil, served, st.Key, fmt.Errorf("dfmd: tile job %s settled done without a tile result", st.ID)
+		return nil, served, fmt.Errorf("dfmd: tile job %s settled done without a tile result", st.ID)
 	}
-	return st.Tile, served, st.Key, nil
-}
-
-// ParentMiss is the typed form of a delta rejected because the serving
-// node does not retain the parent tile (it never saw it, or the
-// request aged out of the node's bounded parent store). The work is
-// still perfectly doable — just not incrementally — so callers fall
-// back to submitting the full child tile (EvalDeltaOrFull does this).
-type ParentMiss struct {
-	Parent string
-}
-
-func (e *ParentMiss) Error() string { return "dfmd: unknown parent tile " + e.Parent }
-
-// parentMissBody is the pinned ErrorBody prefix of the 404 a delta
-// with an unretained parent gets (server.UnknownParent's message).
-const parentMissBody = "unknown parent tile "
-
-// EvalDelta submits one incremental tile job — shape edits against a
-// previously submitted parent tile — and blocks until it settles. The
-// returned key is the materialized child tile's content address, which
-// a caller chains further deltas onto. A node that no longer holds the
-// parent yields a *ParentMiss.
-func (c *Client) EvalDelta(ctx context.Context, d *tiling.DeltaRequest) (*tiling.TileResult, tiling.TileServed, string, error) {
-	tr, served, key, err := c.settleTile(ctx, server.JobRequest{Kind: server.KindDelta, Delta: d})
-	var se *StatusError
-	if errors.As(err, &se) && se.Code == http.StatusNotFound && strings.HasPrefix(se.Msg, parentMissBody) {
-		return nil, served, "", &ParentMiss{Parent: d.Parent}
-	}
-	return tr, served, key, err
-}
-
-// EvalDeltaOrFull tries the cheap incremental submission first and
-// falls back to the full child tile on a parent miss — the degraded
-// path that keeps a repair loop correct when the serving tier lost its
-// parent state (restart, LRU pressure, or a router re-shard moving the
-// delta to a node that never served the parent). full must be the
-// exact child the delta would materialize; the returned key is its
-// content address either way.
-func (c *Client) EvalDeltaOrFull(ctx context.Context, d *tiling.DeltaRequest, full *tiling.TileRequest) (*tiling.TileResult, tiling.TileServed, string, error) {
-	tr, served, key, err := c.EvalDelta(ctx, d)
-	var pm *ParentMiss
-	if !errors.As(err, &pm) {
-		return tr, served, key, err
-	}
-	tr, served, err = c.EvalTile(ctx, full)
-	if err != nil {
-		return tr, served, "", err
-	}
-	key, kerr := server.KeyForRequest(server.JobRequest{Kind: server.KindTile, Tile: full})
-	if kerr != nil {
-		return tr, served, "", kerr
-	}
-	return tr, served, key, nil
+	return st.Tile, served, nil
 }
 
 // TileSubmitter adapts Client to tiling.TileClient: one tile work unit
@@ -127,31 +63,10 @@ type TileSubmitter struct {
 var _ tiling.TileClient = (*TileSubmitter)(nil)
 
 // EvalTile implements tiling.TileClient.
-func (ts *TileSubmitter) EvalTile(ctx context.Context, req *tiling.TileRequest) (*tiling.TileResult, tiling.TileServed, error) {
-	p := ts.Policy
-	if p == nil {
-		p = &RetryPolicy{}
-	}
-	var (
-		tr      *tiling.TileResult
-		served  tiling.TileServed
-		lastErr error
-	)
-	for attempt := 1; ; attempt++ {
-		tr, served, lastErr = ts.C.EvalTile(ctx, req)
-		if lastErr == nil || attempt >= p.attempts() || !Retryable(lastErr) {
-			return tr, served, lastErr
-		}
-		d := p.Delay(attempt, RetryHint(lastErr))
-		if dl, ok := ctx.Deadline(); ok && time.Until(dl) < d {
-			return tr, served, lastErr
-		}
-		t := time.NewTimer(d)
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-			return tr, served, lastErr
-		}
-	}
+func (ts *TileSubmitter) EvalTile(ctx context.Context, req *tiling.TileRequest) (tr *tiling.TileResult, served tiling.TileServed, err error) {
+	err = ts.Policy.do(ctx, func() (err error) {
+		tr, served, err = ts.C.EvalTile(ctx, req)
+		return err
+	})
+	return tr, served, err
 }

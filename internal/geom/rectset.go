@@ -7,7 +7,7 @@ import (
 
 // Boolean algebra on sets of axis-aligned rectangles. The production
 // engine is the single-pass sweep line in sweep.go; the legacy slab
-// decomposition survives in slab.go as the differential-test oracle.
+// decomposition survives in slab_test.go as the differential-test oracle.
 // All operations return *disjoint* rectangles in canonical order
 // (sorted by Y0, then X0), the normal form assumed throughout the DFM
 // stack.
@@ -42,6 +42,61 @@ func mergeIntervals(iv []interval) []interval {
 				last.hi = v.hi
 			}
 		} else {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// combineIntervals applies the boolean op to two merged interval lists
+// and returns the merged result.
+func combineIntervals(a, b []interval, op func(inA, inB bool) bool) []interval {
+	// Gather elementary x coordinates.
+	xs := make([]int64, 0, 2*(len(a)+len(b)))
+	for _, v := range a {
+		xs = append(xs, v.lo, v.hi)
+	}
+	for _, v := range b {
+		xs = append(xs, v.lo, v.hi)
+	}
+	if len(xs) == 0 {
+		return nil
+	}
+	slices.Sort(xs)
+	xs = dedup64(xs)
+
+	contains := func(iv []interval, x int64) bool {
+		// binary search for the interval with lo <= x < hi
+		lo, hi := 0, len(iv)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if iv[mid].hi > x {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		return lo < len(iv) && iv[lo].lo <= x
+	}
+
+	var out []interval
+	for i := 0; i+1 < len(xs); i++ {
+		x0, x1 := xs[i], xs[i+1]
+		if op(contains(a, x0), contains(b, x0)) {
+			if n := len(out); n > 0 && out[n-1].hi == x0 {
+				out[n-1].hi = x1
+			} else {
+				out = append(out, interval{x0, x1})
+			}
+		}
+	}
+	return out
+}
+
+func dedup64(xs []int64) []int64 {
+	out := xs[:0]
+	for i, v := range xs {
+		if i == 0 || v != out[len(out)-1] {
 			out = append(out, v)
 		}
 	}

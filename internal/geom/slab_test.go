@@ -27,61 +27,6 @@ func slabIntervals(rs []Rect, ya, yb int64) []interval {
 	return mergeIntervals(iv)
 }
 
-// combineIntervals applies the boolean op to two merged interval lists
-// and returns the merged result.
-func combineIntervals(a, b []interval, op func(inA, inB bool) bool) []interval {
-	// Gather elementary x coordinates.
-	xs := make([]int64, 0, 2*(len(a)+len(b)))
-	for _, v := range a {
-		xs = append(xs, v.lo, v.hi)
-	}
-	for _, v := range b {
-		xs = append(xs, v.lo, v.hi)
-	}
-	if len(xs) == 0 {
-		return nil
-	}
-	slices.Sort(xs)
-	xs = dedup64(xs)
-
-	contains := func(iv []interval, x int64) bool {
-		// binary search for the interval with lo <= x < hi
-		lo, hi := 0, len(iv)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if iv[mid].hi > x {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
-		}
-		return lo < len(iv) && iv[lo].lo <= x
-	}
-
-	var out []interval
-	for i := 0; i+1 < len(xs); i++ {
-		x0, x1 := xs[i], xs[i+1]
-		if op(contains(a, x0), contains(b, x0)) {
-			if n := len(out); n > 0 && out[n-1].hi == x0 {
-				out[n-1].hi = x1
-			} else {
-				out = append(out, interval{x0, x1})
-			}
-		}
-	}
-	return out
-}
-
-func dedup64(xs []int64) []int64 {
-	out := xs[:0]
-	for i, v := range xs {
-		if i == 0 || v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // slabBoolOp applies a pointwise boolean operation to the regions
 // covered by rect sets a and b with the legacy slab decomposition,
 // returning a normalized disjoint rect set.

@@ -13,8 +13,9 @@ import (
 // leave, and coalesced output rects are emitted directly whenever the
 // merged scanline changes. Each operation is O((n + k) log n) in the
 // event count n and output size k for bounded scanline occupancy,
-// against the O(n · slabs) per-slab rescan of the retained legacy slab
-// engine (slab.go), which now serves as the differential-test oracle.
+// against the O(n · slabs) per-slab rescan of the legacy slab engine,
+// which is compiled only into the tests (slab_test.go) as the
+// differential oracle.
 //
 // All scratch state (event queue, active lists, merged-interval
 // buffers) lives in a pooled sweeper so steady-state operations

@@ -8,7 +8,7 @@ import (
 
 // Differential property tests: the sweep-line engine (sweep.go, the
 // production path) must agree exactly with the retained legacy slab
-// engine (slab.go) on randomized rect sets. The two implementations
+// engine (slab_test.go) on randomized rect sets. The two implementations
 // share almost no code — slab decomposition rescans all rects per slab
 // and sorts its output; the sweep maintains incremental active lists
 // and emits in canonical order — so byte-for-byte agreement across

@@ -56,11 +56,8 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	r.inflight.Add(1)
 	defer r.inflight.Done()
 
-	var jr server.JobRequest
-	dec := json.NewDecoder(req.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&jr); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	jr, ok := server.DecodeJobRequest(w, req)
+	if !ok {
 		return
 	}
 	var (

@@ -20,7 +20,6 @@ var (
 	// Distributed tile traffic (full-chip fan-out through the fleet).
 	mTileJobs   = obs.C("dfmrouter.tile_jobs")
 	mTileReused = obs.C("dfmrouter.tile_reused")
-	mDeltaJobs  = obs.C("dfmrouter.delta_jobs")
 
 	// mE2E is the router-side submit-to-settle latency, including
 	// every failover hop and backoff.

@@ -153,14 +153,11 @@ type Stats struct {
 	NoBackend      int64  `json:"noBackend"`
 	BudgetDenied   int64  `json:"retryBudgetDenied"`
 	BreakerBlocked int64  `json:"breakerBlocked"`
-	// TileJobs counts tile work units routed to completion (full tiles
-	// and deltas alike); TileReused counts those a backend answered
-	// from cache or deduped into an in-flight twin — the fleet-wide
-	// duplicate-tile hit signal. DeltaJobs counts the subset submitted
-	// incrementally (Kind "delta", routed by parent-address affinity).
+	// TileJobs counts tile work units routed to completion; TileReused
+	// counts those a backend answered from cache or deduped into an
+	// in-flight twin — the fleet-wide duplicate-tile hit signal.
 	TileJobs   int64           `json:"tileJobs"`
 	TileReused int64           `json:"tileReused"`
-	DeltaJobs  int64           `json:"deltaJobs"`
 	Draining   bool            `json:"draining"`
 	Backends   []BackendStatus `json:"backends"`
 }
@@ -184,7 +181,6 @@ type Router struct {
 	noBackend, budgetDenied atomic.Int64
 	breakerBlocked          atomic.Int64
 	tileJobs, tileReused    atomic.Int64
-	deltaJobs               atomic.Int64
 }
 
 // New builds the router and starts its health probers.
@@ -391,16 +387,12 @@ func (r *Router) Submit(ctx context.Context, req server.JobRequest) (server.JobS
 // in-flight twin — the signal fleetbench reports as the duplicate-tile
 // hit rate).
 func (r *Router) noteTile(req server.JobRequest, st server.JobStatus, b *Backend, err error) {
-	if err != nil || b == nil || (req.Kind != server.KindTile && req.Kind != server.KindDelta) {
+	if err != nil || b == nil || req.Kind != server.KindTile {
 		return
 	}
 	r.tileJobs.Add(1)
 	mTileJobs.Inc()
 	b.tiles.Add(1)
-	if req.Kind == server.KindDelta {
-		r.deltaJobs.Add(1)
-		mDeltaJobs.Inc()
-	}
 	if st.Cached || st.Deduped {
 		r.tileReused.Add(1)
 		mTileReused.Inc()
@@ -467,7 +459,6 @@ func (r *Router) Stats() Stats {
 		BreakerBlocked: r.breakerBlocked.Load(),
 		TileJobs:       r.tileJobs.Load(),
 		TileReused:     r.tileReused.Load(),
-		DeltaJobs:      r.deltaJobs.Load(),
 		Draining:       r.draining.Load(),
 	}
 	for _, b := range r.backends {

@@ -25,15 +25,10 @@ import (
 // full-chip tile work unit (tiling.TileRequest), keyed by the tiling
 // engine's own content address so identical tiles from different
 // chips collapse in the cache and singleflight layers like duplicate
-// technique requests always have. KindDelta is the incremental form of
-// a tile: a parent tile's content address plus shape edits
-// (tiling.DeltaRequest); the server reconstructs the child tile from
-// its retained parent request and runs it as a normal tile job keyed
-// by the child's own address.
+// technique requests always have.
 const (
-	KindEval  = "eval"
-	KindTile  = "tile"
-	KindDelta = "delta"
+	KindEval = "eval"
+	KindTile = "tile"
 )
 
 // BlockSpec is the wire form of the synthetic workload shape
@@ -68,11 +63,6 @@ type JobRequest struct {
 	// above are ignored — everything that determines a tile result,
 	// its full tech node included, travels inside the TileRequest.
 	Tile *tiling.TileRequest `json:"tile,omitempty"`
-
-	// Delta is the incremental tile work unit (Kind "delta"): shape
-	// edits against a retained parent tile. The server materializes
-	// the child TileRequest itself; Tile must be unset.
-	Delta *tiling.DeltaRequest `json:"delta,omitempty"`
 
 	// TimeoutMS caps the evaluation wall clock; 0 uses the server
 	// default, and the server clamps it to its configured maximum.
@@ -130,15 +120,6 @@ type HealthStatus struct {
 	// the server compares against MaxWait before shedding.
 	EstWaitMS float64 `json:"estWaitMs"`
 }
-
-// UnknownParent is the typed rejection of a delta job whose parent
-// tile this node does not retain (never saw it, or it aged out of the
-// bounded parent store). The HTTP layer answers it with 404 and this
-// exact message as the ErrorBody — clients key their full-tile
-// fallback on that shape, so it is part of the wire contract.
-type UnknownParent struct{ Parent string }
-
-func (e *UnknownParent) Error() string { return "unknown parent tile " + e.Parent }
 
 // ErrorBody is the JSON body of every non-2xx response.
 type ErrorBody struct {

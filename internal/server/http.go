@@ -47,12 +47,38 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, ErrorBody{Error: msg})
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// maxRequestBytes bounds one POST /v1/jobs body. The largest real unit
+// is a tile's extracted shape list, a few hundred kB; 64 MiB leaves two
+// orders of magnitude of headroom while keeping a hostile or runaway
+// client from making a node buffer without limit.
+const maxRequestBytes = 64 << 20
+
+// DecodeJobRequest reads a POST /v1/jobs body the one way both tiers
+// do (dfmrouter calls it too, so the limit and the strictness cannot
+// drift apart): at most maxRequestBytes, unknown fields rejected. On
+// failure it has already answered — 413 for an oversize body, 400 for
+// anything else — and returns false.
+func DecodeJobRequest(w http.ResponseWriter, r *http.Request) (JobRequest, bool) {
 	var req JobRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	err := dec.Decode(&req)
+	if err == nil {
+		return req, true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
+	} else {
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	}
+	return req, false
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	req, ok := DecodeJobRequest(w, r)
+	if !ok {
 		return
 	}
 	st, retryAfter, err := s.submit(req)
@@ -74,14 +100,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	case err != nil:
-		// A delta naming a parent this node does not retain is 404 —
-		// "that address is not here", not "your request is malformed" —
-		// so the client's full-tile fallback can key on the status.
-		var up *UnknownParent
-		if errors.As(err, &up) {
-			writeError(w, http.StatusNotFound, err.Error())
-			return
-		}
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}

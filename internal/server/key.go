@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 
 	"repro/internal/layout"
 	"repro/internal/tech"
@@ -32,41 +33,57 @@ type keyPayload struct {
 	MaxFan    int       `json:"maxFan"`
 }
 
+// resolved is what a JobRequest means once the fields of its kind have
+// been validated: the content address every layer keys on, the kind as
+// job statuses report it, and — technique evaluations only — the
+// process node and workload shape the task is built from.
+type resolved struct {
+	key  string
+	kind string // "" for technique evaluations, KindTile for tile units
+	tech *tech.Tech
+	base layout.BlockOpts
+}
+
+// resolve is the one per-kind reading of a request, shared by
+// Server.submit and KeyForRequest so dfmd and dfmrouter cannot disagree
+// on which requests are valid or on what their key is. Each kind reads
+// and validates only its own fields: a tile job carries its full tech
+// node inside the TileRequest, so the eval-only Tech/Block/Technique
+// fields are neither consulted nor checked for it.
+func resolve(req JobRequest) (resolved, error) {
+	switch req.Kind {
+	case "", KindEval:
+		t, err := resolveTech(req.Tech)
+		if err != nil {
+			return resolved{}, err
+		}
+		base, err := resolveBlock(req.Block)
+		if err != nil {
+			return resolved{}, err
+		}
+		return resolved{key: requestKey(req.Technique, t, req.Seed, base), tech: t, base: base}, nil
+	case KindTile:
+		// The tiling engine's own hash (which validates the payload as
+		// a side effect), so the server cache, singleflight and the
+		// router's affinity ring all see the exact key the local tile
+		// cache would use.
+		if req.Tile == nil {
+			return resolved{}, errors.New("tile job missing tile payload")
+		}
+		key, err := tileRequestKey(req.Tile)
+		return resolved{key: key, kind: KindTile}, err
+	}
+	return resolved{}, fmt.Errorf("unknown job kind %q", req.Kind)
+}
+
 // KeyForRequest computes the content address a server would assign
 // this request, without submitting it. The router's affinity policy
 // uses it to steer duplicate work to the backend that already holds
-// the cached result; because it is the same canonical payload the
-// server hashes, router-side and server-side keys can never disagree.
+// the cached result; because it is the same resolve the server runs,
+// router-side and server-side keys can never disagree.
 func KeyForRequest(req JobRequest) (string, error) {
-	if req.Kind == KindTile {
-		if req.Tile == nil {
-			return "", errors.New("tile job missing tile payload")
-		}
-		return tileRequestKey(req.Tile)
-	}
-	if req.Kind == KindDelta {
-		// A delta's routing key is the PARENT address, not the child's:
-		// only the backend that served the parent retains the request
-		// the delta applies to, so affinity must follow the parent.
-		// (The server assigns the job the child's own address once the
-		// parent is found.)
-		if req.Delta == nil {
-			return "", errors.New("delta job missing delta payload")
-		}
-		if err := req.Delta.Validate(); err != nil {
-			return "", err
-		}
-		return req.Delta.Parent, nil
-	}
-	t, err := resolveTech(req.Tech)
-	if err != nil {
-		return "", err
-	}
-	base, err := resolveBlock(req.Block)
-	if err != nil {
-		return "", err
-	}
-	return requestKey(req.Technique, t, req.Seed, base), nil
+	r, err := resolve(req)
+	return r.key, err
 }
 
 // tileRequestKey renders the tiling engine's content address in the

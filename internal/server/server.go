@@ -13,6 +13,7 @@ import (
 	"repro/internal/dfm"
 	"repro/internal/harness"
 	"repro/internal/layout"
+	"repro/internal/lru"
 	"repro/internal/tech"
 	"repro/internal/tiling"
 )
@@ -31,10 +32,6 @@ type Config struct {
 	MaxWait time.Duration
 	// CacheSize is the result-cache entry cap; default 1024.
 	CacheSize int
-	// TileStore caps the retained tile requests delta jobs can name as
-	// parents; default 512. A delta whose parent aged out is answered
-	// with UnknownParent (404), and the client re-sends the full tile.
-	TileStore int
 	// DefaultTimeout is the per-job evaluation budget when the
 	// request does not set one; default 2m. MaxTimeout clamps
 	// request-supplied budgets; default 5m.
@@ -50,8 +47,9 @@ type Config struct {
 
 	// TaskFactory overrides job-task construction (tests and contract
 	// suites inject gated tasks to exercise admission and shutdown
-	// deterministically). It receives the resolved tech/block even for
-	// tile jobs, which ignore them.
+	// deterministically). t and base are the resolved node and workload
+	// of a technique evaluation; tile jobs carry their own tech inside
+	// req.Tile and receive nil and the zero shape.
 	TaskFactory func(req JobRequest, t *tech.Tech, base layout.BlockOpts) (harness.Task, error)
 }
 
@@ -67,9 +65,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheSize == 0 {
 		c.CacheSize = 1024
-	}
-	if c.TileStore == 0 {
-		c.TileStore = 512
 	}
 	if c.DefaultTimeout == 0 {
 		c.DefaultTimeout = 2 * time.Minute
@@ -88,9 +83,7 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TaskFactory == nil {
 		c.TaskFactory = func(req JobRequest, t *tech.Tech, base layout.BlockOpts) (harness.Task, error) {
-			// Delta jobs reach the factory with Tile already set to the
-			// materialized child, so both kinds run the same executor.
-			if req.Kind == KindTile || req.Kind == KindDelta {
+			if req.Kind == KindTile {
 				tr := req.Tile
 				return harness.Task{
 					Name: req.Kind + "/" + tr.Stage,
@@ -121,11 +114,10 @@ type flight struct {
 
 // job is one client-visible submission.
 type job struct {
-	id        string
-	key       string
-	kind      string // "" for technique evaluations, KindTile for tiles
-	technique string
-	created   time.Time
+	id      string
+	key     string
+	kind    string // "" for technique evaluations, KindTile for tiles
+	created time.Time
 
 	cached  bool
 	deduped bool
@@ -155,7 +147,6 @@ type Stats struct {
 	QueueDepth  int     `json:"queueDepth"`
 	InFlight    int     `json:"inFlight"`
 	CacheLen    int     `json:"cacheLen"`
-	TileParents int     `json:"tileParents"`
 	EWMAMS      float64 `json:"ewmaLatencyMs"`
 	Draining    bool    `json:"draining"`
 }
@@ -174,11 +165,12 @@ type Server struct {
 	jobs    map[string]*job
 	order   []string // job ids in creation order, for retention eviction
 	flights map[string]*flight
-	cache   *resultCache
-	// tiles retains recently submitted stage-A tile requests by content
-	// address so delta jobs can name them as parents. Children are
-	// registered under their own address, so deltas chain.
-	tiles *resultCache
+	// cache holds clean results by content address — dfm.Outcome for
+	// technique evaluations, *tiling.TileResult for tile jobs (the kind
+	// is recoverable from the stored type). A timeout or fault is not a
+	// property of the layout and is never stored, so a hit is always
+	// served as done.
+	cache *lru.Cache[string, any]
 
 	seq      atomic.Int64
 	draining atomic.Bool
@@ -207,8 +199,7 @@ func New(cfg Config) *Server {
 		cancelBase: cancel,
 		jobs:       make(map[string]*job),
 		flights:    make(map[string]*flight),
-		cache:      newResultCache(cfg.CacheSize),
-		tiles:      newResultCache(cfg.TileStore),
+		cache:      lru.New[string, any](cfg.CacheSize),
 	}
 }
 
@@ -221,90 +212,32 @@ func (s *Server) submit(req JobRequest) (JobStatus, time.Duration, error) {
 	if s.draining.Load() {
 		return JobStatus{}, 0, errDraining
 	}
-	switch req.Kind {
-	case "", KindEval, KindTile, KindDelta:
-	default:
-		return JobStatus{}, 0, fmt.Errorf("unknown job kind %q", req.Kind)
-	}
-	t, err := resolveTech(req.Tech)
+	rq, err := resolve(req)
 	if err != nil {
 		return JobStatus{}, 0, err
 	}
-	base, err := resolveBlock(req.Block)
-	if err != nil {
-		return JobStatus{}, 0, err
-	}
-	var key string
-	switch req.Kind {
-	case KindTile:
-		// Content address comes from the tiling engine's own hash, so
-		// the server cache, singleflight, and the router's affinity
-		// ring all see the exact key the local tile cache would use.
-		// tileRequestKey validates the payload as a side effect.
-		if req.Tile == nil {
-			return JobStatus{}, 0, errors.New("tile job missing tile payload")
-		}
-		key, err = tileRequestKey(req.Tile)
-		if err != nil {
-			return JobStatus{}, 0, err
-		}
-		if req.Tile.Stage == tiling.StageTile {
-			s.tiles.put(key, req.Tile)
-		}
-	case KindDelta:
-		// Reconstruct the child tile from the retained parent request,
-		// address it by its own content hash, and run it as a tile job.
-		// From here down, a delta IS a tile — same cache, same
-		// singleflight, same executor.
-		if req.Delta == nil {
-			return JobStatus{}, 0, errors.New("delta job missing delta payload")
-		}
-		if err := req.Delta.Validate(); err != nil {
-			return JobStatus{}, 0, err
-		}
-		v, ok := s.tiles.get(req.Delta.Parent)
-		if !ok {
-			return JobStatus{}, 0, &UnknownParent{Parent: req.Delta.Parent}
-		}
-		child, err := req.Delta.Apply(v.(*tiling.TileRequest))
-		if err != nil {
-			return JobStatus{}, 0, err
-		}
-		if key, err = tileRequestKey(child); err != nil {
-			return JobStatus{}, 0, err
-		}
-		s.tiles.put(key, child)
-		req.Tile = child
-	default:
-		key = requestKey(req.Technique, t, req.Seed, base)
-	}
-	task, err := s.cfg.TaskFactory(req, t, base)
+	key := rq.key
+	task, err := s.cfg.TaskFactory(req, rq.tech, rq.base)
 	if err != nil {
 		return JobStatus{}, 0, err
 	}
 	task.Timeout = s.jobTimeout(req.TimeoutMS)
 
-	kind := req.Kind
-	if kind == KindEval {
-		kind = "" // eval statuses keep the pre-tile wire shape
-	}
-
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
 	j := &job{
-		id:        fmt.Sprintf("j-%06d", s.seq.Add(1)),
-		key:       key,
-		kind:      kind,
-		technique: req.Technique,
-		created:   time.Now(),
-		state:     StateQueued,
-		done:      make(chan struct{}),
+		id:      fmt.Sprintf("j-%06d", s.seq.Add(1)),
+		key:     key,
+		kind:    rq.kind, // "" for evals: statuses keep the pre-tile wire shape
+		created: time.Now(),
+		state:   StateQueued,
+		done:    make(chan struct{}),
 	}
 
 	// Content-addressed cache: a prior identical request already paid
 	// for this evaluation.
-	if v, ok := s.cache.get(key); ok {
+	if v, ok := s.cache.Get(key); ok {
 		s.cacheHits.Add(1)
 		mCacheHit.Inc()
 		j.cached = true
@@ -429,9 +362,9 @@ func (s *Server) complete(key string, res harness.Result) {
 	delete(s.flights, key)
 	if o.Err == nil {
 		if tile != nil {
-			s.cache.put(key, tile)
+			s.cache.Put(key, tile)
 		} else {
-			s.cache.put(key, o)
+			s.cache.Put(key, o)
 		}
 		s.updateEWMA(res.Runtime)
 	}
@@ -477,7 +410,7 @@ func (s *Server) updateEWMA(d time.Duration) {
 }
 
 // settleLocked moves a job to its terminal state. Callers hold s.mu.
-// Tile and delta jobs settle into tile (hasOut stays false so the
+// Tile jobs settle into tile (hasOut stays false so the
 // status never grows a technique Result); failed ones carry only the
 // error.
 func (j *job) settleLocked(o dfm.Outcome, tile *tiling.TileResult) {
@@ -581,8 +514,7 @@ func (s *Server) Stats() Stats {
 		Rejected:    s.rejected.Load(),
 		QueueDepth:  s.pool.QueueDepth(),
 		InFlight:    s.pool.InFlight(),
-		CacheLen:    s.cache.len(),
-		TileParents: s.tiles.len(),
+		CacheLen:    s.cache.Len(),
 		EWMAMS:      float64(s.ewmaNs.Load()) / 1e6,
 		Draining:    s.draining.Load(),
 	}

@@ -1,9 +1,9 @@
 package tiling
 
 import (
-	"container/list"
 	"crypto/sha256"
-	"sync"
+
+	"repro/internal/lru"
 )
 
 // Cache is a bounded LRU mapping content addresses to origin-relative
@@ -13,15 +13,7 @@ import (
 // point: a second run over a revised floorplan reuses every unchanged
 // slot.
 type Cache struct {
-	mu  sync.Mutex
-	cap int
-	m   map[[sha256.Size]byte]*list.Element
-	ll  *list.List // front = most recently used
-}
-
-type centry struct {
-	key [sha256.Size]byte
-	val *payload
+	lru *lru.Cache[[sha256.Size]byte, *TileResult]
 }
 
 // NewCache returns a cache bounded to maxEntries (default 8192 when
@@ -32,39 +24,8 @@ func NewCache(maxEntries int) *Cache {
 	if maxEntries <= 0 {
 		maxEntries = 8192
 	}
-	return &Cache{cap: maxEntries, m: make(map[[sha256.Size]byte]*list.Element), ll: list.New()}
+	return &Cache{lru: lru.New[[sha256.Size]byte, *TileResult](maxEntries)}
 }
 
 // Len returns the current entry count.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
-func (c *Cache) get(k [sha256.Size]byte) (*payload, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.m[k]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*centry).val, true
-}
-
-func (c *Cache) put(k [sha256.Size]byte, v *payload) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[k]; ok {
-		c.ll.MoveToFront(el)
-		el.Value.(*centry).val = v
-		return
-	}
-	c.m[k] = c.ll.PushFront(&centry{key: k, val: v})
-	for c.ll.Len() > c.cap {
-		el := c.ll.Back()
-		c.ll.Remove(el)
-		delete(c.m, el.Value.(*centry).key)
-	}
-}
+func (c *Cache) Len() int { return c.lru.Len() }

@@ -2,7 +2,6 @@ package tiling
 
 import (
 	"context"
-	"crypto/sha256"
 	"reflect"
 	"testing"
 
@@ -71,29 +70,5 @@ func diffResultsEqual(t *testing.T, label string, a, b *Result) {
 		!reflect.DeepEqual(a.Hotspots, b.Hotspots) ||
 		!reflect.DeepEqual(a.Density, b.Density) {
 		t.Fatalf("%s: results differ", label)
-	}
-}
-
-func TestCacheLRU(t *testing.T) {
-	c := NewCache(2)
-	k := func(b byte) (k [sha256.Size]byte) { k[0] = b; return }
-	p1, p2, p3 := &payload{}, &payload{}, &payload{}
-	c.put(k(1), p1)
-	c.put(k(2), p2)
-	if _, ok := c.get(k(1)); !ok { // touch 1: now 2 is LRU
-		t.Fatal("k1 missing")
-	}
-	c.put(k(3), p3) // evicts 2
-	if _, ok := c.get(k(2)); ok {
-		t.Fatal("k2 should have been evicted")
-	}
-	if _, ok := c.get(k(1)); !ok {
-		t.Fatal("k1 evicted out of LRU order")
-	}
-	if got, _ := c.get(k(3)); got != p3 {
-		t.Fatal("k3 missing")
-	}
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", c.Len())
 	}
 }

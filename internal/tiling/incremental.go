@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"repro/internal/geom"
-	"repro/internal/harness"
 	"repro/internal/litho"
 	"repro/internal/tech"
 )
@@ -33,44 +32,28 @@ import (
 // Callers fall back to a full EvaluateSnap.
 var ErrFullRequired = errors.New("tiling: delta requires a full re-evaluation")
 
-// Snapshot retains one evaluation's per-unit outputs and the grid
-// parameters that located them. It is immutable once returned;
-// successive deltas chain snapshots, sharing unchanged unit outputs.
+// Snapshot retains one evaluation's plan — the grid that located every
+// unit — and the per-unit outputs its stitch consumed. It is immutable
+// once returned; successive deltas chain snapshots, sharing unchanged
+// unit outputs.
 type Snapshot struct {
-	opts        Opts // resolved (withDefaults applied)
-	die         geom.Rect
-	densLayers  []tech.Layer
-	pad         int64
-	nx, ny      int
-	wins        []geom.Rect
-	perTileWins [][]int
-	outs        []tileOut // absolute-frame per-tile outputs
-	scans       map[tech.Layer]*layerSnap
-}
-
-// layerSnap is one hotspot layer's stage-B state: the grid anchor, the
-// windows, the extraction pad, and each window's kept hotspots.
-type layerSnap struct {
-	bbox   geom.Rect
-	swins  []geom.Rect
-	extPad int64
-	perWin [][]litho.Hotspot
+	plan   *plan
+	outs   []*TileResult       // chip-frame per-tile outputs
+	perWin [][][]litho.Hotspot // [plan.scans index][window] kept hotspots
 }
 
 // Tiles returns the stage-A grid size (nx, ny).
-func (s *Snapshot) Tiles() (nx, ny int) { return s.nx, s.ny }
+func (s *Snapshot) Tiles() (nx, ny int) { return s.plan.nx, s.plan.ny }
 
 // Pad returns the stage-A context pad the invalidation predicate
 // bloats tile cores by.
-func (s *Snapshot) Pad() int64 { return s.pad }
+func (s *Snapshot) Pad() int64 { return s.plan.pad }
 
 // Die returns the die bbox the snapshot was recorded over.
-func (s *Snapshot) Die() geom.Rect { return s.die }
+func (s *Snapshot) Die() geom.Rect { return s.plan.die }
 
 // TileCore returns tile i's core rect in the snapshot's grid.
-func (s *Snapshot) TileCore(i int) geom.Rect {
-	return tileCore(s.die, s.opts.Tile, s.nx, i)
-}
+func (s *Snapshot) TileCore(i int) geom.Rect { return s.plan.core(i) }
 
 // InvalidatedTiles returns, in index order, exactly the stage-A tiles
 // EvaluateDelta would recompute for the given dirty rects: those whose
@@ -79,8 +62,8 @@ func (s *Snapshot) TileCore(i int) geom.Rect {
 // tests can pin the invalidation footprint of a delta independently.
 func (s *Snapshot) InvalidatedTiles(changed []geom.Rect) []int {
 	var out []int
-	for i := 0; i < s.nx*s.ny; i++ {
-		if touchesAny(s.TileCore(i).Bloat(s.pad), changed) {
+	for i := 0; i < s.plan.nx*s.plan.ny; i++ {
+		if touchesAny(s.plan.core(i).Bloat(s.plan.pad), changed) {
 			out = append(out, i)
 		}
 	}
@@ -90,37 +73,25 @@ func (s *Snapshot) InvalidatedTiles(changed []geom.Rect) []int {
 // InvalidatedWindows is InvalidatedTiles for one hotspot layer's
 // stage-B scan windows (nil if the layer was not scanned).
 func (s *Snapshot) InvalidatedWindows(layer tech.Layer, changed []geom.Rect) []int {
-	ls := s.scans[layer]
-	if ls == nil {
-		return nil
-	}
 	var out []int
-	for i, w := range ls.swins {
-		if touchesAny(w.Bloat(ls.extPad), changed) {
-			out = append(out, i)
+	for _, sp := range s.plan.scans {
+		if sp.layer != layer {
+			continue
 		}
+		for i, w := range sp.swins {
+			if touchesAny(w.Bloat(sp.extPad), changed) {
+				out = append(out, i)
+			}
+		}
+		break
 	}
 	return out
-}
-
-// incrState threads the incremental machinery through evaluate: prev +
-// changed splice unchanged units from a prior snapshot; snap records a
-// new one.
-type incrState struct {
-	prev    *Snapshot
-	changed []geom.Rect
-	snap    *Snapshot
 }
 
 // EvaluateSnap is Evaluate plus a Snapshot for later EvaluateDelta
 // calls. The result is identical to Evaluate's.
 func EvaluateSnap(stdctx context.Context, t *tech.Tech, ex *Extractor, o Opts) (*Result, *Snapshot, error) {
-	snap := &Snapshot{}
-	res, err := evaluate(stdctx, t, ex, o, nil, &incrState{snap: snap})
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, snap, nil
+	return evaluate(stdctx, t, ex, o, nil, nil, nil)
 }
 
 // EvaluateDelta re-evaluates an edited chip against a prior snapshot:
@@ -137,26 +108,10 @@ func EvaluateDelta(stdctx context.Context, t *tech.Tech, ex *Extractor, prev *Sn
 	if prev == nil {
 		return nil, nil, errors.New("tiling: EvaluateDelta needs a snapshot")
 	}
-	if prev.die.Empty() {
+	if prev.plan.die.Empty() {
 		return nil, nil, fmt.Errorf("%w: snapshot recorded over an empty die", ErrFullRequired)
 	}
-	snap := &Snapshot{}
-	res, err := evaluate(stdctx, t, ex, prev.opts, nil, &incrState{prev: prev, changed: changed, snap: snap})
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, snap, nil
-}
-
-// tileCore returns tile i's core rect in the stage-A grid — the single
-// definition evaluate, the snapshot accessors, and the invalidation
-// predicate all share, so "which tile is dirty" can never drift from
-// "which tile is computed".
-func tileCore(die geom.Rect, tile int64, nx, i int) geom.Rect {
-	return geom.R(
-		die.X0+int64(i%nx)*tile, die.Y0+int64(i/nx)*tile,
-		minI64(die.X0+int64(i%nx+1)*tile, die.X1),
-		minI64(die.Y0+int64(i/nx+1)*tile, die.Y1))
+	return evaluate(stdctx, t, ex, prev.plan.opts, nil, prev, changed)
 }
 
 // touchesAny reports whether any changed rect touches win under the
@@ -169,60 +124,4 @@ func touchesAny(win geom.Rect, changed []geom.Rect) bool {
 		}
 	}
 	return false
-}
-
-func layersEqual(a, b []tech.Layer) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// scanLayerSplice is scanLayerPlain with the incremental fast path:
-// windows whose padded extraction misses every dirty rect take their
-// prior result without extraction; the rest run exactly like the plain
-// driver. nEmpty counts recomputed-empty windows only (spliced windows
-// keep whatever they measured before — Stats describe work done, not
-// the result).
-func scanLayerSplice(ctx context.Context, workers int, swins []geom.Rect, extPad int64,
-	changed []geom.Rect, prev [][]litho.Hotspot,
-	getRects func(i int) []geom.Rect, exec windowExec) (perWin [][]litho.Hotspot, nEmpty int, nSpliced int64, err error) {
-	perWin = make([][]litho.Hotspot, len(swins))
-	empty := make([]bool, len(swins))
-	spliced := make([]bool, len(swins))
-	err = harness.ForEachErr(ctx, workers, len(swins), func(i int) error {
-		if !touchesAny(swins[i].Bloat(extPad), changed) {
-			cSpliceWindows.Inc()
-			spliced[i] = true
-			perWin[i] = prev[i]
-			return nil
-		}
-		cWindows.Inc()
-		rs := getRects(i)
-		if len(rs) == 0 {
-			cWindowsEmpty.Inc()
-			empty[i] = true
-			return nil
-		}
-		hs, err := exec(i, swins[i], rs)
-		if err != nil {
-			return err
-		}
-		perWin[i] = hs
-		return nil
-	})
-	for i := range swins {
-		if empty[i] {
-			nEmpty++
-		}
-		if spliced[i] {
-			nSpliced++
-		}
-	}
-	return perWin, nEmpty, nSpliced, err
 }

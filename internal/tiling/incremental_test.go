@@ -312,10 +312,10 @@ func TestEvaluateDeltaFullRequired(t *testing.T) {
 	})
 
 	t.Run("surrogate snapshot", func(t *testing.T) {
-		prev := &Snapshot{
+		prev := &Snapshot{plan: &plan{
 			opts: withDefaults(tt, Opts{DRC: true, Surrogate: &surrogate.Config{Seed: 9, MinSample: 8}}),
 			die:  geom.R(0, 0, 1000, 1000),
-		}
+		}}
 		top := layout.NewCell("X_S")
 		top.Add(tech.Metal1, geom.R(0, 0, 1000, 1000))
 		if _, _, err := EvaluateDelta(ctx, tt, NewExtractor(top), prev, nil); !errors.Is(err, ErrFullRequired) {

@@ -7,7 +7,6 @@ import (
 	"hash"
 	"sort"
 
-	"repro/internal/drc"
 	"repro/internal/geom"
 	"repro/internal/layout"
 	"repro/internal/litho"
@@ -117,16 +116,7 @@ func tileKey(cfg [sha256.Size]byte, core geom.Rect, pad int64, wins []geom.Rect,
 		if a.Layer != b.Layer {
 			return a.Layer < b.Layer
 		}
-		if a.R.X0 != b.R.X0 {
-			return a.R.X0 < b.R.X0
-		}
-		if a.R.Y0 != b.R.Y0 {
-			return a.R.Y0 < b.R.Y0
-		}
-		if a.R.X1 != b.R.X1 {
-			return a.R.X1 < b.R.X1
-		}
-		return a.R.Y1 < b.R.Y1
+		return rectLess(a.R, b.R)
 	})
 	w.i64(int64(len(rel)))
 	for _, s := range rel {
@@ -135,46 +125,32 @@ func tileKey(cfg [sha256.Size]byte, core geom.Rect, pad int64, wins []geom.Rect,
 	return w.sum()
 }
 
+// rectLess is the (X0, Y0, X1, Y1) order both unit keys normalize
+// geometry into before hashing.
+func rectLess(a, b geom.Rect) bool {
+	if a.X0 != b.X0 {
+		return a.X0 < b.X0
+	}
+	if a.Y0 != b.Y0 {
+		return a.Y0 < b.Y0
+	}
+	if a.X1 != b.X1 {
+		return a.X1 < b.X1
+	}
+	return a.Y1 < b.Y1
+}
+
 // windowKey is the content address of one litho scan window: layer,
 // window dimensions, extraction pad, and the layer rects relative to
 // the window origin, order-normalized.
 func windowKey(cfg [sha256.Size]byte, layer tech.Layer, win geom.Rect, pad int64, rs []geom.Rect) [sha256.Size]byte {
 	w := newHashWriter(cfg, 'W')
 	w.i64(int64(layer), win.Width(), win.Height(), pad)
-	rel := make([]geom.Rect, len(rs))
-	for i, r := range rs {
-		rel[i] = r.Translate(geom.Pt(-win.X0, -win.Y0))
-	}
-	sort.Slice(rel, func(i, j int) bool {
-		a, b := rel[i], rel[j]
-		if a.X0 != b.X0 {
-			return a.X0 < b.X0
-		}
-		if a.Y0 != b.Y0 {
-			return a.Y0 < b.Y0
-		}
-		if a.X1 != b.X1 {
-			return a.X1 < b.X1
-		}
-		return a.Y1 < b.Y1
-	})
+	rel := rebase(rs, geom.Pt(-win.X0, -win.Y0))
+	sort.Slice(rel, func(i, j int) bool { return rectLess(rel[i], rel[j]) })
 	w.i64(int64(len(rel)))
 	for _, r := range rel {
 		w.i64(r.X0, r.Y0, r.X1, r.Y1)
 	}
 	return w.sum()
-}
-
-// payload is one cached unit of tile work, stored origin-relative so a
-// hit replays by translation.
-type payload struct {
-	// viol holds the tile's kept DRC violations with markers relative
-	// to the tile core origin (tile payloads only).
-	viol []drc.Violation
-	// dens holds per-density-rule, per-window densities in tile window
-	// order (tile payloads only). Densities are translation-invariant.
-	dens [][]float64
-	// hs holds kept hotspots with boxes relative to the window origin
-	// (window payloads only).
-	hs []litho.Hotspot
 }

@@ -1,0 +1,224 @@
+package tiling
+
+import (
+	"context"
+	"crypto/sha256"
+	"fmt"
+	"math"
+	"slices"
+
+	"repro/internal/drc"
+	"repro/internal/geom"
+	"repro/internal/layout"
+	"repro/internal/litho"
+	"repro/internal/tech"
+)
+
+// plan is the grid one evaluation cuts a chip into, fixed before any
+// unit runs: the stage-A tile grid with its context pad, decks and
+// density-window ownership, one scanPlan per hotspot layer, and the
+// config hash every unit key starts from. Everything that locates or
+// parameterizes a unit lives here and nowhere else, so "which unit is
+// dirty" (Snapshot, which retains the plan) can never drift from
+// "which unit is computed" (the engine, which runs it).
+type plan struct {
+	t    *tech.Tech
+	opts Opts // resolved (withDefaults applied)
+	die  geom.Rect
+
+	// Stage A. Tile i's core is core(i); it is evaluated on the core
+	// bloated by pad — the halo for rule interactions, stretched so
+	// every density window the tile owns (which can overhang its core
+	// by up to a full window) is fully covered.
+	nx, ny int
+	pad    int64
+	std    *drc.Deck // nil unless opts.DRC
+	// densRules are the density rules of layers with geometry somewhere
+	// on the chip: a layer empty everywhere is skipped, exactly as the
+	// flat rule skips it; a tile-locally empty layer is NOT (its
+	// windows legitimately measure zero). densLayers names them, in
+	// deck order, for the config hash and the wire.
+	densRules  []drc.DensityWindow
+	densLayers []tech.Layer
+	// rules names every rule of every enabled deck (skipped density
+	// layers included), mirroring drc.Deck.RunCtx's zero ByRule entries.
+	rules []string
+	// wins is the global density window grid, anchored at the die
+	// corner like the flat rule's; perTileWins assigns each window to
+	// the unique tile containing its lower-left corner, so every window
+	// is measured exactly once, from a tile whose pad covers it.
+	wins        []geom.Rect
+	perTileWins [][]int
+
+	// Stage B, in opts.Hotspots order.
+	scans []scanPlan
+
+	// cfg covers the enabled density layers too — a chip-global
+	// property no per-tile key can see (see keySchema).
+	cfg [sha256.Size]byte
+}
+
+// scanPlan is one hotspot layer's stage-B grid: exactly litho.ScanGrid
+// over the layer's bbox, so windows, pads, and the order-dependent seam
+// dedup reproduce litho.ScanLayer bit-for-bit. Each window extracts
+// only the geometry that can reach its padded raster (simulation pad +
+// one pixel of grid slack). The flat engine builds the same value from
+// its own bbox, so thresholds and pads cannot differ between engines.
+type scanPlan struct {
+	layer  tech.Layer
+	bbox   geom.Rect // grid anchor: an edit that moves it re-phases every window
+	swins  []geom.Rect
+	extPad int64
+	opts   litho.ScanOpts // thresholds resolved against litho.ScanDefaults
+}
+
+func newScanPlan(t *tech.Tech, o Opts, l tech.Layer, bbox geom.Rect) scanPlan {
+	minW, minS := o.MinWidth, o.MinSpace
+	if minW == 0 || minS == 0 {
+		dw, ds := litho.ScanDefaults(t, l)
+		if minW == 0 {
+			minW = dw
+		}
+		if minS == 0 {
+			minS = ds
+		}
+	}
+	return scanPlan{
+		layer: l, bbox: bbox, swins: litho.ScanGrid(bbox),
+		extPad: litho.ScanPadNM + litho.SimPadNM(t.Optics, o.HotspotCond.Defocus) +
+			2*int64(math.Ceil(t.Optics.GridNM)),
+		opts: litho.ScanOpts{Cond: o.HotspotCond, MinWidth: minW, MinSpace: minS, Interior: o.HotspotInterior},
+	}
+}
+
+// newPlan cuts the chip under ex. An empty die yields a plan with no
+// units at all.
+func newPlan(t *tech.Tech, ex *Extractor, o Opts) *plan {
+	o = withDefaults(t, o)
+	p := &plan{t: t, opts: o, die: ex.BBox()}
+	if p.die.Empty() {
+		return p
+	}
+	if o.DRC {
+		p.std = drc.StandardDeck(t)
+		for _, r := range p.std.Rules {
+			p.rules = append(p.rules, r.Name())
+		}
+	}
+	if o.Density {
+		for _, r := range drc.DensityDeck(t, o.DensityWindow).Rules {
+			p.rules = append(p.rules, r.Name())
+			if dw := r.(drc.DensityWindow); !ex.LayerBBox(dw.Layer).Empty() {
+				p.densRules = append(p.densRules, dw)
+				p.densLayers = append(p.densLayers, dw.Layer)
+			}
+		}
+	}
+	p.cfg = configKey(t, o, p.densLayers)
+
+	p.nx = int((p.die.Width() + o.Tile - 1) / o.Tile)
+	p.ny = int((p.die.Height() + o.Tile - 1) / o.Tile)
+	p.pad = o.Halo
+	p.perTileWins = make([][]int, p.nx*p.ny)
+	if len(p.densRules) > 0 {
+		p.pad = max(p.pad, o.DensityWindow)
+		p.wins = drc.WindowGrid(p.die, o.DensityWindow, o.DensityWindow/2)
+		for wi, w := range p.wins {
+			ti := int((w.X0-p.die.X0)/o.Tile) + p.nx*int((w.Y0-p.die.Y0)/o.Tile)
+			p.perTileWins[ti] = append(p.perTileWins[ti], wi)
+		}
+	}
+	for _, hl := range o.Hotspots {
+		p.scans = append(p.scans, newScanPlan(t, o, hl, ex.LayerBBox(hl)))
+	}
+	return p
+}
+
+// core returns tile i's core rect in the stage-A grid.
+func (p *plan) core(i int) geom.Rect {
+	tile := p.opts.Tile
+	return geom.R(
+		p.die.X0+int64(i%p.nx)*tile, p.die.Y0+int64(i/p.nx)*tile,
+		min(p.die.X0+int64(i%p.nx+1)*tile, p.die.X1),
+		min(p.die.Y0+int64(i/p.nx+1)*tile, p.die.Y1))
+}
+
+// spliceable verifies that prev, the plan of a prior snapshot taken
+// under the same options, still lines up with p unit for unit. Anything
+// that moves the tile or window grids, or changes which rules run
+// where, invalidates every retained unit at once — typed as
+// ErrFullRequired so callers fall back to a from-scratch run instead of
+// stitching garbage.
+func (p *plan) spliceable(prev *plan) error {
+	if p.opts.Surrogate != nil {
+		return fmt.Errorf("%w: surrogate gating is chip-global", ErrFullRequired)
+	}
+	if p.die != prev.die {
+		return fmt.Errorf("%w: die bbox moved %v -> %v", ErrFullRequired, prev.die, p.die)
+	}
+	if !slices.Equal(p.densLayers, prev.densLayers) {
+		return fmt.Errorf("%w: enabled density layer set changed", ErrFullRequired)
+	}
+	for i := range p.scans {
+		if p.scans[i].bbox != prev.scans[i].bbox {
+			return fmt.Errorf("%w: %v bbox moved (scan grid anchor)", ErrFullRequired, p.scans[i].layer)
+		}
+	}
+	return nil
+}
+
+// unit is one non-empty tile or scan window cut from the plan, with
+// the geometry extracted for it: what the run-unit step keys, ships, or
+// computes. Like TileRequest, its wire twin, the stage says which
+// fields are set.
+type unit struct {
+	stage string    // StageTile or StageWindow
+	idx   int       // tile index, or window index within its scan
+	frame geom.Rect // the core tile or scan window, chip frame
+
+	shapes []layout.Shape // tile: whole-shape extraction over the padded core
+	wins   []geom.Rect    // tile: the density windows it owns, chip frame
+
+	scan  *scanPlan   // window: the layer scan it belongs to
+	rects []geom.Rect // window: layer rects over the extraction-padded window
+}
+
+func (u *unit) String() string {
+	if u.stage == StageTile {
+		return fmt.Sprintf("tile %d", u.idx)
+	}
+	return fmt.Sprintf("%s scan window %d", u.scan.layer, u.idx)
+}
+
+// key is u's content address.
+func (p *plan) key(u *unit) [sha256.Size]byte {
+	if u.stage == StageTile {
+		return tileKey(p.cfg, u.frame, p.pad, u.wins, u.shapes)
+	}
+	return windowKey(p.cfg, u.scan.layer, u.frame, u.scan.extPad, u.rects)
+}
+
+// compute runs u's workhorses in-process, in the chip frame.
+func (p *plan) compute(ctx context.Context, u *unit) (*TileResult, error) {
+	if u.stage == StageTile {
+		return computeTile(ctx, p.t, p.std, p.densRules, u.shapes, u.frame, u.frame.Bloat(p.pad), u.wins)
+	}
+	hs, err := litho.ScanWindowCtx(ctx, u.rects, u.frame, p.t, u.scan.layer, u.scan.opts)
+	return &TileResult{Hotspots: hs}, err
+}
+
+// wire builds u's TileRequest.
+func (p *plan) wire(u *unit) *TileRequest {
+	if u.stage == StageTile {
+		return tileWireRequest(p.t, p.opts, p.densLayers, u.frame, p.pad, u.wins, u.shapes)
+	}
+	return windowWireRequest(p.t, p.opts, p.densLayers, u.scan.layer, u.frame, u.scan.extPad, u.rects)
+}
+
+// absorb validates u's wire result and moves it into the chip frame.
+func (p *plan) absorb(tr *TileResult, u *unit) (*TileResult, error) {
+	if u.stage == StageTile {
+		return absorbTileResult(tr, u.frame, len(p.densRules), len(u.wins))
+	}
+	return absorbTileResult(tr, u.frame, 0, 0)
+}

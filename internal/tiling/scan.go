@@ -2,6 +2,7 @@ package tiling
 
 import (
 	"context"
+	"sync/atomic"
 
 	"repro/internal/geom"
 	"repro/internal/harness"
@@ -10,84 +11,154 @@ import (
 	"repro/internal/tech"
 )
 
-// Stage-B scan drivers shared by Evaluate, DistEvaluate, and
-// EvaluateFlat. The engines differ only in how a window's rects are
-// produced (hierarchy extraction vs flat filter) and how one window
-// is computed exactly (cache/remote/local dispatch vs direct
-// simulation); both are injected, so the plain and surrogate-gated
-// control flow — window enumeration, sampling, training, gating,
-// stitching order — is one code path and the flat twin stays an exact
+// Stage-B scan driver shared by Evaluate, DistEvaluate, EvaluateDelta
+// and EvaluateFlat. The engines differ only in how a window's rects are
+// produced (hierarchy extraction vs flat filter), how one window is
+// computed exactly (the run-unit step vs direct simulation), and
+// whether a prior snapshot already answers some windows; all three are
+// injected as a scanSource, so the plain and surrogate-gated control
+// flow — window enumeration, sampling, training, gating, stitching
+// order — is one code path and the flat twin stays an exact
 // differential oracle for the gated engine too.
 
-// windowExec computes one scan window exactly and returns the kept
-// hotspots in the chip frame. Implementations handle their own
-// caching and remote dispatch.
-type windowExec func(i int, win geom.Rect, rs []geom.Rect) ([]litho.Hotspot, error)
+// scanSource is the engine-specific half of one layer's scan.
+type scanSource struct {
+	// rects returns window i's layer rects over its extraction-padded
+	// reach; neighbor the adjacent routing layer's (gated scans only).
+	rects, neighbor func(i int) []geom.Rect
+	// exec computes one non-empty window exactly and returns the kept
+	// hotspots in the chip frame. Implementations handle their own
+	// caching and remote dispatch.
+	exec func(i int, win geom.Rect, rs []geom.Rect) ([]litho.Hotspot, error)
+	// reuse, when set, reports a prior result that still stands for
+	// window i (plain scans only — gating is chip-global, so a gated
+	// run is never spliced).
+	reuse func(i int) ([]litho.Hotspot, bool)
+}
 
-// scanLayerPlain runs every non-empty window through exec.
-func scanLayerPlain(ctx context.Context, workers int, swins []geom.Rect,
-	getRects func(i int) []geom.Rect, exec windowExec) (perWin [][]litho.Hotspot, nEmpty int, err error) {
-	perWin = make([][]litho.Hotspot, len(swins))
-	empty := make([]bool, len(swins))
-	err = harness.ForEachErr(ctx, workers, len(swins), func(i int) error {
+// layerScan is one layer's scan in flight: its plan, its source, and
+// each window's kept hotspots (nil for empty and skipped windows).
+type layerScan struct {
+	*scanPlan
+	scanSource
+	workers int
+	perWin  [][]litho.Hotspot
+}
+
+// scanLayer runs one layer's scan — plain, or surrogate-gated when
+// o.Surrogate is set — and stitches it into res: hotspots, the
+// calibration report, and the window counts. It returns the per-window
+// results for snapshots to retain.
+func scanLayer(ctx context.Context, o Opts, sp *scanPlan, res *Result, src scanSource) ([][]litho.Hotspot, error) {
+	res.Hotspots[sp.layer] = nil
+	if len(sp.swins) == 0 {
+		return nil, nil
+	}
+	s := &layerScan{scanPlan: sp, scanSource: src, workers: o.Workers,
+		perWin: make([][]litho.Hotspot, len(sp.swins))}
+	var nEmpty, nReused int
+	var err error
+	if o.Surrogate != nil {
+		var rep *surrogate.Report
+		if rep, nEmpty, err = s.gated(ctx, *o.Surrogate); err == nil {
+			res.Surrogate[sp.layer] = rep
+			res.Stats.SurrSampled += rep.Sampled
+			res.Stats.SurrSkipped += rep.Skipped
+			res.Stats.SurrGuarded += rep.Guarded
+			res.Stats.SurrExact += rep.Exact
+		}
+	} else {
+		nEmpty, nReused, err = s.plain(ctx)
+	}
+	if err != nil {
+		return nil, err
+	}
+	res.Stats.Windows += len(sp.swins)
+	res.Stats.EmptyWindows += nEmpty
+	res.Stats.SplicedWindows += nReused
+	// Windows in scan order with the same box-keyed seam dedup
+	// ScanLayer applies, then the deterministic total order.
+	res.Hotspots[sp.layer] = stitchWindows(s.perWin)
+	return s.perWin, nil
+}
+
+// step computes window i exactly into its own slot — the one
+// per-window step the plain loop and every gated pass fan out through.
+func (s *layerScan) step(i int, rs []geom.Rect) error {
+	hs, err := s.exec(i, s.swins[i], rs)
+	if err != nil {
+		return err
+	}
+	s.perWin[i] = hs
+	return nil
+}
+
+// plain runs every non-empty window through step, except those a prior
+// snapshot still answers: a reused window costs neither extraction nor
+// computation. nEmpty counts recomputed-empty windows only (reused
+// windows keep whatever they measured before — Stats describe work
+// done, not the result).
+func (s *layerScan) plain(ctx context.Context) (nEmpty, nReused int, err error) {
+	var empty, reused atomic.Int64
+	err = harness.ForEachErr(ctx, s.workers, len(s.swins), func(i int) error {
+		if s.reuse != nil {
+			if hs, ok := s.reuse(i); ok {
+				cSpliceWindows.Inc()
+				reused.Add(1)
+				s.perWin[i] = hs
+				return nil
+			}
+		}
 		cWindows.Inc()
-		rs := getRects(i)
+		rs := s.rects(i)
 		if len(rs) == 0 {
 			// Nothing can reach this window's raster: the flat
 			// simulation of it is identically zero.
 			cWindowsEmpty.Inc()
-			empty[i] = true
+			empty.Add(1)
 			return nil
 		}
-		hs, err := exec(i, swins[i], rs)
-		if err != nil {
-			return err
-		}
-		perWin[i] = hs
-		return nil
+		return s.step(i, rs)
 	})
-	for _, e := range empty {
-		if e {
-			nEmpty++
-		}
-	}
-	return perWin, nEmpty, err
+	return int(empty.Load()), int(reused.Load()), err
 }
 
-// scanLayerGated is the surrogate fast path: feature extraction over
-// every non-empty window, exact simulation of a seed-deterministic
-// sample to train the gate (with a held-out slice for calibration),
-// then a gating pass where confidently-clean windows skip exec
-// entirely and everything guarded or uncertain falls through. The
-// returned report carries the calibration measurements; perWin holds
-// nil for skipped windows.
-func scanLayerGated(ctx context.Context, cfg surrogate.Config, workers int,
-	swins []geom.Rect, extPad, failW, failS int64,
-	getRects, getNeighbor func(i int) []geom.Rect,
-	exec windowExec) (perWin [][]litho.Hotspot, rep *surrogate.Report, nEmpty int, err error) {
-
+// gated is the surrogate fast path: feature extraction over every
+// non-empty window, exact simulation of a seed-deterministic sample to
+// train the gate (with a held-out slice for calibration), then a gating
+// pass where confidently-clean windows skip step entirely and
+// everything guarded or uncertain falls through. The returned report
+// carries the calibration measurements.
+func (s *layerScan) gated(ctx context.Context, cfg surrogate.Config) (rep *surrogate.Report, nEmpty int, err error) {
+	swins, failW, failS := s.swins, s.opts.MinWidth, s.opts.MinSpace
 	n := len(swins)
-	perWin = make([][]litho.Hotspot, n)
 	rects := make([][]geom.Rect, n)
 	feats := make([]surrogate.Features, n)
 	rep = &surrogate.Report{Windows: n}
+	// exact fans step out over the listed windows, whose rects pass 1
+	// retained.
+	exact := func(idx []int) error {
+		return harness.ForEachErr(ctx, s.workers, len(idx), func(k int) error {
+			return s.step(idx[k], rects[idx[k]])
+		})
+	}
 
 	// Pass 1: extract and featurize every window. Features come from
 	// int64 accumulators over the rect multiset, so tiled and flat
 	// extraction order cannot change a single gate decision.
-	err = harness.ForEachErr(ctx, workers, n, func(i int) error {
+	err = harness.ForEachErr(ctx, s.workers, n, func(i int) error {
 		cWindows.Inc()
-		rs := getRects(i)
+		rs := s.rects(i)
 		if len(rs) == 0 {
 			cWindowsEmpty.Inc()
 			return nil
 		}
 		rects[i] = rs
-		feats[i] = surrogate.WindowFeatures(swins[i], extPad, rs, getNeighbor(i), failW, failS)
+		feats[i] = surrogate.WindowFeatures(swins[i], s.extPad, rs, s.neighbor(i), failW, failS)
 		return nil
 	})
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
 	var nonEmpty []int
 	for i := range swins {
@@ -99,39 +170,31 @@ func scanLayerGated(ctx context.Context, cfg surrogate.Config, workers int,
 	}
 	rep.NonEmpty = len(nonEmpty)
 	if len(nonEmpty) == 0 {
-		return perWin, rep, nEmpty, nil
+		return rep, nEmpty, nil
 	}
 
 	// Pass 2: exact ground truth on the deterministic sample.
 	sampleIdx := surrogate.SampleIndices(cfg, len(nonEmpty))
 	sampled := make(map[int]bool, len(sampleIdx))
-	for _, j := range sampleIdx {
+	sample := make([]int, len(sampleIdx))
+	for k, j := range sampleIdx {
+		sample[k] = nonEmpty[j]
 		sampled[nonEmpty[j]] = true
 	}
-	err = harness.ForEachErr(ctx, workers, len(sampleIdx), func(k int) error {
-		surrogate.CSampled.Inc()
-		i := nonEmpty[sampleIdx[k]]
-		hs, err := exec(i, swins[i], rects[i])
-		if err != nil {
-			return err
-		}
-		perWin[i] = hs
-		return nil
-	})
-	if err != nil {
-		return nil, nil, 0, err
+	if err = exact(sample); err != nil {
+		return nil, 0, err
 	}
-	rep.Sampled = len(sampleIdx)
+	surrogate.CSampled.Add(int64(len(sample)))
+	rep.Sampled = len(sample)
 
 	// Train/holdout split in sample order: every HoldoutEvery-th
 	// sampled window calibrates instead of training.
 	c := cfg.WithDefaults()
 	var trainX, holdX []surrogate.Features
 	var trainY, holdY []float64
-	for k, j := range sampleIdx {
-		i := nonEmpty[j]
-		y := float64(len(perWin[i]))
-		if (k+1)%c.HoldoutEvery == 0 && len(sampleIdx) > c.HoldoutEvery {
+	for k, i := range sample {
+		y := float64(len(s.perWin[i]))
+		if (k+1)%c.HoldoutEvery == 0 && len(sample) > c.HoldoutEvery {
 			holdX = append(holdX, feats[i])
 			holdY = append(holdY, y)
 		} else {
@@ -178,19 +241,10 @@ func scanLayerGated(ctx context.Context, cfg surrogate.Config, workers int,
 	}
 	rep.Exact = len(toRun)
 	rep.SkipRate = float64(rep.Skipped) / float64(rep.NonEmpty)
-	err = harness.ForEachErr(ctx, workers, len(toRun), func(k int) error {
-		i := toRun[k]
-		hs, err := exec(i, swins[i], rects[i])
-		if err != nil {
-			return err
-		}
-		perWin[i] = hs
-		return nil
-	})
-	if err != nil {
-		return nil, nil, 0, err
+	if err = exact(toRun); err != nil {
+		return nil, 0, err
 	}
-	return perWin, rep, nEmpty, nil
+	return rep, nEmpty, nil
 }
 
 // stitchWindows applies the scan-order seam dedup and canonical sort

@@ -2,9 +2,9 @@ package tiling
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
-	"math"
 	"reflect"
 	"runtime"
 	"sort"
@@ -17,6 +17,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/layout"
 	"repro/internal/litho"
+	"repro/internal/obs"
 	"repro/internal/surrogate"
 	"repro/internal/tech"
 )
@@ -118,10 +119,10 @@ func MinHalo(t *tech.Tech) int64 {
 	var h int64 = 200 // endcap: 100nm dilation, both sides
 	for l := tech.Layer(0); l < tech.NumLayers; l++ {
 		r := t.Rules[l]
-		h = maxI64(h, r.MinWidth, r.MinSpace, r.ViaSpace,
-			r.ViaSize+2*maxI64(r.ViaEnclosure, r.ViaEncSide))
+		h = max(h, r.MinWidth, r.MinSpace, r.ViaSpace,
+			r.ViaSize+2*max(r.ViaEnclosure, r.ViaEncSide))
 		if r.MinArea > 0 && r.MinWidth > 0 {
-			h = maxI64(h, r.MinArea/r.MinWidth)
+			h = max(h, r.MinArea/r.MinWidth)
 		}
 	}
 	return h
@@ -188,12 +189,6 @@ type Result struct {
 	Stats Stats
 }
 
-// tileOut is one tile's contribution before stitching.
-type tileOut struct {
-	viol []drc.Violation // absolute markers, seam-filtered
-	dens [][]float64     // [densityRule][windowInTile]
-}
-
 // EvaluateChip evaluates the hierarchy under top tile-by-tile. See
 // Evaluate for reusing a prepared Extractor across runs.
 func EvaluateChip(ctx context.Context, t *tech.Tech, top *layout.Cell, o Opts) (*Result, error) {
@@ -207,7 +202,8 @@ func EvaluateChip(ctx context.Context, t *tech.Tech, top *layout.Cell, o Opts) (
 // result reproduces a flat evaluation exactly (for violations whose
 // markers fit inside the halo — see Opts.Halo).
 func Evaluate(stdctx context.Context, t *tech.Tech, ex *Extractor, o Opts) (*Result, error) {
-	return evaluate(stdctx, t, ex, o, nil, nil)
+	res, _, err := evaluate(stdctx, t, ex, o, nil, nil, nil)
+	return res, err
 }
 
 // DistEvaluate is Evaluate with the per-unit computation farmed out to
@@ -229,208 +225,214 @@ func DistEvaluate(stdctx context.Context, t *tech.Tech, ex *Extractor, o Opts, r
 	if rc == nil {
 		return nil, errors.New("tiling: DistEvaluate needs a TileClient")
 	}
-	return evaluate(stdctx, t, ex, o, rc, nil)
+	res, _, err := evaluate(stdctx, t, ex, o, rc, nil, nil)
+	return res, err
 }
 
-// evaluate is the engine shared by Evaluate (remote == nil, units
-// computed in-process), DistEvaluate (units executed through remote),
-// and the incremental pair EvaluateSnap/EvaluateDelta (inc records a
-// Snapshot and/or splices unchanged units from a prior one — see
-// incremental.go). The grid cut, extraction, caching, and stitching
-// are one code path; only the "compute this unit" step dispatches.
-func evaluate(stdctx context.Context, t *tech.Tech, ex *Extractor, o Opts, remote TileClient, inc *incrState) (*Result, error) {
-	start := time.Now()
-	o = withDefaults(t, o)
+func newResult(o Opts) *Result {
 	res := &Result{
 		ByRule:   make(map[string]int),
 		Hotspots: make(map[tech.Layer][]litho.Hotspot),
 		Density:  make(map[tech.Layer]fill.DensityMap),
 	}
-	die := ex.BBox()
-	res.Stats.Die = die
-	res.Stats.Rects = ex.Rects()
-	if die.Empty() {
-		if inc != nil && inc.snap != nil {
-			*inc.snap = Snapshot{opts: o, die: die}
-		}
-		res.Stats.Elapsed = time.Since(start)
-		return res, nil
+	if o.Surrogate != nil {
+		res.Surrogate = make(map[tech.Layer]*surrogate.Report)
 	}
+	return res
+}
 
-	// Rule decks. ByRule gets a zero entry for every rule of every
-	// enabled deck, mirroring drc.Deck.RunCtx.
-	var std *drc.Deck
-	if o.DRC {
-		std = drc.StandardDeck(t)
-		for _, r := range std.Rules {
-			res.ByRule[r.Name()] = 0
-		}
-	}
-	var densRules []drc.DensityWindow
-	if o.Density {
-		for _, r := range drc.DensityDeck(t, o.DensityWindow).Rules {
-			res.ByRule[r.Name()] = 0
-			dw := r.(drc.DensityWindow)
-			// A layer with no geometry anywhere is skipped, exactly as
-			// the flat rule skips it; a tile-locally empty layer is NOT
-			// (its windows legitimately measure zero).
-			if !ex.LayerBBox(dw.Layer).Empty() {
-				densRules = append(densRules, dw)
+// evaluate is the engine behind Evaluate, DistEvaluate (units executed
+// through remote) and EvaluateSnap/EvaluateDelta (units whose reach
+// misses every changed rect are spliced from prev — see
+// incremental.go): plan the grid, run every unit, stitch. The returned
+// Snapshot is the plan plus the per-unit outputs the stitch consumed
+// anyway, so recording it costs nothing and every caller that does not
+// want it drops it.
+func evaluate(ctx context.Context, t *tech.Tech, ex *Extractor, o Opts, remote TileClient,
+	prev *Snapshot, changed []geom.Rect) (*Result, *Snapshot, error) {
+	start := time.Now()
+	p := newPlan(t, ex, o)
+	res := newResult(p.opts)
+	res.Stats.Die = p.die
+	res.Stats.Rects = ex.Rects()
+	snap := &Snapshot{plan: p}
+	if !p.die.Empty() {
+		if prev != nil {
+			if err := p.spliceable(prev.plan); err != nil {
+				return nil, nil, err
 			}
 		}
-	}
-	// The config hash covers the enabled density layers — a
-	// chip-global property the per-tile key cannot see (see keySchema).
-	var densLayers []tech.Layer
-	for _, dr := range densRules {
-		densLayers = append(densLayers, dr.Layer)
-	}
-	cfg := configKey(t, o, densLayers)
-
-	// Incremental splice: verify the prior snapshot still describes
-	// this chip's global structure. Anything that moves the tile or
-	// window grids, or changes which rules run where, invalidates every
-	// cached unit at once — typed as ErrFullRequired so callers fall
-	// back to a from-scratch run instead of stitching garbage.
-	if inc != nil && inc.prev != nil {
-		if o.Surrogate != nil {
-			return nil, fmt.Errorf("%w: surrogate gating is chip-global", ErrFullRequired)
+		e := &engine{plan: p, ex: ex, remote: remote, prev: prev, changed: changed,
+			tiles:   unitCounts{cHit: cTileHit, cMiss: cTileMiss, cRemote: cRemoteTiles},
+			windows: unitCounts{cHit: cWinHit, cMiss: cWinMiss, cRemote: cRemoteWindows}}
+		var err error
+		if snap.outs, err = e.runTiles(ctx); err != nil {
+			return nil, nil, err
 		}
-		if die != inc.prev.die {
-			return nil, fmt.Errorf("%w: die bbox moved %v -> %v", ErrFullRequired, inc.prev.die, die)
+		p.stitchTiles(res, snap.outs)
+		if snap.perWin, err = e.runScans(ctx, res); err != nil {
+			return nil, nil, err
 		}
-		if !layersEqual(densLayers, inc.prev.densLayers) {
-			return nil, fmt.Errorf("%w: enabled density layer set changed", ErrFullRequired)
+		e.report(&res.Stats)
+	}
+	res.Stats.Elapsed = time.Since(start)
+	return res, snap, nil
+}
+
+// engine is one evaluation in flight: the plan, where its units are
+// computed, what may be spliced instead, and the accounting the units
+// report into.
+type engine struct {
+	*plan
+	ex     *Extractor
+	remote TileClient // nil: units are computed in-process
+
+	// prev + changed splice units from a prior snapshot: a unit whose
+	// padded extraction window misses every changed rect extracts an
+	// unchanged multiset, and its computation is a pure function of
+	// that, so its prior output is taken untouched.
+	prev    *Snapshot
+	changed []geom.Rect
+
+	tiles, windows              unitCounts
+	emptyTiles, splicedTiles    atomic.Int64
+	shapes                      atomic.Int64
+	remoteCached, remoteDeduped atomic.Int64
+}
+
+// unitCounts is the per-stage half of the run-unit accounting.
+type unitCounts struct {
+	cHit, cMiss, cRemote *obs.Counter
+	hits, misses, remote atomic.Int64
+}
+
+func (e *engine) report(st *Stats) {
+	st.EmptyTiles = int(e.emptyTiles.Load())
+	st.SplicedTiles = int(e.splicedTiles.Load())
+	st.ShapesExtracted = e.shapes.Load()
+	st.TileHits = e.tiles.hits.Load()
+	st.TileMisses = e.tiles.misses.Load()
+	st.RemoteTiles = e.tiles.remote.Load()
+	st.WindowHits = e.windows.hits.Load()
+	st.WindowMisses = e.windows.misses.Load()
+	st.RemoteWindows = e.windows.remote.Load()
+	st.RemoteCached = e.remoteCached.Load()
+	st.RemoteDeduped = e.remoteDeduped.Load()
+}
+
+// runUnit takes one non-empty unit from extracted geometry to its
+// chip-frame output: replayed from the cache, executed through the
+// fleet, or computed here — and stored for the next identical unit.
+// Cached and wire results live in the unit's origin frame (that is what
+// makes them content-addressable), so every path but the local compute
+// ends in a translation.
+func (e *engine) runUnit(ctx context.Context, u *unit) (*TileResult, error) {
+	n := &e.tiles
+	if u.stage == StageWindow {
+		n = &e.windows
+	}
+	origin := geom.Pt(u.frame.X0, u.frame.Y0)
+	cache := e.opts.Cache
+	var key [sha256.Size]byte
+	if cache != nil {
+		key = e.key(u)
+		if p, ok := cache.lru.Get(key); ok {
+			n.cHit.Inc()
+			n.hits.Add(1)
+			return p.translate(origin), nil
 		}
 	}
-
-	// Global density window grid: windows are anchored at the die
-	// corner like the flat rule's, and each is assigned to the unique
-	// tile containing its lower-left corner, so every window is
-	// measured exactly once, from a tile whose context pad covers it.
-	var wins []geom.Rect
-	if len(densRules) > 0 {
-		wins = drc.WindowGrid(die, o.DensityWindow, o.DensityWindow/2)
+	var out *TileResult
+	if e.remote != nil {
+		n.cRemote.Inc()
+		n.remote.Add(1)
+		tr, served, err := e.remote.EvalTile(ctx, e.wire(u))
+		if err == nil {
+			out, err = e.absorb(tr, u)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%v: %w", u, err)
+		}
+		if served.Cached {
+			cRemoteCached.Inc()
+			e.remoteCached.Add(1)
+		}
+		if served.Deduped {
+			cRemoteDeduped.Inc()
+			e.remoteDeduped.Add(1)
+		}
+	} else {
+		var err error
+		if out, err = e.compute(ctx, u); err != nil {
+			return nil, err
+		}
 	}
-	nx := int((die.Width() + o.Tile - 1) / o.Tile)
-	ny := int((die.Height() + o.Tile - 1) / o.Tile)
-	nT := nx * ny
-	perTileWins := make([][]int, nT)
-	for wi, w := range wins {
-		ti := int((w.X0-die.X0)/o.Tile) + nx*int((w.Y0-die.Y0)/o.Tile)
-		perTileWins[ti] = append(perTileWins[ti], wi)
+	if cache != nil {
+		n.cMiss.Inc()
+		n.misses.Add(1)
+		cache.lru.Put(key, out.translate(geom.Pt(-origin.X, -origin.Y)))
 	}
+	return out, nil
+}
 
-	// Context pad: the halo for rule interactions, stretched so every
-	// assigned density window (which can overhang its tile by up to a
-	// full window) is fully covered.
-	pad := o.Halo
-	if len(densRules) > 0 && o.DensityWindow > pad {
-		pad = o.DensityWindow
-	}
-
-	// Stage A: tiles (DRC + density).
-	outs := make([]tileOut, nT)
-	var nEmpty, nHit, nMiss, nShapes atomic.Int64
-	var nRemT, nRemW, nRemC, nRemD atomic.Int64
-	var nSpliceT, nSpliceW atomic.Int64
-	res.Stats.Tiles = nT
-	err := harness.ForEachErr(stdctx, o.Workers, nT, func(i int) error {
+// runTiles is stage A: one DRC + density output per tile of the grid.
+func (e *engine) runTiles(ctx context.Context) ([]*TileResult, error) {
+	outs := make([]*TileResult, e.nx*e.ny)
+	err := harness.ForEachErr(ctx, e.opts.Workers, len(outs), func(i int) error {
 		sp := hTileNS.Start()
 		defer sp.End()
 		cTiles.Inc()
-		core := tileCore(die, o.Tile, nx, i)
-		padded := core.Bloat(pad)
-		if inc != nil && inc.prev != nil && !touchesAny(padded, inc.changed) {
-			// The padded window misses every dirty rect: the extraction
-			// over it is unchanged, and the per-tile computation is a
-			// pure function of it — splice the prior output untouched.
+		core := e.core(i)
+		padded := core.Bloat(e.pad)
+		if e.prev != nil && !touchesAny(padded, e.changed) {
 			cSpliceTiles.Inc()
-			nSpliceT.Add(1)
-			outs[i] = inc.prev.outs[i]
+			e.splicedTiles.Add(1)
+			outs[i] = e.prev.outs[i]
 			return nil
 		}
-		shapes := ex.AppendShapes(padded, nil)
-		nShapes.Add(int64(len(shapes)))
-		cShapes.Add(int64(len(shapes)))
-		absWins := make([]geom.Rect, len(perTileWins[i]))
-		for j, wi := range perTileWins[i] {
-			absWins[j] = wins[wi]
+		u := &unit{stage: StageTile, idx: i, frame: core, shapes: e.ex.AppendShapes(padded, nil)}
+		e.shapes.Add(int64(len(u.shapes)))
+		cShapes.Add(int64(len(u.shapes)))
+		u.wins = make([]geom.Rect, len(e.perTileWins[i]))
+		for j, wi := range e.perTileWins[i] {
+			u.wins[j] = e.wins[wi]
 		}
-		if len(shapes) == 0 {
+		if len(u.shapes) == 0 {
 			cTilesEmpty.Inc()
-			nEmpty.Add(1)
+			e.emptyTiles.Add(1)
 			// No geometry in reach: no DRC violations, all densities
-			// zero — identical to what the flat run measures here.
-			dens := make([][]float64, len(densRules))
+			// zero — identical to what the flat run measures here. Empty
+			// units never reach the cache or the fleet.
+			dens := make([][]float64, len(e.densRules))
 			for di := range dens {
-				dens[di] = make([]float64, len(absWins))
+				dens[di] = make([]float64, len(u.wins))
 			}
-			outs[i] = tileOut{dens: dens}
+			outs[i] = &TileResult{Dens: dens}
 			return nil
 		}
-		var key [32]byte
-		if o.Cache != nil {
-			key = tileKey(cfg, core, pad, absWins, shapes)
-			if p, ok := o.Cache.get(key); ok {
-				cTileHit.Inc()
-				nHit.Add(1)
-				outs[i] = replayTile(p, core)
-				return nil
-			}
-		}
-		var out tileOut
-		if remote != nil {
-			cRemoteTiles.Inc()
-			nRemT.Add(1)
-			tr, served, err := remote.EvalTile(stdctx, tileWireRequest(t, o, densLayers, core, pad, absWins, shapes))
-			if err != nil {
-				return fmt.Errorf("tile %d: %w", i, err)
-			}
-			if served.Cached {
-				cRemoteCached.Inc()
-				nRemC.Add(1)
-			}
-			if served.Deduped {
-				cRemoteDeduped.Inc()
-				nRemD.Add(1)
-			}
-			if out, err = absorbTileResult(tr, core, len(densRules), len(absWins)); err != nil {
-				return fmt.Errorf("tile %d: %w", i, err)
-			}
-		} else {
-			var err error
-			if out, err = computeTile(stdctx, t, std, densRules, shapes, core, padded, absWins); err != nil {
-				return err
-			}
-		}
-		outs[i] = out
-		if o.Cache != nil {
-			cTileMiss.Inc()
-			nMiss.Add(1)
-			o.Cache.put(key, relPayload(out, core))
-		}
-		return nil
+		var err error
+		outs[i], err = e.runUnit(ctx, u)
+		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	res.Stats.EmptyTiles = int(nEmpty.Load())
-	res.Stats.TileHits = nHit.Load()
-	res.Stats.TileMisses = nMiss.Load()
-	res.Stats.ShapesExtracted = nShapes.Load()
+	return outs, err
+}
 
-	// Stitch stage A: merge with multiplicity-aware dedup — a
-	// violation seen by several tiles (its marker straddles cores or
-	// sits in halo overlap) counts once per flat occurrence, keeping
-	// genuine in-tile duplicates intact (max multiplicity across
-	// tiles equals the flat multiplicity, since some tile sees the
-	// full local context).
+// stitchTiles merges the stage-A outputs into res.
+func (p *plan) stitchTiles(res *Result, outs []*TileResult) {
+	res.Stats.Tiles = len(outs)
+	for _, name := range p.rules {
+		res.ByRule[name] = 0
+	}
+	// Multiplicity-aware dedup — a violation seen by several tiles (its
+	// marker straddles cores or sits in halo overlap) counts once per
+	// flat occurrence, keeping genuine in-tile duplicates intact (max
+	// multiplicity across tiles equals the flat multiplicity, since
+	// some tile sees the full local context).
 	counts := make(map[drc.Violation]int)
 	local := make(map[drc.Violation]int)
-	for i := range outs {
+	for _, out := range outs {
 		clear(local)
-		for _, v := range outs[i].viol {
+		for _, v := range out.Violations {
 			local[v]++
 		}
 		for v, n := range local {
@@ -443,21 +445,21 @@ func evaluate(stdctx context.Context, t *tech.Tech, ex *Extractor, o Opts, remot
 	}
 	// Density: reassemble the global per-rule value arrays and emit
 	// out-of-range windows through the rule's own formatter.
-	densVals := make([][]float64, len(densRules))
-	for di := range densRules {
-		densVals[di] = make([]float64, len(wins))
+	densVals := make([][]float64, len(p.densRules))
+	for di := range p.densRules {
+		densVals[di] = make([]float64, len(p.wins))
 	}
-	for i := range outs {
-		for di := range densRules {
-			for j, wi := range perTileWins[i] {
-				densVals[di][wi] = outs[i].dens[di][j]
+	for i, out := range outs {
+		for di := range p.densRules {
+			for j, wi := range p.perTileWins[i] {
+				densVals[di][wi] = out.Dens[di][j]
 			}
 		}
 	}
-	for di, dr := range densRules {
+	for di, dr := range p.densRules {
 		for wi, d := range densVals[di] {
 			if d < dr.Min || d > dr.Max {
-				v := dr.Violation(wins[wi], d)
+				v := dr.Violation(p.wins[wi], d)
 				if counts[v] < 1 {
 					counts[v] = 1
 				}
@@ -474,208 +476,80 @@ func evaluate(stdctx context.Context, t *tech.Tech, ex *Extractor, o Opts, remot
 	for _, v := range all {
 		res.ByRule[v.Rule]++
 	}
-	if o.MaxViolations > 0 && len(all) > o.MaxViolations {
-		res.Dropped = len(all) - o.MaxViolations
+	if limit := p.opts.MaxViolations; limit > 0 && len(all) > limit {
+		res.Dropped = len(all) - limit
 		cStitchDrop.Add(int64(res.Dropped))
-		all = all[:o.MaxViolations:o.MaxViolations]
+		all = all[:limit:limit]
 	}
 	res.Violations = all
 	cStitchViol.Add(int64(len(all)))
-	if o.KeepDensityMaps {
-		for di, dr := range densRules {
-			res.Density[dr.Layer] = fill.DensityMap{Windows: wins, Density: densVals[di]}
+	if p.opts.KeepDensityMaps {
+		for di, dr := range p.densRules {
+			res.Density[dr.Layer] = fill.DensityMap{Windows: p.wins, Density: densVals[di]}
 		}
 	}
+}
 
-	// Stage B: litho hotspot scan windows. The window grid is exactly
-	// litho.ScanGrid over the layer's hierarchical bbox, so windows,
-	// pads, and the order-dependent seam dedup reproduce ScanLayer
-	// bit-for-bit; each window extracts only the geometry that can
-	// reach its padded raster (simulation pad + one pixel of grid
-	// slack), so an untouched window costs a pruned hierarchy walk.
-	// The per-window cache/remote/local dispatch is the exec closure;
-	// plain and surrogate-gated control flow live in scan.go.
-	var nWin, nWinEmpty, nWinHit, nWinMiss atomic.Int64
-	if o.Surrogate != nil {
-		res.Surrogate = make(map[tech.Layer]*surrogate.Report)
-	}
-	var scanSnaps map[tech.Layer]*layerSnap
-	if inc != nil && inc.snap != nil {
-		scanSnaps = make(map[tech.Layer]*layerSnap)
-	}
-	for _, hl := range o.Hotspots {
-		lb := ex.LayerBBox(hl)
-		swins := litho.ScanGrid(lb)
-		var prevScan *layerSnap
-		if inc != nil && inc.prev != nil {
-			// The scan grid is anchored at the layer bbox: an edit that
-			// moves it re-phases every window at once.
-			if prevScan = inc.prev.scans[hl]; prevScan == nil || prevScan.bbox != lb {
-				return nil, fmt.Errorf("%w: %v bbox moved (scan grid anchor)", ErrFullRequired, hl)
-			}
-		}
-		res.Hotspots[hl] = nil
-		if len(swins) == 0 {
-			if scanSnaps != nil {
-				scanSnaps[hl] = &layerSnap{bbox: lb}
-			}
-			continue
-		}
-		minW, minS := o.MinWidth, o.MinSpace
-		if minW == 0 || minS == 0 {
-			dw, ds := litho.ScanDefaults(t, hl)
-			if minW == 0 {
-				minW = dw
-			}
-			if minS == 0 {
-				minS = ds
-			}
-		}
-		extPad := litho.ScanPadNM + litho.SimPadNM(t.Optics, o.HotspotCond.Defocus) +
-			2*int64(math.Ceil(t.Optics.GridNM))
-		scanOpts := litho.ScanOpts{Cond: o.HotspotCond, MinWidth: minW, MinSpace: minS, Interior: o.HotspotInterior}
-		getRects := func(i int) []geom.Rect {
-			return ex.AppendLayerRects(swins[i].Bloat(extPad), hl, nil)
-		}
-		exec := func(i int, win geom.Rect, rs []geom.Rect) ([]litho.Hotspot, error) {
-			sp := hWindowNS.Start()
-			defer sp.End()
-			var key [32]byte
-			if o.Cache != nil {
-				key = windowKey(cfg, hl, win, extPad, rs)
-				if p, ok := o.Cache.get(key); ok {
-					cWinHit.Inc()
-					nWinHit.Add(1)
-					hs := make([]litho.Hotspot, len(p.hs))
-					d := geom.Pt(win.X0, win.Y0)
-					for j, h := range p.hs {
-						h.Box = h.Box.Translate(d)
-						hs[j] = h
-					}
-					return hs, nil
-				}
-			}
-			var kept []litho.Hotspot
-			if remote != nil {
-				cRemoteWindows.Inc()
-				nRemW.Add(1)
-				tr, served, err := remote.EvalTile(stdctx, windowWireRequest(t, o, densLayers, hl, win, extPad, rs))
+// runScans is stage B: every hotspot layer's window scan, stitched into
+// res by the scan driver shared with the flat engine (scan.go). The
+// engine supplies the three things that differ between engines: how a
+// window's rects are extracted, how one window is computed exactly
+// (the run-unit step), and which windows a prior snapshot already
+// answers.
+func (e *engine) runScans(ctx context.Context, res *Result) ([][][]litho.Hotspot, error) {
+	perWin := make([][][]litho.Hotspot, len(e.scans))
+	for si := range e.scans {
+		sp := &e.scans[si]
+		reach := func(i int) geom.Rect { return sp.swins[i].Bloat(sp.extPad) }
+		src := scanSource{
+			rects:    func(i int) []geom.Rect { return e.ex.AppendLayerRects(reach(i), sp.layer, nil) },
+			neighbor: func(i int) []geom.Rect { return e.ex.AppendLayerRects(reach(i), neighborLayer(sp.layer), nil) },
+			exec: func(i int, win geom.Rect, rs []geom.Rect) ([]litho.Hotspot, error) {
+				span := hWindowNS.Start()
+				defer span.End()
+				out, err := e.runUnit(ctx, &unit{stage: StageWindow, idx: i, frame: win, scan: sp, rects: rs})
 				if err != nil {
-					return nil, fmt.Errorf("%s scan window %d: %w", hl, i, err)
-				}
-				if served.Cached {
-					cRemoteCached.Inc()
-					nRemC.Add(1)
-				}
-				if served.Deduped {
-					cRemoteDeduped.Inc()
-					nRemD.Add(1)
-				}
-				if kept, err = absorbWindowResult(tr, win); err != nil {
-					return nil, fmt.Errorf("%s scan window %d: %w", hl, i, err)
-				}
-			} else {
-				var err error
-				if kept, err = litho.ScanWindowCtx(stdctx, rs, win, t, hl, scanOpts); err != nil {
 					return nil, err
 				}
-			}
-			if o.Cache != nil {
-				cWinMiss.Inc()
-				nWinMiss.Add(1)
-				rel := make([]litho.Hotspot, len(kept))
-				d := geom.Pt(-win.X0, -win.Y0)
-				for j, h := range kept {
-					h.Box = h.Box.Translate(d)
-					rel[j] = h
-				}
-				o.Cache.put(key, &payload{hs: rel})
-			}
-			return kept, nil
+				return out.Hotspots, nil
+			},
 		}
-		var perWin [][]litho.Hotspot
-		var nEmpty int
-		if prevScan != nil {
-			var nSpl int64
-			perWin, nEmpty, nSpl, err = scanLayerSplice(stdctx, o.Workers, swins, extPad,
-				inc.changed, prevScan.perWin, getRects, exec)
-			if err != nil {
-				return nil, err
-			}
-			nSpliceW.Add(nSpl)
-		} else if o.Surrogate != nil {
-			getNb := func(i int) []geom.Rect {
-				return ex.AppendLayerRects(swins[i].Bloat(extPad), neighborLayer(hl), nil)
-			}
-			var rep *surrogate.Report
-			perWin, rep, nEmpty, err = scanLayerGated(stdctx, *o.Surrogate, o.Workers,
-				swins, extPad, minW, minS, getRects, getNb, exec)
-			if err != nil {
-				return nil, err
-			}
-			res.Surrogate[hl] = rep
-			res.Stats.SurrSampled += rep.Sampled
-			res.Stats.SurrSkipped += rep.Skipped
-			res.Stats.SurrGuarded += rep.Guarded
-			res.Stats.SurrExact += rep.Exact
-		} else {
-			perWin, nEmpty, err = scanLayerPlain(stdctx, o.Workers, swins, getRects, exec)
-			if err != nil {
-				return nil, err
+		if e.prev != nil {
+			prior := e.prev.perWin[si]
+			src.reuse = func(i int) ([]litho.Hotspot, bool) {
+				return prior[i], !touchesAny(reach(i), e.changed)
 			}
 		}
-		nWin.Add(int64(len(swins)))
-		nWinEmpty.Add(int64(nEmpty))
-		if scanSnaps != nil {
-			scanSnaps[hl] = &layerSnap{bbox: lb, swins: swins, extPad: extPad, perWin: perWin}
-		}
-		// Stitch: windows in scan order with the same box-keyed seam
-		// dedup ScanLayer applies, then the deterministic total order.
-		res.Hotspots[hl] = stitchWindows(perWin)
-	}
-	res.Stats.Windows = int(nWin.Load())
-	res.Stats.EmptyWindows = int(nWinEmpty.Load())
-	res.Stats.WindowHits = nWinHit.Load()
-	res.Stats.WindowMisses = nWinMiss.Load()
-	res.Stats.RemoteTiles = nRemT.Load()
-	res.Stats.RemoteWindows = nRemW.Load()
-	res.Stats.RemoteCached = nRemC.Load()
-	res.Stats.RemoteDeduped = nRemD.Load()
-	res.Stats.SplicedTiles = int(nSpliceT.Load())
-	res.Stats.SplicedWindows = int(nSpliceW.Load())
-	if inc != nil && inc.snap != nil {
-		*inc.snap = Snapshot{
-			opts: o, die: die, densLayers: densLayers, pad: pad,
-			nx: nx, ny: ny, wins: wins, perTileWins: perTileWins,
-			outs: outs, scans: scanSnaps,
+		var err error
+		if perWin[si], err = scanLayer(ctx, e.opts, sp, res, src); err != nil {
+			return nil, err
 		}
 	}
-	res.Stats.Elapsed = time.Since(start)
-	return res, nil
+	return perWin, nil
 }
 
 // computeTile runs the per-tile workhorses on an extracted context.
 func computeTile(ctx context.Context, t *tech.Tech, std *drc.Deck, densRules []drc.DensityWindow,
-	shapes []layout.Shape, core, padded geom.Rect, absWins []geom.Rect) (tileOut, error) {
+	shapes []layout.Shape, core, padded geom.Rect, absWins []geom.Rect) (*TileResult, error) {
 	tctx := drc.NewContext(t, shapes)
-	var out tileOut
+	out := &TileResult{}
 	if std != nil {
 		r := std.RunCtx(ctx, tctx, 1)
 		if err := ctx.Err(); err != nil {
 			// RunCtx returns a silently partial result on cancellation;
 			// never let it into the stitch.
-			return out, err
+			return nil, err
 		}
-		out.viol = keepViolations(r.Violations, core, padded)
+		out.Violations = keepViolations(r.Violations, core, padded)
 	}
-	out.dens = make([][]float64, len(densRules))
+	out.Dens = make([][]float64, len(densRules))
 	for di, dr := range densRules {
 		ds := make([]float64, len(absWins))
 		rs := tctx.Layers[dr.Layer]
 		for j, w := range absWins {
 			ds[j] = drc.DensityIn(rs, w)
 		}
-		out.dens[di] = ds
+		out.Dens[di] = ds
 	}
 	return out, nil
 }
@@ -703,32 +577,6 @@ func keepViolations(vs []drc.Violation, core, padded geom.Rect) []drc.Violation 
 	return out
 }
 
-func replayTile(p *payload, core geom.Rect) tileOut {
-	out := tileOut{dens: p.dens} // densities are translation-invariant; shared read-only
-	if len(p.viol) > 0 {
-		out.viol = make([]drc.Violation, len(p.viol))
-		d := geom.Pt(core.X0, core.Y0)
-		for j, v := range p.viol {
-			v.Marker = v.Marker.Translate(d)
-			out.viol[j] = v
-		}
-	}
-	return out
-}
-
-func relPayload(out tileOut, core geom.Rect) *payload {
-	p := &payload{dens: out.dens}
-	if len(out.viol) > 0 {
-		p.viol = make([]drc.Violation, len(out.viol))
-		d := geom.Pt(-core.X0, -core.Y0)
-		for j, v := range out.viol {
-			v.Marker = v.Marker.Translate(d)
-			p.viol[j] = v
-		}
-	}
-	return p
-}
-
 // EvaluateFlat is the flatten-everything twin of Evaluate: same
 // stages, same options, computed on the materialized flat shape list.
 // It exists as the differential oracle (tiled results must match it
@@ -739,11 +587,7 @@ func EvaluateFlat(stdctx context.Context, t *tech.Tech, top *layout.Cell, o Opts
 	start := time.Now()
 	o = withDefaults(t, o)
 	flat := (&layout.Layout{Top: top}).Flatten()
-	res := &Result{
-		ByRule:   make(map[string]int),
-		Hotspots: make(map[tech.Layer][]litho.Hotspot),
-		Density:  make(map[tech.Layer]fill.DensityMap),
-	}
+	res := newResult(o)
 	res.Stats.Rects = int64(len(flat))
 	if len(flat) == 0 {
 		res.Stats.Elapsed = time.Since(start)
@@ -802,9 +646,6 @@ func EvaluateFlat(stdctx context.Context, t *tech.Tech, top *layout.Cell, o Opts
 	}
 	res.Violations = all
 
-	if o.Surrogate != nil {
-		res.Surrogate = make(map[tech.Layer]*surrogate.Report)
-	}
 	for _, hl := range o.Hotspots {
 		if o.Surrogate == nil && !o.HotspotInterior {
 			// Legacy exact path, kept verbatim as the oracle baseline.
@@ -816,62 +657,28 @@ func EvaluateFlat(stdctx context.Context, t *tech.Tech, top *layout.Cell, o Opts
 			res.Hotspots[hl] = hs
 			continue
 		}
-		// Shared stage-B drivers (scan.go), window-local like the tiled
+		// Shared stage-B driver (scan.go), window-local like the tiled
 		// engine so features and gate decisions match it bit-for-bit.
 		// Features must come from the raw drawn multiset — the extractor
 		// emits whole shapes, while tctx.Layers is Normalize()d, which
 		// changes rect counts, drawn widths, and gaps (the printed
 		// raster is union-invariant, the featurizer is not).
 		layerRs := rawLayerRects(flat, hl)
-		swins := litho.ScanGrid(geom.BBoxOf(layerRs))
-		res.Hotspots[hl] = nil
-		if len(swins) == 0 {
-			continue
-		}
-		minW, minS := o.MinWidth, o.MinSpace
-		if minW == 0 || minS == 0 {
-			dw, ds := litho.ScanDefaults(t, hl)
-			if minW == 0 {
-				minW = dw
-			}
-			if minS == 0 {
-				minS = ds
-			}
-		}
-		extPad := litho.ScanPadNM + litho.SimPadNM(t.Optics, o.HotspotCond.Defocus) +
-			2*int64(math.Ceil(t.Optics.GridNM))
-		scanOpts := litho.ScanOpts{Cond: o.HotspotCond, MinWidth: minW, MinSpace: minS, Interior: o.HotspotInterior}
-		getRects := func(i int) []geom.Rect {
-			return rectsTouching(layerRs, swins[i].Bloat(extPad))
-		}
-		exec := func(i int, win geom.Rect, rs []geom.Rect) ([]litho.Hotspot, error) {
-			return litho.ScanWindowCtx(stdctx, rs, win, t, hl, scanOpts)
-		}
-		var perWin [][]litho.Hotspot
-		var err error
+		var nbRs []geom.Rect
 		if o.Surrogate != nil {
-			nbRs := rawLayerRects(flat, neighborLayer(hl))
-			getNb := func(i int) []geom.Rect {
-				return rectsTouching(nbRs, swins[i].Bloat(extPad))
-			}
-			var rep *surrogate.Report
-			perWin, rep, _, err = scanLayerGated(stdctx, *o.Surrogate, o.Workers,
-				swins, extPad, minW, minS, getRects, getNb, exec)
-			if err != nil {
-				return nil, err
-			}
-			res.Surrogate[hl] = rep
-			res.Stats.SurrSampled += rep.Sampled
-			res.Stats.SurrSkipped += rep.Skipped
-			res.Stats.SurrGuarded += rep.Guarded
-			res.Stats.SurrExact += rep.Exact
-		} else {
-			perWin, _, err = scanLayerPlain(stdctx, o.Workers, swins, getRects, exec)
-			if err != nil {
-				return nil, err
-			}
+			nbRs = rawLayerRects(flat, neighborLayer(hl))
 		}
-		res.Hotspots[hl] = stitchWindows(perWin)
+		sp := newScanPlan(t, o, hl, geom.BBoxOf(layerRs))
+		reach := func(i int) geom.Rect { return sp.swins[i].Bloat(sp.extPad) }
+		if _, err := scanLayer(stdctx, o, &sp, res, scanSource{
+			rects:    func(i int) []geom.Rect { return rectsTouching(layerRs, reach(i)) },
+			neighbor: func(i int) []geom.Rect { return rectsTouching(nbRs, reach(i)) },
+			exec: func(i int, win geom.Rect, rs []geom.Rect) ([]litho.Hotspot, error) {
+				return litho.ScanWindowCtx(stdctx, rs, win, t, hl, sp.opts)
+			},
+		}); err != nil {
+			return nil, err
+		}
 	}
 	res.Stats.Elapsed = time.Since(start)
 	return res, nil
@@ -950,21 +757,4 @@ func sortHotspots(hs []litho.Hotspot) {
 		}
 		return a.Box.Y1 < b.Box.Y1
 	})
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxI64(vs ...int64) int64 {
-	m := vs[0]
-	for _, v := range vs[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
 }

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/drc"
 	"repro/internal/geom"
@@ -97,14 +98,39 @@ type TileRequest struct {
 	Rects []geom.Rect `json:"rects,omitempty"`
 }
 
-// TileResult is the unit's output, in the same origin frame as its
-// request: violation markers core-relative, hotspot boxes
-// window-relative, densities (translation-invariant) as
-// [densityRule][window] in request order.
+// TileResult is one unit's output: a tile's kept violations and window
+// densities ([densityRule][window] in request order), or a scan
+// window's kept hotspots. On the wire and in the replay cache it is in
+// the same origin frame as its request — violation markers
+// core-relative, hotspot boxes window-relative — which is what makes
+// it content-addressable; the engine translates it into the chip frame
+// to stitch. Immutable once built.
 type TileResult struct {
 	Violations []drc.Violation `json:"violations,omitempty"`
 	Dens       [][]float64     `json:"dens,omitempty"`
 	Hotspots   []litho.Hotspot `json:"hotspots,omitempty"`
+}
+
+// translate returns r moved by d: violation markers and hotspot boxes
+// shift into fresh slices; densities are translation-invariant and
+// shared read-only.
+func (r *TileResult) translate(d geom.Point) *TileResult {
+	out := &TileResult{Dens: r.Dens}
+	if len(r.Violations) > 0 {
+		out.Violations = make([]drc.Violation, len(r.Violations))
+		for i, v := range r.Violations {
+			v.Marker = v.Marker.Translate(d)
+			out.Violations[i] = v
+		}
+	}
+	if len(r.Hotspots) > 0 {
+		out.Hotspots = make([]litho.Hotspot, len(r.Hotspots))
+		for i, h := range r.Hotspots {
+			h.Box = h.Box.Translate(d)
+			out.Hotspots[i] = h
+		}
+	}
+	return out
 }
 
 // TileServed reports how the serving tier answered one work unit:
@@ -193,24 +219,16 @@ func ExecuteTile(ctx context.Context, r *TileRequest) (*TileResult, error) {
 		}
 		var densRules []drc.DensityWindow
 		if r.Density && len(r.DensityLayers) > 0 {
-			want := make(map[tech.Layer]bool, len(r.DensityLayers))
-			for _, l := range r.DensityLayers {
-				want[l] = true
-			}
 			// Deck order filtered to the enabled set reproduces the
 			// submitter's chip-global layer filter.
 			for _, rule := range drc.DensityDeck(&t, r.DensityWindow).Rules {
-				if dw := rule.(drc.DensityWindow); want[dw.Layer] {
+				if dw := rule.(drc.DensityWindow); slices.Contains(r.DensityLayers, dw.Layer) {
 					densRules = append(densRules, dw)
 				}
 			}
 		}
 		core := geom.R(0, 0, r.CoreW, r.CoreH)
-		out, err := computeTile(ctx, &t, std, densRules, r.Shapes, core, core.Bloat(r.Pad), r.Windows)
-		if err != nil {
-			return nil, err
-		}
-		return &TileResult{Violations: out.viol, Dens: out.dens}, nil
+		return computeTile(ctx, &t, std, densRules, r.Shapes, core, core.Bloat(r.Pad), r.Windows)
 	}
 
 	// Stage "window": one litho scan window, mirroring Evaluate's
@@ -225,156 +243,69 @@ func ExecuteTile(ctx context.Context, r *TileRequest) (*TileResult, error) {
 	return &TileResult{Hotspots: kept}, nil
 }
 
-// tileWireRequest builds the stage-A work unit for one tile, geometry
-// re-based to the core origin.
-func tileWireRequest(t *tech.Tech, o Opts, densLayers []tech.Layer, core geom.Rect, pad int64, absWins []geom.Rect, shapes []layout.Shape) *TileRequest {
-	d := geom.Pt(-core.X0, -core.Y0)
-	wins := make([]geom.Rect, len(absWins))
-	for i, w := range absWins {
-		wins[i] = w.Translate(d)
-	}
-	rel := make([]layout.Shape, len(shapes))
-	for i, s := range shapes {
-		s.R = s.R.Translate(d)
-		rel[i] = s
-	}
+// wireRequest fills the fields every unit of one evaluation shares —
+// exactly what configKey hashes. Thresholds travel raw (zero means the
+// per-layer default), resolved identically on both sides.
+func wireRequest(stage string, t *tech.Tech, o Opts, densLayers []tech.Layer) *TileRequest {
 	return &TileRequest{
-		Schema: TileSchema, Stage: StageTile,
+		Schema: TileSchema, Stage: stage,
 		Tech: *t, DRC: o.DRC, Density: o.Density, DensityWindow: o.DensityWindow,
 		DensityLayers: densLayers, Cond: o.HotspotCond,
 		MinWidth: o.MinWidth, MinSpace: o.MinSpace,
 		Interior: o.HotspotInterior, Surrogate: o.Surrogate,
-		CoreW: core.Width(), CoreH: core.Height(), Pad: pad,
-		Windows: wins, Shapes: rel,
 	}
+}
+
+// rebase translates rs by d into a fresh slice.
+func rebase(rs []geom.Rect, d geom.Point) []geom.Rect {
+	rel := make([]geom.Rect, len(rs))
+	for i, r := range rs {
+		rel[i] = r.Translate(d)
+	}
+	return rel
+}
+
+// tileWireRequest builds the stage-A work unit for one tile, geometry
+// re-based to the core origin.
+func tileWireRequest(t *tech.Tech, o Opts, densLayers []tech.Layer, core geom.Rect, pad int64, absWins []geom.Rect, shapes []layout.Shape) *TileRequest {
+	d := geom.Pt(-core.X0, -core.Y0)
+	r := wireRequest(StageTile, t, o, densLayers)
+	r.CoreW, r.CoreH, r.Pad = core.Width(), core.Height(), pad
+	r.Windows = rebase(absWins, d)
+	r.Shapes = make([]layout.Shape, len(shapes))
+	for i, s := range shapes {
+		s.R = s.R.Translate(d)
+		r.Shapes[i] = s
+	}
+	return r
 }
 
 // windowWireRequest builds the stage-B work unit for one scan window,
 // rects re-based to the window origin.
 func windowWireRequest(t *tech.Tech, o Opts, densLayers []tech.Layer, layer tech.Layer, win geom.Rect, extPad int64, rs []geom.Rect) *TileRequest {
-	d := geom.Pt(-win.X0, -win.Y0)
-	rel := make([]geom.Rect, len(rs))
-	for i, r := range rs {
-		rel[i] = r.Translate(d)
-	}
-	return &TileRequest{
-		Schema: TileSchema, Stage: StageWindow,
-		Tech: *t, DRC: o.DRC, Density: o.Density, DensityWindow: o.DensityWindow,
-		DensityLayers: densLayers, Cond: o.HotspotCond,
-		MinWidth: o.MinWidth, MinSpace: o.MinSpace,
-		Interior: o.HotspotInterior, Surrogate: o.Surrogate,
-		Layer: layer, WinW: win.Width(), WinH: win.Height(), Pad: extPad,
-		Rects: rel,
-	}
+	r := wireRequest(StageWindow, t, o, densLayers)
+	r.Layer, r.WinW, r.WinH, r.Pad = layer, win.Width(), win.Height(), extPad
+	r.Rects = rebase(rs, geom.Pt(-win.X0, -win.Y0))
+	return r
 }
 
-// absorbTileResult validates a stage-A wire result against the tile's
-// expected shape and translates it back into the chip frame. The shape
-// checks matter: a result from a confused or version-skewed node must
-// fail the run loudly, never stitch silently.
-func absorbTileResult(tr *TileResult, core geom.Rect, nDens, nWins int) (tileOut, error) {
+// absorbTileResult validates a wire result against the unit's expected
+// shape — nDens density rows of nWins windows each; a scan window
+// expects none — and translates it from the unit's origin frame back
+// into the chip frame. The shape checks matter: a result from a
+// confused or version-skewed node must fail the run loudly, never
+// stitch silently.
+func absorbTileResult(tr *TileResult, frame geom.Rect, nDens, nWins int) (*TileResult, error) {
 	if tr == nil {
-		return tileOut{}, errors.New("tiling: tile job settled without a result")
+		return nil, errors.New("tiling: tile job settled without a result")
 	}
 	if len(tr.Dens) != nDens {
-		return tileOut{}, fmt.Errorf("tiling: tile result carries %d density rows, want %d", len(tr.Dens), nDens)
+		return nil, fmt.Errorf("tiling: tile result carries %d density rows, want %d", len(tr.Dens), nDens)
 	}
 	for _, row := range tr.Dens {
 		if len(row) != nWins {
-			return tileOut{}, fmt.Errorf("tiling: tile result density row has %d windows, want %d", len(row), nWins)
+			return nil, fmt.Errorf("tiling: tile result density row has %d windows, want %d", len(row), nWins)
 		}
 	}
-	return replayTile(&payload{viol: tr.Violations, dens: tr.Dens}, core), nil
-}
-
-// absorbWindowResult translates a stage-B wire result back into the
-// chip frame.
-func absorbWindowResult(tr *TileResult, win geom.Rect) ([]litho.Hotspot, error) {
-	if tr == nil {
-		return nil, errors.New("tiling: window job settled without a result")
-	}
-	if len(tr.Hotspots) == 0 {
-		return nil, nil
-	}
-	hs := make([]litho.Hotspot, len(tr.Hotspots))
-	d := geom.Pt(win.X0, win.Y0)
-	for i, h := range tr.Hotspots {
-		h.Box = h.Box.Translate(d)
-		hs[i] = h
-	}
-	return hs, nil
-}
-
-// DeltaRequest is the incremental form of a stage-A tile: instead of
-// re-shipping the full shape list after a small edit, the submitter
-// names a previously submitted tile by content address and sends only
-// the shape edits. The serving node reconstructs the child TileRequest
-// from its retained parent request, addresses it by the child's own
-// content hash (so identical deltas collapse in the cache and
-// singleflight like any tile), and executes it exactly as if the full
-// child had been sent. Geometry is core-relative, like TileRequest
-// shapes. A node that no longer retains the parent answers "unknown
-// parent"; the submitter falls back to the full tile.
-type DeltaRequest struct {
-	Schema int `json:"schema"`
-	// Parent is the content address ("sha256:<hex>") of the stage-A
-	// tile the edits apply to — the Key of a TileRequest the node has
-	// recently served.
-	Parent  string         `json:"parent"`
-	Added   []layout.Shape `json:"added,omitempty"`
-	Removed []layout.Shape `json:"removed,omitempty"`
-}
-
-// Validate checks the delta is well-formed for this build.
-func (d *DeltaRequest) Validate() error {
-	if d == nil {
-		return errors.New("tiling: nil delta request")
-	}
-	if d.Schema != TileSchema {
-		return fmt.Errorf("tiling: delta request schema %d, this build speaks %d", d.Schema, TileSchema)
-	}
-	const pfx = "sha256:"
-	if len(d.Parent) != len(pfx)+2*sha256.Size || d.Parent[:len(pfx)] != pfx {
-		return fmt.Errorf("tiling: delta parent %q is not a sha256 content address", d.Parent)
-	}
-	return nil
-}
-
-// Apply materializes the child TileRequest: the parent with the delta's
-// removals taken out (matched exactly, as a multiset — a removal that
-// matches nothing is an error, because it means the delta was derived
-// against different geometry) and its additions appended. The parent is
-// not modified. Only stage-A tiles support deltas: a scan window's
-// rects are a single layer's geometry, re-extracted wholesale when
-// dirty.
-func (d *DeltaRequest) Apply(parent *TileRequest) (*TileRequest, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	if err := parent.Validate(); err != nil {
-		return nil, err
-	}
-	if parent.Stage != StageTile {
-		return nil, fmt.Errorf("tiling: delta against stage %q unit; only stage %q supports deltas", parent.Stage, StageTile)
-	}
-	pending := append([]layout.Shape(nil), d.Removed...)
-	shapes := make([]layout.Shape, 0, len(parent.Shapes)+len(d.Added))
-outer:
-	for _, s := range parent.Shapes {
-		for i, r := range pending {
-			if s == r {
-				pending[i] = pending[len(pending)-1]
-				pending = pending[:len(pending)-1]
-				continue outer
-			}
-		}
-		shapes = append(shapes, s)
-	}
-	if len(pending) != 0 {
-		return nil, fmt.Errorf("tiling: delta removes %v @ %v which is not in the parent tile",
-			pending[0].Layer, pending[0].R)
-	}
-	child := *parent
-	child.Shapes = append(shapes, d.Added...)
-	return &child, nil
+	return tr.translate(geom.Pt(frame.X0, frame.Y0)), nil
 }

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -53,8 +54,8 @@ type deployment struct {
 func contractConfig(gate chan struct{}) server.Config {
 	cfg := server.Config{Workers: 1, Queue: 1, MaxWait: 0}
 	cfg.TaskFactory = func(req server.JobRequest, tt *tech.Tech, base layout.BlockOpts) (harness.Task, error) {
-		if req.Kind == server.KindTile || req.Kind == server.KindDelta {
-			tr := req.Tile // materialized child for delta jobs
+		if req.Kind == server.KindTile {
+			tr := req.Tile
 			return harness.Task{Name: req.Kind + "/" + tr.Stage, Run: func(ctx context.Context, attempt int) (any, error) {
 				return tiling.ExecuteTile(ctx, tr)
 			}}, nil
@@ -140,6 +141,25 @@ func postJSON(t *testing.T, url string, body any) *http.Response {
 		t.Fatal(err)
 	}
 	return resp
+}
+
+func postRaw(t *testing.T, url string, body io.Reader) *http.Response {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+// spaces is an endless stream of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
 }
 
 func decode[T any](t *testing.T, resp *http.Response) T {
@@ -273,96 +293,66 @@ func suite(t *testing.T, d *deployment) {
 		}
 	})
 
-	t.Run("delta-round-trip", func(t *testing.T) {
-		// Parent first (also warms the tile cache from the prior
-		// subtest's submissions — either way the parent store holds it).
-		presp := postJSON(t, d.url+"/v1/jobs?wait=1", server.JobRequest{Kind: server.KindTile, Tile: tileReq()})
-		pst := decode[server.JobStatus](t, presp)
-		if pst.State != server.StateDone {
-			t.Fatalf("parent tile: %+v", pst)
+	t.Run("delta-kind-removed", func(t *testing.T) {
+		// The incremental "delta" job kind is gone from the wire: both
+		// tiers must say so the same way, whether the client names the
+		// kind or still sends the old payload field.
+		ghost := "sha256:" + strings.Repeat("0", 64)
+		resp := postRaw(t, d.url+"/v1/jobs", strings.NewReader(`{"kind":"delta","technique":"sraf"}`))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("delta kind status = %d, want 400", resp.StatusCode)
 		}
-		// Nudge the right-hand offender 10nm right: the gap widens to
-		// 60nm, still violating — so both sides must produce the same
-		// non-empty, shifted marker (an empty result would compare
-		// vacuously through the JSON round trip).
-		heal := func() *tiling.DeltaRequest {
-			return &tiling.DeltaRequest{
-				Schema: tiling.TileSchema, Parent: pst.Key,
-				Removed: []layout.Shape{{Layer: tech.Metal2, R: geom.R(1850, 1500, 2150, 1570)}},
-				Added:   []layout.Shape{{Layer: tech.Metal2, R: geom.R(1860, 1500, 2160, 1570)}},
-			}
+		if body := decode[server.ErrorBody](t, resp); !strings.Contains(body.Error, "unknown job kind") {
+			t.Fatalf("delta kind body %q, want unknown job kind", body.Error)
 		}
-		child, err := heal().Apply(tileReq())
-		if err != nil {
-			t.Fatal(err)
+		resp = postRaw(t, d.url+"/v1/jobs", strings.NewReader(
+			`{"kind":"tile","delta":{"schema":2,"parent":"`+ghost+`"}}`))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("delta field status = %d, want 400", resp.StatusCode)
 		}
-		want, err := tiling.ExecuteTile(context.Background(), child)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(want.Violations) != 1 {
-			t.Fatalf("edited child violations = %+v, want exactly the widened gap", want.Violations)
-		}
-		resp := postJSON(t, d.url+"/v1/jobs?wait=1", server.JobRequest{Kind: server.KindDelta, Delta: heal()})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("delta wait=1 submit status = %d, want 200", resp.StatusCode)
-		}
-		st := decode[server.JobStatus](t, resp)
-		if st.State != server.StateDone || st.Kind != server.KindDelta || st.Tile == nil {
-			t.Fatalf("delta submit body: %+v", st)
-		}
-		if !strings.HasPrefix(st.Key, "sha256:") || st.Key == pst.Key {
-			t.Fatalf("delta key %q (parent %q): want the child's own content address", st.Key, pst.Key)
-		}
-		if !reflect.DeepEqual(st.Tile.Violations, want.Violations) {
-			t.Fatalf("wire delta violations diverge from local child execution:\n got %+v\nwant %+v",
-				st.Tile.Violations, want.Violations)
-		}
-		// Identical delta: cache hit on the child address.
-		dup := postJSON(t, d.url+"/v1/jobs?wait=1", server.JobRequest{Kind: server.KindDelta, Delta: heal()})
-		dst := decode[server.JobStatus](t, dup)
-		if !dst.Cached || dst.Key != st.Key {
-			t.Fatalf("duplicate delta not served from cache: %+v", dst)
-		}
-		// Chained delta against the child's address.
-		chained := postJSON(t, d.url+"/v1/jobs?wait=1", server.JobRequest{Kind: server.KindDelta,
-			Delta: &tiling.DeltaRequest{
-				Schema: tiling.TileSchema, Parent: st.Key,
-				Added: []layout.Shape{{Layer: tech.Metal2, R: geom.R(4000, 4000, 4300, 4070)}},
-			}})
-		cst := decode[server.JobStatus](t, chained)
-		if cst.State != server.StateDone || cst.Tile == nil {
-			t.Fatalf("chained delta: %+v", cst)
+		if body := decode[server.ErrorBody](t, resp); !strings.Contains(body.Error, `unknown field "delta"`) {
+			t.Fatalf("delta field body %q, want unknown field rejection", body.Error)
 		}
 	})
 
-	t.Run("delta-parent-miss", func(t *testing.T) {
-		// A delta naming a parent the deployment never served must be
-		// 404 with the exact pinned body on both shapes — the client's
-		// full-tile fallback keys on it.
-		ghost := "sha256:" + strings.Repeat("0", 64)
-		resp := postJSON(t, d.url+"/v1/jobs", server.JobRequest{Kind: server.KindDelta,
-			Delta: &tiling.DeltaRequest{Schema: tiling.TileSchema, Parent: ghost}})
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("ghost-parent delta status = %d, want 404", resp.StatusCode)
+	t.Run("tile-ignores-eval-fields", func(t *testing.T) {
+		// A tile job carries its whole tech node inside the payload; the
+		// eval-only fields are not read, so junk in them must not make
+		// dfmd reject what the router's affinity key accepted. Same key,
+		// same result as the clean tile.
+		clean := decode[server.JobStatus](t, postJSON(t, d.url+"/v1/jobs?wait=1",
+			server.JobRequest{Kind: server.KindTile, Tile: tileReq()}))
+		resp := postJSON(t, d.url+"/v1/jobs?wait=1", server.JobRequest{
+			Kind: server.KindTile, Tile: tileReq(),
+			Tech: "bogus", Technique: "no-such", Block: &server.BlockSpec{Rows: -1},
+		})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("tile job with junk eval fields status = %d, want 200", resp.StatusCode)
 		}
-		body := decode[server.ErrorBody](t, resp)
-		if body.Error != "unknown parent tile "+ghost {
-			t.Fatalf("parent-miss body %q drifted from the pinned contract", body.Error)
+		st := decode[server.JobStatus](t, resp)
+		if st.State != server.StateDone || st.Key != clean.Key || !reflect.DeepEqual(st.Tile, clean.Tile) {
+			t.Fatalf("tile job with junk eval fields diverged from the clean tile:\n got %+v\nwant %+v", st, clean)
 		}
-		// Malformed parent address: validation, not a miss.
-		resp = postJSON(t, d.url+"/v1/jobs", server.JobRequest{Kind: server.KindDelta,
-			Delta: &tiling.DeltaRequest{Schema: tiling.TileSchema, Parent: "bogus"}})
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("malformed parent status = %d, want 400", resp.StatusCode)
+		want, err := server.KeyForRequest(server.JobRequest{Kind: server.KindTile, Tile: tileReq(), Tech: "bogus"})
+		if err != nil || want != st.Key {
+			t.Fatalf("KeyForRequest = %q, %v; served key %q", want, err, st.Key)
 		}
-		resp.Body.Close()
-		// Missing payload.
-		resp = postJSON(t, d.url+"/v1/jobs", server.JobRequest{Kind: server.KindDelta})
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("delta without payload status = %d, want 400", resp.StatusCode)
+	})
+
+	t.Run("oversize-body", func(t *testing.T) {
+		// One byte past the shared 64 MiB request bound: both tiers
+		// answer 413 with an ErrorBody instead of buffering it.
+		// Leading whitespace, so without the bound the request would be
+		// perfectly valid.
+		body := io.MultiReader(io.LimitReader(spaces{}, 64<<20),
+			strings.NewReader(`{"technique":"sraf","seed":1}`))
+		resp := postRaw(t, d.url+"/v1/jobs", body)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("oversize body status = %d, want 413", resp.StatusCode)
 		}
-		resp.Body.Close()
+		if eb := decode[server.ErrorBody](t, resp); eb.Error == "" {
+			t.Fatal("413 body carries no error message")
+		}
 	})
 
 	t.Run("validation-errors", func(t *testing.T) {

@@ -62,7 +62,7 @@ SURROGATEBENCH_OUT ?= BENCH_PR9.json
 # ~1M-rect chip plus the incremental-vs-full re-evaluation differential.
 REPAIRBENCH_OUT ?= BENCH_PR10.json
 
-.PHONY: tier1 check build vet test race-fast bench benchcmp fmt-check servebench clusterbench chipbench fleetbench surrogatebench repairbench
+.PHONY: tier1 check build vet test race-fast fuzz-smoke bench benchcmp fmt-check servebench clusterbench chipbench fleetbench surrogatebench repairbench
 
 # benchmark/ is a module of its own, so ./... above never reaches it;
 # without this an exported-name change breaks the benchmark silently.
@@ -71,6 +71,7 @@ tier1: ## build + vet + gofmt gate + full tests under the race detector
 	$(GO) vet ./...
 	$(MAKE) fmt-check
 	$(GO) test -race ./...
+	$(MAKE) fuzz-smoke
 	$(GO) vet -C benchmark . && $(GO) test -C benchmark .
 
 check: ## quick gate: build + vet + full tests (no race detector)
@@ -94,6 +95,9 @@ test:
 
 race-fast: ## race pass skipping the slow full-scorecard experiments
 	$(GO) test -race -short ./...
+
+fuzz-smoke: ## 20 s of the packed-bitmap morphology fuzzer against the per-pixel oracle
+	$(GO) test -run='^$$' -fuzz=FuzzBitmapMorphology -fuzztime=20s ./internal/litho
 
 bench: ## run the tier-1 benchmark set and record $(BENCH_OUT)
 	$(GO) test -run='^$$' -bench=. -benchmem . | $(GO) run ./cmd/benchjson -o $(BENCH_OUT)

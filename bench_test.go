@@ -634,6 +634,64 @@ func BenchmarkLithoSimulateObs(b *testing.B) {
 	}
 }
 
+// scanWindowBench returns the first full scan window of the
+// benchmark's chip_litho chip (2x2 slots of logic and via macros,
+// two injected hotspot sites) and the metal1 geometry reaching it.
+func scanWindowBench(b *testing.B) (*tech.Tech, []geom.Rect, geom.Rect) {
+	b.Helper()
+	t := tech.N45()
+	l, _, err := layout.GenerateChip(t, layout.ChipOpts{
+		Seed: 11, Slots: 2, SlotPitch: 14000, MacroMix: []int{0, 2, 2, 1}, HotspotDefects: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ex := tiling.NewExtractor(l.Top)
+	win := litho.ScanGrid(ex.LayerBBox(tech.Metal1))[0]
+	if win.Width() != litho.ScanTileNM || win.Height() != litho.ScanTileNM {
+		b.Fatalf("first scan window %v is not a full %d nm tile", win, litho.ScanTileNM)
+	}
+	reach := win.Bloat(litho.ScanPadNM + litho.SimPadNM(t.Optics, 0) + 2*int64(t.Optics.GridNM+1))
+	return t, ex.AppendLayerRects(reach, tech.Metal1, nil), win
+}
+
+// BenchmarkScanWindow — one exact 12 um hotspot-scan window end to
+// end (amplitude, threshold, morphology, blobs, interior filter): the
+// unit every chip-scale scan, fleet window job and surrogate label is
+// priced in. ns/op and B/op are the per-window cost and garbage.
+func BenchmarkScanWindow(b *testing.B) {
+	t, rs, win := scanWindowBench(b)
+	o := litho.ScanOpts{Cond: litho.Nominal, Interior: true}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hs, err := litho.ScanWindowCtx(context.Background(), rs, win, t, tech.Metal1, o)
+		if err != nil {
+			b.Fatal(err)
+		}
+		report("scan-window", func() {
+			fmt.Printf("scan window %v: %d rects in reach, %d hotspots\n", win, len(rs), len(hs))
+		})
+	}
+}
+
+// BenchmarkBitmapOpen — morphological opening of that window's
+// printed bitmap (2600 x 2600 px) at the metal1 pinch radius: the
+// detector's inner operation, which was 67% of a window before the
+// bitmap was word-packed.
+func BenchmarkBitmapOpen(b *testing.B) {
+	t, rs, win := scanWindowBench(b)
+	printed := litho.Simulate(rs, win.Bloat(litho.ScanPadNM), t.Optics, litho.Nominal).PrintedBitmap()
+	minW, _ := litho.ScanDefaults(t, tech.Metal1)
+	r := int(float64(minW)/printed.Pitch/2 + 0.5)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if printed.Open(r).Count() == 0 {
+			b.Fatal("opening erased the whole window")
+		}
+	}
+}
+
 // BenchmarkFillSynthesize times fill synthesis on a die-scale extent.
 func BenchmarkFillSynthesize(b *testing.B) {
 	rs := []geom.Rect{geom.R(0, 0, 10000, 30000)}

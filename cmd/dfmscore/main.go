@@ -13,10 +13,12 @@
 // Usage:
 //
 //	dfmscore [-seed N] [-detail] [-json] [-parallel N] [-timeout D] [-retries N] [-metrics FILE]
+//	         [-cpuprofile FILE] [-memprofile FILE]
 //
 // -metrics enables the observability registry for the run and writes
 // its JSON snapshot (harness, litho, OPC, and per-technique stage
-// metrics) to FILE, with "-" meaning stdout.
+// metrics) to FILE, with "-" meaning stdout. -cpuprofile and
+// -memprofile write pprof profiles of the run, in every mode.
 //
 // Full-chip mode replaces the scorecard with the streaming scale
 // experiment — generate an SoC floorplan and evaluate it through the
@@ -61,7 +63,11 @@ import (
 	"repro/internal/tiling"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main with an exit code, so the deferred profile stop runs on
+// every path out.
+func run() int {
 	seed := flag.Int64("seed", 11, "workload generation seed")
 	detail := flag.Bool("detail", false, "print every metric, not just the primary")
 	asJSON := flag.Bool("json", false, "emit the scorecard as JSON")
@@ -88,7 +94,20 @@ func main() {
 	fixRounds := flag.Int("fixrounds", 2, "repair mode: propose-check-apply-rescore rounds")
 	repairDef := flag.Int("chiprepairdefects", 4, "repair mode: injected repairable via sites (under-enclosed pads + single cuts)")
 	deltaBench := flag.Bool("deltabench", false, "repair mode: time the incremental dirty-region re-evaluation against a from-scratch run of the repaired chip")
+	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
+	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	flag.Parse()
+
+	stopProfiles, err := obs.StartProfiles(*cpuprofile, *memprofile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "dfmscore:", err)
+		return 1
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintln(os.Stderr, "dfmscore:", err)
+		}
+	}()
 
 	if *metrics != "" {
 		obs.SetEnabled(true)
@@ -111,15 +130,15 @@ func main() {
 			deltaBench: *deltaBench,
 		}); err != nil {
 			fmt.Fprintln(os.Stderr, "dfmscore:", err)
-			os.Exit(1)
+			return 1
 		}
 		if *metrics != "" {
 			if err := obs.DumpDefault(*metrics); err != nil {
 				fmt.Fprintln(os.Stderr, "dfmscore:", err)
-				os.Exit(1)
+				return 1
 			}
 		}
-		return
+		return 0
 	}
 	if !*asJSON {
 		fmt.Printf("DFM scorecard on %s (half-pitch %dnm, k1=%.2f), seed %d\n\n",
@@ -137,7 +156,7 @@ func main() {
 		b, err := sc.JSON()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "dfmscore:", err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Println(string(b))
 	} else {
@@ -152,7 +171,7 @@ func main() {
 	if *metrics != "" {
 		if err := obs.DumpDefault(*metrics); err != nil {
 			fmt.Fprintln(os.Stderr, "dfmscore:", err)
-			os.Exit(1)
+			return 1
 		}
 	}
 
@@ -160,9 +179,10 @@ func main() {
 	// fails the run.
 	for _, o := range sc.Outcomes {
 		if o.Err != nil {
-			os.Exit(1)
+			return 1
 		}
 	}
+	return 0
 }
 
 // chipConfig carries the -chip flag set.

@@ -17,8 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 
 	"repro/internal/geom"
 	"repro/internal/layout"
@@ -52,33 +50,16 @@ func main() {
 		}()
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lithosim:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "lithosim:", err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
+	stopProfiles, err := obs.StartProfiles(*cpuprofile, *memprofile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "lithosim:", err)
+		os.Exit(1)
 	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "lithosim:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // flush recently freed objects for an accurate live-heap picture
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "lithosim:", err)
-			}
-		}()
-	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintln(os.Stderr, "lithosim:", err)
+		}
+	}()
 
 	t := tech.N45()
 	var rs []geom.Rect

@@ -45,11 +45,19 @@ func (h Hotspot) String() string {
 // is the smallest acceptable printed linewidth and minSpace the
 // smallest acceptable printed gap, both in nm.
 func (im *Image) FindHotspots(minWidth, minSpace int64) []Hotspot {
-	printed := im.PrintedBitmap()
+	return detect(im.PrintedBitmap(), minWidth, minSpace)
+}
+
+// detect finds pinch and bridge sites in a printed bitmap and returns
+// them in SortHotspots order. It is the one detector behind both
+// Image.FindHotspots and ScanWindowCtx.
+func detect(printed *Bitmap, minWidth, minSpace int64) []Hotspot {
+	sp := hDetectNS.Start()
+	defer sp.End()
 
 	// Pinch: printed pixels removed by opening with a structuring
 	// element just under minWidth.
-	rw := int(float64(minWidth)/im.Pitch/2 + 0.5)
+	rw := int(float64(minWidth)/printed.Pitch/2 + 0.5)
 	if rw < 1 {
 		rw = 1
 	}
@@ -57,7 +65,7 @@ func (im *Image) FindHotspots(minWidth, minSpace int64) []Hotspot {
 
 	// Bridge: gap pixels removed by closing with an element just under
 	// minSpace — i.e. unprinted pixels that the closing claims.
-	rs := int(float64(minSpace)/im.Pitch/2 + 0.5)
+	rs := int(float64(minSpace)/printed.Pitch/2 + 0.5)
 	if rs < 1 {
 		rs = 1
 	}
@@ -66,25 +74,16 @@ func (im *Image) FindHotspots(minWidth, minSpace int64) []Hotspot {
 	var out []Hotspot
 	for _, b := range pinched.Blobs() {
 		// Ignore single-pixel speckle from raster quantization.
-		if b.Width() > int64(im.Pitch) || b.Height() > int64(im.Pitch) {
+		if b.Width() > int64(printed.Pitch) || b.Height() > int64(printed.Pitch) {
 			out = append(out, Hotspot{Kind: Pinch, Box: b})
 		}
 	}
 	for _, b := range bridged.Blobs() {
-		if b.Width() > int64(im.Pitch) || b.Height() > int64(im.Pitch) {
+		if b.Width() > int64(printed.Pitch) || b.Height() > int64(printed.Pitch) {
 			out = append(out, Hotspot{Kind: Bridge, Box: b})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Box.Y0 != b.Box.Y0 {
-			return a.Box.Y0 < b.Box.Y0
-		}
-		if a.Box.X0 != b.Box.X0 {
-			return a.Box.X0 < b.Box.X0
-		}
-		return a.Kind < b.Kind
-	})
+	SortHotspots(out)
 	return out
 }
 
@@ -201,12 +200,12 @@ func ScanWindowCtx(ctx context.Context, rs []geom.Rect, win geom.Rect, t *tech.T
 	sp := hScanNS.Start()
 	defer sp.End()
 	cScanWindows.Inc()
-	img, err := SimulateCtx(ctx, rs, win.Bloat(ScanPadNM), t.Optics, o.Cond)
+	printed, err := simulatePrinted(ctx, rs, win.Bloat(ScanPadNM), t.Optics, o.Cond)
 	if err != nil {
 		return nil, err
 	}
 	var out []Hotspot
-	for _, h := range img.FindHotspots(o.MinWidth, o.MinSpace) {
+	for _, h := range detect(printed, o.MinWidth, o.MinSpace) {
 		if !ScanKeeps(win, h) {
 			continue
 		}
@@ -221,8 +220,9 @@ func ScanWindowCtx(ctx context.Context, rs []geom.Rect, win geom.Rect, t *tech.T
 }
 
 // SortHotspots orders hotspots canonically: by Y0, then X0, then
-// kind — the order every scan entry point and the tiled engine
-// return.
+// kind, then X1, then Y1 — a total order, so the result does not
+// depend on the input permutation. It is the order every scan entry
+// point and the tiled engine return.
 func SortHotspots(out []Hotspot) {
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -232,7 +232,13 @@ func SortHotspots(out []Hotspot) {
 		if a.Box.X0 != b.Box.X0 {
 			return a.Box.X0 < b.Box.X0
 		}
-		return a.Kind < b.Kind
+		if a.Kind != b.Kind {
+			return a.Kind < b.Kind
+		}
+		if a.Box.X1 != b.Box.X1 {
+			return a.Box.X1 < b.Box.X1
+		}
+		return a.Box.Y1 < b.Box.Y1
 	})
 }
 

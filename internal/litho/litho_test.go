@@ -157,7 +157,7 @@ func TestBitmapMorphology(t *testing.T) {
 	// 3-wide vertical bar.
 	for j := 0; j < 20; j++ {
 		for i := 8; i < 11; i++ {
-			b.Bits[j*20+i] = true
+			b.Set(i, j, true)
 		}
 	}
 	// Erode by 1: 1-wide remains.
@@ -179,7 +179,7 @@ func TestBitmapMorphology(t *testing.T) {
 	for j := 0; j < 20; j++ {
 		for i := 0; i < 20; i++ {
 			if i != 10 {
-				s.Bits[j*20+i] = true
+				s.Set(i, j, true)
 			}
 		}
 	}
@@ -195,12 +195,12 @@ func TestBitmapToRectsRoundTrip(t *testing.T) {
 	// An L shape in pixels.
 	for j := 0; j < 10; j++ {
 		for i := 0; i < 4; i++ {
-			b.Bits[j*16+i] = true
+			b.Set(i, j, true)
 		}
 	}
 	for j := 0; j < 4; j++ {
 		for i := 4; i < 12; i++ {
-			b.Bits[j*16+i] = true
+			b.Set(i, j, true)
 		}
 	}
 	rs := b.ToRects()
@@ -219,12 +219,12 @@ func TestBitmapBlobs(t *testing.T) {
 	// Two separate blobs.
 	for j := 2; j < 5; j++ {
 		for i := 2; i < 6; i++ {
-			b.Bits[j*30+i] = true
+			b.Set(i, j, true)
 		}
 	}
 	for j := 20; j < 22; j++ {
 		for i := 20; i < 28; i++ {
-			b.Bits[j*30+i] = true
+			b.Set(i, j, true)
 		}
 	}
 	blobs := b.Blobs()

@@ -43,13 +43,16 @@ var (
 
 	// Hotspot-scan accounting: exact scan windows simulated, hotspots
 	// attributed after seam dedup rules, pinch markers dropped by the
-	// interior-defect filter, and per-window scan latency. Surrogate
+	// interior-defect filter, and per-window scan latency. A window's
+	// scan.ns is its simulate.ns (amplitude + threshold sink) plus its
+	// detect.ns (morphology + blobs) plus the marker filters. Surrogate
 	// gating counters live beside these under
 	// litho.hotspot.surrogate.* (internal/surrogate).
 	cScanWindows  = obs.C("litho.hotspot.windows")
 	cScanFound    = obs.C("litho.hotspot.found")
 	cScanInterior = obs.C("litho.hotspot.interior.dropped")
 	hScanNS       = obs.H("litho.hotspot.scan.ns")
+	hDetectNS     = obs.H("litho.hotspot.detect.ns")
 )
 
 // countPerDefocus records the per-|defocus| split of a cache hit or

@@ -238,13 +238,15 @@ func (im *Image) PrintsAt(x, y float64) bool {
 // PrintedBitmap returns the binary printed/not-printed raster.
 func (im *Image) PrintedBitmap() *Bitmap {
 	b := NewBitmap(im.W, im.H)
-	for i, v := range im.Data {
-		if v >= im.Threshold {
-			b.Bits[i] = true
+	b.Origin, b.Pitch = im.Origin, im.Pitch
+	for j := 0; j < im.H; j++ {
+		row := b.row(j)
+		for i, v := range im.Data[j*im.W : (j+1)*im.W] {
+			if v >= im.Threshold {
+				row[i>>6] |= 1 << (uint(i) & 63)
+			}
 		}
 	}
-	b.Origin = im.Origin
-	b.Pitch = im.Pitch
 	return b
 }
 

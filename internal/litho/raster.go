@@ -150,9 +150,6 @@ func (rm *RasterMask) Release() {
 // built with NewRasterMask. Ownership of the returned grid stays with
 // the cache when caching; otherwise it transfers to the caller.
 func (rm *RasterMask) unitIntensity(ctx context.Context, defocus float64) (*Grid, error) {
-	if a := math.Abs(defocus); a > rm.maxDefocus {
-		return nil, fmt.Errorf("litho: defocus %g exceeds RasterMask budget %g (pad too small)", a, rm.maxDefocus)
-	}
 	key := math.Abs(defocus)
 	rm.mu.Lock()
 	defer rm.mu.Unlock()
@@ -161,18 +158,89 @@ func (rm *RasterMask) unitIntensity(ctx context.Context, defocus float64) (*Grid
 		countPerDefocus("litho.raster.cache.hit", key)
 		return g, nil
 	}
-	sp := hSimulateNS.Start()
-	g, err := rm.computeLocked(ctx, defocus)
-	sp.End()
+	// Crop the padding back off and square: I = A^2 at unit dose.
+	g := NewGrid(rm.window, rm.opt.GridNM)
+	err := rm.renderLocked(ctx, defocus, g.W, g.H, func(j int, a []float64) {
+		row := g.Data[j*g.W : (j+1)*g.W]
+		for i, v := range a {
+			row[i] = v * v
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
-	cRasterMiss.Inc()
-	countPerDefocus("litho.raster.cache.miss", key)
 	if rm.caching {
 		rm.cache[key] = g
 	}
 	return g, nil
+}
+
+// printed returns the printed/not-printed bitmap of the window under
+// cond without materialising the intensity field: each amplitude is
+// squared, dose-scaled and thresholded with exactly the float
+// operations SimulateCtx followed by PrintedBitmap performs, in the
+// same order, so the bits are identical.
+func (rm *RasterMask) printed(ctx context.Context, cond Condition) (*Bitmap, error) {
+	rm.mu.Lock()
+	defer rm.mu.Unlock()
+	w, h := gridDims(rm.window, rm.pitch)
+	b := NewBitmap(w, h)
+	b.Origin, b.Pitch = rm.window.LL(), rm.pitch
+	dose, thr := cond.Dose, rm.opt.Threshold
+	err := rm.renderLocked(ctx, cond.Defocus, w, h, func(j int, a []float64) {
+		row := b.row(j)
+		for i, v := range a {
+			v *= v
+			if dose != 1 {
+				v *= dose
+			}
+			if v >= thr {
+				row[i>>6] |= 1 << (uint(i) & 63)
+			}
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// simulatePrinted is SimulateCtx(...).PrintedBitmap() for callers that
+// only need the printed bits (the hotspot scan).
+func simulatePrinted(ctx context.Context, mask []geom.Rect, window geom.Rect, opt tech.Optics, cond Condition) (*Bitmap, error) {
+	rm := newRasterMask(mask, window, opt, cond.Defocus, false)
+	defer rm.Release()
+	return rm.printed(ctx, cond)
+}
+
+// renderLocked runs one convolution stack (a raster-cache miss) and
+// feeds the amplitude, cropped to the w x h window grid, to sink one
+// row at a time: sink(j, a) receives the w amplitudes of window row j.
+// The amplitude buffer is pooled and a is only valid during the call.
+// Called with rm.mu held.
+func (rm *RasterMask) renderLocked(ctx context.Context, defocus float64, w, h int, sink func(j int, a []float64)) error {
+	key := math.Abs(defocus)
+	if key > rm.maxDefocus {
+		return fmt.Errorf("litho: defocus %g exceeds RasterMask budget %g (pad too small)", key, rm.maxDefocus)
+	}
+	sp := hSimulateNS.Start()
+	defer sp.End()
+	amp, err := rm.amplitudeLocked(ctx, defocus)
+	if err != nil {
+		return err
+	}
+	defer putBuf(amp)
+	// The pad is a whole number of pixels on every side, so the window
+	// grid lies on the padded raster with at least a pixel to spare.
+	di := int(math.Round(float64(rm.window.X0-rm.padded.X0) / rm.pitch))
+	dj := int(math.Round(float64(rm.window.Y0-rm.padded.Y0) / rm.pitch))
+	for j := 0; j < h; j++ {
+		at := (j+dj)*rm.rW + di
+		sink(j, amp[at:at+w])
+	}
+	cRasterMiss.Inc()
+	countPerDefocus("litho.raster.cache.miss", key)
+	return nil
 }
 
 // ensureRasterLocked builds the padded coverage raster if it is not
@@ -191,14 +259,14 @@ func (rm *RasterMask) ensureRasterLocked() {
 	rm.raster.Rasterize(rm.norm)
 }
 
-// computeLocked runs the kernel stack: amplitude A = sum_k w_k
-// (G_sk * M) accumulated in pooled scratch grids, then intensity
-// I = A^2 cropped to the window. Each kernel pass is routed by an
+// amplitudeLocked runs the kernel stack: amplitude A = sum_k w_k
+// (G_sk * M) accumulated over the padded raster in a pooled buffer,
+// which the caller must putBuf. Each kernel pass is routed by an
 // op-count heuristic: sparse per-rect decomposition (sparse.go) when
 // the mask's blurred footprint is smaller than two full raster passes,
 // the dense raster blur otherwise. The raster itself is only built
 // when some pass goes dense. Called with rm.mu held.
-func (rm *RasterMask) computeLocked(ctx context.Context, defocus float64) (*Grid, error) {
+func (rm *RasterMask) amplitudeLocked(ctx context.Context, defocus float64) (_ []float64, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -215,11 +283,13 @@ func (rm *RasterMask) computeLocked(ctx context.Context, defocus float64) (*Grid
 	}
 	n := rm.rW * rm.rH
 	amp := getBuf(n)
-	defer putBuf(amp)
 	var tmp []float64 // dense-pass scratch, fetched on first dense pass
 	defer func() {
 		if tmp != nil {
 			putBuf(tmp)
+		}
+		if err != nil {
+			putBuf(amp)
 		}
 	}()
 	// One closure pair shared across the sigma loop: the per-pass kernel
@@ -271,24 +341,7 @@ func (rm *RasterMask) computeLocked(ctx context.Context, defocus float64) (*Grid
 			return nil, err
 		}
 	}
-
-	// Crop the padding back off and square: I = A^2 at unit dose.
-	out := NewGrid(rm.window, rm.opt.GridNM)
-	di := int(math.Round(float64(rm.window.X0-rm.padded.X0) / out.Pitch))
-	dj := int(math.Round(float64(rm.window.Y0-rm.padded.Y0) / out.Pitch))
-	for j := 0; j < out.H; j++ {
-		jj := j + dj
-		row := out.Data[j*out.W : (j+1)*out.W]
-		for i := range row {
-			ii := i + di
-			var a float64
-			if ii >= 0 && jj >= 0 && ii < rm.rW && jj < rm.rH {
-				a = amp[jj*rm.rW+ii]
-			}
-			row[i] = a * a
-		}
-	}
-	return out, nil
+	return amp, nil
 }
 
 // withDose returns a measurement-equivalent view of the image at

@@ -91,15 +91,15 @@ func denseBlurOps(w, h, klen int) int64 {
 // sparseBlurAcc accumulates amp += weight · (g ⊛ coverage(norm)) for
 // one kernel, walking rects instead of pixels. norm must be disjoint
 // (geom.Normalize form); padded/pitch/w/h describe the raster grid amp
-// is laid out on. Scratch profiles come from the shared buffer pool.
+// is laid out on. The two profile rows are a plain allocation: the
+// buffer free list is sized for raster-scale buffers, and a row-sized
+// request would either evict one or borrow it.
 func sparseBlurAcc(ctx context.Context, norm []geom.Rect, padded geom.Rect, pitch float64, w, h int, kern, cdf []float64, weight float64, amp []float64) error {
 	r := len(kern) / 2
 	ox := float64(padded.X0)
 	oy := float64(padded.Y0)
-	px := getBuf(w)
-	py := getBuf(h)
-	defer putBuf(px)
-	defer putBuf(py)
+	prof := make([]float64, w+h)
+	px, py := prof[:w], prof[w:]
 	for ri, rc := range norm {
 		if ri&63 == 0 {
 			if err := ctx.Err(); err != nil {

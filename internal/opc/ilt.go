@@ -142,8 +142,10 @@ func ILT(drawn []geom.Rect, window geom.Rect, opt tech.Optics, io ILTOpts) ILTRe
 	// Binarize at 0.5 and vectorize.
 	bm := litho.NewBitmap(m.W, m.H)
 	bm.Origin, bm.Pitch = m.Origin, m.Pitch
-	for i, v := range m.Data {
-		bm.Bits[i] = v >= 0.5
+	for j := 0; j < m.H; j++ {
+		for i, v := range m.Data[j*m.W : (j+1)*m.W] {
+			bm.Set(i, j, v >= 0.5)
+		}
 	}
 	// MRC simplification: remove slivers and close pinholes below the
 	// mask-rule minimum.

@@ -261,7 +261,7 @@ func stitchWindows(perWin [][]litho.Hotspot) []litho.Hotspot {
 			out = append(out, h)
 		}
 	}
-	sortHotspots(out)
+	litho.SortHotspots(out)
 	return out
 }
 

@@ -653,7 +653,6 @@ func EvaluateFlat(stdctx context.Context, t *tech.Tech, top *layout.Cell, o Opts
 			if err != nil {
 				return nil, err
 			}
-			sortHotspots(hs)
 			res.Hotspots[hl] = hs
 			continue
 		}
@@ -736,25 +735,5 @@ func sortViolations(vs []drc.Violation) {
 			return a.Layer < b.Layer
 		}
 		return a.Detail < b.Detail
-	})
-}
-
-// sortHotspots extends litho's (Y0, X0, Kind) order to a total order.
-func sortHotspots(hs []litho.Hotspot) {
-	sort.Slice(hs, func(i, j int) bool {
-		a, b := hs[i], hs[j]
-		if a.Box.Y0 != b.Box.Y0 {
-			return a.Box.Y0 < b.Box.Y0
-		}
-		if a.Box.X0 != b.Box.X0 {
-			return a.Box.X0 < b.Box.X0
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		if a.Box.X1 != b.Box.X1 {
-			return a.Box.X1 < b.Box.X1
-		}
-		return a.Box.Y1 < b.Box.Y1
 	})
 }

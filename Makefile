@@ -62,7 +62,7 @@ SURROGATEBENCH_OUT ?= BENCH_PR9.json
 # ~1M-rect chip plus the incremental-vs-full re-evaluation differential.
 REPAIRBENCH_OUT ?= BENCH_PR10.json
 
-.PHONY: tier1 check build vet test race-fast fuzz-smoke bench benchcmp fmt-check servebench clusterbench chipbench fleetbench surrogatebench repairbench
+.PHONY: tier1 check build vet test race-fast fuzz-smoke drcprofile bench benchcmp fmt-check servebench clusterbench chipbench fleetbench surrogatebench repairbench
 
 # benchmark/ is a module of its own, so ./... above never reaches it;
 # without this an exported-name change breaks the benchmark silently.
@@ -96,8 +96,20 @@ test:
 race-fast: ## race pass skipping the slow full-scorecard experiments
 	$(GO) test -race -short ./...
 
-fuzz-smoke: ## 20 s of the packed-bitmap morphology fuzzer against the per-pixel oracle
+fuzz-smoke: ## 20 s of the packed-bitmap morphology fuzzer and 10 s of the boundary-edge fuzzer, each against its oracle
 	$(GO) test -run='^$$' -fuzz=FuzzBitmapMorphology -fuzztime=20s ./internal/litho
+	$(GO) test -run='^$$' -fuzz=FuzzBoundaryEdges -fuzztime=10s ./internal/geom
+
+# Where drcprofile keeps its binary and profiles (bin/ is gitignored).
+DRCPROFILE_DIR ?= bin/drcprofile
+
+drcprofile: ## CPU + allocation profile of the signoff DRC path (100k-rect chip, no tile cache), drc.* and geom.* by cumulative cost
+	@mkdir -p $(DRCPROFILE_DIR)
+	$(GO) build -o $(DRCPROFILE_DIR)/dfmscore ./cmd/dfmscore
+	$(DRCPROFILE_DIR)/dfmscore -chip -chiprects 100000 -chipcache 0 \
+		-cpuprofile $(DRCPROFILE_DIR)/cpu.prof -memprofile $(DRCPROFILE_DIR)/mem.prof
+	$(GO) tool pprof -top -cum -nodecount=40 -show='drc\.|geom\.' $(DRCPROFILE_DIR)/dfmscore $(DRCPROFILE_DIR)/cpu.prof
+	$(GO) tool pprof -sample_index=alloc_space -top -cum -nodecount=25 -show='drc\.|geom\.' $(DRCPROFILE_DIR)/dfmscore $(DRCPROFILE_DIR)/mem.prof
 
 bench: ## run the tier-1 benchmark set and record $(BENCH_OUT)
 	$(GO) test -run='^$$' -bench=. -benchmem . | $(GO) run ./cmd/benchjson -o $(BENCH_OUT)

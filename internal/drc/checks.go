@@ -1,7 +1,6 @@
 package drc
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -23,18 +22,7 @@ type candidate struct {
 // from several edges, and the sorted-slice dedup replaces a per-scan
 // map[geom.Rect]bool that allocated on every check.
 func dedupCandidates(cs []candidate) []candidate {
-	slices.SortFunc(cs, func(a, b candidate) int {
-		if c := cmp.Compare(a.m.Y0, b.m.Y0); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.m.X0, b.m.X0); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.m.Y1, b.m.Y1); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.m.X1, b.m.X1)
-	})
+	slices.SortFunc(cs, func(a, b candidate) int { return a.m.Compare(b.m) })
 	return slices.CompactFunc(cs, func(a, b candidate) bool { return a.m == b.m })
 }
 
@@ -59,9 +47,10 @@ func (r MinWidth) Name() string { return fmt.Sprintf("%s.width.%d", r.Layer, r.W
 
 // Check implements Rule.
 func (r MinWidth) Check(ctx *Context) []Violation {
-	return dimensionScan(ctx.Layers[r.Layer], r.W, true, func(m geom.Rect, d int64) Violation {
+	name := r.Name()
+	return dimensionScan(ctx.layer(r.Layer), r.W, true, func(m geom.Rect, d int64) Violation {
 		return Violation{
-			Rule:   r.Name(),
+			Rule:   name,
 			Layer:  r.Layer,
 			Marker: m,
 			Detail: fmt.Sprintf("width %d < %d", d, r.W),
@@ -81,37 +70,30 @@ func (r MinSpace) Name() string { return fmt.Sprintf("%s.space.%d", r.Layer, r.S
 
 // Check implements Rule.
 func (r MinSpace) Check(ctx *Context) []Violation {
-	rs := ctx.Layers[r.Layer]
-	vs := dimensionScan(rs, r.S, false, func(m geom.Rect, d int64) Violation {
+	name := r.Name()
+	ly := ctx.layer(r.Layer)
+	vs := dimensionScan(ly, r.S, false, func(m geom.Rect, d int64) Violation {
 		return Violation{
-			Rule:   r.Name(),
+			Rule:   name,
 			Layer:  r.Layer,
 			Marker: m,
 			Detail: fmt.Sprintf("space %d < %d", d, r.S),
 		}
 	})
-	vs = append(vs, cornerScan(rs, r.S, r.Name(), r.Layer)...)
+	vs = append(vs, cornerScan(ly, r.S, name, r.Layer)...)
 	return vs
 }
 
 // dimensionScan finds facing-edge pairs closer than lim. interior
 // selects width (true) or spacing (false) semantics.
-func dimensionScan(rs []geom.Rect, lim int64, interior bool, mk func(geom.Rect, int64) Violation) []Violation {
-	if len(rs) == 0 {
+func dimensionScan(ly *preparedLayer, lim int64, interior bool, mk func(geom.Rect, int64) Violation) []Violation {
+	if len(ly.rects) == 0 {
 		return nil
 	}
-	edges := geom.BoundaryEdges(rs)
-
-	// Index edges by bounding box for the facing search.
-	ix := geom.NewIndex(4 * lim)
-	boxes := make([]geom.Rect, len(edges))
-	for i, e := range edges {
-		boxes[i] = geom.R(e.P0.X, e.P0.Y, e.P1.X, e.P1.Y)
-		ix.Insert(boxes[i])
-	}
+	edges, ix := ly.boundary()
 
 	var cands []candidate
-	for i, e := range edges {
+	for _, e := range edges {
 		// Pick the "lower/left" member of each facing pair to avoid
 		// double reporting.
 		var wantSide geom.Side
@@ -138,52 +120,51 @@ func dimensionScan(rs []geom.Rect, lim int64, interior bool, mk func(geom.Rect, 
 			// lim of 1: nothing can be closer.
 			continue
 		}
-		for _, id := range ix.Query(search) {
+		ix.QueryFunc(search, func(id int, _ geom.Rect) bool {
 			f := edges[id]
 			if f.Interior != wantSide || f.Horizontal() != e.Horizontal() {
-				continue
+				return true
 			}
 			var marker geom.Rect
 			var dist int64
 			if e.Horizontal() {
 				if f.P0.Y <= e.P0.Y {
-					continue
+					return true
 				}
 				x0 := max64(e.P0.X, f.P0.X)
 				x1 := min64(e.P1.X, f.P1.X)
 				if x0 >= x1 {
-					continue
+					return true
 				}
 				dist = f.P0.Y - e.P0.Y
 				marker = geom.R(x0, e.P0.Y, x1, f.P0.Y)
 			} else {
 				if f.P0.X <= e.P0.X {
-					continue
+					return true
 				}
 				y0 := max64(e.P0.Y, f.P0.Y)
 				y1 := min64(e.P1.Y, f.P1.Y)
 				if y0 >= y1 {
-					continue
+					return true
 				}
 				dist = f.P0.X - e.P0.X
 				marker = geom.R(e.P0.X, y0, f.P0.X, y1)
 			}
 			if dist >= lim {
-				continue
+				return true
 			}
 			// Validity: space between must be all-interior (width) or
-			// all-exterior (spacing). ClipArea measures coverage
-			// without materializing the intersection geometry.
-			cov := geom.ClipArea(rs, marker)
+			// all-exterior (spacing).
+			cov := ly.clipArea(marker)
 			if interior && cov != marker.Area() {
-				continue
+				return true
 			}
 			if !interior && cov != 0 {
-				continue
+				return true
 			}
 			cands = append(cands, candidate{m: marker, d: dist})
-		}
-		_ = i
+			return true
+		})
 	}
 	var out []Violation
 	for _, c := range dedupCandidates(cands) {
@@ -195,26 +176,19 @@ func dimensionScan(rs []geom.Rect, lim int64, interior bool, mk func(geom.Rect, 
 // cornerScan finds pairs of convex corners of distinct regions whose
 // euclidean separation is below s (the diagonal-spacing case the edge
 // scan cannot see).
-func cornerScan(rs []geom.Rect, s int64, rule string, layer tech.Layer) []Violation {
-	norm := geom.Normalize(rs)
-	if len(norm) == 0 {
-		return nil
-	}
-	ix := geom.NewIndex(4 * s)
-	ix.InsertAll(norm)
+func cornerScan(ly *preparedLayer, s int64, rule string, layer tech.Layer) []Violation {
 	var cands []candidate
-	for i, a := range norm {
-		for _, id := range ix.Query(a.Bloat(s)) {
+	for i, a := range ly.rects {
+		ly.ix.QueryFunc(a.Bloat(s), func(id int, b geom.Rect) bool {
 			if id <= i {
-				continue
+				return true
 			}
-			b := norm[id]
 			gx, gy := a.GapX(b), a.GapY(b)
 			if gx <= 0 || gy <= 0 {
-				continue // handled by the edge scan (or same region)
+				return true // handled by the edge scan (or same region)
 			}
 			if gx*gx+gy*gy >= s*s {
-				continue
+				return true
 			}
 			// Marker: the diagonal gap box between the two rects.
 			marker := geom.R(
@@ -224,11 +198,12 @@ func cornerScan(rs []geom.Rect, s int64, rule string, layer tech.Layer) []Violat
 			// Only a violation if the gap box is truly empty (not part
 			// of either region via other rects) and the corners belong
 			// to different connected regions.
-			if geom.ClipArea(norm, marker) != 0 {
-				continue
+			if ly.clipArea(marker) != 0 {
+				return true
 			}
 			cands = append(cands, candidate{m: marker, gx: gx, gy: gy})
-		}
+			return true
+		})
 	}
 	var out []Violation
 	for _, c := range dedupCandidates(cands) {
@@ -253,6 +228,7 @@ func (r ViaSize) Name() string { return fmt.Sprintf("%s.size.%d", r.Layer, r.Siz
 
 // Check implements Rule.
 func (r ViaSize) Check(ctx *Context) []Violation {
+	name := r.Name()
 	var out []Violation
 	// Use the raw shapes: size is a per-cut property that vanishes
 	// after normalization merges overlapping cuts.
@@ -262,7 +238,7 @@ func (r ViaSize) Check(ctx *Context) []Violation {
 		}
 		if s.R.Width() != r.Size || s.R.Height() != r.Size {
 			out = append(out, Violation{
-				Rule:   r.Name(),
+				Rule:   name,
 				Layer:  r.Layer,
 				Marker: s.R,
 				Detail: fmt.Sprintf("cut %dx%d != %dx%d", s.R.Width(), s.R.Height(), r.Size, r.Size),

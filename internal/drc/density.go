@@ -110,12 +110,12 @@ func (r Endcap) Name() string { return fmt.Sprintf("poly.endcap.%d", r.Ext) }
 
 // Check implements Rule.
 func (r Endcap) Check(ctx *Context) []Violation {
-	poly := ctx.Layers[tech.Poly]
-	diff := ctx.Layers[tech.Diff]
-	if len(poly) == 0 || len(diff) == 0 {
+	poly, diff := ctx.layer(tech.Poly), ctx.layer(tech.Diff)
+	if len(poly.rects) == 0 || len(diff.rects) == 0 {
 		return nil
 	}
-	gates := geom.Intersect(poly, diff)
+	name, detail := r.Name(), fmt.Sprintf("gate endcap < %d", r.Ext)
+	gates := geom.Intersect(poly.rects, diff.rects)
 	var out []Violation
 	for _, g := range Components(gates) {
 		bb := geom.BBoxOf(g)
@@ -124,20 +124,22 @@ func (r Endcap) Check(ctx *Context) []Violation {
 		// are source/drain extension, governed by diff rules. Probe
 		// just past the gate bbox to find which way the poly runs.
 		mx := (bb.X0 + bb.X1) / 2
-		vertical := geom.CoversPoint(poly, geom.Pt(mx, bb.Y1+1)) ||
-			geom.CoversPoint(poly, geom.Pt(mx, bb.Y0-1))
+		vertical := poly.coversPoint(geom.Pt(mx, bb.Y1+1)) ||
+			poly.coversPoint(geom.Pt(mx, bb.Y0-1))
 		band := bb.BloatXY(r.Ext, 0)
 		if vertical {
 			band = bb.BloatXY(0, r.Ext)
 		}
-		demand := geom.Subtract(geom.Intersect(geom.Dilate(g, r.Ext), []geom.Rect{band}), diff)
-		missing := geom.Subtract(demand, poly)
+		// The demand region lies inside the band, so only the diff and
+		// poly that reach the band can cover any of it.
+		demand := geom.Subtract(geom.Intersect(geom.Dilate(g, r.Ext), []geom.Rect{band}), diff.touching(band))
+		missing := geom.Subtract(demand, poly.touching(band))
 		if geom.AreaOf(missing) > 0 {
 			out = append(out, Violation{
-				Rule:   r.Name(),
+				Rule:   name,
 				Layer:  tech.Poly,
 				Marker: geom.BBoxOf(missing),
-				Detail: fmt.Sprintf("gate endcap < %d", r.Ext),
+				Detail: detail,
 			})
 		}
 	}

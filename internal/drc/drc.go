@@ -8,10 +8,11 @@
 package drc
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/harness"
@@ -38,11 +39,16 @@ type Rule interface {
 }
 
 // Context carries the prepared layout data shared by all rules of one
-// run. Layer geometry is normalized once.
+// run. Layer geometry is normalized once; what rules derive from a
+// layer (spatial index, boundary edges) is prepared on first use and
+// shared by every rule that reads the layer (layer.go). Layers must
+// not change once a rule has run. A Context must not be copied.
 type Context struct {
 	Tech   *tech.Tech
 	Layers map[tech.Layer][]geom.Rect // normalized
 	Shapes []layout.Shape             // original flat shapes (net-annotated)
+
+	prep [tech.NumLayers]preparedLayer
 }
 
 // NewContext normalizes a flat shape list for checking.
@@ -70,8 +76,8 @@ type Result struct {
 func (r Result) Count() int { return len(r.Violations) }
 
 // Run executes every rule and aggregates the violations
-// deterministically (sorted by rule, then marker position). Rules fan
-// out across the machine's cores; rules only read the shared Context.
+// deterministically (SortViolations order). Rules fan out across the
+// machine's cores; rules only read the shared Context.
 func (d *Deck) Run(ctx *Context) Result {
 	return d.RunCtx(context.Background(), ctx, runtime.GOMAXPROCS(0))
 }
@@ -91,17 +97,31 @@ func (d *Deck) RunCtx(stdctx context.Context, ctx *Context, parallel int) Result
 		res.Violations = append(res.Violations, perRule[i]...)
 		res.ByRule[rule.Name()] += len(perRule[i])
 	}
-	sort.Slice(res.Violations, func(i, j int) bool {
-		a, b := res.Violations[i], res.Violations[j]
-		if a.Rule != b.Rule {
-			return a.Rule < b.Rule
-		}
-		if a.Marker.Y0 != b.Marker.Y0 {
-			return a.Marker.Y0 < b.Marker.Y0
-		}
-		return a.Marker.X0 < b.Marker.X0
-	})
+	SortViolations(res.Violations)
 	return res
+}
+
+// SortViolations orders violations by rule, then marker (Y0, X0, Y1,
+// X1), layer and detail. The order is total — violations that compare
+// equal are identical — so equal multisets sort to equal slices
+// whatever order they were found in, which is what lets a flat run, a
+// tiled run and a replayed one be compared element-wise.
+func SortViolations(vs []Violation) {
+	slices.SortFunc(vs, CompareViolations)
+}
+
+// CompareViolations is the order of SortViolations.
+func CompareViolations(a, b Violation) int {
+	if c := cmp.Compare(a.Rule, b.Rule); c != 0 {
+		return c
+	}
+	if c := a.Marker.Compare(b.Marker); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Layer, b.Layer); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Detail, b.Detail)
 }
 
 // StandardDeck derives the full rule deck from a technology.

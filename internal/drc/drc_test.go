@@ -1,6 +1,10 @@
 package drc
 
 import (
+	"context"
+	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -357,5 +361,73 @@ func TestViolationString(t *testing.T) {
 	s := v.String()
 	if !strings.Contains(s, "m1.width") || !strings.Contains(s, "metal1") {
 		t.Errorf("String = %q", s)
+	}
+}
+
+// fixedRule reports a canned list, in the order given.
+type fixedRule struct {
+	name string
+	vs   []Violation
+}
+
+func (r fixedRule) Name() string               { return r.name }
+func (r fixedRule) Check(*Context) []Violation { return r.vs }
+
+// Two runs that find the same violations must return the same slice,
+// whatever order the rules found them in. The order RunCtx used to sort
+// by stopped at (Rule, Y0, X0) and left ties where they fell.
+func TestRunCtxOrderIsTotal(t *testing.T) {
+	v := func(x1, y1 int64, layer tech.Layer, detail string) Violation {
+		return Violation{Rule: "r", Layer: layer, Marker: geom.R(10, 20, x1, y1), Detail: detail}
+	}
+	// All tie on (Rule, Y0, X0); each differs from the first in one of
+	// the fields the order continues with.
+	vs := []Violation{
+		v(30, 40, tech.Metal1, "a"),
+		v(30, 50, tech.Metal1, "a"),
+		v(35, 40, tech.Metal1, "a"),
+		v(30, 40, tech.Metal2, "a"),
+		v(30, 40, tech.Metal1, "b"),
+		v(30, 40, tech.Metal1, "a"), // a true duplicate is kept
+	}
+	run := func(order []Violation) []Violation {
+		d := &Deck{Rules: []Rule{fixedRule{"r", order}}}
+		return d.RunCtx(context.Background(), NewContext(tech.N45(), nil), 1).Violations
+	}
+	want := run(vs)
+	if len(want) != len(vs) {
+		t.Fatalf("%d violations out, %d in", len(want), len(vs))
+	}
+	rnd := rand.New(rand.NewSource(15))
+	for i := 0; i < 50; i++ {
+		shuffled := slices.Clone(vs)
+		rnd.Shuffle(len(shuffled), func(a, b int) { shuffled[a], shuffled[b] = shuffled[b], shuffled[a] })
+		if got := run(shuffled); !slices.Equal(got, want) {
+			t.Fatalf("order depends on discovery order:\n got %v\nwant %v", got, want)
+		}
+	}
+	for i := 1; i < len(want); i++ {
+		if c := CompareViolations(want[i-1], want[i]); c > 0 || (c == 0 && want[i-1] != want[i]) {
+			t.Fatalf("%v and %v are out of order or compare equal without being equal", want[i-1], want[i])
+		}
+	}
+}
+
+// Rules running concurrently share the Context's prepared layers; the
+// result must be the sequential one. Meaningful under -race.
+func TestDeckRunsConcurrentlyOnOneContext(t *testing.T) {
+	tt := tech.N45()
+	l, err := layout.GenerateBlock(tt, layout.BlockOpts{Rows: 3, RowWidth: 10000, Nets: 12, MaxFan: 3, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat := l.Flatten()
+	deck := StandardDeck(tt)
+	want := deck.RunCtx(context.Background(), NewContext(tt, flat), 1)
+	for i := 0; i < 4; i++ {
+		got := deck.RunCtx(context.Background(), NewContext(tt, flat), 8)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("parallel run differs from sequential: %v vs %v", got.ByRule, want.ByRule)
+		}
 	}
 }

@@ -25,10 +25,12 @@ func (r Enclosure) Name() string {
 
 // Check implements Rule.
 func (r Enclosure) Check(ctx *Context) []Violation {
-	metal := ctx.Layers[r.Metal]
+	metal := ctx.layer(r.Metal)
 	covered := func(want geom.Rect) bool {
-		return geom.ClipArea(metal, want) == want.Area()
+		return metal.clipArea(want) == want.Area()
 	}
+	name := r.Name()
+	detail := fmt.Sprintf("cut not enclosed by %s by %d/%d in either orientation", r.Metal, r.End, r.Side)
 	var out []Violation
 	for _, s := range ctx.Shapes {
 		if s.Layer != r.Via {
@@ -38,10 +40,10 @@ func (r Enclosure) Check(ctx *Context) []Violation {
 			continue
 		}
 		out = append(out, Violation{
-			Rule:   r.Name(),
+			Rule:   name,
 			Layer:  r.Via,
 			Marker: s.R,
-			Detail: fmt.Sprintf("cut not enclosed by %s by %d/%d in either orientation", r.Metal, r.End, r.Side),
+			Detail: detail,
 		})
 	}
 	return out
@@ -59,12 +61,14 @@ func (r MinArea) Name() string { return fmt.Sprintf("%s.area.%d", r.Layer, r.A) 
 
 // Check implements Rule.
 func (r MinArea) Check(ctx *Context) []Violation {
+	name := r.Name()
+	ly := ctx.layer(r.Layer)
 	var out []Violation
-	for _, comp := range Components(ctx.Layers[r.Layer]) {
+	for _, comp := range components(ly.rects, ly.ix) {
 		a := geom.AreaOf(comp)
 		if a < r.A {
 			out = append(out, Violation{
-				Rule:   r.Name(),
+				Rule:   name,
 				Layer:  r.Layer,
 				Marker: geom.BBoxOf(comp),
 				Detail: fmt.Sprintf("region area %d < %d", a, r.A),
@@ -78,49 +82,59 @@ func (r MinArea) Check(ctx *Context) []Violation {
 // (touching counts as connected). Returned components are in
 // deterministic order (by first rect).
 func Components(norm []geom.Rect) [][]geom.Rect {
+	ix := geom.NewIndex(layerCell)
+	ix.InsertAll(norm)
+	return components(norm, ix)
+}
+
+// components is Components over an index already built on norm.
+func components(norm []geom.Rect, ix *geom.Index) [][]geom.Rect {
 	n := len(norm)
 	if n == 0 {
 		return nil
 	}
-	parent := make([]int, n)
+	parent := make([]int32, n)
 	for i := range parent {
-		parent[i] = i
+		parent[i] = int32(i)
 	}
-	var find func(int) int
-	find = func(x int) int {
+	find := func(x int32) int32 {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
 		}
 		return x
 	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[rb] = ra
-		}
-	}
-	ix := geom.NewIndex(512)
-	ix.InsertAll(norm)
 	for i, r := range norm {
-		for _, id := range ix.Query(r) { // touch-inclusive
+		ix.QueryFunc(r, func(id int, _ geom.Rect) bool { // touch-inclusive
 			if id > i {
-				union(i, id)
+				if ra, rb := find(int32(i)), find(int32(id)); ra != rb {
+					parent[rb] = ra
+				}
 			}
-		}
+			return true
+		})
 	}
-	groups := make(map[int][]geom.Rect)
-	var order []int
+	// Number the components by first rect, size them, and cut them all
+	// from one backing array.
+	comp := make([]int32, n) // by root: component number + 1
+	var sizes []int
+	for i := range norm {
+		root := find(int32(i))
+		if comp[root] == 0 {
+			sizes = append(sizes, 0)
+			comp[root] = int32(len(sizes))
+		}
+		sizes[comp[root]-1]++
+	}
+	backing := make([]geom.Rect, 0, n)
+	out := make([][]geom.Rect, len(sizes))
+	for c, sz := range sizes {
+		out[c] = backing[len(backing) : len(backing) : len(backing)+sz]
+		backing = backing[:len(backing)+sz]
+	}
 	for i, r := range norm {
-		root := find(i)
-		if _, ok := groups[root]; !ok {
-			order = append(order, root)
-		}
-		groups[root] = append(groups[root], r)
-	}
-	out := make([][]geom.Rect, 0, len(order))
-	for _, root := range order {
-		out = append(out, groups[root])
+		c := comp[find(int32(i))] - 1
+		out[c] = append(out[c], r)
 	}
 	return out
 }

@@ -1,6 +1,9 @@
 package geom
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Edge is a boundary segment of a region, with the region's interior on
 // a known side. Edges are axis-parallel; P0 -> P1 runs left-to-right for
@@ -69,106 +72,114 @@ func (e Edge) OutwardNormal() Point {
 // rs. The input need not be normalized. Edges are maximal: collinear
 // boundary runs with the same interior side are returned as single
 // segments. The result is deterministic (sorted).
+//
+// Normalized rects are disjoint, so whatever crosses a coordinate
+// cancels out of the coverage on its two sides: the boundary on the
+// line y is the bottoms of the rects starting there minus the tops of
+// those ending there, and the reverse. One pass over the rect sides
+// sorted by coordinate finds every edge.
 func BoundaryEdges(rs []Rect) []Edge {
 	norm := Normalize(rs)
 	if len(norm) == 0 {
 		return nil
 	}
-	var edges []Edge
-	edges = append(edges, horizontalBoundary(norm)...)
-	edges = append(edges, verticalBoundary(norm)...)
-	sort.Slice(edges, func(i, j int) bool {
-		a, b := edges[i], edges[j]
-		if a.P0.Y != b.P0.Y {
-			return a.P0.Y < b.P0.Y
+	lo := make([]rectSide, len(norm))
+	hi := make([]rectSide, len(norm))
+	for i, r := range norm {
+		lo[i] = rectSide{r.Y0, r.X0, r.X1}
+		hi[i] = rectSide{r.Y1, r.X0, r.X1}
+	}
+	edges := make([]Edge, 0, 4*len(norm))
+	edges = sideEdges(edges, lo, hi, true)
+	for i, r := range norm {
+		lo[i] = rectSide{r.X0, r.Y0, r.Y1}
+		hi[i] = rectSide{r.X1, r.Y0, r.Y1}
+	}
+	edges = sideEdges(edges, lo, hi, false)
+	slices.SortFunc(edges, func(a, b Edge) int {
+		if c := cmp.Compare(a.P0.Y, b.P0.Y); c != 0 {
+			return c
 		}
-		if a.P0.X != b.P0.X {
-			return a.P0.X < b.P0.X
+		if c := cmp.Compare(a.P0.X, b.P0.X); c != 0 {
+			return c
 		}
-		return a.Interior < b.Interior
+		return cmp.Compare(a.Interior, b.Interior)
 	})
 	return edges
 }
 
-// horizontalBoundary finds maximal horizontal boundary segments by
-// comparing slab coverage below and above every candidate y.
-func horizontalBoundary(norm []Rect) []Edge {
-	ys := make([]int64, 0, 2*len(norm))
-	for _, r := range norm {
-		ys = append(ys, r.Y0, r.Y1)
-	}
-	sort.Slice(ys, func(i, j int) bool { return ys[i] < ys[j] })
-	ys = dedup64(ys)
+// rectSide is one side of a rect: the coordinate of the line it lies
+// on and its extent along that line.
+type rectSide struct{ at, lo, hi int64 }
 
-	var edges []Edge
-	for _, y := range ys {
-		below := coverageAtY(norm, y, false)
-		above := coverageAtY(norm, y, true)
-		// Bottom edges: covered above, not below -> interior Above.
-		for _, iv := range combineIntervals(above, below, func(a, b bool) bool { return a && !b }) {
-			edges = append(edges, Edge{Point{iv.lo, y}, Point{iv.hi, y}, Above})
+// sideEdges appends the boundary edges on every line that carries a
+// rect side: lo holds the sides where rects begin (bottoms, or left
+// sides when !horizontal), hi the sides where they end.
+func sideEdges(edges []Edge, lo, hi []rectSide, horizontal bool) []Edge {
+	bySide := func(a, b rectSide) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
 		}
-		// Top edges: covered below, not above -> interior Below.
-		for _, iv := range combineIntervals(below, above, func(a, b bool) bool { return a && !b }) {
-			edges = append(edges, Edge{Point{iv.lo, y}, Point{iv.hi, y}, Below})
+		return cmp.Compare(a.lo, b.lo)
+	}
+	slices.SortFunc(lo, bySide)
+	slices.SortFunc(hi, bySide)
+	begin, end := Above, Below
+	if !horizontal {
+		begin, end = Right, Left
+	}
+	var starts, ends []interval
+	i, j := 0, 0
+	for i < len(lo) || j < len(hi) {
+		var at int64
+		if j == len(hi) || (i < len(lo) && lo[i].at <= hi[j].at) {
+			at = lo[i].at
+		} else {
+			at = hi[j].at
+		}
+		starts, ends = starts[:0], ends[:0]
+		for ; i < len(lo) && lo[i].at == at; i++ {
+			starts = appendMerged(starts, interval{lo[i].lo, lo[i].hi})
+		}
+		for ; j < len(hi) && hi[j].at == at; j++ {
+			ends = appendMerged(ends, interval{hi[j].lo, hi[j].hi})
+		}
+		edges = appendDifference(edges, starts, ends, at, horizontal, begin)
+		edges = appendDifference(edges, ends, starts, at, horizontal, end)
+	}
+	return edges
+}
+
+// appendDifference appends one edge per maximal run of a not covered
+// by b (both merged and sorted) on the line at.
+func appendDifference(edges []Edge, a, b []interval, at int64, horizontal bool, interior Side) []Edge {
+	k := 0
+	for _, v := range a {
+		x := v.lo
+		for ; k < len(b) && b[k].lo < v.hi; k++ {
+			if b[k].hi <= x {
+				continue
+			}
+			if b[k].lo > x {
+				edges = append(edges, lineEdge(at, x, b[k].lo, horizontal, interior))
+			}
+			x = b[k].hi
+			if x >= v.hi {
+				break // b[k] may reach into a's next interval: keep it
+			}
+		}
+		if x < v.hi {
+			edges = append(edges, lineEdge(at, x, v.hi, horizontal, interior))
 		}
 	}
 	return edges
 }
 
-// coverageAtY returns the merged x-intervals covered immediately above
-// (above=true) or below y.
-func coverageAtY(norm []Rect, y int64, above bool) []interval {
-	var iv []interval
-	for _, r := range norm {
-		if above && r.Y0 <= y && r.Y1 > y {
-			iv = append(iv, interval{r.X0, r.X1})
-		}
-		if !above && r.Y0 < y && r.Y1 >= y {
-			iv = append(iv, interval{r.X0, r.X1})
-		}
+func lineEdge(at, lo, hi int64, horizontal bool, interior Side) Edge {
+	if horizontal {
+		return Edge{Point{lo, at}, Point{hi, at}, interior}
 	}
-	return mergeIntervals(iv)
-}
-
-// verticalBoundary mirrors horizontalBoundary with x and y swapped.
-func verticalBoundary(norm []Rect) []Edge {
-	xs := make([]int64, 0, 2*len(norm))
-	for _, r := range norm {
-		xs = append(xs, r.X0, r.X1)
-	}
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
-	xs = dedup64(xs)
-
-	var edges []Edge
-	for _, x := range xs {
-		left := coverageAtX(norm, x, false)
-		right := coverageAtX(norm, x, true)
-		// Left edges: covered right, not left -> interior Right.
-		for _, iv := range combineIntervals(right, left, func(a, b bool) bool { return a && !b }) {
-			edges = append(edges, Edge{Point{x, iv.lo}, Point{x, iv.hi}, Right})
-		}
-		// Right edges: covered left, not right -> interior Left.
-		for _, iv := range combineIntervals(left, right, func(a, b bool) bool { return a && !b }) {
-			edges = append(edges, Edge{Point{x, iv.lo}, Point{x, iv.hi}, Left})
-		}
-	}
-	return edges
-}
-
-// coverageAtX returns the merged y-intervals covered immediately to the
-// right (right=true) or left of x.
-func coverageAtX(norm []Rect, x int64, right bool) []interval {
-	var iv []interval
-	for _, r := range norm {
-		if right && r.X0 <= x && r.X1 > x {
-			iv = append(iv, interval{r.Y0, r.Y1})
-		}
-		if !right && r.X0 < x && r.X1 >= x {
-			iv = append(iv, interval{r.Y0, r.Y1})
-		}
-	}
-	return mergeIntervals(iv)
+	return Edge{Point{at, lo}, Point{at, hi}, interior}
 }
 
 // PerimeterOf returns the total boundary length of the region.

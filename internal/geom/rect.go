@@ -1,6 +1,9 @@
 package geom
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+)
 
 // Rect is an axis-aligned rectangle in integer nanometres.
 // A Rect is canonical when X0 <= X1 and Y0 <= Y1; a canonical Rect with
@@ -152,6 +155,21 @@ func (r Rect) GapY(s Rect) int64 { return max64(0, max64(s.Y0-r.Y1, r.Y0-s.Y1)) 
 // MinDim returns the smaller of width and height; the quantity checked
 // by minimum-width design rules.
 func (r Rect) MinDim() int64 { return min64(r.Width(), r.Height()) }
+
+// Compare orders rectangles by (Y0, X0, Y1, X1), the order of the
+// canonical rect-set form; it returns 0 only for identical rectangles.
+func (r Rect) Compare(s Rect) int {
+	if c := cmp.Compare(r.Y0, s.Y0); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(r.X0, s.X0); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(r.Y1, s.Y1); c != 0 {
+		return c
+	}
+	return cmp.Compare(r.X1, s.X1)
+}
 
 // Canonical reports whether the rectangle is in canonical corner order.
 func (r Rect) Canonical() bool { return r.X0 <= r.X1 && r.Y0 <= r.Y1 }

@@ -1,9 +1,6 @@
 package geom
 
-import (
-	"cmp"
-	"slices"
-)
+import "slices"
 
 // Boolean algebra on sets of axis-aligned rectangles. The production
 // engine is the single-pass sweep line in sweep.go; the legacy slab
@@ -14,84 +11,6 @@ import (
 
 // interval is a half-open x range [lo, hi).
 type interval struct{ lo, hi int64 }
-
-// mergeIntervals merges overlapping or touching intervals in place and
-// returns the compacted slice. Input already sorted by lo — the only
-// form the scanline and slab paths produce — is detected with a linear
-// scan and skips the sort entirely, mirroring the IsNormal fast path
-// on rect sets.
-func mergeIntervals(iv []interval) []interval {
-	if len(iv) <= 1 {
-		return iv
-	}
-	sorted := true
-	for i := 1; i < len(iv); i++ {
-		if iv[i].lo < iv[i-1].lo {
-			sorted = false
-			break
-		}
-	}
-	if !sorted {
-		slices.SortFunc(iv, func(a, b interval) int { return cmp.Compare(a.lo, b.lo) })
-	}
-	out := iv[:1]
-	for _, v := range iv[1:] {
-		last := &out[len(out)-1]
-		if v.lo <= last.hi {
-			if v.hi > last.hi {
-				last.hi = v.hi
-			}
-		} else {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// combineIntervals applies the boolean op to two merged interval lists
-// and returns the merged result.
-func combineIntervals(a, b []interval, op func(inA, inB bool) bool) []interval {
-	// Gather elementary x coordinates.
-	xs := make([]int64, 0, 2*(len(a)+len(b)))
-	for _, v := range a {
-		xs = append(xs, v.lo, v.hi)
-	}
-	for _, v := range b {
-		xs = append(xs, v.lo, v.hi)
-	}
-	if len(xs) == 0 {
-		return nil
-	}
-	slices.Sort(xs)
-	xs = dedup64(xs)
-
-	contains := func(iv []interval, x int64) bool {
-		// binary search for the interval with lo <= x < hi
-		lo, hi := 0, len(iv)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if iv[mid].hi > x {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
-		}
-		return lo < len(iv) && iv[lo].lo <= x
-	}
-
-	var out []interval
-	for i := 0; i+1 < len(xs); i++ {
-		x0, x1 := xs[i], xs[i+1]
-		if op(contains(a, x0), contains(b, x0)) {
-			if n := len(out); n > 0 && out[n-1].hi == x0 {
-				out[n-1].hi = x1
-			} else {
-				out = append(out, interval{x0, x1})
-			}
-		}
-	}
-	return out
-}
 
 func dedup64(xs []int64) []int64 {
 	out := xs[:0]
@@ -116,18 +35,7 @@ func sameIntervals(a, b []interval) bool {
 }
 
 func sortRects(rs []Rect) {
-	slices.SortFunc(rs, func(a, b Rect) int {
-		if c := cmp.Compare(a.Y0, b.Y0); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.X0, b.X0); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.Y1, b.Y1); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.X1, b.X1)
-	})
+	slices.SortFunc(rs, Rect.Compare)
 }
 
 // Union returns the region covered by a or b as disjoint rects.

@@ -134,15 +134,19 @@ func (s *sweeper) apply(e sweepEvent) {
 func mergeActive(act []interval, dst []interval) []interval {
 	dst = dst[:0]
 	for _, v := range act {
-		if n := len(dst); n > 0 && v.lo <= dst[n-1].hi {
-			if v.hi > dst[n-1].hi {
-				dst[n-1].hi = v.hi
-			}
-		} else {
-			dst = append(dst, v)
-		}
+		dst = appendMerged(dst, v)
 	}
 	return dst
+}
+
+// appendMerged appends v to a list of disjoint intervals sorted by lo,
+// extending the last one when v touches or overlaps it.
+func appendMerged(iv []interval, v interval) []interval {
+	if n := len(iv); n > 0 && v.lo <= iv[n-1].hi {
+		iv[n-1].hi = max64(iv[n-1].hi, v.hi)
+		return iv
+	}
+	return append(iv, v)
 }
 
 // combineMerged rewrites dst with the intervals where the boolean op

@@ -7,7 +7,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -423,56 +423,77 @@ func (p *plan) stitchTiles(res *Result, outs []*TileResult) {
 	for _, name := range p.rules {
 		res.ByRule[name] = 0
 	}
-	// Multiplicity-aware dedup — a violation seen by several tiles (its
-	// marker straddles cores or sits in halo overlap) counts once per
-	// flat occurrence, keeping genuine in-tile duplicates intact (max
-	// multiplicity across tiles equals the flat multiplicity, since
-	// some tile sees the full local context).
-	counts := make(map[drc.Violation]int)
-	local := make(map[drc.Violation]int)
-	for _, out := range outs {
-		clear(local)
-		for _, v := range out.Violations {
-			local[v]++
-		}
-		for v, n := range local {
-			if prev := counts[v]; n > prev {
-				counts[v] = n
-			} else {
-				cStitchDedup.Add(int64(n))
-			}
-		}
-	}
-	// Density: reassemble the global per-rule value arrays and emit
-	// out-of-range windows through the rule's own formatter.
+	// Density: reassemble the global per-rule value arrays.
 	densVals := make([][]float64, len(p.densRules))
 	for di := range p.densRules {
 		densVals[di] = make([]float64, len(p.wins))
 	}
+	seen := 0
 	for i, out := range outs {
+		seen += len(out.Violations)
 		for di := range p.densRules {
 			for j, wi := range p.perTileWins[i] {
 				densVals[di][wi] = out.Dens[di][j]
 			}
 		}
 	}
+	// Multiplicity-aware dedup — a violation seen by several tiles (its
+	// marker straddles cores or sits in halo overlap) counts once per
+	// flat occurrence, keeping genuine in-tile duplicates intact (max
+	// multiplicity across tiles equals the flat multiplicity, since
+	// some tile sees the full local context). Each tile's sorted list
+	// is run-length encoded, the runs of all tiles are sorted together,
+	// and equal violations merge to their longest run.
+	type run struct {
+		v drc.Violation
+		n int
+	}
+	runs := make([]run, 0, seen)
+	var scratch []drc.Violation
+	for _, out := range outs {
+		// A deck run returns its violations sorted; a result from
+		// elsewhere (an older node's cache) is sorted on a copy, since
+		// outs are shared with the cache and the snapshot.
+		own := out.Violations
+		if !slices.IsSortedFunc(own, drc.CompareViolations) {
+			scratch = append(scratch[:0], own...)
+			drc.SortViolations(scratch)
+			own = scratch
+		}
+		for i := 0; i < len(own); {
+			j := i + 1
+			for j < len(own) && own[j] == own[i] {
+				j++
+			}
+			runs = append(runs, run{own[i], j - i})
+			i = j
+		}
+	}
+	// Out-of-range density windows go through the rule's own formatter.
 	for di, dr := range p.densRules {
 		for wi, d := range densVals[di] {
 			if d < dr.Min || d > dr.Max {
-				v := dr.Violation(p.wins[wi], d)
-				if counts[v] < 1 {
-					counts[v] = 1
-				}
+				runs = append(runs, run{dr.Violation(p.wins[wi], d), 1})
+				seen++
 			}
 		}
 	}
-	var all []drc.Violation
-	for v, n := range counts {
-		for k := 0; k < n; k++ {
-			all = append(all, v)
-		}
+	slices.SortFunc(runs, func(a, b run) int { return drc.CompareViolations(a.v, b.v) })
+	var all []drc.Violation // stays nil when nothing violates, as in the flat result
+	if len(runs) > 0 {
+		all = make([]drc.Violation, 0, len(runs))
 	}
-	sortViolations(all)
+	for i := 0; i < len(runs); {
+		n, j := runs[i].n, i+1
+		for ; j < len(runs) && runs[j].v == runs[i].v; j++ {
+			n = max(n, runs[j].n)
+		}
+		for k := 0; k < n; k++ {
+			all = append(all, runs[i].v)
+		}
+		i = j
+	}
+	cStitchDedup.Add(int64(seen - len(all)))
 	for _, v := range all {
 		res.ByRule[v.Rule]++
 	}
@@ -639,7 +660,7 @@ func EvaluateFlat(stdctx context.Context, t *tech.Tech, top *layout.Cell, o Opts
 			}
 		}
 	}
-	sortViolations(all)
+	drc.SortViolations(all)
 	if o.MaxViolations > 0 && len(all) > o.MaxViolations {
 		res.Dropped = len(all) - o.MaxViolations
 		all = all[:o.MaxViolations:o.MaxViolations]
@@ -706,34 +727,4 @@ func Equivalent(a, b *Result) bool {
 		a.Dropped == b.Dropped &&
 		reflect.DeepEqual(a.Hotspots, b.Hotspots) &&
 		reflect.DeepEqual(a.Density, b.Density)
-}
-
-// sortViolations orders violations by a total order (rule, marker,
-// layer, detail) so equal multisets compare equal element-wise —
-// drc.RunCtx's (rule, Y0, X0) order is not total, and unstable sorts
-// of tied elements would make flat-vs-tiled comparison flaky.
-func sortViolations(vs []drc.Violation) {
-	sort.Slice(vs, func(i, j int) bool {
-		a, b := vs[i], vs[j]
-		if a.Rule != b.Rule {
-			return a.Rule < b.Rule
-		}
-		am, bm := a.Marker, b.Marker
-		if am.Y0 != bm.Y0 {
-			return am.Y0 < bm.Y0
-		}
-		if am.X0 != bm.X0 {
-			return am.X0 < bm.X0
-		}
-		if am.Y1 != bm.Y1 {
-			return am.Y1 < bm.Y1
-		}
-		if am.X1 != bm.X1 {
-			return am.X1 < bm.X1
-		}
-		if a.Layer != b.Layer {
-			return a.Layer < b.Layer
-		}
-		return a.Detail < b.Detail
-	})
 }

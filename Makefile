@@ -62,7 +62,7 @@ SURROGATEBENCH_OUT ?= BENCH_PR9.json
 # ~1M-rect chip plus the incremental-vs-full re-evaluation differential.
 REPAIRBENCH_OUT ?= BENCH_PR10.json
 
-.PHONY: tier1 check build vet test race-fast fuzz-smoke drcprofile bench benchcmp fmt-check servebench clusterbench chipbench fleetbench surrogatebench repairbench
+.PHONY: tier1 check build vet test race-fast fuzz-smoke cover-kernel drcprofile bench benchcmp fmt-check servebench clusterbench chipbench fleetbench surrogatebench repairbench
 
 # benchmark/ is a module of its own, so ./... above never reaches it;
 # without this an exported-name change breaks the benchmark silently.
@@ -72,6 +72,7 @@ tier1: ## build + vet + gofmt gate + full tests under the race detector
 	$(MAKE) fmt-check
 	$(GO) test -race ./...
 	$(MAKE) fuzz-smoke
+	$(MAKE) cover-kernel
 	$(GO) vet -C benchmark . && $(GO) test -C benchmark .
 
 check: ## quick gate: build + vet + full tests (no race detector)
@@ -96,9 +97,33 @@ test:
 race-fast: ## race pass skipping the slow full-scorecard experiments
 	$(GO) test -race -short ./...
 
-fuzz-smoke: ## 20 s of the packed-bitmap morphology fuzzer and 10 s of the boundary-edge fuzzer, each against its oracle
+fuzz-smoke: ## 20 s of the packed-bitmap morphology fuzzer, 10 s of the sparse-blur fuzzer and 10 s of the boundary-edge fuzzer, each against its oracle
 	$(GO) test -run='^$$' -fuzz=FuzzBitmapMorphology -fuzztime=20s ./internal/litho
+	$(GO) test -run='^$$' -fuzz=FuzzSparseBlur -fuzztime=10s ./internal/litho
 	$(GO) test -run='^$$' -fuzz=FuzzBoundaryEdges -fuzztime=10s ./internal/geom
+
+# Where cover-kernel keeps its profile (bin/ is gitignored).
+COVER_DIR ?= bin/cover
+
+# The dense arm of the litho kernel sat in raster.go from PR 4 to PR 15
+# without one statement of it ever executing, in tests or anywhere
+# else; nothing was watching. This is the watch: the package's own
+# tests must reach every function of the kernel files and 90 % of the
+# statements of the two that hold the simulation path.
+cover-kernel: ## litho kernel coverage gate: no function of raster.go/sparse.go/optics.go at 0 %, raster.go and sparse.go each >= 90 % of statements
+	@mkdir -p $(COVER_DIR)
+	$(GO) test -count=1 -coverprofile=$(COVER_DIR)/litho.out ./internal/litho
+	@$(GO) tool cover -func=$(COVER_DIR)/litho.out | awk ' \
+		$$1 ~ /\/(raster|sparse|optics)\.go:/ && $$NF == "0.0%" { \
+			print "cover-kernel: " $$1 " " $$2 " is never executed by ./internal/litho tests"; bad = 1 } \
+		END { exit bad }'
+	@awk 'NR > 1 { split($$1, loc, ":"); n = split(loc[1], dir, "/"); f = dir[n]; \
+			tot[f] += $$2; if ($$3 > 0) cov[f] += $$2 } \
+		END { for (f in tot) if (f == "raster.go" || f == "sparse.go") { \
+				pct = 100 * cov[f] / tot[f]; \
+				printf "cover-kernel: %s %d/%d statements (%.1f%%)\n", f, cov[f], tot[f], pct; \
+				if (pct < 90) { print "cover-kernel: " f " is below 90%"; bad = 1 } } \
+			exit bad }' $(COVER_DIR)/litho.out
 
 # Where drcprofile keeps its binary and profiles (bin/ is gitignored).
 DRCPROFILE_DIR ?= bin/drcprofile

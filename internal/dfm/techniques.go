@@ -240,11 +240,10 @@ func EvalSRAF(ctx context.Context, t *tech.Tech) (o Outcome) {
 	dose := []float64{0.92, 0.96, 1.0, 1.04, 1.08}
 
 	measure := func(mask []geom.Rect) (dof float64, cdDelta float64, err error) {
-		// One rasterization serves the nominal image, the whole FE
+		// One RasterMask serves the nominal image, the whole FE
 		// matrix, and the through-focus CD check: the defocus-80 image
-		// is already in the raster's cache by the time it is asked for.
+		// is already in its cache by the time it is asked for.
 		rm := litho.NewRasterMask(mask, window, t.Optics, defocus[len(defocus)-1])
-		defer rm.Release()
 		img, err := litho.SimulateRaster(ctx, rm, litho.Nominal)
 		if err != nil {
 			return 0, 0, err
@@ -610,7 +609,6 @@ func EvalRestrictedRules(ctx context.Context, t *tech.Tech) (o Outcome) {
 		x := float64(3*r.Pitch + r.MinWidth/2) // center line
 		win := geom.R(int64(x)-700, 1200, int64(x)+700, 1800)
 		rm := litho.NewRasterMask(m1, win, tt.Optics, 120)
-		defer rm.Release()
 		img0, err := litho.SimulateRaster(ctx, rm, litho.Nominal)
 		if err != nil {
 			return 0, err

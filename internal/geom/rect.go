@@ -25,9 +25,6 @@ func R(x0, y0, x1, y1 int64) Rect {
 	return Rect{x0, y0, x1, y1}
 }
 
-// RectAt constructs a w x h rectangle whose lower-left corner is p.
-func RectAt(p Point, w, h int64) Rect { return R(p.X, p.Y, p.X+w, p.Y+h) }
-
 // Width returns the horizontal extent.
 func (r Rect) Width() int64 { return r.X1 - r.X0 }
 
@@ -58,9 +55,6 @@ func (r Rect) Center() Point { return Point{(r.X0 + r.X1) / 2, (r.Y0 + r.Y1) / 2
 
 // LL returns the lower-left corner.
 func (r Rect) LL() Point { return Point{r.X0, r.Y0} }
-
-// UR returns the upper-right corner.
-func (r Rect) UR() Point { return Point{r.X1, r.Y1} }
 
 // Contains reports whether p lies inside or on the boundary of r.
 func (r Rect) Contains(p Point) bool {

@@ -25,11 +25,6 @@ type BlockOpts struct {
 	Seed     int64 // RNG seed; same seed -> identical layout
 }
 
-// DefaultBlockOpts returns a small but representative block.
-func DefaultBlockOpts() BlockOpts {
-	return BlockOpts{Rows: 6, RowWidth: 20000, Nets: 40, MaxFan: 4, Seed: 1}
-}
-
 // RowChannel is the inter-row routing channel height in nm. Input-pin
 // metal1 pads reach 570nm below the row origin, so the channel keeps
 // facing rows' poly and metal1 legally separated (570 + 70 spacing,

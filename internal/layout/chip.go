@@ -65,11 +65,6 @@ type ChipOpts struct {
 	MacroMix []int
 }
 
-// DefaultChipOpts returns a ~1M-rect chip.
-func DefaultChipOpts() ChipOpts {
-	return ChipOpts{Seed: 1, TargetRects: 1_000_000, SlotPitch: 24000}
-}
-
 // ChipInfo reports what GenerateChip built.
 type ChipInfo struct {
 	Slots        int

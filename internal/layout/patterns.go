@@ -142,10 +142,3 @@ func sramBitcell(t *tech.Tech) *Cell {
 	c.Add(tech.Metal1, geom.R(0, 0, t.Rules[tech.Metal1].MinWidth, h))
 	return c
 }
-
-// Wrap builds a single-cell layout around a standalone pattern cell.
-func Wrap(t *tech.Tech, c *Cell) *Layout {
-	l := NewLayout(t)
-	_ = l.AddCell(c)
-	return l
-}

@@ -80,18 +80,6 @@ func (g *Grid) Set(i, j int, v float64) {
 	g.Data[j*g.W+i] = v
 }
 
-// PixelCenter returns the nm coordinates of pixel (i, j)'s center.
-func (g *Grid) PixelCenter(i, j int) (x, y float64) {
-	return float64(g.Origin.X) + (float64(i)+0.5)*g.Pitch,
-		float64(g.Origin.Y) + (float64(j)+0.5)*g.Pitch
-}
-
-// PixelOf returns the pixel containing the nm point (x, y).
-func (g *Grid) PixelOf(x, y float64) (i, j int) {
-	return int(math.Floor((x - float64(g.Origin.X)) / g.Pitch)),
-		int(math.Floor((y - float64(g.Origin.Y)) / g.Pitch))
-}
-
 // Sample returns the bilinearly interpolated field value at nm
 // coordinates (x, y).
 func (g *Grid) Sample(x, y float64) float64 {

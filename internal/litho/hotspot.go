@@ -3,6 +3,7 @@ package litho
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/geom"
@@ -188,6 +189,20 @@ func covered(rects []geom.Rect, p geom.Point) bool {
 		}
 	}
 	return false
+}
+
+// ScanWindowPixels returns the size, in pixels, of the padded grid
+// ScanWindowCtx simulates for a w x h nm window under opt at the given
+// defocus. It is computed in float64 so that a window or kernel no
+// buffer could hold comes back huge or +Inf rather than wrapped:
+// callers taking requests from outside the process bound it before
+// anything is allocated.
+func ScanWindowPixels(opt tech.Optics, defocus float64, w, h int64) float64 {
+	padPx, pitch := simPad(opt, defocus)
+	side := func(nm int64) float64 {
+		return math.Ceil((float64(nm)+2*float64(ScanPadNM))/pitch) + 2*padPx
+	}
+	return side(w) * side(h)
 }
 
 // ScanWindowCtx simulates one scan window (with the standard seam

@@ -381,3 +381,13 @@ func TestCDSpec(t *testing.T) {
 		t.Fatalf("InSpec boundaries wrong")
 	}
 }
+
+// PrintedRects is the printed bitmap vectorized: same area, pixel for
+// pixel.
+func TestPrintedRectsCoverPrintedBitmap(t *testing.T) {
+	img := Simulate([]geom.Rect{geom.R(0, 0, 70, 600), geom.R(0, 530, 400, 600)}, geom.R(-100, -100, 500, 700), opt(), Nominal)
+	px := int64(img.Pitch * img.Pitch)
+	if got, want := geom.AreaOf(img.PrintedRects()), int64(img.PrintedBitmap().Count())*px; want == 0 || got != want {
+		t.Fatalf("PrintedRects cover %d nm^2, PrintedBitmap has %d nm^2 set", got, want)
+	}
+}

@@ -22,20 +22,12 @@ var (
 	cPoolReuse = obs.C("litho.pool.reuse")
 	cPoolAlloc = obs.C("litho.pool.alloc")
 
-	// Row-dispatch accounting: grid rows processed through the
-	// persistent worker pool vs inline on the calling goroutine.
-	cRowsParallel = obs.C("litho.rows.parallel")
-	cRowsInline   = obs.C("litho.rows.inline")
-
-	// Separable blur passes run (one horizontal+vertical pair per
-	// kernel sigma per simulated field).
+	// Blur passes run: one per kernel sigma per simulated field, plus
+	// one per GaussianBlur call. blur.sparse counts the former alone —
+	// the per-rect separable decomposition (sparse.go) every RasterMask
+	// pass takes.
 	cBlurPasses = obs.C("litho.blur.passes")
-
-	// Kernel-pass routing: sparse = per-rect separable decomposition
-	// (sparse.go), dense = full-raster two-pass blur. The cost
-	// heuristic in computeLocked picks per sigma.
 	cBlurSparse = obs.C("litho.blur.sparse")
-	cBlurDense  = obs.C("litho.blur.dense")
 
 	// Convolution-stack latency (cache misses only; hits cost a map
 	// lookup).

@@ -20,15 +20,62 @@ func withObs(t *testing.T) {
 	t.Cleanup(func() { obs.SetEnabled(prev) })
 }
 
-func cacheCounts() (hit, miss int64) {
+// kernelCounts is every kernel instrument benchmark/layers.go and the
+// verify skill read, snapshotted together so a test can assert exact
+// deltas: a renamed, dropped or double-fired counter fails here rather
+// than as a silently-zero layer metric.
+type kernelCounts struct {
+	passes, sparse, hit, miss, reuse, alloc, simulated int64
+}
+
+func snapKernel() kernelCounts {
 	s := obs.Default().Snapshot()
-	return s.Counters["litho.raster.cache.hit"], s.Counters["litho.raster.cache.miss"]
+	return kernelCounts{
+		passes:    s.Counters["litho.blur.passes"],
+		sparse:    s.Counters["litho.blur.sparse"],
+		hit:       s.Counters["litho.raster.cache.hit"],
+		miss:      s.Counters["litho.raster.cache.miss"],
+		reuse:     s.Counters["litho.pool.reuse"],
+		alloc:     s.Counters["litho.pool.alloc"],
+		simulated: s.Histograms["litho.simulate.ns"].Count,
+	}
+}
+
+func (a kernelCounts) minus(b kernelCounts) kernelCounts {
+	return kernelCounts{a.passes - b.passes, a.sparse - b.sparse, a.hit - b.hit, a.miss - b.miss,
+		a.reuse - b.reuse, a.alloc - b.alloc, a.simulated - b.simulated}
+}
+
+// One scan window is one convolution stack: a cache miss with one
+// simulate.ns observation, one sparse pass per kernel sigma, and a
+// single amplitude buffer, which the free list serves once a first
+// window has been through.
+func TestScanWindowKernelCounters(t *testing.T) {
+	withObs(t)
+	tt := tech.N45()
+	mask := []geom.Rect{geom.R(0, 0, 70, 2000), geom.R(140, 0, 210, 2000)}
+	win := geom.R(-200, 0, 400, 2000)
+	scan := func() {
+		if _, err := ScanWindowCtx(context.Background(), mask, win, tt, tech.Metal1, ScanOpts{Cond: Nominal}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scan() // the amplitude buffer enters the free list
+	before := snapKernel()
+	scan()
+	sigmas := int64(len(tt.Optics.Sigmas))
+	want := kernelCounts{passes: sigmas, sparse: sigmas, miss: 1, reuse: 1, simulated: 1}
+	if got := snapKernel().minus(before); got != want {
+		t.Errorf("one scan window moved the kernel counters by %+v, want %+v", got, want)
+	}
 }
 
 // The acceptance criterion from the issue: a 9x5 focus-exposure
 // matrix is 45 simulation requests of which exactly 9 (one per
 // defocus) run the convolution stack; the other 36 are dose rescales
-// served from the per-defocus intensity cache.
+// served from the per-defocus intensity cache. Every pass of the 9
+// stacks is sparse, every amplitude buffer is the one the previous
+// stack returned, and each stack is one simulate.ns observation.
 func TestFEMatrixCacheAccounting(t *testing.T) {
 	withObs(t)
 	tt := tech.N45()
@@ -36,25 +83,26 @@ func TestFEMatrixCacheAccounting(t *testing.T) {
 	window := geom.R(-300, 1200, 400, 1800)
 	defocus := []float64{0, 20, 40, 60, 80, 100, 120, 140, 160}
 	dose := []float64{0.92, 0.96, 1.0, 1.04, 1.08}
-
-	rm := NewRasterMask(mask, window, tt.Optics, defocus[len(defocus)-1])
-	defer rm.Release()
-
-	hit0, miss0 := cacheCounts()
-	pts, err := FEMatrixRaster(context.Background(), rm, 35, 1500, true,
-		CDSpec{Target: 70, Tol: 0.10}, defocus, dose)
-	if err != nil {
-		t.Fatal(err)
+	matrix := func() []FEPoint {
+		rm := NewRasterMask(mask, window, tt.Optics, defocus[len(defocus)-1])
+		pts, err := FEMatrixRaster(context.Background(), rm, 35, 1500, true,
+			CDSpec{Target: 70, Tol: 0.10}, defocus, dose)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pts
 	}
-	if len(pts) != len(defocus)*len(dose) {
+	matrix() // the amplitude buffer enters the free list
+	before := snapKernel()
+	if pts := matrix(); len(pts) != len(defocus)*len(dose) {
 		t.Fatalf("matrix size = %d, want %d", len(pts), len(defocus)*len(dose))
 	}
-	hit1, miss1 := cacheCounts()
-	if miss1-miss0 != 9 {
-		t.Errorf("cache misses = %d, want 9 (one per defocus)", miss1-miss0)
-	}
-	if hit1-hit0 != 36 {
-		t.Errorf("cache hits = %d, want 36 (dose rescales)", hit1-hit0)
+	stacks := int64(len(defocus))
+	passes := stacks * int64(len(tt.Optics.Sigmas))
+	want := kernelCounts{passes: passes, sparse: passes, hit: stacks * int64(len(dose)-1), miss: stacks,
+		reuse: stacks, simulated: stacks}
+	if got := snapKernel().minus(before); got != want {
+		t.Errorf("a 9x5 FE matrix moved the kernel counters by %+v, want %+v", got, want)
 	}
 }
 
@@ -71,9 +119,8 @@ func TestConcurrentSimulateRasterCounters(t *testing.T) {
 	const goroutines = 8
 
 	rm := NewRasterMask(mask, window, tt.Optics, 120)
-	defer rm.Release()
 
-	hit0, miss0 := cacheCounts()
+	before := snapKernel()
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -88,10 +135,8 @@ func TestConcurrentSimulateRasterCounters(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	hit1, miss1 := cacheCounts()
-
-	misses := miss1 - miss0
-	hits := hit1 - hit0
+	moved := snapKernel().minus(before)
+	misses, hits := moved.miss, moved.hit
 	if misses != int64(len(defocus)) {
 		t.Errorf("misses = %d, want %d (each |defocus| computes once)", misses, len(defocus))
 	}

@@ -3,9 +3,11 @@ package litho
 import (
 	"context"
 	"math"
+	"runtime"
 	"sync"
 
 	"repro/internal/geom"
+	"repro/internal/harness"
 	"repro/internal/tech"
 )
 
@@ -42,18 +44,18 @@ func Simulate(mask []geom.Rect, window geom.Rect, opt tech.Optics, cond Conditio
 }
 
 // SimulateCtx is Simulate with cancellation checkpoints: the context
-// is checked before rasterization, between kernel passes, and every
-// few dozen rows inside the separable blur, so a canceled or timed-out
-// caller gets control back mid-image rather than after it.
+// is checked before normalization and every 64 rects inside each
+// kernel pass, so a canceled or timed-out caller gets control back
+// mid-image rather than after it.
 //
 // Callers that simulate the same mask/window pair more than once — FE
 // matrices, PV-band corners, multi-corner OPC — should build a
-// RasterMask and use SimulateRaster instead, which rasterizes once and
+// RasterMask and use SimulateRaster instead, which normalizes once and
 // caches per-defocus intensity fields.
 func SimulateCtx(ctx context.Context, mask []geom.Rect, window geom.Rect, opt tech.Optics, cond Condition) (*Image, error) {
-	rm := newRasterMask(mask, window, opt, cond.Defocus, false)
-	defer rm.Release()
-	g, err := rm.unitIntensity(ctx, cond.Defocus)
+	// The mask is dropped on return, so the grid its cache holds is
+	// this call's alone and may be scaled in place.
+	g, err := NewRasterMask(mask, window, opt, cond.Defocus).unitIntensity(ctx, cond.Defocus)
 	if err != nil {
 		return nil, err
 	}
@@ -67,7 +69,10 @@ func SimulateCtx(ctx context.Context, mask []geom.Rect, window geom.Rect, opt te
 
 // GaussianBlur returns the grid convolved with an isotropic Gaussian
 // of the given sigma in pixels, using the separable two-pass method
-// with a 3-sigma truncated kernel.
+// with a 3-sigma truncated kernel. It is the blur for inputs that are
+// already grids (ILT's continuous mask, LER noise); rect masks go
+// through RasterMask and the sparse blur, which this two-pass kernel
+// also serves as the test reference for.
 func GaussianBlur(g *Grid, sigmaPx float64) *Grid {
 	b, _ := gaussianBlurCtx(context.Background(), g, sigmaPx)
 	return b
@@ -79,16 +84,41 @@ func gaussianBlurCtx(ctx context.Context, g *Grid, sigmaPx float64) (*Grid, erro
 	}
 	kern := gaussKernel(sigmaPx)
 	cBlurPasses.Inc()
+	w, h := g.W, g.H
 	tmp := getBuf(len(g.Data))
 	defer putBuf(tmp)
-	out := &Grid{Origin: g.Origin, Pitch: g.Pitch, W: g.W, H: g.H, Data: make([]float64, len(g.Data))}
-	if err := blurH(ctx, g.Data, tmp, g.W, g.H, kern); err != nil {
+	out := &Grid{Origin: g.Origin, Pitch: g.Pitch, W: w, H: h, Data: make([]float64, len(g.Data))}
+	// Horizontal pass g -> tmp (fully overwritten), then the vertical
+	// pass tmp -> out; each is independent across output rows.
+	err := forRowChunks(ctx, h, func(j0, j1 int) {
+		for j := j0; j < j1; j++ {
+			blurRowH(g.Data[j*w:(j+1)*w], tmp[j*w:(j+1)*w], kern)
+		}
+	})
+	if err != nil {
 		return nil, err
 	}
-	if err := blurVAcc(ctx, tmp, out.Data, g.W, g.H, kern, 1); err != nil {
+	err = forRowChunks(ctx, h, func(j0, j1 int) {
+		blurVAccRows(tmp, out.Data, w, h, j0, j1, kern, 1)
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// rowChunk is the number of rows in one GaussianBlur work item: coarse
+// enough that dispatch costs nothing, fine enough that a blur over a
+// full tile yields within a few milliseconds of cancellation.
+const rowChunk = 32
+
+// forRowChunks runs fn over disjoint row ranges [j0, j1) covering
+// [0, h) through the shared harness fan-out, checking ctx between
+// chunks. fn must only write rows in its range.
+func forRowChunks(ctx context.Context, h int, fn func(j0, j1 int)) error {
+	return harness.ForEach(ctx, runtime.GOMAXPROCS(0), (h+rowChunk-1)/rowChunk, func(c int) {
+		fn(c*rowChunk, min(h, (c+1)*rowChunk))
+	})
 }
 
 // kernCache memoizes normalized kernels by sigma. The working set is
@@ -209,24 +239,6 @@ func blurVAccRows(src, dst []float64, w, h, j0, j1 int, kern []float64, weight f
 			}
 		}
 	}
-}
-
-// blurH runs the horizontal blur pass src -> dst (dst is fully
-// overwritten), row-parallel across the worker pool.
-func blurH(ctx context.Context, src, dst []float64, w, h int, kern []float64) error {
-	return rowParallel(ctx, h, w, func(j0, j1 int) {
-		for j := j0; j < j1; j++ {
-			blurRowH(src[j*w:(j+1)*w], dst[j*w:(j+1)*w], kern)
-		}
-	})
-}
-
-// blurVAcc runs the vertical blur pass, accumulating
-// dst += weight * (kern ⊛ src), row-parallel across the worker pool.
-func blurVAcc(ctx context.Context, src, dst []float64, w, h int, kern []float64, weight float64) error {
-	return rowParallel(ctx, h, w, func(j0, j1 int) {
-		blurVAccRows(src, dst, w, h, j0, j1, kern, weight)
-	})
 }
 
 // PrintsAt reports whether the image prints (exceeds threshold) at nm

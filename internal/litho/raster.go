@@ -10,13 +10,16 @@ import (
 	"repro/internal/tech"
 )
 
-// RasterMask is a mask rasterized once and simulated many times: the
-// padded coverage grid is computed a single time and shared across
-// every kernel pass, focus-exposure condition, PV-band corner, and
-// verification call that looks at the same mask/window pair. Unit-dose
-// intensity fields are cached per |defocus| (the defocus broadening is
-// even in f), so a 9x5 focus-exposure matrix costs 9 convolution
-// stacks plus scalar threshold rescales rather than 45 simulations.
+// RasterMask is a mask prepared once and simulated many times: the
+// normalized rect set and the padded grid geometry are computed a
+// single time and shared across every kernel pass, focus-exposure
+// condition, PV-band corner, and verification call that looks at the
+// same mask/window pair. Unit-dose intensity fields are cached per
+// |defocus| (the defocus broadening is even in f), so a 9x5
+// focus-exposure matrix costs 9 convolution stacks plus scalar
+// threshold rescales rather than 45 simulations. Despite the name it
+// owns no raster: the sparse blur (sparse.go) goes from rects to
+// amplitude without one.
 //
 // A RasterMask is safe for concurrent use; simulations of the same
 // mask serialize on an internal lock.
@@ -29,53 +32,31 @@ type RasterMask struct {
 	pitch      float64
 	rW, rH     int
 
-	mu      sync.Mutex
-	raster  Grid        // padded coverage raster; pooled buffer, Data nil until built or after Release
-	norm    []geom.Rect // normalized mask, built once on first simulation
-	cache   map[float64]*Grid
-	caching bool
+	mu    sync.Mutex
+	norm  []geom.Rect // normalized mask, built once on first simulation
+	cache map[float64]*Grid
 }
 
 // NewRasterMask prepares the mask for repeated simulation inside the
 // window under any condition with |defocus| <= maxDefocus (the pad
-// must cover the widest kernel that will ever run on this raster).
-// Rasterization itself is deferred to the first simulation.
+// must cover the widest kernel that will ever run on this mask).
+// Normalization is deferred to the first simulation.
 func NewRasterMask(mask []geom.Rect, window geom.Rect, opt tech.Optics, maxDefocus float64) *RasterMask {
-	return newRasterMask(mask, window, opt, maxDefocus, true)
-}
-
-func newRasterMask(mask []geom.Rect, window geom.Rect, opt tech.Optics, maxDefocus float64, caching bool) *RasterMask {
 	maxDefocus = math.Abs(maxDefocus)
-	f := defocusFactor(opt, maxDefocus)
-	maxSigma := 0.0
-	for _, s := range opt.Sigmas {
-		if s*f > maxSigma {
-			maxSigma = s * f
-		}
-	}
 	pitch := opt.GridNM
 	if pitch <= 0 {
 		pitch = 1
 	}
-	// The pad is rounded up to whole pixels so the padded raster is
-	// pixel-registered with the window grid: cropping then lands on
-	// exact pixel boundaries instead of shifting the image by a
-	// (defocus-dependent) sub-pixel offset.
-	padPx := int64(math.Ceil(3 * maxSigma / pitch))
-	padNM := int64(math.Ceil(float64(padPx) * pitch))
 	rm := &RasterMask{
 		mask:       mask,
 		window:     window,
 		opt:        opt,
 		maxDefocus: maxDefocus,
-		padded:     window.Bloat(padNM),
+		padded:     window.Bloat(SimPadNM(opt, maxDefocus)),
 		pitch:      pitch,
-		caching:    caching,
+		cache:      make(map[float64]*Grid),
 	}
 	rm.rW, rm.rH = gridDims(rm.padded, pitch)
-	if caching {
-		rm.cache = make(map[float64]*Grid)
-	}
 	return rm
 }
 
@@ -85,6 +66,17 @@ func newRasterMask(mask []geom.Rect, window geom.Rect, opt tech.Optics, maxDefoc
 // to bound how much chip geometry each scan window must extract for
 // the tiled simulation to be bit-identical to the flat one.
 func SimPadNM(opt tech.Optics, maxDefocus float64) int64 {
+	padPx, pitch := simPad(opt, maxDefocus)
+	return int64(math.Ceil(padPx * pitch))
+}
+
+// simPad returns the pad in pixels and the pitch it is measured in.
+// The pad is rounded up to whole pixels so the padded grid is
+// pixel-registered with the window grid: cropping then lands on exact
+// pixel boundaries instead of shifting the image by a
+// (defocus-dependent) sub-pixel offset. It stays a float64 so that
+// optics no integer pad can hold come back huge instead of wrapped.
+func simPad(opt tech.Optics, maxDefocus float64) (padPx, pitch float64) {
 	f := defocusFactor(opt, math.Abs(maxDefocus))
 	maxSigma := 0.0
 	for _, s := range opt.Sigmas {
@@ -92,12 +84,11 @@ func SimPadNM(opt tech.Optics, maxDefocus float64) int64 {
 			maxSigma = s * f
 		}
 	}
-	pitch := opt.GridNM
+	pitch = opt.GridNM
 	if pitch <= 0 {
 		pitch = 1
 	}
-	padPx := int64(math.Ceil(3 * maxSigma / pitch))
-	return int64(math.Ceil(float64(padPx) * pitch))
+	return math.Ceil(3 * maxSigma / pitch), pitch
 }
 
 // defocusFactor returns the kernel broadening sqrt(1+(f/F)^2) at the
@@ -112,7 +103,7 @@ func defocusFactor(opt tech.Optics, defocus float64) float64 {
 
 // SimulateRaster computes the aerial image of the rasterized mask
 // under the given condition, equivalent to SimulateCtx on the same
-// mask/window but reusing the shared raster and the per-defocus
+// mask/window but reusing the normalized mask and the per-defocus
 // intensity cache. At unit dose the returned image shares the cached
 // intensity grid — callers must treat its Data as read-only (Clone the
 // grid before mutating); at other doses the grid is a fresh scaled
@@ -132,23 +123,9 @@ func SimulateRaster(ctx context.Context, rm *RasterMask, cond Condition) (*Image
 	return &Image{Grid: out, Threshold: rm.opt.Threshold, Cond: cond}, nil
 }
 
-// Release returns the padded raster to the shared buffer pool. The
-// RasterMask stays usable — the raster is rebuilt lazily on the next
-// simulation — and previously returned images remain valid (cached
-// intensity grids are never pooled).
-func (rm *RasterMask) Release() {
-	rm.mu.Lock()
-	defer rm.mu.Unlock()
-	if rm.raster.Data != nil {
-		putBuf(rm.raster.Data)
-		rm.raster.Data = nil
-	}
-}
-
 // unitIntensity returns the dose-1 intensity field cropped to the
-// window at the given defocus, cached per |defocus| when the mask was
-// built with NewRasterMask. Ownership of the returned grid stays with
-// the cache when caching; otherwise it transfers to the caller.
+// window at the given defocus, cached per |defocus|. The returned grid
+// belongs to the cache.
 func (rm *RasterMask) unitIntensity(ctx context.Context, defocus float64) (*Grid, error) {
 	key := math.Abs(defocus)
 	rm.mu.Lock()
@@ -169,9 +146,7 @@ func (rm *RasterMask) unitIntensity(ctx context.Context, defocus float64) (*Grid
 	if err != nil {
 		return nil, err
 	}
-	if rm.caching {
-		rm.cache[key] = g
-	}
+	rm.cache[key] = g
 	return g, nil
 }
 
@@ -208,9 +183,7 @@ func (rm *RasterMask) printed(ctx context.Context, cond Condition) (*Bitmap, err
 // simulatePrinted is SimulateCtx(...).PrintedBitmap() for callers that
 // only need the printed bits (the hotspot scan).
 func simulatePrinted(ctx context.Context, mask []geom.Rect, window geom.Rect, opt tech.Optics, cond Condition) (*Bitmap, error) {
-	rm := newRasterMask(mask, window, opt, cond.Defocus, false)
-	defer rm.Release()
-	return rm.printed(ctx, cond)
+	return NewRasterMask(mask, window, opt, cond.Defocus).printed(ctx, cond)
 }
 
 // renderLocked runs one convolution stack (a raster-cache miss) and
@@ -231,7 +204,7 @@ func (rm *RasterMask) renderLocked(ctx context.Context, defocus float64, w, h in
 	}
 	defer putBuf(amp)
 	// The pad is a whole number of pixels on every side, so the window
-	// grid lies on the padded raster with at least a pixel to spare.
+	// grid lies on the padded grid with at least a pixel to spare.
 	di := int(math.Round(float64(rm.window.X0-rm.padded.X0) / rm.pitch))
 	dj := int(math.Round(float64(rm.window.Y0-rm.padded.Y0) / rm.pitch))
 	for j := 0; j < h; j++ {
@@ -243,30 +216,12 @@ func (rm *RasterMask) renderLocked(ctx context.Context, defocus float64, w, h in
 	return nil
 }
 
-// ensureRasterLocked builds the padded coverage raster if it is not
-// resident (first dense-path simulation, or after Release).
-func (rm *RasterMask) ensureRasterLocked() {
-	if rm.raster.Data != nil {
-		return
-	}
-	rm.raster = Grid{
-		Origin: rm.padded.LL(),
-		Pitch:  rm.pitch,
-		W:      rm.rW,
-		H:      rm.rH,
-		Data:   getBuf(rm.rW * rm.rH),
-	}
-	rm.raster.Rasterize(rm.norm)
-}
-
 // amplitudeLocked runs the kernel stack: amplitude A = sum_k w_k
-// (G_sk * M) accumulated over the padded raster in a pooled buffer,
-// which the caller must putBuf. Each kernel pass is routed by an
-// op-count heuristic: sparse per-rect decomposition (sparse.go) when
-// the mask's blurred footprint is smaller than two full raster passes,
-// the dense raster blur otherwise. The raster itself is only built
-// when some pass goes dense. Called with rm.mu held.
-func (rm *RasterMask) amplitudeLocked(ctx context.Context, defocus float64) (_ []float64, err error) {
+// (G_sk * M) accumulated over the padded grid in a pooled buffer,
+// which the caller must putBuf. Every kernel pass is the exact sparse
+// per-rect blur (sparse.go); no coverage raster is built. Called with
+// rm.mu held.
+func (rm *RasterMask) amplitudeLocked(ctx context.Context, defocus float64) ([]float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -281,63 +236,18 @@ func (rm *RasterMask) amplitudeLocked(ctx context.Context, defocus float64) (_ [
 	if wsum == 0 {
 		wsum = 1
 	}
-	n := rm.rW * rm.rH
-	amp := getBuf(n)
-	var tmp []float64 // dense-pass scratch, fetched on first dense pass
-	defer func() {
-		if tmp != nil {
-			putBuf(tmp)
-		}
-		if err != nil {
-			putBuf(amp)
-		}
-	}()
-	// One closure pair shared across the sigma loop: the per-pass kernel
-	// and weight travel through a single captured state rather than a
-	// fresh closure per kernel pass.
-	type passState struct {
-		kern   []float64
-		weight float64
-	}
-	var ps passState
-	hPass := func(j0, j1 int) {
-		src := rm.raster.Data
-		for j := j0; j < j1; j++ {
-			blurRowH(src[j*rm.rW:(j+1)*rm.rW], tmp[j*rm.rW:(j+1)*rm.rW], ps.kern)
-		}
-	}
-	vPass := func(j0, j1 int) {
-		blurVAccRows(tmp, amp, rm.rW, rm.rH, j0, j1, ps.kern, ps.weight)
-	}
+	amp := getBuf(rm.rW * rm.rH)
 	for k, s := range rm.opt.Sigmas {
-		w := rm.opt.Weights[k] / wsum
 		sigmaPx := s * f / rm.pitch
-		if sigmaPx <= 0 {
-			rm.ensureRasterLocked()
-			for i, v := range rm.raster.Data {
-				amp[i] += w * v
-			}
-			continue
+		if !(sigmaPx > 0) {
+			putBuf(amp)
+			return nil, fmt.Errorf("litho: kernel %d has non-positive sigma %g nm", k, s)
 		}
 		kern, cdf := gaussKernelCDF(sigmaPx)
 		cBlurPasses.Inc()
-		if sparseBlurOps(rm.norm, rm.padded, rm.pitch, rm.rW, rm.rH, len(kern)) < denseBlurOps(rm.rW, rm.rH, len(kern)) {
-			cBlurSparse.Inc()
-			if err := sparseBlurAcc(ctx, rm.norm, rm.padded, rm.pitch, rm.rW, rm.rH, kern, cdf, w, amp); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		cBlurDense.Inc()
-		rm.ensureRasterLocked()
-		if tmp == nil {
-			tmp = getBuf(n)
-		}
-		ps.kern, ps.weight = kern, w
-		if err := rowParallel(ctx, rm.rH, rm.rW, hPass); err != nil {
-			return nil, err
-		}
-		if err := rowParallel(ctx, rm.rH, rm.rW, vPass); err != nil {
+		cBlurSparse.Inc()
+		if err := sparseBlurAcc(ctx, rm.norm, rm.padded, rm.pitch, rm.rW, rm.rH, kern, cdf, rm.opt.Weights[k]/wsum, amp); err != nil {
+			putBuf(amp)
 			return nil, err
 		}
 	}

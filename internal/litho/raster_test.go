@@ -17,7 +17,7 @@ import (
 // no buffer reuse. The fast interior/edge-split blur must reproduce it
 // to float precision.
 func refSimulate(mask []geom.Rect, window geom.Rect, opt tech.Optics, cond Condition) *Image {
-	rm := newRasterMask(mask, window, opt, cond.Defocus, false)
+	rm := NewRasterMask(mask, window, opt, cond.Defocus)
 	raster := NewGrid(rm.padded, rm.pitch)
 	raster.Rasterize(mask)
 	f := defocusFactor(opt, cond.Defocus)

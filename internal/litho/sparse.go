@@ -62,32 +62,6 @@ func rectProfile(prof []float64, lo int, a0, a1 float64, kern, cdf []float64) {
 	}
 }
 
-// sparseBlurOps estimates the floating-point work of the sparse path
-// for one kernel pass over the normalized mask: profile evaluation
-// plus the outer-product accumulate per rect, each support clipped to
-// the grid.
-func sparseBlurOps(norm []geom.Rect, padded geom.Rect, pitch float64, w, h, klen int) int64 {
-	var ops int64
-	for _, rc := range norm {
-		pw := int64(float64(rc.Width())/pitch) + int64(klen) + 2
-		ph := int64(float64(rc.Height())/pitch) + int64(klen) + 2
-		if pw > int64(w) {
-			pw = int64(w)
-		}
-		if ph > int64(h) {
-			ph = int64(h)
-		}
-		ops += pw*ph + pw + ph
-	}
-	return ops
-}
-
-// denseBlurOps is the matching estimate for the dense separable path:
-// two full passes over the raster at kernel length klen.
-func denseBlurOps(w, h, klen int) int64 {
-	return 2 * int64(w) * int64(h) * int64(klen)
-}
-
 // sparseBlurAcc accumulates amp += weight · (g ⊛ coverage(norm)) for
 // one kernel, walking rects instead of pixels. norm must be disjoint
 // (geom.Normalize form); padded/pitch/w/h describe the raster grid amp

@@ -4,9 +4,12 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/tech"
 )
 
 // TestSparseBlurMatchesDense verifies the per-rect separable
@@ -84,5 +87,196 @@ func TestSparseBlurCoverageClip(t *testing.T) {
 		if d := math.Abs(got[i] - want[i]); d > 1e-12 {
 			t.Fatalf("pixel (%d,%d): sparse=%g dense=%g", i%w, i/w, got[i], want[i])
 		}
+	}
+}
+
+// gridBlurSimulate is SimulateCtx by the other route: rasterize the
+// mask onto the padded grid, run the two-pass grid blur once per
+// kernel, then crop, square and dose-scale. It shares the pad and grid
+// geometry with RasterMask and nothing else.
+func gridBlurSimulate(mask []geom.Rect, window geom.Rect, opt tech.Optics, cond Condition) *Image {
+	rm := NewRasterMask(mask, window, opt, cond.Defocus)
+	raster := NewGrid(rm.padded, rm.pitch)
+	raster.Rasterize(mask)
+	f := defocusFactor(opt, cond.Defocus)
+	var wsum float64
+	for _, w := range opt.Weights {
+		wsum += w
+	}
+	amp := make([]float64, len(raster.Data))
+	for k, s := range opt.Sigmas {
+		for i, v := range GaussianBlur(raster, s*f/rm.pitch).Data {
+			amp[i] += opt.Weights[k] / wsum * v
+		}
+	}
+	out := NewGrid(window, rm.pitch)
+	di := int(math.Round(float64(window.X0-rm.padded.X0) / rm.pitch))
+	dj := int(math.Round(float64(window.Y0-rm.padded.Y0) / rm.pitch))
+	for j := 0; j < out.H; j++ {
+		for i := 0; i < out.W; i++ {
+			a := amp[(j+dj)*raster.W+i+di]
+			out.Data[j*out.W+i] = a * a * cond.Dose
+		}
+	}
+	return &Image{Grid: out, Threshold: opt.Threshold, Cond: cond}
+}
+
+// checkAgainstGridBlur asserts the properties every mask must have
+// now that the sparse blur is the only route: SimulateCtx equals the
+// rasterize-then-blur reference to 1e-9, and both the scan's
+// amplitude-thresholded bitmap and the shared-mask SimulateRaster
+// image are SimulateCtx's, bit for bit.
+func checkAgainstGridBlur(t *testing.T, mask []geom.Rect, window geom.Rect, opt tech.Optics, cond Condition) {
+	t.Helper()
+	ctx := context.Background()
+	img, err := SimulateCtx(ctx, mask, window, opt, cond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := gridBlurSimulate(mask, window, opt, cond)
+	if img.W != want.W || img.H != want.H {
+		t.Fatalf("%+v: grid %dx%d, reference %dx%d", cond, img.W, img.H, want.W, want.H)
+	}
+	for i := range want.Data {
+		if d := math.Abs(img.Data[i] - want.Data[i]); !(d <= 1e-9) {
+			t.Fatalf("%+v: pixel (%d,%d): sparse %g, rasterize+GaussianBlur %g (diff %g)",
+				cond, i%img.W, i/img.W, img.Data[i], want.Data[i], d)
+		}
+	}
+	printed, err := simulatePrinted(ctx, mask, window, opt, cond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(printed, img.PrintedBitmap()) {
+		t.Errorf("%+v: scan-path printed bitmap differs from SimulateCtx+PrintedBitmap", cond)
+	}
+	shared, err := SimulateRaster(ctx, NewRasterMask(mask, window, opt, cond.Defocus), cond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(shared.Grid, img.Grid) {
+		t.Errorf("%+v: SimulateRaster image differs from SimulateCtx", cond)
+	}
+}
+
+// The masks the retired op-count router would have sent down the
+// dense raster blur: so many tiny rects in so small a window that
+// their summed kernel footprints outweigh two passes over the whole
+// raster. Design-rule-legal geometry never looks like this (see
+// EXPERIMENTS.md R16), which is why that arm never ran; these inputs
+// now take the sparse blur like everything else and must still match
+// the raster route.
+func TestSparseBlurOnDenseFavouringMask(t *testing.T) {
+	o := tech.N45().Optics
+	window := geom.R(0, 0, 400, 400)
+	var mask []geom.Rect
+	for y := int64(0); y < 400; y += 10 {
+		for x := int64(0); x < 400; x += 10 {
+			mask = append(mask,
+				geom.R(x+1, y+2, x+3+x%7, y+4+y%5), // 2-8 nm dot: a pixel or two at most
+				geom.R(x+9, y, x+10, y+9))          // 1 nm sliver: a fifth of a pixel wide
+		}
+	}
+	for _, cond := range []Condition{Nominal, {Defocus: 200, Dose: 1.07}} {
+		// The retired heuristic, restated: one (klen+2)^2 footprint per
+		// rect against 2*W*H*klen for the raster passes, at the narrowest
+		// kernel (the least dense-favouring of the stack).
+		rm := NewRasterMask(mask, window, o, cond.Defocus)
+		klen := int64(len(gaussKernel(o.Sigmas[0] * defocusFactor(o, cond.Defocus) / rm.pitch)))
+		rects := int64(len(geom.Normalize(mask)))
+		if sparse, dense := rects*(klen+2)*(klen+2), 2*int64(rm.rW)*int64(rm.rH)*klen; sparse <= dense {
+			t.Fatalf("%+v: %d rects cost %d sparse ops against %d dense: not a dense-favouring mask", cond, rects, sparse, dense)
+		}
+		checkAgainstGridBlur(t, mask, window, o, cond)
+	}
+}
+
+// fuzzRects decodes four bytes per rect into geometry around a
+// 100x80 nm window at the origin: corners from -64 nm (negative
+// coordinates, beyond the pad at small defocus) to +191 nm (wholly
+// outside the padded grid), sides 0-47 nm (zero-area, sub-pixel,
+// multi-pixel), so random bytes produce overlapping, abutting,
+// straddling and outlying rects alike.
+func fuzzRects(data []byte) []geom.Rect {
+	var rs []geom.Rect
+	for ; len(data) >= 4 && len(rs) < 64; data = data[4:] {
+		x, y := int64(data[0])-64, int64(data[1])-64
+		rs = append(rs, geom.R(x, y, x+int64(data[2]%48), y+int64(data[3]%48)))
+	}
+	return rs
+}
+
+// FuzzSparseBlur holds the sparse blur to the rasterize-then-blur
+// reference on arbitrary rect sets, pitches and defocus (10 s in
+// make fuzz-smoke).
+func FuzzSparseBlur(f *testing.F) {
+	f.Add(uint8(0), uint8(0), []byte{64, 64, 20, 20})
+	f.Add(uint8(1), uint8(2), []byte{64, 64, 10, 10, 74, 64, 10, 10, 64, 74, 20, 1})   // abutting, one a sliver
+	f.Add(uint8(2), uint8(1), []byte{0, 0, 47, 47, 255, 255, 47, 47, 100, 100, 0, 30}) // corners outside, zero-area
+	f.Add(uint8(0), uint8(3), []byte{60, 60, 3, 3, 61, 61, 3, 3, 20, 70, 47, 2, 160, 10, 9, 47})
+	f.Fuzz(func(t *testing.T, pitchSel, focusSel uint8, data []byte) {
+		o := tech.Optics{
+			Sigmas: []float64{6, 14}, Weights: []float64{0.8, 0.2}, Threshold: 0.3, DefocusScale: 150,
+			GridNM: []float64{5, 2, 1}[pitchSel%3],
+		}
+		cond := Condition{Defocus: float64(focusSel%4) * 60, Dose: 1 + float64(focusSel%3)*0.04}
+		checkAgainstGridBlur(t, fuzzRects(data), geom.R(0, 0, 100, 80), o, cond)
+	})
+}
+
+// What used to be served silently or not at all is an error, never a
+// panic and never a guess: a kernel with no width (the deleted raster
+// identity branch) and a defocus the mask's pad was not sized for.
+func TestSimulateRejectsBadKernelAndDefocus(t *testing.T) {
+	ctx := context.Background()
+	mask := []geom.Rect{geom.R(0, 0, 70, 400)}
+	window := geom.R(-100, 0, 200, 400)
+	withSigmas := func(s ...float64) tech.Optics {
+		o := tech.N45().Optics
+		o.Sigmas = s
+		return o
+	}
+	for _, tc := range []struct {
+		name string
+		run  func() error
+		want string
+	}{
+		{"zero sigma", func() error {
+			_, err := SimulateCtx(ctx, mask, window, withSigmas(35, 0), Nominal)
+			return err
+		}, "sigma"},
+		{"negative sigma", func() error {
+			_, err := SimulateCtx(ctx, mask, window, withSigmas(-35, 90), Condition{Defocus: 60, Dose: 1})
+			return err
+		}, "sigma"},
+		{"NaN sigma on the scan path", func() error {
+			_, err := simulatePrinted(ctx, mask, window, withSigmas(math.NaN(), 90), Nominal)
+			return err
+		}, "sigma"},
+		{"zero sigma on a shared mask", func() error {
+			_, err := SimulateRaster(ctx, NewRasterMask(mask, window, withSigmas(0, 90), 120), Nominal)
+			return err
+		}, "sigma"},
+		{"defocus past the budget", func() error {
+			_, err := SimulateRaster(ctx, NewRasterMask(mask, window, tech.N45().Optics, 60), Condition{Defocus: 61, Dose: 1})
+			return err
+		}, "budget"},
+		{"negative defocus past the budget", func() error {
+			_, err := SimulateRaster(ctx, NewRasterMask(mask, window, tech.N45().Optics, 60), Condition{Defocus: -90, Dose: 1})
+			return err
+		}, "budget"},
+		{"canceled before the first pass", func() error {
+			dead, cancel := context.WithCancel(ctx)
+			cancel()
+			_, err := SimulateCtx(dead, mask, window, tech.N45().Optics, Nominal)
+			return err
+		}, context.Canceled.Error()},
+	} {
+		if err := tc.run(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one mentioning %q", tc.name, err, tc.want)
+		}
+	}
+	if img := Simulate(mask, window, withSigmas(0, 90), Nominal); img != nil {
+		t.Error("Simulate returned an image for a zero-width kernel")
 	}
 }

@@ -32,7 +32,7 @@ type FEPoint struct {
 
 // FEMatrix simulates a focus-exposure matrix: the CD of the feature at
 // (x, y) (measured along x when horizontal) across the defocus and
-// dose lists. The mask is rasterized once and simulated once per
+// dose lists. The mask is normalized once and simulated once per
 // defocus; dose enters the intensity as a pure scale factor
 // (I = A^2 * dose), so the dose axis of the matrix costs scalar
 // threshold rescales rather than re-simulation.
@@ -57,7 +57,6 @@ func FEMatrixCtx(ctx context.Context, mask []geom.Rect, window geom.Rect, opt te
 		}
 	}
 	rm := NewRasterMask(mask, window, opt, maxF)
-	defer rm.Release()
 	return FEMatrixRaster(ctx, rm, x, y, horizontal, spec, defocus, dose)
 }
 
@@ -156,7 +155,7 @@ func ComputePVBand(mask []geom.Rect, window geom.Rect, opt tech.Optics, corners 
 }
 
 // ComputePVBandCtx is ComputePVBand with a cancellation checkpoint
-// per corner condition. The mask is rasterized once and shared across
+// per corner condition. The mask is normalized once and shared across
 // corners; dose-only corners reuse the focus corner's intensity field
 // with a rescaled threshold, so the standard 5-corner set costs two
 // convolution stacks, not five simulations.
@@ -169,7 +168,6 @@ func ComputePVBandCtx(ctx context.Context, mask []geom.Rect, window geom.Rect, o
 		}
 	}
 	rm := NewRasterMask(mask, window, opt, maxF)
-	defer rm.Release()
 	var always, ever *Bitmap
 	for _, c := range corners {
 		img, err := SimulateRaster(ctx, rm, Condition{Defocus: c.Defocus, Dose: 1})

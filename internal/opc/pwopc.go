@@ -66,14 +66,13 @@ func ProcessWindowOPC(drawn []geom.Rect, window geom.Rect, opt tech.Optics, mo M
 	for it := 0; it <= mo.Iterations; it++ {
 		mask := ApplyBias(drawn, frags)
 		// The mask changes every iteration, but within an iteration all
-		// corners share one rasterization, and corners that differ only
+		// corners share one normalized mask, and corners that differ only
 		// in dose share the convolution result too.
 		rm := litho.NewRasterMask(mask, window, opt, maxF)
 		imgs := make([]*litho.Image, len(corners))
 		for k, c := range corners {
 			imgs[k], _ = litho.SimulateRaster(ctx, rm, c.Cond)
 		}
-		rm.Release()
 		cPWIters.Inc()
 		rms := make([]float64, len(corners))
 		sq := make([]float64, len(corners))

@@ -83,9 +83,6 @@ func (p *PDB) Ingest(design string, cat *Catalog) error {
 // Len returns the number of tracked classes.
 func (p *PDB) Len() int { return len(p.entries) }
 
-// Designs returns the ingest order.
-func (p *PDB) Designs() []string { return append([]string{}, p.designs...) }
-
 // SetWeight records a yield-impact weight for a class (from failure
 // analysis). Unknown ids are ignored and reported.
 func (p *PDB) SetWeight(id uint64, w float64) bool {

@@ -52,9 +52,6 @@ func ParseLayer(s string) (Layer, error) {
 // IsVia reports whether the layer is a cut (via/contact) layer.
 func (l Layer) IsVia() bool { return l == Contact || l == Via1 || l == Via2 }
 
-// IsRouting reports whether the layer is a wiring layer.
-func (l Layer) IsRouting() bool { return l == Metal1 || l == Metal2 || l == Metal3 }
-
 // Below returns the routing/poly layer connected below a via layer.
 func (l Layer) Below() Layer {
 	switch l {

@@ -4,12 +4,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/geom"
 	"repro/internal/layout"
+	"repro/internal/litho"
 	"repro/internal/tech"
 )
 
@@ -275,6 +277,61 @@ func TestTileRequestValidate(t *testing.T) {
 	var nilReq *TileRequest
 	if err := nilReq.Validate(); err == nil {
 		t.Error("nil request passed Validate")
+	}
+}
+
+// A window request's optics and size arrive from outside the process
+// and go straight into kernel and buffer sizes, so Validate must turn
+// every shape the simulator would index-panic or over-allocate on into
+// an error, and leave the production window alone.
+func TestWindowRequestValidateOptics(t *testing.T) {
+	fresh := func() *TileRequest {
+		return windowWireRequest(tech.N45(), DefaultOpts(), nil, tech.Metal1, geom.R(0, 0, 12000, 12000), 500, nil)
+	}
+	if px := litho.ScanWindowPixels(tech.N45().Optics, 0, 12000, 12000); px < 7e6 || px > maxWindowPixels/8 {
+		t.Fatalf("production window simulates %.3g pixels; the cap %d is meant to leave ~9x over ~7.2M", px, maxWindowPixels)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		mut  func(*TileRequest)
+		want string
+	}{
+		{"fewer weights than sigmas", func(r *TileRequest) { r.Tech.Optics.Weights = r.Tech.Optics.Weights[:1] }, "weights"},
+		{"no kernels", func(r *TileRequest) { r.Tech.Optics.Sigmas, r.Tech.Optics.Weights = nil, nil }, "sigmas"},
+		{"zero sigma", func(r *TileRequest) { r.Tech.Optics.Sigmas = []float64{0, 90} }, "sigma"},
+		{"negative sigma", func(r *TileRequest) { r.Tech.Optics.Sigmas = []float64{45, -90} }, "sigma"},
+		{"NaN sigma", func(r *TileRequest) { r.Tech.Optics.Sigmas = []float64{nan, 90} }, "sigma"},
+		{"infinite weight", func(r *TileRequest) { r.Tech.Optics.Weights = []float64{inf, 1} }, "weight"},
+		{"weights cancel", func(r *TileRequest) { r.Tech.Optics.Weights = []float64{1, -1} }, "sum"},
+		{"zero pitch", func(r *TileRequest) { r.Tech.Optics.GridNM = 0 }, "pitch"},
+		{"NaN pitch", func(r *TileRequest) { r.Tech.Optics.GridNM = nan }, "pitch"},
+		{"infinite defocus scale", func(r *TileRequest) { r.Tech.Optics.DefocusScale = inf }, "defocus scale"},
+		{"NaN defocus", func(r *TileRequest) { r.Cond.Defocus = nan }, "condition"},
+		{"infinite dose", func(r *TileRequest) { r.Cond.Dose = inf }, "condition"},
+		{"sub-angstrom pitch", func(r *TileRequest) { r.Tech.Optics.GridNM = 0.05 }, "pixels"},
+		{"metre-wide window", func(r *TileRequest) { r.WinW = 1e9 }, "pixels"},
+		{"window past int64 pixels", func(r *TileRequest) { r.WinW, r.WinH = math.MaxInt64, math.MaxInt64 }, "pixels"},
+		{"kernel wider than the cap", func(r *TileRequest) { r.Tech.Optics.Sigmas = []float64{1e300, 90} }, "pixels"},
+		{"defocus blows the kernel up", func(r *TileRequest) { r.Cond.Defocus = 1e300 }, "pixels"},
+	}
+	for _, tc := range cases {
+		r := fresh()
+		tc.mut(r)
+		err := r.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate() = %v, want error mentioning %q", tc.name, err, tc.want)
+		}
+		if _, kerr := r.Key(); kerr == nil {
+			t.Errorf("%s: Key() accepted the request", tc.name)
+		}
+	}
+	// DRC and density never read the optics: a tile-stage unit from a
+	// node that carries none keeps validating (and keeps its key).
+	tile := tileWireRequest(tech.N45(), Opts{DRC: true}, nil, geom.R(0, 0, 8000, 8000), 2000, nil, nil)
+	tile.Tech.Optics = tech.Optics{}
+	if err := tile.Validate(); err != nil {
+		t.Errorf("tile-stage request without optics rejected: %v", err)
 	}
 }
 

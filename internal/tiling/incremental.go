@@ -52,9 +52,6 @@ func (s *Snapshot) Pad() int64 { return s.plan.pad }
 // Die returns the die bbox the snapshot was recorded over.
 func (s *Snapshot) Die() geom.Rect { return s.plan.die }
 
-// TileCore returns tile i's core rect in the snapshot's grid.
-func (s *Snapshot) TileCore(i int) geom.Rect { return s.plan.core(i) }
-
 // InvalidatedTiles returns, in index order, exactly the stage-A tiles
 // EvaluateDelta would recompute for the given dirty rects: those whose
 // pad-bloated core touches (closed-interval, matching extraction) any

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/drc"
@@ -171,10 +172,64 @@ func (r *TileRequest) Validate() error {
 		if r.WinW <= 0 || r.WinH <= 0 {
 			return fmt.Errorf("tiling: tile request window %dx%d not positive", r.WinW, r.WinH)
 		}
+		if err := validateOptics(&r.Tech.Optics); err != nil {
+			return err
+		}
+		if !finite(r.Cond.Defocus, r.Cond.Dose) {
+			return fmt.Errorf("tiling: tile request condition %+v not finite", r.Cond)
+		}
+		if px := litho.ScanWindowPixels(r.Tech.Optics, r.Cond.Defocus, r.WinW, r.WinH); !(px <= maxWindowPixels) {
+			return fmt.Errorf("tiling: tile request window %dx%d nm at %g nm/px simulates %.3g pixels, limit %d",
+				r.WinW, r.WinH, r.Tech.Optics.GridNM, px, maxWindowPixels)
+		}
 	default:
 		return fmt.Errorf("tiling: unknown tile request stage %q", r.Stage)
 	}
 	return nil
+}
+
+// maxWindowPixels bounds the padded grid a window request may ask the
+// simulator for. A production scan window is 7.2 M pixels; the cap
+// leaves 9x headroom and keeps one request's amplitude buffer near
+// half a gigabyte, where a hostile GridNM or WinW inside the 64 MiB
+// body bound would otherwise be an out-of-memory kill no panic
+// recovery can catch.
+const maxWindowPixels = 1 << 26
+
+// validateOptics checks the kernel stack is one the simulator can run:
+// RasterMask indexes Weights by Sigmas and sizes its kernels and grid
+// from Sigmas and GridNM without looking at them again.
+func validateOptics(o *tech.Optics) error {
+	if len(o.Sigmas) == 0 || len(o.Sigmas) != len(o.Weights) {
+		return fmt.Errorf("tiling: optics have %d sigmas and %d weights, want equal and non-zero", len(o.Sigmas), len(o.Weights))
+	}
+	var wsum float64
+	for k, s := range o.Sigmas {
+		if !finite(s, o.Weights[k]) || s <= 0 {
+			return fmt.Errorf("tiling: optics kernel %d (sigma %g nm, weight %g) needs a finite positive sigma and a finite weight", k, s, o.Weights[k])
+		}
+		wsum += o.Weights[k]
+	}
+	if !finite(wsum) || wsum <= 0 {
+		return fmt.Errorf("tiling: optics weights sum to %g, want positive", wsum)
+	}
+	if !finite(o.GridNM) || o.GridNM <= 0 {
+		return fmt.Errorf("tiling: optics grid pitch %g nm/px not positive", o.GridNM)
+	}
+	if !finite(o.DefocusScale) {
+		return fmt.Errorf("tiling: optics defocus scale %g not finite", o.DefocusScale)
+	}
+	return nil
+}
+
+// finite reports whether every v is neither NaN nor infinite.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // keyOpts reconstructs the Opts fields configKey hashes from the wire

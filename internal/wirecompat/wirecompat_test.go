@@ -24,6 +24,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/harness"
 	"repro/internal/layout"
+	"repro/internal/litho"
 	"repro/internal/router"
 	"repro/internal/server"
 	"repro/internal/tech"
@@ -382,6 +383,51 @@ func suite(t *testing.T, d *deployment) {
 		}
 		if body := decode[server.ErrorBody](t, jr); body.Error == "" {
 			t.Fatal("404 body carries no error message")
+		}
+	})
+
+	t.Run("hostile-window", func(t *testing.T) {
+		// A window unit's optics and size go straight into kernel and
+		// buffer sizes on the node. Both tiers must refuse, with a 400
+		// that names the field, every shape the simulator would
+		// index-panic or try to allocate tens of gigabytes for — and
+		// still serve the well-formed window under the key the router
+		// computed.
+		window := func(mut func(*tiling.TileRequest)) server.JobRequest {
+			r := &tiling.TileRequest{
+				Schema: tiling.TileSchema, Stage: tiling.StageWindow,
+				Tech: *tech.N45(), Cond: litho.Nominal, Layer: tech.Metal1,
+				WinW: 1500, WinH: 1500, Pad: 1000,
+				Rects: []geom.Rect{geom.R(200, 0, 270, 1500), geom.R(340, 0, 410, 1500)},
+			}
+			mut(r)
+			return server.JobRequest{Kind: server.KindTile, Tile: r}
+		}
+		for _, tc := range []struct {
+			name, want string
+			mut        func(*tiling.TileRequest)
+		}{
+			{"fewer weights than sigmas", "weights", func(r *tiling.TileRequest) { r.Tech.Optics.Weights = []float64{1} }},
+			{"non-positive sigma", "sigma", func(r *tiling.TileRequest) { r.Tech.Optics.Sigmas = []float64{35, 0} }},
+			{"sub-angstrom pitch", "pixels", func(r *tiling.TileRequest) { r.Tech.Optics.GridNM = 0.05; r.WinW, r.WinH = 12000, 12000 }},
+			{"metre-wide window", "pixels", func(r *tiling.TileRequest) { r.WinW = 1e9 }},
+		} {
+			resp := postJSON(t, d.url+"/v1/jobs?wait=1", window(tc.mut))
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s: status = %d, want 400", tc.name, resp.StatusCode)
+			}
+			if body := decode[server.ErrorBody](t, resp); !strings.Contains(body.Error, tc.want) {
+				t.Errorf("%s: body %q, want it to mention %q", tc.name, body.Error, tc.want)
+			}
+		}
+		good := window(func(*tiling.TileRequest) {})
+		resp := postJSON(t, d.url+"/v1/jobs?wait=1", good)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("well-formed window status = %d, want 200", resp.StatusCode)
+		}
+		st := decode[server.JobStatus](t, resp)
+		if want, err := server.KeyForRequest(good); err != nil || st.Key != want || st.State != server.StateDone {
+			t.Fatalf("well-formed window: state %q key %q; KeyForRequest = %q, %v", st.State, st.Key, want, err)
 		}
 	})
 

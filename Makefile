@@ -62,10 +62,14 @@ SURROGATEBENCH_OUT ?= BENCH_PR9.json
 # ~1M-rect chip plus the incremental-vs-full re-evaluation differential.
 REPAIRBENCH_OUT ?= BENCH_PR10.json
 
-.PHONY: tier1 check build vet test race-fast fuzz-smoke cover-kernel drcprofile bench benchcmp fmt-check servebench clusterbench chipbench fleetbench surrogatebench repairbench
+.PHONY: tier1 check build vet test race-fast fuzz-smoke cover-kernel drcprofile editprofile bench benchcmp fmt-check servebench clusterbench chipbench fleetbench surrogatebench repairbench
 
 # benchmark/ is a module of its own, so ./... above never reaches it;
 # without this an exported-name change breaks the benchmark silently.
+# The -race pass is also where the snapshot-sharing contract is held:
+# TestDeltaChainRandomEdits (internal/tiling, not skipped by -short)
+# chains deltas that share retained state and runs several off one
+# snapshot at once.
 tier1: ## build + vet + gofmt gate + full tests under the race detector
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -135,6 +139,16 @@ drcprofile: ## CPU + allocation profile of the signoff DRC path (100k-rect chip,
 		-cpuprofile $(DRCPROFILE_DIR)/cpu.prof -memprofile $(DRCPROFILE_DIR)/mem.prof
 	$(GO) tool pprof -top -cum -nodecount=40 -show='drc\.|geom\.' $(DRCPROFILE_DIR)/dfmscore $(DRCPROFILE_DIR)/cpu.prof
 	$(GO) tool pprof -sample_index=alloc_space -top -cum -nodecount=25 -show='drc\.|geom\.' $(DRCPROFILE_DIR)/dfmscore $(DRCPROFILE_DIR)/mem.prof
+
+# Where editprofile keeps its binary and profile (bin/ is gitignored).
+EDITPROFILE_DIR ?= bin/editprofile
+
+editprofile: ## CPU profile of the in-design edit cycle (100k-rect chip, repair loop + delta-vs-full differential): stitch, score, deck and formatting by cumulative cost
+	@mkdir -p $(EDITPROFILE_DIR)
+	$(GO) build -o $(EDITPROFILE_DIR)/dfmscore ./cmd/dfmscore
+	$(EDITPROFILE_DIR)/dfmscore -chip -chiprects 100000 -repair -deltabench \
+		-cpuprofile $(EDITPROFILE_DIR)/cpu.prof
+	$(GO) tool pprof -top -cum -nodecount=40 -show='tiling\.|repair\.|drc\.|fmt\.|strconv\.|sort' $(EDITPROFILE_DIR)/dfmscore $(EDITPROFILE_DIR)/cpu.prof
 
 bench: ## run the tier-1 benchmark set and record $(BENCH_OUT)
 	$(GO) test -run='^$$' -bench=. -benchmem . | $(GO) run ./cmd/benchjson -o $(BENCH_OUT)

@@ -2,6 +2,7 @@ package drc
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/geom"
 	"repro/internal/tech"
@@ -35,14 +36,17 @@ func (r DensityWindow) Check(ctx *Context) []Violation {
 		extent = extent.Union(geom.BBoxOf(lrs))
 	}
 	var out []Violation
+	render := r.Renderer()
 	for _, w := range WindowGrid(extent, r.Window, r.Window/2) {
-		d := DensityIn(rs, w)
-		if d < r.Min || d > r.Max {
-			out = append(out, r.Violation(w, d))
+		if d := DensityIn(rs, w); r.OutOfRange(d) {
+			out = append(out, render.Violation(w, d))
 		}
 	}
 	return out
 }
+
+// OutOfRange reports whether measured density d violates the rule.
+func (r DensityWindow) OutOfRange(d float64) bool { return d < r.Min || d > r.Max }
 
 // Violation builds the violation this rule reports for window w at
 // measured density d. Exported so the tiled evaluator
@@ -55,6 +59,37 @@ func (r DensityWindow) Violation(w geom.Rect, d float64) Violation {
 		Marker: w,
 		Detail: fmt.Sprintf("density %.3f outside [%.2f, %.2f]", d, r.Min, r.Max),
 	}
+}
+
+// DensityRenderer builds one rule's violations for many windows,
+// running the formatter once per distinct measured density: a chip has
+// tens of thousands of out-of-range windows and a few hundred distinct
+// values among them (areas are integer ratios of a fixed window), and
+// the %.3f rendering is most of what a violation costs to build. Every
+// string comes from DensityWindow.Violation, so a shared Detail is
+// byte-identical to a freshly formatted one. Not safe for concurrent
+// use; make one per rule per pass.
+type DensityRenderer struct {
+	rule DensityWindow
+	seen map[uint64]Violation // by math.Float64bits(d); the Marker is per call
+}
+
+// Renderer returns an empty renderer for r.
+func (r DensityWindow) Renderer() *DensityRenderer {
+	return &DensityRenderer{rule: r, seen: make(map[uint64]Violation)}
+}
+
+// Violation equals rule.Violation(w, d).
+func (dr *DensityRenderer) Violation(w geom.Rect, d float64) Violation {
+	// Keyed by bit pattern, not value: -0 equals 0 but renders "-0.000".
+	key := math.Float64bits(d)
+	v, ok := dr.seen[key]
+	if !ok {
+		v = dr.rule.Violation(geom.Rect{}, d)
+		dr.seen[key] = v
+	}
+	v.Marker = w
+	return v
 }
 
 // WindowGrid tiles the extent with window-sized boxes stepped by step

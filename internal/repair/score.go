@@ -8,10 +8,12 @@
 package repair
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strconv"
 	"strings"
 
+	"repro/internal/drc"
 	"repro/internal/geom"
 	"repro/internal/tech"
 	"repro/internal/tiling"
@@ -99,34 +101,70 @@ type Score struct {
 	Singles    int
 	ByRule     map[string]float64
 	// Attr lists every violation and hotspot with its weight, sorted
-	// most expensive first (ties by rule, then marker position) — the
-	// fixer's worklist order.
+	// most expensive first (ties by rule, then marker position, then —
+	// so the order is total — layer) — the fixer's worklist order.
 	Attr []Attribution
 }
 
 // ScoreResult scores a tiled evaluation. singles is the single-cut via
 // count the caller attributes to the design (pass 0 to score DRC and
 // litho findings only).
+//
+// Nothing is sorted per violation: an evaluator's list arrives in
+// (rule, marker, layer, detail) order, which within one rule is the
+// worklist's order too, so Attr is that list cut into per-rule blocks
+// and the blocks — a few dozen — ranked by weight. A hand-built result
+// in any other order is sorted on a copy first.
 func ScoreResult(res *tiling.Result, singles int, w Weights) Score {
 	sc := Score{ByRule: make(map[string]float64), Singles: singles}
-	for _, v := range res.Violations {
-		wt := w.ViolationWeight(v.Rule)
-		sc.Violations += wt
-		sc.ByRule[v.Rule] += wt
-		sc.Attr = append(sc.Attr, Attribution{Rule: v.Rule, Layer: v.Layer, Marker: v.Marker, Weight: wt})
+	vs := res.Violations
+	if !slices.IsSortedFunc(vs, drc.CompareViolations) {
+		vs = slices.Clone(vs)
+		drc.SortViolations(vs)
+	}
+	// block is one rule's attributions: a run of vs, or a hotspot
+	// layer's boxes.
+	type block struct {
+		rule   string
+		weight float64
+		layer  tech.Layer // hotspot blocks
+		vs     []drc.Violation
+		boxes  []geom.Rect
+	}
+	var blocks []block
+	n := len(vs) // attributions in all
+	for i := 0; i < len(vs); {
+		j := i + 1
+		for j < len(vs) && vs[j].Rule == vs[i].Rule {
+			j++
+		}
+		b := block{rule: vs[i].Rule, weight: w.ViolationWeight(vs[i].Rule), vs: vs[i:j]}
+		// Added once per violation, not multiplied: a weight that is not
+		// exact in binary must sum as it would finding by finding.
+		sum := 0.0
+		for range b.vs {
+			sc.Violations += b.weight
+			sum += b.weight
+		}
+		sc.ByRule[b.rule] = sum
+		blocks = append(blocks, b)
+		i = j
 	}
 	// Violations dropped past Opts.MaxViolations still cost; they are
 	// counted in ByRule totals at the rule's weight but cannot be
 	// attributed to a rect.
 	if res.Dropped > 0 {
-		for rule, n := range res.ByRule {
-			seen := 0
-			for _, v := range res.Violations {
-				if v.Rule == rule {
-					seen++
-				}
-			}
-			if extra := n - seen; extra > 0 {
+		kept := make(map[string]int, len(blocks))
+		for _, b := range blocks {
+			kept[b.rule] = len(b.vs)
+		}
+		rules := make([]string, 0, len(res.ByRule))
+		for rule := range res.ByRule {
+			rules = append(rules, rule)
+		}
+		slices.Sort(rules)
+		for _, rule := range rules {
+			if extra := res.ByRule[rule] - kept[rule]; extra > 0 {
 				wt := w.ViolationWeight(rule) * float64(extra)
 				sc.Violations += wt
 				sc.ByRule[rule] += wt
@@ -134,36 +172,41 @@ func ScoreResult(res *tiling.Result, singles int, w Weights) Score {
 		}
 	}
 	hw := w.HotspotWeight()
-	for layer, hs := range res.Hotspots {
-		rule := "hotspot." + layer.String()
-		for _, h := range hs {
-			sc.Hotspots += hw
-			sc.ByRule[rule] += hw
-			sc.Attr = append(sc.Attr, Attribution{Rule: rule, Layer: layer, Marker: h.Box, Weight: hw})
+	for layer := tech.Layer(0); layer < tech.NumLayers; layer++ {
+		hs := res.Hotspots[layer]
+		if len(hs) == 0 {
+			continue
 		}
+		b := block{rule: "hotspot." + layer.String(), weight: hw, layer: layer, boxes: make([]geom.Rect, len(hs))}
+		for i, h := range hs {
+			b.boxes[i] = h.Box
+			sc.Hotspots += hw
+			sc.ByRule[b.rule] += hw
+		}
+		slices.SortFunc(b.boxes, geom.Rect.Compare)
+		blocks = append(blocks, b)
+		n += len(hs)
 	}
 	sc.SingleVias = float64(singles) * w.SingleViaWeight()
 	sc.Total = sc.Violations + sc.Hotspots + sc.SingleVias
-	sort.Slice(sc.Attr, func(i, j int) bool {
-		a, b := sc.Attr[i], sc.Attr[j]
-		if a.Weight != b.Weight {
-			return a.Weight > b.Weight
+
+	slices.SortFunc(blocks, func(a, b block) int {
+		if c := cmp.Compare(b.weight, a.weight); c != 0 {
+			return c
 		}
-		if a.Rule != b.Rule {
-			return a.Rule < b.Rule
-		}
-		am, bm := a.Marker, b.Marker
-		if am.Y0 != bm.Y0 {
-			return am.Y0 < bm.Y0
-		}
-		if am.X0 != bm.X0 {
-			return am.X0 < bm.X0
-		}
-		if am.Y1 != bm.Y1 {
-			return am.Y1 < bm.Y1
-		}
-		return am.X1 < bm.X1
+		return cmp.Compare(a.rule, b.rule)
 	})
+	if n > 0 {
+		sc.Attr = make([]Attribution, 0, n)
+	}
+	for _, b := range blocks {
+		for _, v := range b.vs {
+			sc.Attr = append(sc.Attr, Attribution{Rule: b.rule, Layer: v.Layer, Marker: v.Marker, Weight: b.weight})
+		}
+		for _, box := range b.boxes {
+			sc.Attr = append(sc.Attr, Attribution{Rule: b.rule, Layer: b.layer, Marker: box, Weight: b.weight})
+		}
+	}
 	return sc
 }
 

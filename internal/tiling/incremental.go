@@ -20,25 +20,32 @@ import (
 // (whole shapes, closed-interval touch — a window no dirty rect
 // touches extracts an identical multiset from the edited hierarchy),
 // and every per-unit computation is a pure function of its extracted
-// window. The stitch then reruns over the mixed outputs unchanged, so
-// the result is bit-identical to a from-scratch Evaluate of the edited
-// chip — pinned by the differential tests in incremental_test.go.
+// window. The stitch is the one every evaluation runs (stitch.go): it
+// patches the snapshot's merged list with what the recomputed tiles
+// hold differently, where a from-scratch run patches an empty list with
+// every tile, so the result is bit-identical to a from-scratch Evaluate
+// of the edited chip — pinned by the differential tests in
+// incremental_test.go and delta_chain_test.go.
 
 // ErrFullRequired is returned (wrapped) by EvaluateDelta when the edit
 // invalidates the snapshot's global structure — the die bbox or a
 // scanned layer's bbox moved (re-anchoring a grid), the enabled
-// density layer set changed, or the snapshot was recorded under
-// surrogate gating (a chip-global model no splice can preserve).
+// density layer set changed, the technology is not the snapshot's, or
+// the snapshot was recorded under surrogate gating (a chip-global model
+// no splice can preserve).
 // Callers fall back to a full EvaluateSnap.
 var ErrFullRequired = errors.New("tiling: delta requires a full re-evaluation")
 
 // Snapshot retains one evaluation's plan — the grid that located every
-// unit — and the per-unit outputs its stitch consumed. It is immutable
-// once returned; successive deltas chain snapshots, sharing unchanged
-// unit outputs.
+// unit — the per-unit outputs its stitch consumed, and the stitched
+// state that came out, so the next delta patches the merged list
+// instead of merging the chip again (stitch.go). It is immutable once
+// returned; successive deltas chain snapshots, sharing the plan,
+// unchanged unit outputs and unchanged density arrays.
 type Snapshot struct {
 	plan   *plan
-	outs   []*TileResult       // chip-frame per-tile outputs
+	outs   []*TileResult       // chip-frame per-tile outputs, each sorted
+	st     *stitched           // nil over an empty die
 	perWin [][][]litho.Hotspot // [plan.scans index][window] kept hotspots
 }
 
@@ -58,13 +65,7 @@ func (s *Snapshot) Die() geom.Rect { return s.plan.die }
 // changed rect. Pure geometry — no extraction, no evaluation — so
 // tests can pin the invalidation footprint of a delta independently.
 func (s *Snapshot) InvalidatedTiles(changed []geom.Rect) []int {
-	var out []int
-	for i := 0; i < s.plan.nx*s.plan.ny; i++ {
-		if touchesAny(s.plan.core(i).Bloat(s.plan.pad), changed) {
-			out = append(out, i)
-		}
-	}
-	return out
+	return s.plan.dirtyTiles(changed)
 }
 
 // InvalidatedWindows is InvalidatedTiles for one hotspot layer's
@@ -88,7 +89,7 @@ func (s *Snapshot) InvalidatedWindows(layer tech.Layer, changed []geom.Rect) []i
 // EvaluateSnap is Evaluate plus a Snapshot for later EvaluateDelta
 // calls. The result is identical to Evaluate's.
 func EvaluateSnap(stdctx context.Context, t *tech.Tech, ex *Extractor, o Opts) (*Result, *Snapshot, error) {
-	return evaluate(stdctx, t, ex, o, nil, nil, nil)
+	return evaluate(stdctx, newPlan(t, ex, o), ex, nil, nil, nil)
 }
 
 // EvaluateDelta re-evaluates an edited chip against a prior snapshot:
@@ -108,7 +109,10 @@ func EvaluateDelta(stdctx context.Context, t *tech.Tech, ex *Extractor, prev *Sn
 	if prev.plan.die.Empty() {
 		return nil, nil, fmt.Errorf("%w: snapshot recorded over an empty die", ErrFullRequired)
 	}
-	return evaluate(stdctx, t, ex, prev.plan.opts, nil, prev, changed)
+	if err := prev.plan.spliceable(t, ex); err != nil {
+		return nil, nil, err
+	}
+	return evaluate(stdctx, prev.plan, ex, nil, prev, changed)
 }
 
 // touchesAny reports whether any changed rect touches win under the

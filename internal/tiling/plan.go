@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 
 	"repro/internal/drc"
@@ -20,7 +21,8 @@ import (
 // config hash every unit key starts from. Everything that locates or
 // parameterizes a unit lives here and nowhere else, so "which unit is
 // dirty" (Snapshot, which retains the plan) can never drift from
-// "which unit is computed" (the engine, which runs it).
+// "which unit is computed" (the engine, which runs it). Immutable once
+// built: a delta runs on its snapshot's plan, not on a copy.
 type plan struct {
 	t    *tech.Tech
 	opts Opts // resolved (withDefaults applied)
@@ -108,10 +110,10 @@ func newPlan(t *tech.Tech, ex *Extractor, o Opts) *plan {
 	if o.Density {
 		for _, r := range drc.DensityDeck(t, o.DensityWindow).Rules {
 			p.rules = append(p.rules, r.Name())
-			if dw := r.(drc.DensityWindow); !ex.LayerBBox(dw.Layer).Empty() {
-				p.densRules = append(p.densRules, dw)
-				p.densLayers = append(p.densLayers, dw.Layer)
-			}
+		}
+		p.densRules = densityRules(t, ex, o)
+		for _, dw := range p.densRules {
+			p.densLayers = append(p.densLayers, dw.Layer)
 		}
 	}
 	p.cfg = configKey(t, o, p.densLayers)
@@ -134,6 +136,18 @@ func newPlan(t *tech.Tech, ex *Extractor, o Opts) *plan {
 	return p
 }
 
+// densityRules returns, in deck order, the density rules of the layers
+// with geometry somewhere under ex.
+func densityRules(t *tech.Tech, ex *Extractor, o Opts) []drc.DensityWindow {
+	var out []drc.DensityWindow
+	for _, r := range drc.DensityDeck(t, o.DensityWindow).Rules {
+		if dw := r.(drc.DensityWindow); !ex.LayerBBox(dw.Layer).Empty() {
+			out = append(out, dw)
+		}
+	}
+	return out
+}
+
 // core returns tile i's core rect in the stage-A grid.
 func (p *plan) core(i int) geom.Rect {
 	tile := p.opts.Tile
@@ -143,25 +157,53 @@ func (p *plan) core(i int) geom.Rect {
 		min(p.die.Y0+int64(i/p.nx+1)*tile, p.die.Y1))
 }
 
-// spliceable verifies that prev, the plan of a prior snapshot taken
-// under the same options, still lines up with p unit for unit. Anything
-// that moves the tile or window grids, or changes which rules run
-// where, invalidates every retained unit at once — typed as
-// ErrFullRequired so callers fall back to a from-scratch run instead of
-// stitching garbage.
-func (p *plan) spliceable(prev *plan) error {
+// dirtyTiles returns, ascending, the tiles a change reaches: those
+// whose pad-bloated core touches a changed rect under the extractor's
+// closed-interval predicate — the exact condition under which a tile's
+// extracted multiset can differ. The one predicate behind both what a
+// delta recomputes and what Snapshot.InvalidatedTiles reports.
+func (p *plan) dirtyTiles(changed []geom.Rect) []int {
+	hit := make([]bool, p.nx*p.ny)
+	for _, r := range changed {
+		p.forTilesNear(r, p.pad, func(ti int) {
+			hit[ti] = hit[ti] || touches(r, p.core(ti).Bloat(p.pad))
+		})
+	}
+	var out []int
+	for ti, h := range hit {
+		if h {
+			out = append(out, ti)
+		}
+	}
+	return out
+}
+
+// spliceable verifies that the chip under ex, an edit of the one p was
+// cut for, still lines up with p unit for unit, so that p — grid, decks,
+// window ownership, config hash — serves the edited chip as it is and
+// no second plan is built. Anything that moves the tile or window grids,
+// or changes which rules run where, invalidates every retained unit at
+// once — typed as ErrFullRequired so callers fall back to a
+// from-scratch run instead of stitching garbage.
+func (p *plan) spliceable(t *tech.Tech, ex *Extractor) error {
 	if p.opts.Surrogate != nil {
 		return fmt.Errorf("%w: surrogate gating is chip-global", ErrFullRequired)
 	}
-	if p.die != prev.die {
-		return fmt.Errorf("%w: die bbox moved %v -> %v", ErrFullRequired, prev.die, p.die)
+	if t != p.t && !reflect.DeepEqual(t, p.t) {
+		return fmt.Errorf("%w: not the technology the snapshot was recorded under", ErrFullRequired)
 	}
-	if !slices.Equal(p.densLayers, prev.densLayers) {
-		return fmt.Errorf("%w: enabled density layer set changed", ErrFullRequired)
+	if die := ex.BBox(); die != p.die {
+		return fmt.Errorf("%w: die bbox moved %v -> %v", ErrFullRequired, p.die, die)
 	}
-	for i := range p.scans {
-		if p.scans[i].bbox != prev.scans[i].bbox {
-			return fmt.Errorf("%w: %v bbox moved (scan grid anchor)", ErrFullRequired, p.scans[i].layer)
+	if p.opts.Density {
+		enabled := densityRules(t, ex, p.opts)
+		if !slices.EqualFunc(enabled, p.densLayers, func(dw drc.DensityWindow, l tech.Layer) bool { return dw.Layer == l }) {
+			return fmt.Errorf("%w: enabled density layer set changed", ErrFullRequired)
+		}
+	}
+	for _, sp := range p.scans {
+		if ex.LayerBBox(sp.layer) != sp.bbox {
+			return fmt.Errorf("%w: %v bbox moved (scan grid anchor)", ErrFullRequired, sp.layer)
 		}
 	}
 	return nil

@@ -170,7 +170,8 @@ type Result struct {
 	// Violations is the merged, seam-deduped DRC + density violation
 	// list in a deterministic total order, possibly truncated to
 	// MaxViolations (Dropped counts the excess; ByRule never
-	// truncates).
+	// truncates). Read-only, like Density: a Snapshot taken with the
+	// result, and every delta chained from it, share the backing arrays.
 	Violations []drc.Violation
 	ByRule     map[string]int
 	Dropped    int
@@ -202,7 +203,7 @@ func EvaluateChip(ctx context.Context, t *tech.Tech, top *layout.Cell, o Opts) (
 // result reproduces a flat evaluation exactly (for violations whose
 // markers fit inside the halo — see Opts.Halo).
 func Evaluate(stdctx context.Context, t *tech.Tech, ex *Extractor, o Opts) (*Result, error) {
-	res, _, err := evaluate(stdctx, t, ex, o, nil, nil, nil)
+	res, _, err := evaluate(stdctx, newPlan(t, ex, o), ex, nil, nil, nil)
 	return res, err
 }
 
@@ -225,7 +226,7 @@ func DistEvaluate(stdctx context.Context, t *tech.Tech, ex *Extractor, o Opts, r
 	if rc == nil {
 		return nil, errors.New("tiling: DistEvaluate needs a TileClient")
 	}
-	res, _, err := evaluate(stdctx, t, ex, o, rc, nil, nil)
+	res, _, err := evaluate(stdctx, newPlan(t, ex, o), ex, rc, nil, nil)
 	return res, err
 }
 
@@ -242,34 +243,29 @@ func newResult(o Opts) *Result {
 }
 
 // evaluate is the engine behind Evaluate, DistEvaluate (units executed
-// through remote) and EvaluateSnap/EvaluateDelta (units whose reach
-// misses every changed rect are spliced from prev — see
-// incremental.go): plan the grid, run every unit, stitch. The returned
-// Snapshot is the plan plus the per-unit outputs the stitch consumed
-// anyway, so recording it costs nothing and every caller that does not
-// want it drops it.
-func evaluate(ctx context.Context, t *tech.Tech, ex *Extractor, o Opts, remote TileClient,
+// through remote) and EvaluateSnap/EvaluateDelta (p is prev's own plan,
+// and units whose reach misses every changed rect are spliced from prev
+// — see incremental.go): run every unit of the plan, stitch. The
+// returned Snapshot is the plan plus the per-unit outputs and the
+// stitched state the run produced anyway, so recording it costs nothing
+// and every caller that does not want it drops it.
+func evaluate(ctx context.Context, p *plan, ex *Extractor, remote TileClient,
 	prev *Snapshot, changed []geom.Rect) (*Result, *Snapshot, error) {
 	start := time.Now()
-	p := newPlan(t, ex, o)
 	res := newResult(p.opts)
 	res.Stats.Die = p.die
 	res.Stats.Rects = ex.Rects()
 	snap := &Snapshot{plan: p}
 	if !p.die.Empty() {
-		if prev != nil {
-			if err := p.spliceable(prev.plan); err != nil {
-				return nil, nil, err
-			}
-		}
 		e := &engine{plan: p, ex: ex, remote: remote, prev: prev, changed: changed,
 			tiles:   unitCounts{cHit: cTileHit, cMiss: cTileMiss, cRemote: cRemoteTiles},
 			windows: unitCounts{cHit: cWinHit, cMiss: cWinMiss, cRemote: cRemoteWindows}}
+		var dirty []int
 		var err error
-		if snap.outs, err = e.runTiles(ctx); err != nil {
+		if snap.outs, dirty, err = e.runTiles(ctx); err != nil {
 			return nil, nil, err
 		}
-		p.stitchTiles(res, snap.outs)
+		snap.st = p.stitchTiles(res, snap.outs, dirty, prev)
 		if snap.perWin, err = e.runScans(ctx, res); err != nil {
 			return nil, nil, err
 		}
@@ -295,8 +291,8 @@ type engine struct {
 	changed []geom.Rect
 
 	tiles, windows              unitCounts
-	emptyTiles, splicedTiles    atomic.Int64
-	shapes                      atomic.Int64
+	emptyTiles, shapes          atomic.Int64
+	splicedTiles                int
 	remoteCached, remoteDeduped atomic.Int64
 }
 
@@ -308,7 +304,7 @@ type unitCounts struct {
 
 func (e *engine) report(st *Stats) {
 	st.EmptyTiles = int(e.emptyTiles.Load())
-	st.SplicedTiles = int(e.splicedTiles.Load())
+	st.SplicedTiles = e.splicedTiles
 	st.ShapesExtracted = e.shapes.Load()
 	st.TileHits = e.tiles.hits.Load()
 	st.TileMisses = e.tiles.misses.Load()
@@ -376,20 +372,28 @@ func (e *engine) runUnit(ctx context.Context, u *unit) (*TileResult, error) {
 }
 
 // runTiles is stage A: one DRC + density output per tile of the grid.
-func (e *engine) runTiles(ctx context.Context) ([]*TileResult, error) {
-	outs := make([]*TileResult, e.nx*e.ny)
-	err := harness.ForEachErr(ctx, e.opts.Workers, len(outs), func(i int) error {
+// dirty lists, ascending, the tiles that were computed: all of them, or
+// with a prior snapshot those a changed rect reaches — the rest are its
+// outputs, taken untouched.
+func (e *engine) runTiles(ctx context.Context) (outs []*TileResult, dirty []int, err error) {
+	n := e.nx * e.ny
+	cTiles.Add(int64(n))
+	if e.prev != nil {
+		outs, dirty = slices.Clone(e.prev.outs), e.dirtyTiles(e.changed)
+		e.splicedTiles = n - len(dirty)
+		cSpliceTiles.Add(int64(e.splicedTiles))
+	} else {
+		outs, dirty = make([]*TileResult, n), make([]int, n)
+		for i := range dirty {
+			dirty[i] = i
+		}
+	}
+	err = harness.ForEachErr(ctx, e.opts.Workers, len(dirty), func(k int) error {
 		sp := hTileNS.Start()
 		defer sp.End()
-		cTiles.Inc()
+		i := dirty[k]
 		core := e.core(i)
 		padded := core.Bloat(e.pad)
-		if e.prev != nil && !touchesAny(padded, e.changed) {
-			cSpliceTiles.Inc()
-			e.splicedTiles.Add(1)
-			outs[i] = e.prev.outs[i]
-			return nil
-		}
 		u := &unit{stage: StageTile, idx: i, frame: core, shapes: e.ex.AppendShapes(padded, nil)}
 		e.shapes.Add(int64(len(u.shapes)))
 		cShapes.Add(int64(len(u.shapes)))
@@ -414,101 +418,7 @@ func (e *engine) runTiles(ctx context.Context) ([]*TileResult, error) {
 		outs[i], err = e.runUnit(ctx, u)
 		return err
 	})
-	return outs, err
-}
-
-// stitchTiles merges the stage-A outputs into res.
-func (p *plan) stitchTiles(res *Result, outs []*TileResult) {
-	res.Stats.Tiles = len(outs)
-	for _, name := range p.rules {
-		res.ByRule[name] = 0
-	}
-	// Density: reassemble the global per-rule value arrays.
-	densVals := make([][]float64, len(p.densRules))
-	for di := range p.densRules {
-		densVals[di] = make([]float64, len(p.wins))
-	}
-	seen := 0
-	for i, out := range outs {
-		seen += len(out.Violations)
-		for di := range p.densRules {
-			for j, wi := range p.perTileWins[i] {
-				densVals[di][wi] = out.Dens[di][j]
-			}
-		}
-	}
-	// Multiplicity-aware dedup — a violation seen by several tiles (its
-	// marker straddles cores or sits in halo overlap) counts once per
-	// flat occurrence, keeping genuine in-tile duplicates intact (max
-	// multiplicity across tiles equals the flat multiplicity, since
-	// some tile sees the full local context). Each tile's sorted list
-	// is run-length encoded, the runs of all tiles are sorted together,
-	// and equal violations merge to their longest run.
-	type run struct {
-		v drc.Violation
-		n int
-	}
-	runs := make([]run, 0, seen)
-	var scratch []drc.Violation
-	for _, out := range outs {
-		// A deck run returns its violations sorted; a result from
-		// elsewhere (an older node's cache) is sorted on a copy, since
-		// outs are shared with the cache and the snapshot.
-		own := out.Violations
-		if !slices.IsSortedFunc(own, drc.CompareViolations) {
-			scratch = append(scratch[:0], own...)
-			drc.SortViolations(scratch)
-			own = scratch
-		}
-		for i := 0; i < len(own); {
-			j := i + 1
-			for j < len(own) && own[j] == own[i] {
-				j++
-			}
-			runs = append(runs, run{own[i], j - i})
-			i = j
-		}
-	}
-	// Out-of-range density windows go through the rule's own formatter.
-	for di, dr := range p.densRules {
-		for wi, d := range densVals[di] {
-			if d < dr.Min || d > dr.Max {
-				runs = append(runs, run{dr.Violation(p.wins[wi], d), 1})
-				seen++
-			}
-		}
-	}
-	slices.SortFunc(runs, func(a, b run) int { return drc.CompareViolations(a.v, b.v) })
-	var all []drc.Violation // stays nil when nothing violates, as in the flat result
-	if len(runs) > 0 {
-		all = make([]drc.Violation, 0, len(runs))
-	}
-	for i := 0; i < len(runs); {
-		n, j := runs[i].n, i+1
-		for ; j < len(runs) && runs[j].v == runs[i].v; j++ {
-			n = max(n, runs[j].n)
-		}
-		for k := 0; k < n; k++ {
-			all = append(all, runs[i].v)
-		}
-		i = j
-	}
-	cStitchDedup.Add(int64(seen - len(all)))
-	for _, v := range all {
-		res.ByRule[v.Rule]++
-	}
-	if limit := p.opts.MaxViolations; limit > 0 && len(all) > limit {
-		res.Dropped = len(all) - limit
-		cStitchDrop.Add(int64(res.Dropped))
-		all = all[:limit:limit]
-	}
-	res.Violations = all
-	cStitchViol.Add(int64(len(all)))
-	if p.opts.KeepDensityMaps {
-		for di, dr := range p.densRules {
-			res.Density[dr.Layer] = fill.DensityMap{Windows: p.wins, Density: densVals[di]}
-		}
-	}
+	return outs, dirty, err
 }
 
 // runScans is stage B: every hotspot layer's window scan, stitched into

@@ -10,7 +10,7 @@
 //
 //	dfmload [-addr URL | -selfserve | -cluster N] [-rate R] [-duration D]
 //	        [-dup F] [-unique N] [-techniques a,b] [-seed N] [-timeout D]
-//	        [-retries N] [-wait-ready D] [-bench]
+//	        [-retries N] [-wait-ready D]
 //	        [-policy P] [-kill D] [-restart D]   (cluster mode)
 //
 // Cluster mode (-cluster N) starts N in-process dfmd backends behind
@@ -33,14 +33,14 @@
 // unless every distributed result is bit-identical to its
 // single-process twin, and reports local vs distributed per-tile
 // latency plus the fleet-wide duplicate-tile hit rate across the two
-// chips (`make fleetbench`).
+// chips.
 //
 // The report prints sent/ok/shed/failed counts, client-side
 // p50/p95/p99/max end-to-end latency, and the server's own counters
-// read from /metrics. With -bench the percentiles are also emitted as
-// `go test -bench`-shaped lines so `benchjson` can fold a serving run
-// into the benchmark trend record (`make servebench`,
-// `make clusterbench`).
+// read from /metrics. The run exits 1 if any request failed (shed and
+// draining are not failures) or a distributed chip diverged; numbers
+// meant for comparison across commits come from `bash benchmark/run.sh`,
+// not from this report.
 package main
 
 import (
@@ -83,7 +83,6 @@ type loadCfg struct {
 	timeout    time.Duration
 	retries    int
 	waitReady  time.Duration
-	bench      bool
 
 	chip      bool
 	chipRects int64
@@ -105,7 +104,6 @@ func main() {
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request client timeout")
 	retries := flag.Int("retries", 0, "client-side retries per request (client.EvalWithRetry)")
 	waitReady := flag.Duration("wait-ready", 10*time.Second, "poll /healthz this long for the server to come up")
-	bench := flag.Bool("bench", false, "emit benchmark-format result lines for benchjson")
 	chip := flag.Bool("chip", false, "cluster mode: run the distributed full-chip tiling experiment instead of the open-loop technique load")
 	chipRects := flag.Int64("chiprects", 150_000, "chip mode: target flattened rect count per chip")
 	flag.Parse()
@@ -116,7 +114,7 @@ func main() {
 		rate: *rate, duration: *duration, dup: *dup, unique: *unique,
 		techniques: strings.Split(*techniques, ","), seed: *seed,
 		timeout: *timeout, retries: *retries, waitReady: *waitReady,
-		bench: *bench, chip: *chip, chipRects: *chipRects,
+		chip: *chip, chipRects: *chipRects,
 	}
 	var err error
 	if cfg.chip {
@@ -290,11 +288,8 @@ func run(cfg loadCfg) error {
 			cached, dedup, ok-cached-dedup)
 	}
 
-	benchName := "Serve"
-	var hitPermil int64 = -1
 	if cl != nil {
-		benchName = "Cluster" + cl.BenchName
-		hitPermil = cl.Report()
+		cl.Report()
 	} else {
 		after, _, err := c.Metrics(context.Background())
 		if err != nil {
@@ -308,22 +303,6 @@ func run(cfg loadCfg) error {
 	}
 	fmt.Printf("sustained throughput: %.1f ok/s\n", float64(ok)/elapsed.Seconds())
 
-	if cfg.bench && ok > 0 {
-		// benchjson-parseable lines: iterations = completed requests,
-		// ns/op = the percentile (or mean inter-completion time for
-		// the throughput line).
-		fmt.Printf("Benchmark%sE2Ep50 \t%8d\t%12.0f ns/op\n", benchName, ok, float64(pct(0.50)))
-		fmt.Printf("Benchmark%sE2Ep95 \t%8d\t%12.0f ns/op\n", benchName, ok, float64(pct(0.95)))
-		fmt.Printf("Benchmark%sE2Ep99 \t%8d\t%12.0f ns/op\n", benchName, ok, float64(pct(0.99)))
-		fmt.Printf("Benchmark%sThroughput \t%8d\t%12.0f ns/op\n", benchName, ok, float64(elapsed)/float64(ok))
-		if hitPermil >= 0 {
-			// Cluster-wide cache hit rate in permil (hits per 1000
-			// admissions across all backends) and the failed-request
-			// count — the two headline numbers of the chaos run.
-			fmt.Printf("Benchmark%sCacheHitPermil \t%8d\t%12.0f ns/op\n", benchName, ok, float64(hitPermil))
-			fmt.Printf("Benchmark%sFailedReqs \t%8d\t%12.0f ns/op\n", benchName, total, float64(failed))
-		}
-	}
 	if failed > 0 {
 		return fmt.Errorf("%d requests failed", failed)
 	}
@@ -392,8 +371,6 @@ func runFleetChip(cfg loadCfg) error {
 	ctx := context.Background()
 	var (
 		mismatches         int
-		tiles              int64
-		localNS, distNS    int64
 		remCache, remDedup int64
 	)
 	for ci, seed := range []int64{cfg.seed, cfg.seed + 1} {
@@ -418,9 +395,6 @@ func runFleetChip(cfg loadCfg) error {
 		if !match {
 			mismatches++
 		}
-		tiles += int64(local.Stats.Tiles)
-		localNS += int64(local.Stats.Elapsed)
-		distNS += int64(dist.Stats.Elapsed)
 		remCache += dist.Stats.RemoteCached
 		remDedup += dist.Stats.RemoteDeduped
 		fmt.Printf("chip %d (seed %d): %d rects, %d tiles; local %v (%.1f tiles/s), dist %v (%.1f tiles/s), match=%v\n",
@@ -433,20 +407,13 @@ func runFleetChip(cfg loadCfg) error {
 
 	cl.Report()
 	rs := cl.RT.Stats()
-	var dupPermil int64
+	var dupPct float64
 	if rs.TileJobs > 0 {
-		dupPermil = rs.TileReused * 1000 / rs.TileJobs
+		dupPct = 100 * float64(rs.TileReused) / float64(rs.TileJobs)
 	}
 	fmt.Printf("fleet duplicate-tile hit rate: %.1f%% (%d of %d routed units; submitter saw %d cached + %d deduped)\n",
-		float64(dupPermil)/10, rs.TileReused, rs.TileJobs, remCache, remDedup)
+		dupPct, rs.TileReused, rs.TileJobs, remCache, remDedup)
 
-	if cfg.bench && tiles > 0 {
-		name := "FleetChip" + cl.BenchName
-		fmt.Printf("Benchmark%sLocal \t%8d\t%12.0f ns/op\n", name, tiles, float64(localNS)/float64(tiles))
-		fmt.Printf("Benchmark%sDist \t%8d\t%12.0f ns/op\n", name, tiles, float64(distNS)/float64(tiles))
-		fmt.Printf("Benchmark%sDupPermil \t%8d\t%12.0f ns/op\n", name, rs.TileJobs, float64(dupPermil))
-		fmt.Printf("Benchmark%sMismatches \t%8d\t%12.0f ns/op\n", name, 2, float64(mismatches))
-	}
 	if mismatches > 0 {
 		return fmt.Errorf("%d of 2 distributed chip results diverged from single-process", mismatches)
 	}

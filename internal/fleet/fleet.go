@@ -98,9 +98,6 @@ type Cluster struct {
 	RT    *router.Router
 	// URL is the router's base URL — aim clients here.
 	URL string
-	// BenchName is the policy's benchmark-line spelling ("Affinity",
-	// "LeastLoaded", "RoundRobin").
-	BenchName string
 
 	rhs  *http.Server
 	logf func(string, ...any)
@@ -172,14 +169,6 @@ func Start(o Options) (*Cluster, error) {
 	cl.rhs = &http.Server{Handler: rt.Handler()}
 	go cl.rhs.Serve(ln) //nolint:errcheck // closed on stop
 	cl.URL = "http://" + ln.Addr().String()
-	switch rt.Stats().Policy {
-	case "affinity":
-		cl.BenchName = "Affinity"
-	case "least-loaded":
-		cl.BenchName = "LeastLoaded"
-	default:
-		cl.BenchName = "RoundRobin"
-	}
 	return cl, nil
 }
 
@@ -260,33 +249,27 @@ func (cl *Cluster) BackendSums() server.Stats {
 	return out
 }
 
-// HitPermil is the cluster-wide cache hit rate in permil (hits per
-// 1000 keyed lookups across all node instances). Singleflight dedupes
-// are not hits — they saved work but never touched the cache.
-func (cl *Cluster) HitPermil() int64 {
-	s := cl.BackendSums()
-	if s.CacheHits+s.CacheMisses == 0 {
-		return 0
-	}
-	return s.CacheHits * 1000 / (s.CacheHits + s.CacheMisses)
-}
-
 // Report prints the cluster-side accounting through the cluster's log
-// sink and returns the cluster-wide cache hit rate in permil.
-func (cl *Cluster) Report() int64 {
+// sink.
+func (cl *Cluster) Report() {
 	s := cl.BackendSums()
 	cl.logf("cluster backends: cacheHits=%d cacheMisses=%d deduped=%d completed=%d (fresh evaluations=%d)",
 		s.CacheHits, s.CacheMisses, s.Deduped, s.Completed, s.CacheMisses)
-	permil := cl.HitPermil()
+	// Hits over keyed lookups across all node instances. Singleflight
+	// dedupes are not hits — they saved work but never touched the
+	// cache.
+	var hitPct float64
+	if n := s.CacheHits + s.CacheMisses; n > 0 {
+		hitPct = 100 * float64(s.CacheHits) / float64(n)
+	}
 	rs := cl.RT.Stats()
-	cl.logf("cluster-wide cache hit rate: %.1f%% (policy=%s)", float64(permil)/10, rs.Policy)
+	cl.logf("cluster-wide cache hit rate: %.1f%% (policy=%s)", hitPct, rs.Policy)
 	cl.logf("router: ok=%d failed=%d retries=%d failovers=%d breakerBlocked=%d budgetDenied=%d tileJobs=%d tileReused=%d",
 		rs.OK, rs.Failed, rs.Retries, rs.Failovers, rs.BreakerBlocked, rs.BudgetDenied, rs.TileJobs, rs.TileReused)
 	for _, b := range rs.Backends {
 		cl.logf("  backend %s: up=%v picks=%d oks=%d fails=%d sheds=%d tiles=%d evictions=%d reinstates=%d",
 			b.Name, b.Up, b.Picks, b.OKs, b.Fails, b.Sheds, b.Tiles, b.Evictions, b.Reinstates)
 	}
-	return permil
 }
 
 // Stop tears the whole rig down: chaos timers, router, every node.

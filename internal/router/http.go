@@ -2,7 +2,6 @@ package router
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -36,21 +35,9 @@ func (r *Router) Handler() http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client gone; nothing to do
-}
-
-func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, server.ErrorBody{Error: msg})
-}
-
 func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	if r.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "router shutting down")
+		server.WriteError(w, http.StatusServiceUnavailable, "router shutting down")
 		return
 	}
 	r.inflight.Add(1)
@@ -79,7 +66,7 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	if st.State == server.StateDone || st.State == server.StateFailed {
 		code = http.StatusOK
 	}
-	writeJSON(w, code, st)
+	server.WriteJSON(w, code, st)
 }
 
 // writeRouteError maps a routing failure onto the wire. Overload and
@@ -98,24 +85,24 @@ func (r *Router) writeRouteError(w http.ResponseWriter, err error) {
 			secs = 1
 		}
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
-		writeJSON(w, http.StatusTooManyRequests, server.ErrorBody{
+		server.WriteJSON(w, http.StatusTooManyRequests, server.ErrorBody{
 			Error:        "cluster overloaded",
 			RetryAfterMS: ov.RetryAfter.Milliseconds(),
 		})
 	case errors.Is(err, client.ErrDraining):
-		writeError(w, http.StatusServiceUnavailable, "all backends draining")
+		server.WriteError(w, http.StatusServiceUnavailable, "all backends draining")
 	case errors.Is(err, errNoBackend):
-		writeError(w, http.StatusServiceUnavailable, "no available backend")
+		server.WriteError(w, http.StatusServiceUnavailable, "no available backend")
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		writeError(w, http.StatusRequestTimeout, "canceled while routing: "+err.Error())
+		server.WriteError(w, http.StatusRequestTimeout, "canceled while routing: "+err.Error())
 	default:
 		var se *client.StatusError
 		if errors.As(err, &se) && se.Code < 500 {
 			// Backend validation verdicts pass through unchanged.
-			writeError(w, se.Code, se.Msg)
+			server.WriteError(w, se.Code, se.Msg)
 			return
 		}
-		writeError(w, http.StatusBadGateway, "all replicas failed: "+err.Error())
+		server.WriteError(w, http.StatusBadGateway, "all replicas failed: "+err.Error())
 	}
 }
 
@@ -137,17 +124,17 @@ func (r *Router) splitID(id string) (*Backend, string, bool) {
 func (r *Router) proxyJob(w http.ResponseWriter, req *http.Request, result bool) {
 	b, local, ok := r.splitID(req.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job id (want <backend>.<id>)")
+		server.WriteError(w, http.StatusNotFound, "unknown job id (want <backend>.<id>)")
 		return
 	}
 	st, err := b.cl.Job(req.Context(), local)
 	if err != nil {
 		var se *client.StatusError
 		if errors.As(err, &se) {
-			writeError(w, se.Code, se.Msg)
+			server.WriteError(w, se.Code, se.Msg)
 			return
 		}
-		writeError(w, http.StatusBadGateway, "backend "+b.Name+" unreachable: "+err.Error())
+		server.WriteError(w, http.StatusBadGateway, "backend "+b.Name+" unreachable: "+err.Error())
 		return
 	}
 	st.ID = b.Name + "." + st.ID
@@ -155,7 +142,7 @@ func (r *Router) proxyJob(w http.ResponseWriter, req *http.Request, result bool)
 	if result && st.State != server.StateDone && st.State != server.StateFailed {
 		code = http.StatusAccepted
 	}
-	writeJSON(w, code, st)
+	server.WriteJSON(w, code, st)
 }
 
 func (r *Router) handleJob(w http.ResponseWriter, req *http.Request) {
@@ -169,12 +156,12 @@ func (r *Router) handleResult(w http.ResponseWriter, req *http.Request) {
 func (r *Router) handleTechniques(w http.ResponseWriter, req *http.Request) {
 	// The registry is compiled into the router binary itself; no need
 	// to burn a backend round trip on it.
-	writeJSON(w, http.StatusOK, map[string]any{"techniques": dfm.Techniques()})
+	server.WriteJSON(w, http.StatusOK, map[string]any{"techniques": dfm.Techniques()})
 }
 
 func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 	if r.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		server.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
 	up := 0
@@ -184,12 +171,12 @@ func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 		}
 	}
 	if up == 0 {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+		server.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"status": "no backends", "up": 0, "backends": len(r.backends),
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"status": "ok", "up": up, "backends": len(r.backends),
 	})
 }
@@ -201,7 +188,7 @@ type routerMetricsBody struct {
 }
 
 func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
-	writeJSON(w, http.StatusOK, routerMetricsBody{
+	server.WriteJSON(w, http.StatusOK, routerMetricsBody{
 		Router:   r.Stats(),
 		Registry: obs.Default().Snapshot(),
 	})

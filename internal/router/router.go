@@ -384,8 +384,9 @@ func (r *Router) Submit(ctx context.Context, req server.JobRequest) (server.JobS
 // noteTile folds one successfully routed tile work unit into the
 // fleet-level tile accounting: total units, per-backend placement, and
 // reuse (a backend answering from its cache or deduping into an
-// in-flight twin — the signal fleetbench reports as the duplicate-tile
-// hit rate).
+// in-flight twin — what `dfmload -cluster N -chip` prints as the
+// duplicate-tile hit rate and the benchmark reads as
+// router.tile_reused_ratio).
 func (r *Router) noteTile(req server.JobRequest, st server.JobStatus, b *Backend, err error) {
 	if err != nil || b == nil || req.Kind != server.KindTile {
 		return

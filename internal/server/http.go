@@ -35,7 +35,10 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON and WriteError are the one way either tier answers a
+// request (dfmrouter calls them too), so content type, indentation and
+// the error-body shape cannot drift between dfmd and the router.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -43,8 +46,9 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v) //nolint:errcheck // client gone; nothing to do
 }
 
-func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, ErrorBody{Error: msg})
+// WriteError answers code with an ErrorBody carrying msg.
+func WriteError(w http.ResponseWriter, code int, msg string) {
+	WriteJSON(w, code, ErrorBody{Error: msg})
 }
 
 // maxRequestBytes bounds one POST /v1/jobs body. The largest real unit
@@ -68,10 +72,10 @@ func DecodeJobRequest(w http.ResponseWriter, r *http.Request) (JobRequest, bool)
 	}
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
-		writeError(w, http.StatusRequestEntityTooLarge,
+		WriteError(w, http.StatusRequestEntityTooLarge,
 			fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
 	} else {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 	}
 	return req, false
 }
@@ -84,7 +88,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	st, retryAfter, err := s.submit(req)
 	switch {
 	case errors.Is(err, errDraining):
-		writeError(w, http.StatusServiceUnavailable, "shutting down")
+		WriteError(w, http.StatusServiceUnavailable, "shutting down")
 		return
 	case errors.Is(err, errOverloaded):
 		// Retry-After is the live estimate of when queue room frees
@@ -94,13 +98,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			secs = 1
 		}
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
-		writeJSON(w, http.StatusTooManyRequests, ErrorBody{
+		WriteJSON(w, http.StatusTooManyRequests, ErrorBody{
 			Error:        "overloaded",
 			RetryAfterMS: retryAfter.Milliseconds(),
 		})
 		return
 	case err != nil:
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if r.URL.Query().Get("wait") != "" {
@@ -114,7 +118,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			if cur, stillOK := s.Job(st.ID); stillOK {
 				st = cur
 			}
-			writeJSON(w, http.StatusAccepted, st)
+			WriteJSON(w, http.StatusAccepted, st)
 			return
 		}
 		if ok {
@@ -125,33 +129,33 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if st.State == StateDone || st.State == StateFailed {
 		code = http.StatusOK
 	}
-	writeJSON(w, code, st)
+	WriteJSON(w, code, st)
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	st, ok := s.Job(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job")
+		WriteError(w, http.StatusNotFound, "unknown job")
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	st, ok := s.Job(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job")
+		WriteError(w, http.StatusNotFound, "unknown job")
 		return
 	}
 	if st.State != StateDone && st.State != StateFailed {
-		writeJSON(w, http.StatusAccepted, st)
+		WriteJSON(w, http.StatusAccepted, st)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleTechniques(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"techniques": dfm.Techniques()})
+	WriteJSON(w, http.StatusOK, map[string]any{"techniques": dfm.Techniques()})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -161,14 +165,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		if h.Draining {
 			code = http.StatusServiceUnavailable
 		}
-		writeJSON(w, code, h)
+		WriteJSON(w, code, h)
 		return
 	}
 	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // metricsBody is the /metrics payload: always-on server stats plus
@@ -179,7 +183,7 @@ type metricsBody struct {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, metricsBody{
+	WriteJSON(w, http.StatusOK, metricsBody{
 		Server:   s.Stats(),
 		Registry: obs.Default().Snapshot(),
 	})

@@ -4,8 +4,8 @@ import "math"
 
 // Report is the calibration record for one gated scan: how the model
 // measured against exact ground truth on held-out windows, plus the
-// gating outcome. It lands in dfm chip reports, BENCH_PR9.json, and
-// the EXPERIMENTS.md hit-or-hype table.
+// gating outcome. It lands in dfm chip reports and the EXPERIMENTS.md
+// hit-or-hype table.
 type Report struct {
 	// Window accounting.
 	Windows  int `json:"windows"`   // scan windows total

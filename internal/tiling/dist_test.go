@@ -257,6 +257,20 @@ func TestTileRequestValidate(t *testing.T) {
 		{"unknown stage", func(r *TileRequest) { r.Stage = "banana" }, "stage"},
 		{"negative pad", func(r *TileRequest) { r.Pad = -1 }, "pad"},
 		{"empty core", func(r *TileRequest) { r.CoreW = 0 }, "core"},
+		{"shape on a layer the node has no rules for", func(r *TileRequest) {
+			r.Shapes = []layout.Shape{{Layer: tech.NumLayers, R: geom.R(0, 0, 100, 100)}}
+		}, "layer"},
+		{"inverted shape", func(r *TileRequest) {
+			r.Shapes = []layout.Shape{{Layer: tech.Metal1, R: geom.Rect{X0: 400, Y0: 100, X1: 100, Y1: 1100}}}
+		}, "canonical"},
+		{"inverted density window", func(r *TileRequest) {
+			r.Windows = []geom.Rect{{X0: 0, Y0: 3000, X1: 3000, Y1: 0}}
+		}, "canonical"},
+		{"density layer out of range", func(r *TileRequest) {
+			r.Density, r.DensityWindow, r.DensityLayers = true, 3000, []tech.Layer{tech.Metal1, 200}
+		}, "layer"},
+		{"density without a window size", func(r *TileRequest) { r.Density, r.DensityWindow = true, 0 }, "density window"},
+		{"negative density window size", func(r *TileRequest) { r.Density, r.DensityWindow = true, -3000 }, "density window"},
 	}
 	for _, tc := range cases {
 		r := *good
@@ -265,6 +279,17 @@ func TestTileRequestValidate(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: Validate() = %v, want error mentioning %q", tc.name, err, tc.want)
 		}
+		if _, kerr := r.Key(); kerr == nil {
+			t.Errorf("%s: Key() accepted the request", tc.name)
+		}
+	}
+	// What the engine itself sends stays valid: zero-area shapes are
+	// canonical, and a unit with density off carries no window size.
+	edge := *good
+	edge.Shapes = []layout.Shape{{Layer: tech.NumLayers - 1, R: geom.R(50, 50, 50, 900)}}
+	edge.Windows = []geom.Rect{geom.R(0, 0, 3000, 3000)}
+	if err := edge.Validate(); err != nil {
+		t.Errorf("degenerate but canonical tile request rejected: %v", err)
 	}
 	win := windowWireRequest(tt, DefaultOpts(), nil, tech.Metal1, geom.R(0, 0, 12000, 12000), 500, nil)
 	if err := win.Validate(); err != nil {
@@ -314,6 +339,8 @@ func TestWindowRequestValidateOptics(t *testing.T) {
 		{"window past int64 pixels", func(r *TileRequest) { r.WinW, r.WinH = math.MaxInt64, math.MaxInt64 }, "pixels"},
 		{"kernel wider than the cap", func(r *TileRequest) { r.Tech.Optics.Sigmas = []float64{1e300, 90} }, "pixels"},
 		{"defocus blows the kernel up", func(r *TileRequest) { r.Cond.Defocus = 1e300 }, "pixels"},
+		{"layer the node has no rules for", func(r *TileRequest) { r.Layer = 200 }, "layer"},
+		{"first layer past the table", func(r *TileRequest) { r.Layer = tech.NumLayers }, "layer"},
 	}
 	for _, tc := range cases {
 		r := fresh()

@@ -168,7 +168,31 @@ func (r *TileRequest) Validate() error {
 		if r.CoreW <= 0 || r.CoreH <= 0 {
 			return fmt.Errorf("tiling: tile request core %dx%d not positive", r.CoreW, r.CoreH)
 		}
+		if r.Density && r.DensityWindow <= 0 {
+			return fmt.Errorf("tiling: tile request density window %d nm not positive", r.DensityWindow)
+		}
+		for i, l := range r.DensityLayers {
+			if l >= tech.NumLayers {
+				return fmt.Errorf("tiling: tile request density layer %d is layer %d, this build has %d", i, l, tech.NumLayers)
+			}
+		}
+		for i, s := range r.Shapes {
+			if s.Layer >= tech.NumLayers {
+				return fmt.Errorf("tiling: tile request shape %d is on layer %d, this build has %d", i, s.Layer, tech.NumLayers)
+			}
+			if !s.R.Canonical() {
+				return fmt.Errorf("tiling: tile request shape %d rect %v not canonical", i, s.R)
+			}
+		}
+		for i, w := range r.Windows {
+			if !w.Canonical() {
+				return fmt.Errorf("tiling: tile request density window %d rect %v not canonical", i, w)
+			}
+		}
 	case StageWindow:
+		if r.Layer >= tech.NumLayers {
+			return fmt.Errorf("tiling: tile request scans layer %d, this build has %d", r.Layer, tech.NumLayers)
+		}
 		if r.WinW <= 0 || r.WinH <= 0 {
 			return fmt.Errorf("tiling: tile request window %dx%d not positive", r.WinW, r.WinH)
 		}

@@ -386,33 +386,20 @@ func suite(t *testing.T, d *deployment) {
 		}
 	})
 
-	t.Run("hostile-window", func(t *testing.T) {
-		// A window unit's optics and size go straight into kernel and
-		// buffer sizes on the node. Both tiers must refuse, with a 400
-		// that names the field, every shape the simulator would
-		// index-panic or try to allocate tens of gigabytes for — and
-		// still serve the well-formed window under the key the router
-		// computed.
-		window := func(mut func(*tiling.TileRequest)) server.JobRequest {
-			r := &tiling.TileRequest{
-				Schema: tiling.TileSchema, Stage: tiling.StageWindow,
-				Tech: *tech.N45(), Cond: litho.Nominal, Layer: tech.Metal1,
-				WinW: 1500, WinH: 1500, Pad: 1000,
-				Rects: []geom.Rect{geom.R(200, 0, 270, 1500), geom.R(340, 0, 410, 1500)},
-			}
-			mut(r)
-			return server.JobRequest{Kind: server.KindTile, Tile: r}
-		}
-		for _, tc := range []struct {
-			name, want string
-			mut        func(*tiling.TileRequest)
-		}{
-			{"fewer weights than sigmas", "weights", func(r *tiling.TileRequest) { r.Tech.Optics.Weights = []float64{1} }},
-			{"non-positive sigma", "sigma", func(r *tiling.TileRequest) { r.Tech.Optics.Sigmas = []float64{35, 0} }},
-			{"sub-angstrom pitch", "pixels", func(r *tiling.TileRequest) { r.Tech.Optics.GridNM = 0.05; r.WinW, r.WinH = 12000, 12000 }},
-			{"metre-wide window", "pixels", func(r *tiling.TileRequest) { r.WinW = 1e9 }},
-		} {
-			resp := postJSON(t, d.url+"/v1/jobs?wait=1", window(tc.mut))
+	// hostile posts every mutation of the unit fresh builds and wants,
+	// from both tiers, a 400 that names the field — never the job run
+	// into a recovered panic or an allocation of tens of gigabytes —
+	// and then the unmutated unit served under the key the router
+	// computed.
+	type hostileCase struct {
+		name, want string
+		mut        func(*tiling.TileRequest)
+	}
+	hostile := func(t *testing.T, fresh func() *tiling.TileRequest, cases []hostileCase) {
+		for _, tc := range cases {
+			r := fresh()
+			tc.mut(r)
+			resp := postJSON(t, d.url+"/v1/jobs?wait=1", server.JobRequest{Kind: server.KindTile, Tile: r})
 			if resp.StatusCode != http.StatusBadRequest {
 				t.Errorf("%s: status = %d, want 400", tc.name, resp.StatusCode)
 			}
@@ -420,15 +407,48 @@ func suite(t *testing.T, d *deployment) {
 				t.Errorf("%s: body %q, want it to mention %q", tc.name, body.Error, tc.want)
 			}
 		}
-		good := window(func(*tiling.TileRequest) {})
+		good := server.JobRequest{Kind: server.KindTile, Tile: fresh()}
 		resp := postJSON(t, d.url+"/v1/jobs?wait=1", good)
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("well-formed window status = %d, want 200", resp.StatusCode)
+			t.Fatalf("well-formed unit status = %d, want 200", resp.StatusCode)
 		}
 		st := decode[server.JobStatus](t, resp)
 		if want, err := server.KeyForRequest(good); err != nil || st.Key != want || st.State != server.StateDone {
-			t.Fatalf("well-formed window: state %q key %q; KeyForRequest = %q, %v", st.State, st.Key, want, err)
+			t.Fatalf("well-formed unit: state %q key %q; KeyForRequest = %q, %v", st.State, st.Key, want, err)
 		}
+	}
+
+	t.Run("hostile-window", func(t *testing.T) {
+		// A window unit's optics and size go straight into kernel and
+		// buffer sizes on the node, and its layer indexes the rule table.
+		hostile(t, func() *tiling.TileRequest {
+			return &tiling.TileRequest{
+				Schema: tiling.TileSchema, Stage: tiling.StageWindow,
+				Tech: *tech.N45(), Cond: litho.Nominal, Layer: tech.Metal1,
+				WinW: 1500, WinH: 1500, Pad: 1000,
+				Rects: []geom.Rect{geom.R(200, 0, 270, 1500), geom.R(340, 0, 410, 1500)},
+			}
+		}, []hostileCase{
+			{"fewer weights than sigmas", "weights", func(r *tiling.TileRequest) { r.Tech.Optics.Weights = []float64{1} }},
+			{"non-positive sigma", "sigma", func(r *tiling.TileRequest) { r.Tech.Optics.Sigmas = []float64{35, 0} }},
+			{"sub-angstrom pitch", "pixels", func(r *tiling.TileRequest) { r.Tech.Optics.GridNM = 0.05; r.WinW, r.WinH = 12000, 12000 }},
+			{"metre-wide window", "pixels", func(r *tiling.TileRequest) { r.WinW = 1e9 }},
+			{"layer past the rule table", "layer", func(r *tiling.TileRequest) { r.Layer = 200 }},
+		})
+	})
+
+	t.Run("hostile-tile", func(t *testing.T) {
+		// A tile unit's layers index the node's per-layer tables; its
+		// rects and density window size go into sweeps and divisions.
+		hostile(t, tileReq, []hostileCase{
+			{"shape layer past the rule table", "layer", func(r *tiling.TileRequest) { r.Shapes[0].Layer = 200 }},
+			{"inverted shape", "canonical", func(r *tiling.TileRequest) { r.Shapes[1].R = geom.Rect{X0: 2150, Y0: 1500, X1: 1850, Y1: 1570} }},
+			{"inverted density window", "canonical", func(r *tiling.TileRequest) { r.Windows = []geom.Rect{{X0: 3000, Y0: 0, X1: 0, Y1: 3000}} }},
+			{"density layer past the rule table", "layer", func(r *tiling.TileRequest) {
+				r.Density, r.DensityWindow, r.DensityLayers = true, 3000, []tech.Layer{200}
+			}},
+			{"density without a window size", "density window", func(r *tiling.TileRequest) { r.Density = true }},
+		})
 	})
 
 	// Last: plug the worker and the queue, then verify the shed shape.

@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: tier1 check build vet test race-fast fuzz-smoke cover-kernel drcprofile editprofile bench bench-smoke fmt-check unit-check
+.PHONY: tier1 check build vet test race-fast fuzz-smoke cover-kernel drcprofile editprofile fleetprofile bench bench-smoke fmt-check unit-check
 
 # benchmark/ is a module of its own, so ./... above never reaches it;
 # without this an exported-name change breaks the benchmark silently.
@@ -61,10 +61,11 @@ test:
 race-fast: ## race pass skipping the slow full-scorecard experiments
 	$(GO) test -race -short ./...
 
-fuzz-smoke: ## 20 s of the packed-bitmap morphology fuzzer, 10 s of the sparse-blur fuzzer and 10 s of the boundary-edge fuzzer, each against its oracle
+fuzz-smoke: ## 20 s of the packed-bitmap morphology fuzzer, 10 s of the sparse-blur fuzzer and 10 s of the boundary-edge fuzzer, each against its oracle; 10 s of the tile wire decoders on arbitrary bytes (no panic, bounded allocation, re-encode is a fixed point with the same key)
 	$(GO) test -run='^$$' -fuzz=FuzzBitmapMorphology -fuzztime=20s ./internal/litho
 	$(GO) test -run='^$$' -fuzz=FuzzSparseBlur -fuzztime=10s ./internal/litho
 	$(GO) test -run='^$$' -fuzz=FuzzBoundaryEdges -fuzztime=10s ./internal/geom
+	$(GO) test -run='^$$' -fuzz=FuzzTileWire -fuzztime=10s ./internal/tiling
 
 # Where cover-kernel keeps its profile (bin/ is gitignored).
 COVER_DIR ?= bin/cover
@@ -110,8 +111,18 @@ editprofile: ## CPU profile of the in-design edit cycle (100k-rect chip, repair 
 		-cpuprofile $(EDITPROFILE_DIR)/cpu.prof
 	$(GO) tool pprof -top -cum -nodecount=40 -show='tiling\.|repair\.|drc\.|fmt\.|strconv\.|sort' $(EDITPROFILE_DIR)/dfmscore $(EDITPROFILE_DIR)/cpu.prof
 
+# Where fleetprofile keeps its test binary and profile (bin/ is gitignored).
+FLEETPROFILE_DIR ?= bin/fleetprofile
+
+fleetprofile: ## CPU profile of the fleet path (BenchmarkFleetChip: 50k-rect chip, router + 2 in-process nodes, cold pass A then resubmitted pass B): encoding/json, wire codec, key hashing, router, client and deck by cumulative cost
+	@mkdir -p $(FLEETPROFILE_DIR)
+	$(GO) test -run='^$$' -bench='^BenchmarkFleetChip$$' -benchtime=20x -benchmem \
+		-cpuprofile $(FLEETPROFILE_DIR)/cpu.prof -o $(FLEETPROFILE_DIR)/fleet.test ./internal/fleet
+	$(GO) tool pprof -top -cum -nodecount=40 -show='encoding/json|tiling\.|server\.|router\.|client\.|drc\.' $(FLEETPROFILE_DIR)/fleet.test $(FLEETPROFILE_DIR)/cpu.prof
+
 bench: ## every root-module benchmark, time and allocations only; writes no file (records come from `bash benchmark/run.sh`)
 	$(GO) test -run='^$$' -bench=. -benchmem .
 
-bench-smoke: ## one iteration of the four kernel micro-rows, so the gate executes the benchmarks and does not merely compile them
+bench-smoke: ## one iteration of the four kernel micro-rows and of the tile wire codec, so the gate executes the benchmarks and does not merely compile them
 	$(GO) test -run='^$$' -bench='^Benchmark(GeomBoolean|DRCBlock|BitmapOpen|ScanWindow)$$' -benchtime=1x .
+	$(GO) test -run='^$$' -bench='^BenchmarkTileWire$$' -benchtime=1x -benchmem ./internal/tiling

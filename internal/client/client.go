@@ -85,7 +85,14 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	// Drain before closing, on every path: a json.Decoder stops at the
+	// end of its value, and a body closed with the trailing newline and
+	// chunk terminator unread takes its connection down with it — one
+	// TCP handshake per large response instead of one per client.
+	defer func() {
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck // best-effort, for reuse
+		resp.Body.Close()
+	}()
 	switch {
 	case resp.StatusCode == http.StatusTooManyRequests:
 		var eb server.ErrorBody
@@ -113,7 +120,6 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 		return &StatusError{Code: resp.StatusCode, Msg: eb.Error}
 	}
 	if out == nil {
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck // drain for reuse
 		return nil
 	}
 	return json.NewDecoder(resp.Body).Decode(out)

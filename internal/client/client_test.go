@@ -3,12 +3,21 @@ package client
 import (
 	"context"
 	"errors"
+	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/drc"
+	"repro/internal/geom"
 	"repro/internal/server"
+	"repro/internal/tech"
+	"repro/internal/tiling"
 )
 
 // TestClientAgainstRealServer drives the genuine service end to end:
@@ -93,5 +102,86 @@ func TestClientMapsOverloadAndDraining(t *testing.T) {
 	}
 	if err := c.Healthz(context.Background()); !errors.Is(err, ErrDraining) {
 		t.Fatalf("healthz on draining server err = %v, want ErrDraining", err)
+	}
+}
+
+// A json.Decoder stops at the end of its value; a chunked body closed
+// with its trailing newline and chunk terminator unread takes the
+// connection down with it. Every path of do that reads a body must
+// leave the connection reusable: 50 sequential calls, each answered
+// with a body too large to be sent unchunked, open one connection —
+// at the parent of PR 19 they opened 50.
+func TestClientReusesConnectionAfterLargeBody(t *testing.T) {
+	tile := &tiling.TileResult{}
+	for i := int64(0); i < 3000; i++ {
+		tile.Violations = append(tile.Violations, drc.Violation{
+			Rule: "metal2.space", Layer: tech.Metal2, Marker: geom.R(97*i, 31*i, 97*i+50, 31*i+70), Detail: "space 50 < 70",
+		})
+	}
+	long := strings.Repeat("no room at the inn; ", 500)
+	for _, tc := range []struct {
+		name string
+		code int
+		body any
+		call func(ctx context.Context, c *Client) error
+	}{
+		{"Eval", http.StatusOK, server.JobStatus{ID: "j-1", State: server.StateDone, Kind: server.KindTile, Tile: tile},
+			func(ctx context.Context, c *Client) error {
+				st, err := c.Eval(ctx, server.JobRequest{Kind: server.KindTile})
+				if err == nil && len(st.Tile.Violations) != 3000 {
+					err = fmt.Errorf("decoded %d violations", len(st.Tile.Violations))
+				}
+				return err
+			}},
+		{"EvalTile", http.StatusOK, server.JobStatus{ID: "j-1", State: server.StateDone, Kind: server.KindTile, Tile: tile},
+			func(ctx context.Context, c *Client) error {
+				res, _, err := c.EvalTile(ctx, &tiling.TileRequest{})
+				if err == nil && len(res.Violations) != 3000 {
+					err = fmt.Errorf("decoded %d violations", len(res.Violations))
+				}
+				return err
+			}},
+		{"429", http.StatusTooManyRequests, server.ErrorBody{Error: long, RetryAfterMS: 250},
+			func(ctx context.Context, c *Client) error {
+				var ov *Overloaded
+				if _, err := c.Eval(ctx, server.JobRequest{}); !errors.As(err, &ov) {
+					return fmt.Errorf("err = %v, want Overloaded", err)
+				}
+				return nil
+			}},
+		{"400", http.StatusBadRequest, server.ErrorBody{Error: long},
+			func(ctx context.Context, c *Client) error {
+				var se *StatusError
+				if _, err := c.Eval(ctx, server.JobRequest{}); !errors.As(err, &se) || se.Msg != long {
+					return fmt.Errorf("err = %v, want the 400 StatusError", err)
+				}
+				return nil
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var opened atomic.Int64
+			ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				io.Copy(io.Discard, r.Body) //nolint:errcheck // test server
+				server.WriteJSON(w, tc.code, tc.body)
+			}))
+			ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+				if s == http.StateNew {
+					opened.Add(1)
+				}
+			}
+			ts.Start()
+			defer ts.Close()
+			tr := &http.Transport{MaxConnsPerHost: 1}
+			defer tr.CloseIdleConnections()
+			c := New(ts.URL, &http.Client{Transport: tr})
+			for i := 0; i < 50; i++ {
+				if err := tc.call(context.Background(), c); err != nil {
+					t.Fatalf("call %d: %v", i, err)
+				}
+			}
+			if n := opened.Load(); n != 1 {
+				t.Fatalf("50 sequential calls opened %d connections, want 1", n)
+			}
+		})
 	}
 }

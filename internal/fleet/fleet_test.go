@@ -2,6 +2,7 @@ package fleet_test
 
 import (
 	"context"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -139,4 +140,53 @@ func TestFleetDistributedChipBitIdentical(t *testing.T) {
 	}
 	t.Logf("router after run: ok=%d failed=%d retries=%d failovers=%d tileJobs=%d tileReused=%d",
 		rs.OK, rs.Failed, rs.Retries, rs.Failovers, rs.TileJobs, rs.TileReused)
+}
+
+// BenchmarkFleetChip is the fleet path with nothing else around it, the
+// shape `make fleetprofile` profiles: the 50k-rect signoff chip through
+// a router to two in-process nodes, pass A on a cold fleet with a fresh
+// local cache (only distinct tiles travel) and pass B with the local
+// cache off (every tile travels and is answered from a node cache). A
+// fresh cluster per iteration, started off the clock.
+func BenchmarkFleetChip(b *testing.B) {
+	tt := tech.N45()
+	l, _, err := layout.GenerateChip(tt, layout.ChipOpts{Seed: 11, TargetRects: 50_000, Defects: 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ex := tiling.NewExtractor(l.Top)
+	ctx := context.Background()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cl, err := fleet.Start(fleet.Options{Nodes: 2, Logf: func(string, ...any) {}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := cl.WaitReady(10 * time.Second); err != nil {
+			b.Fatal(err)
+		}
+		tr := &http.Transport{MaxConnsPerHost: 2, MaxIdleConnsPerHost: 2}
+		sub := &client.TileSubmitter{C: client.New(cl.URL, &http.Client{Transport: tr}), Policy: client.NewRetryPolicy(4, 1)}
+		oa := tiling.Opts{Tile: 24000, Halo: 2000, Workers: 2, DRC: true, Density: true, DensityWindow: 3000}
+		ob := oa
+		oa.Cache = tiling.NewCache(0)
+		b.StartTimer()
+		ra, err := tiling.DistEvaluate(ctx, tt, ex, oa, sub)
+		if err != nil {
+			b.Fatalf("pass A: %v", err)
+		}
+		rb, err := tiling.DistEvaluate(ctx, tt, ex, ob, sub)
+		if err != nil {
+			b.Fatalf("pass B: %v", err)
+		}
+		b.StopTimer()
+		if eq := tiling.Equivalent(ra, rb); !eq || rb.Stats.RemoteCached != rb.Stats.RemoteTiles {
+			b.Fatalf("pass B: equivalent to A %v, %d of %d units from node caches",
+				eq, rb.Stats.RemoteCached, rb.Stats.RemoteTiles)
+		}
+		tr.CloseIdleConnections()
+		cl.Stop()
+		b.StartTimer()
+	}
 }

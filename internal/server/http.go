@@ -52,9 +52,10 @@ func WriteError(w http.ResponseWriter, code int, msg string) {
 }
 
 // maxRequestBytes bounds one POST /v1/jobs body. The largest real unit
-// is a tile's extracted shape list, a few hundred kB; 64 MiB leaves two
-// orders of magnitude of headroom while keeping a hostile or runaway
-// client from making a node buffer without limit.
+// is a tile's extracted shape list, tens of kB as a packed column (a
+// few hundred before tile schema 3); 64 MiB leaves three orders of
+// magnitude of headroom while keeping a hostile or runaway client from
+// making a node buffer without limit.
 const maxRequestBytes = 64 << 20
 
 // DecodeJobRequest reads a POST /v1/jobs body the one way both tiers

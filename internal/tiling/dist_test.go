@@ -22,6 +22,9 @@ import (
 // information.
 type loopback struct {
 	tiles, windows atomic.Int64
+	// onResult, when set, sees each result as executed and as decoded.
+	// It is called from DistEvaluate's worker goroutines.
+	onResult func(sent, got *TileResult)
 }
 
 func (lb *loopback) EvalTile(ctx context.Context, req *TileRequest) (*TileResult, TileServed, error) {
@@ -50,6 +53,9 @@ func (lb *loopback) EvalTile(ctx context.Context, req *TileRequest) (*TileResult
 	var out TileResult
 	if err := json.Unmarshal(rb, &out); err != nil {
 		return nil, TileServed{}, err
+	}
+	if lb.onResult != nil {
+		lb.onResult(res, &out)
 	}
 	return &out, TileServed{}, nil
 }

@@ -1,11 +1,12 @@
 package tiling
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
 	"hash"
-	"sort"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/layout"
@@ -66,28 +67,42 @@ func configKey(t *tech.Tech, o Opts, densLayers []tech.Layer) [sha256.Size]byte 
 	return sha256.Sum256(b)
 }
 
-// hashWriter accumulates int64 fields into a sha256 stream.
+// hashWriter accumulates int64 fields into a sha256 stream. Fields
+// collect in buf and reach the hash a block at a time: the fleet hashes
+// every unit three times (plan, router, node), and one interface call
+// per eight bytes was most of what that cost. The hashed byte stream is
+// the same however it is chunked, so buffering moves no key.
 type hashWriter struct {
 	h   hash.Hash
-	buf [8]byte
+	n   int
+	buf [4096]byte
 }
 
 func newHashWriter(cfg [sha256.Size]byte, stage byte) *hashWriter {
 	w := &hashWriter{h: sha256.New()}
-	w.h.Write(cfg[:])
-	w.buf[0] = stage
-	w.h.Write(w.buf[:1])
+	w.n = copy(w.buf[:], cfg[:])
+	w.buf[w.n] = stage
+	w.n++
 	return w
 }
 
 func (w *hashWriter) i64(vs ...int64) {
 	for _, v := range vs {
-		binary.LittleEndian.PutUint64(w.buf[:], uint64(v))
-		w.h.Write(w.buf[:])
+		if w.n+8 > len(w.buf) {
+			w.flush()
+		}
+		binary.LittleEndian.PutUint64(w.buf[w.n:], uint64(v))
+		w.n += 8
 	}
 }
 
+func (w *hashWriter) flush() {
+	w.h.Write(w.buf[:w.n])
+	w.n = 0
+}
+
 func (w *hashWriter) sum() (k [sha256.Size]byte) {
+	w.flush()
 	w.h.Sum(k[:0])
 	return k
 }
@@ -111,12 +126,11 @@ func tileKey(cfg [sha256.Size]byte, core geom.Rect, pad int64, wins []geom.Rect,
 	for i, s := range shapes {
 		rel[i] = layout.Shape{Layer: s.Layer, R: s.R.Translate(geom.Pt(-core.X0, -core.Y0))}
 	}
-	sort.Slice(rel, func(i, j int) bool {
-		a, b := rel[i], rel[j]
+	slices.SortFunc(rel, func(a, b layout.Shape) int {
 		if a.Layer != b.Layer {
-			return a.Layer < b.Layer
+			return cmp.Compare(a.Layer, b.Layer)
 		}
-		return rectLess(a.R, b.R)
+		return rectCmp(a.R, b.R)
 	})
 	w.i64(int64(len(rel)))
 	for _, s := range rel {
@@ -125,19 +139,20 @@ func tileKey(cfg [sha256.Size]byte, core geom.Rect, pad int64, wins []geom.Rect,
 	return w.sum()
 }
 
-// rectLess is the (X0, Y0, X1, Y1) order both unit keys normalize
-// geometry into before hashing.
-func rectLess(a, b geom.Rect) bool {
+// rectCmp is the (X0, Y0, X1, Y1) order both unit keys normalize
+// geometry into before hashing. Records that compare equal are
+// identical, so the unstable sort cannot reorder the hashed stream.
+func rectCmp(a, b geom.Rect) int {
 	if a.X0 != b.X0 {
-		return a.X0 < b.X0
+		return cmp.Compare(a.X0, b.X0)
 	}
 	if a.Y0 != b.Y0 {
-		return a.Y0 < b.Y0
+		return cmp.Compare(a.Y0, b.Y0)
 	}
 	if a.X1 != b.X1 {
-		return a.X1 < b.X1
+		return cmp.Compare(a.X1, b.X1)
 	}
-	return a.Y1 < b.Y1
+	return cmp.Compare(a.Y1, b.Y1)
 }
 
 // windowKey is the content address of one litho scan window: layer,
@@ -147,7 +162,7 @@ func windowKey(cfg [sha256.Size]byte, layer tech.Layer, win geom.Rect, pad int64
 	w := newHashWriter(cfg, 'W')
 	w.i64(int64(layer), win.Width(), win.Height(), pad)
 	rel := rebase(rs, geom.Pt(-win.X0, -win.Y0))
-	sort.Slice(rel, func(i, j int) bool { return rectLess(rel[i], rel[j]) })
+	slices.SortFunc(rel, rectCmp)
 	w.i64(int64(len(rel)))
 	for _, r := range rel {
 		w.i64(r.X0, r.Y0, r.X1, r.Y1)

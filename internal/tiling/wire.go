@@ -33,8 +33,11 @@ import (
 // Schema 2 added the interior-pinch filter flag and the surrogate
 // gating config (key schema 3): both change what a unit's content
 // address means, so a schema-1 node must reject rather than serve a
-// stale-keyed result.
-const TileSchema = 2
+// stale-keyed result. Schema 3 changed only how the bulk fields are
+// spelled — packed columns (packed.go) instead of arrays of objects —
+// and so left keySchema alone: a key hashes geometry, not wire bytes.
+// There is one wire form; no decoder for the schema-2 spelling remains.
+const TileSchema = 3
 
 // TileRequest stages.
 const (

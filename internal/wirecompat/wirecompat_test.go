@@ -9,6 +9,8 @@ package wirecompat
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"net"
@@ -307,7 +309,7 @@ func suite(t *testing.T, d *deployment) {
 			t.Fatalf("delta kind body %q, want unknown job kind", body.Error)
 		}
 		resp = postRaw(t, d.url+"/v1/jobs", strings.NewReader(
-			`{"kind":"tile","delta":{"schema":2,"parent":"`+ghost+`"}}`))
+			`{"kind":"tile","delta":{"schema":3,"parent":"`+ghost+`"}}`))
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("delta field status = %d, want 400", resp.StatusCode)
 		}
@@ -386,6 +388,80 @@ func suite(t *testing.T, d *deployment) {
 		}
 	})
 
+	// settles posts a well-formed unit and wants it done under the key
+	// the router computes: what every rejection check ends on, to show
+	// the node behind the 400s is still serving.
+	settles := func(t *testing.T, unit *tiling.TileRequest) {
+		t.Helper()
+		good := server.JobRequest{Kind: server.KindTile, Tile: unit}
+		resp := postJSON(t, d.url+"/v1/jobs?wait=1", good)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("well-formed unit status = %d, want 200", resp.StatusCode)
+		}
+		st := decode[server.JobStatus](t, resp)
+		if want, err := server.KeyForRequest(good); err != nil || st.Key != want || st.State != server.StateDone {
+			t.Fatalf("well-formed unit: state %q key %q; KeyForRequest = %q, %v", st.State, st.Key, want, err)
+		}
+	}
+	// rejects posts a raw body and wants a 400 whose error mentions
+	// every one of want.
+	rejects := func(t *testing.T, name, body string, want ...string) {
+		t.Helper()
+		resp := postRaw(t, d.url+"/v1/jobs?wait=1", strings.NewReader(body))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400", name, resp.StatusCode)
+		}
+		eb := decode[server.ErrorBody](t, resp)
+		for _, w := range want {
+			if !strings.Contains(eb.Error, w) {
+				t.Errorf("%s: body %q, want it to mention %q", name, eb.Error, w)
+			}
+		}
+	}
+	// tileBody is a raw stage-A tile job labelled with schema, around
+	// extra, which supplies the fields under test.
+	tileBody := func(schema int, extra string) string {
+		return `{"kind":"tile","tile":{"schema":` + strconv.Itoa(schema) +
+			`,"stage":"tile","drc":true,"coreW":8000,"coreH":8000,"pad":2000,` + extra + `}}`
+	}
+
+	t.Run("schema-2-rejected", func(t *testing.T) {
+		// There is one wire form. The schema-2 spelling of a unit — shapes
+		// as an array of objects — is refused by both tiers and told why;
+		// no fallback decoder quietly accepts it.
+		rejects(t, "schema-2 unit", tileBody(2,
+			`"shapes":[{"Layer":4,"R":{"X0":1500,"Y0":1500,"X1":1800,"Y1":1570},"Net":0},`+
+				`{"Layer":4,"R":{"X0":1850,"Y0":1500,"X1":2150,"Y1":1570},"Net":0}]`),
+			"schema 2", "speaks 3")
+		rejects(t, "schema-2 arrays under a schema-3 label", tileBody(3,
+			`"shapes":[{"Layer":4,"R":{"X0":1500,"Y0":1500,"X1":1800,"Y1":1570},"Net":0}]`), "shapes")
+		settles(t, tileReq())
+	})
+
+	t.Run("tile-unknown-field", func(t *testing.T) {
+		// Strictness has to reach inside "tile": the envelope-level case
+		// (delta-kind-removed) is encoding/json's doing, this one is the
+		// tile codec's own.
+		rejects(t, "unknown field inside tile", tileBody(3, `"bogus":1`), `unknown field "bogus"`)
+		settles(t, tileReq())
+	})
+
+	t.Run("hostile-packed", func(t *testing.T) {
+		// Packed columns are lengths and offsets from outside: a count
+		// no payload could hold, a varint cut short, bytes left over and
+		// bad base64 are each a 400 naming the column, never an
+		// allocation sized by the count or a panic in the node.
+		col := func(b ...byte) string { return base64.StdEncoding.EncodeToString(b) }
+		huge := append(binary.AppendUvarint(nil, 1<<60), make([]byte, 10)...)
+		rejects(t, "count overflow", tileBody(3, `"shapes":"`+col(huge...)+`"`), "shapes", "declares")
+		rejects(t, "window count overflow", tileBody(3, `"windows":"`+col(huge...)+`"`), "windows", "declares")
+		rejects(t, "truncated varint", tileBody(3, `"shapes":"`+col(1, 4, 0x80, 0x80, 0x80, 0x80, 0x80)+`"`), "shapes", "truncated")
+		rejects(t, "trailing bytes", tileBody(3, `"shapes":"`+col(1, 4, 0, 0, 2, 2, 0, 9)+`"`), "shapes", "trailing")
+		rejects(t, "layer past a byte", tileBody(3, `"shapes":"`+col(1, 0xac, 0x02, 0, 0, 2, 2, 0)+`"`), "shapes", "layer 300")
+		rejects(t, "odd base64", tileBody(3, `"shapes":"AAA"`), "shapes", "base64")
+		settles(t, tileReq())
+	})
+
 	// hostile posts every mutation of the unit fresh builds and wants,
 	// from both tiers, a 400 that names the field — never the job run
 	// into a recovered panic or an allocation of tens of gigabytes —
@@ -407,15 +483,7 @@ func suite(t *testing.T, d *deployment) {
 				t.Errorf("%s: body %q, want it to mention %q", tc.name, body.Error, tc.want)
 			}
 		}
-		good := server.JobRequest{Kind: server.KindTile, Tile: fresh()}
-		resp := postJSON(t, d.url+"/v1/jobs?wait=1", good)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("well-formed unit status = %d, want 200", resp.StatusCode)
-		}
-		st := decode[server.JobStatus](t, resp)
-		if want, err := server.KeyForRequest(good); err != nil || st.Key != want || st.State != server.StateDone {
-			t.Fatalf("well-formed unit: state %q key %q; KeyForRequest = %q, %v", st.State, st.Key, want, err)
-		}
+		settles(t, fresh())
 	}
 
 	t.Run("hostile-window", func(t *testing.T) {

@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: tier1 check build vet test race-fast fuzz-smoke cover-kernel drcprofile editprofile fleetprofile bench bench-smoke fmt-check unit-check
+.PHONY: tier1 check build vet test race-fast fuzz-smoke cover-kernel cover-engine drcprofile editprofile fleetprofile bench bench-smoke fmt-check unit-check
 
 # benchmark/ is a module of its own, so ./... above never reaches it;
 # without this an exported-name change breaks the benchmark silently.
@@ -24,6 +24,7 @@ tier1: ## build + vet + gofmt gate + full tests under the race detector
 	$(GO) test -race ./...
 	$(MAKE) fuzz-smoke
 	$(MAKE) cover-kernel
+	$(MAKE) cover-engine
 	$(MAKE) bench-smoke
 	$(GO) vet -C benchmark . && $(GO) test -C benchmark .
 
@@ -67,8 +68,30 @@ fuzz-smoke: ## 20 s of the packed-bitmap morphology fuzzer, 10 s of the sparse-b
 	$(GO) test -run='^$$' -fuzz=FuzzBoundaryEdges -fuzztime=10s ./internal/geom
 	$(GO) test -run='^$$' -fuzz=FuzzTileWire -fuzztime=10s ./internal/tiling
 
-# Where cover-kernel keeps its profile (bin/ is gitignored).
+# Where the coverage gates keep their profiles (bin/ is gitignored).
 COVER_DIR ?= bin/cover
+
+# cover-gate runs one package's own tests under a coverage profile and
+# fails if they leave a function of the named files unexecuted, or a
+# file that must also reach 90 % of its statements below that.
+# $(1) target name, $(2) package, $(3) base names (a|b|c, no .go) whose
+# functions may not sit at 0 %, $(4) those of them held to 90 %, or empty.
+define cover-gate
+	@mkdir -p $(COVER_DIR)
+	$(GO) test -count=1 -coverprofile=$(COVER_DIR)/$(1).out $(2)
+	@$(GO) tool cover -func=$(COVER_DIR)/$(1).out | awk ' \
+		$$1 ~ /\/($(3))\.go:/ && $$NF == "0.0%" { \
+			print "$(1): " $$1 " " $$2 " is never executed by $(2) tests"; bad = 1 } \
+		END { exit bad }'
+	@awk -v held='$(4)' 'BEGIN { n = split(held, h, "|"); for (i = 1; i <= n; i++) want[h[i] ".go"] = 1 } \
+		NR > 1 { split($$1, loc, ":"); n = split(loc[1], dir, "/"); f = dir[n]; \
+			tot[f] += $$2; if ($$3 > 0) cov[f] += $$2 } \
+		END { for (f in tot) if (f in want) { \
+				pct = 100 * cov[f] / tot[f]; \
+				printf "$(1): %s %d/%d statements (%.1f%%)\n", f, cov[f], tot[f], pct; \
+				if (pct < 90) { print "$(1): " f " is below 90%"; bad = 1 } } \
+			exit bad }' $(COVER_DIR)/$(1).out
+endef
 
 # The dense arm of the litho kernel sat in raster.go from PR 4 to PR 15
 # without one statement of it ever executing, in tests or anywhere
@@ -76,19 +99,13 @@ COVER_DIR ?= bin/cover
 # tests must reach every function of the kernel files and 90 % of the
 # statements of the two that hold the simulation path.
 cover-kernel: ## litho kernel coverage gate: no function of raster.go/sparse.go/optics.go at 0 %, raster.go and sparse.go each >= 90 % of statements
-	@mkdir -p $(COVER_DIR)
-	$(GO) test -count=1 -coverprofile=$(COVER_DIR)/litho.out ./internal/litho
-	@$(GO) tool cover -func=$(COVER_DIR)/litho.out | awk ' \
-		$$1 ~ /\/(raster|sparse|optics)\.go:/ && $$NF == "0.0%" { \
-			print "cover-kernel: " $$1 " " $$2 " is never executed by ./internal/litho tests"; bad = 1 } \
-		END { exit bad }'
-	@awk 'NR > 1 { split($$1, loc, ":"); n = split(loc[1], dir, "/"); f = dir[n]; \
-			tot[f] += $$2; if ($$3 > 0) cov[f] += $$2 } \
-		END { for (f in tot) if (f == "raster.go" || f == "sparse.go") { \
-				pct = 100 * cov[f] / tot[f]; \
-				printf "cover-kernel: %s %d/%d statements (%.1f%%)\n", f, cov[f], tot[f], pct; \
-				if (pct < 90) { print "cover-kernel: " f " is below 90%"; bad = 1 } } \
-			exit bad }' $(COVER_DIR)/litho.out
+	$(call cover-gate,cover-kernel,./internal/litho,raster|sparse|optics,raster|sparse)
+
+# The same watch on the path every chip unit takes — cut (plan.go), key
+# (key.go), validate / execute / absorb (wire.go): unit.String sat there
+# unexecuted until PR 20 deleted it with the type.
+cover-engine: ## unit path coverage gate: no function of internal/tiling's plan.go/wire.go/key.go at 0 % under the package's own tests
+	$(call cover-gate,cover-engine,./internal/tiling,plan|wire|key,)
 
 # Where drcprofile keeps its binary and profiles (bin/ is gitignored).
 DRCPROFILE_DIR ?= bin/drcprofile

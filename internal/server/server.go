@@ -368,29 +368,27 @@ func (s *Server) complete(key string, res harness.Result) {
 		}
 		s.updateEWMA(res.Runtime)
 	}
-	var settled []*job
 	if f != nil {
-		settled = f.jobs
 		for _, j := range f.jobs {
+			// Counted before settling: settleLocked wakes the job's
+			// waiters, and a client whose ?wait=1 just returned must find
+			// its own job in /metrics.
+			mE2E.ObserveSince(j.created)
+			switch {
+			case errors.Is(o.Err, harness.ErrPoolClosed):
+				s.rejected.Add(1)
+				mRejected.Inc()
+			case o.Err != nil:
+				s.failed.Add(1)
+				mFailed.Inc()
+			default:
+				s.completed.Add(1)
+				mCompleted.Inc()
+			}
 			j.settleLocked(o, tile)
 		}
 	}
 	s.mu.Unlock()
-
-	for _, j := range settled {
-		mE2E.ObserveSince(j.created)
-		switch {
-		case errors.Is(o.Err, harness.ErrPoolClosed):
-			s.rejected.Add(1)
-			mRejected.Inc()
-		case o.Err != nil:
-			s.failed.Add(1)
-			mFailed.Inc()
-		default:
-			s.completed.Add(1)
-			mCompleted.Inc()
-		}
-	}
 	mQueueDepth.Set(float64(s.pool.QueueDepth()))
 }
 

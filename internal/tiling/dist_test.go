@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/drc"
 	"repro/internal/geom"
 	"repro/internal/layout"
 	"repro/internal/litho"
@@ -150,6 +151,48 @@ func TestDistEvaluateMatchesLocalFullStack(t *testing.T) {
 	}
 }
 
+// A unit computed here and the same unit served by a node are one cache
+// entry, asserted through behaviour: after a local run a distributed
+// run over the same cache sends nothing, and after a distributed run a
+// local one computes nothing.
+func TestLocalAndServedUnitsShareAKey(t *testing.T) {
+	tt := tech.N45()
+	ex := NewExtractor(seamChip())
+	for _, distFirst := range []bool{false, true} {
+		o := DefaultOpts()
+		o.Tile, o.Halo = 8000, 2000
+		o.Cache = NewCache(0)
+		lb := &loopback{}
+		run := func(dist bool) *Result {
+			t.Helper()
+			var res *Result
+			var err error
+			if dist {
+				res, err = DistEvaluate(context.Background(), tt, ex, o, lb)
+			} else {
+				res, err = Evaluate(context.Background(), tt, ex, o)
+			}
+			if err != nil {
+				t.Fatalf("dist=%v: %v", dist, err)
+			}
+			return res
+		}
+		first, second := run(distFirst), run(!distFirst)
+		diffResults(t, fmt.Sprintf("distFirst=%v", distFirst), second, first)
+		if first.Stats.TileMisses < 2 || first.Stats.WindowMisses < 2 {
+			t.Fatalf("distFirst=%v: first run missed %d tiles and %d windows; the case is vacuous",
+				distFirst, first.Stats.TileMisses, first.Stats.WindowMisses)
+		}
+		if st := second.Stats; st.TileMisses != 0 || st.WindowMisses != 0 || st.RemoteTiles != 0 || st.RemoteWindows != 0 {
+			t.Errorf("distFirst=%v: second run missed %d tiles and %d windows and sent %d and %d, want every unit replayed",
+				distFirst, st.TileMisses, st.WindowMisses, st.RemoteTiles, st.RemoteWindows)
+		}
+		if sent, want := lb.tiles.Load()+lb.windows.Load(), first.Stats.RemoteTiles+first.Stats.RemoteWindows; sent != want {
+			t.Errorf("distFirst=%v: the fleet served %d units in all, want the first run's %d", distFirst, sent, want)
+		}
+	}
+}
+
 // DistEvaluate without a client is a programming error, not a silent
 // local fallback.
 func TestDistEvaluateNilClient(t *testing.T) {
@@ -277,6 +320,18 @@ func TestTileRequestValidate(t *testing.T) {
 		}, "layer"},
 		{"density without a window size", func(r *TileRequest) { r.Density, r.DensityWindow = true, 0 }, "density window"},
 		{"negative density window size", func(r *TileRequest) { r.Density, r.DensityWindow = true, -3000 }, "density window"},
+		{"pad that wraps core.Bloat", func(r *TileRequest) { r.Pad = math.MaxInt64 }, "pad"},
+		{"pad one past the bound", func(r *TileRequest) { r.Pad = maxCoord + 1 }, "pad"},
+		{"core past the bound", func(r *TileRequest) { r.CoreH = maxCoord + 1 }, "core"},
+		{"shape coordinate past the bound", func(r *TileRequest) {
+			r.Shapes = []layout.Shape{{Layer: tech.Metal1, R: geom.R(100, 100, 400, maxCoord+1)}}
+		}, "shape 0"},
+		{"shape at the far negative end", func(r *TileRequest) {
+			r.Shapes = []layout.Shape{{Layer: tech.Metal1, R: geom.R(math.MinInt64, 100, 400, 1100)}}
+		}, "within ±"},
+		{"density window coordinate past the bound", func(r *TileRequest) {
+			r.Windows = []geom.Rect{geom.R(-maxCoord-1, 0, 3000, 3000)}
+		}, "density window 0"},
 	}
 	for _, tc := range cases {
 		r := *good
@@ -297,6 +352,15 @@ func TestTileRequestValidate(t *testing.T) {
 	if err := edge.Validate(); err != nil {
 		t.Errorf("degenerate but canonical tile request rejected: %v", err)
 	}
+	// The bound is inclusive, and what it is for: two metal2 wires 10 nm
+	// apart are one violation under any pad that validates, where a pad
+	// of MaxInt64 inverted the padded window and answered zero.
+	edge.Pad, edge.CoreW = maxCoord, maxCoord
+	edge.Shapes = []layout.Shape{{Layer: tech.Metal2, R: geom.R(-maxCoord, 1500, 1800, 1570)},
+		{Layer: tech.Metal2, R: geom.R(1810, 1500, maxCoord, 1570)}}
+	if res, err := ExecuteTile(context.Background(), &edge); err != nil || len(res.Violations) != 1 {
+		t.Errorf("unit at the coordinate bound: %+v, %v, want the one spacing violation", res, err)
+	}
 	win := windowWireRequest(tt, DefaultOpts(), nil, tech.Metal1, geom.R(0, 0, 12000, 12000), 500, nil)
 	if err := win.Validate(); err != nil {
 		t.Fatalf("valid window request rejected: %v", err)
@@ -304,6 +368,17 @@ func TestTileRequestValidate(t *testing.T) {
 	win.WinH = 0
 	if err := win.Validate(); err == nil {
 		t.Error("empty window passed Validate")
+	}
+	win.WinH = 12000
+	win.Rects = []geom.Rect{geom.R(0, 0, 90, 1000), geom.R(0, 2000, 90, math.MaxInt64)}
+	if err := win.Validate(); err == nil || !strings.Contains(err.Error(), "rect 1") {
+		t.Errorf("window rect past the bound: Validate() = %v, want rect 1 named", err)
+	}
+	// A pitch coarse enough to pass the pixel bound must not carry a
+	// window past the coordinate bound with it.
+	win.Rects, win.Tech.Optics.GridNM, win.WinW = nil, 1e9, maxCoord+1
+	if err := win.Validate(); err == nil || !strings.Contains(err.Error(), "window") {
+		t.Errorf("window wider than the bound: Validate() = %v, want the window named", err)
 	}
 	var nilReq *TileRequest
 	if err := nilReq.Validate(); err == nil {
@@ -369,20 +444,93 @@ func TestWindowRequestValidateOptics(t *testing.T) {
 }
 
 // Version-skewed or confused nodes must fail the run loudly: a result
-// whose density shape disagrees with the submitted tile is rejected at
-// absorb time, never stitched.
+// whose shape disagrees with the submitted unit — density rows of the
+// wrong count or length, or the output of the other stage, which an
+// empty list of the right kind would read as "clean" — is rejected
+// before it is cached or stitched.
 func TestAbsorbTileResultShapeChecks(t *testing.T) {
+	tt := tech.N45()
+	dens := []tech.Layer{tech.Metal1, tech.Metal2}
 	core := geom.R(0, 0, 8000, 8000)
-	if _, err := absorbTileResult(nil, core, 0, 0); err == nil {
+	o := Opts{DRC: true, Density: true, DensityWindow: 3000}
+	oneWin := tileWireRequest(tt, o, dens, core, 2000, []geom.Rect{geom.R(0, 0, 3000, 3000)}, nil)
+	twoWins := tileWireRequest(tt, o, dens, core, 2000, []geom.Rect{geom.R(0, 0, 3000, 3000), geom.R(1500, 0, 4500, 3000)}, nil)
+	drcOnly := tileWireRequest(tt, Opts{DRC: true}, nil, core, 2000, nil, nil)
+	window := windowWireRequest(tt, DefaultOpts(), nil, tech.Metal1, geom.R(0, 0, 12000, 12000), 500, nil)
+	if err := absorbTileResult(nil, drcOnly); err == nil {
 		t.Error("nil result absorbed")
 	}
-	if _, err := absorbTileResult(&TileResult{Dens: [][]float64{{0.5}}}, core, 2, 1); err == nil {
+	if err := absorbTileResult(&TileResult{Dens: [][]float64{{0.5}}}, oneWin); err == nil {
 		t.Error("wrong density row count absorbed")
 	}
-	if _, err := absorbTileResult(&TileResult{Dens: [][]float64{{0.5, 0.5}, {0.1}}}, core, 2, 2); err == nil {
+	if err := absorbTileResult(&TileResult{Dens: [][]float64{{0.5, 0.5}, {0.1}}}, twoWins); err == nil {
 		t.Error("ragged density row absorbed")
 	}
-	if _, err := absorbTileResult(&TileResult{Dens: [][]float64{{0.5}, {0.1}}}, core, 2, 1); err != nil {
+	if err := absorbTileResult(&TileResult{Dens: [][]float64{{0.5}, {0.1}}}, oneWin); err != nil {
 		t.Errorf("well-shaped result rejected: %v", err)
+	}
+
+	viol := []drc.Violation{{Rule: "metal2.space", Layer: tech.Metal2, Marker: geom.R(1800, 1500, 1850, 1570)}}
+	hot := []litho.Hotspot{{Kind: litho.Pinch, Box: geom.R(30, 1000, 60, 1200)}}
+	if err := absorbTileResult(&TileResult{Hotspots: hot}, drcOnly); err == nil || !strings.Contains(err.Error(), "hotspots") {
+		t.Errorf("a DRC tile answered with hotspots: %v, want it refused", err)
+	}
+	if err := absorbTileResult(&TileResult{Violations: viol}, window); err == nil || !strings.Contains(err.Error(), "violations") {
+		t.Errorf("a scan window answered with violations: %v, want it refused", err)
+	}
+	if err := absorbTileResult(&TileResult{Dens: [][]float64{{0.5}}}, window); err == nil {
+		t.Error("a scan window answered with density rows absorbed")
+	}
+	if err := absorbTileResult(&TileResult{Violations: viol}, drcOnly); err != nil {
+		t.Errorf("a DRC tile's violations rejected: %v", err)
+	}
+	if err := absorbTileResult(&TileResult{Hotspots: hot}, window); err != nil {
+		t.Errorf("a scan window's hotspots rejected: %v", err)
+	}
+	if err := absorbTileResult(&TileResult{}, window); err != nil {
+		t.Errorf("a clean scan window rejected: %v", err)
+	}
+}
+
+// stageSwap is a node that answers every unit of one stage with the
+// other stage's kind of output, and the rest honestly.
+type stageSwap struct{ stage string }
+
+func (sw stageSwap) EvalTile(ctx context.Context, req *TileRequest) (*TileResult, TileServed, error) {
+	if req.Stage != sw.stage {
+		res, err := ExecuteTile(ctx, req)
+		return res, TileServed{}, err
+	}
+	if req.Stage == StageWindow {
+		return &TileResult{Violations: []drc.Violation{{Rule: "metal1.width", Layer: tech.Metal1, Marker: geom.R(0, 0, 10, 10)}}}, TileServed{}, nil
+	}
+	return &TileResult{Hotspots: []litho.Hotspot{{Kind: litho.Pinch, Box: geom.R(0, 0, 10, 10)}}}, TileServed{}, nil
+}
+
+// Through the whole engine: a fleet answering with the wrong stage's
+// output fails the run and names the unit; it neither stitches a dirty
+// tile as clean nor leaves the answer in the shared cache.
+func TestDistEvaluateRefusesWrongStageResult(t *testing.T) {
+	top := layout.NewCell("X_SWAP")
+	top.Add(tech.Metal2, geom.R(1500, 1500, 1800, 1570))
+	top.Add(tech.Metal2, geom.R(1810, 1500, 2110, 1570)) // 10 nm apart
+	top.Add(tech.Metal1, geom.R(100, 100, 190, 3000))
+	for _, tc := range []struct {
+		stage string
+		o     Opts
+		want  string
+		kept  int // honest answers the cache may hold
+	}{
+		{StageTile, Opts{DRC: true, Tile: 8000}, "tile at (100,100)", 0},
+		{StageWindow, Opts{Hotspots: []tech.Layer{tech.Metal1}, Tile: 8000}, "metal1 scan window at (100,100)", 1},
+	} {
+		tc.o.Cache = NewCache(0)
+		_, err := DistEvaluate(context.Background(), tech.N45(), NewExtractor(top), tc.o, stageSwap{tc.stage})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: DistEvaluate through a stage-swapping fleet: %v, want a failure naming %q", tc.stage, err, tc.want)
+		}
+		if n := tc.o.Cache.Len(); n != tc.kept {
+			t.Errorf("%s: cache holds %d results, want %d (no refused answer is stored)", tc.stage, n, tc.kept)
+		}
 	}
 }

@@ -91,6 +91,14 @@ func (e *Extractor) AppendShapes(win geom.Rect, dst []layout.Shape) []layout.Sha
 	return e.walkShapes(e.top, geom.Identity, win, dst)
 }
 
+// appendShapesRel is AppendShapes with every shape re-based to origin:
+// the walk starts from the translation, over the translated window, so
+// a tile's shapes arrive in the tile's frame at no cost.
+func (e *Extractor) appendShapesRel(win geom.Rect, origin geom.Point, dst []layout.Shape) []layout.Shape {
+	d := geom.Pt(-origin.X, -origin.Y)
+	return e.walkShapes(e.top, geom.Translate(d.X, d.Y), win.Translate(d), dst)
+}
+
 func (e *Extractor) walkShapes(c *layout.Cell, t geom.Transform, win geom.Rect, dst []layout.Shape) []layout.Shape {
 	for _, s := range c.Shapes {
 		r := t.ApplyRect(s.R)

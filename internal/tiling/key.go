@@ -38,11 +38,13 @@ import (
 // so results computed under different gating must never alias.
 const keySchema = 3
 
-// configKey hashes the run-wide parameters shared by every tile key:
-// the full technology (rules derive the DRC deck and scan thresholds)
-// and the evaluation options that alter per-tile results. densLayers
-// is the chip-global enabled density rule set in deck order.
-func configKey(t *tech.Tech, o Opts, densLayers []tech.Layer) [sha256.Size]byte {
+// configKey hashes the run-wide parameters shared by every unit key,
+// read off any unit of the run (or the plan's template): the full
+// technology (rules derive the DRC deck and scan thresholds) and the
+// evaluation options that alter per-unit results. DensityLayers is the
+// chip-global enabled density rule set in deck order.
+func configKey(r *TileRequest) [sha256.Size]byte {
+	densLayers := r.DensityLayers
 	if len(densLayers) == 0 {
 		densLayers = nil // canonical: empty and absent hash identically
 	}
@@ -58,8 +60,8 @@ func configKey(t *tech.Tech, o Opts, densLayers []tech.Layer) [sha256.Size]byte 
 		MinS     int64             `json:"minS"`
 		Interior bool              `json:"interior"`
 		Surr     *surrogate.Config `json:"surr,omitempty"`
-	}{keySchema, *t, o.DRC, o.Density, o.DensityWindow, densLayers, o.HotspotCond, o.MinWidth, o.MinSpace,
-		o.HotspotInterior, o.Surrogate}
+	}{keySchema, r.Tech, r.DRC, r.Density, r.DensityWindow, densLayers, r.Cond, r.MinWidth, r.MinSpace,
+		r.Interior, r.Surrogate}
 	b, err := json.Marshal(p)
 	if err != nil {
 		panic("tiling: config key marshal: " + err.Error())
@@ -107,41 +109,48 @@ func (w *hashWriter) sum() (k [sha256.Size]byte) {
 	return k
 }
 
+// key is the unit's content address under cfg, its configKey — which
+// the engine hashes once per plan and Key derives from the unit.
+func (r *TileRequest) key(cfg [sha256.Size]byte) [sha256.Size]byte {
+	if r.Stage == StageTile {
+		return tileKey(cfg, r.CoreW, r.CoreH, r.Pad, r.Windows, r.Shapes)
+	}
+	return windowKey(cfg, r.Layer, r.WinW, r.WinH, r.Pad, r.Rects)
+}
+
 // tileKey is the content address of one DRC/density tile: core
-// dimensions, context pad, the density windows relative to the core,
-// and the extracted shapes relative to the core, order-normalized.
-func tileKey(cfg [sha256.Size]byte, core geom.Rect, pad int64, wins []geom.Rect, shapes []layout.Shape) [sha256.Size]byte {
+// dimensions, context pad, the density windows and the extracted
+// shapes, both relative to the core and the shapes order-normalized.
+func tileKey(cfg [sha256.Size]byte, coreW, coreH, pad int64, wins []geom.Rect, shapes []layout.Shape) [sha256.Size]byte {
 	w := newHashWriter(cfg, 'T')
-	w.i64(core.Width(), core.Height(), pad)
+	w.i64(coreW, coreH, pad)
 	w.i64(int64(len(wins)))
 	for _, r := range wins {
-		w.i64(r.X0-core.X0, r.Y0-core.Y0, r.Width(), r.Height())
+		w.i64(r.X0, r.Y0, r.Width(), r.Height())
 	}
-	// Order-normalize: extraction order follows hierarchy traversal,
-	// which may differ between tiles holding identical geometry sets.
-	// All consumers (normalization, scans, components) are
+	// Order-normalize (a copy): extraction order follows hierarchy
+	// traversal, which may differ between tiles holding identical
+	// geometry sets. All consumers (normalization, scans, components) are
 	// order-insensitive up to the final global sort, so sorting here is
 	// sound and maximizes sharing.
-	rel := make([]layout.Shape, len(shapes))
-	for i, s := range shapes {
-		rel[i] = layout.Shape{Layer: s.Layer, R: s.R.Translate(geom.Pt(-core.X0, -core.Y0))}
-	}
-	slices.SortFunc(rel, func(a, b layout.Shape) int {
+	sorted := slices.Clone(shapes)
+	slices.SortFunc(sorted, func(a, b layout.Shape) int {
 		if a.Layer != b.Layer {
 			return cmp.Compare(a.Layer, b.Layer)
 		}
 		return rectCmp(a.R, b.R)
 	})
-	w.i64(int64(len(rel)))
-	for _, s := range rel {
+	w.i64(int64(len(sorted)))
+	for _, s := range sorted {
 		w.i64(int64(s.Layer), s.R.X0, s.R.Y0, s.R.X1, s.R.Y1)
 	}
 	return w.sum()
 }
 
 // rectCmp is the (X0, Y0, X1, Y1) order both unit keys normalize
-// geometry into before hashing. Records that compare equal are
-// identical, so the unstable sort cannot reorder the hashed stream.
+// geometry into before hashing. Records that compare equal hash to the
+// same bytes (a shape's net is neither compared nor hashed), so the
+// unstable sort cannot reorder the hashed stream.
 func rectCmp(a, b geom.Rect) int {
 	if a.X0 != b.X0 {
 		return cmp.Compare(a.X0, b.X0)
@@ -158,13 +167,13 @@ func rectCmp(a, b geom.Rect) int {
 // windowKey is the content address of one litho scan window: layer,
 // window dimensions, extraction pad, and the layer rects relative to
 // the window origin, order-normalized.
-func windowKey(cfg [sha256.Size]byte, layer tech.Layer, win geom.Rect, pad int64, rs []geom.Rect) [sha256.Size]byte {
+func windowKey(cfg [sha256.Size]byte, layer tech.Layer, winW, winH, pad int64, rs []geom.Rect) [sha256.Size]byte {
 	w := newHashWriter(cfg, 'W')
-	w.i64(int64(layer), win.Width(), win.Height(), pad)
-	rel := rebase(rs, geom.Pt(-win.X0, -win.Y0))
-	slices.SortFunc(rel, rectCmp)
-	w.i64(int64(len(rel)))
-	for _, r := range rel {
+	w.i64(int64(layer), winW, winH, pad)
+	sorted := slices.Clone(rs)
+	slices.SortFunc(sorted, rectCmp)
+	w.i64(int64(len(sorted)))
+	for _, r := range sorted {
 		w.i64(r.X0, r.Y0, r.X1, r.Y1)
 	}
 	return w.sum()

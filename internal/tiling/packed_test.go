@@ -174,12 +174,17 @@ func TestPackedRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(in, &out) {
 			t.Fatalf("unit %d: scalar fields changed on the wire:\n in %+v\nout %+v", i, in, &out)
 		}
-		kin, errIn := in.Key()
-		kout, errOut := out.Key()
+		// The hash under Key, so that the units Validate refuses — the
+		// inverted ones and, since coordinates are bounded, every one
+		// with a value near an int64 end — are compared as well: the
+		// codec is value-agnostic, Validate is what answers.
+		kin, kout := in.key(configKey(in)), out.key(configKey(&out))
+		_, errIn := in.Key()
+		_, errOut := out.Key()
 		if (errIn == nil) != (errOut == nil) || kin != kout {
 			t.Fatalf("unit %d: key %x (%v) before the wire, %x (%v) after", i, kin, errIn, kout, errOut)
 		}
-		if i%4 != 3 && errIn != nil {
+		if i%4 != 3 && errIn != nil && !strings.Contains(errIn.Error(), "within ±") {
 			t.Fatalf("unit %d: a canonical unit does not validate: %v", i, errIn)
 		}
 	}

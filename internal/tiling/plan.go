@@ -1,7 +1,6 @@
 package tiling
 
 import (
-	"context"
 	"crypto/sha256"
 	"fmt"
 	"math"
@@ -10,7 +9,6 @@ import (
 
 	"repro/internal/drc"
 	"repro/internal/geom"
-	"repro/internal/layout"
 	"repro/internal/litho"
 	"repro/internal/tech"
 )
@@ -18,7 +16,7 @@ import (
 // plan is the grid one evaluation cuts a chip into, fixed before any
 // unit runs: the stage-A tile grid with its context pad, decks and
 // density-window ownership, one scanPlan per hotspot layer, and the
-// config hash every unit key starts from. Everything that locates or
+// template every unit starts as. Everything that locates or
 // parameterizes a unit lives here and nowhere else, so "which unit is
 // dirty" (Snapshot, which retains the plan) can never drift from
 // "which unit is computed" (the engine, which runs it). Immutable once
@@ -38,10 +36,9 @@ type plan struct {
 	// densRules are the density rules of layers with geometry somewhere
 	// on the chip: a layer empty everywhere is skipped, exactly as the
 	// flat rule skips it; a tile-locally empty layer is NOT (its
-	// windows legitimately measure zero). densLayers names them, in
-	// deck order, for the config hash and the wire.
-	densRules  []drc.DensityWindow
-	densLayers []tech.Layer
+	// windows legitimately measure zero). tmpl.DensityLayers names
+	// them, in deck order.
+	densRules []drc.DensityWindow
 	// rules names every rule of every enabled deck (skipped density
 	// layers included), mirroring drc.Deck.RunCtx's zero ByRule entries.
 	rules []string
@@ -55,9 +52,12 @@ type plan struct {
 	// Stage B, in opts.Hotspots order.
 	scans []scanPlan
 
-	// cfg covers the enabled density layers too — a chip-global
-	// property no per-tile key can see (see keySchema).
-	cfg [sha256.Size]byte
+	// tmpl is what every unit starts as: the schema and the config
+	// fields a content address depends on. cfg, its configKey, covers
+	// the enabled density layers too — a chip-global property no
+	// per-tile key can see (see keySchema).
+	tmpl TileRequest
+	cfg  [sha256.Size]byte
 }
 
 // scanPlan is one hotspot layer's stage-B grid: exactly litho.ScanGrid
@@ -112,11 +112,17 @@ func newPlan(t *tech.Tech, ex *Extractor, o Opts) *plan {
 			p.rules = append(p.rules, r.Name())
 		}
 		p.densRules = densityRules(t, ex, o)
-		for _, dw := range p.densRules {
-			p.densLayers = append(p.densLayers, dw.Layer)
-		}
 	}
-	p.cfg = configKey(t, o, p.densLayers)
+	p.tmpl = TileRequest{
+		Schema: TileSchema, Tech: *t,
+		DRC: o.DRC, Density: o.Density, DensityWindow: o.DensityWindow,
+		Cond: o.HotspotCond, MinWidth: o.MinWidth, MinSpace: o.MinSpace,
+		Interior: o.HotspotInterior, Surrogate: o.Surrogate,
+	}
+	for _, dw := range p.densRules {
+		p.tmpl.DensityLayers = append(p.tmpl.DensityLayers, dw.Layer)
+	}
+	p.cfg = configKey(&p.tmpl)
 
 	p.nx = int((p.die.Width() + o.Tile - 1) / o.Tile)
 	p.ny = int((p.die.Height() + o.Tile - 1) / o.Tile)
@@ -197,7 +203,7 @@ func (p *plan) spliceable(t *tech.Tech, ex *Extractor) error {
 	}
 	if p.opts.Density {
 		enabled := densityRules(t, ex, p.opts)
-		if !slices.EqualFunc(enabled, p.densLayers, func(dw drc.DensityWindow, l tech.Layer) bool { return dw.Layer == l }) {
+		if !slices.EqualFunc(enabled, p.tmpl.DensityLayers, func(dw drc.DensityWindow, l tech.Layer) bool { return dw.Layer == l }) {
 			return fmt.Errorf("%w: enabled density layer set changed", ErrFullRequired)
 		}
 	}
@@ -209,58 +215,35 @@ func (p *plan) spliceable(t *tech.Tech, ex *Extractor) error {
 	return nil
 }
 
-// unit is one non-empty tile or scan window cut from the plan, with
-// the geometry extracted for it: what the run-unit step keys, ships, or
-// computes. Like TileRequest, its wire twin, the stage says which
-// fields are set.
-type unit struct {
-	stage string    // StageTile or StageWindow
-	idx   int       // tile index, or window index within its scan
-	frame geom.Rect // the core tile or scan window, chip frame
-
-	shapes []layout.Shape // tile: whole-shape extraction over the padded core
-	wins   []geom.Rect    // tile: the density windows it owns, chip frame
-
-	scan  *scanPlan   // window: the layer scan it belongs to
-	rects []geom.Rect // window: layer rects over the extraction-padded window
+// tileUnit cuts tile i: the template with the tile's dimensions, the
+// density windows it owns and the whole-shape extraction over its padded
+// core, all with the core at the origin — origin on the chip. Shapes
+// are extracted straight into that frame; none is copied to be moved.
+func (p *plan) tileUnit(i int, ex *Extractor) (*TileRequest, geom.Point) {
+	core := p.core(i)
+	origin, d := geom.Pt(core.X0, core.Y0), geom.Pt(-core.X0, -core.Y0)
+	u := p.tmpl
+	u.Stage = StageTile
+	u.CoreW, u.CoreH, u.Pad = core.Width(), core.Height(), p.pad
+	u.Shapes = ex.appendShapesRel(core.Bloat(p.pad), origin, nil)
+	u.Windows = make([]geom.Rect, len(p.perTileWins[i]))
+	for j, wi := range p.perTileWins[i] {
+		u.Windows[j] = p.wins[wi].Translate(d)
+	}
+	return &u, origin
 }
 
-func (u *unit) String() string {
-	if u.stage == StageTile {
-		return fmt.Sprintf("tile %d", u.idx)
+// windowUnit cuts scan window win of sp: the template with the window's
+// dimensions and rs, its layer rects in the chip frame (where the scan
+// driver featurizes them), re-based to the window origin.
+func (p *plan) windowUnit(sp *scanPlan, win geom.Rect, rs []geom.Rect) *TileRequest {
+	u := p.tmpl
+	u.Stage = StageWindow
+	u.Layer, u.WinW, u.WinH, u.Pad = sp.layer, win.Width(), win.Height(), sp.extPad
+	d := geom.Pt(-win.X0, -win.Y0)
+	u.Rects = make([]geom.Rect, len(rs))
+	for i, r := range rs {
+		u.Rects[i] = r.Translate(d)
 	}
-	return fmt.Sprintf("%s scan window %d", u.scan.layer, u.idx)
-}
-
-// key is u's content address.
-func (p *plan) key(u *unit) [sha256.Size]byte {
-	if u.stage == StageTile {
-		return tileKey(p.cfg, u.frame, p.pad, u.wins, u.shapes)
-	}
-	return windowKey(p.cfg, u.scan.layer, u.frame, u.scan.extPad, u.rects)
-}
-
-// compute runs u's workhorses in-process, in the chip frame.
-func (p *plan) compute(ctx context.Context, u *unit) (*TileResult, error) {
-	if u.stage == StageTile {
-		return computeTile(ctx, p.t, p.std, p.densRules, u.shapes, u.frame, u.frame.Bloat(p.pad), u.wins)
-	}
-	hs, err := litho.ScanWindowCtx(ctx, u.rects, u.frame, p.t, u.scan.layer, u.scan.opts)
-	return &TileResult{Hotspots: hs}, err
-}
-
-// wire builds u's TileRequest.
-func (p *plan) wire(u *unit) *TileRequest {
-	if u.stage == StageTile {
-		return tileWireRequest(p.t, p.opts, p.densLayers, u.frame, p.pad, u.wins, u.shapes)
-	}
-	return windowWireRequest(p.t, p.opts, p.densLayers, u.scan.layer, u.frame, u.scan.extPad, u.rects)
-}
-
-// absorb validates u's wire result and moves it into the chip frame.
-func (p *plan) absorb(tr *TileResult, u *unit) (*TileResult, error) {
-	if u.stage == StageTile {
-		return absorbTileResult(tr, u.frame, len(p.densRules), len(u.wins))
-	}
-	return absorbTileResult(tr, u.frame, 0, 0)
+	return &u
 }

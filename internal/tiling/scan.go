@@ -29,7 +29,7 @@ type scanSource struct {
 	// exec computes one non-empty window exactly and returns the kept
 	// hotspots in the chip frame. Implementations handle their own
 	// caching and remote dispatch.
-	exec func(i int, win geom.Rect, rs []geom.Rect) ([]litho.Hotspot, error)
+	exec func(win geom.Rect, rs []geom.Rect) ([]litho.Hotspot, error)
 	// reuse, when set, reports a prior result that still stands for
 	// window i (plain scans only — gating is chip-global, so a gated
 	// run is never spliced).
@@ -85,7 +85,7 @@ func scanLayer(ctx context.Context, o Opts, sp *scanPlan, res *Result, src scanS
 // step computes window i exactly into its own slot — the one
 // per-window step the plain loop and every gated pass fan out through.
 func (s *layerScan) step(i int, rs []geom.Rect) error {
-	hs, err := s.exec(i, s.swins[i], rs)
+	hs, err := s.exec(s.swins[i], rs)
 	if err != nil {
 		return err
 	}

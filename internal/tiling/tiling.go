@@ -316,38 +316,41 @@ func (e *engine) report(st *Stats) {
 	st.RemoteDeduped = e.remoteDeduped.Load()
 }
 
-// runUnit takes one non-empty unit from extracted geometry to its
-// chip-frame output: replayed from the cache, executed through the
-// fleet, or computed here — and stored for the next identical unit.
-// Cached and wire results live in the unit's origin frame (that is what
-// makes them content-addressable), so every path but the local compute
-// ends in a translation.
-func (e *engine) runUnit(ctx context.Context, u *unit) (*TileResult, error) {
+// runUnit takes one non-empty unit to its chip-frame output. The unit,
+// its key, the fleet's or execute's answer and the cache entry all live
+// in the unit's own frame (that is what makes them content-addressable),
+// so the path is linear: key, cache, then the fleet or the execute a
+// node would run, the answer stored as it came, and one translation to
+// origin — where the unit sits on the chip — on the way out.
+func (e *engine) runUnit(ctx context.Context, u *TileRequest, origin geom.Point) (*TileResult, error) {
 	n := &e.tiles
-	if u.stage == StageWindow {
+	if u.Stage == StageWindow {
 		n = &e.windows
 	}
-	origin := geom.Pt(u.frame.X0, u.frame.Y0)
 	cache := e.opts.Cache
 	var key [sha256.Size]byte
 	if cache != nil {
-		key = e.key(u)
-		if p, ok := cache.lru.Get(key); ok {
+		key = u.key(e.cfg)
+		if hit, ok := cache.lru.Get(key); ok {
 			n.cHit.Inc()
 			n.hits.Add(1)
-			return p.translate(origin), nil
+			return hit.translate(origin), nil
 		}
 	}
 	var out *TileResult
+	var err error
 	if e.remote != nil {
 		n.cRemote.Inc()
 		n.remote.Add(1)
-		tr, served, err := e.remote.EvalTile(ctx, e.wire(u))
-		if err == nil {
-			out, err = e.absorb(tr, u)
+		var served TileServed
+		if out, served, err = e.remote.EvalTile(ctx, u); err == nil {
+			err = absorbTileResult(out, u)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("%v: %w", u, err)
+			if u.Stage == StageTile {
+				return nil, fmt.Errorf("tile at %v: %w", origin, err)
+			}
+			return nil, fmt.Errorf("%v scan window at %v: %w", u.Layer, origin, err)
 		}
 		if served.Cached {
 			cRemoteCached.Inc()
@@ -357,18 +360,15 @@ func (e *engine) runUnit(ctx context.Context, u *unit) (*TileResult, error) {
 			cRemoteDeduped.Inc()
 			e.remoteDeduped.Add(1)
 		}
-	} else {
-		var err error
-		if out, err = e.compute(ctx, u); err != nil {
-			return nil, err
-		}
+	} else if out, err = u.execute(ctx, e.t, e.std, e.densRules); err != nil {
+		return nil, err
 	}
 	if cache != nil {
 		n.cMiss.Inc()
 		n.misses.Add(1)
-		cache.lru.Put(key, out.translate(geom.Pt(-origin.X, -origin.Y)))
+		cache.lru.Put(key, out)
 	}
-	return out, nil
+	return out.translate(origin), nil
 }
 
 // runTiles is stage A: one DRC + density output per tile of the grid.
@@ -392,16 +392,10 @@ func (e *engine) runTiles(ctx context.Context) (outs []*TileResult, dirty []int,
 		sp := hTileNS.Start()
 		defer sp.End()
 		i := dirty[k]
-		core := e.core(i)
-		padded := core.Bloat(e.pad)
-		u := &unit{stage: StageTile, idx: i, frame: core, shapes: e.ex.AppendShapes(padded, nil)}
-		e.shapes.Add(int64(len(u.shapes)))
-		cShapes.Add(int64(len(u.shapes)))
-		u.wins = make([]geom.Rect, len(e.perTileWins[i]))
-		for j, wi := range e.perTileWins[i] {
-			u.wins[j] = e.wins[wi]
-		}
-		if len(u.shapes) == 0 {
+		u, origin := e.tileUnit(i, e.ex)
+		e.shapes.Add(int64(len(u.Shapes)))
+		cShapes.Add(int64(len(u.Shapes)))
+		if len(u.Shapes) == 0 {
 			cTilesEmpty.Inc()
 			e.emptyTiles.Add(1)
 			// No geometry in reach: no DRC violations, all densities
@@ -409,13 +403,13 @@ func (e *engine) runTiles(ctx context.Context) (outs []*TileResult, dirty []int,
 			// units never reach the cache or the fleet.
 			dens := make([][]float64, len(e.densRules))
 			for di := range dens {
-				dens[di] = make([]float64, len(u.wins))
+				dens[di] = make([]float64, len(u.Windows))
 			}
 			outs[i] = &TileResult{Dens: dens}
 			return nil
 		}
 		var err error
-		outs[i], err = e.runUnit(ctx, u)
+		outs[i], err = e.runUnit(ctx, u, origin)
 		return err
 	})
 	return outs, dirty, err
@@ -435,10 +429,10 @@ func (e *engine) runScans(ctx context.Context, res *Result) ([][][]litho.Hotspot
 		src := scanSource{
 			rects:    func(i int) []geom.Rect { return e.ex.AppendLayerRects(reach(i), sp.layer, nil) },
 			neighbor: func(i int) []geom.Rect { return e.ex.AppendLayerRects(reach(i), neighborLayer(sp.layer), nil) },
-			exec: func(i int, win geom.Rect, rs []geom.Rect) ([]litho.Hotspot, error) {
+			exec: func(win geom.Rect, rs []geom.Rect) ([]litho.Hotspot, error) {
 				span := hWindowNS.Start()
 				defer span.End()
-				out, err := e.runUnit(ctx, &unit{stage: StageWindow, idx: i, frame: win, scan: sp, rects: rs})
+				out, err := e.runUnit(ctx, e.windowUnit(sp, win, rs), geom.Pt(win.X0, win.Y0))
 				if err != nil {
 					return nil, err
 				}
@@ -459,9 +453,10 @@ func (e *engine) runScans(ctx context.Context, res *Result) ([][][]litho.Hotspot
 	return perWin, nil
 }
 
-// computeTile runs the per-tile workhorses on an extracted context.
+// computeTile runs the per-tile workhorses on an extracted context;
+// core, padded, wins and the result share the shapes' frame.
 func computeTile(ctx context.Context, t *tech.Tech, std *drc.Deck, densRules []drc.DensityWindow,
-	shapes []layout.Shape, core, padded geom.Rect, absWins []geom.Rect) (*TileResult, error) {
+	shapes []layout.Shape, core, padded geom.Rect, wins []geom.Rect) (*TileResult, error) {
 	tctx := drc.NewContext(t, shapes)
 	out := &TileResult{}
 	if std != nil {
@@ -475,9 +470,9 @@ func computeTile(ctx context.Context, t *tech.Tech, std *drc.Deck, densRules []d
 	}
 	out.Dens = make([][]float64, len(densRules))
 	for di, dr := range densRules {
-		ds := make([]float64, len(absWins))
+		ds := make([]float64, len(wins))
 		rs := tctx.Layers[dr.Layer]
-		for j, w := range absWins {
+		for j, w := range wins {
 			ds[j] = drc.DensityIn(rs, w)
 		}
 		out.Dens[di] = ds
@@ -603,7 +598,7 @@ func EvaluateFlat(stdctx context.Context, t *tech.Tech, top *layout.Cell, o Opts
 		if _, err := scanLayer(stdctx, o, &sp, res, scanSource{
 			rects:    func(i int) []geom.Rect { return rectsTouching(layerRs, reach(i)) },
 			neighbor: func(i int) []geom.Rect { return rectsTouching(nbRs, reach(i)) },
-			exec: func(i int, win geom.Rect, rs []geom.Rect) ([]litho.Hotspot, error) {
+			exec: func(win geom.Rect, rs []geom.Rect) ([]litho.Hotspot, error) {
 				return litho.ScanWindowCtx(stdctx, rs, win, t, hl, sp.opts)
 			},
 		}); err != nil {

@@ -6,8 +6,10 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/fill"
 	"repro/internal/geom"
 	"repro/internal/layout"
+	"repro/internal/litho"
 	"repro/internal/tech"
 )
 
@@ -202,6 +204,100 @@ func TestTiledMatchesFlatFullStack(t *testing.T) {
 	if warm.Stats.TileMisses != 0 || warm.Stats.WindowMisses != 0 {
 		t.Fatalf("warm cache: %d tile misses, %d window misses, want 0",
 			warm.Stats.TileMisses, warm.Stats.WindowMisses)
+	}
+}
+
+// seamChip is a small hierarchical chip, 13000 x 5500 nm with its
+// corner at the origin: the leaf carries a 30 nm neck in a 90 nm metal1
+// line (a printed pinch and a metal1.width violation) and a 50 nm
+// metal2 gap; one instance sits across the x=8000 tile boundary (Tile
+// 8000) and one across the x=12000 scan-window boundary.
+func seamChip() *layout.Cell {
+	leaf := layout.NewCell("X_SLEAF")
+	leaf.Add(tech.Metal1, geom.R(0, 0, 90, 1000))
+	leaf.Add(tech.Metal1, geom.R(30, 1000, 60, 1200))
+	leaf.Add(tech.Metal1, geom.R(0, 1200, 90, 2200))
+	leaf.Add(tech.Metal2, geom.R(200, 0, 1400, 1200))
+	leaf.Add(tech.Metal2, geom.R(200, 1250, 1400, 2200))
+	top := layout.NewCell("X_SCHIP")
+	for _, at := range []geom.Point{geom.Pt(500, 500), geom.Pt(7950, 3000), geom.Pt(11960, 1000)} {
+		top.Place(leaf, geom.Translate(at.X, at.Y), fmt.Sprintf("u%d_%d", at.X, at.Y))
+	}
+	top.Add(tech.Metal1, geom.R(0, 0, 500, 90))
+	top.Add(tech.Metal1, geom.R(12500, 5410, 13000, 5500))
+	return top
+}
+
+// translated returns r moved by d, outputs only.
+func translated(r *Result, d geom.Point) *Result {
+	out := &Result{ByRule: r.ByRule, Dropped: r.Dropped,
+		Hotspots: make(map[tech.Layer][]litho.Hotspot), Density: make(map[tech.Layer]fill.DensityMap)}
+	for _, v := range r.Violations {
+		v.Marker = v.Marker.Translate(d)
+		out.Violations = append(out.Violations, v)
+	}
+	for l, hs := range r.Hotspots {
+		for _, h := range hs {
+			h.Box = h.Box.Translate(d)
+			out.Hotspots[l] = append(out.Hotspots[l], h)
+		}
+	}
+	for l, dm := range r.Density {
+		moved := fill.DensityMap{Density: dm.Density}
+		for _, w := range dm.Windows {
+			moved.Windows = append(moved.Windows, w.Translate(d))
+		}
+		out.Density[l] = moved
+	}
+	return out
+}
+
+// The property every unit in one frame rests on, held from outside: a
+// chip's evaluation does not depend on where the chip sits. One chip at
+// the origin, at a negative offset, and at an offset that is a multiple
+// of neither the tile, the density window nor the litho grid pitch —
+// each result is the first one translated, equals the flat evaluation
+// of the moved chip, and through one shared cache only the first run
+// computes anything: a unit's content address and its cached result
+// know nothing of the chip frame.
+func TestEvaluateTranslationInvariant(t *testing.T) {
+	tt := tech.N45()
+	o := DefaultOpts()
+	o.Tile, o.Halo = 8000, 2000
+	o.Cache = NewCache(0)
+	chip := seamChip()
+	var base *Result
+	for _, d := range []geom.Point{geom.Pt(0, 0), geom.Pt(-40000, -13001), geom.Pt(123457, 76543)} {
+		top := layout.NewCell(fmt.Sprintf("X_AT_%d_%d", d.X, d.Y))
+		top.Place(chip, geom.Translate(d.X, d.Y), "chip")
+		res, err := EvaluateChip(context.Background(), tt, top, o)
+		if err != nil {
+			t.Fatalf("at %v: EvaluateChip: %v", d, err)
+		}
+		oFlat := o
+		oFlat.Cache = nil
+		flat, err := EvaluateFlat(context.Background(), tt, top, oFlat)
+		if err != nil {
+			t.Fatalf("at %v: EvaluateFlat: %v", d, err)
+		}
+		diffResults(t, fmt.Sprintf("at %v vs flat", d), res, flat)
+		if base == nil {
+			base = res
+			if len(res.Violations) == 0 || len(res.Hotspots[tech.Metal1]) == 0 || len(res.Density) == 0 ||
+				res.Stats.TileMisses < 2 || res.Stats.WindowMisses < 2 {
+				t.Fatalf("base run is vacuous: %d violations, %d hotspots, %d density maps, stats %+v",
+					len(res.Violations), len(res.Hotspots[tech.Metal1]), len(res.Density), res.Stats)
+			}
+			continue
+		}
+		diffResults(t, fmt.Sprintf("at %v vs the origin run translated", d), res, translated(base, d))
+		if !Equivalent(res, translated(base, d)) {
+			t.Errorf("at %v: Equivalent(moved, origin run translated) = false", d)
+		}
+		if st := res.Stats; st.TileMisses != 0 || st.WindowMisses != 0 || st.TileHits != base.Stats.TileMisses || st.WindowHits != base.Stats.WindowMisses {
+			t.Errorf("at %v: computed %d tiles and %d windows (hits %d, %d), want every unit of the origin run (%d, %d) replayed",
+				d, st.TileMisses, st.WindowMisses, st.TileHits, st.WindowHits, base.Stats.TileMisses, base.Stats.WindowMisses)
+		}
 	}
 }
 

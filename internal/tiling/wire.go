@@ -16,17 +16,17 @@ import (
 	"repro/internal/tech"
 )
 
-// Distributed tile evaluation wire types. One TileRequest is one unit
-// of chip work — a stage-A DRC/density tile or a stage-B litho scan
-// window — with all geometry re-based to the unit's own origin. That
-// origin frame is what makes the fleet honest: the content address
-// (TileRequest.Key, the same tileKey/windowKey hash the local cache
-// uses) depends only on what is computed, never on where on which chip
-// it came from, so identical tiles from different chips collapse onto
-// one cache entry fleet-wide; and because every per-tile computation
-// is translation-invariant (the local cache replays results by
-// translation, proven bit-identical by the tiling tests), executing at
-// the origin on another machine and translating back is exact.
+// The work unit and its result. One TileRequest is one unit of chip
+// work — a stage-A DRC/density tile or a stage-B litho scan window —
+// with all geometry re-based to the unit's own origin, and it is the
+// only representation of a unit: the engine cuts its plan into
+// TileRequests, keys them, and ships them or runs them through the same
+// execute a node runs. The origin frame is what makes the fleet honest:
+// the content address depends only on what is computed, never on where
+// on which chip it came from, so identical tiles from different chips
+// collapse onto one cache entry fleet-wide; and because every per-unit
+// computation is translation-invariant, computing at the origin — here
+// or on another machine — and translating the result once is exact.
 
 // TileSchema versions the TileRequest wire payload; a node built with
 // a different schema rejects the request rather than mis-evaluating it.
@@ -163,13 +163,13 @@ func (r *TileRequest) Validate() error {
 	if r.Schema != TileSchema {
 		return fmt.Errorf("tiling: tile request schema %d, this build speaks %d", r.Schema, TileSchema)
 	}
-	if r.Pad < 0 {
-		return errors.New("tiling: tile request has negative pad")
+	if r.Pad < 0 || r.Pad > maxCoord {
+		return fmt.Errorf("tiling: tile request pad %d nm outside 0..%d", r.Pad, int64(maxCoord))
 	}
 	switch r.Stage {
 	case StageTile:
-		if r.CoreW <= 0 || r.CoreH <= 0 {
-			return fmt.Errorf("tiling: tile request core %dx%d not positive", r.CoreW, r.CoreH)
+		if r.CoreW <= 0 || r.CoreH <= 0 || r.CoreW > maxCoord || r.CoreH > maxCoord {
+			return fmt.Errorf("tiling: tile request core %dx%d nm outside 1..%d", r.CoreW, r.CoreH, int64(maxCoord))
 		}
 		if r.Density && r.DensityWindow <= 0 {
 			return fmt.Errorf("tiling: tile request density window %d nm not positive", r.DensityWindow)
@@ -183,13 +183,13 @@ func (r *TileRequest) Validate() error {
 			if s.Layer >= tech.NumLayers {
 				return fmt.Errorf("tiling: tile request shape %d is on layer %d, this build has %d", i, s.Layer, tech.NumLayers)
 			}
-			if !s.R.Canonical() {
-				return fmt.Errorf("tiling: tile request shape %d rect %v not canonical", i, s.R)
+			if !s.R.Canonical() || !inRange(s.R) {
+				return fmt.Errorf("tiling: tile request shape %d rect %v not canonical within ±%d nm", i, s.R, int64(maxCoord))
 			}
 		}
 		for i, w := range r.Windows {
-			if !w.Canonical() {
-				return fmt.Errorf("tiling: tile request density window %d rect %v not canonical", i, w)
+			if !w.Canonical() || !inRange(w) {
+				return fmt.Errorf("tiling: tile request density window %d rect %v not canonical within ±%d nm", i, w, int64(maxCoord))
 			}
 		}
 	case StageWindow:
@@ -209,10 +209,30 @@ func (r *TileRequest) Validate() error {
 			return fmt.Errorf("tiling: tile request window %dx%d nm at %g nm/px simulates %.3g pixels, limit %d",
 				r.WinW, r.WinH, r.Tech.Optics.GridNM, px, maxWindowPixels)
 		}
+		// A coarse enough GridNM carries any window past the pixel bound.
+		if r.WinW > maxCoord || r.WinH > maxCoord {
+			return fmt.Errorf("tiling: tile request window %dx%d nm exceeds %d", r.WinW, r.WinH, int64(maxCoord))
+		}
+		for i, rc := range r.Rects {
+			if !inRange(rc) {
+				return fmt.Errorf("tiling: tile request rect %d %v not within ±%d nm", i, rc, int64(maxCoord))
+			}
+		}
 	default:
 		return fmt.Errorf("tiling: unknown tile request stage %q", r.Stage)
 	}
 	return nil
+}
+
+// maxCoord bounds the magnitude of every length and coordinate of a
+// unit, nm (about 1.1 km), so that their sums cannot wrap int64: a Pad
+// of MaxInt64 inverted core.Bloat(Pad), keepViolations then dropped
+// every marker, and a dirty tile was answered clean.
+const maxCoord = 1 << 40
+
+// inRange reports whether every coordinate of r is within ±maxCoord.
+func inRange(r geom.Rect) bool {
+	return -maxCoord <= min(r.X0, r.Y0, r.X1, r.Y1) && max(r.X0, r.Y0, r.X1, r.Y1) <= maxCoord
 }
 
 // maxWindowPixels bounds the padded grid a window request may ask the
@@ -259,47 +279,33 @@ func finite(vs ...float64) bool {
 	return true
 }
 
-// keyOpts reconstructs the Opts fields configKey hashes from the wire
-// form.
-func (r *TileRequest) keyOpts() Opts {
-	return Opts{
-		DRC: r.DRC, Density: r.Density, DensityWindow: r.DensityWindow,
-		HotspotCond: r.Cond, MinWidth: r.MinWidth, MinSpace: r.MinSpace,
-		HotspotInterior: r.Interior, Surrogate: r.Surrogate,
-	}
-}
-
-// Key is the unit's content address — the exact tileKey/windowKey hash
-// the local evaluation cache uses, computed in the origin frame where
-// the translation is the identity. The serving node keys its job
-// cache, singleflight, and the router its affinity ring on this, so
-// "same work" means the same thing at every layer of the fleet.
+// Key is the unit's content address — the hash the engine's own cache
+// files the unit under (key), the config hash derived from the unit's
+// own fields. The serving node keys its job cache and singleflight, and
+// the router its affinity ring, on this, so "same work" means the same
+// thing at every layer of the fleet.
 func (r *TileRequest) Key() ([sha256.Size]byte, error) {
 	if err := r.Validate(); err != nil {
 		return [sha256.Size]byte{}, err
 	}
-	cfg := configKey(&r.Tech, r.keyOpts(), r.DensityLayers)
-	if r.Stage == StageTile {
-		return tileKey(cfg, geom.R(0, 0, r.CoreW, r.CoreH), r.Pad, r.Windows, r.Shapes), nil
-	}
-	return windowKey(cfg, r.Layer, geom.R(0, 0, r.WinW, r.WinH), r.Pad, r.Rects), nil
+	return r.key(configKey(r)), nil
 }
 
-// ExecuteTile runs one work unit locally — the serving side of the
-// distributed engine, and the reference executor DistEvaluate is
-// exact against. The computation is the same computeTile / scan-window
-// path Evaluate runs, at the origin frame the request arrived in.
+// ExecuteTile runs one work unit — the serving side of the distributed
+// engine, and the reference executor DistEvaluate is exact against.
+// Past validation and building the decks the unit names, it is the
+// engine's own compute step: execute.
 func ExecuteTile(ctx context.Context, r *TileRequest) (*TileResult, error) {
 	if err := r.Validate(); err != nil {
 		return nil, err
 	}
 	t := r.Tech // decks want a *tech.Tech; the copy keeps r immutable
+	var std *drc.Deck
+	var densRules []drc.DensityWindow
 	if r.Stage == StageTile {
-		var std *drc.Deck
 		if r.DRC {
 			std = drc.StandardDeck(&t)
 		}
-		var densRules []drc.DensityWindow
 		if r.Density && len(r.DensityLayers) > 0 {
 			// Deck order filtered to the enabled set reproduces the
 			// submitter's chip-global layer filter.
@@ -309,15 +315,21 @@ func ExecuteTile(ctx context.Context, r *TileRequest) (*TileResult, error) {
 				}
 			}
 		}
-		core := geom.R(0, 0, r.CoreW, r.CoreH)
-		return computeTile(ctx, &t, std, densRules, r.Shapes, core, core.Bloat(r.Pad), r.Windows)
 	}
+	return r.execute(ctx, &t, std, densRules)
+}
 
-	// Stage "window": one litho scan window, mirroring Evaluate's
-	// miss path with the window at the origin (litho.ScanWindowCtx
-	// resolves zero thresholds identically on both sides).
-	win := geom.R(0, 0, r.WinW, r.WinH)
-	kept, err := litho.ScanWindowCtx(ctx, r.Rects, win, &t, r.Layer,
+// execute runs the unit's workhorses in the unit's own frame — the one
+// computation behind a unit wherever it runs: the engine calls it with
+// its plan's technology and decks, ExecuteTile with those it built from
+// the unit. Scan thresholds travel raw (zero means the per-layer
+// default); litho.ScanWindowCtx resolves them.
+func (r *TileRequest) execute(ctx context.Context, t *tech.Tech, std *drc.Deck, densRules []drc.DensityWindow) (*TileResult, error) {
+	if r.Stage == StageTile {
+		core := geom.R(0, 0, r.CoreW, r.CoreH)
+		return computeTile(ctx, t, std, densRules, r.Shapes, core, core.Bloat(r.Pad), r.Windows)
+	}
+	kept, err := litho.ScanWindowCtx(ctx, r.Rects, geom.R(0, 0, r.WinW, r.WinH), t, r.Layer,
 		litho.ScanOpts{Cond: r.Cond, MinWidth: r.MinWidth, MinSpace: r.MinSpace, Interior: r.Interior})
 	if err != nil {
 		return nil, err
@@ -325,69 +337,33 @@ func ExecuteTile(ctx context.Context, r *TileRequest) (*TileResult, error) {
 	return &TileResult{Hotspots: kept}, nil
 }
 
-// wireRequest fills the fields every unit of one evaluation shares —
-// exactly what configKey hashes. Thresholds travel raw (zero means the
-// per-layer default), resolved identically on both sides.
-func wireRequest(stage string, t *tech.Tech, o Opts, densLayers []tech.Layer) *TileRequest {
-	return &TileRequest{
-		Schema: TileSchema, Stage: stage,
-		Tech: *t, DRC: o.DRC, Density: o.Density, DensityWindow: o.DensityWindow,
-		DensityLayers: densLayers, Cond: o.HotspotCond,
-		MinWidth: o.MinWidth, MinSpace: o.MinSpace,
-		Interior: o.HotspotInterior, Surrogate: o.Surrogate,
-	}
-}
-
-// rebase translates rs by d into a fresh slice.
-func rebase(rs []geom.Rect, d geom.Point) []geom.Rect {
-	rel := make([]geom.Rect, len(rs))
-	for i, r := range rs {
-		rel[i] = r.Translate(d)
-	}
-	return rel
-}
-
-// tileWireRequest builds the stage-A work unit for one tile, geometry
-// re-based to the core origin.
-func tileWireRequest(t *tech.Tech, o Opts, densLayers []tech.Layer, core geom.Rect, pad int64, absWins []geom.Rect, shapes []layout.Shape) *TileRequest {
-	d := geom.Pt(-core.X0, -core.Y0)
-	r := wireRequest(StageTile, t, o, densLayers)
-	r.CoreW, r.CoreH, r.Pad = core.Width(), core.Height(), pad
-	r.Windows = rebase(absWins, d)
-	r.Shapes = make([]layout.Shape, len(shapes))
-	for i, s := range shapes {
-		s.R = s.R.Translate(d)
-		r.Shapes[i] = s
-	}
-	return r
-}
-
-// windowWireRequest builds the stage-B work unit for one scan window,
-// rects re-based to the window origin.
-func windowWireRequest(t *tech.Tech, o Opts, densLayers []tech.Layer, layer tech.Layer, win geom.Rect, extPad int64, rs []geom.Rect) *TileRequest {
-	r := wireRequest(StageWindow, t, o, densLayers)
-	r.Layer, r.WinW, r.WinH, r.Pad = layer, win.Width(), win.Height(), extPad
-	r.Rects = rebase(rs, geom.Pt(-win.X0, -win.Y0))
-	return r
-}
-
-// absorbTileResult validates a wire result against the unit's expected
-// shape — nDens density rows of nWins windows each; a scan window
-// expects none — and translates it from the unit's origin frame back
-// into the chip frame. The shape checks matter: a result from a
-// confused or version-skewed node must fail the run loudly, never
-// stitch silently.
-func absorbTileResult(tr *TileResult, frame geom.Rect, nDens, nWins int) (*TileResult, error) {
+// absorbTileResult checks a served result has the shape u's own execute
+// produces — a tile, one density row per enabled layer of one value per
+// window and no hotspots; a scan window, hotspots only — before the
+// engine caches and stitches it. A result from a confused or
+// version-skewed node must fail the run loudly: an empty list is a
+// clean unit, so the other stage's output would stitch as one.
+func absorbTileResult(tr *TileResult, u *TileRequest) error {
 	if tr == nil {
-		return nil, errors.New("tiling: tile job settled without a result")
+		return errors.New("tiling: tile job settled without a result")
 	}
-	if len(tr.Dens) != nDens {
-		return nil, fmt.Errorf("tiling: tile result carries %d density rows, want %d", len(tr.Dens), nDens)
+	if u.Stage == StageWindow {
+		if len(tr.Violations) > 0 || len(tr.Dens) > 0 {
+			return fmt.Errorf("tiling: scan window result carries %d violations and %d density rows, want hotspots only",
+				len(tr.Violations), len(tr.Dens))
+		}
+		return nil
+	}
+	if len(tr.Hotspots) > 0 {
+		return fmt.Errorf("tiling: tile result carries %d hotspots, want violations and densities only", len(tr.Hotspots))
+	}
+	if len(tr.Dens) != len(u.DensityLayers) {
+		return fmt.Errorf("tiling: tile result carries %d density rows, want %d", len(tr.Dens), len(u.DensityLayers))
 	}
 	for _, row := range tr.Dens {
-		if len(row) != nWins {
-			return nil, fmt.Errorf("tiling: tile result density row has %d windows, want %d", len(row), nWins)
+		if len(row) != len(u.Windows) {
+			return fmt.Errorf("tiling: tile result density row has %d windows, want %d", len(row), len(u.Windows))
 		}
 	}
-	return tr.translate(geom.Pt(frame.X0, frame.Y0)), nil
+	return nil
 }

@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -516,6 +517,11 @@ func suite(t *testing.T, d *deployment) {
 				r.Density, r.DensityWindow, r.DensityLayers = true, 3000, []tech.Layer{200}
 			}},
 			{"density without a window size", "density window", func(r *tiling.TileRequest) { r.Density = true }},
+			// Magnitudes that wrap the node's own arithmetic: this pad
+			// inverted the padded window and settled 200 with the 50 nm
+			// gap above reported clean.
+			{"pad that wraps the padded window", "pad", func(r *tiling.TileRequest) { r.Pad = math.MaxInt64 }},
+			{"shape coordinate past the bound", "shape 1", func(r *tiling.TileRequest) { r.Shapes[1].R.X1 = 1 << 41 }},
 		})
 	})
 

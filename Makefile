@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: tier1 check build vet test race-fast fuzz-smoke cover-kernel cover-engine drcprofile editprofile fleetprofile bench bench-smoke fmt-check unit-check
+.PHONY: tier1 check build vet test race-fast fuzz-smoke cover-kernel cover-engine drcprofile editprofile fleetprofile bench bench-smoke examples-smoke fmt-check unit-check
 
 # benchmark/ is a module of its own, so ./... above never reaches it;
 # without this an exported-name change breaks the benchmark silently.
@@ -26,6 +26,7 @@ tier1: ## build + vet + gofmt gate + full tests under the race detector
 	$(MAKE) cover-kernel
 	$(MAKE) cover-engine
 	$(MAKE) bench-smoke
+	$(MAKE) examples-smoke
 	$(GO) vet -C benchmark . && $(GO) test -C benchmark .
 
 check: ## quick gate: build + vet + full tests (no race detector)
@@ -143,3 +144,9 @@ bench: ## every root-module benchmark, time and allocations only; writes no file
 bench-smoke: ## one iteration of the four kernel micro-rows and of the tile wire codec, so the gate executes the benchmarks and does not merely compile them
 	$(GO) test -run='^$$' -bench='^Benchmark(GeomBoolean|DRCBlock|BitmapOpen|ScanWindow)$$' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='^BenchmarkTileWire$$' -benchtime=1x -benchmem ./internal/tiling
+
+# internal/surface counts examples/* as callers (examples/quickstart is
+# the reason internal/lvs is in the tree), and an example that only
+# compiles is a dead caller.
+examples-smoke: ## run each examples/* program once and require exit 0; nothing is asserted about what they print
+	@for d in examples/*/; do echo "$(GO) run ./$$d"; $(GO) run ./$$d >/dev/null || exit 1; done

@@ -1,7 +1,7 @@
 // Package circuit implements the gate-level netlist substrate for the
 // timing experiments: gate types mirroring the layout standard-cell
-// library, a DAG netlist with validation, a text format, and random
-// combinational logic generators.
+// library, a DAG netlist with validation, and random combinational
+// logic generators.
 package circuit
 
 import (
@@ -110,26 +110,6 @@ func (n *Netlist) Fanouts() [][]int {
 	return out
 }
 
-// Inputs returns the primary-input gate IDs.
-func (n *Netlist) Inputs() []int {
-	var in []int
-	for _, g := range n.Gates {
-		if g.Type == Input {
-			in = append(in, g.ID)
-		}
-	}
-	return in
-}
-
-// CountByType tallies gates per type.
-func (n *Netlist) CountByType() map[GateType]int {
-	m := make(map[GateType]int)
-	for _, g := range n.Gates {
-		m[g.Type]++
-	}
-	return m
-}
-
 // RandomLogic generates a layered random combinational netlist:
 // `inputs` primary inputs, `levels` logic levels of `width` gates
 // each, with fanins drawn from the previous few levels. Deterministic
@@ -196,28 +176,5 @@ func Chain(n int) *Netlist {
 		nl.Gates = append(nl.Gates, Gate{ID: i, Type: Inv, Fanin: []int{i - 1}})
 	}
 	nl.POs = []int{n}
-	return nl
-}
-
-// C17 returns the ISCAS-85 c17 benchmark: 5 inputs, 6 NAND2 gates,
-// 2 outputs — the canonical tiny netlist for validating timing tools.
-func C17() *Netlist {
-	nl := &Netlist{}
-	// Inputs: 0..4 (ISCAS names 1, 2, 3, 6, 7).
-	for i := 0; i < 5; i++ {
-		nl.Gates = append(nl.Gates, Gate{ID: i, Type: Input})
-	}
-	add := func(a, b int) int {
-		id := len(nl.Gates)
-		nl.Gates = append(nl.Gates, Gate{ID: id, Type: Nand2, Fanin: []int{a, b}})
-		return id
-	}
-	g10 := add(0, 2) // nand(1, 3)
-	g11 := add(2, 3) // nand(3, 6)
-	g16 := add(1, g11)
-	g19 := add(g11, 4)
-	g22 := add(g10, g16) // output 22
-	g23 := add(g16, g19) // output 23
-	nl.POs = []int{g22, g23}
 	return nl
 }

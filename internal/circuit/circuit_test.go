@@ -42,19 +42,14 @@ func TestRandomLogicValid(t *testing.T) {
 		if len(nl.POs) == 0 {
 			t.Fatalf("seed %d: no POs", seed)
 		}
-		if got := len(nl.Inputs()); got != 8 {
-			t.Fatalf("seed %d: inputs = %d", seed, got)
+		inputs := 0
+		for _, g := range nl.Gates {
+			if g.Type == Input {
+				inputs++
+			}
 		}
-		counts := nl.CountByType()
-		if counts[Input] != 8 {
-			t.Fatalf("input count = %d", counts[Input])
-		}
-		total := 0
-		for _, c := range counts {
-			total += c
-		}
-		if total != len(nl.Gates) {
-			t.Fatalf("count mismatch")
+		if inputs != 8 {
+			t.Fatalf("seed %d: inputs = %d", seed, inputs)
 		}
 	}
 }
@@ -98,25 +93,5 @@ func TestValidateCatchesBadNetlists(t *testing.T) {
 	minSize := RandomLogic(0, 0, 0, 1)
 	if err := minSize.Validate(); err != nil {
 		t.Fatalf("clamped generator invalid: %v", err)
-	}
-}
-
-func TestC17(t *testing.T) {
-	nl := C17()
-	if err := nl.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	counts := nl.CountByType()
-	if counts[Input] != 5 || counts[Nand2] != 6 {
-		t.Fatalf("c17 composition wrong: %v", counts)
-	}
-	if len(nl.POs) != 2 {
-		t.Fatalf("c17 outputs = %d", len(nl.POs))
-	}
-	// Both outputs depend on gate 16 (shared logic).
-	fo := nl.Fanouts()
-	g16 := 7 // inputs 0..4, g10=5, g11=6, g16=7
-	if len(fo[g16]) != 2 {
-		t.Fatalf("g16 fanout = %d, want 2", len(fo[g16]))
 	}
 }

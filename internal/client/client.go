@@ -170,15 +170,6 @@ func (c *Client) Wait(ctx context.Context, id string, interval time.Duration) (s
 	}
 }
 
-// Techniques lists the server's technique registry.
-func (c *Client) Techniques(ctx context.Context) ([]string, error) {
-	var body struct {
-		Techniques []string `json:"techniques"`
-	}
-	err := c.do(ctx, http.MethodGet, "/v1/techniques", nil, &body)
-	return body.Techniques, err
-}
-
 // Healthz reports nil when the server is accepting work.
 func (c *Client) Healthz(ctx context.Context) error {
 	return c.do(ctx, http.MethodGet, "/healthz", nil, nil)

@@ -167,31 +167,3 @@ func TestExtractSlicesHorizontal(t *testing.T) {
 		t.Fatalf("empty gate should have no slices")
 	}
 }
-
-func TestLDEModels(t *testing.T) {
-	lm := DefaultLDE()
-	// WPE: closer to the well edge = higher Vth shift.
-	near := lm.DVth(LDE{WellEdgeDist: 100})
-	far := lm.DVth(LDE{WellEdgeDist: 5000})
-	if !(near > far && near <= lm.WPEMax) {
-		t.Fatalf("WPE polarity wrong: near=%v far=%v", near, far)
-	}
-	if got := lm.DVth(LDE{WellEdgeDist: 0}); got != lm.WPEMax {
-		t.Fatalf("at-edge WPE = %v", got)
-	}
-	// Stress: long diffusion (big SA/SB) = more drive.
-	long := lm.MobilityFactor(LDE{SA: 2000, SB: 2000})
-	short := lm.MobilityFactor(LDE{SA: 120, SB: 120})
-	if !(long > short) {
-		t.Fatalf("stress polarity wrong: long=%v short=%v", long, short)
-	}
-	// Apply folds both into the model.
-	dev := NMOS45()
-	mod := lm.Apply(dev, LDE{WellEdgeDist: 100, SA: 120, SB: 120})
-	if mod.Vth0 <= dev.Vth0 {
-		t.Fatalf("Apply did not raise Vth")
-	}
-	if mod.IOn(300, 45) >= dev.IOn(300, 45) {
-		t.Fatalf("WPE+short stress should reduce drive")
-	}
-}

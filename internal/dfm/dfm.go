@@ -132,15 +132,8 @@ type Scorecard struct {
 
 // Add appends an outcome as-is. Judging is the evaluator's job —
 // every Eval* calls Judge with technique-specific thresholds before
-// returning; use AddJudged for outcomes that have not been judged.
+// returning.
 func (s *Scorecard) Add(o Outcome) {
-	s.Outcomes = append(s.Outcomes, o)
-}
-
-// AddJudged judges the outcome with the default thresholds
-// (DefaultHitGain, DefaultCostCap) and appends it.
-func (s *Scorecard) AddJudged(o Outcome) {
-	o.Judge(DefaultHitGain, DefaultCostCap)
 	s.Outcomes = append(s.Outcomes, o)
 }
 

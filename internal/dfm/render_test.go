@@ -126,41 +126,3 @@ func TestJSONSerializesErrorTaxonomy(t *testing.T) {
 		}
 	}
 }
-
-func TestAddJudgedAppliesDefaultThresholds(t *testing.T) {
-	sc := &Scorecard{}
-	// 10% gain at 2% cost: a hit under the default 5%/10% thresholds.
-	sc.AddJudged(Outcome{
-		Technique: "unjudged-hit",
-		Metrics:   []Metric{{Before: 1.0, After: 1.10, HigherIsBetter: true, Primary: true}},
-		CostFrac:  0.02,
-	})
-	// Same gain at 50% cost: only marginal.
-	sc.AddJudged(Outcome{
-		Technique: "unjudged-costly",
-		Metrics:   []Metric{{Before: 1.0, After: 1.10, HigherIsBetter: true, Primary: true}},
-		CostFrac:  0.50,
-	})
-	// Errors judge to hype.
-	sc.AddJudged(Outcome{Technique: "unjudged-broken", Err: errors.New("x")})
-
-	if v := sc.Outcomes[0].Verdict; v != Hit {
-		t.Errorf("default judge: %v, want HIT", v)
-	}
-	if v := sc.Outcomes[1].Verdict; v != Marginal {
-		t.Errorf("default judge over cost cap: %v, want MARGINAL", v)
-	}
-	if v := sc.Outcomes[2].Verdict; v != Hype {
-		t.Errorf("default judge on error: %v, want HYPE", v)
-	}
-	// Add, by contrast, must not re-judge.
-	sc2 := &Scorecard{}
-	sc2.Add(Outcome{
-		Technique: "prejudged",
-		Metrics:   []Metric{{Before: 1.0, After: 1.10, HigherIsBetter: true, Primary: true}},
-		Verdict:   Hype, // deliberately inconsistent with its metrics
-	})
-	if sc2.Outcomes[0].Verdict != Hype {
-		t.Errorf("Add re-judged the outcome")
-	}
-}

@@ -131,8 +131,8 @@ func dimensionScan(ly *preparedLayer, lim int64, interior bool, mk func(geom.Rec
 				if f.P0.Y <= e.P0.Y {
 					return true
 				}
-				x0 := max64(e.P0.X, f.P0.X)
-				x1 := min64(e.P1.X, f.P1.X)
+				x0 := max(e.P0.X, f.P0.X)
+				x1 := min(e.P1.X, f.P1.X)
 				if x0 >= x1 {
 					return true
 				}
@@ -142,8 +142,8 @@ func dimensionScan(ly *preparedLayer, lim int64, interior bool, mk func(geom.Rec
 				if f.P0.X <= e.P0.X {
 					return true
 				}
-				y0 := max64(e.P0.Y, f.P0.Y)
-				y1 := min64(e.P1.Y, f.P1.Y)
+				y0 := max(e.P0.Y, f.P0.Y)
+				y1 := min(e.P1.Y, f.P1.Y)
 				if y0 >= y1 {
 					return true
 				}
@@ -192,8 +192,8 @@ func cornerScan(ly *preparedLayer, s int64, rule string, layer tech.Layer) []Vio
 			}
 			// Marker: the diagonal gap box between the two rects.
 			marker := geom.R(
-				min64(a.X1, b.X1), min64(a.Y1, b.Y1),
-				max64(a.X0, b.X0), max64(a.Y0, b.Y0),
+				min(a.X1, b.X1), min(a.Y1, b.Y1),
+				max(a.X0, b.X0), max(a.Y0, b.Y0),
 			)
 			// Only a violation if the gap box is truly empty (not part
 			// of either region via other rects) and the corners belong
@@ -246,18 +246,4 @@ func (r ViaSize) Check(ctx *Context) []Violation {
 		}
 	}
 	return out
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

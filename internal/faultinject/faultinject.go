@@ -38,12 +38,11 @@ type Fault struct {
 type Set struct {
 	mu    sync.Mutex
 	plans map[string][]Fault
-	fired map[string]int
 }
 
 // New returns an empty fault set.
 func New() *Set {
-	return &Set{plans: make(map[string][]Fault), fired: make(map[string]int)}
+	return &Set{plans: make(map[string][]Fault)}
 }
 
 // Plan appends a fault for the named technique and returns the set
@@ -74,7 +73,6 @@ func (s *Set) Hook(ctx context.Context, technique string, attempt int) error {
 	}
 	f := q[0]
 	s.plans[technique] = q[1:]
-	s.fired[technique]++
 	s.mu.Unlock()
 
 	if f.Delay > 0 {
@@ -94,19 +92,4 @@ func (s *Set) Hook(ctx context.Context, technique string, attempt int) error {
 		panic(f.PanicMsg)
 	}
 	return f.Err
-}
-
-// Fired returns how many faults have fired for the technique.
-func (s *Set) Fired(technique string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.fired[technique]
-}
-
-// Remaining returns how many planned faults are still pending for
-// the technique.
-func (s *Set) Remaining(technique string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.plans[technique])
 }

@@ -113,14 +113,6 @@ func (t *Transport) Fired(host string) int {
 	return t.fired[host]
 }
 
-// Remaining returns how many planned faults are still pending for the
-// host.
-func (t *Transport) Remaining(host string) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.plans[host])
-}
-
 // RoundTrip consumes the host's next planned fault whose Path filter
 // matches the request, if any. Order is preserved within each
 // matching class.

@@ -121,7 +121,7 @@ func TestTransportPlanOrderAndIsolation(t *testing.T) {
 		t.Fatalf("second planned fault (slow) errored: %v", err)
 	}
 	resp.Body.Close()
-	if tr.Remaining(host) != 0 {
-		t.Fatalf("remaining = %d, want 0", tr.Remaining(host))
+	if n := len(tr.plans[host]); n != 0 {
+		t.Fatalf("remaining = %d, want 0", n)
 	}
 }

@@ -118,7 +118,7 @@ func TestQuickBoundaryNormalsPointOutward(t *testing.T) {
 			m := e.Midpoint()
 			n := e.OutwardNormal()
 			out := m.Add(n)
-			in := m.Sub(n)
+			in := m.Add(Pt(-n.X, -n.Y))
 			// Outward point must not be strictly inside; inward point
 			// must be covered (it may sit on the far boundary of a
 			// 1nm-thin sliver, so the inclusive test is correct).

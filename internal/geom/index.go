@@ -39,12 +39,6 @@ func NewIndex(cellSize int64) *Index {
 	return &Index{cell: cellSize}
 }
 
-// Len returns the number of items inserted.
-func (ix *Index) Len() int { return len(ix.items) }
-
-// Rect returns the rectangle of item id.
-func (ix *Index) Rect(id int) Rect { return ix.items[id] }
-
 // Insert adds r and returns its item id.
 func (ix *Index) Insert(r Rect) int {
 	id := len(ix.items)
@@ -125,7 +119,7 @@ func (ix *Index) InsertAll(rs []Rect) {
 // hull is the bounding box of two rects, degenerate ones included
 // (Rect.Union ignores empty operands).
 func hull(a, b Rect) Rect {
-	return Rect{min64(a.X0, b.X0), min64(a.Y0, b.Y0), max64(a.X1, b.X1), max64(a.Y1, b.Y1)}
+	return Rect{min(a.X0, b.X0), min(a.Y0, b.Y0), max(a.X1, b.X1), max(a.Y1, b.Y1)}
 }
 
 // place appends id to every bin r covers; the grid already covers r.
@@ -157,7 +151,7 @@ func (ix *Index) cover(r Rect, incoming int) {
 			return
 		}
 	}
-	limit := max64(minBins, maxBinsPerItem*int64(len(ix.items)+incoming))
+	limit := max(minBins, maxBinsPerItem*int64(len(ix.items)+incoming))
 	fits := func(x0, y0, x1, y1 int64) bool {
 		w, h := x1-x0+1, y1-y0+1
 		return w > 0 && h > 0 && w <= limit && h <= limit/w
@@ -183,20 +177,20 @@ func (ix *Index) cover(r Rect, incoming int) {
 		// The array may already reach past the hull. Double it on the
 		// sides that move, where that fits, so inserts marching across
 		// the plane re-lay it O(log n) times.
-		x0, y0 = min64(x0, ix.ox), min64(y0, ix.oy)
-		x1, y1 = max64(x1, ix.ox+ix.w-1), max64(y1, ix.oy+ix.h-1)
+		x0, y0 = min(x0, ix.ox), min(y0, ix.oy)
+		x1, y1 = max(x1, ix.ox+ix.w-1), max(y1, ix.oy+ix.h-1)
 		px0, py0, px1, py1 := x0, y0, x1, y1
 		if x0 < ix.ox {
-			px0 = min64(x0, ix.ox-ix.w)
+			px0 = min(x0, ix.ox-ix.w)
 		}
 		if y0 < ix.oy {
-			py0 = min64(y0, ix.oy-ix.h)
+			py0 = min(y0, ix.oy-ix.h)
 		}
 		if x1 >= ix.ox+ix.w {
-			px1 = max64(x1, ix.ox+2*ix.w-1)
+			px1 = max(x1, ix.ox+2*ix.w-1)
 		}
 		if y1 >= ix.oy+ix.h {
-			py1 = max64(y1, ix.oy+2*ix.h-1)
+			py1 = max(y1, ix.oy+2*ix.h-1)
 		}
 		if fits(px0, py0, px1, py1) {
 			x0, y0, x1, y1 = px0, py0, px1, py1
@@ -245,8 +239,8 @@ func (ix *Index) QueryFunc(q Rect, f func(id int, r Rect) bool) {
 		return
 	}
 	x0, y0, x1, y1 := ix.binRange(q)
-	x0, y0 = max64(x0, ix.ox), max64(y0, ix.oy)
-	x1, y1 = min64(x1, ix.ox+ix.w-1), min64(y1, ix.oy+ix.h-1)
+	x0, y0 = max(x0, ix.ox), max(y0, ix.oy)
+	x1, y1 = min(x1, ix.ox+ix.w-1), min(y1, ix.oy+ix.h-1)
 	for by := y0; by <= y1; by++ {
 		row := (by - ix.oy) * ix.w
 		// An item spanning several bins of the query is reported from

@@ -13,8 +13,8 @@ func TestIndexBasics(t *testing.T) {
 	a := ix.Insert(R(0, 0, 50, 50))
 	b := ix.Insert(R(200, 200, 250, 250))
 	c := ix.Insert(R(40, 40, 60, 60))
-	if ix.Len() != 3 {
-		t.Fatalf("Len = %d", ix.Len())
+	if len(ix.items) != 3 {
+		t.Fatalf("items = %d", len(ix.items))
 	}
 	got := ix.Query(R(45, 45, 55, 55))
 	want := []int{a, c}
@@ -24,8 +24,8 @@ func TestIndexBasics(t *testing.T) {
 	if got := ix.Query(R(500, 500, 600, 600)); len(got) != 0 {
 		t.Fatalf("empty-region query returned %v", got)
 	}
-	if r := ix.Rect(b); r != R(200, 200, 250, 250) {
-		t.Fatalf("Rect(b) = %v", r)
+	if r := ix.items[b]; r != R(200, 200, 250, 250) {
+		t.Fatalf("items[b] = %v", r)
 	}
 }
 
@@ -199,8 +199,8 @@ func TestIndexMatchesBruteForce(t *testing.T) {
 				checkIndex(t, ix, items, indexRect(rnd, origin, span))
 			}
 		}
-		if ix.Len() != len(items) {
-			t.Fatalf("Len = %d, want %d", ix.Len(), len(items))
+		if len(ix.items) != len(items) {
+			t.Fatalf("items = %d, want %d", len(ix.items), len(items))
 		}
 		checkIndex(t, ix, items, indexRect(rnd, origin, span))
 		// Entirely outside what was inserted, and covering all of it.

@@ -22,15 +22,6 @@ func Pt(x, y int64) Point { return Point{X: x, Y: y} }
 // Add returns p translated by q.
 func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
 
-// Sub returns p - q.
-func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
-
-// ManhattanDist returns |p.X-q.X| + |p.Y-q.Y|, the wiring distance
-// between two points under rectilinear routing.
-func (p Point) ManhattanDist(q Point) int64 {
-	return abs64(p.X-q.X) + abs64(p.Y-q.Y)
-}
-
 // ChebyshevDist returns max(|dx|, |dy|), the square-bloat interaction
 // distance used by window-based pattern extraction.
 func (p Point) ChebyshevDist(q Point) int64 {
@@ -57,18 +48,4 @@ func abs64(v int64) int64 {
 		return -v
 	}
 	return v
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

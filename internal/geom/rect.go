@@ -73,24 +73,15 @@ func (r Rect) Overlaps(s Rect) bool {
 	return r.X0 < s.X1 && s.X0 < r.X1 && r.Y0 < s.Y1 && s.Y0 < r.Y1
 }
 
-// Touches reports whether r and s share at least a boundary point but
-// no interior area.
-func (r Rect) Touches(s Rect) bool {
-	if r.Overlaps(s) {
-		return false
-	}
-	return r.X0 <= s.X1 && s.X0 <= r.X1 && r.Y0 <= s.Y1 && s.Y0 <= r.Y1
-}
-
 // Intersect returns the overlapping region of r and s. The result is
 // empty (and possibly non-canonical) when they do not overlap; callers
 // should test Empty.
 func (r Rect) Intersect(s Rect) Rect {
 	return Rect{
-		X0: max64(r.X0, s.X0),
-		Y0: max64(r.Y0, s.Y0),
-		X1: min64(r.X1, s.X1),
-		Y1: min64(r.Y1, s.Y1),
+		X0: max(r.X0, s.X0),
+		Y0: max(r.Y0, s.Y0),
+		X1: min(r.X1, s.X1),
+		Y1: min(r.Y1, s.Y1),
 	}
 }
 
@@ -105,10 +96,10 @@ func (r Rect) Union(s Rect) Rect {
 		return r
 	}
 	return Rect{
-		X0: min64(r.X0, s.X0),
-		Y0: min64(r.Y0, s.Y0),
-		X1: max64(r.X1, s.X1),
-		Y1: max64(r.Y1, s.Y1),
+		X0: min(r.X0, s.X0),
+		Y0: min(r.Y0, s.Y0),
+		X1: max(r.X1, s.X1),
+		Y1: max(r.Y1, s.Y1),
 	}
 }
 
@@ -135,20 +126,20 @@ func (r Rect) Translate(p Point) Rect {
 // other and the single-axis gap otherwise. Overlapping rects have
 // distance 0.
 func (r Rect) Distance(s Rect) int64 {
-	dx := max64(0, max64(s.X0-r.X1, r.X0-s.X1))
-	dy := max64(0, max64(s.Y0-r.Y1, r.Y0-s.Y1))
-	return max64(dx, dy)
+	dx := max(0, max(s.X0-r.X1, r.X0-s.X1))
+	dy := max(0, max(s.Y0-r.Y1, r.Y0-s.Y1))
+	return max(dx, dy)
 }
 
 // GapX returns the horizontal gap between r and s (0 if they overlap in X).
-func (r Rect) GapX(s Rect) int64 { return max64(0, max64(s.X0-r.X1, r.X0-s.X1)) }
+func (r Rect) GapX(s Rect) int64 { return max(0, max(s.X0-r.X1, r.X0-s.X1)) }
 
 // GapY returns the vertical gap between r and s (0 if they overlap in Y).
-func (r Rect) GapY(s Rect) int64 { return max64(0, max64(s.Y0-r.Y1, r.Y0-s.Y1)) }
+func (r Rect) GapY(s Rect) int64 { return max(0, max(s.Y0-r.Y1, r.Y0-s.Y1)) }
 
 // MinDim returns the smaller of width and height; the quantity checked
 // by minimum-width design rules.
-func (r Rect) MinDim() int64 { return min64(r.Width(), r.Height()) }
+func (r Rect) MinDim() int64 { return min(r.Width(), r.Height()) }
 
 // Compare orders rectangles by (Y0, X0, Y1, X1), the order of the
 // canonical rect-set form; it returns 0 only for identical rectangles.

@@ -62,22 +62,19 @@ func TestEmptyRect(t *testing.T) {
 func TestOverlapsAndTouches(t *testing.T) {
 	a := R(0, 0, 10, 10)
 	cases := []struct {
-		b               Rect
-		overlaps, touch bool
+		b        Rect
+		overlaps bool
 	}{
-		{R(5, 5, 15, 15), true, false},
-		{R(10, 0, 20, 10), false, true},  // share an edge
-		{R(10, 10, 20, 20), false, true}, // share a corner
-		{R(11, 11, 20, 20), false, false},
-		{R(2, 2, 8, 8), true, false}, // contained
-		{a, true, false},             // identical
+		{R(5, 5, 15, 15), true},
+		{R(10, 0, 20, 10), false},  // share an edge
+		{R(10, 10, 20, 20), false}, // share a corner
+		{R(11, 11, 20, 20), false},
+		{R(2, 2, 8, 8), true}, // contained
+		{a, true},             // identical
 	}
 	for _, c := range cases {
 		if got := a.Overlaps(c.b); got != c.overlaps {
 			t.Errorf("%v.Overlaps(%v) = %v, want %v", a, c.b, got, c.overlaps)
-		}
-		if got := a.Touches(c.b); got != c.touch {
-			t.Errorf("%v.Touches(%v) = %v, want %v", a, c.b, got, c.touch)
 		}
 	}
 }
@@ -215,7 +212,8 @@ func TestQuickDistanceZeroIffOverlapOrTouch(t *testing.T) {
 		rnd := rand.New(rand.NewSource(seed))
 		a, b := randRect(rnd), randRect(rnd)
 		d := a.Distance(b)
-		meets := a.Overlaps(b) || a.Touches(b)
+		// On the integer grid a 1 nm bloat turns touching into overlapping.
+		meets := a.Bloat(1).Overlaps(b)
 		return (d == 0) == meets
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -227,12 +225,6 @@ func TestPointOps(t *testing.T) {
 	p, q := Pt(3, 4), Pt(-1, 2)
 	if p.Add(q) != Pt(2, 6) {
 		t.Errorf("Add failed")
-	}
-	if p.Sub(q) != Pt(4, 2) {
-		t.Errorf("Sub failed")
-	}
-	if p.ManhattanDist(q) != 6 {
-		t.Errorf("ManhattanDist = %d, want 6", p.ManhattanDist(q))
 	}
 	if p.ChebyshevDist(q) != 4 {
 		t.Errorf("ChebyshevDist = %d, want 4", p.ChebyshevDist(q))

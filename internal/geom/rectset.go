@@ -116,11 +116,6 @@ func Subtract(a, b []Rect) []Rect {
 	return sweepBoolOp(a, b, opSubtract)
 }
 
-// Xor returns the region covered by exactly one of a and b.
-func Xor(a, b []Rect) []Rect {
-	return sweepBoolOp(a, b, opXor)
-}
-
 // AreaOf returns the total area covered by the rect set, counting
 // overlapping regions once. Normalized input is summed directly;
 // overlapping input runs the segment-tree area sweep, which never

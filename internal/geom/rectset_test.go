@@ -90,18 +90,6 @@ func TestSubtractSets(t *testing.T) {
 	}
 }
 
-func TestXorSets(t *testing.T) {
-	a := []Rect{R(0, 0, 10, 10)}
-	b := []Rect{R(5, 0, 15, 10)}
-	out := Xor(a, b)
-	if got := AreaOf(out); got != 100 {
-		t.Fatalf("Xor area = %d, want 100", got)
-	}
-	if CoversPoint(out, Pt(7, 5)) {
-		t.Fatalf("Xor covers the doubly covered region")
-	}
-}
-
 func TestDilateErode(t *testing.T) {
 	a := []Rect{R(0, 0, 100, 100)}
 	d := Dilate(a, 10)
@@ -223,20 +211,6 @@ func TestQuickSubtractPartition(t *testing.T) {
 			return false
 		}
 		return AreaOf(Intersect(diff, inter)) == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickXorIsSymmetricDifference(t *testing.T) {
-	f := func(seed int64) bool {
-		rnd := rand.New(rand.NewSource(seed))
-		a := randRectSet(rnd, 1+rnd.Intn(6))
-		b := randRectSet(rnd, 1+rnd.Intn(6))
-		x := Xor(a, b)
-		want := Union(Subtract(a, b), Subtract(b, a))
-		return rectsEqual(x, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

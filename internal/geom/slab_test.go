@@ -106,10 +106,6 @@ func slabSubtract(a, b []Rect) []Rect {
 	return slabBoolOp(a, b, func(x, y bool) bool { return x && !y })
 }
 
-func slabXor(a, b []Rect) []Rect {
-	return slabBoolOp(a, b, func(x, y bool) bool { return x != y })
-}
-
 func slabNormalize(rs []Rect) []Rect {
 	return slabUnion(rs, nil)
 }

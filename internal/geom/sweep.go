@@ -29,14 +29,12 @@ const (
 	opUnion opKind = iota
 	opIntersect
 	opSubtract
-	opXor
 )
 
-var opTables = [4][4]bool{
+var opTables = [...][4]bool{
 	opUnion:     {false, true, true, true},
 	opIntersect: {false, false, false, true},
 	opSubtract:  {false, false, true, false},
-	opXor:       {false, true, true, false},
 }
 
 // sweepEvent is one scanline transition: at y, the x-interval
@@ -143,7 +141,7 @@ func mergeActive(act []interval, dst []interval) []interval {
 // extending the last one when v touches or overlaps it.
 func appendMerged(iv []interval, v interval) []interval {
 	if n := len(iv); n > 0 && v.lo <= iv[n-1].hi {
-		iv[n-1].hi = max64(iv[n-1].hi, v.hi)
+		iv[n-1].hi = max(iv[n-1].hi, v.hi)
 		return iv
 	}
 	return append(iv, v)

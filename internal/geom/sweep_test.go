@@ -56,7 +56,6 @@ func TestSweepMatchesSlabDifferential(t *testing.T) {
 		{"Union", Union, slabUnion},
 		{"Intersect", Intersect, slabIntersect},
 		{"Subtract", Subtract, slabSubtract},
-		{"Xor", Xor, slabXor},
 	}
 
 	cases := 400
@@ -95,8 +94,6 @@ func TestSweepMatchesSlabDifferential(t *testing.T) {
 				kind = opIntersect
 			case "Subtract":
 				kind = opSubtract
-			case "Xor":
-				kind = opXor
 			}
 			if got := sweepArea(a, b, kind); got != sum {
 				t.Fatalf("seed=%d %s: sweepArea=%d, materialized=%d", seed, op.name, got, sum)
@@ -178,7 +175,6 @@ func TestSweepConcurrent(t *testing.T) {
 				}
 				_ = Subtract(a, b)
 				_ = Intersect(a, b)
-				_ = Xor(a, b)
 			}
 			done <- nil
 		}(g)

@@ -113,24 +113,6 @@ func composeOrient(a, b Orient) Orient {
 	return R0 // unreachable
 }
 
-// Invert returns the inverse transform.
-func (t Transform) Invert() Transform {
-	inv := invOrient(t.Orient)
-	return Transform{
-		Orient: inv,
-		Offset: inv.apply(Point{-t.Offset.X, -t.Offset.Y}),
-	}
-}
-
-func invOrient(o Orient) Orient {
-	for i := R0; i <= MY90; i++ {
-		if composeOrient(o, i) == R0 {
-			return i
-		}
-	}
-	return R0 // unreachable
-}
-
 // Translate returns a pure-translation transform.
 func Translate(dx, dy int64) Transform {
 	return Transform{Offset: Point{dx, dy}}

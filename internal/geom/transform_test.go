@@ -54,18 +54,6 @@ func TestComposeMatchesSequentialApply(t *testing.T) {
 	}
 }
 
-func TestInvertRoundTrips(t *testing.T) {
-	f := func(seed int64) bool {
-		rnd := rand.New(rand.NewSource(seed))
-		tr := Transform{Orient: Orient(rnd.Intn(8)), Offset: Pt(rnd.Int63n(100)-50, rnd.Int63n(100)-50)}
-		p := Pt(rnd.Int63n(100)-50, rnd.Int63n(100)-50)
-		return tr.Invert().Apply(tr.Apply(p)) == p && tr.Apply(tr.Invert().Apply(p)) == p
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestIdentityAndTranslate(t *testing.T) {
 	p := Pt(7, -3)
 	if Identity.Apply(p) != p {

@@ -344,20 +344,6 @@ func snapTo(v, pitch int64) int64 {
 	return -(((-v + half) / pitch) * pitch)
 }
 
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 func abs64(v int64) int64 {
 	if v < 0 {
 		return -v

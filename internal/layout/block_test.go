@@ -127,27 +127,6 @@ func TestViaChainGenerator(t *testing.T) {
 	}
 }
 
-func TestSRAMArray(t *testing.T) {
-	tt := tech.N45()
-	l := SRAMArray(tt, 4, 6)
-	flat := l.Flatten()
-	by := ByLayer(flat)
-	// 24 bitcells, each with 2 poly fingers.
-	if got := len(by[tech.Poly]); got != 48 {
-		t.Fatalf("poly count = %d, want 48", got)
-	}
-	st := Summarize(flat)
-	bitBB := l.Cells["SRAMBIT"].BBox()
-	wantW := bitBB.X1 * 6
-	if st.BBox.X1 != wantW {
-		t.Fatalf("array width = %d, want %d", st.BBox.X1, wantW)
-	}
-	// Mirrored placements must stay within the array footprint.
-	if st.BBox.X0 < 0 || st.BBox.Y0 < 0 {
-		t.Fatalf("array extends below origin: %v", st.BBox)
-	}
-}
-
 func TestPatternCells(t *testing.T) {
 	tt := tech.N45()
 	ls := LineSpace(tt, tech.Metal1, 70, 70, 2000, 5)
@@ -156,22 +135,5 @@ func TestPatternCells(t *testing.T) {
 	}
 	if bb := ls.BBox(); bb.X1 != 5*140-70 {
 		t.Fatalf("LineSpace extent = %v", bb)
-	}
-	iso := IsoLine(tt, tech.Poly, 45, 1000)
-	if got := iso.BBox(); got != geom.R(0, 0, 45, 1000) {
-		t.Fatalf("IsoLine bbox = %v", got)
-	}
-	leg := LineEndGap(tt, tech.Metal1, 70, 100, 500)
-	rs := leg.LayerRects(tech.Metal1)
-	if len(rs) != 2 || rs[1].Y0-rs[0].Y1 != 100 {
-		t.Fatalf("LineEndGap geometry wrong: %v", rs)
-	}
-	el := Elbow(tt, tech.Metal1, 70, 500)
-	if geom.AreaOf(geom.Normalize(el.LayerRects(tech.Metal1))) != 70*500+70*(500-70) {
-		t.Fatalf("Elbow area wrong")
-	}
-	tj := TJunction(tt, tech.Metal1, 70, 500)
-	if len(tj.LayerRects(tech.Metal1)) != 2 {
-		t.Fatalf("TJunction shape count wrong")
 	}
 }

@@ -140,7 +140,7 @@ func GenerateChip(t *tech.Tech, opts ChipOpts) (*Layout, ChipInfo, error) {
 		if mx < chipMargin || my < chipMargin {
 			return nil, ChipInfo{}, fmt.Errorf("layout: macro %s (%d x %d nm) needs slot pitch >= %d",
 				macros[i].name, bb.Width(), bb.Height(),
-				max64(bb.Width(), bb.Height())+2*chipMargin)
+				max(bb.Width(), bb.Height())+2*chipMargin)
 		}
 		macros[i].off = geom.Pt(mx-bb.X0, my-bb.Y0)
 		wsum += int64(mix[i])

@@ -2,6 +2,7 @@ package layout
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -250,6 +251,10 @@ func Read(r io.Reader) (*Layout, error) {
 	}
 	if cur != nil {
 		return nil, fmt.Errorf("layout: unterminated cell %q", cur.Name)
+	}
+	if len(l.Cells) == 0 {
+		// Every caller goes on to use Top, which only a cell can be.
+		return nil, errors.New("layout: file defines no cell")
 	}
 	if l.Top == nil {
 		// Fall back to any cell that is not instantiated by another.

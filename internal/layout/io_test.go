@@ -56,6 +56,8 @@ func TestReadErrors(t *testing.T) {
 		{"top unknown", "cell A\nend\ntop ZZZ\n"},
 		{"end without cell", "end\n"},
 		{"malformed pin", "cell A\npin P metal1 0 0 1 1\nend\n"},
+		{"empty", ""},
+		{"comments only", "# header\n\n# nothing else\n"},
 	}
 	for _, c := range cases {
 		if _, err := Read(strings.NewReader(c.in)); err == nil {

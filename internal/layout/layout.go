@@ -85,16 +85,6 @@ func (c *Cell) Place(child *Cell, t geom.Transform, name string) {
 	c.bboxValid = false
 }
 
-// Pin returns the named pin, or false.
-func (c *Cell) Pin(name string) (Pin, bool) {
-	for _, p := range c.Pins {
-		if p.Name == name {
-			return p, true
-		}
-	}
-	return Pin{}, false
-}
-
 // BBox returns the bounding box of the cell including placed
 // instances (the full hierarchical extent, recursively). The result
 // is cached on the cell; because the cache is written on first use,

@@ -44,12 +44,8 @@ func TestLayerRectsAndPins(t *testing.T) {
 	if got := len(c.LayerRects(tech.Metal1)); got != 2 {
 		t.Fatalf("metal1 rect count = %d", got)
 	}
-	p, ok := c.Pin("A")
-	if !ok || p.Net != 2 || p.Layer != tech.Metal1 {
-		t.Fatalf("Pin lookup failed: %+v ok=%v", p, ok)
-	}
-	if _, ok := c.Pin("Z"); ok {
-		t.Fatalf("ghost pin found")
+	if len(c.Pins) != 1 || c.Pins[0].Name != "A" || c.Pins[0].Net != 2 || c.Pins[0].Layer != tech.Metal1 {
+		t.Fatalf("AddPin recorded %+v", c.Pins)
 	}
 }
 

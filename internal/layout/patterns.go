@@ -23,38 +23,6 @@ func LineSpace(t *tech.Tech, layer tech.Layer, width, space, length int64, n int
 	return c
 }
 
-// IsoLine builds a single isolated vertical line.
-func IsoLine(t *tech.Tech, layer tech.Layer, width, length int64) *Cell {
-	c := NewCell(fmt.Sprintf("ISO_%s_w%d", layer, width))
-	c.Add(layer, geom.R(0, 0, width, length))
-	return c
-}
-
-// LineEndGap builds two collinear vertical lines separated by a tip-to-
-// tip gap: the classic line-end pullback hotspot structure.
-func LineEndGap(t *tech.Tech, layer tech.Layer, width, gap, length int64) *Cell {
-	c := NewCell(fmt.Sprintf("LEG_%s_w%d_g%d", layer, width, gap))
-	c.Add(layer, geom.R(0, 0, width, length))
-	c.Add(layer, geom.R(0, length+gap, width, 2*length+gap))
-	return c
-}
-
-// Elbow builds an L-shaped wire; the inner corner rounds under litho.
-func Elbow(t *tech.Tech, layer tech.Layer, width, arm int64) *Cell {
-	c := NewCell(fmt.Sprintf("ELBOW_%s_w%d", layer, width))
-	c.Add(layer, geom.R(0, 0, width, arm))
-	c.Add(layer, geom.R(0, arm-width, arm, arm))
-	return c
-}
-
-// TJunction builds a T-shaped wire junction.
-func TJunction(t *tech.Tech, layer tech.Layer, width, arm int64) *Cell {
-	c := NewCell(fmt.Sprintf("TJ_%s_w%d", layer, width))
-	c.Add(layer, geom.R(0, arm/2-width/2, 2*arm, arm/2+width/2))
-	c.Add(layer, geom.R(arm-width/2, arm/2, arm+width/2, arm+arm/2))
-	return c
-}
-
 // ViaChain builds a serpentine via chain with the given number of
 // links: metal1 pad - via1 - metal2 strap - via1 - metal1 pad - ...
 // All shapes carry net 0 (the chain is one net). Returns the cell and
@@ -67,7 +35,7 @@ func ViaChain(t *tech.Tech, links int) (*Cell, int) {
 	if padW < t.Rules[tech.Metal1].MinWidth {
 		padW = t.Rules[tech.Metal1].MinWidth
 	}
-	step := padW + max64(vr.ViaSpace, t.Rules[tech.Metal1].MinSpace) + 40
+	step := padW + max(vr.ViaSpace, t.Rules[tech.Metal1].MinSpace) + 40
 	vias := 0
 	for i := 0; i < links; i++ {
 		x := int64(i) * step
@@ -86,40 +54,9 @@ func ViaChain(t *tech.Tech, links int) (*Cell, int) {
 	return c, vias
 }
 
-// SRAMArray tiles a simplified bitcell rows x cols. The bitcell has
-// diff islands, two poly word-line fingers, contacts, and a metal1
-// bit-line strap, matching the regularity DFM flows exploit in memory.
-func SRAMArray(t *tech.Tech, rows, cols int) *Layout {
-	l := NewLayout(t)
-	bit := sramBitcell(t)
-	top := NewCell(fmt.Sprintf("SRAM_%dx%d", rows, cols))
-	_ = l.AddCell(bit)
-	_ = l.AddCell(top)
-	_ = l.SetTop(top.Name)
-	bw := bit.BBox().X1
-	bh := bit.BBox().Y1
-	for r := 0; r < rows; r++ {
-		for cIdx := 0; cIdx < cols; cIdx++ {
-			// Mirror alternate rows/columns as real arrays do.
-			o := geom.R0
-			off := geom.Pt(int64(cIdx)*bw, int64(r)*bh)
-			switch {
-			case r%2 == 1 && cIdx%2 == 1:
-				o = geom.R180
-				off = geom.Pt(int64(cIdx+1)*bw, int64(r+1)*bh)
-			case r%2 == 1:
-				o = geom.MX
-				off = geom.Pt(int64(cIdx)*bw, int64(r+1)*bh)
-			case cIdx%2 == 1:
-				o = geom.MY
-				off = geom.Pt(int64(cIdx+1)*bw, int64(r)*bh)
-			}
-			top.Place(bit, geom.Transform{Orient: o, Offset: off}, fmt.Sprintf("b_%d_%d", r, cIdx))
-		}
-	}
-	return l
-}
-
+// sramBitcell is a simplified bitcell: diff islands, two poly word-line
+// fingers, contacts, and a metal1 bit-line strap, matching the
+// regularity DFM flows exploit in memory.
 func sramBitcell(t *tech.Tech) *Cell {
 	c := NewCell("SRAMBIT")
 	g := t.GateLength

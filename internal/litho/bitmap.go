@@ -91,17 +91,6 @@ func (b *Bitmap) morph(r int, ops ...func(*Bitmap, int, []uint64)) *Bitmap {
 	return out
 }
 
-// Erode returns the bitmap eroded by a (2r+1)x(2r+1) square structuring
-// element. The region outside the bitmap counts as set, so erosion
-// only responds to real unset pixels; this keeps Open anti-extensive
-// and Close extensive within the domain. (Litho bitmaps are padded, so
-// the convention never touches real geometry.)
-func (b *Bitmap) Erode(r int) *Bitmap { return b.morph(r, (*Bitmap).erode) }
-
-// Dilate returns the bitmap dilated by a (2r+1)x(2r+1) square; the
-// region outside the bitmap counts as unset.
-func (b *Bitmap) Dilate(r int) *Bitmap { return b.morph(r, (*Bitmap).dilate) }
-
 // Open is erosion followed by dilation: removes features thinner than
 // 2r+1 pixels.
 func (b *Bitmap) Open(r int) *Bitmap { return b.morph(r, (*Bitmap).erode, (*Bitmap).dilate) }
@@ -231,15 +220,6 @@ func (b *Bitmap) Or(o *Bitmap) *Bitmap {
 	out := b.clone()
 	for i, w := range o.words {
 		out.words[i] |= w
-	}
-	return out
-}
-
-// Xor returns b XOR o.
-func (b *Bitmap) Xor(o *Bitmap) *Bitmap {
-	out := b.clone()
-	for i, w := range o.words {
-		out.words[i] ^= w
 	}
 	return out
 }

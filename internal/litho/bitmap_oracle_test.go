@@ -246,7 +246,7 @@ func (b *boolBitmap) Blobs() []geom.Rect {
 	return boxes
 }
 
-// findHotspots is the body Image.FindHotspots had before detect, on
+// findHotspots is the body the hotspot detector had before detect, on
 // the oracle bitmap, with the canonical (total-order) sort.
 func (b *boolBitmap) findHotspots(minWidth, minSpace int64) []Hotspot {
 	rw := int(float64(minWidth)/b.Pitch/2 + 0.5)
@@ -334,8 +334,8 @@ func checkPacked(t *testing.T, p *Bitmap, r int) {
 			t.Fatalf("%s(%d) on %dx%d: Count = %d, oracle %d", name, r, p.W, p.H, got.Count(), set)
 		}
 	}
-	same("Erode", p.Erode(r), o.Erode(r))
-	same("Dilate", p.Dilate(r), o.Dilate(r))
+	same("Erode", p.morph(r, (*Bitmap).erode), o.Erode(r))
+	same("Dilate", p.morph(r, (*Bitmap).dilate), o.Dilate(r))
 	same("Open", p.Open(r), o.Open(r))
 	same("Close", p.Close(r), o.Close(r))
 	same("AndNot(Open)", p.AndNot(p.Open(r)), o.AndNot(o.Open(r)))

@@ -71,15 +71,6 @@ func (g *Grid) At(i, j int) float64 {
 	return g.Data[j*g.W+i]
 }
 
-// Set writes the sample at pixel (i, j); out-of-range writes are
-// ignored.
-func (g *Grid) Set(i, j int, v float64) {
-	if i < 0 || j < 0 || i >= g.W || j >= g.H {
-		return
-	}
-	g.Data[j*g.W+i] = v
-}
-
 // Sample returns the bilinearly interpolated field value at nm
 // coordinates (x, y).
 func (g *Grid) Sample(x, y float64) float64 {

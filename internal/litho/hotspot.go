@@ -42,16 +42,10 @@ func (h Hotspot) String() string {
 	return fmt.Sprintf("%s @ %v", h.Kind, h.Box)
 }
 
-// FindHotspots detects pinch and bridge sites in the image. minWidth
-// is the smallest acceptable printed linewidth and minSpace the
-// smallest acceptable printed gap, both in nm.
-func (im *Image) FindHotspots(minWidth, minSpace int64) []Hotspot {
-	return detect(im.PrintedBitmap(), minWidth, minSpace)
-}
-
 // detect finds pinch and bridge sites in a printed bitmap and returns
-// them in SortHotspots order. It is the one detector behind both
-// Image.FindHotspots and ScanWindowCtx.
+// them in SortHotspots order. minWidth is the smallest acceptable
+// printed linewidth and minSpace the smallest acceptable printed gap,
+// both in nm.
 func detect(printed *Bitmap, minWidth, minSpace int64) []Hotspot {
 	sp := hDetectNS.Start()
 	defer sp.End()
@@ -109,7 +103,7 @@ func ScanGrid(bb geom.Rect) []geom.Rect {
 	var out []geom.Rect
 	for y := bb.Y0; y < bb.Y1; y += ScanTileNM {
 		for x := bb.X0; x < bb.X1; x += ScanTileNM {
-			out = append(out, geom.R(x, y, min64(x+ScanTileNM, bb.X1), min64(y+ScanTileNM, bb.Y1)))
+			out = append(out, geom.R(x, y, min(x+ScanTileNM, bb.X1), min(y+ScanTileNM, bb.Y1)))
 		}
 	}
 	return out
@@ -207,7 +201,7 @@ func ScanWindowPixels(opt tech.Optics, defocus float64, w, h int64) float64 {
 
 // ScanWindowCtx simulates one scan window (with the standard seam
 // pad) and returns the hotspots attributed to it by ScanKeeps, in
-// FindHotspots order. Callers stitching multiple windows dedupe
+// SortHotspots order. Callers stitching multiple windows dedupe
 // identical boxes across seams themselves. rs must hold every shape
 // reaching the padded window.
 func ScanWindowCtx(ctx context.Context, rs []geom.Rect, win geom.Rect, t *tech.Tech, layer tech.Layer, o ScanOpts) ([]Hotspot, error) {
@@ -296,11 +290,4 @@ func ScanLayerOpts(ctx context.Context, rs []geom.Rect, t *tech.Tech, layer tech
 	}
 	SortHotspots(out)
 	return out, nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -147,15 +147,9 @@ type PVBand struct {
 	Band   []geom.Rect // Ever minus Always
 }
 
-// ComputePVBand simulates every corner condition and overlays the
-// printed regions.
-func ComputePVBand(mask []geom.Rect, window geom.Rect, opt tech.Optics, corners []Condition) PVBand {
-	pv, _ := ComputePVBandCtx(context.Background(), mask, window, opt, corners)
-	return pv
-}
-
-// ComputePVBandCtx is ComputePVBand with a cancellation checkpoint
-// per corner condition. The mask is normalized once and shared across
+// ComputePVBandCtx simulates every corner condition and overlays the
+// printed regions, with a cancellation checkpoint per corner
+// condition. The mask is normalized once and shared across
 // corners; dose-only corners reuse the focus corner's intensity field
 // with a rescaled threshold, so the standard 5-corner set costs two
 // convolution stacks, not five simulations.

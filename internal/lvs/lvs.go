@@ -165,21 +165,13 @@ type Report struct {
 	Opens  []Open
 }
 
-// Clean reports whether the comparison found no shorts and no opens.
-func (r Report) Clean() bool { return len(r.Shorts) == 0 && len(r.Opens) == 0 }
-
 func (r Report) String() string {
 	return fmt.Sprintf("lvs(%d shorts, %d opens)", len(r.Shorts), len(r.Opens))
 }
 
-// Compare checks the extracted connectivity against the shapes' net
-// annotations. Unannotated (NoNet) shapes constrain nothing.
-func Compare(flat []layout.Shape, c Connectivity) Report {
-	return CompareScoped(flat, c, 1<<30)
-}
-
-// CompareScoped is Compare restricted to net ids <= maxSignal.
-// Flatten remaps instance-internal nets into the id range above the
+// CompareScoped checks the extracted connectivity against the shapes'
+// net annotations, for net ids <= maxSignal. Unannotated (NoNet) shapes
+// constrain nothing. Flatten remaps instance-internal nets into the id range above the
 // top cell's own nets, and a routed top-level net legitimately joins
 // the pin nets of the cells it connects — so block-level verification
 // passes the top cell's MaxNet as the boundary and checks only

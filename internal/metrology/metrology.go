@@ -126,7 +126,7 @@ func GeneratePlan(rs []geom.Rect, layer tech.Layer, o PlanOpts) Plan {
 			var gap int64
 			var marker geom.Rect
 			if e.Horizontal() {
-				x0, x1 := max64(e.P0.X, f.P0.X), min64(e.P1.X, f.P1.X)
+				x0, x1 := max(e.P0.X, f.P0.X), min(e.P1.X, f.P1.X)
 				if x0 >= x1 || f.P0.Y <= e.P0.Y {
 					continue
 				}
@@ -134,7 +134,7 @@ func GeneratePlan(rs []geom.Rect, layer tech.Layer, o PlanOpts) Plan {
 				at = geom.Pt((x0+x1)/2, (e.P0.Y+f.P0.Y)/2)
 				marker = geom.R(x0, e.P0.Y, x1, f.P0.Y)
 			} else {
-				y0, y1 := max64(e.P0.Y, f.P0.Y), min64(e.P1.Y, f.P1.Y)
+				y0, y1 := max(e.P0.Y, f.P0.Y), min(e.P1.Y, f.P1.Y)
 				if y0 >= y1 || f.P0.X <= e.P0.X {
 					continue
 				}
@@ -319,20 +319,6 @@ func Summarize(ms []Measurement) map[SiteKind]Stats {
 		}
 	}
 	return out
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // String implements fmt.Stringer for plans.

@@ -43,14 +43,6 @@ func (c *Counter) Add(n int64) {
 // Inc adds 1.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Value returns the current count.
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
 // Gauge is a last-write-wins float64 value (pool sizes, final RMS,
 // worker counts).
 type Gauge struct {
@@ -227,27 +219,6 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 		r.hists[name] = h
 	}
 	return h
-}
-
-// Reset zeroes every instrument's recorded state (bounds and
-// registrations are kept). For tests and between-run baselines.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, c := range r.counters {
-		c.v.Store(0)
-	}
-	for _, g := range r.gauges {
-		g.bits.Store(0)
-	}
-	for _, h := range r.hists {
-		for i := range h.counts {
-			h.counts[i].Store(0)
-		}
-		h.n.Store(0)
-		h.sum.Store(0)
-		h.max.Store(0)
-	}
 }
 
 // Bucket is one finite histogram bucket in a snapshot.

@@ -18,8 +18,8 @@ func TestDisabledRegistryRecordsNothing(t *testing.T) {
 	g.Set(3.5)
 	h.Observe(100)
 	h.Start().End()
-	if c.Value() != 0 || g.Value() != 0 {
-		t.Fatalf("disabled registry recorded: counter=%d gauge=%v", c.Value(), g.Value())
+	if c.v.Load() != 0 || g.Value() != 0 {
+		t.Fatalf("disabled registry recorded: counter=%d gauge=%v", c.v.Load(), g.Value())
 	}
 	s := r.Snapshot()
 	if s.Counters["c"] != 0 || s.Histograms["h"].Count != 0 {
@@ -36,8 +36,8 @@ func TestEnableIsObservedByExistingInstruments(t *testing.T) {
 	c.Add(2)
 	r.SetEnabled(false)
 	c.Inc()
-	if c.Value() != 3 {
-		t.Fatalf("counter = %d, want 3 (only enabled-window increments)", c.Value())
+	if c.v.Load() != 3 {
+		t.Fatalf("counter = %d, want 3 (only enabled-window increments)", c.v.Load())
 	}
 }
 
@@ -199,26 +199,6 @@ func TestSnapshotJSONStableAndValid(t *testing.T) {
 	}
 }
 
-func TestResetZeroesValuesKeepsRegistrations(t *testing.T) {
-	r := New()
-	r.SetEnabled(true)
-	c := r.Counter("c")
-	c.Add(7)
-	h := r.Histogram("h", nil)
-	h.Observe(3)
-	r.Reset()
-	if c.Value() != 0 {
-		t.Fatalf("counter survived reset: %d", c.Value())
-	}
-	s := r.Snapshot().Histograms["h"]
-	if s.Count != 0 || s.Sum != 0 || s.Max != 0 || len(s.Buckets) != 0 {
-		t.Fatalf("histogram survived reset: %+v", s)
-	}
-	if r.Counter("c") != c {
-		t.Fatal("reset dropped the registration")
-	}
-}
-
 // TestConcurrentRecording hammers one counter and one histogram from
 // many goroutines (run under -race by make tier1) and checks totals.
 func TestConcurrentRecording(t *testing.T) {
@@ -239,8 +219,8 @@ func TestConcurrentRecording(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if c.Value() != workers*per {
-		t.Fatalf("counter = %d, want %d", c.Value(), workers*per)
+	if c.v.Load() != workers*per {
+		t.Fatalf("counter = %d, want %d", c.v.Load(), workers*per)
 	}
 	s := r.Snapshot().Histograms["h"]
 	if s.Count != workers*per {

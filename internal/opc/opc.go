@@ -1,9 +1,9 @@
 // Package opc implements optical proximity correction and its
 // companions: edge fragmentation, the model-based simulate-then-move
 // feedback loop, rule-based bias correction, sub-resolution assist
-// feature (SRAF) insertion, mask-rule checking (MRC), and post-OPC
-// verification (ORC). Together with the litho package this reproduces
-// the RET/OPC toolchain whose value the DFM panel debates.
+// feature (SRAF) insertion, and mask-rule checking (MRC). Together with
+// the litho package this reproduces the RET/OPC toolchain whose value
+// the DFM panel debates.
 package opc
 
 import (

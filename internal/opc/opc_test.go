@@ -269,43 +269,6 @@ func TestMRCViolations(t *testing.T) {
 	}
 }
 
-func TestVerifyCleanAfterOPC(t *testing.T) {
-	tt := tech.N45()
-	drawn := []geom.Rect{geom.R(0, 0, 100, 1200)}
-	window := geom.R(-400, -300, 500, 1600)
-	res := ModelBased(drawn, window, tt.Optics, DefaultModelOpts())
-
-	oo := DefaultORCOpts(tt, tech.Metal1)
-	repRaw := Verify(drawn, geom.Normalize(drawn), window, tt.Optics, oo)
-	repOPC := Verify(drawn, res.Mask, window, tt.Optics, oo)
-
-	if len(repOPC.Violations) >= len(repRaw.Violations) && repRaw.Stats.RMS > oo.EPETol {
-		t.Fatalf("OPC did not reduce ORC violations: raw=%d opc=%d",
-			len(repRaw.Violations), len(repOPC.Violations))
-	}
-	if repOPC.Stats.RMS >= repRaw.Stats.RMS {
-		t.Fatalf("ORC RMS not improved: %.2f -> %.2f", repRaw.Stats.RMS, repOPC.Stats.RMS)
-	}
-}
-
-func TestVerifyReportsHotspots(t *testing.T) {
-	tt := tech.N45()
-	// A drawn neck that pinches.
-	drawn := []geom.Rect{
-		geom.R(0, 0, 90, 800),
-		geom.R(30, 800, 60, 950),
-		geom.R(0, 950, 90, 1800),
-	}
-	window := geom.R(-400, 300, 500, 1500)
-	rep := Verify(drawn, geom.Normalize(drawn), window, tt.Optics, DefaultORCOpts(tt, tech.Metal1))
-	if rep.Clean() {
-		t.Fatalf("pinching layout verified clean")
-	}
-	if len(rep.Hotspots) == 0 && rep.Stats.Lost == 0 {
-		t.Fatalf("no hotspot and no lost sites on a pinching neck: %+v", rep.Stats)
-	}
-}
-
 func TestExtrudeDirections(t *testing.T) {
 	cases := []struct {
 		e    geom.Edge

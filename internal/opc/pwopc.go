@@ -110,19 +110,3 @@ func ProcessWindowOPC(drawn []geom.Rect, window geom.Rect, opt tech.Optics, mo M
 	}
 	return res
 }
-
-// WorstCornerRMS returns the largest per-corner RMS of the final
-// iteration.
-func (r PWResult) WorstCornerRMS() float64 {
-	if len(r.RMSByCorner) == 0 {
-		return 0
-	}
-	last := r.RMSByCorner[len(r.RMSByCorner)-1]
-	worst := 0.0
-	for _, v := range last {
-		if v > worst {
-			worst = v
-		}
-	}
-	return worst
-}

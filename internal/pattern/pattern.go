@@ -99,13 +99,6 @@ func (p Pattern) serialize(rs []geom.Rect) []byte {
 	return buf
 }
 
-// Hash returns the exact (orientation-sensitive) 64-bit hash.
-func (p Pattern) Hash() uint64 {
-	h := fnv.New64a()
-	h.Write(p.serialize(geom.Normalize(p.Rects)))
-	return h.Sum64()
-}
-
 // orientedRects returns the pattern's normalized rects under one of the
 // eight square symmetries, re-anchored to the window's lower-left.
 func (p Pattern) orientedRects(o geom.Orient) []geom.Rect {

@@ -1,8 +1,6 @@
 package pattern
 
 import (
-	"sort"
-
 	"repro/internal/geom"
 )
 
@@ -73,44 +71,4 @@ func OptimizeRadius(rs []geom.Rect, hot, clean []geom.Point, radii []int64) ([]R
 		}
 	}
 	return evals, best.Radius
-}
-
-// PerPatternRadius assigns each hotspot anchor its own optimal radius:
-// the smallest candidate at which the anchor's pattern class contains
-// no clean anchors — the per-pattern context sizing that beats a
-// fixed-radius deck.
-func PerPatternRadius(rs []geom.Rect, hot, clean []geom.Point, radii []int64) map[geom.Point]int64 {
-	norm := geom.Normalize(rs)
-	if len(radii) == 0 {
-		return nil
-	}
-	sorted := append([]int64{}, radii...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	maxR := sorted[len(sorted)-1]
-	ix := geom.NewIndex(4 * maxR)
-	ix.InsertAll(norm)
-
-	// Clean class sets per radius.
-	cleanClasses := make([]map[uint64]struct{}, len(sorted))
-	for i, r := range sorted {
-		set := make(map[uint64]struct{}, len(clean))
-		for _, a := range clean {
-			set[ExtractAtIndexed(ix, a, r).CanonHash()] = struct{}{}
-		}
-		cleanClasses[i] = set
-	}
-
-	out := make(map[geom.Point]int64, len(hot))
-	for _, a := range hot {
-		chosen := sorted[len(sorted)-1] // fall back to the largest
-		for i, r := range sorted {
-			h := ExtractAtIndexed(ix, a, r).CanonHash()
-			if _, collide := cleanClasses[i][h]; !collide {
-				chosen = r
-				break
-			}
-		}
-		out[a] = chosen
-	}
-	return out
 }

@@ -64,103 +64,3 @@ func TestOptimizeRadiusPrefersSmallestAdequate(t *testing.T) {
 		t.Fatalf("empty radii should return 0")
 	}
 }
-
-func TestPerPatternRadius(t *testing.T) {
-	rs, hot, clean := radiusFixture()
-	m := PerPatternRadius(rs, hot, clean, []int64{100, 300, 400})
-	if len(m) != len(hot) {
-		t.Fatalf("per-pattern size = %d", len(m))
-	}
-	for a, r := range m {
-		if r != 300 {
-			t.Fatalf("anchor %v got radius %d, want 300", a, r)
-		}
-	}
-}
-
-func TestPDBLifecycle(t *testing.T) {
-	// Three designs: pattern A everywhere, B only in the first two
-	// (gets fixed), C appears in the last (new).
-	a := Pattern{Radius: 100, Rects: []geom.Rect{geom.R(0, 0, 100, 40)}}
-	bp := Pattern{Radius: 100, Rects: []geom.Rect{geom.R(0, 0, 40, 40)}}
-	cp := Pattern{Radius: 100, Rects: []geom.Rect{geom.R(0, 0, 40, 150)}}
-
-	mkCat := func(pats map[*Pattern]int) *Catalog {
-		cat := NewCatalog(100)
-		for p, n := range pats {
-			for i := 0; i < n; i++ {
-				cat.Add(*p, geom.Pt(int64(i), 0))
-			}
-		}
-		return cat
-	}
-
-	pdb := NewPDB(100)
-	if err := pdb.Ingest("d1", mkCat(map[*Pattern]int{&a: 10, &bp: 5})); err != nil {
-		t.Fatal(err)
-	}
-	if err := pdb.Ingest("d2", mkCat(map[*Pattern]int{&a: 12, &bp: 2})); err != nil {
-		t.Fatal(err)
-	}
-	if err := pdb.Ingest("d3", mkCat(map[*Pattern]int{&a: 9, &cp: 4})); err != nil {
-		t.Fatal(err)
-	}
-	if pdb.Len() != 3 {
-		t.Fatalf("pdb size = %d", pdb.Len())
-	}
-	by := pdb.ByStatus()
-	if len(by[Recurring]) != 1 || by[Recurring][0].ID != a.CanonHash() {
-		t.Fatalf("recurring wrong: %v", by[Recurring])
-	}
-	if len(by[Retired]) != 1 || by[Retired][0].ID != bp.CanonHash() {
-		t.Fatalf("retired wrong: %v", by[Retired])
-	}
-	if len(by[New]) != 1 || by[New][0].ID != cp.CanonHash() {
-		t.Fatalf("new wrong: %v", by[New])
-	}
-	if by[Recurring][0].Total() != 31 {
-		t.Fatalf("total = %d", by[Recurring][0].Total())
-	}
-}
-
-func TestPDBTopDetractors(t *testing.T) {
-	a := Pattern{Radius: 100, Rects: []geom.Rect{geom.R(0, 0, 100, 40)}}
-	bp := Pattern{Radius: 100, Rects: []geom.Rect{geom.R(0, 0, 40, 40)}}
-	cat := NewCatalog(100)
-	for i := 0; i < 100; i++ {
-		cat.Add(a, geom.Pt(0, 0))
-	}
-	for i := 0; i < 3; i++ {
-		cat.Add(bp, geom.Pt(0, 0))
-	}
-	pdb := NewPDB(100)
-	if err := pdb.Ingest("d1", cat); err != nil {
-		t.Fatal(err)
-	}
-	// Uncharacterized: frequency rules.
-	top := pdb.TopDetractors(2)
-	if len(top) != 2 || top[0].ID != a.CanonHash() {
-		t.Fatalf("frequency ranking wrong")
-	}
-	// Characterize the rare one as a killer: it must jump to #1.
-	if !pdb.SetWeight(bp.CanonHash(), 5.0) {
-		t.Fatal("SetWeight failed")
-	}
-	if pdb.SetWeight(12345, 1) {
-		t.Fatal("SetWeight accepted unknown id")
-	}
-	top = pdb.TopDetractors(2)
-	if top[0].ID != bp.CanonHash() {
-		t.Fatalf("weighted ranking wrong: %v", top[0].ID)
-	}
-}
-
-func TestPDBRadiusMismatch(t *testing.T) {
-	pdb := NewPDB(100)
-	if err := pdb.Ingest("d", NewCatalog(200)); err == nil {
-		t.Fatal("radius mismatch accepted")
-	}
-	if got := pdb.TopDetractors(5); got != nil {
-		t.Fatal("empty pdb returned detractors")
-	}
-}

@@ -31,7 +31,6 @@ type Fix struct {
 const (
 	SkipNotTopLevel = "offender-not-top-level" // geometry lives inside a macro
 	SkipNoStrategy  = "no-fix-strategy"        // no fixer handles the rule
-	SkipAmbiguous   = "marker-ambiguous"       // marker does not identify an edit
 )
 
 // Propose turns a score's attributions (plus a redundant-via pass)

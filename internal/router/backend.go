@@ -55,12 +55,6 @@ func newBackend(name, url string, hc *http.Client, brThreshold int, brCooldown t
 	return b
 }
 
-// Up reports the health checker's current verdict.
-func (b *Backend) Up() bool { return b.up.Load() }
-
-// Client exposes the backend's typed client (job status forwarding).
-func (b *Backend) Client() *client.Client { return b.cl }
-
 // BackendStatus is the per-backend slice of the router's /metrics
 // body.
 type BackendStatus struct {

@@ -219,12 +219,6 @@ func New(cfg Config) (*Router, error) {
 
 func (r *Router) logf(format string, args ...any) { r.cfg.Logf(format, args...) }
 
-// Backends returns the backend list (router tests and /metrics).
-func (r *Router) Backends() []*Backend { return r.backends }
-
-// Draining reports whether shutdown has begun.
-func (r *Router) Draining() bool { return r.draining.Load() }
-
 // errNoBackend is returned when no healthy, breaker-admitted backend
 // remains to try.
 var errNoBackend = errors.New("router: no available backend")

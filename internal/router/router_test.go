@@ -134,7 +134,7 @@ func TestAffinityPinsDuplicateWorkToOneNode(t *testing.T) {
 			t.Fatalf("eval %d not served from the sticky node's cache: %+v", i, st)
 		}
 	}
-	for _, b := range r.Backends() {
+	for _, b := range r.backends {
 		if b != first && b.status().Picks != 0 {
 			t.Fatalf("backend %s saw %d picks for a single-key stream", b.Name, b.status().Picks)
 		}
@@ -249,7 +249,7 @@ func TestInflightFailoverOnRealKill(t *testing.T) {
 	if st.Failed != 0 || st.OK != int64(len(seeds)) {
 		t.Fatalf("ok/failed = %d/%d, want %d/0", st.OK, st.Failed, len(seeds))
 	}
-	waitFor(t, "dead backend eviction", func() bool { return !r.Backends()[0].Up() })
+	waitFor(t, "dead backend eviction", func() bool { return !r.backends[0].up.Load() })
 }
 
 // TestHealthEvictionAndReinstatement drives a backend through
@@ -274,16 +274,16 @@ func TestHealthEvictionAndReinstatement(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Shutdown(context.Background())
-	b := r.Backends()[0]
+	b := r.backends[0]
 
-	waitFor(t, "initial healthy state", func() bool { return b.Up() })
+	waitFor(t, "initial healthy state", func() bool { return b.up.Load() })
 	sick.Store(true)
-	waitFor(t, "threshold eviction", func() bool { return !b.Up() })
+	waitFor(t, "threshold eviction", func() bool { return !b.up.Load() })
 	if ev := b.status().Evictions; ev != 1 {
 		t.Fatalf("evictions = %d, want 1", ev)
 	}
 	sick.Store(false)
-	waitFor(t, "probe-based reinstatement", func() bool { return b.Up() })
+	waitFor(t, "probe-based reinstatement", func() bool { return b.up.Load() })
 	if ri := b.status().Reinstates; ri != 1 {
 		t.Fatalf("reinstates = %d, want 1", ri)
 	}
@@ -300,15 +300,15 @@ func TestDrainingBackendEvictedImmediately(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Shutdown(context.Background())
-	b := r.Backends()[0]
-	waitFor(t, "healthy", func() bool { return b.Up() })
+	b := r.backends[0]
+	waitFor(t, "healthy", func() bool { return b.up.Load() })
 
 	if err := n.srv.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// FailAfter is 50: only the immediate drain eviction can fire
 	// this fast.
-	waitFor(t, "drain eviction", func() bool { return !b.Up() })
+	waitFor(t, "drain eviction", func() bool { return !b.up.Load() })
 }
 
 // TestRetryBudgetBoundsAmplification: with every backend dead, the
@@ -453,7 +453,7 @@ func TestRouterDrainMirrorsDfmd(t *testing.T) {
 	if err := r.Shutdown(context.Background()); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
-	if !r.Draining() {
+	if !r.draining.Load() {
 		t.Fatal("router not draining after Shutdown")
 	}
 

@@ -539,9 +539,6 @@ func (s *Server) Health() HealthStatus {
 	return h
 }
 
-// Draining reports whether shutdown has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Shutdown drains the service: new submissions are rejected with 503,
 // queued jobs settle with a clean rejection, in-flight evaluations
 // run to completion — unless ctx expires first, which force-cancels

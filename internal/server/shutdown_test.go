@@ -32,7 +32,7 @@ func TestGracefulShutdownDrainsInflightRejectsQueued(t *testing.T) {
 		s.Shutdown(context.Background())
 		close(done)
 	}()
-	waitFor(t, "draining", func() bool { return s.Draining() })
+	waitFor(t, "draining", func() bool { return s.draining.Load() })
 	if _, _, err := s.submit(req(3)); !errors.Is(err, errDraining) {
 		t.Fatalf("submit while draining: err = %v, want errDraining", err)
 	}

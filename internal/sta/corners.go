@@ -1,26 +1,10 @@
 package sta
 
-import (
-	"sort"
+import "repro/internal/circuit"
 
-	"repro/internal/circuit"
-)
-
-// Corner analysis: re-run STA under named per-type channel-length
-// sets (typically litho-extracted at different process conditions) —
-// the multi-corner signoff the litho-aware flow feeds.
-
-// Corner is one named analysis condition.
-type Corner struct {
-	Name string
-	// DelayL / LeakL give per-gate-type equivalent lengths; missing
-	// types use nominal.
-	DelayL map[circuit.GateType]float64
-	LeakL  map[circuit.GateType]float64
-}
-
-// TypeLengths expands per-type equivalent lengths into the per-gate
-// Lengths STA consumes.
+// TypeLengths expands per-type equivalent lengths (typically
+// litho-extracted at one process condition) into the per-gate Lengths
+// STA consumes; missing types use nominal.
 func TypeLengths(nl *circuit.Netlist, delayL, leakL map[circuit.GateType]float64) Lengths {
 	lens := Lengths{
 		Delay: make([]float64, len(nl.Gates)),
@@ -35,31 +19,4 @@ func TypeLengths(nl *circuit.Netlist, delayL, leakL map[circuit.GateType]float64
 		}
 	}
 	return lens
-}
-
-// CornerResult pairs a corner with its analysis.
-type CornerResult struct {
-	Corner Corner
-	Res    Result
-}
-
-// AnalyzeCorners runs STA at every corner against one clock period and
-// returns results sorted by ascending WNS (worst corner first).
-func AnalyzeCorners(nl *circuit.Netlist, lib Lib, corners []Corner, period float64) []CornerResult {
-	out := make([]CornerResult, 0, len(corners))
-	for _, c := range corners {
-		lens := TypeLengths(nl, c.DelayL, c.LeakL)
-		out = append(out, CornerResult{Corner: c, Res: Analyze(nl, lib, lens, period)})
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Res.WNS < out[j].Res.WNS })
-	return out
-}
-
-// WorstCorner returns the corner with the smallest WNS (empty name for
-// no corners).
-func WorstCorner(results []CornerResult) (Corner, Result) {
-	if len(results) == 0 {
-		return Corner{}, Result{}
-	}
-	return results[0].Corner, results[0].Res
 }

@@ -20,45 +20,3 @@ func TestTypeLengths(t *testing.T) {
 		}
 	}
 }
-
-func TestAnalyzeCornersOrdering(t *testing.T) {
-	nl := circuit.RandomLogic(8, 10, 12, 4)
-	lib := DefaultLib()
-	nom := Analyze(nl, lib, Lengths{}, 0)
-	period := nom.Arrival[worstEndpoint(nl, nom)]
-
-	slow := map[circuit.GateType]float64{
-		circuit.Inv: 49, circuit.Nand2: 49, circuit.Nor2: 49, circuit.Buf: 49,
-	}
-	fast := map[circuit.GateType]float64{
-		circuit.Inv: 42, circuit.Nand2: 42, circuit.Nor2: 42, circuit.Buf: 42,
-	}
-	results := AnalyzeCorners(nl, lib, []Corner{
-		{Name: "TT"},
-		{Name: "SS", DelayL: slow, LeakL: slow},
-		{Name: "FF", DelayL: fast, LeakL: fast},
-	}, period)
-	if len(results) != 3 {
-		t.Fatalf("corner count = %d", len(results))
-	}
-	// Sorted worst-first: SS < TT < FF in WNS.
-	if results[0].Corner.Name != "SS" || results[2].Corner.Name != "FF" {
-		t.Fatalf("corner ordering wrong: %s %s %s",
-			results[0].Corner.Name, results[1].Corner.Name, results[2].Corner.Name)
-	}
-	if results[0].Res.WNS >= 0 {
-		t.Fatalf("slow corner should fail drawn-period timing: %v", results[0].Res.WNS)
-	}
-	// The fast corner leaks more than the slow one.
-	if results[2].Res.LeakTotal <= results[0].Res.LeakTotal {
-		t.Fatalf("fast corner should leak more: FF %v vs SS %v",
-			results[2].Res.LeakTotal, results[0].Res.LeakTotal)
-	}
-	wc, wres := WorstCorner(results)
-	if wc.Name != "SS" || wres.WNS != results[0].Res.WNS {
-		t.Fatalf("WorstCorner wrong: %v", wc.Name)
-	}
-	if n, _ := WorstCorner(nil); n.Name != "" {
-		t.Fatalf("empty WorstCorner should be zero")
-	}
-}

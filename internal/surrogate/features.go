@@ -39,12 +39,6 @@ const (
 	FeatureDim
 )
 
-// FeatureNames labels the vector for reports and model dumps.
-var FeatureNames = [FeatureDim]string{
-	"rects", "densCore", "densPad", "minDim", "narrow", "subFailW",
-	"minGap", "tightGap", "subFailGap", "perimArea", "nbDens", "nbOverlap",
-}
-
 // Features is one window's geometric context vector.
 type Features [FeatureDim]float64
 
@@ -109,7 +103,7 @@ func WindowFeatures(win geom.Rect, pad int64, rects, neighbor []geom.Rect, failW
 	f[FMinGap] = float64(minGap)
 	f[FTightGap] = float64(nTight)
 	f[FSubFailGap] = float64(nSubGap)
-	f[FPerimArea] = float64(perim) / float64(maxI64(1, areaCore))
+	f[FPerimArea] = float64(perim) / float64(max(1, areaCore))
 	f[FNbDens] = float64(nbArea) / float64(coreArea)
 	f[FNbOverlap] = float64(overlap) / float64(coreArea)
 	return f
@@ -180,7 +174,7 @@ func gridOverlap(win geom.Rect, rects, neighbor []geom.Rect) int64 {
 	accumulate(win, neighbor, &b)
 	var sum int64
 	for i := range a {
-		sum += minI64(a[i], b[i])
+		sum += min(a[i], b[i])
 	}
 	return sum
 }
@@ -221,18 +215,4 @@ func accumulate(win geom.Rect, rects []geom.Rect, cells *[overlapGridN * overlap
 // model's say-so.
 func Guarded(f Features) bool {
 	return f[FSubFailW] > 0 || f[FSubFailGap] > 0
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

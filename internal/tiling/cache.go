@@ -26,6 +26,3 @@ func NewCache(maxEntries int) *Cache {
 	}
 	return &Cache{lru: lru.New[[sha256.Size]byte, *TileResult](maxEntries)}
 }
-
-// Len returns the current entry count.
-func (c *Cache) Len() int { return c.lru.Len() }

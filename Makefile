@@ -132,18 +132,18 @@ editprofile: ## CPU profile of the in-design edit cycle (100k-rect chip, repair 
 # Where fleetprofile keeps its test binary and profile (bin/ is gitignored).
 FLEETPROFILE_DIR ?= bin/fleetprofile
 
-fleetprofile: ## CPU profile of the fleet path (BenchmarkFleetChip: 50k-rect chip, router + 2 in-process nodes, cold pass A then resubmitted pass B): encoding/json, wire codec, key hashing, router, client and deck by cumulative cost
+fleetprofile: ## CPU profile of the fleet path (BenchmarkFleetChip: 50k-rect chip, router + 2 in-process nodes, cold pass A then resubmitted pass B): encoding/json, wire codec, the unit's one sort and its key (hashed where it is built and on the node that serves it; the router only forwards), router, client and deck by cumulative cost
 	@mkdir -p $(FLEETPROFILE_DIR)
 	$(GO) test -run='^$$' -bench='^BenchmarkFleetChip$$' -benchtime=20x -benchmem \
 		-cpuprofile $(FLEETPROFILE_DIR)/cpu.prof -o $(FLEETPROFILE_DIR)/fleet.test ./internal/fleet
-	$(GO) tool pprof -top -cum -nodecount=40 -show='encoding/json|tiling\.|server\.|router\.|client\.|drc\.' $(FLEETPROFILE_DIR)/fleet.test $(FLEETPROFILE_DIR)/cpu.prof
+	$(GO) tool pprof -top -cum -nodecount=40 -show='encoding/json|tiling\.|server\.|router\.|client\.|drc\.|slices\.' $(FLEETPROFILE_DIR)/fleet.test $(FLEETPROFILE_DIR)/cpu.prof
 
 bench: ## every root-module benchmark, time and allocations only; writes no file (records come from `bash benchmark/run.sh`)
 	$(GO) test -run='^$$' -bench=. -benchmem .
 
-bench-smoke: ## one iteration of the four kernel micro-rows and of the tile wire codec, so the gate executes the benchmarks and does not merely compile them
+bench-smoke: ## one iteration of the four kernel micro-rows, of the tile wire codec and of the tile key, so the gate executes the benchmarks and does not merely compile them
 	$(GO) test -run='^$$' -bench='^Benchmark(GeomBoolean|DRCBlock|BitmapOpen|ScanWindow)$$' -benchtime=1x .
-	$(GO) test -run='^$$' -bench='^BenchmarkTileWire$$' -benchtime=1x -benchmem ./internal/tiling
+	$(GO) test -run='^$$' -bench='^BenchmarkTile(Wire|Key)$$' -benchtime=1x -benchmem ./internal/tiling
 
 # internal/surface counts examples/* as callers (examples/quickstart is
 # the reason internal/lvs is in the tree), and an example that only

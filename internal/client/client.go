@@ -65,30 +65,43 @@ func New(base string, httpClient *http.Client) *Client {
 	return &Client{base: strings.TrimRight(base, "/"), hc: httpClient}
 }
 
-func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
+// Reply is one answer as it arrived: status, headers, and the body
+// undecoded.
+type Reply struct {
+	Code   int
+	Header http.Header
+	Body   []byte
+}
+
+// Forward sends body (nil for none) as it is, with header beside the
+// JSON content type, and returns the answer as it is. It is the one HTTP
+// exchange under every typed call here, and dfmrouter's whole data
+// path: the router relays requests and answers it never decodes. A
+// non-2xx answer is the typed error the typed calls return — Overloaded
+// with the server's hint, ErrDraining, StatusError — and no Reply.
+func (c *Client) Forward(ctx context.Context, method, path string, header http.Header, body []byte) (*Reply, error) {
 	var rd io.Reader
 	if body != nil {
-		b, err := json.Marshal(body)
-		if err != nil {
-			return err
-		}
-		rd = bytes.NewReader(b)
+		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
-		return err
+		return nil, err
+	}
+	for k, v := range header {
+		req.Header[k] = v
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	// Drain before closing, on every path: a json.Decoder stops at the
-	// end of its value, and a body closed with the trailing newline and
-	// chunk terminator unread takes its connection down with it — one
-	// TCP handshake per large response instead of one per client.
+	// Read to the end before closing, on every path: a body closed with
+	// its trailing newline and chunk terminator unread takes its
+	// connection down with it — one TCP handshake per large response
+	// instead of one per client.
 	defer func() {
 		io.Copy(io.Discard, resp.Body) //nolint:errcheck // best-effort, for reuse
 		resp.Body.Close()
@@ -111,39 +124,65 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 		if ra < MinRetryAfter {
 			ra = MinRetryAfter
 		}
-		return &Overloaded{RetryAfter: ra}
+		return nil, &Overloaded{RetryAfter: ra}
 	case resp.StatusCode == http.StatusServiceUnavailable:
-		return ErrDraining
+		return nil, ErrDraining
 	case resp.StatusCode >= 400:
 		var eb server.ErrorBody
 		json.NewDecoder(resp.Body).Decode(&eb) //nolint:errcheck // best-effort detail
-		return &StatusError{Code: resp.StatusCode, Msg: eb.Error}
+		return nil, &StatusError{Code: resp.StatusCode, Msg: eb.Error}
 	}
-	if out == nil {
-		return nil
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, err
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return &Reply{Code: resp.StatusCode, Header: resp.Header, Body: b}, nil
 }
 
-// Submit enqueues a job and returns its initial status (done
-// immediately on a cache hit).
-func (c *Client) Submit(ctx context.Context, req server.JobRequest) (server.JobStatus, error) {
+// do is Forward with both ends typed: body marshalled, the answer
+// decoded into out (nil for neither).
+func (c *Client) do(ctx context.Context, method, path string, header http.Header, body, out any) error {
+	var b []byte
+	if body != nil {
+		var err error
+		if b, err = json.Marshal(body); err != nil {
+			return err
+		}
+	}
+	rep, err := c.Forward(ctx, method, path, header, b)
+	if err != nil || out == nil {
+		return err
+	}
+	return json.Unmarshal(rep.Body, out)
+}
+
+// eval submits one job and blocks server-side until it settles, stating
+// the job's content address beside it (server.HeaderRouteKey) so that a
+// dfmrouter in the path can place it on the affinity ring without
+// parsing it. claim "" sends no header, and the router places the bytes
+// by their own hash.
+func (c *Client) eval(ctx context.Context, req server.JobRequest, claim string) (server.JobStatus, error) {
+	var header http.Header
+	if claim != "" {
+		header = http.Header{server.HeaderRouteKey: {claim}}
+	}
 	var st server.JobStatus
-	err := c.do(ctx, http.MethodPost, "/v1/jobs", req, &st)
+	err := c.do(ctx, http.MethodPost, "/v1/jobs?wait=1", header, req, &st)
 	return st, err
 }
 
-// Eval submits and blocks server-side until the job settles.
+// Eval submits and blocks server-side until the job settles. A request
+// KeyForRequest refuses is sent unclaimed: it is the node's to refuse,
+// with the node's own message.
 func (c *Client) Eval(ctx context.Context, req server.JobRequest) (server.JobStatus, error) {
-	var st server.JobStatus
-	err := c.do(ctx, http.MethodPost, "/v1/jobs?wait=1", req, &st)
-	return st, err
+	claim, _ := server.KeyForRequest(req) //nolint:errcheck // see above
+	return c.eval(ctx, req, claim)
 }
 
 // Job polls one job's status.
 func (c *Client) Job(ctx context.Context, id string) (server.JobStatus, error) {
 	var st server.JobStatus
-	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &st)
+	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil, nil, &st)
 	return st, err
 }
 
@@ -172,7 +211,7 @@ func (c *Client) Wait(ctx context.Context, id string, interval time.Duration) (s
 
 // Healthz reports nil when the server is accepting work.
 func (c *Client) Healthz(ctx context.Context) error {
-	return c.do(ctx, http.MethodGet, "/healthz", nil, nil)
+	return c.do(ctx, http.MethodGet, "/healthz", nil, nil, nil)
 }
 
 // HealthDeep fetches the deep health probe: drain state plus live
@@ -181,7 +220,7 @@ func (c *Client) Healthz(ctx context.Context) error {
 // draining status alongside the error so eviction logic has one path.
 func (c *Client) HealthDeep(ctx context.Context) (server.HealthStatus, error) {
 	var h server.HealthStatus
-	err := c.do(ctx, http.MethodGet, "/healthz?deep=1", nil, &h)
+	err := c.do(ctx, http.MethodGet, "/healthz?deep=1", nil, nil, &h)
 	if errors.Is(err, ErrDraining) {
 		h = server.HealthStatus{Status: "draining", Draining: true}
 	}
@@ -194,6 +233,6 @@ func (c *Client) Metrics(ctx context.Context) (server.Stats, json.RawMessage, er
 		Server   server.Stats    `json:"server"`
 		Registry json.RawMessage `json:"registry"`
 	}
-	err := c.do(ctx, http.MethodGet, "/metrics", nil, &body)
+	err := c.do(ctx, http.MethodGet, "/metrics", nil, nil, &body)
 	return body.Server, body.Registry, err
 }

@@ -15,13 +15,14 @@ import (
 
 	"repro/internal/drc"
 	"repro/internal/geom"
+	"repro/internal/layout"
 	"repro/internal/server"
 	"repro/internal/tech"
 	"repro/internal/tiling"
 )
 
 // TestClientAgainstRealServer drives the genuine service end to end:
-// submit, wait, eval (cache hit), techniques, healthz, metrics.
+// eval, poll, eval again (cache hit), healthz, metrics.
 func TestClientAgainstRealServer(t *testing.T) {
 	s := server.New(server.Config{Workers: 2, Queue: 8, MaxWait: time.Hour})
 	defer s.Shutdown(context.Background())
@@ -34,9 +35,9 @@ func TestClientAgainstRealServer(t *testing.T) {
 		t.Fatalf("healthz: %v", err)
 	}
 
-	st, err := c.Submit(ctx, server.JobRequest{Technique: "sraf", Seed: 3})
+	st, err := c.Eval(ctx, server.JobRequest{Technique: "sraf", Seed: 3})
 	if err != nil {
-		t.Fatalf("submit: %v", err)
+		t.Fatalf("eval: %v", err)
 	}
 	fin, err := c.Wait(ctx, st.ID, 5*time.Millisecond)
 	if err != nil {
@@ -67,7 +68,7 @@ func TestClientAgainstRealServer(t *testing.T) {
 		t.Fatal("unknown job did not error")
 	}
 	var se *StatusError
-	if _, err := c.Submit(ctx, server.JobRequest{Technique: "bogus"}); !errors.As(err, &se) || se.Code != 400 {
+	if _, err := c.Eval(ctx, server.JobRequest{Technique: "bogus"}); !errors.As(err, &se) || se.Code != 400 {
 		t.Fatalf("bad technique err = %v, want 400 StatusError", err)
 	}
 }
@@ -88,7 +89,7 @@ func TestClientMapsOverloadAndDraining(t *testing.T) {
 	defer ts.Close()
 	c := New(ts.URL, nil)
 
-	_, err := c.Submit(context.Background(), server.JobRequest{Technique: "sraf"})
+	_, err := c.Eval(context.Background(), server.JobRequest{Technique: "sraf"})
 	var ov *Overloaded
 	if !errors.As(err, &ov) {
 		t.Fatalf("429 err = %v, want Overloaded", err)
@@ -98,6 +99,59 @@ func TestClientMapsOverloadAndDraining(t *testing.T) {
 	}
 	if err := c.Healthz(context.Background()); !errors.Is(err, ErrDraining) {
 		t.Fatalf("healthz on draining server err = %v, want ErrDraining", err)
+	}
+}
+
+// testUnit is a small valid stage-A unit and the key a node files it
+// under.
+func testUnit(t *testing.T) (*tiling.TileRequest, string) {
+	t.Helper()
+	unit := &tiling.TileRequest{
+		Schema: tiling.TileSchema, Stage: tiling.StageTile, Tech: *tech.N45(), DRC: true,
+		CoreW: 8000, CoreH: 8000, Pad: 2000,
+		Shapes: []layout.Shape{{Layer: tech.Metal2, R: geom.R(1500, 1500, 1800, 1570)}},
+	}
+	key, err := server.KeyForRequest(server.JobRequest{Kind: server.KindTile, Tile: unit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return unit, key
+}
+
+// The key a client claims is the key the settled job must carry. A node
+// that files the unit under anything else hashes units differently from
+// this client, and its answer is refused — loudly, once, with no retry:
+// the same bytes would hash the same way again. A unit the client cannot
+// key at all never leaves.
+func TestEvalTileHoldsTheNodeToItsKey(t *testing.T) {
+	unit, key := testUnit(t)
+	var calls atomic.Int64
+	answer := server.JobStatus{ID: "j-1", State: server.StateDone, Kind: server.KindTile, Tile: &tiling.TileResult{}}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		if got := r.Header.Get(server.HeaderRouteKey); got != key {
+			t.Errorf("claimed %q beside the unit, want its key %q", got, key)
+		}
+		server.WriteJSON(w, http.StatusOK, answer)
+	}))
+	defer ts.Close()
+	sub := &TileSubmitter{C: New(ts.URL, ts.Client()), Policy: NewRetryPolicy(4, 1)}
+
+	answer.Key = key
+	if _, _, err := sub.EvalTile(context.Background(), unit); err != nil {
+		t.Fatalf("honest node: %v", err)
+	}
+	answer.Key = "sha256:" + strings.Repeat("0", 64)
+	calls.Store(0)
+	if _, _, err := sub.EvalTile(context.Background(), unit); err == nil || !strings.Contains(err.Error(), "disagree") {
+		t.Fatalf("node that keyed the unit differently: err = %v, want the disagreement named", err)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("a key mismatch was sent %d times, want 1: it is not retryable", n)
+	}
+	calls.Store(0)
+	if _, _, err := sub.EvalTile(context.Background(), &tiling.TileRequest{}); err == nil || calls.Load() != 0 {
+		t.Errorf("a unit with no key: err = %v after %d requests, want it refused before any byte leaves", err, calls.Load())
 	}
 }
 
@@ -115,6 +169,7 @@ func TestClientReusesConnectionAfterLargeBody(t *testing.T) {
 		})
 	}
 	long := strings.Repeat("no room at the inn; ", 500)
+	unit, unitKey := testUnit(t)
 	for _, tc := range []struct {
 		name string
 		code int
@@ -129,9 +184,9 @@ func TestClientReusesConnectionAfterLargeBody(t *testing.T) {
 				}
 				return err
 			}},
-		{"EvalTile", http.StatusOK, server.JobStatus{ID: "j-1", State: server.StateDone, Kind: server.KindTile, Tile: tile},
+		{"EvalTile", http.StatusOK, server.JobStatus{ID: "j-1", State: server.StateDone, Kind: server.KindTile, Key: unitKey, Tile: tile},
 			func(ctx context.Context, c *Client) error {
-				res, _, err := c.EvalTile(ctx, &tiling.TileRequest{})
+				res, _, err := c.EvalTile(ctx, unit)
 				if err == nil && len(res.Violations) != 3000 {
 					err = fmt.Errorf("decoded %d violations", len(res.Violations))
 				}

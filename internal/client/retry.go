@@ -83,8 +83,8 @@ func (p *RetryPolicy) Delay(retry int, hint time.Duration) time.Duration {
 
 // Retryable reports whether the error is worth another attempt
 // against the same endpoint: overload pushback and transport-level
-// failures are; validation errors (4xx), drain rejections, and
-// context expiry are not.
+// failures are; validation errors (4xx), drain rejections, a node that
+// keys a tile unit differently, and context expiry are not.
 func Retryable(err error) bool {
 	if err == nil {
 		return false
@@ -92,7 +92,7 @@ func Retryable(err error) bool {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return false
 	}
-	if errors.Is(err, ErrDraining) {
+	if errors.Is(err, ErrDraining) || errors.Is(err, errKeyMismatch) {
 		return false
 	}
 	var se *StatusError

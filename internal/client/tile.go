@@ -2,6 +2,7 @@ package client
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/server"
@@ -21,13 +22,31 @@ func (e *TileFailed) Error() string {
 	return fmt.Sprintf("dfmd: tile job %s failed: %s", e.ID, e.Msg)
 }
 
+// errKeyMismatch marks a tile job whose node filed it under another
+// content address than the client computed. The same unit hashes the
+// same way every time, so it is not worth another attempt.
+var errKeyMismatch = errors.New("dfmd: client and node disagree on a tile unit's content address")
+
 // EvalTile submits one tile work unit and blocks until it settles,
 // decoding the settled status into the tiling engine's result form.
 // If the server-side wait was cut short (proxy deadline upstream), it
 // falls back to polling the job it already paid to enqueue rather than
 // resubmitting — the satellite of the 202-on-wait-cancel contract.
+//
+// The unit is keyed here, before any byte leaves: the key is the claim
+// a router places the unit by, and a unit this build cannot key is one
+// no node of this build will accept. The settled status must carry the
+// same key. The node keys what it decoded, never the claim, so a
+// mismatch means the node hashes units differently from this client —
+// version skew — and its result would be filed, here and in every cache
+// between, under an address that means something else: the unit fails.
 func (c *Client) EvalTile(ctx context.Context, req *tiling.TileRequest) (*tiling.TileResult, tiling.TileServed, error) {
-	st, err := c.Eval(ctx, server.JobRequest{Kind: server.KindTile, Tile: req})
+	jr := server.JobRequest{Kind: server.KindTile, Tile: req}
+	claim, err := server.KeyForRequest(jr)
+	if err != nil {
+		return nil, tiling.TileServed{}, err
+	}
+	st, err := c.eval(ctx, jr, claim)
 	if err != nil {
 		return nil, tiling.TileServed{}, err
 	}
@@ -37,6 +56,9 @@ func (c *Client) EvalTile(ctx context.Context, req *tiling.TileRequest) (*tiling
 		}
 	}
 	served := tiling.TileServed{Cached: st.Cached, Deduped: st.Deduped}
+	if st.Key != claim {
+		return nil, served, fmt.Errorf("%w: job %s settled under %q, this client keyed the unit %q", errKeyMismatch, st.ID, st.Key, claim)
+	}
 	if st.State == server.StateFailed {
 		return nil, served, &TileFailed{ID: st.ID, Msg: st.Error}
 	}

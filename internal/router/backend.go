@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/server"
 )
 
 // Backend is one dfmd node behind the router: its client, its health
@@ -23,6 +24,10 @@ type Backend struct {
 
 	cl      *client.Client
 	breaker *breaker
+	// idPrefix is the header every job request to this node carries:
+	// the node writes its job IDs as "<Name>.<id>" (server.HeaderIDPrefix),
+	// so its answers need no rewriting on the way back.
+	idPrefix http.Header
 
 	// up is the health checker's verdict. Backends start up
 	// (optimistic): the first data-path failures trip the breaker
@@ -46,10 +51,11 @@ type Backend struct {
 
 func newBackend(name, url string, hc *http.Client, brThreshold int, brCooldown time.Duration, now func() time.Time) *Backend {
 	b := &Backend{
-		Name:    name,
-		URL:     url,
-		cl:      client.New(url, hc),
-		breaker: newBreaker(brThreshold, brCooldown, now),
+		Name:     name,
+		URL:      url,
+		cl:       client.New(url, hc),
+		breaker:  newBreaker(brThreshold, brCooldown, now),
+		idPrefix: http.Header{server.HeaderIDPrefix: {name + "."}},
 	}
 	b.up.Store(true)
 	return b

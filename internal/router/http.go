@@ -2,6 +2,8 @@ package router
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"net/http"
@@ -18,9 +20,9 @@ import (
 // single dfmd node, so clients point at the router and notice nothing
 // except that it survives node deaths:
 //
-//	POST /v1/jobs            route a submission; ?wait=1 blocks
+//	POST /v1/jobs            route a submission, bytes untouched; ?wait=1 blocks
 //	GET  /v1/jobs/{id}       poll (IDs carry the backend: "n2.j-000017")
-//	GET  /v1/jobs/{id}/result  settled outcome
+//	GET  /v1/jobs/{id}/result  settled outcome, relayed as the node wrote it
 //	GET  /v1/techniques      technique registry
 //	GET  /healthz            200 while ≥1 backend is up and not draining
 //	GET  /metrics            router stats + per-backend states + obs registry
@@ -35,6 +37,15 @@ func (r *Router) Handler() http.Handler {
 	return mux
 }
 
+// handleSubmit routes one submission without reading it. The body is
+// buffered under the bound both tiers share and sent, byte for byte, to
+// the backend the policy picks — the same buffer again on every retry
+// and failover — and the backend's answer is relayed byte for byte. The
+// three facts the router needs travel beside the JSON (server.Header*):
+// the ID prefix goes out as a request header the node applies, and the
+// job's kind and reuse come back as response headers. So a malformed
+// body is the node's 400 passed through, and nothing a client sends can
+// make the router decode, validate, key or re-encode a payload.
 func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	if r.draining.Load() {
 		server.WriteError(w, http.StatusServiceUnavailable, "router shutting down")
@@ -43,30 +54,65 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	r.inflight.Add(1)
 	defer r.inflight.Done()
 
-	jr, ok := server.DecodeJobRequest(w, req)
+	body, ok := server.ReadJobBody(w, req)
 	if !ok {
 		return
 	}
-	var (
-		st  server.JobStatus
-		b   *Backend
-		err error
-	)
+	path := "/v1/jobs"
 	if req.URL.Query().Get("wait") != "" {
-		st, b, err = r.Eval(req.Context(), jr)
-	} else {
-		st, b, err = r.Submit(req.Context(), jr)
+		path += "?wait=1"
 	}
+	rep, b, err := r.route(req.Context(), placement(req.Header.Get(server.HeaderRouteKey), body),
+		func(ctx context.Context, b *Backend) (*client.Reply, error) {
+			return b.cl.Forward(ctx, http.MethodPost, path, b.idPrefix, body)
+		})
 	if err != nil {
 		r.writeRouteError(w, err)
 		return
 	}
-	st.ID = b.Name + "." + st.ID
-	code := http.StatusAccepted
-	if st.State == server.StateDone || st.State == server.StateFailed {
-		code = http.StatusOK
+	// Fleet-level tile accounting: total units, per-backend placement,
+	// and reuse (a backend answering from its cache or deduping into an
+	// in-flight twin — what `dfmload -cluster N -chip` prints as the
+	// duplicate-tile hit rate and the benchmark reads as
+	// router.tile_reused_ratio).
+	if rep.Header.Get(server.HeaderJobKind) == server.KindTile {
+		r.tileJobs.Add(1)
+		mTileJobs.Inc()
+		b.tiles.Add(1)
+		if rep.Header.Get(server.HeaderJobReused) != "" {
+			r.tileReused.Add(1)
+			mTileReused.Inc()
+		}
 	}
-	server.WriteJSON(w, code, st)
+	relay(w, rep)
+}
+
+// placement is the key a submission is placed on the affinity ring by:
+// the content address its client claims, when that has the shape of one
+// ("sha256:" and 64 hex digits), and otherwise — no claim, an empty one,
+// ten kilobytes of one — the sha256 of the body, which still sends equal
+// bytes to one node. The claim is believed for placement only. A wrong
+// one puts a unit on a node that does not hold it cached, a miss the
+// client pays for itself; the node keys what it decoded, so no cache
+// entry, singleflight or JobStatus.Key ever depends on it.
+func placement(claim string, body []byte) string {
+	if digest, ok := strings.CutPrefix(claim, "sha256:"); ok && len(digest) == 2*sha256.Size {
+		var sum [sha256.Size]byte
+		if _, err := hex.Decode(sum[:], []byte(digest)); err == nil {
+			return claim
+		}
+	}
+	sum := sha256.Sum256(body)
+	return "sha256:" + hex.EncodeToString(sum[:])
+}
+
+// relay writes a backend's answer out as it came.
+func relay(w http.ResponseWriter, rep *client.Reply) {
+	if ct := rep.Header.Get("Content-Type"); ct != "" {
+		w.Header().Set("Content-Type", ct)
+	}
+	w.WriteHeader(rep.Code)
+	w.Write(rep.Body) //nolint:errcheck // client gone; nothing to do
 }
 
 // writeRouteError maps a routing failure onto the wire. Overload and
@@ -121,13 +167,13 @@ func (r *Router) splitID(id string) (*Backend, string, bool) {
 	return nil, "", false
 }
 
-func (r *Router) proxyJob(w http.ResponseWriter, req *http.Request, result bool) {
+func (r *Router) proxyJob(w http.ResponseWriter, req *http.Request, suffix string) {
 	b, local, ok := r.splitID(req.PathValue("id"))
 	if !ok {
 		server.WriteError(w, http.StatusNotFound, "unknown job id (want <backend>.<id>)")
 		return
 	}
-	st, err := b.cl.Job(req.Context(), local)
+	rep, err := b.cl.Forward(req.Context(), http.MethodGet, "/v1/jobs/"+local+suffix, b.idPrefix, nil)
 	if err != nil {
 		var se *client.StatusError
 		if errors.As(err, &se) {
@@ -137,20 +183,15 @@ func (r *Router) proxyJob(w http.ResponseWriter, req *http.Request, result bool)
 		server.WriteError(w, http.StatusBadGateway, "backend "+b.Name+" unreachable: "+err.Error())
 		return
 	}
-	st.ID = b.Name + "." + st.ID
-	code := http.StatusOK
-	if result && st.State != server.StateDone && st.State != server.StateFailed {
-		code = http.StatusAccepted
-	}
-	server.WriteJSON(w, code, st)
+	relay(w, rep)
 }
 
 func (r *Router) handleJob(w http.ResponseWriter, req *http.Request) {
-	r.proxyJob(w, req, false)
+	r.proxyJob(w, req, "")
 }
 
 func (r *Router) handleResult(w http.ResponseWriter, req *http.Request) {
-	r.proxyJob(w, req, true)
+	r.proxyJob(w, req, "/result")
 }
 
 func (r *Router) handleTechniques(w http.ResponseWriter, req *http.Request) {

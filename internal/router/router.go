@@ -2,14 +2,17 @@
 // dfmd nodes (`cmd/dfmrouter`): it spreads `/v1/jobs` traffic across
 // backends under a pluggable policy — round-robin, least-loaded (each
 // node's own backlog×EWMA admission estimate), or content-address
-// affinity (consistent hashing over the request's sha256 cache key,
-// which turns N per-node LRU caches into one effectively global cache
-// with no shared store) — and keeps the paper's interactive-checking
-// contract honest when nodes die: active health probes with
-// threshold eviction and probe-based reinstatement, per-backend
-// circuit breakers, retry-on-another-replica with jittered backoff
-// that honors server Retry-After hints, and a retry *budget* so a
-// cluster-wide outage sheds load instead of amplifying it.
+// affinity (consistent hashing over the sha256 cache key the client
+// claims beside its request, which turns N per-node LRU caches into one
+// effectively global cache with no shared store) — without reading a
+// job in either direction: a submission's bytes go to the chosen node
+// as they came and the node's answer goes back as it came (http.go),
+// so validity and identity stay the node's. It keeps the paper's
+// interactive-checking contract honest when nodes die: active health
+// probes with threshold eviction and probe-based reinstatement,
+// per-backend circuit breakers, retry-on-another-replica with jittered
+// backoff that honors server Retry-After hints, and a retry *budget* so
+// a cluster-wide outage sheds load instead of amplifying it.
 package router
 
 import (
@@ -24,7 +27,6 @@ import (
 	"time"
 
 	"repro/internal/client"
-	"repro/internal/server"
 )
 
 // Config sizes the router.
@@ -243,8 +245,9 @@ func (r *Router) pick(key string, tried map[*Backend]bool) *Backend {
 
 // route drives one request through pick → call → classify → failover
 // until it succeeds, exhausts its attempt/budget allowance, or hits a
-// terminal error. call is the per-backend operation (Eval or Submit).
-func (r *Router) route(ctx context.Context, key string, call func(context.Context, *Backend) (server.JobStatus, error)) (server.JobStatus, *Backend, error) {
+// terminal error. call is the per-backend operation: the same bytes
+// sent to whichever backend is picked.
+func (r *Router) route(ctx context.Context, key string, call func(context.Context, *Backend) (*client.Reply, error)) (*client.Reply, *Backend, error) {
 	r.requests.Add(1)
 	mRequests.Inc()
 	start := time.Now()
@@ -273,7 +276,7 @@ func (r *Router) route(ctx context.Context, key string, call func(context.Contex
 				t.Stop()
 				r.failed.Add(1)
 				mFailed.Inc()
-				return server.JobStatus{}, nil, ctx.Err()
+				return nil, nil, ctx.Err()
 			}
 		}
 		b := r.pick(key, tried)
@@ -302,7 +305,7 @@ func (r *Router) route(ctx context.Context, key string, call func(context.Contex
 		if r.cfg.AttemptTimeout > 0 {
 			actx, cancel = context.WithTimeout(ctx, r.cfg.AttemptTimeout)
 		}
-		st, err := call(actx, b)
+		rep, err := call(actx, b)
 		cancel()
 		b.inflight.Add(-1)
 		hint = 0
@@ -320,7 +323,7 @@ func (r *Router) route(ctx context.Context, key string, call func(context.Contex
 			r.ok.Add(1)
 			mOK.Inc()
 			mE2E.ObserveSince(start)
-			return st, b, nil
+			return rep, b, nil
 		case outcomeOverloaded:
 			// The node is alive and pushing back; that is not a
 			// breaker-worthy fault, but it does spend retry budget —
@@ -342,7 +345,7 @@ func (r *Router) route(ctx context.Context, key string, call func(context.Contex
 			b.breaker.success()
 			r.failed.Add(1)
 			mFailed.Inc()
-			return st, b, err
+			return nil, b, err
 		case outcomeFault:
 			b.fails.Add(1)
 			b.breaker.failure()
@@ -352,57 +355,7 @@ func (r *Router) route(ctx context.Context, key string, call func(context.Contex
 	}
 	r.failed.Add(1)
 	mFailed.Inc()
-	return server.JobStatus{}, nil, lastErr
-}
-
-// Eval routes a submit-and-wait request.
-func (r *Router) Eval(ctx context.Context, req server.JobRequest) (server.JobStatus, *Backend, error) {
-	key := routeKey(req)
-	st, b, err := r.route(ctx, key, func(ctx context.Context, b *Backend) (server.JobStatus, error) {
-		return b.cl.Eval(ctx, req)
-	})
-	r.noteTile(req, st, b, err)
-	return st, b, err
-}
-
-// Submit routes a fire-and-poll submission.
-func (r *Router) Submit(ctx context.Context, req server.JobRequest) (server.JobStatus, *Backend, error) {
-	key := routeKey(req)
-	st, b, err := r.route(ctx, key, func(ctx context.Context, b *Backend) (server.JobStatus, error) {
-		return b.cl.Submit(ctx, req)
-	})
-	r.noteTile(req, st, b, err)
-	return st, b, err
-}
-
-// noteTile folds one successfully routed tile work unit into the
-// fleet-level tile accounting: total units, per-backend placement, and
-// reuse (a backend answering from its cache or deduping into an
-// in-flight twin — what `dfmload -cluster N -chip` prints as the
-// duplicate-tile hit rate and the benchmark reads as
-// router.tile_reused_ratio).
-func (r *Router) noteTile(req server.JobRequest, st server.JobStatus, b *Backend, err error) {
-	if err != nil || b == nil || req.Kind != server.KindTile {
-		return
-	}
-	r.tileJobs.Add(1)
-	mTileJobs.Inc()
-	b.tiles.Add(1)
-	if st.Cached || st.Deduped {
-		r.tileReused.Add(1)
-		mTileReused.Inc()
-	}
-}
-
-// routeKey is the affinity key: the same content address the backend
-// will compute. Requests the backends would reject (unknown tech)
-// still need *some* key to route by — they hash their technique name
-// and fail on the node they land on.
-func routeKey(req server.JobRequest) string {
-	if key, err := server.KeyForRequest(req); err == nil {
-		return key
-	}
-	return "invalid:" + req.Technique
+	return nil, nil, lastErr
 }
 
 // request outcomes, classified from the backend client's error.

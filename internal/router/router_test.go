@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/client"
 	"repro/internal/faultinject"
 	"repro/internal/server"
 )
@@ -71,6 +72,23 @@ func (n *node) host() string { return strings.TrimPrefix(n.url, "http://") }
 
 func quiet(string, ...any) {}
 
+// front serves r's HTTP API and returns a client aimed at it. The
+// router has no other way in: every routing test submits the way a
+// client does, claim header and all, and reads which backend served a
+// job off the ID the answer carries.
+func front(t *testing.T, r *Router) *client.Client {
+	t.Helper()
+	ts := httptest.NewServer(r.Handler())
+	t.Cleanup(ts.Close)
+	return client.New(ts.URL, ts.Client())
+}
+
+// servedBy is the backend a routed job's ID names.
+func servedBy(st server.JobStatus) string {
+	name, _, _ := strings.Cut(st.ID, ".")
+	return name
+}
+
 func urls(nodes []*node) []string {
 	out := make([]string, len(nodes))
 	for i, n := range nodes {
@@ -81,7 +99,7 @@ func urls(nodes []*node) []string {
 
 // seedsOwnedBy returns `count` workload seeds whose affinity primary
 // is the named backend, derived from the same ring the router builds
-// — fully deterministic.
+// and the same key the client will claim — fully deterministic.
 func seedsOwnedBy(t *testing.T, primary string, count, nodes, vnodes int) []int64 {
 	t.Helper()
 	names := make([]string, nodes)
@@ -117,25 +135,26 @@ func TestAffinityPinsDuplicateWorkToOneNode(t *testing.T) {
 	}
 	defer r.Shutdown(context.Background())
 
+	c := front(t, r)
 	req := server.JobRequest{Technique: "sraf", Seed: 7}
 	ctx := context.Background()
-	var first *Backend
+	first := ""
 	for i := 0; i < 8; i++ {
-		st, b, err := r.Eval(ctx, req)
+		st, err := c.Eval(ctx, req)
 		if err != nil || st.State != server.StateDone {
 			t.Fatalf("eval %d: %v %+v", i, err, st)
 		}
-		if first == nil {
-			first = b
-		} else if b != first {
-			t.Fatalf("eval %d routed to %s, want sticky %s", i, b.Name, first.Name)
+		if first == "" {
+			first = servedBy(st)
+		} else if b := servedBy(st); b != first {
+			t.Fatalf("eval %d routed to %s, want sticky %s", i, b, first)
 		}
 		if i > 0 && !st.Cached {
 			t.Fatalf("eval %d not served from the sticky node's cache: %+v", i, st)
 		}
 	}
 	for _, b := range r.backends {
-		if b != first && b.status().Picks != 0 {
+		if b.Name != first && b.status().Picks != 0 {
 			t.Fatalf("backend %s saw %d picks for a single-key stream", b.Name, b.status().Picks)
 		}
 	}
@@ -164,6 +183,7 @@ func TestInflightFailoverDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Shutdown(context.Background())
+	c := front(t, r)
 
 	var wg sync.WaitGroup
 	errs := make([]error, len(seeds))
@@ -173,11 +193,11 @@ func TestInflightFailoverDeterministic(t *testing.T) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
-			st, b, err := r.Eval(ctx, server.JobRequest{Technique: "sraf", Seed: seed})
+			st, err := c.Eval(ctx, server.JobRequest{Technique: "sraf", Seed: seed})
 			if err == nil && st.State != server.StateDone {
 				err = fmt.Errorf("settled as %+v", st)
 			}
-			if err == nil && b.Name == "n0" {
+			if err == nil && servedBy(st) == "n0" {
 				err = fmt.Errorf("job completed on the black-holed primary")
 			}
 			errs[i] = err
@@ -217,6 +237,7 @@ func TestInflightFailoverOnRealKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Shutdown(context.Background())
+	c := front(t, r)
 
 	var wg sync.WaitGroup
 	errs := make([]error, len(seeds))
@@ -226,7 +247,7 @@ func TestInflightFailoverOnRealKill(t *testing.T) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
-			st, _, err := r.Eval(ctx, server.JobRequest{Technique: "sraf", Seed: seed})
+			st, err := c.Eval(ctx, server.JobRequest{Technique: "sraf", Seed: seed})
 			if err == nil && st.State != server.StateDone {
 				err = fmt.Errorf("settled as %+v", st)
 			}
@@ -334,11 +355,12 @@ func TestRetryBudgetBoundsAmplification(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Shutdown(context.Background())
+	c := front(t, r)
 
 	const reqs = 20
 	ctx := context.Background()
 	for i := 0; i < reqs; i++ {
-		if _, _, err := r.Eval(ctx, server.JobRequest{Technique: "sraf", Seed: int64(i)}); err == nil {
+		if _, err := c.Eval(ctx, server.JobRequest{Technique: "sraf", Seed: int64(i)}); err == nil {
 			t.Fatalf("request %d succeeded against dead backends", i)
 		}
 	}
@@ -491,11 +513,14 @@ func TestRouterShutdownLeaksNoGoroutines(t *testing.T) {
 			t.Fatal(err)
 		}
 		ctx := context.Background()
+		ts := httptest.NewServer(r.Handler())
+		c := client.New(ts.URL, ts.Client())
 		for i := 0; i < 4; i++ {
-			if _, _, err := r.Eval(ctx, server.JobRequest{Technique: "sraf", Seed: int64(i % 2)}); err != nil {
+			if _, err := c.Eval(ctx, server.JobRequest{Technique: "sraf", Seed: int64(i % 2)}); err != nil {
 				t.Fatalf("cycle %d eval %d: %v", cycle, i, err)
 			}
 		}
+		ts.Close()
 		if err := r.Shutdown(ctx); err != nil {
 			t.Fatal(err)
 		}
@@ -513,6 +538,129 @@ func TestRouterShutdownLeaksNoGoroutines(t *testing.T) {
 		runtime.GC()
 		return runtime.NumGoroutine() <= base+3
 	})
+}
+
+// TestRouterForwardsVerbatim is the standing check that the router is a
+// pipe for jobs: a stub backend receives a body byte-identical to what
+// the client sent — bytes no JSON decoder would hand back unchanged, and
+// one that is not JSON at all — and the client receives an answer
+// byte-identical to what the backend wrote, status and content type
+// included, directly and through a failover (the same buffer, sent
+// again). The job-ID prefix goes out as a header for the node to apply;
+// the stub applies it the way a node does, so the bytes compared carry
+// it. Tile accounting comes off the answer's headers, never its body.
+func TestRouterForwardsVerbatim(t *testing.T) {
+	const answer = "{\"id\" :\t\"%sj-000042\",\n\n  \"state\":\"done\", \"tile\":{\"unknown\":[1,2,3]}  }\r\n"
+	type seen struct {
+		body, claim, prefix string
+	}
+	var got []seen
+	var mu sync.Mutex
+	stub := func(fail bool) *httptest.Server {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+			if req.URL.Path != "/v1/jobs" {
+				json.NewEncoder(w).Encode(server.HealthStatus{Status: "ok"}) //nolint:errcheck // test stub
+				return
+			}
+			if fail {
+				w.WriteHeader(http.StatusInternalServerError)
+				return
+			}
+			var body bytes.Buffer
+			body.ReadFrom(req.Body) //nolint:errcheck // test stub
+			mu.Lock()
+			got = append(got, seen{body.String(), req.Header.Get(server.HeaderRouteKey), req.Header.Get(server.HeaderIDPrefix)})
+			mu.Unlock()
+			w.Header().Set("Content-Type", "application/x-stub")
+			w.Header().Set(server.HeaderJobKind, server.KindTile)
+			w.Header().Set(server.HeaderJobReused, "1")
+			w.WriteHeader(http.StatusAccepted)
+			fmt.Fprintf(w, answer, req.Header.Get(server.HeaderIDPrefix))
+		}))
+		t.Cleanup(ts.Close)
+		return ts
+	}
+	dead, live := stub(true), stub(false)
+
+	bodies := []string{
+		"  {\"kind\":\"tile\",\n\t\"tile\":{\"schema\":99,\"stage\":\"\\u0074ile\"},\"seed\":1e0,\"bogus\":null}\n\n",
+		"this is not JSON \x00\xff at all",
+	}
+	for _, tc := range []struct {
+		name     string
+		backends []string
+		servedBy string
+	}{
+		{"direct", []string{live.URL}, "n0."},
+		// Round-robin starts at n0, which answers 500: a fault, and the
+		// request fails over to n1.
+		{"failover", []string{dead.URL, live.URL}, "n1."},
+	} {
+		r, err := New(Config{Backends: tc.backends, Policy: "round-robin", CheckInterval: time.Hour,
+			RetryBase: time.Millisecond, Logf: quiet})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(r.Handler())
+		for i, body := range bodies {
+			mu.Lock()
+			got = nil
+			mu.Unlock()
+			resp, err := http.Post(ts.URL+"/v1/jobs?wait=1", "text/plain", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var back bytes.Buffer
+			back.ReadFrom(resp.Body) //nolint:errcheck // compared below
+			resp.Body.Close()
+			if len(got) != 1 || got[0].body != body {
+				t.Errorf("%s body %d: backend saw %q, client sent %q", tc.name, i, got, body)
+			}
+			if len(got) == 1 && got[0].prefix != tc.servedBy {
+				t.Errorf("%s body %d: backend was asked for ID prefix %q, want %q", tc.name, i, got[0].prefix, tc.servedBy)
+			}
+			if want := fmt.Sprintf(answer, tc.servedBy); back.String() != want {
+				t.Errorf("%s body %d: client received %q, backend wrote %q", tc.name, i, back.String(), want)
+			}
+			if resp.StatusCode != http.StatusAccepted || resp.Header.Get("Content-Type") != "application/x-stub" {
+				t.Errorf("%s body %d: client saw status %d type %q, backend answered 202 application/x-stub",
+					tc.name, i, resp.StatusCode, resp.Header.Get("Content-Type"))
+			}
+		}
+		st := r.Stats()
+		if n := int64(len(bodies)); st.OK != n || st.Failed != 0 || st.TileJobs != n || st.TileReused != n {
+			t.Errorf("%s: ok/failed %d/%d, tile jobs/reused %d/%d; want %d/0 and %d/%d off the answer's headers",
+				tc.name, st.OK, st.Failed, st.TileJobs, st.TileReused, n, n, n)
+		}
+		if wantFO := int64(len(tc.backends)-1) * int64(len(bodies)); st.Failovers != wantFO {
+			t.Errorf("%s: failovers = %d, want %d", tc.name, st.Failovers, wantFO)
+		}
+		ts.Close()
+		r.Shutdown(context.Background())
+	}
+}
+
+// The ring key is the client's claim when it looks like a content
+// address and the sha256 of the body otherwise — so equal bytes still
+// land on one node — and nothing else about the claim is believed.
+func TestPlacementBelievesOnlyWellFormedClaims(t *testing.T) {
+	body := []byte(`{"technique":"sraf","seed":3}`)
+	byBody := placement("", body)
+	if !strings.HasPrefix(byBody, "sha256:") || len(byBody) != 71 || byBody == placement("", append(body, ' ')) {
+		t.Fatalf("body placement %q is not a digest of the bytes", byBody)
+	}
+	claim := "sha256:" + strings.Repeat("0123456789abcdef", 4)
+	if got := placement(claim, body); got != claim {
+		t.Errorf("well-formed claim placed as %q", got)
+	}
+	for _, bad := range []string{
+		"sha256:", "sha256:" + strings.Repeat("g", 64), "md5:" + strings.Repeat("0", 64),
+		claim + "0", claim[:70], strings.Repeat("a", 10<<10), "sha256:" + strings.Repeat("é", 32), "invalid:sraf",
+	} {
+		if got := placement(bad, body); got != byBody {
+			t.Errorf("claim %.40q placed as %q, want the body's digest", bad, got)
+		}
+	}
 }
 
 // TestPolicyOrders sanity-checks the two non-affinity policies.

@@ -31,6 +31,29 @@ const (
 	KindTile = "tile"
 )
 
+// Headers that travel beside a job's JSON, so that a dfmrouter in the
+// path can place a submission, name the job and count the outcome
+// without decoding the body in either direction (DESIGN.md, "Router
+// pass-through"). A bare dfmd honours the same headers; a client that
+// sends none is served all the same.
+const (
+	// HeaderRouteKey, on a submission, is the client's claim of the
+	// request's content address (KeyForRequest). The router places the
+	// job on its affinity ring by it. It is placement, never identity:
+	// a node does not read it, and keys what it decoded.
+	HeaderRouteKey = "Dfm-Route-Key"
+	// HeaderIDPrefix, on any job request, is prepended by the node to
+	// the job ID in its answer: the router sends "<backend>." so the ID
+	// a client holds routes its polls back to the node that owns the job.
+	HeaderIDPrefix = "Dfm-Id-Prefix"
+	// HeaderJobKind and HeaderJobReused, on a job answer, repeat the
+	// status's Kind (absent for technique evaluations) and whether it
+	// was Cached or Deduped ("1", else absent): what the router's tile
+	// accounting counts.
+	HeaderJobKind   = "Dfm-Job-Kind"
+	HeaderJobReused = "Dfm-Job-Reused"
+)
+
 // BlockSpec is the wire form of the synthetic workload shape
 // (layout.BlockOpts minus the seed, which travels separately so
 // retries can perturb it).

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -58,18 +59,22 @@ func WriteError(w http.ResponseWriter, code int, msg string) {
 // making a node buffer without limit.
 const maxRequestBytes = 64 << 20
 
-// DecodeJobRequest reads a POST /v1/jobs body the one way both tiers
-// do (dfmrouter calls it too, so the limit and the strictness cannot
-// drift apart): at most maxRequestBytes, unknown fields rejected. On
-// failure it has already answered — 413 for an oversize body, 400 for
-// anything else — and returns false.
-func DecodeJobRequest(w http.ResponseWriter, r *http.Request) (JobRequest, bool) {
-	var req JobRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(&req)
+// ReadJobBody reads a POST /v1/jobs body the one way both tiers do —
+// dfmd to decode it, dfmrouter to forward it unread — so the size bound
+// cannot drift between them: at most maxRequestBytes. On failure it has
+// already answered, 413 for an oversize body and 400 for one that could
+// not be read, and returns false.
+func ReadJobBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 {
+		// A declared length sizes the buffer once, up to a bound a lying
+		// client cannot turn into memory; past it the buffer grows with
+		// the bytes that actually arrive.
+		buf.Grow(int(min(n, 1<<20)) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	if err == nil {
-		return req, true
+		return buf.Bytes(), true
 	}
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
@@ -78,12 +83,57 @@ func DecodeJobRequest(w http.ResponseWriter, r *http.Request) (JobRequest, bool)
 	} else {
 		WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 	}
-	return req, false
+	return nil, false
+}
+
+// decodeJobRequest is the node's strict reading of a body: unknown
+// fields rejected, here and (tiling's own codec) inside "tile".
+func decodeJobRequest(body []byte) (JobRequest, error) {
+	var req JobRequest
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&req)
+	return req, err
+}
+
+// writeStatus answers with a job status, with beside it what a router
+// in the path asked for and needs: the ID under the prefix r names, and
+// the kind and reuse flags repeated as headers.
+func writeStatus(w http.ResponseWriter, r *http.Request, code int, st JobStatus) {
+	st.ID = idPrefix(r) + st.ID
+	if st.Kind != "" {
+		w.Header().Set(HeaderJobKind, st.Kind)
+	}
+	if st.Cached || st.Deduped {
+		w.Header().Set(HeaderJobReused, "1")
+	}
+	WriteJSON(w, code, st)
+}
+
+// idPrefix is the job-ID prefix r asks for: a short run of the
+// characters backend names are made of, or none. Anything else is
+// ignored rather than echoed into an answer.
+func idPrefix(r *http.Request) string {
+	p := r.Header.Get(HeaderIDPrefix)
+	if len(p) > 32 {
+		return ""
+	}
+	for _, c := range []byte(p) {
+		if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || c == '.' || c == '-' || c == '_') {
+			return ""
+		}
+	}
+	return p
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	req, ok := DecodeJobRequest(w, r)
+	body, ok := ReadJobBody(w, r)
 	if !ok {
+		return
+	}
+	req, err := decodeJobRequest(body)
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
 	st, retryAfter, err := s.submit(req)
@@ -119,7 +169,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			if cur, stillOK := s.Job(st.ID); stillOK {
 				st = cur
 			}
-			WriteJSON(w, http.StatusAccepted, st)
+			writeStatus(w, r, http.StatusAccepted, st)
 			return
 		}
 		if ok {
@@ -130,7 +180,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if st.State == StateDone || st.State == StateFailed {
 		code = http.StatusOK
 	}
-	WriteJSON(w, code, st)
+	writeStatus(w, r, code, st)
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -139,7 +189,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusNotFound, "unknown job")
 		return
 	}
-	WriteJSON(w, http.StatusOK, st)
+	writeStatus(w, r, http.StatusOK, st)
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
@@ -149,10 +199,10 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if st.State != StateDone && st.State != StateFailed {
-		WriteJSON(w, http.StatusAccepted, st)
+		writeStatus(w, r, http.StatusAccepted, st)
 		return
 	}
-	WriteJSON(w, http.StatusOK, st)
+	writeStatus(w, r, http.StatusOK, st)
 }
 
 func (s *Server) handleTechniques(w http.ResponseWriter, r *http.Request) {

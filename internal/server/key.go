@@ -45,10 +45,10 @@ type resolved struct {
 }
 
 // resolve is the one per-kind reading of a request, shared by
-// Server.submit and KeyForRequest so dfmd and dfmrouter cannot disagree
-// on which requests are valid or on what their key is. Each kind reads
-// and validates only its own fields: a tile job carries its full tech
-// node inside the TileRequest, so the eval-only Tech/Block/Technique
+// Server.submit and KeyForRequest so that the key a client claims and
+// the key a node files the job under come from the same code. Each kind
+// reads and validates only its own fields: a tile job carries its full
+// tech node inside the TileRequest, so the eval-only Tech/Block/Technique
 // fields are neither consulted nor checked for it.
 func resolve(req JobRequest) (resolved, error) {
 	switch req.Kind {
@@ -63,10 +63,11 @@ func resolve(req JobRequest) (resolved, error) {
 		}
 		return resolved{key: requestKey(req.Technique, t, req.Seed, base), tech: t, base: base}, nil
 	case KindTile:
-		// The tiling engine's own hash (which validates the payload as
-		// a side effect), so the server cache, singleflight and the
-		// router's affinity ring all see the exact key the local tile
-		// cache would use.
+		// The tiling engine's own hash (which validates the payload,
+		// canonical order included, on the way), so the server cache
+		// and singleflight see the exact key the local tile cache would
+		// use — computed here from what was decoded, whatever key the
+		// client claimed to the router.
 		if req.Tile == nil {
 			return resolved{}, errors.New("tile job missing tile payload")
 		}
@@ -77,10 +78,12 @@ func resolve(req JobRequest) (resolved, error) {
 }
 
 // KeyForRequest computes the content address a server would assign
-// this request, without submitting it. The router's affinity policy
-// uses it to steer duplicate work to the backend that already holds
-// the cached result; because it is the same resolve the server runs,
-// router-side and server-side keys can never disagree.
+// this request, without submitting it. It is the one producer of the
+// claim a client sends beside a submission (HeaderRouteKey), by which
+// dfmrouter's affinity policy steers duplicate work to the backend
+// that already holds the cached result; because it is the same resolve
+// the server runs, an honest claim and the server-side key can never
+// disagree — and client.EvalTile fails a unit whose settled key does.
 func KeyForRequest(req JobRequest) (string, error) {
 	r, err := resolve(req)
 	return r.key, err
@@ -90,7 +93,7 @@ func KeyForRequest(req JobRequest) (string, error) {
 // server's key form. No schema wrapper of its own: the tiling hash is
 // already schema-versioned and covers the full config, and reusing it
 // verbatim is what lets the engine's local cache, the server cache,
-// and the router ring all agree on "same tile".
+// and the claim the router ring places by all agree on "same tile".
 func tileRequestKey(tr *tiling.TileRequest) (string, error) {
 	k, err := tr.Key()
 	if err != nil {

@@ -70,10 +70,11 @@ func configKey(r *TileRequest) [sha256.Size]byte {
 }
 
 // hashWriter accumulates int64 fields into a sha256 stream. Fields
-// collect in buf and reach the hash a block at a time: the fleet hashes
-// every unit three times (plan, router, node), and one interface call
-// per eight bytes was most of what that cost. The hashed byte stream is
-// the same however it is chunked, so buffering moves no key.
+// collect in buf and reach the hash a block at a time: every unit that
+// is cached or shipped is hashed where it is built and again on the
+// node that serves it, and one interface call per eight bytes was most
+// of what that cost. The hashed byte stream is the same however it is
+// chunked, so buffering moves no key.
 type hashWriter struct {
 	h   hash.Hash
 	n   int
@@ -110,7 +111,9 @@ func (w *hashWriter) sum() (k [sha256.Size]byte) {
 }
 
 // key is the unit's content address under cfg, its configKey — which
-// the engine hashes once per plan and Key derives from the unit.
+// the engine hashes once per plan and Key derives from the unit. The
+// geometry is hashed as it stands, so r must be in canonical order:
+// canonicalize establishes it, Validate verifies it.
 func (r *TileRequest) key(cfg [sha256.Size]byte) [sha256.Size]byte {
 	if r.Stage == StageTile {
 		return tileKey(cfg, r.CoreW, r.CoreH, r.Pad, r.Windows, r.Shapes)
@@ -118,9 +121,23 @@ func (r *TileRequest) key(cfg [sha256.Size]byte) [sha256.Size]byte {
 	return windowKey(cfg, r.Layer, r.WinW, r.WinH, r.Pad, r.Rects)
 }
 
+// canonicalize sorts the unit's geometry, in place, into the one order
+// a unit is keyed and shipped in: Shapes by layer then rectCmp, Rects by
+// rectCmp. Extraction order follows hierarchy traversal, which may
+// differ between tiles holding identical geometry sets; every consumer
+// (normalization, scans, components, the surrogate's multiset features)
+// is order-insensitive up to the final global sort, so one order for
+// equal sets is sound and maximizes sharing. The engine calls it once,
+// where a unit first needs an identity (engine.runUnit); nothing
+// downstream sorts again.
+func (r *TileRequest) canonicalize() {
+	slices.SortFunc(r.Shapes, shapeCmp)
+	slices.SortFunc(r.Rects, rectCmp)
+}
+
 // tileKey is the content address of one DRC/density tile: core
 // dimensions, context pad, the density windows and the extracted
-// shapes, both relative to the core and the shapes order-normalized.
+// shapes, both relative to the core, the shapes in canonical order.
 func tileKey(cfg [sha256.Size]byte, coreW, coreH, pad int64, wins []geom.Rect, shapes []layout.Shape) [sha256.Size]byte {
 	w := newHashWriter(cfg, 'T')
 	w.i64(coreW, coreH, pad)
@@ -128,29 +145,26 @@ func tileKey(cfg [sha256.Size]byte, coreW, coreH, pad int64, wins []geom.Rect, s
 	for _, r := range wins {
 		w.i64(r.X0, r.Y0, r.Width(), r.Height())
 	}
-	// Order-normalize (a copy): extraction order follows hierarchy
-	// traversal, which may differ between tiles holding identical
-	// geometry sets. All consumers (normalization, scans, components) are
-	// order-insensitive up to the final global sort, so sorting here is
-	// sound and maximizes sharing.
-	sorted := slices.Clone(shapes)
-	slices.SortFunc(sorted, func(a, b layout.Shape) int {
-		if a.Layer != b.Layer {
-			return cmp.Compare(a.Layer, b.Layer)
-		}
-		return rectCmp(a.R, b.R)
-	})
-	w.i64(int64(len(sorted)))
-	for _, s := range sorted {
+	w.i64(int64(len(shapes)))
+	for _, s := range shapes {
 		w.i64(int64(s.Layer), s.R.X0, s.R.Y0, s.R.X1, s.R.Y1)
 	}
 	return w.sum()
 }
 
-// rectCmp is the (X0, Y0, X1, Y1) order both unit keys normalize
-// geometry into before hashing. Records that compare equal hash to the
-// same bytes (a shape's net is neither compared nor hashed), so the
-// unstable sort cannot reorder the hashed stream.
+// shapeCmp is the canonical order of a tile's shapes: layer, then
+// rectCmp.
+func shapeCmp(a, b layout.Shape) int {
+	if a.Layer != b.Layer {
+		return cmp.Compare(a.Layer, b.Layer)
+	}
+	return rectCmp(a.R, b.R)
+}
+
+// rectCmp is the (X0, Y0, X1, Y1) order canonical geometry is in.
+// Records that compare equal hash to the same bytes (a shape's net is
+// neither compared nor hashed), so the unstable sort cannot reorder the
+// hashed stream.
 func rectCmp(a, b geom.Rect) int {
 	if a.X0 != b.X0 {
 		return cmp.Compare(a.X0, b.X0)
@@ -166,14 +180,12 @@ func rectCmp(a, b geom.Rect) int {
 
 // windowKey is the content address of one litho scan window: layer,
 // window dimensions, extraction pad, and the layer rects relative to
-// the window origin, order-normalized.
+// the window origin, in canonical order.
 func windowKey(cfg [sha256.Size]byte, layer tech.Layer, winW, winH, pad int64, rs []geom.Rect) [sha256.Size]byte {
 	w := newHashWriter(cfg, 'W')
 	w.i64(int64(layer), winW, winH, pad)
-	sorted := slices.Clone(rs)
-	slices.SortFunc(sorted, rectCmp)
-	w.i64(int64(len(sorted)))
-	for _, r := range sorted {
+	w.i64(int64(len(rs)))
+	for _, r := range rs {
 		w.i64(r.X0, r.Y0, r.X1, r.Y1)
 	}
 	return w.sum()

@@ -15,7 +15,7 @@ import (
 	"repro/internal/tech"
 )
 
-// Tile wire format, schema 3. A unit's bulk geometry (Windows, Shapes,
+// Tile wire format, schema 4. A unit's bulk geometry (Windows, Shapes,
 // Rects) and its bulk output (Violations, Dens) cross the wire as
 // packed byte columns — base64 strings inside the same JSON envelope
 // the scalar fields always used — because spelling each shape as
@@ -28,8 +28,11 @@ import (
 //	violation  uvarint(layer) rect(marker) uvarint(rule) uvarint(detail)
 //	dens row   uvarint(n) then n little-endian IEEE-754 bit patterns
 //
-// prev starts at (0,0); deltas wrap in int64 and wrap back. Rule and
-// Detail index the result's "strings" table. The Go field types are
+// prev starts at (0,0); deltas wrap in int64 and wrap back. A request's
+// shapes and rects are in canonical order (schema 4; key.go), so their
+// x0 deltas within a layer are never negative and pack small; the codec
+// itself keeps whatever order it is given and leaves order to Validate.
+// Rule and Detail index the result's "strings" table. The Go field types are
 // unchanged: only MarshalJSON/UnmarshalJSON below know the layout, and
 // the content address (key.go) hashes geometry, never these bytes.
 //

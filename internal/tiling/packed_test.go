@@ -11,7 +11,6 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -143,6 +142,12 @@ func TestPackedRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for i := 0; i < 400; i++ {
 		in := randRequest(rng, i%4 == 3)
+		if i%4 != 3 {
+			// What the engine ships. Every fourth unit stays as drawn,
+			// out of order as well as inverted: the codec keeps any
+			// order it is given, and it is Validate that refuses one.
+			in.canonicalize()
+		}
 		b, err := json.Marshal(in)
 		if err != nil {
 			t.Fatalf("unit %d: marshal: %v", i, err)
@@ -303,7 +308,7 @@ func TestPackedMalformedColumns(t *testing.T) {
 		{"net past 32 bits", goldenTile(), "shapes", cat(uv(1), zeros[:5], binary.AppendVarint(nil, 1<<40)), "", "net 1099511627776"},
 		{"odd base64", goldenTile(), "shapes", nil, `"AAA"`, "base64"},
 		{"not base64 at all", goldenTile(), "windows", nil, `"!!!!"`, "base64"},
-		{"schema-3 field, schema-2 spelling", goldenTile(), "shapes", nil, `[{"Layer":3,"R":{"X0":0,"Y0":0,"X1":1,"Y1":1},"Net":0}]`, "shapes"},
+		{"packed field, schema-2 spelling", goldenTile(), "shapes", nil, `[{"Layer":3,"R":{"X0":0,"Y0":0,"X1":1,"Y1":1},"Net":0}]`, "shapes"},
 		{"truncated window", goldenTile(), "windows", cat(uv(1), dangling), "", "truncated varint"},
 		{"truncated rect", goldenWindow(), "rects", cat(uv(2), zeros[:4], dangling), "", "record 1: truncated varint"},
 		{"empty column spelled out", goldenWindow(), "rects", []byte{}, "", ""},
@@ -341,9 +346,9 @@ func TestPackedMalformedColumns(t *testing.T) {
 func TestPackedCountBoundsAllocation(t *testing.T) {
 	col := base64.StdEncoding.EncodeToString(cat(uv(1<<60), make([]byte, 10)))
 	for _, body := range []string{
-		`{"schema":3,"stage":"tile","shapes":"` + col + `"}`,
-		`{"schema":3,"stage":"tile","windows":"` + col + `"}`,
-		`{"schema":3,"stage":"window","rects":"` + col + `"}`,
+		`{"schema":4,"stage":"tile","shapes":"` + col + `"}`,
+		`{"schema":4,"stage":"tile","windows":"` + col + `"}`,
+		`{"schema":4,"stage":"window","rects":"` + col + `"}`,
 	} {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
@@ -380,9 +385,15 @@ func TestPackedHostileValuesReachValidate(t *testing.T) {
 		name, want string
 		mut        func(*TileRequest)
 	}{
-		{"inverted shape", "not canonical", func(r *TileRequest) { r.Shapes[1].R = geom.Rect{X0: 2150, Y0: 1500, X1: 1850, Y1: 1570} }},
+		{"inverted shape", "not canonical", func(r *TileRequest) { r.Shapes[6].R = geom.Rect{X0: 2150, Y0: 1500, X1: 1850, Y1: 1570} }},
 		{"inverted window", "not canonical", func(r *TileRequest) { r.Windows[0] = geom.Rect{X0: 3000, X1: 0, Y1: 3000} }},
 		{"layer 200", "layer 200", func(r *TileRequest) { r.Shapes[0].Layer = 200 }},
+		{"shapes out of order", "shape 2 sorts before shape 1", func(r *TileRequest) { r.Shapes[1], r.Shapes[2] = r.Shapes[2], r.Shapes[1] }},
+		{"layers out of order", "shape 1 sorts before shape 0", func(r *TileRequest) { r.Shapes[0].Layer = tech.Metal3 }},
+		{"rects out of order", "rect 3 sorts before rect 2", func(r *TileRequest) {
+			*r = *goldenWindow()
+			r.Rects[2], r.Rects[3] = r.Rects[3], r.Rects[2]
+		}},
 	} {
 		r := goldenTile()
 		tc.mut(r)
@@ -399,22 +410,35 @@ func TestPackedHostileValuesReachValidate(t *testing.T) {
 	}
 	old := `{"schema":2,"stage":"tile","coreW":8000,"coreH":8000,"pad":2000,` +
 		`"shapes":[{"Layer":4,"R":{"X0":1500,"Y0":1500,"X1":1800,"Y1":1570},"Net":0}]}`
-	if err := json.Unmarshal([]byte(old), new(TileRequest)); err == nil || !strings.Contains(err.Error(), "schema 2, this build speaks 3") {
+	if err := json.Unmarshal([]byte(old), new(TileRequest)); err == nil || !strings.Contains(err.Error(), "schema 2, this build speaks 4") {
 		t.Errorf("schema-2 body: %v, want the schema named", err)
 	}
+	// Schema 3 spelled its columns as this build does but promised no
+	// order, so it is refused by schema whether or not it happens to be
+	// sorted.
+	prev := strings.Replace(string(mustMarshal(t, goldenTile())), `"schema":4`, `"schema":3`, 1)
+	var back TileRequest
+	if err := json.Unmarshal([]byte(prev), &back); err != nil {
+		t.Errorf("schema-3 body: rejected by the decoder (%v), want it left to Validate", err)
+	} else if err := back.Validate(); err == nil || !strings.Contains(err.Error(), "schema 3, this build speaks 4") {
+		t.Errorf("schema-3 body: Validate = %v, want the schema named", err)
+	}
+}
+
+func mustMarshal(tb testing.TB, v any) []byte {
+	tb.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
 }
 
 // fuzzSeeds are the units internal/wirecompat posts, their results,
 // and a few bodies that are wrong in ways mutation finds slowly.
 func fuzzSeeds(tb testing.TB) [][]byte {
 	var seeds [][]byte
-	add := func(v any) {
-		b, err := json.Marshal(v)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		seeds = append(seeds, b)
-	}
+	add := func(v any) { seeds = append(seeds, mustMarshal(tb, v)) }
 	tile := &TileRequest{
 		Schema: TileSchema, Stage: StageTile, Tech: *tech.N45(), DRC: true,
 		CoreW: 8000, CoreH: 8000, Pad: 2000,
@@ -428,7 +452,12 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 		WinW: 1500, WinH: 1500, Pad: 1000,
 		Rects: []geom.Rect{geom.R(200, 0, 270, 1500), geom.R(340, 0, 410, 1500)},
 	}
-	for _, r := range []*TileRequest{tile, window, goldenTile(), goldenWindow()} {
+	// One unit with both columns out of order: it decodes, re-encodes to
+	// the same bytes, and is Validate's to refuse.
+	unsorted := goldenTile()
+	unsorted.Shapes[0], unsorted.Shapes[6] = unsorted.Shapes[6], unsorted.Shapes[0]
+	unsorted.Rects = []geom.Rect{geom.R(340, 0, 410, 1500), geom.R(200, 0, 270, 1500)}
+	for _, r := range []*TileRequest{tile, window, goldenTile(), goldenWindow(), unsorted} {
 		add(r)
 	}
 	res, err := ExecuteTile(context.Background(), tile)
@@ -439,9 +468,9 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 	add(&TileResult{Dens: [][]float64{{0.25, math.Copysign(0, -1)}, {}}, Hotspots: []litho.Hotspot{{Box: geom.R(0, 0, 9, 9)}}})
 	huge := base64.StdEncoding.EncodeToString(cat(uv(1<<60), make([]byte, 10)))
 	seeds = append(seeds,
-		[]byte(`{"schema":3,"stage":"tile","shapes":"`+huge+`"}`),
+		[]byte(`{"schema":4,"stage":"tile","shapes":"`+huge+`"}`),
 		[]byte(`{"strings":["a"],"violations":"`+huge+`","dens":"`+huge+`"}`),
-		[]byte(`{"schema":3,"bogus":1}`))
+		[]byte(`{"schema":4,"bogus":1}`))
 	return seeds
 }
 
@@ -508,40 +537,19 @@ func FuzzTileWire(f *testing.F) {
 	})
 }
 
-// keepLargest is a TileClient that executes units in-process and keeps
-// the stage-A unit with the most shapes, and its result.
-type keepLargest struct {
-	mu  sync.Mutex
-	req *TileRequest
-	res *TileResult
-}
-
-func (k *keepLargest) EvalTile(ctx context.Context, req *TileRequest) (*TileResult, TileServed, error) {
-	res, err := ExecuteTile(ctx, req)
-	k.mu.Lock()
-	if err == nil && (k.req == nil || len(req.Shapes) > len(k.req.Shapes)) {
-		k.req, k.res = req, res
-	}
-	k.mu.Unlock()
-	return res, TileServed{}, err
-}
-
 // BenchmarkTileWire is what one unit pays to cross the wire once, each
 // way: encode plus strict decode of the fullest 24000-nm signoff tile
 // (DRC + density) of the benchmark's 50k-rect fleet chip, request and
 // result. MB/s is over the JSON bytes on the wire.
 func BenchmarkTileWire(b *testing.B) {
-	l, _, err := layout.GenerateChip(tech.N45(), layout.ChipOpts{Seed: 11, TargetRects: 50_000, Defects: 8})
+	req, _ := fullestUnits(b, 50_000)
+	req.canonicalize()
+	res, err := ExecuteTile(context.Background(), req)
 	if err != nil {
 		b.Fatal(err)
 	}
-	k := &keepLargest{}
-	o := Opts{Tile: 24000, Halo: 2000, Workers: 1, DRC: true, Density: true, DensityWindow: 3000}
-	if _, err := DistEvaluate(context.Background(), tech.N45(), NewExtractor(l.Top), o, k); err != nil {
-		b.Fatal(err)
-	}
 	b.Logf("tile: %d shapes, %d windows; result: %d violations, %d density rows",
-		len(k.req.Shapes), len(k.req.Windows), len(k.res.Violations), len(k.res.Dens))
+		len(req.Shapes), len(req.Windows), len(res.Violations), len(res.Dens))
 	run := func(name string, v any, fresh func() any) {
 		b.Run(name, func(b *testing.B) {
 			wire, err := json.Marshal(v)
@@ -560,6 +568,6 @@ func BenchmarkTileWire(b *testing.B) {
 			}
 		})
 	}
-	run("request", k.req, func() any { return new(TileRequest) })
-	run("result", k.res, func() any { return new(TileResult) })
+	run("request", req, func() any { return new(TileRequest) })
+	run("result", res, func() any { return new(TileResult) })
 }

@@ -157,6 +157,18 @@ func (p *plan) patchDensity(di int, old [][]float64, outs []*TileResult, dirty, 
 	}
 	dr := p.densRules[di]
 	render := dr.Renderer()
+	if old == nil {
+		// From scratch every out-of-range window is a violation: count
+		// them and size now once, where append would regrow (and zero) a
+		// chip-sized list a dozen times over.
+		n := 0
+		for _, wi := range wins {
+			if dr.OutOfRange(vals[wi]) {
+				n++
+			}
+		}
+		now = make([]drc.Violation, 0, n)
+	}
 	for _, wi := range wins {
 		d := vals[wi]
 		if old != nil {

@@ -321,13 +321,19 @@ func (e *engine) report(st *Stats) {
 // in the unit's own frame (that is what makes them content-addressable),
 // so the path is linear: key, cache, then the fleet or the execute a
 // node would run, the answer stored as it came, and one translation to
-// origin — where the unit sits on the chip — on the way out.
+// origin — where the unit sits on the chip — on the way out. This is
+// the one place a unit is put in canonical order, and only a unit that
+// is about to be keyed or shipped: a local, cache-less evaluation (every
+// delta of an edit loop) has no use for an identity and pays no sort.
 func (e *engine) runUnit(ctx context.Context, u *TileRequest, origin geom.Point) (*TileResult, error) {
 	n := &e.tiles
 	if u.Stage == StageWindow {
 		n = &e.windows
 	}
 	cache := e.opts.Cache
+	if cache != nil || e.remote != nil {
+		u.canonicalize()
+	}
 	var key [sha256.Size]byte
 	if cache != nil {
 		key = u.key(e.cfg)

@@ -36,8 +36,15 @@ import (
 // stale-keyed result. Schema 3 changed only how the bulk fields are
 // spelled — packed columns (packed.go) instead of arrays of objects —
 // and so left keySchema alone: a key hashes geometry, not wire bytes.
-// There is one wire form; no decoder for the schema-2 spelling remains.
-const TileSchema = 3
+// Schema 4 makes canonical order part of the contract: Shapes and Rects
+// arrive sorted (key.go: canonicalize) and Validate refuses a column
+// that is not, so that Key is one linear hash of the unit as it stands.
+// The bytes hashed are the ones the sort inside the old key produced,
+// so keySchema stayed at 3 again and every content address held; what a
+// schema-3 peer cannot promise is the order, and it is refused by
+// schema. There is one wire form; no decoder for an older spelling
+// remains.
+const TileSchema = 4
 
 // TileRequest stages.
 const (
@@ -51,10 +58,12 @@ const (
 
 // TileRequest is one tile work unit in wire form. Geometry is
 // origin-relative: the core (or scan window) spans (0,0)-(CoreW,CoreH)
-// and shapes/windows/rects are translated accordingly. The deck
-// configuration fields mirror exactly what configKey hashes, so the
-// submitting engine, the router's affinity ring, and the serving
-// node's cache all derive the same content address.
+// and shapes/windows/rects are translated accordingly; Shapes and
+// Rects are in canonical order (key.go) from the moment the unit is
+// keyed or shipped. The deck configuration fields mirror exactly what
+// configKey hashes, so the submitting engine and the serving node's
+// cache derive the same content address — which is also what the
+// client claims to the router's affinity ring.
 type TileRequest struct {
 	Schema int    `json:"schema"`
 	Stage  string `json:"stage"`
@@ -186,6 +195,9 @@ func (r *TileRequest) Validate() error {
 			if !s.R.Canonical() || !inRange(s.R) {
 				return fmt.Errorf("tiling: tile request shape %d rect %v not canonical within ±%d nm", i, s.R, int64(maxCoord))
 			}
+			if i > 0 && shapeCmp(r.Shapes[i-1], s) > 0 {
+				return fmt.Errorf("tiling: tile request shape %d sorts before shape %d, want canonical order (layer, x0, y0, x1, y1)", i, i-1)
+			}
 		}
 		for i, w := range r.Windows {
 			if !w.Canonical() || !inRange(w) {
@@ -216,6 +228,9 @@ func (r *TileRequest) Validate() error {
 		for i, rc := range r.Rects {
 			if !inRange(rc) {
 				return fmt.Errorf("tiling: tile request rect %d %v not within ±%d nm", i, rc, int64(maxCoord))
+			}
+			if i > 0 && rectCmp(r.Rects[i-1], rc) > 0 {
+				return fmt.Errorf("tiling: tile request rect %d sorts before rect %d, want canonical order (x0, y0, x1, y1)", i, i-1)
 			}
 		}
 	default:
@@ -281,9 +296,10 @@ func finite(vs ...float64) bool {
 
 // Key is the unit's content address — the hash the engine's own cache
 // files the unit under (key), the config hash derived from the unit's
-// own fields. The serving node keys its job cache and singleflight, and
-// the router its affinity ring, on this, so "same work" means the same
-// thing at every layer of the fleet.
+// own fields: one linear pass over geometry whose order Validate has
+// just verified. The serving node keys its job cache and singleflight
+// on this and the client claims it to the router's affinity ring, so
+// "same work" means the same thing at every layer of the fleet.
 func (r *TileRequest) Key() ([sha256.Size]byte, error) {
 	if err := r.Validate(); err != nil {
 		return [sha256.Size]byte{}, err

@@ -136,11 +136,26 @@ func startRouter(t *testing.T) *deployment {
 
 func postJSON(t *testing.T, url string, body any) *http.Response {
 	t.Helper()
+	return postClaimed(t, url, body, "", true)
+}
+
+// postClaimed posts body with claim as the content address a client
+// states beside it; absent sends no such header at all.
+func postClaimed(t *testing.T, url string, body any, claim string, absent bool) *http.Response {
+	t.Helper()
 	b, err := json.Marshal(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(b))
+	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	if !absent {
+		req.Header.Set(server.HeaderRouteKey, claim)
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,6 +213,17 @@ func tileReq() *tiling.TileRequest {
 			{Layer: tech.Metal2, R: geom.R(1500, 1500, 1800, 1570)},
 			{Layer: tech.Metal2, R: geom.R(1850, 1500, 2150, 1570)},
 		},
+	}
+}
+
+// windowReq is a small stage-B unit: two metal1 lines in a 1500 nm
+// window.
+func windowReq() *tiling.TileRequest {
+	return &tiling.TileRequest{
+		Schema: tiling.TileSchema, Stage: tiling.StageWindow,
+		Tech: *tech.N45(), Cond: litho.Nominal, Layer: tech.Metal1,
+		WinW: 1500, WinH: 1500, Pad: 1000,
+		Rects: []geom.Rect{geom.R(200, 0, 270, 1500), geom.R(340, 0, 410, 1500)},
 	}
 }
 
@@ -310,7 +336,7 @@ func suite(t *testing.T, d *deployment) {
 			t.Fatalf("delta kind body %q, want unknown job kind", body.Error)
 		}
 		resp = postRaw(t, d.url+"/v1/jobs", strings.NewReader(
-			`{"kind":"tile","delta":{"schema":3,"parent":"`+ghost+`"}}`))
+			`{"kind":"tile","delta":{"schema":4,"parent":"`+ghost+`"}}`))
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("delta field status = %d, want 400", resp.StatusCode)
 		}
@@ -322,8 +348,8 @@ func suite(t *testing.T, d *deployment) {
 	t.Run("tile-ignores-eval-fields", func(t *testing.T) {
 		// A tile job carries its whole tech node inside the payload; the
 		// eval-only fields are not read, so junk in them must not make
-		// dfmd reject what the router's affinity key accepted. Same key,
-		// same result as the clean tile.
+		// dfmd reject a unit KeyForRequest keyed. Same key, same result
+		// as the clean tile.
 		clean := decode[server.JobStatus](t, postJSON(t, d.url+"/v1/jobs?wait=1",
 			server.JobRequest{Kind: server.KindTile, Tile: tileReq()}))
 		resp := postJSON(t, d.url+"/v1/jobs?wait=1", server.JobRequest{
@@ -390,8 +416,8 @@ func suite(t *testing.T, d *deployment) {
 	})
 
 	// settles posts a well-formed unit and wants it done under the key
-	// the router computes: what every rejection check ends on, to show
-	// the node behind the 400s is still serving.
+	// a client would claim for it: what every rejection check ends on, to
+	// show the node behind the 400s is still serving.
 	settles := func(t *testing.T, unit *tiling.TileRequest) {
 		t.Helper()
 		good := server.JobRequest{Kind: server.KindTile, Tile: unit}
@@ -433,9 +459,26 @@ func suite(t *testing.T, d *deployment) {
 		rejects(t, "schema-2 unit", tileBody(2,
 			`"shapes":[{"Layer":4,"R":{"X0":1500,"Y0":1500,"X1":1800,"Y1":1570},"Net":0},`+
 				`{"Layer":4,"R":{"X0":1850,"Y0":1500,"X1":2150,"Y1":1570},"Net":0}]`),
-			"schema 2", "speaks 3")
-		rejects(t, "schema-2 arrays under a schema-3 label", tileBody(3,
+			"schema 2", "speaks 4")
+		rejects(t, "schema-2 arrays under this schema's label", tileBody(tiling.TileSchema,
 			`"shapes":[{"Layer":4,"R":{"X0":1500,"Y0":1500,"X1":1800,"Y1":1570},"Net":0}]`), "shapes")
+		settles(t, tileReq())
+	})
+
+	t.Run("schema-3-rejected", func(t *testing.T) {
+		// Schema 3 spelled a unit exactly as this build does but promised
+		// no order, and the key is now a hash of the order it arrives in.
+		// A schema-3 peer is refused by schema, sorted or not, as a
+		// schema-2 one is.
+		b, err := json.Marshal(server.JobRequest{Kind: server.KindTile, Tile: tileReq()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := strings.Replace(string(b), `"schema":4`, `"schema":3`, 1)
+		if old == string(b) {
+			t.Fatal("fixture did not carry the schema where expected")
+		}
+		rejects(t, "schema-3 unit", old, "schema 3", "speaks 4")
 		settles(t, tileReq())
 	})
 
@@ -443,7 +486,7 @@ func suite(t *testing.T, d *deployment) {
 		// Strictness has to reach inside "tile": the envelope-level case
 		// (delta-kind-removed) is encoding/json's doing, this one is the
 		// tile codec's own.
-		rejects(t, "unknown field inside tile", tileBody(3, `"bogus":1`), `unknown field "bogus"`)
+		rejects(t, "unknown field inside tile", tileBody(tiling.TileSchema, `"bogus":1`), `unknown field "bogus"`)
 		settles(t, tileReq())
 	})
 
@@ -454,20 +497,123 @@ func suite(t *testing.T, d *deployment) {
 		// allocation sized by the count or a panic in the node.
 		col := func(b ...byte) string { return base64.StdEncoding.EncodeToString(b) }
 		huge := append(binary.AppendUvarint(nil, 1<<60), make([]byte, 10)...)
-		rejects(t, "count overflow", tileBody(3, `"shapes":"`+col(huge...)+`"`), "shapes", "declares")
-		rejects(t, "window count overflow", tileBody(3, `"windows":"`+col(huge...)+`"`), "windows", "declares")
-		rejects(t, "truncated varint", tileBody(3, `"shapes":"`+col(1, 4, 0x80, 0x80, 0x80, 0x80, 0x80)+`"`), "shapes", "truncated")
-		rejects(t, "trailing bytes", tileBody(3, `"shapes":"`+col(1, 4, 0, 0, 2, 2, 0, 9)+`"`), "shapes", "trailing")
-		rejects(t, "layer past a byte", tileBody(3, `"shapes":"`+col(1, 0xac, 0x02, 0, 0, 2, 2, 0)+`"`), "shapes", "layer 300")
-		rejects(t, "odd base64", tileBody(3, `"shapes":"AAA"`), "shapes", "base64")
+		body := func(extra string) string { return tileBody(tiling.TileSchema, extra) }
+		rejects(t, "count overflow", body(`"shapes":"`+col(huge...)+`"`), "shapes", "declares")
+		rejects(t, "window count overflow", body(`"windows":"`+col(huge...)+`"`), "windows", "declares")
+		rejects(t, "truncated varint", body(`"shapes":"`+col(1, 4, 0x80, 0x80, 0x80, 0x80, 0x80)+`"`), "shapes", "truncated")
+		rejects(t, "trailing bytes", body(`"shapes":"`+col(1, 4, 0, 0, 2, 2, 0, 9)+`"`), "shapes", "trailing")
+		rejects(t, "layer past a byte", body(`"shapes":"`+col(1, 0xac, 0x02, 0, 0, 2, 2, 0)+`"`), "shapes", "layer 300")
+		rejects(t, "odd base64", body(`"shapes":"AAA"`), "shapes", "base64")
+
+		// A column that decodes but is not in canonical order is a 400
+		// naming the record: the node's key is a hash of the unit as it
+		// stands, so an order it did not verify would be an address no
+		// honest client computes.
+		posted := func(unit *tiling.TileRequest) string {
+			b, err := json.Marshal(server.JobRequest{Kind: server.KindTile, Tile: unit})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return string(b)
+		}
+		shapes := tileReq()
+		shapes.Shapes = append(shapes.Shapes, shapes.Shapes[0])
+		rejects(t, "shape column out of order", posted(shapes), "shape 2 sorts before shape 1")
+		rects := windowReq()
+		rects.Rects[0], rects.Rects[1] = rects.Rects[1], rects.Rects[0]
+		rejects(t, "rect column out of order", posted(rects), "rect 1 sorts before rect 0")
 		settles(t, tileReq())
+		settles(t, windowReq())
+	})
+
+	t.Run("claimed-key-wrong", func(t *testing.T) {
+		// A claim is placement, never identity. Unit U sent under V's key
+		// is computed as U and filed as U; V, sent honestly afterwards, is
+		// a miss with V's own result. Were the node to trust the claim, U's
+		// status would carry V's key and V would be answered from the
+		// cache with U's violations.
+		moved := func(dx int64) *tiling.TileRequest {
+			u := tileReq()
+			u.Shapes[1].R = u.Shapes[1].R.Translate(geom.Pt(dx, 0))
+			return u
+		}
+		u, v := moved(7), moved(400)
+		jobU, jobV := server.JobRequest{Kind: server.KindTile, Tile: u}, server.JobRequest{Kind: server.KindTile, Tile: v}
+		keyU, err := server.KeyForRequest(jobU)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keyV, err := server.KeyForRequest(jobV)
+		if err != nil || keyV == keyU {
+			t.Fatalf("fixture: keys %q and %q (%v)", keyU, keyV, err)
+		}
+		wantU, _ := tiling.ExecuteTile(context.Background(), u)
+		wantV, _ := tiling.ExecuteTile(context.Background(), v)
+		// Violations are what the two differ in (and what the wire hands
+		// back unchanged; an empty density column comes back nil).
+		same := func(got *tiling.TileResult, want *tiling.TileResult) bool {
+			return got != nil && reflect.DeepEqual(got.Violations, want.Violations)
+		}
+		if len(wantU.Violations) == 0 || same(wantU, wantV) {
+			t.Fatal("fixture: U and V compute the same result; the check is vacuous")
+		}
+
+		resp := postClaimed(t, d.url+"/v1/jobs?wait=1", jobU, keyV, false)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("U under V's key: status = %d, want 200", resp.StatusCode)
+		}
+		st := decode[server.JobStatus](t, resp)
+		if st.Key != keyU || st.Cached || !same(st.Tile, wantU) {
+			t.Fatalf("U under V's key: key %q cached %v tile %+v; want U's key %q and U's own result %+v", st.Key, st.Cached, st.Tile, keyU, wantU)
+		}
+		resp = postClaimed(t, d.url+"/v1/jobs?wait=1", jobV, keyV, false)
+		st = decode[server.JobStatus](t, resp)
+		if st.Key != keyV || st.Cached || st.Deduped || !same(st.Tile, wantV) {
+			t.Fatalf("honest V after the lie: key %q cached %v tile %+v; want a miss under %q with V's own result %+v", st.Key, st.Cached, st.Tile, keyV, wantV)
+		}
+		// And U is where U belongs.
+		st = decode[server.JobStatus](t, postClaimed(t, d.url+"/v1/jobs?wait=1", jobU, keyU, false))
+		if !st.Cached || st.Key != keyU || !same(st.Tile, wantU) {
+			t.Fatalf("honest U afterwards: %+v, want a hit under its own key", st)
+		}
+	})
+
+	t.Run("claimed-key-hostile", func(t *testing.T) {
+		// Whatever sits in the claim header — nothing, an empty value, ten
+		// kilobytes, the right shape with the wrong alphabet, bytes that
+		// are not ASCII — the unit is routed (by a hash of its bytes),
+		// served 200 under the node's own key, and never a 5xx.
+		job := server.JobRequest{Kind: server.KindTile, Tile: tileReq()}
+		want, err := server.KeyForRequest(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name, claim string
+			absent      bool
+		}{
+			{"absent", "", true},
+			{"empty", "", false},
+			{"ten kilobytes", "sha256:" + strings.Repeat("ab", 5<<10), false},
+			{"not hex", "sha256:" + strings.Repeat("zz", 32), false},
+			{"not ASCII", "sha256:" + strings.Repeat("é", 32), false},
+			{"another scheme", "invalid:sraf", false},
+		} {
+			resp := postClaimed(t, d.url+"/v1/jobs?wait=1", job, tc.claim, tc.absent)
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("%s claim: status = %d, want 200", tc.name, resp.StatusCode)
+			}
+			if st := decode[server.JobStatus](t, resp); st.State != server.StateDone || st.Key != want || st.Tile == nil {
+				t.Errorf("%s claim: state %q key %q, want done under %q", tc.name, st.State, st.Key, want)
+			}
+		}
 	})
 
 	// hostile posts every mutation of the unit fresh builds and wants,
 	// from both tiers, a 400 that names the field — never the job run
 	// into a recovered panic or an allocation of tens of gigabytes —
-	// and then the unmutated unit served under the key the router
-	// computed.
+	// and then the unmutated unit served under the key a client claims
+	// for it.
 	type hostileCase struct {
 		name, want string
 		mut        func(*tiling.TileRequest)
@@ -490,14 +636,7 @@ func suite(t *testing.T, d *deployment) {
 	t.Run("hostile-window", func(t *testing.T) {
 		// A window unit's optics and size go straight into kernel and
 		// buffer sizes on the node, and its layer indexes the rule table.
-		hostile(t, func() *tiling.TileRequest {
-			return &tiling.TileRequest{
-				Schema: tiling.TileSchema, Stage: tiling.StageWindow,
-				Tech: *tech.N45(), Cond: litho.Nominal, Layer: tech.Metal1,
-				WinW: 1500, WinH: 1500, Pad: 1000,
-				Rects: []geom.Rect{geom.R(200, 0, 270, 1500), geom.R(340, 0, 410, 1500)},
-			}
-		}, []hostileCase{
+		hostile(t, windowReq, []hostileCase{
 			{"fewer weights than sigmas", "weights", func(r *tiling.TileRequest) { r.Tech.Optics.Weights = []float64{1} }},
 			{"non-positive sigma", "sigma", func(r *tiling.TileRequest) { r.Tech.Optics.Sigmas = []float64{35, 0} }},
 			{"sub-angstrom pitch", "pixels", func(r *tiling.TileRequest) { r.Tech.Optics.GridNM = 0.05; r.WinW, r.WinH = 12000, 12000 }},

@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: tier1 check build vet test race-fast fuzz-smoke cover-kernel cover-engine drcprofile editprofile fleetprofile bench bench-smoke examples-smoke fmt-check unit-check
+.PHONY: tier1 check build vet test race-fast fuzz-smoke cover-kernel cover-engine drcprofile editprofile fleetprofile lithoprofile bench bench-smoke examples-smoke fmt-check unit-check
 
 # benchmark/ is a module of its own, so ./... above never reaches it;
 # without this an exported-name change breaks the benchmark silently.
@@ -137,6 +137,16 @@ fleetprofile: ## CPU profile of the fleet path (BenchmarkFleetChip: 50k-rect chi
 	$(GO) test -run='^$$' -bench='^BenchmarkFleetChip$$' -benchtime=20x -benchmem \
 		-cpuprofile $(FLEETPROFILE_DIR)/cpu.prof -o $(FLEETPROFILE_DIR)/fleet.test ./internal/fleet
 	$(GO) tool pprof -top -cum -nodecount=40 -show='encoding/json|tiling\.|server\.|router\.|client\.|drc\.|slices\.' $(FLEETPROFILE_DIR)/fleet.test $(FLEETPROFILE_DIR)/cpu.prof
+
+# Where lithoprofile keeps its test binary and profiles (bin/ is gitignored).
+LITHOPROFILE_DIR ?= bin/lithoprofile
+
+lithoprofile: ## CPU + allocation profile of one exact 12 um scan window (BenchmarkScanWindow, one P): the band blur, the threshold sink, the morphology, and what the runtime spends clearing and allocating under them, by cumulative cost
+	@mkdir -p $(LITHOPROFILE_DIR)
+	$(GO) test -run='^$$' -bench='^BenchmarkScanWindow$$' -benchtime=40x -benchmem -cpu 1 \
+		-cpuprofile $(LITHOPROFILE_DIR)/cpu.prof -memprofile $(LITHOPROFILE_DIR)/mem.prof -o $(LITHOPROFILE_DIR)/repro.test .
+	$(GO) tool pprof -top -cum -nodecount=40 -show='litho\.|runtime\.memclr|runtime\.mallocgc' $(LITHOPROFILE_DIR)/repro.test $(LITHOPROFILE_DIR)/cpu.prof
+	$(GO) tool pprof -sample_index=alloc_space -top -cum -nodecount=25 -show='litho\.|runtime\.memclr|runtime\.mallocgc' $(LITHOPROFILE_DIR)/repro.test $(LITHOPROFILE_DIR)/mem.prof
 
 bench: ## every root-module benchmark, time and allocations only; writes no file (records come from `bash benchmark/run.sh`)
 	$(GO) test -run='^$$' -bench=. -benchmem .

@@ -5,20 +5,22 @@ import (
 	"sync"
 )
 
-// bufFree recycles the float64 backing arrays of the raster-sized
-// intermediate grids (the amplitude accumulator of every simulation
-// call, GaussianBlur's scratch). It is a bounded free
-// list rather than a sync.Pool because what it retains must not depend
-// on how often the collector runs: a sync.Pool is emptied by every GC,
-// so it only stayed small while the hotspot detector's garbage forced
-// dozens of collections a second. Without that garbage a pool keeps
-// every buffer of every size it was ever handed, and the GC goal
-// doubles on top of them.
+// bufFree recycles the float64 backing arrays of the simulator's
+// large scratch: the band of amplitude rows every simulation call
+// accumulates into (raster.go), GaussianBlur's grid-sized
+// intermediate. It is a bounded free list rather than a sync.Pool
+// because what it retains must not depend on how often the collector
+// runs: a sync.Pool is emptied by every GC, so it only stayed small
+// while the hotspot detector's garbage forced dozens of collections a
+// second. Without that garbage a pool keeps every buffer of every size
+// it was ever handed, and the GC goal doubles on top of them.
 //
 // It retains one buffer per P: a P runs one simulation at a time, and
-// a simulation needs exactly one raster-sized buffer, the amplitude.
-// Anything more is allocated when the list runs out, and whichever
-// buffers are largest are kept.
+// a simulation holds exactly one pooled buffer, its band. Anything
+// more is allocated when the list runs out, and whichever buffers are
+// largest are kept. A band is only a few megabytes, but a fresh one
+// per render would still be allocated, faulted in and collected once
+// per window (about 25 MB of a 9-window chip_litho pass).
 var bufFree = bufList{max: runtime.GOMAXPROCS(0)}
 
 // bufList is a mutex-guarded free list of at most max buffers.
@@ -29,8 +31,8 @@ type bufList struct {
 }
 
 // get removes and returns the smallest retained buffer whose capacity
-// is at least n (best fit, so a small request never takes a
-// raster-sized buffer away from the next raster-sized request).
+// is at least n (best fit, so a small request never takes a large
+// buffer away from the next large request).
 func (l *bufList) get(n int) (_ []float64, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -3,6 +3,7 @@ package litho
 import (
 	"context"
 	"runtime"
+	"runtime/metrics"
 	"testing"
 
 	"repro/internal/geom"
@@ -101,5 +102,43 @@ func TestScanWindowSteadyStateAllocs(t *testing.T) {
 	t.Logf("steady-state ScanWindowCtx: %.1f MB allocated per full window", perCall)
 	if perCall >= 16 {
 		t.Fatalf("steady-state ScanWindowCtx allocates %.1f MB per window, want < 16", perCall)
+	}
+}
+
+// drain empties the free list.
+func (l *bufList) drain() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.free = nil
+}
+
+// What a window can make a node allocate is a band, a bitmap and a
+// mask's worth of spans, not its padded grid: a sparse 4096 x 4096 px
+// window — a quarter of the pixels the tile wire admits — is 134 MB of
+// float64 as a grid, and is rendered here from an empty free list in
+// under 16 MB.
+func TestWindowMemoryIsBandBounded(t *testing.T) {
+	o := tech.N45().Optics
+	side := int64(4096 * o.GridNM)
+	window := geom.R(0, 0, side, side)
+	mask := []geom.Rect{geom.R(1000, 1000, 1090, side-1000), geom.R(5000, 9000, side-3000, 9090)}
+	bufFree.drain()
+	t.Cleanup(bufFree.drain) // a 4096-px-wide band is no use to the tests that follow
+
+	sample := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(sample)
+	before := sample[0].Value.Uint64()
+	printed, err := simulatePrinted(context.Background(), mask, window, o, Nominal)
+	metrics.Read(sample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if printed.W != 4096 || printed.H != 4096 || printed.Count() == 0 {
+		t.Fatalf("printed %dx%d with %d bits set, want a 4096x4096 bitmap of two lines", printed.W, printed.H, printed.Count())
+	}
+	mb := float64(sample[0].Value.Uint64()-before) / (1 << 20)
+	t.Logf("a 4096x4096 px window allocated %.1f MB", mb)
+	if mb >= 16 {
+		t.Errorf("a 4096x4096 px window allocated %.1f MB, want < 16 (its padded grid alone is 134)", mb)
 	}
 }

@@ -50,13 +50,23 @@ func detect(printed *Bitmap, minWidth, minSpace int64) []Hotspot {
 	sp := hDetectNS.Start()
 	defer sp.End()
 
+	// The opening and the closing are each made in place in one copy of
+	// the printed bitmap, which the difference then overwrites, and they
+	// share one scratch: a scan window's bitmap is most of a megabyte.
+	tmp := make([]uint64, len(printed.words))
+
 	// Pinch: printed pixels removed by opening with a structuring
 	// element just under minWidth.
 	rw := int(float64(minWidth)/printed.Pitch/2 + 0.5)
 	if rw < 1 {
 		rw = 1
 	}
-	pinched := printed.AndNot(printed.Open(rw))
+	pinched := printed.clone() // becomes the opening, then printed &^ opening
+	pinched.erode(rw, tmp)
+	pinched.dilate(rw, tmp)
+	for i, w := range printed.words {
+		pinched.words[i] = w &^ pinched.words[i]
+	}
 
 	// Bridge: gap pixels removed by closing with an element just under
 	// minSpace — i.e. unprinted pixels that the closing claims.
@@ -64,7 +74,12 @@ func detect(printed *Bitmap, minWidth, minSpace int64) []Hotspot {
 	if rs < 1 {
 		rs = 1
 	}
-	bridged := printed.Close(rs).AndNot(printed)
+	bridged := printed.clone() // becomes the closing, then closing &^ printed
+	bridged.dilate(rs, tmp)
+	bridged.erode(rs, tmp)
+	for i, w := range printed.words {
+		bridged.words[i] &^= w
+	}
 
 	var out []Hotspot
 	for _, b := range pinched.Blobs() {

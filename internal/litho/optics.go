@@ -53,9 +53,19 @@ func Simulate(mask []geom.Rect, window geom.Rect, opt tech.Optics, cond Conditio
 // RasterMask and use SimulateRaster instead, which normalizes once and
 // caches per-defocus intensity fields.
 func SimulateCtx(ctx context.Context, mask []geom.Rect, window geom.Rect, opt tech.Optics, cond Condition) (*Image, error) {
+	return SimulateInto(ctx, nil, mask, window, opt, cond)
+}
+
+// SimulateInto is SimulateCtx for a loop that simulates one window
+// over and over and keeps nothing of an image once it has measured it
+// (the OPC feedback loop): the image is written over prev's pixels
+// when prev has the window's grid dimensions, into a fresh grid when
+// it does not or is nil. prev, and any image sharing its grid, is
+// invalid from the moment of the call, whether or not it succeeds.
+func SimulateInto(ctx context.Context, prev *Grid, mask []geom.Rect, window geom.Rect, opt tech.Optics, cond Condition) (*Image, error) {
 	// The mask is dropped on return, so the grid its cache holds is
 	// this call's alone and may be scaled in place.
-	g, err := NewRasterMask(mask, window, opt, cond.Defocus).unitIntensity(ctx, cond.Defocus)
+	g, err := NewRasterMask(mask, window, opt, cond.Defocus).unitIntensity(ctx, cond.Defocus, prev)
 	if err != nil {
 		return nil, err
 	}

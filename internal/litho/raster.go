@@ -11,15 +11,17 @@ import (
 )
 
 // RasterMask is a mask prepared once and simulated many times: the
-// normalized rect set and the padded grid geometry are computed a
-// single time and shared across every kernel pass, focus-exposure
-// condition, PV-band corner, and verification call that looks at the
-// same mask/window pair. Unit-dose intensity fields are cached per
-// |defocus| (the defocus broadening is even in f), so a 9x5
-// focus-exposure matrix costs 9 convolution stacks plus scalar
-// threshold rescales rather than 45 simulations. Despite the name it
-// owns no raster: the sparse blur (sparse.go) goes from rects to
-// amplitude without one.
+// normalized rect set, clipped to the padded grid in pixel space, and
+// the grid geometry are computed a single time and shared across every
+// kernel pass, focus-exposure condition, PV-band corner, and
+// verification call that looks at the same mask/window pair. Unit-dose
+// intensity fields are cached per |defocus| (the defocus broadening is
+// even in f), so a 9x5 focus-exposure matrix costs 9 convolution
+// stacks plus scalar threshold rescales rather than 45 simulations.
+// Despite the name it owns no raster, of the mask or of the amplitude:
+// the sparse blur (sparse.go) goes from rects to the amplitude of a
+// band of window rows, and a band is squared or thresholded into what
+// the caller keeps before the next one is computed.
 //
 // A RasterMask is safe for concurrent use; simulations of the same
 // mask serialize on an internal lock.
@@ -33,7 +35,7 @@ type RasterMask struct {
 	rW, rH     int
 
 	mu    sync.Mutex
-	norm  []geom.Rect // normalized mask, built once on first simulation
+	spans []pxSpan // normalized mask on the padded grid, built once on first simulation
 	cache map[float64]*Grid
 }
 
@@ -109,7 +111,7 @@ func defocusFactor(opt tech.Optics, defocus float64) float64 {
 // grid before mutating); at other doses the grid is a fresh scaled
 // copy.
 func SimulateRaster(ctx context.Context, rm *RasterMask, cond Condition) (*Image, error) {
-	unit, err := rm.unitIntensity(ctx, cond.Defocus)
+	unit, err := rm.unitIntensity(ctx, cond.Defocus, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -125,8 +127,10 @@ func SimulateRaster(ctx context.Context, rm *RasterMask, cond Condition) (*Image
 
 // unitIntensity returns the dose-1 intensity field cropped to the
 // window at the given defocus, cached per |defocus|. The returned grid
-// belongs to the cache.
-func (rm *RasterMask) unitIntensity(ctx context.Context, defocus float64) (*Grid, error) {
+// belongs to the cache. On a miss the field is written over into's
+// Data when into has the window's dimensions (every pixel is
+// overwritten, so it need not be cleared), into a fresh grid otherwise.
+func (rm *RasterMask) unitIntensity(ctx context.Context, defocus float64, into *Grid) (*Grid, error) {
 	key := math.Abs(defocus)
 	rm.mu.Lock()
 	defer rm.mu.Unlock()
@@ -135,9 +139,14 @@ func (rm *RasterMask) unitIntensity(ctx context.Context, defocus float64) (*Grid
 		countPerDefocus("litho.raster.cache.hit", key)
 		return g, nil
 	}
+	var g *Grid
+	if w, h := gridDims(rm.window, rm.pitch); into != nil && into.W == w && into.H == h {
+		g = &Grid{Origin: rm.window.LL(), Pitch: rm.pitch, W: w, H: h, Data: into.Data}
+	} else {
+		g = NewGrid(rm.window, rm.pitch)
+	}
 	// Crop the padding back off and square: I = A^2 at unit dose.
-	g := NewGrid(rm.window, rm.opt.GridNM)
-	err := rm.renderLocked(ctx, defocus, g.W, g.H, func(j int, a []float64) {
+	err := rm.renderLocked(ctx, defocus, g.W, g.H, bandRows, func(j int, a []float64) {
 		row := g.Data[j*g.W : (j+1)*g.W]
 		for i, v := range a {
 			row[i] = v * v
@@ -151,10 +160,11 @@ func (rm *RasterMask) unitIntensity(ctx context.Context, defocus float64) (*Grid
 }
 
 // printed returns the printed/not-printed bitmap of the window under
-// cond without materialising the intensity field: each amplitude is
-// squared, dose-scaled and thresholded with exactly the float
-// operations SimulateCtx followed by PrintedBitmap performs, in the
-// same order, so the bits are identical.
+// cond without materialising the intensity field or the amplitude
+// field: each amplitude of a band is squared, dose-scaled and
+// thresholded with exactly the float operations SimulateCtx followed
+// by PrintedBitmap performs, in the same order, so the bits are
+// identical.
 func (rm *RasterMask) printed(ctx context.Context, cond Condition) (*Bitmap, error) {
 	rm.mu.Lock()
 	defer rm.mu.Unlock()
@@ -162,7 +172,7 @@ func (rm *RasterMask) printed(ctx context.Context, cond Condition) (*Bitmap, err
 	b := NewBitmap(w, h)
 	b.Origin, b.Pitch = rm.window.LL(), rm.pitch
 	dose, thr := cond.Dose, rm.opt.Threshold
-	err := rm.renderLocked(ctx, cond.Defocus, w, h, func(j int, a []float64) {
+	err := rm.renderLocked(ctx, cond.Defocus, w, h, bandRows, func(j int, a []float64) {
 		row := b.row(j)
 		for i, v := range a {
 			v *= v
@@ -186,47 +196,39 @@ func simulatePrinted(ctx context.Context, mask []geom.Rect, window geom.Rect, op
 	return NewRasterMask(mask, window, opt, cond.Defocus).printed(ctx, cond)
 }
 
-// renderLocked runs one convolution stack (a raster-cache miss) and
-// feeds the amplitude, cropped to the w x h window grid, to sink one
-// row at a time: sink(j, a) receives the w amplitudes of window row j.
-// The amplitude buffer is pooled and a is only valid during the call.
+// bandRows is how many window rows a render blurs and hands to its
+// sink at a time. It is a constant, not a knob: what banding buys is
+// that the amplitude never leaves the cache for DRAM and that no
+// grid-sized buffer is cleared, and a chip_litho pass costs the same
+// at 8, 16, 32, 64 or 128 rows (EXPERIMENTS.md R23). Tall wins on
+// small windows, because a rect's column profile is recomputed for
+// every band its footprint reaches. At 128 a 13 um scan window's band
+// is 2.8 MB; its padded grid would be 58 MB.
+const bandRows = 128
+
+// renderLocked runs one convolution stack (a raster-cache miss) over
+// the w x h window grid, at most rows rows at a time, and feeds the
+// amplitude to sink one row at a time: sink(j, a) receives the w
+// amplitudes of window row j, rows in ascending order. Each band is
+// the amplitude A = sum_k w_k (G_sk * M) of its rows, accumulated
+// kernel by kernel with the exact sparse per-rect blur (sparse.go); no
+// coverage raster is built, the pad rows above and below the window
+// are never computed, and the amplitude of the whole grid never exists
+// at once. The band buffer is pooled, returned on every path, and a is
+// only valid during the call. The result does not depend on rows.
 // Called with rm.mu held.
-func (rm *RasterMask) renderLocked(ctx context.Context, defocus float64, w, h int, sink func(j int, a []float64)) error {
+func (rm *RasterMask) renderLocked(ctx context.Context, defocus float64, w, h, rows int, sink func(j int, a []float64)) error {
 	key := math.Abs(defocus)
 	if key > rm.maxDefocus {
 		return fmt.Errorf("litho: defocus %g exceeds RasterMask budget %g (pad too small)", key, rm.maxDefocus)
 	}
 	sp := hSimulateNS.Start()
 	defer sp.End()
-	amp, err := rm.amplitudeLocked(ctx, defocus)
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return err
 	}
-	defer putBuf(amp)
-	// The pad is a whole number of pixels on every side, so the window
-	// grid lies on the padded grid with at least a pixel to spare.
-	di := int(math.Round(float64(rm.window.X0-rm.padded.X0) / rm.pitch))
-	dj := int(math.Round(float64(rm.window.Y0-rm.padded.Y0) / rm.pitch))
-	for j := 0; j < h; j++ {
-		at := (j+dj)*rm.rW + di
-		sink(j, amp[at:at+w])
-	}
-	cRasterMiss.Inc()
-	countPerDefocus("litho.raster.cache.miss", key)
-	return nil
-}
-
-// amplitudeLocked runs the kernel stack: amplitude A = sum_k w_k
-// (G_sk * M) accumulated over the padded grid in a pooled buffer,
-// which the caller must putBuf. Every kernel pass is the exact sparse
-// per-rect blur (sparse.go); no coverage raster is built. Called with
-// rm.mu held.
-func (rm *RasterMask) amplitudeLocked(ctx context.Context, defocus float64) ([]float64, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if rm.norm == nil {
-		rm.norm = geom.Normalize(rm.mask)
+	if rm.spans == nil {
+		rm.spans = clipSpans(geom.Normalize(rm.mask), rm.padded, rm.pitch, rm.rW, rm.rH)
 	}
 	f := defocusFactor(rm.opt, defocus)
 	var wsum float64
@@ -236,22 +238,46 @@ func (rm *RasterMask) amplitudeLocked(ctx context.Context, defocus float64) ([]f
 	if wsum == 0 {
 		wsum = 1
 	}
-	amp := getBuf(rm.rW * rm.rH)
+	type pass struct {
+		kern, cdf []float64
+		weight    float64
+	}
+	passes := make([]pass, len(rm.opt.Sigmas))
 	for k, s := range rm.opt.Sigmas {
 		sigmaPx := s * f / rm.pitch
 		if !(sigmaPx > 0) {
-			putBuf(amp)
-			return nil, fmt.Errorf("litho: kernel %d has non-positive sigma %g nm", k, s)
+			return fmt.Errorf("litho: kernel %d has non-positive sigma %g nm", k, s)
 		}
 		kern, cdf := gaussKernelCDF(sigmaPx)
+		passes[k] = pass{kern, cdf, rm.opt.Weights[k] / wsum}
 		cBlurPasses.Inc()
 		cBlurSparse.Inc()
-		if err := sparseBlurAcc(ctx, rm.norm, rm.padded, rm.pitch, rm.rW, rm.rH, kern, cdf, rm.opt.Weights[k]/wsum, amp); err != nil {
-			putBuf(amp)
-			return nil, err
+	}
+	// The pad is a whole number of pixels on every side, so the window
+	// grid lies on the padded grid with at least a pixel to spare.
+	di := int(math.Round(float64(rm.window.X0-rm.padded.X0) / rm.pitch))
+	dj := int(math.Round(float64(rm.window.Y0-rm.padded.Y0) / rm.pitch))
+	rows = min(rows, h)
+	buf := getBuf(rows * rm.rW)
+	defer putBuf(buf)
+	prof := make([]float64, rm.rW+rows)
+	for b0 := 0; b0 < h; b0 += rows {
+		b1 := min(b0+rows, h)
+		band := buf[:(b1-b0)*rm.rW]
+		clear(band)
+		for _, p := range passes {
+			if err := sparseBlurAcc(ctx, rm.spans, rm.rW, b0+dj, b1+dj, p.kern, p.cdf, p.weight, band, prof); err != nil {
+				return err
+			}
+		}
+		for j := b0; j < b1; j++ {
+			at := (j-b0)*rm.rW + di
+			sink(j, band[at:at+w])
 		}
 	}
-	return amp, nil
+	cRasterMiss.Inc()
+	countPerDefocus("litho.raster.cache.miss", key)
+	return nil
 }
 
 // withDose returns a measurement-equivalent view of the image at

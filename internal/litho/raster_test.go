@@ -2,9 +2,13 @@ package litho
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/geom"
@@ -207,5 +211,211 @@ func TestConcurrentSimulatePooledBuffers(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Error(e)
+	}
+}
+
+// renderAmplitude returns the w x h amplitude field of the window,
+// rendered rows rows at a time, and checks the sink is handed every
+// window row once, in order.
+func renderAmplitude(t *testing.T, mask []geom.Rect, window geom.Rect, opt tech.Optics, defocus float64, rows int) []float64 {
+	t.Helper()
+	rm := NewRasterMask(mask, window, opt, defocus)
+	w, h := gridDims(window, rm.pitch)
+	amp := make([]float64, w*h)
+	next := 0
+	rm.mu.Lock()
+	defer rm.mu.Unlock()
+	err := rm.renderLocked(context.Background(), defocus, w, h, rows, func(j int, a []float64) {
+		if j != next || len(a) != w {
+			t.Fatalf("band height %d: sink got row %d (%d px), want row %d (%d px)", rows, j, len(a), next, w)
+		}
+		next++
+		copy(amp[j*w:], a)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next != h {
+		t.Fatalf("band height %d: sink got %d rows of %d", rows, next, h)
+	}
+	return amp
+}
+
+// The band height is not a parameter of the result: whatever the
+// height, every pixel receives the same additions in the same order,
+// so the amplitude is the single-band amplitude bit for bit, and the
+// bitmap the scan thresholds at the production height has the same
+// words as the single-band amplitude thresholded whole. Windows are
+// shorter than a band, one row taller, and several bands plus a
+// remainder; rects lie across the seams, and wholly in the pad rows
+// no band computes.
+func TestBandedRenderBitIdentical(t *testing.T) {
+	o := tech.N45().Optics
+	px := int64(o.GridNM)
+	seed := rand.Int63()
+	t.Logf("seed %d", seed)
+	rng := rand.New(rand.NewSource(seed))
+	for c := 0; c < 8; c++ {
+		cond := Condition{Defocus: []float64{0, 80}[c%2], Dose: []float64{1, 1.07, 0.94}[c%3]}
+		w := 40 + rng.Intn(80)
+		h := []int{37, 53, bandRows + 1, 2*bandRows + 44}[c%4]
+		window := geom.R(-100, 300, -100+int64(w)*px, 300+int64(h)*px)
+		pad := SimPadNM(o, cond.Defocus)
+		var mask []geom.Rect
+		if c > 0 { // case 0 is the empty mask
+			reach := window.Bloat(pad + 50)
+			for i := 0; i < 4+rng.Intn(20); i++ {
+				x := reach.X0 + rng.Int63n(reach.Width())
+				y := reach.Y0 + rng.Int63n(reach.Height())
+				mask = append(mask, geom.R(x, y, x+1+rng.Int63n(300), y+1+rng.Int63n(900)))
+			}
+			mask = append(mask,
+				geom.R(window.X0+40, window.Y0-20, window.X0+130, window.Y1+20), // a printing line across every seam
+				geom.R(window.X0, window.Y0-pad+7, window.X1, window.Y0-12),     // wholly in the pad rows below
+				geom.R(window.X0+30, window.Y1+9, window.X1, window.Y1+pad))     // and above
+		}
+
+		want := renderAmplitude(t, mask, window, o, cond.Defocus, h)
+		for _, rows := range []int{1, 2, 7, h - 1, h + 1} {
+			got := renderAmplitude(t, mask, window, o, cond.Defocus, rows)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("case %d (%dx%d px, %+v): band height %d: pixel (%d,%d) = %v, single band %v",
+						c, w, h, cond, rows, i%w, i/w, got[i], want[i])
+				}
+			}
+		}
+
+		bits := NewBitmap(w, h)
+		for i, a := range want {
+			v := a * a
+			if cond.Dose != 1 {
+				v *= cond.Dose
+			}
+			bits.Set(i%w, i/w, v >= o.Threshold)
+		}
+		printed, err := simulatePrinted(context.Background(), mask, window, o, cond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(printed.words, bits.words) {
+			t.Errorf("case %d (%dx%d px, %+v): printed bitmap differs from the single-band amplitude thresholded whole (%d vs %d set)",
+				c, w, h, cond, printed.Count(), bits.Count())
+		}
+		if c > 0 && bits.Count() == 0 {
+			t.Errorf("case %d: nothing printed, the comparison above is empty", c)
+		}
+	}
+}
+
+// dyingCtx reports no error the first live times it is asked, then
+// context.Canceled: a cancellation that lands at a chosen checkpoint
+// inside a render instead of wherever a timer happens to fire.
+type dyingCtx struct {
+	context.Context
+	live atomic.Int64
+}
+
+func (c *dyingCtx) Err() error {
+	if c.live.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// A render canceled between bands returns the context's error, caches
+// no half-written grid, and has put its band buffer back: two
+// goroutines canceled on one RasterMask leave the free list holding
+// that one buffer, and the mask still simulates correctly afterwards.
+// Run under -race -count=10.
+func TestCancelMidRenderReturnsBand(t *testing.T) {
+	o := tech.N45().Optics
+	mask := []geom.Rect{geom.R(0, 0, 70, 3000), geom.R(140, 0, 210, 3000)}
+	window := geom.R(-200, 0, 400, int64(2*bandRows+44)*int64(o.GridNM)) // three bands
+	rm := NewRasterMask(mask, window, o, 0)
+	bufFree.drain()
+
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// One check before normalization, one per kernel pass of a
+			// band: the first band completes and the second is cut short.
+			ctx := &dyingCtx{Context: context.Background()}
+			ctx.live.Store(int64(1 + len(o.Sigmas) + 1))
+			if img, err := SimulateRaster(ctx, rm, Nominal); !errors.Is(err, context.Canceled) || img != nil {
+				t.Errorf("canceled render returned (%v, %v), want (nil, context.Canceled)", img, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := len(rm.cache); n != 0 {
+		t.Errorf("canceled renders cached %d grids", n)
+	}
+	_, h := gridDims(window, rm.pitch)
+	if count, floats := bufFree.retained(); count != 1 || floats != min(bandRows, h)*rm.rW {
+		t.Errorf("free list holds %d buffers (%d floats) after two canceled renders, want the one band buffer (%d floats)",
+			count, floats, min(bandRows, h)*rm.rW)
+	}
+
+	got, err := SimulateRaster(context.Background(), rm, Nominal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := Simulate(mask, window, o, Nominal); !reflect.DeepEqual(got.Grid, want.Grid) {
+		t.Error("the image of a mask simulated after a canceled render differs from a fresh simulation")
+	}
+}
+
+// SimulateInto writes over the grid it is handed when that grid has
+// the window's dimensions — same backing array, same pixels as a fresh
+// SimulateCtx — and allocates when the dimensions differ, leaving the
+// grid it could not use alone.
+func TestSimulateIntoReusesMatchingGrid(t *testing.T) {
+	ctx := context.Background()
+	o := tech.N45().Optics
+	mask := []geom.Rect{geom.R(0, 0, 70, 900), geom.R(140, 100, 230, 700)}
+	window := geom.R(-200, -100, 400, 1000)
+	cond := Condition{Defocus: 40, Dose: 1.05}
+	want, err := SimulateCtx(ctx, mask, window, o, cond)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A stale image of the same size, somewhere else on the chip.
+	prev, err := SimulateCtx(ctx, []geom.Rect{geom.R(5000, 0, 5300, 1100)}, window.Translate(geom.Pt(5000, 0)), o, Nominal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := SimulateInto(ctx, prev.Grid, mask, window, o, cond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &got.Data[0] != &prev.Data[0] {
+		t.Error("a grid of the window's dimensions was not reused")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("image rendered over a stale grid differs from SimulateCtx")
+	}
+
+	// A window one pixel taller: the old grid cannot hold it.
+	taller := geom.R(window.X0, window.Y0, window.X1, window.Y1+int64(o.GridNM))
+	wantTall, err := SimulateCtx(ctx, mask, taller, o, cond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotTall, err := SimulateInto(ctx, got.Grid, mask, taller, o, cond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &gotTall.Data[0] == &got.Data[0] || gotTall.H != got.H+1 {
+		t.Errorf("a %dx%d grid was reused for a %dx%d window", got.W, got.H, gotTall.W, gotTall.H)
+	}
+	if !reflect.DeepEqual(gotTall, wantTall) {
+		t.Error("image of the resized window differs from SimulateCtx")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("the grid that could not be reused was written to")
 	}
 }

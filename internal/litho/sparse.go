@@ -62,74 +62,76 @@ func rectProfile(prof []float64, lo int, a0, a1 float64, kern, cdf []float64) {
 	}
 }
 
-// sparseBlurAcc accumulates amp += weight · (g ⊛ coverage(norm)) for
-// one kernel, walking rects instead of pixels. norm must be disjoint
-// (geom.Normalize form); padded/pitch/w/h describe the raster grid amp
-// is laid out on. The two profile rows are a plain allocation: the
-// buffer free list is sized for raster-scale buffers, and a row-sized
-// request would either evict one or borrow it.
-func sparseBlurAcc(ctx context.Context, norm []geom.Rect, padded geom.Rect, pitch float64, w, h int, kern, cdf []float64, weight float64, amp []float64) error {
-	r := len(kern) / 2
+// pxSpan is a rect's continuous pixel-space extent on a w x h raster
+// grid, clipped to the grid exactly as Grid.paint clamps its pixel
+// loops so the zero boundary condition matches the dense path.
+type pxSpan struct{ x0, x1, y0, y1 float64 }
+
+// clipSpans converts norm to pixel space on the w x h grid whose
+// lower-left corner is padded's, in order, dropping rects the grid
+// clips to nothing. It depends on neither kernel nor band, so a render
+// pays its four divisions per rect once.
+func clipSpans(norm []geom.Rect, padded geom.Rect, pitch float64, w, h int) []pxSpan {
 	ox := float64(padded.X0)
 	oy := float64(padded.Y0)
-	prof := make([]float64, w+h)
+	spans := make([]pxSpan, 0, len(norm))
+	for _, rc := range norm {
+		s := pxSpan{
+			x0: max((float64(rc.X0)-ox)/pitch, 0),
+			x1: min((float64(rc.X1)-ox)/pitch, float64(w)),
+			y0: max((float64(rc.Y0)-oy)/pitch, 0),
+			y1: min((float64(rc.Y1)-oy)/pitch, float64(h)),
+		}
+		if s.x1 > s.x0 && s.y1 > s.y0 {
+			spans = append(spans, s)
+		}
+	}
+	return spans
+}
+
+// sparseBlurAcc accumulates band += weight · (g ⊛ coverage(spans)) for
+// one kernel over rows [j0, j1) of the w-wide raster grid the spans
+// were clipped to, walking rects instead of pixels: band holds those
+// rows only, row j at band[(j-j0)*w:]. spans must come from a disjoint
+// rect set (geom.Normalize form). A pixel receives the same additions
+// in the same order whatever band it is computed in — a rect's row and
+// column profiles do not depend on the range asked for — so a grid
+// rendered in bands equals the grid rendered whole bit for bit. What a
+// band costs extra is the column profile, recomputed for every band a
+// rect's footprint reaches.
+//
+// prof is scratch for the two profiles, at least w + (j1 - j0) long.
+// It is the caller's plain allocation, not the free list's: the list
+// is sized for band-scale buffers, and a row-sized request would
+// either evict one or borrow it.
+func sparseBlurAcc(ctx context.Context, spans []pxSpan, w, j0, j1 int, kern, cdf []float64, weight float64, band, prof []float64) error {
+	r := len(kern) / 2
 	px, py := prof[:w], prof[w:]
-	for ri, rc := range norm {
-		if ri&63 == 0 {
+	for si, s := range spans {
+		if si&63 == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		// Continuous pixel-space span, clipped to the grid exactly as
-		// Grid.paint clamps its pixel loops.
-		x0 := (float64(rc.X0) - ox) / pitch
-		x1 := (float64(rc.X1) - ox) / pitch
-		y0 := (float64(rc.Y0) - oy) / pitch
-		y1 := (float64(rc.Y1) - oy) / pitch
-		if x0 < 0 {
-			x0 = 0
-		}
-		if y0 < 0 {
-			y0 = 0
-		}
-		if x1 > float64(w) {
-			x1 = float64(w)
-		}
-		if y1 > float64(h) {
-			y1 = float64(h)
-		}
-		if x1 <= x0 || y1 <= y0 {
+		// Most rects miss most bands: reject on rows first.
+		loy := max(int(math.Floor(s.y0))-r, j0)
+		hiy := min(int(math.Floor(s.y1))+r+1, j1)
+		if hiy <= loy {
 			continue
 		}
-		lox := int(math.Floor(x0)) - r
-		if lox < 0 {
-			lox = 0
-		}
-		hix := int(math.Floor(x1)) + r + 1
-		if hix > w {
-			hix = w
-		}
-		loy := int(math.Floor(y0)) - r
-		if loy < 0 {
-			loy = 0
-		}
-		hiy := int(math.Floor(y1)) + r + 1
-		if hiy > h {
-			hiy = h
-		}
-		if hix <= lox || hiy <= loy {
-			continue
-		}
+		lox := max(int(math.Floor(s.x0))-r, 0)
+		hix := min(int(math.Floor(s.x1))+r+1, w) // > lox: the span is non-empty inside [0, w]
 		profX := px[:hix-lox]
 		profY := py[:hiy-loy]
-		rectProfile(profX, lox, x0, x1, kern, cdf)
-		rectProfile(profY, loy, y0, y1, kern, cdf)
+		rectProfile(profX, lox, s.x0, s.x1, kern, cdf)
+		rectProfile(profY, loy, s.y0, s.y1, kern, cdf)
 		for j, pv := range profY {
 			c := weight * pv
 			if c == 0 {
 				continue
 			}
-			row := amp[(loy+j)*w+lox : (loy+j)*w+hix]
+			at := (loy+j-j0)*w + lox
+			row := band[at : at+len(profX)]
 			for i, xv := range profX {
 				row[i] += c * xv
 			}

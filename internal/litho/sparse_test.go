@@ -48,7 +48,7 @@ func TestSparseBlurMatchesDense(t *testing.T) {
 		blurVAccRows(tmp, want, w, h, 0, h, kern, weight)
 
 		got := make([]float64, w*h)
-		if err := sparseBlurAcc(context.Background(), norm, padded, pitch, w, h, kern, cdf, weight, got); err != nil {
+		if err := sparseBlurAcc(context.Background(), clipSpans(norm, padded, pitch, w, h), w, 0, h, kern, cdf, weight, got, make([]float64, w+h)); err != nil {
 			t.Fatal(err)
 		}
 
@@ -80,7 +80,7 @@ func TestSparseBlurCoverageClip(t *testing.T) {
 	blurVAccRows(tmp, want, w, h, 0, h, kern, 1)
 
 	got := make([]float64, w*h)
-	if err := sparseBlurAcc(context.Background(), over, padded, 1, w, h, kern, cdf, 1, got); err != nil {
+	if err := sparseBlurAcc(context.Background(), clipSpans(over, padded, 1, w, h), w, 0, h, kern, cdf, 1, got, make([]float64, w+h)); err != nil {
 		t.Fatal(err)
 	}
 	for i := range want {
@@ -206,21 +206,53 @@ func fuzzRects(data []byte) []geom.Rect {
 	return rs
 }
 
+// checkBandEqualsWhole accumulates one kernel pass over a non-empty
+// row range of the mask's padded grid (pad rows included), chosen by
+// rowLo and rowN, and requires every pixel to be, bit for bit, the
+// pixel of the same pass over the whole grid as one band.
+func checkBandEqualsWhole(t *testing.T, mask []geom.Rect, window geom.Rect, opt tech.Optics, defocus float64, rowLo, rowN uint8) {
+	t.Helper()
+	ctx := context.Background()
+	rm := NewRasterMask(mask, window, opt, defocus)
+	j0 := int(rowLo) % rm.rH
+	j1 := j0 + 1 + int(rowN)%(rm.rH-j0)
+	spans := clipSpans(geom.Normalize(mask), rm.padded, rm.pitch, rm.rW, rm.rH)
+	kern, cdf := gaussKernelCDF(opt.Sigmas[0] * defocusFactor(opt, defocus) / rm.pitch)
+	prof := make([]float64, rm.rW+rm.rH)
+	whole := make([]float64, rm.rW*rm.rH)
+	if err := sparseBlurAcc(ctx, spans, rm.rW, 0, rm.rH, kern, cdf, opt.Weights[0], whole, prof); err != nil {
+		t.Fatal(err)
+	}
+	band := make([]float64, (j1-j0)*rm.rW)
+	if err := sparseBlurAcc(ctx, spans, rm.rW, j0, j1, kern, cdf, opt.Weights[0], band, prof); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range band {
+		if want := whole[j0*rm.rW+i]; math.Float64bits(v) != math.Float64bits(want) {
+			t.Fatalf("rows [%d,%d) of %d: pixel (%d,%d) = %v as a band, %v in the whole grid",
+				j0, j1, rm.rH, i%rm.rW, j0+i/rm.rW, v, want)
+		}
+	}
+}
+
 // FuzzSparseBlur holds the sparse blur to the rasterize-then-blur
-// reference on arbitrary rect sets, pitches and defocus (10 s in
-// make fuzz-smoke).
+// reference on arbitrary rect sets, pitches and defocus, and an
+// arbitrary band of its rows to the same rows of the whole grid
+// (10 s in make fuzz-smoke).
 func FuzzSparseBlur(f *testing.F) {
-	f.Add(uint8(0), uint8(0), []byte{64, 64, 20, 20})
-	f.Add(uint8(1), uint8(2), []byte{64, 64, 10, 10, 74, 64, 10, 10, 64, 74, 20, 1})   // abutting, one a sliver
-	f.Add(uint8(2), uint8(1), []byte{0, 0, 47, 47, 255, 255, 47, 47, 100, 100, 0, 30}) // corners outside, zero-area
-	f.Add(uint8(0), uint8(3), []byte{60, 60, 3, 3, 61, 61, 3, 3, 20, 70, 47, 2, 160, 10, 9, 47})
-	f.Fuzz(func(t *testing.T, pitchSel, focusSel uint8, data []byte) {
+	f.Add(uint8(0), uint8(0), uint8(0), uint8(255), []byte{64, 64, 20, 20})
+	f.Add(uint8(1), uint8(2), uint8(17), uint8(0), []byte{64, 64, 10, 10, 74, 64, 10, 10, 64, 74, 20, 1})   // abutting, one a sliver; a one-row band
+	f.Add(uint8(2), uint8(1), uint8(3), uint8(40), []byte{0, 0, 47, 47, 255, 255, 47, 47, 100, 100, 0, 30}) // corners outside, zero-area
+	f.Add(uint8(0), uint8(3), uint8(90), uint8(7), []byte{60, 60, 3, 3, 61, 61, 3, 3, 20, 70, 47, 2, 160, 10, 9, 47})
+	f.Fuzz(func(t *testing.T, pitchSel, focusSel, rowLo, rowN uint8, data []byte) {
 		o := tech.Optics{
 			Sigmas: []float64{6, 14}, Weights: []float64{0.8, 0.2}, Threshold: 0.3, DefocusScale: 150,
 			GridNM: []float64{5, 2, 1}[pitchSel%3],
 		}
 		cond := Condition{Defocus: float64(focusSel%4) * 60, Dose: 1 + float64(focusSel%3)*0.04}
-		checkAgainstGridBlur(t, fuzzRects(data), geom.R(0, 0, 100, 80), o, cond)
+		mask, window := fuzzRects(data), geom.R(0, 0, 100, 80)
+		checkAgainstGridBlur(t, mask, window, o, cond)
+		checkBandEqualsWhole(t, mask, window, o, cond.Defocus, rowLo, rowN)
 	})
 }
 

@@ -247,12 +247,16 @@ func ModelBasedCtx(ctx context.Context, drawn []geom.Rect, window geom.Rect, opt
 	capOutward(drawn, frags, mo)
 	res := Result{Fragments: frags}
 
+	// Nothing of an iteration's image outlives the EPEs read from it
+	// below, so each is rendered over the one before.
+	var grid *litho.Grid
 	for it := 0; it <= mo.Iterations; it++ {
 		mask := ApplyBias(drawn, frags)
-		img, err := litho.SimulateCtx(ctx, mask, window, opt, mo.Cond)
+		img, err := litho.SimulateInto(ctx, grid, mask, window, opt, mo.Cond)
 		if err != nil {
 			return res, err
 		}
+		grid = img.Grid
 		cModelIters.Inc()
 		var sq float64
 		var moved int64

@@ -1,7 +1,9 @@
 package opc
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/geom"
@@ -302,5 +304,57 @@ func TestModelConvergenceMonotoneEnough(t *testing.T) {
 	last := res.RMSHistory[len(res.RMSHistory)-1]
 	if math.IsNaN(last) || last < 0 {
 		t.Fatalf("bad RMS %v", last)
+	}
+}
+
+// ModelBasedCtx renders every iteration over the image of the one
+// before. The loop as it was written before that — a fresh SimulateCtx
+// image per iteration, nothing shared — must give the same RMS history,
+// the same mask and the same biases, at a dose and defocus that
+// exercise the in-place dose scaling too.
+func TestModelBasedGridReuseMatchesFreshImages(t *testing.T) {
+	ctx := context.Background()
+	drawn := []geom.Rect{geom.R(0, 0, 70, 1500), geom.R(160, 300, 230, 1200)}
+	window := geom.R(-400, -200, 600, 1900)
+	for _, cond := range []litho.Condition{litho.Nominal, {Defocus: 40, Dose: 1.05}} {
+		mo := DefaultModelOpts()
+		mo.Cond = cond
+		got, err := ModelBasedCtx(ctx, drawn, window, opt(), mo)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		frags := FragmentEdges(drawn, mo.MaxLen, mo.CornerLen)
+		capOutward(drawn, frags, mo)
+		var history []float64
+		var mask []geom.Rect
+		for it := 0; it <= mo.Iterations; it++ {
+			mask = ApplyBias(drawn, frags)
+			img, err := litho.SimulateCtx(ctx, mask, window, opt(), cond)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sq float64
+			for _, f := range frags {
+				s := img.EPEAt(f.Edge, f.Site)
+				sq += s.EPE * s.EPE
+				if it < mo.Iterations {
+					f.Bias = max(min(f.Bias-int64(mo.Gain*s.EPE), f.MaxOut), -mo.MaxBias)
+				}
+			}
+			history = append(history, math.Sqrt(sq/float64(len(frags))))
+		}
+
+		if len(history) != 6 || !reflect.DeepEqual(got.RMSHistory, history) {
+			t.Errorf("%+v: RMS history %v, from %d independent images %v", cond, got.RMSHistory, len(history), history)
+		}
+		if !reflect.DeepEqual(got.Mask, mask) {
+			t.Errorf("%+v: final mask differs from the independent-image loop", cond)
+		}
+		for i, f := range got.Fragments {
+			if f.Bias != frags[i].Bias {
+				t.Errorf("%+v: fragment %d bias %d, independent-image loop %d", cond, i, f.Bias, frags[i].Bias)
+			}
+		}
 	}
 }

@@ -252,10 +252,13 @@ func inRange(r geom.Rect) bool {
 
 // maxWindowPixels bounds the padded grid a window request may ask the
 // simulator for. A production scan window is 7.2 M pixels; the cap
-// leaves 9x headroom and keeps one request's amplitude buffer near
-// half a gigabyte, where a hostile GridNM or WinW inside the 64 MiB
-// body bound would otherwise be an out-of-memory kill no panic
-// recovery can catch.
+// leaves 9x headroom. It bounds time and the printed bitmap (8 MiB at
+// the cap), which is what a hostile GridNM or WinW inside the 64 MiB
+// body bound can otherwise run up. It does not need to bound the
+// amplitude: the simulator holds that for one band of rows at a time
+// (litho.RasterMask), a few megabytes for any window near square. The
+// band is whole rows, so the worst shape is a window one pixel tall,
+// whose single row is the whole grid.
 const maxWindowPixels = 1 << 26
 
 // validateOptics checks the kernel stack is one the simulator can run:

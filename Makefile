@@ -99,8 +99,8 @@ endef
 # else; nothing was watching. This is the watch: the package's own
 # tests must reach every function of the kernel files and 90 % of the
 # statements of the two that hold the simulation path.
-cover-kernel: ## litho kernel coverage gate: no function of raster.go/sparse.go/optics.go at 0 %, raster.go and sparse.go each >= 90 % of statements
-	$(call cover-gate,cover-kernel,./internal/litho,raster|sparse|optics,raster|sparse)
+cover-kernel: ## litho kernel coverage gate: no function of raster.go/sparse.go/optics.go/bitmap.go at 0 %, raster.go and sparse.go each >= 90 % of statements
+	$(call cover-gate,cover-kernel,./internal/litho,raster|sparse|optics|bitmap,raster|sparse)
 
 # The same watch on the path every chip unit takes — cut (plan.go), key
 # (key.go), validate / execute / absorb (wire.go): unit.String sat there
@@ -141,8 +141,9 @@ fleetprofile: ## CPU profile of the fleet path (BenchmarkFleetChip: 50k-rect chi
 # Where lithoprofile keeps its test binary and profiles (bin/ is gitignored).
 LITHOPROFILE_DIR ?= bin/lithoprofile
 
-lithoprofile: ## CPU + allocation profile of one exact 12 um scan window (BenchmarkScanWindow, one P): the band blur, the threshold sink, the morphology, and what the runtime spends clearing and allocating under them, by cumulative cost
+lithoprofile: ## ns/op of the generator's scan window and of the wall-to-wall one, then a CPU + allocation profile of the first (BenchmarkScanWindow, one P): the band blur, the threshold sink, the morphology, and what the runtime spends clearing and allocating under them, by cumulative cost
 	@mkdir -p $(LITHOPROFILE_DIR)
+	$(GO) test -run='^$$' -bench='^BenchmarkScanWindow(Dense)?$$' -benchtime=20x -benchmem -cpu 1 . | grep '^Benchmark'
 	$(GO) test -run='^$$' -bench='^BenchmarkScanWindow$$' -benchtime=40x -benchmem -cpu 1 \
 		-cpuprofile $(LITHOPROFILE_DIR)/cpu.prof -memprofile $(LITHOPROFILE_DIR)/mem.prof -o $(LITHOPROFILE_DIR)/repro.test .
 	$(GO) tool pprof -top -cum -nodecount=40 -show='litho\.|runtime\.memclr|runtime\.mallocgc' $(LITHOPROFILE_DIR)/repro.test $(LITHOPROFILE_DIR)/cpu.prof
@@ -151,8 +152,8 @@ lithoprofile: ## CPU + allocation profile of one exact 12 um scan window (Benchm
 bench: ## every root-module benchmark, time and allocations only; writes no file (records come from `bash benchmark/run.sh`)
 	$(GO) test -run='^$$' -bench=. -benchmem .
 
-bench-smoke: ## one iteration of the four kernel micro-rows, of the tile wire codec and of the tile key, so the gate executes the benchmarks and does not merely compile them
-	$(GO) test -run='^$$' -bench='^Benchmark(GeomBoolean|DRCBlock|BitmapOpen|ScanWindow)$$' -benchtime=1x .
+bench-smoke: ## one iteration of the five kernel micro-rows, of the tile wire codec and of the tile key, so the gate executes the benchmarks and does not merely compile them
+	$(GO) test -run='^$$' -bench='^Benchmark(GeomBoolean|DRCBlock|BitmapOpen|ScanWindow|ScanWindowDense)$$' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='^BenchmarkTile(Wire|Key)$$' -benchtime=1x -benchmem ./internal/tiling
 
 # internal/surface counts examples/* as callers (examples/quickstart is

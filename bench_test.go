@@ -666,6 +666,32 @@ func BenchmarkScanWindow(b *testing.B) {
 	}
 }
 
+// BenchmarkScanWindowDense — the same window filled wall to wall with
+// 70 nm lines on a 140 nm pitch: every column group of every band is
+// touched and every bitmap row's extent is its full width, so nothing
+// the kernel skips on a blank window is skipped here. It is the
+// counter-case to BenchmarkScanWindow: what the occupancy-proportional
+// sink, clears and morphology cost when there is no blank, and nearer
+// what a production metal1 window looks like than the generator's
+// rings and routing channels are.
+func BenchmarkScanWindowDense(b *testing.B) {
+	t := tech.N45()
+	win := geom.R(0, 0, litho.ScanTileNM, litho.ScanTileNM)
+	reach := win.Bloat(litho.ScanPadNM + litho.SimPadNM(t.Optics, 0))
+	var rs []geom.Rect
+	for x := reach.X0; x < reach.X1; x += 140 {
+		rs = append(rs, geom.R(x, reach.Y0, x+70, reach.Y1))
+	}
+	o := litho.ScanOpts{Cond: litho.Nominal, Interior: true}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := litho.ScanWindowCtx(context.Background(), rs, win, t, tech.Metal1, o); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkBitmapOpen — morphological opening of that window's
 // printed bitmap (2600 x 2600 px) at the metal1 pinch radius: the
 // detector's inner operation, which was 67% of a window before the

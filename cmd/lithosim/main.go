@@ -10,7 +10,8 @@
 //
 // -metrics FILE enables the observability registry and writes its
 // JSON snapshot (raster-cache hits/misses, blur passes, buffer-pool
-// and row-dispatch counters) to FILE at exit, "-" meaning stdout.
+// counters, and how much of each band and printed bitmap was occupied)
+// to FILE at exit, "-" meaning stdout.
 package main
 
 import (

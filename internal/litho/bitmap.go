@@ -99,75 +99,160 @@ func (b *Bitmap) Open(r int) *Bitmap { return b.morph(r, (*Bitmap).erode, (*Bitm
 // pixels.
 func (b *Bitmap) Close(r int) *Bitmap { return b.morph(r, (*Bitmap).dilate, (*Bitmap).erode) }
 
-// erode erodes in place by duality: with the outside counted as set,
-// eroding b is dilating its in-domain complement with the outside
-// counted as unset. tmp is scratch of len(b.words).
-func (b *Bitmap) erode(r int, tmp []uint64) {
-	b.not()
-	b.dilate(r, tmp)
-	b.not()
+// A printed scan window is mostly blank — a ring down one side, a macro
+// in the middle — so erode and dilate cost what the bitmap holds, not
+// what it spans: each works a row at a time on the row's extent, the
+// words from its first to its last non-zero one, and never looks at
+// the blank words outside it except to find where they end. The
+// horizontal pass grows its reach by doubling (reach s becomes s+step
+// by one OR with a copy shifted step <= s), O(log r) passes over the
+// extent; the vertical pass is 2r+1 word-wise row operations per
+// extent: O(r), not O(log r), because doubling vertically would have
+// to walk whole rows of the whole bitmap. Every radius in production
+// is single-digit (detect: 4 px at N45; opc/ilt.go:
+// MinFeature/(2*GridNM)), where the two are within a pass or two of
+// each other per word.
+//
+// Both take tmp, scratch of len(b.words) that is all zero on entry and
+// all zero again on return.
+
+// extent returns the range [lo, hi) of the row's words from its first
+// to its last non-zero one; lo == hi when the row is blank.
+func extent(row []uint64) (lo, hi int) {
+	hi = len(row)
+	for hi > 0 && row[hi-1] == 0 {
+		hi--
+	}
+	for lo < hi && row[lo] == 0 {
+		lo++
+	}
+	return lo, hi
 }
 
-// not complements every in-domain pixel in place.
-func (b *Bitmap) not() {
-	if len(b.words) == 0 {
-		return
+// reach is row j's extent widened by ceil(r/64) words either way,
+// clipped to the row: every word a horizontal pass at radius r can
+// change or needs to see. The margin words are blank, so whatever the
+// pass shifts in at the ends of the range is what the rest of the row
+// would have supplied; where the range stops at the row's end there is
+// no margin, and what shifts in there is the pass's convention for the
+// outside of the bitmap.
+func (b *Bitmap) reach(j, r int) (lo, hi int) {
+	lo, hi = extent(b.row(j))
+	if lo == hi {
+		return lo, hi
 	}
-	for i := range b.words {
-		b.words[i] = ^b.words[i]
-	}
-	mask := b.tailMask()
-	for k := b.stride - 1; k < len(b.words); k += b.stride {
-		b.words[k] &= mask
-	}
+	m := (r + 63) >> 6
+	return max(lo-m, 0), min(hi+m, b.stride)
 }
 
-// dilate dilates in place by r > 0: a horizontal pass that ORs each
-// row with itself shifted up to r columns either way (bits carried
-// across words), then a vertical pass that ORs each row with the rows
-// up to r above and below it, whole words at a time. Each direction
-// grows its reach by doubling — reach s becomes s+step by one OR with
-// a copy shifted step <= s — so a radius costs O(log r) passes. Zeros
-// shift in at every edge, which is the outside-is-unset convention.
-// tmp is scratch of len(b.words).
-func (b *Bitmap) dilate(r int, tmp []uint64) {
-	if len(b.words) == 0 {
-		return
-	}
-	mask := b.tailMask()
-	left := tmp[:b.stride]
-	for j := 0; j < b.H; j++ {
-		row := b.row(j)
-		copy(left, row)
-		for s := 1; s <= r; {
-			step := min(s, r+1-s)
-			orShiftUp(left, step)
-			orShiftDown(row, step)
-			s += step
-		}
-		for k, w := range left {
-			row[k] |= w
-		}
-		row[b.stride-1] &= mask
-	}
-
-	down := tmp[:len(b.words)]
-	copy(down, b.words)
+// spread ORs row with itself shifted up to r bits either way, bits
+// carried across words and zeros shifted in at both ends. left is
+// scratch of len(row); it is zeroed before returning.
+func spread(row, left []uint64, r int) {
+	copy(left, row)
 	for s := 1; s <= r; {
 		step := min(s, r+1-s)
-		off := step * b.stride
-		// down: row j takes row j-step (descending, so sources are
-		// still unmodified); b.words: row j takes row j+step.
-		for k := len(down) - 1; k >= off; k-- {
-			down[k] |= down[k-off]
-		}
-		for k := 0; k+off < len(b.words); k++ {
-			b.words[k] |= b.words[k+off]
-		}
+		orShiftUp(left, step)
+		orShiftDown(row, step)
 		s += step
 	}
-	for k, w := range down {
-		b.words[k] |= w
+	for k, w := range left {
+		row[k] |= w
+		left[k] = 0
+	}
+}
+
+// invert complements row in place and ANDs its last word with tail.
+func invert(row []uint64, tail uint64) {
+	for k, w := range row {
+		row[k] = ^w
+	}
+	row[len(row)-1] &= tail
+}
+
+// tailOf is the mask for the last word of the range ending at word hi
+// of a row: the row's tail mask when the range ends the row.
+func (b *Bitmap) tailOf(hi int) uint64 {
+	if hi == b.stride {
+		return b.tailMask()
+	}
+	return ^uint64(0)
+}
+
+// erode erodes in place by r > 0 with the outside of the bitmap
+// counted as set. Horizontally it is the dilation of the complement
+// (outside unset) on each row's reach: the blank margin complements to
+// ones, stays ones, and complements back to blank. Vertically a row is
+// ANDed with the rows up to r above and below it over its own extent
+// only — erosion removes, so nothing outside a row's extent survives
+// it — and rows past the top and bottom drop out of the AND.
+func (b *Bitmap) erode(r int, tmp []uint64) {
+	for j := 0; j < b.H; j++ {
+		lo, hi := b.reach(j, r)
+		if lo == hi {
+			continue
+		}
+		sub, tail := b.row(j)[lo:hi], b.tailOf(hi)
+		invert(sub, tail)
+		spread(sub, tmp[:len(sub)], r)
+		invert(sub, tail)
+	}
+	for j := 0; j < b.H; j++ {
+		lo, hi := extent(b.row(j))
+		if lo == hi {
+			continue
+		}
+		acc := tmp[j*b.stride+lo : j*b.stride+hi]
+		copy(acc, b.row(j)[lo:hi])
+		for jj := max(j-r, 0); jj <= min(j+r, b.H-1); jj++ {
+			if jj == j {
+				continue
+			}
+			for k, w := range b.row(jj)[lo:hi] {
+				acc[k] &= w
+			}
+		}
+	}
+	for j := 0; j < b.H; j++ {
+		lo, hi := extent(b.row(j))
+		acc := tmp[j*b.stride+lo : j*b.stride+hi]
+		copy(b.row(j)[lo:hi], acc)
+		clear(acc)
+	}
+}
+
+// dilate dilates in place by r > 0 with the outside of the bitmap
+// counted as unset: each row's reach is spread r columns either way,
+// then each row's extent is ORed into the rows up to r above and below
+// it, whole words at a time.
+func (b *Bitmap) dilate(r int, tmp []uint64) {
+	for j := 0; j < b.H; j++ {
+		lo, hi := b.reach(j, r)
+		if lo == hi {
+			continue
+		}
+		sub := b.row(j)[lo:hi]
+		spread(sub, tmp[:len(sub)], r)
+		sub[len(sub)-1] &= b.tailOf(hi)
+	}
+	for j := 0; j < b.H; j++ {
+		lo, hi := extent(b.row(j))
+		if lo == hi {
+			continue
+		}
+		src := b.row(j)[lo:hi]
+		for jj := max(j-r, 0); jj <= min(j+r, b.H-1); jj++ {
+			acc := tmp[jj*b.stride+lo : jj*b.stride+hi]
+			for k, w := range src {
+				acc[k] |= w
+			}
+		}
+	}
+	for j := 0; j < b.H; j++ {
+		acc := tmp[j*b.stride : (j+1)*b.stride]
+		lo, hi := extent(acc)
+		copy(b.row(j)[lo:hi], acc[lo:hi])
+		clear(acc[lo:hi])
 	}
 }
 
@@ -292,24 +377,22 @@ func (b *Bitmap) ToRects() []geom.Rect {
 // Blobs groups set pixels into 4-connected components and returns each
 // component's bounding box in nm, in row-major order of each
 // component's first pixel (lowest row, then lowest column). Used to
-// turn flagged hotspot pixels into reportable sites.
+// turn flagged hotspot pixels into reportable sites. It consumes the
+// bitmap: the flood fill clears each pixel as it reaches it instead of
+// marking it in a second bitmap, so the receiver is left empty. Call
+// it on a clone to keep the pixels.
 func (b *Bitmap) Blobs() []geom.Rect {
-	seen := NewBitmap(b.W, b.H)
 	var boxes []geom.Rect
 	var stack [][2]int
 	for j := 0; j < b.H; j++ {
 		for k := 0; k < b.stride; k++ {
-			for {
-				// Re-read per seed: the fill below marks more of this word.
-				fresh := b.words[j*b.stride+k] &^ seen.words[j*b.stride+k]
-				if fresh == 0 {
-					break
-				}
-				i := k<<6 + bits.TrailingZeros64(fresh)
+			// Re-read per seed: each fill clears more of this word.
+			for b.words[j*b.stride+k] != 0 {
+				i := k<<6 + bits.TrailingZeros64(b.words[j*b.stride+k])
 				// flood fill
 				minI, maxI, minJ, maxJ := i, i, j, j
 				stack = append(stack[:0], [2]int{i, j})
-				seen.Set(i, j, true)
+				b.Set(i, j, false)
 				for len(stack) > 0 {
 					p := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
@@ -318,8 +401,8 @@ func (b *Bitmap) Blobs() []geom.Rect {
 					minJ, maxJ = min(minJ, pj), max(maxJ, pj)
 					for _, d := range [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}} {
 						ni, nj := pi+d[0], pj+d[1]
-						if b.At(ni, nj) && !seen.At(ni, nj) {
-							seen.Set(ni, nj, true)
+						if b.At(ni, nj) {
+							b.Set(ni, nj, false)
 							stack = append(stack, [2]int{ni, nj})
 						}
 					}

@@ -308,6 +308,60 @@ func randomBlocks(rng *rand.Rand, w, h int) *Bitmap {
 	return b
 }
 
+// sparseBlocks is what a printed scan window looks like to the
+// morphology, which randomBlocks paints too densely to be: mostly blank
+// words, so that a row's extent has a margin to be widened into. A few
+// small blocks, then, by the bits of rng, stripes down both edges (a
+// row's extent is the full width and both its ends are the bitmap's), a
+// few all-ones rows, and rows whose only set bits are in the tail word.
+func sparseBlocks(rng *rand.Rand, w, h int) *Bitmap {
+	b := NewBitmap(w, h)
+	b.Pitch = 5
+	b.Origin = geom.Pt(int64(rng.Intn(2000)-1000), int64(rng.Intn(2000)-1000))
+	fill := func(i0, j0, i1, j1 int) {
+		for j := j0; j < j1; j++ {
+			for i := i0; i < i1; i++ {
+				b.Set(i, j, true)
+			}
+		}
+	}
+	for k := rng.Intn(5); k > 0; k-- {
+		i0, j0 := rng.Intn(w), rng.Intn(h)
+		fill(i0, j0, i0+1+rng.Intn(40), j0+1+rng.Intn(40))
+	}
+	mode := rng.Intn(16)
+	if mode&1 != 0 {
+		sw := 1 + rng.Intn(12)
+		fill(0, 0, sw, h)
+		fill(w-sw, rng.Intn(h), w, h)
+	}
+	if mode&2 != 0 {
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			j := rng.Intn(h)
+			fill(0, j, w, j+1+rng.Intn(3))
+		}
+	}
+	if mode&4 != 0 {
+		tail := w - 1 - (w-1)&63 // first column of the last word
+		for k := 1 + rng.Intn(4); k > 0; k-- {
+			i0, j0 := tail+rng.Intn(w-tail), rng.Intn(h)
+			fill(i0, j0, i0+1+rng.Intn(w-i0), j0+1+rng.Intn(20))
+		}
+	}
+	if mode&8 != 0 { // a lone pixel in each corner word
+		b.Set(rng.Intn(min(w, 64)), 0, true)
+		b.Set(w-1-rng.Intn(min(w, 64)), h-1, true)
+	}
+	return b
+}
+
+// not complements every in-domain pixel in place.
+func (b *Bitmap) not() {
+	for j := 0; j < b.H; j++ {
+		invert(b.row(j), b.tailMask())
+	}
+}
+
 // checkPacked compares every packed operation with the oracle on one
 // bitmap and radius.
 func checkPacked(t *testing.T, p *Bitmap, r int) {
@@ -334,14 +388,31 @@ func checkPacked(t *testing.T, p *Bitmap, r int) {
 			t.Fatalf("%s(%d) on %dx%d: Count = %d, oracle %d", name, r, p.W, p.H, got.Count(), set)
 		}
 	}
+	// The scratch contract: zero on entry, zero again on return.
+	if r > 0 {
+		tmp := make([]uint64, len(p.words))
+		for name, op := range map[string]func(*Bitmap, int, []uint64){"erode": (*Bitmap).erode, "dilate": (*Bitmap).dilate} {
+			op(p.clone(), r, tmp)
+			for k, w := range tmp {
+				if w != 0 {
+					t.Fatalf("%s(%d) on %dx%d left scratch word %d = %#x", name, r, p.W, p.H, k, w)
+				}
+			}
+		}
+	}
 	same("Erode", p.morph(r, (*Bitmap).erode), o.Erode(r))
 	same("Dilate", p.morph(r, (*Bitmap).dilate), o.Dilate(r))
 	same("Open", p.Open(r), o.Open(r))
 	same("Close", p.Close(r), o.Close(r))
 	same("AndNot(Open)", p.AndNot(p.Open(r)), o.AndNot(o.Open(r)))
 	same("Close.AndNot", p.Close(r).AndNot(p), o.Close(r).AndNot(o))
-	if got, want := p.Blobs(), o.Blobs(); !reflect.DeepEqual(got, want) {
+	// Blobs consumes its receiver.
+	eaten := p.clone()
+	if got, want := eaten.Blobs(), o.Blobs(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Blobs on %dx%d = %v, oracle %v", p.W, p.H, got, want)
+	}
+	if n := eaten.Count(); n != 0 {
+		t.Fatalf("Blobs on %dx%d left %d pixels set", p.W, p.H, n)
 	}
 	if got, want := p.ToRects(), o.ToRects(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("ToRects on %dx%d = %v, oracle %v", p.W, p.H, got, want)
@@ -359,14 +430,24 @@ var oracleWidths = []int{1, 63, 64, 65, 127, 128, 129, 2600}
 
 func TestBitmapMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	for _, w := range oracleWidths {
-		for _, h := range []int{1, 2, 17, 64, 150} {
-			if testing.Short() && w*h > 20000 {
-				continue
+	for _, gen := range []func(*rand.Rand, int, int) *Bitmap{randomBlocks, sparseBlocks} {
+		for _, w := range oracleWidths {
+			for _, h := range []int{1, 2, 17, 64, 150} {
+				if testing.Short() && w*h > 20000 {
+					continue
+				}
+				for r := 0; r <= 8; r++ {
+					checkPacked(t, gen(rng, w, h), r)
+				}
 			}
-			for r := 0; r <= 8; r++ {
-				checkPacked(t, randomBlocks(rng, w, h), r)
-			}
+		}
+	}
+	// Radii around a word and past two: the margin a row's extent is
+	// widened by is ceil(r/64) words, and a shift crosses whole words.
+	for _, r := range []int{63, 64, 65, 130} {
+		for _, w := range []int{1, 64, 200, 321} {
+			checkPacked(t, sparseBlocks(rng, w, 9), r)
+			checkPacked(t, randomBlocks(rng, w, 140), r)
 		}
 	}
 	// All-set and all-clear: the boundary conventions with nothing else.
@@ -386,8 +467,13 @@ func FuzzBitmapMorphology(f *testing.F) {
 		f.Add(int64(i), uint16(w), uint8(1+i*21), uint8(i))
 	}
 	f.Fuzz(func(t *testing.T, seed int64, w uint16, h, r uint8) {
-		// Height 1..150, radius 0..8, width up to a full scan window row.
-		checkPacked(t, randomBlocks(rand.New(rand.NewSource(seed)), 1+int(w)%2600, 1+int(h)%150), int(r)%9)
+		// Height 1..150, radius 0..8, width up to a full scan window row;
+		// odd seeds paint sparsely.
+		gen := randomBlocks
+		if seed&1 != 0 {
+			gen = sparseBlocks
+		}
+		checkPacked(t, gen(rand.New(rand.NewSource(seed)), 1+int(w)%2600, 1+int(h)%150), int(r)%9)
 	})
 }
 

@@ -116,29 +116,44 @@ func (l *bufList) drain() {
 // mask's worth of spans, not its padded grid: a sparse 4096 x 4096 px
 // window — a quarter of the pixels the tile wire admits — is 134 MB of
 // float64 as a grid, and is rendered here from an empty free list in
-// under 16 MB.
+// under 16 MB. And a band is bounded in bytes, not in rows: a window
+// 2^17 px wide and 201 tall also passes the wire's pixel cap, 128 of
+// its rows would be 134 MB, and it renders in the same 16.
 func TestWindowMemoryIsBandBounded(t *testing.T) {
 	o := tech.N45().Optics
-	side := int64(4096 * o.GridNM)
-	window := geom.R(0, 0, side, side)
-	mask := []geom.Rect{geom.R(1000, 1000, 1090, side-1000), geom.R(5000, 9000, side-3000, 9090)}
-	bufFree.drain()
-	t.Cleanup(bufFree.drain) // a 4096-px-wide band is no use to the tests that follow
+	px := int64(o.GridNM)
+	for _, tc := range []struct {
+		name string
+		w, h int
+		mask []geom.Rect
+	}{
+		{"square", 4096, 4096, []geom.Rect{geom.R(1000, 1000, 1090, 4096*px-1000), geom.R(5000, 9000, 4096*px-3000, 9090)}},
+		{"wide and short", 1 << 17, 201, []geom.Rect{geom.R(1000, 100, 1090, 900), geom.R(5000, 400, (1<<17)*px-3000, 490)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			window := geom.R(0, 0, int64(tc.w)*px, int64(tc.h)*px)
+			bufFree.drain()
+			t.Cleanup(bufFree.drain) // a band this wide is no use to the tests that follow
 
-	sample := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
-	metrics.Read(sample)
-	before := sample[0].Value.Uint64()
-	printed, err := simulatePrinted(context.Background(), mask, window, o, Nominal)
-	metrics.Read(sample)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if printed.W != 4096 || printed.H != 4096 || printed.Count() == 0 {
-		t.Fatalf("printed %dx%d with %d bits set, want a 4096x4096 bitmap of two lines", printed.W, printed.H, printed.Count())
-	}
-	mb := float64(sample[0].Value.Uint64()-before) / (1 << 20)
-	t.Logf("a 4096x4096 px window allocated %.1f MB", mb)
-	if mb >= 16 {
-		t.Errorf("a 4096x4096 px window allocated %.1f MB, want < 16 (its padded grid alone is 134)", mb)
+			sample := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+			metrics.Read(sample)
+			before := sample[0].Value.Uint64()
+			printed, err := simulatePrinted(context.Background(), tc.mask, window, o, Nominal)
+			metrics.Read(sample)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if printed.W != tc.w || printed.H != tc.h || printed.Count() == 0 {
+				t.Fatalf("printed %dx%d with %d bits set, want a %dx%d bitmap of two lines", printed.W, printed.H, printed.Count(), tc.w, tc.h)
+			}
+			mb := float64(sample[0].Value.Uint64()-before) / (1 << 20)
+			t.Logf("a %dx%d px window allocated %.1f MB", tc.w, tc.h, mb)
+			if mb >= 16 {
+				t.Errorf("a %dx%d px window allocated %.1f MB, want < 16", tc.w, tc.h, mb)
+			}
+			if _, floats := bufFree.retained(); floats > bandBudget {
+				t.Errorf("the band it returned holds %d amplitudes, over the %d budget", floats, bandBudget)
+			}
+		})
 	}
 }

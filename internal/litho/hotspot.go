@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"repro/internal/geom"
+	"repro/internal/obs"
 	"repro/internal/tech"
 )
 
@@ -45,54 +46,57 @@ func (h Hotspot) String() string {
 // detect finds pinch and bridge sites in a printed bitmap and returns
 // them in SortHotspots order. minWidth is the smallest acceptable
 // printed linewidth and minSpace the smallest acceptable printed gap,
-// both in nm.
+// both in nm. printed is not modified: the opening and the closing are
+// each made in place in one work copy, which the difference then
+// overwrites and Blobs empties, over one scratch — two bitmap-sized
+// allocations, each most of a megabyte for a scan window.
 func detect(printed *Bitmap, minWidth, minSpace int64) []Hotspot {
 	sp := hDetectNS.Start()
 	defer sp.End()
+	if obs.Enabled() {
+		var walked int
+		for j := 0; j < printed.H; j++ {
+			lo, hi := extent(printed.row(j))
+			walked += hi - lo
+		}
+		cWordsWalked.Add(int64(walked))
+		cWordsSpanned.Add(int64(len(printed.words)))
+	}
 
-	// The opening and the closing are each made in place in one copy of
-	// the printed bitmap, which the difference then overwrites, and they
-	// share one scratch: a scan window's bitmap is most of a megabyte.
-	tmp := make([]uint64, len(printed.words))
+	radius := func(nm int64) int { return max(int(float64(nm)/printed.Pitch/2+0.5), 1) }
+	work := printed.clone()
+	tmp := make([]uint64, len(work.words))
+	var out []Hotspot
+	// Ignore single-pixel speckle from raster quantization.
+	collect := func(kind HotspotKind) {
+		for _, b := range work.Blobs() {
+			if b.Width() > int64(printed.Pitch) || b.Height() > int64(printed.Pitch) {
+				out = append(out, Hotspot{Kind: kind, Box: b})
+			}
+		}
+	}
 
 	// Pinch: printed pixels removed by opening with a structuring
 	// element just under minWidth.
-	rw := int(float64(minWidth)/printed.Pitch/2 + 0.5)
-	if rw < 1 {
-		rw = 1
-	}
-	pinched := printed.clone() // becomes the opening, then printed &^ opening
-	pinched.erode(rw, tmp)
-	pinched.dilate(rw, tmp)
+	rw := radius(minWidth)
+	work.erode(rw, tmp)
+	work.dilate(rw, tmp)
 	for i, w := range printed.words {
-		pinched.words[i] = w &^ pinched.words[i]
+		work.words[i] = w &^ work.words[i]
 	}
+	collect(Pinch)
 
 	// Bridge: gap pixels removed by closing with an element just under
 	// minSpace — i.e. unprinted pixels that the closing claims.
-	rs := int(float64(minSpace)/printed.Pitch/2 + 0.5)
-	if rs < 1 {
-		rs = 1
-	}
-	bridged := printed.clone() // becomes the closing, then closing &^ printed
-	bridged.dilate(rs, tmp)
-	bridged.erode(rs, tmp)
+	rs := radius(minSpace)
+	copy(work.words, printed.words)
+	work.dilate(rs, tmp)
+	work.erode(rs, tmp)
 	for i, w := range printed.words {
-		bridged.words[i] &^= w
+		work.words[i] &^= w
 	}
+	collect(Bridge)
 
-	var out []Hotspot
-	for _, b := range pinched.Blobs() {
-		// Ignore single-pixel speckle from raster quantization.
-		if b.Width() > int64(printed.Pitch) || b.Height() > int64(printed.Pitch) {
-			out = append(out, Hotspot{Kind: Pinch, Box: b})
-		}
-	}
-	for _, b := range bridged.Blobs() {
-		if b.Width() > int64(printed.Pitch) || b.Height() > int64(printed.Pitch) {
-			out = append(out, Hotspot{Kind: Bridge, Box: b})
-		}
-	}
 	SortHotspots(out)
 	return out
 }

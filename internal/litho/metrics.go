@@ -29,6 +29,13 @@ var (
 	cBlurPasses = obs.C("litho.blur.passes")
 	cBlurSparse = obs.C("litho.blur.sparse")
 
+	// Band occupancy: of the 64-column groups a band of the padded grid
+	// offers, how many a rect's footprint reached. The rest are neither
+	// thresholded nor cleared, so touched/offered is the share of a
+	// render's per-pixel work that was done. One add per band.
+	cGroupsTouched = obs.C("litho.band.groups.touched")
+	cGroupsOffered = obs.C("litho.band.groups.offered")
+
 	// Convolution-stack latency (cache misses only; hits cost a map
 	// lookup).
 	hSimulateNS = obs.H("litho.simulate.ns")
@@ -45,6 +52,13 @@ var (
 	cScanInterior = obs.C("litho.hotspot.interior.dropped")
 	hScanNS       = obs.H("litho.hotspot.scan.ns")
 	hDetectNS     = obs.H("litho.hotspot.detect.ns")
+
+	// Bitmap occupancy per detect call: the words between each row's
+	// first and last non-zero word of the printed bitmap — what every
+	// pass of the morphology walks, before its margin — against the
+	// words the bitmap spans. Counted only while recording is on.
+	cWordsWalked  = obs.C("litho.hotspot.words.walked")
+	cWordsSpanned = obs.C("litho.hotspot.words.spanned")
 )
 
 // countPerDefocus records the per-|defocus| split of a cache hit or

@@ -144,3 +144,45 @@ func TestConcurrentSimulateRasterCounters(t *testing.T) {
 		t.Errorf("hits+misses = %d, want %d (every request accounted)", total, goroutines*len(defocus))
 	}
 }
+
+// Occupancy is counted, not guessed: one narrow line down a wide window
+// touches a few of the column groups each band offers and holds one
+// bitmap word per row, and the four counters say so — per band and per
+// detect call, so a snapshot explains why one window costs a fifth of
+// another.
+func TestScanWindowOccupancyCounters(t *testing.T) {
+	withObs(t)
+	tt := tech.N45()
+	win := geom.R(0, 0, 5000, 500)
+	// Printed columns 140..154 of the padded scan window: inside one word.
+	mask := []geom.Rect{geom.R(200, -2000, 270, 2500)}
+	read := func() (touched, offered, walked, spanned int64) {
+		c := obs.Default().Snapshot().Counters
+		return c["litho.band.groups.touched"], c["litho.band.groups.offered"],
+			c["litho.hotspot.words.walked"], c["litho.hotspot.words.spanned"]
+	}
+	t0, o0, w0, s0 := read()
+	if _, err := ScanWindowCtx(context.Background(), mask, win, tt, tech.Metal1, ScanOpts{Cond: Nominal}); err != nil {
+		t.Fatal(err)
+	}
+	t1, o1, w1, s1 := read()
+	touched, offered, walked, spanned := t1-t0, o1-o0, w1-w0, s1-s0
+
+	sim := win.Bloat(ScanPadNM)
+	w, h := gridDims(sim, tt.Optics.GridNM)
+	rm := NewRasterMask(mask, sim, tt.Optics, 0)
+	bands := int64((h + bandRows - 1) / bandRows)
+	if want := bands * int64((rm.rW+63)/64); offered != want {
+		t.Errorf("groups offered = %d, want %d (%d bands of a %d px padded row)", offered, want, bands, rm.rW)
+	}
+	// A 14 px line under a +-54 px kernel reaches two or three groups.
+	if touched < 2*bands || touched > 3*bands {
+		t.Errorf("groups touched = %d over %d bands, want 2-3 per band", touched, bands)
+	}
+	if want := int64((w+63)/64) * int64(h); spanned != want {
+		t.Errorf("words spanned = %d, want %d", spanned, want)
+	}
+	if walked != int64(h) {
+		t.Errorf("words walked = %d, want one per row (%d)", walked, h)
+	}
+}

@@ -145,8 +145,9 @@ func (rm *RasterMask) unitIntensity(ctx context.Context, defocus float64, into *
 	} else {
 		g = NewGrid(rm.window, rm.pitch)
 	}
-	// Crop the padding back off and square: I = A^2 at unit dose.
-	err := rm.renderLocked(ctx, defocus, g.W, g.H, bandRows, func(j int, a []float64) {
+	// Crop the padding back off and square: I = A^2 at unit dose. Every
+	// pixel is written, touched or not: g may be a reused grid.
+	err := rm.renderLocked(ctx, defocus, g.W, g.H, bandRows, func(j int, a []float64, _ []bool) {
 		row := g.Data[j*g.W : (j+1)*g.W]
 		for i, v := range a {
 			row[i] = v * v
@@ -164,7 +165,10 @@ func (rm *RasterMask) unitIntensity(ctx context.Context, defocus float64, into *
 // field: each amplitude of a band is squared, dose-scaled and
 // thresholded with exactly the float operations SimulateCtx followed
 // by PrintedBitmap performs, in the same order, so the bits are
-// identical.
+// identical. A word none of whose 64 columns the band's footprints
+// reached is not computed: every amplitude under it is +0, so it is
+// the word that expression gives for 0, evaluated once — blank for any
+// positive threshold, all ones when the threshold is not.
 func (rm *RasterMask) printed(ctx context.Context, cond Condition) (*Bitmap, error) {
 	rm.mu.Lock()
 	defer rm.mu.Unlock()
@@ -172,22 +176,60 @@ func (rm *RasterMask) printed(ctx context.Context, cond Condition) (*Bitmap, err
 	b := NewBitmap(w, h)
 	b.Origin, b.Pitch = rm.window.LL(), rm.pitch
 	dose, thr := cond.Dose, rm.opt.Threshold
-	err := rm.renderLocked(ctx, cond.Defocus, w, h, bandRows, func(j int, a []float64) {
+	mask := b.tailMask()
+	var blank uint64 // an untouched word: 64 amplitudes of +0
+	if thresholdWord(make([]float64, 1), dose, thr) != 0 {
+		blank = ^uint64(0)
+	}
+	err := rm.renderLocked(ctx, cond.Defocus, w, h, bandRows, func(j int, a []float64, live []bool) {
 		row := b.row(j)
-		for i, v := range a {
-			v *= v
-			if dose != 1 {
-				v *= dose
-			}
-			if v >= thr {
-				row[i>>6] |= 1 << (uint(i) & 63)
+		for k := range row {
+			if live[k] {
+				row[k] = thresholdWord(a[k<<6:min(k<<6+64, w)], dose, thr)
+			} else {
+				row[k] = blank
 			}
 		}
+		row[len(row)-1] &= mask
 	})
 	if err != nil {
 		return nil, err
 	}
 	return b, nil
+}
+
+// thresholdWord packs v*v*dose >= thr of up to 64 amplitudes into a
+// word, a[0] at bit 0. (Multiplying by a dose of 1 is exact, so there
+// is no unit-dose branch.) The word is built in a register four pixels
+// at a time, each nibble entering at the top as the rest moves down:
+// written with a bit index per pixel, the loop spends more on the
+// variable shift and its >= 64 guard than on the arithmetic.
+func thresholdWord(a []float64, dose, thr float64) uint64 {
+	var word uint64
+	n := len(a)
+	for ; len(a) >= 4; a = a[4:] {
+		var nib uint64
+		if a[0]*a[0]*dose >= thr {
+			nib = 1
+		}
+		if a[1]*a[1]*dose >= thr {
+			nib |= 2
+		}
+		if a[2]*a[2]*dose >= thr {
+			nib |= 4
+		}
+		if a[3]*a[3]*dose >= thr {
+			nib |= 8
+		}
+		word = word>>4 | nib<<60
+	}
+	for _, v := range a {
+		word >>= 1
+		if v*v*dose >= thr {
+			word |= 1 << 63
+		}
+	}
+	return word >> (64 - uint(n)) // n >= 1
 }
 
 // simulatePrinted is SimulateCtx(...).PrintedBitmap() for callers that
@@ -206,18 +248,36 @@ func simulatePrinted(ctx context.Context, mask []geom.Rect, window geom.Rect, op
 // is 2.8 MB; its padded grid would be 58 MB.
 const bandRows = 128
 
+// bandBudget caps a band in float64s (4 MiB of them) rather than in
+// rows: a window a few hundred pixels tall and 2^17 wide passes the
+// tile wire's pixel cap, and 128 of its rows would be 134 MB. Such a
+// window gets fewer rows per band, down to one; a production window's
+// 128 rows are well under the cap.
+const bandBudget = 4 << 20 / 8
+
 // renderLocked runs one convolution stack (a raster-cache miss) over
-// the w x h window grid, at most rows rows at a time, and feeds the
-// amplitude to sink one row at a time: sink(j, a) receives the w
-// amplitudes of window row j, rows in ascending order. Each band is
-// the amplitude A = sum_k w_k (G_sk * M) of its rows, accumulated
-// kernel by kernel with the exact sparse per-rect blur (sparse.go); no
-// coverage raster is built, the pad rows above and below the window
-// are never computed, and the amplitude of the whole grid never exists
-// at once. The band buffer is pooled, returned on every path, and a is
-// only valid during the call. The result does not depend on rows.
+// the w x h window grid, at most rows rows and bandBudget amplitudes
+// at a time, and feeds the amplitude to sink one row at a time:
+// sink(j, a, live) receives the w amplitudes of window row j, rows in
+// ascending order. Each band is the amplitude A = sum_k w_k (G_sk * M)
+// of its rows, accumulated kernel by kernel with the exact sparse
+// per-rect blur (sparse.go); no coverage raster is built, the pad rows
+// above and below the window are never computed, and the amplitude of
+// the whole grid never exists at once.
+//
+// A scan window is mostly blank, so the render keeps the set of
+// 64-column groups of the padded row the band's footprints touched.
+// live is that set seen from the window: live[k] is false when no
+// footprint reached columns [64k, 64k+64) of a, every one of which is
+// then +0 in every row of the band. After the band is sunk only the
+// touched runs of each row are cleared: the buffer is zero when taken
+// and zero between bands, and goes back to the free list zero unless
+// the render was cut short (getBuf zeroes what it reuses either way).
+//
+// The band buffer is pooled, returned on every path, and a and live
+// are only valid during the call. The result does not depend on rows.
 // Called with rm.mu held.
-func (rm *RasterMask) renderLocked(ctx context.Context, defocus float64, w, h, rows int, sink func(j int, a []float64)) error {
+func (rm *RasterMask) renderLocked(ctx context.Context, defocus float64, w, h, rows int, sink func(j int, a []float64, live []bool)) error {
 	key := math.Abs(defocus)
 	if key > rm.maxDefocus {
 		return fmt.Errorf("litho: defocus %g exceeds RasterMask budget %g (pad too small)", key, rm.maxDefocus)
@@ -257,23 +317,47 @@ func (rm *RasterMask) renderLocked(ctx context.Context, defocus float64, w, h, r
 	// grid lies on the padded grid with at least a pixel to spare.
 	di := int(math.Round(float64(rm.window.X0-rm.padded.X0) / rm.pitch))
 	dj := int(math.Round(float64(rm.window.Y0-rm.padded.Y0) / rm.pitch))
-	rows = min(rows, h)
+	rows = min(rows, h, max(1, bandBudget/rm.rW))
 	buf := getBuf(rows * rm.rW)
 	defer putBuf(buf)
 	prof := make([]float64, rm.rW+rows)
+	touched := make([]bool, (rm.rW+63)/64)
+	live := make([]bool, (w+63)/64)
 	for b0 := 0; b0 < h; b0 += rows {
 		b1 := min(b0+rows, h)
 		band := buf[:(b1-b0)*rm.rW]
-		clear(band)
 		for _, p := range passes {
-			if err := sparseBlurAcc(ctx, rm.spans, rm.rW, b0+dj, b1+dj, p.kern, p.cdf, p.weight, band, prof); err != nil {
+			if err := sparseBlurAcc(ctx, rm.spans, rm.rW, b0+dj, b1+dj, p.kern, p.cdf, p.weight, band, prof, touched); err != nil {
 				return err
 			}
 		}
+		for k := range live {
+			live[k] = touched[(k<<6+di)>>6] || touched[(min(k<<6+63, w-1)+di)>>6]
+		}
 		for j := b0; j < b1; j++ {
 			at := (j-b0)*rm.rW + di
-			sink(j, band[at:at+w])
+			sink(j, band[at:at+w], live)
 		}
+		// Clear what was written, a run of touched groups at a time so
+		// that a row is one long clear, not one per group.
+		var nTouched int64
+		for g := 0; g < len(touched); g++ {
+			g0 := g
+			for g < len(touched) && touched[g] {
+				touched[g] = false
+				g++
+			}
+			if g == g0 {
+				continue
+			}
+			nTouched += int64(g - g0)
+			lo, hi := g0<<6, min(g<<6, rm.rW)
+			for at := 0; at < len(band); at += rm.rW {
+				clear(band[at+lo : at+hi])
+			}
+		}
+		cGroupsTouched.Add(nTouched)
+		cGroupsOffered.Add(int64(len(touched)))
 	}
 	cRasterMiss.Inc()
 	countPerDefocus("litho.raster.cache.miss", key)

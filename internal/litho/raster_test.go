@@ -225,7 +225,7 @@ func renderAmplitude(t *testing.T, mask []geom.Rect, window geom.Rect, opt tech.
 	next := 0
 	rm.mu.Lock()
 	defer rm.mu.Unlock()
-	err := rm.renderLocked(context.Background(), defocus, w, h, rows, func(j int, a []float64) {
+	err := rm.renderLocked(context.Background(), defocus, w, h, rows, func(j int, a []float64, _ []bool) {
 		if j != next || len(a) != w {
 			t.Fatalf("band height %d: sink got row %d (%d px), want row %d (%d px)", rows, j, len(a), next, w)
 		}
@@ -418,4 +418,148 @@ func TestSimulateIntoReusesMatchingGrid(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Error("the grid that could not be reused was written to")
 	}
+}
+
+// printedPerPixel is the threshold sink the word-at-a-time one
+// replaced, kept as its reference: a full-row sink that looks at every
+// amplitude of every row, touched or not, and sets v*v*dose >= thr bit
+// by bit.
+func printedPerPixel(t *testing.T, mask []geom.Rect, window geom.Rect, opt tech.Optics, cond Condition) *Bitmap {
+	t.Helper()
+	rm := NewRasterMask(mask, window, opt, cond.Defocus)
+	w, h := gridDims(window, rm.pitch)
+	b := NewBitmap(w, h)
+	b.Origin, b.Pitch = window.LL(), rm.pitch
+	rm.mu.Lock()
+	defer rm.mu.Unlock()
+	err := rm.renderLocked(context.Background(), cond.Defocus, w, h, bandRows, func(j int, a []float64, _ []bool) {
+		for i, v := range a {
+			b.Set(i, j, v*v*cond.Dose >= opt.Threshold)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// The sink builds a word from the amplitudes under it only where a
+// footprint reached them and takes the rest as the word 64 amplitudes
+// of +0 give. Whatever the window width (a lone tail word, exact words,
+// a word and a bit, a scan window's 41), wherever the window's first
+// column falls in the padded row's 64-column groups, wherever the mask
+// is — all over, in the pad only, nowhere — and whatever 0 thresholds
+// to, the bitmap is the per-pixel one.
+func TestPrintedMatchesPerPixelReference(t *testing.T) {
+	seed := rand.Int63()
+	t.Logf("seed %d", seed)
+	rng := rand.New(rand.NewSource(seed))
+	n45 := tech.N45().Optics
+	// The same stack with its wide kernel stretched so that the pad, and
+	// with it the window's offset in the padded row, is exactly 64 px.
+	aligned := n45
+	aligned.Sigmas = []float64{35, 106.6}
+	offsets := map[bool]int{}
+	for _, w := range []int{1, 63, 64, 65, 130, 2600} {
+		for c := 0; c < 6; c++ {
+			opt := []tech.Optics{n45, aligned}[c%2]
+			defocus := []float64{0, 70}[c/2%2]
+			px := int64(opt.GridNM)
+			h := 3 + rng.Intn(40)
+			window := geom.R(-35, 200, -35+int64(w)*px, 200+int64(h)*px)
+			pad := SimPadNM(opt, defocus)
+			offsets[pad/px%64 == 0]++
+			var mask []geom.Rect
+			switch c {
+			case 0: // empty
+			case 1: // in the pad only, right up against the window
+				mask = []geom.Rect{
+					geom.R(window.X0-pad, window.Y0, window.X0-px, window.Y1),
+					geom.R(window.X1+px, window.Y0-pad, window.X1+pad, window.Y1)}
+			default:
+				reach := window.Bloat(pad + 50)
+				for i := 0; i < 1+rng.Intn(6); i++ {
+					x := reach.X0 + rng.Int63n(reach.Width())
+					y := reach.Y0 + rng.Int63n(reach.Height())
+					mask = append(mask, geom.R(x, y, x+1+rng.Int63n(400), y+1+rng.Int63n(400)))
+				}
+			}
+			// 1e-9 prints every kernel tail: any touched pixel a sink
+			// takes for blank shows.
+			for ti, thr := range []float64{0.3, 1e-9, 0, -1} {
+				opt.Threshold = thr
+				cond := Condition{Defocus: defocus, Dose: []float64{1, 0.9, 0}[(c+ti)%3]}
+				got, err := simulatePrinted(context.Background(), mask, window, opt, cond)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := printedPerPixel(t, mask, window, opt, cond)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("w=%d case %d (%dx%d px, thr %g, %+v, pad %d px): printed bitmap has %d bits set, per-pixel reference %d",
+						w, c, w, h, thr, cond, pad/px, got.Count(), want.Count())
+				}
+				if blank := 0*cond.Dose >= thr; c == 0 && (got.Count() == w*h) != blank {
+					t.Errorf("w=%d empty mask, thr %g, dose %g: %d of %d bits set", w, thr, cond.Dose, got.Count(), w*h)
+				}
+			}
+		}
+	}
+	if offsets[true] == 0 || offsets[false] == 0 {
+		t.Errorf("window offsets in the padded row: %d word-aligned, %d not; want both", offsets[true], offsets[false])
+	}
+}
+
+// A band is zero when a render takes it and zero when a completed
+// render puts it back — the render clears what its footprints touched
+// and nothing else was written — and a render that inherits a band a
+// canceled one left dirty gets it zeroed: two goroutines on one
+// RasterMask, each canceled mid-band and then run to completion, both
+// produce the bits of a render that never shared a buffer. Run under
+// -race -count=10.
+func TestBandReturnsZeroAndSurvivesCancel(t *testing.T) {
+	o := tech.N45().Optics
+	mask := []geom.Rect{geom.R(0, 0, 70, 3000), geom.R(140, 0, 210, 3000), geom.R(-150, 900, 380, 990)}
+	window := geom.R(-200, 0, 400, int64(2*bandRows+44)*int64(o.GridNM)) // three bands
+	bufFree.drain()
+	want, err := simulatePrinted(context.Background(), mask, window, o, Nominal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Count() == 0 {
+		t.Fatal("nothing printed")
+	}
+	bufFree.mu.Lock()
+	if len(bufFree.free) != 1 {
+		t.Fatalf("free list holds %d buffers after one render, want its band", len(bufFree.free))
+	}
+	band := bufFree.free[0]
+	for i, v := range band[:cap(band)] {
+		if math.Float64bits(v) != 0 {
+			t.Fatalf("band amplitude %d of %d is %v after a completed render, want +0", i, cap(band), v)
+		}
+	}
+	bufFree.mu.Unlock()
+
+	rm := NewRasterMask(mask, window, o, 0)
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Cut short between the second band's two kernel passes: the
+			// first band was blurred, sunk and cleared, the second is dirty.
+			ctx := &dyingCtx{Context: context.Background()}
+			ctx.live.Store(int64(1 + len(o.Sigmas) + 1))
+			if b, err := rm.printed(ctx, Nominal); !errors.Is(err, context.Canceled) || b != nil {
+				t.Errorf("canceled render returned (%v, %v), want (nil, context.Canceled)", b, err)
+			}
+			got, err := rm.printed(context.Background(), Nominal)
+			if err != nil {
+				t.Error(err)
+			} else if !reflect.DeepEqual(got, want) {
+				t.Errorf("render after a canceled one: %d bits set, want %d", got.Count(), want.Count())
+			}
+		}()
+	}
+	wg.Wait()
 }

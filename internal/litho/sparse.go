@@ -100,11 +100,16 @@ func clipSpans(norm []geom.Rect, padded geom.Rect, pitch float64, w, h int) []px
 // band costs extra is the column profile, recomputed for every band a
 // rect's footprint reaches.
 //
+// Every column it adds to is marked in touched, one entry per group of
+// 64 columns ((w+63)/64 of them): a column whose group is still
+// unmarked holds whatever the band held on entry, in every row. The
+// marks are per band, not per row, and only ever set here.
+//
 // prof is scratch for the two profiles, at least w + (j1 - j0) long.
 // It is the caller's plain allocation, not the free list's: the list
 // is sized for band-scale buffers, and a row-sized request would
 // either evict one or borrow it.
-func sparseBlurAcc(ctx context.Context, spans []pxSpan, w, j0, j1 int, kern, cdf []float64, weight float64, band, prof []float64) error {
+func sparseBlurAcc(ctx context.Context, spans []pxSpan, w, j0, j1 int, kern, cdf []float64, weight float64, band, prof []float64, touched []bool) error {
 	r := len(kern) / 2
 	px, py := prof[:w], prof[w:]
 	for si, s := range spans {
@@ -121,6 +126,9 @@ func sparseBlurAcc(ctx context.Context, spans []pxSpan, w, j0, j1 int, kern, cdf
 		}
 		lox := max(int(math.Floor(s.x0))-r, 0)
 		hix := min(int(math.Floor(s.x1))+r+1, w) // > lox: the span is non-empty inside [0, w]
+		for g := lox >> 6; g <= (hix-1)>>6; g++ {
+			touched[g] = true
+		}
 		profX := px[:hix-lox]
 		profY := py[:hiy-loy]
 		rectProfile(profX, lox, s.x0, s.x1, kern, cdf)

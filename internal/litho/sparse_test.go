@@ -48,7 +48,7 @@ func TestSparseBlurMatchesDense(t *testing.T) {
 		blurVAccRows(tmp, want, w, h, 0, h, kern, weight)
 
 		got := make([]float64, w*h)
-		if err := sparseBlurAcc(context.Background(), clipSpans(norm, padded, pitch, w, h), w, 0, h, kern, cdf, weight, got, make([]float64, w+h)); err != nil {
+		if err := sparseBlurAcc(context.Background(), clipSpans(norm, padded, pitch, w, h), w, 0, h, kern, cdf, weight, got, make([]float64, w+h), make([]bool, (w+63)/64)); err != nil {
 			t.Fatal(err)
 		}
 
@@ -80,7 +80,7 @@ func TestSparseBlurCoverageClip(t *testing.T) {
 	blurVAccRows(tmp, want, w, h, 0, h, kern, 1)
 
 	got := make([]float64, w*h)
-	if err := sparseBlurAcc(context.Background(), clipSpans(over, padded, 1, w, h), w, 0, h, kern, cdf, 1, got, make([]float64, w+h)); err != nil {
+	if err := sparseBlurAcc(context.Background(), clipSpans(over, padded, 1, w, h), w, 0, h, kern, cdf, 1, got, make([]float64, w+h), make([]bool, (w+63)/64)); err != nil {
 		t.Fatal(err)
 	}
 	for i := range want {
@@ -209,7 +209,9 @@ func fuzzRects(data []byte) []geom.Rect {
 // checkBandEqualsWhole accumulates one kernel pass over a non-empty
 // row range of the mask's padded grid (pad rows included), chosen by
 // rowLo and rowN, and requires every pixel to be, bit for bit, the
-// pixel of the same pass over the whole grid as one band.
+// pixel of the same pass over the whole grid as one band — and every
+// column outside the groups the pass marked touched to be exactly +0,
+// which is what lets the sink skip it and the render not clear it.
 func checkBandEqualsWhole(t *testing.T, mask []geom.Rect, window geom.Rect, opt tech.Optics, defocus float64, rowLo, rowN uint8) {
 	t.Helper()
 	ctx := context.Background()
@@ -220,11 +222,12 @@ func checkBandEqualsWhole(t *testing.T, mask []geom.Rect, window geom.Rect, opt 
 	kern, cdf := gaussKernelCDF(opt.Sigmas[0] * defocusFactor(opt, defocus) / rm.pitch)
 	prof := make([]float64, rm.rW+rm.rH)
 	whole := make([]float64, rm.rW*rm.rH)
-	if err := sparseBlurAcc(ctx, spans, rm.rW, 0, rm.rH, kern, cdf, opt.Weights[0], whole, prof); err != nil {
+	if err := sparseBlurAcc(ctx, spans, rm.rW, 0, rm.rH, kern, cdf, opt.Weights[0], whole, prof, make([]bool, (rm.rW+63)/64)); err != nil {
 		t.Fatal(err)
 	}
 	band := make([]float64, (j1-j0)*rm.rW)
-	if err := sparseBlurAcc(ctx, spans, rm.rW, j0, j1, kern, cdf, opt.Weights[0], band, prof); err != nil {
+	touched := make([]bool, (rm.rW+63)/64)
+	if err := sparseBlurAcc(ctx, spans, rm.rW, j0, j1, kern, cdf, opt.Weights[0], band, prof, touched); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range band {
@@ -232,13 +235,18 @@ func checkBandEqualsWhole(t *testing.T, mask []geom.Rect, window geom.Rect, opt 
 			t.Fatalf("rows [%d,%d) of %d: pixel (%d,%d) = %v as a band, %v in the whole grid",
 				j0, j1, rm.rH, i%rm.rW, j0+i/rm.rW, v, want)
 		}
+		if !touched[i%rm.rW>>6] && math.Float64bits(v) != 0 {
+			t.Fatalf("rows [%d,%d) of %d: pixel (%d,%d) = %v (bits %#x) in a column group the pass did not mark touched",
+				j0, j1, rm.rH, i%rm.rW, j0+i/rm.rW, v, math.Float64bits(v))
+		}
 	}
 }
 
 // FuzzSparseBlur holds the sparse blur to the rasterize-then-blur
-// reference on arbitrary rect sets, pitches and defocus, and an
-// arbitrary band of its rows to the same rows of the whole grid
-// (10 s in make fuzz-smoke).
+// reference on arbitrary rect sets, pitches and defocus, an arbitrary
+// band of its rows to the same rows of the whole grid, and every
+// column the band did not mark touched to +0 (10 s in make
+// fuzz-smoke).
 func FuzzSparseBlur(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(0), uint8(255), []byte{64, 64, 20, 20})
 	f.Add(uint8(1), uint8(2), uint8(17), uint8(0), []byte{64, 64, 10, 10, 74, 64, 10, 10, 64, 74, 20, 1})   // abutting, one a sliver; a one-row band

@@ -256,9 +256,10 @@ func inRange(r geom.Rect) bool {
 // the cap), which is what a hostile GridNM or WinW inside the 64 MiB
 // body bound can otherwise run up. It does not need to bound the
 // amplitude: the simulator holds that for one band of rows at a time
-// (litho.RasterMask), a few megabytes for any window near square. The
-// band is whole rows, so the worst shape is a window one pixel tall,
-// whose single row is the whole grid.
+// (litho.RasterMask), and a band is capped in bytes as well as in rows
+// — a few megabytes whatever the window's shape. The band is whole
+// rows, so the floor is one padded row: at this cap and a production
+// pad (109 rows of it before the window has one), under 5 MB.
 const maxWindowPixels = 1 << 26
 
 // validateOptics checks the kernel stack is one the simulator can run:

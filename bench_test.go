@@ -143,7 +143,7 @@ func BenchmarkF1ProcessWindow(b *testing.B) {
 		}
 		bare := geom.Normalize(drawn)
 		dofB := measure(bare, "bare")
-		dofS := measure(opc.WithSRAF(bare, opc.DefaultSRAFOpts()), "sraf")
+		dofS := measure(opc.WithSRAF(bare), "sraf")
 		if dofS < dofB {
 			b.Fatalf("SRAF shrank DOF: %v -> %v", dofB, dofS)
 		}
@@ -714,10 +714,9 @@ func BenchmarkBitmapOpen(b *testing.B) {
 func BenchmarkFillSynthesize(b *testing.B) {
 	rs := []geom.Rect{geom.R(0, 0, 10000, 30000)}
 	extent := geom.R(0, 0, 40000, 30000)
-	o := fill.DefaultOpts()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tiles := fill.Synthesize(rs, extent, o)
+		tiles := fill.Synthesize(rs, extent, 5000, 2500)
 		if len(tiles) == 0 {
 			b.Fatal("no tiles")
 		}
@@ -785,7 +784,7 @@ func BenchmarkAblationILTvsModel(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		model := opc.ModelBased(drawn, window, t.Optics, opc.DefaultModelOpts())
-		inv := opc.ILT(drawn, window, t.Optics, opc.DefaultILTOpts())
+		inv := opc.ILT(drawn, window, t.Optics)
 		report("ablation-ilt", func() {
 			fmt.Printf("ablation model-opc rms=%.2f shapes=%d\n", rms(model.Mask), len(model.Mask))
 			fmt.Printf("ablation inverse-opc rms=%.2f shapes=%d\n", rms(inv.Mask), len(inv.Mask))
@@ -837,10 +836,8 @@ func BenchmarkAblationFillWindow(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var rows []string
 		for _, win := range []int64{2000, 3000, 5000, 8000} {
-			o := fill.DefaultOpts()
-			o.Window, o.Step = win, win/2
-			tiles := fill.Synthesize(m1, extent, o)
-			after := fill.Analyze(append(append([]geom.Rect{}, m1...), tiles...), extent, o.Window, o.Step).Summarize()
+			tiles := fill.Synthesize(m1, extent, win, win/2)
+			after := fill.Analyze(append(append([]geom.Rect{}, m1...), tiles...), extent, win, win/2).Summarize()
 			rows = append(rows, fmt.Sprintf("ablation fill-window=%d tiles=%d sigma=%.4f min=%.3f",
 				win, len(tiles), after.Sigma, after.Min))
 		}
@@ -865,7 +862,7 @@ func BenchmarkMetrologyPlan(b *testing.B) {
 	img := litho.Simulate(m1, window, t.Optics, litho.Nominal)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		plan := metrology.GeneratePlan(m1, tech.Metal1, metrology.DefaultPlanOpts())
+		plan := metrology.GeneratePlan(m1, tech.Metal1)
 		ms := metrology.Execute(plan, img, metrology.DefaultTool(), 1)
 		st := metrology.Summarize(ms)
 		report("metrology", func() {

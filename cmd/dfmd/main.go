@@ -14,8 +14,6 @@
 //
 //	POST /v1/jobs            submit a job; ?wait=1 blocks for the result
 //	GET  /v1/jobs/{id}       poll status
-//	GET  /v1/jobs/{id}/result  settled outcome (202 while pending)
-//	GET  /v1/techniques      technique registry
 //	GET  /healthz            200 serving / 503 draining
 //	GET  /metrics            server stats + obs registry snapshot
 //

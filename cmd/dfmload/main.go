@@ -11,7 +11,7 @@
 //	dfmload [-addr URL | -selfserve | -cluster N] [-rate R] [-duration D]
 //	        [-dup F] [-unique N] [-techniques a,b] [-seed N] [-timeout D]
 //	        [-retries N] [-wait-ready D]
-//	        [-policy P] [-kill D] [-restart D]   (cluster mode)
+//	        [-kill D] [-restart D]   (cluster mode)
 //
 // Cluster mode (-cluster N) starts N in-process dfmd backends behind
 // an in-process dfmrouter (internal/fleet) and aims the load at the
@@ -21,8 +21,8 @@
 // open-loop burst, a node dying mid-burst, and the router's failover
 // path on the hook for every in-flight request. The report adds
 // router counters (failovers, evictions, reinstatements) and the
-// cluster-wide cache hit rate — the number that decides whether
-// affinity routing is hit or hype versus round-robin.
+// cluster-wide cache hit rate — the number that decided affinity
+// routing was a hit (EXPERIMENTS.md R6).
 //
 // Full-chip fleet mode (-cluster N -chip) swaps the open-loop
 // technique load for the distributed tiling experiment: two SoC
@@ -71,7 +71,6 @@ type loadCfg struct {
 	addr       string
 	selfserve  bool
 	cluster    int
-	policy     string
 	kill       time.Duration
 	restart    time.Duration
 	rate       float64
@@ -92,7 +91,6 @@ func main() {
 	addr := flag.String("addr", "http://127.0.0.1:9517", "dfmd (or dfmrouter) base URL")
 	selfserve := flag.Bool("selfserve", false, "start an in-process dfmd on an ephemeral port instead of dialing -addr")
 	cluster := flag.Int("cluster", 0, "start N in-process dfmd backends behind an in-process dfmrouter")
-	policy := flag.String("policy", "affinity", "cluster routing policy: affinity, least-loaded, or round-robin")
 	kill := flag.Duration("kill", 0, "cluster mode: hard-kill backend n0 this long after the load starts (0 = never)")
 	restart := flag.Duration("restart", 0, "cluster mode: restart the killed backend this long after the load starts (0 = never)")
 	rate := flag.Float64("rate", 50, "open-loop arrival rate, requests/second")
@@ -110,7 +108,7 @@ func main() {
 
 	cfg := loadCfg{
 		addr: *addr, selfserve: *selfserve, cluster: *cluster,
-		policy: *policy, kill: *kill, restart: *restart,
+		kill: *kill, restart: *restart,
 		rate: *rate, duration: *duration, dup: *dup, unique: *unique,
 		techniques: strings.Split(*techniques, ","), seed: *seed,
 		timeout: *timeout, retries: *retries, waitReady: *waitReady,
@@ -136,14 +134,13 @@ func run(cfg loadCfg) error {
 	switch {
 	case cfg.cluster > 0:
 		var err error
-		cl, err = fleet.Start(fleet.Options{Nodes: cfg.cluster, Policy: cfg.policy})
+		cl, err = fleet.Start(fleet.Options{Nodes: cfg.cluster})
 		if err != nil {
 			return err
 		}
 		defer cl.Stop()
 		cfg.addr = cl.URL
-		fmt.Printf("cluster: %d backends behind %s router at %s\n",
-			cfg.cluster, cl.RT.Stats().Policy, cl.URL)
+		fmt.Printf("cluster: %d backends behind the router at %s\n", cfg.cluster, cl.URL)
 	case cfg.selfserve:
 		stop, url, err := startInProcess()
 		if err != nil {
@@ -343,7 +340,7 @@ func runFleetChip(cfg loadCfg) error {
 	if cfg.cluster < 1 {
 		return fmt.Errorf("-chip needs -cluster N (the distributed run wants a fleet)")
 	}
-	cl, err := fleet.Start(fleet.Options{Nodes: cfg.cluster, Policy: cfg.policy})
+	cl, err := fleet.Start(fleet.Options{Nodes: cfg.cluster})
 	if err != nil {
 		return err
 	}
@@ -351,8 +348,7 @@ func runFleetChip(cfg loadCfg) error {
 	if err := cl.WaitReady(cfg.waitReady); err != nil {
 		return err
 	}
-	fmt.Printf("fleet chip: %d backends behind %s router at %s\n",
-		cfg.cluster, cl.RT.Stats().Policy, cl.URL)
+	fmt.Printf("fleet chip: %d backends behind the router at %s\n", cfg.cluster, cl.URL)
 
 	t := tech.N45()
 	topts := tiling.Opts{

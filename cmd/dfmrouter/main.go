@@ -1,8 +1,7 @@
 // Command dfmrouter fronts a fleet of dfmd nodes with cache-affinity
-// routing and chaos-tolerant failover: requests route by policy
-// (content-address affinity over the result-cache key by default, or
-// round-robin / least-loaded), sick backends are evicted by active
-// health probes and reinstated only after proving recovery, circuit
+// routing and chaos-tolerant failover: requests route by
+// content-address affinity over the result-cache key, sick backends are
+// evicted by active health probes and reinstated only after proving recovery, circuit
 // breakers react between probes at request speed, and failed attempts
 // retry on another replica under a jittered backoff and a bounded
 // retry budget — a dying cluster sheds load instead of retry-storming
@@ -11,7 +10,7 @@
 // Usage:
 //
 //	dfmrouter -backends URL1,URL2,... [-addr HOST:PORT]
-//	          [-policy affinity|least-loaded|round-robin] [-vnodes N]
+//	          [-vnodes N]
 //	          [-check-interval D] [-check-timeout D]
 //	          [-fail-after N] [-rise-after N]
 //	          [-breaker-threshold N] [-breaker-cooldown D]
@@ -49,7 +48,6 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:9516", "listen address")
 	backends := flag.String("backends", "", "comma-separated dfmd base URLs (required)")
-	policy := flag.String("policy", "affinity", "routing policy: affinity, least-loaded, or round-robin")
 	vnodes := flag.Int("vnodes", 128, "virtual nodes per backend on the affinity ring")
 	checkInterval := flag.Duration("check-interval", 500*time.Millisecond, "health probe interval")
 	checkTimeout := flag.Duration("check-timeout", time.Second, "health probe timeout")
@@ -82,7 +80,6 @@ func main() {
 
 	r, err := router.New(router.Config{
 		Backends:         strings.Split(*backends, ","),
-		Policy:           *policy,
 		Vnodes:           *vnodes,
 		CheckInterval:    *checkInterval,
 		CheckTimeout:     *checkTimeout,
@@ -110,8 +107,8 @@ func main() {
 	hs := &http.Server{Handler: r.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
-	logf("dfmrouter: serving on http://%s (policy=%s backends=%d)",
-		ln.Addr(), *policy, len(strings.Split(*backends, ",")))
+	logf("dfmrouter: serving on http://%s (backends=%d)",
+		ln.Addr(), len(strings.Split(*backends, ",")))
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -26,7 +26,7 @@
 //
 //	dfmscore -chip [-chiprects N | -chipslots N] [-tile NM] [-halo NM]
 //	         [-chipcache N] [-chipflat] [-chiphotspots] [-seed N] [-parallel N] [-json]
-//	         [-cluster N [-policy P]]
+//	         [-cluster N]
 //
 // -chipflat additionally runs the flatten-everything baseline and
 // fails (exit 1) unless the streamed result matches it exactly; only
@@ -89,7 +89,6 @@ func run() int {
 	chipSurr := flag.Bool("chipsurrogate", false, "chip mode: gate the hotspot scan with the uncertainty-gated ML surrogate (implies -chipinterior)")
 	chipDens := flag.Bool("chipdensity", true, "chip mode: include the density-window deck (its violation list dominates memory on sparse floorplans)")
 	cluster := flag.Int("cluster", 0, "chip mode: fan tiles across N in-process dfmd backends behind a dfmrouter")
-	policy := flag.String("policy", "affinity", "chip cluster mode: routing policy (affinity, least-loaded, round-robin)")
 	repairFlag := flag.Bool("repair", false, "chip mode: run the in-design score-and-repair loop (weighted DFM score, auto-fixes, incremental re-evaluation)")
 	fixRounds := flag.Int("fixrounds", 2, "repair mode: propose-check-apply-rescore rounds")
 	repairDef := flag.Int("chiprepairdefects", 4, "repair mode: injected repairable via sites (under-enclosed pads + single cuts)")
@@ -125,8 +124,7 @@ func run() int {
 			tile: *tile, halo: *halo, cache: *chipCache, flat: *chipFlat,
 			hotspots: *chipHot, hotDefects: *chipHotDef, interior: *chipInterior,
 			surrogate: *chipSurr, density: *chipDens, workers: *parallel, asJSON: *asJSON,
-			cluster: *cluster, policy: *policy,
-			repair: *repairFlag, fixRounds: *fixRounds, repairDefects: *repairDef,
+			cluster: *cluster, repair: *repairFlag, fixRounds: *fixRounds, repairDefects: *repairDef,
 			deltaBench: *deltaBench,
 		}); err != nil {
 			fmt.Fprintln(os.Stderr, "dfmscore:", err)
@@ -204,7 +202,6 @@ type chipConfig struct {
 	workers    int
 	asJSON     bool
 	cluster    int
-	policy     string
 
 	repair        bool
 	fixRounds     int
@@ -250,8 +247,8 @@ func runChip(ctx context.Context, t *tech.Tech, cfg chipConfig) error {
 	if cfg.cluster > 0 {
 		var err error
 		cl, err = fleet.Start(fleet.Options{
-			Nodes: cfg.cluster, Policy: cfg.policy,
-			Logf: func(f string, a ...any) { fmt.Fprintf(os.Stderr, f+"\n", a...) },
+			Nodes: cfg.cluster,
+			Logf:  func(f string, a ...any) { fmt.Fprintf(os.Stderr, f+"\n", a...) },
 		})
 		if err != nil {
 			return err
@@ -265,8 +262,7 @@ func runChip(ctx context.Context, t *tech.Tech, cfg chipConfig) error {
 			Policy: client.NewRetryPolicy(4, cfg.seed),
 		}
 		if !cfg.asJSON {
-			fmt.Printf("distributing tiles across %d dfmd backends (%s policy) at %s\n",
-				cfg.cluster, cl.RT.Stats().Policy, cl.URL)
+			fmt.Printf("distributing tiles across %d dfmd backends at %s\n", cfg.cluster, cl.URL)
 		}
 	}
 	rep, res, err := dfm.EvalChipTiling(ctx, t, o)

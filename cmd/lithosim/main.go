@@ -129,7 +129,7 @@ func main() {
 	}
 
 	if *metro {
-		plan := metrology.GeneratePlan(rs, tech.Metal1, metrology.DefaultPlanOpts())
+		plan := metrology.GeneratePlan(rs, tech.Metal1)
 		full := litho.Simulate(rs, bb.Bloat(200), t.Optics, cond)
 		ms := metrology.Execute(plan, full, metrology.DefaultTool(), 1)
 		st := metrology.Summarize(ms)

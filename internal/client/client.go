@@ -214,19 +214,6 @@ func (c *Client) Healthz(ctx context.Context) error {
 	return c.do(ctx, http.MethodGet, "/healthz", nil, nil, nil)
 }
 
-// HealthDeep fetches the deep health probe: drain state plus live
-// queue saturation. A draining server answers 503, which do maps to
-// ErrDraining before the body is read; callers get a synthesized
-// draining status alongside the error so eviction logic has one path.
-func (c *Client) HealthDeep(ctx context.Context) (server.HealthStatus, error) {
-	var h server.HealthStatus
-	err := c.do(ctx, http.MethodGet, "/healthz?deep=1", nil, nil, &h)
-	if errors.Is(err, ErrDraining) {
-		h = server.HealthStatus{Status: "draining", Draining: true}
-	}
-	return h, err
-}
-
 // Metrics fetches the server stats and registry snapshot.
 func (c *Client) Metrics(ctx context.Context) (server.Stats, json.RawMessage, error) {
 	var body struct {

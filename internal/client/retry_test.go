@@ -211,35 +211,3 @@ func TestRetryableClassification(t *testing.T) {
 		}
 	}
 }
-
-// TestHealthDeepReportsSaturation: deep health exposes live queue
-// shape from a real server.
-func TestHealthDeepReportsSaturation(t *testing.T) {
-	s := server.New(server.Config{Workers: 2, Queue: 8, MaxWait: time.Hour})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	defer s.Shutdown(context.Background()) //nolint:errcheck // test teardown
-
-	c := New(ts.URL, nil)
-	h, err := c.HealthDeep(context.Background())
-	if err != nil {
-		t.Fatalf("HealthDeep: %v", err)
-	}
-	if h.Status != "ok" || h.Draining {
-		t.Fatalf("health = %+v, want ok/not-draining", h)
-	}
-	if h.QueueCap != 8 || h.Workers != 2 {
-		t.Fatalf("health shape = %+v, want queue_cap=8 workers=2", h)
-	}
-
-	if err := s.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	h, err = c.HealthDeep(context.Background())
-	if !errors.Is(err, ErrDraining) {
-		t.Fatalf("err = %v, want ErrDraining", err)
-	}
-	if !h.Draining || h.Status != "draining" {
-		t.Fatalf("draining health = %+v, want synthesized draining status", h)
-	}
-}

@@ -91,8 +91,8 @@ func TestScorecardSurvivesTotalFaultStorm(t *testing.T) {
 }
 
 // TestRunAllFaultInjection is the end-to-end degradation proof: one
-// technique panics, one hangs past its (technique-specific) timeout,
-// one fails transiently and recovers on a retried seed — and every
+// technique panics, one hangs past the timeout the others finish well
+// inside, one fails transiently and recovers on a retried seed — and every
 // other technique still reports a real verdict with real metrics.
 func TestRunAllFaultInjection(t *testing.T) {
 	if testing.Short() {
@@ -100,15 +100,15 @@ func TestRunAllFaultInjection(t *testing.T) {
 	}
 	fi := faultinject.New().
 		Plan("model-opc", faultinject.Fault{PanicMsg: "injected opc crash"}).
-		Plan("sraf", faultinject.Fault{Delay: 2 * time.Second, Block: true}).
+		Plan("sraf", faultinject.Fault{Delay: time.Minute, Block: true}).
 		Plan("drc-plus", faultinject.Fault{Err: harness.Workload(errors.New("transient workload hiccup"))})
 
 	sc := RunAllConfig(context.Background(), tech.N45(), 11, Config{
-		Parallel:   4,
-		TimeoutFor: map[string]time.Duration{"sraf": 100 * time.Millisecond},
-		Retries:    1,
-		Backoff:    time.Millisecond,
-		Hook:       fi.Hook,
+		Parallel: 4,
+		Timeout:  3 * time.Second,
+		Retries:  1,
+		Backoff:  time.Millisecond,
+		Hook:     fi.Hook,
 	})
 
 	if len(sc.Outcomes) != 8 {

@@ -26,9 +26,6 @@ type Config struct {
 	// Timeout is the per-technique, per-attempt wall-clock budget;
 	// 0 means none.
 	Timeout time.Duration
-	// TimeoutFor overrides Timeout for specific techniques — heavy
-	// evaluators can get a bigger budget than cheap ones.
-	TimeoutFor map[string]time.Duration
 	// Retries is the number of extra attempts granted to retryable
 	// workload failures; each retry perturbs the workload seed.
 	Retries int
@@ -165,13 +162,7 @@ func RunAll(ctx context.Context, t *tech.Tech, seed int64) *Scorecard {
 // carries the harness's typed classification while the remaining
 // techniques report real verdicts.
 func RunAllConfig(ctx context.Context, t *tech.Tech, seed int64, cfg Config) *Scorecard {
-	tasks := TechniqueTasks(t, seed)
-	for i := range tasks {
-		if d, ok := cfg.TimeoutFor[tasks[i].Name]; ok {
-			tasks[i].Timeout = d
-		}
-	}
-	results := harness.Run(ctx, tasks, harness.Options{
+	results := harness.Run(ctx, TechniqueTasks(t, seed), harness.Options{
 		Parallel: cfg.Parallel,
 		Timeout:  cfg.Timeout,
 		Retries:  cfg.Retries,

@@ -129,21 +129,20 @@ func EvalDummyFill(ctx context.Context, t *tech.Tech, opts layout.BlockOpts) (o 
 	// margin — the density cliff CMP fill exists to flatten.
 	m1 := layout.ByLayer(flat)[tech.Metal1]
 	extent := geom.BBoxOf(m1).Bloat(6000)
-	fo := fill.DefaultOpts()
-	fo.Window, fo.Step = 3000, 1500
+	const window, step = 3000, 1500
 
 	sp = stage("dummy-fill", "analyze")
-	before := fill.Analyze(m1, extent, fo.Window, fo.Step)
+	before := fill.Analyze(m1, extent, window, step)
 	sp.End()
 	if err := ctx.Err(); err != nil {
 		o.Err = err
 		return o
 	}
 	sp = stage("dummy-fill", "synthesize")
-	tiles := fill.Synthesize(m1, extent, fo)
+	tiles := fill.Synthesize(m1, extent, window, step)
 	sp.End()
 	sp = stage("dummy-fill", "analyze")
-	after := fill.Analyze(append(append([]geom.Rect{}, m1...), tiles...), extent, fo.Window, fo.Step)
+	after := fill.Analyze(append(append([]geom.Rect{}, m1...), tiles...), extent, window, step)
 	sp.End()
 	cmp := fill.DefaultCMP()
 
@@ -196,7 +195,7 @@ func EvalOPCAccuracy(ctx context.Context, t *tech.Tech) (o Outcome) {
 		return o
 	}
 	sp = stage("model-opc", "rule-opc")
-	rule, err := rms(opc.RuleBased(drawn, opc.DefaultRuleOpts()))
+	rule, err := rms(opc.RuleBased(drawn))
 	sp.End()
 	if err != nil {
 		o.Err = err
@@ -277,7 +276,7 @@ func EvalSRAF(ctx context.Context, t *tech.Tech) (o Outcome) {
 		return o
 	}
 	sp = stage("sraf", "sraf")
-	dofS, dS, err := measure(opc.WithSRAF(bare, opc.DefaultSRAFOpts()))
+	dofS, dS, err := measure(opc.WithSRAF(bare))
 	sp.End()
 	if err != nil {
 		o.Err = err

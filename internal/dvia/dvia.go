@@ -16,11 +16,8 @@ import (
 	yieldpkg "repro/internal/yield"
 )
 
-// Opts controls insertion.
-type Opts struct {
-	// Layers to process (default: Via1, Via2).
-	Layers []tech.Layer
-}
+// viaLayers are the layers insertion processes, in this order.
+var viaLayers = [...]tech.Layer{tech.Via1, tech.Via2}
 
 // Insertion is one committed second cut with everything it brought
 // along: the cut itself plus any landing-bar extensions. Shapes is the
@@ -53,18 +50,14 @@ type Report struct {
 // callers append Report.AddedShapes.
 //
 // Insertion order is layer-then-coordinate deterministic: via layers
-// in Opts order, cuts within a layer by (Y0, X0, Y1, X1, Net) — so the
+// in viaLayers order, cuts within a layer by (Y0, X0, Y1, X1, Net) — so the
 // result is bit-identical across runs regardless of the input shape
 // order. A canceled context aborts with the error; the partial report
 // is not returned.
-func Insert(ctx context.Context, flat []layout.Shape, t *tech.Tech, o Opts) (Report, error) {
-	layers := o.Layers
-	if len(layers) == 0 {
-		layers = []tech.Layer{tech.Via1, tech.Via2}
-	}
+func Insert(ctx context.Context, flat []layout.Shape, t *tech.Tech) (Report, error) {
 	var rep Report
 
-	for _, vl := range layers {
+	for _, vl := range viaLayers {
 		if err := rep.insertLayer(ctx, flat, t, vl); err != nil {
 			return Report{}, err
 		}
@@ -285,7 +278,7 @@ func EvaluateInsertion(ctx context.Context, flat []layout.Shape, t *tech.Tech) (
 	g.Before = yieldpkg.ViaYield(g.SinglesBefore, g.PairsBefore, t.Defects.ViaFailProb)
 
 	var err error
-	if g.Report, err = Insert(ctx, flat, t, Opts{}); err != nil {
+	if g.Report, err = Insert(ctx, flat, t); err != nil {
 		return YieldGain{}, err
 	}
 	after := append(append([]layout.Shape{}, flat...), g.Report.AddedShapes...)

@@ -28,7 +28,7 @@ func singleVia(t *tech.Tech, at geom.Point, net layout.NetID) []layout.Shape {
 func TestInsertDoublesIsolatedVia(t *testing.T) {
 	tt := tech.N45()
 	flat := singleVia(tt, geom.Pt(1000, 1000), 5)
-	rep, err := Insert(context.Background(), flat, tt, Opts{})
+	rep, err := Insert(context.Background(), flat, tt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestInsertSkipsAlreadyPaired(t *testing.T) {
 		{Layer: tech.Metal1, R: cut1.Union(cut2).Bloat(300), Net: 5},
 		{Layer: tech.Metal2, R: cut1.Union(cut2).Bloat(300), Net: 5},
 	}
-	rep, err := Insert(context.Background(), flat, tt, Opts{})
+	rep, err := Insert(context.Background(), flat, tt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestInsertRespectsNeighborSpacing(t *testing.T) {
 		blocker := cut.Translate(d)
 		flat = append(flat, layout.Shape{Layer: tech.Via1, R: blocker, Net: 9})
 	}
-	rep, err := Insert(context.Background(), flat, tt, Opts{})
+	rep, err := Insert(context.Background(), flat, tt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestInsertOnBlockIsDRCLegal(t *testing.T) {
 	flat := l.Flatten()
 	beforeRes := drc.StandardDeck(tt).Run(drc.NewContext(tt, flat))
 
-	rep, err := Insert(context.Background(), flat, tt, Opts{})
+	rep, err := Insert(context.Background(), flat, tt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestInsertDeterministicUnderInputOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	flat := l.Flatten()
-	ref, err := Insert(context.Background(), flat, tt, Opts{})
+	ref, err := Insert(context.Background(), flat, tt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestInsertDeterministicUnderInputOrder(t *testing.T) {
 	for run := 0; run < 3; run++ {
 		shuf := append([]layout.Shape{}, flat...)
 		rnd.Shuffle(len(shuf), func(i, j int) { shuf[i], shuf[j] = shuf[j], shuf[i] })
-		got, err := Insert(context.Background(), shuf, tt, Opts{})
+		got, err := Insert(context.Background(), shuf, tt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +198,7 @@ func TestInsertCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	flat := singleVia(tt, geom.Pt(1000, 1000), 5)
-	if _, err := Insert(ctx, flat, tt, Opts{}); err == nil {
+	if _, err := Insert(ctx, flat, tt); err == nil {
 		t.Fatal("canceled context did not abort Insert")
 	}
 	if _, err := EvaluateInsertion(ctx, flat, tt); err == nil {

@@ -84,30 +84,24 @@ func (dm DensityMap) Summarize() Stats {
 	return st
 }
 
-// Opts parameterizes fill synthesis.
-type Opts struct {
-	Target    float64 // desired window density
-	TileSize  int64   // square dummy tile edge
-	TileSpace int64   // tile-to-tile and tile-to-signal spacing
-	Window    int64   // analysis window
-	Step      int64   // analysis step
-}
-
-// DefaultOpts returns typical metal fill rules.
-func DefaultOpts() Opts {
-	return Opts{Target: 0.35, TileSize: 300, TileSpace: 200, Window: 5000, Step: 2500}
-}
+// Typical metal fill rules.
+const (
+	target    = 0.35 // desired window density
+	tileSize  = 300  // square dummy tile edge
+	tileSpace = 200  // tile-to-tile and tile-to-signal spacing
+	pitch     = tileSize + tileSpace
+)
 
 // Synthesize returns dummy tiles that raise every under-target window
 // toward the target density without violating spacing to existing
 // geometry. Tiles are placed on a regular grid and skipped where they
-// would encroach on signal shapes.
-func Synthesize(rs []geom.Rect, extent geom.Rect, o Opts) []geom.Rect {
+// would encroach on signal shapes. window and step are the analysis
+// grid, as Analyze takes them.
+func Synthesize(rs []geom.Rect, extent geom.Rect, window, step int64) []geom.Rect {
 	norm := geom.Normalize(rs)
-	ix := geom.NewIndex(4 * (o.TileSize + o.TileSpace))
+	ix := geom.NewIndex(4 * pitch)
 	ix.InsertAll(norm)
 
-	pitch := o.TileSize + o.TileSpace
 	var tiles []geom.Rect
 	tileIx := geom.NewIndex(4 * pitch)
 
@@ -122,26 +116,26 @@ func Synthesize(rs []geom.Rect, extent geom.Rect, o Opts) []geom.Rect {
 		return a
 	}
 
-	for _, w := range drc.WindowGrid(extent, o.Window, o.Step) {
+	for _, w := range drc.WindowGrid(extent, window, step) {
 		d := drc.DensityIn(norm, w) + float64(tileAreaIn(w))/float64(w.Area())
-		if d >= o.Target {
+		if d >= target {
 			continue
 		}
 		// Deficit in tile counts.
-		deficit := (o.Target - d) * float64(w.Area())
-		need := int(math.Ceil(deficit / float64(o.TileSize*o.TileSize)))
+		deficit := (target - d) * float64(w.Area())
+		need := int(math.Ceil(deficit / float64(tileSize*tileSize)))
 		placed := 0
 		// Candidate grid aligned to the global origin so overlapping
 		// windows propose identical tile positions.
-		x0 := (w.X0/pitch)*pitch + o.TileSpace
-		y0 := (w.Y0/pitch)*pitch + o.TileSpace
-		for y := y0; y+o.TileSize <= w.Y1 && placed < need; y += pitch {
-			for x := x0; x+o.TileSize <= w.X1 && placed < need; x += pitch {
-				tile := geom.R(x, y, x+o.TileSize, y+o.TileSize)
+		x0 := (w.X0/pitch)*pitch + tileSpace
+		y0 := (w.Y0/pitch)*pitch + tileSpace
+		for y := y0; y+tileSize <= w.Y1 && placed < need; y += pitch {
+			for x := x0; x+tileSize <= w.X1 && placed < need; x += pitch {
+				tile := geom.R(x, y, x+tileSize, y+tileSize)
 				if tile.X0 < w.X0 || tile.Y0 < w.Y0 {
 					continue
 				}
-				if blockedBy(ix, tile, o.TileSpace) || blockedBy(tileIx, tile, 0) {
+				if blockedBy(ix, tile, tileSpace) || blockedBy(tileIx, tile, 0) {
 					continue
 				}
 				tiles = append(tiles, tile)

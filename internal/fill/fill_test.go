@@ -36,17 +36,17 @@ func TestSummarizeEmpty(t *testing.T) {
 }
 
 func TestSynthesizeRaisesSparseWindows(t *testing.T) {
-	o := DefaultOpts()
+	const window, step = 5000, 2500
 	// A dense stripe on the left, nothing on the right.
 	rs := []geom.Rect{geom.R(0, 0, 3000, 10000)}
 	extent := geom.R(0, 0, 10000, 10000)
 
-	before := Analyze(rs, extent, o.Window, o.Step).Summarize()
-	tiles := Synthesize(rs, extent, o)
+	before := Analyze(rs, extent, window, step).Summarize()
+	tiles := Synthesize(rs, extent, window, step)
 	if len(tiles) == 0 {
 		t.Fatal("no fill emitted for a sparse layout")
 	}
-	after := Analyze(append(rs, tiles...), extent, o.Window, o.Step).Summarize()
+	after := Analyze(append(rs, tiles...), extent, window, step).Summarize()
 
 	if after.Sigma >= before.Sigma {
 		t.Fatalf("fill did not flatten density: sigma %v -> %v", before.Sigma, after.Sigma)
@@ -57,12 +57,12 @@ func TestSynthesizeRaisesSparseWindows(t *testing.T) {
 }
 
 func TestSynthesizeRespectsSpacing(t *testing.T) {
-	o := DefaultOpts()
+	const window, step = 5000, 2500
 	rs := []geom.Rect{geom.R(4000, 4000, 6000, 6000)}
 	extent := geom.R(0, 0, 10000, 10000)
-	tiles := Synthesize(rs, extent, o)
+	tiles := Synthesize(rs, extent, window, step)
 	for _, tile := range tiles {
-		if tile.Distance(rs[0]) < o.TileSpace && !tile.Overlaps(rs[0]) {
+		if tile.Distance(rs[0]) < tileSpace && !tile.Overlaps(rs[0]) {
 			t.Fatalf("tile %v too close to signal", tile)
 		}
 		if tile.Overlaps(rs[0]) {
@@ -80,10 +80,10 @@ func TestSynthesizeRespectsSpacing(t *testing.T) {
 }
 
 func TestSynthesizeNoFillWhenDense(t *testing.T) {
-	o := DefaultOpts()
+	const window, step = 5000, 2500
 	// Fully covered at target density already.
 	rs := []geom.Rect{geom.R(0, 0, 10000, 10000)}
-	if tiles := Synthesize(rs, geom.R(0, 0, 10000, 10000), o); len(tiles) != 0 {
+	if tiles := Synthesize(rs, geom.R(0, 0, 10000, 10000), window, step); len(tiles) != 0 {
 		t.Fatalf("fill added to saturated layout: %d tiles", len(tiles))
 	}
 }
@@ -128,14 +128,13 @@ func TestFillOnGeneratedBlock(t *testing.T) {
 	flat := l.Flatten()
 	m1 := layout.ByLayer(flat)[tech.Metal1]
 	extent := geom.BBoxOf(m1)
-	o := DefaultOpts()
-	o.Window, o.Step = 3000, 1500
-	before := Analyze(m1, extent, o.Window, o.Step).Summarize()
-	tiles := Synthesize(m1, extent, o)
+	const window, step = 3000, 1500
+	before := Analyze(m1, extent, window, step).Summarize()
+	tiles := Synthesize(m1, extent, window, step)
 	if len(tiles) == 0 {
 		t.Fatal("no fill emitted for block metal1")
 	}
-	after := Analyze(append(append([]geom.Rect{}, m1...), tiles...), extent, o.Window, o.Step).Summarize()
+	after := Analyze(append(append([]geom.Rect{}, m1...), tiles...), extent, window, step).Summarize()
 	if after.Sigma >= before.Sigma {
 		t.Fatalf("fill hurt uniformity on block: %v -> %v", before.Sigma, after.Sigma)
 	}

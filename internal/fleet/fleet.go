@@ -30,8 +30,6 @@ type Node struct {
 	// Addr is the node's fixed host:port.
 	Addr string
 
-	cfg server.Config
-
 	mu  sync.Mutex
 	srv *server.Server
 	hs  *http.Server
@@ -46,7 +44,7 @@ func (n *Node) Start() error {
 	if err != nil {
 		return err
 	}
-	srv := server.New(n.cfg)
+	srv := server.New(server.Config{})
 	hs := &http.Server{Handler: srv.Handler()}
 	go hs.Serve(ln) //nolint:errcheck // closed on kill/stop
 	n.mu.Lock()
@@ -78,16 +76,9 @@ func (n *Node) Kill() server.Stats {
 
 // Options sizes a cluster.
 type Options struct {
-	// Nodes is the backend count (required, ≥1).
+	// Nodes is the backend count (required, ≥1). Every node runs
+	// with the server defaults.
 	Nodes int
-	// Policy is the routing policy; default affinity.
-	Policy string
-	// Server configures every node; zero value uses server defaults.
-	Server server.Config
-	// Router overrides individual router knobs; Backends and Policy
-	// are filled in by Start. Zero value uses the snappy chaos
-	// settings below.
-	Router *router.Config
 	// Logf receives cluster lifecycle lines; nil prints to stdout.
 	Logf func(string, ...any)
 }
@@ -127,36 +118,27 @@ func Start(o Options) (*Cluster, error) {
 		}
 		addr := ln.Addr().String()
 		ln.Close()
-		n := &Node{Addr: addr, cfg: o.Server}
+		n := &Node{Addr: addr}
 		if err := n.Start(); err != nil {
 			return nil, err
 		}
 		cl.Nodes = append(cl.Nodes, n)
 		urls[i] = n.URL()
 	}
-	var rcfg router.Config
-	if o.Router != nil {
-		rcfg = *o.Router
-	} else {
-		// Snappy chaos settings: evict within ~300ms of a node dying,
-		// reinstate within ~300ms of it proving recovery. The breaker
-		// reacts faster still on the data path.
-		rcfg = router.Config{
-			CheckInterval:   100 * time.Millisecond,
-			CheckTimeout:    500 * time.Millisecond,
-			FailAfter:       2,
-			RiseAfter:       2,
-			BreakerCooldown: 500 * time.Millisecond,
-			MaxAttempts:     4,
-			AttemptTimeout:  10 * time.Second,
-		}
-	}
-	rcfg.Backends = urls
-	rcfg.Policy = o.Policy
-	if rcfg.Logf == nil {
-		rcfg.Logf = func(f string, a ...any) { logf("  ["+f+"]", a...) }
-	}
-	rt, err := router.New(rcfg)
+	// Snappy chaos settings: evict within ~300ms of a node dying,
+	// reinstate within ~300ms of it proving recovery. The breaker
+	// reacts faster still on the data path.
+	rt, err := router.New(router.Config{
+		Backends:        urls,
+		CheckInterval:   100 * time.Millisecond,
+		CheckTimeout:    500 * time.Millisecond,
+		FailAfter:       2,
+		RiseAfter:       2,
+		BreakerCooldown: 500 * time.Millisecond,
+		MaxAttempts:     4,
+		AttemptTimeout:  10 * time.Second,
+		Logf:            func(f string, a ...any) { logf("  ["+f+"]", a...) },
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -263,7 +245,7 @@ func (cl *Cluster) Report() {
 		hitPct = 100 * float64(s.CacheHits) / float64(n)
 	}
 	rs := cl.RT.Stats()
-	cl.logf("cluster-wide cache hit rate: %.1f%% (policy=%s)", hitPct, rs.Policy)
+	cl.logf("cluster-wide cache hit rate: %.1f%%", hitPct)
 	cl.logf("router: ok=%d failed=%d retries=%d failovers=%d breakerBlocked=%d budgetDenied=%d tileJobs=%d tileReused=%d",
 		rs.OK, rs.Failed, rs.Retries, rs.Failovers, rs.BreakerBlocked, rs.BudgetDenied, rs.TileJobs, rs.TileReused)
 	for _, b := range rs.Backends {

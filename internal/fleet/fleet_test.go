@@ -52,7 +52,7 @@ func testChip(t *testing.T, seed int64) *layout.Cell {
 // hard-killed mid-chip. A lost or double-counted tile would break
 // Equivalent, so exactness is also the no-loss/no-dup check.
 func TestFleetDistributedChipBitIdentical(t *testing.T) {
-	cl, err := fleet.Start(fleet.Options{Nodes: 2, Policy: "affinity", Logf: t.Logf})
+	cl, err := fleet.Start(fleet.Options{Nodes: 2, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

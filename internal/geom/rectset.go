@@ -1,7 +1,5 @@
 package geom
 
-import "slices"
-
 // Boolean algebra on sets of axis-aligned rectangles. The production
 // engine is the single-pass sweep line in sweep.go; the legacy slab
 // decomposition survives in slab_test.go as the differential-test oracle.
@@ -32,10 +30,6 @@ func sameIntervals(a, b []interval) bool {
 		}
 	}
 	return true
-}
-
-func sortRects(rs []Rect) {
-	slices.SortFunc(rs, Rect.Compare)
 }
 
 // Union returns the region covered by a or b as disjoint rects.

@@ -87,7 +87,7 @@ func slabBoolOp(a, b []Rect, op func(inA, inB bool) bool) []Rect {
 	if have {
 		flush(cur)
 	}
-	sortRects(out)
+	slices.SortFunc(out, Rect.Compare)
 	return out
 }
 

@@ -26,48 +26,17 @@ var (
 // context error is returned once all in-flight items finish. With
 // parallel <= 1 (or n <= 1) the loop runs inline on the caller.
 func ForEach(ctx context.Context, parallel, n int, fn func(i int)) error {
-	if n <= 0 {
-		return ctx.Err()
-	}
-	cForEachItems.Add(int64(n))
-	if parallel > n {
-		parallel = n
-	}
-	if parallel <= 1 || n <= 1 {
-		cForEachInline.Add(int64(n))
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			fn(i)
-		}
-		return nil
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(parallel)
-	for w := 0; w < parallel; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || ctx.Err() != nil {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	return ctx.Err()
+	return ForEachErr(ctx, parallel, n, func(i int) error { fn(i); return nil })
 }
 
 // ForEachErr is ForEach for item functions that can fail. The first
 // error stops dispatch of further indices (in-flight items finish),
 // and among the items that did report errors the one with the lowest
 // index wins, so concurrent runs return a deterministic error for a
-// deterministic workload. Returns the context error if no item failed
-// but the context was canceled.
+// deterministic workload: a worker looks for a failure before it takes
+// an index, never after, so an index once taken is run, and every index
+// below a failed one was taken before it. Returns the context error if
+// no item failed but the context was canceled.
 func ForEachErr(ctx context.Context, parallel, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -102,9 +71,9 @@ func ForEachErr(ctx context.Context, parallel, n int, fn func(i int) error) erro
 	for w := 0; w < parallel; w++ {
 		go func() {
 			defer wg.Done()
-			for {
+			for ctx.Err() == nil && !failed.Load() {
 				i := int(next.Add(1)) - 1
-				if i >= n || ctx.Err() != nil || failed.Load() {
+				if i >= n {
 					return
 				}
 				if err := fn(i); err != nil {

@@ -40,13 +40,11 @@ type PoolOptions struct {
 	// work; values < 0 mean 0 (a Submit only succeeds when a worker
 	// can pick the task up promptly).
 	Queue int
-	// Timeout, Retries, Backoff, Hook behave exactly as in Options
-	// and apply to every submitted task (Task.Timeout still overrides
-	// Timeout per task).
-	Timeout time.Duration
+	// Retries and Backoff behave exactly as in Options and apply to
+	// every submitted task. The pool sets no deadline of its own: a
+	// task's is its Task.Timeout.
 	Retries int
 	Backoff time.Duration
-	Hook    Hook
 }
 
 // Pool is the long-lived sibling of Run for serving workloads: a
@@ -89,12 +87,7 @@ func NewPool(opts PoolOptions) *Pool {
 		queue = 0
 	}
 	p := &Pool{
-		opts: Options{
-			Timeout: opts.Timeout,
-			Retries: opts.Retries,
-			Backoff: opts.Backoff,
-			Hook:    opts.Hook,
-		},
+		opts:    Options{Retries: opts.Retries, Backoff: opts.Backoff},
 		queue:   make(chan *poolItem, queue),
 		workers: workers,
 	}
@@ -185,9 +178,6 @@ func (p *Pool) InFlight() int { return int(p.inflight.Load()) }
 
 // Workers returns the worker count.
 func (p *Pool) Workers() int { return p.workers }
-
-// QueueCap returns the submission-queue capacity.
-func (p *Pool) QueueCap() int { return cap(p.queue) }
 
 // Saturation returns the busy-worker fraction in [0, 1].
 func (p *Pool) Saturation() float64 {

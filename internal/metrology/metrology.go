@@ -52,36 +52,27 @@ type Plan struct {
 	Sites []Site
 }
 
-// PlanOpts controls site generation.
-type PlanOpts struct {
-	// MaxSites caps the plan (0 = unlimited).
-	MaxSites int
-	// MinFeature skips features narrower than this (dummy fill etc).
-	MinFeature int64
-	// SpaceLimit is the widest gap still worth measuring.
-	SpaceLimit int64
-	// TipLimit is the longest edge treated as a line end.
-	TipLimit int64
-}
-
-// DefaultPlanOpts returns typical recipe limits.
-func DefaultPlanOpts() PlanOpts {
-	return PlanOpts{MaxSites: 500, MinFeature: 20, SpaceLimit: 400, TipLimit: 120}
-}
+// Typical recipe limits.
+const (
+	maxSites   = 500 // cap on a plan
+	minFeature = 20  // narrower features are skipped (dummy fill etc), nm
+	spaceLimit = 400 // the widest gap still worth measuring, nm
+	tipLimit   = 120 // the longest edge treated as a line end, nm
+)
 
 // GeneratePlan derives measurement sites from the drawn layer
 // geometry: one LineWidth site at each feature's center (scanning
 // across its narrow dimension), one SpaceWidth site in each
-// sub-SpaceLimit gap between facing edges, and a LineEnd site at each
+// sub-spaceLimit gap between facing edges, and a LineEnd site at each
 // feature tip (short edge). Sites are deterministic (sorted by
 // location).
-func GeneratePlan(rs []geom.Rect, layer tech.Layer, o PlanOpts) Plan {
+func GeneratePlan(rs []geom.Rect, layer tech.Layer) Plan {
 	norm := geom.Normalize(rs)
 	plan := Plan{Layer: layer}
 
 	// Line-width sites per normalized rect.
 	for _, r := range norm {
-		if r.MinDim() < o.MinFeature {
+		if r.MinDim() < minFeature {
 			continue
 		}
 		horizontal := r.Width() <= r.Height() // scan across the narrow axis
@@ -95,7 +86,7 @@ func GeneratePlan(rs []geom.Rect, layer tech.Layer, o PlanOpts) Plan {
 
 	// Space sites from facing-edge pairs.
 	edges := geom.BoundaryEdges(norm)
-	ix := geom.NewIndex(4 * o.SpaceLimit)
+	ix := geom.NewIndex(4 * spaceLimit)
 	boxes := make([]geom.Rect, len(edges))
 	for i, e := range edges {
 		boxes[i] = geom.R(e.P0.X, e.P0.Y, e.P1.X, e.P1.Y)
@@ -103,16 +94,16 @@ func GeneratePlan(rs []geom.Rect, layer tech.Layer, o PlanOpts) Plan {
 	}
 	seen := map[geom.Point]bool{}
 	for i, e := range edges {
-		if e.Length() < o.MinFeature {
+		if e.Length() < minFeature {
 			continue
 		}
 		var search geom.Rect
 		var wantSide geom.Side
 		if e.Horizontal() && e.Interior == geom.Below {
-			search = geom.R(e.P0.X, e.P0.Y+1, e.P1.X, e.P0.Y+o.SpaceLimit)
+			search = geom.R(e.P0.X, e.P0.Y+1, e.P1.X, e.P0.Y+spaceLimit)
 			wantSide = geom.Above
 		} else if !e.Horizontal() && e.Interior == geom.Left {
-			search = geom.R(e.P0.X+1, e.P0.Y, e.P0.X+o.SpaceLimit, e.P1.Y)
+			search = geom.R(e.P0.X+1, e.P0.Y, e.P0.X+spaceLimit, e.P1.Y)
 			wantSide = geom.Right
 		} else {
 			continue
@@ -142,7 +133,7 @@ func GeneratePlan(rs []geom.Rect, layer tech.Layer, o PlanOpts) Plan {
 				at = geom.Pt((e.P0.X+f.P0.X)/2, (y0+y1)/2)
 				marker = geom.R(e.P0.X, y0, f.P0.X, y1)
 			}
-			if gap > o.SpaceLimit || seen[at] {
+			if gap > spaceLimit || seen[at] {
 				continue
 			}
 			// The whole strip between the edges must be exterior
@@ -162,7 +153,7 @@ func GeneratePlan(rs []geom.Rect, layer tech.Layer, o PlanOpts) Plan {
 
 	// Line-end sites: short boundary edges (feature tips).
 	for _, e := range edges {
-		if e.Length() > o.TipLimit || e.Length() < o.MinFeature {
+		if e.Length() > tipLimit || e.Length() < minFeature {
 			continue
 		}
 		plan.Sites = append(plan.Sites, Site{
@@ -180,8 +171,8 @@ func GeneratePlan(rs []geom.Rect, layer tech.Layer, o PlanOpts) Plan {
 		}
 		return a.Kind < b.Kind
 	})
-	if o.MaxSites > 0 && len(plan.Sites) > o.MaxSites {
-		plan.Sites = plan.Sites[:o.MaxSites]
+	if len(plan.Sites) > maxSites {
+		plan.Sites = plan.Sites[:maxSites]
 	}
 	for i := range plan.Sites {
 		plan.Sites[i].ID = i

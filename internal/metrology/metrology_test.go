@@ -15,7 +15,7 @@ func TestGeneratePlanLineSpace(t *testing.T) {
 	tt := tech.N45()
 	cell := layout.LineSpace(tt, tech.Metal1, 70, 70, 2000, 5)
 	rs := cell.LayerRects(tech.Metal1)
-	plan := GeneratePlan(rs, tech.Metal1, DefaultPlanOpts())
+	plan := GeneratePlan(rs, tech.Metal1)
 
 	var lines, spaces, ends int
 	for _, s := range plan.Sites {
@@ -54,7 +54,7 @@ func TestGeneratePlanSkipsWideGapsAndTinyFeatures(t *testing.T) {
 		geom.R(1000, 0, 1070, 1000), // 930 gap: beyond SpaceLimit
 		geom.R(2000, 0, 2010, 1000), // 10-wide sliver: below MinFeature
 	}
-	plan := GeneratePlan(rs, tech.Metal1, DefaultPlanOpts())
+	plan := GeneratePlan(rs, tech.Metal1)
 	for _, s := range plan.Sites {
 		if s.Kind == SpaceWidth {
 			t.Fatalf("wide gap measured: %+v", s)
@@ -69,8 +69,8 @@ func TestGeneratePlanDeterministicAndCapped(t *testing.T) {
 	tt := tech.N45()
 	cell := layout.LineSpace(tt, tech.Metal1, 70, 70, 2000, 8)
 	rs := cell.LayerRects(tech.Metal1)
-	a := GeneratePlan(rs, tech.Metal1, DefaultPlanOpts())
-	b := GeneratePlan(rs, tech.Metal1, DefaultPlanOpts())
+	a := GeneratePlan(rs, tech.Metal1)
+	b := GeneratePlan(rs, tech.Metal1)
 	if len(a.Sites) != len(b.Sites) {
 		t.Fatal("plan not deterministic")
 	}
@@ -79,8 +79,10 @@ func TestGeneratePlanDeterministicAndCapped(t *testing.T) {
 			t.Fatalf("site %d differs", i)
 		}
 	}
-	capped := GeneratePlan(rs, tech.Metal1, PlanOpts{MaxSites: 3, MinFeature: 20, SpaceLimit: 400})
-	if len(capped.Sites) != 3 {
+	// 200 lines make 200 widths, 199 spaces and 400 tips: past the cap.
+	many := layout.LineSpace(tt, tech.Metal1, 70, 70, 2000, 200)
+	capped := GeneratePlan(many.LayerRects(tech.Metal1), tech.Metal1)
+	if len(capped.Sites) != maxSites {
 		t.Fatalf("cap not applied: %d", len(capped.Sites))
 	}
 	for i, s := range capped.Sites {
@@ -94,7 +96,7 @@ func TestExecuteMeasuresCDs(t *testing.T) {
 	tt := tech.N45()
 	cell := layout.LineSpace(tt, tech.Metal1, 100, 140, 3000, 5)
 	rs := cell.LayerRects(tech.Metal1)
-	plan := GeneratePlan(rs, tech.Metal1, DefaultPlanOpts())
+	plan := GeneratePlan(rs, tech.Metal1)
 	window := geom.BBoxOf(rs).Bloat(300)
 	img := litho.Simulate(rs, window, tt.Optics, litho.Nominal)
 
@@ -130,7 +132,7 @@ func TestExecuteToolNoise(t *testing.T) {
 	tt := tech.N45()
 	cell := layout.LineSpace(tt, tech.Metal1, 100, 140, 3000, 7)
 	rs := cell.LayerRects(tech.Metal1)
-	plan := GeneratePlan(rs, tech.Metal1, DefaultPlanOpts())
+	plan := GeneratePlan(rs, tech.Metal1)
 	window := geom.BBoxOf(rs).Bloat(300)
 	img := litho.Simulate(rs, window, tt.Optics, litho.Nominal)
 
@@ -159,7 +161,7 @@ func TestExecuteInvalidSites(t *testing.T) {
 	tt := tech.N45()
 	// Plan against geometry the image does not contain: invalid sites.
 	rs := []geom.Rect{geom.R(0, 0, 70, 1000)}
-	plan := GeneratePlan(rs, tech.Metal1, DefaultPlanOpts())
+	plan := GeneratePlan(rs, tech.Metal1)
 	empty := litho.Simulate(nil, geom.R(0, 0, 1000, 1000), tt.Optics, litho.Nominal)
 	ms := Execute(plan, empty, DefaultTool(), 1)
 	for _, m := range ms {
@@ -180,11 +182,11 @@ func TestPlanOnGeneratedBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	m1 := layout.ByLayer(l.Flatten())[tech.Metal1]
-	plan := GeneratePlan(m1, tech.Metal1, DefaultPlanOpts())
+	plan := GeneratePlan(m1, tech.Metal1)
 	if len(plan.Sites) < 100 {
 		t.Fatalf("block plan too small: %d sites", len(plan.Sites))
 	}
-	if len(plan.Sites) > DefaultPlanOpts().MaxSites {
+	if len(plan.Sites) > maxSites {
 		t.Fatalf("cap exceeded")
 	}
 }

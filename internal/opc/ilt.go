@@ -20,28 +20,17 @@ import (
 // a band around the drawn edges (deep interior/exterior is easy and
 // would otherwise dominate the gradient).
 
-// ILTOpts configures the inverse solver.
-type ILTOpts struct {
-	Iterations int
-	Step       float64 // gradient step on the [0,1] mask field
-	Margin     float64 // intensity margin around the resist threshold
-	Band       int64   // cost band half-width around drawn edges, nm
-	Cond       litho.Condition
-	// MRC simplification of the binarized mask.
-	MinFeature int64
-}
-
-// DefaultILTOpts returns working defaults for the N45 optics.
-func DefaultILTOpts() ILTOpts {
-	return ILTOpts{
-		Iterations: 60,
-		Step:       4.0,
-		Margin:     0.08,
-		Band:       80,
-		Cond:       litho.Nominal,
-		MinFeature: 40,
-	}
-}
+// The inverse solver's settings, working values for the N45 optics.
+// It solves at the nominal condition: no defocus, dose 1.
+const (
+	iltIterations = 60
+	iltStep       = 4.0  // gradient step on the [0,1] mask field
+	iltMargin     = 0.08 // intensity margin around the resist threshold
+	iltBand       = 80   // cost band half-width around drawn edges, nm
+	// iltMinFeature is the mask-rule minimum the binarized mask is
+	// simplified to, nm.
+	iltMinFeature = 40
+)
 
 // ILTResult carries the optimized mask and its convergence trace.
 type ILTResult struct {
@@ -50,10 +39,7 @@ type ILTResult struct {
 }
 
 // ILT runs the inverse solve for the drawn target inside the window.
-func ILT(drawn []geom.Rect, window geom.Rect, opt tech.Optics, io ILTOpts) ILTResult {
-	if io.Iterations <= 0 {
-		io.Iterations = 40
-	}
+func ILT(drawn []geom.Rect, window geom.Rect, opt tech.Optics) ILTResult {
 	// Work on a padded grid so optics see context.
 	maxSigma := 0.0
 	for _, s := range opt.Sigmas {
@@ -71,17 +57,13 @@ func ILT(drawn []geom.Rect, window geom.Rect, opt tech.Optics, io ILTOpts) ILTRe
 	inside := litho.NewGrid(padded, opt.GridNM)
 	inside.Rasterize(drawn)
 	band := litho.NewGrid(padded, opt.GridNM)
-	bandRegion := bandAround(drawn, io.Band)
+	bandRegion := bandAround(drawn, iltBand)
 	band.Rasterize(bandRegion)
 
 	var sigmas, weights []float64
 	var wsum float64
 	for i, s := range opt.Sigmas {
-		f := 1.0
-		if opt.DefocusScale > 0 {
-			f = math.Sqrt(1 + (io.Cond.Defocus/opt.DefocusScale)*(io.Cond.Defocus/opt.DefocusScale))
-		}
-		sigmas = append(sigmas, s*f/opt.GridNM)
+		sigmas = append(sigmas, s/opt.GridNM)
 		weights = append(weights, opt.Weights[i])
 		wsum += opt.Weights[i]
 	}
@@ -89,12 +71,12 @@ func ILT(drawn []geom.Rect, window geom.Rect, opt tech.Optics, io ILTOpts) ILTRe
 		weights[i] /= wsum
 	}
 
-	thHi := opt.Threshold + io.Margin
-	thLo := opt.Threshold - io.Margin
+	thHi := opt.Threshold + iltMargin
+	thLo := opt.Threshold - iltMargin
 
 	res := ILTResult{}
-	for it := 0; it < io.Iterations; it++ {
-		// Forward: A = sum w_k G_k * m ; I = A^2 * dose.
+	for it := 0; it < iltIterations; it++ {
+		// Forward: A = sum w_k G_k * m ; I = A^2.
 		amp := blurStack(m, sigmas, weights)
 		var cost float64
 		// dJ/dI per pixel.
@@ -104,7 +86,7 @@ func ILT(drawn []geom.Rect, window geom.Rect, opt tech.Optics, io ILTOpts) ILTRe
 				continue
 			}
 			a := amp.Data[i]
-			I := a * a * io.Cond.Dose
+			I := a * a
 			if inside.Data[i] >= 0.5 {
 				if v := thHi - I; v > 0 {
 					cost += v * v
@@ -118,17 +100,17 @@ func ILT(drawn []geom.Rect, window geom.Rect, opt tech.Optics, io ILTOpts) ILTRe
 			}
 		}
 		res.CostHistory = append(res.CostHistory, cost)
-		if it == io.Iterations-1 {
+		if it == iltIterations-1 {
 			break
 		}
-		// Backward: dJ/dm = G * (dJ/dI * 2A * dose) (Gaussians are
+		// Backward: dJ/dm = G * (dJ/dI * 2A) (Gaussians are
 		// self-adjoint).
 		for i := range dJdI.Data {
-			dJdI.Data[i] *= 2 * amp.Data[i] * io.Cond.Dose
+			dJdI.Data[i] *= 2 * amp.Data[i]
 		}
 		grad := blurStack(dJdI, sigmas, weights)
 		for i := range m.Data {
-			v := m.Data[i] - io.Step*grad.Data[i]
+			v := m.Data[i] - iltStep*grad.Data[i]
 			if v < 0 {
 				v = 0
 			}
@@ -149,11 +131,8 @@ func ILT(drawn []geom.Rect, window geom.Rect, opt tech.Optics, io ILTOpts) ILTRe
 	}
 	// MRC simplification: remove slivers and close pinholes below the
 	// mask-rule minimum.
-	if io.MinFeature > 1 {
-		r := int(float64(io.MinFeature) / opt.GridNM / 2)
-		if r >= 1 {
-			bm = bm.Open(r).Close(r)
-		}
+	if r := int(iltMinFeature / opt.GridNM / 2); r >= 1 {
+		bm = bm.Open(r).Close(r)
 	}
 	res.Mask = geom.Normalize(bm.ToRects())
 	return res

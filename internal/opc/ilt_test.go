@@ -12,7 +12,7 @@ func TestILTConverges(t *testing.T) {
 	tt := tech.N45()
 	drawn := []geom.Rect{geom.R(0, 0, 70, 1200)}
 	window := geom.BBoxOf(drawn).Bloat(300)
-	res := ILT(drawn, window, tt.Optics, DefaultILTOpts())
+	res := ILT(drawn, window, tt.Optics)
 	if len(res.Mask) == 0 {
 		t.Fatal("ILT produced an empty mask")
 	}
@@ -39,7 +39,7 @@ func TestILTImprovesEPEOverDrawn(t *testing.T) {
 		return litho.SummarizeEPE(img.MeasureEPE(drawn, 120)).RMS
 	}
 	raw := rms(drawn)
-	res := ILT(drawn, window, tt.Optics, DefaultILTOpts())
+	res := ILT(drawn, window, tt.Optics)
 	inv := rms(res.Mask)
 	if inv >= raw {
 		t.Fatalf("ILT did not improve EPE: %.2f -> %.2f", raw, inv)
@@ -53,9 +53,8 @@ func TestILTMaskIsMRCClean(t *testing.T) {
 	tt := tech.N45()
 	drawn := []geom.Rect{geom.R(0, 0, 70, 800), geom.R(210, 0, 280, 800)}
 	window := geom.BBoxOf(drawn).Bloat(300)
-	io := DefaultILTOpts()
-	res := ILT(drawn, window, tt.Optics, io)
-	m := MRC{MinFeature: io.MinFeature - 2*int64(tt.Optics.GridNM), MinSpace: 0}
+	res := ILT(drawn, window, tt.Optics)
+	m := MRC{MinFeature: iltMinFeature - 2*int64(tt.Optics.GridNM), MinSpace: 0}
 	if vs := m.MRCViolations(res.Mask); len(vs) != 0 {
 		t.Fatalf("ILT mask has %d sub-minimum features after simplification: %v", len(vs), vs[0])
 	}
@@ -67,7 +66,7 @@ func TestILTRespectsWindowIsolation(t *testing.T) {
 	tt := tech.N45()
 	drawn := []geom.Rect{geom.R(0, 0, 70, 800)}
 	window := geom.BBoxOf(drawn).Bloat(300)
-	res := ILT(drawn, window, tt.Optics, DefaultILTOpts())
+	res := ILT(drawn, window, tt.Optics)
 	bb := geom.BBoxOf(res.Mask)
 	if !window.Bloat(400).ContainsRect(bb) {
 		t.Fatalf("ILT mask escaped the solve region: %v", bb)

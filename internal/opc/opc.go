@@ -156,39 +156,36 @@ func ApplyBias(drawn []geom.Rect, frags []*Fragment) []geom.Rect {
 	return mask
 }
 
-// ModelOpts configures the model-based OPC loop.
+// ModelOpts configures the model-based OPC loop: the two settings the
+// ablation experiments sweep.
 type ModelOpts struct {
-	Iterations   int
-	Gain         float64 // feedback gain on EPE, typically 0.5-0.8
-	MaxBias      int64   // MRC clamp on fragment movement, nm
-	MinMaskSpace int64   // smallest legal mask gap; caps outward bias
-	MaxLen       int64   // fragment length
-	CornerLen    int64   // corner fragment length
-	Cond         litho.Condition
+	Iterations int
+	MaxLen     int64 // fragment length
 }
 
 // DefaultModelOpts returns production-flavored defaults.
 func DefaultModelOpts() ModelOpts {
-	return ModelOpts{
-		Iterations:   5,
-		Gain:         0.6,
-		MaxBias:      40,
-		MinMaskSpace: 40,
-		MaxLen:       120,
-		CornerLen:    40,
-		Cond:         litho.Nominal,
-	}
+	return ModelOpts{Iterations: 5, MaxLen: 120}
 }
+
+// The rest of the loop's settings. It corrects at the nominal
+// condition; ProcessWindowOPC is the one that looks off it.
+const (
+	modelGain         = 0.6 // feedback gain on EPE, typically 0.5-0.8
+	modelMaxBias      = 40  // MRC clamp on fragment movement, nm
+	modelMinMaskSpace = 40  // smallest legal mask gap; caps outward bias
+	modelCornerLen    = 40  // corner fragment length
+)
 
 // capOutward fills every fragment's MaxOut from the gap to its nearest
 // outward neighbor, so the feedback loop cannot bridge the mask.
-func capOutward(drawn []geom.Rect, frags []*Fragment, mo ModelOpts) {
+func capOutward(drawn []geom.Rect, frags []*Fragment) {
 	norm := geom.Normalize(drawn)
 	ix := geom.NewIndex(1024)
 	ix.InsertAll(norm)
-	probeDist := 2*mo.MaxBias + mo.MinMaskSpace + 10
+	const probeDist int64 = 2*modelMaxBias + modelMinMaskSpace + 10
 	for _, f := range frags {
-		f.MaxOut = mo.MaxBias
+		f.MaxOut = modelMaxBias
 		probe := extrude(f.Edge, probeDist)
 		n := f.Edge.OutwardNormal()
 		probe = probe.Translate(geom.Pt(n.X, n.Y))
@@ -204,7 +201,7 @@ func capOutward(drawn []geom.Rect, frags []*Fragment, mo ModelOpts) {
 			return true
 		})
 		if minGap <= probeDist {
-			lim := (minGap - mo.MinMaskSpace) / 2
+			lim := (minGap - modelMinMaskSpace) / 2
 			if lim < 0 {
 				lim = 0
 			}
@@ -243,8 +240,8 @@ func ModelBasedCtx(ctx context.Context, drawn []geom.Rect, window geom.Rect, opt
 	sp := hModelNS.Start()
 	defer sp.End()
 	cModelRuns.Inc()
-	frags := FragmentEdges(drawn, mo.MaxLen, mo.CornerLen)
-	capOutward(drawn, frags, mo)
+	frags := FragmentEdges(drawn, mo.MaxLen, modelCornerLen)
+	capOutward(drawn, frags)
 	res := Result{Fragments: frags}
 
 	// Nothing of an iteration's image outlives the EPEs read from it
@@ -252,7 +249,7 @@ func ModelBasedCtx(ctx context.Context, drawn []geom.Rect, window geom.Rect, opt
 	var grid *litho.Grid
 	for it := 0; it <= mo.Iterations; it++ {
 		mask := ApplyBias(drawn, frags)
-		img, err := litho.SimulateInto(ctx, grid, mask, window, opt, mo.Cond)
+		img, err := litho.SimulateInto(ctx, grid, mask, window, opt, litho.Nominal)
 		if err != nil {
 			return res, err
 		}
@@ -268,12 +265,12 @@ func ModelBasedCtx(ctx context.Context, drawn []geom.Rect, window geom.Rect, opt
 			if it < mo.Iterations {
 				// Move against the error; clamp to mask rules.
 				prev := f.Bias
-				f.Bias -= int64(mo.Gain * s.EPE)
+				f.Bias -= int64(modelGain * s.EPE)
 				if f.Bias > f.MaxOut {
 					f.Bias = f.MaxOut
 				}
-				if f.Bias < -mo.MaxBias {
-					f.Bias = -mo.MaxBias
+				if f.Bias < -modelMaxBias {
+					f.Bias = -modelMaxBias
 				}
 				if f.Bias != prev {
 					moved++

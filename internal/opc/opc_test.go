@@ -93,7 +93,7 @@ func TestModelBasedReducesEPE(t *testing.T) {
 	}
 	// Bias must respect the MRC clamp.
 	for _, f := range res.Fragments {
-		if f.Bias > mo.MaxBias || f.Bias < -mo.MaxBias {
+		if f.Bias > modelMaxBias || f.Bias < -modelMaxBias {
 			t.Fatalf("fragment bias %d exceeds clamp", f.Bias)
 		}
 	}
@@ -116,7 +116,7 @@ func TestModelBeatsRuleBeatsNothing(t *testing.T) {
 	}
 
 	none := rms(geom.Normalize(drawn))
-	rule := rms(RuleBased(drawn, DefaultRuleOpts()))
+	rule := rms(RuleBased(drawn))
 	model := rms(ModelBased(drawn, window, o, DefaultModelOpts()).Mask)
 
 	if !(model < rule && rule < none) {
@@ -127,7 +127,7 @@ func TestModelBeatsRuleBeatsNothing(t *testing.T) {
 
 func TestRuleBasedAppliesTable(t *testing.T) {
 	drawn := []geom.Rect{geom.R(0, 0, 70, 1000)}
-	mask := RuleBased(drawn, DefaultRuleOpts())
+	mask := RuleBased(drawn)
 	// All-iso edges biased by 8: mask is 86 wide somewhere in the body.
 	if !geom.CoversPoint(mask, geom.Pt(-8, 500)) || !geom.CoversPoint(mask, geom.Pt(77, 500)) {
 		t.Fatalf("iso bias not applied")
@@ -138,7 +138,7 @@ func TestRuleBasedAppliesTable(t *testing.T) {
 	}
 	// Dense pair gets the smaller bias on facing edges.
 	pair := []geom.Rect{geom.R(0, 0, 70, 1000), geom.R(140, 0, 210, 1000)}
-	m2 := RuleBased(pair, DefaultRuleOpts())
+	m2 := RuleBased(pair)
 	// Facing edges biased +4: gap shrinks from 70 to 62.
 	if !geom.CoversPoint(m2, geom.Pt(73, 500)) {
 		t.Fatalf("dense bias not applied")
@@ -149,19 +149,18 @@ func TestRuleBasedAppliesTable(t *testing.T) {
 }
 
 func TestInsertSRAFPlacesAndSkips(t *testing.T) {
-	so := DefaultSRAFOpts()
 	// Isolated line: assists on both sides.
 	iso := []geom.Rect{geom.R(0, 0, 70, 1000)}
-	bars := InsertSRAF(iso, so)
+	bars := InsertSRAF(iso)
 	if len(bars) < 2 {
 		t.Fatalf("isolated line should get side assists, got %v", bars)
 	}
 	leftOK, rightOK := false, false
 	for _, b := range bars {
-		if b.X1 == -so.Distance && b.X0 == -so.Distance-so.Width {
+		if b.X1 == -srafDistance && b.X0 == -srafDistance-srafWidth {
 			leftOK = true
 		}
-		if b.X0 == 70+so.Distance && b.X1 == 70+so.Distance+so.Width {
+		if b.X0 == 70+srafDistance && b.X1 == 70+srafDistance+srafWidth {
 			rightOK = true
 		}
 	}
@@ -170,7 +169,7 @@ func TestInsertSRAFPlacesAndSkips(t *testing.T) {
 	}
 	// Dense pair: the facing gap (70) has no room; no assist inside it.
 	dense := []geom.Rect{geom.R(0, 0, 70, 1000), geom.R(140, 0, 210, 1000)}
-	for _, b := range InsertSRAF(dense, so) {
+	for _, b := range InsertSRAF(dense) {
 		if b.X0 >= 70 && b.X1 <= 140 {
 			t.Fatalf("assist inserted into a sub-minimum gap: %v", b)
 		}
@@ -178,16 +177,15 @@ func TestInsertSRAFPlacesAndSkips(t *testing.T) {
 }
 
 func TestSRAFDoesNotPrint(t *testing.T) {
-	so := DefaultSRAFOpts()
 	drawn := []geom.Rect{geom.R(0, 0, 70, 2000)}
-	mask := WithSRAF(drawn, so)
+	mask := WithSRAF(drawn)
 	window := geom.R(-500, 500, 600, 1500)
 	img := litho.Simulate(mask, window, opt(), litho.Nominal)
 	// Sample the assist bar centers: below threshold.
-	if img.PrintsAt(float64(-so.Distance)-float64(so.Width)/2, 1000) {
+	if img.PrintsAt(float64(-srafDistance)-float64(srafWidth)/2, 1000) {
 		t.Fatalf("left assist prints")
 	}
-	if img.PrintsAt(float64(70+so.Distance)+float64(so.Width)/2, 1000) {
+	if img.PrintsAt(float64(70+srafDistance)+float64(srafWidth)/2, 1000) {
 		t.Fatalf("right assist prints")
 	}
 	// The main feature still prints.
@@ -209,7 +207,7 @@ func TestSRAFStabilizesCDThroughFocus(t *testing.T) {
 	}
 
 	bare := geom.Normalize(drawn)
-	sraf := WithSRAF(bare, DefaultSRAFOpts())
+	sraf := WithSRAF(bare)
 
 	// 80nm is just inside the bare line's survival range under this
 	// optics model; the assisted line must do strictly better there.
@@ -310,51 +308,50 @@ func TestModelConvergenceMonotoneEnough(t *testing.T) {
 // ModelBasedCtx renders every iteration over the image of the one
 // before. The loop as it was written before that — a fresh SimulateCtx
 // image per iteration, nothing shared — must give the same RMS history,
-// the same mask and the same biases, at a dose and defocus that
-// exercise the in-place dose scaling too.
+// the same mask and the same biases. The off-nominal case went with
+// ModelOpts.Cond, which nothing set; litho's
+// TestSimulateIntoReusesMatchingGrid holds the in-place dose scaling.
 func TestModelBasedGridReuseMatchesFreshImages(t *testing.T) {
 	ctx := context.Background()
 	drawn := []geom.Rect{geom.R(0, 0, 70, 1500), geom.R(160, 300, 230, 1200)}
 	window := geom.R(-400, -200, 600, 1900)
-	for _, cond := range []litho.Condition{litho.Nominal, {Defocus: 40, Dose: 1.05}} {
-		mo := DefaultModelOpts()
-		mo.Cond = cond
-		got, err := ModelBasedCtx(ctx, drawn, window, opt(), mo)
+	cond := litho.Nominal
+	mo := DefaultModelOpts()
+	got, err := ModelBasedCtx(ctx, drawn, window, opt(), mo)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	frags := FragmentEdges(drawn, mo.MaxLen, modelCornerLen)
+	capOutward(drawn, frags)
+	var history []float64
+	var mask []geom.Rect
+	for it := 0; it <= mo.Iterations; it++ {
+		mask = ApplyBias(drawn, frags)
+		img, err := litho.SimulateCtx(ctx, mask, window, opt(), cond)
 		if err != nil {
 			t.Fatal(err)
 		}
+		var sq float64
+		for _, f := range frags {
+			s := img.EPEAt(f.Edge, f.Site)
+			sq += s.EPE * s.EPE
+			if it < mo.Iterations {
+				f.Bias = max(min(f.Bias-int64(modelGain*s.EPE), f.MaxOut), -modelMaxBias)
+			}
+		}
+		history = append(history, math.Sqrt(sq/float64(len(frags))))
+	}
 
-		frags := FragmentEdges(drawn, mo.MaxLen, mo.CornerLen)
-		capOutward(drawn, frags, mo)
-		var history []float64
-		var mask []geom.Rect
-		for it := 0; it <= mo.Iterations; it++ {
-			mask = ApplyBias(drawn, frags)
-			img, err := litho.SimulateCtx(ctx, mask, window, opt(), cond)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var sq float64
-			for _, f := range frags {
-				s := img.EPEAt(f.Edge, f.Site)
-				sq += s.EPE * s.EPE
-				if it < mo.Iterations {
-					f.Bias = max(min(f.Bias-int64(mo.Gain*s.EPE), f.MaxOut), -mo.MaxBias)
-				}
-			}
-			history = append(history, math.Sqrt(sq/float64(len(frags))))
-		}
-
-		if len(history) != 6 || !reflect.DeepEqual(got.RMSHistory, history) {
-			t.Errorf("%+v: RMS history %v, from %d independent images %v", cond, got.RMSHistory, len(history), history)
-		}
-		if !reflect.DeepEqual(got.Mask, mask) {
-			t.Errorf("%+v: final mask differs from the independent-image loop", cond)
-		}
-		for i, f := range got.Fragments {
-			if f.Bias != frags[i].Bias {
-				t.Errorf("%+v: fragment %d bias %d, independent-image loop %d", cond, i, f.Bias, frags[i].Bias)
-			}
+	if len(history) != 6 || !reflect.DeepEqual(got.RMSHistory, history) {
+		t.Errorf("%+v: RMS history %v, from %d independent images %v", cond, got.RMSHistory, len(history), history)
+	}
+	if !reflect.DeepEqual(got.Mask, mask) {
+		t.Errorf("%+v: final mask differs from the independent-image loop", cond)
+	}
+	for i, f := range got.Fragments {
+		if f.Bias != frags[i].Bias {
+			t.Errorf("%+v: fragment %d bias %d, independent-image loop %d", cond, i, f.Bias, frags[i].Bias)
 		}
 	}
 }

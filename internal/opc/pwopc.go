@@ -44,8 +44,8 @@ func ProcessWindowOPC(drawn []geom.Rect, window geom.Rect, opt tech.Optics, mo M
 		corners = StandardPWCorners(80)
 	}
 	cPWRuns.Inc()
-	frags := FragmentEdges(drawn, mo.MaxLen, mo.CornerLen)
-	capOutward(drawn, frags, mo)
+	frags := FragmentEdges(drawn, mo.MaxLen, modelCornerLen)
+	capOutward(drawn, frags)
 	res := PWResult{Fragments: frags}
 
 	var wsum float64
@@ -86,12 +86,12 @@ func ProcessWindowOPC(drawn []geom.Rect, window geom.Rect, opt tech.Optics, mo M
 			}
 			if it < mo.Iterations {
 				prev := f.Bias
-				f.Bias -= int64(mo.Gain * weighted / wsum)
+				f.Bias -= int64(modelGain * weighted / wsum)
 				if f.Bias > f.MaxOut {
 					f.Bias = f.MaxOut
 				}
-				if f.Bias < -mo.MaxBias {
-					f.Bias = -mo.MaxBias
+				if f.Bias < -modelMaxBias {
+					f.Bias = -modelMaxBias
 				}
 				if f.Bias != prev {
 					moved++

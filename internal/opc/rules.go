@@ -10,34 +10,20 @@ import (
 // measurably worse than model-based — which is exactly the comparison
 // experiment T3 runs.
 
-// RuleOpts is the rule-based bias table.
-type RuleOpts struct {
-	// EdgeBias is the uniform outward bias for feature edges, nm.
-	EdgeBias int64
-	// DenseBias replaces EdgeBias when another feature lies within
-	// DenseSpace of the edge (dense features print wider, so they get
-	// less correction).
-	DenseBias  int64
-	DenseSpace int64
-	// LineEndExt extends line-end edges outward (hammerhead stem), nm.
-	LineEndExt int64
-	// LineEndMax is the maximum edge length treated as a line end.
-	LineEndMax int64
-}
-
-// DefaultRuleOpts returns a table calibrated for the N45 optics.
-func DefaultRuleOpts() RuleOpts {
-	return RuleOpts{
-		EdgeBias:   8,
-		DenseBias:  4,
-		DenseSpace: 150,
-		LineEndExt: 30,
-		LineEndMax: 90,
-	}
-}
+// The rule-based bias table, calibrated for the N45 optics, nm.
+const (
+	ruleEdgeBias = 8 // uniform outward bias for feature edges
+	// ruleDenseBias replaces ruleEdgeBias when another feature lies
+	// within ruleDenseSpace of the edge (dense features print wider, so
+	// they get less correction).
+	ruleDenseBias  = 4
+	ruleDenseSpace = 150
+	ruleLineEndExt = 30 // outward extension of line ends (hammerhead stem)
+	ruleLineEndMax = 90 // longest edge treated as a line end
+)
 
 // RuleBased applies the bias table and returns the corrected mask.
-func RuleBased(drawn []geom.Rect, ro RuleOpts) []geom.Rect {
+func RuleBased(drawn []geom.Rect) []geom.Rect {
 	norm := geom.Normalize(drawn)
 	ix := geom.NewIndex(1024)
 	ix.InsertAll(norm)
@@ -46,12 +32,12 @@ func RuleBased(drawn []geom.Rect, ro RuleOpts) []geom.Rect {
 	for _, e := range geom.BoundaryEdges(norm) {
 		f := &Fragment{Edge: e, Site: e.Midpoint()}
 		switch {
-		case e.Length() <= ro.LineEndMax:
-			f.Bias = ro.LineEndExt
-		case hasNeighbor(ix, norm, e, ro.DenseSpace):
-			f.Bias = ro.DenseBias
+		case e.Length() <= ruleLineEndMax:
+			f.Bias = ruleLineEndExt
+		case hasNeighbor(ix, norm, e, ruleDenseSpace):
+			f.Bias = ruleDenseBias
 		default:
-			f.Bias = ro.EdgeBias
+			f.Bias = ruleEdgeBias
 		}
 		frags = append(frags, f)
 	}

@@ -11,38 +11,30 @@ import (
 // tables), the production norm at 45nm; experiment F1 quantifies the
 // process-window payoff.
 
-// SRAFOpts is the assist insertion rule table.
-type SRAFOpts struct {
-	Width    int64 // assist bar width, nm (sub-resolution)
-	Distance int64 // edge-to-first-assist spacing, nm
-	Pitch    int64 // spacing between scatter bars (first-to-second), nm
-	Bars     int   // scatter bars per side where space allows
-	MinSpan  int64 // shortest edge that receives an assist
-	// ClearMargin is extra empty space required beyond the last bar.
-	ClearMargin int64
-}
+// The N45 assist insertion rule table, nm.
+const (
+	srafWidth    = 35  // assist bar width (sub-resolution)
+	srafDistance = 100 // edge-to-first-assist spacing
+	srafPitch    = 130 // spacing between scatter bars (first-to-second)
+	srafBars     = 2   // scatter bars per side where space allows
+	srafMinSpan  = 150 // shortest edge that receives an assist
+	// srafClearMargin is extra empty space required beyond the last bar.
+	srafClearMargin = 60
+)
 
-// DefaultSRAFOpts returns the N45 assist rules.
-func DefaultSRAFOpts() SRAFOpts {
-	return SRAFOpts{Width: 35, Distance: 100, Pitch: 130, Bars: 2, MinSpan: 150, ClearMargin: 60}
-}
-
-// reach returns the outer extent of bar k (0-based) from the edge.
-func (so SRAFOpts) reach(k int) int64 {
-	return so.Distance + int64(k)*so.Pitch + so.Width
+// srafReach returns the outer extent of bar k (0-based) from the edge.
+func srafReach(k int) int64 {
+	return srafDistance + int64(k)*srafPitch + srafWidth
 }
 
 // InsertSRAF returns the assist bars for the drawn geometry (not
 // including the drawn geometry itself). Each qualifying edge receives
-// up to Bars scatter bars; when the clear space fits only fewer bars,
-// fewer are placed.
-func InsertSRAF(drawn []geom.Rect, so SRAFOpts) []geom.Rect {
+// up to srafBars scatter bars; when the clear space fits only fewer
+// bars, fewer are placed.
+func InsertSRAF(drawn []geom.Rect) []geom.Rect {
 	norm := geom.Normalize(drawn)
 	ix := geom.NewIndex(1024)
 	ix.InsertAll(norm)
-	if so.Bars < 1 {
-		so.Bars = 1
-	}
 
 	clearTo := func(e geom.Edge, dist int64) bool {
 		probe := extrude(e, dist)
@@ -61,20 +53,20 @@ func InsertSRAF(drawn []geom.Rect, so SRAFOpts) []geom.Rect {
 
 	var assists []geom.Rect
 	for _, e := range geom.BoundaryEdges(norm) {
-		if e.Length() < so.MinSpan {
+		if e.Length() < srafMinSpan {
 			continue
 		}
 		// Fit as many bars as the clear space allows.
 		bars := 0
-		for k := so.Bars; k >= 1; k-- {
-			if clearTo(e, so.reach(k-1)+so.ClearMargin) {
+		for k := srafBars; k >= 1; k-- {
+			if clearTo(e, srafReach(k-1)+srafClearMargin) {
 				bars = k
 				break
 			}
 		}
 		for k := 0; k < bars; k++ {
-			outer := extrude(e, so.reach(k))
-			inner := extrude(e, so.Distance+int64(k)*so.Pitch)
+			outer := extrude(e, srafReach(k))
+			inner := extrude(e, srafDistance+int64(k)*srafPitch)
 			assists = append(assists, geom.Subtract([]geom.Rect{outer}, []geom.Rect{inner})...)
 		}
 	}
@@ -85,6 +77,6 @@ func InsertSRAF(drawn []geom.Rect, so SRAFOpts) []geom.Rect {
 }
 
 // WithSRAF returns mask geometry plus its assists.
-func WithSRAF(mask []geom.Rect, so SRAFOpts) []geom.Rect {
-	return geom.Union(mask, InsertSRAF(mask, so))
+func WithSRAF(mask []geom.Rect) []geom.Rect {
+	return geom.Union(mask, InsertSRAF(mask))
 }

@@ -61,7 +61,7 @@ func Propose(ctx context.Context, t *tech.Tech, top *layout.Cell, sc Score, w We
 	// Redundant-via doubling over the cell's own shapes: top-level nets
 	// are real nets (macro-internal vias are out of the fixer's reach,
 	// exactly like macro-internal violations).
-	rep, err := dvia.Insert(ctx, top.Shapes, t, dvia.Opts{})
+	rep, err := dvia.Insert(ctx, top.Shapes, t)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -17,18 +17,11 @@ type Opts struct {
 	// from. Surrogate gating is rejected: the incremental engine cannot
 	// splice through a chip-global model.
 	Eval tiling.Opts
-	// Weights scores findings; zero-value fields take DefaultWeights.
-	Weights Weights
 	// Rounds bounds the propose-check-apply-rescore iterations
 	// (default 1). The loop stops early when a round applies nothing.
 	Rounds int
 	// MaxFixes bounds applied fixes per round (0 = unlimited).
 	MaxFixes int
-	// LegalityPad is the unchanged-context margin around each fix's
-	// dirty bbox for the legality differential (default, and floor,
-	// 3x tiling.MinHalo: rule reach for the violation, its far
-	// offender, and marker extent).
-	LegalityPad int64
 }
 
 // RoundStats reports one repair round.
@@ -92,10 +85,10 @@ func Run(stdctx context.Context, t *tech.Tech, top *layout.Cell, o Opts) (*Outco
 	if rounds <= 0 {
 		rounds = 1
 	}
-	pad := o.LegalityPad
-	if floor := 3 * tiling.MinHalo(t); pad < floor {
-		pad = floor
-	}
+	// The unchanged-context margin around each fix's dirty bbox for the
+	// legality differential: rule reach for the violation, its far
+	// offender, and marker extent.
+	pad := 3 * tiling.MinHalo(t)
 
 	res, snap, err := tiling.EvaluateSnap(stdctx, t, tiling.NewExtractor(top), o.Eval)
 	if err != nil {
@@ -103,11 +96,11 @@ func Run(stdctx context.Context, t *tech.Tech, top *layout.Cell, o Opts) (*Outco
 	}
 	cur := top
 	singles, _ := yieldpkg.CountViaRedundancy(cur.Shapes, t)
-	sc := ScoreResult(res, singles, o.Weights)
+	sc := ScoreResult(res, singles, Weights{})
 
 	out := &Outcome{Before: sc, Skipped: make(map[string]int)}
 	for round := 0; round < rounds; round++ {
-		fixes, skipped, err := Propose(stdctx, t, cur, sc, o.Weights)
+		fixes, skipped, err := Propose(stdctx, t, cur, sc, Weights{})
 		if err != nil {
 			return nil, err
 		}
@@ -175,7 +168,7 @@ func Run(stdctx context.Context, t *tech.Tech, top *layout.Cell, o Opts) (*Outco
 		rs.SplicedTiles = res.Stats.SplicedTiles
 		rs.SplicedWindows = res.Stats.SplicedWindows
 		singles, _ = yieldpkg.CountViaRedundancy(cur.Shapes, t)
-		sc = ScoreResult(res, singles, o.Weights)
+		sc = ScoreResult(res, singles, Weights{})
 		rs.Score = sc.Total
 		out.Rounds = append(out.Rounds, rs)
 	}

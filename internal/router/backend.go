@@ -10,9 +10,8 @@ import (
 )
 
 // Backend is one dfmd node behind the router: its client, its health
-// state as seen by the active checker, its circuit breaker on the
-// data path, and the live load signal the least-loaded policy sorts
-// on.
+// state as seen by the active checker and its circuit breaker on the
+// data path.
 type Backend struct {
 	// Name is the stable routing identity ("n0", "n1", ...): it keys
 	// the hash ring and prefixes job IDs, so a backend that restarts
@@ -33,11 +32,8 @@ type Backend struct {
 	// (optimistic): the first data-path failures trip the breaker
 	// long before the probe loop could notice.
 	up atomic.Bool
-	// estWaitNs mirrors the node's own admission wait estimate from
-	// the deep health probe — the same signal it sheds on.
-	estWaitNs atomic.Int64
 	// inflight counts requests this router currently has against the
-	// node; it breaks least-loaded ties between equally idle nodes.
+	// node.
 	inflight atomic.Int64
 
 	// always-on accounting, surfaced in /metrics.
@@ -64,18 +60,17 @@ func newBackend(name, url string, hc *http.Client, brThreshold int, brCooldown t
 // BackendStatus is the per-backend slice of the router's /metrics
 // body.
 type BackendStatus struct {
-	Name       string  `json:"name"`
-	URL        string  `json:"url"`
-	Up         bool    `json:"up"`
-	Breaker    string  `json:"breaker"`
-	EstWaitMS  float64 `json:"estWaitMs"`
-	InFlight   int64   `json:"inFlight"`
-	Picks      int64   `json:"picks"`
-	OKs        int64   `json:"oks"`
-	Fails      int64   `json:"fails"`
-	Sheds      int64   `json:"sheds"`
-	Evictions  int64   `json:"evictions"`
-	Reinstates int64   `json:"reinstates"`
+	Name       string `json:"name"`
+	URL        string `json:"url"`
+	Up         bool   `json:"up"`
+	Breaker    string `json:"breaker"`
+	InFlight   int64  `json:"inFlight"`
+	Picks      int64  `json:"picks"`
+	OKs        int64  `json:"oks"`
+	Fails      int64  `json:"fails"`
+	Sheds      int64  `json:"sheds"`
+	Evictions  int64  `json:"evictions"`
+	Reinstates int64  `json:"reinstates"`
 	// Tiles counts tile work units this backend served — how evenly
 	// the affinity ring spreads a chip across the fleet.
 	Tiles int64 `json:"tiles"`
@@ -87,7 +82,6 @@ func (b *Backend) status() BackendStatus {
 		URL:        b.URL,
 		Up:         b.up.Load(),
 		Breaker:    b.breaker.snapshot(),
-		EstWaitMS:  float64(b.estWaitNs.Load()) / 1e6,
 		InFlight:   b.inflight.Load(),
 		Picks:      b.picks.Load(),
 		OKs:        b.oks.Load(),

@@ -2,21 +2,20 @@ package router
 
 import (
 	"context"
+	"errors"
 	"time"
+
+	"repro/internal/client"
 )
 
-// healthLoop actively probes one backend's /healthz?deep=1 on an
-// interval. Eviction is threshold-based: FailAfter consecutive bad
+// healthLoop actively probes one backend's /healthz on an interval. Eviction is threshold-based: FailAfter consecutive bad
 // probes take the node out of rotation (a single dropped packet must
 // not), and RiseAfter consecutive good probes put it back — a node
 // has to *prove* recovery before traffic returns, which is what keeps
 // a crash-looping backend from absorbing and killing live requests.
-// A draining node (503 deep probe) is evicted on the first probe:
-// drain is a deliberate signal, not noise, and waiting out the
-// failure threshold would route doomed submissions at it.
-//
-// Healthy probes also refresh the node's load signal (its own
-// admission wait estimate) for the least-loaded policy.
+// A draining node (503) is evicted on the first probe: drain is a
+// deliberate signal, not noise, and waiting out the failure threshold
+// would route doomed submissions at it.
 func (r *Router) healthLoop(b *Backend) {
 	defer r.loops.Done()
 	t := time.NewTicker(r.cfg.CheckInterval)
@@ -35,14 +34,13 @@ func (r *Router) healthLoop(b *Backend) {
 // backend's state.
 func (r *Router) probe(b *Backend) {
 	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.CheckTimeout)
-	h, err := b.cl.HealthDeep(ctx)
+	err := b.cl.Healthz(ctx)
 	cancel()
 
 	switch {
-	case err == nil && !h.Draining:
+	case err == nil:
 		b.consecOK++
 		b.consecFail = 0
-		b.estWaitNs.Store(int64(h.EstWaitMS * 1e6))
 		if !b.up.Load() && b.consecOK >= r.cfg.RiseAfter {
 			b.up.Store(true)
 			b.reinstates.Add(1)
@@ -52,9 +50,9 @@ func (r *Router) probe(b *Backend) {
 			b.breaker.reset()
 			r.logf("router: backend %s reinstated after %d clean probes", b.Name, b.consecOK)
 		}
-	case err == nil || h.Draining:
-		// Deep probe answered but the node is draining: immediate
-		// eviction, no threshold.
+	case errors.Is(err, client.ErrDraining):
+		// The node answered, and is draining: immediate eviction, no
+		// threshold.
 		b.consecOK = 0
 		b.consecFail = r.cfg.FailAfter
 		r.evict(b, "draining")

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/client"
-	"repro/internal/dfm"
 	"repro/internal/obs"
 	"repro/internal/server"
 )
@@ -22,16 +21,12 @@ import (
 //
 //	POST /v1/jobs            route a submission, bytes untouched; ?wait=1 blocks
 //	GET  /v1/jobs/{id}       poll (IDs carry the backend: "n2.j-000017")
-//	GET  /v1/jobs/{id}/result  settled outcome, relayed as the node wrote it
-//	GET  /v1/techniques      technique registry
 //	GET  /healthz            200 while ≥1 backend is up and not draining
 //	GET  /metrics            router stats + per-backend states + obs registry
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", r.handleSubmit)
 	mux.HandleFunc("GET /v1/jobs/{id}", r.handleJob)
-	mux.HandleFunc("GET /v1/jobs/{id}/result", r.handleResult)
-	mux.HandleFunc("GET /v1/techniques", r.handleTechniques)
 	mux.HandleFunc("GET /healthz", r.handleHealthz)
 	mux.HandleFunc("GET /metrics", r.handleMetrics)
 	return mux
@@ -39,8 +34,9 @@ func (r *Router) Handler() http.Handler {
 
 // handleSubmit routes one submission without reading it. The body is
 // buffered under the bound both tiers share and sent, byte for byte, to
-// the backend the policy picks — the same buffer again on every retry
-// and failover — and the backend's answer is relayed byte for byte. The
+// the backend its key's ring order picks — the same buffer again on
+// every retry and failover — and the backend's answer is relayed byte
+// for byte. The
 // three facts the router needs travel beside the JSON (server.Header*):
 // the ID prefix goes out as a request header the node applies, and the
 // job's kind and reuse come back as response headers. So a malformed
@@ -152,28 +148,34 @@ func (r *Router) writeRouteError(w http.ResponseWriter, err error) {
 	}
 }
 
-// splitID separates "n2.j-000017" into its backend and node-local
-// job ID.
+// splitID separates "n2.j-000017" into its backend and node-local job
+// ID. The local half is spliced into the URL the backend is asked, so
+// only the shape a node mints passes — "j-" and decimal digits, no more
+// of them than an int64 has: anything else ("x/../../metrics",
+// "healthz?deep=1") would reach whatever GET path on the backend it
+// spells.
 func (r *Router) splitID(id string) (*Backend, string, bool) {
-	name, rest, ok := strings.Cut(id, ".")
-	if !ok {
+	name, local, ok := strings.Cut(id, ".")
+	digits, minted := strings.CutPrefix(local, "j-")
+	if !ok || !minted || len(digits) == 0 || len(digits) > 19 {
 		return nil, "", false
 	}
-	for _, b := range r.backends {
-		if b.Name == name {
-			return b, rest, true
+	for _, c := range []byte(digits) {
+		if c < '0' || c > '9' {
+			return nil, "", false
 		}
 	}
-	return nil, "", false
+	b, ok := r.byName[name]
+	return b, local, ok
 }
 
-func (r *Router) proxyJob(w http.ResponseWriter, req *http.Request, suffix string) {
+func (r *Router) handleJob(w http.ResponseWriter, req *http.Request) {
 	b, local, ok := r.splitID(req.PathValue("id"))
 	if !ok {
-		server.WriteError(w, http.StatusNotFound, "unknown job id (want <backend>.<id>)")
+		server.WriteError(w, http.StatusNotFound, "unknown job id (want <backend>.j-<digits>)")
 		return
 	}
-	rep, err := b.cl.Forward(req.Context(), http.MethodGet, "/v1/jobs/"+local+suffix, b.idPrefix, nil)
+	rep, err := b.cl.Forward(req.Context(), http.MethodGet, "/v1/jobs/"+local, b.idPrefix, nil)
 	if err != nil {
 		var se *client.StatusError
 		if errors.As(err, &se) {
@@ -184,20 +186,6 @@ func (r *Router) proxyJob(w http.ResponseWriter, req *http.Request, suffix strin
 		return
 	}
 	relay(w, rep)
-}
-
-func (r *Router) handleJob(w http.ResponseWriter, req *http.Request) {
-	r.proxyJob(w, req, "")
-}
-
-func (r *Router) handleResult(w http.ResponseWriter, req *http.Request) {
-	r.proxyJob(w, req, "/result")
-}
-
-func (r *Router) handleTechniques(w http.ResponseWriter, req *http.Request) {
-	// The registry is compiled into the router binary itself; no need
-	// to burn a backend round trip on it.
-	server.WriteJSON(w, http.StatusOK, map[string]any{"techniques": dfm.Techniques()})
 }
 
 func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {

@@ -8,8 +8,8 @@ import (
 
 // ring is a consistent-hash ring with virtual nodes. Each backend
 // owns Vnodes points on a 64-bit circle; a key routes to the owner of
-// the first point at or after its hash. Two properties carry the
-// affinity policy:
+// the first point at or after its hash. Two properties carry
+// affinity routing:
 //
 //   - Stability: adding or removing one node only moves the keys in
 //     the arcs that node's points bound — roughly 1/N of the space —
@@ -52,16 +52,6 @@ func newRing(names []string, vnodes int) *ring {
 		return r.points[a].name < r.points[b].name
 	})
 	return r
-}
-
-// owner returns the backend the key hashes to, or "" on an empty
-// ring.
-func (r *ring) owner(key string) string {
-	seq := r.seq(key, 1)
-	if len(seq) == 0 {
-		return ""
-	}
-	return seq[0]
 }
 
 // seq returns up to max distinct backends in ring order starting at

@@ -5,6 +5,16 @@ import (
 	"testing"
 )
 
+// owner returns the backend the key hashes to, or "" on an empty
+// ring.
+func (r *ring) owner(key string) string {
+	seq := r.seq(key, 1)
+	if len(seq) == 0 {
+		return ""
+	}
+	return seq[0]
+}
+
 func ringKeys(n int) []string {
 	keys := make([]string, n)
 	for i := range keys {

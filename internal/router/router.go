@@ -1,13 +1,11 @@
 // Package router is the fault-tolerant front tier over a fleet of
 // dfmd nodes (`cmd/dfmrouter`): it spreads `/v1/jobs` traffic across
-// backends under a pluggable policy — round-robin, least-loaded (each
-// node's own backlog×EWMA admission estimate), or content-address
-// affinity (consistent hashing over the sha256 cache key the client
-// claims beside its request, which turns N per-node LRU caches into one
-// effectively global cache with no shared store) — without reading a
-// job in either direction: a submission's bytes go to the chosen node
-// as they came and the node's answer goes back as it came (http.go),
-// so validity and identity stay the node's. It keeps the paper's
+// backends by content-address affinity (consistent hashing over the
+// sha256 cache key the client claims beside its request, which turns N
+// per-node LRU caches into one effectively global cache with no shared
+// store) without reading a job in either direction: a submission's
+// bytes go to the chosen node as they came and the node's answer goes
+// back as it came (http.go), so validity and identity stay the node's. It keeps the paper's
 // interactive-checking contract honest when nodes die: active health
 // probes with threshold eviction and probe-based reinstatement,
 // per-backend circuit breakers, retry-on-another-replica with jittered
@@ -35,10 +33,8 @@ type Config struct {
 	// its position ("n0", "n1", ...): restart a node on the same slot
 	// and it keeps its ring arcs and outstanding job IDs.
 	Backends []string
-	// Policy is "round-robin", "least-loaded", or "affinity";
-	// default affinity. Vnodes is the virtual-node count per backend
-	// on the affinity ring; default 128.
-	Policy string
+	// Vnodes is the virtual-node count per backend on the affinity
+	// ring; default 128.
 	Vnodes int
 
 	// CheckInterval/CheckTimeout drive the active health prober;
@@ -69,13 +65,12 @@ type Config struct {
 	AttemptTimeout time.Duration
 
 	// RetryBudget caps cluster-wide retry amplification: each
-	// failure spends a token, each success refunds RetryRatio of
+	// failure spends a token, each success refunds retryRatio of
 	// one, and retries are denied below half the bucket — so when
 	// every backend is dying the router degrades to one attempt per
 	// request instead of multiplying the assault by MaxAttempts.
-	// Defaults: 100-token bucket, 0.1 ratio.
+	// Default: a 100-token bucket.
 	RetryBudget int
-	RetryRatio  float64
 
 	// Seed fixes the backoff jitter stream; 0 uses 1. Deterministic
 	// jitter is what makes failover tests repeatable.
@@ -92,10 +87,10 @@ type Config struct {
 	now func() time.Time
 }
 
+// retryRatio is the share of a retry-budget token one success refunds.
+const retryRatio = 0.1
+
 func (c Config) withDefaults() Config {
-	if c.Policy == "" {
-		c.Policy = "affinity"
-	}
 	if c.Vnodes == 0 {
 		c.Vnodes = 128
 	}
@@ -132,9 +127,6 @@ func (c Config) withDefaults() Config {
 	if c.RetryBudget == 0 {
 		c.RetryBudget = 100
 	}
-	if c.RetryRatio == 0 {
-		c.RetryRatio = 0.1
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -146,15 +138,14 @@ func (c Config) withDefaults() Config {
 
 // Stats is the router's always-on accounting.
 type Stats struct {
-	Policy         string `json:"policy"`
-	Requests       int64  `json:"requests"`
-	OK             int64  `json:"ok"`
-	Failed         int64  `json:"failed"`
-	Retries        int64  `json:"retries"`
-	Failovers      int64  `json:"failovers"`
-	NoBackend      int64  `json:"noBackend"`
-	BudgetDenied   int64  `json:"retryBudgetDenied"`
-	BreakerBlocked int64  `json:"breakerBlocked"`
+	Requests       int64 `json:"requests"`
+	OK             int64 `json:"ok"`
+	Failed         int64 `json:"failed"`
+	Retries        int64 `json:"retries"`
+	Failovers      int64 `json:"failovers"`
+	NoBackend      int64 `json:"noBackend"`
+	BudgetDenied   int64 `json:"retryBudgetDenied"`
+	BreakerBlocked int64 `json:"breakerBlocked"`
 	// TileJobs counts tile work units routed to completion; TileReused
 	// counts those a backend answered from cache or deduped into an
 	// in-flight twin — the fleet-wide duplicate-tile hit signal.
@@ -169,7 +160,8 @@ type Stats struct {
 type Router struct {
 	cfg      Config
 	backends []*Backend
-	policy   Policy
+	byName   map[string]*Backend
+	ring     *ring
 	retry    *client.RetryPolicy
 	budget   *throttle
 
@@ -194,22 +186,21 @@ func New(cfg Config) (*Router, error) {
 	hc := &http.Client{Transport: cfg.Transport}
 	names := make([]string, len(cfg.Backends))
 	backends := make([]*Backend, len(cfg.Backends))
+	byName := make(map[string]*Backend, len(cfg.Backends))
 	for i, url := range cfg.Backends {
 		names[i] = fmt.Sprintf("n%d", i)
 		backends[i] = newBackend(names[i], url, hc, cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.now)
-	}
-	pol, err := NewPolicy(cfg.Policy, names, cfg.Vnodes)
-	if err != nil {
-		return nil, err
+		byName[names[i]] = backends[i]
 	}
 	retry := client.NewRetryPolicy(cfg.MaxAttempts, cfg.Seed)
 	retry.Base, retry.Max = cfg.RetryBase, cfg.RetryMax
 	r := &Router{
 		cfg:      cfg,
 		backends: backends,
-		policy:   pol,
+		byName:   byName,
+		ring:     newRing(names, cfg.Vnodes),
 		retry:    retry,
-		budget:   newThrottle(float64(cfg.RetryBudget), cfg.RetryRatio),
+		budget:   newThrottle(float64(cfg.RetryBudget)),
 		stop:     make(chan struct{}),
 	}
 	for _, b := range backends {
@@ -225,11 +216,16 @@ func (r *Router) logf(format string, args ...any) { r.cfg.Logf(format, args...) 
 // remains to try.
 var errNoBackend = errors.New("router: no available backend")
 
-// pick returns the first eligible backend in policy order that is not
-// in tried, also reporting whether anything was skipped only because
-// its breaker is open (that distinction drives the 502-vs-503 answer).
+// pick returns the first eligible backend not in tried, in the key's
+// ring order: every request for the same key goes to the same node, so
+// the per-node LRU caches tile the keyspace instead of each holding a
+// diluted copy, and retries continue down the same order, so the ring's
+// ranking is also the failover plan — a down node's keys stay
+// concentrated on one successor. Health is filtered here, on every
+// retry, so the ranking stays valid as nodes flap.
 func (r *Router) pick(key string, tried map[*Backend]bool) *Backend {
-	for _, b := range r.policy.Order(key, r.backends) {
+	for _, name := range r.ring.seq(key, len(r.backends)) {
+		b := r.byName[name]
 		if tried[b] || !b.up.Load() {
 			continue
 		}
@@ -396,7 +392,6 @@ func classify(err error) outcome {
 // Stats snapshots the router counters and per-backend states.
 func (r *Router) Stats() Stats {
 	st := Stats{
-		Policy:         r.policy.Name(),
 		Requests:       r.requests.Load(),
 		OK:             r.ok.Load(),
 		Failed:         r.failed.Load(),
@@ -443,7 +438,7 @@ func (r *Router) Shutdown(ctx context.Context) error {
 }
 
 // throttle is a gRPC-style retry budget: a token bucket where
-// failures spend a whole token, successes refund `ratio` of one, and
+// failures spend a whole token, successes refund retryRatio of one, and
 // retries are allowed only while the bucket is above half. No clock —
 // the budget tracks the live success:failure mix, so a healthy
 // cluster always has retries available and a dying one runs out
@@ -452,11 +447,10 @@ type throttle struct {
 	mu     sync.Mutex
 	tokens float64
 	cap    float64
-	ratio  float64
 }
 
-func newThrottle(cap, ratio float64) *throttle {
-	return &throttle{tokens: cap, cap: cap, ratio: ratio}
+func newThrottle(cap float64) *throttle {
+	return &throttle{tokens: cap, cap: cap}
 }
 
 func (t *throttle) allowRetry() bool {
@@ -473,6 +467,6 @@ func (t *throttle) onFailure() {
 
 func (t *throttle) onSuccess() {
 	t.mu.Lock()
-	t.tokens = math.Min(t.cap, t.tokens+t.ratio)
+	t.tokens = math.Min(t.cap, t.tokens+retryRatio)
 	t.mu.Unlock()
 }

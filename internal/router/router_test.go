@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -89,6 +88,18 @@ func servedBy(st server.JobStatus) string {
 	return name
 }
 
+// deadURL is a guaranteed connection-refused target: a listener opened
+// and immediately closed.
+func deadURL(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	return "http://" + ln.Addr().String()
+}
+
 func urls(nodes []*node) []string {
 	out := make([]string, len(nodes))
 	for i, n := range nodes {
@@ -128,7 +139,7 @@ func seedsOwnedBy(t *testing.T, primary string, count, nodes, vnodes int) []int6
 // global-cache-without-a-shared-store property.
 func TestAffinityPinsDuplicateWorkToOneNode(t *testing.T) {
 	nodes := []*node{startNode(t), startNode(t), startNode(t)}
-	r, err := New(Config{Backends: urls(nodes), Policy: "affinity", Vnodes: 64,
+	r, err := New(Config{Backends: urls(nodes), Vnodes: 64,
 		CheckInterval: time.Hour, Logf: quiet})
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +186,7 @@ func TestInflightFailoverDeterministic(t *testing.T) {
 	})
 	// AttemptTimeout must beat the caller's patience but clear a real
 	// evaluation, which runs ~150ms under -race.
-	r, err := New(Config{Backends: urls(nodes), Policy: "affinity", Vnodes: vnodes,
+	r, err := New(Config{Backends: urls(nodes), Vnodes: vnodes,
 		CheckInterval: time.Hour, AttemptTimeout: time.Second,
 		RetryBase: time.Millisecond, MaxAttempts: 3, Seed: 42,
 		Transport: tr, Logf: quiet})
@@ -230,7 +241,7 @@ func TestInflightFailoverOnRealKill(t *testing.T) {
 	const vnodes = 64
 	seeds := seedsOwnedBy(t, "n0", 6, 3, vnodes)
 
-	r, err := New(Config{Backends: urls(nodes), Policy: "affinity", Vnodes: vnodes,
+	r, err := New(Config{Backends: urls(nodes), Vnodes: vnodes,
 		CheckInterval: 20 * time.Millisecond, FailAfter: 2, RiseAfter: 2,
 		RetryBase: time.Millisecond, MaxAttempts: 4, Seed: 11, Logf: quiet})
 	if err != nil {
@@ -283,8 +294,6 @@ func TestHealthEvictionAndReinstatement(t *testing.T) {
 			w.WriteHeader(http.StatusInternalServerError)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(server.HealthStatus{Status: "ok"}) //nolint:errcheck // test stub
 	}))
 	defer stub.Close()
 
@@ -336,18 +345,7 @@ func TestDrainingBackendEvictedImmediately(t *testing.T) {
 // router stops retrying once the budget empties — each request costs
 // one attempt, not MaxAttempts.
 func TestRetryBudgetBoundsAmplification(t *testing.T) {
-	// Two listeners opened and immediately closed: guaranteed
-	// connection-refused targets.
-	deadURL := func() string {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		u := "http://" + ln.Addr().String()
-		ln.Close()
-		return u
-	}
-	r, err := New(Config{Backends: []string{deadURL(), deadURL()},
+	r, err := New(Config{Backends: []string{deadURL(t), deadURL(t)},
 		CheckInterval: time.Hour, FailAfter: 1 << 30, // probes never evict: the data path is under test
 		BreakerThreshold: 1 << 30, MaxAttempts: 3,
 		RetryBase: time.Millisecond, RetryBudget: 8, Seed: 5, Logf: quiet})
@@ -387,8 +385,7 @@ func TestRetryBudgetBoundsAmplification(t *testing.T) {
 // backend prefix on submit and resolve through the proxy on poll.
 func TestRouterHTTPRewriteAndProxy(t *testing.T) {
 	nodes := []*node{startNode(t), startNode(t)}
-	r, err := New(Config{Backends: urls(nodes), Policy: "round-robin",
-		CheckInterval: time.Hour, Logf: quiet})
+	r, err := New(Config{Backends: urls(nodes), CheckInterval: time.Hour, Logf: quiet})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,6 +439,64 @@ func TestRouterHTTPRewriteAndProxy(t *testing.T) {
 	}
 	if mb.Router.Requests < 1 || len(mb.Router.Backends) != 2 {
 		t.Fatalf("metrics body unexpected: %+v", mb.Router)
+	}
+}
+
+// TestPollRejectsIDsNoNodeMints: the node-local half of a job ID is
+// spliced into the URL a backend is asked, so an ID that is not
+// <backend>.j-<digits> is the router's own 404 and never reaches a
+// backend — spliced unchecked, the first two reach the node's /metrics
+// and /healthz, and the poll route reaches any GET path on any backend.
+func TestPollRejectsIDsNoNodeMints(t *testing.T) {
+	var reached atomic.Int32
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.URL.Path != "/healthz" {
+			reached.Add(1)
+			fmt.Fprint(w, "{}")
+		}
+	}))
+	defer stub.Close()
+	r, err := New(Config{Backends: []string{stub.URL}, CheckInterval: time.Hour, Logf: quiet})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Shutdown(context.Background())
+	front := httptest.NewServer(r.Handler())
+	defer front.Close()
+
+	for _, id := range []string{
+		"n0.x%2F..%2F..%2F..%2Fmetrics",
+		"n0.healthz%3Fdeep=1",
+		"n0.j-1%3Fwait=1",
+		"n0.j-1%23frag",
+		"n0.j-1%2F..",
+		"n0...",
+		"n0.j-",
+		"n0.j--1",
+		"n0.j-" + strings.Repeat("1", 20),
+		"n0.j-" + strings.Repeat("1", 10<<10),
+		"n9.j-1",
+		"j-1",
+	} {
+		resp, err := http.Get(front.URL + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET /v1/jobs/%.40s = %d, want 404", id, resp.StatusCode)
+		}
+		if n := reached.Swap(0); n != 0 {
+			t.Errorf("GET /v1/jobs/%.40s reached the backend (%d requests)", id, n)
+		}
+	}
+	resp, err := http.Get(front.URL + "/v1/jobs/n0.j-000007")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || reached.Load() != 1 {
+		t.Errorf("a minted id answered %d after %d backend requests, want 200 after 1", resp.StatusCode, reached.Load())
 	}
 }
 
@@ -507,7 +562,7 @@ func TestRouterShutdownLeaksNoGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for cycle := 0; cycle < 3; cycle++ {
 		nodes := []*node{startNode(t), startNode(t)}
-		r, err := New(Config{Backends: urls(nodes), Policy: "affinity",
+		r, err := New(Config{Backends: urls(nodes),
 			CheckInterval: 5 * time.Millisecond, Logf: quiet})
 		if err != nil {
 			t.Fatal(err)
@@ -556,13 +611,15 @@ func TestRouterForwardsVerbatim(t *testing.T) {
 	}
 	var got []seen
 	var mu sync.Mutex
-	stub := func(fail bool) *httptest.Server {
+	// failNext submissions answer 500, whichever stub they reach: a
+	// fault on the key's ring primary, wherever the ring puts it.
+	var failNext atomic.Int32
+	stub := func() *httptest.Server {
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 			if req.URL.Path != "/v1/jobs" {
-				json.NewEncoder(w).Encode(server.HealthStatus{Status: "ok"}) //nolint:errcheck // test stub
-				return
+				return // healthz: 200
 			}
-			if fail {
+			if failNext.Add(-1) >= 0 {
 				w.WriteHeader(http.StatusInternalServerError)
 				return
 			}
@@ -580,7 +637,7 @@ func TestRouterForwardsVerbatim(t *testing.T) {
 		t.Cleanup(ts.Close)
 		return ts
 	}
-	dead, live := stub(true), stub(false)
+	a, b := stub(), stub()
 
 	bodies := []string{
 		"  {\"kind\":\"tile\",\n\t\"tile\":{\"schema\":99,\"stage\":\"\\u0074ile\"},\"seed\":1e0,\"bogus\":null}\n\n",
@@ -589,14 +646,14 @@ func TestRouterForwardsVerbatim(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		backends []string
-		servedBy string
+		faults   int32 // attempts per body that answer 500 before one is served
 	}{
-		{"direct", []string{live.URL}, "n0."},
-		// Round-robin starts at n0, which answers 500: a fault, and the
-		// request fails over to n1.
-		{"failover", []string{dead.URL, live.URL}, "n1."},
+		{"direct", []string{a.URL}, 0},
+		// The key's primary answers 500: a fault, and the request fails
+		// over to the next backend in its ring order.
+		{"failover", []string{a.URL, b.URL}, 1},
 	} {
-		r, err := New(Config{Backends: tc.backends, Policy: "round-robin", CheckInterval: time.Hour,
+		r, err := New(Config{Backends: tc.backends, CheckInterval: time.Hour,
 			RetryBase: time.Millisecond, Logf: quiet})
 		if err != nil {
 			t.Fatal(err)
@@ -606,6 +663,8 @@ func TestRouterForwardsVerbatim(t *testing.T) {
 			mu.Lock()
 			got = nil
 			mu.Unlock()
+			failNext.Store(tc.faults)
+			servedBy := r.ring.seq(placement("", []byte(body)), len(tc.backends))[tc.faults] + "."
 			resp, err := http.Post(ts.URL+"/v1/jobs?wait=1", "text/plain", strings.NewReader(body))
 			if err != nil {
 				t.Fatal(err)
@@ -616,10 +675,10 @@ func TestRouterForwardsVerbatim(t *testing.T) {
 			if len(got) != 1 || got[0].body != body {
 				t.Errorf("%s body %d: backend saw %q, client sent %q", tc.name, i, got, body)
 			}
-			if len(got) == 1 && got[0].prefix != tc.servedBy {
-				t.Errorf("%s body %d: backend was asked for ID prefix %q, want %q", tc.name, i, got[0].prefix, tc.servedBy)
+			if len(got) == 1 && got[0].prefix != servedBy {
+				t.Errorf("%s body %d: backend was asked for ID prefix %q, want %q", tc.name, i, got[0].prefix, servedBy)
 			}
-			if want := fmt.Sprintf(answer, tc.servedBy); back.String() != want {
+			if want := fmt.Sprintf(answer, servedBy); back.String() != want {
 				t.Errorf("%s body %d: client received %q, backend wrote %q", tc.name, i, back.String(), want)
 			}
 			if resp.StatusCode != http.StatusAccepted || resp.Header.Get("Content-Type") != "application/x-stub" {
@@ -632,7 +691,7 @@ func TestRouterForwardsVerbatim(t *testing.T) {
 			t.Errorf("%s: ok/failed %d/%d, tile jobs/reused %d/%d; want %d/0 and %d/%d off the answer's headers",
 				tc.name, st.OK, st.Failed, st.TileJobs, st.TileReused, n, n, n)
 		}
-		if wantFO := int64(len(tc.backends)-1) * int64(len(bodies)); st.Failovers != wantFO {
+		if wantFO := int64(tc.faults) * int64(len(bodies)); st.Failovers != wantFO {
 			t.Errorf("%s: failovers = %d, want %d", tc.name, st.Failovers, wantFO)
 		}
 		ts.Close()
@@ -663,67 +722,32 @@ func TestPlacementBelievesOnlyWellFormedClaims(t *testing.T) {
 	}
 }
 
-// TestPolicyOrders sanity-checks the two non-affinity policies.
-func TestPolicyOrders(t *testing.T) {
-	backends := []*Backend{
-		{Name: "n0"}, {Name: "n1"}, {Name: "n2"},
+// TestPickFollowsRingOrder: what is left of policy order — pick tries
+// backends in the key's ring order, passing over the ones already tried
+// and the ones that are down.
+func TestPickFollowsRingOrder(t *testing.T) {
+	r, err := New(Config{Backends: []string{deadURL(t), deadURL(t), deadURL(t)},
+		CheckInterval: time.Hour, FailAfter: 1 << 30, Logf: quiet})
+	if err != nil {
+		t.Fatal(err)
 	}
-	rr, _ := NewPolicy("round-robin", nil, 0)
-	firsts := map[string]bool{}
-	for i := 0; i < 3; i++ {
-		ord := rr.Order("k", backends)
-		if len(ord) != 3 {
-			t.Fatalf("rr order len %d", len(ord))
-		}
-		firsts[ord[0].Name] = true
-	}
-	if len(firsts) != 3 {
-		t.Fatalf("round-robin did not rotate: %v", firsts)
-	}
+	defer r.Shutdown(context.Background())
 
-	ll, _ := NewPolicy("least-loaded", nil, 0)
-	backends[0].estWaitNs.Store(300)
-	backends[1].estWaitNs.Store(100)
-	backends[2].estWaitNs.Store(200)
-	ord := ll.Order("k", backends)
-	if ord[0].Name != "n1" || ord[1].Name != "n2" || ord[2].Name != "n0" {
-		t.Fatalf("least-loaded order = %s,%s,%s", ord[0].Name, ord[1].Name, ord[2].Name)
-	}
-
-	if _, err := NewPolicy("bogus", nil, 0); err == nil {
-		t.Fatal("unknown policy accepted")
-	}
-}
-
-// Regression: the round-robin counter is a uint64 that will wrap after
-// ~584 years at 1M rps — but also immediately if it ever starts high.
-// The old code converted to int before reducing, so a counter past
-// MaxInt64 produced a negative start index and Order panicked. The
-// reduction must happen in uint64 space.
-func TestRoundRobinSurvivesCounterWraparound(t *testing.T) {
-	backends := []*Backend{{Name: "n0"}, {Name: "n1"}, {Name: "n2"}}
-	rr := &roundRobin{}
-	// Walk the counter across MaxInt64 (where int conversion goes
-	// negative) and across the full uint64 wrap back to zero.
-	for _, seed := range []uint64{math.MaxInt64 - 2, math.MaxUint64 - 2} {
-		rr.next.Store(seed)
-		firsts := map[string]bool{}
-		for i := 0; i < 6; i++ {
-			ord := rr.Order("k", backends)
-			if len(ord) != 3 {
-				t.Fatalf("seed %d: order len %d, want 3", seed, len(ord))
-			}
-			seen := map[string]bool{}
-			for _, b := range ord {
-				seen[b.Name] = true
-			}
-			if len(seen) != 3 {
-				t.Fatalf("seed %d: order %v lost a backend", seed, ord)
-			}
-			firsts[ord[0].Name] = true
+	const key = "sha256:any"
+	want := r.ring.seq(key, 3)
+	tried := map[*Backend]bool{}
+	for i, name := range want {
+		b := r.pick(key, tried)
+		if b == nil || b.Name != name {
+			t.Fatalf("pick %d = %v, ring order %v", i, b, want)
 		}
-		if len(firsts) != 3 {
-			t.Fatalf("seed %d: rotation collapsed across the wrap: %v", seed, firsts)
-		}
+		tried[b] = true
+	}
+	if b := r.pick(key, tried); b != nil {
+		t.Fatalf("pick after every backend was tried = %s, want none", b.Name)
+	}
+	r.byName[want[0]].up.Store(false)
+	if b := r.pick(key, nil); b == nil || b.Name != want[1] {
+		t.Fatalf("pick with the primary down = %v, want %s", b, want[1])
 	}
 }

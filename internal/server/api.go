@@ -121,29 +121,6 @@ type JobStatus struct {
 	Error  string             `json:"error,omitempty"`
 }
 
-// HealthStatus is the `GET /healthz?deep=1` body: the live admission
-// signals a front tier needs to evict a sick node *before* its queue
-// drowns. The shallow probe stays a cheap 200/503; deep adds queue
-// saturation and the same wait estimate the server sheds on, so a
-// router's least-loaded policy and the server's own admission control
-// agree about how busy a node is.
-type HealthStatus struct {
-	// Status is "ok" or "draining".
-	Status   string `json:"status"`
-	Draining bool   `json:"draining"`
-	// QueueDepth/QueueCap and InFlight/Workers are the live pool
-	// occupancy; Saturation folds them into one [0,1+] signal:
-	// (depth+inflight)/(cap+workers).
-	QueueDepth int     `json:"queueDepth"`
-	QueueCap   int     `json:"queueCap"`
-	InFlight   int     `json:"inFlight"`
-	Workers    int     `json:"workers"`
-	Saturation float64 `json:"saturation"`
-	// EstWaitMS is the admission-control wait estimate — the number
-	// the server compares against MaxWait before shedding.
-	EstWaitMS float64 `json:"estWaitMs"`
-}
-
 // ErrorBody is the JSON body of every non-2xx response.
 type ErrorBody struct {
 	Error string `json:"error"`

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/dfm"
 	"repro/internal/obs"
 )
 
@@ -16,10 +15,7 @@ import (
 //
 //	POST /v1/jobs            submit a JobRequest; ?wait=1 blocks for the result
 //	GET  /v1/jobs/{id}       poll a job's status
-//	GET  /v1/jobs/{id}/result  the settled outcome (202 while pending)
-//	GET  /v1/techniques      the technique registry
-//	GET  /healthz            200 serving / 503 draining; ?deep=1 adds
-//	                         queue saturation + drain state (HealthStatus)
+//	GET  /healthz            200 serving / 503 draining
 //	GET  /metrics            server stats + obs registry snapshot
 //
 // Every body is JSON. Overload sheds with 429 plus a Retry-After
@@ -29,8 +25,6 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
-	mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
-	mux.HandleFunc("GET /v1/techniques", s.handleTechniques)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return mux
@@ -192,33 +186,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	writeStatus(w, r, http.StatusOK, st)
 }
 
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.Job(r.PathValue("id"))
-	if !ok {
-		WriteError(w, http.StatusNotFound, "unknown job")
-		return
-	}
-	if st.State != StateDone && st.State != StateFailed {
-		writeStatus(w, r, http.StatusAccepted, st)
-		return
-	}
-	writeStatus(w, r, http.StatusOK, st)
-}
-
-func (s *Server) handleTechniques(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, map[string]any{"techniques": dfm.Techniques()})
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("deep") != "" {
-		h := s.Health()
-		code := http.StatusOK
-		if h.Draining {
-			code = http.StatusServiceUnavailable
-		}
-		WriteJSON(w, code, h)
-		return
-	}
 	if s.draining.Load() {
 		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return

@@ -80,7 +80,7 @@ func resolve(req JobRequest) (resolved, error) {
 // KeyForRequest computes the content address a server would assign
 // this request, without submitting it. It is the one producer of the
 // claim a client sends beside a submission (HeaderRouteKey), by which
-// dfmrouter's affinity policy steers duplicate work to the backend
+// dfmrouter's affinity ring steers duplicate work to the backend
 // that already holds the cached result; because it is the same resolve
 // the server runs, an honest claim and the server-side key can never
 // disagree — and client.EvalTile fails a unit whose settled key does.

@@ -33,17 +33,11 @@ type Config struct {
 	// CacheSize is the result-cache entry cap; default 1024.
 	CacheSize int
 	// DefaultTimeout is the per-job evaluation budget when the
-	// request does not set one; default 2m. MaxTimeout clamps
-	// request-supplied budgets; default 5m.
+	// request does not set one; default 2m.
 	DefaultTimeout time.Duration
-	MaxTimeout     time.Duration
-	// Retries and Backoff are the harness retry policy for transient
-	// workload failures; defaults 1 and 50ms.
+	// Retries is how often the harness retries a transient workload
+	// failure; default 1.
 	Retries int
-	Backoff time.Duration
-	// RetainJobs caps how many settled jobs stay pollable before the
-	// oldest are evicted; default 4096.
-	RetainJobs int
 
 	// TaskFactory overrides job-task construction (tests and contract
 	// suites inject gated tasks to exercise admission and shutdown
@@ -52,6 +46,13 @@ type Config struct {
 	// req.Tile and receive nil and the zero shape.
 	TaskFactory func(req JobRequest, t *tech.Tech, base layout.BlockOpts) (harness.Task, error)
 }
+
+// What the service does not leave to its caller.
+const (
+	maxTimeout   = 5 * time.Minute       // clamp on a request-supplied budget
+	retryBackoff = 50 * time.Millisecond // first harness retry delay
+	retainJobs   = 4096                  // settled jobs kept pollable; past it the oldest are evicted
+)
 
 func (c Config) withDefaults() Config {
 	if c.Workers < 1 {
@@ -69,17 +70,8 @@ func (c Config) withDefaults() Config {
 	if c.DefaultTimeout == 0 {
 		c.DefaultTimeout = 2 * time.Minute
 	}
-	if c.MaxTimeout == 0 {
-		c.MaxTimeout = 5 * time.Minute
-	}
 	if c.Retries == 0 {
 		c.Retries = 1
-	}
-	if c.Backoff == 0 {
-		c.Backoff = 50 * time.Millisecond
-	}
-	if c.RetainJobs == 0 {
-		c.RetainJobs = 4096
 	}
 	if c.TaskFactory == nil {
 		c.TaskFactory = func(req JobRequest, t *tech.Tech, base layout.BlockOpts) (harness.Task, error) {
@@ -193,7 +185,7 @@ func New(cfg Config) *Server {
 			Workers: cfg.Workers,
 			Queue:   cfg.Queue,
 			Retries: cfg.Retries,
-			Backoff: cfg.Backoff,
+			Backoff: retryBackoff,
 		}),
 		baseCtx:    ctx,
 		cancelBase: cancel,
@@ -312,12 +304,12 @@ func (s *Server) submit(req JobRequest) (JobStatus, time.Duration, error) {
 func (s *Server) jobTimeout(ms int64) time.Duration {
 	d := s.cfg.DefaultTimeout
 	if ms > 0 {
-		d = time.Duration(ms) * time.Millisecond
+		// Clamped while still in milliseconds: the conversion overflows
+		// from 9223372036855 ms up, to a negative or zero Duration, which
+		// the harness takes for "no deadline".
+		d = time.Duration(min(ms, int64(maxTimeout/time.Millisecond))) * time.Millisecond
 	}
-	if d > s.cfg.MaxTimeout {
-		d = s.cfg.MaxTimeout
-	}
-	return d
+	return min(d, maxTimeout)
 }
 
 // estimatedWait projects how long a newly queued job would sit before
@@ -456,7 +448,7 @@ func (j *job) statusLocked() JobStatus {
 func (s *Server) trackLocked(j *job) {
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
-	for len(s.jobs) > s.cfg.RetainJobs && len(s.order) > 0 {
+	for len(s.jobs) > retainJobs && len(s.order) > 0 {
 		oldest, ok := s.jobs[s.order[0]]
 		if ok && oldest.state != StateDone && oldest.state != StateFailed {
 			break // never evict a live job
@@ -516,27 +508,6 @@ func (s *Server) Stats() Stats {
 		EWMAMS:      float64(s.ewmaNs.Load()) / 1e6,
 		Draining:    s.draining.Load(),
 	}
-}
-
-// Health snapshots the deep-health signals: drain state plus live
-// queue occupancy and the admission wait estimate.
-func (s *Server) Health() HealthStatus {
-	h := HealthStatus{
-		Status:     "ok",
-		Draining:   s.draining.Load(),
-		QueueDepth: s.pool.QueueDepth(),
-		QueueCap:   s.pool.QueueCap(),
-		InFlight:   s.pool.InFlight(),
-		Workers:    s.pool.Workers(),
-		EstWaitMS:  float64(s.estimatedWait()) / 1e6,
-	}
-	if h.Draining {
-		h.Status = "draining"
-	}
-	if denom := h.QueueCap + h.Workers; denom > 0 {
-		h.Saturation = float64(h.QueueDepth+h.InFlight) / float64(denom)
-	}
-	return h
 }
 
 // Shutdown drains the service: new submissions are rejected with 503,

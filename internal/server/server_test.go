@@ -266,12 +266,12 @@ func TestUnknownTechniqueAndTechRejected(t *testing.T) {
 }
 
 func TestJobRetentionEvictsOldestSettled(t *testing.T) {
-	cfg, gate := gatedConfig(Config{Workers: 1, Queue: 4, MaxWait: time.Hour, RetainJobs: 2})
+	cfg, gate := gatedConfig(Config{Workers: 1, Queue: 4, MaxWait: time.Hour})
 	s := New(cfg)
 	defer s.Shutdown(context.Background())
 	close(gate)
 	var ids []string
-	for i := 0; i < 4; i++ {
+	for i := 0; i < retainJobs+2; i++ {
 		st, _, err := s.submit(req(int64(100 + i)))
 		if err != nil {
 			t.Fatal(err)
@@ -284,8 +284,35 @@ func TestJobRetentionEvictsOldestSettled(t *testing.T) {
 	if _, ok := s.Job(ids[0]); ok {
 		t.Fatal("oldest settled job survived past the retention cap")
 	}
-	if _, ok := s.Job(ids[3]); !ok {
+	if _, ok := s.Job(ids[2]); !ok {
+		t.Fatal("a settled job inside the retention cap was evicted")
+	}
+	if _, ok := s.Job(ids[len(ids)-1]); !ok {
 		t.Fatal("newest job was evicted")
+	}
+}
+
+// A request's timeoutMs is clamped to maxTimeout before it becomes a
+// Duration: 9223372036855 ms wraps negative and 1<<62 ms wraps to zero,
+// and the harness runs a task whose timeout is not positive with no
+// deadline at all.
+func TestJobTimeoutClampsBeforeConverting(t *testing.T) {
+	s := New(Config{DefaultTimeout: time.Minute})
+	defer s.Shutdown(context.Background())
+	for _, c := range []struct {
+		ms   int64
+		want time.Duration
+	}{
+		{1, time.Millisecond},
+		{1000, time.Second},
+		{int64(maxTimeout/time.Millisecond) + 1, maxTimeout},
+		{9223372036855, maxTimeout},
+		{1 << 62, maxTimeout},
+		{-1, time.Minute},
+	} {
+		if got := s.jobTimeout(c.ms); got != c.want {
+			t.Errorf("timeoutMs %d: budget %v, want %v", c.ms, got, c.want)
+		}
 	}
 }
 

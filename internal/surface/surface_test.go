@@ -26,6 +26,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -303,10 +304,43 @@ func name(o types.Object) string {
 	return o.Pkg().Name() + "." + o.Name()
 }
 
-func TestEveryExportAnswersToACaller(t *testing.T) {
+// source is one parsed file and where it stands: the import path of the
+// package it belongs to (for a test, the package it tests) and whether
+// it is production code of internal/*.
+type source struct {
+	file       *ast.File
+	path       string
+	production bool
+}
+
+// tree is the module type-checked once for every test in this package.
+type tree struct {
+	l     *loader
+	root  string
+	files []source
+}
+
+var (
+	loadOnce sync.Once
+	loaded   *tree
+	loadErr  error
+)
+
+// load type-checks every directory holding Go files as a package of the
+// root module, or the one package of the benchmark module, which its
+// go.mod's replace line makes a client of the same sources.
+func load(t *testing.T) *tree {
+	loadOnce.Do(func() { loaded, loadErr = loadTree() })
+	if loadErr != nil {
+		t.Fatal(loadErr)
+	}
+	return loaded
+}
+
+func loadTree() (*tree, error) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	fset := token.NewFileSet()
 	l := &loader{
@@ -320,11 +354,8 @@ func TestEveryExportAnswersToACaller(t *testing.T) {
 			Types: map[ast.Expr]types.TypeAndValue{},
 		},
 	}
-	g := &graph{edges: map[types.Object][]types.Object{}}
+	tr := &tree{l: l, root: root}
 
-	// Every directory holding Go files is a package of the root module,
-	// or the one package of the benchmark module, which its go.mod's
-	// replace line makes a client of the same sources.
 	var paths []string
 	err = filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
@@ -340,23 +371,19 @@ func TestEveryExportAnswersToACaller(t *testing.T) {
 		return nil
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	for _, path := range paths {
 		bp, err := build.Default.ImportDir(l.dir(path), 0)
 		if _, noGo := err.(*build.NoGoError); err != nil && !noGo {
-			t.Fatal(err)
+			return nil, err
 		}
 		if len(bp.GoFiles) > 0 {
 			if _, err := l.Import(path); err != nil {
-				t.Fatal(err)
+				return nil, err
 			}
 			for _, f := range l.prod[path].files {
-				if strings.HasPrefix(path, internal) {
-					g.addProduction(l.info, f)
-				} else {
-					g.add(l.info, f, nil, path)
-				}
+				tr.files = append(tr.files, source{f, path, strings.HasPrefix(path, internal)})
 			}
 		}
 		// A package's tests are checked against a second copy of its
@@ -370,14 +397,36 @@ func TestEveryExportAnswersToACaller(t *testing.T) {
 			files := l.parse(bp.Dir, names)
 			l.check(as, append(l.parse(bp.Dir, with), files...))
 			for _, f := range files {
-				g.add(l.info, f, nil, path)
+				tr.files = append(tr.files, source{f, path, false})
 			}
 		}
 		tests(path, bp.TestGoFiles, bp.GoFiles)
 		tests(path+"_test", bp.XTestGoFiles, nil)
 	}
 	if len(l.errs) > 0 {
-		t.Fatalf("type-checking the module:\n%s", strings.Join(l.errs, "\n"))
+		return nil, fmt.Errorf("type-checking the module:\n%s", strings.Join(l.errs, "\n"))
+	}
+	return tr, nil
+}
+
+// where is how a failure points at a declaration: path from the module
+// root and line.
+func (tr *tree) where(pos token.Pos) string {
+	p := tr.l.fset.Position(pos)
+	rel, _ := filepath.Rel(tr.root, p.Filename)
+	return fmt.Sprintf("%s:%d", filepath.ToSlash(rel), p.Line)
+}
+
+func TestEveryExportAnswersToACaller(t *testing.T) {
+	tr := load(t)
+	l := tr.l
+	g := &graph{edges: map[types.Object][]types.Object{}}
+	for _, s := range tr.files {
+		if s.production {
+			g.addProduction(l.info, s.file)
+		} else {
+			g.add(l.info, s.file, nil, s.path)
+		}
 	}
 
 	// What the rule is about: every package-level object and method of
@@ -420,9 +469,7 @@ func TestEveryExportAnswersToACaller(t *testing.T) {
 	for _, o := range objs {
 		found[name(o)] = true
 		if o.Exported() && !seen[o] {
-			pos := fset.Position(o.Pos())
-			rel, _ := filepath.Rel(root, pos.Filename)
-			dead = append(dead, fmt.Sprintf("%s %s:%d", name(o), filepath.ToSlash(rel), pos.Line))
+			dead = append(dead, name(o)+" "+tr.where(o.Pos()))
 		}
 	}
 	sort.Strings(dead)
@@ -438,4 +485,146 @@ func TestEveryExportAnswersToACaller(t *testing.T) {
 	if len(allow) > 10 {
 		t.Errorf("allowlist has %d entries, the limit is 10", len(allow))
 	}
+}
+
+// allowFields is the allowlist of the field rule: option fields no
+// caller sets that stay fields anyway, one reason each. Five at most.
+var allowFields = map[string]string{
+	"router.Config.Transport": "the seam router tests put a fault-injecting or counting RoundTripper through; production dials for itself",
+	"router.Config.Seed":      "fixes the retry jitter so router tests can assert a failover order and timing",
+	"dfm.Config.Hook":         "the per-attempt seam dfm tests inject faults through (faultinject); production runs with none",
+}
+
+// isOptionStruct reports whether a type is a bag of options by this
+// tree's naming: a struct of internal/* called …Config, …Opts or
+// …Options.
+func isOptionStruct(tn *types.TypeName) (*types.Struct, bool) {
+	n := tn.Name()
+	if !strings.HasSuffix(n, "Config") && !strings.HasSuffix(n, "Opts") && !strings.HasSuffix(n, "Options") {
+		return nil, false
+	}
+	st, ok := tn.Type().Underlying().(*types.Struct)
+	return st, ok
+}
+
+// fieldOf returns the struct field an expression selects, or nil.
+func fieldOf(info *types.Info, e ast.Expr) *types.Var {
+	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+	if !ok {
+		return nil
+	}
+	if v, ok := info.Uses[sel.Sel].(*types.Var); ok && v.IsField() {
+		return v
+	}
+	return nil
+}
+
+// setters records every field of another package that a file gives a
+// value to: a keyed or positional composite literal, an assignment or
+// ++/-- through a selector, or the field's address handed to someone
+// who will write through it (flag.IntVar(&cfg.N, …)). Reading a field
+// sets nothing.
+func setters(info *types.Info, s source, set map[*types.Var]bool) {
+	mark := func(v *types.Var) {
+		if v != nil && v.Pkg() != nil && v.Pkg().Path() != s.path {
+			set[v.Origin()] = true
+		}
+	}
+	ast.Inspect(s.file, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CompositeLit:
+			t := info.Types[n].Type
+			if t == nil {
+				return true
+			}
+			st, ok := t.Underlying().(*types.Struct)
+			if !ok {
+				return true
+			}
+			for i, el := range n.Elts {
+				if kv, ok := el.(*ast.KeyValueExpr); ok {
+					if id, ok := kv.Key.(*ast.Ident); ok {
+						v, _ := info.Uses[id].(*types.Var)
+						mark(v)
+					}
+				} else if i < st.NumFields() {
+					mark(st.Field(i))
+				}
+			}
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				mark(fieldOf(info, lhs))
+			}
+		case *ast.IncDecStmt:
+			mark(fieldOf(info, n.X))
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				mark(fieldOf(info, n.X))
+			}
+		}
+		return true
+	})
+}
+
+// TestEveryOptionFieldAnswersToASetter is the same question one level
+// down: an exported field of an option struct of internal/* is an
+// option only if some caller — a file of cmd/, examples/, benchmark/ or
+// the root package, or another package's code or tests — gives it a
+// value. A field nobody sets has one value, its default, and is a
+// constant with a doc comment and a zero-means-default branch attached.
+func TestEveryOptionFieldAnswersToASetter(t *testing.T) {
+	tr := load(t)
+	set := map[*types.Var]bool{}
+	for _, s := range tr.files {
+		setters(tr.l.info, s, set)
+	}
+	var unset []string
+	found := map[string]bool{}
+	total := 0
+	for path, p := range tr.l.prod {
+		if !strings.HasPrefix(path, internal) {
+			continue
+		}
+		scope := p.types.Scope()
+		for _, n := range scope.Names() {
+			tn, ok := scope.Lookup(n).(*types.TypeName)
+			if !ok {
+				continue
+			}
+			st, ok := isOptionStruct(tn)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				if !f.Exported() {
+					continue
+				}
+				total++
+				id := p.types.Name() + "." + tn.Name() + "." + f.Name()
+				found[id] = true
+				_, allowed := allowFields[id]
+				switch {
+				case allowed && set[f]:
+					t.Errorf("allowFields[%q] is stale: the field has a setter without it", id)
+				case !allowed && !set[f]:
+					unset = append(unset, id+" "+tr.where(f.Pos()))
+				}
+			}
+		}
+	}
+	sort.Strings(unset)
+	if len(unset) > 0 {
+		t.Errorf("%d of %d exported option fields of internal/* that nothing outside their own package's tests sets (make it a constant or add the caller):\n%s",
+			len(unset), total, strings.Join(unset, "\n"))
+	}
+	for id := range allowFields {
+		if !found[id] {
+			t.Errorf("allowFields[%q] is stale: no such field", id)
+		}
+	}
+	if len(allowFields) > 5 {
+		t.Errorf("field allowlist has %d entries, the limit is 5", len(allowFields))
+	}
+	t.Logf("%d exported option fields", total)
 }

@@ -5,11 +5,10 @@ import (
 	"sort"
 )
 
-// Config controls surrogate training and gating. The zero value is
-// not usable directly; WithDefaults fills unset fields. Config is
-// part of the tile content address (the same model settings must
-// yield the same results fleet-wide), so every field is JSON-tagged
-// and deterministic.
+// Config controls which windows train the surrogate. Config is part
+// of the tile content address (the same settings must yield the same
+// results fleet-wide), so every field is JSON-tagged and
+// deterministic.
 type Config struct {
 	// Seed drives the training-sample choice. Same seed + same window
 	// set => bit-identical model and gate decisions.
@@ -17,67 +16,41 @@ type Config struct {
 	// SampleFrac is the fraction of non-empty windows simulated
 	// exactly for training+holdout (default 0.05).
 	SampleFrac float64 `json:"sample_frac,omitempty"`
-	// MinSample / MaxSample clamp the sample size (default 48 / 512).
+	// MinSample is the floor on the sample size (default 48).
 	MinSample int `json:"min_sample,omitempty"`
-	MaxSample int `json:"max_sample,omitempty"`
-	// HoldoutEvery sends every k-th sampled window to the calibration
-	// holdout instead of the training set (default 3).
-	HoldoutEvery int `json:"holdout_every,omitempty"`
-	// Rounds / LearnRate are the boosting hyperparameters
-	// (default 64 / 0.3).
-	Rounds    int     `json:"rounds,omitempty"`
-	LearnRate float64 `json:"learn_rate,omitempty"`
-	// MaxClean is the hard ceiling on the skip threshold: a window
-	// only skips when its predicted hotspot count is below this
-	// (default 0.25).
-	MaxClean float64 `json:"max_clean,omitempty"`
-	// CleanMargin shrinks the threshold toward the lowest score the
-	// model assigned any dirty training window: TClean =
-	// min(MaxClean, CleanMargin * minDirtyScore) (default 0.5).
-	CleanMargin float64 `json:"clean_margin,omitempty"`
 }
 
-// WithDefaults returns a copy with unset fields at their defaults.
-func (c Config) WithDefaults() Config {
-	if c.SampleFrac <= 0 {
-		c.SampleFrac = 0.05
-	}
-	if c.MinSample <= 0 {
-		c.MinSample = 48
-	}
-	if c.MaxSample <= 0 {
-		c.MaxSample = 512
-	}
-	if c.HoldoutEvery <= 0 {
-		c.HoldoutEvery = 3
-	}
-	if c.Rounds <= 0 {
-		c.Rounds = 64
-	}
-	if c.LearnRate <= 0 {
-		c.LearnRate = 0.3
-	}
-	if c.MaxClean <= 0 {
-		c.MaxClean = 0.25
-	}
-	if c.CleanMargin <= 0 {
-		c.CleanMargin = 0.5
-	}
-	return c
-}
+const (
+	maxSample = 512 // ceiling on the sample size
+	// rounds and learnRate are the boosting hyperparameters.
+	rounds    = 64
+	learnRate = 0.3
+	// maxClean is the hard ceiling on the skip threshold: a window only
+	// skips when its predicted hotspot count is below this.
+	maxClean = 0.25
+	// cleanMargin shrinks the threshold toward the lowest score the
+	// model assigned any dirty training window: TClean =
+	// min(maxClean, cleanMargin * minDirtyScore).
+	cleanMargin = 0.5
+)
 
 // SampleIndices picks the deterministic training sample from n
 // candidate windows: a seeded permutation prefix, returned sorted
 // ascending so downstream iteration order never depends on the
 // permutation's internal order.
 func SampleIndices(cfg Config, n int) []int {
-	cfg = cfg.WithDefaults()
+	if cfg.SampleFrac <= 0 {
+		cfg.SampleFrac = 0.05
+	}
+	if cfg.MinSample <= 0 {
+		cfg.MinSample = 48
+	}
 	k := int(float64(n)*cfg.SampleFrac + 0.5)
 	if k < cfg.MinSample {
 		k = cfg.MinSample
 	}
-	if k > cfg.MaxSample {
-		k = cfg.MaxSample
+	if k > maxSample {
+		k = maxSample
 	}
 	if k > n {
 		k = n
@@ -96,14 +69,13 @@ type Gate struct {
 
 // NewGate trains a model on (X, y) — y is the exact hotspot count
 // per window — and derives the skip threshold. The threshold starts
-// at cfg.MaxClean and shrinks toward the lowest score the model gives
+// at maxClean and shrinks toward the lowest score the model gives
 // any dirty training window, so a model that barely separates clean
 // from dirty gets a conservative gate that skips little rather than
 // an unsafe one.
-func NewGate(cfg Config, X []Features, y []float64) *Gate {
-	cfg = cfg.WithDefaults()
-	m := Train(X, y, cfg.Rounds, cfg.LearnRate)
-	t := cfg.MaxClean
+func NewGate(X []Features, y []float64) *Gate {
+	m := Train(X, y, rounds, learnRate)
+	t := maxClean
 	minDirty := -1.0
 	for i := range X {
 		if y[i] > 0 {
@@ -113,8 +85,8 @@ func NewGate(cfg Config, X []Features, y []float64) *Gate {
 			}
 		}
 	}
-	if minDirty >= 0 && cfg.CleanMargin*minDirty < t {
-		t = cfg.CleanMargin * minDirty
+	if minDirty >= 0 && cleanMargin*minDirty < t {
+		t = cleanMargin * minDirty
 	}
 	return &Gate{Model: m, TClean: t}
 }

@@ -44,8 +44,8 @@ func synthWindows(seed int64, n int) ([]Features, []float64) {
 // predictions.
 func TestTrainDeterministic(t *testing.T) {
 	X, y := synthWindows(3, 300)
-	m1 := Train(X, y, 64, 0.3)
-	m2 := Train(X, y, 64, 0.3)
+	m1 := Train(X, y, rounds, learnRate)
+	m2 := Train(X, y, rounds, learnRate)
 	b1, err := json.Marshal(m1)
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +71,7 @@ func TestTrainDeterministic(t *testing.T) {
 // above clean ones on its own training set.
 func TestTrainSeparates(t *testing.T) {
 	X, y := synthWindows(4, 400)
-	m := Train(X, y, 64, 0.3)
+	m := Train(X, y, rounds, learnRate)
 	var cleanSum, dirtySum float64
 	var nc, nd int
 	for i := range X {
@@ -163,9 +163,9 @@ func TestSampleIndicesDeterministic(t *testing.T) {
 	if got := SampleIndices(cfg, 10); len(got) != 10 {
 		t.Fatalf("n=10 sampled %d windows", len(got))
 	}
-	// MaxSample caps huge populations.
-	if got := SampleIndices(cfg, 100000); len(got) != cfg.WithDefaults().MaxSample {
-		t.Fatalf("n=100000 sampled %d windows, want MaxSample", len(got))
+	// maxSample caps huge populations.
+	if got := SampleIndices(cfg, 100000); len(got) != maxSample {
+		t.Fatalf("n=100000 sampled %d windows, want maxSample", len(got))
 	}
 }
 
@@ -182,7 +182,7 @@ func sortedAscending(xs []int) bool {
 // window must fall through to exact.
 func TestGateNeverSkipsGuarded(t *testing.T) {
 	X, y := synthWindows(5, 300)
-	g := NewGate(Config{Seed: 1}, X, y)
+	g := NewGate(X, y)
 	win := geom.R(0, 0, 12000, 12000)
 	f := WindowFeatures(win, 1000, []geom.Rect{geom.R(0, 0, 200, 30)}, nil, 42, 42)
 	if !Guarded(f) {
@@ -194,19 +194,18 @@ func TestGateNeverSkipsGuarded(t *testing.T) {
 }
 
 // TestGateThresholdShrinks: with dirty training windows scored low,
-// the threshold must shrink below MaxClean.
+// the threshold must shrink below maxClean.
 func TestGateThresholdShrinks(t *testing.T) {
 	X, y := synthWindows(6, 300)
-	cfg := Config{Seed: 1}.WithDefaults()
-	g := NewGate(cfg, X, y)
-	if g.TClean > cfg.MaxClean {
-		t.Fatalf("TClean %.3f above MaxClean %.3f", g.TClean, cfg.MaxClean)
+	g := NewGate(X, y)
+	if g.TClean > maxClean {
+		t.Fatalf("TClean %.3f above maxClean %.3f", g.TClean, maxClean)
 	}
 	// All-clean training set: threshold stays at the ceiling.
 	clean := make([]float64, len(y))
-	g2 := NewGate(cfg, X, clean)
-	if g2.TClean != cfg.MaxClean {
-		t.Fatalf("all-clean TClean %.3f, want MaxClean %.3f", g2.TClean, cfg.MaxClean)
+	g2 := NewGate(X, clean)
+	if g2.TClean != maxClean {
+		t.Fatalf("all-clean TClean %.3f, want maxClean %.3f", g2.TClean, maxClean)
 	}
 }
 
@@ -269,8 +268,7 @@ func TestCalibrate(t *testing.T) {
 // TestConfigRoundTrip: the gating config is part of the content
 // address and must survive JSON exactly.
 func TestConfigRoundTrip(t *testing.T) {
-	cfg := Config{Seed: 42, SampleFrac: 0.1, MinSample: 16, MaxSample: 99,
-		HoldoutEvery: 4, Rounds: 10, LearnRate: 0.2, MaxClean: 0.3, CleanMargin: 0.7}
+	cfg := Config{Seed: 42, SampleFrac: 0.1, MinSample: 16}
 	b, err := json.Marshal(cfg)
 	if err != nil {
 		t.Fatal(err)

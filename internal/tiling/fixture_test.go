@@ -16,7 +16,6 @@ func testPlan(t *tech.Tech, o Opts, densLayers []tech.Layer) *plan {
 		Schema: TileSchema, Tech: *t,
 		DRC: o.DRC, Density: o.Density, DensityWindow: o.DensityWindow,
 		DensityLayers: densLayers, Cond: o.HotspotCond,
-		MinWidth: o.MinWidth, MinSpace: o.MinSpace,
 		Interior: o.HotspotInterior, Surrogate: o.Surrogate,
 	}}
 }

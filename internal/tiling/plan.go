@@ -71,20 +71,11 @@ type scanPlan struct {
 	bbox   geom.Rect // grid anchor: an edit that moves it re-phases every window
 	swins  []geom.Rect
 	extPad int64
-	opts   litho.ScanOpts // thresholds resolved against litho.ScanDefaults
+	opts   litho.ScanOpts // thresholds are the layer's litho.ScanDefaults
 }
 
 func newScanPlan(t *tech.Tech, o Opts, l tech.Layer, bbox geom.Rect) scanPlan {
-	minW, minS := o.MinWidth, o.MinSpace
-	if minW == 0 || minS == 0 {
-		dw, ds := litho.ScanDefaults(t, l)
-		if minW == 0 {
-			minW = dw
-		}
-		if minS == 0 {
-			minS = ds
-		}
-	}
+	minW, minS := litho.ScanDefaults(t, l)
 	return scanPlan{
 		layer: l, bbox: bbox, swins: litho.ScanGrid(bbox),
 		extPad: litho.ScanPadNM + litho.SimPadNM(t.Optics, o.HotspotCond.Defocus) +
@@ -116,7 +107,7 @@ func newPlan(t *tech.Tech, ex *Extractor, o Opts) *plan {
 	p.tmpl = TileRequest{
 		Schema: TileSchema, Tech: *t,
 		DRC: o.DRC, Density: o.Density, DensityWindow: o.DensityWindow,
-		Cond: o.HotspotCond, MinWidth: o.MinWidth, MinSpace: o.MinSpace,
+		Cond:     o.HotspotCond,
 		Interior: o.HotspotInterior, Surrogate: o.Surrogate,
 	}
 	for _, dw := range p.densRules {

@@ -187,14 +187,14 @@ func (s *layerScan) gated(ctx context.Context, cfg surrogate.Config) (rep *surro
 	surrogate.CSampled.Add(int64(len(sample)))
 	rep.Sampled = len(sample)
 
-	// Train/holdout split in sample order: every HoldoutEvery-th
+	// Train/holdout split in sample order: every holdoutEvery-th
 	// sampled window calibrates instead of training.
-	c := cfg.WithDefaults()
+	const holdoutEvery = 3
 	var trainX, holdX []surrogate.Features
 	var trainY, holdY []float64
 	for k, i := range sample {
 		y := float64(len(s.perWin[i]))
-		if (k+1)%c.HoldoutEvery == 0 && len(sample) > c.HoldoutEvery {
+		if (k+1)%holdoutEvery == 0 && len(sample) > holdoutEvery {
 			holdX = append(holdX, feats[i])
 			holdY = append(holdY, y)
 		} else {
@@ -213,7 +213,7 @@ func (s *layerScan) gated(ctx context.Context, cfg surrogate.Config) (rep *surro
 			rep.HoldoutDirty++
 		}
 	}
-	gate := surrogate.NewGate(cfg, trainX, trainY)
+	gate := surrogate.NewGate(trainX, trainY)
 	surrogate.CTrained.Inc()
 	rep.TClean = gate.TClean
 	rep.MAPE, rep.Pearson, rep.Precision, rep.Recall = surrogate.Calibrate(gate, holdX, holdY)

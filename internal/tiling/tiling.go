@@ -53,9 +53,6 @@ type Opts struct {
 	Hotspots []tech.Layer
 	// HotspotCond is the exposure condition (default litho.Nominal).
 	HotspotCond litho.Condition
-	// MinWidth/MinSpace are the printed-fail thresholds; 0 means the
-	// per-layer litho.ScanDefaults.
-	MinWidth, MinSpace int64
 	// HotspotInterior keeps only pinch markers interior to drawn
 	// geometry (true necks), dropping line-end pull-back markers —
 	// see litho.InteriorDefect. Bridges are unaffected.
@@ -581,7 +578,7 @@ func EvaluateFlat(stdctx context.Context, t *tech.Tech, top *layout.Cell, o Opts
 	for _, hl := range o.Hotspots {
 		if o.Surrogate == nil && !o.HotspotInterior {
 			// Legacy exact path, kept verbatim as the oracle baseline.
-			hs, err := litho.ScanLayerCtx(stdctx, tctx.Layers[hl], t, hl, o.HotspotCond, o.MinWidth, o.MinSpace)
+			hs, err := litho.ScanLayerCtx(stdctx, tctx.Layers[hl], t, hl, o.HotspotCond, 0, 0)
 			if err != nil {
 				return nil, err
 			}

@@ -116,7 +116,7 @@ func startRouter(t *testing.T) *deployment {
 	// not the retry machinery — a shed from the node must surface as
 	// the router's own 429, immediately.
 	r, err := router.New(router.Config{
-		Backends: []string{"http://" + ln.Addr().String()}, Policy: "round-robin",
+		Backends:      []string{"http://" + ln.Addr().String()},
 		CheckInterval: time.Hour, MaxAttempts: 1,
 		Logf: func(string, ...any) {},
 	})
@@ -237,17 +237,29 @@ func TestContract(t *testing.T) {
 // suite runs every contract check against one deployment. Order
 // matters only for the final overload check, which plugs the worker.
 func suite(t *testing.T, d *deployment) {
-	t.Run("techniques", func(t *testing.T) {
-		resp, err := http.Get(d.url + "/v1/techniques")
+	// A route needs a client: the two nothing called are gone from both
+	// tiers and answer as any path neither serves does, and ?deep=1 is
+	// an unknown parameter of the one health probe there is.
+	t.Run("unknown-route", func(t *testing.T) {
+		for _, path := range []string{"/v1/techniques", "/v1/jobs/j-000001/result", "/v1/jobs/n0.j-000001/result", "/v1/nope"} {
+			resp, err := http.Get(d.url + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Errorf("GET %s = %d, want 404", path, resp.StatusCode)
+			}
+		}
+		resp, err := http.Get(d.url + "/healthz?deep=1")
 		if err != nil {
 			t.Fatal(err)
 		}
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status = %d, want 200", resp.StatusCode)
+			t.Fatalf("GET /healthz?deep=1 = %d, want the shallow probe's 200", resp.StatusCode)
 		}
-		names := decode[map[string][]string](t, resp)
-		if len(names["techniques"]) != 8 {
-			t.Fatalf("techniques = %v, want the 8-entry registry", names)
+		if h := decode[map[string]any](t, resp); h["status"] != "ok" || h["queueCap"] != nil {
+			t.Errorf("GET /healthz?deep=1 body %v, want the shallow probe's", h)
 		}
 	})
 
@@ -277,13 +289,8 @@ func suite(t *testing.T, d *deployment) {
 		if pst.ID != st.ID {
 			t.Fatalf("poll echoed ID %q, submitted as %q", pst.ID, st.ID)
 		}
-		rr, err := http.Get(d.url + "/v1/jobs/" + st.ID + "/result")
-		if err != nil {
-			t.Fatal(err)
-		}
-		rst := decode[server.JobStatus](t, rr)
-		if rr.StatusCode != http.StatusOK || rst.Result == nil {
-			t.Fatalf("result of %q: status %d body %+v", st.ID, rr.StatusCode, rst)
+		if pst.State != server.StateDone || pst.Result == nil {
+			t.Fatalf("poll of settled %q: %+v", st.ID, pst)
 		}
 		// Duplicate submit: same key, served from cache.
 		dup := postJSON(t, d.url+"/v1/jobs?wait=1", server.JobRequest{Technique: "sraf", Seed: 1})

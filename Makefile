@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: tier1 check build vet test race-fast fuzz-smoke cover-kernel cover-engine drcprofile editprofile fleetprofile lithoprofile bench bench-smoke examples-smoke fmt-check unit-check
+.PHONY: tier1 check build vet test race-fast fuzz-smoke cover-kernel cover-engine drcprofile editprofile fleetprofile lithoprofile bench bench-smoke examples-smoke docs-check fmt-check unit-check
 
 # benchmark/ is a module of its own, so ./... above never reaches it;
 # without this an exported-name change breaks the benchmark silently.
@@ -27,6 +27,7 @@ tier1: ## build + vet + gofmt gate + full tests under the race detector
 	$(MAKE) cover-engine
 	$(MAKE) bench-smoke
 	$(MAKE) examples-smoke
+	$(MAKE) docs-check
 	$(GO) vet -C benchmark . && $(GO) test -C benchmark .
 
 check: ## quick gate: build + vet + full tests (no race detector)
@@ -149,15 +150,26 @@ lithoprofile: ## ns/op of the generator's scan window and of the wall-to-wall on
 	$(GO) tool pprof -top -cum -nodecount=40 -show='litho\.|runtime\.memclr|runtime\.mallocgc' $(LITHOPROFILE_DIR)/repro.test $(LITHOPROFILE_DIR)/cpu.prof
 	$(GO) tool pprof -sample_index=alloc_space -top -cum -nodecount=25 -show='litho\.|runtime\.memclr|runtime\.mallocgc' $(LITHOPROFILE_DIR)/repro.test $(LITHOPROFILE_DIR)/mem.prof
 
-bench: ## every root-module benchmark, time and allocations only; writes no file (records come from `bash benchmark/run.sh`)
+bench: ## every root-module benchmark (BenchmarkExperiment/<id> times the paper's experiments), time and allocations only; writes no file and regenerates no table (records come from `bash benchmark/run.sh`, the tables from `go test -run TestExperimentTables -update .`)
 	$(GO) test -run='^$$' -bench=. -benchmem .
 
-bench-smoke: ## one iteration of the five kernel micro-rows, of the tile wire codec and of the tile key, so the gate executes the benchmarks and does not merely compile them
+bench-smoke: ## one iteration of the five kernel micro-rows, of one experiment of the table, of the tile wire codec and of the tile key, so the gate executes the benchmarks and does not merely compile them
 	$(GO) test -run='^$$' -bench='^Benchmark(GeomBoolean|DRCBlock|BitmapOpen|ScanWindow|ScanWindowDense)$$' -benchtime=1x .
+	$(GO) test -run='^$$' -bench='^BenchmarkExperiment$$/^F5$$' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='^BenchmarkTile(Wire|Key)$$' -benchtime=1x -benchmem ./internal/tiling
+
+# The same run is part of `go test ./...`; the target names it. A flag
+# no command passes fails the test beside it, TestEveryFlagAnswersToASetter.
+docs-check: ## fail, by file and line, on a path, Make target, go test regexp, test or benchmark name, or binary flag in README.md, DESIGN.md, doc.go, the verify skill or EXPERIMENTS.md above R1 that nothing in the tree answers to
+	$(GO) test -count=1 -run 'TestDocsNameWhatExists' ./internal/surface
 
 # internal/surface counts examples/* as callers (examples/quickstart is
 # the reason internal/lvs is in the tree), and an example that only
-# compiles is a dead caller.
-examples-smoke: ## run each examples/* program once and require exit 0; nothing is asserted about what they print
-	@for d in examples/*/; do echo "$(GO) run ./$$d"; $(GO) run ./$$d >/dev/null || exit 1; done
+# compiles is a dead caller. All five are seeded and print no timings, so
+# what they print is held to a committed file: examples/viayield and
+# examples/dptflow re-type the T1 and F5 loops, and the copy a user runs
+# must not drift from the rows testdata/experiments.golden pins.
+examples-smoke: ## run each examples/* program once, require exit 0 and diff what it prints against its examples/<name>/output.golden
+	@for d in examples/*/; do echo "$(GO) run ./$$d | diff $${d}output.golden -"; \
+		out=$$($(GO) run ./$$d) || exit 1; \
+		printf '%s\n' "$$out" | diff $${d}output.golden - || exit 1; done

@@ -9,8 +9,7 @@
 // Usage:
 //
 //	dfmload [-addr URL | -selfserve | -cluster N] [-rate R] [-duration D]
-//	        [-dup F] [-unique N] [-techniques a,b] [-seed N] [-timeout D]
-//	        [-retries N] [-wait-ready D]
+//	        [-dup F] [-unique N] [-techniques a,b] [-seed N] [-retries N]
 //	        [-kill D] [-restart D]   (cluster mode)
 //
 // Cluster mode (-cluster N) starts N in-process dfmd backends behind
@@ -79,13 +78,16 @@ type loadCfg struct {
 	unique     int
 	techniques []string
 	seed       int64
-	timeout    time.Duration
 	retries    int
-	waitReady  time.Duration
 
 	chip      bool
 	chipRects int64
 }
+
+const (
+	requestTimeout = 30 * time.Second // per-request client budget
+	waitReady      = 10 * time.Second // how long /healthz is polled for the server to come up
+)
 
 func main() {
 	addr := flag.String("addr", "http://127.0.0.1:9517", "dfmd (or dfmrouter) base URL")
@@ -99,9 +101,7 @@ func main() {
 	unique := flag.Int("unique", 16, "distinct workload seeds to draw from")
 	techniques := flag.String("techniques", "sraf", "comma-separated techniques to request")
 	seed := flag.Int64("seed", 1, "generator seed (same seed, same request stream)")
-	timeout := flag.Duration("timeout", 30*time.Second, "per-request client timeout")
 	retries := flag.Int("retries", 0, "client-side retries per request (client.EvalWithRetry)")
-	waitReady := flag.Duration("wait-ready", 10*time.Second, "poll /healthz this long for the server to come up")
 	chip := flag.Bool("chip", false, "cluster mode: run the distributed full-chip tiling experiment instead of the open-loop technique load")
 	chipRects := flag.Int64("chiprects", 150_000, "chip mode: target flattened rect count per chip")
 	flag.Parse()
@@ -111,8 +111,7 @@ func main() {
 		kill: *kill, restart: *restart,
 		rate: *rate, duration: *duration, dup: *dup, unique: *unique,
 		techniques: strings.Split(*techniques, ","), seed: *seed,
-		timeout: *timeout, retries: *retries, waitReady: *waitReady,
-		chip: *chip, chipRects: *chipRects,
+		retries: *retries, chip: *chip, chipRects: *chipRects,
 	}
 	var err error
 	if cfg.chip {
@@ -153,7 +152,7 @@ func run(cfg loadCfg) error {
 
 	// Readiness: a cold dfmd (or one still binding) answers within
 	// the wait-ready budget; the clock starts only once it does.
-	readyCtx, cancel := context.WithTimeout(context.Background(), cfg.waitReady)
+	readyCtx, cancel := context.WithTimeout(context.Background(), waitReady)
 	defer cancel()
 	for {
 		if err := c.Healthz(readyCtx); err == nil {
@@ -161,7 +160,7 @@ func run(cfg loadCfg) error {
 		}
 		select {
 		case <-readyCtx.Done():
-			return fmt.Errorf("server at %s not ready within %v", cfg.addr, cfg.waitReady)
+			return fmt.Errorf("server at %s not ready within %v", cfg.addr, waitReady)
 		case <-time.After(100 * time.Millisecond):
 		}
 	}
@@ -221,7 +220,7 @@ func run(cfg loadCfg) error {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), cfg.timeout)
+			ctx, cancel := context.WithTimeout(context.Background(), requestTimeout)
 			defer cancel()
 			t0 := time.Now()
 			st, err := c.EvalWithRetry(ctx, reqs[i], retryPolicy)
@@ -345,7 +344,7 @@ func runFleetChip(cfg loadCfg) error {
 		return err
 	}
 	defer cl.Stop()
-	if err := cl.WaitReady(cfg.waitReady); err != nil {
+	if err := cl.WaitReady(waitReady); err != nil {
 		return err
 	}
 	fmt.Printf("fleet chip: %d backends behind the router at %s\n", cfg.cluster, cl.URL)

@@ -12,7 +12,7 @@
 //
 // Usage:
 //
-//	dfmscore [-seed N] [-detail] [-json] [-parallel N] [-timeout D] [-retries N] [-metrics FILE]
+//	dfmscore [-seed N] [-detail] [-json] [-timeout D] [-retries N] [-metrics FILE]
 //	         [-cpuprofile FILE] [-memprofile FILE]
 //
 // -metrics enables the observability registry for the run and writes
@@ -24,9 +24,8 @@
 // experiment — generate an SoC floorplan and evaluate it through the
 // halo-tiled engine:
 //
-//	dfmscore -chip [-chiprects N | -chipslots N] [-tile NM] [-halo NM]
-//	         [-chipcache N] [-chipflat] [-chiphotspots] [-seed N] [-parallel N] [-json]
-//	         [-cluster N]
+//	dfmscore -chip [-chiprects N | -chipslots N] [-chipcache N] [-chipflat]
+//	         [-chiphotspots] [-seed N] [-json] [-cluster N]
 //
 // -chipflat additionally runs the flatten-everything baseline and
 // fails (exit 1) unless the streamed result matches it exactly; only
@@ -71,26 +70,20 @@ func run() int {
 	seed := flag.Int64("seed", 11, "workload generation seed")
 	detail := flag.Bool("detail", false, "print every metric, not just the primary")
 	asJSON := flag.Bool("json", false, "emit the scorecard as JSON")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent technique evaluations (1 = sequential)")
 	timeout := flag.Duration("timeout", 2*time.Minute, "per-technique wall-clock budget (0 = none)")
 	retries := flag.Int("retries", 1, "extra attempts for retryable workload failures")
 	metrics := flag.String("metrics", "", "write the run's metrics snapshot to this file (\"-\" = stdout)")
 	chip := flag.Bool("chip", false, "full-chip mode: generate an SoC floorplan and run the tiled streaming evaluation")
 	chipRects := flag.Int64("chiprects", 1_000_000, "chip mode: target flattened rect count (ignored when -chipslots > 0)")
 	chipSlots := flag.Int("chipslots", 0, "chip mode: floorplan grid side (overrides -chiprects)")
-	chipDefects := flag.Int("chipdefects", 8, "chip mode: injected spacing defects")
-	tile := flag.Int64("tile", 24000, "chip mode: core tile size, nm")
-	halo := flag.Int64("halo", 2000, "chip mode: DRC context halo, nm")
 	chipCache := flag.Int("chipcache", 8192, "chip mode: result cache entries (0 disables reuse)")
 	chipFlat := flag.Bool("chipflat", false, "chip mode: also run the flat baseline and verify an exact match")
 	chipHot := flag.Bool("chiphotspots", false, "chip mode: include the metal1 litho hotspot scan")
 	chipHotDef := flag.Int("chiphotdefects", 0, "chip mode: injected litho defect structures (pinch necks + bridge pad pairs)")
-	chipInterior := flag.Bool("chipinterior", false, "chip mode: keep only interior (true-neck) pinch hotspots, dropping line-end pull-back markers")
-	chipSurr := flag.Bool("chipsurrogate", false, "chip mode: gate the hotspot scan with the uncertainty-gated ML surrogate (implies -chipinterior)")
+	chipSurr := flag.Bool("chipsurrogate", false, "chip mode: gate the hotspot scan with the uncertainty-gated ML surrogate (and keep only interior, true-neck pinch hotspots, dropping line-end pull-back markers)")
 	chipDens := flag.Bool("chipdensity", true, "chip mode: include the density-window deck (its violation list dominates memory on sparse floorplans)")
 	cluster := flag.Int("cluster", 0, "chip mode: fan tiles across N in-process dfmd backends behind a dfmrouter")
 	repairFlag := flag.Bool("repair", false, "chip mode: run the in-design score-and-repair loop (weighted DFM score, auto-fixes, incremental re-evaluation)")
-	fixRounds := flag.Int("fixrounds", 2, "repair mode: propose-check-apply-rescore rounds")
 	repairDef := flag.Int("chiprepairdefects", 4, "repair mode: injected repairable via sites (under-enclosed pads + single cuts)")
 	deltaBench := flag.Bool("deltabench", false, "repair mode: time the incremental dirty-region re-evaluation against a from-scratch run of the repaired chip")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -120,11 +113,10 @@ func run() int {
 	t := tech.N45()
 	if *chip {
 		if err := runChip(ctx, t, chipConfig{
-			seed: *seed, rects: *chipRects, slots: *chipSlots, defects: *chipDefects,
-			tile: *tile, halo: *halo, cache: *chipCache, flat: *chipFlat,
-			hotspots: *chipHot, hotDefects: *chipHotDef, interior: *chipInterior,
-			surrogate: *chipSurr, density: *chipDens, workers: *parallel, asJSON: *asJSON,
-			cluster: *cluster, repair: *repairFlag, fixRounds: *fixRounds, repairDefects: *repairDef,
+			seed: *seed, rects: *chipRects, slots: *chipSlots, cache: *chipCache, flat: *chipFlat,
+			hotspots: *chipHot, hotDefects: *chipHotDef,
+			surrogate: *chipSurr, density: *chipDens, asJSON: *asJSON,
+			cluster: *cluster, repair: *repairFlag, repairDefects: *repairDef,
 			deltaBench: *deltaBench,
 		}); err != nil {
 			fmt.Fprintln(os.Stderr, "dfmscore:", err)
@@ -144,7 +136,7 @@ func run() int {
 	}
 
 	sc := dfm.RunAllConfig(ctx, t, *seed, dfm.Config{
-		Parallel: *parallel,
+		Parallel: runtime.GOMAXPROCS(0),
 		Timeout:  *timeout,
 		Retries:  *retries,
 		Backoff:  250 * time.Millisecond,
@@ -185,28 +177,43 @@ func run() int {
 
 // chipConfig carries the -chip flag set.
 type chipConfig struct {
-	seed    int64
-	rects   int64
-	slots   int
-	defects int
-	tile    int64
-	halo    int64
-	cache   int
-	flat    bool
+	seed  int64
+	rects int64
+	slots int
+	cache int
+	flat  bool
 
 	hotspots   bool
 	hotDefects int
-	interior   bool
 	surrogate  bool
 	density    bool
-	workers    int
 	asJSON     bool
 	cluster    int
 
 	repair        bool
-	fixRounds     int
 	repairDefects int
 	deltaBench    bool
+}
+
+// What every chip run uses; each was a flag no command ever passed.
+const (
+	chipDefects = 8     // injected spacing defects
+	chipTile    = 24000 // core tile size, nm
+	chipHalo    = 2000  // DRC context halo, nm
+	fixRounds   = 2     // repair mode: propose-check-apply-rescore rounds
+)
+
+// chipTiling is the engine configuration both chip modes start from.
+func chipTiling(cfg chipConfig) tiling.Opts {
+	o := tiling.Opts{
+		Tile: chipTile, Halo: chipHalo, Workers: runtime.GOMAXPROCS(0),
+		DRC: true, Density: cfg.density, DensityWindow: 3000,
+		MaxViolations: 100_000,
+	}
+	if cfg.hotspots {
+		o.Hotspots = []tech.Layer{tech.Metal1}
+	}
+	return o
 }
 
 // runChip executes the full-chip streaming experiment and prints its
@@ -216,15 +223,7 @@ func runChip(ctx context.Context, t *tech.Tech, cfg chipConfig) error {
 	if cfg.repair || cfg.deltaBench {
 		return runRepair(ctx, t, cfg)
 	}
-	topts := tiling.Opts{
-		Tile: cfg.tile, Halo: cfg.halo, Workers: cfg.workers,
-		DRC: true, Density: cfg.density, DensityWindow: 3000,
-		MaxViolations: 100_000,
-	}
-	if cfg.hotspots {
-		topts.Hotspots = []tech.Layer{tech.Metal1}
-	}
-	topts.HotspotInterior = cfg.interior
+	topts := chipTiling(cfg)
 	if cfg.surrogate {
 		// The gate only pays off once line-end pull-back markers are
 		// filtered — with them, every macro window is dirty and nothing
@@ -238,7 +237,7 @@ func runChip(ctx context.Context, t *tech.Tech, cfg chipConfig) error {
 	o := dfm.ChipEvalOpts{
 		Chip: layout.ChipOpts{
 			Seed: cfg.seed, Slots: cfg.slots, TargetRects: cfg.rects,
-			Defects: cfg.defects, HotspotDefects: cfg.hotDefects,
+			Defects: chipDefects, HotspotDefects: cfg.hotDefects,
 		},
 		Tiling:      topts,
 		CompareFlat: cfg.flat,
@@ -284,7 +283,7 @@ func runChip(ctx context.Context, t *tech.Tech, cfg chipConfig) error {
 			float64(rep.Info.Die.Width())/1e6, float64(rep.Info.Die.Height())/1e6,
 			rep.Info.Rects, rep.GenElapsed.Round(time.Millisecond))
 		fmt.Printf("  tiles:     %d (%d empty), tile %dnm halo %dnm, %.1f tiles/s, %v total\n",
-			st.Tiles, st.EmptyTiles, cfg.tile, cfg.halo, rep.TilesPerSec,
+			st.Tiles, st.EmptyTiles, chipTile, chipHalo, rep.TilesPerSec,
 			rep.Elapsed.Round(time.Millisecond))
 		if st.TileHits+st.TileMisses > 0 {
 			fmt.Printf("  reuse:     %d/%d tile hits (%.0f%%), %d window hits\n",
@@ -364,25 +363,17 @@ func runRepair(ctx context.Context, t *tech.Tech, cfg chipConfig) error {
 	if cfg.cluster > 0 {
 		return fmt.Errorf("-repair runs in-process (in-design loop); drop -cluster")
 	}
-	topts := tiling.Opts{
-		Tile: cfg.tile, Halo: cfg.halo, Workers: cfg.workers,
-		DRC: true, Density: cfg.density, DensityWindow: 3000,
-		MaxViolations: 100_000,
-	}
-	if cfg.hotspots {
-		topts.Hotspots = []tech.Layer{tech.Metal1}
-		topts.HotspotInterior = cfg.interior
-	}
+	topts := chipTiling(cfg)
 	l, info, err := layout.GenerateChip(t, layout.ChipOpts{
 		Seed: cfg.seed, Slots: cfg.slots, TargetRects: cfg.rects,
-		Defects: cfg.defects, HotspotDefects: cfg.hotDefects,
+		Defects: chipDefects, HotspotDefects: cfg.hotDefects,
 		RepairDefects: cfg.repairDefects,
 	})
 	if err != nil {
 		return err
 	}
 	start := time.Now()
-	out, err := repair.Run(ctx, t, l.Top, repair.Opts{Eval: topts, Rounds: cfg.fixRounds})
+	out, err := repair.Run(ctx, t, l.Top, repair.Opts{Eval: topts, Rounds: fixRounds})
 	if err != nil {
 		return err
 	}

@@ -1,11 +1,11 @@
-// Command drccheck runs the standard DRC deck (and optionally the
-// density deck) over a layout file in the godfm text format, or over a
-// freshly generated block.
+// Command drccheck runs the standard DRC deck over a layout file in the
+// godfm text format, or over a freshly generated block, and prints the
+// count per rule and the first violations.
 //
 // Usage:
 //
-//	drccheck [-density] [-max N] layout.txt
-//	drccheck -gen -seed 7 -rows 4 -width 12000
+//	drccheck layout.txt
+//	drccheck -gen -seed 7
 package main
 
 import (
@@ -21,19 +21,15 @@ import (
 func main() {
 	gen := flag.Bool("gen", false, "generate a block instead of reading a file")
 	seed := flag.Int64("seed", 1, "generation seed")
-	rows := flag.Int("rows", 4, "generated rows")
-	width := flag.Int64("width", 12000, "generated row width, nm")
-	nets := flag.Int("nets", 20, "generated signal nets")
-	density := flag.Bool("density", false, "also run density windows")
-	maxPrint := flag.Int("max", 20, "violations to print")
 	flag.Parse()
+	const maxPrint = 20 // violations to print
 
 	var l *layout.Layout
 	var err error
 	switch {
 	case *gen:
 		l, err = layout.GenerateBlock(tech.N45(), layout.BlockOpts{
-			Rows: *rows, RowWidth: *width, Nets: *nets, MaxFan: 4, Seed: *seed,
+			Rows: 4, RowWidth: 12000, Nets: 20, MaxFan: 4, Seed: *seed,
 		})
 	case flag.NArg() == 1:
 		var f *os.File
@@ -43,7 +39,7 @@ func main() {
 			l, err = layout.Read(f)
 		}
 	default:
-		fmt.Fprintln(os.Stderr, "usage: drccheck [-density] layout.txt | drccheck -gen [-seed N]")
+		fmt.Fprintln(os.Stderr, "usage: drccheck layout.txt | drccheck -gen [-seed N]")
 		os.Exit(2)
 	}
 	if err != nil {
@@ -65,22 +61,11 @@ func main() {
 		}
 	}
 	for i, v := range res.Violations {
-		if i >= *maxPrint {
-			fmt.Printf("  ... %d more\n", res.Count()-*maxPrint)
+		if i >= maxPrint {
+			fmt.Printf("  ... %d more\n", res.Count()-maxPrint)
 			break
 		}
 		fmt.Println(" ", v)
-	}
-
-	if *density {
-		dres := drc.DensityDeck(t, 5000).Run(ctx)
-		fmt.Printf("density windows: %d violations\n", dres.Count())
-		for i, v := range dres.Violations {
-			if i >= *maxPrint {
-				break
-			}
-			fmt.Println(" ", v)
-		}
 	}
 	if res.Count() > 0 {
 		os.Exit(1)

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	lithosim [-layer metal1] [-defocus 0] [-dose 1.0] layout.txt
-//	lithosim -lines -w 70 -s 70 -n 7        (line/space test pattern)
+//	lithosim -lines [-fem]                  (seven 70 nm lines at 70 nm space)
 //
 // -metrics FILE enables the observability registry and writes its
 // JSON snapshot (raster-cache hits/misses, blur passes, buffer-pool
@@ -22,7 +22,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/layout"
 	"repro/internal/litho"
-	"repro/internal/metrology"
 	"repro/internal/obs"
 	"repro/internal/tech"
 )
@@ -32,13 +31,7 @@ func main() {
 	defocus := flag.Float64("defocus", 0, "defocus, nm")
 	dose := flag.Float64("dose", 1.0, "relative dose")
 	lines := flag.Bool("lines", false, "simulate a line/space pattern instead of a file")
-	w := flag.Int64("w", 70, "line width for -lines")
-	s := flag.Int64("s", 70, "line space for -lines")
-	n := flag.Int("n", 7, "line count for -lines")
 	fem := flag.Bool("fem", false, "print the focus-exposure matrix of the center feature")
-	metro := flag.Bool("metro", false, "generate and execute a design-driven metrology plan")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	metrics := flag.String("metrics", "", "write the metrics snapshot to this file at exit (\"-\" = stdout)")
 	flag.Parse()
 
@@ -51,24 +44,14 @@ func main() {
 		}()
 	}
 
-	stopProfiles, err := obs.StartProfiles(*cpuprofile, *memprofile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lithosim:", err)
-		os.Exit(1)
-	}
-	defer func() {
-		if err := stopProfiles(); err != nil {
-			fmt.Fprintln(os.Stderr, "lithosim:", err)
-		}
-	}()
-
 	t := tech.N45()
+	layer := tech.Metal1
 	var rs []geom.Rect
 	name := ""
 	switch {
 	case *lines:
-		cell := layout.LineSpace(t, tech.Metal1, *w, *s, 3000, *n)
-		rs = cell.LayerRects(tech.Metal1)
+		cell := layout.LineSpace(t, layer, 70, 70, 3000, 7)
+		rs = cell.LayerRects(layer)
 		name = cell.Name
 	case flag.NArg() == 1:
 		f, err := os.Open(flag.Arg(0))
@@ -85,8 +68,7 @@ func main() {
 		if l.Tech != nil {
 			t = l.Tech
 		}
-		layer, err := tech.ParseLayer(*layerName)
-		if err != nil {
+		if layer, err = tech.ParseLayer(*layerName); err != nil {
 			fmt.Fprintln(os.Stderr, "lithosim:", err)
 			os.Exit(1)
 		}
@@ -118,7 +100,7 @@ func main() {
 		fmt.Println("center point does not print")
 	}
 
-	hs := litho.ScanLayer(rs, t, tech.Metal1, cond, 0, 0)
+	hs := litho.ScanLayer(rs, t, layer, cond, 0, 0)
 	fmt.Printf("hotspots: %d\n", len(hs))
 	for i, h := range hs {
 		if i >= 15 {
@@ -126,19 +108,6 @@ func main() {
 			break
 		}
 		fmt.Println(" ", h)
-	}
-
-	if *metro {
-		plan := metrology.GeneratePlan(rs, tech.Metal1)
-		full := litho.Simulate(rs, bb.Bloat(200), t.Optics, cond)
-		ms := metrology.Execute(plan, full, metrology.DefaultTool(), 1)
-		st := metrology.Summarize(ms)
-		fmt.Println(plan)
-		for _, k := range []metrology.SiteKind{metrology.LineWidth, metrology.SpaceWidth, metrology.LineEnd} {
-			s := st[k]
-			fmt.Printf("  %-8s n=%-4d valid=%-4d meanErr=%+.2fnm sigma=%.2fnm\n",
-				k, s.N, s.Valid, s.MeanErr, s.Sigma)
-		}
 	}
 
 	if *fem {

@@ -4,8 +4,8 @@
 //
 // Usage:
 //
-//	patscan [-layer metal1] [-radius 200] a.txt [b.txt]
-//	patscan -gen -seed 1 [-seed2 2]
+//	patscan [-layer metal1] a.txt [b.txt]
+//	patscan -gen                            (two generated blocks, seeds 1 and 2)
 package main
 
 import (
@@ -21,11 +21,9 @@ import (
 
 func main() {
 	layerName := flag.String("layer", "metal1", "layer to catalog")
-	radius := flag.Int64("radius", 200, "pattern window radius, nm")
 	gen := flag.Bool("gen", false, "generate blocks instead of reading files")
-	seed := flag.Int64("seed", 1, "generation seed for design A")
-	seed2 := flag.Int64("seed2", 2, "generation seed for design B")
 	flag.Parse()
+	const radius = 200 // pattern window radius, nm
 
 	layer, err := tech.ParseLayer(*layerName)
 	if err != nil {
@@ -37,7 +35,7 @@ func main() {
 	var names []string
 	switch {
 	case *gen:
-		for _, s := range []int64{*seed, *seed2} {
+		for _, s := range []int64{1, 2} {
 			l, err := layout.GenerateBlock(tech.N45(), layout.BlockOpts{
 				Rows: 3, RowWidth: 8000, Nets: 12, MaxFan: 3, Seed: s,
 			})
@@ -71,10 +69,10 @@ func main() {
 
 	cats := make([]*pattern.Catalog, len(layers))
 	for i, rs := range layers {
-		cats[i] = pattern.NewCatalog(*radius)
+		cats[i] = pattern.NewCatalog(radius)
 		n := cats[i].AddLayer(rs)
 		fmt.Printf("%s (%s, r=%d): %d anchors, %d classes\n",
-			names[i], layer, *radius, n, cats[i].NumClasses())
+			names[i], layer, radius, n, cats[i].NumClasses())
 		for _, k := range []int{1, 5, 10, 20} {
 			fmt.Printf("  top-%-3d coverage: %.1f%%\n", k, 100*cats[i].Coverage(k))
 		}

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	yieldest [-mc 20000] [-dvia] layout.txt
-//	yieldest -gen -seed 3
+//	yieldest -gen [-mc 20000] [-dvia]
 package main
 
 import (
@@ -24,7 +24,6 @@ import (
 
 func main() {
 	gen := flag.Bool("gen", false, "generate a block instead of reading a file")
-	seed := flag.Int64("seed", 1, "generation seed")
 	mc := flag.Int("mc", 0, "Monte Carlo defect trials (0 = skip)")
 	whatIf := flag.Bool("dvia", false, "evaluate redundant-via insertion")
 	flag.Parse()
@@ -34,7 +33,7 @@ func main() {
 	switch {
 	case *gen:
 		l, err = layout.GenerateBlock(tech.N45(), layout.BlockOpts{
-			Rows: 4, RowWidth: 12000, Nets: 25, MaxFan: 4, Seed: *seed,
+			Rows: 4, RowWidth: 12000, Nets: 25, MaxFan: 4, Seed: 1,
 		})
 	case flag.NArg() == 1:
 		var f *os.File

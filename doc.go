@@ -12,5 +12,6 @@
 //   - cmd/yieldest   — critical-area yield estimation
 //   - cmd/patscan    — layout pattern catalogs
 //   - examples/      — quickstart and four domain flows
-//   - bench_test.go  — one benchmark per experiment (T1..T7, F1..F6)
+//   - experiments_test.go — the experiments (T1..T7, F1..F6, ablations) as
+//     one table, held to testdata/experiments.golden; bench_test.go times
 package repro

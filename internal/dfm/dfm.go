@@ -36,6 +36,9 @@ func (m Metric) Gain() float64 {
 		base = 1
 	}
 	d := (m.After - m.Before) / base
+	if d == 0 {
+		return 0 // not -0: an unchanged lower-is-better metric prints "0.0%"
+	}
 	if !m.HigherIsBetter {
 		d = -d
 	}
@@ -118,21 +121,13 @@ func (o *Outcome) Judge(hitGain, costCap float64) {
 	}
 }
 
-// Default judging thresholds: a 5% primary-metric gain at under 10%
-// cost makes a hit.
-const (
-	DefaultHitGain = 0.05
-	DefaultCostCap = 0.10
-)
-
 // Scorecard collects outcomes.
 type Scorecard struct {
 	Outcomes []Outcome
 }
 
 // Add appends an outcome as-is. Judging is the evaluator's job —
-// every Eval* calls Judge with technique-specific thresholds before
-// returning.
+// every Eval* judges from its row of thresholds before returning.
 func (s *Scorecard) Add(o Outcome) {
 	s.Outcomes = append(s.Outcomes, o)
 }
@@ -163,6 +158,9 @@ func (s *Scorecard) Detail() string {
 	for _, o := range s.Outcomes {
 		fmt.Fprintf(&b, "== %s [%s] cost=%.2f%% (%s) runtime=%v\n",
 			o.Technique, o.Verdict, 100*o.CostFrac, o.CostNote, o.Runtime.Round(time.Millisecond))
+		if th, ok := thresholdOf(o.Technique); ok {
+			fmt.Fprintf(&b, "   %s: %s\n", th.Bar(), th.Why)
+		}
 		if o.Err != nil {
 			fmt.Fprintf(&b, "   error[%s]: %v\n", errKind(o.Err), o.Err)
 			var he *harness.Error

@@ -2,6 +2,7 @@ package dfm
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -21,11 +22,53 @@ func TestMetricGain(t *testing.T) {
 		{Metric{Before: 100, After: 90, HigherIsBetter: true}, -0.10},
 		{Metric{Before: 100, After: 90, HigherIsBetter: false}, 0.10},
 		{Metric{Before: 0, After: 1, HigherIsBetter: true}, 1},
+		// Nothing changed: +0 either way, never the -0 that negating a
+		// lower-is-better difference yields.
+		{Metric{Before: 0, After: 0, HigherIsBetter: false}, 0},
+		{Metric{Before: 3, After: 3, HigherIsBetter: false}, 0},
+		{Metric{Before: 3, After: 3, HigherIsBetter: true}, 0},
 	}
 	for i, c := range cases {
-		if got := c.m.Gain(); got < c.want-1e-9 || got > c.want+1e-9 {
+		got := c.m.Gain()
+		if got < c.want-1e-9 || got > c.want+1e-9 {
 			t.Errorf("case %d: Gain = %v, want %v", i, got, c.want)
 		}
+		if got == 0 && math.Signbit(got) {
+			t.Errorf("case %d: Gain = -0, want +0", i)
+		}
+	}
+}
+
+// TestTablePrintsUnchangedAsZero: a technique whose baseline has nothing
+// to fix (dpt-decomposition at seeds 9 and 15) reads "0.0%", not "-0.0%".
+func TestTablePrintsUnchangedAsZero(t *testing.T) {
+	sc := &Scorecard{Outcomes: []Outcome{{
+		Technique: "dpt-decomposition",
+		Metrics:   []Metric{{Name: "unprintable adjacencies", Unit: "count", Primary: true}},
+	}}}
+	if tbl := sc.Table(); !strings.Contains(tbl, "     0.0%") || strings.Contains(tbl, "-0.0%") {
+		t.Errorf("unchanged metric does not print as 0.0%%:\n%s", tbl)
+	}
+}
+
+// TestThresholdsCoverEveryTechnique: the verdict bars are one table, in
+// scorecard order, and Detail prints the row each verdict was judged on.
+func TestThresholdsCoverEveryTechnique(t *testing.T) {
+	ths := Thresholds()
+	if len(ths) != len(techniqueDefs) {
+		t.Fatalf("%d thresholds for %d techniques", len(ths), len(techniqueDefs))
+	}
+	for i, d := range techniqueDefs {
+		if th := ths[i]; th.Technique != d.name || th.HitGain <= 0 || th.CostCap <= 0 || th.Why == "" {
+			t.Errorf("thresholds[%d] = %+v, want a complete row for %s", i, th, d.name)
+		}
+	}
+	o := Outcome{Technique: "dummy-fill", CostFrac: 0.284,
+		Metrics: []Metric{{Name: "density sigma", Before: 0.09, After: 0.03, Primary: true}}}
+	o.judge()
+	det := (&Scorecard{Outcomes: []Outcome{o}}).Detail()
+	if o.Verdict != Hit || !strings.Contains(det, "HIT at gain >= 10% and cost <= 40%") {
+		t.Errorf("dummy-fill at 28.4%% cost: verdict %v, detail:\n%s", o.Verdict, det)
 	}
 }
 

@@ -66,6 +66,6 @@ func EvalDPT(ctx context.Context, t *tech.Tech, opts layout.BlockOpts) (o Outcom
 		o.CostFrac = float64(overlap) / float64(total)
 	}
 	o.CostNote = "stitch overlays (CD variability at every stitch)"
-	o.Judge(0.10, 0.10)
+	o.judge()
 	return o
 }

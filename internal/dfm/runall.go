@@ -104,6 +104,52 @@ var techniqueDefs = []techniqueDef{
 	}},
 }
 
+// Threshold is the bar one technique's verdict is judged against: a
+// primary-metric gain of at least HitGain at a cost of at most CostCap
+// is a HIT (Outcome.Judge has the other two verdicts).
+type Threshold struct {
+	Technique        string
+	HitGain, CostCap float64
+	Why              string
+}
+
+// thresholds is the one table of verdict bars, in scorecard order.
+// Every Eval* judges from its row and Scorecard.Detail prints it.
+var thresholds = []Threshold{
+	{"redundant-via", 0.02, 0.10, "chip yield moves in points, and extra cuts cost no area"},
+	{"dummy-fill", 0.10, 0.40, "fill is dead metal, electrically cheap, so the cost cap is loose"},
+	{"model-opc", 0.30, 0.10, "correction must remove most of the raw error to earn its mask data and compute"},
+	{"sraf", 0.15, 0.10, "assists must buy visible through-focus stability for their MRC burden"},
+	{"drc-plus", 0.10, 0.10, "a pattern deck must catch what plain DRC misses to earn its upkeep"},
+	{"litho-aware-timing", 0.02, 0.10, "a slack error of 2% of the period is a speed bin"},
+	{"restricted-rules", 0.05, 0.10, "area is the bill the panel argued over; more than 10% of it is not a clear win"},
+	{"dpt-decomposition", 0.10, 0.10, "decomposition must separate the adjacencies; stitch overlap is the cost"},
+}
+
+// Thresholds returns the verdict bars in canonical scorecard order.
+// The slice is fresh on every call.
+func Thresholds() []Threshold { return append([]Threshold(nil), thresholds...) }
+
+// Bar renders the threshold pair.
+func (th Threshold) Bar() string {
+	return fmt.Sprintf("HIT at gain >= %.0f%% and cost <= %.0f%%", 100*th.HitGain, 100*th.CostCap)
+}
+
+func thresholdOf(technique string) (Threshold, bool) {
+	for _, th := range thresholds {
+		if th.Technique == technique {
+			return th, true
+		}
+	}
+	return Threshold{}, false
+}
+
+// judge sets the verdict from the technique's row of thresholds.
+func (o *Outcome) judge() {
+	th, _ := thresholdOf(o.Technique)
+	o.Judge(th.HitGain, th.CostCap)
+}
+
 // Techniques returns the technique names in canonical scorecard
 // order. The slice is fresh on every call.
 func Techniques() []string {

@@ -26,7 +26,7 @@ import (
 
 // Technique evaluators: each applies one DFM technology to a synthetic
 // workload and returns before/after metrics. These are the experiment
-// engines behind the T/F benchmarks in bench_test.go.
+// engines behind the T/F experiments in experiments_test.go.
 //
 // Every evaluator takes a context and honors cancellation at the
 // checkpoints of its heavy inner loops (litho simulation, OPC
@@ -104,7 +104,7 @@ func EvalRedundantVia(ctx context.Context, t *tech.Tech, opts layout.BlockOpts) 
 	}
 	o.CostFrac = 0 // cuts only; no area, no timing
 	o.CostNote = fmt.Sprintf("%d extra cuts, %d landing bars", g.AddedCuts, len(g.Report.AddedShapes)-g.AddedCuts)
-	o.Judge(0.02, 0.10)
+	o.judge()
 	return o
 }
 
@@ -161,7 +161,7 @@ func EvalDummyFill(ctx context.Context, t *tech.Tech, opts layout.BlockOpts) (o 
 		o.CostFrac = float64(tileArea) / float64(a)
 	}
 	o.CostNote = fmt.Sprintf("%d dummy tiles (dead metal; electrically cheap, so the cost cap is loose)", len(tiles))
-	o.Judge(0.10, 0.40)
+	o.judge()
 	return o
 }
 
@@ -215,7 +215,7 @@ func EvalOPCAccuracy(ctx context.Context, t *tech.Tech) (o Outcome) {
 	}
 
 	// Inverse OPC is compared on the isolated structure it is scoped
-	// for (see BenchmarkAblationILTvsModel); the pixel solver's hinge
+	// for (see the ilt-vs-model experiment); the pixel solver's hinge
 	// bands overlap on sub-2*Band dense pitches, where edge-based OPC
 	// remains the production answer.
 	o.Metrics = []Metric{
@@ -224,7 +224,7 @@ func EvalOPCAccuracy(ctx context.Context, t *tech.Tech) (o Outcome) {
 	}
 	o.CostFrac = 0
 	o.CostNote = "mask data volume and OPC compute"
-	o.Judge(0.30, 0.10)
+	o.judge()
 	return o
 }
 
@@ -291,7 +291,7 @@ func EvalSRAF(ctx context.Context, t *tech.Tech) (o Outcome) {
 	}
 	o.CostFrac = 0
 	o.CostNote = "mask complexity (assist shapes), MRC burden"
-	o.Judge(0.15, 0.10)
+	o.judge()
 	return o
 }
 
@@ -412,7 +412,7 @@ func EvalDRCPlus(ctx context.Context, t *tech.Tech, trainSeed, testSeed int64) (
 	}
 	o.CostFrac = 0
 	o.CostNote = fmt.Sprintf("%d pattern rules to maintain; %d matches to review", matcher.Len(), len(matches))
-	o.Judge(0.10, 0.10)
+	o.judge()
 	return o
 }
 
@@ -544,7 +544,7 @@ func EvalLithoTiming(ctx context.Context, t *tech.Tech, netSeed int64) (o Outcom
 	}
 	o.CostFrac = 0
 	o.CostNote = "litho simulation + extraction in the signoff loop"
-	o.Judge(0.02, 0.10)
+	o.judge()
 	return o
 }
 
@@ -648,6 +648,6 @@ func EvalRestrictedRules(ctx context.Context, t *tech.Tech) (o Outcome) {
 		o.CostFrac = (aRestr - aBase) / aBase
 	}
 	o.CostNote = "area growth under restricted pitches"
-	o.Judge(0.05, 0.10)
+	o.judge()
 	return o
 }

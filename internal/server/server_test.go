@@ -35,7 +35,7 @@ func gatedConfig(cfg Config) (Config, chan struct{}) {
 					HigherIsBetter: true, Primary: true,
 				}},
 			}
-			o.Judge(dfm.DefaultHitGain, dfm.DefaultCostCap)
+			o.Judge(0.05, 0.10)
 			return o, nil
 		}}, nil
 	}

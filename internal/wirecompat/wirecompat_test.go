@@ -82,7 +82,7 @@ func contractConfig(gate chan struct{}) server.Config {
 					HigherIsBetter: true, Primary: true,
 				}},
 			}
-			o.Judge(dfm.DefaultHitGain, dfm.DefaultCostCap)
+			o.Judge(0.05, 0.10)
 			return o, nil
 		}}, nil
 	}

@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: tier1 check build vet test race-fast fuzz-smoke cover-kernel cover-engine drcprofile editprofile fleetprofile lithoprofile bench bench-smoke examples-smoke docs-check fmt-check unit-check
+.PHONY: tier1 check build vet test race-fast fuzz-smoke cover-kernel cover-engine cover-deck drcprofile editprofile fleetprofile lithoprofile bench bench-smoke examples-smoke docs-check fmt-check unit-check
 
 # benchmark/ is a module of its own, so ./... above never reaches it;
 # without this an exported-name change breaks the benchmark silently.
@@ -25,6 +25,7 @@ tier1: ## build + vet + gofmt gate + full tests under the race detector
 	$(MAKE) fuzz-smoke
 	$(MAKE) cover-kernel
 	$(MAKE) cover-engine
+	$(MAKE) cover-deck
 	$(MAKE) bench-smoke
 	$(MAKE) examples-smoke
 	$(MAKE) docs-check
@@ -64,10 +65,11 @@ test:
 race-fast: ## race pass skipping the slow full-scorecard experiments
 	$(GO) test -race -short ./...
 
-fuzz-smoke: ## 20 s of the packed-bitmap morphology fuzzer, 10 s of the sparse-blur fuzzer and 10 s of the boundary-edge fuzzer, each against its oracle; 10 s of the tile wire decoders on arbitrary bytes (no panic, bounded allocation, re-encode is a fixed point with the same key)
+fuzz-smoke: ## 20 s of the packed-bitmap morphology fuzzer, 10 s of the sparse-blur fuzzer and 10 s of the boundary-edge fuzzer, each against its oracle; 10 s of the spatial index, frozen layout against grown against brute force; 10 s of the tile wire decoders on arbitrary bytes (no panic, bounded allocation, re-encode is a fixed point with the same key)
 	$(GO) test -run='^$$' -fuzz=FuzzBitmapMorphology -fuzztime=20s ./internal/litho
 	$(GO) test -run='^$$' -fuzz=FuzzSparseBlur -fuzztime=10s ./internal/litho
 	$(GO) test -run='^$$' -fuzz=FuzzBoundaryEdges -fuzztime=10s ./internal/geom
+	$(GO) test -run='^$$' -fuzz=FuzzIndexQuery -fuzztime=10s ./internal/geom
 	$(GO) test -run='^$$' -fuzz=FuzzTileWire -fuzztime=10s ./internal/tiling
 
 # Where the coverage gates keep their profiles (bin/ is gitignored).
@@ -109,16 +111,26 @@ cover-kernel: ## litho kernel coverage gate: no function of raster.go/sparse.go/
 cover-engine: ## unit path coverage gate: no function of internal/tiling's plan.go/wire.go/key.go at 0 % under the package's own tests
 	$(call cover-gate,cover-engine,./internal/tiling,plan|wire|key,)
 
+# And on what every tile's deck stands on: the index and the boundary
+# extraction under ./internal/geom's own tests, the prepared layer and
+# the rules that ask it under ./internal/drc's. The index has two
+# layouts and a hand-over between them; 90 % of its statements keeps
+# an arm of that from going unexecuted the way the dense blur did.
+cover-deck: ## deck path coverage gate: no function of internal/geom's index.go/edge.go, nor of internal/drc's layer.go/checks.go/density.go, at 0 % under the package's own tests; index.go >= 90 % of statements
+	$(call cover-gate,cover-deck-geom,./internal/geom,index|edge,index)
+	$(call cover-gate,cover-deck-drc,./internal/drc,layer|checks|density,)
+
 # Where drcprofile keeps its binary and profiles (bin/ is gitignored).
 DRCPROFILE_DIR ?= bin/drcprofile
 
-drcprofile: ## CPU + allocation profile of the signoff DRC path (100k-rect chip, no tile cache), drc.* and geom.* by cumulative cost
+drcprofile: ## CPU + allocation profile of the signoff DRC path (100k-rect chip, no tile cache), drc.* and geom.* by cumulative cost; then the counters of what the deck prepared and asked: index bins laid / occupied, endcap gates asked / built
 	@mkdir -p $(DRCPROFILE_DIR)
 	$(GO) build -o $(DRCPROFILE_DIR)/dfmscore ./cmd/dfmscore
-	$(DRCPROFILE_DIR)/dfmscore -chip -chiprects 100000 -chipcache 0 \
+	$(DRCPROFILE_DIR)/dfmscore -chip -chiprects 100000 -chipcache 0 -metrics $(DRCPROFILE_DIR)/metrics.json \
 		-cpuprofile $(DRCPROFILE_DIR)/cpu.prof -memprofile $(DRCPROFILE_DIR)/mem.prof
 	$(GO) tool pprof -top -cum -nodecount=40 -show='drc\.|geom\.' $(DRCPROFILE_DIR)/dfmscore $(DRCPROFILE_DIR)/cpu.prof
 	$(GO) tool pprof -sample_index=alloc_space -top -cum -nodecount=25 -show='drc\.|geom\.' $(DRCPROFILE_DIR)/dfmscore $(DRCPROFILE_DIR)/mem.prof
+	@grep -oE '"(geom\.index\.bins\.(laid|occupied)|drc\.endcap\.gates\.(asked|built))": *[0-9]+' $(DRCPROFILE_DIR)/metrics.json
 
 # Where editprofile keeps its binary and profile (bin/ is gitignored).
 EDITPROFILE_DIR ?= bin/editprofile
@@ -153,10 +165,12 @@ lithoprofile: ## ns/op of the generator's scan window and of the wall-to-wall on
 bench: ## every root-module benchmark (BenchmarkExperiment/<id> times the paper's experiments), time and allocations only; writes no file and regenerates no table (records come from `bash benchmark/run.sh`, the tables from `go test -run TestExperimentTables -update .`)
 	$(GO) test -run='^$$' -bench=. -benchmem .
 
-bench-smoke: ## one iteration of the five kernel micro-rows, of one experiment of the table, of the tile wire codec and of the tile key, so the gate executes the benchmarks and does not merely compile them
+bench-smoke: ## one iteration of the five kernel micro-rows, of one experiment of the table, of the tile wire codec and of the tile key, of the index build (dense and sparse extent) and of the deck and the endcap rule on a tile, so the gate executes the benchmarks and does not merely compile them
 	$(GO) test -run='^$$' -bench='^Benchmark(GeomBoolean|DRCBlock|BitmapOpen|ScanWindow|ScanWindowDense)$$' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='^BenchmarkExperiment$$/^F5$$' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='^BenchmarkTile(Wire|Key)$$' -benchtime=1x -benchmem ./internal/tiling
+	$(GO) test -run='^$$' -bench='^BenchmarkIndexBuildQuery$$' -benchtime=1x -benchmem ./internal/geom
+	$(GO) test -run='^$$' -bench='^Benchmark(DeckTile|Endcap)$$' -benchtime=1x -benchmem ./internal/drc
 
 # The same run is part of `go test ./...`; the target names it. A flag
 # no command passes fails the test beside it, TestEveryFlagAnswersToASetter.

@@ -40,8 +40,7 @@ func main() {
 		len(trainHS), stress.Defocus, stress.Dose)
 
 	// Phase 2: cluster the hotspots into root-cause classes.
-	ix := geom.NewIndex(4 * radius)
-	ix.InsertAll(train)
+	ix := geom.IndexOf(4*radius, train)
 	anchors := pattern.Anchors(train)
 	cl := pattern.NewClusterer(0.75, true)
 	var pats []pattern.Pattern

@@ -198,8 +198,7 @@ var experiments = []experiment{
 		_, m2B, viasB := mk(2)
 		viaCat := func(m2, vias []geom.Rect) *pattern.Catalog {
 			cat := pattern.NewCatalog(150)
-			ix := geom.NewIndex(600)
-			ix.InsertAll(geom.Normalize(m2))
+			ix := geom.IndexOf(600, geom.Normalize(m2))
 			for _, v := range vias {
 				cat.Add(pattern.ExtractAtIndexed(ix, v.Center(), 150), v.Center())
 			}

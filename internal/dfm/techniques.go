@@ -345,8 +345,7 @@ func EvalDRCPlus(ctx context.Context, t *tech.Tech, trainSeed, testSeed int64) (
 	sp = stage("drc-plus", "train")
 	const radius = 200
 	matcher := pattern.NewMatcher(radius)
-	ix := geom.NewIndex(4 * radius)
-	ix.InsertAll(trainM1)
+	ix := geom.IndexOf(4*radius, trainM1)
 	anchors := pattern.Anchors(trainM1)
 	for i, h := range trainHS {
 		a, ok := nearestAnchor(anchors, h.Box.Center(), 400)

@@ -150,8 +150,7 @@ func buildFeatures(rs []geom.Rect) []*Feature {
 		}
 		return x
 	}
-	ix := geom.NewIndex(1024)
-	ix.InsertAll(norm)
+	ix := geom.IndexOf(1024, norm)
 	for i, r := range norm {
 		for _, id := range ix.Query(r) {
 			if id > i {

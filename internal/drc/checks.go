@@ -1,6 +1,7 @@
 package drc
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -8,21 +9,38 @@ import (
 	"repro/internal/tech"
 )
 
-// candidate is a violation marker awaiting dedup, carrying the
-// measured facing distance (dimension scans) or the corner gap pair
-// (corner scans) — whichever the producing scan fills in.
+// candidate is a violation marker awaiting dedup. The marker is the
+// box between the two offenders, so it carries the measurement too: a
+// facing pair of horizontal edges (axis 0) is its height apart, a pair
+// of vertical ones (axis 1) its width, and two corners are its width
+// and height apart.
 type candidate struct {
-	m      geom.Rect
-	d      int64
-	gx, gy int64
+	m    geom.Rect
+	axis uint8
+}
+
+// dist is the distance between the facing edges of a dimension scan's
+// candidate.
+func (c candidate) dist() int64 {
+	if c.axis == 0 {
+		return c.m.Height()
+	}
+	return c.m.Width()
 }
 
 // dedupCandidates sorts candidates into deterministic order and drops
 // duplicate markers in place — the same facing pair is often reachable
 // from several edges, and the sorted-slice dedup replaces a per-scan
-// map[geom.Rect]bool that allocated on every check.
+// map[geom.Rect]bool that allocated on every check. One marker can
+// carry two measurements: an island under the limit both ways is
+// bounded by a horizontal pair and by a vertical pair with the same
+// box between them. The order is total (candidates that compare equal
+// are identical), so which of the two survives does not depend on the
+// order the scan met the edges in: the horizontal pair.
 func dedupCandidates(cs []candidate) []candidate {
-	slices.SortFunc(cs, func(a, b candidate) int { return a.m.Compare(b.m) })
+	slices.SortFunc(cs, func(a, b candidate) int {
+		return cmp.Or(a.m.Compare(b.m), cmp.Compare(a.axis, b.axis))
+	})
 	return slices.CompactFunc(cs, func(a, b candidate) bool { return a.m == b.m })
 }
 
@@ -127,6 +145,7 @@ func dimensionScan(ly *preparedLayer, lim int64, interior bool, mk func(geom.Rec
 			}
 			var marker geom.Rect
 			var dist int64
+			var axis uint8
 			if e.Horizontal() {
 				if f.P0.Y <= e.P0.Y {
 					return true
@@ -147,7 +166,7 @@ func dimensionScan(ly *preparedLayer, lim int64, interior bool, mk func(geom.Rec
 				if y0 >= y1 {
 					return true
 				}
-				dist = f.P0.X - e.P0.X
+				dist, axis = f.P0.X-e.P0.X, 1
 				marker = geom.R(e.P0.X, y0, f.P0.X, y1)
 			}
 			if dist >= lim {
@@ -162,13 +181,13 @@ func dimensionScan(ly *preparedLayer, lim int64, interior bool, mk func(geom.Rec
 			if !interior && cov != 0 {
 				return true
 			}
-			cands = append(cands, candidate{m: marker, d: dist})
+			cands = append(cands, candidate{m: marker, axis: axis})
 			return true
 		})
 	}
 	var out []Violation
 	for _, c := range dedupCandidates(cands) {
-		out = append(out, mk(c.m, c.d))
+		out = append(out, mk(c.m, c.dist()))
 	}
 	return out
 }
@@ -201,7 +220,7 @@ func cornerScan(ly *preparedLayer, s int64, rule string, layer tech.Layer) []Vio
 			if ly.clipArea(marker) != 0 {
 				return true
 			}
-			cands = append(cands, candidate{m: marker, gx: gx, gy: gy})
+			cands = append(cands, candidate{m: marker})
 			return true
 		})
 	}
@@ -211,7 +230,7 @@ func cornerScan(ly *preparedLayer, s int64, rule string, layer tech.Layer) []Vio
 			Rule:   rule,
 			Layer:  layer,
 			Marker: c.m,
-			Detail: fmt.Sprintf("corner gap (%d,%d) < %d", c.gx, c.gy, s),
+			Detail: fmt.Sprintf("corner gap (%d,%d) < %d", c.m.Width(), c.m.Height(), s),
 		})
 	}
 	return out

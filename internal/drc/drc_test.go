@@ -2,6 +2,7 @@ package drc
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -428,6 +429,64 @@ func TestDeckRunsConcurrentlyOnOneContext(t *testing.T) {
 		got := deck.RunCtx(context.Background(), NewContext(tt, flat), 8)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("parallel run differs from sequential: %v vs %v", got.ByRule, want.ByRule)
+		}
+	}
+}
+
+// An island under the width limit both ways is bounded by a horizontal
+// pair of edges and by a vertical pair with the same box between them:
+// one marker, two measurements. Which Detail the violation carries is
+// defined (the horizontal pair's) and must not depend on the order the
+// scan met the edges in.
+func TestDedupSurvivorIsOrderIndependent(t *testing.T) {
+	tt := tech.N45()
+	rnd := rand.New(rand.NewSource(15))
+	island := geom.R(20500, 20500, 20555, 20565) // 55 wide, 65 tall, under width 70
+	shapes := []layout.Shape{m1(island)}
+	for i := int64(0); i < 400; i++ {
+		// One rect per 400 nm grid cell, from slivers to legal squares,
+		// many close enough to a neighbour to violate spacing too.
+		x, y := (i%20)*400+rnd.Int63n(200), (i/20)*400+rnd.Int63n(200)
+		shapes = append(shapes, m1(geom.R(x, y, x+30+rnd.Int63n(170), y+30+rnd.Int63n(170))))
+	}
+	rules := []Rule{MinWidth{Layer: tech.Metal1, W: 70}, MinSpace{Layer: tech.Metal1, S: 140}}
+	check := func(order func([]geom.Edge)) [][]Violation {
+		ctx := NewContext(tt, shapes)
+		ly := ctx.layer(tech.Metal1)
+		edges, _ := ly.boundary()
+		order(edges)
+		ly.edgeIx = edgeIndex(edges)
+		out := make([][]Violation, len(rules))
+		for i, r := range rules {
+			out[i] = r.Check(ctx)
+		}
+		return out
+	}
+	want := check(func([]geom.Edge) {})
+	both := 0
+	for _, v := range want[0] {
+		if v.Marker.Width() < 70 && v.Marker.Height() < 70 {
+			both++
+			if d := fmt.Sprintf("width %d < 70", v.Marker.Height()); v.Detail != d {
+				t.Fatalf("%v: detail %q, want the horizontal pair's %q", v.Marker, v.Detail, d)
+			}
+		}
+		if v.Marker == island && v.Detail != "width 65 < 70" {
+			t.Fatalf("island: %q", v.Detail)
+		}
+	}
+	if both < 20 || len(want[1]) == 0 {
+		t.Fatalf("%d markers with two measurements, %d spacing violations: the comparison is vacuous", both, len(want[1]))
+	}
+	if got := check(slices.Reverse[[]geom.Edge]); !reflect.DeepEqual(got, want) {
+		t.Fatal("edges reversed: violations differ from those of the extraction's own order")
+	}
+	for i := 0; i < 8; i++ {
+		got := check(func(es []geom.Edge) {
+			rnd.Shuffle(len(es), func(a, b int) { es[a], es[b] = es[b], es[a] })
+		})
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("edges shuffled (%d): violations differ from those of the extraction's own order", i)
 		}
 	}
 }

@@ -82,8 +82,7 @@ func (r MinArea) Check(ctx *Context) []Violation {
 // (touching counts as connected). Returned components are in
 // deterministic order (by first rect).
 func Components(norm []geom.Rect) [][]geom.Rect {
-	ix := geom.NewIndex(layerCell)
-	ix.InsertAll(norm)
+	ix := geom.IndexOf(layerCell, norm)
 	return components(norm, ix)
 }
 

@@ -2,12 +2,14 @@ package drc
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/geom"
 	"repro/internal/layout"
+	"repro/internal/obs"
 	"repro/internal/tech"
 )
 
@@ -50,84 +52,122 @@ func polyS(r geom.Rect) layout.Shape { return layout.Shape{Layer: tech.Poly, R: 
 func diffS(r geom.Rect) layout.Shape { return layout.Shape{Layer: tech.Diff, R: r, Net: layout.NoNet} }
 
 // checkEndcap runs the rule and the oracle on the same shapes and
-// returns how many violations they agreed on.
-func checkEndcap(t *testing.T, name string, shapes []layout.Shape) int {
+// returns how many violations they agreed on, and for how many gates
+// the rule built the demand region rather than prove it empty from the
+// prepared layers. A violation is only ever found by building.
+func checkEndcap(t *testing.T, name string, shapes []layout.Shape) (found int, built int64) {
 	t.Helper()
+	prev := obs.Enabled()
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(prev)
+	counts := func() (asked, built int64) {
+		c := obs.Default().Snapshot().Counters
+		return c["drc.endcap.gates.asked"], c["drc.endcap.gates.built"]
+	}
 	tt := tech.N45()
 	rule := Endcap{Ext: 100}
+	asked0, built0 := counts()
 	got := rule.Check(NewContext(tt, shapes))
+	asked, built := counts()
+	asked, built = asked-asked0, built-built0
 	want := endcapOracle(rule, NewContext(tt, shapes))
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: Endcap.Check\n got %v\nwant %v", name, got, want)
 	}
-	return len(got)
+	if built > asked || int64(len(got)) > built {
+		t.Fatalf("%s: %d violations from %d gates built of %d asked", name, len(got), built, asked)
+	}
+	return len(got), built
 }
 
 func TestEndcapMatchesOracleHandmade(t *testing.T) {
 	cases := []struct {
 		name   string
 		shapes []layout.Shape
-		want   int // -1: whatever the oracle says
+		want   int  // -1: whatever the oracle says
+		asks   bool // the answer must come without building a demand region
 	}{
-		{"no-layers", nil, 0},
-		{"poly-only", []layout.Shape{polyS(geom.R(0, 0, 50, 500))}, 0},
-		{"diff-only", []layout.Shape{diffS(geom.R(0, 0, 500, 200))}, 0},
-		{"disjoint", []layout.Shape{polyS(geom.R(0, 0, 50, 500)), diffS(geom.R(1000, 0, 1500, 200))}, 0},
-		{"clean-vertical", []layout.Shape{polyS(geom.R(200, -100, 250, 300)), diffS(geom.R(0, 0, 500, 200))}, 0},
-		{"short-top", []layout.Shape{polyS(geom.R(200, -100, 250, 260)), diffS(geom.R(0, 0, 500, 200))}, 1},
-		{"clean-horizontal", []layout.Shape{polyS(geom.R(-100, 80, 600, 130)), diffS(geom.R(0, 0, 500, 200))}, 0},
-		{"short-left", []layout.Shape{polyS(geom.R(-40, 80, 600, 130)), diffS(geom.R(0, 0, 500, 200))}, 1},
+		{"no-layers", nil, 0, true},
+		{"poly-only", []layout.Shape{polyS(geom.R(0, 0, 50, 500))}, 0, false},
+		{"diff-only", []layout.Shape{diffS(geom.R(0, 0, 500, 200))}, 0, false},
+		{"disjoint", []layout.Shape{polyS(geom.R(0, 0, 50, 500)), diffS(geom.R(1000, 0, 1500, 200))}, 0, false},
+		{"clean-vertical", []layout.Shape{polyS(geom.R(200, -100, 250, 300)), diffS(geom.R(0, 0, 500, 200))}, 0, true},
+		{"short-top", []layout.Shape{polyS(geom.R(200, -100, 250, 260)), diffS(geom.R(0, 0, 500, 200))}, 1, false},
+		{"clean-horizontal", []layout.Shape{polyS(geom.R(-100, 80, 600, 130)), diffS(geom.R(0, 0, 500, 200))}, 0, true},
+		{"short-left", []layout.Shape{polyS(geom.R(-40, 80, 600, 130)), diffS(geom.R(0, 0, 500, 200))}, 1, false},
 		// The poly stops exactly at the diff edge: no endcap at all, but
 		// also nothing past the gate for the transit probe to find, so
 		// the rule reads the gate as horizontal and the diff covers it.
-		{"flush-both-ends", []layout.Shape{polyS(geom.R(200, 0, 250, 200)), diffS(geom.R(0, 0, 500, 200))}, 0},
+		{"flush-both-ends", []layout.Shape{polyS(geom.R(200, 0, 250, 200)), diffS(geom.R(0, 0, 500, 200))}, 0, false},
 		// L: a vertical gate whose poly turns above the diff.
 		{"L-poly", []layout.Shape{
 			polyS(geom.R(200, -100, 250, 400)), polyS(geom.R(250, 350, 600, 400)),
 			diffS(geom.R(0, 0, 500, 200)),
-		}, 0},
+		}, 0, false},
 		// L whose bend sits on the diff: one gate component of two rects.
 		{"L-on-diff", []layout.Shape{
 			polyS(geom.R(200, -100, 250, 150)), polyS(geom.R(200, 100, 700, 150)),
 			diffS(geom.R(0, 0, 500, 200)),
-		}, -1},
+		}, -1, false},
 		// T: a horizontal bar over the diff with a stem leaving it.
 		{"T-poly", []layout.Shape{
 			polyS(geom.R(-100, 80, 600, 130)), polyS(geom.R(220, 130, 270, 420)),
 			diffS(geom.R(0, 0, 500, 200)),
-		}, -1},
+		}, -1, false},
 		{"T-short-stem", []layout.Shape{
 			polyS(geom.R(-100, 80, 600, 130)), polyS(geom.R(220, 130, 270, 240)),
 			diffS(geom.R(0, 0, 500, 200)),
-		}, -1},
+		}, -1, false},
 		// Two gates sharing one diff, one clean and one short; a second
 		// diff under the same poly further up.
 		{"shared-diff", []layout.Shape{
 			polyS(geom.R(100, -100, 150, 300)), polyS(geom.R(300, -20, 350, 300)),
 			diffS(geom.R(0, 0, 500, 200)), diffS(geom.R(0, 600, 500, 800)),
 			polyS(geom.R(100, 500, 150, 850)),
-		}, -1},
+		}, -1, false},
 		// The demand region of one gate is partly covered by a
 		// neighbour's poly and by another diff that only touches the band.
 		{"neighbour-cover", []layout.Shape{
 			polyS(geom.R(200, 0, 250, 260)), polyS(geom.R(180, 260, 400, 330)),
 			diffS(geom.R(0, 0, 500, 200)), diffS(geom.R(0, 300, 500, 400)),
-		}, -1},
+		}, -1, false},
 		// Gates at the very edge of all geometry, where a tile's pad
 		// cuts: nothing lies beyond them in any layer.
 		{"at-extent-corner", []layout.Shape{
 			polyS(geom.R(0, 0, 50, 200)), diffS(geom.R(0, 0, 300, 200)),
 			polyS(geom.R(250, 0, 300, 200)),
-		}, 2},
+		}, 2, false},
 		{"negative-coordinates", []layout.Shape{
 			polyS(geom.R(-5200, -4100, -5150, -3700)), diffS(geom.R(-5400, -4000, -4900, -3800)),
 			polyS(geom.R(-5050, -4050, -5000, -3750)),
-		}, -1},
+		}, -1, false},
+		// The shortcut's own cases. An L-shaped gate (two rects, one
+		// component) deep inside a diff that covers its whole band.
+		{"L-gate-band-under-diff", []layout.Shape{
+			polyS(geom.R(200, -100, 250, 150)), polyS(geom.R(200, 100, 700, 150)),
+			diffS(geom.R(0, -200, 1000, 400)),
+		}, 0, true},
+		// A short endcap whose last 40 nm of band lie under a second diff
+		// that abuts the poly end: neither layer covers the band alone.
+		{"band-covered-jointly", []layout.Shape{
+			polyS(geom.R(200, -100, 250, 260)),
+			diffS(geom.R(0, 0, 500, 200)), diffS(geom.R(0, 260, 500, 400)),
+		}, 0, true},
+		{"band-one-nm-short", []layout.Shape{polyS(geom.R(200, -100, 250, 299)), diffS(geom.R(0, 0, 500, 200))}, 1, false},
+		// Poly beside the band, sharing its edge: reached by the index
+		// query, no area inside.
+		{"poly-touches-band-edge", []layout.Shape{
+			polyS(geom.R(200, -100, 250, 260)), polyS(geom.R(250, 150, 300, 400)),
+			diffS(geom.R(0, 0, 500, 200)),
+		}, 1, false},
 	}
 	for _, c := range cases {
-		n := checkEndcap(t, c.name, c.shapes)
+		n, built := checkEndcap(t, c.name, c.shapes)
 		if c.want >= 0 && n != c.want {
 			t.Errorf("%s: %d violations, want %d", c.name, n, c.want)
+		}
+		if c.asks && built != 0 {
+			t.Errorf("%s: built the demand region of %d gates, want none", c.name, built)
 		}
 	}
 }
@@ -137,7 +177,7 @@ func TestEndcapMatchesOracleHandmade(t *testing.T) {
 // the extent of the geometry.
 func TestEndcapMatchesOracleRandom(t *testing.T) {
 	rnd := rand.New(rand.NewSource(15))
-	found := 0
+	found, built := 0, int64(0)
 	for round := 0; round < 300; round++ {
 		var shapes []layout.Shape
 		for i, n := 0, 1+rnd.Intn(6); i < n; i++ {
@@ -153,10 +193,11 @@ func TestEndcapMatchesOracleRandom(t *testing.T) {
 				shapes = append(shapes, polyS(geom.R(x, y, x+long, y+wide)))
 			}
 		}
-		found += checkEndcap(t, fmt.Sprintf("round %d", round), shapes)
+		n, b := checkEndcap(t, fmt.Sprintf("round %d", round), shapes)
+		found, built = found+n, built+b
 	}
-	if found == 0 {
-		t.Fatal("no round produced an endcap violation; the comparison is vacuous")
+	if found == 0 || built == 0 {
+		t.Fatalf("%d violations, %d gates built: the comparison is vacuous", found, built)
 	}
 }
 
@@ -193,7 +234,10 @@ func TestEndcapMatchesOracleOnChipTiles(t *testing.T) {
 				shapes := windowShapes(flat, geom.R(x, y, x+tile, y+tile).Bloat(2000))
 				ctx := NewContext(tt, shapes)
 				gates += len(geom.Intersect(ctx.Layers[tech.Poly], ctx.Layers[tech.Diff]))
-				checkEndcap(t, fmt.Sprintf("tile %d at %d,%d", tile, x, y), shapes)
+				// As generated every endcap is drawn to rule: all asked, none built.
+				if n, built := checkEndcap(t, fmt.Sprintf("tile %d at %d,%d", tile, x, y), shapes); n != 0 || built != 0 {
+					t.Fatalf("clean tile %d at %d,%d: %d violations, %d gates built", tile, x, y, n, built)
+				}
 				trimmed := make([]layout.Shape, len(shapes))
 				copy(trimmed, shapes)
 				for i := range trimmed {
@@ -207,7 +251,8 @@ func TestEndcapMatchesOracleOnChipTiles(t *testing.T) {
 						s.R.X0 += cut
 					}
 				}
-				found += checkEndcap(t, fmt.Sprintf("trimmed tile %d at %d,%d", tile, x, y), trimmed)
+				n, _ := checkEndcap(t, fmt.Sprintf("trimmed tile %d at %d,%d", tile, x, y), trimmed)
+				found += n
 			}
 		}
 	}
@@ -223,7 +268,8 @@ func TestPreparedLayerMatchesGeom(t *testing.T) {
 	rnd := rand.New(rand.NewSource(15))
 	for round := 0; round < 100; round++ {
 		var shapes []layout.Shape
-		for i, n := 0, rnd.Intn(40); i < n; i++ {
+		// Every eighth round the layer is empty.
+		for i, n := 0, rnd.Intn(40)*min(round%8, 1); i < n; i++ {
 			x, y := rnd.Int63n(6000)-3000, rnd.Int63n(6000)-3000
 			shapes = append(shapes, m1(geom.R(x, y, x+1+rnd.Int63n(900), y+1+rnd.Int63n(900))))
 		}
@@ -234,6 +280,14 @@ func TestPreparedLayerMatchesGeom(t *testing.T) {
 			box := geom.R(x, y, x+rnd.Int63n(1500), y+rnd.Int63n(1500))
 			if got, want := ly.clipArea(box), geom.ClipArea(rs, box); got != want {
 				t.Fatalf("clipArea(%v) = %d, want %d over %v", box, got, want, rs)
+			}
+			// Density through the index is the free function bit for bit:
+			// on the box (empty or a segment when a draw was 0), far off
+			// the layer, and inside out.
+			for _, w := range []geom.Rect{box, box.Translate(geom.Pt(1<<30, -(1 << 30))), {X0: box.X1, Y0: box.Y0, X1: box.X0, Y1: box.Y1}} {
+				if got, want := ctx.DensityIn(tech.Metal1, w), DensityIn(rs, w); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("Context.DensityIn(%v) = %v, DensityIn = %v over %v", w, got, want, rs)
+				}
 			}
 			p := geom.Pt(x, y)
 			if len(rs) > 0 && q%2 == 0 {

@@ -12,8 +12,11 @@ import (
 // strip, a rect bloated by a spacing, a via's enclosure box), so a
 // handful of minimum pitches per bin keeps both the bins a query
 // touches and the items per bin small. Measured on generated tiles
-// (BenchmarkDeckTile): 512 costs twice the bin array on a sparse 48 µm
-// tile for no speed, 2048 and up slow the dense-comb scans.
+// (BenchmarkDeckTile), with an empty bin of a frozen index at 4 bytes:
+// 512 lays four times the bins for a fifth more bytes and a tenth more
+// time on a sparse 48 µm tile and nothing resolvable on the smaller
+// ones, 2048 and up slow every size by a third or more (the dense-comb
+// scans).
 const layerCell = 1024
 
 // preparedLayer is what the rules derive from one layer's normalized
@@ -37,25 +40,30 @@ func (c *Context) layer(l tech.Layer) *preparedLayer {
 	p := &c.prep[l]
 	p.once.Do(func() {
 		p.rects = c.Layers[l]
-		p.ix = geom.NewIndex(layerCell)
-		p.ix.InsertAll(p.rects)
+		p.ix = geom.IndexOf(layerCell, p.rects)
 	})
 	return p
 }
 
-// boundary returns the layer's boundary edges and the index over their
-// bounding boxes (item ids are positions in the edge list).
+// boundary returns the layer's boundary edges, in the order the
+// extraction finds them, and the index over their bounding boxes (item
+// ids are positions in the edge list).
 func (p *preparedLayer) boundary() ([]geom.Edge, *geom.Index) {
 	p.edgeOnce.Do(func() {
-		p.edges = geom.BoundaryEdges(p.rects)
-		boxes := make([]geom.Rect, len(p.edges))
-		for i, e := range p.edges {
-			boxes[i] = geom.R(e.P0.X, e.P0.Y, e.P1.X, e.P1.Y)
-		}
-		p.edgeIx = geom.NewIndex(layerCell)
-		p.edgeIx.InsertAll(boxes)
+		p.edges = geom.BoundaryOfNormal(p.rects)
+		p.edgeIx = edgeIndex(p.edges)
 	})
 	return p.edges, p.edgeIx
+}
+
+// edgeIndex indexes edges by bounding box, item ids being positions in
+// the list.
+func edgeIndex(edges []geom.Edge) *geom.Index {
+	boxes := make([]geom.Rect, len(edges))
+	for i, e := range edges {
+		boxes[i] = geom.R(e.P0.X, e.P0.Y, e.P1.X, e.P1.Y)
+	}
+	return geom.IndexOf(layerCell, boxes)
 }
 
 // clipArea is geom.ClipArea(p.rects, clip) at the cost of the rects

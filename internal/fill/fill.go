@@ -99,8 +99,7 @@ const (
 // grid, as Analyze takes them.
 func Synthesize(rs []geom.Rect, extent geom.Rect, window, step int64) []geom.Rect {
 	norm := geom.Normalize(rs)
-	ix := geom.NewIndex(4 * pitch)
-	ix.InsertAll(norm)
+	ix := geom.IndexOf(4*pitch, norm)
 
 	var tiles []geom.Rect
 	tileIx := geom.NewIndex(4 * pitch)

@@ -72,30 +72,8 @@ func (e Edge) OutwardNormal() Point {
 // rs. The input need not be normalized. Edges are maximal: collinear
 // boundary runs with the same interior side are returned as single
 // segments. The result is deterministic (sorted).
-//
-// Normalized rects are disjoint, so whatever crosses a coordinate
-// cancels out of the coverage on its two sides: the boundary on the
-// line y is the bottoms of the rects starting there minus the tops of
-// those ending there, and the reverse. One pass over the rect sides
-// sorted by coordinate finds every edge.
 func BoundaryEdges(rs []Rect) []Edge {
-	norm := Normalize(rs)
-	if len(norm) == 0 {
-		return nil
-	}
-	lo := make([]rectSide, len(norm))
-	hi := make([]rectSide, len(norm))
-	for i, r := range norm {
-		lo[i] = rectSide{r.Y0, r.X0, r.X1}
-		hi[i] = rectSide{r.Y1, r.X0, r.X1}
-	}
-	edges := make([]Edge, 0, 4*len(norm))
-	edges = sideEdges(edges, lo, hi, true)
-	for i, r := range norm {
-		lo[i] = rectSide{r.X0, r.Y0, r.Y1}
-		hi[i] = rectSide{r.X1, r.Y0, r.Y1}
-	}
-	edges = sideEdges(edges, lo, hi, false)
+	edges := BoundaryOfNormal(Normalize(rs))
 	slices.SortFunc(edges, func(a, b Edge) int {
 		if c := cmp.Compare(a.P0.Y, b.P0.Y); c != 0 {
 			return c
@@ -108,22 +86,58 @@ func BoundaryEdges(rs []Rect) []Edge {
 	return edges
 }
 
+// BoundaryOfNormal is BoundaryEdges for input already in normal form
+// (IsNormal), in the order the extraction finds the edges rather than
+// sorted: the horizontal ones line by line upwards, on a line the
+// bottom edges left to right and then the top edges, and after them the
+// vertical ones likewise by x. For a caller that indexes or sorts the
+// edges itself.
+//
+// Normalized rects are disjoint, so whatever crosses a coordinate
+// cancels out of the coverage on its two sides: the boundary on the
+// line y is the bottoms of the rects starting there minus the tops of
+// those ending there, and the reverse. One pass over the rect sides
+// sorted by coordinate finds every edge.
+func BoundaryOfNormal(norm []Rect) []Edge {
+	if len(norm) == 0 {
+		return nil
+	}
+	lo := make([]rectSide, len(norm))
+	hi := make([]rectSide, len(norm))
+	for i, r := range norm {
+		lo[i] = rectSide{r.Y0, r.X0, r.X1}
+		hi[i] = rectSide{r.Y1, r.X0, r.X1}
+	}
+	// Normal form lists its rects band by band upwards and left to right
+	// within a band: bottoms and tops are both in (y, x) order as found.
+	edges := make([]Edge, 0, 4*len(norm))
+	edges = sideEdges(edges, lo, hi, true)
+	for i, r := range norm {
+		lo[i] = rectSide{r.X0, r.Y0, r.Y1}
+		hi[i] = rectSide{r.X1, r.Y0, r.Y1}
+	}
+	slices.SortFunc(lo, rectSide.compare)
+	slices.SortFunc(hi, rectSide.compare)
+	return sideEdges(edges, lo, hi, false)
+}
+
 // rectSide is one side of a rect: the coordinate of the line it lies
 // on and its extent along that line.
 type rectSide struct{ at, lo, hi int64 }
 
+// compare orders sides by line, then by where they begin on it.
+func (a rectSide) compare(b rectSide) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.lo, b.lo)
+}
+
 // sideEdges appends the boundary edges on every line that carries a
 // rect side: lo holds the sides where rects begin (bottoms, or left
-// sides when !horizontal), hi the sides where they end.
+// sides when !horizontal), hi the sides where they end, each in compare
+// order.
 func sideEdges(edges []Edge, lo, hi []rectSide, horizontal bool) []Edge {
-	bySide := func(a, b rectSide) int {
-		if c := cmp.Compare(a.at, b.at); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.lo, b.lo)
-	}
-	slices.SortFunc(lo, bySide)
-	slices.SortFunc(hi, bySide)
 	begin, end := Above, Below
 	if !horizontal {
 		begin, end = Right, Left

@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 	"sort"
@@ -125,6 +126,24 @@ func checkBoundaryEdges(t testing.TB, rs []Rect) {
 	got, want := BoundaryEdges(rs), boundaryEdgesOracle(rs)
 	if !slices.Equal(got, want) {
 		t.Fatalf("BoundaryEdges(%v)\n got %v\nwant %v", rs, got, want)
+	}
+	// The sweep-order form is the same edges unsorted: horizontal ones
+	// first by rising y, then vertical ones by rising x.
+	sweep := BoundaryOfNormal(Normalize(rs))
+	for i := 1; i < len(sweep); i++ {
+		p, e := sweep[i-1], sweep[i]
+		switch {
+		case p.Horizontal() && e.Horizontal() && p.P0.Y > e.P0.Y,
+			!p.Horizontal() && !e.Horizontal() && p.P0.X > e.P0.X,
+			!p.Horizontal() && e.Horizontal():
+			t.Fatalf("BoundaryOfNormal(%v): %v before %v", rs, p, e)
+		}
+	}
+	slices.SortFunc(sweep, func(a, b Edge) int {
+		return cmp.Or(cmp.Compare(a.P0.Y, b.P0.Y), cmp.Compare(a.P0.X, b.P0.X), cmp.Compare(a.Interior, b.Interior))
+	})
+	if !slices.Equal(sweep, got) {
+		t.Fatalf("BoundaryOfNormal(%v) sorted\n got %v\nwant %v", rs, sweep, got)
 	}
 	type start struct {
 		at   Point

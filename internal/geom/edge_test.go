@@ -103,6 +103,12 @@ func TestEdgeGeometryHelpers(t *testing.T) {
 	if v.OutwardNormal() != Pt(1, 0) {
 		t.Errorf("vertical OutwardNormal = %v", v.OutwardNormal())
 	}
+	// How a side prints in a failure message of the tests around this one.
+	for s, want := range map[Side]string{Below: "below", Above: "above", Left: "left", Right: "right", Side(9): "?"} {
+		if s.String() != want {
+			t.Errorf("Side(%d) prints %q, want %q", s, s, want)
+		}
+	}
 }
 
 func TestQuickBoundaryNormalsPointOutward(t *testing.T) {

@@ -181,8 +181,7 @@ const (
 // outward neighbor, so the feedback loop cannot bridge the mask.
 func capOutward(drawn []geom.Rect, frags []*Fragment) {
 	norm := geom.Normalize(drawn)
-	ix := geom.NewIndex(1024)
-	ix.InsertAll(norm)
+	ix := geom.IndexOf(1024, norm)
 	const probeDist int64 = 2*modelMaxBias + modelMinMaskSpace + 10
 	for _, f := range frags {
 		f.MaxOut = modelMaxBias

@@ -25,8 +25,7 @@ const (
 // RuleBased applies the bias table and returns the corrected mask.
 func RuleBased(drawn []geom.Rect) []geom.Rect {
 	norm := geom.Normalize(drawn)
-	ix := geom.NewIndex(1024)
-	ix.InsertAll(norm)
+	ix := geom.IndexOf(1024, norm)
 
 	frags := make([]*Fragment, 0, 64)
 	for _, e := range geom.BoundaryEdges(norm) {

@@ -33,8 +33,7 @@ func srafReach(k int) int64 {
 // bars, fewer are placed.
 func InsertSRAF(drawn []geom.Rect) []geom.Rect {
 	norm := geom.Normalize(drawn)
-	ix := geom.NewIndex(1024)
-	ix.InsertAll(norm)
+	ix := geom.IndexOf(1024, norm)
 
 	clearTo := func(e geom.Edge, dist int64) bool {
 		probe := extrude(e, dist)

@@ -35,8 +35,7 @@ func NewCatalog(radius int64) *Catalog {
 // processed.
 func (c *Catalog) AddLayer(rs []geom.Rect) int {
 	norm := geom.Normalize(rs)
-	ix := geom.NewIndex(4 * c.Radius)
-	ix.InsertAll(norm)
+	ix := geom.IndexOf(4*c.Radius, norm)
 	anchors := Anchors(norm)
 	for _, a := range anchors {
 		p := ExtractAtIndexed(ix, a, c.Radius)

@@ -54,8 +54,7 @@ func (m *Matcher) Len() int { return len(m.entries) }
 // and reports all library matches, sorted by position.
 func (m *Matcher) ScanLayer(rs []geom.Rect) []Match {
 	norm := geom.Normalize(rs)
-	ix := geom.NewIndex(4 * m.Radius)
-	ix.InsertAll(norm)
+	ix := geom.IndexOf(4*m.Radius, norm)
 	var out []Match
 	for _, a := range Anchors(norm) {
 		p := ExtractAtIndexed(ix, a, m.Radius)

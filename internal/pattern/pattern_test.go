@@ -34,8 +34,7 @@ func TestExtractIndexedMatchesDirect(t *testing.T) {
 		rs = append(rs, geom.R(x, y, x+50+rnd.Int63n(300), y+50+rnd.Int63n(300)))
 	}
 	norm := geom.Normalize(rs)
-	ix := geom.NewIndex(512)
-	ix.InsertAll(norm)
+	ix := geom.IndexOf(512, norm)
 	for i := 0; i < 30; i++ {
 		a := geom.Pt(rnd.Int63n(4000), rnd.Int63n(4000))
 		d := ExtractAt(norm, a, 200)

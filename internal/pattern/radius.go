@@ -37,8 +37,7 @@ func OptimizeRadius(rs []geom.Rect, hot, clean []geom.Point, radii []int64) ([]R
 			maxR = r
 		}
 	}
-	ix := geom.NewIndex(4 * maxR)
-	ix.InsertAll(norm)
+	ix := geom.IndexOf(4*maxR, norm)
 
 	evals := make([]RadiusEval, 0, len(radii))
 	for _, r := range radii {

@@ -9,6 +9,8 @@
 package tiling
 
 import (
+	"slices"
+
 	"repro/internal/geom"
 	"repro/internal/layout"
 	"repro/internal/tech"
@@ -109,8 +111,13 @@ func (e *Extractor) walkShapes(c *layout.Cell, t geom.Transform, win geom.Rect, 
 	for _, in := range c.Insts {
 		ct := t.Compose(in.T)
 		ci := e.info[in.Cell]
-		if ci.bbox.Empty() || !touches(ct.ApplyRect(ci.bbox), win) {
+		bb := ct.ApplyRect(ci.bbox)
+		if ci.bbox.Empty() || !touches(bb, win) {
 			continue
+		}
+		if win.ContainsRect(bb) {
+			// Every rect below will be emitted: make room for them once.
+			dst = slices.Grow(dst, int(ci.rects))
 		}
 		dst = e.walkShapes(in.Cell, ct, win, dst)
 	}

@@ -474,9 +474,8 @@ func computeTile(ctx context.Context, t *tech.Tech, std *drc.Deck, densRules []d
 	out.Dens = make([][]float64, len(densRules))
 	for di, dr := range densRules {
 		ds := make([]float64, len(wins))
-		rs := tctx.Layers[dr.Layer]
 		for j, w := range wins {
-			ds[j] = drc.DensityIn(rs, w)
+			ds[j] = tctx.DensityIn(dr.Layer, w)
 		}
 		out.Dens[di] = ds
 	}
@@ -553,13 +552,12 @@ func EvaluateFlat(stdctx context.Context, t *tech.Tech, top *layout.Cell, o Opts
 			wins := drc.WindowGrid(die, o.DensityWindow, o.DensityWindow/2)
 			for _, dr := range drc.DensityDeck(t, o.DensityWindow).Rules {
 				dw := dr.(drc.DensityWindow)
-				rs := tctx.Layers[dw.Layer]
-				if len(rs) == 0 {
+				if len(tctx.Layers[dw.Layer]) == 0 {
 					continue
 				}
 				dm := fill.DensityMap{Windows: wins, Density: make([]float64, len(wins))}
 				_ = harness.ForEach(stdctx, o.Workers, len(wins), func(i int) {
-					dm.Density[i] = drc.DensityIn(rs, wins[i])
+					dm.Density[i] = tctx.DensityIn(dw.Layer, wins[i])
 				})
 				res.Density[dw.Layer] = dm
 			}

@@ -3,6 +3,7 @@ package tiling
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -137,6 +138,64 @@ func TestTiledMatchesFlatChipGrid(t *testing.T) {
 		t.Fatalf("EvaluateChip(drc-only): %v", err)
 	}
 	diffResults(t, "drc-only tight halo", tiledDRC, flatDRC)
+}
+
+// Islands under the width limit both ways, each one marker with two
+// measurements (drc's TestDedupSurvivorIsOrderIndependent): a tile meets
+// the island's edges among different neighbours than the flat run does,
+// so which measurement survives must not depend on that. Sprinkled over
+// a generated chip and planted across the seams of the 9000 grid.
+func TestTiledMatchesFlatNarrowIslands(t *testing.T) {
+	tt := tech.N45()
+	l, info, err := layout.GenerateChip(tt, layout.ChipOpts{
+		Seed: 3, Slots: 2, SlotPitch: 15000, MacroMix: []int{0, 1, 1, 1}})
+	if err != nil {
+		t.Fatalf("GenerateChip: %v", err)
+	}
+	rnd := rand.New(rand.NewSource(15))
+	die := info.Die
+	// Each island stands clear of all other metal1: within a spacing of
+	// a neighbour it would also draw spacing violations, which is not
+	// what is under test.
+	near := geom.NewIndex(1024)
+	for _, s := range l.Flatten() {
+		if s.Layer == tech.Metal1 {
+			near.Insert(s.R)
+		}
+	}
+	for i := 0; i < 600; i++ {
+		x, y := die.X0+rnd.Int63n(die.Width()), die.Y0+rnd.Int63n(die.Height())
+		if i%3 == 0 {
+			x = die.X0 + 9000*(1+rnd.Int63n(3)) - rnd.Int63n(60)
+		}
+		r := geom.R(x, y, x+40+rnd.Int63n(29), y+40+rnd.Int63n(29))
+		if len(near.Query(r.Bloat(200))) == 0 {
+			near.Insert(r)
+			l.Top.Add(tech.Metal1, r)
+		}
+	}
+	o := Opts{DRC: true}
+	flat, err := EvaluateFlat(context.Background(), tt, l.Top, o)
+	if err != nil {
+		t.Fatalf("EvaluateFlat: %v", err)
+	}
+	both := 0
+	for _, v := range flat.Violations {
+		if m := v.Marker; v.Rule == "metal1.width.70" && m.Width() < 70 && m.Height() < 70 {
+			both++
+		}
+	}
+	if both < 100 {
+		t.Fatalf("%d markers with two measurements; test is vacuous", both)
+	}
+	for _, tile := range []int64{9000, 16000} {
+		o.Tile, o.Halo = tile, 2000
+		tiled, err := EvaluateChip(context.Background(), tt, l.Top, o)
+		if err != nil {
+			t.Fatalf("EvaluateChip(tile=%d): %v", tile, err)
+		}
+		diffResults(t, fmt.Sprintf("islands tile=%d", tile), tiled, flat)
+	}
 }
 
 // Full stack including the litho hotspot scan, against the flat

@@ -174,7 +174,7 @@ bench-smoke: ## one iteration of the five kernel micro-rows, of one experiment o
 
 # The same run is part of `go test ./...`; the target names it. A flag
 # no command passes fails the test beside it, TestEveryFlagAnswersToASetter.
-docs-check: ## fail, by file and line, on a path, Make target, go test regexp, test or benchmark name, or binary flag in README.md, DESIGN.md, doc.go, the verify skill or EXPERIMENTS.md above R1 that nothing in the tree answers to
+docs-check: ## fail, by file and line, on a path, Make target, go test regexp, test or benchmark name, or binary flag in README.md, DESIGN.md, doc.go, the verify skill, EXPERIMENTS.md above R1 or an R-section heading that nothing in the tree answers to
 	$(GO) test -count=1 -run 'TestDocsNameWhatExists' ./internal/surface
 
 # internal/surface counts examples/* as callers (examples/quickstart is

@@ -1,19 +1,17 @@
 // Package fleet is the in-process dfmd cluster rig shared by the load
 // generator (`dfmload -cluster`), the full-chip CLI (`dfmscore -chip
-// -cluster`), and the end-to-end chaos tests: N dfmd nodes on fixed
-// ports behind one dfmrouter, with hard-kill and restart controls that
-// look exactly like a crashed process to the router — listener and
-// every live connection dropped with a reset. Fixed per-node addresses
-// are the point: a node restarted on its slot keeps its router name,
-// its ring arcs, and its outstanding job IDs.
+// -cluster`), the fleet benchmark and the seeded chaos test: N dfmd nodes
+// on fixed ports behind one dfmrouter. Fixed per-node addresses are the
+// point: a node the chaos test kills and restarts on its slot keeps its
+// router name, its ring arcs, and its outstanding job IDs.
 package fleet
 
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"net"
 	"net/http"
-	"sync"
 	"time"
 
 	"repro/internal/client"
@@ -23,14 +21,11 @@ import (
 )
 
 // Node is one in-process dfmd "process": its server, HTTP front, and
-// the fixed address it must come back on after a kill. The mutex
-// covers srv/hs handle swaps: chaos timers replace them from their own
-// goroutines while reporters read them.
+// the fixed address it must come back on after a kill.
 type Node struct {
 	// Addr is the node's fixed host:port.
 	Addr string
 
-	mu  sync.Mutex
 	srv *server.Server
 	hs  *http.Server
 }
@@ -38,40 +33,16 @@ type Node struct {
 // URL is the node's base URL.
 func (n *Node) URL() string { return "http://" + n.Addr }
 
-// Start (re)binds the node's address and brings a fresh dfmd up on it.
-func (n *Node) Start() error {
+// start (re)binds the node's address and brings a fresh dfmd up on it.
+func (n *Node) start() error {
 	ln, err := net.Listen("tcp", n.Addr)
 	if err != nil {
 		return err
 	}
-	srv := server.New(server.Config{})
-	hs := &http.Server{Handler: srv.Handler()}
-	go hs.Serve(ln) //nolint:errcheck // closed on kill/stop
-	n.mu.Lock()
-	n.srv, n.hs = srv, hs
-	n.mu.Unlock()
+	n.srv = server.New(server.Config{})
+	n.hs = &http.Server{Handler: n.srv.Handler()}
+	go n.hs.Serve(ln) //nolint:errcheck // closed on kill/stop
 	return nil
-}
-
-// Handles returns the node's live server and HTTP front.
-func (n *Node) Handles() (*server.Server, *http.Server) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.srv, n.hs
-}
-
-// Kill is abrupt: the listener and every live connection drop with a
-// reset, exactly what a crashed process looks like to the router. The
-// evaluation pool is then reaped so the dead node leaks nothing; the
-// instance's final counters are returned for cluster-wide accounting.
-func (n *Node) Kill() server.Stats {
-	srv, hs := n.Handles()
-	st := srv.Stats()
-	hs.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	srv.Shutdown(ctx)
-	return st
 }
 
 // Options sizes a cluster.
@@ -92,10 +63,6 @@ type Cluster struct {
 
 	rhs  *http.Server
 	logf func(string, ...any)
-
-	mu      sync.Mutex
-	retired []server.Stats // counters captured from killed node instances
-	timers  []*time.Timer
 }
 
 // Start brings up the cluster: N nodes on ephemeral-but-fixed ports,
@@ -119,7 +86,7 @@ func Start(o Options) (*Cluster, error) {
 		addr := ln.Addr().String()
 		ln.Close()
 		n := &Node{Addr: addr}
-		if err := n.Start(); err != nil {
+		if err := n.start(); err != nil {
 			return nil, err
 		}
 		cl.Nodes = append(cl.Nodes, n)
@@ -172,52 +139,11 @@ func (cl *Cluster) WaitReady(budget time.Duration) error {
 	}
 }
 
-// Kill hard-kills node i, retiring its counters into the cluster sums.
-func (cl *Cluster) Kill(i int) {
-	st := cl.Nodes[i].Kill()
-	cl.mu.Lock()
-	cl.retired = append(cl.retired, st)
-	cl.mu.Unlock()
-}
-
-// Restart brings node i back up on its fixed address.
-func (cl *Cluster) Restart(i int) error { return cl.Nodes[i].Start() }
-
-// Schedule arms the chaos timers relative to the load start: kill node
-// 0 at +kill, restart it at +restart (0 = never).
-func (cl *Cluster) Schedule(start time.Time, kill, restart time.Duration) {
-	if kill <= 0 {
-		return
-	}
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	cl.timers = append(cl.timers, time.AfterFunc(time.Until(start.Add(kill)), func() {
-		cl.Kill(0)
-		cl.logf("  [chaos: backend n0 killed at +%v]", kill)
-	}))
-	if restart > kill {
-		cl.timers = append(cl.timers, time.AfterFunc(time.Until(start.Add(restart)), func() {
-			if err := cl.Restart(0); err != nil {
-				cl.logf("  [chaos: backend n0 restart FAILED: %v]", err)
-				return
-			}
-			cl.logf("  [chaos: backend n0 restarted at +%v]", restart)
-		}))
-	}
-}
-
-// BackendSums aggregates server counters across every node instance
-// this cluster ever ran, killed ones included.
+// BackendSums aggregates server counters across the live nodes.
 func (cl *Cluster) BackendSums() server.Stats {
-	cl.mu.Lock()
-	sums := append([]server.Stats(nil), cl.retired...)
-	cl.mu.Unlock()
-	for _, n := range cl.Nodes {
-		srv, _ := n.Handles()
-		sums = append(sums, srv.Stats())
-	}
 	var out server.Stats
-	for _, s := range sums {
+	for _, n := range cl.Nodes {
+		s := n.srv.Stats()
 		out.Submitted += s.Submitted
 		out.Admitted += s.Admitted
 		out.Shed += s.Shed
@@ -237,7 +163,7 @@ func (cl *Cluster) Report() {
 	s := cl.BackendSums()
 	cl.logf("cluster backends: cacheHits=%d cacheMisses=%d deduped=%d completed=%d (fresh evaluations=%d)",
 		s.CacheHits, s.CacheMisses, s.Deduped, s.Completed, s.CacheMisses)
-	// Hits over keyed lookups across all node instances. Singleflight
+	// Hits over keyed lookups across the nodes. Singleflight
 	// dedupes are not hits — they saved work but never touched the
 	// cache.
 	var hitPct float64
@@ -254,23 +180,38 @@ func (cl *Cluster) Report() {
 	}
 }
 
-// Stop tears the whole rig down: chaos timers, router, every node.
+// Stop tears the whole rig down: router, then every node.
 func (cl *Cluster) Stop() {
-	cl.mu.Lock()
-	timers := cl.timers
-	cl.mu.Unlock()
-	for _, t := range timers {
-		t.Stop()
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	cl.RT.Shutdown(ctx)
 	cl.rhs.Close()
-	// A killed-and-not-restarted node was already shut down by Kill();
-	// Shutdown and Close are both idempotent, so sweep all.
+	// Shutdown and Close are both idempotent, so a node that is already
+	// down is swept like the rest.
 	for _, n := range cl.Nodes {
-		srv, hs := n.Handles()
-		srv.Shutdown(ctx)
-		hs.Close()
+		n.srv.Shutdown(ctx)
+		n.hs.Close()
 	}
+}
+
+// Stream draws n technique jobs the way dfmload sends them: each is, with
+// probability dup, a repeat of an earlier one, and otherwise one of the
+// techniques on one of unique workload seeds from seed up. Same
+// arguments, same stream.
+func Stream(seed int64, n int, dup float64, unique int, techniques []string) []server.JobRequest {
+	rng := rand.New(rand.NewSource(seed))
+	reqs := make([]server.JobRequest, n)
+	var used []server.JobRequest
+	for i := range reqs {
+		if len(used) > 0 && rng.Float64() < dup {
+			reqs[i] = used[rng.Intn(len(used))]
+		} else {
+			reqs[i] = server.JobRequest{
+				Technique: techniques[rng.Intn(len(techniques))],
+				Seed:      seed + int64(rng.Intn(unique)),
+			}
+			used = append(used, reqs[i])
+		}
+	}
+	return reqs
 }

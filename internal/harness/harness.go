@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -58,17 +57,14 @@ type Result struct {
 	Runtime  time.Duration
 }
 
-// Run executes every task through a bounded worker pool and returns
-// results in task order. It never panics and never blocks past
+// Run executes every task on at most Parallel workers (ForEach) and
+// returns results in task order. It never panics and never blocks past
 // cancellation: a timed-out attempt is abandoned (its goroutine
 // parks on a buffered channel and exits whenever the evaluator next
 // observes ctx or finishes), a panicking attempt is recovered with
-// its stack, and a canceled run drains remaining tasks into
+// its stack, and a canceled run settles the tasks no worker reached as
 // KindCanceled results.
 func Run(ctx context.Context, tasks []Task, opts Options) []Result {
-	if opts.Parallel < 1 {
-		opts.Parallel = 1
-	}
 	if opts.Backoff <= 0 {
 		opts.Backoff = 100 * time.Millisecond
 	}
@@ -77,38 +73,28 @@ func Run(ctx context.Context, tasks []Task, opts Options) []Result {
 	}
 
 	results := make([]Result, len(tasks))
-	workers := opts.Parallel
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
 	// Queue wait: time from dispatch start until a worker picks the
 	// task up — the pool-saturation signal. The clock is only read
 	// while the metrics registry is recording.
 	metered := obs.Enabled()
 	var dispatchStart time.Time
 	if metered {
-		obs.G("harness.pool.workers").Set(float64(workers))
+		obs.G("harness.pool.workers").Set(float64(min(max(opts.Parallel, 1), len(tasks))))
 		dispatchStart = time.Now()
 	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if metered {
-					hQueueWait.ObserveSince(dispatchStart)
-				}
-				results[i] = runTask(ctx, tasks[i], opts)
-			}
-		}()
+	ForEach(ctx, opts.Parallel, len(tasks), func(i int) {
+		if metered {
+			hQueueWait.ObserveSince(dispatchStart)
+		}
+		results[i] = runTask(ctx, tasks[i], opts)
+	})
+	// Cancellation stops dispatch; runTask on the canceled ctx settles
+	// what was never picked up without running it.
+	for i := range results {
+		if results[i].Attempts == 0 {
+			results[i] = runTask(ctx, tasks[i], opts)
+		}
 	}
-	for i := range tasks {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
 	return results
 }
 

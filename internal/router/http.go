@@ -43,11 +43,10 @@ func (r *Router) Handler() http.Handler {
 // body is the node's 400 passed through, and nothing a client sends can
 // make the router decode, validate, key or re-encode a payload.
 func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
-	if r.draining.Load() {
+	if !r.admit() {
 		server.WriteError(w, http.StatusServiceUnavailable, "router shutting down")
 		return
 	}
-	r.inflight.Add(1)
 	defer r.inflight.Done()
 
 	body, ok := server.ReadJobBody(w, req)
@@ -55,7 +54,7 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	path := "/v1/jobs"
-	if req.URL.Query().Get("wait") != "" {
+	if server.WaitRequested(req) {
 		path += "?wait=1"
 	}
 	rep, b, err := r.route(req.Context(), placement(req.Header.Get(server.HeaderRouteKey), body),
@@ -68,9 +67,8 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	}
 	// Fleet-level tile accounting: total units, per-backend placement,
 	// and reuse (a backend answering from its cache or deduping into an
-	// in-flight twin — what `dfmload -cluster N -chip` prints as the
-	// duplicate-tile hit rate and the benchmark reads as
-	// router.tile_reused_ratio).
+	// in-flight twin — what the benchmark reads as
+	// router.tile_reused_ratio and the chaos test asks of a second chip).
 	if rep.Header.Get(server.HeaderJobKind) == server.KindTile {
 		r.tileJobs.Add(1)
 		mTileJobs.Inc()

@@ -165,6 +165,11 @@ type Router struct {
 	retry    *client.RetryPolicy
 	budget   *throttle
 
+	// admitMu orders admission against Shutdown: a submission checks
+	// draining and joins inflight under it, and Shutdown flips draining
+	// under it, so no submission can join inflight after Shutdown's Wait
+	// has begun.
+	admitMu  sync.Mutex
 	draining atomic.Bool
 	inflight sync.WaitGroup
 	stop     chan struct{}
@@ -389,6 +394,18 @@ func classify(err error) outcome {
 	return outcomeFault
 }
 
+// admit lets one submission in, unless the router is draining; an
+// admitted submission must call r.inflight.Done.
+func (r *Router) admit() bool {
+	r.admitMu.Lock()
+	defer r.admitMu.Unlock()
+	if r.draining.Load() {
+		return false
+	}
+	r.inflight.Add(1)
+	return true
+}
+
 // Stats snapshots the router counters and per-backend states.
 func (r *Router) Stats() Stats {
 	st := Stats{
@@ -415,7 +432,9 @@ func (r *Router) Stats() Stats {
 // routed run to completion (failovers included) unless ctx expires
 // first, and the health probers stop. Safe to call more than once.
 func (r *Router) Shutdown(ctx context.Context) error {
+	r.admitMu.Lock()
 	r.draining.Store(true)
+	r.admitMu.Unlock()
 	done := make(chan struct{})
 	go func() {
 		r.inflight.Wait()

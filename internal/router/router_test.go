@@ -554,6 +554,54 @@ func TestRouterDrainMirrorsDfmd(t *testing.T) {
 	}
 }
 
+// TestShutdownRacesSubmissions: submissions racing Shutdown are either
+// refused with 503 or routed to completion before Shutdown returns.
+// None may join the drain after Shutdown has waited it out — the
+// sync.WaitGroup misuse the race detector reports — so once Shutdown
+// returns every request the router counted has settled, and nothing is
+// counted after. A -race stress test: the interleaving it guards against
+// is rare, hence the rounds.
+func TestShutdownRacesSubmissions(t *testing.T) {
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		server.WriteJSON(w, http.StatusOK, server.JobStatus{ID: "j-1", State: server.StateDone})
+	}))
+	defer stub.Close()
+	for round := 0; round < 200; round++ {
+		r, err := New(Config{Backends: []string{stub.URL}, CheckInterval: time.Hour, Logf: quiet})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := r.Handler()
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					rec := httptest.NewRecorder()
+					h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(`{"technique":"sraf","seed":1}`)))
+					if rec.Code == http.StatusServiceUnavailable {
+						return
+					}
+				}
+			}()
+		}
+		waitFor(t, "submissions under way", func() bool { return r.Stats().OK > 0 })
+		if err := r.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		at := r.Stats()
+		wg.Wait()
+		after := r.Stats()
+		if at.Requests != at.OK+at.Failed {
+			t.Fatalf("round %d: Shutdown returned with %d requests counted, %d ok + %d failed", round, at.Requests, at.OK, at.Failed)
+		}
+		if after.Requests != at.Requests {
+			t.Fatalf("round %d: %d requests routed after Shutdown returned", round, after.Requests-at.Requests)
+		}
+	}
+}
+
 // TestRouterShutdownLeaksNoGoroutines: health probers and routing
 // paths all exit; repeated create/use/shutdown cycles return the
 // process to its baseline goroutine count. Runs under the tier-1

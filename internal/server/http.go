@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"time"
 
 	"repro/internal/obs"
@@ -80,6 +81,15 @@ func ReadJobBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	return nil, false
 }
 
+// WaitRequested reads a submission's ?wait= the one way both tiers do:
+// present with any value but a false one ("0", "false", …; see
+// strconv.ParseBool), the submit blocks until the job settles.
+func WaitRequested(r *http.Request) bool {
+	v := r.URL.Query().Get("wait")
+	block, err := strconv.ParseBool(v)
+	return v != "" && (block || err != nil)
+}
+
 // decodeJobRequest is the node's strict reading of a body: unknown
 // fields rejected, here and (tiling's own codec) inside "tile".
 func decodeJobRequest(body []byte) (JobRequest, error) {
@@ -152,7 +162,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if r.URL.Query().Get("wait") != "" {
+	if WaitRequested(r) {
 		ws, ok, werr := s.wait(r.Context(), st.ID)
 		if werr != nil {
 			// The wait was cut short (client gone, proxy deadline), but

@@ -217,6 +217,11 @@ func (s *Server) submit(req JobRequest) (JobStatus, time.Duration, error) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// Again under mu, which Shutdown flips draining under: a job admitted
+	// here joins watchers before Shutdown waits on them.
+	if s.draining.Load() {
+		return JobStatus{}, 0, errDraining
+	}
 
 	j := &job{
 		id:      fmt.Sprintf("j-%06d", s.seq.Add(1)),
@@ -516,7 +521,9 @@ func (s *Server) Stats() Stats {
 // them through the harness context paths. Every job is settled when
 // Shutdown returns.
 func (s *Server) Shutdown(ctx context.Context) error {
+	s.mu.Lock()
 	s.draining.Store(true)
+	s.mu.Unlock()
 	closed := make(chan struct{})
 	go func() {
 		s.pool.Close()

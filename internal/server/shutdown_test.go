@@ -121,3 +121,42 @@ func TestShutdownIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestShutdownRacesSubmissions: a submission racing Shutdown is either
+// refused as draining or admitted before Shutdown waits on the job
+// watchers — the sync.WaitGroup misuse the race detector reports — so
+// every job a submit handed out is settled once Shutdown returns. A
+// -race stress test; one submitter, so each job's watcher tends to be
+// the only one, which is when the misuse shows.
+func TestShutdownRacesSubmissions(t *testing.T) {
+	for round := 0; round < 100; round++ {
+		cfg, gate := gatedConfig(Config{Workers: 2, Queue: 64, MaxWait: time.Hour})
+		close(gate)
+		s := New(cfg)
+		var ids []string
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for seed := int64(0); ; seed++ {
+				st, _, err := s.submit(req(seed))
+				if errors.Is(err, errDraining) {
+					return
+				}
+				if err == nil {
+					ids = append(ids, st.ID)
+				}
+			}
+		}()
+		waitFor(t, "submissions under way", func() bool { return s.Stats().Admitted > 0 })
+		if err := s.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		<-done
+		for _, id := range ids {
+			// A job no longer retained was evicted settled.
+			if st, ok := s.Job(id); ok && st.State != StateDone && st.State != StateFailed {
+				t.Fatalf("round %d: job %s unsettled after Shutdown: %+v", round, id, st)
+			}
+		}
+	}
+}

@@ -15,6 +15,7 @@ import (
 	"path"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -348,19 +349,20 @@ var (
 )
 
 // TestDocsNameWhatExists is `make docs-check`. Over README.md, DESIGN.md,
-// doc.go, the verify skill and EXPERIMENTS.md above R1 (R-sections are
-// history and name deleted things on purpose; benchmark/README.md is not
-// ours to edit) it fails, by file and line, on
+// doc.go, the verify skill, EXPERIMENTS.md above R1 and the reproducer
+// each R-section's heading names (the sections themselves are history
+// and name deleted things on purpose; benchmark/README.md is not ours to
+// edit) it fails, by file and line, on
 //
 //   - a path that is not in the tree: a backticked span or a word of a
 //     fenced block that has a known file extension or starts at a
 //     top-level directory (bin/ and other ignored output excepted); a bare
 //     file name may be anywhere in the tree, a/b.go may be the tail of a path;
 //   - `make X` where the Makefile has no target X;
-//   - a `go test` command whose -run, -bench or -fuzz regexp matches no
-//     such function of the package it names. The match is go test's own —
-//     an unanchored regexp, first /-element only — so a prefix of a real
-//     name passes; `^$` (run nothing) is not checked;
+//   - a `go test` command whose -run, -bench or -fuzz regexp has a branch
+//     that matches no such function of the package it names. The match is
+//     go test's own — an unanchored regexp, first /-element only — so a
+//     prefix of a real name passes; `^$` (run nothing) is not checked;
 //   - a backticked TestX / BenchmarkX / FuzzX (a trailing * is a prefix)
 //     that no package declares;
 //   - a flag passed to one of our binaries that the binary does not define.
@@ -413,8 +415,22 @@ func TestDocsNameWhatExists(t *testing.T) {
 		c, s := markdown(t, tr.root, doc, upTo)
 		code, spans = append(code, c...), append(spans, s...)
 	}
+	// An R-section's heading names, in parentheses, the command that
+	// reproduces it; the section below is history and may name what is
+	// gone.
+	b, err := os.ReadFile(filepath.Join(tr.root, "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, l := range strings.Split(string(b), "\n") {
+		if strings.HasPrefix(l, "## R") {
+			for _, m := range inlineSpan.FindAllStringSubmatch(l, -1) {
+				spans = append(spans, located{m[1], "EXPERIMENTS.md", i + 1})
+			}
+		}
+	}
 	// doc.go has no backticks: every word of its comment is a span.
-	b, err := os.ReadFile(filepath.Join(tr.root, "doc.go"))
+	b, err = os.ReadFile(filepath.Join(tr.root, "doc.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,29 +545,100 @@ func checkGoTest(cmd []string, funcs map[string][]string, report func(string)) {
 	}
 	for _, p := range pats {
 		first, _, _ := strings.Cut(p.re, "/")
-		re, err := regexp.Compile(first)
 		if first == "^$" || first == "." {
 			continue
 		}
-		if err != nil {
+		if _, err := regexp.Compile(first); err != nil {
 			report("-" + p.flag + " " + p.re + ": " + err.Error())
 			continue
 		}
 		kind := regexp.MustCompile("^(" + kinds[p.flag] + ")")
-		found := false
-		for _, pkg := range pkgs {
-			dir := path.Join(chdir, strings.TrimSuffix(pkg, "..."))
-			for d, names := range funcs {
-				if d != dir && !(strings.HasSuffix(pkg, "...") && (dir == "." || strings.HasPrefix(d+"/", dir+"/"))) {
-					continue
-				}
-				for _, n := range names {
-					found = found || (kind.MatchString(n) && re.MatchString(n))
+		for _, branch := range branches(first) {
+			re, err := regexp.Compile(branch)
+			found := false
+			for _, pkg := range pkgs {
+				dir := path.Join(chdir, strings.TrimSuffix(pkg, "..."))
+				for d, names := range funcs {
+					if d != dir && !(strings.HasSuffix(pkg, "...") && (dir == "." || strings.HasPrefix(d+"/", dir+"/"))) {
+						continue
+					}
+					for _, n := range names {
+						found = found || (err == nil && kind.MatchString(n) && re.MatchString(n))
+					}
 				}
 			}
+			if !found {
+				report("go test -" + p.flag + " " + p.re + ": " + branch + " matches no function of " + strings.Join(pkgs, " "))
+			}
 		}
-		if !found {
-			report("go test -" + p.flag + " " + p.re + " matches no function of " + strings.Join(pkgs, " "))
+	}
+}
+
+// branches expands a regexp's alternation into one regexp per branch —
+// at its top-level |, or else at the | of its first group — so that each
+// branch has to name something, not just one of them: ^Benchmark(A|B)$
+// is ^BenchmarkA$ and ^BenchmarkB$.
+func branches(re string) []string {
+	if alts := splitBars(re); len(alts) > 1 {
+		return alts
+	}
+	open, depth := strings.IndexByte(re, '('), 0
+	for i := open; open >= 0 && i < len(re); i++ {
+		switch re[i] {
+		case '\\':
+			i++
+		case '(':
+			depth++
+		case ')':
+			if depth--; depth == 0 {
+				alts := splitBars(strings.TrimPrefix(re[open+1:i], "?:"))
+				for j, a := range alts {
+					alts[j] = re[:open] + a + re[i+1:]
+				}
+				return alts
+			}
+		}
+	}
+	return []string{re}
+}
+
+// splitBars splits s at the | that no group or class encloses.
+func splitBars(s string) []string {
+	var out []string
+	depth, class, start := 0, false, 0
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '\\':
+			i++
+		case class:
+			class = c != ']'
+		case c == '[':
+			class = true
+		case c == '(':
+			depth++
+		case c == ')':
+			depth--
+		case c == '|' && depth == 0:
+			out, start = append(out, s[start:i]), i+1
+		}
+	}
+	return append(out, s[start:])
+}
+
+// TestRegexpBranches pins how docs-check splits a go test regexp: every
+// branch of its top-level or first-group alternation stands alone, and a
+// | inside a class or an escape is not a branch.
+func TestRegexpBranches(t *testing.T) {
+	for re, want := range map[string][]string{
+		"^Benchmark(A|B$|C)$":   {"^BenchmarkA$", "^BenchmarkB$$", "^BenchmarkC$"},
+		"TestA|TestB":           {"TestA", "TestB"},
+		"Index|(Bound|Edge)":    {"Index", "(Bound|Edge)"},
+		"^Test(?:X|Y(Z|W))Tail": {"^TestXTail", "^TestY(Z|W)Tail"},
+		`Test[|(]x\|y`:          {`Test[|(]x\|y`},
+		"^BenchmarkChip":        {"^BenchmarkChip"},
+	} {
+		if got := branches(re); !slices.Equal(got, want) {
+			t.Errorf("branches(%q) = %q, want %q", re, got, want)
 		}
 	}
 }

@@ -300,6 +300,23 @@ func suite(t *testing.T, d *deployment) {
 		}
 	})
 
+	t.Run("wait-zero", func(t *testing.T) {
+		// ?wait=0 does not block: a fresh job answers 202 with the state
+		// it was admitted in, and settles for a poll to find.
+		resp := postJSON(t, d.url+"/v1/jobs?wait=0", server.JobRequest{Technique: "sraf", Seed: 3})
+		st := decode[server.JobStatus](t, resp)
+		if resp.StatusCode != http.StatusAccepted || st.State == server.StateDone || st.ID == "" {
+			t.Fatalf("wait=0 submit: status %d, body %+v; want 202 and an unsettled job", resp.StatusCode, st)
+		}
+		waitFor(t, "the wait=0 job to settle", func() bool {
+			jr, err := http.Get(d.url + "/v1/jobs/" + st.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return decode[server.JobStatus](t, jr).State == server.StateDone
+		})
+	})
+
 	t.Run("tile-round-trip", func(t *testing.T) {
 		want, err := tiling.ExecuteTile(context.Background(), tileReq())
 		if err != nil {

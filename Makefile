@@ -15,13 +15,16 @@ GO ?= go
 # The -race pass is also where the snapshot-sharing contract is held:
 # TestDeltaChainRandomEdits (internal/tiling, not skipped by -short)
 # chains deltas that share retained state and runs several off one
-# snapshot at once.
+# snapshot at once. The litho kernel's float loops have an assembly arm
+# on amd64 and a Go arm everywhere else: the arm64 vet proves the Go arm
+# builds off amd64 (the package's tests run it on every host).
 tier1: ## build + vet + gofmt gate + full tests under the race detector
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(MAKE) fmt-check
 	$(MAKE) unit-check
 	$(GO) test -race ./...
+	GOARCH=arm64 $(GO) vet ./...
 	$(MAKE) fuzz-smoke
 	$(MAKE) cover-kernel
 	$(MAKE) cover-engine
@@ -65,9 +68,10 @@ test:
 race-fast: ## race pass skipping the slow full-scorecard experiments
 	$(GO) test -race -short ./...
 
-fuzz-smoke: ## 20 s of the packed-bitmap morphology fuzzer, 10 s of the sparse-blur fuzzer and 10 s of the boundary-edge fuzzer, each against its oracle; 10 s of the spatial index, frozen layout against grown against brute force; 10 s of the tile wire decoders on arbitrary bytes (no panic, bounded allocation, re-encode is a fixed point with the same key)
+fuzz-smoke: ## 20 s of the packed-bitmap morphology fuzzer, 10 s of the sparse-blur fuzzer (both kernel arms too) and 10 s of the boundary-edge fuzzer, each against its oracle; 10 s of the litho kernel's assembly routines against their Go loops; 10 s of the spatial index, frozen layout against grown against brute force; 10 s of the tile wire decoders on arbitrary bytes (no panic, bounded allocation, re-encode is a fixed point with the same key)
 	$(GO) test -run='^$$' -fuzz=FuzzBitmapMorphology -fuzztime=20s ./internal/litho
 	$(GO) test -run='^$$' -fuzz=FuzzSparseBlur -fuzztime=10s ./internal/litho
+	$(GO) test -run='^$$' -fuzz=FuzzKernelLoops -fuzztime=10s ./internal/litho
 	$(GO) test -run='^$$' -fuzz=FuzzBoundaryEdges -fuzztime=10s ./internal/geom
 	$(GO) test -run='^$$' -fuzz=FuzzIndexQuery -fuzztime=10s ./internal/geom
 	$(GO) test -run='^$$' -fuzz=FuzzTileWire -fuzztime=10s ./internal/tiling
@@ -101,9 +105,11 @@ endef
 # without one statement of it ever executing, in tests or anywhere
 # else; nothing was watching. This is the watch: the package's own
 # tests must reach every function of the kernel files and 90 % of the
-# statements of the two that hold the simulation path.
-cover-kernel: ## litho kernel coverage gate: no function of raster.go/sparse.go/optics.go/bitmap.go at 0 %, raster.go and sparse.go each >= 90 % of statements
-	$(call cover-gate,cover-kernel,./internal/litho,raster|sparse|optics|bitmap,raster|sparse)
+# statements of the two that hold the simulation path. kernel.go holds
+# the Go loops the assembly arm replaces on an AVX host: the tests run
+# them there as the reference, and this keeps them run.
+cover-kernel: ## litho kernel coverage gate: no function of raster.go/sparse.go/optics.go/bitmap.go/kernel.go at 0 %, raster.go and sparse.go each >= 90 % of statements
+	$(call cover-gate,cover-kernel,./internal/litho,raster|sparse|optics|bitmap|kernel,raster|sparse)
 
 # The same watch on the path every chip unit takes — cut (plan.go), key
 # (key.go), validate / execute / absorb (wire.go): unit.String sat there
@@ -154,8 +160,10 @@ fleetprofile: ## CPU profile of the fleet path (BenchmarkFleetChip: 50k-rect chi
 # Where lithoprofile keeps its test binary and profiles (bin/ is gitignored).
 LITHOPROFILE_DIR ?= bin/lithoprofile
 
-lithoprofile: ## ns/op of the generator's scan window and of the wall-to-wall one, then a CPU + allocation profile of the first (BenchmarkScanWindow, one P): the band blur, the threshold sink, the morphology, and what the runtime spends clearing and allocating under them, by cumulative cost
+lithoprofile: ## which arm of the kernel's float loops runs (litho.kernel.simd: 1 AVX assembly, 0 Go loops), ns/op of the generator's scan window and of the wall-to-wall one, then a CPU + allocation profile of the first (BenchmarkScanWindow, one P): the band blur, the threshold sink, the morphology, and what the runtime spends clearing and allocating under them, by cumulative cost
 	@mkdir -p $(LITHOPROFILE_DIR)
+	$(GO) run ./cmd/lithosim -lines -metrics $(LITHOPROFILE_DIR)/metrics.json > /dev/null
+	@grep -oE '"litho\.kernel\.simd": *[0-9]+' $(LITHOPROFILE_DIR)/metrics.json
 	$(GO) test -run='^$$' -bench='^BenchmarkScanWindow(Dense)?$$' -benchtime=20x -benchmem -cpu 1 . | grep '^Benchmark'
 	$(GO) test -run='^$$' -bench='^BenchmarkScanWindow$$' -benchtime=40x -benchmem -cpu 1 \
 		-cpuprofile $(LITHOPROFILE_DIR)/cpu.prof -memprofile $(LITHOPROFILE_DIR)/mem.prof -o $(LITHOPROFILE_DIR)/repro.test .

@@ -180,12 +180,15 @@ func EvalOPCAccuracy(ctx context.Context, t *tech.Tech) (o Outcome) {
 	drawn = geom.Normalize(drawn)
 	window := geom.BBoxOf(drawn).Bloat(400)
 
+	epe := func(img *litho.Image) float64 {
+		return litho.SummarizeEPE(img.MeasureEPE(drawn, 150)).RMS
+	}
 	rms := func(mask []geom.Rect) (float64, error) {
 		img, err := litho.SimulateCtx(ctx, mask, window, t.Optics, litho.Nominal)
 		if err != nil {
 			return 0, err
 		}
-		return litho.SummarizeEPE(img.MeasureEPE(drawn, 150)).RMS, nil
+		return epe(img), nil
 	}
 	sp := stage("model-opc", "baseline")
 	none, err := rms(drawn)
@@ -202,17 +205,15 @@ func EvalOPCAccuracy(ctx context.Context, t *tech.Tech) (o Outcome) {
 		return o
 	}
 	sp = stage("model-opc", "model-opc")
+	// The loop's last image is its corrected mask at nominal over this
+	// window: the image rms would render.
 	mres, err := opc.ModelBasedCtx(ctx, drawn, window, t.Optics, opc.DefaultModelOpts())
-	if err != nil {
-		o.Err = err
-		return o
-	}
-	model, err := rms(mres.Mask)
 	sp.End()
 	if err != nil {
 		o.Err = err
 		return o
 	}
+	model := epe(mres.Image)
 
 	// Inverse OPC is compared on the isolated structure it is scoped
 	// for (see the ilt-vs-model experiment); the pixel solver's hinge
@@ -464,17 +465,22 @@ func ExtractGateLengths(ctx context.Context, t *tech.Tech, cond litho.Condition,
 		diff := geom.Normalize(cell.LayerRects(tech.Diff))
 		window := cell.BBox().Bloat(300)
 		mask := poly
+		var img *litho.Image // at nominal, the OPC loop's last image is the one to read
 		if useOPC {
-			mo := opc.DefaultModelOpts()
-			res, err := opc.ModelBasedCtx(ctx, poly, window, t.Optics, mo)
+			res, err := opc.ModelBasedCtx(ctx, poly, window, t.Optics, opc.DefaultModelOpts())
 			if err != nil {
 				return gl, err
 			}
 			mask = res.Mask
+			if cond == litho.Nominal {
+				img = res.Image
+			}
 		}
-		img, err := litho.SimulateCtx(ctx, mask, window, t.Optics, cond)
-		if err != nil {
-			return gl, err
+		if img == nil {
+			var err error
+			if img, err = litho.SimulateCtx(ctx, mask, window, t.Optics, cond); err != nil {
+				return gl, err
+			}
 		}
 		printed := img.PrintedRects()
 		gates := geom.Intersect(printed, diff)

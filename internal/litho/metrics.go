@@ -29,6 +29,12 @@ var (
 	cBlurPasses = obs.C("litho.blur.passes")
 	cBlurSparse = obs.C("litho.blur.sparse")
 
+	// Which arm of the kernel's float loops a render ran (kernel.go): 1
+	// for the AVX assembly, 0 for the Go loops — not amd64, or a CPU
+	// without AVX, and a record from such a host says why it is slower.
+	// Set once per render.
+	gKernelSIMD = obs.G("litho.kernel.simd")
+
 	// Band occupancy: of the 64-column groups a band of the padded grid
 	// offers, how many a rect's footprint reached. The rest are neither
 	// thresholded nor cleared, so touched/offered is the share of a

@@ -68,6 +68,18 @@ func TestScanWindowKernelCounters(t *testing.T) {
 	if got := snapKernel().minus(before); got != want {
 		t.Errorf("one scan window moved the kernel counters by %+v, want %+v", got, want)
 	}
+	// The gauge names the arm the last render ran: the one init chose,
+	// and whichever a caller forces after it.
+	for _, asm := range append(arms(), simd) {
+		withArm(asm, scan)
+		want := 0.0
+		if asm {
+			want = 1
+		}
+		if got := obs.Default().Snapshot().Gauges["litho.kernel.simd"]; got != want {
+			t.Errorf("litho.kernel.simd = %v after a render with the assembly arm %v, want %v", got, asm, want)
+		}
+	}
 }
 
 // The acceptance criterion from the issue: a 9x5 focus-exposure

@@ -148,10 +148,7 @@ func (rm *RasterMask) unitIntensity(ctx context.Context, defocus float64, into *
 	// Crop the padding back off and square: I = A^2 at unit dose. Every
 	// pixel is written, touched or not: g may be a reused grid.
 	err := rm.renderLocked(ctx, defocus, g.W, g.H, bandRows, func(j int, a []float64, _ []bool) {
-		row := g.Data[j*g.W : (j+1)*g.W]
-		for i, v := range a {
-			row[i] = v * v
-		}
+		square(g.Data[j*g.W:(j+1)*g.W], a)
 	})
 	if err != nil {
 		return nil, err
@@ -196,40 +193,6 @@ func (rm *RasterMask) printed(ctx context.Context, cond Condition) (*Bitmap, err
 		return nil, err
 	}
 	return b, nil
-}
-
-// thresholdWord packs v*v*dose >= thr of up to 64 amplitudes into a
-// word, a[0] at bit 0. (Multiplying by a dose of 1 is exact, so there
-// is no unit-dose branch.) The word is built in a register four pixels
-// at a time, each nibble entering at the top as the rest moves down:
-// written with a bit index per pixel, the loop spends more on the
-// variable shift and its >= 64 guard than on the arithmetic.
-func thresholdWord(a []float64, dose, thr float64) uint64 {
-	var word uint64
-	n := len(a)
-	for ; len(a) >= 4; a = a[4:] {
-		var nib uint64
-		if a[0]*a[0]*dose >= thr {
-			nib = 1
-		}
-		if a[1]*a[1]*dose >= thr {
-			nib |= 2
-		}
-		if a[2]*a[2]*dose >= thr {
-			nib |= 4
-		}
-		if a[3]*a[3]*dose >= thr {
-			nib |= 8
-		}
-		word = word>>4 | nib<<60
-	}
-	for _, v := range a {
-		word >>= 1
-		if v*v*dose >= thr {
-			word |= 1 << 63
-		}
-	}
-	return word >> (64 - uint(n)) // n >= 1
 }
 
 // simulatePrinted is SimulateCtx(...).PrintedBitmap() for callers that
@@ -286,6 +249,11 @@ func (rm *RasterMask) renderLocked(ctx context.Context, defocus float64, w, h, r
 	defer sp.End()
 	if err := ctx.Err(); err != nil {
 		return err
+	}
+	if simd {
+		gKernelSIMD.Set(1)
+	} else {
+		gKernelSIMD.Set(0)
 	}
 	if rm.spans == nil {
 		rm.spans = clipSpans(geom.Normalize(rm.mask), rm.padded, rm.pitch, rm.rW, rm.rH)

@@ -139,10 +139,7 @@ func sparseBlurAcc(ctx context.Context, spans []pxSpan, w, j0, j1 int, kern, cdf
 				continue
 			}
 			at := (loy+j-j0)*w + lox
-			row := band[at : at+len(profX)]
-			for i, xv := range profX {
-				row[i] += c * xv
-			}
+			axpy(c, profX, band[at:at+len(profX)])
 		}
 	}
 	return nil

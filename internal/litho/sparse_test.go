@@ -244,8 +244,9 @@ func checkBandEqualsWhole(t *testing.T, mask []geom.Rect, window geom.Rect, opt 
 
 // FuzzSparseBlur holds the sparse blur to the rasterize-then-blur
 // reference on arbitrary rect sets, pitches and defocus, an arbitrary
-// band of its rows to the same rows of the whole grid, and every
-// column the band did not mark touched to +0 (10 s in make
+// band of its rows to the same rows of the whole grid, every column
+// the band did not mark touched to +0, and the render under the
+// assembly kernel to the render under the Go loops (10 s in make
 // fuzz-smoke).
 func FuzzSparseBlur(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(0), uint8(255), []byte{64, 64, 20, 20})
@@ -261,6 +262,7 @@ func FuzzSparseBlur(f *testing.F) {
 		mask, window := fuzzRects(data), geom.R(0, 0, 100, 80)
 		checkAgainstGridBlur(t, mask, window, o, cond)
 		checkBandEqualsWhole(t, mask, window, o, cond.Defocus, rowLo, rowN)
+		checkArmsAgree(t, mask, window, o, cond)
 	})
 }
 

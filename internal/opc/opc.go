@@ -218,6 +218,11 @@ type Result struct {
 	// RMSHistory is the RMS EPE after each iteration (index 0 = the
 	// uncorrected mask).
 	RMSHistory []float64
+	// Image is Mask simulated at litho.Nominal over the loop's window:
+	// the last iteration's image, which its final RMS was read from, so
+	// a caller measuring the corrected mask at nominal need not render
+	// it again. Set only when the loop completes.
+	Image *litho.Image
 }
 
 // ModelBased runs the simulate-then-move loop: each iteration
@@ -244,11 +249,14 @@ func ModelBasedCtx(ctx context.Context, drawn []geom.Rect, window geom.Rect, opt
 	res := Result{Fragments: frags}
 
 	// Nothing of an iteration's image outlives the EPEs read from it
-	// below, so each is rendered over the one before.
+	// below, so each is rendered over the one before; the last one is
+	// the result's.
 	var grid *litho.Grid
+	var img *litho.Image
 	for it := 0; it <= mo.Iterations; it++ {
 		mask := ApplyBias(drawn, frags)
-		img, err := litho.SimulateInto(ctx, grid, mask, window, opt, litho.Nominal)
+		var err error
+		img, err = litho.SimulateInto(ctx, grid, mask, window, opt, litho.Nominal)
 		if err != nil {
 			return res, err
 		}
@@ -284,6 +292,7 @@ func ModelBasedCtx(ctx context.Context, drawn []geom.Rect, window geom.Rect, opt
 		res.RMSHistory = append(res.RMSHistory, rms)
 		res.Mask = mask
 	}
+	res.Image = img
 	if len(res.RMSHistory) > 0 {
 		gModelRMS.Set(res.RMSHistory[len(res.RMSHistory)-1])
 	}

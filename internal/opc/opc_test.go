@@ -355,3 +355,42 @@ func TestModelBasedGridReuseMatchesFreshImages(t *testing.T) {
 		}
 	}
 }
+
+// The image a completed loop hands back is the corrected mask at
+// nominal, rendered over the grid of five iterations before it: every
+// pixel is a fresh SimulateCtx's, bit for bit, and so are the grid's
+// placement, threshold and condition. A canceled loop hands none back.
+func TestModelBasedImageEqualsResimulation(t *testing.T) {
+	ctx := context.Background()
+	drawn := []geom.Rect{geom.R(0, 0, 70, 1500), geom.R(160, 300, 230, 1200), geom.R(300, 0, 370, 600)}
+	window := geom.R(-400, -200, 700, 1900)
+	res, err := ModelBasedCtx(ctx, drawn, window, opt(), DefaultModelOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := litho.SimulateCtx(ctx, res.Mask, window, opt(), litho.Nominal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := res.Image
+	if got == nil {
+		t.Fatal("a completed loop returned no image")
+	}
+	if got.W != want.W || got.H != want.H || got.Origin != want.Origin || got.Pitch != want.Pitch ||
+		got.Threshold != want.Threshold || got.Cond != want.Cond {
+		t.Fatalf("image %dx%d at %v pitch %g thr %g %+v, re-simulation %dx%d at %v pitch %g thr %g %+v",
+			got.W, got.H, got.Origin, got.Pitch, got.Threshold, got.Cond,
+			want.W, want.H, want.Origin, want.Pitch, want.Threshold, want.Cond)
+	}
+	for i, v := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
+			t.Fatalf("pixel (%d,%d) = %v in the loop's image, %v re-simulated", i%want.W, i/want.W, got.Data[i], v)
+		}
+	}
+
+	dead, cancel := context.WithCancel(ctx)
+	cancel()
+	if res, err := ModelBasedCtx(dead, drawn, window, opt(), DefaultModelOpts()); err == nil || res.Image != nil {
+		t.Errorf("canceled loop returned (image %v, err %v), want no image and an error", res.Image != nil, err)
+	}
+}

@@ -107,15 +107,18 @@ endef
 # tests must reach every function of the kernel files and 90 % of the
 # statements of the two that hold the simulation path. kernel.go holds
 # the Go loops the assembly arm replaces on an AVX host: the tests run
-# them there as the reference, and this keeps them run.
-cover-kernel: ## litho kernel coverage gate: no function of raster.go/sparse.go/optics.go/bitmap.go/kernel.go at 0 %, raster.go and sparse.go each >= 90 % of statements
-	$(call cover-gate,cover-kernel,./internal/litho,raster|sparse|optics|bitmap|kernel,raster|sparse)
+# them there as the reference, and this keeps them run. hotspot.go is
+# the scan on top of the kernel: the window, the seam rule and the pixel
+# bound the tile wire checks before it allocates.
+cover-kernel: ## litho kernel coverage gate: no function of raster.go/sparse.go/optics.go/bitmap.go/kernel.go/hotspot.go at 0 %, raster.go and sparse.go each >= 90 % of statements
+	$(call cover-gate,cover-kernel,./internal/litho,raster|sparse|optics|bitmap|kernel|hotspot,raster|sparse)
 
 # The same watch on the path every chip unit takes — cut (plan.go), key
-# (key.go), validate / execute / absorb (wire.go): unit.String sat there
-# unexecuted until PR 20 deleted it with the type.
-cover-engine: ## unit path coverage gate: no function of internal/tiling's plan.go/wire.go/key.go at 0 % under the package's own tests
-	$(call cover-gate,cover-engine,./internal/tiling,plan|wire|key,)
+# (key.go), validate / execute / absorb (wire.go), scan (scan.go, every
+# engine's stage-B driver): unit.String sat there unexecuted until PR 20
+# deleted it with the type.
+cover-engine: ## unit path coverage gate: no function of internal/tiling's plan.go/wire.go/key.go/scan.go at 0 % under the package's own tests
+	$(call cover-gate,cover-engine,./internal/tiling,plan|wire|key|scan,)
 
 # And on what every tile's deck stands on: the index and the boundary
 # extraction under ./internal/geom's own tests, the prepared layer and

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -100,7 +101,11 @@ func main() {
 		fmt.Println("center point does not print")
 	}
 
-	hs := litho.ScanLayer(rs, t, layer, cond, 0, 0)
+	hs, err := litho.ScanLayer(context.Background(), rs, t, layer, litho.ScanOpts{Cond: cond})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "lithosim:", err)
+		os.Exit(1)
+	}
 	fmt.Printf("hotspots: %d\n", len(hs))
 	for i, h := range hs {
 		if i >= 15 {
@@ -119,7 +124,11 @@ func main() {
 			return
 		}
 		spec := litho.CDSpec{Target: cd0, Tol: 0.10}
-		pts := litho.FEMatrix(rs, bb.Bloat(200), t.Optics, cx, cy, true, spec, defocusList, doseList)
+		pts, err := litho.FEMatrix(context.Background(), rs, bb.Bloat(200), t.Optics, cx, cy, true, spec, defocusList, doseList)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "lithosim:", err)
+			os.Exit(1)
+		}
 		fmt.Printf("focus-exposure matrix (target %.1fnm +-10%%):\n      ", cd0)
 		for _, d := range doseList {
 			fmt.Printf("%7.2f", d)

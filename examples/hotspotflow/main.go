@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -29,13 +30,21 @@ func m1Layer(t *tech.Tech, seed int64) []geom.Rect {
 	return geom.Normalize(layout.ByLayer(l.Flatten())[tech.Metal1])
 }
 
+func scan(t *tech.Tech, m1 []geom.Rect, cond litho.Condition) []litho.Hotspot {
+	hs, err := litho.ScanLayer(context.Background(), m1, t, tech.Metal1, litho.ScanOpts{Cond: cond})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return hs
+}
+
 func main() {
 	t := tech.N45()
 	stress := litho.Condition{Defocus: 110, Dose: 0.95}
 
 	// Phase 1: hotspot discovery on the test chip.
 	train := m1Layer(t, 11)
-	trainHS := litho.ScanLayer(train, t, tech.Metal1, stress, 0, 0)
+	trainHS := scan(t, train, stress)
 	fmt.Printf("test chip: %d hotspots at defocus %.0f / dose %.2f\n",
 		len(trainHS), stress.Defocus, stress.Dose)
 
@@ -69,7 +78,7 @@ func main() {
 		m.AddEntry(&pattern.LibEntry{Name: fmt.Sprintf("hs%d", i), P: p, Exact: true})
 	}
 	test := m1Layer(t, 12)
-	testHS := litho.ScanLayer(test, t, tech.Metal1, stress, 0, 0)
+	testHS := scan(t, test, stress)
 	matches := m.ScanLayer(test)
 
 	caught := 0

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -42,7 +43,11 @@ func main() {
 
 	// 3. Printability: scan metal1 at a stressed process corner.
 	m1 := geom.Normalize(layout.ByLayer(flat)[tech.Metal1])
-	hs := litho.ScanLayer(m1, t, tech.Metal1, litho.Condition{Defocus: 110, Dose: 0.95}, 0, 0)
+	hs, err := litho.ScanLayer(context.Background(), m1, t, tech.Metal1,
+		litho.ScanOpts{Cond: litho.Condition{Defocus: 110, Dose: 0.95}})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("litho hotspots at defocus 110nm / dose 0.95: %d\n", len(hs))
 	for i, h := range hs {
 		if i >= 5 {

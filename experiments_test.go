@@ -82,6 +82,16 @@ func outcomeOf(tb testing.TB, o dfm.Outcome) dfm.Outcome {
 // finalRMS is the RMS EPE a model-OPC run converged to.
 func finalRMS(res opc.Result) float64 { return res.RMSHistory[len(res.RMSHistory)-1] }
 
+// modelOPC runs opc.ModelBased to completion.
+func modelOPC(tb testing.TB, drawn []geom.Rect, window geom.Rect, t *tech.Tech, mo opc.ModelOpts) opc.Result {
+	tb.Helper()
+	res, err := opc.ModelBased(context.Background(), drawn, window, t.Optics, mo)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
 var experiments = []experiment{
 	// T1: redundant-via insertion yield gain vs cost across block sizes.
 	{"T1", direct(func(tb testing.TB, t *tech.Tech) (out []string) {
@@ -122,8 +132,11 @@ var experiments = []experiment{
 				if !ok {
 					tb.Fatalf("%s: no print", tag)
 				}
-				pts := litho.FEMatrix(mask, window, t.Optics, 35, 1500, true,
+				pts, err := litho.FEMatrix(context.Background(), mask, window, t.Optics, 35, 1500, true,
 					litho.CDSpec{Target: cd0, Tol: 0.10}, defocus, dose)
+				if err != nil {
+					tb.Fatal(err)
+				}
 				dof := litho.DepthOfFocus(pts, defocus)
 				addf(&out, "%s: nominal CD %.1fnm, DOF %.0fnm, EL@0 %.2f", tag, cd0, dof, litho.ExposureLatitude(pts, 0))
 				for _, f := range defocus {
@@ -287,7 +300,7 @@ var experiments = []experiment{
 			for _, num := range []int64{10, 9, 8, 7, 6} {
 				scaled := geom.Scale(poly, num, 10)
 				window := geom.BBoxOf(scaled).Bloat(300)
-				res := opc.ModelBased(scaled, window, t.Optics, opc.DefaultModelOpts())
+				res := modelOPC(tb, scaled, window, t, opc.DefaultModelOpts())
 				img := litho.Simulate(res.Mask, window, t.Optics, litho.Nominal)
 				coverage := 0.0
 				if drawnArea := geom.AreaOf(scaled); drawnArea > 0 {
@@ -309,7 +322,7 @@ var experiments = []experiment{
 			for _, iters := range []int{1, 2, 3, 5, 8} {
 				mo := opc.DefaultModelOpts()
 				mo.Iterations = iters
-				addf(&out, "opc-iters=%d rms=%.2f", iters, finalRMS(opc.ModelBased(drawn, window, t.Optics, mo)))
+				addf(&out, "opc-iters=%d rms=%.2f", iters, finalRMS(modelOPC(tb, drawn, window, t, mo)))
 			}
 			return out
 		}
@@ -323,7 +336,7 @@ var experiments = []experiment{
 			for _, ml := range []int64{60, 120, 240, 480} {
 				mo := opc.DefaultModelOpts()
 				mo.MaxLen = ml
-				res := opc.ModelBased(drawn, window, t.Optics, mo)
+				res := modelOPC(tb, drawn, window, t, mo)
 				addf(&out, "frag-len=%d rms=%.2f frags=%d", ml, finalRMS(res), len(res.Fragments))
 			}
 			return out
@@ -339,7 +352,7 @@ var experiments = []experiment{
 				img := litho.Simulate(mask, window, t.Optics, litho.Nominal)
 				addf(&out, "%s rms=%.2f shapes=%d", tag, litho.SummarizeEPE(img.MeasureEPE(drawn, 120)).RMS, len(mask))
 			}
-			row("model-opc", opc.ModelBased(drawn, window, t.Optics, opc.DefaultModelOpts()).Mask)
+			row("model-opc", modelOPC(tb, drawn, window, t, opc.DefaultModelOpts()).Mask)
 			row("inverse-opc", opc.ILT(drawn, window, t.Optics).Mask)
 			return out
 		}
@@ -396,7 +409,7 @@ var experiments = []experiment{
 				addf(&out, "%s rms@nominal=%.2f rms@f80=%.2f", tag,
 					rmsAt(mask, litho.Nominal), rmsAt(mask, litho.Condition{Defocus: 80, Dose: 1}))
 			}
-			row("nominal-opc:", opc.ModelBased(drawn, window, t.Optics, mo).Mask)
+			row("nominal-opc:", modelOPC(tb, drawn, window, t, mo).Mask)
 			row("pw-opc:     ", opc.ProcessWindowOPC(drawn, window, t.Optics, mo, opc.StandardPWCorners(80)).Mask)
 			return out
 		}

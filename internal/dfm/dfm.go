@@ -127,7 +127,7 @@ type Scorecard struct {
 }
 
 // Add appends an outcome as-is. Judging is the evaluator's job —
-// every Eval* judges from its row of thresholds before returning.
+// every Eval* judges from its row of the technique table before returning.
 func (s *Scorecard) Add(o Outcome) {
 	s.Outcomes = append(s.Outcomes, o)
 }
@@ -158,8 +158,8 @@ func (s *Scorecard) Detail() string {
 	for _, o := range s.Outcomes {
 		fmt.Fprintf(&b, "== %s [%s] cost=%.2f%% (%s) runtime=%v\n",
 			o.Technique, o.Verdict, 100*o.CostFrac, o.CostNote, o.Runtime.Round(time.Millisecond))
-		if th, ok := thresholdOf(o.Technique); ok {
-			fmt.Fprintf(&b, "   %s: %s\n", th.Bar(), th.Why)
+		if d, ok := techniqueNamed(o.Technique); ok {
+			fmt.Fprintf(&b, "   %s: %s\n", d.Bar(), d.Why)
 		}
 		if o.Err != nil {
 			fmt.Fprintf(&b, "   error[%s]: %v\n", errKind(o.Err), o.Err)

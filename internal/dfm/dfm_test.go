@@ -55,12 +55,13 @@ func TestTablePrintsUnchangedAsZero(t *testing.T) {
 // scorecard order, and Detail prints the row each verdict was judged on.
 func TestThresholdsCoverEveryTechnique(t *testing.T) {
 	ths := Thresholds()
-	if len(ths) != len(techniqueDefs) {
-		t.Fatalf("%d thresholds for %d techniques", len(ths), len(techniqueDefs))
+	names := Techniques()
+	if len(ths) != len(names) {
+		t.Fatalf("%d thresholds for %d techniques", len(ths), len(names))
 	}
-	for i, d := range techniqueDefs {
-		if th := ths[i]; th.Technique != d.name || th.HitGain <= 0 || th.CostCap <= 0 || th.Why == "" {
-			t.Errorf("thresholds[%d] = %+v, want a complete row for %s", i, th, d.name)
+	for i, name := range names {
+		if th := ths[i]; th.Technique != name || th.HitGain <= 0 || th.CostCap <= 0 || th.Why == "" {
+			t.Errorf("thresholds[%d] = %+v, want a complete row for %s", i, th, name)
 		}
 	}
 	o := Outcome{Technique: "dummy-fill", CostFrac: 0.284,

@@ -62,48 +62,6 @@ func DefaultBlock() layout.BlockOpts {
 	return layout.BlockOpts{Rows: 3, RowWidth: 10000, Nets: 15, MaxFan: 3}
 }
 
-// techniqueDef binds a technique name to its evaluator. base carries
-// the workload shape for block-driven techniques (its Seed is
-// overwritten with the perturbed attempt seed); analysis techniques
-// ignore it.
-type techniqueDef struct {
-	name string
-	run  func(ctx context.Context, t *tech.Tech, seed int64, base layout.BlockOpts, attempt int) Outcome
-}
-
-// techniqueDefs is the canonical technique registry, in scorecard
-// order.
-var techniqueDefs = []techniqueDef{
-	{"redundant-via", func(ctx context.Context, t *tech.Tech, seed int64, base layout.BlockOpts, a int) Outcome {
-		base.Seed = PerturbSeed(seed, a)
-		return EvalRedundantVia(ctx, t, base)
-	}},
-	{"dummy-fill", func(ctx context.Context, t *tech.Tech, seed int64, base layout.BlockOpts, a int) Outcome {
-		base.Seed = PerturbSeed(seed, a)
-		return EvalDummyFill(ctx, t, base)
-	}},
-	{"model-opc", func(ctx context.Context, t *tech.Tech, seed int64, base layout.BlockOpts, a int) Outcome {
-		return EvalOPCAccuracy(ctx, t)
-	}},
-	{"sraf", func(ctx context.Context, t *tech.Tech, seed int64, base layout.BlockOpts, a int) Outcome {
-		return EvalSRAF(ctx, t)
-	}},
-	{"drc-plus", func(ctx context.Context, t *tech.Tech, seed int64, base layout.BlockOpts, a int) Outcome {
-		s := PerturbSeed(seed, a)
-		return EvalDRCPlus(ctx, t, s, s+1)
-	}},
-	{"litho-aware-timing", func(ctx context.Context, t *tech.Tech, seed int64, base layout.BlockOpts, a int) Outcome {
-		return EvalLithoTiming(ctx, t, PerturbSeed(seed, a))
-	}},
-	{"restricted-rules", func(ctx context.Context, t *tech.Tech, seed int64, base layout.BlockOpts, a int) Outcome {
-		return EvalRestrictedRules(ctx, t)
-	}},
-	{"dpt-decomposition", func(ctx context.Context, t *tech.Tech, seed int64, base layout.BlockOpts, a int) Outcome {
-		base.Seed = PerturbSeed(seed, a)
-		return EvalDPT(ctx, t, base)
-	}},
-}
-
 // Threshold is the bar one technique's verdict is judged against: a
 // primary-metric gain of at least HitGain at a cost of at most CostCap
 // is a HIT (Outcome.Judge has the other two verdicts).
@@ -113,49 +71,99 @@ type Threshold struct {
 	Why              string
 }
 
-// thresholds is the one table of verdict bars, in scorecard order.
-// Every Eval* judges from its row and Scorecard.Detail prints it.
-var thresholds = []Threshold{
-	{"redundant-via", 0.02, 0.10, "chip yield moves in points, and extra cuts cost no area"},
-	{"dummy-fill", 0.10, 0.40, "fill is dead metal, electrically cheap, so the cost cap is loose"},
-	{"model-opc", 0.30, 0.10, "correction must remove most of the raw error to earn its mask data and compute"},
-	{"sraf", 0.15, 0.10, "assists must buy visible through-focus stability for their MRC burden"},
-	{"drc-plus", 0.10, 0.10, "a pattern deck must catch what plain DRC misses to earn its upkeep"},
-	{"litho-aware-timing", 0.02, 0.10, "a slack error of 2% of the period is a speed bin"},
-	{"restricted-rules", 0.05, 0.10, "area is the bill the panel argued over; more than 10% of it is not a clear win"},
-	{"dpt-decomposition", 0.10, 0.10, "decomposition must separate the adjacencies; stitch overlap is the cost"},
+// technique is one row of the scorecard: the name and verdict bar, and
+// the evaluator. base carries the workload shape for block-driven
+// techniques (its Seed is overwritten with the perturbed attempt
+// seed); analysis techniques ignore it.
+type technique struct {
+	Threshold
+	run func(ctx context.Context, t *tech.Tech, seed int64, base layout.BlockOpts, attempt int) Outcome
+}
+
+// techniques is the one technique table, in scorecard order. Every
+// Eval* judges from its row and Scorecard.Detail prints it; since the
+// rows name the Eval*s, a static initializer would be a cycle, so init
+// fills it.
+var techniques []technique
+
+func init() {
+	techniques = []technique{
+		{Threshold{"redundant-via", 0.02, 0.10, "chip yield moves in points, and extra cuts cost no area"},
+			func(ctx context.Context, t *tech.Tech, seed int64, base layout.BlockOpts, a int) Outcome {
+				base.Seed = PerturbSeed(seed, a)
+				return EvalRedundantVia(ctx, t, base)
+			}},
+		{Threshold{"dummy-fill", 0.10, 0.40, "fill is dead metal, electrically cheap, so the cost cap is loose"},
+			func(ctx context.Context, t *tech.Tech, seed int64, base layout.BlockOpts, a int) Outcome {
+				base.Seed = PerturbSeed(seed, a)
+				return EvalDummyFill(ctx, t, base)
+			}},
+		{Threshold{"model-opc", 0.30, 0.10, "correction must remove most of the raw error to earn its mask data and compute"},
+			func(ctx context.Context, t *tech.Tech, seed int64, base layout.BlockOpts, a int) Outcome {
+				return EvalOPCAccuracy(ctx, t)
+			}},
+		{Threshold{"sraf", 0.15, 0.10, "assists must buy visible through-focus stability for their MRC burden"},
+			func(ctx context.Context, t *tech.Tech, seed int64, base layout.BlockOpts, a int) Outcome {
+				return EvalSRAF(ctx, t)
+			}},
+		{Threshold{"drc-plus", 0.10, 0.10, "a pattern deck must catch what plain DRC misses to earn its upkeep"},
+			func(ctx context.Context, t *tech.Tech, seed int64, base layout.BlockOpts, a int) Outcome {
+				s := PerturbSeed(seed, a)
+				return EvalDRCPlus(ctx, t, s, s+1)
+			}},
+		{Threshold{"litho-aware-timing", 0.02, 0.10, "a slack error of 2% of the period is a speed bin"},
+			func(ctx context.Context, t *tech.Tech, seed int64, base layout.BlockOpts, a int) Outcome {
+				return EvalLithoTiming(ctx, t, PerturbSeed(seed, a))
+			}},
+		{Threshold{"restricted-rules", 0.05, 0.10, "area is the bill the panel argued over; more than 10% of it is not a clear win"},
+			func(ctx context.Context, t *tech.Tech, seed int64, base layout.BlockOpts, a int) Outcome {
+				return EvalRestrictedRules(ctx, t)
+			}},
+		{Threshold{"dpt-decomposition", 0.10, 0.10, "decomposition must separate the adjacencies; stitch overlap is the cost"},
+			func(ctx context.Context, t *tech.Tech, seed int64, base layout.BlockOpts, a int) Outcome {
+				base.Seed = PerturbSeed(seed, a)
+				return EvalDPT(ctx, t, base)
+			}},
+	}
+}
+
+// techniqueNamed returns the table row for name.
+func techniqueNamed(name string) (technique, bool) {
+	for _, d := range techniques {
+		if d.Technique == name {
+			return d, true
+		}
+	}
+	return technique{}, false
 }
 
 // Thresholds returns the verdict bars in canonical scorecard order.
 // The slice is fresh on every call.
-func Thresholds() []Threshold { return append([]Threshold(nil), thresholds...) }
+func Thresholds() []Threshold {
+	ths := make([]Threshold, len(techniques))
+	for i, d := range techniques {
+		ths[i] = d.Threshold
+	}
+	return ths
+}
 
 // Bar renders the threshold pair.
 func (th Threshold) Bar() string {
 	return fmt.Sprintf("HIT at gain >= %.0f%% and cost <= %.0f%%", 100*th.HitGain, 100*th.CostCap)
 }
 
-func thresholdOf(technique string) (Threshold, bool) {
-	for _, th := range thresholds {
-		if th.Technique == technique {
-			return th, true
-		}
-	}
-	return Threshold{}, false
-}
-
-// judge sets the verdict from the technique's row of thresholds.
+// judge sets the verdict from the technique's row of the table.
 func (o *Outcome) judge() {
-	th, _ := thresholdOf(o.Technique)
-	o.Judge(th.HitGain, th.CostCap)
+	d, _ := techniqueNamed(o.Technique)
+	o.Judge(d.HitGain, d.CostCap)
 }
 
 // Techniques returns the technique names in canonical scorecard
 // order. The slice is fresh on every call.
 func Techniques() []string {
-	names := make([]string, len(techniqueDefs))
-	for i, d := range techniqueDefs {
-		names[i] = d.name
+	names := make([]string, len(techniques))
+	for i, d := range techniques {
+		names[i] = d.Technique
 	}
 	return names
 }
@@ -170,26 +178,23 @@ var ErrUnknownTechnique = errors.New("dfm: unknown technique")
 // seed (perturbed per retry attempt); base is the block shape for
 // block-driven techniques.
 func TechniqueTask(t *tech.Tech, name string, seed int64, base layout.BlockOpts) (harness.Task, error) {
-	for _, d := range techniqueDefs {
-		if d.name != name {
-			continue
-		}
-		d := d
-		return harness.Task{Name: name, Run: func(ctx context.Context, attempt int) (any, error) {
-			o := d.run(ctx, t, seed, base, attempt)
-			return o, o.Err
-		}}, nil
+	d, ok := techniqueNamed(name)
+	if !ok {
+		return harness.Task{}, fmt.Errorf("%w: %q", ErrUnknownTechnique, name)
 	}
-	return harness.Task{}, fmt.Errorf("%w: %q", ErrUnknownTechnique, name)
+	return harness.Task{Name: name, Run: func(ctx context.Context, attempt int) (any, error) {
+		o := d.run(ctx, t, seed, base, attempt)
+		return o, o.Err
+	}}, nil
 }
 
 // TechniqueTasks builds the harness task list for every technique at
 // the given base seed, in the canonical scorecard order. Retry
 // attempts of workload-driven techniques run on perturbed seeds.
 func TechniqueTasks(t *tech.Tech, seed int64) []harness.Task {
-	tasks := make([]harness.Task, 0, len(techniqueDefs))
-	for _, d := range techniqueDefs {
-		task, _ := TechniqueTask(t, d.name, seed, DefaultBlock())
+	tasks := make([]harness.Task, 0, len(techniques))
+	for _, d := range techniques {
+		task, _ := TechniqueTask(t, d.Technique, seed, DefaultBlock())
 		tasks = append(tasks, task)
 	}
 	return tasks

@@ -207,7 +207,7 @@ func EvalOPCAccuracy(ctx context.Context, t *tech.Tech) (o Outcome) {
 	sp = stage("model-opc", "model-opc")
 	// The loop's last image is its corrected mask at nominal over this
 	// window: the image rms would render.
-	mres, err := opc.ModelBasedCtx(ctx, drawn, window, t.Optics, opc.DefaultModelOpts())
+	mres, err := opc.ModelBased(ctx, drawn, window, t.Optics, opc.DefaultModelOpts())
 	sp.End()
 	if err != nil {
 		o.Err = err
@@ -315,7 +315,7 @@ func EvalDRCPlus(ctx context.Context, t *tech.Tech, trainSeed, testSeed int64) (
 			return nil, nil, harness.Workload(err)
 		}
 		m1 := geom.Normalize(layout.ByLayer(l.Flatten())[tech.Metal1])
-		hs, err := litho.ScanLayerCtx(ctx, m1, t, tech.Metal1, StressCond, 0, 0)
+		hs, err := litho.ScanLayer(ctx, m1, t, tech.Metal1, litho.ScanOpts{Cond: StressCond})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -467,7 +467,7 @@ func ExtractGateLengths(ctx context.Context, t *tech.Tech, cond litho.Condition,
 		mask := poly
 		var img *litho.Image // at nominal, the OPC loop's last image is the one to read
 		if useOPC {
-			res, err := opc.ModelBasedCtx(ctx, poly, window, t.Optics, opc.DefaultModelOpts())
+			res, err := opc.ModelBased(ctx, poly, window, t.Optics, opc.DefaultModelOpts())
 			if err != nil {
 				return gl, err
 			}

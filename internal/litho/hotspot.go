@@ -128,8 +128,8 @@ func ScanGrid(bb geom.Rect) []geom.Rect {
 	return out
 }
 
-// ScanDefaults returns the minWidth/minSpace thresholds ScanLayer uses
-// when the caller passes zero: 60% of the layer's design rules, the
+// ScanDefaults returns the minWidth/minSpace thresholds a scan uses
+// when ScanOpts leaves them zero: 60% of the layer's design rules, the
 // standard "electrical fail" margin.
 func ScanDefaults(t *tech.Tech, layer tech.Layer) (minWidth, minSpace int64) {
 	return t.Rules[layer].MinWidth * 6 / 10, t.Rules[layer].MinSpace * 6 / 10
@@ -220,8 +220,8 @@ func ScanWindowPixels(opt tech.Optics, defocus float64, w, h int64) float64 {
 
 // ScanWindowCtx simulates one scan window (with the standard seam
 // pad) and returns the hotspots attributed to it by ScanKeeps, in
-// SortHotspots order. Callers stitching multiple windows dedupe
-// identical boxes across seams themselves. rs must hold every shape
+// SortHotspots order. Callers scanning several windows merge them
+// with StitchWindows. rs must hold every shape
 // reaching the padded window.
 func ScanWindowCtx(ctx context.Context, rs []geom.Rect, win geom.Rect, t *tech.Tech, layer tech.Layer, o ScanOpts) ([]Hotspot, error) {
 	o = o.resolve(t, layer)
@@ -270,35 +270,34 @@ func SortHotspots(out []Hotspot) {
 	})
 }
 
-// ScanLayer simulates a full layer in tiles and returns all hotspots.
-// Tiling bounds memory on large blocks; the simulation pad makes tile
-// seams invisible. minWidth/minSpace default to 60% of the layer's
-// design rules when zero — the standard "electrical fail" margin.
-func ScanLayer(rs []geom.Rect, t *tech.Tech, layer tech.Layer, cond Condition, minWidth, minSpace int64) []Hotspot {
-	hs, _ := ScanLayerCtx(context.Background(), rs, t, layer, cond, minWidth, minSpace)
-	return hs
-}
-
-// ScanLayerCtx is ScanLayer with a cancellation checkpoint per tile
-// (and per blur pass inside each tile's simulation); on cancellation
-// it returns the hotspots found so far alongside the context error.
-func ScanLayerCtx(ctx context.Context, rs []geom.Rect, t *tech.Tech, layer tech.Layer, cond Condition, minWidth, minSpace int64) ([]Hotspot, error) {
-	return ScanLayerOpts(ctx, rs, t, layer, ScanOpts{Cond: cond, MinWidth: minWidth, MinSpace: minSpace})
-}
-
-// ScanLayerOpts is ScanLayerCtx with the full option set, including
-// the interior-defect filter.
-func ScanLayerOpts(ctx context.Context, rs []geom.Rect, t *tech.Tech, layer tech.Layer, o ScanOpts) ([]Hotspot, error) {
-	o = o.resolve(t, layer)
-	var out []Hotspot
-	seen := make(map[geom.Rect]bool)
-	for _, win := range ScanGrid(geom.BBoxOf(rs)) {
-		// The window pad makes seam hotspots visible whole from both
-		// sides; the seen-set dedupes the double attribution.
+// ScanLayer simulates a full layer window by window and returns all
+// hotspots: ScanGrid over the layer's bbox, ScanWindowCtx per window,
+// then StitchWindows. Windows bound memory on large blocks; the
+// simulation pad makes their seams invisible. The context is checked
+// per window (and per band inside each window's render); a canceled
+// scan returns nil and the context error.
+func ScanLayer(ctx context.Context, rs []geom.Rect, t *tech.Tech, layer tech.Layer, o ScanOpts) ([]Hotspot, error) {
+	wins := ScanGrid(geom.BBoxOf(rs))
+	perWin := make([][]Hotspot, len(wins))
+	for i, win := range wins {
 		hs, err := ScanWindowCtx(ctx, rs, win, t, layer, o)
 		if err != nil {
-			return out, err
+			return nil, err
 		}
+		perWin[i] = hs
+	}
+	return StitchWindows(perWin), nil
+}
+
+// StitchWindows merges per-window scan results given in ScanGrid
+// order. The window pad makes a seam hotspot visible whole from both
+// sides; the first window in scan order to report a box keeps it, and
+// the result is in SortHotspots order. Every engine that scans a layer
+// window by window stitches through here.
+func StitchWindows(perWin [][]Hotspot) []Hotspot {
+	seen := make(map[geom.Rect]bool)
+	var out []Hotspot
+	for _, hs := range perWin {
 		for _, h := range hs {
 			if seen[h.Box] {
 				continue
@@ -308,5 +307,5 @@ func ScanLayerOpts(ctx context.Context, rs []geom.Rect, t *tech.Tech, layer tech
 		}
 	}
 	SortHotspots(out)
-	return out, nil
+	return out
 }

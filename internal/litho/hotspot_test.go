@@ -25,7 +25,7 @@ func neckV(x, y int64) []geom.Rect {
 func TestScanInteriorFiltersLineEnds(t *testing.T) {
 	tt := tech.N45()
 	ctx := context.Background()
-	plain, err := ScanLayerOpts(ctx, neckV(0, 0), tt, tech.Metal1, ScanOpts{Cond: Nominal})
+	plain, err := ScanLayer(ctx, neckV(0, 0), tt, tech.Metal1, ScanOpts{Cond: Nominal})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,12 +38,15 @@ func TestScanInteriorFiltersLineEnds(t *testing.T) {
 	if !reflect.DeepEqual(plain, wantPlain) {
 		t.Fatalf("plain scan = %v, want %v", plain, wantPlain)
 	}
-	interior, err := ScanLayerOpts(ctx, neckV(0, 0), tt, tech.Metal1, ScanOpts{Cond: Nominal, Interior: true})
+	interior, err := ScanLayer(ctx, neckV(0, 0), tt, tech.Metal1, ScanOpts{Cond: Nominal, Interior: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(interior, wantPlain[1:3]) {
 		t.Fatalf("interior scan = %v, want %v", interior, wantPlain[1:3])
+	}
+	if got, want := plain[1].String(), "pinch @ "+geom.R(25, 675, 65, 690).String(); got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
 	}
 }
 
@@ -55,7 +58,7 @@ func TestScanInteriorHorizontalNeck(t *testing.T) {
 		geom.R(700, 30, 900, 60),
 		geom.R(900, 0, 1600, 90),
 	}
-	interior, err := ScanLayerOpts(context.Background(), mask, tt, tech.Metal1, ScanOpts{Cond: Nominal, Interior: true})
+	interior, err := ScanLayer(context.Background(), mask, tt, tech.Metal1, ScanOpts{Cond: Nominal, Interior: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +76,7 @@ func TestScanInteriorKeepsBridges(t *testing.T) {
 	// never drops bridges.
 	tt := tech.N45()
 	mask := []geom.Rect{geom.R(0, 0, 2000, 700), geom.R(0, 750, 2000, 1450)}
-	interior, err := ScanLayerOpts(context.Background(), mask, tt, tech.Metal1, ScanOpts{Cond: Nominal, Interior: true})
+	interior, err := ScanLayer(context.Background(), mask, tt, tech.Metal1, ScanOpts{Cond: Nominal, Interior: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,17 +84,20 @@ func TestScanInteriorKeepsBridges(t *testing.T) {
 	if !reflect.DeepEqual(interior, want) {
 		t.Fatalf("interior scan = %v, want %v", interior, want)
 	}
+	if got := interior[0].Kind.String(); got != "bridge" {
+		t.Fatalf("Bridge.String() = %q", got)
+	}
 }
 
 func TestScanTranslationInvariant(t *testing.T) {
 	// The same neck placed elsewhere yields the same markers, shifted.
 	tt := tech.N45()
 	ctx := context.Background()
-	base, err := ScanLayerOpts(ctx, neckV(0, 0), tt, tech.Metal1, ScanOpts{Cond: Nominal, Interior: true})
+	base, err := ScanLayer(ctx, neckV(0, 0), tt, tech.Metal1, ScanOpts{Cond: Nominal, Interior: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	moved, err := ScanLayerOpts(ctx, neckV(3000, 300), tt, tech.Metal1, ScanOpts{Cond: Nominal, Interior: true})
+	moved, err := ScanLayer(ctx, neckV(3000, 300), tt, tech.Metal1, ScanOpts{Cond: Nominal, Interior: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +129,7 @@ func TestScanNeckAtWindowSeam(t *testing.T) {
 	if n := len(ScanGrid(geom.BBoxOf(mask))); n < 4 {
 		t.Fatalf("test geometry spans only %d scan windows, want >= 4", n)
 	}
-	interior, err := ScanLayerOpts(context.Background(), mask, tt, tech.Metal1, ScanOpts{Cond: Nominal, Interior: true})
+	interior, err := ScanLayer(context.Background(), mask, tt, tech.Metal1, ScanOpts{Cond: Nominal, Interior: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +152,7 @@ func TestScanDegenerateRects(t *testing.T) {
 		geom.R(500, 500, 1500, 500), // zero height
 		geom.R(3000, 0, 3090, 1000), // clean line
 	}
-	interior, err := ScanLayerOpts(context.Background(), mask, tt, tech.Metal1, ScanOpts{Cond: Nominal, Interior: true})
+	interior, err := ScanLayer(context.Background(), mask, tt, tech.Metal1, ScanOpts{Cond: Nominal, Interior: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +161,7 @@ func TestScanDegenerateRects(t *testing.T) {
 	}
 	// A layer of only degenerate slivers: empty grid, no error.
 	only := []geom.Rect{geom.R(0, 0, 0, 1000)}
-	hs, err := ScanLayerOpts(context.Background(), only, tt, tech.Metal1, ScanOpts{Cond: Nominal})
+	hs, err := ScanLayer(context.Background(), only, tt, tech.Metal1, ScanOpts{Cond: Nominal})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,21 +170,39 @@ func TestScanDegenerateRects(t *testing.T) {
 	}
 }
 
-func TestScanLayerCtxDelegates(t *testing.T) {
-	// The legacy entry point must stay bit-identical to ScanLayerOpts
-	// without Interior — the tiled engine depends on this equivalence.
-	tt := tech.N45()
-	ctx := context.Background()
-	legacy, err := ScanLayerCtx(ctx, neckV(0, 0), tt, tech.Metal1, Nominal, 0, 0)
-	if err != nil {
-		t.Fatal(err)
+func TestStitchWindowsKeepsFirstAndSorts(t *testing.T) {
+	// The seam rule every window-by-window scan shares: a box reported
+	// by two windows is kept once, from the first window in scan
+	// order, and the stitched list is in SortHotspots order.
+	low := Hotspot{Pinch, geom.R(25, 11875, 65, 11890)}
+	seam := Hotspot{Pinch, geom.R(25, 12110, 65, 12125)}
+	far := Hotspot{Bridge, geom.R(900, 100, 990, 140)}
+	got := StitchWindows([][]Hotspot{{low, seam}, nil, {{Bridge, seam.Box}, far}})
+	want := []Hotspot{far, low, seam}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("stitched %v, want %v", got, want)
 	}
-	opts, err := ScanLayerOpts(ctx, neckV(0, 0), tt, tech.Metal1, ScanOpts{Cond: Nominal})
-	if err != nil {
-		t.Fatal(err)
+	if got := StitchWindows(make([][]Hotspot, 3)); got != nil {
+		t.Fatalf("stitch of empty windows = %v, want nil", got)
 	}
-	if !reflect.DeepEqual(legacy, opts) {
-		t.Fatalf("ScanLayerCtx %v != ScanLayerOpts %v", legacy, opts)
+}
+
+func TestScanWindowPixelsIsThePaddedGrid(t *testing.T) {
+	// ScanWindowPixels is what the tile wire bounds a window by before
+	// allocating: it must be the padded grid ScanWindowCtx renders.
+	o := tech.N45().Optics
+	for _, c := range []struct {
+		defocus float64
+		w, h    int64
+	}{{0, 12000, 12000}, {110, 12000, 3000}, {-60, 1, 7}} {
+		rm := NewRasterMask(nil, geom.R(0, 0, c.w, c.h).Bloat(ScanPadNM), o, c.defocus)
+		if got, want := ScanWindowPixels(o, c.defocus, c.w, c.h), float64(rm.rW)*float64(rm.rH); got != want {
+			t.Errorf("%+v: ScanWindowPixels = %v, padded grid holds %v", c, got, want)
+		}
+	}
+	// A window no buffer could hold comes back huge, not wrapped.
+	if px := ScanWindowPixels(o, 0, 1<<40, 1<<40); !(px > 1<<62) {
+		t.Fatalf("2^40 nm window = %v pixels, want > 2^62", px)
 	}
 }
 

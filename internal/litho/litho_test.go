@@ -336,7 +336,10 @@ func TestFEMatrixAndDOF(t *testing.T) {
 		t.Fatalf("nominal line did not print")
 	}
 	spec := CDSpec{Target: nom, Tol: 0.10}
-	pts := FEMatrix(mask, win, opt(), 50, 1500, true, spec, defocus, dose)
+	pts, err := FEMatrix(context.Background(), mask, win, opt(), 50, 1500, true, spec, defocus, dose)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pts) != len(defocus)*len(dose) {
 		t.Fatalf("matrix size = %d", len(pts))
 	}

@@ -84,13 +84,8 @@ func SimulateInto(ctx context.Context, prev *Grid, mask []geom.Rect, window geom
 // through RasterMask and the sparse blur, which this two-pass kernel
 // also serves as the test reference for.
 func GaussianBlur(g *Grid, sigmaPx float64) *Grid {
-	b, _ := gaussianBlurCtx(context.Background(), g, sigmaPx)
-	return b
-}
-
-func gaussianBlurCtx(ctx context.Context, g *Grid, sigmaPx float64) (*Grid, error) {
 	if sigmaPx <= 0 {
-		return g.Clone(), nil
+		return g.Clone()
 	}
 	kern := gaussKernel(sigmaPx)
 	cBlurPasses.Inc()
@@ -100,33 +95,27 @@ func gaussianBlurCtx(ctx context.Context, g *Grid, sigmaPx float64) (*Grid, erro
 	out := &Grid{Origin: g.Origin, Pitch: g.Pitch, W: w, H: h, Data: make([]float64, len(g.Data))}
 	// Horizontal pass g -> tmp (fully overwritten), then the vertical
 	// pass tmp -> out; each is independent across output rows.
-	err := forRowChunks(ctx, h, func(j0, j1 int) {
+	forRowChunks(h, func(j0, j1 int) {
 		for j := j0; j < j1; j++ {
 			blurRowH(g.Data[j*w:(j+1)*w], tmp[j*w:(j+1)*w], kern)
 		}
 	})
-	if err != nil {
-		return nil, err
-	}
-	err = forRowChunks(ctx, h, func(j0, j1 int) {
+	forRowChunks(h, func(j0, j1 int) {
 		blurVAccRows(tmp, out.Data, w, h, j0, j1, kern, 1)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out
 }
 
 // rowChunk is the number of rows in one GaussianBlur work item: coarse
-// enough that dispatch costs nothing, fine enough that a blur over a
-// full tile yields within a few milliseconds of cancellation.
+// enough that dispatch costs nothing, fine enough to spread a blur
+// over every core.
 const rowChunk = 32
 
 // forRowChunks runs fn over disjoint row ranges [j0, j1) covering
-// [0, h) through the shared harness fan-out, checking ctx between
-// chunks. fn must only write rows in its range.
-func forRowChunks(ctx context.Context, h int, fn func(j0, j1 int)) error {
-	return harness.ForEach(ctx, runtime.GOMAXPROCS(0), (h+rowChunk-1)/rowChunk, func(c int) {
+// [0, h) through the shared harness fan-out. fn must only write rows
+// in its range.
+func forRowChunks(h int, fn func(j0, j1 int)) {
+	_ = harness.ForEach(context.Background(), runtime.GOMAXPROCS(0), (h+rowChunk-1)/rowChunk, func(c int) {
 		fn(c*rowChunk, min(h, (c+1)*rowChunk))
 	})
 }

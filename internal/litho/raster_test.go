@@ -150,7 +150,7 @@ func TestFEMatrixMatchesDirectSimulation(t *testing.T) {
 	defocus := []float64{0, 60, 120}
 	dose := []float64{0.92, 1.0, 1.08}
 	spec := CDSpec{Target: 70, Tol: 0.10}
-	pts, err := FEMatrixCtx(context.Background(), mask, window, o, 35, 1500, true, spec, defocus, dose)
+	pts, err := FEMatrix(context.Background(), mask, window, o, 35, 1500, true, spec, defocus, dose)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,18 +35,10 @@ type FEPoint struct {
 // dose lists. The mask is normalized once and simulated once per
 // defocus; dose enters the intensity as a pure scale factor
 // (I = A^2 * dose), so the dose axis of the matrix costs scalar
-// threshold rescales rather than re-simulation.
-func FEMatrix(mask []geom.Rect, window geom.Rect, opt tech.Optics,
-	x, y float64, horizontal bool, spec CDSpec,
-	defocus, dose []float64) []FEPoint {
-	pts, _ := FEMatrixCtx(context.Background(), mask, window, opt, x, y, horizontal, spec, defocus, dose)
-	return pts
-}
-
-// FEMatrixCtx is FEMatrix with a cancellation checkpoint per defocus
-// condition; on cancellation it returns the points sampled so far
-// alongside the context error.
-func FEMatrixCtx(ctx context.Context, mask []geom.Rect, window geom.Rect, opt tech.Optics,
+// threshold rescales rather than re-simulation. The context is checked
+// per defocus condition; on cancellation FEMatrix returns the points
+// sampled so far alongside the context error.
+func FEMatrix(ctx context.Context, mask []geom.Rect, window geom.Rect, opt tech.Optics,
 	x, y float64, horizontal bool, spec CDSpec,
 	defocus, dose []float64) ([]FEPoint, error) {
 
@@ -60,7 +52,7 @@ func FEMatrixCtx(ctx context.Context, mask []geom.Rect, window geom.Rect, opt te
 	return FEMatrixRaster(ctx, rm, x, y, horizontal, spec, defocus, dose)
 }
 
-// FEMatrixRaster is FEMatrixCtx over an existing RasterMask, for
+// FEMatrixRaster is FEMatrix over an existing RasterMask, for
 // callers that interleave a focus-exposure sweep with other
 // simulations of the same mask: every condition in the sweep lands in
 // the mask's intensity cache. The RasterMask must have been built with

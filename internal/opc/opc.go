@@ -229,18 +229,11 @@ type Result struct {
 // simulates the current mask, measures EPE at every fragment's control
 // site against the drawn target, and moves the fragment against the
 // error. Window is the simulation region (drawn geometry plus optical
-// ambit).
-func ModelBased(drawn []geom.Rect, window geom.Rect, opt tech.Optics, mo ModelOpts) Result {
-	res, _ := ModelBasedCtx(context.Background(), drawn, window, opt, mo)
-	return res
-}
-
-// ModelBasedCtx is ModelBased with a cancellation checkpoint per
-// feedback iteration (and per blur pass inside each simulation). On
-// cancellation it returns the best mask so far alongside the context
-// error, so callers can distinguish a converged result from an
-// interrupted one.
-func ModelBasedCtx(ctx context.Context, drawn []geom.Rect, window geom.Rect, opt tech.Optics, mo ModelOpts) (Result, error) {
+// ambit). The context is checked per feedback iteration (and per band
+// inside each simulation). On cancellation it returns the best mask so
+// far alongside the context error, so callers can distinguish a
+// converged result from an interrupted one.
+func ModelBased(ctx context.Context, drawn []geom.Rect, window geom.Rect, opt tech.Optics, mo ModelOpts) (Result, error) {
 	sp := hModelNS.Start()
 	defer sp.End()
 	cModelRuns.Inc()

@@ -13,6 +13,16 @@ import (
 
 func opt() tech.Optics { return tech.N45().Optics }
 
+// modelBased runs ModelBased to completion.
+func modelBased(t testing.TB, drawn []geom.Rect, window geom.Rect, o tech.Optics, mo ModelOpts) Result {
+	t.Helper()
+	res, err := ModelBased(context.Background(), drawn, window, o, mo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestFragmentEdgesCoversBoundary(t *testing.T) {
 	drawn := []geom.Rect{geom.R(0, 0, 70, 1000)}
 	frags := FragmentEdges(drawn, 120, 40)
@@ -80,7 +90,7 @@ func TestModelBasedReducesEPE(t *testing.T) {
 	drawn := []geom.Rect{geom.R(0, 0, 70, 1500)}
 	window := geom.R(-400, -200, 500, 1900)
 	mo := DefaultModelOpts()
-	res := ModelBased(drawn, window, opt(), mo)
+	res := modelBased(t, drawn, window, opt(), mo)
 	if len(res.RMSHistory) != mo.Iterations+1 {
 		t.Fatalf("history length = %d", len(res.RMSHistory))
 	}
@@ -117,7 +127,7 @@ func TestModelBeatsRuleBeatsNothing(t *testing.T) {
 
 	none := rms(geom.Normalize(drawn))
 	rule := rms(RuleBased(drawn))
-	model := rms(ModelBased(drawn, window, o, DefaultModelOpts()).Mask)
+	model := rms(modelBased(t, drawn, window, o, DefaultModelOpts()).Mask)
 
 	if !(model < rule && rule < none) {
 		t.Fatalf("expected model < rule < none, got model=%.2f rule=%.2f none=%.2f",
@@ -236,9 +246,15 @@ func TestSRAFStabilizesCDThroughFocus(t *testing.T) {
 	defocus := []float64{0, 40, 80, 120, 160, 200, 240}
 	dose := []float64{0.92, 0.96, 1.0, 1.04, 1.08}
 	spec := litho.CDSpec{Target: cdBare0, Tol: 0.10}
-	dofBare := litho.DepthOfFocus(litho.FEMatrix(bare, window, o, 35, 1500, true, spec, defocus, dose), defocus)
-	specS := litho.CDSpec{Target: cdSraf0, Tol: 0.10}
-	dofS := litho.DepthOfFocus(litho.FEMatrix(sraf, window, o, 35, 1500, true, specS, defocus, dose), defocus)
+	dof := func(mask []geom.Rect, spec litho.CDSpec) float64 {
+		pts, err := litho.FEMatrix(context.Background(), mask, window, o, 35, 1500, true, spec, defocus, dose)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return litho.DepthOfFocus(pts, defocus)
+	}
+	dofBare := dof(bare, spec)
+	dofS := dof(sraf, litho.CDSpec{Target: cdSraf0, Tol: 0.10})
 	if dofS < dofBare {
 		t.Fatalf("SRAF shrank DOF: bare=%.0f sraf=%.0f", dofBare, dofS)
 	}
@@ -293,7 +309,7 @@ func TestModelConvergenceMonotoneEnough(t *testing.T) {
 	// RMS should not explode across iterations (damped feedback).
 	drawn := []geom.Rect{geom.R(0, 0, 70, 800), geom.R(140, 0, 210, 800)}
 	window := geom.R(-400, -300, 600, 1100)
-	res := ModelBased(drawn, window, opt(), DefaultModelOpts())
+	res := modelBased(t, drawn, window, opt(), DefaultModelOpts())
 	for i := 1; i < len(res.RMSHistory); i++ {
 		if res.RMSHistory[i] > res.RMSHistory[0]*1.5 {
 			t.Fatalf("iteration %d diverged: %v", i, res.RMSHistory)
@@ -305,7 +321,7 @@ func TestModelConvergenceMonotoneEnough(t *testing.T) {
 	}
 }
 
-// ModelBasedCtx renders every iteration over the image of the one
+// ModelBased renders every iteration over the image of the one
 // before. The loop as it was written before that — a fresh SimulateCtx
 // image per iteration, nothing shared — must give the same RMS history,
 // the same mask and the same biases. The off-nominal case went with
@@ -317,7 +333,7 @@ func TestModelBasedGridReuseMatchesFreshImages(t *testing.T) {
 	window := geom.R(-400, -200, 600, 1900)
 	cond := litho.Nominal
 	mo := DefaultModelOpts()
-	got, err := ModelBasedCtx(ctx, drawn, window, opt(), mo)
+	got, err := ModelBased(ctx, drawn, window, opt(), mo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +380,7 @@ func TestModelBasedImageEqualsResimulation(t *testing.T) {
 	ctx := context.Background()
 	drawn := []geom.Rect{geom.R(0, 0, 70, 1500), geom.R(160, 300, 230, 1200), geom.R(300, 0, 370, 600)}
 	window := geom.R(-400, -200, 700, 1900)
-	res, err := ModelBasedCtx(ctx, drawn, window, opt(), DefaultModelOpts())
+	res, err := ModelBased(ctx, drawn, window, opt(), DefaultModelOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +406,7 @@ func TestModelBasedImageEqualsResimulation(t *testing.T) {
 
 	dead, cancel := context.WithCancel(ctx)
 	cancel()
-	if res, err := ModelBasedCtx(dead, drawn, window, opt(), DefaultModelOpts()); err == nil || res.Image != nil {
+	if res, err := ModelBased(dead, drawn, window, opt(), DefaultModelOpts()); err == nil || res.Image != nil {
 		t.Errorf("canceled loop returned (image %v, err %v), want no image and an error", res.Image != nil, err)
 	}
 }

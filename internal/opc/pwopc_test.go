@@ -16,7 +16,7 @@ func TestProcessWindowOPCImprovesWorstCorner(t *testing.T) {
 	corners := StandardPWCorners(80)
 
 	// Nominal-only OPC, evaluated at both corners.
-	nomRes := ModelBased(drawn, window, tt.Optics, mo)
+	nomRes := modelBased(t, drawn, window, tt.Optics, mo)
 	rmsAt := func(mask []geom.Rect, cond litho.Condition) float64 {
 		img := litho.Simulate(mask, window, tt.Optics, cond)
 		return litho.SummarizeEPE(img.MeasureEPE(drawn, 120)).RMS

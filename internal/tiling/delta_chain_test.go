@@ -38,6 +38,9 @@ func sumResult(r *Result) [sha256.Size]byte {
 		if dm, ok := r.Density[l]; ok {
 			fmt.Fprintf(h, "%v:%v|", l, dm.Density)
 		}
+		if hs, ok := r.Hotspots[l]; ok {
+			fmt.Fprintf(h, "%v:%v|", l, hs)
+		}
 	}
 	return [sha256.Size]byte(h.Sum(nil))
 }

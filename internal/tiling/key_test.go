@@ -4,7 +4,10 @@ import (
 	"context"
 	"encoding/hex"
 	"encoding/json"
+	"flag"
+	"fmt"
 	"math/rand"
+	"os"
 	"reflect"
 	"runtime"
 	"strings"
@@ -230,5 +233,71 @@ func BenchmarkTileKey(b *testing.B) {
 		if _, err := tile.Key(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+var update = flag.Bool("update", false, "re-mint testdata/keyschema.golden under the current keySchema")
+
+// keySchemaGolden records, beside the keySchema they were computed
+// under, the stitched-result digests of fixed fixture chips at two tile
+// sizes and two halos.
+const keySchemaGolden = "testdata/keyschema.golden"
+
+// A cache key names a unit's content, not what is computed from it: a
+// change to any per-tile computation leaves every key where it was, so
+// a warm cache or fleet keeps serving the old answers under the new
+// code unless keySchema is bumped. This test catches the change the
+// bump was forgotten for: a result digest that moved while keySchema
+// did not. After an intended change, bump keySchema and re-mint with
+// go test ./internal/tiling -run TestKeySchemaPinned -update.
+func TestKeySchemaPinned(t *testing.T) {
+	tt := tech.N45()
+	chips := []struct {
+		name string
+		top  *layout.Cell
+	}{
+		{"seam", seamChip()},
+		{"clusters", twoClusterCell()},
+		{"generated", chipTop(t, layout.ChipOpts{Seed: 3, Slots: 2, SlotPitch: 15000, MacroMix: []int{0, 1, 1, 1}, HotspotDefects: 2})},
+	}
+	var lines []string
+	for _, c := range chips {
+		for _, tile := range []int64{8000, 16000} {
+			for _, halo := range []int64{2000, 3000} {
+				o := DefaultOpts()
+				o.Tile, o.Halo = tile, halo
+				res, err := EvaluateChip(context.Background(), tt, c.top, o)
+				if err != nil {
+					t.Fatalf("%s tile=%d halo=%d: %v", c.name, tile, halo, err)
+				}
+				lines = append(lines, fmt.Sprintf("%s tile=%d halo=%d %x", c.name, tile, halo, sumResult(res)))
+			}
+		}
+	}
+	got := fmt.Sprintf("keySchema %d\n%s\n", keySchema, strings.Join(lines, "\n"))
+	if *update {
+		if err := os.WriteFile(keySchemaGolden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	b, err := os.ReadFile(keySchemaGolden)
+	if err != nil {
+		t.Fatalf("%v: mint it with -update", err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(b), "\n"), "\n")
+	if want[0] != fmt.Sprintf("keySchema %d", keySchema) {
+		t.Fatalf("%s records %q, the code has keySchema %d: re-mint (-update)", keySchemaGolden, want[0], keySchema)
+	}
+	if len(want)-1 != len(lines) {
+		t.Fatalf("%s holds %d digests, the test computes %d: re-mint (-update)", keySchemaGolden, len(want)-1, len(lines))
+	}
+	for i, line := range lines {
+		if line != want[i+1] {
+			t.Errorf("result digest moved under keySchema %d:\n got  %s\n want %s", keySchema, line, want[i+1])
+		}
+	}
+	if t.Failed() {
+		t.Fatal("bump keySchema and re-mint (-update)")
 	}
 }

@@ -76,9 +76,9 @@ func scanLayer(ctx context.Context, o Opts, sp *scanPlan, res *Result, src scanS
 	res.Stats.Windows += len(sp.swins)
 	res.Stats.EmptyWindows += nEmpty
 	res.Stats.SplicedWindows += nReused
-	// Windows in scan order with the same box-keyed seam dedup
-	// ScanLayer applies, then the deterministic total order.
-	res.Hotspots[sp.layer] = stitchWindows(s.perWin)
+	// Windows in scan order through the seam rule litho.ScanLayer
+	// applies.
+	res.Hotspots[sp.layer] = litho.StitchWindows(s.perWin)
 	return s.perWin, nil
 }
 
@@ -245,24 +245,6 @@ func (s *layerScan) gated(ctx context.Context, cfg surrogate.Config) (rep *surro
 		return nil, 0, err
 	}
 	return rep, nEmpty, nil
-}
-
-// stitchWindows applies the scan-order seam dedup and canonical sort
-// shared by every engine.
-func stitchWindows(perWin [][]litho.Hotspot) []litho.Hotspot {
-	seen := make(map[geom.Rect]bool)
-	var out []litho.Hotspot
-	for _, hs := range perWin {
-		for _, h := range hs {
-			if seen[h.Box] {
-				continue
-			}
-			seen[h.Box] = true
-			out = append(out, h)
-		}
-	}
-	litho.SortHotspots(out)
-	return out
 }
 
 // neighborLayer picks the adjacent routing layer whose geometry feeds

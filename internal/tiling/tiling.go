@@ -173,8 +173,8 @@ type Result struct {
 	ByRule     map[string]int
 	Dropped    int
 
-	// Hotspots holds per-layer litho scan results, identical to
-	// litho.ScanLayer over the flattened layer.
+	// Hotspots holds per-layer litho scan results; a plain scan's are
+	// identical to litho.ScanLayer over the flattened layer.
 	Hotspots map[tech.Layer][]litho.Hotspot
 
 	// Density holds per-layer window density maps (KeepDensityMaps).
@@ -574,15 +574,6 @@ func EvaluateFlat(stdctx context.Context, t *tech.Tech, top *layout.Cell, o Opts
 	res.Violations = all
 
 	for _, hl := range o.Hotspots {
-		if o.Surrogate == nil && !o.HotspotInterior {
-			// Legacy exact path, kept verbatim as the oracle baseline.
-			hs, err := litho.ScanLayerCtx(stdctx, tctx.Layers[hl], t, hl, o.HotspotCond, 0, 0)
-			if err != nil {
-				return nil, err
-			}
-			res.Hotspots[hl] = hs
-			continue
-		}
 		// Shared stage-B driver (scan.go), window-local like the tiled
 		// engine so features and gate decisions match it bit-for-bit.
 		// Features must come from the raw drawn multiset — the extractor

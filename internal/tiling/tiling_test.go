@@ -247,6 +247,19 @@ func TestTiledMatchesFlatFullStack(t *testing.T) {
 	if tiled.Stats.Windows == 0 {
 		t.Fatal("expected hotspot scan windows to run")
 	}
+	// Both engines scan through the shared stage-B driver; the
+	// independent reference is the whole-layer scan of the flattened,
+	// normalized layer.
+	m1 := geom.Normalize(layout.ByLayer((&layout.Layout{Top: top}).Flatten())[tech.Metal1])
+	ref, err := litho.ScanLayer(context.Background(), m1, tt, tech.Metal1, litho.ScanOpts{Cond: o.HotspotCond})
+	if err != nil {
+		t.Fatalf("litho.ScanLayer: %v", err)
+	}
+	for name, r := range map[string]*Result{"flat": flat, "tiled": tiled} {
+		if !reflect.DeepEqual(r.Hotspots[tech.Metal1], ref) {
+			t.Fatalf("%s metal1 hotspots %v != litho.ScanLayer %v", name, r.Hotspots[tech.Metal1], ref)
+		}
+	}
 
 	// Replay: the same evaluation through a fresh-then-warm cache must
 	// stay bit-identical and hit on every non-empty tile and window.

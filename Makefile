@@ -68,12 +68,13 @@ test:
 race-fast: ## race pass skipping the slow full-scorecard experiments
 	$(GO) test -race -short ./...
 
-fuzz-smoke: ## 20 s of the packed-bitmap morphology fuzzer, 10 s of the sparse-blur fuzzer (both kernel arms too) and 10 s of the boundary-edge fuzzer, each against its oracle; 10 s of the litho kernel's assembly routines against their Go loops; 10 s of the spatial index, frozen layout against grown against brute force; 10 s of the tile wire decoders on arbitrary bytes (no panic, bounded allocation, re-encode is a fixed point with the same key)
+fuzz-smoke: ## 20 s of the packed-bitmap morphology fuzzer, 10 s of the sparse-blur fuzzer (both kernel arms too) and 10 s of the boundary-edge fuzzer, each against its oracle; 10 s of the litho kernel's assembly routines against their Go loops; 10 s of the spatial index, frozen layout against grown against brute force; 10 s of the deck's facing-edge scans, MinArea and Components against their index-based oracles; 10 s of the tile wire decoders on arbitrary bytes (no panic, bounded allocation, re-encode is a fixed point with the same key)
 	$(GO) test -run='^$$' -fuzz=FuzzBitmapMorphology -fuzztime=20s ./internal/litho
 	$(GO) test -run='^$$' -fuzz=FuzzSparseBlur -fuzztime=10s ./internal/litho
 	$(GO) test -run='^$$' -fuzz=FuzzKernelLoops -fuzztime=10s ./internal/litho
 	$(GO) test -run='^$$' -fuzz=FuzzBoundaryEdges -fuzztime=10s ./internal/geom
 	$(GO) test -run='^$$' -fuzz=FuzzIndexQuery -fuzztime=10s ./internal/geom
+	$(GO) test -run='^$$' -fuzz=FuzzDeckScans -fuzztime=10s ./internal/drc
 	$(GO) test -run='^$$' -fuzz=FuzzTileWire -fuzztime=10s ./internal/tiling
 
 # Where the coverage gates keep their profiles (bin/ is gitignored).
@@ -125,21 +126,21 @@ cover-engine: ## unit path coverage gate: no function of internal/tiling's plan.
 # the rules that ask it under ./internal/drc's. The index has two
 # layouts and a hand-over between them; 90 % of its statements keeps
 # an arm of that from going unexecuted the way the dense blur did.
-cover-deck: ## deck path coverage gate: no function of internal/geom's index.go/edge.go, nor of internal/drc's layer.go/checks.go/density.go, at 0 % under the package's own tests; index.go >= 90 % of statements
+cover-deck: ## deck path coverage gate: no function of internal/geom's index.go/edge.go, nor of internal/drc's layer.go/checks.go/density.go/enclosure.go, at 0 % under the package's own tests; index.go >= 90 % of statements
 	$(call cover-gate,cover-deck-geom,./internal/geom,index|edge,index)
-	$(call cover-gate,cover-deck-drc,./internal/drc,layer|checks|density,)
+	$(call cover-gate,cover-deck-drc,./internal/drc,layer|checks|density|enclosure,)
 
 # Where drcprofile keeps its binary and profiles (bin/ is gitignored).
 DRCPROFILE_DIR ?= bin/drcprofile
 
-drcprofile: ## CPU + allocation profile of the signoff DRC path (100k-rect chip, no tile cache), drc.* and geom.* by cumulative cost; then the counters of what the deck prepared and asked: index bins laid / occupied, endcap gates asked / built
+drcprofile: ## CPU + allocation profile of the signoff DRC path (100k-rect chip, no tile cache), drc.* and geom.* by cumulative cost; then the counters of what the deck prepared and asked: index bins laid / occupied, facing pairs found / kept, endcap gates asked / built
 	@mkdir -p $(DRCPROFILE_DIR)
 	$(GO) build -o $(DRCPROFILE_DIR)/dfmscore ./cmd/dfmscore
 	$(DRCPROFILE_DIR)/dfmscore -chip -chiprects 100000 -chipcache 0 -metrics $(DRCPROFILE_DIR)/metrics.json \
 		-cpuprofile $(DRCPROFILE_DIR)/cpu.prof -memprofile $(DRCPROFILE_DIR)/mem.prof
 	$(GO) tool pprof -top -cum -nodecount=40 -show='drc\.|geom\.' $(DRCPROFILE_DIR)/dfmscore $(DRCPROFILE_DIR)/cpu.prof
 	$(GO) tool pprof -sample_index=alloc_space -top -cum -nodecount=25 -show='drc\.|geom\.' $(DRCPROFILE_DIR)/dfmscore $(DRCPROFILE_DIR)/mem.prof
-	@grep -oE '"(geom\.index\.bins\.(laid|occupied)|drc\.endcap\.gates\.(asked|built))": *[0-9]+' $(DRCPROFILE_DIR)/metrics.json
+	@grep -oE '"(geom\.index\.bins\.(laid|occupied)|drc\.facing\.pairs\.(found|kept)|drc\.endcap\.gates\.(asked|built))": *[0-9]+' $(DRCPROFILE_DIR)/metrics.json
 
 # Where editprofile keeps its binary and profile (bin/ is gitignored).
 EDITPROFILE_DIR ?= bin/editprofile

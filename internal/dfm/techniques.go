@@ -484,7 +484,7 @@ func ExtractGateLengths(ctx context.Context, t *tech.Tech, cond litho.Condition,
 		}
 		printed := img.PrintedRects()
 		gates := geom.Intersect(printed, diff)
-		comps := drc.Components(geom.Normalize(gates))
+		comps := drc.Components(gates)
 		var wSum, dSum, kSum float64
 		for _, comp := range comps {
 			slices := device.ExtractSlices(comp, true, 5)

@@ -3,9 +3,11 @@ package drc
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/geom"
+	"repro/internal/obs"
 	"repro/internal/tech"
 )
 
@@ -105,92 +107,87 @@ func (r MinSpace) Check(ctx *Context) []Violation {
 // dimensionScan finds facing-edge pairs closer than lim. interior
 // selects width (true) or spacing (false) semantics.
 func dimensionScan(ly *preparedLayer, lim int64, interior bool, mk func(geom.Rect, int64) Violation) []Violation {
-	if len(ly.rects) == 0 {
-		return nil
-	}
-	edges, ix := ly.boundary()
-
-	var cands []candidate
-	for _, e := range edges {
-		// Pick the "lower/left" member of each facing pair to avoid
-		// double reporting.
-		var wantSide geom.Side
-		switch {
-		case e.Horizontal() && interior && e.Interior == geom.Above:
-			wantSide = geom.Below // facing top edge
-		case e.Horizontal() && !interior && e.Interior == geom.Below:
-			wantSide = geom.Above // facing bottom edge across a gap
-		case !e.Horizontal() && interior && e.Interior == geom.Right:
-			wantSide = geom.Left
-		case !e.Horizontal() && !interior && e.Interior == geom.Left:
-			wantSide = geom.Right
-		default:
-			continue
-		}
-		// Search region: from this edge outward/upward by lim.
-		var search geom.Rect
-		if e.Horizontal() {
-			search = geom.R(e.P0.X, e.P0.Y+1, e.P1.X, e.P0.Y+lim-1)
-		} else {
-			search = geom.R(e.P0.X+1, e.P0.Y, e.P0.X+lim-1, e.P1.Y)
-		}
-		if search.Empty() {
-			// lim of 1: nothing can be closer.
-			continue
-		}
-		ix.QueryFunc(search, func(id int, _ geom.Rect) bool {
-			f := edges[id]
-			if f.Interior != wantSide || f.Horizontal() != e.Horizontal() {
-				return true
-			}
-			var marker geom.Rect
-			var dist int64
-			var axis uint8
-			if e.Horizontal() {
-				if f.P0.Y <= e.P0.Y {
-					return true
-				}
-				x0 := max(e.P0.X, f.P0.X)
-				x1 := min(e.P1.X, f.P1.X)
-				if x0 >= x1 {
-					return true
-				}
-				dist = f.P0.Y - e.P0.Y
-				marker = geom.R(x0, e.P0.Y, x1, f.P0.Y)
-			} else {
-				if f.P0.X <= e.P0.X {
-					return true
-				}
-				y0 := max(e.P0.Y, f.P0.Y)
-				y1 := min(e.P1.Y, f.P1.Y)
-				if y0 >= y1 {
-					return true
-				}
-				dist, axis = f.P0.X-e.P0.X, 1
-				marker = geom.R(e.P0.X, y0, f.P0.X, y1)
-			}
-			if dist >= lim {
-				return true
-			}
-			// Validity: space between must be all-interior (width) or
-			// all-exterior (spacing).
-			cov := ly.clipArea(marker)
-			if interior && cov != marker.Area() {
-				return true
-			}
-			if !interior && cov != 0 {
-				return true
-			}
-			cands = append(cands, candidate{m: marker, axis: axis})
-			return true
-		})
-	}
 	var out []Violation
-	for _, c := range dedupCandidates(cands) {
+	for _, c := range dedupCandidates(facingPairs(ly, lim, interior)) {
 		out = append(out, mk(c.m, c.dist()))
 	}
 	return out
 }
+
+// facingPairs returns one candidate per pair of facing edges less than
+// lim apart whose space between passes the validity test, before dedup.
+//
+// Each pair is found from its lower (left) member, so it is reported
+// once: for width a bottom edge (interior above) meets the top edges
+// above it, for spacing a top edge meets the bottom edges above it
+// across a gap, and likewise by x. Both sides are sorted by line and on
+// a line by lo, and a line's edges are disjoint, so hi is sorted there
+// too: an edge's partners on one line are the run that a binary search
+// for the first hi past its lo begins, and the lines to search are
+// those from the first past its own up to lim away.
+func facingPairs(ly *preparedLayer, lim int64, interior bool) []candidate {
+	if len(ly.rects) == 0 {
+		return nil
+	}
+	sides := ly.boundary()
+	var cands []candidate
+	found := 0
+	for axis, pair := range [2][2]geom.Side{{geom.Above, geom.Below}, {geom.Right, geom.Left}} {
+		scan, face := sides[pair[0]], sides[pair[1]]
+		if !interior {
+			scan, face = face, scan
+		}
+		first := 0 // of face on a line past e's; scan is sorted by line too
+		for _, e := range scan {
+			first = after(face, first, e.at, math.MaxInt64)
+			for k := first; k < len(face) && face[k].at-e.at < lim; {
+				at := face[k].at
+				for k = after(face, k, at, e.lo); k < len(face) && face[k].at == at && face[k].lo < e.hi; k++ {
+					lo, hi := max(e.lo, face[k].lo), min(e.hi, face[k].hi)
+					m := geom.Rect{X0: lo, Y0: e.at, X1: hi, Y1: at}
+					if axis == 1 {
+						m = geom.Rect{X0: e.at, Y0: lo, X1: at, Y1: hi}
+					}
+					found++
+					// Validity: space between must be all-interior (width) or
+					// all-exterior (spacing).
+					if cov := ly.clipArea(m); (interior && cov != m.Area()) || (!interior && cov != 0) {
+						continue
+					}
+					cands = append(cands, candidate{m: m, axis: uint8(axis)})
+				}
+				k = after(face, k, at, math.MaxInt64)
+			}
+		}
+	}
+	cFacingFound.Add(int64(found))
+	cFacingKept.Add(int64(len(cands)))
+	return cands
+}
+
+// after returns the first index from i on of an edge of s past line at,
+// or on it and ending past lo: (at, hi) is sorted along a side, so this
+// is a binary search. With lo = math.MaxInt64 it is the first edge past
+// the line.
+func after(s []seg, i int, at, lo int64) int {
+	j := len(s)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if s[h].at < at || (s[h].at == at && s[h].hi <= lo) {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i
+}
+
+// How many facing pairs the dimension scans found less than their limit
+// apart, and how many of those passed the validity test.
+var (
+	cFacingFound = obs.C("drc.facing.pairs.found")
+	cFacingKept  = obs.C("drc.facing.pairs.kept")
+)
 
 // cornerScan finds pairs of convex corners of distinct regions whose
 // euclidean separation is below s (the diagonal-spacing case the edge

@@ -163,7 +163,7 @@ func (r Endcap) Check(ctx *Context) []Violation {
 	gates := &preparedLayer{rects: geom.Intersect(poly.rects, diff.rects)}
 	gates.ix = geom.IndexOf(layerCell, gates.rects)
 	var out []Violation
-	for _, g := range components(gates.rects, gates.ix) {
+	for _, g := range components(gates.rects) {
 		bb := geom.BBoxOf(g)
 		// The endcap is only required in the gate's transit direction
 		// (where poly crosses the diff edge); the perpendicular sides

@@ -43,6 +43,11 @@ func TestMinWidthFlagsNarrow(t *testing.T) {
 	if len(vs) != 0 {
 		t.Fatalf("wide line flagged: %v", vs)
 	}
+	// The smallest limit that can be broken: a 1 nm sliver under 2 nm.
+	vs = MinWidth{Layer: tech.Metal1, W: 2}.Check(ctxOf(tt, m1(geom.R(0, 0, 1, 1000))))
+	if len(vs) != 1 || vs[0].Detail != "width 1 < 2" {
+		t.Fatalf("1 nm sliver under a 2 nm rule: %v", vs)
+	}
 }
 
 func TestMinWidthFlagsNeckOnly(t *testing.T) {
@@ -242,6 +247,21 @@ func TestComponents(t *testing.T) {
 	if len(Components(nil)) != 0 {
 		t.Fatalf("empty set should have no components")
 	}
+	// Not normalized: two overlapping rects, a third meeting the second
+	// only at a corner, and one apart. The first three are one region.
+	raw := []geom.Rect{
+		geom.R(0, 0, 10, 10),
+		geom.R(5, 5, 15, 15),
+		geom.R(15, 15, 20, 20),
+		geom.R(100, 100, 110, 110),
+	}
+	comps = Components(raw)
+	if len(comps) != 2 {
+		t.Fatalf("components of %v = %v, want 2", raw, comps)
+	}
+	if a := geom.AreaOf(comps[0]); a != 100+75+25 {
+		t.Fatalf("first component %v covers %d, want 200", comps[0], a)
+	}
 }
 
 func TestDensityWindowRule(t *testing.T) {
@@ -437,7 +457,7 @@ func TestDeckRunsConcurrentlyOnOneContext(t *testing.T) {
 // pair of edges and by a vertical pair with the same box between them:
 // one marker, two measurements. Which Detail the violation carries is
 // defined (the horizontal pair's) and must not depend on the order the
-// scan met the edges in.
+// scan found the pairs in.
 func TestDedupSurvivorIsOrderIndependent(t *testing.T) {
 	tt := tech.N45()
 	rnd := rand.New(rand.NewSource(15))
@@ -449,22 +469,11 @@ func TestDedupSurvivorIsOrderIndependent(t *testing.T) {
 		x, y := (i%20)*400+rnd.Int63n(200), (i/20)*400+rnd.Int63n(200)
 		shapes = append(shapes, m1(geom.R(x, y, x+30+rnd.Int63n(170), y+30+rnd.Int63n(170))))
 	}
-	rules := []Rule{MinWidth{Layer: tech.Metal1, W: 70}, MinSpace{Layer: tech.Metal1, S: 140}}
-	check := func(order func([]geom.Edge)) [][]Violation {
-		ctx := NewContext(tt, shapes)
-		ly := ctx.layer(tech.Metal1)
-		edges, _ := ly.boundary()
-		order(edges)
-		ly.edgeIx = edgeIndex(edges)
-		out := make([][]Violation, len(rules))
-		for i, r := range rules {
-			out[i] = r.Check(ctx)
-		}
-		return out
-	}
-	want := check(func([]geom.Edge) {})
+	ctx := NewContext(tt, shapes)
+	width := MinWidth{Layer: tech.Metal1, W: 70}.Check(ctx)
+	space := MinSpace{Layer: tech.Metal1, S: 140}.Check(ctx)
 	both := 0
-	for _, v := range want[0] {
+	for _, v := range width {
 		if v.Marker.Width() < 70 && v.Marker.Height() < 70 {
 			both++
 			if d := fmt.Sprintf("width %d < 70", v.Marker.Height()); v.Detail != d {
@@ -475,18 +484,27 @@ func TestDedupSurvivorIsOrderIndependent(t *testing.T) {
 			t.Fatalf("island: %q", v.Detail)
 		}
 	}
-	if both < 20 || len(want[1]) == 0 {
-		t.Fatalf("%d markers with two measurements, %d spacing violations: the comparison is vacuous", both, len(want[1]))
+	if both < 20 || len(space) == 0 {
+		t.Fatalf("%d markers with two measurements, %d spacing violations: the comparison is vacuous", both, len(space))
 	}
-	if got := check(slices.Reverse[[]geom.Edge]); !reflect.DeepEqual(got, want) {
-		t.Fatal("edges reversed: violations differ from those of the extraction's own order")
-	}
-	for i := 0; i < 8; i++ {
-		got := check(func(es []geom.Edge) {
-			rnd.Shuffle(len(es), func(a, b int) { es[a], es[b] = es[b], es[a] })
-		})
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("edges shuffled (%d): violations differ from those of the extraction's own order", i)
+	ly := ctx.layer(tech.Metal1)
+	for _, c := range []struct {
+		lim      int64
+		interior bool
+	}{{70, true}, {140, false}} {
+		found := facingPairs(ly, c.lim, c.interior)
+		want := dedupCandidates(slices.Clone(found))
+		reversed := slices.Clone(found)
+		slices.Reverse(reversed)
+		if got := dedupCandidates(reversed); !slices.Equal(got, want) {
+			t.Fatalf("lim %d: pairs reversed: dedup differs from that of the scan's own order", c.lim)
+		}
+		for i := 0; i < 8; i++ {
+			shuffled := slices.Clone(found)
+			rnd.Shuffle(len(shuffled), func(a, b int) { shuffled[a], shuffled[b] = shuffled[b], shuffled[a] })
+			if got := dedupCandidates(shuffled); !slices.Equal(got, want) {
+				t.Fatalf("lim %d: pairs shuffled (%d): dedup differs from that of the scan's own order", c.lim, i)
+			}
 		}
 	}
 }

@@ -64,8 +64,11 @@ func (r MinArea) Check(ctx *Context) []Violation {
 	name := r.Name()
 	ly := ctx.layer(r.Layer)
 	var out []Violation
-	for _, comp := range components(ly.rects, ly.ix) {
-		a := geom.AreaOf(comp)
+	for _, comp := range components(ly.rects) {
+		var a int64 // a component's rects are disjoint: their areas add up
+		for _, rc := range comp {
+			a += rc.Area()
+		}
 		if a < r.A {
 			out = append(out, Violation{
 				Rule:   name,
@@ -78,16 +81,19 @@ func (r MinArea) Check(ctx *Context) []Violation {
 	return out
 }
 
-// Components groups a normalized rect set into connected regions
-// (touching counts as connected). Returned components are in
-// deterministic order (by first rect).
-func Components(norm []geom.Rect) [][]geom.Rect {
-	ix := geom.IndexOf(layerCell, norm)
-	return components(norm, ix)
+// Components groups the region rs covers into connected regions
+// (touching, corners included, counts as connected), each as the
+// normalized rects of geom.Normalize(rs) it holds. Returned components
+// are in deterministic order (by first rect).
+func Components(rs []geom.Rect) [][]geom.Rect {
+	return components(geom.Normalize(rs))
 }
 
-// components is Components over an index already built on norm.
-func components(norm []geom.Rect, ix *geom.Index) [][]geom.Rect {
+// components is Components over rects already in normal form, where two
+// rects can only touch across the line one band ends and the next
+// begins: it joins each band to the one below, when the two abut, by a
+// merge of their x-sorted rects.
+func components(norm []geom.Rect) [][]geom.Rect {
 	n := len(norm)
 	if n == 0 {
 		return nil
@@ -103,15 +109,29 @@ func components(norm []geom.Rect, ix *geom.Index) [][]geom.Rect {
 		}
 		return x
 	}
-	for i, r := range norm {
-		ix.QueryFunc(r, func(id int, _ geom.Rect) bool { // touch-inclusive
-			if id > i {
-				if ra, rb := find(int32(i)), find(int32(id)); ra != rb {
-					parent[rb] = ra
+	prev := 0 // the band below is norm[prev:lo]
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		for hi < n && norm[hi].Y0 == norm[lo].Y0 {
+			hi++
+		}
+		if lo > 0 && norm[prev].Y1 == norm[lo].Y0 {
+			for i, j := prev, lo; i < lo && j < hi; {
+				a, b := norm[i], norm[j]
+				if a.X0 <= b.X1 && b.X0 <= a.X1 { // touch-inclusive
+					if ra, rb := find(int32(i)), find(int32(j)); ra != rb {
+						parent[rb] = ra
+					}
+				}
+				// The one ending first touches nothing further along.
+				if a.X1 < b.X1 {
+					i++
+				} else {
+					j++
 				}
 			}
-			return true
-		})
+		}
+		prev, lo = lo, hi
 	}
 	// Number the components by first rect, size them, and cut them all
 	// from one backing array.

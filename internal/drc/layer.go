@@ -8,32 +8,35 @@ import (
 )
 
 // layerCell is the bin size of the per-layer indexes. Every query the
-// deck makes is a few design-rule distances across (an edge's search
-// strip, a rect bloated by a spacing, a via's enclosure box), so a
+// deck makes is a few design-rule distances across (a facing pair's
+// marker, a rect bloated by a spacing, a via's enclosure box), so a
 // handful of minimum pitches per bin keeps both the bins a query
 // touches and the items per bin small. Measured on generated tiles
-// (BenchmarkDeckTile), with an empty bin of a frozen index at 4 bytes:
-// 512 lays four times the bins for a fifth more bytes and a tenth more
-// time on a sparse 48 µm tile and nothing resolvable on the smaller
-// ones, 2048 and up slow every size by a third or more (the dense-comb
-// scans).
+// (BenchmarkDeckTile, BenchmarkDimensionScan), with an empty bin of a
+// frozen index at 4 bytes: 512 lays four times the
+// bins for a tenth more bytes on a sparse 48 µm tile and no resolvable
+// speed, 2048 slows the dense comb and the smaller tiles by a tenth to
+// a fifth.
 const layerCell = 1024
 
 // preparedLayer is what the rules derive from one layer's normalized
 // rects, built on first use and then shared: one spatial index over the
-// rects, and the boundary edges with an index over their bounding
-// boxes. Rules run concurrently under RunCtx, so each part is built
-// under a sync.Once and only read afterwards; it lives exactly as long
-// as its Context.
+// rects, and the boundary edges split by interior side, each side a list
+// sorted by line. Rules run concurrently under RunCtx, so each part is
+// built under a sync.Once and only read afterwards; it lives exactly as
+// long as its Context.
 type preparedLayer struct {
 	once  sync.Once
 	rects []geom.Rect // normalized; item ids of ix are positions here
 	ix    *geom.Index
 
-	edgeOnce sync.Once
-	edges    []geom.Edge
-	edgeIx   *geom.Index
+	sideOnce sync.Once
+	sides    [4][]seg // by geom.Side
 }
+
+// seg is a boundary edge lying on the line at (y for a horizontal edge,
+// x for a vertical one) and spanning [lo, hi) along it.
+type seg struct{ at, lo, hi int64 }
 
 // layer returns the prepared form of ctx.Layers[l].
 func (c *Context) layer(l tech.Layer) *preparedLayer {
@@ -45,25 +48,30 @@ func (c *Context) layer(l tech.Layer) *preparedLayer {
 	return p
 }
 
-// boundary returns the layer's boundary edges, in the order the
-// extraction finds them, and the index over their bounding boxes (item
-// ids are positions in the edge list).
-func (p *preparedLayer) boundary() ([]geom.Edge, *geom.Index) {
-	p.edgeOnce.Do(func() {
-		p.edges = geom.BoundaryOfNormal(p.rects)
-		p.edgeIx = edgeIndex(p.edges)
+// boundary returns the layer's boundary edges by interior side, indexed
+// by geom.Side. Each side is in (at, lo) order and its edges on one line
+// are disjoint: the order geom.BoundaryOfNormal emits them in, kept by
+// splitting its output without sorting.
+func (p *preparedLayer) boundary() *[4][]seg {
+	p.sideOnce.Do(func() {
+		edges := geom.BoundaryOfNormal(p.rects)
+		var n [4]int
+		for _, e := range edges {
+			n[e.Interior]++
+		}
+		backing := make([]seg, len(edges))
+		for s := range p.sides {
+			p.sides[s], backing = backing[:0:n[s]], backing[n[s]:]
+		}
+		for _, e := range edges {
+			sg := seg{e.P0.Y, e.P0.X, e.P1.X}
+			if !e.Horizontal() {
+				sg = seg{e.P0.X, e.P0.Y, e.P1.Y}
+			}
+			p.sides[e.Interior] = append(p.sides[e.Interior], sg)
+		}
 	})
-	return p.edges, p.edgeIx
-}
-
-// edgeIndex indexes edges by bounding box, item ids being positions in
-// the list.
-func edgeIndex(edges []geom.Edge) *geom.Index {
-	boxes := make([]geom.Rect, len(edges))
-	for i, e := range edges {
-		boxes[i] = geom.R(e.P0.X, e.P0.Y, e.P1.X, e.P1.Y)
-	}
-	return geom.IndexOf(layerCell, boxes)
+	return &p.sides
 }
 
 // clipArea is geom.ClipArea(p.rects, clip) at the cost of the rects

@@ -90,8 +90,12 @@ func BoundaryEdges(rs []Rect) []Edge {
 // (IsNormal), in the order the extraction finds the edges rather than
 // sorted: the horizontal ones line by line upwards, on a line the
 // bottom edges left to right and then the top edges, and after them the
-// vertical ones likewise by x. For a caller that indexes or sorts the
-// edges itself.
+// vertical ones likewise by x.
+//
+// That order is a guarantee, and package drc's facing-edge scan relies
+// on it: the edges of each Interior side, taken in output order, are
+// sorted by their line (y, or x for Left and Right) and on one line by
+// where they begin, and on one line they are disjoint.
 //
 // Normalized rects are disjoint, so whatever crosses a coordinate
 // cancels out of the coverage on its two sides: the boundary on the

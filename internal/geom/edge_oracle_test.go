@@ -139,6 +139,24 @@ func checkBoundaryEdges(t testing.TB, rs []Rect) {
 			t.Fatalf("BoundaryOfNormal(%v): %v before %v", rs, p, e)
 		}
 	}
+	// And each Interior side on its own is in (line, start) order with the
+	// edges of a line disjoint, the order drc's facing-edge scan searches.
+	var last [4]*Edge
+	for i := range sweep {
+		e := &sweep[i]
+		if p := last[e.Interior]; p != nil {
+			pLine, pHi, eLine, eLo := p.P0.Y, p.P1.X, e.P0.Y, e.P0.X
+			if !e.Horizontal() {
+				pLine, pHi, eLine, eLo = p.P0.X, p.P1.Y, e.P0.X, e.P0.Y
+			}
+			// Edges have length, so p ending where e begins or before
+			// also puts p's start first.
+			if pLine > eLine || (pLine == eLine && pHi > eLo) {
+				t.Fatalf("BoundaryOfNormal(%v): %v side: %v before %v", rs, e.Interior, *p, *e)
+			}
+		}
+		last[e.Interior] = e
+	}
 	slices.SortFunc(sweep, func(a, b Edge) int {
 		return cmp.Or(cmp.Compare(a.P0.Y, b.P0.Y), cmp.Compare(a.P0.X, b.P0.X), cmp.Compare(a.Interior, b.Interior))
 	})

@@ -68,11 +68,12 @@ test:
 race-fast: ## race pass skipping the slow full-scorecard experiments
 	$(GO) test -race -short ./...
 
-fuzz-smoke: ## 20 s of the packed-bitmap morphology fuzzer, 10 s of the sparse-blur fuzzer (both kernel arms too) and 10 s of the boundary-edge fuzzer, each against its oracle; 10 s of the litho kernel's assembly routines against their Go loops; 10 s of the spatial index, frozen layout against grown against brute force; 10 s of the deck's facing-edge scans, MinArea and Components against their index-based oracles; 10 s of the tile wire decoders on arbitrary bytes (no panic, bounded allocation, re-encode is a fixed point with the same key)
+fuzz-smoke: ## 20 s of the packed-bitmap morphology fuzzer, 10 s of the sparse-blur fuzzer (both kernel arms too) and 10 s of the boundary-edge fuzzer, each against its oracle; 10 s of the litho kernel's assembly routines against their Go loops; 10 s of geom's region ops and area queries against the slab oracle; 10 s of the spatial index, frozen layout against grown against brute force; 10 s of the deck's facing-edge scans, MinArea and Components against their index-based oracles; 10 s of the tile wire decoders on arbitrary bytes (no panic, bounded allocation, re-encode is a fixed point with the same key)
 	$(GO) test -run='^$$' -fuzz=FuzzBitmapMorphology -fuzztime=20s ./internal/litho
 	$(GO) test -run='^$$' -fuzz=FuzzSparseBlur -fuzztime=10s ./internal/litho
 	$(GO) test -run='^$$' -fuzz=FuzzKernelLoops -fuzztime=10s ./internal/litho
 	$(GO) test -run='^$$' -fuzz=FuzzBoundaryEdges -fuzztime=10s ./internal/geom
+	$(GO) test -run='^$$' -fuzz=FuzzRegionOps -fuzztime=10s ./internal/geom
 	$(GO) test -run='^$$' -fuzz=FuzzIndexQuery -fuzztime=10s ./internal/geom
 	$(GO) test -run='^$$' -fuzz=FuzzDeckScans -fuzztime=10s ./internal/drc
 	$(GO) test -run='^$$' -fuzz=FuzzTileWire -fuzztime=10s ./internal/tiling
@@ -121,13 +122,15 @@ cover-kernel: ## litho kernel coverage gate: no function of raster.go/sparse.go/
 cover-engine: ## unit path coverage gate: no function of internal/tiling's plan.go/wire.go/key.go/scan.go at 0 % under the package's own tests
 	$(call cover-gate,cover-engine,./internal/tiling,plan|wire|key|scan,)
 
-# And on what every tile's deck stands on: the index and the boundary
-# extraction under ./internal/geom's own tests, the prepared layer and
-# the rules that ask it under ./internal/drc's. The index has two
-# layouts and a hand-over between them; 90 % of its statements keeps
-# an arm of that from going unexecuted the way the dense blur did.
-cover-deck: ## deck path coverage gate: no function of internal/geom's index.go/edge.go, nor of internal/drc's layer.go/checks.go/density.go/enclosure.go, at 0 % under the package's own tests; index.go >= 90 % of statements
-	$(call cover-gate,cover-deck-geom,./internal/geom,index|edge,index)
+# And on what every tile's deck stands on: the index, the boundary
+# extraction and the region algebra under ./internal/geom's own tests,
+# the prepared layer and the rules that ask it under ./internal/drc's.
+# The index has two layouts and a hand-over between them, the sweep five
+# coverage rules; 90 % of the statements of index.go and sweep.go keeps
+# an arm from going unexecuted the way the dense blur and
+# DoubleCoverArea's overlapping-operand branch did.
+cover-deck: ## deck path coverage gate: no function of internal/geom's index.go/edge.go/sweep.go/rectset.go, nor of internal/drc's layer.go/checks.go/density.go/enclosure.go, at 0 % under the package's own tests; index.go and sweep.go >= 90 % of statements
+	$(call cover-gate,cover-deck-geom,./internal/geom,index|edge|sweep|rectset,index|sweep)
 	$(call cover-gate,cover-deck-drc,./internal/drc,layer|checks|density|enclosure,)
 
 # Where drcprofile keeps its binary and profiles (bin/ is gitignored).
@@ -177,11 +180,11 @@ lithoprofile: ## which arm of the kernel's float loops runs (litho.kernel.simd: 
 bench: ## every root-module benchmark (BenchmarkExperiment/<id> times the paper's experiments), time and allocations only; writes no file and regenerates no table (records come from `bash benchmark/run.sh`, the tables from `go test -run TestExperimentTables -update .`)
 	$(GO) test -run='^$$' -bench=. -benchmem .
 
-bench-smoke: ## one iteration of the five kernel micro-rows, of one experiment of the table, of the tile wire codec and of the tile key, of the index build (dense and sparse extent) and of the deck and the endcap rule on a tile, so the gate executes the benchmarks and does not merely compile them
+bench-smoke: ## one iteration of the five kernel micro-rows, of one experiment of the table, of the tile wire codec and of the tile key, of the index build (dense and sparse extent), of the sweep under each coverage rule and of the deck and the endcap rule on a tile, so the gate executes the benchmarks and does not merely compile them
 	$(GO) test -run='^$$' -bench='^Benchmark(GeomBoolean|DRCBlock|BitmapOpen|ScanWindow|ScanWindowDense)$$' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='^BenchmarkExperiment$$/^F5$$' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='^BenchmarkTile(Wire|Key)$$' -benchtime=1x -benchmem ./internal/tiling
-	$(GO) test -run='^$$' -bench='^BenchmarkIndexBuildQuery$$' -benchtime=1x -benchmem ./internal/geom
+	$(GO) test -run='^$$' -bench='^Benchmark(IndexBuildQuery|Sweep)$$' -benchtime=1x -benchmem ./internal/geom
 	$(GO) test -run='^$$' -bench='^Benchmark(DeckTile|Endcap)$$' -benchtime=1x -benchmem ./internal/drc
 
 # The same run is part of `go test ./...`; the target names it. A flag

@@ -6,8 +6,9 @@ import "repro/internal/obs"
 // per-event) paths and record through cached pointers whose disabled
 // fast path is a single atomic load — see internal/obs.
 var (
-	// One increment per boolean operation dispatched to the sweep
-	// engine, and one per n-ary UnionAll call.
+	// One increment per scanline sweep with events to process: each
+	// boolean op, UnionAll and area query, and each Normalize, AreaOf
+	// or ClipArea whose input is not already in normal form.
 	cSweepOps = obs.C("geom.sweep.ops")
 
 	// Total y-events processed (two per input rect: top and bottom).

@@ -10,16 +10,6 @@ package geom
 // interval is a half-open x range [lo, hi).
 type interval struct{ lo, hi int64 }
 
-func dedup64(xs []int64) []int64 {
-	out := xs[:0]
-	for i, v := range xs {
-		if i == 0 || v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 func sameIntervals(a, b []interval) bool {
 	if len(a) != len(b) {
 		return false
@@ -34,7 +24,7 @@ func sameIntervals(a, b []interval) bool {
 
 // Union returns the region covered by a or b as disjoint rects.
 func Union(a, b []Rect) []Rect {
-	return sweepBoolOp(a, b, opUnion)
+	return bands(opUnion, a, b)
 }
 
 // Normalize converts an arbitrary (possibly overlapping) rect list into
@@ -47,7 +37,7 @@ func Normalize(rs []Rect) []Rect {
 	if IsNormal(rs) {
 		return rs
 	}
-	return sweepUnion(rs)
+	return bands(opCovered, rs)
 }
 
 // IsNormal reports whether rs is exactly in the canonical form the
@@ -102,18 +92,18 @@ func sameXSpans(a, b []Rect) bool {
 
 // Intersect returns the region covered by both a and b.
 func Intersect(a, b []Rect) []Rect {
-	return sweepBoolOp(a, b, opIntersect)
+	return bands(opIntersect, a, b)
 }
 
 // Subtract returns the region covered by a but not b.
 func Subtract(a, b []Rect) []Rect {
-	return sweepBoolOp(a, b, opSubtract)
+	return bands(opSubtract, a, b)
 }
 
 // AreaOf returns the total area covered by the rect set, counting
 // overlapping regions once. Normalized input is summed directly;
-// overlapping input runs the segment-tree area sweep, which never
-// materializes the union geometry.
+// overlapping input runs the area sweep, which never materializes the
+// union geometry.
 func AreaOf(rs []Rect) int64 {
 	if IsNormal(rs) {
 		var a int64
@@ -122,7 +112,7 @@ func AreaOf(rs []Rect) int64 {
 		}
 		return a
 	}
-	return unionArea(rs)
+	return sweepArea(opCovered, rs)
 }
 
 // BBoxOf returns the bounding box of the set (empty Rect for an empty

@@ -114,6 +114,17 @@ func slabNormalize(rs []Rect) []Rect {
 // oracle in edge_oracle_test.go); production code merges and combines
 // intervals inside the sweep.
 
+// dedup64 drops repeats from a sorted coordinate list in place.
+func dedup64(xs []int64) []int64 {
+	out := xs[:0]
+	for i, v := range xs {
+		if i == 0 || v != out[len(out)-1] {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
 // mergeIntervals merges overlapping or touching intervals in place and
 // returns the compacted slice. Input already sorted by lo — the only
 // form the scanline and slab paths produce — is detected with a linear

@@ -2,33 +2,42 @@ package geom
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"sync"
 )
 
-// This file implements the boolean core as a single-pass sweep line,
-// the Bentley–Ottmann-style formulation production layout engines use:
-// y-events (rect tops and bottoms) are sorted once, the scanline's
+// This file implements the region algebra as one sweep line, the
+// Bentley–Ottmann-style formulation production layout engines use:
+// y-events (rect tops and bottoms) are sorted once and the scanline's
 // active x-intervals are maintained incrementally as rects enter and
-// leave, and coalesced output rects are emitted directly whenever the
-// merged scanline changes. Each operation is O((n + k) log n) in the
-// event count n and output size k for bounded scanline occupancy,
-// against the O(n · slabs) per-slab rescan of the legacy slab engine,
-// which is compiled only into the tests (slab_test.go) as the
-// differential oracle.
+// leave. The sweeper's iterator (next) applies one row of events at a
+// time and returns the y-segment that row closes, with the scanline's
+// coverage under one of five rules. Two consumers read it: bands
+// coalesces the segments into normal-form rects, sweepArea sums width ×
+// height. Each operation is O((n + k) log n) in the event count n and
+// output size k for bounded scanline occupancy, against the
+// O(n · slabs) per-slab rescan of the legacy slab engine, which is
+// compiled only into the tests (slab_test.go) as the differential
+// oracle.
 //
 // All scratch state (event queue, active lists, merged-interval
 // buffers) lives in a pooled sweeper so steady-state operations
 // allocate only their output slice.
 
-// opKind selects the pointwise boolean combine. The truth table is
-// indexed by (inA<<1 | inB).
+// opKind selects the coverage rule. The three binary rules combine
+// operands a and b by a truth table indexed by (inA<<1 | inB); the two
+// one-operand rules load every rect as operand 0 and keep the points
+// it covers at least once or at least twice. The binary rules come
+// first: load tells them apart by op < opCovered.
 type opKind uint8
 
 const (
 	opUnion opKind = iota
 	opIntersect
 	opSubtract
+	opCovered      // covered at least once: Normalize, UnionAll, UnionArea, AreaOf
+	opCoveredTwice // covered at least twice: DoubleCoverArea
 )
 
 var opTables = [...][4]bool{
@@ -49,6 +58,8 @@ type sweepEvent struct {
 // sweeper bundles the reusable scratch of one sweep operation.
 type sweeper struct {
 	events []sweepEvent
+	k      int           // next event to apply
+	y      int64         // where the segment the next call closes begins
 	act    [2][]interval // active intervals per operand, sorted by (lo, hi)
 	merged [2][]interval // merged coverage of each active list
 	rowA   []interval    // combined intervals of the open output band
@@ -75,18 +86,24 @@ func (s *sweeper) release() {
 	sweeperPool.Put(s)
 }
 
-// load fills the event queue from the operands and sorts it by y.
+// load fills the event queue from the operands, sorts it by y and
+// rewinds the iterator. Under a binary rule sets are the operands a and
+// b; under a one-operand rule every rect of every set is operand 0.
 // Returns false when there is nothing to sweep.
-func (s *sweeper) load(a, b []Rect) bool {
+func (s *sweeper) load(op opKind, sets ...[]Rect) bool {
 	ev := s.events[:0]
-	for set, rs := range [2][]Rect{a, b} {
+	for i, rs := range sets {
+		var set uint8
+		if op < opCovered {
+			set = uint8(i)
+		}
 		for _, r := range rs {
 			if r.Empty() {
 				continue
 			}
 			ev = append(ev,
-				sweepEvent{y: r.Y0, x0: r.X0, x1: r.X1, set: uint8(set), enter: true},
-				sweepEvent{y: r.Y1, x0: r.X0, x1: r.X1, set: uint8(set), enter: false},
+				sweepEvent{y: r.Y0, x0: r.X0, x1: r.X1, set: set, enter: true},
+				sweepEvent{y: r.Y1, x0: r.X0, x1: r.X1, set: set, enter: false},
 			)
 		}
 	}
@@ -95,7 +112,7 @@ func (s *sweeper) load(a, b []Rect) bool {
 		return false
 	}
 	slices.SortFunc(ev, func(p, q sweepEvent) int { return cmp.Compare(p.y, q.y) })
-	s.width = 0
+	s.k, s.y, s.width = 0, ev[0].y, 0
 	cSweepOps.Inc()
 	cSweepEvents.Add(int64(len(ev)))
 	return true
@@ -127,12 +144,57 @@ func (s *sweeper) apply(e sweepEvent) {
 	s.act[e.set] = act
 }
 
+// next applies the next row of y-events and returns the y-segment
+// [y0, y1) that row closes, with the scanline's coverage over it under
+// op as disjoint, gap-separated intervals sorted by lo. The slice is
+// s.rowB, overwritten by the following call. The first call closes the
+// empty, zero-height segment at the first row; ok is false once every
+// row has been applied.
+func (s *sweeper) next(op opKind) (y0, y1 int64, cov []interval, ok bool) {
+	ev, k := s.events, s.k
+	if k == len(ev) {
+		return 0, 0, nil, false
+	}
+	y0, y1 = s.y, ev[k].y
+	switch op {
+	case opCovered:
+		s.rowB = mergeActive(s.act[0], s.rowB)
+	case opCoveredTwice:
+		s.rowB = doubleActive(s.act[0], s.rowB)
+	default:
+		s.merged[0] = mergeActive(s.act[0], s.merged[0])
+		s.merged[1] = mergeActive(s.act[1], s.merged[1])
+		s.rowB = combineMerged(s.merged[0], s.merged[1], &opTables[op], s.rowB)
+	}
+	for ; k < len(ev) && ev[k].y == y1; k++ {
+		s.apply(ev[k])
+	}
+	s.k, s.y = k, y1
+	return y0, y1, s.rowB, true
+}
+
 // mergeActive rewrites dst with the merged coverage of the active list
 // (already sorted by lo, so a single linear pass suffices).
 func mergeActive(act []interval, dst []interval) []interval {
 	dst = dst[:0]
 	for _, v := range act {
 		dst = appendMerged(dst, v)
+	}
+	return dst
+}
+
+// doubleActive rewrites dst with the merged part of the active list
+// covered at least twice. The list is sorted by lo, so the doubly
+// covered part of each interval is [lo, min(hi, reach)), where reach is
+// the furthest hi of the intervals before it: one linear pass.
+func doubleActive(act []interval, dst []interval) []interval {
+	dst = dst[:0]
+	reach := int64(math.MinInt64)
+	for _, v := range act {
+		if v.lo < reach {
+			dst = appendMerged(dst, interval{v.lo, min(v.hi, reach)})
+		}
+		reach = max(reach, v.hi)
 	}
 	return dst
 }
@@ -214,159 +276,67 @@ func btoi(b bool) int {
 	return 0
 }
 
-// sweepBoolOp runs the sweep for one binary boolean op and returns the
-// normalized disjoint rect set (canonical order, no final sort needed:
-// bands are emitted bottom-up and intervals left-to-right).
-func sweepBoolOp(a, b []Rect, op opKind) []Rect {
+// bands runs the sweep under op and returns the region in normal form:
+// a segment whose coverage equals the open band's extends it, any other
+// closes it and opens the next. Bands come out bottom-up and intervals
+// left to right, so no final sort is needed.
+func bands(op opKind, sets ...[]Rect) []Rect {
 	s := getSweeper()
 	defer s.release()
-	if !s.load(a, b) {
+	if !s.load(op, sets...) {
 		return nil
 	}
-	table := &opTables[op]
-
 	var out []Rect
 	row := s.rowA[:0] // intervals of the open band
 	var bandY0 int64  // where the open band started
-	var lastY int64   // y of the previous event group
-	started := false  // any segment processed yet
-	flush := func(y1 int64) {
-		for _, v := range row {
-			out = append(out, Rect{v.lo, bandY0, v.hi, y1})
+	for {
+		y0, _, cur, ok := s.next(op)
+		if !ok {
+			break
+		}
+		if !sameIntervals(cur, row) {
+			out = appendBand(out, row, bandY0, y0)
+			bandY0 = y0
+			// Swap the band buffer and the segment buffer so the
+			// accepted segment becomes the open band without a copy.
+			s.rowA, s.rowB = s.rowB, s.rowA
+			row = cur
 		}
 	}
-	ev := s.events
-	for k := 0; k < len(ev); {
-		y := ev[k].y
-		if started && y > lastY {
-			// Segment [lastY, y): combine the current scanline and
-			// extend or break the open band.
-			s.merged[0] = mergeActive(s.act[0], s.merged[0])
-			s.merged[1] = mergeActive(s.act[1], s.merged[1])
-			cur := combineMerged(s.merged[0], s.merged[1], table, s.rowB[:0])
-			s.rowB = cur
-			if !sameIntervals(cur, row) {
-				flush(lastY)
-				bandY0 = lastY
-				// Swap the band buffer and the segment buffer so the
-				// accepted segment becomes the open band without a copy.
-				s.rowA, s.rowB = s.rowB, s.rowA
-				row = cur
-			}
-		}
-		if !started {
-			bandY0 = y
-			started = true
-		} else if len(row) == 0 {
-			bandY0 = y
-		}
-		for k < len(ev) && ev[k].y == y {
-			s.apply(ev[k])
-			k++
-		}
-		lastY = y
-	}
-	flush(lastY)
+	out = appendBand(out, row, bandY0, s.y)
 	hSweepWidth.Observe(float64(s.width))
 	return out
 }
 
-// sweepUnion is the single-operand coverage sweep behind Normalize and
-// UnionAll: one active list, output where coverage is positive.
-func sweepUnion(sets ...[]Rect) []Rect {
-	s := getSweeper()
-	defer s.release()
-	ev := s.events[:0]
-	for _, rs := range sets {
-		for _, r := range rs {
-			if r.Empty() {
-				continue
-			}
-			ev = append(ev,
-				sweepEvent{y: r.Y0, x0: r.X0, x1: r.X1, enter: true},
-				sweepEvent{y: r.Y1, x0: r.X0, x1: r.X1, enter: false},
-			)
-		}
+// appendBand appends the rects of one band: row's intervals over
+// [y0, y1).
+func appendBand(out []Rect, row []interval, y0, y1 int64) []Rect {
+	for _, v := range row {
+		out = append(out, Rect{v.lo, y0, v.hi, y1})
 	}
-	s.events = ev
-	if len(ev) == 0 {
-		return nil
-	}
-	slices.SortFunc(ev, func(p, q sweepEvent) int { return cmp.Compare(p.y, q.y) })
-	s.width = 0
-	cSweepOps.Inc()
-	cSweepEvents.Add(int64(len(ev)))
-
-	var out []Rect
-	row := s.rowA[:0]
-	var bandY0, lastY int64
-	started := false
-	flush := func(y1 int64) {
-		for _, v := range row {
-			out = append(out, Rect{v.lo, bandY0, v.hi, y1})
-		}
-	}
-	for k := 0; k < len(ev); {
-		y := ev[k].y
-		if started && y > lastY {
-			cur := mergeActive(s.act[0], s.rowB[:0])
-			s.rowB = cur
-			if !sameIntervals(cur, row) {
-				flush(lastY)
-				bandY0 = lastY
-				s.rowA, s.rowB = s.rowB, s.rowA
-				row = cur
-			}
-		}
-		if !started {
-			bandY0 = y
-			started = true
-		} else if len(row) == 0 {
-			bandY0 = y
-		}
-		for k < len(ev) && ev[k].y == y {
-			s.apply(ev[k])
-			k++
-		}
-		lastY = y
-	}
-	flush(lastY)
-	hSweepWidth.Observe(float64(s.width))
 	return out
 }
 
-// sweepArea runs the combine sweep accumulating covered area only —
-// no output rects, no band coalescing, zero allocation beyond pooled
-// scratch. op semantics match sweepBoolOp.
-func sweepArea(a, b []Rect, op opKind) int64 {
+// sweepArea runs the sweep under op and sums the covered area — no
+// output rects, no band coalescing, zero allocation beyond pooled
+// scratch.
+func sweepArea(op opKind, sets ...[]Rect) int64 {
 	s := getSweeper()
 	defer s.release()
-	if !s.load(a, b) {
+	if !s.load(op, sets...) {
 		return 0
 	}
-	table := &opTables[op]
-	var area, lastY int64
-	started := false
-	ev := s.events
-	for k := 0; k < len(ev); {
-		y := ev[k].y
-		if started && y > lastY {
-			s.merged[0] = mergeActive(s.act[0], s.merged[0])
-			s.merged[1] = mergeActive(s.act[1], s.merged[1])
-			cur := combineMerged(s.merged[0], s.merged[1], table, s.rowB[:0])
-			s.rowB = cur
-			var w int64
-			for _, v := range cur {
-				w += v.hi - v.lo
-			}
-			area += w * (y - lastY)
+	var area int64
+	for {
+		y0, y1, cov, ok := s.next(op)
+		if !ok {
+			break
 		}
-		started = true
-		for k < len(ev) && ev[k].y == y {
-			s.apply(ev[k])
-			k++
+		var w int64
+		for _, v := range cov {
+			w += v.hi - v.lo
 		}
-		lastY = y
+		area += w * (y1 - y0)
 	}
 	hSweepWidth.Observe(float64(s.width))
 	return area
@@ -377,20 +347,33 @@ func sweepArea(a, b []Rect, op opKind) int64 {
 // over all operands replaces a chain of pairwise Union calls, which
 // costs O(m · n log n) for m operands against one O(n log n) pass.
 func UnionAll(sets ...[]Rect) []Rect {
-	return sweepUnion(sets...)
+	return bands(opCovered, sets...)
 }
 
 // IntersectArea returns the area covered by both a and b without
 // materializing the intersection geometry.
 func IntersectArea(a, b []Rect) int64 {
-	return sweepArea(a, b, opIntersect)
+	return sweepArea(opIntersect, a, b)
 }
 
 // UnionArea returns the area covered by a or b without materializing
-// the union geometry (segment-tree sweep: union area needs no per-set
-// bookkeeping).
+// the union geometry.
 func UnionArea(a, b []Rect) int64 {
-	return unionArea(a, b)
+	return sweepArea(opCovered, a, b)
+}
+
+// DoubleCoverArea returns the area covered by rects of at least two
+// different sets — equivalently, the union of all pairwise
+// intersections — in one sweep over all sets, with nothing
+// materialized. Each set is normalized first (free for input already in
+// normal form), so the multiplicity of a point is the number of
+// distinct sets covering it.
+func DoubleCoverArea(sets ...[]Rect) int64 {
+	ns := make([][]Rect, len(sets))
+	for i, rs := range sets {
+		ns[i] = Normalize(rs)
+	}
+	return sweepArea(opCoveredTwice, ns...)
 }
 
 // ClipArea returns the area of the region rs covered inside the clip
@@ -411,5 +394,5 @@ func ClipArea(rs []Rect, clip Rect) int64 {
 		}
 		return a
 	}
-	return sweepArea(rs, []Rect{clip}, opIntersect)
+	return sweepArea(opIntersect, rs, []Rect{clip})
 }

@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: tier1 check build vet test race-fast fuzz-smoke cover-kernel cover-engine cover-deck drcprofile editprofile fleetprofile lithoprofile bench bench-smoke examples-smoke docs-check fmt-check unit-check
+.PHONY: tier1 check build vet test race-fast fuzz-smoke cover-kernel cover-engine cover-deck cover-harness drcprofile editprofile fleetprofile lithoprofile bench bench-smoke examples-smoke docs-check fmt-check unit-check
 
 # benchmark/ is a module of its own, so ./... above never reaches it;
 # without this an exported-name change breaks the benchmark silently.
@@ -29,6 +29,7 @@ tier1: ## build + vet + gofmt gate + full tests under the race detector
 	$(MAKE) cover-kernel
 	$(MAKE) cover-engine
 	$(MAKE) cover-deck
+	$(MAKE) cover-harness
 	$(MAKE) bench-smoke
 	$(MAKE) examples-smoke
 	$(MAKE) docs-check
@@ -132,6 +133,13 @@ cover-engine: ## unit path coverage gate: no function of internal/tiling's plan.
 cover-deck: ## deck path coverage gate: no function of internal/geom's index.go/edge.go/sweep.go/rectset.go, nor of internal/drc's layer.go/checks.go/density.go/enclosure.go, at 0 % under the package's own tests; index.go and sweep.go >= 90 % of statements
 	$(call cover-gate,cover-deck-geom,./internal/geom,index|edge|sweep|rectset,index|sweep)
 	$(call cover-gate,cover-deck-drc,./internal/drc,layer|checks|density|enclosure,)
+
+# And on the one task executor: the scorecard's batch and every dfmd
+# job run through pool.go's workers and harness.go's attempt loop, so
+# 90 % of their statements keeps a path of either from going unexercised
+# the way Pool.Workers sat outside the package's own tests.
+cover-harness: ## executor coverage gate: no function of internal/harness's harness.go/pool.go/foreach.go/metrics.go at 0 % under the package's own tests; harness.go and pool.go >= 90 % of statements
+	$(call cover-gate,cover-harness,./internal/harness,harness|pool|foreach|metrics,harness|pool)
 
 # Where drcprofile keeps its binary and profiles (bin/ is gitignored).
 DRCPROFILE_DIR ?= bin/drcprofile

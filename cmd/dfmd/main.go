@@ -40,13 +40,14 @@ import (
 )
 
 func main() {
+	def := server.DefaultConfig()
 	addr := flag.String("addr", "127.0.0.1:9517", "listen address")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "evaluation worker pool width")
-	queue := flag.Int("queue", 64, "admission queue capacity")
+	queue := flag.Int("queue", def.Queue, "admission queue capacity")
 	cache := flag.Int("cache", 1024, "result cache entries")
-	maxWait := flag.Duration("max-wait", 30*time.Second, "admission wait budget before shedding (0 = shed only on a full queue)")
+	maxWait := flag.Duration("max-wait", def.MaxWait, "admission wait budget before shedding (0 = shed only on a full queue)")
 	timeout := flag.Duration("timeout", 2*time.Minute, "default per-job evaluation budget")
-	retries := flag.Int("retries", 1, "extra attempts for retryable workload failures")
+	retries := flag.Int("retries", def.Retries, "extra attempts for retryable workload failures")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-drain budget on shutdown before in-flight jobs are canceled")
 	quiet := flag.Bool("quiet", false, "suppress the startup/shutdown log lines")
 	flag.Parse()

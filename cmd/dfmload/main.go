@@ -261,7 +261,7 @@ func isOverloaded(err error) bool {
 // ephemeral port — no external server to manage for quick runs.
 func startInProcess() (stop func(), url string, err error) {
 	obs.SetEnabled(true)
-	srv := server.New(server.Config{})
+	srv := server.New(server.DefaultConfig())
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, "", err

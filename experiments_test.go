@@ -410,7 +410,11 @@ var experiments = []experiment{
 					rmsAt(mask, litho.Nominal), rmsAt(mask, litho.Condition{Defocus: 80, Dose: 1}))
 			}
 			row("nominal-opc:", modelOPC(tb, drawn, window, t, mo).Mask)
-			row("pw-opc:     ", opc.ProcessWindowOPC(drawn, window, t.Optics, mo, opc.StandardPWCorners(80)).Mask)
+			pw, err := opc.ProcessWindowOPC(context.Background(), drawn, window, t.Optics, mo, opc.StandardPWCorners(80))
+			if err != nil {
+				tb.Fatal(err)
+			}
+			row("pw-opc:     ", pw.Mask)
 			return out
 		}
 	}},

@@ -4,13 +4,16 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/harness"
+	"repro/internal/obs"
 	"repro/internal/tech"
+	"repro/internal/tiling"
 )
 
 // TestScorecardSurvivesTotalFaultStorm injects a fault into every
@@ -169,6 +172,64 @@ func TestRunAllFaultInjection(t *testing.T) {
 	}
 	if kinds["model-opc"] != "panic" || kinds["sraf"] != "timeout" {
 		t.Errorf("JSON errorKind wrong: %v", kinds)
+	}
+}
+
+// TestHookErrorSkipsEvaluator: a Config.Hook error fails the attempt
+// it ran in, exactly as the evaluator's own error would, and the
+// evaluator behind it never runs.
+func TestHookErrorSkipsEvaluator(t *testing.T) {
+	defer obs.SetEnabled(obs.Enabled())
+	obs.SetEnabled(true)
+	evaluated := func(name string) int64 {
+		return obs.Default().Snapshot().Histograms["dfm."+name+".total.ns"].Count
+	}
+	before := map[string]int64{}
+	for _, name := range Techniques() {
+		before[name] = evaluated(name)
+	}
+	hookErr := errors.New("injected")
+	sc := RunAllConfig(context.Background(), tech.N45(), 11, Config{
+		Parallel: 2,
+		Hook:     func(ctx context.Context, technique string, attempt int) error { return hookErr },
+	})
+	if len(sc.Outcomes) != 8 {
+		t.Fatalf("scorecard incomplete: %d outcomes", len(sc.Outcomes))
+	}
+	for _, o := range sc.Outcomes {
+		if !errors.Is(o.Err, hookErr) || o.Verdict != Hype || o.Attempts != 1 {
+			t.Errorf("%s: err %v verdict %v attempts %d, want the hook's error, HYPE, 1", o.Technique, o.Err, o.Verdict, o.Attempts)
+		}
+		if n := evaluated(o.Technique) - before[o.Technique]; n != 0 || len(o.Metrics) != 0 {
+			t.Errorf("%s: evaluator ran %d times behind a failing hook (%d metrics)", o.Technique, n, len(o.Metrics))
+		}
+	}
+}
+
+// TestOutcomeOf holds the one fold from a harness result to an outcome
+// that the scorecard and dfmd share.
+func TestOutcomeOf(t *testing.T) {
+	fault := &harness.Error{Kind: harness.KindTimeout, Technique: "sraf", Attempts: 2, Err: context.DeadlineExceeded}
+	judged := Outcome{Technique: "sraf", Metrics: []Metric{{Name: "cd", Before: 2, After: 1, Primary: true}},
+		Runtime: time.Second, Verdict: Hit, Err: context.DeadlineExceeded}
+	cases := []struct {
+		name string
+		res  harness.Result
+		want Outcome
+	}{
+		{"an outcome", harness.Result{Name: "sraf", Value: Outcome{Technique: "sraf", Runtime: time.Second, Verdict: Hit}, Attempts: 1, Runtime: time.Minute},
+			Outcome{Technique: "sraf", Runtime: time.Second, Verdict: Hit, Attempts: 1}},
+		{"a tile result", harness.Result{Name: "tile/drc", Value: &tiling.TileResult{}, Attempts: 1, Runtime: time.Minute},
+			Outcome{Technique: "tile/drc", Runtime: time.Minute, Attempts: 1}},
+		{"nil with an error", harness.Result{Name: "sraf", Err: fault, Attempts: 2, Runtime: time.Minute},
+			Outcome{Technique: "sraf", Runtime: time.Minute, Verdict: Hype, Attempts: 2, Err: fault}},
+		{"an outcome with an error", harness.Result{Name: "sraf", Value: judged, Err: fault, Attempts: 2, Runtime: time.Minute},
+			Outcome{Technique: "sraf", Metrics: judged.Metrics, Runtime: time.Second, Verdict: Hype, Attempts: 2, Err: fault}},
+	}
+	for _, c := range cases {
+		if got := OutcomeOf(c.res); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: OutcomeOf = %+v, want %+v", c.name, got, c.want)
+		}
 	}
 }
 

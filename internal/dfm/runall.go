@@ -31,8 +31,11 @@ type Config struct {
 	Retries int
 	// Backoff is the first retry delay (doubles per retry).
 	Backoff time.Duration
-	// Hook runs before every attempt; fault injection plugs in here.
-	Hook harness.Hook
+	// Hook runs before every attempt, inside the attempt: an error it
+	// returns fails the attempt without running the evaluator, and a
+	// panic or hang in it is classified like the evaluator's. Fault
+	// injection plugs in here.
+	Hook func(ctx context.Context, technique string, attempt int) error
 }
 
 // DefaultConfig runs one worker per CPU with one retry and no
@@ -213,32 +216,49 @@ func RunAll(ctx context.Context, t *tech.Tech, seed int64) *Scorecard {
 // carries the harness's typed classification while the remaining
 // techniques report real verdicts.
 func RunAllConfig(ctx context.Context, t *tech.Tech, seed int64, cfg Config) *Scorecard {
-	results := harness.Run(ctx, TechniqueTasks(t, seed), harness.Options{
-		Parallel: cfg.Parallel,
-		Timeout:  cfg.Timeout,
-		Retries:  cfg.Retries,
-		Backoff:  cfg.Backoff,
-		Hook:     cfg.Hook,
+	tasks := TechniqueTasks(t, seed)
+	for i := range tasks {
+		tasks[i].Timeout = cfg.Timeout
+		if cfg.Hook != nil {
+			name, run := tasks[i].Name, tasks[i].Run
+			tasks[i].Run = func(ctx context.Context, attempt int) (any, error) {
+				if err := cfg.Hook(ctx, name, attempt); err != nil {
+					return nil, err
+				}
+				return run(ctx, attempt)
+			}
+		}
+	}
+	results := harness.Run(ctx, tasks, harness.Options{
+		Workers: cfg.Parallel,
+		Retries: cfg.Retries,
+		Backoff: cfg.Backoff,
 	})
 	sc := &Scorecard{}
 	for _, r := range results {
-		o, ok := r.Value.(Outcome)
-		if !ok {
-			// The attempt never produced an outcome (abandoned
-			// timeout, panic, injected fault): synthesize the shell.
-			o = Outcome{Technique: r.Name}
-		}
-		if r.Err != nil {
-			// The harness error is the richer, classified form of
-			// whatever the evaluator reported.
-			o.Err = r.Err
-			o.Verdict = Hype
-		}
-		o.Attempts = r.Attempts
-		if o.Runtime == 0 {
-			o.Runtime = r.Runtime
-		}
-		sc.Add(o)
+		sc.Add(OutcomeOf(r))
 	}
 	return sc
+}
+
+// OutcomeOf folds a settled harness task into its technique's outcome,
+// for the batch scorecard and dfmd alike. A task that never produced
+// an outcome (abandoned timeout, panic, injected fault, a tile job)
+// gets a shell named after it; a harness error, the richer classified
+// form of whatever the evaluator reported, replaces the outcome's own
+// and makes the verdict HYPE.
+func OutcomeOf(r harness.Result) Outcome {
+	o, ok := r.Value.(Outcome)
+	if !ok {
+		o = Outcome{Technique: r.Name}
+	}
+	if r.Err != nil {
+		o.Err = r.Err
+		o.Verdict = Hype
+	}
+	o.Attempts = r.Attempts
+	if o.Runtime == 0 {
+		o.Runtime = r.Runtime
+	}
+	return o
 }

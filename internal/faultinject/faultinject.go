@@ -1,6 +1,7 @@
 // Package faultinject is a deterministic fault-injection hook layer
-// for the evaluation harness: plan panics, delays, and transient
-// errors by technique name, then hand Set.Hook to harness.Options.
+// for the scorecard: plan panics, delays, and transient errors by
+// technique name, then hand Set.Hook to dfm.Config.Hook, which runs it
+// inside each attempt ahead of the evaluator.
 // Faults fire in plan order, a fixed number of times, with no
 // randomness — the same plan produces the same failure sequence on
 // every run, which is what makes degraded-mode behavior testable.
@@ -62,7 +63,7 @@ func (s *Set) Plan(name string, f Fault) *Set {
 	return s
 }
 
-// Hook is a harness.Hook: it fires the next planned fault for the
+// Hook is a dfm.Config.Hook: it fires the next planned fault for the
 // technique, if any.
 func (s *Set) Hook(ctx context.Context, technique string, attempt int) error {
 	s.mu.Lock()

@@ -39,7 +39,7 @@ func (n *Node) start() error {
 	if err != nil {
 		return err
 	}
-	n.srv = server.New(server.Config{})
+	n.srv = server.New(server.DefaultConfig())
 	n.hs = &http.Server{Handler: n.srv.Handler()}
 	go n.hs.Serve(ln) //nolint:errcheck // closed on kill/stop
 	return nil
@@ -48,7 +48,7 @@ func (n *Node) start() error {
 // Options sizes a cluster.
 type Options struct {
 	// Nodes is the backend count (required, ≥1). Every node runs
-	// with the server defaults.
+	// with server.DefaultConfig().
 	Nodes int
 	// Logf receives cluster lifecycle lines; nil prints to stdout.
 	Logf func(string, ...any)

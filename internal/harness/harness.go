@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"runtime/debug"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // Task is one unit of work: a named evaluator. Run receives the
@@ -18,30 +16,21 @@ import (
 type Task struct {
 	Name string
 	Run  func(ctx context.Context, attempt int) (any, error)
-	// Timeout overrides Options.Timeout for this task when > 0.
+	// Timeout is the per-attempt wall-clock budget; 0 means none.
 	Timeout time.Duration
 }
 
-// Hook is called before each attempt. Fault injection and
-// instrumentation plug in here; a returned error fails the attempt
-// exactly as if the evaluator had returned it, and a panic is
-// recovered like an evaluator panic.
-type Hook func(ctx context.Context, technique string, attempt int) error
-
-// Options configures a Run.
+// Options configures a Pool.
 type Options struct {
-	// Parallel is the worker-pool size; values < 1 mean sequential.
-	Parallel int
-	// Timeout is the per-attempt wall-clock budget; 0 means none.
-	Timeout time.Duration
+	// Workers is the number of concurrent evaluator goroutines;
+	// values < 1 mean 1.
+	Workers int
 	// Retries is the number of extra attempts granted to retryable
 	// errors (see IsRetryable); 0 means one attempt only.
 	Retries int
 	// Backoff is the first retry delay; it doubles each retry.
 	// Defaults to 100ms when unset.
 	Backoff time.Duration
-	// Hook, when set, runs before every attempt.
-	Hook Hook
 	// sleep is injectable for tests.
 	sleep func(ctx context.Context, d time.Duration) error
 }
@@ -57,44 +46,27 @@ type Result struct {
 	Runtime  time.Duration
 }
 
-// Run executes every task on at most Parallel workers (ForEach) and
-// returns results in task order. It never panics and never blocks past
-// cancellation: a timed-out attempt is abandoned (its goroutine
-// parks on a buffered channel and exits whenever the evaluator next
-// observes ctx or finishes), a panicking attempt is recovered with
-// its stack, and a canceled run settles the tasks no worker reached as
-// KindCanceled results.
+// Run executes a batch on a Pool of at most opts.Workers workers whose
+// queue holds the whole batch, and returns results in task order. It
+// never panics and never blocks past cancellation: a timed-out attempt
+// is abandoned (its goroutine parks on a buffered channel and exits
+// whenever the evaluator next observes ctx or finishes), a panicking
+// attempt is recovered with its stack, and a canceled run settles the
+// tasks still queued as KindCanceled results without running them.
 func Run(ctx context.Context, tasks []Task, opts Options) []Result {
-	if opts.Backoff <= 0 {
-		opts.Backoff = 100 * time.Millisecond
+	opts.Workers = min(opts.Workers, len(tasks))
+	p := NewPool(opts, len(tasks))
+	chans := make([]<-chan Result, len(tasks))
+	for i, t := range tasks {
+		// The queue holds the whole batch and the pool is open, so no
+		// Submit is refused.
+		chans[i], _ = p.Submit(ctx, t)
 	}
-	if opts.sleep == nil {
-		opts.sleep = sleepCtx
-	}
-
 	results := make([]Result, len(tasks))
-	// Queue wait: time from dispatch start until a worker picks the
-	// task up — the pool-saturation signal. The clock is only read
-	// while the metrics registry is recording.
-	metered := obs.Enabled()
-	var dispatchStart time.Time
-	if metered {
-		obs.G("harness.pool.workers").Set(float64(min(max(opts.Parallel, 1), len(tasks))))
-		dispatchStart = time.Now()
+	for i, ch := range chans {
+		results[i] = <-ch
 	}
-	ForEach(ctx, opts.Parallel, len(tasks), func(i int) {
-		if metered {
-			hQueueWait.ObserveSince(dispatchStart)
-		}
-		results[i] = runTask(ctx, tasks[i], opts)
-	})
-	// Cancellation stops dispatch; runTask on the canceled ctx settles
-	// what was never picked up without running it.
-	for i := range results {
-		if results[i].Attempts == 0 {
-			results[i] = runTask(ctx, tasks[i], opts)
-		}
-	}
+	p.Close()
 	return results
 }
 
@@ -106,7 +78,7 @@ func runTask(ctx context.Context, t Task, opts Options) Result {
 	res := Result{Name: t.Name}
 	for attempt := 0; ; attempt++ {
 		res.Attempts = attempt + 1
-		res.Value, res.Err = runAttempt(ctx, t, attempt, opts)
+		res.Value, res.Err = runAttempt(ctx, t, attempt)
 		if res.Err == nil || !IsRetryable(res.Err) || attempt >= opts.Retries {
 			break
 		}
@@ -134,25 +106,20 @@ type attemptResult struct {
 	err error
 }
 
-// runAttempt executes one attempt in its own goroutine under an
-// optional deadline, recovering panics and classifying context
+// runAttempt executes one attempt in its own goroutine under the
+// task's deadline, if any, recovering panics and classifying context
 // errors into the taxonomy.
-func runAttempt(ctx context.Context, t Task, attempt int, opts Options) (any, error) {
+func runAttempt(ctx context.Context, t Task, attempt int) (any, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, &Error{Kind: KindCanceled, Err: err}
 	}
 	actx := ctx
 	cancel := func() {}
-	timeout := opts.Timeout
-	if t.Timeout > 0 {
-		timeout = t.Timeout
-	}
-	if timeout > 0 {
-		actx, cancel = context.WithTimeout(ctx, timeout)
+	hadDeadline := t.Timeout > 0
+	if hadDeadline {
+		actx, cancel = context.WithTimeout(ctx, t.Timeout)
 	}
 	defer cancel()
-
-	hadDeadline := timeout > 0
 
 	ch := make(chan attemptResult, 1) // buffered: abandoned attempts must not leak forever
 	go func() {
@@ -165,12 +132,6 @@ func runAttempt(ctx context.Context, t Task, attempt int, opts Options) (any, er
 				}}
 			}
 		}()
-		if opts.Hook != nil {
-			if err := opts.Hook(actx, t.Name, attempt); err != nil {
-				ch <- attemptResult{err: classify(ctx, hadDeadline, err)}
-				return
-			}
-		}
 		v, err := t.Run(actx, attempt)
 		ch <- attemptResult{v: v, err: classify(ctx, hadDeadline, err)}
 	}()

@@ -27,7 +27,7 @@ func TestRunPreservesTaskOrder(t *testing.T) {
 			},
 		})
 	}
-	results := Run(context.Background(), tasks, Options{Parallel: 4})
+	results := Run(context.Background(), tasks, Options{Workers: 4})
 	if len(results) != 10 {
 		t.Fatalf("results = %d, want 10", len(results))
 	}
@@ -58,7 +58,7 @@ func TestBoundedParallelism(t *testing.T) {
 			},
 		}
 	}
-	Run(context.Background(), tasks, Options{Parallel: 3})
+	Run(context.Background(), tasks, Options{Workers: 3})
 	mu.Lock()
 	defer mu.Unlock()
 	if peak > 3 {
@@ -78,7 +78,7 @@ func TestPanicRecovered(t *testing.T) {
 			return "ok", nil
 		}},
 	}
-	results := Run(context.Background(), tasks, Options{Parallel: 2})
+	results := Run(context.Background(), tasks, Options{Workers: 2})
 	if !errors.Is(results[0].Err, ErrPanic) {
 		t.Fatalf("panic not classified: %v", results[0].Err)
 	}
@@ -101,16 +101,16 @@ func TestTimeoutAbandonsHungTask(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	tasks := []Task{
-		{Name: "hang", Run: func(ctx context.Context, attempt int) (any, error) {
+		{Name: "hang", Timeout: 30 * time.Millisecond, Run: func(ctx context.Context, attempt int) (any, error) {
 			<-release // ignores ctx: a truly wedged evaluator
 			return nil, nil
 		}},
-		{Name: "fine", Run: func(ctx context.Context, attempt int) (any, error) {
+		{Name: "fine", Timeout: 30 * time.Millisecond, Run: func(ctx context.Context, attempt int) (any, error) {
 			return 42, nil
 		}},
 	}
 	start := time.Now()
-	results := Run(context.Background(), tasks, Options{Parallel: 2, Timeout: 30 * time.Millisecond})
+	results := Run(context.Background(), tasks, Options{Workers: 2})
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("run blocked on hung task: %v", elapsed)
 	}
@@ -124,36 +124,14 @@ func TestTimeoutAbandonsHungTask(t *testing.T) {
 
 func TestCooperativeTimeout(t *testing.T) {
 	tasks := []Task{
-		{Name: "coop", Run: func(ctx context.Context, attempt int) (any, error) {
+		{Name: "coop", Timeout: 20 * time.Millisecond, Run: func(ctx context.Context, attempt int) (any, error) {
 			<-ctx.Done() // evaluator notices its budget expired
 			return "partial", ctx.Err()
 		}},
 	}
-	results := Run(context.Background(), tasks, Options{Timeout: 20 * time.Millisecond})
+	results := Run(context.Background(), tasks, Options{})
 	if !errors.Is(results[0].Err, ErrTimeout) {
 		t.Fatalf("cooperative deadline not classified timeout: %v", results[0].Err)
-	}
-}
-
-func TestPerTaskTimeoutOverride(t *testing.T) {
-	slow := func(ctx context.Context, attempt int) (any, error) {
-		select {
-		case <-time.After(200 * time.Millisecond):
-			return "done", nil
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	tasks := []Task{
-		{Name: "tight", Run: slow, Timeout: 20 * time.Millisecond},
-		{Name: "roomy", Run: slow},
-	}
-	results := Run(context.Background(), tasks, Options{Parallel: 2, Timeout: 5 * time.Second})
-	if !errors.Is(results[0].Err, ErrTimeout) {
-		t.Fatalf("per-task timeout not applied: %v", results[0].Err)
-	}
-	if results[1].Err != nil || results[1].Value != "done" {
-		t.Fatalf("global timeout clobbered by sibling override: %+v", results[1])
 	}
 }
 
@@ -241,30 +219,14 @@ func TestCanceledRunDrains(t *testing.T) {
 		<-started
 		cancel()
 	}()
-	results := Run(ctx, tasks, Options{Parallel: 1})
+	results := Run(ctx, tasks, Options{Workers: 1})
 	if !errors.Is(results[0].Err, ErrCanceled) {
 		t.Fatalf("in-flight task not canceled: %v", results[0].Err)
 	}
 	for _, r := range results[1:] {
-		if !errors.Is(r.Err, ErrCanceled) {
-			t.Fatalf("queued task %s not drained as canceled: %v", r.Name, r.Err)
+		if !errors.Is(r.Err, ErrCanceled) || r.Attempts != 1 {
+			t.Fatalf("queued task %s not drained as canceled in one attempt: %v (%d attempts)", r.Name, r.Err, r.Attempts)
 		}
-	}
-}
-
-func TestHookErrorFailsAttempt(t *testing.T) {
-	hookErr := errors.New("injected")
-	tasks := []Task{
-		{Name: "hooked", Run: func(ctx context.Context, attempt int) (any, error) {
-			t.Error("Run executed despite hook failure")
-			return nil, nil
-		}},
-	}
-	results := Run(context.Background(), tasks, Options{
-		Hook: func(ctx context.Context, technique string, attempt int) error { return hookErr },
-	})
-	if !errors.Is(results[0].Err, hookErr) {
-		t.Fatalf("hook error lost: %v", results[0].Err)
 	}
 }
 
@@ -356,7 +318,7 @@ func TestClassifyDeadlineSensitive(t *testing.T) {
 }
 
 func TestEvaluatorCanceledNoTimeoutNotATimeout(t *testing.T) {
-	// End-to-end version of the regression: no Options.Timeout, live
+	// End-to-end version of the regression: no Task.Timeout, live
 	// parent, evaluator returns context.Canceled from its own
 	// sub-context. The result must not claim a harness timeout.
 	res := Run(context.Background(), []Task{{

@@ -31,29 +31,13 @@ var (
 	gPoolSaturation = obs.G("harness.pool.saturation")
 )
 
-// PoolOptions configures a persistent pool.
-type PoolOptions struct {
-	// Workers is the number of concurrent evaluator goroutines;
-	// values < 1 mean 1.
-	Workers int
-	// Queue is the submission-queue capacity beyond the in-flight
-	// work; values < 0 mean 0 (a Submit only succeeds when a worker
-	// can pick the task up promptly).
-	Queue int
-	// Retries and Backoff behave exactly as in Options and apply to
-	// every submitted task. The pool sets no deadline of its own: a
-	// task's is its Task.Timeout.
-	Retries int
-	Backoff time.Duration
-}
-
-// Pool is the long-lived sibling of Run for serving workloads: a
-// fixed set of workers draining a bounded submission queue, with the
-// same per-attempt deadline/retry/panic machinery per task. Unlike
-// Run, the task set is open-ended — callers Submit one task at a time
-// and receive its Result on a per-task channel — and the queue depth
-// and worker saturation are exported live so an admission layer can
-// shed load on real signals instead of a static cap.
+// Pool is the one executor: a fixed set of workers draining a bounded
+// submission queue, each task through the per-attempt deadline, retry
+// and panic machinery of runTask. Callers Submit one task at a time and
+// receive its Result on a per-task channel; Run is a Pool sized to a
+// batch. The queue depth and worker saturation are exported live so an
+// admission layer can shed load on real signals instead of a static
+// cap.
 type Pool struct {
 	opts  Options
 	queue chan *poolItem
@@ -65,43 +49,34 @@ type Pool struct {
 	depth    atomic.Int64 // tasks queued, not yet picked up
 	inflight atomic.Int64 // tasks a worker is currently running
 
-	workers int
-	wg      sync.WaitGroup
+	wg sync.WaitGroup
 }
 
 type poolItem struct {
-	ctx  context.Context
-	task Task
-	done chan Result
+	ctx    context.Context
+	task   Task
+	done   chan Result
+	queued obs.Span // from Submit to pick-up; zero while the registry is off
 }
 
-// NewPool starts the workers and returns the pool. The caller must
-// Close it to release them.
-func NewPool(opts PoolOptions) *Pool {
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
+// NewPool starts opts.Workers workers behind a submission queue of
+// capacity queue beyond the in-flight work (values < 0 mean 0: a Submit
+// only succeeds when a worker can pick the task up promptly). The
+// caller must Close it to release them.
+func NewPool(opts Options, queue int) *Pool {
+	opts.Workers = max(opts.Workers, 1)
+	if opts.Backoff <= 0 {
+		opts.Backoff = 100 * time.Millisecond
 	}
-	queue := opts.Queue
-	if queue < 0 {
-		queue = 0
+	if opts.sleep == nil {
+		opts.sleep = sleepCtx
 	}
-	p := &Pool{
-		opts:    Options{Retries: opts.Retries, Backoff: opts.Backoff},
-		queue:   make(chan *poolItem, queue),
-		workers: workers,
-	}
-	if p.opts.Backoff <= 0 {
-		p.opts.Backoff = 100 * time.Millisecond
-	}
-	if p.opts.sleep == nil {
-		p.opts.sleep = sleepCtx
-	}
+	p := &Pool{opts: opts, queue: make(chan *poolItem, max(queue, 0))}
 	if obs.Enabled() {
-		obs.G("harness.pool.workers").Set(float64(workers))
+		obs.G("harness.pool.workers").Set(float64(opts.Workers))
 	}
-	p.wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	p.wg.Add(opts.Workers)
+	for w := 0; w < opts.Workers; w++ {
 		go p.worker()
 	}
 	return p
@@ -119,6 +94,7 @@ func (p *Pool) worker() {
 			p.publishGauges()
 			continue
 		}
+		it.queued.End()
 		p.inflight.Add(1)
 		p.publishGauges()
 		res := runTask(it.ctx, it.task, p.opts)
@@ -132,10 +108,11 @@ func (p *Pool) worker() {
 // receives exactly one Result (buffered — the pool never blocks on a
 // caller that stopped listening). A full queue returns ErrQueueFull;
 // a closed pool returns ErrPoolClosed. ctx cancels the task while
-// queued or running, through the same classification Run uses.
+// queued or running: a task still queued when it is canceled settles
+// as KindCanceled after one attempt that never calls Run.
 func (p *Pool) Submit(ctx context.Context, t Task) (<-chan Result, error) {
 	done := make(chan Result, 1)
-	it := &poolItem{ctx: ctx, task: t, done: done}
+	it := &poolItem{ctx: ctx, task: t, done: done, queued: hQueueWait.Start()}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -177,11 +154,11 @@ func (p *Pool) QueueDepth() int { return int(p.depth.Load()) }
 func (p *Pool) InFlight() int { return int(p.inflight.Load()) }
 
 // Workers returns the worker count.
-func (p *Pool) Workers() int { return p.workers }
+func (p *Pool) Workers() int { return p.opts.Workers }
 
 // Saturation returns the busy-worker fraction in [0, 1].
 func (p *Pool) Saturation() float64 {
-	return float64(p.inflight.Load()) / float64(p.workers)
+	return float64(p.inflight.Load()) / float64(p.opts.Workers)
 }
 
 // publishGauges mirrors the live signals into the metrics registry.

@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func TestPoolRunsSubmittedTasks(t *testing.T) {
-	p := NewPool(PoolOptions{Workers: 4, Queue: 16})
+	p := NewPool(Options{Workers: 4}, 16)
 	defer p.Close()
 	var chans []<-chan Result
 	for i := 0; i < 10; i++ {
@@ -40,7 +42,7 @@ func TestPoolRunsSubmittedTasks(t *testing.T) {
 }
 
 func TestPoolRetriesRetryableFailures(t *testing.T) {
-	p := NewPool(PoolOptions{Workers: 1, Queue: 1, Retries: 2, Backoff: time.Microsecond})
+	p := NewPool(Options{Workers: 1, Retries: 2, Backoff: time.Microsecond}, 1)
 	defer p.Close()
 	calls := 0
 	ch, err := p.Submit(context.Background(), Task{
@@ -66,7 +68,7 @@ func TestPoolRetriesRetryableFailures(t *testing.T) {
 }
 
 func TestPoolQueueFullSheds(t *testing.T) {
-	p := NewPool(PoolOptions{Workers: 1, Queue: 1})
+	p := NewPool(Options{Workers: 1}, 1)
 	defer p.Close()
 	gate := make(chan struct{})
 	block := Task{Name: "block", Run: func(ctx context.Context, attempt int) (any, error) {
@@ -103,7 +105,7 @@ func TestPoolQueueFullSheds(t *testing.T) {
 }
 
 func TestPoolCloseDrainsInflightRejectsQueued(t *testing.T) {
-	p := NewPool(PoolOptions{Workers: 1, Queue: 2})
+	p := NewPool(Options{Workers: 1}, 2)
 	gate := make(chan struct{})
 	inflight, err := p.Submit(context.Background(), Task{Name: "inflight",
 		Run: func(ctx context.Context, attempt int) (any, error) {
@@ -158,7 +160,7 @@ func TestPoolCloseDrainsInflightRejectsQueued(t *testing.T) {
 }
 
 func TestPoolSubmitCtxCancelWhileQueued(t *testing.T) {
-	p := NewPool(PoolOptions{Workers: 1, Queue: 1})
+	p := NewPool(Options{Workers: 1}, 1)
 	defer p.Close()
 	gate := make(chan struct{})
 	defer close(gate)
@@ -183,6 +185,36 @@ func TestPoolSubmitCtxCancelWhileQueued(t *testing.T) {
 	res := <-ch
 	if KindOf(res.Err) != KindCanceled {
 		t.Fatalf("canceled-while-queued kind = %v (err %v), want KindCanceled", KindOf(res.Err), res.Err)
+	}
+}
+
+// TestPoolRecordsQueueWait: while the registry records, every task a
+// worker picks up observes how long it sat in the queue, however it
+// was submitted.
+func TestPoolRecordsQueueWait(t *testing.T) {
+	defer obs.SetEnabled(obs.Enabled())
+	obs.SetEnabled(true)
+	observed := func() int64 { return obs.Default().Snapshot().Histograms["harness.queue_wait_ns"].Count }
+	before := observed()
+	p := NewPool(Options{Workers: 1}, 3)
+	if p.Workers() != 1 {
+		t.Fatalf("workers = %d, want 1", p.Workers())
+	}
+	var chans []<-chan Result
+	for i := 0; i < 3; i++ {
+		ch, err := p.Submit(context.Background(), Task{Name: fmt.Sprintf("t%d", i),
+			Run: func(ctx context.Context, attempt int) (any, error) { return nil, nil }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		chans = append(chans, ch)
+	}
+	for _, ch := range chans {
+		<-ch
+	}
+	p.Close()
+	if got := observed() - before; got != 3 {
+		t.Fatalf("queue-wait observations = %d, want 3", got)
 	}
 }
 

@@ -38,8 +38,11 @@ type PWResult struct {
 	RMSByCorner [][]float64
 }
 
-// ProcessWindowOPC runs the multi-corner simulate-then-move loop.
-func ProcessWindowOPC(drawn []geom.Rect, window geom.Rect, opt tech.Optics, mo ModelOpts, corners []PWCorner) PWResult {
+// ProcessWindowOPC runs the multi-corner simulate-then-move loop. Like
+// ModelBased it stops at the first simulation that fails (a canceled
+// context, optics the kernel rejects) and returns the mask so far
+// alongside the error.
+func ProcessWindowOPC(ctx context.Context, drawn []geom.Rect, window geom.Rect, opt tech.Optics, mo ModelOpts, corners []PWCorner) (PWResult, error) {
 	if len(corners) == 0 {
 		corners = StandardPWCorners(80)
 	}
@@ -62,7 +65,6 @@ func ProcessWindowOPC(drawn []geom.Rect, window geom.Rect, opt tech.Optics, mo M
 			maxF = a
 		}
 	}
-	ctx := context.Background()
 	for it := 0; it <= mo.Iterations; it++ {
 		mask := ApplyBias(drawn, frags)
 		// The mask changes every iteration, but within an iteration all
@@ -71,7 +73,10 @@ func ProcessWindowOPC(drawn []geom.Rect, window geom.Rect, opt tech.Optics, mo M
 		rm := litho.NewRasterMask(mask, window, opt, maxF)
 		imgs := make([]*litho.Image, len(corners))
 		for k, c := range corners {
-			imgs[k], _ = litho.SimulateRaster(ctx, rm, c.Cond)
+			var err error
+			if imgs[k], err = litho.SimulateRaster(ctx, rm, c.Cond); err != nil {
+				return res, err
+			}
 		}
 		cPWIters.Inc()
 		rms := make([]float64, len(corners))
@@ -108,5 +113,5 @@ func ProcessWindowOPC(drawn []geom.Rect, window geom.Rect, opt tech.Optics, mo M
 		res.RMSByCorner = append(res.RMSByCorner, rms)
 		res.Mask = mask
 	}
-	return res
+	return res, nil
 }

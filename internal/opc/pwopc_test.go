@@ -1,6 +1,9 @@
 package opc
 
 import (
+	"context"
+	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -23,7 +26,10 @@ func TestProcessWindowOPCImprovesWorstCorner(t *testing.T) {
 	}
 	nomWorst := rmsAt(nomRes.Mask, corners[1].Cond)
 
-	pw := ProcessWindowOPC(drawn, window, tt.Optics, mo, corners)
+	pw, err := ProcessWindowOPC(context.Background(), drawn, window, tt.Optics, mo, corners)
+	if err != nil {
+		t.Fatal(err)
+	}
 	pwWorst := rmsAt(pw.Mask, corners[1].Cond)
 
 	if pwWorst >= nomWorst {
@@ -51,11 +57,33 @@ func TestProcessWindowOPCDefaultsCorners(t *testing.T) {
 	window := geom.BBoxOf(drawn).Bloat(300)
 	mo := DefaultModelOpts()
 	mo.Iterations = 2
-	pw := ProcessWindowOPC(drawn, window, tt.Optics, mo, nil)
+	pw, err := ProcessWindowOPC(context.Background(), drawn, window, tt.Optics, mo, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pw.Mask) == 0 {
 		t.Fatal("empty mask")
 	}
 	if len(pw.RMSByCorner[0]) != 2 {
 		t.Fatalf("default corners = %d, want 2", len(pw.RMSByCorner[0]))
+	}
+}
+
+// TestProcessWindowOPCReportsSimulationErrors: optics the kernel
+// rejects are an error, as they are from ModelBased, not an image the
+// loop dereferences.
+func TestProcessWindowOPCReportsSimulationErrors(t *testing.T) {
+	tt := tech.N45()
+	tt.Optics.Sigmas[0] = 0
+	drawn := []geom.Rect{geom.R(0, 0, 90, 800)}
+	window := geom.BBoxOf(drawn).Bloat(300)
+	_, err := ProcessWindowOPC(context.Background(), drawn, window, tt.Optics, DefaultModelOpts(), nil)
+	if err == nil || !strings.Contains(err.Error(), "non-positive sigma") {
+		t.Fatalf("err = %v, want the kernel's non-positive sigma error", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := ProcessWindowOPC(ctx, drawn, window, tech.N45().Optics, DefaultModelOpts(), nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled run: err = %v, want context.Canceled", err)
 	}
 }

@@ -18,25 +18,26 @@ import (
 	"repro/internal/tiling"
 )
 
-// Config sizes the service.
+// Config sizes the service. DefaultConfig is dfmd's deployed policy;
+// a zero Queue, MaxWait or Retries means exactly that.
 type Config struct {
-	// Workers is the evaluation pool width; default GOMAXPROCS.
+	// Workers is the evaluation pool width; 0 means GOMAXPROCS.
 	Workers int
-	// Queue is the admission-queue capacity beyond in-flight work;
-	// default 64. A full queue sheds with 429.
+	// Queue is the admission-queue capacity beyond in-flight work. A
+	// full queue sheds with 429.
 	Queue int
 	// MaxWait is the admission-control wait budget: when the live
 	// estimate of queue wait (depth x recent latency / workers)
 	// exceeds it, the server sheds even though the queue has room.
-	// 0 disables estimate-based shedding; default 30s.
+	// 0 sheds only on a full queue.
 	MaxWait time.Duration
-	// CacheSize is the result-cache entry cap; default 1024.
+	// CacheSize is the result-cache entry cap; 0 means 1024.
 	CacheSize int
 	// DefaultTimeout is the per-job evaluation budget when the
-	// request does not set one; default 2m.
+	// request does not set one; 0 means 2m.
 	DefaultTimeout time.Duration
 	// Retries is how often the harness retries a transient workload
-	// failure; default 1.
+	// failure.
 	Retries int
 
 	// TaskFactory overrides job-task construction (tests and contract
@@ -45,6 +46,12 @@ type Config struct {
 	// of a technique evaluation; tile jobs carry their own tech inside
 	// req.Tile and receive nil and the zero shape.
 	TaskFactory func(req JobRequest, t *tech.Tech, base layout.BlockOpts) (harness.Task, error)
+}
+
+// DefaultConfig is the policy dfmd deploys with: a 64-job queue, 30 s
+// of estimated wait before shedding, and one retry.
+func DefaultConfig() Config {
+	return Config{Queue: 64, MaxWait: 30 * time.Second, Retries: 1}
 }
 
 // What the service does not leave to its caller.
@@ -58,20 +65,11 @@ func (c Config) withDefaults() Config {
 	if c.Workers < 1 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.Queue == 0 {
-		c.Queue = 64
-	}
-	if c.MaxWait == 0 {
-		c.MaxWait = 30 * time.Second
-	}
 	if c.CacheSize == 0 {
 		c.CacheSize = 1024
 	}
 	if c.DefaultTimeout == 0 {
 		c.DefaultTimeout = 2 * time.Minute
-	}
-	if c.Retries == 0 {
-		c.Retries = 1
 	}
 	if c.TaskFactory == nil {
 		c.TaskFactory = func(req JobRequest, t *tech.Tech, base layout.BlockOpts) (harness.Task, error) {
@@ -181,12 +179,11 @@ func New(cfg Config) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Server{
 		cfg: cfg,
-		pool: harness.NewPool(harness.PoolOptions{
+		pool: harness.NewPool(harness.Options{
 			Workers: cfg.Workers,
-			Queue:   cfg.Queue,
 			Retries: cfg.Retries,
 			Backoff: retryBackoff,
-		}),
+		}, cfg.Queue),
 		baseCtx:    ctx,
 		cancelBase: cancel,
 		jobs:       make(map[string]*job),
@@ -330,28 +327,13 @@ func (s *Server) estimatedWait() time.Duration {
 }
 
 // complete settles every job attached to the flight with the pool
-// result, folding harness errors exactly as the batch scorecard does.
+// result: the outcome dfm.OutcomeOf folds, and the tile result unless
+// the task failed.
 func (s *Server) complete(key string, res harness.Result) {
-	var (
-		o    dfm.Outcome
-		tile *tiling.TileResult
-	)
-	switch v := res.Value.(type) {
-	case dfm.Outcome:
-		o = v
-	case *tiling.TileResult:
-		tile = v
-	default:
-		o = dfm.Outcome{Technique: res.Name}
-	}
+	o := dfm.OutcomeOf(res)
+	tile, _ := res.Value.(*tiling.TileResult)
 	if res.Err != nil {
-		o.Err = res.Err
-		o.Verdict = dfm.Hype
 		tile = nil
-	}
-	o.Attempts = res.Attempts
-	if o.Runtime == 0 {
-		o.Runtime = res.Runtime
 	}
 
 	s.mu.Lock()

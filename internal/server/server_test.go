@@ -205,10 +205,31 @@ func TestEstimateBasedSheddingUsesLiveSignals(t *testing.T) {
 	}
 }
 
+// TestZeroMaxWaitShedsOnlyOnFullQueue: MaxWait 0 turns estimate-based
+// shedding off however slow recent evaluations were; only a full queue
+// sheds.
+func TestZeroMaxWaitShedsOnlyOnFullQueue(t *testing.T) {
+	cfg, gate := gatedConfig(Config{Workers: 1, Queue: 4, MaxWait: 0})
+	s := New(cfg)
+	defer func() {
+		close(gate)
+		s.Shutdown(context.Background())
+	}()
+
+	s.updateEWMA(time.Hour)
+	if _, _, err := s.submit(req(1)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "job in flight", func() bool { return s.Stats().InFlight == 1 })
+	if _, _, err := s.submit(req(2)); err != nil {
+		t.Fatalf("second job behind a 1h estimate with MaxWait 0: err = %v, want admitted", err)
+	}
+}
+
 func TestFailedEvaluationNotCached(t *testing.T) {
 	boom := errors.New("workload exploded")
 	fail := true
-	cfg := Config{Workers: 1, Queue: 4, MaxWait: time.Hour, Retries: -1}
+	cfg := Config{Workers: 1, Queue: 4, MaxWait: time.Hour, Retries: 0}
 	cfg.TaskFactory = func(req JobRequest, t *tech.Tech, base layout.BlockOpts) (harness.Task, error) {
 		return harness.Task{Name: req.Technique, Run: func(ctx context.Context, attempt int) (any, error) {
 			if fail {

@@ -274,8 +274,7 @@ func BenchmarkLithoSimulate(b *testing.B) {
 	window := geom.R(0, 0, 2000, 3000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		img := litho.Simulate(rs, window, t.Optics, litho.Nominal)
-		if img.Max() <= 0 {
+		if simulate(b, rs, window, t, litho.Nominal).Max() <= 0 {
 			b.Fatal("empty image")
 		}
 	}
@@ -367,7 +366,7 @@ func BenchmarkScanWindowDense(b *testing.B) {
 // bitmap was word-packed.
 func BenchmarkBitmapOpen(b *testing.B) {
 	t, rs, win := scanWindowBench(b)
-	printed := litho.Simulate(rs, win.Bloat(litho.ScanPadNM), t.Optics, litho.Nominal).PrintedBitmap()
+	printed := simulate(b, rs, win.Bloat(litho.ScanPadNM), t, litho.Nominal).PrintedBitmap()
 	minW, _ := litho.ScanDefaults(t, tech.Metal1)
 	r := int(float64(minW)/printed.Pitch/2 + 0.5)
 	b.ReportAllocs()

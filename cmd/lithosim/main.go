@@ -57,21 +57,18 @@ func main() {
 	case flag.NArg() == 1:
 		f, err := os.Open(flag.Arg(0))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "lithosim:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		defer f.Close()
 		l, err := layout.Read(f)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "lithosim:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		if l.Tech != nil {
 			t = l.Tech
 		}
 		if layer, err = tech.ParseLayer(*layerName); err != nil {
-			fmt.Fprintln(os.Stderr, "lithosim:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		rs = layout.ByLayer(l.Flatten())[layer]
 		name = l.Top.Name + "/" + *layerName
@@ -90,8 +87,12 @@ func main() {
 		name, len(rs), bb, cond.Defocus, cond.Dose)
 
 	// CD at the center of the nearest feature to the extent center.
+	ctx := context.Background()
 	c := bb.Center()
-	img := litho.Simulate(rs, geom.R(c.X-1000, c.Y-1000, c.X+1000, c.Y+1000).Intersect(bb.Bloat(200)), t.Optics, cond)
+	img, err := litho.Simulate(ctx, rs, geom.R(c.X-1000, c.Y-1000, c.X+1000, c.Y+1000).Intersect(bb.Bloat(200)), t.Optics, cond)
+	if err != nil {
+		fatal(err)
+	}
 	cx, cy := float64(c.X), float64(c.Y)
 	if cd, ok := img.CDAt(cx, cy, true); ok {
 		fmt.Printf("center CD (horizontal cut): %.1f nm\n", cd)
@@ -101,10 +102,9 @@ func main() {
 		fmt.Println("center point does not print")
 	}
 
-	hs, err := litho.ScanLayer(context.Background(), rs, t, layer, litho.ScanOpts{Cond: cond})
+	hs, err := litho.ScanLayer(ctx, rs, t, layer, litho.ScanOpts{Cond: cond})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "lithosim:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	fmt.Printf("hotspots: %d\n", len(hs))
 	for i, h := range hs {
@@ -118,16 +118,20 @@ func main() {
 	if *fem {
 		defocusList := []float64{0, 40, 80, 120, 160}
 		doseList := []float64{0.92, 0.96, 1.0, 1.04, 1.08}
-		cd0, ok := litho.Simulate(rs, bb.Bloat(200), t.Optics, litho.Nominal).CDAt(cx, cy, true)
+		nom, err := litho.Simulate(ctx, rs, bb.Bloat(200), t.Optics, litho.Nominal)
+		if err != nil {
+			fatal(err)
+		}
+		cd0, ok := nom.CDAt(cx, cy, true)
 		if !ok {
 			fmt.Println("fem: center feature does not print at nominal")
 			return
 		}
 		spec := litho.CDSpec{Target: cd0, Tol: 0.10}
-		pts, err := litho.FEMatrix(context.Background(), rs, bb.Bloat(200), t.Optics, cx, cy, true, spec, defocusList, doseList)
+		rm := litho.NewRasterMask(rs, bb.Bloat(200), t.Optics, defocusList[len(defocusList)-1])
+		pts, err := rm.FEMatrix(ctx, cx, cy, true, spec, defocusList, doseList)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "lithosim:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		fmt.Printf("focus-exposure matrix (target %.1fnm +-10%%):\n      ", cd0)
 		for _, d := range doseList {
@@ -150,4 +154,10 @@ func main() {
 		}
 		fmt.Printf("depth of focus: %.0f nm\n", litho.DepthOfFocus(pts, defocusList))
 	}
+}
+
+// fatal reports err and exits 1.
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "lithosim:", err)
+	os.Exit(1)
 }

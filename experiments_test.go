@@ -79,6 +79,16 @@ func outcomeOf(tb testing.TB, o dfm.Outcome) dfm.Outcome {
 	return o
 }
 
+// simulate runs litho.Simulate to completion.
+func simulate(tb testing.TB, mask []geom.Rect, window geom.Rect, t *tech.Tech, cond litho.Condition) *litho.Image {
+	tb.Helper()
+	img, err := litho.Simulate(context.Background(), mask, window, t.Optics, cond)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return img
+}
+
 // finalRMS is the RMS EPE a model-OPC run converged to.
 func finalRMS(res opc.Result) float64 { return res.RMSHistory[len(res.RMSHistory)-1] }
 
@@ -128,12 +138,12 @@ var experiments = []experiment{
 		dose := []float64{0.92, 0.96, 1.0, 1.04, 1.08}
 		return func() (out []string) {
 			measure := func(mask []geom.Rect, tag string) float64 {
-				cd0, ok := litho.Simulate(mask, window, t.Optics, litho.Nominal).CDAt(35, 1500, true)
+				cd0, ok := simulate(tb, mask, window, t, litho.Nominal).CDAt(35, 1500, true)
 				if !ok {
 					tb.Fatalf("%s: no print", tag)
 				}
-				pts, err := litho.FEMatrix(context.Background(), mask, window, t.Optics, 35, 1500, true,
-					litho.CDSpec{Target: cd0, Tol: 0.10}, defocus, dose)
+				pts, err := litho.NewRasterMask(mask, window, t.Optics, defocus[len(defocus)-1]).FEMatrix(context.Background(),
+					35, 1500, true, litho.CDSpec{Target: cd0, Tol: 0.10}, defocus, dose)
 				if err != nil {
 					tb.Fatal(err)
 				}
@@ -301,7 +311,7 @@ var experiments = []experiment{
 				scaled := geom.Scale(poly, num, 10)
 				window := geom.BBoxOf(scaled).Bloat(300)
 				res := modelOPC(tb, scaled, window, t, opc.DefaultModelOpts())
-				img := litho.Simulate(res.Mask, window, t.Optics, litho.Nominal)
+				img := simulate(tb, res.Mask, window, t, litho.Nominal)
 				coverage := 0.0
 				if drawnArea := geom.AreaOf(scaled); drawnArea > 0 {
 					coverage = float64(geom.AreaOf(geom.Intersect(img.PrintedRects(), scaled))) / float64(drawnArea)
@@ -349,7 +359,7 @@ var experiments = []experiment{
 		window := geom.BBoxOf(drawn).Bloat(350)
 		return func() (out []string) {
 			row := func(tag string, mask []geom.Rect) {
-				img := litho.Simulate(mask, window, t.Optics, litho.Nominal)
+				img := simulate(tb, mask, window, t, litho.Nominal)
 				addf(&out, "%s rms=%.2f shapes=%d", tag, litho.SummarizeEPE(img.MeasureEPE(drawn, 120)).RMS, len(mask))
 			}
 			row("model-opc", modelOPC(tb, drawn, window, t, opc.DefaultModelOpts()).Mask)
@@ -400,8 +410,7 @@ var experiments = []experiment{
 		drawn := geom.Normalize([]geom.Rect{geom.R(0, 0, 90, 1500)})
 		window := geom.BBoxOf(drawn).Bloat(400)
 		rmsAt := func(mask []geom.Rect, cond litho.Condition) float64 {
-			img := litho.Simulate(mask, window, t.Optics, cond)
-			return litho.SummarizeEPE(img.MeasureEPE(drawn, 120)).RMS
+			return litho.SummarizeEPE(simulate(tb, mask, window, t, cond).MeasureEPE(drawn, 120)).RMS
 		}
 		return func() (out []string) {
 			mo := opc.DefaultModelOpts()
@@ -421,7 +430,7 @@ var experiments = []experiment{
 	// Design-driven metrology: plan generation and execution on a block layer.
 	{"metrology", func(tb testing.TB, t *tech.Tech) func() []string {
 		m1 := layout.ByLayer(flatBlock(tb, t, layout.BlockOpts{Rows: 2, RowWidth: 6000, Nets: 8, MaxFan: 3, Seed: 3}))[tech.Metal1]
-		img := litho.Simulate(m1, geom.BBoxOf(m1).Bloat(300), t.Optics, litho.Nominal)
+		img := simulate(tb, m1, geom.BBoxOf(m1).Bloat(300), t, litho.Nominal)
 		return func() []string {
 			plan := metrology.GeneratePlan(m1, tech.Metal1)
 			st := metrology.Summarize(metrology.Execute(plan, img, metrology.DefaultTool(), 1))

@@ -184,7 +184,7 @@ func EvalOPCAccuracy(ctx context.Context, t *tech.Tech) (o Outcome) {
 		return litho.SummarizeEPE(img.MeasureEPE(drawn, 150)).RMS
 	}
 	rms := func(mask []geom.Rect) (float64, error) {
-		img, err := litho.SimulateCtx(ctx, mask, window, t.Optics, litho.Nominal)
+		img, err := litho.Simulate(ctx, mask, window, t.Optics, litho.Nominal)
 		if err != nil {
 			return 0, err
 		}
@@ -244,7 +244,7 @@ func EvalSRAF(ctx context.Context, t *tech.Tech) (o Outcome) {
 		// matrix, and the through-focus CD check: the defocus-80 image
 		// is already in its cache by the time it is asked for.
 		rm := litho.NewRasterMask(mask, window, t.Optics, defocus[len(defocus)-1])
-		img, err := litho.SimulateRaster(ctx, rm, litho.Nominal)
+		img, err := rm.Image(ctx, litho.Nominal)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -253,12 +253,12 @@ func EvalSRAF(ctx context.Context, t *tech.Tech) (o Outcome) {
 			return 0, math.Inf(1), nil
 		}
 		spec := litho.CDSpec{Target: cd0, Tol: 0.10}
-		pts, err := litho.FEMatrixRaster(ctx, rm, 35, 1500, true, spec, defocus, dose)
+		pts, err := rm.FEMatrix(ctx, 35, 1500, true, spec, defocus, dose)
 		if err != nil {
 			return 0, 0, err
 		}
 		dof = litho.DepthOfFocus(pts, defocus)
-		imgF, err := litho.SimulateRaster(ctx, rm, litho.Condition{Defocus: 80, Dose: 1})
+		imgF, err := rm.Image(ctx, litho.Condition{Defocus: 80, Dose: 1})
 		if err != nil {
 			return dof, 0, err
 		}
@@ -478,7 +478,7 @@ func ExtractGateLengths(ctx context.Context, t *tech.Tech, cond litho.Condition,
 		}
 		if img == nil {
 			var err error
-			if img, err = litho.SimulateCtx(ctx, mask, window, t.Optics, cond); err != nil {
+			if img, err = litho.Simulate(ctx, mask, window, t.Optics, cond); err != nil {
 				return gl, err
 			}
 		}
@@ -613,11 +613,11 @@ func EvalRestrictedRules(ctx context.Context, t *tech.Tech) (o Outcome) {
 		x := float64(3*r.Pitch + r.MinWidth/2) // center line
 		win := geom.R(int64(x)-700, 1200, int64(x)+700, 1800)
 		rm := litho.NewRasterMask(m1, win, tt.Optics, 120)
-		img0, err := litho.SimulateRaster(ctx, rm, litho.Nominal)
+		img0, err := rm.Image(ctx, litho.Nominal)
 		if err != nil {
 			return 0, err
 		}
-		imgF, err := litho.SimulateRaster(ctx, rm, litho.Condition{Defocus: 120, Dose: 1})
+		imgF, err := rm.Image(ctx, litho.Condition{Defocus: 120, Dose: 1})
 		if err != nil {
 			return 0, err
 		}

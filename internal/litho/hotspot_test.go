@@ -229,7 +229,7 @@ func TestInteriorDefectProbeAxis(t *testing.T) {
 }
 
 // The scan thresholds printed bits straight from the amplitude buffer;
-// they must be the bits SimulateCtx + PrintedBitmap produce through
+// they must be the bits Simulate + PrintedBitmap produce through
 // the float intensity grid, at any dose and defocus.
 func TestSimulatePrintedMatchesPrintedBitmap(t *testing.T) {
 	tt := tech.N45()
@@ -237,7 +237,7 @@ func TestSimulatePrintedMatchesPrintedBitmap(t *testing.T) {
 	mask := append(neckV(0, 0), geom.R(160, 0, 250, 1600), geom.R(-400, 300, -40, 420))
 	window := geom.R(-503, -498, 749, 2102) // not pixel-aligned to the mask
 	for _, cond := range []Condition{Nominal, {Defocus: 60, Dose: 1.05}, {Defocus: -90, Dose: 0.93}, {Defocus: 0, Dose: 1.1}} {
-		img, err := SimulateCtx(ctx, mask, window, tt.Optics, cond)
+		img, err := Simulate(ctx, mask, window, tt.Optics, cond)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,7 +250,7 @@ func TestSimulatePrintedMatchesPrintedBitmap(t *testing.T) {
 			t.Fatalf("%+v: degenerate reference bitmap (%d of %d set)", cond, want.Count(), want.W*want.H)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%+v: scan-path printed bitmap differs from SimulateCtx+PrintedBitmap (%d vs %d set)", cond, got.Count(), want.Count())
+			t.Errorf("%+v: scan-path printed bitmap differs from Simulate+PrintedBitmap (%d vs %d set)", cond, got.Count(), want.Count())
 		}
 	}
 }

@@ -42,7 +42,7 @@ func checkArmsAgree(t *testing.T, mask []geom.Rect, window geom.Rect, opt tech.O
 	var refBits *Bitmap
 	for _, asm := range arms() {
 		withArm(asm, func() {
-			img, err := SimulateCtx(ctx, mask, window, opt, cond)
+			img, err := Simulate(ctx, mask, window, opt, cond)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -11,6 +11,16 @@ import (
 
 func opt() tech.Optics { return tech.N45().Optics }
 
+// sim runs Simulate to completion.
+func sim(t testing.TB, mask []geom.Rect, window geom.Rect, o tech.Optics, cond Condition) *Image {
+	t.Helper()
+	img, err := Simulate(context.Background(), mask, window, o, cond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
 func TestGridRasterizeExact(t *testing.T) {
 	g := NewGrid(geom.R(0, 0, 100, 100), 10)
 	if g.W != 10 || g.H != 10 {
@@ -46,12 +56,12 @@ func TestGridSampleBilinear(t *testing.T) {
 
 func TestClearFieldIntensityIsOne(t *testing.T) {
 	// A huge pad: center intensity ~ 1.0.
-	img := Simulate([]geom.Rect{geom.R(0, 0, 4000, 4000)}, geom.R(1000, 1000, 3000, 3000), opt(), Nominal)
+	img := sim(t, []geom.Rect{geom.R(0, 0, 4000, 4000)}, geom.R(1000, 1000, 3000, 3000), opt(), Nominal)
 	if got := img.Sample(2000, 2000); math.Abs(got-1) > 0.02 {
 		t.Fatalf("clear field intensity = %v, want ~1", got)
 	}
 	// Far outside: ~0. (Window far from the pad.)
-	img2 := Simulate([]geom.Rect{geom.R(0, 0, 100, 100)}, geom.R(2000, 2000, 3000, 3000), opt(), Nominal)
+	img2 := sim(t, []geom.Rect{geom.R(0, 0, 100, 100)}, geom.R(2000, 2000, 3000, 3000), opt(), Nominal)
 	if got := img2.Sample(2500, 2500); got > 0.01 {
 		t.Fatalf("dark field intensity = %v, want ~0", got)
 	}
@@ -62,7 +72,7 @@ func TestEdgePositionNearThreshold(t *testing.T) {
 	// with threshold 0.30 (below the 0.25 knee of A^2 at a straight
 	// edge) the contour is slightly outside the drawn edge.
 	mask := []geom.Rect{geom.R(0, 0, 2000, 2000)}
-	img := Simulate(mask, geom.R(-500, 500, 1500, 1500), opt(), Nominal)
+	img := sim(t, mask, geom.R(-500, 500, 1500, 1500), opt(), Nominal)
 	if !img.PrintsAt(1000, 1000) {
 		t.Fatalf("feature interior does not print")
 	}
@@ -86,8 +96,8 @@ func TestIsoDenseBias(t *testing.T) {
 		dense = append(dense, geom.R(i*140, 0, i*140+70, 3000))
 	}
 	win := geom.R(-600, 1000, 700, 2000)
-	cdIso, ok1 := Simulate(iso, win, o, Nominal).CDAt(35, 1500, true)
-	cdDense, ok2 := Simulate(dense, win, o, Nominal).CDAt(35, 1500, true)
+	cdIso, ok1 := sim(t, iso, win, o, Nominal).CDAt(35, 1500, true)
+	cdDense, ok2 := sim(t, dense, win, o, Nominal).CDAt(35, 1500, true)
 	if !ok1 || !ok2 {
 		t.Fatalf("lines did not print: iso=%v dense=%v", ok1, ok2)
 	}
@@ -101,7 +111,7 @@ func TestLineEndPullback(t *testing.T) {
 	// in magnitude than at the line side.
 	mask := []geom.Rect{geom.R(0, 0, 70, 1500)}
 	win := geom.R(-400, 800, 500, 1900)
-	img := Simulate(mask, win, opt(), Nominal)
+	img := sim(t, mask, win, opt(), Nominal)
 	tip := img.EPEAt(geom.Edge{P0: geom.Pt(0, 1500), P1: geom.Pt(70, 1500), Interior: geom.Below}, geom.Pt(35, 1500))
 	side := img.EPEAt(geom.Edge{P0: geom.Pt(0, 800), P1: geom.Pt(0, 1490), Interior: geom.Right}, geom.Pt(0, 1100))
 	if !tip.Printed {
@@ -123,8 +133,8 @@ func TestDefocusShrinksNarrowLines(t *testing.T) {
 	mask := []geom.Rect{geom.R(0, 0, 70, 3000)}
 	win := geom.R(-400, 1000, 500, 2000)
 	o := opt()
-	cd0, ok0 := Simulate(mask, win, o, Nominal).CDAt(35, 1500, true)
-	cdF, okF := Simulate(mask, win, o, Condition{Defocus: 150, Dose: 1}).CDAt(35, 1500, true)
+	cd0, ok0 := sim(t, mask, win, o, Nominal).CDAt(35, 1500, true)
+	cdF, okF := sim(t, mask, win, o, Condition{Defocus: 150, Dose: 1}).CDAt(35, 1500, true)
 	if !ok0 {
 		t.Fatalf("nominal line did not print")
 	}
@@ -137,8 +147,8 @@ func TestDoseMovesCD(t *testing.T) {
 	mask := []geom.Rect{geom.R(0, 0, 100, 3000)}
 	win := geom.R(-400, 1000, 500, 2000)
 	o := opt()
-	cdLo, _ := Simulate(mask, win, o, Condition{Defocus: 0, Dose: 0.9}).CDAt(50, 1500, true)
-	cdHi, ok := Simulate(mask, win, o, Condition{Defocus: 0, Dose: 1.1}).CDAt(50, 1500, true)
+	cdLo, _ := sim(t, mask, win, o, Condition{Defocus: 0, Dose: 0.9}).CDAt(50, 1500, true)
+	cdHi, ok := sim(t, mask, win, o, Condition{Defocus: 0, Dose: 1.1}).CDAt(50, 1500, true)
 	if !ok {
 		t.Fatalf("overexposed line did not print")
 	}
@@ -242,7 +252,7 @@ func TestFindHotspotsPinch(t *testing.T) {
 		geom.R(0, 1200, 90, 2200),
 	}
 	win := geom.R(-400, 600, 500, 1700)
-	img := Simulate(mask, win, opt(), Nominal)
+	img := sim(t, mask, win, opt(), Nominal)
 	hs := detect(img.PrintedBitmap(), 42, 42)
 	var pinch bool
 	for _, h := range hs {
@@ -263,7 +273,7 @@ func TestFindHotspotsBridge(t *testing.T) {
 		geom.R(0, 1050, 2000, 2050),
 	}
 	win := geom.R(500, 600, 1500, 1500)
-	img := Simulate(mask, win, opt(), Nominal)
+	img := sim(t, mask, win, opt(), Nominal)
 	if !img.PrintsAt(1000, 1025) {
 		t.Skipf("gap did not bridge under this model; bridge scenario needs tuning")
 	}
@@ -278,7 +288,7 @@ func TestCleanLayoutHasNoHotspots(t *testing.T) {
 		mask = append(mask, geom.R(i*140, 0, i*140+70, 3000))
 	}
 	win := geom.R(-200, 500, 900, 2500)
-	img := Simulate(mask, win, opt(), Nominal)
+	img := sim(t, mask, win, opt(), Nominal)
 	if hs := detect(img.PrintedBitmap(), 42, 42); len(hs) != 0 {
 		t.Fatalf("clean dense lines flagged: %v", hs)
 	}
@@ -331,12 +341,12 @@ func TestFEMatrixAndDOF(t *testing.T) {
 	// Spec the wafer target at the measured nominal CD: pre-OPC, drawn
 	// 100nm prints ~15% small, which is precisely what OPC later
 	// corrects (see the opc package tests).
-	nom, okNom := Simulate(mask, win, opt(), Nominal).CDAt(50, 1500, true)
+	nom, okNom := sim(t, mask, win, opt(), Nominal).CDAt(50, 1500, true)
 	if !okNom {
 		t.Fatalf("nominal line did not print")
 	}
 	spec := CDSpec{Target: nom, Tol: 0.10}
-	pts, err := FEMatrix(context.Background(), mask, win, opt(), 50, 1500, true, spec, defocus, dose)
+	pts, err := NewRasterMask(mask, win, opt(), 200).FEMatrix(context.Background(), 50, 1500, true, spec, defocus, dose)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +396,7 @@ func TestCDSpec(t *testing.T) {
 // PrintedRects is the printed bitmap vectorized: same area, pixel for
 // pixel.
 func TestPrintedRectsCoverPrintedBitmap(t *testing.T) {
-	img := Simulate([]geom.Rect{geom.R(0, 0, 70, 600), geom.R(0, 530, 400, 600)}, geom.R(-100, -100, 500, 700), opt(), Nominal)
+	img := sim(t, []geom.Rect{geom.R(0, 0, 70, 600), geom.R(0, 530, 400, 600)}, geom.R(-100, -100, 500, 700), opt(), Nominal)
 	px := int64(img.Pitch * img.Pitch)
 	if got, want := geom.AreaOf(img.PrintedRects()), int64(img.PrintedBitmap().Count())*px; want == 0 || got != want {
 		t.Fatalf("PrintedRects cover %d nm^2, PrintedBitmap has %d nm^2 set", got, want)

@@ -12,7 +12,7 @@ import (
 var (
 	// Raster-cache accounting: one hit or miss per simulation request
 	// against a RasterMask (a miss is a convolution stack actually
-	// run, including the uncached SimulateCtx path). The per-|defocus|
+	// run, including the one-shot Simulate path). The per-|defocus|
 	// split is recorded under "litho.raster.cache.{hit,miss}|f=<nm>".
 	cRasterHit  = obs.C("litho.raster.cache.hit")
 	cRasterMiss = obs.C("litho.raster.cache.miss")

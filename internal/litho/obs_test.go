@@ -97,8 +97,7 @@ func TestFEMatrixCacheAccounting(t *testing.T) {
 	dose := []float64{0.92, 0.96, 1.0, 1.04, 1.08}
 	matrix := func() []FEPoint {
 		rm := NewRasterMask(mask, window, tt.Optics, defocus[len(defocus)-1])
-		pts, err := FEMatrixRaster(context.Background(), rm, 35, 1500, true,
-			CDSpec{Target: 70, Tol: 0.10}, defocus, dose)
+		pts, err := rm.FEMatrix(context.Background(), 35, 1500, true, CDSpec{Target: 70, Tol: 0.10}, defocus, dose)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,11 +117,11 @@ func TestFEMatrixCacheAccounting(t *testing.T) {
 	}
 }
 
-// Concurrent SimulateRaster calls on one shared mask must keep the
+// Concurrent Image calls on one shared mask must keep the
 // hit/miss counters consistent: every request is accounted exactly
 // once, and each distinct |defocus| computes exactly once no matter
 // how many goroutines race for it. Run under -race via make tier1.
-func TestConcurrentSimulateRasterCounters(t *testing.T) {
+func TestConcurrentImageCounters(t *testing.T) {
 	withObs(t)
 	tt := tech.N45()
 	mask := []geom.Rect{geom.R(0, 0, 70, 2000), geom.R(140, 0, 210, 2000)}
@@ -139,7 +138,7 @@ func TestConcurrentSimulateRasterCounters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for _, f := range defocus {
-				if _, err := SimulateRaster(context.Background(), rm, Condition{Defocus: f, Dose: 1}); err != nil {
+				if _, err := rm.Image(context.Background(), Condition{Defocus: f, Dose: 1}); err != nil {
 					t.Error(err)
 					return
 				}

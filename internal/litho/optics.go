@@ -38,34 +38,19 @@ type Image struct {
 // sigma' = sigma*sqrt(1+(f/F)^2). The simulation window is internally
 // padded by the kernel support so features just outside the window
 // still contribute (optical proximity has no cell boundaries).
-func Simulate(mask []geom.Rect, window geom.Rect, opt tech.Optics, cond Condition) *Image {
-	img, _ := SimulateCtx(context.Background(), mask, window, opt, cond)
-	return img
-}
-
-// SimulateCtx is Simulate with cancellation checkpoints: the context
-// is checked before normalization and every 64 rects inside each
-// kernel pass, so a canceled or timed-out caller gets control back
-// mid-image rather than after it.
 //
-// Callers that simulate the same mask/window pair more than once — FE
-// matrices, PV-band corners, multi-corner OPC — should build a
-// RasterMask and use SimulateRaster instead, which normalizes once and
+// The context is checked before normalization and every 64 rects
+// inside each kernel pass, so a canceled or timed-out caller gets
+// control back mid-image rather than after it; optics the kernel
+// rejects are an error, never a nil image. Simulate is for a mask
+// looked at once: callers that simulate the same mask/window pair more
+// than once — FE matrices, PV-band corners, the OPC loop — build a
+// RasterMask and ask it for each Image, which normalizes once and
 // caches per-defocus intensity fields.
-func SimulateCtx(ctx context.Context, mask []geom.Rect, window geom.Rect, opt tech.Optics, cond Condition) (*Image, error) {
-	return SimulateInto(ctx, nil, mask, window, opt, cond)
-}
-
-// SimulateInto is SimulateCtx for a loop that simulates one window
-// over and over and keeps nothing of an image once it has measured it
-// (the OPC feedback loop): the image is written over prev's pixels
-// when prev has the window's grid dimensions, into a fresh grid when
-// it does not or is nil. prev, and any image sharing its grid, is
-// invalid from the moment of the call, whether or not it succeeds.
-func SimulateInto(ctx context.Context, prev *Grid, mask []geom.Rect, window geom.Rect, opt tech.Optics, cond Condition) (*Image, error) {
+func Simulate(ctx context.Context, mask []geom.Rect, window geom.Rect, opt tech.Optics, cond Condition) (*Image, error) {
 	// The mask is dropped on return, so the grid its cache holds is
 	// this call's alone and may be scaled in place.
-	g, err := NewRasterMask(mask, window, opt, cond.Defocus).unitIntensity(ctx, cond.Defocus, prev)
+	g, err := NewRasterMask(mask, window, opt, cond.Defocus).unitIntensity(ctx, cond.Defocus)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package litho
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
 	"sync"
 
@@ -35,8 +36,9 @@ type RasterMask struct {
 	rW, rH     int
 
 	mu    sync.Mutex
-	spans []pxSpan // normalized mask on the padded grid, built once on first simulation
-	cache map[float64]*Grid
+	spans []pxSpan          // normalized mask on the padded grid, built once on first simulation
+	cache map[float64]*Grid // the mask's unit-dose intensity per |defocus|
+	spent map[float64]*Grid // grids of masks before the last Remask, per |defocus|, to render over
 }
 
 // NewRasterMask prepares the mask for repeated simulation inside the
@@ -103,15 +105,31 @@ func defocusFactor(opt tech.Optics, defocus float64) float64 {
 	return math.Sqrt(1 + q*q)
 }
 
-// SimulateRaster computes the aerial image of the rasterized mask
-// under the given condition, equivalent to SimulateCtx on the same
-// mask/window but reusing the normalized mask and the per-defocus
-// intensity cache. At unit dose the returned image shares the cached
-// intensity grid — callers must treat its Data as read-only (Clone the
-// grid before mutating); at other doses the grid is a fresh scaled
-// copy.
-func SimulateRaster(ctx context.Context, rm *RasterMask, cond Condition) (*Image, error) {
-	unit, err := rm.unitIntensity(ctx, cond.Defocus, nil)
+// Remask points the handle at the next mask over the same window,
+// optics and defocus budget, for a loop that simulates a mask, measures
+// it and moves it (the OPC loop). Every image handed out before the
+// call is invalid from the moment of it: the next render at each
+// |defocus| writes over the grid its predecessor used instead of
+// allocating one.
+func (rm *RasterMask) Remask(mask []geom.Rect) {
+	rm.mu.Lock()
+	defer rm.mu.Unlock()
+	rm.mask, rm.spans = mask, nil
+	if rm.spent == nil {
+		rm.spent = make(map[float64]*Grid, len(rm.cache))
+	}
+	maps.Copy(rm.spent, rm.cache)
+	clear(rm.cache)
+}
+
+// Image computes the aerial image of the mask under the given
+// condition, equal to Simulate on the same mask/window but reusing the
+// normalized mask and the per-defocus intensity cache. At unit dose the
+// returned image shares the cached intensity grid — callers must treat
+// its Data as read-only (Clone the grid before mutating); at other
+// doses the grid is a fresh scaled copy.
+func (rm *RasterMask) Image(ctx context.Context, cond Condition) (*Image, error) {
+	unit, err := rm.unitIntensity(ctx, cond.Defocus)
 	if err != nil {
 		return nil, err
 	}
@@ -127,10 +145,11 @@ func SimulateRaster(ctx context.Context, rm *RasterMask, cond Condition) (*Image
 
 // unitIntensity returns the dose-1 intensity field cropped to the
 // window at the given defocus, cached per |defocus|. The returned grid
-// belongs to the cache. On a miss the field is written over into's
-// Data when into has the window's dimensions (every pixel is
-// overwritten, so it need not be cleared), into a fresh grid otherwise.
-func (rm *RasterMask) unitIntensity(ctx context.Context, defocus float64, into *Grid) (*Grid, error) {
+// belongs to the cache. On a miss the field is written over the grid a
+// mask before the last Remask left at this |defocus| (every pixel is
+// overwritten, so it need not be cleared), into a fresh grid when none
+// did.
+func (rm *RasterMask) unitIntensity(ctx context.Context, defocus float64) (*Grid, error) {
 	key := math.Abs(defocus)
 	rm.mu.Lock()
 	defer rm.mu.Unlock()
@@ -139,10 +158,8 @@ func (rm *RasterMask) unitIntensity(ctx context.Context, defocus float64, into *
 		countPerDefocus("litho.raster.cache.hit", key)
 		return g, nil
 	}
-	var g *Grid
-	if w, h := gridDims(rm.window, rm.pitch); into != nil && into.W == w && into.H == h {
-		g = &Grid{Origin: rm.window.LL(), Pitch: rm.pitch, W: w, H: h, Data: into.Data}
-	} else {
+	g := rm.spent[key]
+	if g == nil {
 		g = NewGrid(rm.window, rm.pitch)
 	}
 	// Crop the padding back off and square: I = A^2 at unit dose. Every
@@ -160,8 +177,8 @@ func (rm *RasterMask) unitIntensity(ctx context.Context, defocus float64, into *
 // printed returns the printed/not-printed bitmap of the window under
 // cond without materialising the intensity field or the amplitude
 // field: each amplitude of a band is squared, dose-scaled and
-// thresholded with exactly the float operations SimulateCtx followed
-// by PrintedBitmap performs, in the same order, so the bits are
+// thresholded with exactly the float operations Simulate followed by
+// PrintedBitmap performs, in the same order, so the bits are
 // identical. A word none of whose 64 columns the band's footprints
 // reached is not computed: every amplitude under it is +0, so it is
 // the word that expression gives for 0, evaluated once — blank for any
@@ -195,7 +212,7 @@ func (rm *RasterMask) printed(ctx context.Context, cond Condition) (*Bitmap, err
 	return b, nil
 }
 
-// simulatePrinted is SimulateCtx(...).PrintedBitmap() for callers that
+// simulatePrinted is Simulate(...).PrintedBitmap() for callers that
 // only need the printed bits (the hotspot scan).
 func simulatePrinted(ctx context.Context, mask []geom.Rect, window geom.Rect, opt tech.Optics, cond Condition) (*Bitmap, error) {
 	return NewRasterMask(mask, window, opt, cond.Defocus).printed(ctx, cond)

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -117,7 +118,7 @@ func TestBlurGoldenEquivalence(t *testing.T) {
 	for _, fx := range fixtures {
 		for _, c := range conds {
 			t.Run(fmt.Sprintf("%s/f%g/d%g", fx.name, c.Defocus, c.Dose), func(t *testing.T) {
-				got := Simulate(fx.mask, fx.window, o, c)
+				got := sim(t, fx.mask, fx.window, o, c)
 				want := refSimulate(fx.mask, fx.window, o, c)
 				if got.W != want.W || got.H != want.H {
 					t.Fatalf("grid shape %dx%d, want %dx%d", got.W, got.H, want.W, want.H)
@@ -150,7 +151,7 @@ func TestFEMatrixMatchesDirectSimulation(t *testing.T) {
 	defocus := []float64{0, 60, 120}
 	dose := []float64{0.92, 1.0, 1.08}
 	spec := CDSpec{Target: 70, Tol: 0.10}
-	pts, err := FEMatrix(context.Background(), mask, window, o, 35, 1500, true, spec, defocus, dose)
+	pts, err := NewRasterMask(mask, window, o, 120).FEMatrix(context.Background(), 35, 1500, true, spec, defocus, dose)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestFEMatrixMatchesDirectSimulation(t *testing.T) {
 		for _, d := range dose {
 			p := pts[i]
 			i++
-			img := Simulate(mask, window, o, Condition{Defocus: f, Dose: d})
+			img := sim(t, mask, window, o, Condition{Defocus: f, Dose: d})
 			cd, ok := img.CDAt(35, 1500, true)
 			if math.Abs(p.CD-cd) > 1e-9*math.Max(1, math.Abs(cd)) {
 				t.Errorf("f=%g d=%g: FE matrix CD %.17g, direct simulation %.17g", f, d, p.CD, cd)
@@ -172,7 +173,7 @@ func TestFEMatrixMatchesDirectSimulation(t *testing.T) {
 }
 
 // TestConcurrentSimulatePooledBuffers drives many simultaneous
-// SimulateCtx calls over distinct masks and checks every result
+// Simulate calls over distinct masks and checks every result
 // against a serially computed baseline. Run under -race (make tier1)
 // this catches any aliasing of the pooled scratch buffers between
 // concurrent simulations.
@@ -188,7 +189,7 @@ func TestConcurrentSimulatePooledBuffers(t *testing.T) {
 	}
 	baseline := make([]*Image, len(masks))
 	for m, mask := range masks {
-		baseline[m] = Simulate(mask, window, o, Nominal)
+		baseline[m] = sim(t, mask, window, o, Nominal)
 	}
 	var wg sync.WaitGroup
 	errs := make(chan string, len(masks)*4)
@@ -197,7 +198,11 @@ func TestConcurrentSimulatePooledBuffers(t *testing.T) {
 			wg.Add(1)
 			go func(rep, m int) {
 				defer wg.Done()
-				img := Simulate(masks[m], window, o, Nominal)
+				img, err := Simulate(context.Background(), masks[m], window, o, Nominal)
+				if err != nil {
+					errs <- fmt.Sprintf("rep %d mask %d: %v", rep, m, err)
+					return
+				}
 				for i := range img.Data {
 					if img.Data[i] != baseline[m].Data[i] {
 						errs <- fmt.Sprintf("rep %d mask %d: pixel %d differs from serial baseline", rep, m, i)
@@ -344,7 +349,7 @@ func TestCancelMidRenderReturnsBand(t *testing.T) {
 			// band: the first band completes and the second is cut short.
 			ctx := &dyingCtx{Context: context.Background()}
 			ctx.live.Store(int64(1 + len(o.Sigmas) + 1))
-			if img, err := SimulateRaster(ctx, rm, Nominal); !errors.Is(err, context.Canceled) || img != nil {
+			if img, err := rm.Image(ctx, Nominal); !errors.Is(err, context.Canceled) || img != nil {
 				t.Errorf("canceled render returned (%v, %v), want (nil, context.Canceled)", img, err)
 			}
 		}()
@@ -359,64 +364,70 @@ func TestCancelMidRenderReturnsBand(t *testing.T) {
 			count, floats, min(bandRows, h)*rm.rW)
 	}
 
-	got, err := SimulateRaster(context.Background(), rm, Nominal)
+	got, err := rm.Image(context.Background(), Nominal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := Simulate(mask, window, o, Nominal); !reflect.DeepEqual(got.Grid, want.Grid) {
+	if want := sim(t, mask, window, o, Nominal); !reflect.DeepEqual(got.Grid, want.Grid) {
 		t.Error("the image of a mask simulated after a canceled render differs from a fresh simulation")
 	}
 }
 
-// SimulateInto writes over the grid it is handed when that grid has
-// the window's dimensions — same backing array, same pixels as a fresh
-// SimulateCtx — and allocates when the dimensions differ, leaving the
-// grid it could not use alone.
-func TestSimulateIntoReusesMatchingGrid(t *testing.T) {
+// Remask points a handle at the next mask over the same window. The
+// image it renders next is a fresh Simulate's, bit for bit, written
+// over the grid the old mask's image at that |defocus| used; later
+// requests at that |defocus|, at any dose, are the new mask's field,
+// not the old one; and a |defocus| the old mask never rendered gets a
+// grid of its own.
+func TestRemaskRendersOverPredecessorGrid(t *testing.T) {
 	ctx := context.Background()
 	o := tech.N45().Optics
 	mask := []geom.Rect{geom.R(0, 0, 70, 900), geom.R(140, 100, 230, 700)}
 	window := geom.R(-200, -100, 400, 1000)
-	cond := Condition{Defocus: 40, Dose: 1.05}
-	want, err := SimulateCtx(ctx, mask, window, o, cond)
+	cond := Condition{Defocus: 40, Dose: 1}
+	rm := NewRasterMask([]geom.Rect{geom.R(0, 0, 300, 1100)}, window, o, 40)
+	prev, err := rm.Image(ctx, cond)
 	if err != nil {
 		t.Fatal(err)
+	}
+	stale := slices.Clone(prev.Data)
+	want := sim(t, mask, window, o, cond)
+	if reflect.DeepEqual(stale, want.Data) {
+		t.Fatal("the two masks have the same image: the test cannot tell them apart")
 	}
 
-	// A stale image of the same size, somewhere else on the chip.
-	prev, err := SimulateCtx(ctx, []geom.Rect{geom.R(5000, 0, 5300, 1100)}, window.Translate(geom.Pt(5000, 0)), o, Nominal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := SimulateInto(ctx, prev.Grid, mask, window, o, cond)
+	rm.Remask(mask)
+	rm.Remask(mask) // a second Remask before any render keeps the grid
+	got, err := rm.Image(ctx, cond)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if &got.Data[0] != &prev.Data[0] {
-		t.Error("a grid of the window's dimensions was not reused")
+		t.Error("the old mask's grid was not rendered over")
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Error("image rendered over a stale grid differs from SimulateCtx")
+		t.Error("image rendered after Remask differs from a fresh Simulate")
+	}
+	for _, c := range []Condition{{Defocus: -40, Dose: 1}, {Defocus: 40, Dose: 1.05}} {
+		again, err := rm.Image(ctx, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(again, sim(t, mask, window, o, c)) {
+			t.Errorf("%+v after Remask: not the new mask's image", c)
+		}
 	}
 
-	// A window one pixel taller: the old grid cannot hold it.
-	taller := geom.R(window.X0, window.Y0, window.X1, window.Y1+int64(o.GridNM))
-	wantTall, err := SimulateCtx(ctx, mask, taller, o, cond)
+	nom, err := rm.Image(ctx, Nominal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotTall, err := SimulateInto(ctx, got.Grid, mask, taller, o, cond)
+	fresh, err := NewRasterMask(mask, window, o, 40).Image(ctx, Nominal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &gotTall.Data[0] == &got.Data[0] || gotTall.H != got.H+1 {
-		t.Errorf("a %dx%d grid was reused for a %dx%d window", got.W, got.H, gotTall.W, gotTall.H)
-	}
-	if !reflect.DeepEqual(gotTall, wantTall) {
-		t.Error("image of the resized window differs from SimulateCtx")
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("the grid that could not be reused was written to")
+	if &nom.Data[0] == &got.Data[0] || !reflect.DeepEqual(nom, fresh) {
+		t.Error("a |defocus| the old mask never rendered shares a grid or differs from a fresh handle's image")
 	}
 }
 

@@ -90,7 +90,7 @@ func TestSparseBlurCoverageClip(t *testing.T) {
 	}
 }
 
-// gridBlurSimulate is SimulateCtx by the other route: rasterize the
+// gridBlurSimulate is Simulate by the other route: rasterize the
 // mask onto the padded grid, run the two-pass grid blur once per
 // kernel, then crop, square and dose-scale. It shares the pad and grid
 // geometry with RasterMask and nothing else.
@@ -122,14 +122,14 @@ func gridBlurSimulate(mask []geom.Rect, window geom.Rect, opt tech.Optics, cond 
 }
 
 // checkAgainstGridBlur asserts the properties every mask must have
-// now that the sparse blur is the only route: SimulateCtx equals the
+// now that the sparse blur is the only route: Simulate equals the
 // rasterize-then-blur reference to 1e-9, and both the scan's
-// amplitude-thresholded bitmap and the shared-mask SimulateRaster
-// image are SimulateCtx's, bit for bit.
+// amplitude-thresholded bitmap and a RasterMask's Image are Simulate's,
+// bit for bit.
 func checkAgainstGridBlur(t *testing.T, mask []geom.Rect, window geom.Rect, opt tech.Optics, cond Condition) {
 	t.Helper()
 	ctx := context.Background()
-	img, err := SimulateCtx(ctx, mask, window, opt, cond)
+	img, err := Simulate(ctx, mask, window, opt, cond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,14 +148,14 @@ func checkAgainstGridBlur(t *testing.T, mask []geom.Rect, window geom.Rect, opt 
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(printed, img.PrintedBitmap()) {
-		t.Errorf("%+v: scan-path printed bitmap differs from SimulateCtx+PrintedBitmap", cond)
+		t.Errorf("%+v: scan-path printed bitmap differs from Simulate+PrintedBitmap", cond)
 	}
-	shared, err := SimulateRaster(ctx, NewRasterMask(mask, window, opt, cond.Defocus), cond)
+	shared, err := NewRasterMask(mask, window, opt, cond.Defocus).Image(ctx, cond)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(shared.Grid, img.Grid) {
-		t.Errorf("%+v: SimulateRaster image differs from SimulateCtx", cond)
+		t.Errorf("%+v: RasterMask image differs from Simulate", cond)
 	}
 }
 
@@ -283,34 +283,26 @@ func TestSimulateRejectsBadKernelAndDefocus(t *testing.T) {
 		run  func() error
 		want string
 	}{
-		{"zero sigma", func() error {
-			_, err := SimulateCtx(ctx, mask, window, withSigmas(35, 0), Nominal)
-			return err
-		}, "sigma"},
 		{"negative sigma", func() error {
-			_, err := SimulateCtx(ctx, mask, window, withSigmas(-35, 90), Condition{Defocus: 60, Dose: 1})
+			_, err := Simulate(ctx, mask, window, withSigmas(-35, 90), Condition{Defocus: 60, Dose: 1})
 			return err
 		}, "sigma"},
 		{"NaN sigma on the scan path", func() error {
 			_, err := simulatePrinted(ctx, mask, window, withSigmas(math.NaN(), 90), Nominal)
 			return err
 		}, "sigma"},
-		{"zero sigma on a shared mask", func() error {
-			_, err := SimulateRaster(ctx, NewRasterMask(mask, window, withSigmas(0, 90), 120), Nominal)
-			return err
-		}, "sigma"},
 		{"defocus past the budget", func() error {
-			_, err := SimulateRaster(ctx, NewRasterMask(mask, window, tech.N45().Optics, 60), Condition{Defocus: 61, Dose: 1})
+			_, err := NewRasterMask(mask, window, tech.N45().Optics, 60).Image(ctx, Condition{Defocus: 61, Dose: 1})
 			return err
 		}, "budget"},
 		{"negative defocus past the budget", func() error {
-			_, err := SimulateRaster(ctx, NewRasterMask(mask, window, tech.N45().Optics, 60), Condition{Defocus: -90, Dose: 1})
+			_, err := NewRasterMask(mask, window, tech.N45().Optics, 60).Image(ctx, Condition{Defocus: -90, Dose: 1})
 			return err
 		}, "budget"},
 		{"canceled before the first pass", func() error {
 			dead, cancel := context.WithCancel(ctx)
 			cancel()
-			_, err := SimulateCtx(dead, mask, window, tech.N45().Optics, Nominal)
+			_, err := Simulate(dead, mask, window, tech.N45().Optics, Nominal)
 			return err
 		}, context.Canceled.Error()},
 	} {
@@ -318,7 +310,27 @@ func TestSimulateRejectsBadKernelAndDefocus(t *testing.T) {
 			t.Errorf("%s: err = %v, want one mentioning %q", tc.name, err, tc.want)
 		}
 	}
-	if img := Simulate(mask, window, withSigmas(0, 90), Nominal); img != nil {
-		t.Error("Simulate returned an image for a zero-width kernel")
+}
+
+// A kernel with no width is the kernel's error from every entry point
+// that renders an intensity field, with nothing beside it: the one-shot
+// Simulate once dropped the error and handed its callers a nil image to
+// dereference.
+func TestZeroSigmaIsAnErrorFromEveryEntryPoint(t *testing.T) {
+	ctx := context.Background()
+	o := tech.N45().Optics
+	o.Sigmas = []float64{35, 0}
+	mask := []geom.Rect{geom.R(0, 0, 70, 400)}
+	window := geom.R(-100, 0, 200, 400)
+	check := func(entry string, empty bool, err error) {
+		if err == nil || !strings.Contains(err.Error(), "non-positive sigma") || !empty {
+			t.Errorf("%s: err = %v (result empty %v), want only the kernel's non-positive sigma error", entry, err, empty)
+		}
 	}
+	img, err := Simulate(ctx, mask, window, o, Nominal)
+	check("Simulate", img == nil, err)
+	img, err = NewRasterMask(mask, window, o, 80).Image(ctx, Condition{Defocus: 80, Dose: 1})
+	check("RasterMask.Image", img == nil, err)
+	pts, err := NewRasterMask(mask, window, o, 80).FEMatrix(ctx, 35, 200, true, CDSpec{Target: 70, Tol: 0.1}, []float64{0, 80}, []float64{0.95, 1})
+	check("RasterMask.FEMatrix", len(pts) == 0, err)
 }

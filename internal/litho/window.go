@@ -32,33 +32,15 @@ type FEPoint struct {
 
 // FEMatrix simulates a focus-exposure matrix: the CD of the feature at
 // (x, y) (measured along x when horizontal) across the defocus and
-// dose lists. The mask is normalized once and simulated once per
-// defocus; dose enters the intensity as a pure scale factor
-// (I = A^2 * dose), so the dose axis of the matrix costs scalar
-// threshold rescales rather than re-simulation. The context is checked
-// per defocus condition; on cancellation FEMatrix returns the points
-// sampled so far alongside the context error.
-func FEMatrix(ctx context.Context, mask []geom.Rect, window geom.Rect, opt tech.Optics,
-	x, y float64, horizontal bool, spec CDSpec,
-	defocus, dose []float64) ([]FEPoint, error) {
-
-	maxF := 0.0
-	for _, f := range defocus {
-		if a := math.Abs(f); a > maxF {
-			maxF = a
-		}
-	}
-	rm := NewRasterMask(mask, window, opt, maxF)
-	return FEMatrixRaster(ctx, rm, x, y, horizontal, spec, defocus, dose)
-}
-
-// FEMatrixRaster is FEMatrix over an existing RasterMask, for
-// callers that interleave a focus-exposure sweep with other
-// simulations of the same mask: every condition in the sweep lands in
-// the mask's intensity cache. The RasterMask must have been built with
-// maxDefocus covering the defocus list.
-func FEMatrixRaster(ctx context.Context, rm *RasterMask,
-	x, y float64, horizontal bool, spec CDSpec,
+// dose lists. The mask is simulated once per |defocus|; dose enters
+// the intensity as a pure scale factor (I = A^2 * dose), so the dose
+// axis of the matrix costs scalar threshold rescales rather than
+// re-simulation, and every condition lands in the mask's intensity
+// cache for the caller's other images. The RasterMask's defocus budget
+// must cover the defocus list. The context is checked per defocus
+// condition; on cancellation FEMatrix returns the points sampled so far
+// alongside the context error.
+func (rm *RasterMask) FEMatrix(ctx context.Context, x, y float64, horizontal bool, spec CDSpec,
 	defocus, dose []float64) ([]FEPoint, error) {
 
 	out := make([]FEPoint, 0, len(defocus)*len(dose))
@@ -69,7 +51,7 @@ func FEMatrixRaster(ctx context.Context, rm *RasterMask,
 		// the remaining doses hit and cost a threshold rescale. A 9x5
 		// matrix is 9 misses and 36 hits in the metrics snapshot.
 		for _, d := range dose {
-			img, err := SimulateRaster(ctx, rm, Condition{Defocus: f, Dose: 1})
+			img, err := rm.Image(ctx, Condition{Defocus: f, Dose: 1})
 			if err != nil {
 				return out, err
 			}
@@ -156,7 +138,7 @@ func ComputePVBandCtx(ctx context.Context, mask []geom.Rect, window geom.Rect, o
 	rm := NewRasterMask(mask, window, opt, maxF)
 	var always, ever *Bitmap
 	for _, c := range corners {
-		img, err := SimulateRaster(ctx, rm, Condition{Defocus: c.Defocus, Dose: 1})
+		img, err := rm.Image(ctx, Condition{Defocus: c.Defocus, Dose: 1})
 		if err != nil {
 			return pv, err
 		}

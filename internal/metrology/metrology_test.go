@@ -1,6 +1,7 @@
 package metrology
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -10,6 +11,16 @@ import (
 	"repro/internal/litho"
 	"repro/internal/tech"
 )
+
+// simulate runs litho.Simulate at nominal to completion.
+func simulate(t *testing.T, mask []geom.Rect, window geom.Rect, o tech.Optics) *litho.Image {
+	t.Helper()
+	img, err := litho.Simulate(context.Background(), mask, window, o, litho.Nominal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
 
 func TestGeneratePlanLineSpace(t *testing.T) {
 	tt := tech.N45()
@@ -98,7 +109,7 @@ func TestExecuteMeasuresCDs(t *testing.T) {
 	rs := cell.LayerRects(tech.Metal1)
 	plan := GeneratePlan(rs, tech.Metal1)
 	window := geom.BBoxOf(rs).Bloat(300)
-	img := litho.Simulate(rs, window, tt.Optics, litho.Nominal)
+	img := simulate(t, rs, window, tt.Optics)
 
 	// Noise-free tool: systematic litho bias only.
 	ms := Execute(plan, img, ToolModel{}, 1)
@@ -134,7 +145,7 @@ func TestExecuteToolNoise(t *testing.T) {
 	rs := cell.LayerRects(tech.Metal1)
 	plan := GeneratePlan(rs, tech.Metal1)
 	window := geom.BBoxOf(rs).Bloat(300)
-	img := litho.Simulate(rs, window, tt.Optics, litho.Nominal)
+	img := simulate(t, rs, window, tt.Optics)
 
 	clean := Summarize(Execute(plan, img, ToolModel{}, 1))
 	noisy := Summarize(Execute(plan, img, ToolModel{NoiseNM: 2.0}, 1))
@@ -162,7 +173,7 @@ func TestExecuteInvalidSites(t *testing.T) {
 	// Plan against geometry the image does not contain: invalid sites.
 	rs := []geom.Rect{geom.R(0, 0, 70, 1000)}
 	plan := GeneratePlan(rs, tech.Metal1)
-	empty := litho.Simulate(nil, geom.R(0, 0, 1000, 1000), tt.Optics, litho.Nominal)
+	empty := simulate(t, nil, geom.R(0, 0, 1000, 1000), tt.Optics)
 	ms := Execute(plan, empty, DefaultTool(), 1)
 	for _, m := range ms {
 		if m.Valid {

@@ -35,8 +35,7 @@ func TestILTImprovesEPEOverDrawn(t *testing.T) {
 	window := geom.BBoxOf(drawn).Bloat(350)
 
 	rms := func(mask []geom.Rect) float64 {
-		img := litho.Simulate(mask, window, tt.Optics, litho.Nominal)
-		return litho.SummarizeEPE(img.MeasureEPE(drawn, 120)).RMS
+		return litho.SummarizeEPE(simulate(t, mask, window, tt.Optics, litho.Nominal).MeasureEPE(drawn, 120)).RMS
 	}
 	raw := rms(drawn)
 	res := ILT(drawn, window, tt.Optics)

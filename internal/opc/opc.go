@@ -8,7 +8,6 @@ package opc
 
 import (
 	"context"
-	"math"
 
 	"repro/internal/geom"
 	"repro/internal/litho"
@@ -25,10 +24,6 @@ var (
 	cModelMoves = obs.C("opc.fragment.moves")
 	gModelRMS   = obs.G("opc.model.final_rms")
 	hModelNS    = obs.H("opc.model.ns")
-
-	cPWRuns  = obs.C("opc.pw.runs")
-	cPWIters = obs.C("opc.pw.iterations")
-	cPWMoves = obs.C("opc.pw.fragment.moves")
 )
 
 // Fragment is one movable edge segment with its current bias along the
@@ -168,8 +163,7 @@ func DefaultModelOpts() ModelOpts {
 	return ModelOpts{Iterations: 5, MaxLen: 120}
 }
 
-// The rest of the loop's settings. It corrects at the nominal
-// condition; ProcessWindowOPC is the one that looks off it.
+// The rest of the loop's settings.
 const (
 	modelGain         = 0.6 // feedback gain on EPE, typically 0.5-0.8
 	modelMaxBias      = 40  // MRC clamp on fragment movement, nm
@@ -216,78 +210,20 @@ type Result struct {
 	Mask      []geom.Rect
 	Fragments []*Fragment
 	// RMSHistory is the RMS EPE after each iteration (index 0 = the
-	// uncorrected mask).
+	// uncorrected mask), averaged over the corners by their weights.
 	RMSHistory []float64
-	// Image is Mask simulated at litho.Nominal over the loop's window:
-	// the last iteration's image, which its final RMS was read from, so
-	// a caller measuring the corrected mask at nominal need not render
-	// it again. Set only when the loop completes.
+	// Image is Mask simulated at the first corner (litho.Nominal for
+	// ModelBased) over the loop's window: the last iteration's image,
+	// which its final RMS was read from, so a caller measuring the
+	// corrected mask there need not render it again. Set only when the
+	// loop completes.
 	Image *litho.Image
 }
 
-// ModelBased runs the simulate-then-move loop: each iteration
-// simulates the current mask, measures EPE at every fragment's control
-// site against the drawn target, and moves the fragment against the
-// error. Window is the simulation region (drawn geometry plus optical
-// ambit). The context is checked per feedback iteration (and per band
-// inside each simulation). On cancellation it returns the best mask so
-// far alongside the context error, so callers can distinguish a
-// converged result from an interrupted one.
+// ModelBased runs the simulate-then-move loop at the nominal
+// condition: ProcessWindowOPC at the one corner {litho.Nominal, 1},
+// whose EPEs and RMS are then exactly the nominal image's. Window is
+// the simulation region (drawn geometry plus optical ambit).
 func ModelBased(ctx context.Context, drawn []geom.Rect, window geom.Rect, opt tech.Optics, mo ModelOpts) (Result, error) {
-	sp := hModelNS.Start()
-	defer sp.End()
-	cModelRuns.Inc()
-	frags := FragmentEdges(drawn, mo.MaxLen, modelCornerLen)
-	capOutward(drawn, frags)
-	res := Result{Fragments: frags}
-
-	// Nothing of an iteration's image outlives the EPEs read from it
-	// below, so each is rendered over the one before; the last one is
-	// the result's.
-	var grid *litho.Grid
-	var img *litho.Image
-	for it := 0; it <= mo.Iterations; it++ {
-		mask := ApplyBias(drawn, frags)
-		var err error
-		img, err = litho.SimulateInto(ctx, grid, mask, window, opt, litho.Nominal)
-		if err != nil {
-			return res, err
-		}
-		grid = img.Grid
-		cModelIters.Inc()
-		var sq float64
-		var moved int64
-		n := 0
-		for _, f := range frags {
-			s := img.EPEAt(f.Edge, f.Site)
-			sq += s.EPE * s.EPE
-			n++
-			if it < mo.Iterations {
-				// Move against the error; clamp to mask rules.
-				prev := f.Bias
-				f.Bias -= int64(modelGain * s.EPE)
-				if f.Bias > f.MaxOut {
-					f.Bias = f.MaxOut
-				}
-				if f.Bias < -modelMaxBias {
-					f.Bias = -modelMaxBias
-				}
-				if f.Bias != prev {
-					moved++
-				}
-			}
-		}
-		cModelMoves.Add(moved)
-		rms := 0.0
-		if n > 0 {
-			rms = math.Sqrt(sq / float64(n))
-		}
-		res.RMSHistory = append(res.RMSHistory, rms)
-		res.Mask = mask
-	}
-	res.Image = img
-	if len(res.RMSHistory) > 0 {
-		gModelRMS.Set(res.RMSHistory[len(res.RMSHistory)-1])
-	}
-	return res, nil
+	return ProcessWindowOPC(ctx, drawn, window, opt, mo, []PWCorner{{Cond: litho.Nominal, Weight: 1}})
 }

@@ -23,6 +23,16 @@ func modelBased(t testing.TB, drawn []geom.Rect, window geom.Rect, o tech.Optics
 	return res
 }
 
+// simulate runs litho.Simulate to completion.
+func simulate(t testing.TB, mask []geom.Rect, window geom.Rect, o tech.Optics, cond litho.Condition) *litho.Image {
+	t.Helper()
+	img, err := litho.Simulate(context.Background(), mask, window, o, cond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
 func TestFragmentEdgesCoversBoundary(t *testing.T) {
 	drawn := []geom.Rect{geom.R(0, 0, 70, 1000)}
 	frags := FragmentEdges(drawn, 120, 40)
@@ -121,8 +131,7 @@ func TestModelBeatsRuleBeatsNothing(t *testing.T) {
 	o := opt()
 
 	rms := func(mask []geom.Rect) float64 {
-		img := litho.Simulate(mask, window, o, litho.Nominal)
-		return litho.SummarizeEPE(img.MeasureEPE(drawn, 150)).RMS
+		return litho.SummarizeEPE(simulate(t, mask, window, o, litho.Nominal).MeasureEPE(drawn, 150)).RMS
 	}
 
 	none := rms(geom.Normalize(drawn))
@@ -190,7 +199,7 @@ func TestSRAFDoesNotPrint(t *testing.T) {
 	drawn := []geom.Rect{geom.R(0, 0, 70, 2000)}
 	mask := WithSRAF(drawn)
 	window := geom.R(-500, 500, 600, 1500)
-	img := litho.Simulate(mask, window, opt(), litho.Nominal)
+	img := simulate(t, mask, window, opt(), litho.Nominal)
 	// Sample the assist bar centers: below threshold.
 	if img.PrintsAt(float64(-srafDistance)-float64(srafWidth)/2, 1000) {
 		t.Fatalf("left assist prints")
@@ -213,7 +222,7 @@ func TestSRAFStabilizesCDThroughFocus(t *testing.T) {
 	o := opt()
 
 	cdAt := func(mask []geom.Rect, f float64) (float64, bool) {
-		return litho.Simulate(mask, window, o, litho.Condition{Defocus: f, Dose: 1}).CDAt(35, 1500, true)
+		return simulate(t, mask, window, o, litho.Condition{Defocus: f, Dose: 1}).CDAt(35, 1500, true)
 	}
 
 	bare := geom.Normalize(drawn)
@@ -247,7 +256,7 @@ func TestSRAFStabilizesCDThroughFocus(t *testing.T) {
 	dose := []float64{0.92, 0.96, 1.0, 1.04, 1.08}
 	spec := litho.CDSpec{Target: cdBare0, Tol: 0.10}
 	dof := func(mask []geom.Rect, spec litho.CDSpec) float64 {
-		pts, err := litho.FEMatrix(context.Background(), mask, window, o, 35, 1500, true, spec, defocus, dose)
+		pts, err := litho.NewRasterMask(mask, window, o, 240).FEMatrix(context.Background(), 35, 1500, true, spec, defocus, dose)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -321,60 +330,90 @@ func TestModelConvergenceMonotoneEnough(t *testing.T) {
 	}
 }
 
-// ModelBased renders every iteration over the image of the one
-// before. The loop as it was written before that — a fresh SimulateCtx
-// image per iteration, nothing shared — must give the same RMS history,
-// the same mask and the same biases. The off-nominal case went with
-// ModelOpts.Cond, which nothing set; litho's
-// TestSimulateIntoReusesMatchingGrid holds the in-place dose scaling.
+// The loop renders every iteration over the grids of the one before,
+// through one RasterMask it Remasks. The loops as they were written
+// before that — ModelBased with a fresh image per iteration, and
+// ProcessWindowOPC with a fresh RasterMask per iteration and one image
+// per corner, nothing shared — must give the same RMS history (the
+// weight-averaged RMS of the corners), the same mask and the same
+// biases, bit for bit. litho's TestRemaskRendersOverPredecessorGrid
+// holds the grid reuse itself.
 func TestModelBasedGridReuseMatchesFreshImages(t *testing.T) {
 	ctx := context.Background()
 	drawn := []geom.Rect{geom.R(0, 0, 70, 1500), geom.R(160, 300, 230, 1200)}
 	window := geom.R(-400, -200, 600, 1900)
-	cond := litho.Nominal
 	mo := DefaultModelOpts()
-	got, err := ModelBased(ctx, drawn, window, opt(), mo)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	frags := FragmentEdges(drawn, mo.MaxLen, modelCornerLen)
-	capOutward(drawn, frags)
-	var history []float64
-	var mask []geom.Rect
-	for it := 0; it <= mo.Iterations; it++ {
-		mask = ApplyBias(drawn, frags)
-		img, err := litho.SimulateCtx(ctx, mask, window, opt(), cond)
+	for _, tc := range []struct {
+		name    string
+		corners []PWCorner
+		run     func() (Result, error)
+	}{
+		{"nominal", []PWCorner{{Cond: litho.Nominal, Weight: 1}}, func() (Result, error) {
+			return ModelBased(ctx, drawn, window, opt(), mo)
+		}},
+		{"pw", StandardPWCorners(80), func() (Result, error) {
+			return ProcessWindowOPC(ctx, drawn, window, opt(), mo, StandardPWCorners(80))
+		}},
+	} {
+		got, err := tc.run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		var sq float64
-		for _, f := range frags {
-			s := img.EPEAt(f.Edge, f.Site)
-			sq += s.EPE * s.EPE
-			if it < mo.Iterations {
-				f.Bias = max(min(f.Bias-int64(modelGain*s.EPE), f.MaxOut), -modelMaxBias)
-			}
-		}
-		history = append(history, math.Sqrt(sq/float64(len(frags))))
-	}
 
-	if len(history) != 6 || !reflect.DeepEqual(got.RMSHistory, history) {
-		t.Errorf("%+v: RMS history %v, from %d independent images %v", cond, got.RMSHistory, len(history), history)
-	}
-	if !reflect.DeepEqual(got.Mask, mask) {
-		t.Errorf("%+v: final mask differs from the independent-image loop", cond)
-	}
-	for i, f := range got.Fragments {
-		if f.Bias != frags[i].Bias {
-			t.Errorf("%+v: fragment %d bias %d, independent-image loop %d", cond, i, f.Bias, frags[i].Bias)
+		var wsum, maxF float64
+		for _, c := range tc.corners {
+			wsum += c.Weight
+			maxF = max(maxF, math.Abs(c.Cond.Defocus))
+		}
+		frags := FragmentEdges(drawn, mo.MaxLen, modelCornerLen)
+		capOutward(drawn, frags)
+		var history []float64
+		var mask []geom.Rect
+		for it := 0; it <= mo.Iterations; it++ {
+			mask = ApplyBias(drawn, frags)
+			rm := litho.NewRasterMask(mask, window, opt(), maxF)
+			imgs := make([]*litho.Image, len(tc.corners))
+			for k, c := range tc.corners {
+				if imgs[k], err = rm.Image(ctx, c.Cond); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sq := make([]float64, len(tc.corners))
+			for _, f := range frags {
+				var weighted float64
+				for k, c := range tc.corners {
+					s := imgs[k].EPEAt(f.Edge, f.Site)
+					sq[k] += s.EPE * s.EPE
+					weighted += c.Weight * s.EPE
+				}
+				if it < mo.Iterations {
+					f.Bias = max(min(f.Bias-int64(modelGain*weighted/wsum), f.MaxOut), -modelMaxBias)
+				}
+			}
+			var rms float64
+			for k, c := range tc.corners {
+				rms += c.Weight * math.Sqrt(sq[k]/float64(len(frags)))
+			}
+			history = append(history, rms/wsum)
+		}
+
+		if len(history) != 6 || !reflect.DeepEqual(got.RMSHistory, history) {
+			t.Errorf("%s: RMS history %v, from independent images %v", tc.name, got.RMSHistory, history)
+		}
+		if !reflect.DeepEqual(got.Mask, mask) {
+			t.Errorf("%s: final mask differs from the independent-image loop", tc.name)
+		}
+		for i, f := range got.Fragments {
+			if f.Bias != frags[i].Bias {
+				t.Errorf("%s: fragment %d bias %d, independent-image loop %d", tc.name, i, f.Bias, frags[i].Bias)
+			}
 		}
 	}
 }
 
 // The image a completed loop hands back is the corrected mask at
 // nominal, rendered over the grid of five iterations before it: every
-// pixel is a fresh SimulateCtx's, bit for bit, and so are the grid's
+// pixel is a fresh Simulate's, bit for bit, and so are the grid's
 // placement, threshold and condition. A canceled loop hands none back.
 func TestModelBasedImageEqualsResimulation(t *testing.T) {
 	ctx := context.Background()
@@ -384,7 +423,7 @@ func TestModelBasedImageEqualsResimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := litho.SimulateCtx(ctx, res.Mask, window, opt(), litho.Nominal)
+	want, err := litho.Simulate(ctx, res.Mask, window, opt(), litho.Nominal)
 	if err != nil {
 		t.Fatal(err)
 	}

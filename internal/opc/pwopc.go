@@ -30,57 +30,52 @@ func StandardPWCorners(defocus float64) []PWCorner {
 	}
 }
 
-// PWResult carries the corrected mask and per-corner RMS history.
-type PWResult struct {
-	Mask      []geom.Rect
-	Fragments []*Fragment
-	// RMSByCorner[i][k] is corner k's RMS EPE after iteration i.
-	RMSByCorner [][]float64
-}
-
-// ProcessWindowOPC runs the multi-corner simulate-then-move loop. Like
-// ModelBased it stops at the first simulation that fails (a canceled
-// context, optics the kernel rejects) and returns the mask so far
-// alongside the error.
-func ProcessWindowOPC(ctx context.Context, drawn []geom.Rect, window geom.Rect, opt tech.Optics, mo ModelOpts, corners []PWCorner) (PWResult, error) {
+// ProcessWindowOPC runs the simulate-then-move loop over weighted
+// corners (StandardPWCorners(80) when there are none): each iteration
+// simulates the current mask at every corner, measures EPE at every
+// fragment's control site against the drawn target, and moves the
+// fragment against its weight-averaged EPE, modelGain·Σw·EPE/Σw. The
+// context is checked per feedback iteration (and per band inside each
+// simulation). On cancellation, or optics the kernel rejects, it returns
+// the mask so far alongside the error, so callers can distinguish a
+// converged result from an interrupted one.
+func ProcessWindowOPC(ctx context.Context, drawn []geom.Rect, window geom.Rect, opt tech.Optics, mo ModelOpts, corners []PWCorner) (Result, error) {
 	if len(corners) == 0 {
 		corners = StandardPWCorners(80)
 	}
-	cPWRuns.Inc()
+	sp := hModelNS.Start()
+	defer sp.End()
+	cModelRuns.Inc()
 	frags := FragmentEdges(drawn, mo.MaxLen, modelCornerLen)
 	capOutward(drawn, frags)
-	res := PWResult{Fragments: frags}
+	res := Result{Fragments: frags}
 
-	var wsum float64
+	var wsum, maxF float64
 	for _, c := range corners {
 		wsum += c.Weight
+		maxF = max(maxF, math.Abs(c.Cond.Defocus))
 	}
 	if wsum == 0 {
 		wsum = 1
 	}
-
-	maxF := 0.0
-	for _, c := range corners {
-		if a := math.Abs(c.Cond.Defocus); a > maxF {
-			maxF = a
-		}
-	}
+	// Nothing of an iteration's images outlives the EPEs read from them
+	// below, so one handle serves the whole loop and each iteration is
+	// rendered over the grids of the one before; corners that differ
+	// only in dose share a convolution stack.
+	rm := litho.NewRasterMask(nil, window, opt, maxF)
+	imgs := make([]*litho.Image, len(corners))
+	sq := make([]float64, len(corners))
 	for it := 0; it <= mo.Iterations; it++ {
 		mask := ApplyBias(drawn, frags)
-		// The mask changes every iteration, but within an iteration all
-		// corners share one normalized mask, and corners that differ only
-		// in dose share the convolution result too.
-		rm := litho.NewRasterMask(mask, window, opt, maxF)
-		imgs := make([]*litho.Image, len(corners))
+		rm.Remask(mask)
 		for k, c := range corners {
 			var err error
-			if imgs[k], err = litho.SimulateRaster(ctx, rm, c.Cond); err != nil {
+			if imgs[k], err = rm.Image(ctx, c.Cond); err != nil {
 				return res, err
 			}
 		}
-		cPWIters.Inc()
-		rms := make([]float64, len(corners))
-		sq := make([]float64, len(corners))
+		cModelIters.Inc()
+		clear(sq)
 		var moved int64
 		for _, f := range frags {
 			var weighted float64
@@ -90,28 +85,28 @@ func ProcessWindowOPC(ctx context.Context, drawn []geom.Rect, window geom.Rect, 
 				weighted += c.Weight * s.EPE
 			}
 			if it < mo.Iterations {
+				// Move against the error; clamp to mask rules.
 				prev := f.Bias
 				f.Bias -= int64(modelGain * weighted / wsum)
-				if f.Bias > f.MaxOut {
-					f.Bias = f.MaxOut
-				}
-				if f.Bias < -modelMaxBias {
-					f.Bias = -modelMaxBias
-				}
+				f.Bias = max(min(f.Bias, f.MaxOut), -modelMaxBias)
 				if f.Bias != prev {
 					moved++
 				}
 			}
 		}
-		cPWMoves.Add(moved)
-		n := float64(len(frags))
-		for k := range rms {
-			if n > 0 {
-				rms[k] = math.Sqrt(sq[k] / n)
+		cModelMoves.Add(moved)
+		var rms float64
+		if n := float64(len(frags)); n > 0 {
+			for k, c := range corners {
+				rms += c.Weight * math.Sqrt(sq[k]/n)
 			}
 		}
-		res.RMSByCorner = append(res.RMSByCorner, rms)
+		res.RMSHistory = append(res.RMSHistory, rms/wsum)
 		res.Mask = mask
+	}
+	res.Image = imgs[0]
+	if len(res.RMSHistory) > 0 {
+		gModelRMS.Set(res.RMSHistory[len(res.RMSHistory)-1])
 	}
 	return res, nil
 }

@@ -3,6 +3,7 @@ package opc
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -21,8 +22,7 @@ func TestProcessWindowOPCImprovesWorstCorner(t *testing.T) {
 	// Nominal-only OPC, evaluated at both corners.
 	nomRes := modelBased(t, drawn, window, tt.Optics, mo)
 	rmsAt := func(mask []geom.Rect, cond litho.Condition) float64 {
-		img := litho.Simulate(mask, window, tt.Optics, cond)
-		return litho.SummarizeEPE(img.MeasureEPE(drawn, 120)).RMS
+		return litho.SummarizeEPE(simulate(t, mask, window, tt.Optics, cond).MeasureEPE(drawn, 120)).RMS
 	}
 	nomWorst := rmsAt(nomRes.Mask, corners[1].Cond)
 
@@ -40,14 +40,13 @@ func TestProcessWindowOPCImprovesWorstCorner(t *testing.T) {
 	if pwNom > 3*rmsAt(nomRes.Mask, litho.Nominal)+3 {
 		t.Fatalf("PW-OPC sacrificed too much nominal fidelity: %.2f", pwNom)
 	}
-	// History bookkeeping: iterations+1 entries, one RMS per corner.
-	if len(pw.RMSByCorner) != mo.Iterations+1 {
-		t.Fatalf("history length = %d", len(pw.RMSByCorner))
+	// History bookkeeping: iterations+1 entries, and the image is the
+	// first corner's.
+	if len(pw.RMSHistory) != mo.Iterations+1 {
+		t.Fatalf("history length = %d", len(pw.RMSHistory))
 	}
-	for _, row := range pw.RMSByCorner {
-		if len(row) != len(corners) {
-			t.Fatalf("corner count in history = %d", len(row))
-		}
+	if pw.Image == nil || pw.Image.Cond != corners[0].Cond {
+		t.Fatalf("result image %v, want the first corner's", pw.Image)
 	}
 }
 
@@ -61,11 +60,15 @@ func TestProcessWindowOPCDefaultsCorners(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	want, err := ProcessWindowOPC(context.Background(), drawn, window, tt.Optics, mo, StandardPWCorners(80))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pw.Mask) == 0 {
 		t.Fatal("empty mask")
 	}
-	if len(pw.RMSByCorner[0]) != 2 {
-		t.Fatalf("default corners = %d, want 2", len(pw.RMSByCorner[0]))
+	if !slices.Equal(pw.RMSHistory, want.RMSHistory) {
+		t.Fatalf("no corners: RMS history %v, StandardPWCorners(80) %v", pw.RMSHistory, want.RMSHistory)
 	}
 }
 

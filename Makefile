@@ -211,8 +211,9 @@ docs-check: ## fail, by file and line, on a path, Make target, go test regexp, t
 	$(GO) test -count=1 -run 'TestDocsNameWhatExists' ./internal/surface
 
 # internal/surface counts examples/* as callers (examples/quickstart is
-# the reason internal/lvs is in the tree), and an example that only
-# compiles is a dead caller. All five are seeded and print no timings, so
+# the only caller of yield's systematic-yield and wafer-economics
+# functions), and an example that only compiles is a dead caller.
+# All five are seeded and print no timings, so
 # what they print is held to a committed file: examples/viayield and
 # examples/dptflow re-type the T1 and F5 loops, and the copy a user runs
 # must not drift from the rows testdata/experiments.golden pins.

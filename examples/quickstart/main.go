@@ -13,7 +13,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/layout"
 	"repro/internal/litho"
-	"repro/internal/lvs"
 	"repro/internal/tech"
 	yieldpkg "repro/internal/yield"
 )
@@ -34,12 +33,9 @@ func main() {
 	fmt.Printf("block %s: %d shapes, %d nets, extent %v\n",
 		l.Top.Name, st.Shapes, st.NetCount, st.BBox)
 
-	// 2. DRC signoff + geometric connectivity check.
+	// 2. DRC signoff.
 	res := drc.StandardDeck(t).Run(drc.NewContext(t, flat))
 	fmt.Printf("DRC: %d violations\n", res.Count())
-	lrep := lvs.CompareScoped(flat, lvs.Extract(flat), l.Top.MaxNet())
-	fmt.Printf("LVS: %d shorts, %d opens (opens = connections the router dropped)\n",
-		len(lrep.Shorts), len(lrep.Opens))
 
 	// 3. Printability: scan metal1 at a stressed process corner.
 	m1 := geom.Normalize(layout.ByLayer(flat)[tech.Metal1])

@@ -1,7 +1,7 @@
 package repro
 
 // The paper-side experiments of DESIGN.md's index — T1..T7, F1..F6, six
-// design-choice ablations and the metrology plan — as one table. Two
+// design-choice ablations — as one table. Two
 // callers read it: TestExperimentTables renders every experiment and
 // diffs the rows against testdata/experiments.golden, and
 // BenchmarkExperiment times each one as a sub-benchmark. EXPERIMENTS.md
@@ -29,7 +29,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/layout"
 	"repro/internal/litho"
-	"repro/internal/metrology"
 	"repro/internal/opc"
 	"repro/internal/pattern"
 	"repro/internal/sta"
@@ -424,21 +423,6 @@ var experiments = []experiment{
 				tb.Fatal(err)
 			}
 			row("pw-opc:     ", pw.Mask)
-			return out
-		}
-	}},
-	// Design-driven metrology: plan generation and execution on a block layer.
-	{"metrology", func(tb testing.TB, t *tech.Tech) func() []string {
-		m1 := layout.ByLayer(flatBlock(tb, t, layout.BlockOpts{Rows: 2, RowWidth: 6000, Nets: 8, MaxFan: 3, Seed: 3}))[tech.Metal1]
-		img := simulate(tb, m1, geom.BBoxOf(m1).Bloat(300), t, litho.Nominal)
-		return func() []string {
-			plan := metrology.GeneratePlan(m1, tech.Metal1)
-			st := metrology.Summarize(metrology.Execute(plan, img, metrology.DefaultTool(), 1))
-			out := []string{fmt.Sprint(plan)}
-			for _, k := range []metrology.SiteKind{metrology.LineWidth, metrology.SpaceWidth, metrology.LineEnd} {
-				s := st[k]
-				addf(&out, "%-8s n=%d valid=%d meanErr=%.2fnm sigma=%.2fnm", k, s.N, s.Valid, s.MeanErr, s.Sigma)
-			}
 			return out
 		}
 	}},

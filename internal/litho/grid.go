@@ -71,9 +71,9 @@ func (g *Grid) At(i, j int) float64 {
 	return g.Data[j*g.W+i]
 }
 
-// Sample returns the bilinearly interpolated field value at nm
+// sample returns the bilinearly interpolated field value at nm
 // coordinates (x, y).
-func (g *Grid) Sample(x, y float64) float64 {
+func (g *Grid) sample(x, y float64) float64 {
 	fx := (x-float64(g.Origin.X))/g.Pitch - 0.5
 	fy := (y-float64(g.Origin.Y))/g.Pitch - 0.5
 	i0 := int(math.Floor(fx))

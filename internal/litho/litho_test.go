@@ -46,23 +46,23 @@ func TestGridSampleBilinear(t *testing.T) {
 	g := NewGrid(geom.R(0, 0, 20, 20), 10)
 	copy(g.Data, []float64{0, 1, 0, 1}) // 2x2, row-major
 	// Halfway between pixel centers (5,5) and (15,5).
-	if got := g.Sample(10, 5); math.Abs(got-0.5) > 1e-9 {
-		t.Errorf("Sample mid = %v", got)
+	if got := g.sample(10, 5); math.Abs(got-0.5) > 1e-9 {
+		t.Errorf("sample mid = %v", got)
 	}
-	if got := g.Sample(5, 5); math.Abs(got-0) > 1e-9 {
-		t.Errorf("Sample at center = %v", got)
+	if got := g.sample(5, 5); math.Abs(got-0) > 1e-9 {
+		t.Errorf("sample at center = %v", got)
 	}
 }
 
 func TestClearFieldIntensityIsOne(t *testing.T) {
 	// A huge pad: center intensity ~ 1.0.
 	img := sim(t, []geom.Rect{geom.R(0, 0, 4000, 4000)}, geom.R(1000, 1000, 3000, 3000), opt(), Nominal)
-	if got := img.Sample(2000, 2000); math.Abs(got-1) > 0.02 {
+	if got := img.sample(2000, 2000); math.Abs(got-1) > 0.02 {
 		t.Fatalf("clear field intensity = %v, want ~1", got)
 	}
 	// Far outside: ~0. (Window far from the pad.)
 	img2 := sim(t, []geom.Rect{geom.R(0, 0, 100, 100)}, geom.R(2000, 2000, 3000, 3000), opt(), Nominal)
-	if got := img2.Sample(2500, 2500); got > 0.01 {
+	if got := img2.sample(2500, 2500); got > 0.01 {
 		t.Fatalf("dark field intensity = %v, want ~0", got)
 	}
 }

@@ -49,13 +49,13 @@ func (im *Image) scanToEdge(x, y, step float64, horizontal bool) float64 {
 		limit = float64(im.H) * im.Pitch
 	}
 	prevPos := 0.0
-	prevVal := im.Sample(x, y)
+	prevVal := im.sample(x, y)
 	for d := step; math.Abs(d) <= limit; d += step {
 		var v float64
 		if horizontal {
-			v = im.Sample(x+d, y)
+			v = im.sample(x+d, y)
 		} else {
-			v = im.Sample(x, y+d)
+			v = im.sample(x, y+d)
 		}
 		if v < im.Threshold {
 			base := x
@@ -89,7 +89,7 @@ func (im *Image) EPEAt(e geom.Edge, at geom.Point) EPESample {
 	s := EPESample{At: at, Drawn: e}
 	step := im.Pitch / 2
 	val := func(d float64) float64 {
-		return im.Sample(x+float64(n.X)*d, y+float64(n.Y)*d)
+		return im.sample(x+float64(n.X)*d, y+float64(n.Y)*d)
 	}
 	// Find the printing point nearest the drawn edge on the inward
 	// side (the scan start). Narrow features stay measurable because

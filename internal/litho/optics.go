@@ -228,7 +228,7 @@ func blurVAccRows(src, dst []float64, w, h, j0, j1 int, kern []float64, weight f
 // PrintsAt reports whether the image prints (exceeds threshold) at nm
 // coordinates (x, y).
 func (im *Image) PrintsAt(x, y float64) bool {
-	return im.Sample(x, y) >= im.Threshold
+	return im.sample(x, y) >= im.Threshold
 }
 
 // PrintedBitmap returns the binary printed/not-printed raster.

@@ -261,7 +261,7 @@ var exemptFlags = struct {
 	why   string
 }{
 	map[string]bool{"dfmd": true, "dfmrouter": true}, 25,
-	"the daemons' tuning flags: which of them an operator needs is a question ROADMAP item 8's per-job tracing can answer and a line count cannot",
+	"the daemons' tuning flags: which of them an operator needs is a question ROADMAP item 10's per-job tracing can answer and a line count cannot",
 }
 
 // TestEveryFlagAnswersToASetter is the option-field rule one level up:
@@ -365,7 +365,9 @@ var (
 //     prefix of a real name passes; `^$` (run nothing) is not checked;
 //   - a backticked TestX / BenchmarkX / FuzzX (a trailing * is a prefix)
 //     that no package declares;
-//   - a flag passed to one of our binaries that the binary does not define.
+//   - a flag passed to one of our binaries that the binary does not define;
+//   - an R-section longer than sectionBound lines that longSections does
+//     not name, or one it names that is within the bound.
 func TestDocsNameWhatExists(t *testing.T) {
 	tr := load(t)
 	bins := binaries(tr)
@@ -422,7 +424,8 @@ func TestDocsNameWhatExists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, l := range strings.Split(string(b), "\n") {
+	experiments := strings.Split(string(b), "\n")
+	for i, l := range experiments {
 		if strings.HasPrefix(l, "## R") {
 			for _, m := range inlineSpan.FindAllStringSubmatch(l, -1) {
 				spans = append(spans, located{m[1], "EXPERIMENTS.md", i + 1})
@@ -438,6 +441,26 @@ func TestDocsNameWhatExists(t *testing.T) {
 		for _, w := range strings.Fields(strings.TrimPrefix(l, "//")) {
 			spans = append(spans, located{w, "doc.go", i + 1})
 		}
+	}
+
+	listed := map[string]bool{}
+	for _, id := range longSections {
+		listed[id] = true
+	}
+	for _, s := range rSections(experiments) {
+		switch over := s.lines > sectionBound; {
+		case over && !listed[s.id]:
+			t.Errorf("EXPERIMENTS.md:%d: %s runs %d lines, the bound is %d", s.line, s.id, s.lines, sectionBound)
+		case !over && listed[s.id]:
+			t.Errorf("EXPERIMENTS.md:%d: %s runs %d lines, within the bound: delete it from longSections", s.line, s.id, s.lines)
+		}
+		delete(listed, s.id)
+	}
+	for id := range listed {
+		t.Errorf("longSections names %s, which EXPERIMENTS.md has no section for", id)
+	}
+	if len(longSections) > 8 {
+		t.Errorf("longSections has %d entries, the limit is 8: the list only shrinks", len(longSections))
 	}
 
 	var bad []string
@@ -501,6 +524,49 @@ func TestDocsNameWhatExists(t *testing.T) {
 	sort.Strings(bad)
 	if len(bad) > 0 {
 		t.Errorf("%d names in the documents that nothing in the tree answers to:\n%s", len(bad), strings.Join(bad, "\n"))
+	}
+}
+
+// sectionBound is how many lines an R-section of EXPERIMENTS.md may run:
+// one page per claim. longSections are the sections written before the
+// bound that are still over it; the list only shrinks.
+const sectionBound = 60
+
+var longSections = []string{"R3", "R7", "R10", "R17", "R18", "R19", "R20", "R22"}
+
+// rSection is one "## R…" section: its id, the line of its heading, and
+// how many lines it runs from the heading to its last non-blank line.
+type rSection struct {
+	id          string
+	line, lines int
+}
+
+// rSections measures every R-section of a document; a section ends at
+// the next "## " heading.
+func rSections(doc []string) []rSection {
+	var out []rSection
+	cur := -1
+	for i, l := range doc {
+		switch {
+		case strings.HasPrefix(l, "## R"):
+			out = append(out, rSection{id: strings.Fields(l)[1], line: i + 1, lines: 1})
+			cur = len(out) - 1
+		case strings.HasPrefix(l, "## "):
+			cur = -1
+		case cur >= 0 && strings.TrimSpace(l) != "":
+			out[cur].lines = i + 2 - out[cur].line
+		}
+	}
+	return out
+}
+
+// TestRSections pins how docs-check measures a section: heading to last
+// non-blank line, ended by any level-2 heading.
+func TestRSections(t *testing.T) {
+	doc := strings.Split("## T1 x\na\n## R1 — y\n\nb\n\n### sub\nc\n\n\n## Ablations\nd\n## R2 — z\ne", "\n")
+	want := []rSection{{"R1", 3, 6}, {"R2", 13, 2}}
+	if got := rSections(doc); !slices.Equal(got, want) {
+		t.Errorf("rSections = %v, want %v", got, want)
 	}
 }
 

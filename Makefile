@@ -70,7 +70,7 @@ test:
 race-fast: ## race pass skipping the slow full-scorecard experiments
 	$(GO) test -race -short ./...
 
-fuzz-smoke: ## 20 s of the packed-bitmap morphology fuzzer, 10 s of the sparse-blur fuzzer (both kernel arms too) and 10 s of the boundary-edge fuzzer, each against its oracle; 10 s of the litho kernel's assembly routines against their Go loops; 10 s of geom's region ops and area queries against the slab oracle; 10 s of the spatial index, frozen layout against grown against brute force; 10 s of the deck's facing-edge scans, MinArea and Components against their index-based oracles; 10 s of the tile wire decoders on arbitrary bytes (no panic, bounded allocation, re-encode is a fixed point with the same key)
+fuzz-smoke: ## 20 s of the packed-bitmap morphology fuzzer, 10 s of the sparse-blur fuzzer (both kernel arms too) and 10 s of the boundary-edge fuzzer, each against its oracle; 10 s of the litho kernel's assembly routines against their Go loops; 10 s of geom's region ops and area queries against the slab oracle; 10 s of the spatial index, frozen layout against grown against brute force; 10 s of the deck's facing-edge scans, MinArea and Components against their index-based oracles; 10 s of the tile wire decoders on arbitrary bytes (no panic, bounded allocation, re-encode is a fixed point with the same key); 10 s of a unit's packed-key sort against the comparator sort
 	$(GO) test -run='^$$' -fuzz=FuzzBitmapMorphology -fuzztime=20s ./internal/litho
 	$(GO) test -run='^$$' -fuzz=FuzzSparseBlur -fuzztime=10s ./internal/litho
 	$(GO) test -run='^$$' -fuzz=FuzzKernelLoops -fuzztime=10s ./internal/litho
@@ -79,6 +79,7 @@ fuzz-smoke: ## 20 s of the packed-bitmap morphology fuzzer, 10 s of the sparse-b
 	$(GO) test -run='^$$' -fuzz=FuzzIndexQuery -fuzztime=10s ./internal/geom
 	$(GO) test -run='^$$' -fuzz=FuzzDeckScans -fuzztime=10s ./internal/drc
 	$(GO) test -run='^$$' -fuzz=FuzzTileWire -fuzztime=10s ./internal/tiling
+	$(GO) test -run='^$$' -fuzz=FuzzCanonicalize -fuzztime=10s ./internal/tiling
 
 # Where the coverage gates keep their profiles (bin/ is gitignored).
 COVER_DIR ?= bin/cover
@@ -198,10 +199,11 @@ lithoprofile: ## which arm of the kernel's float loops runs (litho.kernel.simd: 
 bench: ## every root-module benchmark (BenchmarkExperiment/<id> times the paper's experiments), time and allocations only; writes no file and regenerates no table (records come from `bash benchmark/run.sh`, the tables from `go test -run TestExperimentTables -update .`)
 	$(GO) test -run='^$$' -bench=. -benchmem .
 
-bench-smoke: ## one iteration of the five kernel micro-rows, of one experiment of the table, of the tile wire codec and of the tile key, of the index build (dense and sparse extent), of the sweep under each coverage rule and of the deck and the endcap rule on a tile, so the gate executes the benchmarks and does not merely compile them
+bench-smoke: ## one iteration of the five kernel micro-rows, of one experiment of the table, of the tile wire codec, of the tile key and of the sort before it, of the index build (dense and sparse extent), of the sweep under each coverage rule and of the deck and the endcap rule on a tile, so the gate executes the benchmarks and does not merely compile them
 	$(GO) test -run='^$$' -bench='^Benchmark(GeomBoolean|DRCBlock|BitmapOpen|ScanWindow|ScanWindowDense)$$' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='^BenchmarkExperiment$$/^F5$$' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='^BenchmarkTile(Wire|Key)$$' -benchtime=1x -benchmem ./internal/tiling
+	$(GO) test -run='^$$' -bench='^BenchmarkCanonicalize$$' -benchtime=1x -benchmem ./internal/tiling
 	$(GO) test -run='^$$' -bench='^Benchmark(IndexBuildQuery|Sweep)$$' -benchtime=1x -benchmem ./internal/geom
 	$(GO) test -run='^$$' -bench='^Benchmark(DeckTile|Endcap)$$' -benchtime=1x -benchmem ./internal/drc
 

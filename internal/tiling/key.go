@@ -6,7 +6,9 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"hash"
+	"math/bits"
 	"slices"
+	"sync"
 
 	"repro/internal/geom"
 	"repro/internal/layout"
@@ -130,9 +132,182 @@ func (r *TileRequest) key(cfg [sha256.Size]byte) [sha256.Size]byte {
 // equal sets is sound and maximizes sharing. The engine calls it once,
 // where a unit first needs an identity (engine.runUnit); nothing
 // downstream sorts again.
+//
+// The sort compares integers, not records (sortPacked): the order is
+// shapeCmp's exactly, so no key moves, but shapeCmp itself only breaks
+// ties between records whose (layer, X0, Y0) corner is equal.
 func (r *TileRequest) canonicalize() {
-	slices.SortFunc(r.Shapes, shapeCmp)
-	slices.SortFunc(r.Rects, rectCmp)
+	sc := sortScratchPool.Get().(*sortScratch)
+	sortPacked(r.Shapes, sc, shapeKeys, shapeCmp)
+	sortPacked(r.Rects, sc, rectKeys, rectCmp)
+	sortScratchPool.Put(sc)
+}
+
+// sortPacked sorts xs into cmp's order in time linear in len(xs) but
+// for ties. pack turns every record into one uint64 — from the top its
+// layer, X0 − min X0, Y0 − min Y0, then its index in xs — which orders
+// as cmp orders the corner. An LSD radix sort over the bits above the
+// index puts the keys in order, the records follow their keys, and each
+// run of records whose packed corner ties is sorted by cmp, which is
+// what decides X1 and Y1. A column whose fields need more than 64 bits
+// is one such run: cmp sorts the whole of it.
+func sortPacked[T any](xs []T, sc *sortScratch, pack func([]T, []uint64) (packing, bool), cmp func(a, b T) int) {
+	n := len(xs)
+	if n < 2 {
+		return
+	}
+	keys := sc.grow(n)
+	p, ok := pack(xs, keys)
+	if !ok {
+		slices.SortFunc(xs, cmp)
+		return
+	}
+	keys = sc.radix(keys, p.idxBits, p.top)
+	permute(xs, keys, p.idxBits)
+	for i := 0; i < n; {
+		j := i + 1
+		for j < n && keys[j]>>p.idxBits == keys[i]>>p.idxBits {
+			j++
+		}
+		if j-i > 1 {
+			slices.SortFunc(xs[i:j], cmp)
+		}
+		i = j
+	}
+}
+
+// packing places a column's fields in a uint64 key: the record's index
+// in the low idxBits, Y0 − minY above it, X0 − minX from xShift and the
+// layer from lShift, each field as wide as the column's span of it.
+type packing struct {
+	minX, minY                   int64
+	idxBits, xShift, lShift, top uint
+}
+
+// newPacking lays out the keys of n records whose largest layer is maxL
+// and whose corners span [minX, maxX] × [minY, maxY]; false when they do
+// not fit in 64 bits. The spans are taken in uint64, where they cannot
+// wrap.
+func newPacking(n int, maxL uint64, minX, maxX, minY, maxY int64) (packing, bool) {
+	p := packing{minX: minX, minY: minY, idxBits: uint(bits.Len(uint(n - 1)))}
+	p.xShift = p.idxBits + uint(bits.Len64(uint64(maxY)-uint64(minY)))
+	p.lShift = p.xShift + uint(bits.Len64(uint64(maxX)-uint64(minX)))
+	p.top = p.lShift + uint(bits.Len64(maxL))
+	return p, p.top <= 64
+}
+
+func (p *packing) key(layer uint64, x0, y0 int64, i int) uint64 {
+	return layer<<p.lShift | (uint64(x0)-uint64(p.minX))<<p.xShift | (uint64(y0)-uint64(p.minY))<<p.idxBits | uint64(i)
+}
+
+func shapeKeys(ss []layout.Shape, keys []uint64) (packing, bool) {
+	minX, maxX, minY, maxY, maxL := ss[0].R.X0, ss[0].R.X0, ss[0].R.Y0, ss[0].R.Y0, ss[0].Layer
+	for _, s := range ss[1:] {
+		minX, maxX = min(minX, s.R.X0), max(maxX, s.R.X0)
+		minY, maxY = min(minY, s.R.Y0), max(maxY, s.R.Y0)
+		maxL = max(maxL, s.Layer)
+	}
+	p, ok := newPacking(len(ss), uint64(maxL), minX, maxX, minY, maxY)
+	if ok {
+		for i := range ss {
+			keys[i] = p.key(uint64(ss[i].Layer), ss[i].R.X0, ss[i].R.Y0, i)
+		}
+	}
+	return p, ok
+}
+
+// rectKeys packs a Rects column as one layer's.
+func rectKeys(rs []geom.Rect, keys []uint64) (packing, bool) {
+	minX, maxX, minY, maxY := rs[0].X0, rs[0].X0, rs[0].Y0, rs[0].Y0
+	for _, r := range rs[1:] {
+		minX, maxX = min(minX, r.X0), max(maxX, r.X0)
+		minY, maxY = min(minY, r.Y0), max(maxY, r.Y0)
+	}
+	p, ok := newPacking(len(rs), 0, minX, maxX, minY, maxY)
+	if ok {
+		for i := range rs {
+			keys[i] = p.key(0, rs[i].X0, rs[i].Y0, i)
+		}
+	}
+	return p, ok
+}
+
+// digitBits is the radix sort's digit: 2048 buckets, so a tile's corner
+// (about 33 bits) takes three passes.
+const digitBits = 11
+
+// sortScratch is canonicalize's working memory, pooled so that a warm
+// engine allocates nothing to sort a unit.
+type sortScratch struct {
+	a, b  []uint64
+	count [1 << digitBits]int
+}
+
+var sortScratchPool = sync.Pool{New: func() any { return new(sortScratch) }}
+
+func (sc *sortScratch) grow(n int) []uint64 {
+	if cap(sc.a) < n {
+		sc.a, sc.b = make([]uint64, n), make([]uint64, n)
+	}
+	return sc.a[:n]
+}
+
+// radix sorts keys by their bits lo..top-1, stably, and returns the
+// buffer that holds the result (keys or sc.b). A pass whose digit is the
+// same in every key moves nothing and is skipped. Below a few hundred
+// keys the buckets cost more than the keys: those are sorted whole,
+// index bits included, which is the same order.
+func (sc *sortScratch) radix(keys []uint64, lo, top uint) []uint64 {
+	if len(keys) < 256 {
+		slices.Sort(keys)
+		return keys
+	}
+	const mask = 1<<digitBits - 1
+	tmp, c := sc.b[:len(keys)], &sc.count
+	for shift := lo; shift < top; shift += digitBits {
+		clear(c[:])
+		for _, k := range keys {
+			c[k>>shift&mask]++
+		}
+		if c[keys[0]>>shift&mask] == len(keys) {
+			continue
+		}
+		sum := 0
+		for d, v := range c {
+			c[d], sum = sum, sum+v
+		}
+		for _, k := range keys {
+			d := k >> shift & mask
+			tmp[c[d]] = k
+			c[d]++
+		}
+		keys, tmp = tmp, keys
+	}
+	return keys
+}
+
+// permute moves xs, in place, into the order of keys, whose low idxBits
+// name the slot each record comes from. It follows every cycle of the
+// permutation once, rewriting each visited key's index to its own slot:
+// a key that names itself is a record already in place.
+func permute[T any](xs []T, keys []uint64, idxBits uint) {
+	mask := uint64(1)<<idxBits - 1
+	for i := range xs {
+		if keys[i]&mask == uint64(i) {
+			continue
+		}
+		tmp, j := xs[i], i
+		for {
+			k := int(keys[j] & mask)
+			keys[j] = keys[j]&^mask | uint64(j)
+			if k == i {
+				xs[j] = tmp
+				break
+			}
+			xs[j] = xs[k]
+			j = k
+		}
+	}
 }
 
 // tileKey is the content address of one DRC/density tile: core

@@ -1,6 +1,7 @@
 package tiling
 
 import (
+	"cmp"
 	"context"
 	"encoding/hex"
 	"encoding/json"
@@ -10,6 +11,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -101,16 +103,9 @@ func TestGoldenKeys(t *testing.T) {
 // extracted: in hierarchy-walk order, not yet canonical.
 func fullestUnits(tb testing.TB, rects int64) (tile, window *TileRequest) {
 	tb.Helper()
-	tt := tech.N45()
-	l, _, err := layout.GenerateChip(tt, layout.ChipOpts{Seed: 11, TargetRects: rects, Defects: 8})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	ex := NewExtractor(l.Top)
-	p := newPlan(tt, ex, Opts{Tile: 24000, Halo: 2000, DRC: true, Density: true, DensityWindow: 3000,
-		Hotspots: []tech.Layer{tech.Metal1}})
-	for i := 0; i < p.nx*p.ny; i++ {
-		if u, _ := p.tileUnit(i, ex); tile == nil || len(u.Shapes) > len(tile.Shapes) {
+	p, ex := fixturePlan(tb, rects)
+	for _, u := range tileUnits(p, ex) {
+		if tile == nil || len(u.Shapes) > len(tile.Shapes) {
 			tile = u
 		}
 	}
@@ -124,6 +119,29 @@ func fullestUnits(tb testing.TB, rects int64) (tile, window *TileRequest) {
 		tb.Fatalf("fullest tile has %d shapes and its window %d rects; the fixture is vacuous", len(tile.Shapes), len(window.Rects))
 	}
 	return tile, window
+}
+
+// fixturePlan cuts the seed-11 generated chip of about rects rectangles
+// as signoff does (tile 24000, halo 2000) with a metal1 scan.
+func fixturePlan(tb testing.TB, rects int64) (*plan, *Extractor) {
+	tb.Helper()
+	tt := tech.N45()
+	l, _, err := layout.GenerateChip(tt, layout.ChipOpts{Seed: 11, TargetRects: rects, Defects: 8})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ex := NewExtractor(l.Top)
+	return newPlan(tt, ex, Opts{Tile: 24000, Halo: 2000, DRC: true, Density: true, DensityWindow: 3000,
+		Hotspots: []tech.Layer{tech.Metal1}}), ex
+}
+
+// tileUnits is every stage-A unit of the plan, as extracted.
+func tileUnits(p *plan, ex *Extractor) []*TileRequest {
+	us := make([]*TileRequest, p.nx*p.ny)
+	for i := range us {
+		us[i], _ = p.tileUnit(i, ex)
+	}
+	return us
 }
 
 // Extraction order follows the hierarchy walk, and two tiles holding
@@ -221,7 +239,8 @@ func TestKeyAllocatesNothingPerShape(t *testing.T) {
 // BenchmarkTileKey is what identity costs once a unit is in canonical
 // order: Validate's linear pass plus one hash of the fullest 24000-nm
 // signoff tile of the benchmark's 50k-rect fleet chip, the unit
-// BenchmarkTileWire ships.
+// BenchmarkTileWire ships. The sort that puts a unit in that order runs
+// before the timer starts; BenchmarkCanonicalize times it.
 func BenchmarkTileKey(b *testing.B) {
 	tile, _ := fullestUnits(b, 50_000)
 	tile.canonicalize()
@@ -234,6 +253,192 @@ func BenchmarkTileKey(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkCanonicalize sorts every tile of the 100k-rect signoff chip
+// from extraction order, once by canonicalize's packed-key sort and
+// once by the comparator sort it replaced. Both arms restore the
+// extraction order before each sort, so both time that copy too.
+func BenchmarkCanonicalize(b *testing.B) {
+	p, ex := fixturePlan(b, 100_000)
+	units := tileUnits(p, ex)
+	var shapes int
+	for _, u := range units {
+		shapes += len(u.Shapes)
+	}
+	b.Logf("%d tiles, %d shapes", len(units), shapes)
+	for _, arm := range []struct {
+		name string
+		sort func(*TileRequest)
+	}{
+		{"packed", (*TileRequest).canonicalize},
+		{"comparator", func(u *TileRequest) { slices.SortFunc(u.Shapes, shapeCmp) }},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			work := make([]TileRequest, len(units))
+			for i, u := range units {
+				work[i] = *u
+				work[i].Shapes = slices.Clone(u.Shapes)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range work {
+					copy(work[j].Shapes, units[j].Shapes)
+					arm.sort(&work[j])
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*shapes), "ns/shape")
+		})
+	}
+}
+
+// Sorting, like keying, must not allocate per shape: canonicalize's
+// scratch is pooled, so once the pool is warm a 2000-shape unit costs
+// what a 100-shape one does. A key column allocated per call would show
+// as 16 kB more on the large unit.
+func TestCanonicalizeAllocatesNothingPerShape(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops some of what is put back")
+	}
+	unit := func(n int) (u *TileRequest, extracted []layout.Shape) {
+		u = goldenTile()
+		for i := n; len(u.Shapes) < n; i-- { // descending, so every pass moves records
+			u.Shapes = append(u.Shapes, layout.Shape{Layer: tech.Layer(i % int(tech.NumLayers)), R: geom.R(int64(i)*37, int64(i%50)*90, int64(i)*37+40, 9000)})
+		}
+		return u, slices.Clone(u.Shapes)
+	}
+	const runs = 20
+	measure := func(u *TileRequest, extracted []layout.Shape) (allocs float64, bytes uint64) {
+		sort := func() {
+			copy(u.Shapes, extracted)
+			u.canonicalize()
+		}
+		allocs = testing.AllocsPerRun(runs, sort)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < runs; i++ {
+			sort()
+		}
+		runtime.ReadMemStats(&m1)
+		return allocs, (m1.TotalAlloc - m0.TotalAlloc) / runs
+	}
+	small, smallX := unit(100)
+	big, bigX := unit(2000)
+	sa, sb := measure(small, smallX)
+	ba, bb := measure(big, bigX)
+	if sa != ba {
+		t.Errorf("canonicalize allocates %v times on a %d-shape unit and %v on a %d-shape one, want the same", sa, len(small.Shapes), ba, len(big.Shapes))
+	}
+	if bb > sb+4<<10 {
+		t.Errorf("canonicalize allocates %d bytes on a %d-shape unit and %d on a %d-shape one, want no more", sb, len(small.Shapes), bb, len(big.Shapes))
+	}
+	if err := big.Validate(); err != nil {
+		t.Fatalf("the sorted unit: %v", err)
+	}
+}
+
+// FuzzCanonicalize holds the packed-key sort to the comparator sort it
+// replaced (slices.SortFunc with shapeCmp and rectCmp): the same
+// records in the same order, up to the net of records that compare
+// equal, hence the same key, and an order Validate accepts. A seeded
+// column of n records is drawn with coordinates within ±2^span around a
+// base: a small span gives equal corners, a wide one or a base near
+// ±2^62 overflows the 64-bit key and makes the whole column one tie
+// run. mode adds records that repeat an earlier corner with another X1
+// and Y1 (bit 0), that repeat an earlier record with another net (bit
+// 1), and puts every record on one layer (bit 2).
+func FuzzCanonicalize(f *testing.F) {
+	for _, n := range []uint16{0, 1, 2, 63, 64, 65, 255, 256, 257, 2100} {
+		f.Add(int64(n), n, uint8(12), uint8(3), int64(0))
+		f.Add(int64(n), n, uint8(3), uint8(7), int64(-5000))
+		f.Add(int64(n), n, uint8(61), uint8(0), int64(0))
+		f.Add(int64(n), n, uint8(8), uint8(3), int64(1)<<62-300)
+		f.Add(int64(n), n, uint8(8), uint8(1), -int64(1)<<62)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, span, mode uint8, base int64) {
+		rng := rand.New(rand.NewSource(seed))
+		n %= 2200
+		span %= 62
+		coord := func() int64 { return base + rng.Int63n(int64(2)<<span) - int64(1)<<span }
+		shapes := make([]layout.Shape, 0, n)
+		for len(shapes) < int(n) {
+			var s layout.Shape
+			switch k := len(shapes); {
+			case k > 0 && mode&1 != 0 && rng.Intn(4) == 0:
+				s = shapes[rng.Intn(k)]
+				s.R.X1, s.R.Y1 = s.R.X0+rng.Int63n(4), s.R.Y0+rng.Int63n(4)
+			case k > 0 && mode&2 != 0 && rng.Intn(4) == 0:
+				s = shapes[rng.Intn(k)]
+				s.Net = layout.NetID(rng.Intn(5))
+			default:
+				s.Layer = tech.Layer(rng.Intn(int(tech.NumLayers)))
+				x0, y0 := coord(), coord()
+				s.R = geom.Rect{X0: x0, Y0: y0, X1: x0 + rng.Int63n(200), Y1: y0 + rng.Int63n(200)}
+				s.Net = layout.NetID(rng.Intn(3))
+			}
+			if mode&4 != 0 {
+				s.Layer = tech.Metal1
+			}
+			shapes = append(shapes, s)
+		}
+		rects := make([]geom.Rect, len(shapes))
+		for i, s := range shapes {
+			rects[i] = s.R
+		}
+
+		tile, window := goldenTile(), goldenWindow()
+		tile.Shapes, window.Rects = slices.Clone(shapes), rects
+		wantShapes, wantRects := slices.Clone(shapes), slices.Clone(rects)
+		slices.SortFunc(wantShapes, shapeCmp)
+		slices.SortFunc(wantRects, rectCmp)
+		tile.canonicalize()
+		window.canonicalize()
+
+		for i := range wantShapes {
+			if g, w := tile.Shapes[i], wantShapes[i]; g.Layer != w.Layer || g.R != w.R {
+				t.Fatalf("shape %d of %d is %+v, the comparator sort has %+v", i, n, g, w)
+			}
+		}
+		if !slices.Equal(window.Rects, wantRects) {
+			t.Fatalf("rects of %d differ from the comparator sort's", n)
+		}
+		byNet := func(a, b layout.Shape) int { return cmp.Or(shapeCmp(a, b), cmp.Compare(a.Net, b.Net)) }
+		got := slices.Clone(tile.Shapes)
+		slices.SortFunc(got, byNet)
+		slices.SortFunc(wantShapes, byNet)
+		if !slices.Equal(got, wantShapes) {
+			t.Fatalf("the %d sorted shapes are not the records given", n)
+		}
+		for _, u := range []*TileRequest{tile, window} {
+			ref := *u
+			ref.Shapes, ref.Rects = wantShapes, wantRects
+			if u.key(configKey(u)) != ref.key(configKey(&ref)) {
+				t.Fatalf("%s: the key differs from the comparator-sorted unit's", u.Stage)
+			}
+			if inRangeAll(u) {
+				if err := u.Validate(); err != nil {
+					t.Fatalf("%s: %v", u.Stage, err)
+				}
+			}
+		}
+	})
+}
+
+// inRangeAll reports whether every coordinate of u's geometry is within
+// the bound Validate holds a unit to.
+func inRangeAll(u *TileRequest) bool {
+	for _, s := range u.Shapes {
+		if !inRange(s.R) {
+			return false
+		}
+	}
+	for _, r := range u.Rects {
+		if !inRange(r) {
+			return false
+		}
+	}
+	return true
 }
 
 var update = flag.Bool("update", false, "re-mint testdata/keyschema.golden under the current keySchema")

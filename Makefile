@@ -70,7 +70,7 @@ test:
 race-fast: ## race pass skipping the slow full-scorecard experiments
 	$(GO) test -race -short ./...
 
-fuzz-smoke: ## 20 s of the packed-bitmap morphology fuzzer, 10 s of the sparse-blur fuzzer (both kernel arms too) and 10 s of the boundary-edge fuzzer, each against its oracle; 10 s of the litho kernel's assembly routines against their Go loops; 10 s of geom's region ops and area queries against the slab oracle; 10 s of the spatial index, frozen layout against grown against brute force; 10 s of the deck's facing-edge scans, MinArea and Components against their index-based oracles; 10 s of the tile wire decoders on arbitrary bytes (no panic, bounded allocation, re-encode is a fixed point with the same key); 10 s of a unit's packed-key sort against the comparator sort
+fuzz-smoke: ## 20 s of the packed-bitmap morphology fuzzer, 10 s of the sparse-blur fuzzer (both kernel arms too) and 10 s of the boundary-edge fuzzer, each against its oracle; 10 s of the litho kernel's assembly routines against their Go loops; 10 s of geom's region ops and area queries against the slab oracle; 10 s of the spatial index, frozen layout against grown against brute force; 10 s of the deck's facing-edge scans, MinArea and Components against their index-based oracles; 10 s of the tile wire decoders on arbitrary bytes (no panic, bounded allocation, re-encode is a fixed point with the same key); 10 s of a unit's packed-key sort against the comparator sort; 10 s of keysort's radix sort against slices.Sort and its permutation against a gather
 	$(GO) test -run='^$$' -fuzz=FuzzBitmapMorphology -fuzztime=20s ./internal/litho
 	$(GO) test -run='^$$' -fuzz=FuzzSparseBlur -fuzztime=10s ./internal/litho
 	$(GO) test -run='^$$' -fuzz=FuzzKernelLoops -fuzztime=10s ./internal/litho
@@ -80,6 +80,7 @@ fuzz-smoke: ## 20 s of the packed-bitmap morphology fuzzer, 10 s of the sparse-b
 	$(GO) test -run='^$$' -fuzz=FuzzDeckScans -fuzztime=10s ./internal/drc
 	$(GO) test -run='^$$' -fuzz=FuzzTileWire -fuzztime=10s ./internal/tiling
 	$(GO) test -run='^$$' -fuzz=FuzzCanonicalize -fuzztime=10s ./internal/tiling
+	$(GO) test -run='^$$' -fuzz=FuzzKeySort -fuzztime=10s ./internal/keysort
 
 # Where the coverage gates keep their profiles (bin/ is gitignored).
 COVER_DIR ?= bin/cover
@@ -129,14 +130,17 @@ cover-engine: ## unit path coverage gate: no function of internal/tiling's plan.
 
 # And on what every tile's deck stands on: the index, the boundary
 # extraction and the region algebra under ./internal/geom's own tests,
-# the prepared layer and the rules that ask it under ./internal/drc's.
-# The index has two layouts and a hand-over between them, the sweep five
-# coverage rules; 90 % of the statements of index.go and sweep.go keeps
-# an arm from going unexecuted the way the dense blur and
+# the prepared layer and the rules that ask it under ./internal/drc's,
+# and the key sort the sweep, the boundary and a unit's canonical order
+# share under ./internal/keysort's. The index has two layouts and a
+# hand-over between them, the sweep five coverage rules, the key sort
+# two arms; 90 % of the statements of index.go, sweep.go and keysort.go
+# keeps an arm from going unexecuted the way the dense blur and
 # DoubleCoverArea's overlapping-operand branch did.
-cover-deck: ## deck path coverage gate: no function of internal/geom's index.go/edge.go/sweep.go/rectset.go, nor of internal/drc's layer.go/checks.go/density.go/enclosure.go, at 0 % under the package's own tests; index.go and sweep.go >= 90 % of statements
+cover-deck: ## deck path coverage gate: no function of internal/geom's index.go/edge.go/sweep.go/rectset.go, of internal/drc's layer.go/checks.go/density.go/enclosure.go, nor of internal/keysort's keysort.go at 0 % under the package's own tests; index.go, sweep.go and keysort.go >= 90 % of statements
 	$(call cover-gate,cover-deck-geom,./internal/geom,index|edge|sweep|rectset,index|sweep)
 	$(call cover-gate,cover-deck-drc,./internal/drc,layer|checks|density|enclosure,)
+	$(call cover-gate,cover-deck-keysort,./internal/keysort,keysort,keysort)
 
 # And on the one task executor: the scorecard's batch and every dfmd
 # job run through pool.go's workers and harness.go's attempt loop, so
@@ -199,12 +203,13 @@ lithoprofile: ## which arm of the kernel's float loops runs (litho.kernel.simd: 
 bench: ## every root-module benchmark (BenchmarkExperiment/<id> times the paper's experiments), time and allocations only; writes no file and regenerates no table (records come from `bash benchmark/run.sh`, the tables from `go test -run TestExperimentTables -update .`)
 	$(GO) test -run='^$$' -bench=. -benchmem .
 
-bench-smoke: ## one iteration of the five kernel micro-rows, of one experiment of the table, of the tile wire codec, of the tile key and of the sort before it, of the index build (dense and sparse extent), of the sweep under each coverage rule and of the deck and the endcap rule on a tile, so the gate executes the benchmarks and does not merely compile them
+bench-smoke: ## one iteration of the five kernel micro-rows, of one experiment of the table, of the tile wire codec, of the tile key and of the sort before it, of the key sort's two arms, of the index build (dense and sparse extent), of the sweep under each coverage rule, of the boundary extraction and of the deck and the endcap rule on a tile, so the gate executes the benchmarks and does not merely compile them
 	$(GO) test -run='^$$' -bench='^Benchmark(GeomBoolean|DRCBlock|BitmapOpen|ScanWindow|ScanWindowDense)$$' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='^BenchmarkExperiment$$/^F5$$' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='^BenchmarkTile(Wire|Key)$$' -benchtime=1x -benchmem ./internal/tiling
 	$(GO) test -run='^$$' -bench='^BenchmarkCanonicalize$$' -benchtime=1x -benchmem ./internal/tiling
-	$(GO) test -run='^$$' -bench='^Benchmark(IndexBuildQuery|Sweep)$$' -benchtime=1x -benchmem ./internal/geom
+	$(GO) test -run='^$$' -bench='^BenchmarkKeySort$$' -benchtime=1x -benchmem ./internal/keysort
+	$(GO) test -run='^$$' -bench='^Benchmark(IndexBuildQuery|Sweep|BoundaryOfNormal)$$' -benchtime=1x -benchmem ./internal/geom
 	$(GO) test -run='^$$' -bench='^Benchmark(DeckTile|Endcap)$$' -benchtime=1x -benchmem ./internal/drc
 
 # The same run is part of `go test ./...`; the target names it. A flag

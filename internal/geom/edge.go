@@ -2,7 +2,11 @@ package geom
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
+	"sync"
+
+	"repro/internal/keysort"
 )
 
 // Edge is a boundary segment of a region, with the region's interior on
@@ -101,13 +105,14 @@ func BoundaryEdges(rs []Rect) []Edge {
 // cancels out of the coverage on its two sides: the boundary on the
 // line y is the bottoms of the rects starting there minus the tops of
 // those ending there, and the reverse. One pass over the rect sides
-// sorted by coordinate finds every edge.
+// sorted by coordinate finds every edge. The sides live in pooled
+// scratch, so the edges returned are all a call allocates.
 func BoundaryOfNormal(norm []Rect) []Edge {
 	if len(norm) == 0 {
 		return nil
 	}
-	lo := make([]rectSide, len(norm))
-	hi := make([]rectSide, len(norm))
+	sc := sidePool.Get().(*sideScratch)
+	lo, hi := sc.sides(len(norm))
 	for i, r := range norm {
 		lo[i] = rectSide{r.Y0, r.X0, r.X1}
 		hi[i] = rectSide{r.Y1, r.X0, r.X1}
@@ -115,14 +120,11 @@ func BoundaryOfNormal(norm []Rect) []Edge {
 	// Normal form lists its rects band by band upwards and left to right
 	// within a band: bottoms and tops are both in (y, x) order as found.
 	edges := make([]Edge, 0, 4*len(norm))
-	edges = sideEdges(edges, lo, hi, true)
-	for i, r := range norm {
-		lo[i] = rectSide{r.X0, r.Y0, r.Y1}
-		hi[i] = rectSide{r.X1, r.Y0, r.Y1}
-	}
-	slices.SortFunc(lo, rectSide.compare)
-	slices.SortFunc(hi, rectSide.compare)
-	return sideEdges(edges, lo, hi, false)
+	edges = sc.edges(edges, lo, hi, true)
+	verticalSides(norm, lo, hi)
+	edges = sc.edges(edges, lo, hi, false)
+	sidePool.Put(sc)
+	return edges
 }
 
 // rectSide is one side of a rect: the coordinate of the line it lies
@@ -137,16 +139,76 @@ func (a rectSide) compare(b rectSide) int {
 	return cmp.Compare(a.lo, b.lo)
 }
 
-// sideEdges appends the boundary edges on every line that carries a
-// rect side: lo holds the sides where rects begin (bottoms, or left
-// sides when !horizontal), hi the sides where they end, each in compare
+// sideScratch is BoundaryOfNormal's working memory: one side per rect
+// where rects begin and one where they end, and the merged intervals of
+// one line of each.
+type sideScratch struct {
+	lo, hi       []rectSide
+	starts, ends []interval
+}
+
+var sidePool = sync.Pool{New: func() any { return new(sideScratch) }}
+
+func (sc *sideScratch) sides(n int) (lo, hi []rectSide) {
+	if cap(sc.lo) < n {
+		sc.lo, sc.hi = make([]rectSide, n), make([]rectSide, n)
+	}
+	return sc.lo[:n], sc.hi[:n]
+}
+
+// verticalSides fills lo with the left sides of norm and hi with the
+// right ones, each in compare order. It sorts integers, not sides: a
+// side's key is its x − the least X0 above its rect's index, and the
+// sides are gathered in key order. Normal form lists its rects by Y0,
+// band by band upwards, so on one line the index orders the sides as
+// their Y0 does; two sides never tie on (x, Y0), as their rects would
+// overlap. So the keys order the sides as compare does. A layer too
+// wide to pack in 64 bits keeps the comparator sort.
+func verticalSides(norm []Rect, lo, hi []rectSide) {
+	minX, maxX := norm[0].X0, norm[0].X1
+	for _, r := range norm[1:] {
+		minX, maxX = min(minX, r.X0), max(maxX, r.X1)
+	}
+	idxBits := uint(bits.Len(uint(len(norm) - 1)))
+	top := idxBits + uint(bits.Len64(uint64(maxX)-uint64(minX)))
+	if top > 64 {
+		for i, r := range norm {
+			lo[i] = rectSide{r.X0, r.Y0, r.Y1}
+			hi[i] = rectSide{r.X1, r.Y0, r.Y1}
+		}
+		slices.SortFunc(lo, rectSide.compare)
+		slices.SortFunc(hi, rectSide.compare)
+		return
+	}
+	mask := uint64(1)<<idxBits - 1
+	sc := keysort.Get()
+	for right, dst := range [2][]rectSide{lo, hi} {
+		keys := sc.Keys(len(norm))
+		for i, r := range norm {
+			x := r.X0
+			if right == 1 {
+				x = r.X1
+			}
+			keys[i] = (uint64(x)-uint64(minX))<<idxBits | uint64(i)
+		}
+		for j, k := range sc.Sort(keys, idxBits, top) {
+			r := norm[k&mask]
+			dst[j] = rectSide{int64(k>>idxBits + uint64(minX)), r.Y0, r.Y1}
+		}
+	}
+	keysort.Put(sc)
+}
+
+// edges appends the boundary edges on every line that carries a rect
+// side: lo holds the sides where rects begin (bottoms, or left sides
+// when !horizontal), hi the sides where they end, each in compare
 // order.
-func sideEdges(edges []Edge, lo, hi []rectSide, horizontal bool) []Edge {
+func (sc *sideScratch) edges(edges []Edge, lo, hi []rectSide, horizontal bool) []Edge {
 	begin, end := Above, Below
 	if !horizontal {
 		begin, end = Right, Left
 	}
-	var starts, ends []interval
+	starts, ends := sc.starts, sc.ends
 	i, j := 0, 0
 	for i < len(lo) || j < len(hi) {
 		var at int64
@@ -165,6 +227,7 @@ func sideEdges(edges []Edge, lo, hi []rectSide, horizontal bool) []Edge {
 		edges = appendDifference(edges, starts, ends, at, horizontal, begin)
 		edges = appendDifference(edges, ends, starts, at, horizontal, end)
 	}
+	sc.starts, sc.ends = starts, ends
 	return edges
 }
 

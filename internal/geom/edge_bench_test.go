@@ -26,12 +26,43 @@ func benchLayer(n int) []Rect {
 
 var benchSink int
 
+// gridLayer is a normalized layer of side×side disjoint 200 nm squares
+// at a 400 nm pitch: one band per row, so side² rects in normal form.
+func gridLayer(side int64) []Rect {
+	rs := make([]Rect, 0, side*side)
+	for gy := int64(0); gy < side; gy++ {
+		for gx := int64(0); gx < side; gx++ {
+			rs = append(rs, R(gx*400, gy*400, gx*400+200, gy*400+200))
+		}
+	}
+	return rs
+}
+
 func BenchmarkBoundaryEdges(b *testing.B) {
 	rs := benchLayer(400)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchSink = len(BoundaryEdges(rs))
+	}
+}
+
+// BenchmarkBoundaryOfNormal extracts the boundary of a normalized layer
+// as the deck does: one signoff tile's metal1, whose vertical sides are
+// sorted by slices.Sort of their keys, and a grid of 1024 rects, past
+// keysort's radix cutoff. Run with -benchmem: the edges returned
+// are the one allocation.
+func BenchmarkBoundaryOfNormal(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		rs   []Rect
+	}{{"tile", Normalize(tileLayer(b))}, {"grid-1024", gridLayer(32)}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchSink = len(BoundaryOfNormal(c.rs))
+			}
+		})
 	}
 }
 

@@ -214,15 +214,37 @@ func TestBoundaryEdgesMatchOracle(t *testing.T) {
 
 // FuzzBoundaryEdges feeds random overlapping rect sets, decoded from
 // the fuzzer's bytes on a small grid so that shared sides, corner
-// contacts and holes are common, to the same comparison.
+// contacts and holes are common, to the same comparison. The first byte
+// sets far, 6 plus it modulo 54; then each four bytes are one rect (x,
+// y, width, height), up to 1024 rects, and the top three bits of a
+// coordinate byte move the rect to a far cell, that many times 2^far.
+// Cells spread over 2^61 leave too few bits to pack a side's x beside
+// the index of 5 rects or more, so BoundaryOfNormal falls back to its
+// comparator sort; 640 rects or more in normal form put it past
+// keysort's radix cutoff.
 func FuzzBoundaryEdges(f *testing.F) {
-	f.Add([]byte{0, 0, 10, 5})
-	f.Add([]byte{0, 0, 30, 10, 0, 10, 10, 20, 20, 10, 10, 10})
-	f.Add([]byte{0, 0, 10, 10, 10, 10, 10, 10, 5, 5, 10, 10})
+	f.Add([]byte{0, 0, 0, 10, 5})
+	f.Add([]byte{0, 0, 0, 30, 10, 0, 10, 10, 20, 20, 10, 10, 10})
+	f.Add([]byte{0, 0, 0, 10, 10, 10, 10, 10, 10, 5, 5, 10, 10})
+	spread := []byte{53} // far cells 2^59 apart
+	for i := byte(0); i < 12; i++ {
+		spread = append(spread, 3*i%32|i%8<<5, 5*i%32|(7-i%8)<<5, 1+i%11, 1+i%7)
+	}
+	grid := []byte{0} // 700 disjoint unit squares: 700 rects in normal form
+	for k := 0; k < 700; k++ {
+		grid = append(grid, byte(2*(k%16)|k/256<<5), byte(2*(k/16%16)), 1, 1)
+	}
+	f.Add(spread)
+	f.Add(grid)
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		far := 6 + uint(data[0])%54
+		coord := func(b byte) int64 { return int64(b%32) - 8 + int64(b>>5)<<far }
 		var rs []Rect
-		for ; len(data) >= 4 && len(rs) < 64; data = data[4:] {
-			x, y := int64(data[0]%32)-8, int64(data[1]%32)-8
+		for data = data[1:]; len(data) >= 4 && len(rs) < 1024; data = data[4:] {
+			x, y := coord(data[0]), coord(data[1])
 			rs = append(rs, R(x, y, x+int64(data[2]%12), y+int64(data[3]%12)))
 		}
 		checkBoundaryEdges(t, rs)

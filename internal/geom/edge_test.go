@@ -162,3 +162,22 @@ func TestQuickPerimeterMatchesRectForSingles(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// BoundaryOfNormal's sides, their keys and the merged intervals of a
+// line are pooled scratch, so once the pools are warm a call allocates
+// the edges it returns and nothing else, below keysort's radix cutoff
+// and above it.
+func TestBoundaryOfNormalAllocatesOnlyItsEdges(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops some of what is put back")
+	}
+	for _, norm := range [][]Rect{Normalize(tileLayer(t)), gridLayer(32)} {
+		if !IsNormal(norm) {
+			t.Fatalf("the %d-rect layer is not in normal form", len(norm))
+		}
+		BoundaryOfNormal(norm)
+		if a := testing.AllocsPerRun(20, func() { BoundaryOfNormal(norm) }); a > 1 {
+			t.Errorf("BoundaryOfNormal of %d rects allocates %v times, want 1", len(norm), a)
+		}
+	}
+}

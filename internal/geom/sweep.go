@@ -3,8 +3,11 @@ package geom
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
+
+	"repro/internal/keysort"
 )
 
 // This file implements the region algebra as one sweep line, the
@@ -64,7 +67,7 @@ type sweeper struct {
 	merged [2][]interval // merged coverage of each active list
 	rowA   []interval    // combined intervals of the open output band
 	rowB   []interval    // combined intervals of the current segment
-	width  int           // widest active set seen (instrumentation)
+	width  int           // widest active set between rows (instrumentation)
 }
 
 var sweeperPool = sync.Pool{New: func() any { return nil }}
@@ -92,6 +95,7 @@ func (s *sweeper) release() {
 // Returns false when there is nothing to sweep.
 func (s *sweeper) load(op opKind, sets ...[]Rect) bool {
 	ev := s.events[:0]
+	minY, maxY := int64(math.MaxInt64), int64(math.MinInt64)
 	for i, rs := range sets {
 		var set uint8
 		if op < opCovered {
@@ -105,17 +109,45 @@ func (s *sweeper) load(op opKind, sets ...[]Rect) bool {
 				sweepEvent{y: r.Y0, x0: r.X0, x1: r.X1, set: set, enter: true},
 				sweepEvent{y: r.Y1, x0: r.X0, x1: r.X1, set: set, enter: false},
 			)
+			minY, maxY = min(minY, r.Y0), max(maxY, r.Y1)
 		}
 	}
 	s.events = ev
 	if len(ev) == 0 {
 		return false
 	}
-	slices.SortFunc(ev, func(p, q sweepEvent) int { return cmp.Compare(p.y, q.y) })
+	sortEvents(ev, minY, maxY)
 	s.k, s.y, s.width = 0, ev[0].y, 0
 	cSweepOps.Inc()
 	cSweepEvents.Add(int64(len(ev)))
 	return true
+}
+
+// sortEvents sorts ev, whose ys lie in [minY, maxY], by y. It sorts
+// integers, not events: each event's key is y − minY above its index,
+// and the events follow their sorted keys. The result is the stable
+// sort by y, where a comparator sort leaves a row in an order of its
+// own, but no consumer can tell the two apart. A row is applied whole
+// before next reads the coverage again, so only the active lists after
+// the row matter, and those hold the same intervals in any order of
+// applying: an interval's enter and leave are never in one row (load
+// skips empty rects, so Y0 < Y1), and an enter and a leave of equal
+// intervals in one row commute. A span of ys too wide to pack beside
+// the index keeps the comparator sort.
+func sortEvents(ev []sweepEvent, minY, maxY int64) {
+	idxBits := uint(bits.Len(uint(len(ev) - 1)))
+	top := idxBits + uint(bits.Len64(uint64(maxY)-uint64(minY)))
+	if top > 64 {
+		slices.SortFunc(ev, func(p, q sweepEvent) int { return cmp.Compare(p.y, q.y) })
+		return
+	}
+	sc := keysort.Get()
+	keys := sc.Keys(len(ev))
+	for i, e := range ev {
+		keys[i] = (uint64(e.y)-uint64(minY))<<idxBits | uint64(i)
+	}
+	keysort.Permute(ev, sc.Sort(keys, idxBits, top), idxBits)
+	keysort.Put(sc)
 }
 
 // apply folds one event into its active list, keeping the list sorted
@@ -134,9 +166,6 @@ func (s *sweeper) apply(e sweepEvent) {
 		act = append(act, interval{})
 		copy(act[pos+1:], act[pos:])
 		act[pos] = v
-		if len(act) > s.width {
-			s.width = len(act)
-		}
 	} else {
 		copy(act[pos:], act[pos+1:])
 		act = act[:len(act)-1]
@@ -170,6 +199,7 @@ func (s *sweeper) next(op opKind) (y0, y1 int64, cov []interval, ok bool) {
 		s.apply(ev[k])
 	}
 	s.k, s.y = k, y1
+	s.width = max(s.width, len(s.act[0]), len(s.act[1]))
 	return y0, y1, s.rowB, true
 }
 

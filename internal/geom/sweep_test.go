@@ -3,6 +3,7 @@ package geom
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -169,7 +170,9 @@ func pairwiseArea(sets [][]Rect) int64 {
 // the -race gate in make tier1 exercises the sync.Pool scratch reuse.
 // Each goroutine interleaves all five coverage rules, so a sweeper
 // handed back by the pool under one rule is loaded under the next, and
-// iterator state load fails to reset shows up as a wrong answer.
+// iterator state load fails to reset shows up as a wrong answer. The
+// boundary extraction shares keysort's pool with the sweep and has a
+// pool of its own, so it runs among them.
 func TestSweepConcurrent(t *testing.T) {
 	seed := rand.Int63()
 	t.Logf("seed=%d", seed)
@@ -196,6 +199,8 @@ func TestSweepConcurrent(t *testing.T) {
 					bad = "Normalize"
 				case IntersectArea(a, b) != AreaOf(slabIntersect(a, b)):
 					bad = "IntersectArea"
+				case !slices.Equal(BoundaryEdges(a), boundaryEdgesOracle(a)):
+					bad = "BoundaryEdges"
 				}
 				if bad != "" {
 					done <- fmt.Errorf("goroutine %d iter %d: %s disagrees with the slab oracle", g, i, bad)
@@ -216,20 +221,42 @@ func TestSweepConcurrent(t *testing.T) {
 // around the origin, so that negative, zero-width, touching, duplicate
 // and nested rects are all common: the first byte picks the number of
 // sets, then each five bytes are one rect (set, x, y, width, height),
-// up to 64 rects.
+// up to 400 rects. A coordinate byte of 24 or more also moves the rect
+// to a far cell: byte/24 (up to 10) times 2^far, where far is 6 plus
+// the first byte over 5, up to 57. Ys spread over 2^58 leave too few
+// bits to pack beside the index of 33 events or more, so the sweep falls
+// back to its comparator sort; 320 rects or more in one operation put
+// it past keysort's radix cutoff.
 func regionSets(data []byte) [][]Rect {
 	if len(data) == 0 {
 		return [][]Rect{nil}
 	}
 	sets := make([][]Rect, 1+int(data[0])%5)
+	far := 6 + uint(data[0])/5
 	data = data[1:]
-	for n := 0; len(data) >= 5 && n < 64; n++ {
+	coord := func(b byte) int64 { return int64(b%24) - 8 + int64(b/24)<<far }
+	for n := 0; len(data) >= 5 && n < 400; n++ {
 		i := int(data[0]) % len(sets)
-		x, y := int64(data[1]%24)-8, int64(data[2]%24)-8
+		x, y := coord(data[1]), coord(data[2])
 		sets[i] = append(sets[i], Rect{x, y, x + int64(data[3]%10), y + int64(data[4]%10)})
 		data = data[5:]
 	}
 	return sets
+}
+
+// regionSeeds are the seeds of FuzzRegionOps past the hand-written
+// ones: two operands spread over 2^59, and one set of 360 rects.
+func regionSeeds() [][]byte {
+	spread := []byte{251} // two sets, far cells 2^56 apart: 28 events in Union
+	for i := byte(0); i < 14; i++ {
+		spread = append(spread, i%2, 3*i%24+24*(i%11), 5*i%24+24*(10-i%11), 2+i%8, 1+i%9)
+	}
+	many := []byte{0}
+	rng := rand.New(rand.NewSource(38))
+	for i := 0; i < 360; i++ {
+		many = append(many, 0, byte(rng.Intn(24)), byte(rng.Intn(24)), byte(1+rng.Intn(9)), byte(1+rng.Intn(9)))
+	}
+	return [][]byte{spread, many}
 }
 
 // FuzzRegionOps holds every region operation and area query against
@@ -242,6 +269,9 @@ func FuzzRegionOps(f *testing.F) {
 	f.Add([]byte{0, 0, 2, 2, 4, 4, 0, 2, 2, 4, 4, 0, 3, 3, 1, 1})                // duplicate and nested
 	f.Add([]byte{2, 0, 0, 0, 4, 4, 1, 4, 0, 4, 4, 2, 0, 4, 4, 4, 0, 5, 5, 0, 3}) // touching, zero width
 	f.Add([]byte{4, 0, 1, 1, 9, 9, 1, 2, 2, 9, 9, 2, 3, 3, 9, 9, 3, 0, 0, 3, 3, 4, 20, 20, 3, 3})
+	for _, seed := range regionSeeds() {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sets := regionSets(data)
 		a := sets[0]
@@ -286,4 +316,91 @@ func FuzzRegionOps(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestRegionOpsIgnoreInputOrder holds the region ops to two metamorphic
+// relations no oracle is needed for. A region does not depend on the
+// order its rects are listed in, so every op on shuffled operands must
+// equal the op on the operands as given: the sweep sorts its y-events
+// and BoundaryOfNormal its sides by packed integer keys, and a key that
+// leaked the input order into the output would show here. And a region
+// translated is the region's translation, so every op on operands moved
+// by ±2^40 must equal the op's result moved: the keys pack coordinates
+// relative to the operands' least, and one packed absolute would shift
+// the order or overflow. The operands range from a few rects to past
+// keysort's radix cutoff (320 rects are 640 y-events).
+func TestRegionOpsIgnoreInputOrder(t *testing.T) {
+	seed := rand.Int63()
+	t.Logf("seed=%d", seed)
+	rng := rand.New(rand.NewSource(seed))
+	shuffled := func(rs []Rect) []Rect {
+		out := slices.Clone(rs)
+		rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+		return out
+	}
+	moved := func(rs []Rect, dx, dy int64) []Rect {
+		out := make([]Rect, len(rs))
+		for i, r := range rs {
+			out[i] = r.Translate(Point{dx, dy})
+		}
+		return out
+	}
+	movedEdges := func(es []Edge, dx, dy int64) []Edge {
+		out := make([]Edge, len(es))
+		for i, e := range es {
+			out[i] = Edge{Point{e.P0.X + dx, e.P0.Y + dy}, Point{e.P1.X + dx, e.P1.Y + dy}, e.Interior}
+		}
+		return out
+	}
+	// results runs every op on the operands a, b and c (in UnionAll and
+	// DoubleCoverArea) and the clip rect, returning the regions, the
+	// boundary of a's normal form and the areas.
+	results := func(a, b, c []Rect, clip Rect) (regions [][]Rect, edges []Edge, areas []int64) {
+		regions = [][]Rect{Normalize(a), Union(a, b), Intersect(a, b), Subtract(a, b), UnionAll(a, b, c)}
+		areas = []int64{AreaOf(a), UnionArea(a, b), IntersectArea(a, b), DoubleCoverArea(a, b, c), ClipArea(a, clip)}
+		return regions, BoundaryOfNormal(regions[0]), areas
+	}
+	// The block-scale operands are sparse enough that a's normal form
+	// holds over 640 rects, so BoundaryOfNormal radix-sorts its sides.
+	cases := []struct {
+		n     int
+		span  int64
+		block bool
+	}{{3, 20, false}, {12, 60, false}, {40, 200, false}, {330, 400, false}, {800, 50000, true}}
+	for _, c := range cases {
+		draw := func(n int) []Rect {
+			if c.block {
+				return blockRects(rng.Int63(), n)
+			}
+			return randRects(rng, n, c.span)
+		}
+		for rep := 0; rep < 4; rep++ {
+			a, b, u := draw(c.n), draw(c.n), draw(c.n/2)
+			clip := Rect{-c.span / 2, -c.span / 2, c.span / 3, c.span / 3}
+			regions, edges, areas := results(a, b, u, clip)
+
+			sr, se, sa := results(shuffled(a), shuffled(b), shuffled(u), clip)
+			for i := range regions {
+				if !sameRects(sr[i], regions[i]) {
+					t.Fatalf("n=%d op %d: shuffled operands give another region", c.n, i)
+				}
+			}
+			if !slices.Equal(se, edges) || !slices.Equal(sa, areas) {
+				t.Fatalf("n=%d: shuffled operands give other edges or areas", c.n)
+			}
+
+			for _, d := range [][2]int64{{1 << 40, -1 << 40}, {-1 << 40, 1 << 40}} {
+				dx, dy := d[0], d[1]
+				mr, me, ma := results(moved(a, dx, dy), moved(b, dx, dy), moved(u, dx, dy), clip.Translate(Point{dx, dy}))
+				for i := range regions {
+					if !sameRects(mr[i], moved(regions[i], dx, dy)) {
+						t.Fatalf("n=%d op %d: moved by (%d, %d), the region is not the moved region", c.n, i, dx, dy)
+					}
+				}
+				if !slices.Equal(me, movedEdges(edges, dx, dy)) || !slices.Equal(ma, areas) {
+					t.Fatalf("n=%d: moved by (%d, %d), the edges or areas are not the moved ones", c.n, dx, dy)
+				}
+			}
+		}
+	}
 }

@@ -8,9 +8,9 @@ import (
 	"hash"
 	"math/bits"
 	"slices"
-	"sync"
 
 	"repro/internal/geom"
+	"repro/internal/keysort"
 	"repro/internal/layout"
 	"repro/internal/litho"
 	"repro/internal/surrogate"
@@ -137,47 +137,34 @@ func (r *TileRequest) key(cfg [sha256.Size]byte) [sha256.Size]byte {
 // shapeCmp's exactly, so no key moves, but shapeCmp itself only breaks
 // ties between records whose (layer, X0, Y0) corner is equal.
 func (r *TileRequest) canonicalize() {
-	sc := sortScratchPool.Get().(*sortScratch)
+	sc := keysort.Get()
 	sortPacked(r.Shapes, sc, shapeKeys, shapeCmp)
 	sortPacked(r.Rects, sc, rectKeys, rectCmp)
-	sortScratchPool.Put(sc)
+	keysort.Put(sc)
 }
 
 // sortPacked sorts xs into cmp's order. pack turns every record into one
 // uint64 — from the top its layer, X0 − min X0, Y0 − min Y0, then its
-// index in xs — which orders as cmp orders the corner. The keys are
-// sorted as integers: by an LSD radix sort over the bits above the index
-// from radixMin keys up, by slices.Sort below. The records follow their
-// keys, and sortTies settles the records whose corners tie. A column
-// whose fields need more than 64 bits is one tie run: cmp sorts the
-// whole of it.
-func sortPacked[T any](xs []T, sc *sortScratch, pack func([]T, []uint64) (packing, bool), cmp func(a, b T) int) {
+// index in xs — which orders as cmp orders the corner. keysort sorts the
+// keys as integers (most scan windows of chip_litho fall below its radix
+// cutoff and most tiles of chip_drc above) and the records follow them;
+// sortTies settles the records whose corners tie. A column whose fields
+// need more than 64 bits is one tie run: cmp sorts the whole of it.
+func sortPacked[T any](xs []T, sc *keysort.Scratch, pack func([]T, []uint64) (packing, bool), cmp func(a, b T) int) {
 	n := len(xs)
 	if n < 2 {
 		return
 	}
-	keys := sc.grow(n)
+	keys := sc.Keys(n)
 	p, ok := pack(xs, keys)
 	if !ok {
 		slices.SortFunc(xs, cmp)
 		return
 	}
-	if n < radixMin {
-		slices.Sort(keys)
-	} else {
-		keys = sc.radix(keys, p.idxBits, p.top)
-	}
-	permute(xs, keys, p.idxBits)
+	keys = sc.Sort(keys, p.idxBits, p.top)
+	keysort.Permute(xs, keys, p.idxBits)
 	sortTies(xs, keys, p.idxBits, cmp)
 }
-
-// radixMin is where the radix sort starts to beat slices.Sort on a
-// column's keys: its three passes each clear and sum 2048 buckets
-// whatever the column's length. On a 2 vCPU Xeon the two tie at about
-// 640 keys; slices.Sort is 1.2× faster at 512 and the radix 1.5× at
-// 768, 1.7× at 1500 (a signoff tile). Most scan windows of chip_litho
-// fall below it and most tiles of chip_drc above.
-const radixMin = 640
 
 // sortTies sorts by cmp each run of xs whose keys, in key order, share
 // every bit above idxBits: records whose packed corners tie, which cmp
@@ -249,76 +236,6 @@ func rectKeys(rs []geom.Rect, keys []uint64) (packing, bool) {
 		}
 	}
 	return p, ok
-}
-
-// digitBits is the radix sort's digit: 2048 buckets, so a tile's corner
-// (about 33 bits) takes three passes.
-const digitBits = 11
-
-// sortScratch is canonicalize's working memory, pooled so that a warm
-// engine allocates nothing to sort a unit.
-type sortScratch struct {
-	a, b  []uint64
-	count [1 << digitBits]int
-}
-
-var sortScratchPool = sync.Pool{New: func() any { return new(sortScratch) }}
-
-func (sc *sortScratch) grow(n int) []uint64 {
-	if cap(sc.a) < n {
-		sc.a, sc.b = make([]uint64, n), make([]uint64, n)
-	}
-	return sc.a[:n]
-}
-
-// radix sorts keys by their bits lo..top-1, stably, and returns the
-// buffer that holds the result (keys or sc.b). The keys come in index
-// order and every pass is stable, so the result is the order slices.Sort
-// gives the whole keys.
-func (sc *sortScratch) radix(keys []uint64, lo, top uint) []uint64 {
-	const mask = 1<<digitBits - 1
-	tmp, c := sc.b[:len(keys)], &sc.count
-	for shift := lo; shift < top; shift += digitBits {
-		clear(c[:])
-		for _, k := range keys {
-			c[k>>shift&mask]++
-		}
-		sum := 0
-		for d, v := range c {
-			c[d], sum = sum, sum+v
-		}
-		for _, k := range keys {
-			d := k >> shift & mask
-			tmp[c[d]] = k
-			c[d]++
-		}
-		keys, tmp = tmp, keys
-	}
-	return keys
-}
-
-// permute moves xs, in place, into the order of keys, whose low idxBits
-// name the slot each record comes from. It follows every cycle of the
-// permutation once, rewriting each visited key's index to its own slot:
-// a key that names itself is a record already in place.
-func permute[T any](xs []T, keys []uint64, idxBits uint) {
-	mask := uint64(1)<<idxBits - 1
-	for i := range xs {
-		if keys[i]&mask == uint64(i) {
-			continue
-		}
-		tmp, j := xs[i], i
-		for {
-			k := int(keys[j] & mask)
-			keys[j] = keys[j]&^mask | uint64(j)
-			if k == i {
-				xs[j] = tmp
-				break
-			}
-			xs[j] = xs[k]
-			j = k
-		}
-	}
 }
 
 // tileKey is the content address of one DRC/density tile: core

@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/keysort"
 	"repro/internal/layout"
 	"repro/internal/litho"
 	"repro/internal/tech"
@@ -256,8 +257,8 @@ func BenchmarkTileKey(b *testing.B) {
 }
 
 // BenchmarkCanonicalize sorts every tile of the 100k-rect signoff chip
-// from extraction order: by canonicalize (packed keys, radix-sorted from
-// radixMin keys up), by the same packed keys sorted with slices.Sort at
+// from extraction order: by canonicalize (packed keys, radix-sorted past
+// keysort's cutoff), by the same packed keys sorted with slices.Sort at
 // every size, which is what the radix sort has to beat, and by the
 // comparator sort canonicalize replaced. Every arm restores the
 // extraction order before each sort, so each times that copy too.
@@ -279,7 +280,7 @@ func BenchmarkCanonicalize(b *testing.B) {
 			keys = slices.Grow(keys[:0], len(u.Shapes))[:len(u.Shapes)]
 			p, _ := shapeKeys(u.Shapes, keys)
 			slices.Sort(keys)
-			permute(u.Shapes, keys, p.idxBits)
+			keysort.Permute(u.Shapes, keys, p.idxBits)
 			sortTies(u.Shapes, keys, p.idxBits, shapeCmp)
 		}},
 		{"comparator", func(u *TileRequest) { slices.SortFunc(u.Shapes, shapeCmp) }},
@@ -359,7 +360,7 @@ func TestCanonicalizeAllocatesNothingPerShape(t *testing.T) {
 // and Y1 (bit 0), that repeat an earlier record with another net (bit
 // 1), and puts every record on one layer (bit 2).
 func FuzzCanonicalize(f *testing.F) {
-	for _, n := range []uint16{0, 1, 2, 63, 64, 65, radixMin - 1, radixMin, radixMin + 1, 2100} {
+	for _, n := range []uint16{0, 1, 2, 63, 64, 65, 3*keysort.MinPerPass - 1, 3 * keysort.MinPerPass, 3*keysort.MinPerPass + 1, 2100} {
 		f.Add(int64(n), n, uint8(12), uint8(3), int64(0))
 		f.Add(int64(n), n, uint8(3), uint8(7), int64(-5000))
 		f.Add(int64(n), n, uint8(61), uint8(0), int64(0))

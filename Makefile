@@ -159,14 +159,14 @@ cover-opc: ## OPC coverage gate: no function of internal/opc's opc.go/pwopc.go/i
 # Where drcprofile keeps its binary and profiles (bin/ is gitignored).
 DRCPROFILE_DIR ?= bin/drcprofile
 
-drcprofile: ## CPU + allocation profile of the signoff DRC path (100k-rect chip, no tile cache), drc.* and geom.* by cumulative cost; then the counters of what the deck prepared and asked: index bins laid / occupied, facing pairs found / kept, endcap gates asked / built
+drcprofile: ## CPU + allocation profile of the signoff DRC path (100k-rect chip, no tile cache), drc.* and geom.* by cumulative cost; then the counters of what the deck asked: facing pairs found / kept, endcap gates asked / built
 	@mkdir -p $(DRCPROFILE_DIR)
 	$(GO) build -o $(DRCPROFILE_DIR)/dfmscore ./cmd/dfmscore
 	$(DRCPROFILE_DIR)/dfmscore -chip -chiprects 100000 -chipcache 0 -metrics $(DRCPROFILE_DIR)/metrics.json \
 		-cpuprofile $(DRCPROFILE_DIR)/cpu.prof -memprofile $(DRCPROFILE_DIR)/mem.prof
 	$(GO) tool pprof -top -cum -nodecount=40 -show='drc\.|geom\.' $(DRCPROFILE_DIR)/dfmscore $(DRCPROFILE_DIR)/cpu.prof
 	$(GO) tool pprof -sample_index=alloc_space -top -cum -nodecount=25 -show='drc\.|geom\.' $(DRCPROFILE_DIR)/dfmscore $(DRCPROFILE_DIR)/mem.prof
-	@grep -oE '"(geom\.index\.bins\.(laid|occupied)|drc\.facing\.pairs\.(found|kept)|drc\.endcap\.gates\.(asked|built))": *[0-9]+' $(DRCPROFILE_DIR)/metrics.json
+	@grep -oE '"(drc\.facing\.pairs\.(found|kept)|drc\.endcap\.gates\.(asked|built))": *[0-9]+' $(DRCPROFILE_DIR)/metrics.json
 
 # Where editprofile keeps its binary and profile (bin/ is gitignored).
 EDITPROFILE_DIR ?= bin/editprofile
@@ -203,14 +203,14 @@ lithoprofile: ## which arm of the kernel's float loops runs (litho.kernel.simd: 
 bench: ## every root-module benchmark (BenchmarkExperiment/<id> times the paper's experiments), time and allocations only; writes no file and regenerates no table (records come from `bash benchmark/run.sh`, the tables from `go test -run TestExperimentTables -update .`)
 	$(GO) test -run='^$$' -bench=. -benchmem .
 
-bench-smoke: ## one iteration of the five kernel micro-rows, of one experiment of the table, of the tile wire codec, of the tile key and of the sort before it, of the key sort's two arms, of the index build (dense and sparse extent), of the sweep under each coverage rule, of the boundary extraction and of the deck and the endcap rule on a tile, so the gate executes the benchmarks and does not merely compile them
+bench-smoke: ## one iteration of the five kernel micro-rows, of one experiment of the table, of the tile wire codec, of the tile key and of the sort before it, of the key sort's two arms, of the index build (dense and sparse extent), of the sweep under each coverage rule, of the boundary extraction, of the deck and the endcap rule on a tile and of a layer's query mix on its bands and on an index, so the gate executes the benchmarks and does not merely compile them
 	$(GO) test -run='^$$' -bench='^Benchmark(GeomBoolean|DRCBlock|BitmapOpen|ScanWindow|ScanWindowDense)$$' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='^BenchmarkExperiment$$/^F5$$' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='^BenchmarkTile(Wire|Key)$$' -benchtime=1x -benchmem ./internal/tiling
 	$(GO) test -run='^$$' -bench='^BenchmarkCanonicalize$$' -benchtime=1x -benchmem ./internal/tiling
 	$(GO) test -run='^$$' -bench='^BenchmarkKeySort$$' -benchtime=1x -benchmem ./internal/keysort
 	$(GO) test -run='^$$' -bench='^Benchmark(IndexBuildQuery|Sweep|BoundaryOfNormal)$$' -benchtime=1x -benchmem ./internal/geom
-	$(GO) test -run='^$$' -bench='^Benchmark(DeckTile|Endcap)$$' -benchtime=1x -benchmem ./internal/drc
+	$(GO) test -run='^$$' -bench='^Benchmark(DeckTile|Endcap|LayerQuery)$$' -benchtime=1x -benchmem ./internal/drc
 
 # The same run is part of `go test ./...`; the target names it. A flag
 # no command passes fails the test beside it, TestEveryFlagAnswersToASetter.

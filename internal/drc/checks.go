@@ -195,16 +195,16 @@ var (
 func cornerScan(ly *preparedLayer, s int64, rule string, layer tech.Layer) []Violation {
 	var cands []candidate
 	for i, a := range ly.rects {
-		ly.ix.QueryFunc(a.Bloat(s), func(id int, b geom.Rect) bool {
+		ly.near(a.Bloat(s), func(id int, b geom.Rect) {
 			if id <= i {
-				return true
+				return
 			}
 			gx, gy := a.GapX(b), a.GapY(b)
 			if gx <= 0 || gy <= 0 {
-				return true // handled by the edge scan (or same region)
+				return // handled by the edge scan (or same region)
 			}
 			if gx*gx+gy*gy >= s*s {
-				return true
+				return
 			}
 			// Marker: the diagonal gap box between the two rects.
 			marker := geom.R(
@@ -215,10 +215,9 @@ func cornerScan(ly *preparedLayer, s int64, rule string, layer tech.Layer) []Vio
 			// of either region via other rects) and the corners belong
 			// to different connected regions.
 			if ly.clipArea(marker) != 0 {
-				return true
+				return
 			}
 			cands = append(cands, candidate{m: marker})
-			return true
 		})
 	}
 	var out []Violation

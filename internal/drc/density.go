@@ -133,7 +133,7 @@ func DensityIn(rs []geom.Rect, window geom.Rect) float64 {
 }
 
 // DensityIn is DensityIn(c.Layers[l], window) at the cost of the rects
-// near the window, read from the layer's index: the same integer area
+// near the window, found by the layer's band walk: the same integer area
 // over the same window area, so the same float bit for bit.
 func (c *Context) DensityIn(l tech.Layer, window geom.Rect) float64 {
 	if window.Empty() {
@@ -160,8 +160,8 @@ func (r Endcap) Check(ctx *Context) []Violation {
 		return nil
 	}
 	name, detail := r.Name(), fmt.Sprintf("gate endcap < %d", r.Ext)
-	gates := &preparedLayer{rects: geom.Intersect(poly.rects, diff.rects)}
-	gates.ix = geom.IndexOf(layerCell, gates.rects)
+	gates := new(preparedLayer)
+	gates.prepare(geom.Intersect(poly.rects, diff.rects))
 	var out []Violation
 	for _, g := range components(gates.rects) {
 		bb := geom.BBoxOf(g)

@@ -40,7 +40,7 @@ type Rule interface {
 
 // Context carries the prepared layout data shared by all rules of one
 // run. Layer geometry is normalized once; what rules derive from a
-// layer (spatial index, boundary edges) is prepared on first use and
+// layer (band starts, boundary edges) is prepared on first use and
 // shared by every rule that reads the layer (layer.go). Layers must
 // not change once a rule has run. A Context must not be copied.
 type Context struct {

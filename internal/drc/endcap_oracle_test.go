@@ -262,10 +262,16 @@ func TestEndcapMatchesOracleOnChipTiles(t *testing.T) {
 }
 
 // What the rules read from a prepared layer must be what the whole-
-// layer functions say.
+// layer functions say, and the band walk they read it with must visit
+// what a linear scan finds.
 func TestPreparedLayerMatchesGeom(t *testing.T) {
 	tt := tech.N45()
+	// No band, one rect, and one band of several.
+	checkNear(t, nil, 70)
+	checkNear(t, []geom.Rect{geom.R(0, 0, 100, 50)}, 70)
+	checkNear(t, []geom.Rect{geom.R(-300, 0, -200, 50), geom.R(0, 0, 100, 50), geom.R(101, 0, 170, 50), geom.R(400, 0, 900, 50)}, 70)
 	rnd := rand.New(rand.NewSource(15))
+	gateRects := 0
 	for round := 0; round < 100; round++ {
 		var shapes []layout.Shape
 		// Every eighth round the layer is empty.
@@ -273,15 +279,26 @@ func TestPreparedLayerMatchesGeom(t *testing.T) {
 			x, y := rnd.Int63n(6000)-3000, rnd.Int63n(6000)-3000
 			shapes = append(shapes, m1(geom.R(x, y, x+1+rnd.Int63n(900), y+1+rnd.Int63n(900))))
 		}
+		// Poly and diff for a gates layer, built as Endcap builds it,
+		// outside NewContext.
+		for i, n := 0, rnd.Intn(20); i < 2*n; i++ {
+			x, y := rnd.Int63n(6000)-3000, rnd.Int63n(6000)-3000
+			l := []tech.Layer{tech.Poly, tech.Diff}[i%2]
+			shapes = append(shapes, layout.Shape{Layer: l, R: geom.R(x, y, x+1+rnd.Int63n(1500), y+1+rnd.Int63n(1500)), Net: layout.NoNet})
+		}
 		ctx := NewContext(tt, shapes)
 		ly, rs := ctx.layer(tech.Metal1), ctx.Layers[tech.Metal1]
+		checkNear(t, rs, 70)
+		gates := geom.Intersect(ctx.layer(tech.Poly).rects, ctx.layer(tech.Diff).rects)
+		checkNear(t, gates, 100)
+		gateRects += len(gates)
 		for q := 0; q < 40; q++ {
 			x, y := rnd.Int63n(8000)-4000, rnd.Int63n(8000)-4000
 			box := geom.R(x, y, x+rnd.Int63n(1500), y+rnd.Int63n(1500))
 			if got, want := ly.clipArea(box), geom.ClipArea(rs, box); got != want {
 				t.Fatalf("clipArea(%v) = %d, want %d over %v", box, got, want, rs)
 			}
-			// Density through the index is the free function bit for bit:
+			// Density through the band walk is the free function bit for bit:
 			// on the box (empty or a segment when a draw was 0), far off
 			// the layer, and inside out.
 			for _, w := range []geom.Rect{box, box.Translate(geom.Pt(1<<30, -(1 << 30))), {X0: box.X1, Y0: box.Y0, X1: box.X0, Y1: box.Y1}} {
@@ -302,5 +319,8 @@ func TestPreparedLayerMatchesGeom(t *testing.T) {
 				t.Fatalf("subtracting touching(%v) gives %v, the layer %v", box, got, want)
 			}
 		}
+	}
+	if gateRects == 0 {
+		t.Fatal("no round drew a gate: the gates layer went unchecked")
 	}
 }

@@ -7,28 +7,16 @@ import (
 	"repro/internal/tech"
 )
 
-// layerCell is the bin size of the per-layer indexes. Every query the
-// deck makes is a few design-rule distances across (a facing pair's
-// marker, a rect bloated by a spacing, a via's enclosure box), so a
-// handful of minimum pitches per bin keeps both the bins a query
-// touches and the items per bin small. Measured on generated tiles
-// (BenchmarkDeckTile, BenchmarkDimensionScan), with an empty bin of a
-// frozen index at 4 bytes: 512 lays four times the
-// bins for a tenth more bytes on a sparse 48 µm tile and no resolvable
-// speed, 2048 slows the dense comb and the smaller tiles by a tenth to
-// a fifth.
-const layerCell = 1024
-
 // preparedLayer is what the rules derive from one layer's normalized
-// rects, built on first use and then shared: one spatial index over the
-// rects, and the boundary edges split by interior side, each side a list
-// sorted by line. Rules run concurrently under RunCtx, so each part is
-// built under a sync.Once and only read afterwards; it lives exactly as
-// long as its Context.
+// rects, built on first use and then shared: where each y-band of the
+// rects begins, and the boundary edges split by interior side, each side
+// a list sorted by line. Rules run concurrently under RunCtx, so each
+// part is built under a sync.Once and only read afterwards; it lives
+// exactly as long as its Context.
 type preparedLayer struct {
 	once  sync.Once
-	rects []geom.Rect // normalized; item ids of ix are positions here
-	ix    *geom.Index
+	rects []geom.Rect // normalized
+	bands []int32     // band k is rects[bands[k]:bands[k+1]]; the last entry is len(rects)
 
 	sideOnce sync.Once
 	sides    [4][]seg // by geom.Side
@@ -41,11 +29,56 @@ type seg struct{ at, lo, hi int64 }
 // layer returns the prepared form of ctx.Layers[l].
 func (c *Context) layer(l tech.Layer) *preparedLayer {
 	p := &c.prep[l]
-	p.once.Do(func() {
-		p.rects = c.Layers[l]
-		p.ix = geom.IndexOf(layerCell, p.rects)
-	})
+	p.once.Do(func() { p.prepare(c.Layers[l]) })
 	return p
+}
+
+// prepare makes p the prepared form of rs, which must be in normal form.
+func (p *preparedLayer) prepare(rs []geom.Rect) {
+	var bands []int32
+	for i, r := range rs {
+		if i == 0 || r.Y0 != rs[i-1].Y0 {
+			bands = append(bands, int32(i))
+		}
+	}
+	p.rects, p.bands = rs, append(bands, int32(len(rs)))
+}
+
+// near calls f with the position and rect of every rect that intersects
+// or touches q, in ascending position. In normal form the bands are
+// y-disjoint and rise, and a band's rects are x-sorted and disjoint, so
+// Y1 never falls along the layer and X1 never falls along a band: a
+// binary search finds the first band reaching q, another in each band
+// the first rect reaching it, and the walk stops at the first rect past
+// it.
+func (p *preparedLayer) near(q geom.Rect, f func(i int, r geom.Rect)) {
+	if q.X0 > q.X1 || q.Y0 > q.Y1 {
+		return
+	}
+	rs, bands := p.rects, p.bands
+	b, nb := 0, len(bands)-1
+	for j := nb; b < j; {
+		h := int(uint(b+j) >> 1)
+		if rs[bands[h]].Y1 < q.Y0 {
+			b = h + 1
+		} else {
+			j = h
+		}
+	}
+	for ; b < nb && rs[bands[b]].Y0 <= q.Y1; b++ {
+		i, end := int(bands[b]), int(bands[b+1])
+		for j := end; i < j; {
+			h := int(uint(i+j) >> 1)
+			if rs[h].X1 < q.X0 {
+				i = h + 1
+			} else {
+				j = h
+			}
+		}
+		for ; i < end && rs[i].X0 <= q.X1; i++ {
+			f(i, rs[i])
+		}
+	}
 }
 
 // boundary returns the layer's boundary edges by interior side, indexed
@@ -82,9 +115,8 @@ func (p *preparedLayer) clipArea(clip geom.Rect) int64 {
 		return 0
 	}
 	var a int64
-	p.ix.QueryFunc(clip, func(_ int, r geom.Rect) bool {
+	p.near(clip, func(_ int, r geom.Rect) {
 		a += r.Intersect(clip).Area()
-		return true
 	})
 	return a
 }
@@ -92,9 +124,8 @@ func (p *preparedLayer) clipArea(clip geom.Rect) int64 {
 // coversPoint is geom.CoversPoint(p.rects, pt).
 func (p *preparedLayer) coversPoint(pt geom.Point) bool {
 	hit := false
-	p.ix.QueryFunc(geom.Rect{X0: pt.X, Y0: pt.Y, X1: pt.X, Y1: pt.Y}, func(int, geom.Rect) bool {
+	p.near(geom.Rect{X0: pt.X, Y0: pt.Y, X1: pt.X, Y1: pt.Y}, func(int, geom.Rect) {
 		hit = true
-		return false
 	})
 	return hit
 }
@@ -102,10 +133,9 @@ func (p *preparedLayer) coversPoint(pt geom.Point) bool {
 // touching returns the layer's rects that intersect or touch q, in
 // layer order: all of the layer a boolean op confined to q can see.
 func (p *preparedLayer) touching(q geom.Rect) []geom.Rect {
-	ids := p.ix.Query(q)
-	out := make([]geom.Rect, len(ids))
-	for i, id := range ids {
-		out[i] = p.rects[id]
-	}
+	var out []geom.Rect
+	p.near(q, func(_ int, r geom.Rect) {
+		out = append(out, r)
+	})
 	return out
 }

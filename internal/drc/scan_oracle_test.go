@@ -3,12 +3,25 @@ package drc
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
 	"repro/internal/layout"
 	"repro/internal/tech"
 )
+
+// layerCell is the bin size of the oracles' indexes. Every query the
+// deck makes is a few design-rule distances across (a facing pair's
+// marker, a rect bloated by a spacing, a via's enclosure box), so a
+// handful of minimum pitches per bin keeps both the bins a query
+// touches and the items per bin small. Measured on generated tiles
+// (BenchmarkDeckTile, BenchmarkDimensionScan), with an empty bin of a
+// frozen index at 4 bytes: 512 lays four times the
+// bins for a tenth more bytes on a sparse 48 µm tile and no resolvable
+// speed, 2048 slows the dense comb and the smaller tiles by a tenth to
+// a fifth.
+const layerCell = 1024
 
 // dimensionScanOracle is dimensionScan as it was before the scan learned
 // the order of the boundary's sides: every boundary edge in one list, a
@@ -109,6 +122,52 @@ func dimensionScanOracle(ly *preparedLayer, lim int64, interior bool, mk func(ge
 	return out
 }
 
+// cornerScanOracle is cornerScan as it was before the deck walked the
+// layer's bands: a query of a spatial index over the layer's rects per
+// rect, the space between measured by the whole-layer area sweep. Kept
+// as the differential-test reference.
+func cornerScanOracle(ly *preparedLayer, s int64, rule string, layer tech.Layer) []Violation {
+	ix := geom.IndexOf(layerCell, ly.rects)
+	var cands []candidate
+	for i, a := range ly.rects {
+		ix.QueryFunc(a.Bloat(s), func(id int, b geom.Rect) bool {
+			if id <= i {
+				return true
+			}
+			gx, gy := a.GapX(b), a.GapY(b)
+			if gx <= 0 || gy <= 0 {
+				return true // handled by the edge scan (or same region)
+			}
+			if gx*gx+gy*gy >= s*s {
+				return true
+			}
+			// Marker: the diagonal gap box between the two rects.
+			marker := geom.R(
+				min(a.X1, b.X1), min(a.Y1, b.Y1),
+				max(a.X0, b.X0), max(a.Y0, b.Y0),
+			)
+			// Only a violation if the gap box is truly empty (not part
+			// of either region via other rects) and the corners belong
+			// to different connected regions.
+			if geom.ClipArea(ly.rects, marker) != 0 {
+				return true
+			}
+			cands = append(cands, candidate{m: marker})
+			return true
+		})
+	}
+	var out []Violation
+	for _, c := range dedupCandidates(cands) {
+		out = append(out, Violation{
+			Rule:   rule,
+			Layer:  layer,
+			Marker: c.m,
+			Detail: fmt.Sprintf("corner gap (%d,%d) < %d", c.m.Width(), c.m.Height(), s),
+		})
+	}
+	return out
+}
+
 // componentsOracle is components as it was before the band walk: a
 // union-find over a touch-inclusive index query per rect, right on any
 // rect set, normalized or not.
@@ -171,8 +230,78 @@ func minAreaOracle(r MinArea, ctx *Context) []Violation {
 	return out
 }
 
+// touchScan is what near must visit: the positions of the rects that
+// intersect or touch q, by a linear scan. An inside-out query touches
+// nothing, as in geom.Index.
+func touchScan(rs []geom.Rect, q geom.Rect) []int {
+	if q.X0 > q.X1 || q.Y0 > q.Y1 {
+		return nil
+	}
+	var out []int
+	for i, r := range rs {
+		if r.X0 <= q.X1 && q.X0 <= r.X1 && r.Y0 <= q.Y1 && q.Y0 <= r.Y1 {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// nearQueries is the query set checkNear asks of a layer: every rect
+// bloated by lim (the corner scan's query); boxes touching a rect only
+// along one of its sides or only at one of its corners; its corners
+// and its centre as points; it inside out; the layer's bounding box and
+// its left side, each over every band; and a box far off the layer.
+func nearQueries(rs []geom.Rect, lim int64) []geom.Rect {
+	var qs []geom.Rect
+	for _, r := range rs {
+		qs = append(qs,
+			r.Bloat(lim),
+			geom.R(r.X1, r.Y0, r.X1+lim, r.Y1), geom.R(r.X0-lim, r.Y0, r.X0, r.Y1),
+			geom.R(r.X0, r.Y1, r.X1, r.Y1+lim), geom.R(r.X0, r.Y0-lim, r.X1, r.Y0),
+			geom.R(r.X1, r.Y1, r.X1+lim, r.Y1+lim), geom.R(r.X0-lim, r.Y0-lim, r.X0, r.Y0),
+			geom.R(r.X1, r.Y0-lim, r.X1+lim, r.Y0), geom.R(r.X0-lim, r.Y1, r.X0, r.Y1+lim),
+			geom.R(r.X0, r.Y0, r.X0, r.Y0), geom.R(r.X1, r.Y1, r.X1, r.Y1),
+			geom.R(r.X0, r.Y1, r.X0, r.Y1), geom.R(r.X1, r.Y0, r.X1, r.Y0),
+			geom.R(r.Center().X, r.Center().Y, r.Center().X, r.Center().Y),
+			geom.Rect{X0: r.X1, Y0: r.Y1, X1: r.X0, Y1: r.Y0},
+		)
+	}
+	bb := geom.BBoxOf(rs).Bloat(lim)
+	return append(qs, bb, geom.R(bb.X0, bb.Y0, bb.X0, bb.Y1), bb.Translate(geom.Pt(bb.Width()+1<<20, -(bb.Height()+1<<20))))
+}
+
+// checkNear holds the band walk of the prepared form of rs, and of rs
+// moved by ±2^40 each way, to a linear scan over nearQueries(rs, lim).
+func checkNear(t *testing.T, rs []geom.Rect, lim int64) {
+	t.Helper()
+	if !geom.IsNormal(rs) {
+		t.Fatalf("not in normal form: %v", rs)
+	}
+	for _, d := range []geom.Point{{}, {X: 1 << 40, Y: -(1 << 40)}, {X: -(1 << 40), Y: 1 << 40}} {
+		moved := make([]geom.Rect, len(rs))
+		for i, r := range rs {
+			moved[i] = r.Translate(d)
+		}
+		var ly preparedLayer
+		ly.prepare(moved)
+		for _, q := range nearQueries(moved, lim) {
+			var got []int
+			ly.near(q, func(i int, r geom.Rect) {
+				if r != moved[i] {
+					t.Fatalf("near(%v) passed rect %v at position %d, which holds %v", q, r, i, moved[i])
+				}
+				got = append(got, i)
+			})
+			if want := touchScan(moved, q); !slices.Equal(got, want) {
+				t.Fatalf("near(%v) visits %v, want %v over %v", q, got, want, moved)
+			}
+		}
+	}
+}
+
 // checkDeckScans holds the width and spacing scans, MinArea and
-// Components on rs to their oracles at limit lim.
+// Components on rs to their oracles at limit lim, and the band walk to a
+// linear scan.
 func checkDeckScans(t *testing.T, rs []geom.Rect, lim int64) {
 	t.Helper()
 	shapes := make([]layout.Shape, len(rs))
@@ -190,6 +319,12 @@ func checkDeckScans(t *testing.T, rs []geom.Rect, lim int64) {
 			t.Fatalf("dimensionScan(lim %d, interior %v) over %v\n got %v\nwant %v", lim, interior, rs, got, want)
 		}
 	}
+	space := MinSpace{Layer: tech.Metal1, S: lim}
+	if got, want := space.Check(ctx), append(dimensionScanOracle(ly, lim, false, func(m geom.Rect, d int64) Violation {
+		return Violation{Rule: space.Name(), Layer: tech.Metal1, Marker: m, Detail: fmt.Sprintf("space %d < %d", d, lim)}
+	}), cornerScanOracle(ly, lim, space.Name(), tech.Metal1)...); !reflect.DeepEqual(got, want) {
+		t.Fatalf("MinSpace %d over %v\n got %v\nwant %v", lim, rs, got, want)
+	}
 	width := MinWidth{Layer: tech.Metal1, W: lim}
 	if got, want := width.Check(ctx), dimensionScanOracle(ly, lim, true, func(m geom.Rect, d int64) Violation {
 		return Violation{Rule: width.Name(), Layer: tech.Metal1, Marker: m, Detail: fmt.Sprintf("width %d < %d", d, lim)}
@@ -204,6 +339,7 @@ func checkDeckScans(t *testing.T, rs []geom.Rect, lim int64) {
 	if got, want := Components(rs), componentsOracle(geom.Normalize(rs)); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Components(%v)\n got %v\nwant %v", rs, got, want)
 	}
+	checkNear(t, ly.rects, lim)
 }
 
 // FuzzDeckScans draws layers on a small grid around the origin, so that
@@ -215,6 +351,8 @@ func FuzzDeckScans(f *testing.F) {
 	f.Add([]byte{0, 0, 30, 10, 0, 10, 10, 20, 20, 10, 10, 10}, uint8(0))
 	f.Add([]byte{0, 0, 10, 10, 10, 10, 10, 10, 5, 5, 10, 10}, uint8(1))
 	f.Add([]byte{0, 0, 60, 2, 0, 0, 2, 60, 58, 0, 2, 60, 0, 58, 60, 2}, uint8(3))
+	// Two corners under the spacing, with a sliver in the gap box between.
+	f.Add([]byte{24, 24, 20, 17, 56, 25, 7, 17, 48, 24, 1, 2}, uint8(3))
 	f.Fuzz(func(t *testing.T, data []byte, pick uint8) {
 		lim := []int64{1, 2, 70, 140}[pick%4]
 		// Grid step 1 for the degenerate limits, so that 1 nm gaps occur;

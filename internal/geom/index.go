@@ -6,9 +6,10 @@ import (
 )
 
 // Index is a uniform-grid spatial index over rectangles, used for
-// neighbor queries in DRC spacing checks, pattern window extraction,
-// critical-area analysis and via processing. Items are identified by
-// the integer index assigned at insertion.
+// neighbor queries in OPC, double-patterning decomposition, pattern
+// window extraction, fill, critical-area analysis, via processing and
+// routing. Items are identified by the integer index assigned at
+// insertion.
 //
 // Bins are row-major over the bin extent of everything indexed, each
 // listing its item ids in ascending order, in one of two layouts. An

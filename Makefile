@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: tier1 check build vet test race-fast fuzz-smoke cover-kernel cover-engine cover-deck cover-harness cover-opc drcprofile editprofile fleetprofile lithoprofile bench bench-smoke examples-smoke docs-check fmt-check unit-check
+.PHONY: tier1 check build vet test race-fast fuzz-smoke cover-kernel cover-engine cover-deck cover-harness cover-opc drcprofile scoreprofile editprofile fleetprofile lithoprofile bench bench-smoke examples-smoke docs-check fmt-check unit-check
 
 # benchmark/ is a module of its own, so ./... above never reaches it;
 # without this an exported-name change breaks the benchmark silently.
@@ -70,17 +70,19 @@ test:
 race-fast: ## race pass skipping the slow full-scorecard experiments
 	$(GO) test -race -short ./...
 
-fuzz-smoke: ## 20 s of the packed-bitmap morphology fuzzer, 10 s of the sparse-blur fuzzer (both kernel arms too) and 10 s of the boundary-edge fuzzer, each against its oracle; 10 s of the litho kernel's assembly routines against their Go loops; 10 s of geom's region ops and area queries against the slab oracle; 10 s of the spatial index, frozen layout against grown against brute force; 10 s of the deck's facing-edge scans, MinArea and Components against their index-based oracles; 10 s of the tile wire decoders on arbitrary bytes (no panic, bounded allocation, re-encode is a fixed point with the same key); 10 s of a unit's packed-key sort against the comparator sort; 10 s of keysort's radix sort against slices.Sort and its permutation against a gather
+fuzz-smoke: ## 20 s of the packed-bitmap morphology fuzzer, 10 s of the sparse-blur fuzzer (both kernel arms too) and 10 s of the boundary-edge fuzzer, each against its oracle; 10 s of the litho kernel's assembly routines against their Go loops; 10 s of geom's region ops and area queries against the slab oracle; 10 s of the spatial index, frozen layout against grown against brute force; 10 s of the band walk, clipped area and clip of a normal-form set against a linear scan, ClipArea and Intersect; 10 s of the deck's facing-edge scans, MinArea and Components against their index-based oracles; 10 s of the tile wire decoders on arbitrary bytes (no panic, bounded allocation, re-encode is a fixed point with the same key); 10 s of a unit's packed-key sort against the comparator sort; 10 s of keysort's radix sort against slices.Sort and its permutation against a gather; 10 s of a pattern's two-form canonical hash against the eight-orientation oracle
 	$(GO) test -run='^$$' -fuzz=FuzzBitmapMorphology -fuzztime=20s ./internal/litho
 	$(GO) test -run='^$$' -fuzz=FuzzSparseBlur -fuzztime=10s ./internal/litho
 	$(GO) test -run='^$$' -fuzz=FuzzKernelLoops -fuzztime=10s ./internal/litho
 	$(GO) test -run='^$$' -fuzz=FuzzBoundaryEdges -fuzztime=10s ./internal/geom
 	$(GO) test -run='^$$' -fuzz=FuzzRegionOps -fuzztime=10s ./internal/geom
 	$(GO) test -run='^$$' -fuzz=FuzzIndexQuery -fuzztime=10s ./internal/geom
+	$(GO) test -run='^$$' -fuzz=FuzzBanded -fuzztime=10s ./internal/geom
 	$(GO) test -run='^$$' -fuzz=FuzzDeckScans -fuzztime=10s ./internal/drc
 	$(GO) test -run='^$$' -fuzz=FuzzTileWire -fuzztime=10s ./internal/tiling
 	$(GO) test -run='^$$' -fuzz=FuzzCanonicalize -fuzztime=10s ./internal/tiling
 	$(GO) test -run='^$$' -fuzz=FuzzKeySort -fuzztime=10s ./internal/keysort
+	$(GO) test -run='^$$' -fuzz=FuzzCanonHash -fuzztime=10s ./internal/pattern
 
 # Where the coverage gates keep their profiles (bin/ is gitignored).
 COVER_DIR ?= bin/cover
@@ -129,16 +131,17 @@ cover-engine: ## unit path coverage gate: no function of internal/tiling's plan.
 	$(call cover-gate,cover-engine,./internal/tiling,plan|wire|key|scan,)
 
 # And on what every tile's deck stands on: the index, the boundary
-# extraction and the region algebra under ./internal/geom's own tests,
+# extraction, the region algebra and the band walk under
+# ./internal/geom's own tests,
 # the prepared layer and the rules that ask it under ./internal/drc's,
 # and the key sort the sweep, the boundary and a unit's canonical order
 # share under ./internal/keysort's. The index has two layouts and a
 # hand-over between them, the sweep five coverage rules, the key sort
-# two arms; 90 % of the statements of index.go, sweep.go and keysort.go
+# two arms; 90 % of the statements of index.go, sweep.go, banded.go and keysort.go
 # keeps an arm from going unexecuted the way the dense blur and
 # DoubleCoverArea's overlapping-operand branch did.
-cover-deck: ## deck path coverage gate: no function of internal/geom's index.go/edge.go/sweep.go/rectset.go, of internal/drc's layer.go/checks.go/density.go/enclosure.go, nor of internal/keysort's keysort.go at 0 % under the package's own tests; index.go, sweep.go and keysort.go >= 90 % of statements
-	$(call cover-gate,cover-deck-geom,./internal/geom,index|edge|sweep|rectset,index|sweep)
+cover-deck: ## deck path coverage gate: no function of internal/geom's index.go/edge.go/sweep.go/rectset.go/banded.go, of internal/drc's layer.go/checks.go/density.go/enclosure.go, nor of internal/keysort's keysort.go at 0 % under the package's own tests; index.go, sweep.go, banded.go and keysort.go >= 90 % of statements
+	$(call cover-gate,cover-deck-geom,./internal/geom,index|edge|sweep|rectset|banded,index|sweep|banded)
 	$(call cover-gate,cover-deck-drc,./internal/drc,layer|checks|density|enclosure,)
 	$(call cover-gate,cover-deck-keysort,./internal/keysort,keysort,keysort)
 
@@ -167,6 +170,16 @@ drcprofile: ## CPU + allocation profile of the signoff DRC path (100k-rect chip,
 	$(GO) tool pprof -top -cum -nodecount=40 -show='drc\.|geom\.' $(DRCPROFILE_DIR)/dfmscore $(DRCPROFILE_DIR)/cpu.prof
 	$(GO) tool pprof -sample_index=alloc_space -top -cum -nodecount=25 -show='drc\.|geom\.' $(DRCPROFILE_DIR)/dfmscore $(DRCPROFILE_DIR)/mem.prof
 	@grep -oE '"(drc\.facing\.pairs\.(found|kept)|drc\.endcap\.gates\.(asked|built))": *[0-9]+' $(DRCPROFILE_DIR)/metrics.json
+
+# Where scoreprofile keeps its test binary and profiles (bin/ is gitignored).
+SCOREPROFILE_DIR ?= bin/scoreprofile
+
+scoreprofile: ## CPU + allocation profile of the scorecard (BenchmarkScorecard: dfm.RunAllConfig over seeds 11-14, 40 iterations), dfm.*, pattern.*, fill.*, drc.* and geom.* by cumulative cost; the benchmark row ends on the sweep's y-events per scorecard
+	@mkdir -p $(SCOREPROFILE_DIR)
+	$(GO) test -run='^$$' -bench='^BenchmarkScorecard$$' -benchtime=40x -benchmem \
+		-cpuprofile $(SCOREPROFILE_DIR)/cpu.prof -memprofile $(SCOREPROFILE_DIR)/mem.prof -o $(SCOREPROFILE_DIR)/repro.test .
+	$(GO) tool pprof -top -cum -nodecount=40 -show='dfm\.|pattern\.|fill\.|drc\.|geom\.' $(SCOREPROFILE_DIR)/repro.test $(SCOREPROFILE_DIR)/cpu.prof
+	$(GO) tool pprof -sample_index=alloc_space -top -cum -nodecount=25 -show='dfm\.|pattern\.|fill\.|drc\.|geom\.' $(SCOREPROFILE_DIR)/repro.test $(SCOREPROFILE_DIR)/mem.prof
 
 # Where editprofile keeps its binary and profile (bin/ is gitignored).
 EDITPROFILE_DIR ?= bin/editprofile
@@ -203,7 +216,7 @@ lithoprofile: ## which arm of the kernel's float loops runs (litho.kernel.simd: 
 bench: ## every root-module benchmark (BenchmarkExperiment/<id> times the paper's experiments), time and allocations only; writes no file and regenerates no table (records come from `bash benchmark/run.sh`, the tables from `go test -run TestExperimentTables -update .`)
 	$(GO) test -run='^$$' -bench=. -benchmem .
 
-bench-smoke: ## one iteration of the five kernel micro-rows, of one experiment of the table, of the tile wire codec, of the tile key and of the sort before it, of the key sort's two arms, of the index build (dense and sparse extent), of the sweep under each coverage rule, of the boundary extraction, of the deck and the endcap rule on a tile and of a layer's query mix on its bands and on an index, so the gate executes the benchmarks and does not merely compile them
+bench-smoke: ## one iteration of the five kernel micro-rows, of one experiment of the table, of the tile wire codec, of the tile key and of the sort before it, of the key sort's two arms, of the index build (dense and sparse extent), of the sweep under each coverage rule, of the boundary extraction, of the deck and the endcap rule on a tile, of a layer's query mix on its bands and on an index, of the pattern hash's two arms and of drc-plus's pattern scan, so the gate executes the benchmarks and does not merely compile them
 	$(GO) test -run='^$$' -bench='^Benchmark(GeomBoolean|DRCBlock|BitmapOpen|ScanWindow|ScanWindowDense)$$' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='^BenchmarkExperiment$$/^F5$$' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='^BenchmarkTile(Wire|Key)$$' -benchtime=1x -benchmem ./internal/tiling
@@ -211,6 +224,8 @@ bench-smoke: ## one iteration of the five kernel micro-rows, of one experiment o
 	$(GO) test -run='^$$' -bench='^BenchmarkKeySort$$' -benchtime=1x -benchmem ./internal/keysort
 	$(GO) test -run='^$$' -bench='^Benchmark(IndexBuildQuery|Sweep|BoundaryOfNormal)$$' -benchtime=1x -benchmem ./internal/geom
 	$(GO) test -run='^$$' -bench='^Benchmark(DeckTile|Endcap|LayerQuery)$$' -benchtime=1x -benchmem ./internal/drc
+	$(GO) test -run='^$$' -bench='^BenchmarkCanonHash$$' -benchtime=1x -benchmem ./internal/pattern
+	$(GO) test -run='^$$' -bench='^BenchmarkMatcherScan$$' -benchtime=1x -benchmem ./internal/dfm
 
 # The same run is part of `go test ./...`; the target names it. A flag
 # no command passes fails the test beside it, TestEveryFlagAnswersToASetter.

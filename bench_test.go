@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dfm"
 	"repro/internal/drc"
 	"repro/internal/fill"
 	"repro/internal/geom"
@@ -407,6 +408,35 @@ func BenchmarkFillSynthesize(b *testing.B) {
 			b.Fatal("no tiles")
 		}
 	}
+}
+
+// BenchmarkScorecard runs the scorecard as the benchmark's scorecard
+// workload does at its default seed: dfm.RunAllConfig over seeds 11 to
+// 14, two techniques at a time. It fails on any technique's error and
+// reports the sweep's y-events per op, a deterministic count of the
+// region ops the scorecard ran. make scoreprofile profiles it.
+func BenchmarkScorecard(b *testing.B) {
+	t := tech.N45()
+	cfg := dfm.DefaultConfig()
+	cfg.Parallel = 2
+	was := obs.Enabled()
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(was)
+	events := obs.Default().Snapshot().Counters["geom.sweep.events"]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for seed := int64(11); seed < 15; seed++ {
+			for _, o := range dfm.RunAllConfig(context.Background(), t, seed, cfg).Outcomes {
+				if o.Err != nil {
+					b.Fatalf("seed %d: %s: %v", seed, o.Technique, o.Err)
+				}
+			}
+		}
+	}
+	b.StopTimer()
+	events = obs.Default().Snapshot().Counters["geom.sweep.events"] - events
+	b.ReportMetric(float64(events)/float64(b.N), "sweep-events/op")
 }
 
 // ---- In-design score-and-repair benches (PR10): the repair loop on

@@ -49,7 +49,7 @@ func main() {
 		len(trainHS), stress.Defocus, stress.Dose)
 
 	// Phase 2: cluster the hotspots into root-cause classes.
-	ix := geom.IndexOf(4*radius, train)
+	l := geom.BandedOf(train)
 	anchors := pattern.Anchors(train)
 	cl := pattern.NewClusterer(0.75, true)
 	var pats []pattern.Pattern
@@ -59,7 +59,7 @@ func main() {
 		if !ok {
 			continue
 		}
-		p := pattern.ExtractAtIndexed(ix, a, radius)
+		p := pattern.ExtractAt(l, a, radius)
 		if p.Empty() {
 			continue
 		}

@@ -296,6 +296,50 @@ func EvalSRAF(ctx context.Context, t *tech.Tech) (o Outcome) {
 	return o
 }
 
+// drcPlusBlock generates the drc-plus workload block of one seed and
+// returns its normalized metal1 and the litho hotspots it shows at the
+// stress condition.
+func drcPlusBlock(ctx context.Context, t *tech.Tech, seed int64) ([]geom.Rect, []litho.Hotspot, error) {
+	l, err := layout.GenerateBlock(t, layout.BlockOpts{
+		Rows: 2, RowWidth: 6000, Nets: 8, MaxFan: 3, Seed: seed,
+	})
+	if err != nil {
+		return nil, nil, harness.Workload(err)
+	}
+	m1 := geom.Normalize(layout.ByLayer(l.Flatten())[tech.Metal1])
+	hs, err := litho.ScanLayer(ctx, m1, t, tech.Metal1, litho.ScanOpts{Cond: StressCond})
+	if err != nil {
+		return nil, nil, err
+	}
+	return m1, hs, nil
+}
+
+// drcPlusLibrary trains the drc-plus pattern library on the normalized
+// metal1 of a block and its hotspots: one exact entry for the pattern
+// at the geometry corner nearest each hotspot.
+func drcPlusLibrary(m1 []geom.Rect, hs []litho.Hotspot) *pattern.Matcher {
+	const radius = 200
+	matcher := pattern.NewMatcher(radius)
+	l := geom.BandedOf(m1)
+	anchors := pattern.Anchors(m1)
+	for i, h := range hs {
+		a, ok := nearestAnchor(anchors, h.Box.Center(), 400)
+		if !ok {
+			continue
+		}
+		p := pattern.ExtractAt(l, a, radius)
+		if p.Empty() {
+			continue
+		}
+		matcher.AddEntry(&pattern.LibEntry{
+			Name:  fmt.Sprintf("hs%d", i),
+			P:     p,
+			Exact: true,
+		})
+	}
+	return matcher
+}
+
 // StressCond is the off-nominal condition used to provoke printability
 // hotspots in the DRC Plus capture experiment.
 var StressCond = litho.Condition{Defocus: 110, Dose: 0.95}
@@ -307,28 +351,13 @@ func EvalDRCPlus(ctx context.Context, t *tech.Tech, trainSeed, testSeed int64) (
 	o = Outcome{Technique: "drc-plus"}
 	defer track(&o)()
 
-	makeM1 := func(seed int64) ([]geom.Rect, []litho.Hotspot, error) {
-		l, err := layout.GenerateBlock(t, layout.BlockOpts{
-			Rows: 2, RowWidth: 6000, Nets: 8, MaxFan: 3, Seed: seed,
-		})
-		if err != nil {
-			return nil, nil, harness.Workload(err)
-		}
-		m1 := geom.Normalize(layout.ByLayer(l.Flatten())[tech.Metal1])
-		hs, err := litho.ScanLayer(ctx, m1, t, tech.Metal1, litho.ScanOpts{Cond: StressCond})
-		if err != nil {
-			return nil, nil, err
-		}
-		return m1, hs, nil
-	}
-
 	sp := stage("drc-plus", "workload")
-	trainM1, trainHS, err := makeM1(trainSeed)
+	trainM1, trainHS, err := drcPlusBlock(ctx, t, trainSeed)
 	if err != nil {
 		o.Err = err
 		return o
 	}
-	testM1, testHS, err := makeM1(testSeed)
+	testM1, testHS, err := drcPlusBlock(ctx, t, testSeed)
 	sp.End()
 	if err != nil {
 		o.Err = err
@@ -341,29 +370,8 @@ func EvalDRCPlus(ctx context.Context, t *tech.Tech, trainSeed, testSeed int64) (
 		return o
 	}
 
-	// Train: extract a pattern at the geometry corner nearest each
-	// training hotspot.
 	sp = stage("drc-plus", "train")
-	const radius = 200
-	matcher := pattern.NewMatcher(radius)
-	ix := geom.IndexOf(4*radius, trainM1)
-	anchors := pattern.Anchors(trainM1)
-	for i, h := range trainHS {
-		a, ok := nearestAnchor(anchors, h.Box.Center(), 400)
-		if !ok {
-			continue
-		}
-		p := pattern.ExtractAtIndexed(ix, a, radius)
-		if p.Empty() {
-			continue
-		}
-		matcher.AddEntry(&pattern.LibEntry{
-			Name:  fmt.Sprintf("hs%d", i),
-			P:     p,
-			Exact: true,
-		})
-	}
-
+	matcher := drcPlusLibrary(trainM1, trainHS)
 	sp.End()
 
 	if err := ctx.Err(); err != nil {

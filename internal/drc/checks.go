@@ -126,7 +126,7 @@ func dimensionScan(ly *preparedLayer, lim int64, interior bool, mk func(geom.Rec
 // for the first hi past its lo begins, and the lines to search are
 // those from the first past its own up to lim away.
 func facingPairs(ly *preparedLayer, lim int64, interior bool) []candidate {
-	if len(ly.rects) == 0 {
+	if len(ly.Rects()) == 0 {
 		return nil
 	}
 	sides := ly.boundary()
@@ -151,7 +151,7 @@ func facingPairs(ly *preparedLayer, lim int64, interior bool) []candidate {
 					found++
 					// Validity: space between must be all-interior (width) or
 					// all-exterior (spacing).
-					if cov := ly.clipArea(m); (interior && cov != m.Area()) || (!interior && cov != 0) {
+					if cov := ly.ClipArea(m); (interior && cov != m.Area()) || (!interior && cov != 0) {
 						continue
 					}
 					cands = append(cands, candidate{m: m, axis: uint8(axis)})
@@ -194,8 +194,8 @@ var (
 // scan cannot see).
 func cornerScan(ly *preparedLayer, s int64, rule string, layer tech.Layer) []Violation {
 	var cands []candidate
-	for i, a := range ly.rects {
-		ly.near(a.Bloat(s), func(id int, b geom.Rect) {
+	for i, a := range ly.Rects() {
+		ly.Near(a.Bloat(s), func(id int, b geom.Rect) {
 			if id <= i {
 				return
 			}
@@ -214,7 +214,7 @@ func cornerScan(ly *preparedLayer, s int64, rule string, layer tech.Layer) []Vio
 			// Only a violation if the gap box is truly empty (not part
 			// of either region via other rects) and the corners belong
 			// to different connected regions.
-			if ly.clipArea(marker) != 0 {
+			if ly.ClipArea(marker) != 0 {
 				return
 			}
 			cands = append(cands, candidate{m: marker})

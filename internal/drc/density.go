@@ -139,7 +139,7 @@ func (c *Context) DensityIn(l tech.Layer, window geom.Rect) float64 {
 	if window.Empty() {
 		return 0
 	}
-	return float64(c.layer(l).clipArea(window)) / float64(window.Area())
+	return float64(c.layer(l).ClipArea(window)) / float64(window.Area())
 }
 
 // Endcap requires poly gates to extend at least Ext past the diffusion
@@ -156,14 +156,14 @@ func (r Endcap) Name() string { return fmt.Sprintf("poly.endcap.%d", r.Ext) }
 // Check implements Rule.
 func (r Endcap) Check(ctx *Context) []Violation {
 	poly, diff := ctx.layer(tech.Poly), ctx.layer(tech.Diff)
-	if len(poly.rects) == 0 || len(diff.rects) == 0 {
+	if len(poly.Rects()) == 0 || len(diff.Rects()) == 0 {
 		return nil
 	}
 	name, detail := r.Name(), fmt.Sprintf("gate endcap < %d", r.Ext)
 	gates := new(preparedLayer)
-	gates.prepare(geom.Intersect(poly.rects, diff.rects))
+	gates.prepare(geom.Intersect(poly.Rects(), diff.Rects()))
 	var out []Violation
-	for _, g := range components(gates.rects) {
+	for _, g := range components(gates.Rects()) {
 		bb := geom.BBoxOf(g)
 		// The endcap is only required in the gate's transit direction
 		// (where poly crosses the diff edge); the perpendicular sides
@@ -183,7 +183,7 @@ func (r Endcap) Check(ctx *Context) []Violation {
 		// (poly over diff is the gates), add up to the band's own. That
 		// is every gate of a chip whose endcaps are drawn to rule.
 		cEndcapAsked.Inc()
-		if diff.clipArea(band)+poly.clipArea(band)-gates.clipArea(band) == band.Area() {
+		if diff.ClipArea(band)+poly.ClipArea(band)-gates.ClipArea(band) == band.Area() {
 			continue
 		}
 		cEndcapBuilt.Inc()

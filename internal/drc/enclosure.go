@@ -27,7 +27,7 @@ func (r Enclosure) Name() string {
 func (r Enclosure) Check(ctx *Context) []Violation {
 	metal := ctx.layer(r.Metal)
 	covered := func(want geom.Rect) bool {
-		return metal.clipArea(want) == want.Area()
+		return metal.ClipArea(want) == want.Area()
 	}
 	name := r.Name()
 	detail := fmt.Sprintf("cut not enclosed by %s by %d/%d in either orientation", r.Metal, r.End, r.Side)
@@ -64,7 +64,7 @@ func (r MinArea) Check(ctx *Context) []Violation {
 	name := r.Name()
 	ly := ctx.layer(r.Layer)
 	var out []Violation
-	for _, comp := range components(ly.rects) {
+	for _, comp := range components(ly.Rects()) {
 		var a int64 // a component's rects are disjoint: their areas add up
 		for _, rc := range comp {
 			a += rc.Area()

@@ -262,14 +262,10 @@ func TestEndcapMatchesOracleOnChipTiles(t *testing.T) {
 }
 
 // What the rules read from a prepared layer must be what the whole-
-// layer functions say, and the band walk they read it with must visit
-// what a linear scan finds.
+// layer functions say. The band walk they read it with is geom.Banded's,
+// held to a linear scan by geom's TestBanded and FuzzBanded.
 func TestPreparedLayerMatchesGeom(t *testing.T) {
 	tt := tech.N45()
-	// No band, one rect, and one band of several.
-	checkNear(t, nil, 70)
-	checkNear(t, []geom.Rect{geom.R(0, 0, 100, 50)}, 70)
-	checkNear(t, []geom.Rect{geom.R(-300, 0, -200, 50), geom.R(0, 0, 100, 50), geom.R(101, 0, 170, 50), geom.R(400, 0, 900, 50)}, 70)
 	rnd := rand.New(rand.NewSource(15))
 	gateRects := 0
 	for round := 0; round < 100; round++ {
@@ -288,15 +284,18 @@ func TestPreparedLayerMatchesGeom(t *testing.T) {
 		}
 		ctx := NewContext(tt, shapes)
 		ly, rs := ctx.layer(tech.Metal1), ctx.Layers[tech.Metal1]
-		checkNear(t, rs, 70)
-		gates := geom.Intersect(ctx.layer(tech.Poly).rects, ctx.layer(tech.Diff).rects)
-		checkNear(t, gates, 100)
+		gates := geom.Intersect(ctx.layer(tech.Poly).Rects(), ctx.layer(tech.Diff).Rects())
+		gl := new(preparedLayer)
+		gl.prepare(gates)
 		gateRects += len(gates)
 		for q := 0; q < 40; q++ {
 			x, y := rnd.Int63n(8000)-4000, rnd.Int63n(8000)-4000
 			box := geom.R(x, y, x+rnd.Int63n(1500), y+rnd.Int63n(1500))
-			if got, want := ly.clipArea(box), geom.ClipArea(rs, box); got != want {
-				t.Fatalf("clipArea(%v) = %d, want %d over %v", box, got, want, rs)
+			if got, want := ly.ClipArea(box), geom.ClipArea(rs, box); got != want {
+				t.Fatalf("ClipArea(%v) = %d, want %d over %v", box, got, want, rs)
+			}
+			if got, want := gl.ClipArea(box), geom.ClipArea(gates, box); got != want {
+				t.Fatalf("gates ClipArea(%v) = %d, want %d over %v", box, got, want, gates)
 			}
 			// Density through the band walk is the free function bit for bit:
 			// on the box (empty or a segment when a draw was 0), far off

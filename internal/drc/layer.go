@@ -8,15 +8,14 @@ import (
 )
 
 // preparedLayer is what the rules derive from one layer's normalized
-// rects, built on first use and then shared: where each y-band of the
-// rects begins, and the boundary edges split by interior side, each side
-// a list sorted by line. Rules run concurrently under RunCtx, so each
-// part is built under a sync.Once and only read afterwards; it lives
-// exactly as long as its Context.
+// rects, built on first use and then shared: the rects in banded form,
+// whose walk finds what is near a box, and the boundary edges split by
+// interior side, each side a list sorted by line. Rules run concurrently
+// under RunCtx, so each part is built under a sync.Once and only read
+// afterwards; it lives exactly as long as its Context.
 type preparedLayer struct {
-	once  sync.Once
-	rects []geom.Rect // normalized
-	bands []int32     // band k is rects[bands[k]:bands[k+1]]; the last entry is len(rects)
+	once sync.Once
+	*geom.Banded
 
 	sideOnce sync.Once
 	sides    [4][]seg // by geom.Side
@@ -34,52 +33,7 @@ func (c *Context) layer(l tech.Layer) *preparedLayer {
 }
 
 // prepare makes p the prepared form of rs, which must be in normal form.
-func (p *preparedLayer) prepare(rs []geom.Rect) {
-	var bands []int32
-	for i, r := range rs {
-		if i == 0 || r.Y0 != rs[i-1].Y0 {
-			bands = append(bands, int32(i))
-		}
-	}
-	p.rects, p.bands = rs, append(bands, int32(len(rs)))
-}
-
-// near calls f with the position and rect of every rect that intersects
-// or touches q, in ascending position. In normal form the bands are
-// y-disjoint and rise, and a band's rects are x-sorted and disjoint, so
-// Y1 never falls along the layer and X1 never falls along a band: a
-// binary search finds the first band reaching q, another in each band
-// the first rect reaching it, and the walk stops at the first rect past
-// it.
-func (p *preparedLayer) near(q geom.Rect, f func(i int, r geom.Rect)) {
-	if q.X0 > q.X1 || q.Y0 > q.Y1 {
-		return
-	}
-	rs, bands := p.rects, p.bands
-	b, nb := 0, len(bands)-1
-	for j := nb; b < j; {
-		h := int(uint(b+j) >> 1)
-		if rs[bands[h]].Y1 < q.Y0 {
-			b = h + 1
-		} else {
-			j = h
-		}
-	}
-	for ; b < nb && rs[bands[b]].Y0 <= q.Y1; b++ {
-		i, end := int(bands[b]), int(bands[b+1])
-		for j := end; i < j; {
-			h := int(uint(i+j) >> 1)
-			if rs[h].X1 < q.X0 {
-				i = h + 1
-			} else {
-				j = h
-			}
-		}
-		for ; i < end && rs[i].X0 <= q.X1; i++ {
-			f(i, rs[i])
-		}
-	}
-}
+func (p *preparedLayer) prepare(rs []geom.Rect) { p.Banded = geom.BandedOf(rs) }
 
 // boundary returns the layer's boundary edges by interior side, indexed
 // by geom.Side. Each side is in (at, lo) order and its edges on one line
@@ -87,7 +41,7 @@ func (p *preparedLayer) near(q geom.Rect, f func(i int, r geom.Rect)) {
 // splitting its output without sorting.
 func (p *preparedLayer) boundary() *[4][]seg {
 	p.sideOnce.Do(func() {
-		edges := geom.BoundaryOfNormal(p.rects)
+		edges := geom.BoundaryOfNormal(p.Rects())
 		var n [4]int
 		for _, e := range edges {
 			n[e.Interior]++
@@ -107,24 +61,10 @@ func (p *preparedLayer) boundary() *[4][]seg {
 	return &p.sides
 }
 
-// clipArea is geom.ClipArea(p.rects, clip) at the cost of the rects
-// near clip: normalized rects are disjoint, so the clipped areas of
-// those that touch the box add up to the coverage.
-func (p *preparedLayer) clipArea(clip geom.Rect) int64 {
-	if clip.Empty() {
-		return 0
-	}
-	var a int64
-	p.near(clip, func(_ int, r geom.Rect) {
-		a += r.Intersect(clip).Area()
-	})
-	return a
-}
-
-// coversPoint is geom.CoversPoint(p.rects, pt).
+// coversPoint is geom.CoversPoint(p.Rects(), pt).
 func (p *preparedLayer) coversPoint(pt geom.Point) bool {
 	hit := false
-	p.near(geom.Rect{X0: pt.X, Y0: pt.Y, X1: pt.X, Y1: pt.Y}, func(int, geom.Rect) {
+	p.Near(geom.Rect{X0: pt.X, Y0: pt.Y, X1: pt.X, Y1: pt.Y}, func(int, geom.Rect) {
 		hit = true
 	})
 	return hit
@@ -134,7 +74,7 @@ func (p *preparedLayer) coversPoint(pt geom.Point) bool {
 // layer order: all of the layer a boolean op confined to q can see.
 func (p *preparedLayer) touching(q geom.Rect) []geom.Rect {
 	var out []geom.Rect
-	p.near(q, func(_ int, r geom.Rect) {
+	p.Near(q, func(_ int, r geom.Rect) {
 		out = append(out, r)
 	})
 	return out

@@ -85,7 +85,7 @@ func BenchmarkLayerQuery(b *testing.B) {
 			ly.prepare(rs)
 			var sum int64
 			for _, q := range clips {
-				sum += ly.clipArea(q)
+				sum += ly.ClipArea(q)
 			}
 			for _, p := range points {
 				if ly.coversPoint(p) {
@@ -93,7 +93,7 @@ func BenchmarkLayerQuery(b *testing.B) {
 				}
 			}
 			for _, q := range bloats {
-				ly.near(q, func(i int, _ geom.Rect) { sum += int64(i) })
+				ly.Near(q, func(i int, _ geom.Rect) { sum += int64(i) })
 			}
 			return sum
 		}},

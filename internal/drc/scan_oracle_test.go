@@ -3,7 +3,6 @@ package drc
 import (
 	"fmt"
 	"reflect"
-	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -34,10 +33,10 @@ const layerCell = 1024
 // edge) and not lim = 1 as its comment said, so a 2 nm rule never saw a
 // 1 nm gap. Nothing can be closer than lim only when lim <= 1.
 func dimensionScanOracle(ly *preparedLayer, lim int64, interior bool, mk func(geom.Rect, int64) Violation) []Violation {
-	if len(ly.rects) == 0 || lim <= 1 {
+	if len(ly.Rects()) == 0 || lim <= 1 {
 		return nil
 	}
-	edges := geom.BoundaryOfNormal(ly.rects)
+	edges := geom.BoundaryOfNormal(ly.Rects())
 	boxes := make([]geom.Rect, len(edges))
 	for i, e := range edges {
 		boxes[i] = geom.R(e.P0.X, e.P0.Y, e.P1.X, e.P1.Y)
@@ -104,7 +103,7 @@ func dimensionScanOracle(ly *preparedLayer, lim int64, interior bool, mk func(ge
 			}
 			// Validity: space between must be all-interior (width) or
 			// all-exterior (spacing).
-			cov := ly.clipArea(marker)
+			cov := ly.ClipArea(marker)
 			if interior && cov != marker.Area() {
 				return true
 			}
@@ -127,9 +126,9 @@ func dimensionScanOracle(ly *preparedLayer, lim int64, interior bool, mk func(ge
 // rect, the space between measured by the whole-layer area sweep. Kept
 // as the differential-test reference.
 func cornerScanOracle(ly *preparedLayer, s int64, rule string, layer tech.Layer) []Violation {
-	ix := geom.IndexOf(layerCell, ly.rects)
+	ix := geom.IndexOf(layerCell, ly.Rects())
 	var cands []candidate
-	for i, a := range ly.rects {
+	for i, a := range ly.Rects() {
 		ix.QueryFunc(a.Bloat(s), func(id int, b geom.Rect) bool {
 			if id <= i {
 				return true
@@ -149,7 +148,7 @@ func cornerScanOracle(ly *preparedLayer, s int64, rule string, layer tech.Layer)
 			// Only a violation if the gap box is truly empty (not part
 			// of either region via other rects) and the corners belong
 			// to different connected regions.
-			if geom.ClipArea(ly.rects, marker) != 0 {
+			if geom.ClipArea(ly.Rects(), marker) != 0 {
 				return true
 			}
 			cands = append(cands, candidate{m: marker})
@@ -230,78 +229,8 @@ func minAreaOracle(r MinArea, ctx *Context) []Violation {
 	return out
 }
 
-// touchScan is what near must visit: the positions of the rects that
-// intersect or touch q, by a linear scan. An inside-out query touches
-// nothing, as in geom.Index.
-func touchScan(rs []geom.Rect, q geom.Rect) []int {
-	if q.X0 > q.X1 || q.Y0 > q.Y1 {
-		return nil
-	}
-	var out []int
-	for i, r := range rs {
-		if r.X0 <= q.X1 && q.X0 <= r.X1 && r.Y0 <= q.Y1 && q.Y0 <= r.Y1 {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// nearQueries is the query set checkNear asks of a layer: every rect
-// bloated by lim (the corner scan's query); boxes touching a rect only
-// along one of its sides or only at one of its corners; its corners
-// and its centre as points; it inside out; the layer's bounding box and
-// its left side, each over every band; and a box far off the layer.
-func nearQueries(rs []geom.Rect, lim int64) []geom.Rect {
-	var qs []geom.Rect
-	for _, r := range rs {
-		qs = append(qs,
-			r.Bloat(lim),
-			geom.R(r.X1, r.Y0, r.X1+lim, r.Y1), geom.R(r.X0-lim, r.Y0, r.X0, r.Y1),
-			geom.R(r.X0, r.Y1, r.X1, r.Y1+lim), geom.R(r.X0, r.Y0-lim, r.X1, r.Y0),
-			geom.R(r.X1, r.Y1, r.X1+lim, r.Y1+lim), geom.R(r.X0-lim, r.Y0-lim, r.X0, r.Y0),
-			geom.R(r.X1, r.Y0-lim, r.X1+lim, r.Y0), geom.R(r.X0-lim, r.Y1, r.X0, r.Y1+lim),
-			geom.R(r.X0, r.Y0, r.X0, r.Y0), geom.R(r.X1, r.Y1, r.X1, r.Y1),
-			geom.R(r.X0, r.Y1, r.X0, r.Y1), geom.R(r.X1, r.Y0, r.X1, r.Y0),
-			geom.R(r.Center().X, r.Center().Y, r.Center().X, r.Center().Y),
-			geom.Rect{X0: r.X1, Y0: r.Y1, X1: r.X0, Y1: r.Y0},
-		)
-	}
-	bb := geom.BBoxOf(rs).Bloat(lim)
-	return append(qs, bb, geom.R(bb.X0, bb.Y0, bb.X0, bb.Y1), bb.Translate(geom.Pt(bb.Width()+1<<20, -(bb.Height()+1<<20))))
-}
-
-// checkNear holds the band walk of the prepared form of rs, and of rs
-// moved by ±2^40 each way, to a linear scan over nearQueries(rs, lim).
-func checkNear(t *testing.T, rs []geom.Rect, lim int64) {
-	t.Helper()
-	if !geom.IsNormal(rs) {
-		t.Fatalf("not in normal form: %v", rs)
-	}
-	for _, d := range []geom.Point{{}, {X: 1 << 40, Y: -(1 << 40)}, {X: -(1 << 40), Y: 1 << 40}} {
-		moved := make([]geom.Rect, len(rs))
-		for i, r := range rs {
-			moved[i] = r.Translate(d)
-		}
-		var ly preparedLayer
-		ly.prepare(moved)
-		for _, q := range nearQueries(moved, lim) {
-			var got []int
-			ly.near(q, func(i int, r geom.Rect) {
-				if r != moved[i] {
-					t.Fatalf("near(%v) passed rect %v at position %d, which holds %v", q, r, i, moved[i])
-				}
-				got = append(got, i)
-			})
-			if want := touchScan(moved, q); !slices.Equal(got, want) {
-				t.Fatalf("near(%v) visits %v, want %v over %v", q, got, want, moved)
-			}
-		}
-	}
-}
-
 // checkDeckScans holds the width and spacing scans, MinArea and
-// Components on rs to their oracles at limit lim, and the band walk to a
-// linear scan.
+// Components on rs to their oracles at limit lim.
 func checkDeckScans(t *testing.T, rs []geom.Rect, lim int64) {
 	t.Helper()
 	shapes := make([]layout.Shape, len(rs))
@@ -339,7 +268,6 @@ func checkDeckScans(t *testing.T, rs []geom.Rect, lim int64) {
 	if got, want := Components(rs), componentsOracle(geom.Normalize(rs)); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Components(%v)\n got %v\nwant %v", rs, got, want)
 	}
-	checkNear(t, ly.rects, lim)
 }
 
 // FuzzDeckScans draws layers on a small grid around the origin, so that

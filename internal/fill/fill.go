@@ -24,16 +24,26 @@ type DensityMap struct {
 
 // Analyze computes the density map of the rect set over the extent
 // with the given window and step. Windows are independent reads of the
-// normalized geometry, so they fan out across the machine's cores;
-// results land by window index, keeping the map deterministic.
+// banded geometry, so they fan out across the machine's cores; results
+// land by window index, keeping the map deterministic.
 func Analyze(rs []geom.Rect, extent geom.Rect, window, step int64) DensityMap {
 	ws := drc.WindowGrid(extent, window, step)
 	dm := DensityMap{Windows: ws, Density: make([]float64, len(ws))}
-	norm := geom.Normalize(rs)
+	l := geom.BandedOf(geom.Normalize(rs))
 	_ = harness.ForEach(context.Background(), runtime.GOMAXPROCS(0), len(ws), func(i int) {
-		dm.Density[i] = drc.DensityIn(norm, ws[i])
+		dm.Density[i] = densityIn(l, ws[i])
 	})
 	return dm
+}
+
+// densityIn is drc.DensityIn(l.Rects(), w) at the cost of the rects
+// near the window: the same integer area over the same window area, so
+// the same float.
+func densityIn(l *geom.Banded, w geom.Rect) float64 {
+	if w.Empty() {
+		return 0
+	}
+	return float64(l.ClipArea(w)) / float64(w.Area())
 }
 
 // Stats summarizes a density map.
@@ -98,8 +108,7 @@ const (
 // would encroach on signal shapes. window and step are the analysis
 // grid, as Analyze takes them.
 func Synthesize(rs []geom.Rect, extent geom.Rect, window, step int64) []geom.Rect {
-	norm := geom.Normalize(rs)
-	ix := geom.IndexOf(4*pitch, norm)
+	l := geom.BandedOf(geom.Normalize(rs))
 
 	var tiles []geom.Rect
 	tileIx := geom.NewIndex(4 * pitch)
@@ -116,7 +125,7 @@ func Synthesize(rs []geom.Rect, extent geom.Rect, window, step int64) []geom.Rec
 	}
 
 	for _, w := range drc.WindowGrid(extent, window, step) {
-		d := drc.DensityIn(norm, w) + float64(tileAreaIn(w))/float64(w.Area())
+		d := densityIn(l, w) + float64(tileAreaIn(w))/float64(w.Area())
 		if d >= target {
 			continue
 		}
@@ -134,7 +143,7 @@ func Synthesize(rs []geom.Rect, extent geom.Rect, window, step int64) []geom.Rec
 				if tile.X0 < w.X0 || tile.Y0 < w.Y0 {
 					continue
 				}
-				if blockedBy(ix, tile, tileSpace) || blockedBy(tileIx, tile, 0) {
+				if nearSignal(l, tile.Bloat(tileSpace)) || blockedBy(tileIx, tile) {
 					continue
 				}
 				tiles = append(tiles, tile)
@@ -146,11 +155,17 @@ func Synthesize(rs []geom.Rect, extent geom.Rect, window, step int64) []geom.Rec
 	return tiles
 }
 
-// blockedBy reports whether the tile bloated by space hits anything in
-// the index.
-func blockedBy(ix *geom.Index, tile geom.Rect, space int64) bool {
+// nearSignal reports whether any signal rect intersects or touches q.
+func nearSignal(l *geom.Banded, q geom.Rect) bool {
 	hit := false
-	ix.QueryFunc(tile.Bloat(space), func(id int, r geom.Rect) bool {
+	l.Near(q, func(int, geom.Rect) { hit = true })
+	return hit
+}
+
+// blockedBy reports whether the tile hits anything in the index.
+func blockedBy(ix *geom.Index, tile geom.Rect) bool {
+	hit := false
+	ix.QueryFunc(tile, func(id int, r geom.Rect) bool {
 		hit = true
 		return false
 	})

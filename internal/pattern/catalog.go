@@ -35,11 +35,10 @@ func NewCatalog(radius int64) *Catalog {
 // processed.
 func (c *Catalog) AddLayer(rs []geom.Rect) int {
 	norm := geom.Normalize(rs)
-	ix := geom.IndexOf(4*c.Radius, norm)
+	l := geom.BandedOf(norm)
 	anchors := Anchors(norm)
 	for _, a := range anchors {
-		p := ExtractAtIndexed(ix, a, c.Radius)
-		c.Add(p, a)
+		c.Add(ExtractAt(l, a, c.Radius), a)
 	}
 	return len(anchors)
 }

@@ -1,7 +1,8 @@
 package pattern
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/geom"
 )
@@ -43,7 +44,8 @@ func NewMatcher(radius int64) *Matcher {
 func (m *Matcher) AddEntry(e *LibEntry) {
 	m.entries = append(m.entries, e)
 	if e.Exact {
-		m.byHash[e.P.CanonHash()] = append(m.byHash[e.P.CanonHash()], e)
+		h := e.P.CanonHash()
+		m.byHash[h] = append(m.byHash[h], e)
 	}
 }
 
@@ -54,17 +56,19 @@ func (m *Matcher) Len() int { return len(m.entries) }
 // and reports all library matches, sorted by position.
 func (m *Matcher) ScanLayer(rs []geom.Rect) []Match {
 	norm := geom.Normalize(rs)
-	ix := geom.IndexOf(4*m.Radius, norm)
+	l := geom.BandedOf(norm)
 	var out []Match
 	for _, a := range Anchors(norm) {
-		p := ExtractAtIndexed(ix, a, m.Radius)
-		out = append(out, m.MatchAt(p, a)...)
+		out = append(out, m.MatchAt(ExtractAt(l, a, m.Radius), a)...)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].At != out[j].At {
-			return out[i].At.Less(out[j].At)
+	slices.SortFunc(out, func(a, b Match) int {
+		if a.At != b.At {
+			if a.At.Less(b.At) {
+				return -1
+			}
+			return 1
 		}
-		return out[i].Entry.Name < out[j].Entry.Name
+		return strings.Compare(a.Entry.Name, b.Entry.Name)
 	})
 	return out
 }

@@ -14,7 +14,7 @@ package pattern
 
 import (
 	"fmt"
-	"hash/fnv"
+	"slices"
 	"sort"
 
 	"repro/internal/geom"
@@ -28,30 +28,16 @@ type Pattern struct {
 	Rects  []geom.Rect
 }
 
-// ExtractAt clips the layer geometry to the window of the given radius
-// centered at the anchor and returns the window-local pattern.
-// The rect set need not be normalized.
-func ExtractAt(rs []geom.Rect, anchor geom.Point, radius int64) Pattern {
+// ExtractAt clips the layer to the window of the given radius centered
+// at the anchor and returns the window-local pattern, in normal form.
+func ExtractAt(l *geom.Banded, anchor geom.Point, radius int64) Pattern {
 	win := geom.R(anchor.X-radius, anchor.Y-radius, anchor.X+radius, anchor.Y+radius)
-	clipped := geom.Intersect(rs, []geom.Rect{win})
-	local := make([]geom.Rect, len(clipped))
+	local := l.Clip(win, nil)
 	d := geom.Pt(radius-anchor.X, radius-anchor.Y)
-	for i, r := range clipped {
+	for i, r := range local {
 		local[i] = r.Translate(d)
 	}
 	return Pattern{Radius: radius, Rects: local}
-}
-
-// ExtractAtIndexed is ExtractAt against a prebuilt spatial index; it
-// avoids rescanning the full layer per anchor on large layouts.
-func ExtractAtIndexed(ix *geom.Index, anchor geom.Point, radius int64) Pattern {
-	win := geom.R(anchor.X-radius, anchor.Y-radius, anchor.X+radius, anchor.Y+radius)
-	var near []geom.Rect
-	ix.QueryFunc(win, func(id int, r geom.Rect) bool {
-		near = append(near, r)
-		return true
-	})
-	return ExtractAt(near, anchor, radius)
 }
 
 // Anchors returns the canonical anchor points for pattern extraction
@@ -79,25 +65,6 @@ func (p Pattern) Empty() bool { return len(p.Rects) == 0 }
 
 // Area returns the covered area inside the window.
 func (p Pattern) Area() int64 { return geom.AreaOf(p.Rects) }
-
-// serialize produces the byte form used for hashing: radius followed by
-// the sorted rect coordinates.
-func (p Pattern) serialize(rs []geom.Rect) []byte {
-	buf := make([]byte, 0, 8+32*len(rs))
-	put := func(v int64) {
-		for s := 56; s >= 0; s -= 8 {
-			buf = append(buf, byte(v>>uint(s)))
-		}
-	}
-	put(p.Radius)
-	for _, r := range rs {
-		put(r.X0)
-		put(r.Y0)
-		put(r.X1)
-		put(r.Y1)
-	}
-	return buf
-}
 
 // orientedRects returns the pattern's normalized rects under one of the
 // eight square symmetries, re-anchored to the window's lower-left.
@@ -137,16 +104,117 @@ func (p Pattern) orientedRects(o geom.Orient) []geom.Rect {
 // CanonHash returns the orientation-invariant hash: the minimum exact
 // hash over the eight square symmetries. Two patterns that are
 // rotations/mirrors of each other share a CanonHash.
+//
+// The exact hash of a rect set is FNV-64a over the radius and then each
+// rect's X0 Y0 X1 Y1 of its normal form, as big-endian int64s. Normal
+// form is unique, and mirroring a normal-form set within the window
+// keeps it normal up to order: mirrored in y its bands come in reverse,
+// mirrored in x each band's rects do. The eight symmetries are those two
+// mirrors, neither or both, applied to the pattern's normal form and to
+// that of its transpose, so two normal forms give all eight hashes.
 func (p Pattern) CanonHash() uint64 {
+	base := p.Rects
+	if slices.ContainsFunc(base, func(r geom.Rect) bool { return r.X0 > r.X1 || r.Y0 > r.Y1 }) {
+		// An inside-out rect covers what its corners span, as
+		// geom.Transform.ApplyRect reads it.
+		base = make([]geom.Rect, len(p.Rects))
+		for i, r := range p.Rects {
+			base[i] = geom.R(r.X0, r.Y0, r.X1, r.Y1)
+		}
+	}
+	base = geom.Normalize(base)
+	tr := make([]geom.Rect, len(base))
+	for i, r := range base {
+		tr[i] = geom.Rect{X0: r.Y0, Y0: r.X0, X1: r.Y1, Y1: r.X1}
+	}
+	// A mirror maps the window [0, w] onto itself as v -> hi - v; the
+	// identity keeps it where it was moved, v -> v - lo (both hold for a
+	// negative radius, whose window is [w, 0]).
+	w := 2 * p.Radius
+	lo, hi := min(0, w), max(0, w)
 	best := ^uint64(0)
-	for o := geom.R0; o <= geom.MY90; o++ {
-		h := fnv.New64a()
-		h.Write(p.serialize(p.orientedRects(o)))
-		if s := h.Sum64(); s < best {
-			best = s
+	for _, rs := range [2][]geom.Rect{base, geom.Normalize(tr)} {
+		for m := 0; m < 4; m++ {
+			if h := orientedHash(p.Radius, rs, m&1 != 0, m&2 != 0, lo, hi); h < best {
+				best = h
+			}
 		}
 	}
 	return best
+}
+
+// FNV-64a, as hash/fnv computes it.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnvInt feeds v to the FNV-64a state h as eight big-endian bytes.
+func fnvInt(h uint64, v int64) uint64 {
+	u := uint64(v)
+	h = (h ^ u>>56) * fnvPrime
+	h = (h ^ u>>48&0xff) * fnvPrime
+	h = (h ^ u>>40&0xff) * fnvPrime
+	h = (h ^ u>>32&0xff) * fnvPrime
+	h = (h ^ u>>24&0xff) * fnvPrime
+	h = (h ^ u>>16&0xff) * fnvPrime
+	h = (h ^ u>>8&0xff) * fnvPrime
+	return (h ^ u&0xff) * fnvPrime
+}
+
+// rectHash feeds r to h as mirrored in x (mx) and in y (my) within the
+// window [lo, hi]².
+func rectHash(h uint64, r geom.Rect, mx, my bool, lo, hi int64) uint64 {
+	x0, x1, y0, y1 := r.X0-lo, r.X1-lo, r.Y0-lo, r.Y1-lo
+	if mx {
+		x0, x1 = hi-r.X1, hi-r.X0
+	}
+	if my {
+		y0, y1 = hi-r.Y1, hi-r.Y0
+	}
+	return fnvInt(fnvInt(fnvInt(fnvInt(h, x0), y0), x1), y1)
+}
+
+// orientedHash is the exact hash of the normal-form set rs mirrored in x
+// (mx) and in y (my) within the window [lo, hi]²: it visits rs in the
+// mirrored set's normal-form order, bands reversed under my and each
+// band's rects reversed under mx.
+func orientedHash(radius int64, rs []geom.Rect, mx, my bool, lo, hi int64) uint64 {
+	h := fnvInt(fnvOffset, radius)
+	n := len(rs)
+	switch {
+	case !mx && !my:
+		for _, r := range rs {
+			h = rectHash(h, r, mx, my, lo, hi)
+		}
+	case mx && my:
+		for i := n - 1; i >= 0; i-- {
+			h = rectHash(h, rs[i], mx, my, lo, hi)
+		}
+	case mx: // bands in order, each band's rects reversed
+		for s := 0; s < n; {
+			e := s + 1
+			for e < n && rs[e].Y0 == rs[s].Y0 {
+				e++
+			}
+			for i := e - 1; i >= s; i-- {
+				h = rectHash(h, rs[i], mx, my, lo, hi)
+			}
+			s = e
+		}
+	default: // my: bands reversed, each band's rects in order
+		for e := n; e > 0; {
+			s := e - 1
+			for s > 0 && rs[s-1].Y0 == rs[e-1].Y0 {
+				s--
+			}
+			for i := s; i < e; i++ {
+				h = rectHash(h, rs[i], mx, my, lo, hi)
+			}
+			e = s
+		}
+	}
+	return h
 }
 
 // Jaccard returns the area-overlap similarity of two same-radius

@@ -2,15 +2,18 @@ package pattern
 
 import (
 	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/geom"
 )
 
+// banded is the banded form of the region rs covers.
+func banded(rs []geom.Rect) *geom.Banded { return geom.BandedOf(geom.Normalize(rs)) }
+
 func TestExtractAtClipsAndLocalizes(t *testing.T) {
-	rs := []geom.Rect{geom.R(100, 100, 300, 140)}
+	rs := banded([]geom.Rect{geom.R(100, 100, 300, 140)})
 	p := ExtractAt(rs, geom.Pt(200, 120), 50)
 	if len(p.Rects) != 1 {
 		t.Fatalf("rect count = %d", len(p.Rects))
@@ -26,6 +29,21 @@ func TestExtractAtClipsAndLocalizes(t *testing.T) {
 	}
 }
 
+// extractDirect is what ExtractAt returns, by a sweep of the whole
+// layer: the layer intersected with the window, moved to window-local
+// coordinates.
+func extractDirect(rs []geom.Rect, anchor geom.Point, radius int64) []geom.Rect {
+	win := geom.R(anchor.X-radius, anchor.Y-radius, anchor.X+radius, anchor.Y+radius)
+	var local []geom.Rect
+	for _, r := range geom.Intersect(rs, []geom.Rect{win}) {
+		local = append(local, r.Translate(geom.Pt(radius-anchor.X, radius-anchor.Y)))
+	}
+	return local
+}
+
+// ExtractAt on the banded layer is the direct extraction rect for rect,
+// with no re-normalization: at random anchors, at every corner, and at
+// radius 0 and 1.
 func TestExtractIndexedMatchesDirect(t *testing.T) {
 	rnd := rand.New(rand.NewSource(11))
 	var rs []geom.Rect
@@ -34,13 +52,17 @@ func TestExtractIndexedMatchesDirect(t *testing.T) {
 		rs = append(rs, geom.R(x, y, x+50+rnd.Int63n(300), y+50+rnd.Int63n(300)))
 	}
 	norm := geom.Normalize(rs)
-	ix := geom.IndexOf(512, norm)
+	l := geom.BandedOf(norm)
+	anchors := Anchors(norm)
 	for i := 0; i < 30; i++ {
-		a := geom.Pt(rnd.Int63n(4000), rnd.Int63n(4000))
-		d := ExtractAt(norm, a, 200)
-		x := ExtractAtIndexed(ix, a, 200)
-		if !reflect.DeepEqual(geom.Normalize(d.Rects), geom.Normalize(x.Rects)) {
-			t.Fatalf("indexed extraction differs at %v", a)
+		anchors = append(anchors, geom.Pt(rnd.Int63n(4000), rnd.Int63n(4000)))
+	}
+	for _, a := range anchors {
+		for _, radius := range []int64{0, 1, 200} {
+			got, want := ExtractAt(l, a, radius).Rects, extractDirect(norm, a, radius)
+			if !slices.Equal(got, want) {
+				t.Fatalf("ExtractAt(%v, %d) = %v, direct %v", a, radius, got, want)
+			}
 		}
 	}
 }
@@ -85,19 +107,31 @@ func TestHashDiscriminatesAndRepeats(t *testing.T) {
 }
 
 func TestCanonHashOrientationInvariant(t *testing.T) {
-	// An L in the window.
-	base := Pattern{Radius: 100, Rects: []geom.Rect{
+	// An L in the window, then random patterns of one to eight rects,
+	// some reaching past the window, each under all eight orientations.
+	pats := []Pattern{{Radius: 100, Rects: []geom.Rect{
 		geom.R(0, 0, 150, 40), geom.R(0, 40, 40, 150),
-	}}
-	for o := geom.R0; o <= geom.MY90; o++ {
-		rot := Pattern{Radius: 100, Rects: base.orientedRects(o)}
-		if rot.CanonHash() != base.CanonHash() {
-			t.Fatalf("orientation %v changes CanonHash", o)
+	}}}
+	rnd := rand.New(rand.NewSource(40))
+	for i := 0; i < 100; i++ {
+		var rs []geom.Rect
+		for j, n := 0, 1+rnd.Intn(8); j < n; j++ {
+			x, y := rnd.Int63n(240)-20, rnd.Int63n(240)-20
+			rs = append(rs, geom.R(x, y, x+1+rnd.Int63n(80), y+1+rnd.Int63n(80)))
+		}
+		pats = append(pats, Pattern{Radius: 100, Rects: rs})
+	}
+	for _, base := range pats {
+		for o := geom.R0; o <= geom.MY90; o++ {
+			rot := Pattern{Radius: 100, Rects: base.orientedRects(o)}
+			if rot.CanonHash() != base.CanonHash() {
+				t.Fatalf("orientation %v changes CanonHash of %v", o, base.Rects)
+			}
 		}
 	}
 	// A genuinely different pattern must not collide.
 	other := Pattern{Radius: 100, Rects: []geom.Rect{geom.R(0, 0, 200, 200)}}
-	if other.CanonHash() == base.CanonHash() {
+	if other.CanonHash() == pats[0].CanonHash() {
 		t.Fatalf("distinct patterns share CanonHash")
 	}
 }
@@ -298,7 +332,7 @@ func TestMatcherExactAndSimilar(t *testing.T) {
 	// Library: exact line-end-gap pattern anchored at a line-tip corner
 	// (scan anchors are geometry corners, so library entries must be
 	// corner-anchored too) and a fuzzy big-block pattern.
-	lineEnd := ExtractAt([]geom.Rect{geom.R(0, 0, 70, 500), geom.R(0, 600, 70, 1100)}, geom.Pt(0, 500), 150)
+	lineEnd := ExtractAt(banded([]geom.Rect{geom.R(0, 0, 70, 500), geom.R(0, 600, 70, 1100)}), geom.Pt(0, 500), 150)
 	m.AddEntry(&LibEntry{Name: "line-end", P: lineEnd, Exact: true, Penalty: 1})
 	blockish := Pattern{Radius: 150, Rects: []geom.Rect{geom.R(0, 0, 300, 300)}}
 	m.AddEntry(&LibEntry{Name: "block", P: blockish, MinSim: 0.9, Penalty: 0.5})
@@ -322,7 +356,7 @@ func TestMatcherExactAndSimilar(t *testing.T) {
 
 func TestMatcherNoFalsePositiveOnClean(t *testing.T) {
 	m := NewMatcher(150)
-	lineEnd := ExtractAt([]geom.Rect{geom.R(0, 0, 70, 500), geom.R(0, 600, 70, 1100)}, geom.Pt(0, 500), 150)
+	lineEnd := ExtractAt(banded([]geom.Rect{geom.R(0, 0, 70, 500), geom.R(0, 600, 70, 1100)}), geom.Pt(0, 500), 150)
 	m.AddEntry(&LibEntry{Name: "line-end", P: lineEnd, Exact: true})
 	// A plain wide plate has no line-end construct.
 	clean := []geom.Rect{geom.R(0, 0, 5000, 5000)}

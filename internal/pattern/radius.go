@@ -27,28 +27,21 @@ type RadiusEval struct {
 // with labeled hotspot and clean anchors, returning the per-radius
 // evaluations (in input order) and the chosen radius.
 func OptimizeRadius(rs []geom.Rect, hot, clean []geom.Point, radii []int64) ([]RadiusEval, int64) {
-	norm := geom.Normalize(rs)
 	if len(radii) == 0 {
 		return nil, 0
 	}
-	maxR := radii[0]
-	for _, r := range radii {
-		if r > maxR {
-			maxR = r
-		}
-	}
-	ix := geom.IndexOf(4*maxR, norm)
+	l := geom.BandedOf(geom.Normalize(rs))
 
 	evals := make([]RadiusEval, 0, len(radii))
 	for _, r := range radii {
 		hotClasses := make(map[uint64]struct{})
 		for _, a := range hot {
-			hotClasses[ExtractAtIndexed(ix, a, r).CanonHash()] = struct{}{}
+			hotClasses[ExtractAt(l, a, r).CanonHash()] = struct{}{}
 		}
 		ambiguous := make(map[uint64]struct{})
 		falses := 0
 		for _, a := range clean {
-			h := ExtractAtIndexed(ix, a, r).CanonHash()
+			h := ExtractAt(l, a, r).CanonHash()
 			if _, bad := hotClasses[h]; bad {
 				falses++
 				ambiguous[h] = struct{}{}

@@ -174,12 +174,12 @@ drcprofile: ## CPU + allocation profile of the signoff DRC path (100k-rect chip,
 # Where scoreprofile keeps its test binary and profiles (bin/ is gitignored).
 SCOREPROFILE_DIR ?= bin/scoreprofile
 
-scoreprofile: ## CPU + allocation profile of the scorecard (BenchmarkScorecard: dfm.RunAllConfig over seeds 11-14, 40 iterations), dfm.*, pattern.*, fill.*, drc.* and geom.* by cumulative cost; the benchmark row ends on the sweep's y-events per scorecard
+scoreprofile: ## CPU + allocation profile of the scorecard (BenchmarkScorecard: dfm.RunAllConfig over seeds 11-14, 40 iterations), dfm.*, pattern.*, fill.*, drc.*, geom.*, litho.* and opc.* by cumulative cost; the benchmark row ends on the sweep's y-events per scorecard
 	@mkdir -p $(SCOREPROFILE_DIR)
 	$(GO) test -run='^$$' -bench='^BenchmarkScorecard$$' -benchtime=40x -benchmem \
 		-cpuprofile $(SCOREPROFILE_DIR)/cpu.prof -memprofile $(SCOREPROFILE_DIR)/mem.prof -o $(SCOREPROFILE_DIR)/repro.test .
-	$(GO) tool pprof -top -cum -nodecount=40 -show='dfm\.|pattern\.|fill\.|drc\.|geom\.' $(SCOREPROFILE_DIR)/repro.test $(SCOREPROFILE_DIR)/cpu.prof
-	$(GO) tool pprof -sample_index=alloc_space -top -cum -nodecount=25 -show='dfm\.|pattern\.|fill\.|drc\.|geom\.' $(SCOREPROFILE_DIR)/repro.test $(SCOREPROFILE_DIR)/mem.prof
+	$(GO) tool pprof -top -cum -nodecount=40 -show='dfm\.|pattern\.|fill\.|drc\.|geom\.|litho\.|opc\.' $(SCOREPROFILE_DIR)/repro.test $(SCOREPROFILE_DIR)/cpu.prof
+	$(GO) tool pprof -sample_index=alloc_space -top -cum -nodecount=25 -show='dfm\.|pattern\.|fill\.|drc\.|geom\.|litho\.|opc\.' $(SCOREPROFILE_DIR)/repro.test $(SCOREPROFILE_DIR)/mem.prof
 
 # Where editprofile keeps its binary and profile (bin/ is gitignored).
 EDITPROFILE_DIR ?= bin/editprofile

@@ -183,8 +183,12 @@ func EvalOPCAccuracy(ctx context.Context, t *tech.Tech) (o Outcome) {
 	epe := func(img *litho.Image) float64 {
 		return litho.SummarizeEPE(img.MeasureEPE(drawn, 150)).RMS
 	}
+	// The drawn and the rule-OPC mask share one handle: nothing of the
+	// first image outlives its EPE, so the second renders over its grid.
+	rm := litho.NewRasterMask(nil, window, t.Optics, 0)
 	rms := func(mask []geom.Rect) (float64, error) {
-		img, err := litho.Simulate(ctx, mask, window, t.Optics, litho.Nominal)
+		rm.Remask(mask)
+		img, err := rm.Image(ctx, litho.Nominal)
 		if err != nil {
 			return 0, err
 		}
@@ -239,11 +243,14 @@ func EvalSRAF(ctx context.Context, t *tech.Tech) (o Outcome) {
 	defocus := []float64{0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120}
 	dose := []float64{0.92, 0.96, 1.0, 1.04, 1.08}
 
+	// One RasterMask serves both masks: per mask, the nominal image,
+	// the defocus-80 image for the through-focus CD check, and the
+	// whole FE matrix, which renders its other defoci over one grid.
+	// Nothing of the bare mask's images outlives its numbers, so the
+	// assisted mask renders over the bare one's grids.
+	rm := litho.NewRasterMask(nil, window, t.Optics, defocus[len(defocus)-1])
 	measure := func(mask []geom.Rect) (dof float64, cdDelta float64, err error) {
-		// One RasterMask serves the nominal image, the whole FE
-		// matrix, and the through-focus CD check: the defocus-80 image
-		// is already in its cache by the time it is asked for.
-		rm := litho.NewRasterMask(mask, window, t.Optics, defocus[len(defocus)-1])
+		rm.Remask(mask)
 		img, err := rm.Image(ctx, litho.Nominal)
 		if err != nil {
 			return 0, 0, err
@@ -252,16 +259,17 @@ func EvalSRAF(ctx context.Context, t *tech.Tech) (o Outcome) {
 		if !ok {
 			return 0, math.Inf(1), nil
 		}
+		// Asked for before the matrix, so the matrix finds it cached.
+		imgF, err := rm.Image(ctx, litho.Condition{Defocus: 80, Dose: 1})
+		if err != nil {
+			return 0, 0, err
+		}
 		spec := litho.CDSpec{Target: cd0, Tol: 0.10}
 		pts, err := rm.FEMatrix(ctx, 35, 1500, true, spec, defocus, dose)
 		if err != nil {
 			return 0, 0, err
 		}
 		dof = litho.DepthOfFocus(pts, defocus)
-		imgF, err := rm.Image(ctx, litho.Condition{Defocus: 80, Dose: 1})
-		if err != nil {
-			return dof, 0, err
-		}
 		cdF, okF := imgF.CDAt(35, 1500, true)
 		if !okF {
 			return dof, cd0, nil // feature lost entirely: count the full CD

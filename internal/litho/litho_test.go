@@ -3,6 +3,7 @@ package litho
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/geom"
@@ -383,6 +384,76 @@ func TestPVBand(t *testing.T) {
 	// Empty corner list.
 	if got, _ := ComputePVBandCtx(context.Background(), mask, win, opt(), nil); len(got.Ever) != 0 {
 		t.Fatalf("empty corners should produce empty band")
+	}
+}
+
+// ComputePVBandCtx visits corners by |defocus| and renders each field
+// over the grid of the one before. AND and OR are order-free, so every
+// ordering of the corners gives the band the standard order gives, and
+// that band is the one corners simulated on handles sharing nothing
+// give. Whatever the order, the five corners cost two convolution
+// stacks and one grid.
+func TestPVBandIgnoresCornerOrder(t *testing.T) {
+	withObs(t)
+	ctx := context.Background()
+	mask := []geom.Rect{geom.R(0, 0, 70, 3000), geom.R(140, 0, 210, 1450), geom.R(140, 1550, 210, 3000), geom.R(300, 0, 400, 3000)}
+	win := geom.R(-200, 1200, 600, 1800)
+	corners := StandardCorners(120, 0.05)
+	want, err := ComputePVBandCtx(ctx, mask, win, opt(), corners)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.BandArea() == 0 {
+		t.Fatal("no band: the test cannot tell orders apart")
+	}
+
+	var always, ever *Bitmap
+	for _, c := range corners {
+		img, err := NewRasterMask(mask, win, opt(), 120).Image(ctx, Condition{Defocus: c.Defocus, Dose: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := img.withDose(c.Dose).PrintedBitmap()
+		if always == nil {
+			always, ever = b.clone(), b
+			continue
+		}
+		always, ever = always.And(b), ever.Or(b)
+	}
+	ref := PVBand{Always: always.ToRects(), Ever: ever.ToRects(), Band: ever.AndNot(always).ToRects()}
+	if !reflect.DeepEqual(want, ref) {
+		t.Fatal("the standard order's band differs from corners simulated on separate handles")
+	}
+
+	var permute func(k int)
+	n := 0
+	permute = func(k int) {
+		if k == len(corners) {
+			n++
+			before := snapKernel()
+			fresh, _ := gridCounts()
+			got, err := ComputePVBandCtx(ctx, mask, win, opt(), corners)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("corners %v: band differs from the standard order's", corners)
+			}
+			after, _ := gridCounts()
+			if misses := snapKernel().minus(before).miss; misses != 2 || after-fresh != 1 {
+				t.Errorf("corners %v: %d convolution stacks over %d new grids, want 2 over 1", corners, misses, after-fresh)
+			}
+			return
+		}
+		for i := k; i < len(corners); i++ {
+			corners[k], corners[i] = corners[i], corners[k]
+			permute(k + 1)
+			corners[k], corners[i] = corners[i], corners[k]
+		}
+	}
+	permute(0)
+	if n != 120 {
+		t.Fatalf("ran %d orders, want 120", n)
 	}
 }
 

@@ -17,6 +17,12 @@ var (
 	cRasterHit  = obs.C("litho.raster.cache.hit")
 	cRasterMiss = obs.C("litho.raster.cache.miss")
 
+	// Where a miss's intensity grid came from: new = NewGrid, reused =
+	// a grid the handle retired (Remask, or FEMatrix and the PV band
+	// once they are done with a |defocus|) and renders over.
+	cGridNew    = obs.C("litho.raster.grid.new")
+	cGridReused = obs.C("litho.raster.grid.reused")
+
 	// Pooled-buffer accounting: reuse = served from the pool, alloc =
 	// fresh make (pool empty or pooled array too small).
 	cPoolReuse = obs.C("litho.pool.reuse")

@@ -2,6 +2,8 @@ package litho
 
 import (
 	"context"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -114,6 +116,73 @@ func TestFEMatrixCacheAccounting(t *testing.T) {
 		reuse: stacks, simulated: stacks}
 	if got := snapKernel().minus(before); got != want {
 		t.Errorf("a 9x5 FE matrix moved the kernel counters by %+v, want %+v", got, want)
+	}
+}
+
+// gridCounts reads where the raster cache's misses took their grids
+// from: NewGrid, or a grid their handle had retired.
+func gridCounts() (fresh, reused int64) {
+	s := obs.Default().Snapshot()
+	return s.Counters["litho.raster.grid.new"], s.Counters["litho.raster.grid.reused"]
+}
+
+// An FE matrix renders the |defocus| it was not handed over one grid:
+// a 13-defocus matrix on a fresh handle takes at most two grids from
+// NewGrid, and a second matrix after Remask takes none. A |defocus| the
+// caller cached before the matrix stays cached, its image intact.
+func TestFEMatrixRendersOverOneGrid(t *testing.T) {
+	withObs(t)
+	ctx := context.Background()
+	o := tech.N45().Optics
+	window := geom.R(-450, 1200, 550, 1800)
+	defocus := []float64{0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120}
+	dose := []float64{0.92, 1.0, 1.08}
+	spec := CDSpec{Target: 70, Tol: 0.10}
+	bare := []geom.Rect{geom.R(0, 0, 70, 3000)}
+	assisted := append(slices.Clone(bare), geom.R(-200, 0, -170, 3000), geom.R(240, 0, 270, 3000))
+	matrix := func(rm *RasterMask) []FEPoint {
+		t.Helper()
+		pts, err := rm.FEMatrix(ctx, 35, 1500, true, spec, defocus, dose)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pts
+	}
+
+	rm := NewRasterMask(bare, window, o, 120)
+	n0, r0 := gridCounts()
+	matrix(rm)
+	n1, r1 := gridCounts()
+	if n1-n0 > 2 || (n1-n0)+(r1-r0) != int64(len(defocus)) {
+		t.Errorf("a 13-defocus matrix on a fresh handle took %d new and %d reused grids, want at most 2 new and 13 in all", n1-n0, r1-r0)
+	}
+
+	rm.Remask(assisted)
+	got := matrix(rm)
+	n2, r2 := gridCounts()
+	if n2 != n1 || r2-r1 != int64(len(defocus)) {
+		t.Errorf("a matrix after Remask took %d new and %d reused grids, want 0 and 13", n2-n1, r2-r1)
+	}
+	if want := matrix(NewRasterMask(assisted, window, o, 120)); !reflect.DeepEqual(got, want) {
+		t.Error("the matrix rendered over spent grids differs from a fresh handle's")
+	}
+
+	rm.Remask(bare)
+	held, err := rm.Image(ctx, Condition{Defocus: 80, Dose: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	heldData := slices.Clone(held.Data)
+	matrix(rm)
+	if !reflect.DeepEqual(held.Data, heldData) {
+		t.Error("the matrix rendered over a |defocus| the caller had cached")
+	}
+	before := snapKernel()
+	if _, err := rm.Image(ctx, Condition{Defocus: 80, Dose: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if moved := snapKernel().minus(before); moved.hit != 1 || moved.miss != 0 {
+		t.Error("the matrix retired a |defocus| the caller had cached")
 	}
 }
 

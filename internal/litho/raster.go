@@ -3,7 +3,6 @@ package litho
 import (
 	"context"
 	"fmt"
-	"maps"
 	"math"
 	"sync"
 
@@ -38,7 +37,7 @@ type RasterMask struct {
 	mu    sync.Mutex
 	spans []pxSpan          // normalized mask on the padded grid, built once on first simulation
 	cache map[float64]*Grid // the mask's unit-dose intensity per |defocus|
-	spent map[float64]*Grid // grids of masks before the last Remask, per |defocus|, to render over
+	spent []*Grid           // grids no image reads any more, to render over: all are the window's size
 }
 
 // NewRasterMask prepares the mask for repeated simulation inside the
@@ -108,18 +107,38 @@ func defocusFactor(opt tech.Optics, defocus float64) float64 {
 // Remask points the handle at the next mask over the same window,
 // optics and defocus budget, for a loop that simulates a mask, measures
 // it and moves it (the OPC loop). Every image handed out before the
-// call is invalid from the moment of it: the next render at each
-// |defocus| writes over the grid its predecessor used instead of
-// allocating one.
+// call is invalid from the moment of it: the next renders, at any
+// |defocus|, write over the grids the old mask's images used instead
+// of allocating.
 func (rm *RasterMask) Remask(mask []geom.Rect) {
 	rm.mu.Lock()
 	defer rm.mu.Unlock()
 	rm.mask, rm.spans = mask, nil
-	if rm.spent == nil {
-		rm.spent = make(map[float64]*Grid, len(rm.cache))
+	for _, g := range rm.cache {
+		rm.spent = append(rm.spent, g)
 	}
-	maps.Copy(rm.spent, rm.cache)
 	clear(rm.cache)
+}
+
+// drop retires the field cached at |defocus|: the next miss renders
+// over its grid, so every image of it handed out is invalid from the
+// moment of the call.
+func (rm *RasterMask) drop(defocus float64) {
+	key := math.Abs(defocus)
+	rm.mu.Lock()
+	defer rm.mu.Unlock()
+	if g, ok := rm.cache[key]; ok {
+		rm.spent = append(rm.spent, g)
+		delete(rm.cache, key)
+	}
+}
+
+// cached reports whether the field at |defocus| is in the cache.
+func (rm *RasterMask) cached(defocus float64) bool {
+	rm.mu.Lock()
+	defer rm.mu.Unlock()
+	_, ok := rm.cache[math.Abs(defocus)]
+	return ok
 }
 
 // Image computes the aerial image of the mask under the given
@@ -145,10 +164,9 @@ func (rm *RasterMask) Image(ctx context.Context, cond Condition) (*Image, error)
 
 // unitIntensity returns the dose-1 intensity field cropped to the
 // window at the given defocus, cached per |defocus|. The returned grid
-// belongs to the cache. On a miss the field is written over the grid a
-// mask before the last Remask left at this |defocus| (every pixel is
-// overwritten, so it need not be cleared), into a fresh grid when none
-// did.
+// belongs to the cache. On a miss the field is written over a spent
+// grid, whatever |defocus| it last held (every pixel is overwritten,
+// so it need not be cleared), into a fresh grid when none is spent.
 func (rm *RasterMask) unitIntensity(ctx context.Context, defocus float64) (*Grid, error) {
 	key := math.Abs(defocus)
 	rm.mu.Lock()
@@ -158,9 +176,13 @@ func (rm *RasterMask) unitIntensity(ctx context.Context, defocus float64) (*Grid
 		countPerDefocus("litho.raster.cache.hit", key)
 		return g, nil
 	}
-	g := rm.spent[key]
-	if g == nil {
+	var g *Grid
+	if n := len(rm.spent); n > 0 {
+		g, rm.spent = rm.spent[n-1], rm.spent[:n-1]
+		cGridReused.Inc()
+	} else {
 		g = NewGrid(rm.window, rm.pitch)
+		cGridNew.Inc()
 	}
 	// Crop the padding back off and square: I = A^2 at unit dose. Every
 	// pixel is written, touched or not: g may be a reused grid.
@@ -168,6 +190,7 @@ func (rm *RasterMask) unitIntensity(ctx context.Context, defocus float64) (*Grid
 		square(g.Data[j*g.W:(j+1)*g.W], a)
 	})
 	if err != nil {
+		rm.spent = append(rm.spent, g)
 		return nil, err
 	}
 	rm.cache[key] = g

@@ -373,12 +373,13 @@ func TestCancelMidRenderReturnsBand(t *testing.T) {
 	}
 }
 
-// Remask points a handle at the next mask over the same window. The
-// image it renders next is a fresh Simulate's, bit for bit, written
-// over the grid the old mask's image at that |defocus| used; later
-// requests at that |defocus|, at any dose, are the new mask's field,
-// not the old one; and a |defocus| the old mask never rendered gets a
-// grid of its own.
+// Remask points a handle at the next mask over the same window. Its
+// grids go on the handle's stack of spent grids, and any of them fits
+// any miss: the image the new mask renders next, at a |defocus| the old
+// mask never rendered, is a fresh handle's bit for bit, written over
+// the old mask's grid. The stack is then empty, so the next new
+// |defocus| gets a grid of its own; later requests at it, at any dose,
+// are the new mask's field, not the old one.
 func TestRemaskRendersOverPredecessorGrid(t *testing.T) {
 	ctx := context.Background()
 	o := tech.N45().Optics
@@ -398,12 +399,27 @@ func TestRemaskRendersOverPredecessorGrid(t *testing.T) {
 
 	rm.Remask(mask)
 	rm.Remask(mask) // a second Remask before any render keeps the grid
+	nom, err := rm.Image(ctx, Nominal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &nom.Data[0] != &prev.Data[0] {
+		t.Error("the old mask's grid was not rendered over")
+	}
+	fresh, err := NewRasterMask(mask, window, o, 40).Image(ctx, Nominal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(nom, fresh) {
+		t.Error("image rendered after Remask differs from a fresh handle's")
+	}
+
 	got, err := rm.Image(ctx, cond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &got.Data[0] != &prev.Data[0] {
-		t.Error("the old mask's grid was not rendered over")
+	if &got.Data[0] == &nom.Data[0] {
+		t.Error("a second |defocus| shares the grid of the first")
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Error("image rendered after Remask differs from a fresh Simulate")
@@ -416,18 +432,6 @@ func TestRemaskRendersOverPredecessorGrid(t *testing.T) {
 		if !reflect.DeepEqual(again, sim(t, mask, window, o, c)) {
 			t.Errorf("%+v after Remask: not the new mask's image", c)
 		}
-	}
-
-	nom, err := rm.Image(ctx, Nominal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := NewRasterMask(mask, window, o, 40).Image(ctx, Nominal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &nom.Data[0] == &got.Data[0] || !reflect.DeepEqual(nom, fresh) {
-		t.Error("a |defocus| the old mask never rendered shares a grid or differs from a fresh handle's image")
 	}
 }
 

@@ -1,8 +1,10 @@
 package litho
 
 import (
+	"cmp"
 	"context"
 	"math"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/tech"
@@ -35,16 +37,32 @@ type FEPoint struct {
 // dose lists. The mask is simulated once per |defocus|; dose enters
 // the intensity as a pure scale factor (I = A^2 * dose), so the dose
 // axis of the matrix costs scalar threshold rescales rather than
-// re-simulation, and every condition lands in the mask's intensity
-// cache for the caller's other images. The RasterMask's defocus budget
-// must cover the defocus list. The context is checked per defocus
-// condition; on cancellation FEMatrix returns the points sampled so far
-// alongside the context error.
+// re-simulation. A |defocus| that was in the handle's cache when the
+// matrix reached it stays there; one the matrix rendered is retired
+// after its last dose is measured, and the next |defocus| renders over
+// its grid, so a matrix holds one grid beyond what the caller cached,
+// however long the defocus list. A caller that keeps an image asks for
+// it before the matrix: an image of a |defocus| the matrix renders is
+// invalid once it returns. The RasterMask's defocus budget must cover the
+// defocus list. The context is checked per defocus condition; on
+// cancellation FEMatrix returns the points sampled so far alongside
+// the context error.
 func (rm *RasterMask) FEMatrix(ctx context.Context, x, y float64, horizontal bool, spec CDSpec,
 	defocus, dose []float64) ([]FEPoint, error) {
 
+	// last[|f|] is where the list asks for |f| for the last time, and
+	// held[|f|] whether the cache had it before the matrix did.
+	last := make(map[float64]int, len(defocus))
+	held := make(map[float64]bool, len(defocus))
+	for i, f := range defocus {
+		last[math.Abs(f)] = i
+	}
 	out := make([]FEPoint, 0, len(defocus)*len(dose))
-	for _, f := range defocus {
+	for i, f := range defocus {
+		key := math.Abs(f)
+		if _, seen := held[key]; !seen {
+			held[key] = rm.cached(key)
+		}
 		// Each matrix cell is its own simulation request at unit dose,
 		// so the raster cache sees (and accounts) every cell: the first
 		// dose at each |defocus| misses and runs the convolution stack,
@@ -59,6 +77,9 @@ func (rm *RasterMask) FEMatrix(ctx context.Context, x, y float64, horizontal boo
 			p := FEPoint{Cond: Condition{Defocus: f, Dose: d}, CD: cd}
 			p.OK = ok && spec.InSpec(cd)
 			out = append(out, p)
+		}
+		if last[key] == i && !held[key] {
+			rm.drop(key)
 		}
 	}
 	return out, nil
@@ -126,7 +147,11 @@ type PVBand struct {
 // condition. The mask is normalized once and shared across
 // corners; dose-only corners reuse the focus corner's intensity field
 // with a rescaled threshold, so the standard 5-corner set costs two
-// convolution stacks, not five simulations.
+// convolution stacks, not five simulations. Corners are visited by
+// |defocus| and each field is retired after its last corner, so the
+// next renders over its grid: the standard set holds one grid. AND
+// and OR are exact and order-free, so the band does not depend on the
+// order the corners come in.
 func ComputePVBandCtx(ctx context.Context, mask []geom.Rect, window geom.Rect, opt tech.Optics, corners []Condition) (PVBand, error) {
 	var pv PVBand
 	maxF := 0.0
@@ -135,14 +160,21 @@ func ComputePVBandCtx(ctx context.Context, mask []geom.Rect, window geom.Rect, o
 			maxF = a
 		}
 	}
+	byFocus := slices.Clone(corners)
+	slices.SortStableFunc(byFocus, func(a, b Condition) int {
+		return cmp.Compare(math.Abs(a.Defocus), math.Abs(b.Defocus))
+	})
 	rm := NewRasterMask(mask, window, opt, maxF)
 	var always, ever *Bitmap
-	for _, c := range corners {
+	for i, c := range byFocus {
 		img, err := rm.Image(ctx, Condition{Defocus: c.Defocus, Dose: 1})
 		if err != nil {
 			return pv, err
 		}
 		b := img.withDose(c.Dose).PrintedBitmap()
+		if i+1 == len(byFocus) || math.Abs(byFocus[i+1].Defocus) != math.Abs(c.Defocus) {
+			rm.drop(c.Defocus)
+		}
 		if always == nil {
 			always, ever = b.clone(), b.clone()
 			continue

@@ -15,6 +15,12 @@ import (
 // second. Without that garbage a pool keeps every buffer of every size
 // it was ever handed, and the GC goal doubles on top of them.
 //
+// Every buffer it holds is zero over its whole capacity, not just its
+// length: the render clears each row's writes as it goes and
+// GaussianBlur its scratch before either is put back, so that taking a
+// buffer clears nothing, and a long buffer lent to a short request
+// comes back as clean as it left.
+//
 // It retains one buffer per P: a P runs one simulation at a time, and
 // a simulation holds exactly one pooled buffer, its band. Anything
 // more is allocated when the list runs out, and whichever buffers are
@@ -73,13 +79,13 @@ func (l *bufList) put(b []float64) {
 	}
 }
 
-// getBuf returns a zeroed []float64 of length n, reusing a retained
-// backing array when one is large enough. The caller owns the buffer
-// until it calls putBuf.
+// getBuf returns a []float64 of length n that is zero up to its
+// capacity, reusing a retained backing array when one is large enough:
+// the list only holds zero buffers, so a reuse clears nothing. The
+// caller owns the buffer until it calls putBuf.
 func getBuf(n int) []float64 {
 	if b, ok := bufFree.get(n); ok {
 		b = b[:n]
-		clear(b)
 		cPoolReuse.Inc()
 		return b
 	}
@@ -87,9 +93,13 @@ func getBuf(n int) []float64 {
 	return make([]float64, n)
 }
 
-// putBuf returns a buffer to the free list. The caller must not retain
-// any reference to it: retained arrays are handed to later
-// simulations, possibly on other goroutines.
+// putBuf returns a buffer to the free list. It must be zero up to its
+// capacity again — getBuf hands it out as it is — and the caller must
+// not retain any reference to it: retained arrays are handed to later
+// simulations, possibly on other goroutines. Only what the caller
+// wrote can be dirty (the rest of the capacity came out zero), so a
+// caller clears its own writes; one that cannot vouch for them, a
+// render that panicked, drops the buffer instead.
 func putBuf(b []float64) {
 	bufFree.put(b)
 }

@@ -2,6 +2,8 @@ package litho
 
 import (
 	"context"
+	"math"
+	"math/rand"
 	"runtime"
 	"runtime/metrics"
 	"testing"
@@ -155,5 +157,103 @@ func TestWindowMemoryIsBandBounded(t *testing.T) {
 				t.Errorf("the band it returned holds %d amplitudes, over the %d budget", floats, bandBudget)
 			}
 		})
+	}
+}
+
+// requireListZero fails unless every buffer the free list holds is zero
+// over its whole capacity: getBuf hands buffers out without clearing.
+func requireListZero(t *testing.T, after string) {
+	t.Helper()
+	bufFree.mu.Lock()
+	defer bufFree.mu.Unlock()
+	for k, b := range bufFree.free {
+		for i, v := range b[:cap(b)] {
+			if v != 0 || math.Signbit(v) {
+				t.Fatalf("after %s: retained buffer %d (cap %d) holds %v at %d", after, k, cap(b), v, i)
+			}
+		}
+	}
+}
+
+// cancelAfter is a context whose Err reports cancellation from its
+// (n+1)th call on: the render asks once on entry and the blur once per
+// 64 rects, so n = 2 cancels a band at its 64-rect checkpoint, after
+// 64 footprints have been added to it.
+type cancelAfter struct {
+	context.Context
+	n int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n--; c.n < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// The free list holds only buffers that are zero up to cap, whatever
+// put them there: a render that ran to the end, a render canceled in
+// the middle of a band, a GaussianBlur. And a long buffer GaussianBlur
+// wrote all over, lent to a short render and then to a long one, gives
+// both the image a fresh buffer gives: clearing only what the short
+// request asked for and calling the buffer clean once moved the pw-opc
+// verdict's rms@nominal from 2.78 to 2.77.
+func TestFreeListBuffersAreZero(t *testing.T) {
+	o := tech.N45().Optics
+	ctx := context.Background()
+	var mask []geom.Rect // 100 disjoint squares, all in the first band
+	for i := int64(0); i < 10; i++ {
+		for j := int64(0); j < 10; j++ {
+			mask = append(mask, geom.R(100*i, 60*j, 100*i+40, 60*j+30))
+		}
+	}
+	short, long := geom.R(0, 0, 500, 500), geom.R(0, 0, 2000, 2000)
+	render := func(window geom.Rect) *Image {
+		t.Helper()
+		img, err := Simulate(ctx, mask, window, o, Nominal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return img
+	}
+	bufFree.drain()
+	t.Cleanup(bufFree.drain)
+	wantShort := render(short)
+	bufFree.drain()
+	wantLong := render(long)
+	requireListZero(t, "a completed render")
+
+	bufFree.drain()
+	if _, err := Simulate(&cancelAfter{Context: ctx, n: 2}, mask, long, o, Nominal); err != context.Canceled {
+		t.Fatalf("render under a context canceled at the 64-rect checkpoint returned %v, want context.Canceled", err)
+	}
+	if count, _ := bufFree.retained(); count != 1 {
+		t.Fatalf("a canceled render left %d buffers on the list, want its band back", count)
+	}
+	requireListZero(t, "a render canceled mid-band")
+
+	bufFree.drain()
+	g := NewGrid(geom.R(0, 0, 1500, 1500), o.GridNM) // 300 x 300: longer than either band
+	rng := rand.New(rand.NewSource(1))
+	for i := range g.Data {
+		g.Data[i] = rng.Float64()
+	}
+	GaussianBlur(g, 3)
+	requireListZero(t, "a GaussianBlur")
+	for _, tc := range []struct {
+		name   string
+		window geom.Rect
+		want   *Image
+	}{{"short", short, wantShort}, {"long", long, wantLong}} {
+		if _, floats := bufFree.retained(); floats < len(g.Data) {
+			t.Fatalf("before the %s render the list holds %d floats, want GaussianBlur's %d-float buffer", tc.name, floats, len(g.Data))
+		}
+		got := render(tc.window)
+		for i, v := range got.Data {
+			if math.Float64bits(v) != math.Float64bits(tc.want.Data[i]) {
+				t.Fatalf("%s render over GaussianBlur's buffer: pixel %d = %v, %v over a fresh one", tc.name, i, v, tc.want.Data[i])
+			}
+		}
+		requireListZero(t, "a "+tc.name+" render over GaussianBlur's buffer")
 	}
 }

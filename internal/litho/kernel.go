@@ -1,11 +1,12 @@
 package litho
 
-// The kernel's three float loops: the band blur's y += c·x
-// (sparseBlurAcc), the unit-intensity square (unitIntensity's sink) and
-// the threshold word (printed's sink). Each has two arms. The Go loop
-// below is the reference; the assembly in kernel_amd64.s performs
-// exactly its float operations, in the same order, four lanes at a
-// time — a multiply rounded, then an add or a compare, never a fused
+// The kernel's three float loops: the band blur's rank-1 update
+// dst[j][i] += (weight·ys[j])·x[i] (sparseBlurAcc, one call per rect
+// footprint), the unit-intensity square (unitIntensity's sink) and the
+// threshold word (printed's sink). Each has two arms. The Go loop below
+// is the reference; the assembly in kernel_amd64.s performs exactly its
+// float operations, in the same order, four lanes at a time — a
+// multiply rounded, then an add or a compare, never a fused
 // multiply-add, which would round once where the loop rounds twice and
 // move the last ulp every digest rests on. FuzzKernelLoops holds each
 // routine to its loop bit for bit. The Go arm is what runs off amd64
@@ -16,23 +17,43 @@ package litho
 // Tests flip it to run both arms over one input.
 var simd = haveAVX
 
-// axpy adds c·x[i] to y[i] for every index of x. y must be at least as
-// long as x and must not overlap it.
-func axpy(c float64, x, y []float64) {
-	if simd {
-		axpyAVX(c, x, y[:len(x)])
+// rank1 adds (weight·ys[j])·x[i] to dst[j*stride+i] for every j of ys
+// and every i of x: row j of a rect footprint receives its column
+// profile x scaled by the row's profile value. A row whose product
+// weight·ys[j] is zero (of either sign) is skipped, not added: adding
+// ±0·x is not quite a no-op (it turns -0 into +0 and an infinite x into
+// NaN), and the skip is what every digest was computed with. Rows are
+// stride apart, stride >= len(x), and must not overlap x or ys.
+func rank1(weight float64, ys, x, dst []float64, stride int) {
+	if len(ys) == 0 || len(x) == 0 {
 		return
 	}
-	axpyGo(c, x, y)
+	// The assembly checks no bound: these two keep it inside dst.
+	if stride < len(x) {
+		panic("litho: rank1 rows overlap")
+	}
+	_ = dst[(len(ys)-1)*stride+len(x)-1]
+	if simd {
+		rank1AVX(weight, ys, x, dst, stride)
+		return
+	}
+	rank1Go(weight, ys, x, dst, stride)
 }
 
-func axpyGo(c float64, x, y []float64) {
-	y = y[:len(x)]
-	for i, xv := range x {
-		// The conversion rounds the product: without it the compiler
-		// may fuse the multiply and the add (on arm64 it emits FMADDD),
-		// and the Go arm would round differently from the assembly's.
-		y[i] += float64(c * xv)
+func rank1Go(weight float64, ys, x, dst []float64, stride int) {
+	for j, yv := range ys {
+		c := weight * yv
+		if c == 0 {
+			continue
+		}
+		row := dst[j*stride : j*stride+len(x)]
+		for i, xv := range x {
+			// The conversion rounds the product: without it the
+			// compiler may fuse the multiply and the add (on arm64 it
+			// emits FMADDD), and the Go arm would round differently
+			// from the assembly's.
+			row[i] += float64(c * xv)
+		}
 	}
 }
 

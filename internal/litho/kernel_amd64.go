@@ -18,7 +18,7 @@ func cpuid1ECX() uint32
 func xgetbv0() uint32
 
 //go:noescape
-func axpyAVX(c float64, x, y []float64)
+func rank1AVX(weight float64, ys, x, dst []float64, stride int)
 
 //go:noescape
 func squareAVX(dst, src []float64)

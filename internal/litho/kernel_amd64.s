@@ -22,42 +22,71 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-4
 	MOVL AX, ret+0(FP)
 	RET
 
-// func axpyAVX(c float64, x, y []float64)
-// y[i] += c*x[i] for i < len(x): four at a time, then one.
-TEXT ·axpyAVX(SB), NOSPLIT, $0-56
-	VBROADCASTSD c+0(FP), Y0
-	MOVQ         x_base+8(FP), SI
-	MOVQ         x_len+16(FP), CX
-	MOVQ         y_base+32(FP), DI
-	XORQ         AX, AX
+// func rank1AVX(weight float64, ys, x, dst []float64, stride int)
+// For each row j: c = weight*ys[j], broadcast to four lanes from memory
+// (VBROADCASTSD from a register is AVX2); a row whose c compares equal
+// to zero is skipped (UCOMISD: ZF set and PF clear, so a NaN c is not);
+// otherwise dst[j*stride+i] += c*x[i] for i < len(x), four at a time,
+// then one.
+TEXT ·rank1AVX(SB), NOSPLIT, $0-88
+	VBROADCASTSD weight+0(FP), Y0
+	MOVQ         ys_base+8(FP), R8
+	MOVQ         ys_len+16(FP), R9
+	MOVQ         x_base+32(FP), SI
+	MOVQ         x_len+40(FP), CX
+	MOVQ         dst_base+56(FP), DI
+	MOVQ         stride+80(FP), R10
+	SHLQ         $3, R10
+	VXORPD       X3, X3, X3
 	MOVQ         CX, DX
 	ANDQ         $-4, DX
-	JZ           axpy1
+	XORQ         BX, BX
+	TESTQ        R9, R9
+	JZ           rank1done
+
+rank1row:
+	VBROADCASTSD (R8)(BX*8), Y2
+	VMULPD       Y2, Y0, Y2
+	VUCOMISD     X3, X2
+	JNE          rank1live
+	JPS          rank1live
+	JMP          rank1next
+
+rank1live:
+	XORQ  AX, AX
+	TESTQ DX, DX
+	JZ    rank1tail
 
 	PCALIGN $32
 
-axpy4:
-	VMULPD  (SI)(AX*8), Y0, Y1
+rank1four:
+	VMULPD  (SI)(AX*8), Y2, Y1
 	VADDPD  (DI)(AX*8), Y1, Y1
 	VMOVUPD Y1, (DI)(AX*8)
 	ADDQ    $4, AX
 	CMPQ    AX, DX
-	JB      axpy4
+	JB      rank1four
 
-axpy1:
+rank1tail:
 	CMPQ AX, CX
-	JAE  axpydone
+	JAE  rank1next
 
-axpy1loop:
+rank1one:
 	VMOVSD (SI)(AX*8), X1
-	VMULSD X0, X1, X1
+	VMULSD X2, X1, X1
 	VADDSD (DI)(AX*8), X1, X1
 	VMOVSD X1, (DI)(AX*8)
 	INCQ   AX
 	CMPQ   AX, CX
-	JB     axpy1loop
+	JB     rank1one
 
-axpydone:
+rank1next:
+	ADDQ R10, DI
+	INCQ BX
+	CMPQ BX, R9
+	JB   rank1row
+
+rank1done:
 	VZEROUPPER
 	RET
 

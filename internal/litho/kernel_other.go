@@ -6,7 +6,9 @@ package litho
 // and simd stays false, so nothing below is reached.
 const haveAVX = false
 
-func axpyAVX(c float64, x, y []float64) { panic("litho: no assembly kernel in this build") }
+func rank1AVX(weight float64, ys, x, dst []float64, stride int) {
+	panic("litho: no assembly kernel in this build")
+}
 
 func squareAVX(dst, src []float64) { panic("litho: no assembly kernel in this build") }
 

@@ -8,6 +8,7 @@ import (
 	"os"
 	"reflect"
 	"regexp"
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -106,23 +107,27 @@ var kernelScalars = []float64{
 }
 
 // FuzzKernelLoops holds each assembly routine to its Go loop bit for bit
-// (NaN as NaN-ness): axpy and square over every length 0–257 at every
-// start offset mod 4 — so every 4- and 1-wide tail and every
+// (NaN as NaN-ness): rank1 and square over every row length 0–257 at
+// every start offset mod 4 — so every 4- and 1-wide tail and every
 // alignment within a 32-byte line — writing nothing outside the slice;
-// threshold64 over a full word at the same offsets. pick packs three
-// 4-bit indices into kernelScalars, one each for c, dose and thr; an
-// index past the table keeps the fuzzed value. 10 s in make fuzz-smoke.
+// rank1 over 0–7 rows too, stride apart with one to five guard entries
+// between rows, each row's product weight·ys[j] drawn like an amplitude
+// (so zero, -0, subnormal, NaN and ±Inf products all occur) and every
+// guard left as it was; threshold64 over a full word at the same
+// offsets. pick packs three 4-bit indices into kernelScalars, one each
+// for c (rank1's weight), dose and thr; an index past the table keeps
+// the fuzzed value. 10 s in make fuzz-smoke.
 func FuzzKernelLoops(f *testing.F) {
-	f.Add(int64(1), uint16(0), uint8(0), 0.7, 1.0, 0.3, uint16(0xfff))
-	f.Add(int64(2), uint16(1), uint8(1), -1.5, 0.9, 0.3, uint16(0xfff))
-	f.Add(int64(3), uint16(257), uint8(3), 0.2718281828, 1.04, 1e-9, uint16(0xfff))
-	f.Add(int64(4), uint16(64), uint8(2), -1.37, 1.0, 0.0, uint16(0x0ff)) // thr = +0
-	f.Add(int64(5), uint16(19), uint8(0), 0.1, 1.0, 0.0, uint16(0x8ff))   // thr = -1
-	f.Add(int64(6), uint16(33), uint8(1), 0.0, 0.0, 0.0, uint16(0x110))   // c = +0, dose = -0, thr = -0
-	f.Add(int64(7), uint16(130), uint8(2), 0.0, 0.0, 0.0, uint16(0x432))  // subnormal c, -subnormal dose, +Inf thr
-	f.Add(int64(8), uint16(63), uint8(3), 0.0, 0.0, 0.0, uint16(0x654))   // +Inf c, -Inf dose, NaN thr
-	f.Add(int64(9), uint16(200), uint8(0), 0.0, 0.0, 0.0, uint16(0x546))  // NaN c, +Inf dose, -Inf thr
-	f.Fuzz(func(t *testing.T, seed int64, n uint16, off uint8, c, dose, thr float64, pick uint16) {
+	f.Add(int64(1), uint16(0), uint8(0), uint8(0), 0.7, 1.0, 0.3, uint16(0xfff))
+	f.Add(int64(2), uint16(1), uint8(1), uint8(1), -1.5, 0.9, 0.3, uint16(0xfff))
+	f.Add(int64(3), uint16(257), uint8(3), uint8(7), 0.2718281828, 1.04, 1e-9, uint16(0xfff))
+	f.Add(int64(4), uint16(64), uint8(2), uint8(3), -1.37, 1.0, 0.0, uint16(0x0ff)) // thr = +0
+	f.Add(int64(5), uint16(19), uint8(0), uint8(5), 0.1, 1.0, 0.0, uint16(0x8ff))   // thr = -1
+	f.Add(int64(6), uint16(33), uint8(1), uint8(4), 0.0, 0.0, 0.0, uint16(0x110))   // c = +0, dose = -0, thr = -0
+	f.Add(int64(7), uint16(130), uint8(2), uint8(2), 0.0, 0.0, 0.0, uint16(0x432))  // subnormal c, -subnormal dose, +Inf thr
+	f.Add(int64(8), uint16(63), uint8(3), uint8(6), 0.0, 0.0, 0.0, uint16(0x654))   // +Inf c, -Inf dose, NaN thr
+	f.Add(int64(9), uint16(200), uint8(0), uint8(3), 0.0, 0.0, 0.0, uint16(0x546))  // NaN c, +Inf dose, -Inf thr
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, off, rows uint8, c, dose, thr float64, pick uint16) {
 		if !haveAVX {
 			t.Skip("no assembly arm in this build or on this CPU")
 		}
@@ -155,10 +160,19 @@ func FuzzKernelLoops(f *testing.F) {
 			}
 		}
 
-		yGo, yAsm := append([]float64(nil), y...), append([]float64(nil), y...)
-		axpyGo(c, x[at:at+ln], yGo[at:])
-		axpyAVX(c, x[at:at+ln], yAsm[at:at+ln])
-		check("axpy", yAsm, yGo)
+		// rank1's rows start at element at of their own backing array,
+		// stride apart, with a guard run after each.
+		nr, stride := int(rows%8), ln+1+rng.Intn(5)
+		ys, dst := fill(nr), fill(at+nr*stride+4)
+		rGo, rAsm := append([]float64(nil), dst...), append([]float64(nil), dst...)
+		rank1Go(c, ys, x[at:at+ln], rGo[at:], stride)
+		rank1AVX(c, ys, x[at:at+ln], rAsm[at:], stride)
+		check("rank1", rAsm, rGo)
+		for i := range dst {
+			if k := i - at; (k < 0 || k%stride >= ln || k >= nr*stride) && math.Float64bits(rGo[i]) != math.Float64bits(dst[i]) {
+				t.Fatalf("rank1, %d rows of %d, stride %d: guard element %d written", nr, ln, stride, k)
+			}
+		}
 
 		dGo, dAsm := append([]float64(nil), y...), append([]float64(nil), y...)
 		squareGo(dGo[at:], x[at:at+ln])
@@ -173,7 +187,7 @@ func FuzzKernelLoops(f *testing.F) {
 }
 
 // A production stack over lines wall to wall, a line-end gap and a jog:
-// every row of every band goes through axpy, square and full threshold
+// every row of every band goes through rank1, square and full threshold
 // words, and the image and the printed bits are the Go loops' under
 // either arm, at focus and off it, at unit dose and not.
 func TestKernelArmsAgreeOnDenseWindow(t *testing.T) {
@@ -190,21 +204,35 @@ func TestKernelArmsAgreeOnDenseWindow(t *testing.T) {
 
 // The assembly's contract is the Go loop's rounding: a fused
 // multiply-add rounds once where the loop rounds twice, so it may not
-// appear in the file whatever the CPU offers.
+// appear in the file whatever the CPU offers. And its contract is AVX1:
+// haveAVX admits a CPU without AVX2, on which an AVX2 instruction
+// faults, so none of those may appear either — a broadcast from a
+// register (from memory is AVX1), an integer broadcast, a cross-lane
+// permute, a 128-bit integer insert or extract, a gather.
 func TestKernelAssemblyHasNoFMA(t *testing.T) {
 	f, err := os.Open("kernel_amd64.s")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	fma := regexp.MustCompile(`(?i)\bVFN?M(ADD|SUB)`)
-	sc := bufio.NewScanner(f)
-	for line := 1; sc.Scan(); line++ {
-		if fma.MatchString(sc.Text()) {
-			t.Errorf("kernel_amd64.s:%d: fused multiply-add: %s", line, sc.Text())
+	for _, bad := range []struct {
+		what string
+		re   *regexp.Regexp
+	}{
+		{"fused multiply-add", regexp.MustCompile(`(?i)\bVFN?M(ADD|SUB)`)},
+		{"AVX2 instruction", regexp.MustCompile(`(?i)\bVBROADCASTS[DS]\s+[XY]\d|\bVPBROADCAST|\bVPERM(Q|PD|2I128)\b|\bV(INSERT|EXTRACT)I128\b|\bVP?GATHER`)},
+	} {
+		if _, err := f.Seek(0, 0); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
+		sc := bufio.NewScanner(f)
+		for line := 1; sc.Scan(); line++ {
+			if code, _, _ := strings.Cut(sc.Text(), "//"); bad.re.MatchString(code) {
+				t.Errorf("kernel_amd64.s:%d: %s: %s", line, bad.what, sc.Text())
+			}
+		}
+		if err := sc.Err(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -76,7 +76,6 @@ func GaussianBlur(g *Grid, sigmaPx float64) *Grid {
 	cBlurPasses.Inc()
 	w, h := g.W, g.H
 	tmp := getBuf(len(g.Data))
-	defer putBuf(tmp)
 	out := &Grid{Origin: g.Origin, Pitch: g.Pitch, W: w, H: h, Data: make([]float64, len(g.Data))}
 	// Horizontal pass g -> tmp (fully overwritten), then the vertical
 	// pass tmp -> out; each is independent across output rows.
@@ -88,6 +87,8 @@ func GaussianBlur(g *Grid, sigmaPx float64) *Grid {
 	forRowChunks(h, func(j0, j1 int) {
 		blurVAccRows(tmp, out.Data, w, h, j0, j1, kern, 1)
 	})
+	clear(tmp) // the free list holds zero buffers only
+	putBuf(tmp)
 	return out
 }
 

@@ -272,14 +272,16 @@ const bandBudget = 4 << 20 / 8
 // 64-column groups of the padded row the band's footprints touched.
 // live is that set seen from the window: live[k] is false when no
 // footprint reached columns [64k, 64k+64) of a, every one of which is
-// then +0 in every row of the band. After the band is sunk only the
-// touched runs of each row are cleared: the buffer is zero when taken
-// and zero between bands, and goes back to the free list zero unless
-// the render was cut short (getBuf zeroes what it reuses either way).
+// then +0 in every row of the band. Each row's touched runs are cleared
+// as soon as its sink returns, while the row is still in cache, and a
+// canceled band's rows are cleared before the error is returned: the
+// band is zero when taken from the free list, zero between bands, and
+// goes back zero, which is the free list's contract (buffers.go). A
+// render that panics in its sink drops the band instead of returning
+// it.
 //
-// The band buffer is pooled, returned on every path, and a and live
-// are only valid during the call. The result does not depend on rows.
-// Called with rm.mu held.
+// a and live are only valid during the call. The result does not
+// depend on rows. Called with rm.mu held.
 func (rm *RasterMask) renderLocked(ctx context.Context, defocus float64, w, h, rows int, sink func(j int, a []float64, live []bool)) error {
 	key := math.Abs(defocus)
 	if key > rm.maxDefocus {
@@ -326,28 +328,26 @@ func (rm *RasterMask) renderLocked(ctx context.Context, defocus float64, w, h, r
 	di := int(math.Round(float64(rm.window.X0-rm.padded.X0) / rm.pitch))
 	dj := int(math.Round(float64(rm.window.Y0-rm.padded.Y0) / rm.pitch))
 	rows = min(rows, h, max(1, bandBudget/rm.rW))
-	buf := getBuf(rows * rm.rW)
-	defer putBuf(buf)
+	buf := getBuf(rows * rm.rW) // put back only once all zero again
 	prof := make([]float64, rm.rW+rows)
 	touched := make([]bool, (rm.rW+63)/64)
 	live := make([]bool, (w+63)/64)
+	// runs holds the band's touched groups as [lo, hi) column pairs, so
+	// that clearing a row is one clear per run, not one per group.
+	runs := make([]int, 0, len(touched)+1)
 	for b0 := 0; b0 < h; b0 += rows {
 		b1 := min(b0+rows, h)
 		band := buf[:(b1-b0)*rm.rW]
+		var err error
 		for _, p := range passes {
-			if err := sparseBlurAcc(ctx, rm.spans, rm.rW, b0+dj, b1+dj, p.kern, p.cdf, p.weight, band, prof, touched); err != nil {
-				return err
+			if err = sparseBlurAcc(ctx, rm.spans, rm.rW, b0+dj, b1+dj, p.kern, p.cdf, p.weight, band, prof, touched); err != nil {
+				break
 			}
 		}
 		for k := range live {
 			live[k] = touched[(k<<6+di)>>6] || touched[(min(k<<6+63, w-1)+di)>>6]
 		}
-		for j := b0; j < b1; j++ {
-			at := (j-b0)*rm.rW + di
-			sink(j, band[at:at+w], live)
-		}
-		// Clear what was written, a run of touched groups at a time so
-		// that a row is one long clear, not one per group.
+		runs = runs[:0]
 		var nTouched int64
 		for g := 0; g < len(touched); g++ {
 			g0 := g
@@ -355,21 +355,37 @@ func (rm *RasterMask) renderLocked(ctx context.Context, defocus float64, w, h, r
 				touched[g] = false
 				g++
 			}
-			if g == g0 {
-				continue
+			if g > g0 {
+				nTouched += int64(g - g0)
+				runs = append(runs, g0<<6, min(g<<6, rm.rW))
 			}
-			nTouched += int64(g - g0)
-			lo, hi := g0<<6, min(g<<6, rm.rW)
+		}
+		if err != nil {
 			for at := 0; at < len(band); at += rm.rW {
-				clear(band[at+lo : at+hi])
+				clearRuns(band[at:at+rm.rW], runs)
 			}
+			putBuf(buf)
+			return err
 		}
 		cGroupsTouched.Add(nTouched)
 		cGroupsOffered.Add(int64(len(touched)))
+		for j := b0; j < b1; j++ {
+			row := band[(j-b0)*rm.rW : (j-b0+1)*rm.rW]
+			sink(j, row[di:di+w], live)
+			clearRuns(row, runs)
+		}
 	}
+	putBuf(buf)
 	cRasterMiss.Inc()
 	countPerDefocus("litho.raster.cache.miss", key)
 	return nil
+}
+
+// clearRuns zeroes row[lo:hi] for each [lo, hi) pair of runs.
+func clearRuns(row []float64, runs []int) {
+	for i := 0; i < len(runs); i += 2 {
+		clear(row[runs[i]:runs[i+1]])
+	}
 }
 
 // withDose returns a measurement-equivalent view of the image at

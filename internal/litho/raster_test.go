@@ -526,11 +526,11 @@ func TestPrintedMatchesPerPixelReference(t *testing.T) {
 
 // A band is zero when a render takes it and zero when a completed
 // render puts it back — the render clears what its footprints touched
-// and nothing else was written — and a render that inherits a band a
-// canceled one left dirty gets it zeroed: two goroutines on one
-// RasterMask, each canceled mid-band and then run to completion, both
-// produce the bits of a render that never shared a buffer. Run under
-// -race -count=10.
+// and nothing else was written — and a render canceled mid-band clears
+// the band it was cut short in before it puts it back: two goroutines
+// on one RasterMask, each canceled mid-band and then run to completion,
+// both produce the bits of a render that never shared a buffer. Run
+// under -race -count=10.
 func TestBandReturnsZeroAndSurvivesCancel(t *testing.T) {
 	o := tech.N45().Optics
 	mask := []geom.Rect{geom.R(0, 0, 70, 3000), geom.R(140, 0, 210, 3000), geom.R(-150, 900, 380, 990)}

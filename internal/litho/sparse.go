@@ -98,7 +98,9 @@ func clipSpans(norm []geom.Rect, padded geom.Rect, pitch float64, w, h int) []px
 // column profiles do not depend on the range asked for — so a grid
 // rendered in bands equals the grid rendered whole bit for bit. What a
 // band costs extra is the column profile, recomputed for every band a
-// rect's footprint reaches.
+// rect's footprint reaches. A footprint is one rank-1 update of the
+// band (kernel.go): row loy+j gets (weight·profY[j])·profX, and a row
+// whose product is zero gets nothing.
 //
 // Every column it adds to is marked in touched, one entry per group of
 // 64 columns ((w+63)/64 of them): a column whose group is still
@@ -133,14 +135,7 @@ func sparseBlurAcc(ctx context.Context, spans []pxSpan, w, j0, j1 int, kern, cdf
 		profY := py[:hiy-loy]
 		rectProfile(profX, lox, s.x0, s.x1, kern, cdf)
 		rectProfile(profY, loy, s.y0, s.y1, kern, cdf)
-		for j, pv := range profY {
-			c := weight * pv
-			if c == 0 {
-				continue
-			}
-			at := (loy+j-j0)*w + lox
-			axpy(c, profX, band[at:at+len(profX)])
-		}
+		rank1(weight, profY, profX, band[(loy-j0)*w+lox:], w)
 	}
 	return nil
 }

@@ -1,8 +1,8 @@
 package litho
 
 // The kernel's three float loops: the band blur's rank-1 update
-// dst[j][i] += (weight·ys[j])·x[i] (sparseBlurAcc, one call per rect
-// footprint), the unit-intensity square (unitIntensity's sink) and the
+// dst[j][i] += (weight·ys[j])·x[i] (sparseBlurAcc, one call per y-band
+// cluster), the unit-intensity square (unitIntensity's sink) and the
 // threshold word (printed's sink). Each has two arms. The Go loop below
 // is the reference; the assembly in kernel_amd64.s performs exactly its
 // float operations, in the same order, four lanes at a time — a
@@ -18,8 +18,8 @@ package litho
 var simd = haveAVX
 
 // rank1 adds (weight·ys[j])·x[i] to dst[j*stride+i] for every j of ys
-// and every i of x: row j of a rect footprint receives its column
-// profile x scaled by the row's profile value. A row whose product
+// and every i of x: row j of a cluster's footprint receives its column
+// sum x scaled by the row's profile value. A row whose product
 // weight·ys[j] is zero (of either sign) is skipped, not added: adding
 // ±0·x is not quite a no-op (it turns -0 into +0 and an infinite x into
 // NaN), and the skip is what every digest was computed with. Rows are

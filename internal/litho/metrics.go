@@ -30,10 +30,18 @@ var (
 
 	// Blur passes run: one per kernel sigma per simulated field, plus
 	// one per GaussianBlur call. blur.sparse counts the former alone —
-	// the per-rect separable decomposition (sparse.go) every RasterMask
+	// the banded separable decomposition (sparse.go) every RasterMask
 	// pass takes.
 	cBlurPasses = obs.C("litho.blur.passes")
 	cBlurSparse = obs.C("litho.blur.sparse")
+
+	// The banded blur's work per pass over a band (sparse.go): rects =
+	// rect footprints that reached the band and summed into a cluster,
+	// updates = clusters, one rank-1 update each. rects/updates is how
+	// many per-rect updates one banded update replaced. Added once per
+	// band, never per rect.
+	cBlurRects   = obs.C("litho.blur.rects")
+	cBlurUpdates = obs.C("litho.blur.updates")
 
 	// Which arm of the kernel's float loops a render ran (kernel.go): 1
 	// for the AVX assembly, 0 for the Go loops — not amd64, or a CPU

@@ -264,7 +264,7 @@ const bandBudget = 4 << 20 / 8
 // sink(j, a, live) receives the w amplitudes of window row j, rows in
 // ascending order. Each band is the amplitude A = sum_k w_k (G_sk * M)
 // of its rows, accumulated kernel by kernel with the exact sparse
-// per-rect blur (sparse.go); no coverage raster is built, the pad rows
+// banded blur (sparse.go); no coverage raster is built, the pad rows
 // above and below the window are never computed, and the amplitude of
 // the whole grid never exists at once.
 //

@@ -8,7 +8,8 @@ import (
 )
 
 // Sparse separable convolution: the exact Gaussian blur of a rect-set
-// coverage raster, computed per rect instead of per pixel.
+// coverage raster, computed per y-band cluster of rects instead of per
+// pixel.
 //
 // Grid.paint gives each rect a separable coverage footprint
 // cov(i, j) = cx(i) · cy(j) (the 1-D pixel-overlap fractions), and the
@@ -22,10 +23,22 @@ import (
 // rounding (~1e-15). Each 1-D profile g ⊛ cx is evaluated in O(1) per
 // pixel from the kernel's prefix sums — cx is the difference of two
 // unit steps with one fractional edge pixel, and a step convolved with
-// g is the kernel CDF — so a rect costs O((rw+2r)·(rh+2r)) against the
-// dense path's 2·W·H·(2r+1) per kernel pass. For block-scale masks
-// under production kernels that is an order of magnitude fewer
-// floating-point ops, and the raster itself need never be built.
+// g is the kernel CDF.
+//
+// In normal form the rects of a y-band share y0 and y1, so they share
+// the row profile g ⊛ cy, and the sum factors once more:
+//
+//	Σ_band (g ⊛ cx) ⊗ (g ⊛ cy) = (Σ_band g ⊛ cx) ⊗ (g ⊛ cy)
+//
+// A band's column profiles are summed into one accumulator, footprints
+// that overlap or touch merge into a cluster, and each cluster is one
+// rank-1 update of the raster: O(cluster width · (rh+2r)) element
+// operations where the per-rect form paid that for every rect of the
+// cluster, against the dense path's 2·W·H·(2r+1) per kernel pass. For
+// block-scale masks under production kernels that is an order of
+// magnitude fewer floating-point ops, and the raster itself need never
+// be built. Factoring c·Σx where the per-rect form added Σ c·x moves
+// the last bits of a pixel, not more (EXPERIMENTS.md R43).
 
 // stepConv returns (g ⊛ F)(i) where F is the smoothed unit step of the
 // continuous boundary a = m + (1 - frac): F(i) = 0 for i < m,
@@ -46,10 +59,11 @@ func stepConv(i, m, r int, frac float64, kern, cdf []float64) float64 {
 	return v
 }
 
-// rectProfile fills prof[idx] = (g ⊛ cx)(lo+idx) for the 1-D coverage
-// cx of the continuous pixel-space span [a0, a1). The span must
-// already be clipped to the grid so the zero boundary condition
-// matches the dense path.
+// rectProfile adds (g ⊛ cx)(lo+idx) to prof[idx] for the 1-D coverage
+// cx of the continuous pixel-space span [a0, a1): on a zeroed prof it
+// stores the profile, on a band's column accumulator it sums the band's
+// rects. The span must already be clipped to the grid so the zero
+// boundary condition matches the dense path.
 func rectProfile(prof []float64, lo int, a0, a1 float64, kern, cdf []float64) {
 	r := len(kern) / 2
 	mL := int(math.Floor(a0))
@@ -58,7 +72,7 @@ func rectProfile(prof []float64, lo int, a0, a1 float64, kern, cdf []float64) {
 	fR := float64(mR+1) - a1
 	for idx := range prof {
 		i := lo + idx
-		prof[idx] = stepConv(i, mL, r, fL, kern, cdf) - stepConv(i, mR, r, fR, kern, cdf)
+		prof[idx] += stepConv(i, mL, r, fL, kern, cdf) - stepConv(i, mR, r, fR, kern, cdf)
 	}
 }
 
@@ -91,39 +105,68 @@ func clipSpans(norm []geom.Rect, padded geom.Rect, pitch float64, w, h int) []px
 
 // sparseBlurAcc accumulates band += weight · (g ⊛ coverage(spans)) for
 // one kernel over rows [j0, j1) of the w-wide raster grid the spans
-// were clipped to, walking rects instead of pixels: band holds those
-// rows only, row j at band[(j-j0)*w:]. spans must come from a disjoint
-// rect set (geom.Normalize form). A pixel receives the same additions
-// in the same order whatever band it is computed in — a rect's row and
-// column profiles do not depend on the range asked for — so a grid
-// rendered in bands equals the grid rendered whole bit for bit. What a
-// band costs extra is the column profile, recomputed for every band a
-// rect's footprint reaches. A footprint is one rank-1 update of the
-// band (kernel.go): row loy+j gets (weight·profY[j])·profX, and a row
-// whose product is zero gets nothing.
+// were clipped to, walking y-bands of rects instead of pixels: band
+// holds those rows only, row j at band[(j-j0)*w:]. spans must come from
+// a disjoint rect set (geom.Normalize form), whose consecutive spans
+// with equal y0 and y1 — a y-group — share one row profile profY,
+// computed once per group. Each rect of the group adds its column
+// profile into the accumulator, and rects whose footprints overlap or
+// touch form one cluster: cluster columns [c0, c1) are one rank-1
+// update of the band (kernel.go), row loy+j getting
+// (weight·profY[j])·acc[c0:c1], a row whose product is zero nothing,
+// and then the cluster's accumulator is cleared. A pixel receives the
+// same additions in the same order whatever band it is computed in — a
+// group either misses the band or contributes every cluster, and
+// neither profile depends on the range asked for — so a grid rendered
+// in bands equals the grid rendered whole bit for bit. What a band
+// costs extra is the column profiles, recomputed for every band a
+// group's footprint reaches.
 //
 // Every column it adds to is marked in touched, one entry per group of
 // 64 columns ((w+63)/64 of them): a column whose group is still
 // unmarked holds whatever the band held on entry, in every row. The
 // marks are per band, not per row, and only ever set here.
 //
-// prof is scratch for the two profiles, at least w + (j1 - j0) long.
-// It is the caller's plain allocation, not the free list's: the list
-// is sized for band-scale buffers, and a row-sized request would
-// either evict one or borrow it.
+// prof is scratch, at least w + (j1 - j0) long: prof[:w] is the column
+// accumulator and must be zero on entry, as it is again on return
+// (canceled or not); the rest holds the row profile. It is the
+// caller's plain allocation, not the free list's: the list is sized
+// for band-scale buffers, and a row-sized request would either evict
+// one or borrow it.
 func sparseBlurAcc(ctx context.Context, spans []pxSpan, w, j0, j1 int, kern, cdf []float64, weight float64, band, prof []float64, touched []bool) error {
 	r := len(kern) / 2
-	px, py := prof[:w], prof[w:]
+	acc, py := prof[:w], prof[w:]
+	var (
+		profY          []float64 // the group's row profile; nil when its rows miss the band
+		loy            int       // the band row profY[0] belongs to
+		c0, c1         int       // the open cluster's columns [c0, c1), empty when c0 == c1
+		rects, updates int64
+	)
 	for si, s := range spans {
 		if si&63 == 0 {
 			if err := ctx.Err(); err != nil {
+				clear(acc[c0:c1])
 				return err
 			}
 		}
-		// Most rects miss most bands: reject on rows first.
-		loy := max(int(math.Floor(s.y0))-r, j0)
-		hiy := min(int(math.Floor(s.y1))+r+1, j1)
-		if hiy <= loy {
+		if si == 0 || s.y0 != spans[si-1].y0 || s.y1 != spans[si-1].y1 {
+			// A new y-group: the last one's open cluster is complete.
+			if c1 > c0 {
+				flushCluster(weight, profY, acc[c0:c1], band[(loy-j0)*w+c0:], w)
+				updates++
+				c0, c1 = 0, 0
+			}
+			// Most groups miss most bands: reject on rows first.
+			loy = max(int(math.Floor(s.y0))-r, j0)
+			hiy := min(int(math.Floor(s.y1))+r+1, j1)
+			profY = nil
+			if hiy > loy {
+				profY = py[:hiy-loy]
+				clear(profY)
+				rectProfile(profY, loy, s.y0, s.y1, kern, cdf)
+			}
+		}
+		if profY == nil {
 			continue
 		}
 		lox := max(int(math.Floor(s.x0))-r, 0)
@@ -131,11 +174,32 @@ func sparseBlurAcc(ctx context.Context, spans []pxSpan, w, j0, j1 int, kern, cdf
 		for g := lox >> 6; g <= (hix-1)>>6; g++ {
 			touched[g] = true
 		}
-		profX := px[:hix-lox]
-		profY := py[:hiy-loy]
-		rectProfile(profX, lox, s.x0, s.x1, kern, cdf)
-		rectProfile(profY, loy, s.y0, s.y1, kern, cdf)
-		rank1(weight, profY, profX, band[(loy-j0)*w+lox:], w)
+		if lox > c1 || hix < c0 {
+			// Apart from the open cluster (or there is none): flush it
+			// and open this footprint's.
+			if c1 > c0 {
+				flushCluster(weight, profY, acc[c0:c1], band[(loy-j0)*w+c0:], w)
+				updates++
+			}
+			c0, c1 = lox, hix
+		} else {
+			c0, c1 = min(c0, lox), max(c1, hix)
+		}
+		rectProfile(acc[lox:hix], lox, s.x0, s.x1, kern, cdf)
+		rects++
 	}
+	if c1 > c0 {
+		flushCluster(weight, profY, acc[c0:c1], band[(loy-j0)*w+c0:], w)
+		updates++
+	}
+	cBlurRects.Add(rects)
+	cBlurUpdates.Add(updates)
 	return nil
+}
+
+// flushCluster is one cluster's rank-1 update: dst row j gets
+// (weight·profY[j])·acc, rows w apart, and acc is cleared after.
+func flushCluster(weight float64, profY, acc, dst []float64, w int) {
+	rank1(weight, profY, acc, dst, w)
+	clear(acc)
 }

@@ -9,10 +9,12 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/layout"
+	"repro/internal/obs"
 	"repro/internal/tech"
 )
 
-// TestSparseBlurMatchesDense verifies the per-rect separable
+// TestSparseBlurMatchesDense verifies the banded separable
 // decomposition against the dense rasterize-then-blur path on random
 // rect sets: identical discrete sums in a different order, so the two
 // fields must agree to FP rounding.
@@ -242,8 +244,182 @@ func checkBandEqualsWhole(t *testing.T, mask []geom.Rect, window geom.Rect, opt 
 	}
 }
 
+// sparseBlurPerRect is the blur before its y-bands were factored: one
+// rank-1 update per rect footprint, each rect with its own row and
+// column profile, band += weight · (g ⊛ coverage(spans)) over rows
+// [j0, j1) of the w-wide grid. It is the oracle sparseBlurAcc is held
+// to; every digest before the banded blur was computed with it.
+func sparseBlurPerRect(spans []pxSpan, w, j0, j1 int, kern, cdf []float64, weight float64, band []float64) {
+	r := len(kern) / 2
+	for _, s := range spans {
+		loy := max(int(math.Floor(s.y0))-r, j0)
+		hiy := min(int(math.Floor(s.y1))+r+1, j1)
+		if hiy <= loy {
+			continue
+		}
+		lox := max(int(math.Floor(s.x0))-r, 0)
+		hix := min(int(math.Floor(s.x1))+r+1, w)
+		profX := make([]float64, hix-lox)
+		profY := make([]float64, hiy-loy)
+		rectProfile(profX, lox, s.x0, s.x1, kern, cdf)
+		rectProfile(profY, loy, s.y0, s.y1, kern, cdf)
+		rank1(weight, profY, profX, band[(loy-j0)*w+lox:], w)
+	}
+}
+
+// checkSpansMatchPerRect runs one kernel pass of the banded blur over
+// the whole w x h grid and holds every pixel to the per-rect oracle
+// within 1e-12 of the oracle's peak: a band's c·Σx rounds differently
+// from Σ c·x, by a few ulps of the peak at most. The column
+// accumulator must come back zero. It returns the rects and rank-1
+// updates the pass counted.
+func checkSpansMatchPerRect(t *testing.T, spans []pxSpan, w, h int, kern, cdf []float64, weight float64) (rects, updates int64) {
+	t.Helper()
+	count := func() (int64, int64) {
+		c := obs.Default().Snapshot().Counters
+		return c["litho.blur.rects"], c["litho.blur.updates"]
+	}
+	want := make([]float64, w*h)
+	sparseBlurPerRect(spans, w, 0, h, kern, cdf, weight, want)
+	var peak float64
+	for _, v := range want {
+		peak = max(peak, math.Abs(v))
+	}
+	got := make([]float64, w*h)
+	prof := make([]float64, w+h)
+	r0, u0 := count()
+	if err := sparseBlurAcc(context.Background(), spans, w, 0, h, kern, cdf, weight, got, prof, make([]bool, (w+63)/64)); err != nil {
+		t.Fatal(err)
+	}
+	r1, u1 := count()
+	for i, v := range want {
+		if d := math.Abs(got[i] - v); !(d <= 1e-12*peak) {
+			t.Fatalf("pixel (%d,%d) of %dx%d: banded %v, per rect %v: off by %g of the peak %g",
+				i%w, i/w, w, h, got[i], v, d/peak, peak)
+		}
+	}
+	for i, v := range prof[:w] {
+		if math.Float64bits(v) != 0 {
+			t.Fatalf("column accumulator %d of %d is %v after the pass, want +0", i, w, v)
+		}
+	}
+	return r1 - r0, u1 - u0
+}
+
+// checkMatchesPerRect holds every kernel pass of the mask's padded grid
+// at the defocus to the per-rect oracle (checkSpansMatchPerRect).
+func checkMatchesPerRect(t *testing.T, mask []geom.Rect, window geom.Rect, opt tech.Optics, defocus float64) {
+	t.Helper()
+	rm := NewRasterMask(mask, window, opt, defocus)
+	spans := clipSpans(geom.Normalize(mask), rm.padded, rm.pitch, rm.rW, rm.rH)
+	for k, s := range opt.Sigmas {
+		kern, cdf := gaussKernelCDF(s * defocusFactor(opt, defocus) / rm.pitch)
+		checkSpansMatchPerRect(t, spans, rm.rW, rm.rH, kern, cdf, opt.Weights[k])
+	}
+}
+
+// The banded blur against the per-rect oracle on generated blocks, and
+// on hand-placed y-groups that put each branch of the cluster walk on
+// its boundary: a footprint that starts exactly where the open cluster
+// ends (merged), one that overlaps it by a pixel (merged), one a pixel
+// past it (flushed), far-apart clusters, a lone rect, and rects clipped
+// at both grid edges. The counters say how many clusters each made.
+func TestBandedBlurMatchesPerRect(t *testing.T) {
+	withObs(t)
+	o := tech.N45().Optics
+	for _, layer := range []tech.Layer{tech.Metal1, tech.Poly, tech.Metal2} {
+		l, err := layout.GenerateBlock(tech.N45(), layout.BlockOpts{Rows: 2, RowWidth: 6000, Nets: 8, MaxFan: 3, Seed: 11})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mask := geom.Normalize(layout.ByLayer(l.Flatten())[layer])
+		if len(mask) < 20 {
+			t.Fatalf("%v: %d rects, the block is vacuous", layer, len(mask))
+		}
+		for _, defocus := range []float64{0, 110} {
+			checkMatchesPerRect(t, mask, geom.BBoxOf(mask).Bloat(200), o, defocus)
+		}
+	}
+
+	// Pitch 1 on a grid at the origin: nm are pixels. sigma 1.2 px
+	// gives r = 4, so the footprint of [x0, x1) is [x0-4, x1+5).
+	const w, h = 96, 30
+	kern, cdf := gaussKernelCDF(1.2)
+	if r := len(kern) / 2; r != 4 {
+		t.Fatalf("kernel radius %d, the cases below assume 4", r)
+	}
+	row := func(y0, y1 int64, xs ...int64) []geom.Rect {
+		var rs []geom.Rect
+		for i := 0; i < len(xs); i += 2 {
+			rs = append(rs, geom.R(xs[i], y0, xs[i+1], y1))
+		}
+		return rs
+	}
+	for _, tc := range []struct {
+		name           string
+		mask           []geom.Rect
+		rects, updates int64
+	}{
+		{"one-rect group", row(8, 14, 10, 20), 1, 1},
+		{"footprints touch exactly", row(8, 14, 10, 20, 29, 35), 2, 1},
+		{"footprints overlap by one pixel", row(8, 14, 10, 20, 28, 35), 2, 1},
+		{"footprints one pixel apart", row(8, 14, 10, 20, 30, 35), 2, 2},
+		{"two far-apart clusters", row(8, 14, 5, 10, 12, 14, 70, 80), 3, 2},
+		{"clipped at both grid edges", row(-5, h+5, -10, w+10), 1, 1},
+		{"clipped left and right, apart", row(-5, 6, -10, 3, 90, w+6), 2, 2},
+		{"groups above each other", append(row(2, 6, 10, 20, 60, 70), row(6, 9, 15, 30)...), 3, 3},
+	} {
+		padded := geom.R(0, 0, w, h)
+		spans := clipSpans(geom.Normalize(tc.mask), padded, 1, w, h)
+		rects, updates := checkSpansMatchPerRect(t, spans, w, h, kern, cdf, 0.7)
+		if rects != tc.rects || updates != tc.updates {
+			t.Errorf("%s: %d rects in %d rank-1 updates, want %d in %d", tc.name, rects, updates, tc.rects, tc.updates)
+		}
+	}
+}
+
+// A pass canceled at the 64-rect checkpoint inside an open cluster
+// returns the context's error with the column accumulator zero again,
+// so the next pass over the same scratch is the oracle's.
+func TestBandedBlurCancelClearsAccumulator(t *testing.T) {
+	const w, h = 200, 12
+	var mask []geom.Rect
+	for x := int64(0); x < 180; x += 2 {
+		mask = append(mask, geom.R(x, 3, x+1, 8)) // one group, one cluster of 90 rects
+	}
+	spans := clipSpans(geom.Normalize(mask), geom.R(0, 0, w, h), 1, w, h)
+	if len(spans) <= 64 {
+		t.Fatalf("%d spans never reach the second checkpoint", len(spans))
+	}
+	kern, cdf := gaussKernelCDF(1.2)
+	band := make([]float64, w*h)
+	prof := make([]float64, w+h)
+	ctx := &dyingCtx{Context: context.Background()}
+	ctx.live.Store(1)
+	if err := sparseBlurAcc(ctx, spans, w, 0, h, kern, cdf, 1, band, prof, make([]bool, (w+63)/64)); err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	for i, v := range prof[:w] {
+		if math.Float64bits(v) != 0 {
+			t.Fatalf("column accumulator %d is %v after a canceled pass, want +0", i, v)
+		}
+	}
+	clear(band)
+	want := make([]float64, w*h)
+	sparseBlurPerRect(spans, w, 0, h, kern, cdf, 1, want)
+	if err := sparseBlurAcc(context.Background(), spans, w, 0, h, kern, cdf, 1, band, prof, make([]bool, (w+63)/64)); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if d := math.Abs(band[i] - want[i]); d > 1e-12 {
+			t.Fatalf("pixel (%d,%d) after a canceled pass: %v, per rect %v", i%w, i/w, band[i], want[i])
+		}
+	}
+}
+
 // FuzzSparseBlur holds the sparse blur to the rasterize-then-blur
-// reference on arbitrary rect sets, pitches and defocus, an arbitrary
+// reference on arbitrary rect sets, pitches and defocus, every kernel
+// pass to the per-rect oracle within 1e-12 of its peak, an arbitrary
 // band of its rows to the same rows of the whole grid, every column
 // the band did not mark touched to +0, and the render under the
 // assembly kernel to the render under the Go loops (10 s in make
@@ -253,6 +429,15 @@ func FuzzSparseBlur(f *testing.F) {
 	f.Add(uint8(1), uint8(2), uint8(17), uint8(0), []byte{64, 64, 10, 10, 74, 64, 10, 10, 64, 74, 20, 1})   // abutting, one a sliver; a one-row band
 	f.Add(uint8(2), uint8(1), uint8(3), uint8(40), []byte{0, 0, 47, 47, 255, 255, 47, 47, 100, 100, 0, 30}) // corners outside, zero-area
 	f.Add(uint8(0), uint8(3), uint8(90), uint8(7), []byte{60, 60, 3, 3, 61, 61, 3, 3, 20, 70, 47, 2, 160, 10, 9, 47})
+	// One y-group at pitch 5 and defocus 0, where the kernels reach
+	// r = 4 and r = 9 px: footprints that touch exactly at r = 4 (a 45 nm
+	// gap) and merge at r = 9, that overlap by one pixel at r = 4 (40 nm),
+	// two far-apart clusters, and rects clipped at the left and right
+	// grid edges beside one clipped at the bottom.
+	f.Add(uint8(0), uint8(0), uint8(0), uint8(255), []byte{64, 94, 20, 20, 129, 94, 20, 20})
+	f.Add(uint8(0), uint8(0), uint8(0), uint8(255), []byte{64, 94, 20, 20, 124, 94, 20, 20})
+	f.Add(uint8(0), uint8(0), uint8(0), uint8(255), []byte{4, 94, 20, 20, 169, 94, 20, 20})
+	f.Add(uint8(0), uint8(0), uint8(0), uint8(255), []byte{0, 94, 47, 20, 208, 94, 47, 20, 100, 0, 10, 47})
 	f.Fuzz(func(t *testing.T, pitchSel, focusSel, rowLo, rowN uint8, data []byte) {
 		o := tech.Optics{
 			Sigmas: []float64{6, 14}, Weights: []float64{0.8, 0.2}, Threshold: 0.3, DefocusScale: 150,
@@ -261,6 +446,7 @@ func FuzzSparseBlur(f *testing.F) {
 		cond := Condition{Defocus: float64(focusSel%4) * 60, Dose: 1 + float64(focusSel%3)*0.04}
 		mask, window := fuzzRects(data), geom.R(0, 0, 100, 80)
 		checkAgainstGridBlur(t, mask, window, o, cond)
+		checkMatchesPerRect(t, mask, window, o, cond.Defocus)
 		checkBandEqualsWhole(t, mask, window, o, cond.Defocus, rowLo, rowN)
 		checkArmsAgree(t, mask, window, o, cond)
 	})

@@ -15,7 +15,10 @@ import (
 // keySchema versions the canonical key payload; bump it whenever the
 // payload shape or any evaluator's semantics change, so stale cache
 // entries from an older build can never alias new requests.
-const keySchema = 1
+// Schema 2: the aerial image's rounding changed (the blur sums a
+// y-band's column profiles before scaling them, EXPERIMENTS.md R43), so
+// stale cache entries must not alias.
+const keySchema = 2
 
 // keyPayload is the canonical content of a request: everything that
 // determines the evaluation result, nothing that does not (timeouts

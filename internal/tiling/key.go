@@ -38,7 +38,10 @@ import (
 // gating config: the filter changes which hotspots a window reports,
 // and the surrogate changes which windows of a run are exact at all,
 // so results computed under different gating must never alias.
-const keySchema = 3
+// Schema 4: the aerial image's rounding changed (the blur sums a y-band's
+// column profiles before scaling them, EXPERIMENTS.md R43), so a window
+// result cached under schema 3 must not alias one computed now.
+const keySchema = 4
 
 // configKey hashes the run-wide parameters shared by every unit key,
 // read off any unit of the run (or the plan's template): the full

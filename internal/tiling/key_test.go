@@ -58,9 +58,9 @@ func goldenWindow() *TileRequest {
 	}
 }
 
-// The two hex values below were printed by this test at the parent of
+// The two keys below were first printed by this test at the parent of
 // PR 19 (commit 53ff213, schema-2 wire, reflective sort inside the key,
-// unbuffered hash writes) and have since survived a wire change (packed
+// unbuffered hash writes) and then survived a wire change (packed
 // columns, schema 3) and an ordering change (schema 4: the unit arrives
 // sorted and the key hashes it as it stands — the same byte stream the
 // sort inside the key used to produce, which is why the fixtures could
@@ -68,22 +68,25 @@ func goldenWindow() *TileRequest {
 // and config, never of wire bytes or of how the hasher is fed: a key
 // that moves here silently empties every tile cache in a fleet and
 // re-keys the router's affinity ring. The wire round trip in the middle
-// is the proof that the packed form re-keys nothing either.
+// is the proof that the packed form re-keys nothing either. The values
+// were re-minted once, on purpose, when keySchema went from 3 to 4 (the
+// aerial image's rounding changed, EXPERIMENTS.md R43): the schema is
+// part of every key, and moving every key is what the bump is for.
 func TestGoldenKeys(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		req  *TileRequest
 		want string
 	}{
-		{"tile", goldenTile(), "40fb0838335b614e5cad78ab7b9dfcdcd1e4af1b620e83dc8230fdfdf7dc568e"},
-		{"window", goldenWindow(), "d686896e7bf60c213c68292de01022f420286dd7d61d449ddecb7ee9798bd455"},
+		{"tile", goldenTile(), "f13a3cf58a44c0164e447b31bd596cf1d18fc1addc6ef67bbddbad30d740cc9d"},
+		{"window", goldenWindow(), "f465d6222206e340b80d269f342798574a16746c5a5379eb7f3bdbca916e9f43"},
 	} {
 		k, err := tc.req.Key()
 		if err != nil {
 			t.Fatalf("%s: Key: %v", tc.name, err)
 		}
 		if got := hex.EncodeToString(k[:]); got != tc.want {
-			t.Errorf("%s: key %s, recorded at the parent commit as %s", tc.name, got, tc.want)
+			t.Errorf("%s: key %s, recorded under keySchema 4 as %s", tc.name, got, tc.want)
 		}
 		b, err := json.Marshal(tc.req)
 		if err != nil {

@@ -500,7 +500,7 @@ func ExtractGateLengths(ctx context.Context, t *tech.Tech, cond litho.Condition,
 		}
 		printed := img.PrintedRects()
 		gates := geom.Intersect(printed, diff)
-		comps := drc.Components(gates)
+		comps := geom.BandedOf(gates).Components()
 		var wSum, dSum, kSum float64
 		for _, comp := range comps {
 			slices := device.ExtractSlices(comp, true, 5)

@@ -134,48 +134,13 @@ func snapshot(r *Result) *Result {
 	return out
 }
 
-// buildFeatures groups the normalized rects into connected components.
+// buildFeatures groups the normalized rects into connected components,
+// numbered by their first normal-form rect.
 func buildFeatures(rs []geom.Rect) []*Feature {
-	norm := geom.Normalize(rs)
-	n := len(norm)
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	ix := geom.IndexOf(1024, norm)
-	for i, r := range norm {
-		for _, id := range ix.Query(r) {
-			if id > i {
-				ra, rb := find(i), find(id)
-				if ra != rb {
-					parent[rb] = ra
-				}
-			}
-		}
-	}
-	groups := make(map[int][]geom.Rect)
-	var order []int
-	for i, r := range norm {
-		root := find(i)
-		if _, ok := groups[root]; !ok {
-			order = append(order, root)
-		}
-		groups[root] = append(groups[root], r)
-	}
-	sort.Ints(order)
-	feats := make([]*Feature, 0, len(order))
-	for _, root := range order {
-		f := &Feature{ID: len(feats), Rects: groups[root], Mask: -1}
-		f.BBox = geom.BBoxOf(f.Rects)
-		feats = append(feats, f)
+	comps := geom.BandedOf(geom.Normalize(rs)).Components()
+	feats := make([]*Feature, len(comps))
+	for i, c := range comps {
+		feats[i] = &Feature{ID: i, Rects: c, BBox: geom.BBoxOf(c), Mask: -1}
 	}
 	return feats
 }

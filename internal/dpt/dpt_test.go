@@ -1,6 +1,8 @@
 package dpt
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/geom"
@@ -157,11 +159,75 @@ func TestMaskRectsPartition(t *testing.T) {
 	}
 }
 
+// groupsOracle is what buildFeatures must group rs into: a union-find
+// over every pair of normal-form rects that intersect or touch, corners
+// included, by an O(n²) scan, each group in position order and the
+// groups numbered by first rect.
+func groupsOracle(rs []geom.Rect) [][]geom.Rect {
+	norm := geom.Normalize(rs)
+	parent := make([]int, len(norm))
+	for i := range parent {
+		parent[i] = i
+	}
+	find := func(x int) int {
+		for parent[x] != x {
+			x = parent[x]
+		}
+		return x
+	}
+	for i, a := range norm {
+		for j := i + 1; j < len(norm); j++ {
+			b := norm[j]
+			if a.X0 <= b.X1 && b.X0 <= a.X1 && a.Y0 <= b.Y1 && b.Y0 <= a.Y1 {
+				if ra, rb := find(i), find(j); ra != rb {
+					parent[max(ra, rb)] = min(ra, rb)
+				}
+			}
+		}
+	}
+	var out [][]geom.Rect
+	group := make(map[int]int) // by root
+	for i, r := range norm {
+		root := find(i)
+		g, ok := group[root]
+		if !ok {
+			g = len(out)
+			group[root] = g
+			out = append(out, nil)
+		}
+		out[g] = append(out[g], r)
+	}
+	return out
+}
+
 func TestFeatureGrouping(t *testing.T) {
 	// Touching rects are one feature.
 	rs := []geom.Rect{geom.R(0, 0, 100, 50), geom.R(100, 0, 200, 50), geom.R(500, 0, 600, 50)}
 	res := Decompose(rs, 100, false, 0)
 	if len(res.Features) != 2 {
 		t.Fatalf("feature count = %d, want 2", len(res.Features))
+	}
+	// Dense random sets, where overlaps, edge and corner touches are
+	// common: the features are exactly the oracle's groups, numbered by
+	// first normal-form rect, each with its bounding box and no mask.
+	rnd := rand.New(rand.NewSource(44))
+	for round := 0; round < 200; round++ {
+		var rs []geom.Rect
+		for i, n := 0, 1+rnd.Intn(40); i < n; i++ {
+			x, y := rnd.Int63n(40)*10, rnd.Int63n(40)*10
+			rs = append(rs, geom.R(x, y, x+10*(1+rnd.Int63n(8)), y+10*(1+rnd.Int63n(8))))
+		}
+		want := groupsOracle(rs)
+		feats := buildFeatures(rs)
+		got := make([][]geom.Rect, len(feats))
+		for i, f := range feats {
+			if f.ID != i || f.Mask != -1 || f.BBox != geom.BBoxOf(f.Rects) {
+				t.Fatalf("feature %d of %v: ID %d, mask %d, bbox %v of %v", i, rs, f.ID, f.Mask, f.BBox, f.Rects)
+			}
+			got[i] = f.Rects
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("buildFeatures(%v)\n got %v\nwant %v", rs, got, want)
+		}
 	}
 }

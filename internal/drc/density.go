@@ -163,7 +163,7 @@ func (r Endcap) Check(ctx *Context) []Violation {
 	gates := new(preparedLayer)
 	gates.prepare(geom.Intersect(poly.Rects(), diff.Rects()))
 	var out []Violation
-	for _, g := range components(gates.Rects()) {
+	for _, g := range gates.Components() {
 		bb := geom.BBoxOf(g)
 		// The endcap is only required in the gate's transit direction
 		// (where poly crosses the diff edge); the perpendicular sides

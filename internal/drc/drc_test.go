@@ -234,36 +234,6 @@ func TestMinAreaRule(t *testing.T) {
 	}
 }
 
-func TestComponents(t *testing.T) {
-	rs := geom.Normalize([]geom.Rect{
-		geom.R(0, 0, 10, 10),
-		geom.R(10, 0, 20, 10), // touches first
-		geom.R(100, 100, 110, 110),
-	})
-	comps := Components(rs)
-	if len(comps) != 2 {
-		t.Fatalf("components = %d, want 2", len(comps))
-	}
-	if len(Components(nil)) != 0 {
-		t.Fatalf("empty set should have no components")
-	}
-	// Not normalized: two overlapping rects, a third meeting the second
-	// only at a corner, and one apart. The first three are one region.
-	raw := []geom.Rect{
-		geom.R(0, 0, 10, 10),
-		geom.R(5, 5, 15, 15),
-		geom.R(15, 15, 20, 20),
-		geom.R(100, 100, 110, 110),
-	}
-	comps = Components(raw)
-	if len(comps) != 2 {
-		t.Fatalf("components of %v = %v, want 2", raw, comps)
-	}
-	if a := geom.AreaOf(comps[0]); a != 100+75+25 {
-		t.Fatalf("first component %v covers %d, want 200", comps[0], a)
-	}
-}
-
 func TestDensityWindowRule(t *testing.T) {
 	tt := tech.N45()
 	rule := DensityWindow{Layer: tech.Metal1, Window: 1000, Min: 0.2, Max: 0.8}

@@ -25,7 +25,7 @@ func endcapOracle(r Endcap, ctx *Context) []Violation {
 	}
 	gates := geom.Intersect(poly, diff)
 	var out []Violation
-	for _, g := range Components(gates) {
+	for _, g := range geom.BandedOf(gates).Components() {
 		bb := geom.BBoxOf(g)
 		mx := (bb.X0 + bb.X1) / 2
 		vertical := geom.CoversPoint(poly, geom.Pt(mx, bb.Y1+1)) ||

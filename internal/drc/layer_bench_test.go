@@ -66,80 +66,33 @@ func layerQueries(rs []geom.Rect) (clips []geom.Rect, points []geom.Point, bloat
 }
 
 // BenchmarkLayerQuery prepares the tile's metal1 layer and replays the
-// deck's query mix against it, the prepared form's own band walk
-// (/bands) against the flat-grid index the deck used to build per layer
-// (/index), whose arm is the old clipArea and coversPoint over
-// geom.IndexOf. ns/query divides an op, build included, by the queries
-// it asks; the sums must agree.
+// deck's query mix against its band walk. ns/query divides an op, build
+// included, by the queries it asks.
 func BenchmarkLayerQuery(b *testing.B) {
 	rs := tileMetal1(b)
 	clips, points, bloats := layerQueries(rs)
 	nq := float64(len(clips) + len(points) + len(bloats))
-	var want int64
-	for _, arm := range []struct {
-		name string
-		run  func() int64
-	}{
-		{"bands", func() int64 {
-			var ly preparedLayer
-			ly.prepare(rs)
-			var sum int64
-			for _, q := range clips {
-				sum += ly.ClipArea(q)
+	b.ReportAllocs()
+	var sum int64
+	for i := 0; i < b.N; i++ {
+		var ly preparedLayer
+		ly.prepare(rs)
+		sum = 0
+		for _, q := range clips {
+			sum += ly.ClipArea(q)
+		}
+		for _, p := range points {
+			if ly.coversPoint(p) {
+				sum++
 			}
-			for _, p := range points {
-				if ly.coversPoint(p) {
-					sum++
-				}
-			}
-			for _, q := range bloats {
-				ly.Near(q, func(i int, _ geom.Rect) { sum += int64(i) })
-			}
-			return sum
-		}},
-		{"index", func() int64 {
-			ix := geom.IndexOf(layerCell, rs)
-			var sum int64
-			for _, q := range clips {
-				var a int64
-				ix.QueryFunc(q, func(_ int, r geom.Rect) bool {
-					a += r.Intersect(q).Area()
-					return true
-				})
-				sum += a
-			}
-			for _, p := range points {
-				hit := false
-				ix.QueryFunc(geom.Rect{X0: p.X, Y0: p.Y, X1: p.X, Y1: p.Y}, func(int, geom.Rect) bool {
-					hit = true
-					return false
-				})
-				if hit {
-					sum++
-				}
-			}
-			for _, q := range bloats {
-				ix.QueryFunc(q, func(i int, _ geom.Rect) bool {
-					sum += int64(i)
-					return true
-				})
-			}
-			return sum
-		}},
-	} {
-		b.Run(arm.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var sum int64
-			for i := 0; i < b.N; i++ {
-				sum = arm.run()
-			}
-			if want == 0 {
-				want = sum
-			} else if sum != want {
-				b.Fatalf("%s sums to %d, bands to %d", arm.name, sum, want)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/nq, "ns/query")
-			b.ReportMetric(nq, "queries")
-		})
+		}
+		for _, q := range bloats {
+			ly.Near(q, func(i int, _ geom.Rect) { sum += int64(i) })
+		}
 	}
+	if sum == 0 {
+		b.Fatal("the query mix found nothing")
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/nq, "ns/query")
+	b.ReportMetric(nq, "queries")
 }

@@ -15,12 +15,20 @@ import (
 // marker, a rect bloated by a spacing, a via's enclosure box), so a
 // handful of minimum pitches per bin keeps both the bins a query
 // touches and the items per bin small. Measured on generated tiles
-// (BenchmarkDeckTile, BenchmarkDimensionScan), with an empty bin of a
-// frozen index at 4 bytes: 512 lays four times the
-// bins for a tenth more bytes on a sparse 48 µm tile and no resolvable
-// speed, 2048 slows the dense comb and the smaller tiles by a tenth to
-// a fifth.
+// (BenchmarkDeckTile, BenchmarkDimensionScan) when the deck still built
+// these indexes: 512 lays four times the bins for a tenth more bytes on
+// a sparse 48 µm tile and no resolvable speed, 2048 slows the dense comb
+// and the smaller tiles by a tenth to a fifth.
 const layerCell = 1024
+
+// indexOf is an index over rs, item ids being positions in it.
+func indexOf(rs []geom.Rect) *geom.Index {
+	ix := geom.NewIndex(layerCell)
+	for _, r := range rs {
+		ix.Insert(r)
+	}
+	return ix
+}
 
 // dimensionScanOracle is dimensionScan as it was before the scan learned
 // the order of the boundary's sides: every boundary edge in one list, a
@@ -41,7 +49,7 @@ func dimensionScanOracle(ly *preparedLayer, lim int64, interior bool, mk func(ge
 	for i, e := range edges {
 		boxes[i] = geom.R(e.P0.X, e.P0.Y, e.P1.X, e.P1.Y)
 	}
-	ix := geom.IndexOf(layerCell, boxes)
+	ix := indexOf(boxes)
 
 	var cands []candidate
 	for _, e := range edges {
@@ -126,7 +134,7 @@ func dimensionScanOracle(ly *preparedLayer, lim int64, interior bool, mk func(ge
 // rect, the space between measured by the whole-layer area sweep. Kept
 // as the differential-test reference.
 func cornerScanOracle(ly *preparedLayer, s int64, rule string, layer tech.Layer) []Violation {
-	ix := geom.IndexOf(layerCell, ly.Rects())
+	ix := indexOf(ly.Rects())
 	var cands []candidate
 	for i, a := range ly.Rects() {
 		ix.QueryFunc(a.Bloat(s), func(id int, b geom.Rect) bool {
@@ -167,56 +175,12 @@ func cornerScanOracle(ly *preparedLayer, s int64, rule string, layer tech.Layer)
 	return out
 }
 
-// componentsOracle is components as it was before the band walk: a
-// union-find over a touch-inclusive index query per rect, right on any
-// rect set, normalized or not.
-func componentsOracle(rs []geom.Rect) [][]geom.Rect {
-	ix := geom.IndexOf(layerCell, rs)
-	n := len(rs)
-	if n == 0 {
-		return nil
-	}
-	parent := make([]int32, n)
-	for i := range parent {
-		parent[i] = int32(i)
-	}
-	find := func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for i, r := range rs {
-		ix.QueryFunc(r, func(id int, _ geom.Rect) bool {
-			if id > i {
-				if ra, rb := find(int32(i)), find(int32(id)); ra != rb {
-					parent[rb] = ra
-				}
-			}
-			return true
-		})
-	}
-	var out [][]geom.Rect
-	comp := make(map[int32]int, n) // by root
-	for i, r := range rs {
-		root := find(int32(i))
-		c, ok := comp[root]
-		if !ok {
-			c = len(out)
-			comp[root] = c
-			out = append(out, nil)
-		}
-		out[c] = append(out[c], r)
-	}
-	return out
-}
-
-// minAreaOracle is MinArea.Check over the oracle's components, each
-// measured by the union sweep.
+// minAreaOracle is MinArea.Check with each component measured by the
+// union sweep. The components themselves are geom's, which FuzzBanded
+// holds to a brute-force union-find.
 func minAreaOracle(r MinArea, ctx *Context) []Violation {
 	var out []Violation
-	for _, comp := range componentsOracle(ctx.Layers[r.Layer]) {
+	for _, comp := range geom.BandedOf(ctx.Layers[r.Layer]).Components() {
 		if a := geom.AreaOf(comp); a < r.A {
 			out = append(out, Violation{
 				Rule:   r.Name(),
@@ -229,8 +193,8 @@ func minAreaOracle(r MinArea, ctx *Context) []Violation {
 	return out
 }
 
-// checkDeckScans holds the width and spacing scans, MinArea and
-// Components on rs to their oracles at limit lim.
+// checkDeckScans holds the width and spacing scans and MinArea on rs to
+// their oracles at limit lim.
 func checkDeckScans(t *testing.T, rs []geom.Rect, lim int64) {
 	t.Helper()
 	shapes := make([]layout.Shape, len(rs))
@@ -263,10 +227,6 @@ func checkDeckScans(t *testing.T, rs []geom.Rect, lim int64) {
 	area := MinArea{Layer: tech.Metal1, A: lim * lim}
 	if got, want := area.Check(ctx), minAreaOracle(area, ctx); !reflect.DeepEqual(got, want) {
 		t.Fatalf("MinArea %d over %v\n got %v\nwant %v", area.A, rs, got, want)
-	}
-	// Components of the raw rects are those of their normal form.
-	if got, want := Components(rs), componentsOracle(geom.Normalize(rs)); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Components(%v)\n got %v\nwant %v", rs, got, want)
 	}
 }
 

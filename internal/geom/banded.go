@@ -113,3 +113,71 @@ func (b *Banded) Clip(q Rect, dst []Rect) []Rect {
 	closeBand()
 	return dst
 }
+
+// Components groups the set into connected regions (touching, corners
+// included, counts as connected), each as the rects of the set it holds,
+// in position order. Components are numbered by their first rect. In
+// normal form two rects can only touch across the line one band ends and
+// the next begins, so each band is joined to the one below, when the two
+// abut, by a merge of their x-sorted rects.
+func (b *Banded) Components() [][]Rect {
+	rs := b.rects
+	n := len(rs)
+	if n == 0 {
+		return nil
+	}
+	parent := make([]int32, n)
+	for i := range parent {
+		parent[i] = int32(i)
+	}
+	find := func(x int32) int32 {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	for k := 1; k+1 < len(b.bands); k++ {
+		prev, lo, hi := int(b.bands[k-1]), int(b.bands[k]), int(b.bands[k+1])
+		if rs[prev].Y1 != rs[lo].Y0 {
+			continue
+		}
+		for i, j := prev, lo; i < lo && j < hi; {
+			a, c := rs[i], rs[j]
+			if a.X0 <= c.X1 && c.X0 <= a.X1 { // touch-inclusive
+				if ra, rc := find(int32(i)), find(int32(j)); ra != rc {
+					parent[rc] = ra
+				}
+			}
+			// The one ending first touches nothing further along.
+			if a.X1 < c.X1 {
+				i++
+			} else {
+				j++
+			}
+		}
+	}
+	// Number the components by first rect, size them, and cut them all
+	// from one backing array.
+	comp := make([]int32, n) // by root: component number + 1
+	var sizes []int
+	for i := range rs {
+		root := find(int32(i))
+		if comp[root] == 0 {
+			sizes = append(sizes, 0)
+			comp[root] = int32(len(sizes))
+		}
+		sizes[comp[root]-1]++
+	}
+	backing := make([]Rect, 0, n)
+	out := make([][]Rect, len(sizes))
+	for c, sz := range sizes {
+		out[c] = backing[len(backing) : len(backing) : len(backing)+sz]
+		backing = backing[:len(backing)+sz]
+	}
+	for i, r := range rs {
+		c := comp[find(int32(i))] - 1
+		out[c] = append(out[c], r)
+	}
+	return out
+}

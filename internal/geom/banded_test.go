@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 )
@@ -50,9 +51,11 @@ func bandedQueries(rs []Rect, lim int64) []Rect {
 }
 
 // checkBanded holds the banded form of rs, and of rs moved by ±2^40 each
-// way, to the whole-set functions over bandedQueries(rs, lim): Near to a
-// linear touch-inclusive scan, ClipArea to ClipArea, and Clip to
-// Intersect rect for rect, also when it appends to rects already in dst.
+// way, to the whole-set functions: Components to componentsOracle, the
+// same partition numbered by first rect, and over bandedQueries(rs, lim)
+// Near to a linear touch-inclusive scan, ClipArea to ClipArea, and Clip
+// to Intersect rect for rect, also when it appends to rects already in
+// dst.
 func checkBanded(t *testing.T, rs []Rect, lim int64) {
 	t.Helper()
 	if !IsNormal(rs) {
@@ -66,6 +69,9 @@ func checkBanded(t *testing.T, rs []Rect, lim int64) {
 		b := BandedOf(moved)
 		if got := b.Rects(); !sameRects(got, moved) {
 			t.Fatalf("Rects() = %v, built from %v", got, moved)
+		}
+		if got, want := b.Components(), componentsOracle(moved); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Components() over %v\n got %v\nwant %v", moved, got, want)
 		}
 		for _, q := range bandedQueries(moved, lim) {
 			var got []int
@@ -120,9 +126,41 @@ func TestBanded(t *testing.T) {
 	}
 }
 
+// Touching rects, corners included, are one component; so are the
+// normal-form rects of overlapping ones.
+func TestComponents(t *testing.T) {
+	rs := Normalize([]Rect{
+		R(0, 0, 10, 10),
+		R(10, 0, 20, 10), // touches first
+		R(100, 100, 110, 110),
+	})
+	if comps := BandedOf(rs).Components(); len(comps) != 2 {
+		t.Fatalf("components of %v = %v, want 2", rs, comps)
+	}
+	if comps := BandedOf(nil).Components(); comps != nil {
+		t.Fatalf("empty set has components %v", comps)
+	}
+	// Two overlapping rects, a third meeting the second only at a
+	// corner, and one apart. The first three are one region.
+	raw := []Rect{
+		R(0, 0, 10, 10),
+		R(5, 5, 15, 15),
+		R(15, 15, 20, 20),
+		R(100, 100, 110, 110),
+	}
+	comps := BandedOf(Normalize(raw)).Components()
+	if len(comps) != 2 {
+		t.Fatalf("components of %v = %v, want 2", raw, comps)
+	}
+	if a := AreaOf(comps[0]); a != 100+75+25 {
+		t.Fatalf("first component %v covers %d, want 200", comps[0], a)
+	}
+}
+
 // FuzzBanded draws sets as FuzzRegionOps does, on a small grid where
 // touching, abutting and nested rects are common, normalizes their union
-// and holds its banded form to checkBanded at limits 1 and 7.
+// and holds its banded form to checkBanded at limits 1 and 7, Components
+// included.
 func FuzzBanded(f *testing.F) {
 	f.Add([]byte{0, 0, 8, 8, 5, 5}, uint8(0))
 	f.Add([]byte{0, 0, 0, 5, 2, 0, 2, 0, 7, 2, 0, 4, 0, 3, 2}, uint8(1)) // a stair of abutting bands

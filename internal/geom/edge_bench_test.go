@@ -66,7 +66,7 @@ func BenchmarkBoundaryOfNormal(b *testing.B) {
 	}
 }
 
-// BenchmarkIndexBuildQuery builds an index over a layer and asks one
+// BenchmarkIndexBuildQuery inserts a layer's rects into an index and asks one
 // neighborhood query per rect, the shape of every DRC scan. The dense
 // case fills its extent; the sparse one is what whole-shape extraction
 // hands a tile: 300 rects in one corner and two chip-long routes that
@@ -81,7 +81,10 @@ func BenchmarkIndexBuildQuery(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ix := IndexOf(c.cell, c.rs)
+				ix := NewIndex(c.cell)
+				for _, r := range c.rs {
+					ix.Insert(r)
+				}
 				n := 0
 				for _, r := range c.rs {
 					n += len(ix.Query(r.Bloat(140)))

@@ -1,33 +1,25 @@
 package geom
 
-import (
-	"math"
-	"slices"
-)
+import "slices"
 
-// Index is a uniform-grid spatial index over rectangles, used for
-// neighbor queries in OPC, double-patterning decomposition, pattern
-// window extraction, fill, critical-area analysis, via processing and
-// routing. Items are identified by the integer index assigned at
-// insertion.
+// Index is a uniform-grid spatial index over rectangles that grows by
+// Insert, for callers that insert before or between queries: routing,
+// via doubling, fill, yield Monte Carlo and double-patterning conflict
+// edges. A rect set that never changes is a Banded instead. Items are
+// identified by the integer index assigned at insertion.
 //
-// Bins are row-major over the bin extent of everything indexed, each
-// listing its item ids in ascending order, in one of two layouts. An
-// index built in one go by IndexOf is frozen: one array of offsets and
-// one of ids, 4 bytes per empty bin. An index grown by Insert keeps a
-// slice per bin, and its array is re-laid (bin contents move by slice
-// header, no item is re-binned) when an insert falls outside it. An
-// Index may be queried from many goroutines at once as long as none
-// inserts.
+// Bins are row-major over the bin extent of everything indexed, a slice
+// per bin listing its item ids in ascending order. The array is re-laid
+// (bin contents move by slice header, no item is re-binned) when an
+// insert falls outside it. An Index may be queried from many goroutines
+// at once as long as none inserts.
 type Index struct {
 	cell   int64
 	items  []Rect
-	bins   [][]int32 // grown: (by-oy)*w + (bx-ox); empty until the first insert
-	start  []int32   // frozen: bin k is ids[start[k]:start[k+1]]; nil when grown
-	ids    []int32
-	ox, oy int64 // bin coordinates of bin 0
-	w, h   int64 // extent in bins; zero until something is binned
-	bbox   Rect  // hull of every binned item, in nm
+	bins   [][]int32 // (by-oy)*w + (bx-ox); empty until the first insert
+	ox, oy int64     // bin coordinates of bin 0
+	w, h   int64     // extent in bins; zero until something is binned
+	bbox   Rect      // hull of every binned item, in nm
 }
 
 // The grid is bounded at maxBinsPerItem bins per item and never below
@@ -49,96 +41,8 @@ func NewIndex(cellSize int64) *Index {
 	return &Index{cell: cellSize}
 }
 
-// IndexOf indexes rects, item ids being positions in it, under the cell
-// size rule of NewIndex. The slice is kept, not copied: it must not
-// change while the index is in use.
-func IndexOf(cellSize int64, rects []Rect) *Index {
-	ix := NewIndex(cellSize)
-	// Clipped, so that an Insert later cannot write into the caller's array.
-	ix.items = slices.Clip(rects)
-	n := 0
-	for _, r := range rects {
-		if !binnable(r) {
-			continue
-		}
-		if n == 0 {
-			ix.bbox = r
-		} else {
-			ix.bbox = hull(ix.bbox, r)
-		}
-		n++
-	}
-	if n == 0 {
-		return ix
-	}
-	ix.span(ix.fit(binLimit(n)))
-	// Count into start[k+2], sum so that start[k+1] is where bin k
-	// begins, then let placing advance start[k+1] to where it ends:
-	// what is left is the offsets, with no second array of cursors.
-	bins := ix.w * ix.h
-	start := make([]int32, bins+2)
-	total := 0
-	for _, r := range rects {
-		if !binnable(r) {
-			continue
-		}
-		x0, y0, x1, y1 := ix.binRange(r)
-		for by := y0; by <= y1; by++ {
-			row := start[(by-ix.oy)*ix.w+2:]
-			for bx := x0 - ix.ox; bx <= x1-ix.ox; bx++ {
-				row[bx]++
-			}
-		}
-		total += int((x1 - x0 + 1) * (y1 - y0 + 1))
-	}
-	if total > math.MaxInt32 {
-		// Offsets are 32 bits wide; a slice per bin has no such bound.
-		ix.bins = make([][]int32, bins)
-		for id, r := range rects {
-			if binnable(r) {
-				ix.place(int32(id), r)
-			}
-		}
-		return ix
-	}
-	occupied := int64(0)
-	for k := int64(2); k < bins+2; k++ {
-		if start[k] != 0 {
-			occupied++
-		}
-		start[k] += start[k-1]
-	}
-	cIndexBinsLaid.Add(bins)
-	cIndexBinsOccupied.Add(occupied)
-	ids := make([]int32, total)
-	for id, r := range rects {
-		if !binnable(r) {
-			continue
-		}
-		x0, y0, x1, y1 := ix.binRange(r)
-		for by := y0; by <= y1; by++ {
-			row := start[(by-ix.oy)*ix.w+1:]
-			for bx := x0 - ix.ox; bx <= x1-ix.ox; bx++ {
-				ids[row[bx]] = int32(id)
-				row[bx]++
-			}
-		}
-	}
-	ix.start, ix.ids = start[:bins+1], ids
-	return ix
-}
-
-// Insert adds r and returns its item id. Inserting into an index made
-// by IndexOf first moves it, in one pass, to the layout Insert grows.
+// Insert adds r and returns its item id.
 func (ix *Index) Insert(r Rect) int {
-	if ix.start != nil {
-		ix.bins = make([][]int32, len(ix.start)-1)
-		for k := range ix.bins {
-			lo, hi := ix.start[k], ix.start[k+1]
-			ix.bins[k] = ix.ids[lo:hi:hi]
-		}
-		ix.start, ix.ids = nil, nil
-	}
 	id := len(ix.items)
 	if binnable(r) {
 		ix.cover(r)
@@ -168,14 +72,6 @@ func (ix *Index) place(id int32, r Rect) {
 			ix.bins[k] = append(ix.bins[k], id)
 		}
 	}
-}
-
-// bin returns the ids in bin k, from whichever layout the index has.
-func (ix *Index) bin(k int64) []int32 {
-	if ix.start != nil {
-		return ix.ids[ix.start[k]:ix.start[k+1]]
-	}
-	return ix.bins[k]
 }
 
 func (ix *Index) binRange(r Rect) (x0, y0, x1, y1 int64) {
@@ -312,7 +208,7 @@ func (ix *Index) QueryFunc(q Rect, f func(id int, r Rect) bool) {
 		ylo := by * ix.cell
 		for bx := x0; bx <= x1; bx++ {
 			xlo := bx * ix.cell
-			for _, id := range ix.bin(row + bx - ix.ox) {
+			for _, id := range ix.bins[row+bx-ix.ox] {
 				r := ix.items[id]
 				if q.X0 > r.X1 || r.X0 > q.X1 || q.Y0 > r.Y1 || r.Y0 > q.Y1 {
 					continue

@@ -6,8 +6,6 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/obs"
 )
 
 func TestIndexBasics(t *testing.T) {
@@ -162,44 +160,17 @@ func checkIndex(t testing.TB, ix *Index, items []Rect, q Rect) {
 	}
 }
 
-// checkLayouts is checkIndex on the two layouts of one item list: the
-// frozen index IndexOf builds and the one grown by inserting the items
-// one by one. Visit order is a function of the grid's cell alone (bins
-// are walked row-major by absolute bin coordinate), so where the two
-// ended on the same cell they must also agree on the order; they differ
-// only when growing doubled the cell under an item budget that bulk
-// building, knowing the final count, did not hit.
-func checkLayouts(t testing.TB, frozen, grown *Index, items []Rect, q Rect) {
+// grownIndex inserts items one by one into an index at the given cell
+// size, checking the ids it hands out.
+func grownIndex(t testing.TB, cell int64, items []Rect) *Index {
 	t.Helper()
-	checkIndex(t, frozen, items, q)
-	checkIndex(t, grown, items, q)
-	if frozen.cell != grown.cell {
-		return
-	}
-	if f, g := visitOrder(t, frozen, items, q), visitOrder(t, grown, items, q); !slices.Equal(f, g) {
-		t.Fatalf("QueryFunc(%v) at cell %d: frozen visits %v, grown %v", q, frozen.cell, f, g)
-	}
-}
-
-// bothLayouts builds items into a frozen and a grown index.
-func bothLayouts(t testing.TB, cell int64, items []Rect) (frozen, grown *Index) {
-	t.Helper()
-	frozen, grown = IndexOf(cell, items), NewIndex(cell)
-	if frozen.bins != nil || (frozen.w > 0) != (frozen.start != nil) {
-		t.Fatalf("IndexOf over %d items is not in the frozen layout", len(items))
-	}
+	ix := NewIndex(cell)
 	for i, r := range items {
-		if id := grown.Insert(r); id != i {
+		if id := ix.Insert(r); id != i {
 			t.Fatalf("Insert returned id %d, want %d", id, i)
 		}
 	}
-	if grown.start != nil || len(frozen.items) != len(items) || len(grown.items) != len(items) {
-		t.Fatalf("items: frozen %d, grown %d, want %d", len(frozen.items), len(grown.items), len(items))
-	}
-	if bins := frozen.w * frozen.h; bins > binLimit(len(items)) {
-		t.Fatalf("%d bins laid for %d items", bins, len(items))
-	}
-	return frozen, grown
+	return ix
 }
 
 // indexRect draws rects that are usually small, sometimes many cells
@@ -239,19 +210,19 @@ func TestIndexMatchesBruteForce(t *testing.T) {
 				items[i] = items[i].Translate(Pt(rnd.Int63n(1<<30)<<12, -rnd.Int63n(1<<30)<<12))
 			}
 		}
-		frozen, grown := bothLayouts(t, cell, items)
+		ix := grownIndex(t, cell, items)
 		for i := 0; i < 12; i++ {
-			checkLayouts(t, frozen, grown, items, indexRect(rnd, origin, span))
+			checkIndex(t, ix, items, indexRect(rnd, origin, span))
 		}
 		// Entirely outside what was inserted, and covering all of it.
-		checkLayouts(t, frozen, grown, items, R(origin+10*span, origin+10*span, origin+11*span, origin+11*span))
-		checkLayouts(t, frozen, grown, items, R(origin-11*span, origin-11*span, origin-10*span, origin+11*span))
-		checkLayouts(t, frozen, grown, items, R(-(1<<43), -(1<<43), 1<<43, 1<<43))
+		checkIndex(t, ix, items, R(origin+10*span, origin+10*span, origin+11*span, origin+11*span))
+		checkIndex(t, ix, items, R(origin-11*span, origin-11*span, origin-10*span, origin+11*span))
+		checkIndex(t, ix, items, R(-(1<<43), -(1<<43), 1<<43, 1<<43))
 		// A degenerate query is a point or a segment, not nothing.
 		if len(items) > 0 {
 			r := items[rnd.Intn(len(items))]
-			checkLayouts(t, frozen, grown, items, Rect{r.X0, r.Y0, r.X0, r.Y0})
-			checkLayouts(t, frozen, grown, items, Rect{r.X1, r.Y0, r.X1, r.Y1})
+			checkIndex(t, ix, items, Rect{r.X0, r.Y0, r.X0, r.Y0})
+			checkIndex(t, ix, items, Rect{r.X1, r.Y0, r.X1, r.Y1})
 		}
 	}
 }
@@ -276,77 +247,25 @@ func TestIndexQueriesBetweenInserts(t *testing.T) {
 	}
 }
 
-// Insert on a frozen index moves it to the grown layout, bin contents
-// kept, and goes on from there; it leaves the slice the index was
-// built over alone.
-func TestIndexInsertAfterIndexOf(t *testing.T) {
-	rnd := rand.New(rand.NewSource(17))
-	for round := 0; round < 100; round++ {
-		span := int64(50 + rnd.Intn(2000))
-		backing := make([]Rect, rnd.Intn(40), 64)
-		for i := range backing {
-			backing[i] = indexRect(rnd, 0, span)
-		}
-		sentinel := R(-1, -2, -3, -4)
-		backing[:cap(backing)][len(backing)] = sentinel
-		ix := IndexOf(1+rnd.Int63n(span), backing)
-		items := slices.Clone(backing)
-		for i := 0; i < 20; i++ {
-			r := indexRect(rnd, 0, 3*span)
-			if id := ix.Insert(r); id != len(items) {
-				t.Fatalf("Insert returned id %d, want %d", id, len(items))
-			}
-			items = append(items, r)
-			checkIndex(t, ix, items, indexRect(rnd, 0, 3*span))
-		}
-		if ix.start != nil || ix.ids != nil {
-			t.Fatal("index still frozen after Insert")
-		}
-		checkIndex(t, ix, items, R(-20*span, -20*span, 20*span, 20*span))
-		if got := backing[:cap(backing)][len(backing)]; got != sentinel {
-			t.Fatalf("Insert wrote %v into the caller's array", got)
-		}
-	}
-}
-
-// IndexOf counts the bins it lays and those that hold anything.
-func TestIndexOfCountsBins(t *testing.T) {
-	prev := obs.Enabled()
-	obs.SetEnabled(true)
-	defer obs.SetEnabled(prev)
-	counts := func() (laid, occupied int64) {
-		c := obs.Default().Snapshot().Counters
-		return c["geom.index.bins.laid"], c["geom.index.bins.occupied"]
-	}
-	laid0, occupied0 := counts()
-	// A 10 x 10 grid: one rect across the bottom row, one in the far corner.
-	IndexOf(100, []Rect{R(0, 0, 999, 50), R(950, 950, 999, 999), {5, 5, 1, 1}})
-	IndexOf(100, nil)
-	laid, occupied := counts()
-	if laid-laid0 != 100 || occupied-occupied0 != 11 {
-		t.Fatalf("laid %d bins, %d occupied; want 100 and 11", laid-laid0, occupied-occupied0)
-	}
-}
-
 // A few rects scattered over a huge plane under a tiny cell size must
 // not ask for a bin array the size of the plane.
 func TestIndexFarApartItems(t *testing.T) {
 	items := []Rect{R(0, 0, 3, 3), R(1<<40, 1<<40, 1<<40+5, 1<<40+5), R(-(1 << 41), 7, -(1<<41)+2, 9),
 		R(1<<39, -(1 << 39), 1<<39+1, -(1<<39)+1), R(2, 2, 4, 4)}
-	frozen, grown := bothLayouts(t, 1, items)
+	ix := grownIndex(t, 1, items)
 	for _, r := range items {
-		checkLayouts(t, frozen, grown, items, r.Bloat(1))
+		checkIndex(t, ix, items, r.Bloat(1))
 	}
-	checkLayouts(t, frozen, grown, items, R(-(1<<42), -(1<<42), 1<<42, 1<<42))
-	if n := len(grown.bins); n > 4*minBins {
+	checkIndex(t, ix, items, R(-(1<<42), -(1<<42), 1<<42, 1<<42))
+	if n := len(ix.bins); n > 4*minBins {
 		t.Fatalf("%d bins for %d items", n, len(items))
 	}
 }
 
 // FuzzIndexQuery decodes a cell size, items and queries from the
 // fuzzer's bytes — coordinates on a small grid, any of them thrown out
-// to ±2^40 nm — and holds the frozen layout, the grown one and the
-// brute-force scan to the same answers, under the bin budget.
+// to ±2^40 nm — and holds the index grown by inserting the items and the
+// brute-force scan to the same answers.
 func FuzzIndexQuery(f *testing.F) {
 	f.Add([]byte{8, 0, 0, 0, 10, 5, 0, 3, 3, 4, 4})
 	f.Add([]byte{1, 1, 0, 0, 3, 3, 2, 9, 9, 1, 1, 0, 40, 40, 2, 2})
@@ -375,11 +294,11 @@ func FuzzIndexQuery(f *testing.F) {
 				items = append(items, r)
 			}
 		}
-		frozen, grown := bothLayouts(t, cell, items)
+		ix := grownIndex(t, cell, items)
 		for _, q := range queries {
-			checkLayouts(t, frozen, grown, items, q)
+			checkIndex(t, ix, items, q)
 		}
-		checkLayouts(t, frozen, grown, items, R(-(1<<41), -(1<<41), 1<<41, 1<<41))
+		checkIndex(t, ix, items, R(-(1<<41), -(1<<41), 1<<41, 1<<41))
 	})
 }
 

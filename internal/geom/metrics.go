@@ -24,11 +24,3 @@ var (
 	cSweepPoolReuse = obs.C("geom.sweep.pool.reuse")
 	cSweepPoolAlloc = obs.C("geom.sweep.pool.alloc")
 )
-
-// What IndexOf lays out: bins in the grids it built, and those of them
-// that hold an item. The gap is what a sparse extent (a tile holding a
-// few chip-long routes) pays for in empty bins.
-var (
-	cIndexBinsLaid     = obs.C("geom.index.bins.laid")
-	cIndexBinsOccupied = obs.C("geom.index.bins.occupied")
-)

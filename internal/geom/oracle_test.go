@@ -154,3 +154,43 @@ func TestQuickErodeMatchesPixelOracle(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// componentsOracle is what Components must return: a union-find over
+// every pair of rects that intersect or touch, corners included, found by
+// an O(n²) scan that knows nothing of bands, each component listing its
+// rects in position order and the components numbered by first rect.
+func componentsOracle(rs []Rect) [][]Rect {
+	parent := make([]int, len(rs))
+	for i := range parent {
+		parent[i] = i
+	}
+	find := func(x int) int {
+		for parent[x] != x {
+			x = parent[x]
+		}
+		return x
+	}
+	for i, a := range rs {
+		for j := i + 1; j < len(rs); j++ {
+			b := rs[j]
+			if a.X0 <= b.X1 && b.X0 <= a.X1 && a.Y0 <= b.Y1 && b.Y0 <= a.Y1 {
+				if ra, rb := find(i), find(j); ra != rb {
+					parent[max(ra, rb)] = min(ra, rb)
+				}
+			}
+		}
+	}
+	var out [][]Rect
+	comp := make(map[int]int) // by root
+	for i, r := range rs {
+		root := find(i)
+		c, ok := comp[root]
+		if !ok {
+			c = len(out)
+			comp[root] = c
+			out = append(out, nil)
+		}
+		out[c] = append(out[c], r)
+	}
+	return out
+}

@@ -101,6 +101,15 @@ func subEdge(e geom.Edge, a, b int64) geom.Edge {
 	}
 }
 
+// outwardProbe is the strip dist deep outside e, stepped 1 nm off it so
+// that the feature e bounds does not count: other geometry lies within
+// dist outside e when it overlaps the probe with positive area. Abutting
+// the probe, along its far side or at its ends, is not enough.
+func outwardProbe(e geom.Edge, dist int64) geom.Rect {
+	n := e.OutwardNormal()
+	return extrude(e, dist).Translate(geom.Pt(n.X, n.Y))
+}
+
 // extrude returns the rect swept by moving the edge outward (d > 0) or
 // the strip just inside the edge (d < 0).
 func extrude(e geom.Edge, d int64) geom.Rect {
@@ -174,24 +183,21 @@ const (
 // capOutward fills every fragment's MaxOut from the gap to its nearest
 // outward neighbor, so the feedback loop cannot bridge the mask.
 func capOutward(drawn []geom.Rect, frags []*Fragment) {
-	norm := geom.Normalize(drawn)
-	ix := geom.IndexOf(1024, norm)
+	layer := geom.BandedOf(geom.Normalize(drawn))
 	const probeDist int64 = 2*modelMaxBias + modelMinMaskSpace + 10
 	for _, f := range frags {
 		f.MaxOut = modelMaxBias
-		probe := extrude(f.Edge, probeDist)
-		n := f.Edge.OutwardNormal()
-		probe = probe.Translate(geom.Pt(n.X, n.Y))
+		probe := outwardProbe(f.Edge, probeDist)
 		edgeRect := geom.R(f.Edge.P0.X, f.Edge.P0.Y, f.Edge.P1.X, f.Edge.P1.Y)
 		minGap := probeDist + 1
-		ix.QueryFunc(probe, func(id int, r geom.Rect) bool {
+		layer.Near(probe, func(_ int, r geom.Rect) {
+			// Near is touch-inclusive: a rect abutting the probe is not in it.
 			if !r.Overlaps(probe) {
-				return true
+				return
 			}
 			if g := edgeRect.Distance(r); g > 0 && g < minGap {
 				minGap = g
 			}
-			return true
 		})
 		if minGap <= probeDist {
 			lim := (minGap - modelMinMaskSpace) / 2

@@ -314,6 +314,65 @@ func TestExtrudeDirections(t *testing.T) {
 	}
 }
 
+// probeFinds answers "is anything within dist outside e" over layer both
+// ways the package asks it: RuleBased and InsertSRAF by a positive
+// clipped area, capOutward by a touch-inclusive walk filtered to rects
+// that overlap the probe. It fails t if the two disagree.
+func probeFinds(t *testing.T, layer []geom.Rect, e geom.Edge, dist int64) bool {
+	t.Helper()
+	b := geom.BandedOf(layer)
+	probe := outwardProbe(e, dist)
+	area := b.ClipArea(probe) > 0
+	overlap := false
+	b.Near(probe, func(_ int, r geom.Rect) { overlap = overlap || r.Overlaps(probe) })
+	if area != overlap {
+		t.Fatalf("probe %v of %v over %v: clipped area says %v, overlap %v", probe, e, layer, area, overlap)
+	}
+	return area
+}
+
+// The probe of an edge dist deep finds geometry that overlaps it by
+// 1 nm or more, not geometry that only abuts its far side or its ends,
+// and never the feature the edge bounds, also where that feature turns
+// the corner past one of the probe's ends.
+func TestOutwardProbe(t *testing.T) {
+	feature := geom.R(0, 0, 100, 100)
+	right := geom.Edge{P0: geom.Pt(100, 0), P1: geom.Pt(100, 100), Interior: geom.Left}
+	if got, want := outwardProbe(right, 50), geom.R(101, 0, 151, 100); got != want {
+		t.Fatalf("outwardProbe = %v, want %v", got, want)
+	}
+	for _, c := range []struct {
+		name string
+		nb   geom.Rect
+		want bool
+	}{
+		{"abuts the far side", geom.R(151, 0, 200, 100), false},
+		{"1 nm past the far side", geom.R(150, 0, 200, 100), true},
+		{"abuts the top end", geom.R(101, 100, 151, 150), false},
+		{"abuts the bottom end", geom.R(101, -50, 151, 0), false},
+		{"1 nm over the top end", geom.R(120, 99, 130, 150), true},
+		{"1 nm over the bottom end", geom.R(120, -50, 130, 1), true},
+		{"meets a far corner", geom.R(151, 100, 200, 150), false},
+		{"inside", geom.R(120, 20, 130, 30), true},
+		{"1 nm off the edge", geom.R(101, 40, 102, 60), true},
+	} {
+		if got := probeFinds(t, geom.Normalize([]geom.Rect{feature, c.nb}), right, 50); got != c.want {
+			t.Errorf("%s (%v): found %v, want %v", c.name, c.nb, got, c.want)
+		}
+	}
+	// A rect alone and an L, every edge at every depth.
+	for _, own := range [][]geom.Rect{{feature}, {feature, geom.R(0, 100, 300, 200)}} {
+		layer := geom.Normalize(own)
+		for _, e := range geom.BoundaryEdges(layer) {
+			for _, d := range []int64{1, 50, 500} {
+				if probeFinds(t, layer, e, d) {
+					t.Errorf("probe %v of edge %v finds its own feature %v", outwardProbe(e, d), e, layer)
+				}
+			}
+		}
+	}
+}
+
 func TestModelConvergenceMonotoneEnough(t *testing.T) {
 	// RMS should not explode across iterations (damped feedback).
 	drawn := []geom.Rect{geom.R(0, 0, 70, 800), geom.R(140, 0, 210, 800)}

@@ -25,7 +25,7 @@ const (
 // RuleBased applies the bias table and returns the corrected mask.
 func RuleBased(drawn []geom.Rect) []geom.Rect {
 	norm := geom.Normalize(drawn)
-	ix := geom.IndexOf(1024, norm)
+	layer := geom.BandedOf(norm)
 
 	frags := make([]*Fragment, 0, 64)
 	for _, e := range geom.BoundaryEdges(norm) {
@@ -33,7 +33,7 @@ func RuleBased(drawn []geom.Rect) []geom.Rect {
 		switch {
 		case e.Length() <= ruleLineEndMax:
 			f.Bias = ruleLineEndExt
-		case hasNeighbor(ix, norm, e, ruleDenseSpace):
+		case layer.ClipArea(outwardProbe(e, ruleDenseSpace)) > 0:
 			f.Bias = ruleDenseBias
 		default:
 			f.Bias = ruleEdgeBias
@@ -41,25 +41,6 @@ func RuleBased(drawn []geom.Rect) []geom.Rect {
 		frags = append(frags, f)
 	}
 	return ApplyBias(norm, frags)
-}
-
-// hasNeighbor reports whether other geometry lies within dist outside
-// the edge.
-func hasNeighbor(ix *geom.Index, norm []geom.Rect, e geom.Edge, dist int64) bool {
-	probe := extrude(e, dist)
-	// Step the probe off the edge by 1nm so the feature itself does
-	// not count.
-	n := e.OutwardNormal()
-	probe = probe.Translate(geom.Pt(n.X, n.Y))
-	found := false
-	ix.QueryFunc(probe, func(id int, r geom.Rect) bool {
-		if r.Overlaps(probe) {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
 }
 
 // MRC (mask rule check) limits for corrected masks.

@@ -33,22 +33,7 @@ func srafReach(k int) int64 {
 // bars, fewer are placed.
 func InsertSRAF(drawn []geom.Rect) []geom.Rect {
 	norm := geom.Normalize(drawn)
-	ix := geom.IndexOf(1024, norm)
-
-	clearTo := func(e geom.Edge, dist int64) bool {
-		probe := extrude(e, dist)
-		n := e.OutwardNormal()
-		probe = probe.Translate(geom.Pt(n.X, n.Y))
-		blocked := false
-		ix.QueryFunc(probe, func(id int, r geom.Rect) bool {
-			if r.Overlaps(probe) {
-				blocked = true
-				return false
-			}
-			return true
-		})
-		return !blocked
-	}
+	layer := geom.BandedOf(norm)
 
 	var assists []geom.Rect
 	for _, e := range geom.BoundaryEdges(norm) {
@@ -58,7 +43,7 @@ func InsertSRAF(drawn []geom.Rect) []geom.Rect {
 		// Fit as many bars as the clear space allows.
 		bars := 0
 		for k := srafBars; k >= 1; k-- {
-			if clearTo(e, srafReach(k-1)+srafClearMargin) {
+			if layer.ClipArea(outwardProbe(e, srafReach(k-1)+srafClearMargin)) == 0 {
 				bars = k
 				break
 			}

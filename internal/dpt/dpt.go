@@ -223,7 +223,11 @@ type edge struct {
 // buildConflictEdges finds feature pairs closer than minSameMask.
 func buildConflictEdges(feats []*Feature, minSameMask int64) [][]edge {
 	adj := make([][]edge, len(feats))
-	ix := geom.NewIndex(2048)
+	var extent geom.Rect
+	for _, f := range feats {
+		extent = extent.Union(f.BBox)
+	}
+	ix := geom.NewIndex(extent, 2048)
 	for _, f := range feats {
 		ix.Insert(f.BBox)
 	}

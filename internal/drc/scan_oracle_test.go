@@ -23,7 +23,7 @@ const layerCell = 1024
 
 // indexOf is an index over rs, item ids being positions in it.
 func indexOf(rs []geom.Rect) *geom.Index {
-	ix := geom.NewIndex(layerCell)
+	ix := geom.NewIndex(geom.BBoxOf(rs), layerCell)
 	for _, r := range rs {
 		ix.Insert(r)
 	}

@@ -74,12 +74,19 @@ func (rep *Report) insertLayer(ctx context.Context, flat []layout.Shape, t *tech
 	vs, vsp := rules.ViaSize, rules.ViaSpace
 	below, above := vl.Below(), vl.AboveOf()
 
-	// Occupancy indexes: cuts on this layer, metal below, metal above.
-	cutIx := geom.NewIndex(1024)
+	// Occupancy indexes: cuts on this layer, metal below, metal above,
+	// each laid over all three layers.
+	var extent geom.Rect
+	for _, s := range flat {
+		if s.Layer == vl || s.Layer == below || s.Layer == above {
+			extent = extent.Union(s.R)
+		}
+	}
+	cutIx := geom.NewIndex(extent, 1024)
 	var cutNets []layout.NetID
-	belowIx := geom.NewIndex(1024)
+	belowIx := geom.NewIndex(extent, 1024)
 	var belowNets []layout.NetID
-	aboveIx := geom.NewIndex(1024)
+	aboveIx := geom.NewIndex(extent, 1024)
 	var aboveNets []layout.NetID
 	var cuts []layout.Shape
 	for _, s := range flat {
@@ -218,9 +225,7 @@ func planExtension(cand, orig geom.Rect, net layout.NetID, t *tech.Tech, ml tech
 		}
 		return true
 	})
-	covered := func(pad geom.Rect) bool {
-		return geom.AreaOf(geom.Intersect([]geom.Rect{pad}, same)) == pad.Area()
-	}
+	covered := func(pad geom.Rect) bool { return geom.ClipArea(same, pad) == pad.Area() }
 	if covered(cand.BloatXY(rules.ViaEnclosure, rules.ViaEncSide)) ||
 		covered(cand.BloatXY(rules.ViaEncSide, rules.ViaEnclosure)) {
 		return geom.Rect{}, true

@@ -111,7 +111,7 @@ func Synthesize(rs []geom.Rect, extent geom.Rect, window, step int64) []geom.Rec
 	l := geom.BandedOf(geom.Normalize(rs))
 
 	var tiles []geom.Rect
-	tileIx := geom.NewIndex(4 * pitch)
+	tileIx := geom.NewIndex(extent, 4*pitch)
 
 	// tileAreaIn sums already-placed (disjoint) tile area inside a
 	// window so overlapping analysis windows don't double-fill.

@@ -66,11 +66,12 @@ func BenchmarkBoundaryOfNormal(b *testing.B) {
 	}
 }
 
-// BenchmarkIndexBuildQuery inserts a layer's rects into an index and asks one
-// neighborhood query per rect, the shape of every DRC scan. The dense
-// case fills its extent; the sparse one is what whole-shape extraction
-// hands a tile: 300 rects in one corner and two chip-long routes that
-// stretch the hull to 190 µm, so that nearly every bin laid is empty.
+// BenchmarkIndexBuildQuery lays an index over a layer's box, inserts its
+// rects and asks one neighborhood query per rect, the shape of every
+// DRC scan. The dense case fills its extent; the sparse one is what
+// whole-shape extraction hands a tile: 300 rects in one corner and two
+// chip-long routes that stretch the box to 190 µm, so that nearly every
+// one of the 187×187 bins laid at cell 1024 is empty.
 func BenchmarkIndexBuildQuery(b *testing.B) {
 	sparse := append(benchLayer(298), R(-500, 9000, 190000, 9070), R(9000, -500, 9070, 190000))
 	for _, c := range []struct {
@@ -81,7 +82,7 @@ func BenchmarkIndexBuildQuery(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ix := NewIndex(c.cell)
+				ix := NewIndex(BBoxOf(c.rs), c.cell)
 				for _, r := range c.rs {
 					ix.Insert(r)
 				}

@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -9,7 +10,7 @@ import (
 )
 
 func TestIndexBasics(t *testing.T) {
-	ix := NewIndex(100)
+	ix := NewIndex(R(0, 0, 250, 250), 100)
 	a := ix.Insert(R(0, 0, 50, 50))
 	b := ix.Insert(R(200, 200, 250, 250))
 	c := ix.Insert(R(40, 40, 60, 60))
@@ -30,7 +31,7 @@ func TestIndexBasics(t *testing.T) {
 }
 
 func TestIndexTouchCounts(t *testing.T) {
-	ix := NewIndex(64)
+	ix := NewIndex(R(0, 0, 10, 10), 64)
 	id := ix.Insert(R(0, 0, 10, 10))
 	// Query that only touches the item's edge must still return it.
 	if got := ix.Query(R(10, 0, 20, 10)); len(got) != 1 || got[0] != id {
@@ -39,7 +40,7 @@ func TestIndexTouchCounts(t *testing.T) {
 }
 
 func TestIndexNegativeCoords(t *testing.T) {
-	ix := NewIndex(50)
+	ix := NewIndex(R(-120, -80, -70, -30), 50)
 	id := ix.Insert(R(-120, -80, -70, -30))
 	if got := ix.Query(R(-100, -60, -90, -50)); len(got) != 1 || got[0] != id {
 		t.Fatalf("negative-coordinate query = %v", got)
@@ -47,7 +48,7 @@ func TestIndexNegativeCoords(t *testing.T) {
 }
 
 func TestIndexQueryFuncEarlyStop(t *testing.T) {
-	ix := NewIndex(10)
+	ix := NewIndex(R(0, 0, 20, 1), 10)
 	for i := 0; i < 20; i++ {
 		ix.Insert(R(int64(i), 0, int64(i)+1, 1))
 	}
@@ -62,7 +63,7 @@ func TestIndexQueryFuncEarlyStop(t *testing.T) {
 }
 
 func TestIndexDefaultsBadCellSize(t *testing.T) {
-	ix := NewIndex(0)
+	ix := NewIndex(R(0, 0, 3, 3), 0)
 	ix.Insert(R(0, 0, 3, 3))
 	if got := ix.Query(R(1, 1, 2, 2)); len(got) != 1 {
 		t.Fatalf("index with clamped cell size broken: %v", got)
@@ -74,7 +75,7 @@ func TestQuickIndexMatchesBruteForce(t *testing.T) {
 		rnd := rand.New(rand.NewSource(seed))
 		n := 1 + rnd.Intn(40)
 		rects := make([]Rect, n)
-		ix := NewIndex(1 + rnd.Int63n(80))
+		ix := NewIndex(randRect(rnd), 1+rnd.Int63n(80))
 		for i := range rects {
 			rects[i] = randRect(rnd)
 			ix.Insert(rects[i])
@@ -121,9 +122,10 @@ func TestQuickIndexMatchesBruteForce(t *testing.T) {
 // intersects or touches q, by ascending id. An inside-out rect (X1 < X0
 // or Y1 < Y0) is nowhere, as an item and as a query.
 func bruteQuery(items []Rect, q Rect) []int {
+	somewhere := func(r Rect) bool { return r.X0 <= r.X1 && r.Y0 <= r.Y1 }
 	var ids []int
 	for i, r := range items {
-		if binnable(r) && binnable(q) && q.X0 <= r.X1 && r.X0 <= q.X1 && q.Y0 <= r.Y1 && r.Y0 <= q.Y1 {
+		if somewhere(r) && somewhere(q) && q.X0 <= r.X1 && r.X0 <= q.X1 && q.Y0 <= r.Y1 && r.Y0 <= q.Y1 {
 			ids = append(ids, i)
 		}
 	}
@@ -160,15 +162,19 @@ func checkIndex(t testing.TB, ix *Index, items []Rect, q Rect) {
 	}
 }
 
-// grownIndex inserts items one by one into an index at the given cell
-// size, checking the ids it hands out.
-func grownIndex(t testing.TB, cell int64, items []Rect) *Index {
+// grownIndex inserts items one by one into an index over extent at the
+// given cell size, checking the ids it hands out and the bound on the
+// grid.
+func grownIndex(t testing.TB, extent Rect, cell int64, items []Rect) *Index {
 	t.Helper()
-	ix := NewIndex(cell)
+	ix := NewIndex(extent, cell)
 	for i, r := range items {
 		if id := ix.Insert(r); id != i {
 			t.Fatalf("Insert returned id %d, want %d", id, i)
 		}
+	}
+	if n := len(ix.bins); n > maxBins {
+		t.Fatalf("%d bins over extent %v at cell %d, want at most %d", n, extent, cell, maxBins)
 	}
 	return ix
 }
@@ -195,6 +201,26 @@ func indexRect(rnd *rand.Rand, origin, span int64) Rect {
 	return Rect{x, y, x + w, y + h}
 }
 
+// indexExtent draws the extent an index is laid over, independently of
+// the items: the region items are drawn from, one part of it, a region
+// far on either side of zero that items may or may not come from, a
+// point, an inside-out rect, or all of int64.
+func indexExtent(rnd *rand.Rand, span int64) Rect {
+	origin := []int64{0, -5000, 1 << 40, -(1 << 40)}[rnd.Intn(4)]
+	e := R(origin-span, origin-span, origin+span, origin+span)
+	switch rnd.Intn(8) {
+	case 0:
+		e = indexRect(rnd, origin, span)
+	case 1:
+		e = Rect{origin, origin, origin, origin}
+	case 2:
+		e.X0, e.X1 = e.X1, e.X0
+	case 3:
+		e = Rect{math.MinInt64, math.MinInt64, math.MaxInt64, math.MaxInt64}
+	}
+	return e
+}
+
 func TestIndexMatchesBruteForce(t *testing.T) {
 	rnd := rand.New(rand.NewSource(15))
 	for round := 0; round < 120; round++ {
@@ -210,7 +236,7 @@ func TestIndexMatchesBruteForce(t *testing.T) {
 				items[i] = items[i].Translate(Pt(rnd.Int63n(1<<30)<<12, -rnd.Int63n(1<<30)<<12))
 			}
 		}
-		ix := grownIndex(t, cell, items)
+		ix := grownIndex(t, indexExtent(rnd, span), cell, items)
 		for i := 0; i < 12; i++ {
 			checkIndex(t, ix, items, indexRect(rnd, origin, span))
 		}
@@ -233,7 +259,7 @@ func TestIndexQueriesBetweenInserts(t *testing.T) {
 	for round := 0; round < 100; round++ {
 		origin := []int64{0, -5000, 1 << 40, -(1 << 40)}[rnd.Intn(4)]
 		span := int64(50 + rnd.Intn(2000))
-		ix := NewIndex(1 + rnd.Int63n(span))
+		ix := NewIndex(indexExtent(rnd, span), 1+rnd.Int63n(span))
 		var items []Rect
 		for step := 0; step < 60; step++ {
 			if rnd.Intn(3) == 0 {
@@ -244,39 +270,77 @@ func TestIndexQueriesBetweenInserts(t *testing.T) {
 			ix.Insert(items[len(items)-1])
 		}
 		checkIndex(t, ix, items, R(origin-20*span, origin-20*span, origin+20*span, origin+20*span))
+		if n := len(ix.bins); n > maxBins {
+			t.Fatalf("%d bins, want at most %d", n, maxBins)
+		}
 	}
 }
 
 // A few rects scattered over a huge plane under a tiny cell size must
-// not ask for a bin array the size of the plane.
+// not ask for a bin array the size of the plane (grownIndex holds it to
+// maxBins).
 func TestIndexFarApartItems(t *testing.T) {
 	items := []Rect{R(0, 0, 3, 3), R(1<<40, 1<<40, 1<<40+5, 1<<40+5), R(-(1 << 41), 7, -(1<<41)+2, 9),
 		R(1<<39, -(1 << 39), 1<<39+1, -(1<<39)+1), R(2, 2, 4, 4)}
-	ix := grownIndex(t, 1, items)
+	ix := grownIndex(t, BBoxOf(items), 1, items)
 	for _, r := range items {
 		checkIndex(t, ix, items, r.Bloat(1))
 	}
 	checkIndex(t, ix, items, R(-(1<<42), -(1<<42), 1<<42, 1<<42))
-	if n := len(ix.bins); n > 4*minBins {
-		t.Fatalf("%d bins for %d items", n, len(items))
+}
+
+// Extents and items at the int64 limits: the bin count of a full-range
+// extent at cell 1 is 2^64, and a coordinate's bin minus bin 0's
+// overflows far from the extent. Neither may panic, lay more than
+// maxBins or lose an item.
+func TestIndexAtInt64Limits(t *testing.T) {
+	const lo, hi, far = math.MinInt64, math.MaxInt64, 1 << 62
+	rects := []Rect{
+		{lo, lo, hi, hi}, // full range
+		{lo, 0, hi, 10},  // full width, one row
+		{0, lo, 10, hi},  // full height, one column
+		{lo, hi, hi, hi}, // the top row of the plane
+		{-far, -far, far, far},
+		{far, far, far + 5, far + 5},
+		{-far, far, -far + 1, far},
+		{hi - 3, hi - 3, hi, hi},
+		{lo, lo, lo + 3, lo + 3},
+		{hi, lo, hi, lo}, // a corner point
+		{0, 0, 3, 3},
+		{5, 5, 2, 9}, // inside out: never found
+	}
+	extents := append(slices.Clone(rects), Rect{}, Rect{7, 7, 7, 7}, Rect{far, 0, -far, 10}, Rect{hi, hi, lo, lo})
+	for _, cell := range []int64{1, 3, 1024} {
+		for _, e := range extents {
+			ix := grownIndex(t, e, cell, rects)
+			for _, q := range rects {
+				checkIndex(t, ix, rects, q)
+			}
+			checkIndex(t, ix, rects, Rect{lo, lo, lo, lo})
+			checkIndex(t, ix, rects, Rect{hi, hi, hi, hi})
+			checkIndex(t, ix, rects, Rect{lo, 5, hi, 5})
+		}
 	}
 }
 
-// FuzzIndexQuery decodes a cell size, items and queries from the
-// fuzzer's bytes — coordinates on a small grid, any of them thrown out
-// to ±2^40 nm — and holds the index grown by inserting the items and the
-// brute-force scan to the same answers.
+// FuzzIndexQuery decodes a cell size, an extent, items and queries from
+// the fuzzer's bytes — coordinates on a small grid, any of them thrown
+// out to ±2^40 nm — and holds the index over that extent and the
+// brute-force scan to the same answers: no answer depends on the extent.
 func FuzzIndexQuery(f *testing.F) {
-	f.Add([]byte{8, 0, 0, 0, 10, 5, 0, 3, 3, 4, 4})
-	f.Add([]byte{1, 1, 0, 0, 3, 3, 2, 9, 9, 1, 1, 0, 40, 40, 2, 2})
-	f.Add([]byte{200, 4, 5, 5, 250, 0, 8, 1, 1, 0, 0})
+	f.Add([]byte{8, 0, 0, 0, 20, 20, 0, 0, 0, 10, 5, 0, 3, 3, 4, 4})
+	f.Add([]byte{1, 2, 9, 9, 4, 4, 1, 0, 0, 3, 3, 2, 9, 9, 1, 1, 0, 40, 40, 2, 2})
+	f.Add([]byte{200, 4, 0, 0, 0, 0, 4, 5, 5, 250, 0, 8, 1, 1, 0, 0})
+	f.Add([]byte{3, 1, 0, 0, 30, 30, 0, 2, 2, 6, 6, 1, 4, 4, 3, 3, 8, 2, 2, 9, 9})
+	f.Add([]byte{1, 5, 0, 0, 0, 0, 3, 1, 1, 2, 2, 0, 5, 5, 1, 1, 11, 0, 0, 63, 23})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) == 0 {
+		if len(data) < 6 {
 			return
 		}
 		cell := int64(data[0]) // 0 is clamped to 1
+		extent := fuzzExtent(data[1:6])
 		var items, queries []Rect
-		for data = data[1:]; len(data) >= 5 && len(items) < 64; data = data[5:] {
+		for data = data[6:]; len(data) >= 5 && len(items) < 64; data = data[5:] {
 			x, y := int64(data[1]%64)-16, int64(data[2]%64)-16
 			// The width byte reaches past 127 into negative: unbinnable.
 			r := Rect{x, y, x + int64(int8(data[3]))/4, y + int64(data[4]%24)}
@@ -294,7 +358,7 @@ func FuzzIndexQuery(f *testing.F) {
 				items = append(items, r)
 			}
 		}
-		ix := grownIndex(t, cell, items)
+		ix := grownIndex(t, extent, cell, items)
 		for _, q := range queries {
 			checkIndex(t, ix, items, q)
 		}
@@ -302,12 +366,34 @@ func FuzzIndexQuery(f *testing.F) {
 	})
 }
 
+// fuzzExtent decodes an extent from five bytes: a rect on the items'
+// small grid (inside or straddling them), moved clear of every item,
+// turned inside out, thrown to the far items at ±2^40, spanning ±2^40,
+// or spanning all of int64.
+func fuzzExtent(b []byte) Rect {
+	x, y := int64(b[1]%64)-16, int64(b[2]%64)-16
+	e := Rect{x, y, x + int64(b[3]%64), y + int64(b[4]%64)}
+	switch b[0] % 6 {
+	case 1:
+		e = e.Translate(Pt(1<<30, 1<<30))
+	case 2:
+		e.X0, e.X1, e.Y0, e.Y1 = e.X1, e.X0, e.Y1, e.Y0
+	case 3:
+		e = e.Translate(Pt(1<<40, -(1 << 40)))
+	case 4:
+		e = R(-(1 << 40), -(1 << 40), 1<<40, 1<<40)
+	case 5:
+		e = Rect{math.MinInt64, math.MinInt64, math.MaxInt64, math.MaxInt64}
+	}
+	return e
+}
+
 // QueryFunc visits bins row-major and ids in ascending order within a
 // bin, an item at the first of its bins the query reaches. Callers that
 // stop early (the router, the via doubler) see a prefix of that order,
 // so it is pinned here.
 func TestIndexQueryFuncOrder(t *testing.T) {
-	ix := NewIndex(10)
+	ix := NewIndex(R(0, 0, 30, 30), 10)
 	a := ix.Insert(R(12, 12, 14, 14)) // bin (1,1)
 	b := ix.Insert(R(2, 2, 25, 4))    // bins (0..2, 0)
 	c := ix.Insert(R(2, 12, 4, 14))   // bin (0,1)

@@ -111,8 +111,8 @@ func newRouter(t *tech.Tech, top *Cell) *router {
 	return &router{
 		t:    t,
 		top:  top,
-		m2:   geom.NewIndex(8 * t.Rules[tech.Metal2].Pitch),
-		m3:   geom.NewIndex(8 * t.Rules[tech.Metal3].Pitch),
+		m2:   geom.NewIndex(top.BBox(), 8*t.Rules[tech.Metal2].Pitch),
+		m3:   geom.NewIndex(top.BBox(), 8*t.Rules[tech.Metal3].Pitch),
 		grid: t.Rules[tech.Metal2].Pitch,
 	}
 }

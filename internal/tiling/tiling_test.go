@@ -157,7 +157,7 @@ func TestTiledMatchesFlatNarrowIslands(t *testing.T) {
 	// Each island stands clear of all other metal1: within a spacing of
 	// a neighbour it would also draw spacing violations, which is not
 	// what is under test.
-	near := geom.NewIndex(1024)
+	near := geom.NewIndex(die, 1024)
 	for _, s := range l.Flatten() {
 		if s.Layer == tech.Metal1 {
 			near.Insert(s.R)

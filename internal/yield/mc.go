@@ -33,21 +33,22 @@ func MonteCarlo(flat []layout.Shape, layer tech.Layer, def tech.Defects, trials 
 	nets := layout.NetsOn(flat, layer)
 	ids := layout.SortedNets(nets)
 
-	// Spatial index with parallel net ids.
-	ix := geom.NewIndex(2048)
-	var rectNet []layout.NetID
-	for _, id := range ids {
-		for _, r := range nets[id] {
-			ix.Insert(r)
-			rectNet = append(rectNet, id)
-		}
-	}
 	var bb geom.Rect
 	for _, id := range ids {
 		bb = bb.Union(geom.BBoxOf(nets[id]))
 	}
 	if bb.Empty() || trials <= 0 {
 		return MCResult{}
+	}
+
+	// Spatial index with parallel net ids.
+	ix := geom.NewIndex(bb, 2048)
+	var rectNet []layout.NetID
+	for _, id := range ids {
+		for _, r := range nets[id] {
+			ix.Insert(r)
+			rectNet = append(rectNet, id)
+		}
 	}
 	area := bb.Bloat(int64(def.XMax / 2))
 

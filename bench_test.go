@@ -163,7 +163,6 @@ func BenchmarkSurrogateChipScan(b *testing.B) {
 			o := tiling.Opts{
 				Tile: 24000, Halo: 2000,
 				Hotspots:        []tech.Layer{tech.Metal1},
-				HotspotCond:     litho.Nominal,
 				HotspotInterior: true,
 				Cache:           tiling.NewCache(surrogateCache),
 			}

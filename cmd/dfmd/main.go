@@ -12,7 +12,8 @@
 //
 // API (all JSON):
 //
-//	POST /v1/jobs            submit a job; ?wait=1 blocks for the result
+//	POST /v1/jobs            submit a job ({"technique","seed"}, or a tile
+//	                         unit); ?wait=1 blocks for the result
 //	GET  /v1/jobs/{id}       poll status
 //	GET  /healthz            200 serving / 503 draining
 //	GET  /metrics            server stats + obs registry snapshot
@@ -46,7 +47,7 @@ func main() {
 	queue := flag.Int("queue", def.Queue, "admission queue capacity")
 	cache := flag.Int("cache", 1024, "result cache entries")
 	maxWait := flag.Duration("max-wait", def.MaxWait, "admission wait budget before shedding (0 = shed only on a full queue)")
-	timeout := flag.Duration("timeout", 2*time.Minute, "default per-job evaluation budget")
+	timeout := flag.Duration("timeout", 2*time.Minute, "evaluation budget of every job")
 	retries := flag.Int("retries", def.Retries, "extra attempts for retryable workload failures")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-drain budget on shutdown before in-flight jobs are canceled")
 	quiet := flag.Bool("quiet", false, "suppress the startup/shutdown log lines")

@@ -1,6 +1,8 @@
 // Command dfmrouter fronts a fleet of dfmd nodes with cache-affinity
 // routing and chaos-tolerant failover: requests route by
-// content-address affinity over the result-cache key, sick backends are
+// content-address affinity over the result-cache key (rendezvous
+// hashing: each backend scores the key, the highest serves it and the
+// rest are its failover order), sick backends are
 // evicted by active health probes and reinstated only after proving recovery, circuit
 // breakers react between probes at request speed, and failed attempts
 // retry on another replica under a jittered backoff and a bounded
@@ -10,7 +12,6 @@
 // Usage:
 //
 //	dfmrouter -backends URL1,URL2,... [-addr HOST:PORT]
-//	          [-vnodes N]
 //	          [-check-interval D] [-check-timeout D]
 //	          [-fail-after N] [-rise-after N]
 //	          [-breaker-threshold N] [-breaker-cooldown D]
@@ -48,7 +49,6 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:9516", "listen address")
 	backends := flag.String("backends", "", "comma-separated dfmd base URLs (required)")
-	vnodes := flag.Int("vnodes", 128, "virtual nodes per backend on the affinity ring")
 	checkInterval := flag.Duration("check-interval", 500*time.Millisecond, "health probe interval")
 	checkTimeout := flag.Duration("check-timeout", time.Second, "health probe timeout")
 	failAfter := flag.Int("fail-after", 3, "consecutive failed probes before eviction")
@@ -80,7 +80,6 @@ func main() {
 
 	r, err := router.New(router.Config{
 		Backends:         strings.Split(*backends, ","),
-		Vnodes:           *vnodes,
 		CheckInterval:    *checkInterval,
 		CheckTimeout:     *checkTimeout,
 		FailAfter:        *failAfter,

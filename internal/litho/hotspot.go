@@ -144,8 +144,8 @@ func ScanKeeps(win geom.Rect, h Hotspot) bool {
 
 // ScanOpts bundles the hotspot-scan parameters shared by the layer
 // and single-window entry points. MinWidth/MinSpace zero default to
-// ScanDefaults; Cond passes through as given (its zero value is the
-// nominal corner).
+// ScanDefaults; Cond passes through as given, and must have a positive
+// dose — its zero value is dose 0, not the nominal corner (Nominal).
 type ScanOpts struct {
 	Cond     Condition
 	MinWidth int64
@@ -222,8 +222,13 @@ func ScanWindowPixels(opt tech.Optics, defocus float64, w, h int64) float64 {
 // pad) and returns the hotspots attributed to it by ScanKeeps, in
 // SortHotspots order. Callers scanning several windows merge them
 // with StitchWindows. rs must hold every shape
-// reaching the padded window.
+// reaching the padded window. A dose that is not positive is an error.
 func ScanWindowCtx(ctx context.Context, rs []geom.Rect, win geom.Rect, t *tech.Tech, layer tech.Layer, o ScanOpts) ([]Hotspot, error) {
+	if !(o.Cond.Dose > 0) {
+		// Nothing prints at dose 0 or below: a scan there would report a
+		// clean window it never looked at.
+		return nil, fmt.Errorf("litho: scan dose %g not positive", o.Cond.Dose)
+	}
 	o = o.resolve(t, layer)
 	sp := hScanNS.Start()
 	defer sp.End()

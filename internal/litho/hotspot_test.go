@@ -254,3 +254,23 @@ func TestSimulatePrintedMatchesPrintedBitmap(t *testing.T) {
 		}
 	}
 }
+
+// A scan at dose 0 — ScanOpts' zero value — or below prints nothing and
+// would call a necked wire clean; it is an error instead, from the
+// window and the layer entry points alike.
+func TestScanRejectsNonPositiveDose(t *testing.T) {
+	tt := tech.N45()
+	ctx := context.Background()
+	win := geom.R(0, 0, 2000, 2000)
+	for _, o := range []ScanOpts{{}, {Cond: Condition{Dose: -1}}, {Cond: Condition{Defocus: 60, Dose: -0.5}, Interior: true}} {
+		if hs, err := ScanWindowCtx(ctx, neckV(0, 0), win, tt, tech.Metal1, o); err == nil {
+			t.Errorf("ScanWindowCtx at %+v = %v, nil; want an error", o.Cond, hs)
+		}
+		if hs, err := ScanLayer(ctx, neckV(0, 0), tt, tech.Metal1, o); err == nil {
+			t.Errorf("ScanLayer at %+v = %v, nil; want an error", o.Cond, hs)
+		}
+	}
+	if hs, err := ScanWindowCtx(ctx, neckV(0, 0), win, tt, tech.Metal1, ScanOpts{Cond: Nominal}); err != nil || len(hs) == 0 {
+		t.Fatalf("nominal scan of the neck = %v, %v; want its markers", hs, err)
+	}
+}

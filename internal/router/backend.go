@@ -13,14 +13,16 @@ import (
 // state as seen by the active checker and its circuit breaker on the
 // data path.
 type Backend struct {
-	// Name is the stable routing identity ("n0", "n1", ...): it keys
-	// the hash ring and prefixes job IDs, so a backend that restarts
-	// on the same slot keeps its ring arcs and its outstanding jobs
+	// Name is the stable routing identity ("n0", "n1", ...): it is
+	// what placement scores and it prefixes job IDs, so a backend that
+	// restarts on the same slot keeps its keys and its outstanding jobs
 	// stay resolvable.
 	Name string
 	// URL is the node's base URL.
 	URL string
 
+	// hash is hash64(Name), placement's half of every score.
+	hash    uint64
 	cl      *client.Client
 	breaker *breaker
 	// idPrefix is the header every job request to this node carries:
@@ -49,6 +51,7 @@ func newBackend(name, url string, hc *http.Client, brThreshold int, brCooldown t
 	b := &Backend{
 		Name:     name,
 		URL:      url,
+		hash:     hash64(name),
 		cl:       client.New(url, hc),
 		breaker:  newBreaker(brThreshold, brCooldown, now),
 		idPrefix: http.Header{server.HeaderIDPrefix: {name + "."}},
@@ -72,7 +75,7 @@ type BackendStatus struct {
 	Evictions  int64  `json:"evictions"`
 	Reinstates int64  `json:"reinstates"`
 	// Tiles counts tile work units this backend served — how evenly
-	// the affinity ring spreads a chip across the fleet.
+	// placement spreads a chip across the fleet.
 	Tiles int64 `json:"tiles"`
 }
 

@@ -34,7 +34,7 @@ func (r *Router) Handler() http.Handler {
 
 // handleSubmit routes one submission without reading it. The body is
 // buffered under the bound both tiers share and sent, byte for byte, to
-// the backend its key's ring order picks — the same buffer again on
+// the backend its key's preference order picks — the same buffer again on
 // every retry and failover — and the backend's answer is relayed byte
 // for byte. The
 // three facts the router needs travel beside the JSON (server.Header*):
@@ -81,7 +81,7 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	relay(w, rep)
 }
 
-// placement is the key a submission is placed on the affinity ring by:
+// placement is the key a submission is placed by:
 // the content address its client claims, when that has the shape of one
 // ("sha256:" and 64 hex digits), and otherwise — no claim, an empty one,
 // ten kilobytes of one — the sha256 of the body, which still sends equal

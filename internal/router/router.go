@@ -1,6 +1,6 @@
 // Package router is the fault-tolerant front tier over a fleet of
 // dfmd nodes (`cmd/dfmrouter`): it spreads `/v1/jobs` traffic across
-// backends by content-address affinity (consistent hashing over the
+// backends by content-address affinity (rendezvous hashing over the
 // sha256 cache key the client claims beside its request, which turns N
 // per-node LRU caches into one effectively global cache with no shared
 // store) without reading a job in either direction: a submission's
@@ -31,11 +31,8 @@ import (
 type Config struct {
 	// Backends are the dfmd base URLs. Each gets a stable name from
 	// its position ("n0", "n1", ...): restart a node on the same slot
-	// and it keeps its ring arcs and outstanding job IDs.
+	// and it keeps its keys and outstanding job IDs.
 	Backends []string
-	// Vnodes is the virtual-node count per backend on the affinity
-	// ring; default 128.
-	Vnodes int
 
 	// CheckInterval/CheckTimeout drive the active health prober;
 	// defaults 500ms / 1s. FailAfter consecutive probe failures evict
@@ -91,9 +88,6 @@ type Config struct {
 const retryRatio = 0.1
 
 func (c Config) withDefaults() Config {
-	if c.Vnodes == 0 {
-		c.Vnodes = 128
-	}
 	if c.CheckInterval == 0 {
 		c.CheckInterval = 500 * time.Millisecond
 	}
@@ -161,7 +155,6 @@ type Router struct {
 	cfg      Config
 	backends []*Backend
 	byName   map[string]*Backend
-	ring     *ring
 	retry    *client.RetryPolicy
 	budget   *throttle
 
@@ -189,13 +182,11 @@ func New(cfg Config) (*Router, error) {
 		return nil, errors.New("router: no backends configured")
 	}
 	hc := &http.Client{Transport: cfg.Transport}
-	names := make([]string, len(cfg.Backends))
 	backends := make([]*Backend, len(cfg.Backends))
 	byName := make(map[string]*Backend, len(cfg.Backends))
 	for i, url := range cfg.Backends {
-		names[i] = fmt.Sprintf("n%d", i)
-		backends[i] = newBackend(names[i], url, hc, cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.now)
-		byName[names[i]] = backends[i]
+		b := newBackend(fmt.Sprintf("n%d", i), url, hc, cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.now)
+		backends[i], byName[b.Name] = b, b
 	}
 	retry := client.NewRetryPolicy(cfg.MaxAttempts, cfg.Seed)
 	retry.Base, retry.Max = cfg.RetryBase, cfg.RetryMax
@@ -203,7 +194,6 @@ func New(cfg Config) (*Router, error) {
 		cfg:      cfg,
 		backends: backends,
 		byName:   byName,
-		ring:     newRing(names, cfg.Vnodes),
 		retry:    retry,
 		budget:   newThrottle(float64(cfg.RetryBudget)),
 		stop:     make(chan struct{}),
@@ -222,15 +212,16 @@ func (r *Router) logf(format string, args ...any) { r.cfg.Logf(format, args...) 
 var errNoBackend = errors.New("router: no available backend")
 
 // pick returns the first eligible backend not in tried, in the key's
-// ring order: every request for the same key goes to the same node, so
-// the per-node LRU caches tile the keyspace instead of each holding a
-// diluted copy, and retries continue down the same order, so the ring's
-// ranking is also the failover plan — a down node's keys stay
+// preference order: every request for the same key goes to the same
+// node, so the per-node LRU caches tile the keyspace instead of each
+// holding a diluted copy, and retries continue down the same order, so
+// the ranking is also the failover plan — a down node's keys stay
 // concentrated on one successor. Health is filtered here, on every
-// retry, so the ranking stays valid as nodes flap.
+// retry, so the ranking stays valid as nodes flap. The breaker is asked
+// only of a backend pick reaches, in order, because asking claims a
+// half-open breaker's one trial.
 func (r *Router) pick(key string, tried map[*Backend]bool) *Backend {
-	for _, name := range r.ring.seq(key, len(r.backends)) {
-		b := r.byName[name]
+	for _, b := range preference(key, r.backends) {
 		if tried[b] || !b.up.Load() {
 			continue
 		}

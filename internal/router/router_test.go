@@ -109,22 +109,23 @@ func urls(nodes []*node) []string {
 }
 
 // seedsOwnedBy returns `count` workload seeds whose affinity primary
-// is the named backend, derived from the same ring the router builds
-// and the same key the client will claim — fully deterministic.
-func seedsOwnedBy(t *testing.T, primary string, count, nodes, vnodes int) []int64 {
+// is the named backend, derived from the same placement the router
+// computes and the same key the client will claim — fully
+// deterministic.
+func seedsOwnedBy(t *testing.T, primary string, count, nodes int) []int64 {
 	t.Helper()
 	names := make([]string, nodes)
 	for i := range names {
 		names[i] = fmt.Sprintf("n%d", i)
 	}
-	r := newRing(names, vnodes)
+	f := fleet(names...)
 	var out []int64
 	for s := int64(1); len(out) < count && s < 100000; s++ {
 		key, err := server.KeyForRequest(server.JobRequest{Technique: "sraf", Seed: s})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.owner(key) == primary {
+		if head(key, f) == primary {
 			out = append(out, s)
 		}
 	}
@@ -139,7 +140,7 @@ func seedsOwnedBy(t *testing.T, primary string, count, nodes, vnodes int) []int6
 // global-cache-without-a-shared-store property.
 func TestAffinityPinsDuplicateWorkToOneNode(t *testing.T) {
 	nodes := []*node{startNode(t), startNode(t), startNode(t)}
-	r, err := New(Config{Backends: urls(nodes), Vnodes: 64,
+	r, err := New(Config{Backends: urls(nodes),
 		CheckInterval: time.Hour, Logf: quiet})
 	if err != nil {
 		t.Fatal(err)
@@ -177,8 +178,7 @@ func TestAffinityPinsDuplicateWorkToOneNode(t *testing.T) {
 // the attempt times out, and the job must complete on a replica.
 func TestInflightFailoverDeterministic(t *testing.T) {
 	nodes := []*node{startNode(t), startNode(t), startNode(t)}
-	const vnodes = 64
-	seeds := seedsOwnedBy(t, "n0", 4, 3, vnodes)
+	seeds := seedsOwnedBy(t, "n0", 4, 3)
 
 	tr := faultinject.NewTransport(nil)
 	tr.PlanHost(nodes[0].host(), faultinject.TransportFault{
@@ -186,7 +186,7 @@ func TestInflightFailoverDeterministic(t *testing.T) {
 	})
 	// AttemptTimeout must beat the caller's patience but clear a real
 	// evaluation, which runs ~150ms under -race.
-	r, err := New(Config{Backends: urls(nodes), Vnodes: vnodes,
+	r, err := New(Config{Backends: urls(nodes),
 		CheckInterval: time.Hour, AttemptTimeout: time.Second,
 		RetryBase: time.Millisecond, MaxAttempts: 3, Seed: 42,
 		Transport: tr, Logf: quiet})
@@ -238,10 +238,9 @@ func TestInflightFailoverDeterministic(t *testing.T) {
 // failures.
 func TestInflightFailoverOnRealKill(t *testing.T) {
 	nodes := []*node{startNode(t), startNode(t), startNode(t)}
-	const vnodes = 64
-	seeds := seedsOwnedBy(t, "n0", 6, 3, vnodes)
+	seeds := seedsOwnedBy(t, "n0", 6, 3)
 
-	r, err := New(Config{Backends: urls(nodes), Vnodes: vnodes,
+	r, err := New(Config{Backends: urls(nodes),
 		CheckInterval: 20 * time.Millisecond, FailAfter: 2, RiseAfter: 2,
 		RetryBase: time.Millisecond, MaxAttempts: 4, Seed: 11, Logf: quiet})
 	if err != nil {
@@ -660,7 +659,7 @@ func TestRouterForwardsVerbatim(t *testing.T) {
 	var got []seen
 	var mu sync.Mutex
 	// failNext submissions answer 500, whichever stub they reach: a
-	// fault on the key's ring primary, wherever the ring puts it.
+	// fault on the key's primary, wherever placement puts it.
 	var failNext atomic.Int32
 	stub := func() *httptest.Server {
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
@@ -698,7 +697,7 @@ func TestRouterForwardsVerbatim(t *testing.T) {
 	}{
 		{"direct", []string{a.URL}, 0},
 		// The key's primary answers 500: a fault, and the request fails
-		// over to the next backend in its ring order.
+		// over to the next backend in its preference order.
 		{"failover", []string{a.URL, b.URL}, 1},
 	} {
 		r, err := New(Config{Backends: tc.backends, CheckInterval: time.Hour,
@@ -712,7 +711,7 @@ func TestRouterForwardsVerbatim(t *testing.T) {
 			got = nil
 			mu.Unlock()
 			failNext.Store(tc.faults)
-			servedBy := r.ring.seq(placement("", []byte(body)), len(tc.backends))[tc.faults] + "."
+			servedBy := preference(placement("", []byte(body)), r.backends)[tc.faults].Name + "."
 			resp, err := http.Post(ts.URL+"/v1/jobs?wait=1", "text/plain", strings.NewReader(body))
 			if err != nil {
 				t.Fatal(err)
@@ -747,7 +746,7 @@ func TestRouterForwardsVerbatim(t *testing.T) {
 	}
 }
 
-// The ring key is the client's claim when it looks like a content
+// The placement key is the client's claim when it looks like a content
 // address and the sha256 of the body otherwise — so equal bytes still
 // land on one node — and nothing else about the claim is believed.
 func TestPlacementBelievesOnlyWellFormedClaims(t *testing.T) {
@@ -770,10 +769,10 @@ func TestPlacementBelievesOnlyWellFormedClaims(t *testing.T) {
 	}
 }
 
-// TestPickFollowsRingOrder: what is left of policy order — pick tries
-// backends in the key's ring order, passing over the ones already tried
-// and the ones that are down.
-func TestPickFollowsRingOrder(t *testing.T) {
+// TestPickFollowsPreferenceOrder: what is left of policy order — pick
+// tries backends in the key's preference order, passing over the ones
+// already tried and the ones that are down.
+func TestPickFollowsPreferenceOrder(t *testing.T) {
 	r, err := New(Config{Backends: []string{deadURL(t), deadURL(t), deadURL(t)},
 		CheckInterval: time.Hour, FailAfter: 1 << 30, Logf: quiet})
 	if err != nil {
@@ -782,12 +781,12 @@ func TestPickFollowsRingOrder(t *testing.T) {
 	defer r.Shutdown(context.Background())
 
 	const key = "sha256:any"
-	want := r.ring.seq(key, 3)
+	want := nameList(preference(key, r.backends))
 	tried := map[*Backend]bool{}
 	for i, name := range want {
 		b := r.pick(key, tried)
 		if b == nil || b.Name != name {
-			t.Fatalf("pick %d = %v, ring order %v", i, b, want)
+			t.Fatalf("pick %d = %v, preference order %v", i, b, want)
 		}
 		tried[b] = true
 	}

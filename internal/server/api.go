@@ -12,11 +12,7 @@
 package server
 
 import (
-	"fmt"
-
 	"repro/internal/dfm"
-	"repro/internal/layout"
-	"repro/internal/tech"
 	"repro/internal/tiling"
 )
 
@@ -39,7 +35,7 @@ const (
 const (
 	// HeaderRouteKey, on a submission, is the client's claim of the
 	// request's content address (KeyForRequest). The router places the
-	// job on its affinity ring by it. It is placement, never identity:
+	// job by it. It is placement, never identity:
 	// a node does not read it, and keys what it decoded.
 	HeaderRouteKey = "Dfm-Route-Key"
 	// HeaderIDPrefix, on any job request, is prepended by the node to
@@ -54,20 +50,11 @@ const (
 	HeaderJobReused = "Dfm-Job-Reused"
 )
 
-// BlockSpec is the wire form of the synthetic workload shape
-// (layout.BlockOpts minus the seed, which travels separately so
-// retries can perturb it).
-type BlockSpec struct {
-	Rows     int   `json:"rows"`
-	RowWidth int64 `json:"rowWidth"`
-	Nets     int   `json:"nets"`
-	MaxFan   int   `json:"maxFan"`
-}
-
-// JobRequest is one evaluation request: a technique applied to a
-// deterministic workload on a named process node. Identical requests
-// (same technique, tech, seed, block) are identical work — the
-// service collapses them in flight and caches their result.
+// JobRequest is one job. A technique evaluation is a technique and a
+// seed: the technique applied to the default block (dfm.DefaultBlock)
+// generated from the seed, on the N45 node. Identical requests are
+// identical work — the service collapses them in flight and caches
+// their result. Every job runs under the server's DefaultTimeout.
 type JobRequest struct {
 	// Kind selects the job type: "" or "eval" evaluates Technique on
 	// the generated workload; "tile" executes the Tile work unit.
@@ -75,21 +62,13 @@ type JobRequest struct {
 
 	// Technique is one of dfm.Techniques().
 	Technique string `json:"technique,omitempty"`
-	// Tech names the process node: "N45" (default) or "N45R".
-	Tech string `json:"tech,omitempty"`
 	// Seed drives workload generation; same seed, same layout.
 	Seed int64 `json:"seed"`
-	// Block overrides the default workload shape (dfm.DefaultBlock).
-	Block *BlockSpec `json:"block,omitempty"`
 
-	// Tile is the tile work unit (Kind "tile"); the technique fields
-	// above are ignored — everything that determines a tile result,
-	// its full tech node included, travels inside the TileRequest.
+	// Tile is the tile work unit (Kind "tile"); Technique and Seed are
+	// ignored — everything that determines a tile result, its full
+	// tech node included, travels inside the TileRequest.
 	Tile *tiling.TileRequest `json:"tile,omitempty"`
-
-	// TimeoutMS caps the evaluation wall clock; 0 uses the server
-	// default, and the server clamps it to its configured maximum.
-	TimeoutMS int64 `json:"timeoutMs,omitempty"`
 }
 
 // Job states.
@@ -127,32 +106,4 @@ type ErrorBody struct {
 	// RetryAfterMS accompanies 429 responses: the server's live
 	// estimate of when queue space frees up.
 	RetryAfterMS int64 `json:"retryAfterMs,omitempty"`
-}
-
-// resolveTech maps the wire tech name to a node.
-func resolveTech(name string) (*tech.Tech, error) {
-	switch name {
-	case "", "N45":
-		return tech.N45(), nil
-	case "N45R":
-		return tech.N45R(), nil
-	}
-	return nil, fmt.Errorf("unknown tech %q (want N45 or N45R)", name)
-}
-
-// resolveBlock applies the request's block override to the default
-// workload shape and validates it.
-func resolveBlock(spec *BlockSpec) (layout.BlockOpts, error) {
-	base := dfm.DefaultBlock()
-	if spec == nil {
-		return base, nil
-	}
-	if spec.Rows <= 0 || spec.RowWidth <= 0 || spec.Nets < 0 || spec.MaxFan < 0 {
-		return base, fmt.Errorf("invalid block spec %+v", *spec)
-	}
-	base.Rows = spec.Rows
-	base.RowWidth = spec.RowWidth
-	base.Nets = spec.Nets
-	base.MaxFan = spec.MaxFan
-	return base, nil
 }

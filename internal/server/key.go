@@ -7,7 +7,7 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/layout"
+	"repro/internal/dfm"
 	"repro/internal/tech"
 	"repro/internal/tiling"
 )
@@ -37,34 +37,23 @@ type keyPayload struct {
 }
 
 // resolved is what a JobRequest means once the fields of its kind have
-// been validated: the content address every layer keys on, the kind as
-// job statuses report it, and — technique evaluations only — the
-// process node and workload shape the task is built from.
+// been validated: the content address every layer keys on and the kind
+// as job statuses report it.
 type resolved struct {
 	key  string
 	kind string // "" for technique evaluations, KindTile for tile units
-	tech *tech.Tech
-	base layout.BlockOpts
 }
 
 // resolve is the one per-kind reading of a request, shared by
 // Server.submit and KeyForRequest so that the key a client claims and
 // the key a node files the job under come from the same code. Each kind
-// reads and validates only its own fields: a tile job carries its full
-// tech node inside the TileRequest, so the eval-only Tech/Block/Technique
-// fields are neither consulted nor checked for it.
+// reads only its own fields: a tile job carries its full tech node
+// inside the TileRequest, so Technique and Seed are neither consulted
+// nor checked for it.
 func resolve(req JobRequest) (resolved, error) {
 	switch req.Kind {
 	case "", KindEval:
-		t, err := resolveTech(req.Tech)
-		if err != nil {
-			return resolved{}, err
-		}
-		base, err := resolveBlock(req.Block)
-		if err != nil {
-			return resolved{}, err
-		}
-		return resolved{key: requestKey(req.Technique, t, req.Seed, base), tech: t, base: base}, nil
+		return resolved{key: requestKey(req.Technique, req.Seed)}, nil
 	case KindTile:
 		// The tiling engine's own hash (which validates the payload,
 		// canonical order included, on the way), so the server cache
@@ -83,7 +72,7 @@ func resolve(req JobRequest) (resolved, error) {
 // KeyForRequest computes the content address a server would assign
 // this request, without submitting it. It is the one producer of the
 // claim a client sends beside a submission (HeaderRouteKey), by which
-// dfmrouter's affinity ring steers duplicate work to the backend
+// dfmrouter's placement steers duplicate work to the backend
 // that already holds the cached result; because it is the same resolve
 // the server runs, an honest claim and the server-side key can never
 // disagree — and client.EvalTile fails a unit whose settled key does.
@@ -96,7 +85,7 @@ func KeyForRequest(req JobRequest) (string, error) {
 // server's key form. No schema wrapper of its own: the tiling hash is
 // already schema-versioned and covers the full config, and reusing it
 // verbatim is what lets the engine's local cache, the server cache,
-// and the claim the router ring places by all agree on "same tile".
+// and the claim the router places by all agree on "same tile".
 func tileRequestKey(tr *tiling.TileRequest) (string, error) {
 	k, err := tr.Key()
 	if err != nil {
@@ -105,14 +94,18 @@ func tileRequestKey(tr *tiling.TileRequest) (string, error) {
 	return "sha256:" + hex.EncodeToString(k[:]), nil
 }
 
-// requestKey returns the content address of a request:
-// "sha256:<hex>" over the canonical payload. Two requests with the
-// same key are the same work — the dedup and cache layers key on it.
-func requestKey(technique string, t *tech.Tech, seed int64, base layout.BlockOpts) string {
+// requestKey returns the content address of a technique evaluation:
+// "sha256:<hex>" over the canonical payload, filled with the N45 node
+// and the default block it runs on. Two requests with the same key are
+// the same work — the dedup and cache layers key on it. The payload
+// carries every N45 parameter and the block shape, so retuning either
+// in code changes the key.
+func requestKey(technique string, seed int64) string {
+	base := dfm.DefaultBlock()
 	p := keyPayload{
 		Schema:    keySchema,
 		Technique: technique,
-		Tech:      *t,
+		Tech:      *tech.N45(),
 		Seed:      seed,
 		Rows:      base.Rows,
 		RowWidth:  base.RowWidth,

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/dfm"
 	"repro/internal/harness"
-	"repro/internal/layout"
 	"repro/internal/lru"
 	"repro/internal/tech"
 	"repro/internal/tiling"
@@ -33,8 +32,8 @@ type Config struct {
 	MaxWait time.Duration
 	// CacheSize is the result-cache entry cap; 0 means 1024.
 	CacheSize int
-	// DefaultTimeout is the per-job evaluation budget when the
-	// request does not set one; 0 means 2m.
+	// DefaultTimeout is the evaluation budget of every job; 0 means
+	// 2m.
 	DefaultTimeout time.Duration
 	// Retries is how often the harness retries a transient workload
 	// failure.
@@ -42,10 +41,8 @@ type Config struct {
 
 	// TaskFactory overrides job-task construction (tests and contract
 	// suites inject gated tasks to exercise admission and shutdown
-	// deterministically). t and base are the resolved node and workload
-	// of a technique evaluation; tile jobs carry their own tech inside
-	// req.Tile and receive nil and the zero shape.
-	TaskFactory func(req JobRequest, t *tech.Tech, base layout.BlockOpts) (harness.Task, error)
+	// deterministically).
+	TaskFactory func(req JobRequest) (harness.Task, error)
 }
 
 // DefaultConfig is the policy dfmd deploys with: a 64-job queue, 30 s
@@ -56,7 +53,6 @@ func DefaultConfig() Config {
 
 // What the service does not leave to its caller.
 const (
-	maxTimeout   = 5 * time.Minute       // clamp on a request-supplied budget
 	retryBackoff = 50 * time.Millisecond // first harness retry delay
 	retainJobs   = 4096                  // settled jobs kept pollable; past it the oldest are evicted
 )
@@ -72,7 +68,7 @@ func (c Config) withDefaults() Config {
 		c.DefaultTimeout = 2 * time.Minute
 	}
 	if c.TaskFactory == nil {
-		c.TaskFactory = func(req JobRequest, t *tech.Tech, base layout.BlockOpts) (harness.Task, error) {
+		c.TaskFactory = func(req JobRequest) (harness.Task, error) {
 			if req.Kind == KindTile {
 				tr := req.Tile
 				return harness.Task{
@@ -82,7 +78,7 @@ func (c Config) withDefaults() Config {
 					},
 				}, nil
 			}
-			return dfm.TechniqueTask(t, req.Technique, req.Seed, base)
+			return dfm.TechniqueTask(tech.N45(), req.Technique, req.Seed, dfm.DefaultBlock())
 		}
 	}
 	return c
@@ -206,11 +202,11 @@ func (s *Server) submit(req JobRequest) (JobStatus, time.Duration, error) {
 		return JobStatus{}, 0, err
 	}
 	key := rq.key
-	task, err := s.cfg.TaskFactory(req, rq.tech, rq.base)
+	task, err := s.cfg.TaskFactory(req)
 	if err != nil {
 		return JobStatus{}, 0, err
 	}
-	task.Timeout = s.jobTimeout(req.TimeoutMS)
+	task.Timeout = s.cfg.DefaultTimeout
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -300,18 +296,6 @@ func (s *Server) submit(req JobRequest) (JobStatus, time.Duration, error) {
 		s.complete(key, <-ch)
 	}()
 	return j.statusLocked(), 0, nil
-}
-
-// jobTimeout resolves the request budget against the server policy.
-func (s *Server) jobTimeout(ms int64) time.Duration {
-	d := s.cfg.DefaultTimeout
-	if ms > 0 {
-		// Clamped while still in milliseconds: the conversion overflows
-		// from 9223372036855 ms up, to a negative or zero Duration, which
-		// the harness takes for "no deadline".
-		d = time.Duration(min(ms, int64(maxTimeout/time.Millisecond))) * time.Millisecond
-	}
-	return min(d, maxTimeout)
 }
 
 // estimatedWait projects how long a newly queued job would sit before

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/dfm"
 	"repro/internal/harness"
-	"repro/internal/layout"
 	"repro/internal/tech"
 )
 
@@ -18,8 +17,8 @@ import (
 // Tasks honor ctx while blocked, so forced shutdown can cancel them.
 func gatedConfig(cfg Config) (Config, chan struct{}) {
 	gate := make(chan struct{})
-	cfg.TaskFactory = func(req JobRequest, t *tech.Tech, base layout.BlockOpts) (harness.Task, error) {
-		if _, err := dfm.TechniqueTask(t, req.Technique, req.Seed, base); err != nil {
+	cfg.TaskFactory = func(req JobRequest) (harness.Task, error) {
+		if _, err := dfm.TechniqueTask(tech.N45(), req.Technique, req.Seed, dfm.DefaultBlock()); err != nil {
 			return harness.Task{}, err
 		}
 		return harness.Task{Name: req.Technique, Run: func(ctx context.Context, attempt int) (any, error) {
@@ -230,7 +229,7 @@ func TestFailedEvaluationNotCached(t *testing.T) {
 	boom := errors.New("workload exploded")
 	fail := true
 	cfg := Config{Workers: 1, Queue: 4, MaxWait: time.Hour, Retries: 0}
-	cfg.TaskFactory = func(req JobRequest, t *tech.Tech, base layout.BlockOpts) (harness.Task, error) {
+	cfg.TaskFactory = func(req JobRequest) (harness.Task, error) {
 		return harness.Task{Name: req.Technique, Run: func(ctx context.Context, attempt int) (any, error) {
 			if fail {
 				return nil, boom
@@ -269,20 +268,19 @@ func TestFailedEvaluationNotCached(t *testing.T) {
 	}
 }
 
+// An unknown technique is refused at submit; a body naming a process
+// node is refused at decode, since an evaluation runs on N45 only.
 func TestUnknownTechniqueAndTechRejected(t *testing.T) {
 	s := New(Config{Workers: 1, Queue: 1})
 	defer s.Shutdown(context.Background())
 	if _, _, err := s.submit(JobRequest{Technique: "no-such"}); !errors.Is(err, dfm.ErrUnknownTechnique) {
 		t.Fatalf("unknown technique err = %v", err)
 	}
-	if _, _, err := s.submit(JobRequest{Technique: "sraf", Tech: "N7"}); err == nil {
-		t.Fatal("unknown tech accepted")
-	}
-	if _, _, err := s.submit(JobRequest{Technique: "sraf", Block: &BlockSpec{Rows: -1}}); err == nil {
-		t.Fatal("invalid block accepted")
-	}
 	if got := s.Stats().Admitted; got != 0 {
 		t.Fatalf("admitted = %d, want 0", got)
+	}
+	if _, err := decodeJobRequest([]byte(`{"technique":"sraf","tech":"N45R","seed":1}`)); err == nil {
+		t.Fatal("a body naming a tech decoded")
 	}
 }
 
@@ -310,30 +308,6 @@ func TestJobRetentionEvictsOldestSettled(t *testing.T) {
 	}
 	if _, ok := s.Job(ids[len(ids)-1]); !ok {
 		t.Fatal("newest job was evicted")
-	}
-}
-
-// A request's timeoutMs is clamped to maxTimeout before it becomes a
-// Duration: 9223372036855 ms wraps negative and 1<<62 ms wraps to zero,
-// and the harness runs a task whose timeout is not positive with no
-// deadline at all.
-func TestJobTimeoutClampsBeforeConverting(t *testing.T) {
-	s := New(Config{DefaultTimeout: time.Minute})
-	defer s.Shutdown(context.Background())
-	for _, c := range []struct {
-		ms   int64
-		want time.Duration
-	}{
-		{1, time.Millisecond},
-		{1000, time.Second},
-		{int64(maxTimeout/time.Millisecond) + 1, maxTimeout},
-		{9223372036855, maxTimeout},
-		{1 << 62, maxTimeout},
-		{-1, time.Minute},
-	} {
-		if got := s.jobTimeout(c.ms); got != c.want {
-			t.Errorf("timeoutMs %d: budget %v, want %v", c.ms, got, c.want)
-		}
 	}
 }
 
@@ -423,7 +397,7 @@ func TestConcurrentOverlappingClients(t *testing.T) {
 func TestEndToEndRealEvaluator(t *testing.T) {
 	s := New(Config{Workers: 2, Queue: 8, MaxWait: time.Hour})
 	defer s.Shutdown(context.Background())
-	st, _, err := s.submit(JobRequest{Technique: "sraf", Tech: "N45", Seed: 11})
+	st, _, err := s.submit(JobRequest{Technique: "sraf", Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +412,7 @@ func TestEndToEndRealEvaluator(t *testing.T) {
 		t.Fatalf("implausible outcome: %+v", fin.Result)
 	}
 	// Same request again: cache hit with the identical outcome.
-	st2, _, err := s.submit(JobRequest{Technique: "sraf", Tech: "N45", Seed: 11})
+	st2, _, err := s.submit(JobRequest{Technique: "sraf", Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}

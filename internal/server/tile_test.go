@@ -96,7 +96,7 @@ func TestTileJobLifecycle(t *testing.T) {
 func TestTileJobSingleflight(t *testing.T) {
 	gate := make(chan struct{})
 	cfg := Config{Workers: 1, Queue: 8, MaxWait: time.Hour}
-	cfg.TaskFactory = func(req JobRequest, tt *tech.Tech, base layout.BlockOpts) (harness.Task, error) {
+	cfg.TaskFactory = func(req JobRequest) (harness.Task, error) {
 		tr := req.Tile
 		return harness.Task{Name: "tile/" + tr.Stage, Run: func(ctx context.Context, attempt int) (any, error) {
 			select {

@@ -365,6 +365,19 @@ func TestTileRequestValidate(t *testing.T) {
 	if err := win.Validate(); err != nil {
 		t.Fatalf("valid window request rejected: %v", err)
 	}
+	// Dose 0 is a window request without "cond": nothing prints, so it
+	// would answer clean. It and a negative dose are refused, and so
+	// never keyed or cached.
+	for _, dose := range []float64{0, math.Copysign(0, -1), -1, -math.SmallestNonzeroFloat64} {
+		bad := *win
+		bad.Cond.Dose = dose
+		if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "dose") {
+			t.Errorf("window request at dose %g: Validate() = %v, want the dose named", dose, err)
+		}
+		if _, err := bad.Key(); err == nil {
+			t.Errorf("window request at dose %g: Key() accepted it", dose)
+		}
+	}
 	win.WinH = 0
 	if err := win.Validate(); err == nil {
 		t.Error("empty window passed Validate")

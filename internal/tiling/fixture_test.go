@@ -3,6 +3,7 @@ package tiling
 import (
 	"repro/internal/geom"
 	"repro/internal/layout"
+	"repro/internal/litho"
 	"repro/internal/tech"
 )
 
@@ -15,7 +16,7 @@ func testPlan(t *tech.Tech, o Opts, densLayers []tech.Layer) *plan {
 	return &plan{tmpl: TileRequest{
 		Schema: TileSchema, Tech: *t,
 		DRC: o.DRC, Density: o.Density, DensityWindow: o.DensityWindow,
-		DensityLayers: densLayers, Cond: o.HotspotCond,
+		DensityLayers: densLayers, Cond: litho.Nominal,
 		Interior: o.HotspotInterior, Surrogate: o.Surrogate,
 	}}
 }

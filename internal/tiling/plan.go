@@ -78,9 +78,9 @@ func newScanPlan(t *tech.Tech, o Opts, l tech.Layer, bbox geom.Rect) scanPlan {
 	minW, minS := litho.ScanDefaults(t, l)
 	return scanPlan{
 		layer: l, bbox: bbox, swins: litho.ScanGrid(bbox),
-		extPad: litho.ScanPadNM + litho.SimPadNM(t.Optics, o.HotspotCond.Defocus) +
+		extPad: litho.ScanPadNM + litho.SimPadNM(t.Optics, litho.Nominal.Defocus) +
 			2*int64(math.Ceil(t.Optics.GridNM)),
-		opts: litho.ScanOpts{Cond: o.HotspotCond, MinWidth: minW, MinSpace: minS, Interior: o.HotspotInterior},
+		opts: litho.ScanOpts{Cond: litho.Nominal, MinWidth: minW, MinSpace: minS, Interior: o.HotspotInterior},
 	}
 }
 
@@ -107,7 +107,7 @@ func newPlan(t *tech.Tech, ex *Extractor, o Opts) *plan {
 	p.tmpl = TileRequest{
 		Schema: TileSchema, Tech: *t,
 		DRC: o.DRC, Density: o.Density, DensityWindow: o.DensityWindow,
-		Cond:     o.HotspotCond,
+		Cond:     litho.Nominal,
 		Interior: o.HotspotInterior, Surrogate: o.Surrogate,
 	}
 	for _, dw := range p.densRules {

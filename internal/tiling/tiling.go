@@ -51,8 +51,6 @@ type Opts struct {
 
 	// Hotspots lists the layers to run the litho hotspot scan on.
 	Hotspots []tech.Layer
-	// HotspotCond is the exposure condition (default litho.Nominal).
-	HotspotCond litho.Condition
 	// HotspotInterior keeps only pinch markers interior to drawn
 	// geometry (true necks), dropping line-end pull-back markers —
 	// see litho.InteriorDefect. Bridges are unaffected.
@@ -80,8 +78,7 @@ func DefaultOpts() Opts {
 	return Opts{
 		Tile: 24000, Halo: 2000,
 		DRC: true, Density: true, DensityWindow: 3000, KeepDensityMaps: true,
-		Hotspots:    []tech.Layer{tech.Metal1},
-		HotspotCond: litho.Nominal,
+		Hotspots: []tech.Layer{tech.Metal1},
 	}
 }
 
@@ -100,9 +97,6 @@ func withDefaults(t *tech.Tech, o Opts) Opts {
 	}
 	if o.DensityWindow <= 0 {
 		o.DensityWindow = 3000
-	}
-	if o.HotspotCond == (litho.Condition{}) {
-		o.HotspotCond = litho.Nominal
 	}
 	return o
 }

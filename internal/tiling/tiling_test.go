@@ -251,7 +251,7 @@ func TestTiledMatchesFlatFullStack(t *testing.T) {
 	// independent reference is the whole-layer scan of the flattened,
 	// normalized layer.
 	m1 := geom.Normalize(layout.ByLayer((&layout.Layout{Top: top}).Flatten())[tech.Metal1])
-	ref, err := litho.ScanLayer(context.Background(), m1, tt, tech.Metal1, litho.ScanOpts{Cond: o.HotspotCond})
+	ref, err := litho.ScanLayer(context.Background(), m1, tt, tech.Metal1, litho.ScanOpts{Cond: litho.Nominal})
 	if err != nil {
 		t.Fatalf("litho.ScanLayer: %v", err)
 	}

@@ -217,6 +217,11 @@ func (r *TileRequest) Validate() error {
 		if !finite(r.Cond.Defocus, r.Cond.Dose) {
 			return fmt.Errorf("tiling: tile request condition %+v not finite", r.Cond)
 		}
+		// Dose 0 is what a request that leaves out "cond" decodes to: it
+		// prints nothing, so it would answer clean and be cached.
+		if r.Cond.Dose <= 0 {
+			return fmt.Errorf("tiling: tile request dose %g not positive", r.Cond.Dose)
+		}
 		if px := litho.ScanWindowPixels(r.Tech.Optics, r.Cond.Defocus, r.WinW, r.WinH); !(px <= maxWindowPixels) {
 			return fmt.Errorf("tiling: tile request window %dx%d nm at %g nm/px simulates %.3g pixels, limit %d",
 				r.WinW, r.WinH, r.Tech.Optics.GridNM, px, maxWindowPixels)

@@ -57,14 +57,14 @@ type deployment struct {
 // settles instantly (eval) or computes for real (tile).
 func contractConfig(gate chan struct{}) server.Config {
 	cfg := server.Config{Workers: 1, Queue: 1, MaxWait: 0}
-	cfg.TaskFactory = func(req server.JobRequest, tt *tech.Tech, base layout.BlockOpts) (harness.Task, error) {
+	cfg.TaskFactory = func(req server.JobRequest) (harness.Task, error) {
 		if req.Kind == server.KindTile {
 			tr := req.Tile
 			return harness.Task{Name: req.Kind + "/" + tr.Stage, Run: func(ctx context.Context, attempt int) (any, error) {
 				return tiling.ExecuteTile(ctx, tr)
 			}}, nil
 		}
-		if _, err := dfm.TechniqueTask(tt, req.Technique, req.Seed, base); err != nil {
+		if _, err := dfm.TechniqueTask(tech.N45(), req.Technique, req.Seed, dfm.DefaultBlock()); err != nil {
 			return harness.Task{}, err
 		}
 		return harness.Task{Name: req.Technique, Run: func(ctx context.Context, attempt int) (any, error) {
@@ -369,30 +369,6 @@ func suite(t *testing.T, d *deployment) {
 		}
 	})
 
-	t.Run("tile-ignores-eval-fields", func(t *testing.T) {
-		// A tile job carries its whole tech node inside the payload; the
-		// eval-only fields are not read, so junk in them must not make
-		// dfmd reject a unit KeyForRequest keyed. Same key, same result
-		// as the clean tile.
-		clean := decode[server.JobStatus](t, postJSON(t, d.url+"/v1/jobs?wait=1",
-			server.JobRequest{Kind: server.KindTile, Tile: tileReq()}))
-		resp := postJSON(t, d.url+"/v1/jobs?wait=1", server.JobRequest{
-			Kind: server.KindTile, Tile: tileReq(),
-			Tech: "bogus", Technique: "no-such", Block: &server.BlockSpec{Rows: -1},
-		})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("tile job with junk eval fields status = %d, want 200", resp.StatusCode)
-		}
-		st := decode[server.JobStatus](t, resp)
-		if st.State != server.StateDone || st.Key != clean.Key || !reflect.DeepEqual(st.Tile, clean.Tile) {
-			t.Fatalf("tile job with junk eval fields diverged from the clean tile:\n got %+v\nwant %+v", st, clean)
-		}
-		want, err := server.KeyForRequest(server.JobRequest{Kind: server.KindTile, Tile: tileReq(), Tech: "bogus"})
-		if err != nil || want != st.Key {
-			t.Fatalf("KeyForRequest = %q, %v; served key %q", want, err, st.Key)
-		}
-	})
-
 	t.Run("oversize-body", func(t *testing.T) {
 		// One byte past the shared 64 MiB request bound: both tiers
 		// answer 413 with an ErrorBody instead of buffering it.
@@ -475,6 +451,31 @@ func suite(t *testing.T, d *deployment) {
 		return `{"kind":"tile","tile":{"schema":` + strconv.Itoa(schema) +
 			`,"stage":"tile","drc":true,"coreW":8000,"coreH":8000,"pad":2000,` + extra + `}}`
 	}
+
+	t.Run("eval-fields-removed", func(t *testing.T) {
+		// A technique evaluation is a technique and a seed, on N45 and
+		// the default block under the server's deadline. The fields that
+		// once named a node, a block shape and a deadline are unknown
+		// fields now, on either kind of job: a client still sending one
+		// is told so rather than served something it did not ask for.
+		for kind, job := range map[string]server.JobRequest{
+			server.KindEval: {Technique: "sraf", Seed: 1},
+			server.KindTile: {Kind: server.KindTile, Tile: tileReq()},
+		} {
+			b, err := json.Marshal(job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for field, value := range map[string]string{
+				"tech":      `"N45"`,
+				"block":     `{"rows":2,"rowWidth":8000,"nets":4,"maxFan":3}`,
+				"timeoutMs": `1000`,
+			} {
+				rejects(t, field+" on "+kind, `{"`+field+`":`+value+`,`+string(b[1:]), `unknown field "`+field+`"`)
+			}
+		}
+		settles(t, tileReq())
+	})
 
 	t.Run("schema-2-rejected", func(t *testing.T) {
 		// There is one wire form. The schema-2 spelling of a unit — shapes
@@ -666,6 +667,8 @@ func suite(t *testing.T, d *deployment) {
 			{"sub-angstrom pitch", "pixels", func(r *tiling.TileRequest) { r.Tech.Optics.GridNM = 0.05; r.WinW, r.WinH = 12000, 12000 }},
 			{"metre-wide window", "pixels", func(r *tiling.TileRequest) { r.WinW = 1e9 }},
 			{"layer past the rule table", "layer", func(r *tiling.TileRequest) { r.Layer = 200 }},
+			{"no condition (dose 0)", "dose", func(r *tiling.TileRequest) { r.Cond = litho.Condition{} }},
+			{"negative dose", "dose", func(r *tiling.TileRequest) { r.Cond.Dose = -1 }},
 		})
 	})
 

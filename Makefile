@@ -70,7 +70,7 @@ test:
 race-fast: ## race pass skipping the slow full-scorecard experiments
 	$(GO) test -race -short ./...
 
-fuzz-smoke: ## 20 s of the packed-bitmap morphology fuzzer, 10 s of the sparse-blur fuzzer (the banded update against the per-rect oracle and the dense blur, both kernel arms too) and 10 s of the boundary-edge fuzzer, each against its oracle; 10 s of the litho kernel's assembly routines (the blur's rank-1 update, the square, the threshold word) against their Go loops, the rank-1 update over 0–7 rows with guard words between them; 10 s of geom's region ops and area queries against the slab oracle; 10 s of the spatial index over a fuzzed extent against brute force; 10 s of the band walk, clipped area, clip and connected components of a normal-form set against a linear scan, ClipArea, Intersect and a brute-force union-find; 10 s of the deck's facing-edge scans and MinArea against their oracles; 10 s of the tile wire decoders on arbitrary bytes (no panic, bounded allocation, re-encode is a fixed point with the same key); 10 s of a unit's packed-key sort against the comparator sort; 10 s of keysort's radix sort against slices.Sort and its permutation against a gather; 10 s of a pattern's two-form canonical hash against the eight-orientation oracle; 10 s of the router's rendezvous placement over 1–8 backend names (a permutation whose head is the argmax, kept when another name is dropped, moved only onto a name added)
+fuzz-smoke: ## 20 s of the morphology fuzzer (the streaming erosion and dilation stages, the run labeller and the hotspot detector against the per-pixel oracle), 10 s of the sparse-blur fuzzer (the banded update against the per-rect oracle and the dense blur, both kernel arms too) and 10 s of the boundary-edge fuzzer, each against its oracle; 10 s of the litho kernel's assembly routines (the blur's rank-1 update, the square, the threshold word) against their Go loops, the rank-1 update over 0–7 rows with guard words between them; 10 s of geom's region ops and area queries against the slab oracle; 10 s of the spatial index over a fuzzed extent against brute force; 10 s of the band walk, clipped area, clip and connected components of a normal-form set against a linear scan, ClipArea, Intersect and a brute-force union-find; 10 s of the deck's facing-edge scans and MinArea against their oracles; 10 s of the tile wire decoders on arbitrary bytes (no panic, bounded allocation, re-encode is a fixed point with the same key); 10 s of a unit's packed-key sort against the comparator sort; 10 s of keysort's radix sort against slices.Sort and its permutation against a gather; 10 s of a pattern's two-form canonical hash against the eight-orientation oracle; 10 s of the router's rendezvous placement over 1–8 backend names (a permutation whose head is the argmax, kept when another name is dropped, moved only onto a name added)
 	$(GO) test -run='^$$' -fuzz=FuzzBitmapMorphology -fuzztime=20s ./internal/litho
 	$(GO) test -run='^$$' -fuzz=FuzzSparseBlur -fuzztime=10s ./internal/litho
 	$(GO) test -run='^$$' -fuzz=FuzzKernelLoops -fuzztime=10s ./internal/litho
@@ -117,12 +117,14 @@ endef
 # statements of the two that hold the simulation path. kernel.go holds
 # the Go loops the assembly arm replaces on an AVX host: the tests run
 # them there as the reference, and this keeps them run. hotspot.go is
-# the scan on top of the kernel: the window, the seam rule and the pixel
-# bound the tile wire checks before it allocates. window.go is what the
+# the scan on top of the kernel: the window, the detector, the seam rule
+# and the pixel bound the tile wire checks before it allocates;
+# stream.go is the detector's morphology stages and labeller, held to
+# 90 % like the simulation path they run inside. window.go is what the
 # SRAF and restricted-rules verdicts read off a mask: the FE matrix and
 # the PV band.
-cover-kernel: ## litho kernel coverage gate: no function of raster.go/sparse.go/optics.go/bitmap.go/kernel.go/hotspot.go/window.go at 0 %, raster.go and sparse.go each >= 90 % of statements
-	$(call cover-gate,cover-kernel,./internal/litho,raster|sparse|optics|bitmap|kernel|hotspot|window,raster|sparse)
+cover-kernel: ## litho kernel coverage gate: no function of raster.go/sparse.go/optics.go/bitmap.go/stream.go/kernel.go/hotspot.go/window.go at 0 %, raster.go, sparse.go and stream.go each >= 90 % of statements
+	$(call cover-gate,cover-kernel,./internal/litho,raster|sparse|optics|bitmap|stream|kernel|hotspot|window,raster|sparse|stream)
 
 # The same watch on the path every chip unit takes — cut (plan.go), key
 # (key.go), validate / execute / absorb (wire.go), scan (scan.go, every
@@ -203,7 +205,7 @@ fleetprofile: ## CPU profile of the fleet path (BenchmarkFleetChip: 50k-rect chi
 # Where lithoprofile keeps its test binary and profiles (bin/ is gitignored).
 LITHOPROFILE_DIR ?= bin/lithoprofile
 
-lithoprofile: ## which arm of the kernel's float loops runs (litho.kernel.simd: 1 AVX assembly, 0 Go loops) and how many rect footprints the banded blur summed into how many rank-1 updates (litho.blur.rects, litho.blur.updates: one update per footprint cluster of a y-band), ns/op of the generator's scan window and of the wall-to-wall one, then a CPU + allocation profile of the first (BenchmarkScanWindow, one P): the banded blur and its one rank-1 update per y-band cluster, the threshold sink, the morphology, and what the runtime spends clearing and allocating under them, by cumulative cost
+lithoprofile: ## which arm of the kernel's float loops runs (litho.kernel.simd: 1 AVX assembly, 0 Go loops) and how many rect footprints the banded blur summed into how many rank-1 updates (litho.blur.rects, litho.blur.updates: one update per footprint cluster of a y-band), ns/op of the generator's scan window and of the wall-to-wall one, then a CPU + allocation profile of the first (BenchmarkScanWindow, one P): the banded blur and its one rank-1 update per y-band cluster, the threshold sink and the row stages and labeller it feeds, and what the runtime spends clearing and allocating under them, by cumulative cost
 	@mkdir -p $(LITHOPROFILE_DIR)
 	$(GO) run ./cmd/lithosim -lines -metrics $(LITHOPROFILE_DIR)/metrics.json > /dev/null
 	@grep -oE '"litho\.(kernel\.simd|blur\.rects|blur\.updates)": *[0-9]+' $(LITHOPROFILE_DIR)/metrics.json
@@ -216,7 +218,7 @@ lithoprofile: ## which arm of the kernel's float loops runs (litho.kernel.simd: 
 bench: ## every root-module benchmark (BenchmarkExperiment/<id> times the paper's experiments), time and allocations only; writes no file and regenerates no table (records come from `bash benchmark/run.sh`, the tables from `go test -run TestExperimentTables -update .`)
 	$(GO) test -run='^$$' -bench=. -benchmem .
 
-bench-smoke: ## one iteration of the five kernel micro-rows, of the scorecard that scoreprofile profiles (four seeds, every evaluator, litho's banded blur — one rank-1 update per y-band footprint cluster — under most of it), of one experiment of the table, of the tile wire codec, of the tile key and of the sort before it, of the key sort's two arms, of the index build (a dense set and a sparse one over a 190 µm extent), of the sweep under each coverage rule, of the boundary extraction, of the deck and the endcap rule on a tile, of a layer's query mix on its bands, of the pattern hash's two arms and of drc-plus's pattern scan, so the gate executes the benchmarks and does not merely compile them
+bench-smoke: ## one iteration of the five kernel micro-rows (the geometry Booleans, a block DRC, the erosion and dilation row stages opening a scan window, the scan window with its streaming detector, the wall-to-wall window), of the scorecard that scoreprofile profiles (four seeds, every evaluator, litho's banded blur — one rank-1 update per y-band footprint cluster — under most of it), of one experiment of the table, of the tile wire codec, of the tile key and of the sort before it, of the key sort's two arms, of the index build (a dense set and a sparse one over a 190 µm extent), of the sweep under each coverage rule, of the boundary extraction, of the deck and the endcap rule on a tile, of a layer's query mix on its bands, of the pattern hash's two arms and of drc-plus's pattern scan, so the gate executes the benchmarks and does not merely compile them
 	$(GO) test -run='^$$' -bench='^Benchmark(GeomBoolean|DRCBlock|BitmapOpen|ScanWindow|ScanWindowDense)$$' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='^BenchmarkScorecard$$' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='^BenchmarkExperiment$$/^F5$$' -benchtime=1x .

@@ -332,9 +332,10 @@ func scanWindowBench(b *testing.B) (*tech.Tech, []geom.Rect, geom.Rect) {
 }
 
 // BenchmarkScanWindow — one exact 12 um hotspot-scan window end to
-// end (amplitude, threshold, morphology, blobs, interior filter): the
-// unit every chip-scale scan, fleet window job and surrogate label is
-// priced in. ns/op and B/op are the per-window cost and garbage.
+// end (amplitude, threshold, the row stages and labeller it feeds,
+// interior filter): the unit every chip-scale scan, fleet window job
+// and surrogate label is priced in. ns/op and B/op are the per-window
+// cost and garbage.
 func BenchmarkScanWindow(b *testing.B) {
 	t, rs, win := scanWindowBench(b)
 	o := litho.ScanOpts{Cond: litho.Nominal, Interior: true}
@@ -380,8 +381,8 @@ func BenchmarkScanWindowDense(b *testing.B) {
 
 // BenchmarkBitmapOpen — morphological opening of that window's
 // printed bitmap (2600 x 2600 px) at the metal1 pinch radius: the
-// detector's inner operation, which was 67% of a window before the
-// bitmap was word-packed.
+// erosion and dilation row stages the scan's detector streams each
+// window through, run bitmap to bitmap.
 func BenchmarkBitmapOpen(b *testing.B) {
 	t, rs, win := scanWindowBench(b)
 	printed := simulate(b, rs, win.Bloat(litho.ScanPadNM), t, litho.Nominal).PrintedBitmap()

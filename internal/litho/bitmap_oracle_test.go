@@ -1,8 +1,10 @@
 package litho
 
 import (
+	"cmp"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -23,13 +25,22 @@ func newBoolBitmap(w, h int) *boolBitmap {
 	return &boolBitmap{W: w, H: h, Bits: make([]bool, w*h)}
 }
 
+// at returns the bit at (i, j) of a packed bitmap; out of range is
+// false.
+func (b *Bitmap) at(i, j int) bool {
+	if i < 0 || j < 0 || i >= b.W || j >= b.H {
+		return false
+	}
+	return b.words[j*b.stride+i>>6]>>(uint(i)&63)&1 != 0
+}
+
 // unpack copies a packed bitmap into the oracle representation.
 func unpack(p *Bitmap) *boolBitmap {
 	b := newBoolBitmap(p.W, p.H)
 	b.Origin, b.Pitch = p.Origin, p.Pitch
 	for j := 0; j < p.H; j++ {
 		for i := 0; i < p.W; i++ {
-			b.Bits[j*p.W+i] = p.At(i, j)
+			b.Bits[j*p.W+i] = p.at(i, j)
 		}
 	}
 	return b
@@ -358,8 +369,47 @@ func sparseBlocks(rng *rand.Rand, w, h int) *Bitmap {
 // not complements every in-domain pixel in place.
 func (b *Bitmap) not() {
 	for j := 0; j < b.H; j++ {
-		invert(b.row(j), b.tailMask())
+		row := b.row(j)
+		for k, w := range row {
+			row[k] = ^w
+		}
+		row[len(row)-1] &= tailMask(b.W)
 	}
+}
+
+// rows pushes each row of b, with its extent, into sink.
+func (b *Bitmap) rows(sink rowFunc) {
+	for j := 0; j < b.H; j++ {
+		lo, hi := trim(b.row(j), 0, b.stride)
+		sink(j, b.row(j), lo, hi)
+	}
+}
+
+// blobs runs b's rows through the scan's labeller and returns each
+// 4-connected component's bounding box in nm, sorted by rectOrder: the
+// labeller reports a component when it closes, not in the order of its
+// first pixel.
+func blobs(b *Bitmap) []geom.Rect {
+	var boxes []geom.Rect
+	l := newLabeller(b.W, func(i0, i1, j0, j1 int) {
+		boxes = append(boxes, pixelRect(b.Origin, b.Pitch, i0, i1, j0, j1))
+	})
+	b.rows(l.push)
+	l.finish(b.H)
+	slices.SortFunc(boxes, rectOrder)
+	return boxes
+}
+
+// rectOrder orders rects by Y0, X0, Y1, X1.
+func rectOrder(a, b geom.Rect) int {
+	return cmp.Or(cmp.Compare(a.Y0, b.Y0), cmp.Compare(a.X0, b.X0), cmp.Compare(a.Y1, b.Y1), cmp.Compare(a.X1, b.X1))
+}
+
+// detectBitmap streams b's rows through the scan's detector.
+func detectBitmap(b *Bitmap, minWidth, minSpace int64) []Hotspot {
+	d := newDetector(b.W, b.H, b.Origin, b.Pitch, minWidth, minSpace)
+	b.rows(d.push)
+	return d.finish()
 }
 
 // checkPacked compares every packed operation with the oracle on one
@@ -378,8 +428,8 @@ func checkPacked(t *testing.T, p *Bitmap, r int) {
 				if want.Bits[j*want.W+i] {
 					set++
 				}
-				if got.At(i, j) != want.Bits[j*want.W+i] {
-					t.Fatalf("%s(%d) on %dx%d: pixel (%d,%d) = %v, oracle %v", name, r, p.W, p.H, i, j, got.At(i, j), want.Bits[j*want.W+i])
+				if got.at(i, j) != want.Bits[j*want.W+i] {
+					t.Fatalf("%s(%d) on %dx%d: pixel (%d,%d) = %v, oracle %v", name, r, p.W, p.H, i, j, got.at(i, j), want.Bits[j*want.W+i])
 				}
 			}
 		}
@@ -388,39 +438,24 @@ func checkPacked(t *testing.T, p *Bitmap, r int) {
 			t.Fatalf("%s(%d) on %dx%d: Count = %d, oracle %d", name, r, p.W, p.H, got.Count(), set)
 		}
 	}
-	// The scratch contract: zero on entry, zero again on return.
-	if r > 0 {
-		tmp := make([]uint64, len(p.words))
-		for name, op := range map[string]func(*Bitmap, int, []uint64){"erode": (*Bitmap).erode, "dilate": (*Bitmap).dilate} {
-			op(p.clone(), r, tmp)
-			for k, w := range tmp {
-				if w != 0 {
-					t.Fatalf("%s(%d) on %dx%d left scratch word %d = %#x", name, r, p.W, p.H, k, w)
-				}
-			}
-		}
-	}
-	same("Erode", p.morph(r, (*Bitmap).erode), o.Erode(r))
-	same("Dilate", p.morph(r, (*Bitmap).dilate), o.Dilate(r))
+	same("Erode", p.morph(r, erosion), o.Erode(r))
+	same("Dilate", p.morph(r, dilation), o.Dilate(r))
 	same("Open", p.Open(r), o.Open(r))
 	same("Close", p.Close(r), o.Close(r))
 	same("AndNot(Open)", p.AndNot(p.Open(r)), o.AndNot(o.Open(r)))
 	same("Close.AndNot", p.Close(r).AndNot(p), o.Close(r).AndNot(o))
-	// Blobs consumes its receiver.
-	eaten := p.clone()
-	if got, want := eaten.Blobs(), o.Blobs(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Blobs on %dx%d = %v, oracle %v", p.W, p.H, got, want)
-	}
-	if n := eaten.Count(); n != 0 {
-		t.Fatalf("Blobs on %dx%d left %d pixels set", p.W, p.H, n)
+	want := o.Blobs()
+	slices.SortFunc(want, rectOrder)
+	if got := blobs(p); !reflect.DeepEqual(got, want) {
+		t.Fatalf("labeller on %dx%d = %v, oracle %v", p.W, p.H, got, want)
 	}
 	if got, want := p.ToRects(), o.ToRects(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("ToRects on %dx%d = %v, oracle %v", p.W, p.H, got, want)
 	}
 	// detect's radii come from nm thresholds: (2r-1)*pitch lands on r.
 	nm := int64(float64(2*r-1) * p.Pitch)
-	if got, want := detect(p, nm, nm), o.findHotspots(nm, nm); !reflect.DeepEqual(got, want) {
-		t.Fatalf("detect(%d nm) on %dx%d = %v, oracle %v", nm, p.W, p.H, got, want)
+	if got, want := detectBitmap(p, nm, nm), o.findHotspots(nm, nm); !reflect.DeepEqual(got, want) {
+		t.Fatalf("detector(%d nm) on %dx%d = %v, oracle %v", nm, p.W, p.H, got, want)
 	}
 }
 
@@ -459,6 +494,112 @@ func TestBitmapMatchesOracle(t *testing.T) {
 		empty := NewBitmap(w, 9)
 		empty.Pitch = 5
 		checkPacked(t, empty, 3)
+	}
+}
+
+// One stage on its own, at the detector's radius, at the radii where a
+// row's reach crosses a word (63, 64, 65) and where the horizontal pass
+// takes two passes and then three (64 and up, 127 and up): at every
+// width, sparse and dense, and on bitmaps shorter than the ring.
+func TestStageMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for _, w := range oracleWidths {
+		for _, r := range []int{1, 4, 63, 64, 65, 130} {
+			for _, h := range []int{1, 3, 40} {
+				for _, gen := range []func(*rand.Rand, int, int) *Bitmap{randomBlocks, sparseBlocks} {
+					p := gen(rng, w, h)
+					o := unpack(p)
+					for _, c := range []struct {
+						name string
+						got  *Bitmap
+						want *boolBitmap
+					}{{"erosion", p.morph(r, erosion), o.Erode(r)}, {"dilation", p.morph(r, dilation), o.Dilate(r)}} {
+						// Count also proves the tail bits past column W stayed clear.
+						if !reflect.DeepEqual(unpack(c.got).Bits, c.want.Bits) || c.got.Count() != c.want.count() {
+							t.Fatalf("%s(%d) on %dx%d differs from the oracle", c.name, r, w, h)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// count returns the number of set pixels.
+func (b *boolBitmap) count() int {
+	n := 0
+	for _, v := range b.Bits {
+		if v {
+			n++
+		}
+	}
+	return n
+}
+
+// The labeller against the flood fill on the shapes that make a
+// streaming labeller go wrong: arms that only a later row joins, and
+// three of them at once; a fork; pixels that touch only at a corner,
+// which are two components; runs across a word seam, one of them joined
+// only by the word below; a lone pixel; components on the last row,
+// one of which is only one row tall.
+func TestLabellerMatchesOracle(t *testing.T) {
+	fill := func(b *Bitmap, i0, j0, i1, j1 int) {
+		for j := j0; j < j1; j++ {
+			for i := i0; i < i1; i++ {
+				b.Set(i, j, true)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		w, h  int
+		paint func(b *Bitmap)
+		want  int // components
+	}{
+		{"U joined below its arms", 20, 8, func(b *Bitmap) {
+			fill(b, 2, 0, 4, 5)
+			fill(b, 9, 0, 11, 5)
+			fill(b, 2, 5, 11, 6)
+		}, 1},
+		{"comb of three arms", 30, 9, func(b *Bitmap) {
+			fill(b, 1, 0, 2, 6)
+			fill(b, 5, 2, 7, 6)
+			fill(b, 12, 1, 13, 6)
+			fill(b, 0, 6, 14, 7)
+			fill(b, 20, 6, 22, 9)
+		}, 2},
+		{"fork that rejoins", 20, 10, func(b *Bitmap) {
+			fill(b, 3, 0, 12, 2)
+			fill(b, 3, 2, 5, 7)
+			fill(b, 10, 2, 12, 7)
+			fill(b, 3, 7, 12, 8)
+		}, 1},
+		{"diagonal contact only", 6, 6, func(b *Bitmap) {
+			b.Set(1, 1, true)
+			b.Set(2, 2, true)
+			b.Set(3, 1, true)
+		}, 3},
+		{"runs across a word seam", 200, 5, func(b *Bitmap) {
+			fill(b, 60, 0, 70, 1)
+			fill(b, 100, 0, 128, 1)
+			fill(b, 127, 1, 140, 2)
+			fill(b, 126, 3, 131, 4)
+		}, 3},
+		{"single-pixel speckle", 70, 3, func(b *Bitmap) { b.Set(64, 1, true) }, 1},
+		{"on the last row", 130, 6, func(b *Bitmap) {
+			fill(b, 10, 3, 12, 6)
+			fill(b, 100, 5, 129, 6)
+		}, 2},
+	} {
+		b := NewBitmap(c.w, c.h)
+		b.Pitch, b.Origin = 5, geom.Pt(-40, 15)
+		c.paint(b)
+		want := unpack(b).Blobs()
+		slices.SortFunc(want, rectOrder)
+		got := blobs(b)
+		if !reflect.DeepEqual(got, want) || len(got) != c.want {
+			t.Errorf("%s: labeller %v, flood fill %v, want %d components", c.name, got, want, c.want)
+		}
 	}
 }
 

@@ -10,10 +10,10 @@ import (
 // accumulates into (raster.go), GaussianBlur's grid-sized
 // intermediate. It is a bounded free list rather than a sync.Pool
 // because what it retains must not depend on how often the collector
-// runs: a sync.Pool is emptied by every GC, so it only stayed small
-// while the hotspot detector's garbage forced dozens of collections a
-// second. Without that garbage a pool keeps every buffer of every size
-// it was ever handed, and the GC goal doubles on top of them.
+// runs: a sync.Pool is emptied by every GC, so it stays small only
+// while other garbage forces collections. A scan streams its rows
+// through the detector and makes almost none, so a pool would keep
+// every buffer of every size it was ever handed, GC goal doubled.
 //
 // Every buffer it holds is zero over its whole capacity, not just its
 // length: the render clears each row's writes as it goes and

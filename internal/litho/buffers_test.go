@@ -140,7 +140,7 @@ func TestWindowMemoryIsBandBounded(t *testing.T) {
 			sample := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
 			metrics.Read(sample)
 			before := sample[0].Value.Uint64()
-			printed, err := simulatePrinted(context.Background(), tc.mask, window, o, Nominal)
+			printed, err := collectPrinted(context.Background(), tc.mask, window, o, Nominal)
 			metrics.Read(sample)
 			if err != nil {
 				t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"time"
 
 	"repro/internal/geom"
 	"repro/internal/obs"
@@ -43,62 +44,138 @@ func (h Hotspot) String() string {
 	return fmt.Sprintf("%s @ %v", h.Kind, h.Box)
 }
 
-// detect finds pinch and bridge sites in a printed bitmap and returns
-// them in SortHotspots order. minWidth is the smallest acceptable
-// printed linewidth and minSpace the smallest acceptable printed gap,
-// both in nm. printed is not modified: the opening and the closing are
-// each made in place in one work copy, which the difference then
-// overwrites and Blobs empties, over one scratch — two bitmap-sized
-// allocations, each most of a megabyte for a scan window.
-func detect(printed *Bitmap, minWidth, minSpace int64) []Hotspot {
-	sp := hDetectNS.Start()
-	defer sp.End()
-	if obs.Enabled() {
-		var walked int
-		for j := 0; j < printed.H; j++ {
-			lo, hi := extent(printed.row(j))
-			walked += hi - lo
-		}
-		cWordsWalked.Add(int64(walked))
-		cWordsSpanned.Add(int64(len(printed.words)))
-	}
+// detector finds pinch and bridge sites in a printed window streamed
+// to it a row at a time (stream.go), as the render thresholds it. Each
+// row goes into an erosion→dilation chain, the opening, and a
+// dilation→erosion chain, the closing, and into a ring of the last
+// 2·max(rw, rs)+1 printed rows, which is as far as either chain lags:
+// a pinch is a printed pixel the opening removes (printed AND NOT
+// opened), a bridge a gap pixel the closing claims (closed AND NOT
+// printed), and each residue row goes to its labeller as soon as its
+// chain hands it on. What a window holds is those rings, a few
+// kilobytes, whatever its size.
+type detector struct {
+	origin        geom.Point
+	pitch         float64
+	h             int
+	printed       []uint64 // the ring of printed rows, row j in slot j % len(ext)
+	ext           [][2]int
+	res           []uint64 // the residue row being labelled
+	open, close   *stage
+	pinch, bridge *labeller
+	walked        int
+	out           []Hotspot
+}
 
-	radius := func(nm int64) int { return max(int(float64(nm)/printed.Pitch/2+0.5), 1) }
-	work := printed.clone()
-	tmp := make([]uint64, len(work.words))
-	var out []Hotspot
-	// Ignore single-pixel speckle from raster quantization.
-	collect := func(kind HotspotKind) {
-		for _, b := range work.Blobs() {
-			if b.Width() > int64(printed.Pitch) || b.Height() > int64(printed.Pitch) {
-				out = append(out, Hotspot{Kind: kind, Box: b})
-			}
-		}
-	}
-
+// newDetector returns a detector of a w x h px window at origin and
+// pitch. minWidth is the smallest acceptable printed linewidth and
+// minSpace the smallest acceptable printed gap, both in nm.
+func newDetector(w, h int, origin geom.Point, pitch float64, minWidth, minSpace int64) *detector {
+	radius := func(nm int64) int { return max(int(float64(nm)/pitch/2+0.5), 1) }
+	rw, rs := radius(minWidth), radius(minSpace)
+	stride, n := (w+63)/64, min(2*max(rw, rs)+1, h)
+	d := &detector{origin: origin, pitch: pitch, h: h,
+		printed: make([]uint64, n*stride), ext: make([][2]int, n), res: make([]uint64, stride)}
+	d.pinch, d.bridge = newLabeller(w, d.keep(Pinch)), newLabeller(w, d.keep(Bridge))
 	// Pinch: printed pixels removed by opening with a structuring
 	// element just under minWidth.
-	rw := radius(minWidth)
-	work.erode(rw, tmp)
-	work.dilate(rw, tmp)
-	for i, w := range printed.words {
-		work.words[i] = w &^ work.words[i]
-	}
-	collect(Pinch)
-
+	d.open = chain(d.pinched, newStage(erosion, rw, w, h), newStage(dilation, rw, w, h))
 	// Bridge: gap pixels removed by closing with an element just under
 	// minSpace — i.e. unprinted pixels that the closing claims.
-	rs := radius(minSpace)
-	copy(work.words, printed.words)
-	work.dilate(rs, tmp)
-	work.erode(rs, tmp)
-	for i, w := range printed.words {
-		work.words[i] &^= w
-	}
-	collect(Bridge)
+	d.close = chain(d.bridged, newStage(dilation, rs, w, h), newStage(erosion, rs, w, h))
+	return d
+}
 
-	SortHotspots(out)
-	return out
+// keep returns the labeller's emit for a kind: each component's box in
+// nm, single-pixel speckle from raster quantization ignored.
+func (d *detector) keep(kind HotspotKind) func(i0, i1, j0, j1 int) {
+	return func(i0, i1, j0, j1 int) {
+		b := pixelRect(d.origin, d.pitch, i0, i1, j0, j1)
+		if b.Width() > int64(d.pitch) || b.Height() > int64(d.pitch) {
+			d.out = append(d.out, Hotspot{Kind: kind, Box: b})
+		}
+	}
+}
+
+// printedRow returns the ring row that holds printed row j.
+func (d *detector) printedRow(j int) []uint64 {
+	k, stride := j%len(d.ext), len(d.res)
+	return d.printed[k*stride : (k+1)*stride]
+}
+
+// push takes printed row j.
+func (d *detector) push(j int, row []uint64, lo, hi int) {
+	d.walked += hi - lo
+	slot, e := d.printedRow(j), &d.ext[j%len(d.ext)]
+	clearOutside(slot, e[0], e[1], lo, hi)
+	copy(slot[lo:hi], row[lo:hi])
+	*e = [2]int{lo, hi}
+	d.open.push(j, row, lo, hi)
+	d.close.push(j, row, lo, hi)
+}
+
+// pinched labels printed row j AND NOT opened row j; the opening lies
+// inside the printed region, so its extent does too.
+func (d *detector) pinched(j int, opened []uint64, _, _ int) {
+	p, e := d.printedRow(j), d.ext[j%len(d.ext)]
+	for k := e[0]; k < e[1]; k++ {
+		d.res[k] = p[k] &^ opened[k]
+	}
+	lo, hi := trim(d.res, e[0], e[1])
+	d.pinch.push(j, d.res, lo, hi)
+}
+
+// bridged labels closed row j AND NOT printed row j; the closing covers
+// the printed region, so its extent covers the printed row's.
+func (d *detector) bridged(j int, closed []uint64, lo, hi int) {
+	p := d.printedRow(j)
+	for k := lo; k < hi; k++ {
+		d.res[k] = closed[k] &^ p[k]
+	}
+	lo, hi = trim(d.res, lo, hi)
+	d.bridge.push(j, d.res, lo, hi)
+}
+
+// finish drains both chains once the window's last row is in and
+// returns the sites in SortHotspots order.
+func (d *detector) finish() []Hotspot {
+	d.open.finish()
+	d.close.finish()
+	d.pinch.finish(d.h)
+	d.bridge.finish(d.h)
+	cWordsWalked.Add(int64(d.walked))
+	cWordsSpanned.Add(int64(d.h * len(d.res)))
+	SortHotspots(d.out)
+	return d.out
+}
+
+// detectPrinted renders rm's window under o.Cond and streams its
+// printed rows through a detector at o's thresholds. The detector runs
+// in the render's sink, so its time is inside litho.simulate.ns;
+// litho.hotspot.detect.ns is its share, clocked row by row, and only
+// while recording.
+func detectPrinted(ctx context.Context, rm *RasterMask, o ScanOpts) ([]Hotspot, error) {
+	w, h := gridDims(rm.window, rm.pitch)
+	d := newDetector(w, h, rm.window.LL(), rm.pitch, o.MinWidth, o.MinSpace)
+	if !obs.Enabled() {
+		if err := rm.printedRows(ctx, o.Cond, d.push); err != nil {
+			return nil, err
+		}
+		return d.finish(), nil
+	}
+	var spent time.Duration
+	err := rm.printedRows(ctx, o.Cond, func(j int, row []uint64, lo, hi int) {
+		t0 := time.Now()
+		d.push(j, row, lo, hi)
+		spent += time.Since(t0)
+	})
+	if err != nil {
+		return nil, err
+	}
+	t0 := time.Now()
+	found := d.finish()
+	hDetectNS.Observe(float64(spent + time.Since(t0)))
+	return found, nil
 }
 
 // Scan-window geometry, exported so chip-scale tiled evaluation
@@ -233,12 +310,12 @@ func ScanWindowCtx(ctx context.Context, rs []geom.Rect, win geom.Rect, t *tech.T
 	sp := hScanNS.Start()
 	defer sp.End()
 	cScanWindows.Inc()
-	printed, err := simulatePrinted(ctx, rs, win.Bloat(ScanPadNM), t.Optics, o.Cond)
+	found, err := detectPrinted(ctx, NewRasterMask(rs, win.Bloat(ScanPadNM), t.Optics, o.Cond.Defocus), o)
 	if err != nil {
 		return nil, err
 	}
 	var out []Hotspot
-	for _, h := range detect(printed, o.MinWidth, o.MinSpace) {
+	for _, h := range found {
 		if !ScanKeeps(win, h) {
 			continue
 		}

@@ -241,7 +241,7 @@ func TestSimulatePrintedMatchesPrintedBitmap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := simulatePrinted(ctx, mask, window, tt.Optics, cond)
+		got, err := collectPrinted(ctx, mask, window, tt.Optics, cond)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -47,7 +47,7 @@ func checkArmsAgree(t *testing.T, mask []geom.Rect, window geom.Rect, opt tech.O
 			if err != nil {
 				t.Fatal(err)
 			}
-			bits, err := simulatePrinted(ctx, mask, window, opt, cond)
+			bits, err := collectPrinted(ctx, mask, window, opt, cond)
 			if err != nil {
 				t.Fatal(err)
 			}

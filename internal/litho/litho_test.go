@@ -170,7 +170,7 @@ func TestBitmapMorphology(t *testing.T) {
 		}
 	}
 	// Erode by 1: 1-wide remains.
-	e := b.morph(1, (*Bitmap).erode)
+	e := b.morph(1, erosion)
 	if e.Count() == 0 {
 		t.Fatalf("erosion killed a 3-wide bar")
 	}
@@ -179,7 +179,7 @@ func TestBitmapMorphology(t *testing.T) {
 		t.Fatalf("open(2) left %d pixels of a 3-wide bar", got)
 	}
 	// Dilate restores then some.
-	if got := b.morph(1, (*Bitmap).dilate).Count(); got <= b.Count() {
+	if got := b.morph(1, dilation).Count(); got <= b.Count() {
 		t.Fatalf("dilation did not grow")
 	}
 	// Close fills a 1-wide slit.
@@ -236,7 +236,7 @@ func TestBitmapBlobs(t *testing.T) {
 			b.Set(i, j, true)
 		}
 	}
-	blobs := b.Blobs()
+	blobs := blobs(b)
 	if len(blobs) != 2 {
 		t.Fatalf("blob count = %d", len(blobs))
 	}
@@ -254,7 +254,7 @@ func TestFindHotspotsPinch(t *testing.T) {
 	}
 	win := geom.R(-400, 600, 500, 1700)
 	img := sim(t, mask, win, opt(), Nominal)
-	hs := detect(img.PrintedBitmap(), 42, 42)
+	hs := detectBitmap(img.PrintedBitmap(), 42, 42)
 	var pinch bool
 	for _, h := range hs {
 		if h.Kind == Pinch && h.Box.Overlaps(geom.R(0, 950, 90, 1250)) {
@@ -278,7 +278,7 @@ func TestFindHotspotsBridge(t *testing.T) {
 	if !img.PrintsAt(1000, 1025) {
 		t.Skipf("gap did not bridge under this model; bridge scenario needs tuning")
 	}
-	hs := detect(img.PrintedBitmap(), 42, 42)
+	hs := detectBitmap(img.PrintedBitmap(), 42, 42)
 	_ = hs // bridging gap printed solid: it is detected as no gap at all
 }
 
@@ -290,7 +290,7 @@ func TestCleanLayoutHasNoHotspots(t *testing.T) {
 	}
 	win := geom.R(-200, 500, 900, 2500)
 	img := sim(t, mask, win, opt(), Nominal)
-	if hs := detect(img.PrintedBitmap(), 42, 42); len(hs) != 0 {
+	if hs := detectBitmap(img.PrintedBitmap(), 42, 42); len(hs) != 0 {
 		t.Fatalf("clean dense lines flagged: %v", hs)
 	}
 }

@@ -63,8 +63,10 @@ var (
 	// Hotspot-scan accounting: exact scan windows simulated, hotspots
 	// attributed after seam dedup rules, pinch markers dropped by the
 	// interior-defect filter, and per-window scan latency. A window's
-	// scan.ns is its simulate.ns (amplitude + threshold sink) plus its
-	// detect.ns (morphology + blobs) plus the marker filters. Surrogate
+	// scan.ns is its simulate.ns (amplitude, threshold sink and the
+	// streaming detector the sink feeds) plus the marker filters;
+	// detect.ns (morphology and labelling) is the detector's share of
+	// simulate.ns, clocked per row only while recording. Surrogate
 	// gating counters live beside these under
 	// litho.hotspot.surrogate.* (internal/surrogate).
 	cScanWindows  = obs.C("litho.hotspot.windows")
@@ -73,10 +75,10 @@ var (
 	hScanNS       = obs.H("litho.hotspot.scan.ns")
 	hDetectNS     = obs.H("litho.hotspot.detect.ns")
 
-	// Bitmap occupancy per detect call: the words between each row's
-	// first and last non-zero word of the printed bitmap — what every
-	// pass of the morphology walks, before its margin — against the
-	// words the bitmap spans. Counted only while recording is on.
+	// Printed-row occupancy per scan window: the words between each
+	// printed row's first and last non-zero word — what the morphology
+	// walks, before its margin — summed from the extents the row source
+	// hands the detector, against rows × words per row.
 	cWordsWalked  = obs.C("litho.hotspot.words.walked")
 	cWordsSpanned = obs.C("litho.hotspot.words.spanned")
 )

@@ -227,8 +227,8 @@ func TestConcurrentImageCounters(t *testing.T) {
 
 // Occupancy is counted, not guessed: one narrow line down a wide window
 // touches a few of the column groups each band offers and holds one
-// bitmap word per row, and the four counters say so — per band and per
-// detect call, so a snapshot explains why one window costs a fifth of
+// printed word per row, and the four counters say so — per band and per
+// scan window, so a snapshot explains why one window costs a fifth of
 // another.
 func TestScanWindowOccupancyCounters(t *testing.T) {
 	withObs(t)
@@ -264,5 +264,30 @@ func TestScanWindowOccupancyCounters(t *testing.T) {
 	}
 	if walked != int64(h) {
 		t.Errorf("words walked = %d, want one per row (%d)", walked, h)
+	}
+}
+
+// The detector runs in the render's sink: a recorded scan window is one
+// litho.simulate.ns, one litho.hotspot.detect.ns and one
+// litho.hotspot.scan.ns observation, and the detector's share is a
+// share — clocked, so above zero, and under the window it ran in.
+func TestScanWindowTimesTheDetectorsShare(t *testing.T) {
+	withObs(t)
+	tt := tech.N45()
+	read := func() (sim, det, scan obs.HistSnapshot) {
+		h := obs.Default().Snapshot().Histograms
+		return h["litho.simulate.ns"], h["litho.hotspot.detect.ns"], h["litho.hotspot.scan.ns"]
+	}
+	s0, d0, w0 := read()
+	if _, err := ScanWindowCtx(context.Background(), neckV(0, 0), geom.R(0, 0, 2000, 2000), tt, tech.Metal1, ScanOpts{Cond: Nominal}); err != nil {
+		t.Fatal(err)
+	}
+	s1, d1, w1 := read()
+	if s1.Count-s0.Count != 1 || d1.Count-d0.Count != 1 || w1.Count-w0.Count != 1 {
+		t.Fatalf("observations: simulate %d, detect %d, scan %d; want one each",
+			s1.Count-s0.Count, d1.Count-d0.Count, w1.Count-w0.Count)
+	}
+	if det, scan := d1.Sum-d0.Sum, w1.Sum-w0.Sum; !(det > 0 && det < scan) {
+		t.Errorf("detect.ns = %g of a %g ns scan window, want a share of it", det, scan)
 	}
 }

@@ -197,29 +197,29 @@ func (rm *RasterMask) unitIntensity(ctx context.Context, defocus float64) (*Grid
 	return g, nil
 }
 
-// printed returns the printed/not-printed bitmap of the window under
-// cond without materialising the intensity field or the amplitude
-// field: each amplitude of a band is squared, dose-scaled and
-// thresholded with exactly the float operations Simulate followed by
-// PrintedBitmap performs, in the same order, so the bits are
-// identical. A word none of whose 64 columns the band's footprints
-// reached is not computed: every amplitude under it is +0, so it is
-// the word that expression gives for 0, evaluated once — blank for any
-// positive threshold, all ones when the threshold is not.
-func (rm *RasterMask) printed(ctx context.Context, cond Condition) (*Bitmap, error) {
+// printedRows hands sink the printed/not-printed rows of the window
+// under cond, in the Bitmap layout, one at a time as the render
+// thresholds them, with each row's extent (stream.go); the bitmap
+// itself is never built. Each amplitude of a band is squared,
+// dose-scaled and thresholded with exactly the float operations
+// Simulate followed by PrintedBitmap performs, in the same order, so
+// the bits are identical. A word none of whose 64 columns the band's
+// footprints reached is not computed: every amplitude under it is +0,
+// so it is the word that expression gives for 0, evaluated once —
+// blank for any positive threshold, all ones when the threshold is
+// not. sink runs under the handle's lock.
+func (rm *RasterMask) printedRows(ctx context.Context, cond Condition, sink rowFunc) error {
 	rm.mu.Lock()
 	defer rm.mu.Unlock()
 	w, h := gridDims(rm.window, rm.pitch)
-	b := NewBitmap(w, h)
-	b.Origin, b.Pitch = rm.window.LL(), rm.pitch
 	dose, thr := cond.Dose, rm.opt.Threshold
-	mask := b.tailMask()
+	mask := tailMask(w)
 	var blank uint64 // an untouched word: 64 amplitudes of +0
 	if thresholdWord(make([]float64, 1), dose, thr) != 0 {
 		blank = ^uint64(0)
 	}
-	err := rm.renderLocked(ctx, cond.Defocus, w, h, bandRows, func(j int, a []float64, live []bool) {
-		row := b.row(j)
+	row := make([]uint64, (w+63)/64)
+	return rm.renderLocked(ctx, cond.Defocus, w, h, bandRows, func(j int, a []float64, live []bool) {
 		for k := range row {
 			if live[k] {
 				row[k] = thresholdWord(a[k<<6:min(k<<6+64, w)], dose, thr)
@@ -228,17 +228,9 @@ func (rm *RasterMask) printed(ctx context.Context, cond Condition) (*Bitmap, err
 			}
 		}
 		row[len(row)-1] &= mask
+		lo, hi := trim(row, 0, len(row))
+		sink(j, row, lo, hi)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-// simulatePrinted is Simulate(...).PrintedBitmap() for callers that
-// only need the printed bits (the hotspot scan).
-func simulatePrinted(ctx context.Context, mask []geom.Rect, window geom.Rect, opt tech.Optics, cond Condition) (*Bitmap, error) {
-	return NewRasterMask(mask, window, opt, cond.Defocus).printed(ctx, cond)
 }
 
 // bandRows is how many window rows a render blurs and hands to its

@@ -299,7 +299,7 @@ func TestBandedRenderBitIdentical(t *testing.T) {
 			}
 			bits.Set(i%w, i/w, v >= o.Threshold)
 		}
-		printed, err := simulatePrinted(context.Background(), mask, window, o, cond)
+		printed, err := collectPrinted(context.Background(), mask, window, o, cond)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -435,6 +435,41 @@ func TestRemaskRendersOverPredecessorGrid(t *testing.T) {
 	}
 }
 
+// printedBitmap collects what the scan's row source hands its sink
+// into a bitmap. It fails unless the rows come once each, in order, and
+// each comes with its exact extent: the words from its first to its
+// last non-zero one, 0, 0 for a blank row.
+func printedBitmap(ctx context.Context, rm *RasterMask, cond Condition) (*Bitmap, error) {
+	w, h := gridDims(rm.window, rm.pitch)
+	b := NewBitmap(w, h)
+	b.Origin, b.Pitch = rm.window.LL(), rm.pitch
+	var bad error
+	next := 0
+	err := rm.printedRows(ctx, cond, func(j int, row []uint64, lo, hi int) {
+		if j != next && bad == nil {
+			bad = fmt.Errorf("row %d handed after row %d", j, next-1)
+		}
+		next = j + 1
+		copy(b.row(j), row)
+		if l, r := trim(row, 0, len(row)); (l != lo || r != hi) && bad == nil {
+			bad = fmt.Errorf("row %d handed with extent [%d, %d), its words say [%d, %d)", j, lo, hi, l, r)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	if next != h && bad == nil {
+		bad = fmt.Errorf("%d of %d rows handed", next, h)
+	}
+	return b, bad
+}
+
+// collectPrinted is printedBitmap on a fresh handle: Simulate followed
+// by PrintedBitmap, through the scan's row source.
+func collectPrinted(ctx context.Context, mask []geom.Rect, window geom.Rect, opt tech.Optics, cond Condition) (*Bitmap, error) {
+	return printedBitmap(ctx, NewRasterMask(mask, window, opt, cond.Defocus), cond)
+}
+
 // printedPerPixel is the threshold sink the word-at-a-time one
 // replaced, kept as its reference: a full-row sink that looks at every
 // amplitude of every row, touched or not, and sets v*v*dose >= thr bit
@@ -458,13 +493,14 @@ func printedPerPixel(t *testing.T, mask []geom.Rect, window geom.Rect, opt tech.
 	return b
 }
 
-// The sink builds a word from the amplitudes under it only where a
-// footprint reached them and takes the rest as the word 64 amplitudes
-// of +0 give. Whatever the window width (a lone tail word, exact words,
-// a word and a bit, a scan window's 41), wherever the window's first
-// column falls in the padded row's 64-column groups, wherever the mask
-// is — all over, in the pad only, nowhere — and whatever 0 thresholds
-// to, the bitmap is the per-pixel one.
+// The scan's row source builds a word from the amplitudes under it
+// only where a footprint reached them and takes the rest as the word 64
+// amplitudes of +0 give. Whatever the window width (a lone tail word,
+// exact words, a word and a bit, a scan window's 41), wherever the
+// window's first column falls in the padded row's 64-column groups,
+// wherever the mask is — all over, in the pad only, nowhere — and
+// whatever 0 thresholds to, the rows it hands on are the per-pixel
+// bitmap's, each with its exact extent (printedBitmap checks those).
 func TestPrintedMatchesPerPixelReference(t *testing.T) {
 	seed := rand.Int63()
 	t.Logf("seed %d", seed)
@@ -504,7 +540,7 @@ func TestPrintedMatchesPerPixelReference(t *testing.T) {
 			for ti, thr := range []float64{0.3, 1e-9, 0, -1} {
 				opt.Threshold = thr
 				cond := Condition{Defocus: defocus, Dose: []float64{1, 0.9, 0}[(c+ti)%3]}
-				got, err := simulatePrinted(context.Background(), mask, window, opt, cond)
+				got, err := collectPrinted(context.Background(), mask, window, opt, cond)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -536,7 +572,7 @@ func TestBandReturnsZeroAndSurvivesCancel(t *testing.T) {
 	mask := []geom.Rect{geom.R(0, 0, 70, 3000), geom.R(140, 0, 210, 3000), geom.R(-150, 900, 380, 990)}
 	window := geom.R(-200, 0, 400, int64(2*bandRows+44)*int64(o.GridNM)) // three bands
 	bufFree.drain()
-	want, err := simulatePrinted(context.Background(), mask, window, o, Nominal)
+	want, err := collectPrinted(context.Background(), mask, window, o, Nominal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -565,10 +601,10 @@ func TestBandReturnsZeroAndSurvivesCancel(t *testing.T) {
 			// first band was blurred, sunk and cleared, the second is dirty.
 			ctx := &dyingCtx{Context: context.Background()}
 			ctx.live.Store(int64(1 + len(o.Sigmas) + 1))
-			if b, err := rm.printed(ctx, Nominal); !errors.Is(err, context.Canceled) || b != nil {
+			if b, err := printedBitmap(ctx, rm, Nominal); !errors.Is(err, context.Canceled) || b != nil {
 				t.Errorf("canceled render returned (%v, %v), want (nil, context.Canceled)", b, err)
 			}
-			got, err := rm.printed(context.Background(), Nominal)
+			got, err := printedBitmap(context.Background(), rm, Nominal)
 			if err != nil {
 				t.Error(err)
 			} else if !reflect.DeepEqual(got, want) {

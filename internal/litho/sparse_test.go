@@ -145,7 +145,7 @@ func checkAgainstGridBlur(t *testing.T, mask []geom.Rect, window geom.Rect, opt 
 				cond, i%img.W, i/img.W, img.Data[i], want.Data[i], d)
 		}
 	}
-	printed, err := simulatePrinted(ctx, mask, window, opt, cond)
+	printed, err := collectPrinted(ctx, mask, window, opt, cond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +474,7 @@ func TestSimulateRejectsBadKernelAndDefocus(t *testing.T) {
 			return err
 		}, "sigma"},
 		{"NaN sigma on the scan path", func() error {
-			_, err := simulatePrinted(ctx, mask, window, withSigmas(math.NaN(), 90), Nominal)
+			_, err := collectPrinted(ctx, mask, window, withSigmas(math.NaN(), 90), Nominal)
 			return err
 		}, "sigma"},
 		{"defocus past the budget", func() error {

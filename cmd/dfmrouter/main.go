@@ -2,19 +2,18 @@
 // routing and chaos-tolerant failover: requests route by
 // content-address affinity over the result-cache key (rendezvous
 // hashing: each backend scores the key, the highest serves it and the
-// rest are its failover order), sick backends are
-// evicted by active health probes and reinstated only after proving recovery, circuit
-// breakers react between probes at request speed, and failed attempts
-// retry on another replica under a jittered backoff and a bounded
-// retry budget — a dying cluster sheds load instead of retry-storming
-// itself.
+// rest are its failover order), sick backends are evicted by failed
+// health probes or failed requests, whichever streak reaches
+// -fail-after first, and are put on a one-request trial only after
+// -rise-after clean probes, and failed attempts retry on another
+// replica under a jittered backoff and a bounded retry budget — a
+// dying cluster sheds load instead of retry-storming itself.
 //
 // Usage:
 //
 //	dfmrouter -backends URL1,URL2,... [-addr HOST:PORT]
 //	          [-check-interval D] [-check-timeout D]
 //	          [-fail-after N] [-rise-after N]
-//	          [-breaker-threshold N] [-breaker-cooldown D]
 //	          [-max-attempts N] [-retry-base D] [-retry-max D]
 //	          [-attempt-timeout D] [-retry-budget N]
 //	          [-drain D] [-quiet]
@@ -51,14 +50,12 @@ func main() {
 	backends := flag.String("backends", "", "comma-separated dfmd base URLs (required)")
 	checkInterval := flag.Duration("check-interval", 500*time.Millisecond, "health probe interval")
 	checkTimeout := flag.Duration("check-timeout", time.Second, "health probe timeout")
-	failAfter := flag.Int("fail-after", 3, "consecutive failed probes before eviction")
-	riseAfter := flag.Int("rise-after", 2, "consecutive clean probes before reinstatement")
-	brThreshold := flag.Int("breaker-threshold", 5, "consecutive data-path failures before a backend's circuit opens")
-	brCooldown := flag.Duration("breaker-cooldown", 2*time.Second, "open-circuit cooldown before a half-open trial")
+	failAfter := flag.Int("fail-after", 3, "consecutive failed probes, or failed requests, before eviction")
+	riseAfter := flag.Int("rise-after", 2, "consecutive clean probes before an evicted backend is trialled with one request")
 	maxAttempts := flag.Int("max-attempts", 3, "total tries per request across replicas")
 	retryBase := flag.Duration("retry-base", 25*time.Millisecond, "first-retry backoff (doubles per retry, jittered)")
 	retryMax := flag.Duration("retry-max", 2*time.Second, "backoff cap")
-	attemptTimeout := flag.Duration("attempt-timeout", time.Minute, "per-attempt budget so black-holed backends become failovers (0 = none)")
+	attemptTimeout := flag.Duration("attempt-timeout", time.Minute, "per-attempt budget so black-holed backends become failovers (0 = the 1m default)")
 	retryBudget := flag.Int("retry-budget", 100, "retry-budget token bucket size")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-drain budget on shutdown")
 	quiet := flag.Bool("quiet", false, "suppress lifecycle log lines")
@@ -79,19 +76,17 @@ func main() {
 	}
 
 	r, err := router.New(router.Config{
-		Backends:         strings.Split(*backends, ","),
-		CheckInterval:    *checkInterval,
-		CheckTimeout:     *checkTimeout,
-		FailAfter:        *failAfter,
-		RiseAfter:        *riseAfter,
-		BreakerThreshold: *brThreshold,
-		BreakerCooldown:  *brCooldown,
-		MaxAttempts:      *maxAttempts,
-		RetryBase:        *retryBase,
-		RetryMax:         *retryMax,
-		AttemptTimeout:   *attemptTimeout,
-		RetryBudget:      *retryBudget,
-		Logf:             logf,
+		Backends:       strings.Split(*backends, ","),
+		CheckInterval:  *checkInterval,
+		CheckTimeout:   *checkTimeout,
+		FailAfter:      *failAfter,
+		RiseAfter:      *riseAfter,
+		MaxAttempts:    *maxAttempts,
+		RetryBase:      *retryBase,
+		RetryMax:       *retryMax,
+		AttemptTimeout: *attemptTimeout,
+		RetryBudget:    *retryBudget,
+		Logf:           logf,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dfmrouter:", err)

@@ -92,19 +92,18 @@ func Start(o Options) (*Cluster, error) {
 		cl.Nodes = append(cl.Nodes, n)
 		urls[i] = n.URL()
 	}
-	// Snappy chaos settings: evict within ~300ms of a node dying,
-	// reinstate within ~300ms of it proving recovery. The breaker
-	// reacts faster still on the data path.
+	// Snappy chaos settings: evict within ~300ms of a node dying (two
+	// faulted requests evict it sooner), put it on trial within ~300ms
+	// of it proving recovery.
 	rt, err := router.New(router.Config{
-		Backends:        urls,
-		CheckInterval:   100 * time.Millisecond,
-		CheckTimeout:    500 * time.Millisecond,
-		FailAfter:       2,
-		RiseAfter:       2,
-		BreakerCooldown: 500 * time.Millisecond,
-		MaxAttempts:     4,
-		AttemptTimeout:  10 * time.Second,
-		Logf:            func(f string, a ...any) { logf("  ["+f+"]", a...) },
+		Backends:       urls,
+		CheckInterval:  100 * time.Millisecond,
+		CheckTimeout:   500 * time.Millisecond,
+		FailAfter:      2,
+		RiseAfter:      2,
+		MaxAttempts:    4,
+		AttemptTimeout: 10 * time.Second,
+		Logf:           func(f string, a ...any) { logf("  ["+f+"]", a...) },
 	})
 	if err != nil {
 		return nil, err
@@ -172,8 +171,8 @@ func (cl *Cluster) Report() {
 	}
 	rs := cl.RT.Stats()
 	cl.logf("cluster-wide cache hit rate: %.1f%%", hitPct)
-	cl.logf("router: ok=%d failed=%d retries=%d failovers=%d breakerBlocked=%d budgetDenied=%d tileJobs=%d tileReused=%d",
-		rs.OK, rs.Failed, rs.Retries, rs.Failovers, rs.BreakerBlocked, rs.BudgetDenied, rs.TileJobs, rs.TileReused)
+	cl.logf("router: ok=%d failed=%d retries=%d failovers=%d budgetDenied=%d tileJobs=%d tileReused=%d",
+		rs.OK, rs.Failed, rs.Retries, rs.Failovers, rs.BudgetDenied, rs.TileJobs, rs.TileReused)
 	for _, b := range rs.Backends {
 		cl.logf("  backend %s: up=%v picks=%d oks=%d fails=%d sheds=%d tiles=%d evictions=%d reinstates=%d",
 			b.Name, b.Up, b.Picks, b.OKs, b.Fails, b.Sheds, b.Tiles, b.Evictions, b.Reinstates)

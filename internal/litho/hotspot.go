@@ -269,16 +269,7 @@ func InteriorDefect(h Hotspot, drawn []geom.Rect, probe int64) bool {
 	} else {
 		pa, pb = geom.Pt(h.Box.X0-probe, cy), geom.Pt(h.Box.X1+probe, cy)
 	}
-	return covered(drawn, pa) && covered(drawn, pb)
-}
-
-func covered(rects []geom.Rect, p geom.Point) bool {
-	for _, r := range rects {
-		if r.Contains(p) {
-			return true
-		}
-	}
-	return false
+	return geom.CoversPoint(drawn, pa) && geom.CoversPoint(drawn, pb)
 }
 
 // ScanWindowPixels returns the size, in pixels, of the padded grid

@@ -193,7 +193,7 @@ func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 	}
 	up := 0
 	for _, b := range r.backends {
-		if b.up.Load() {
+		if b.health.admitting() {
 			up++
 		}
 	}

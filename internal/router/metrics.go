@@ -15,7 +15,6 @@ var (
 	mBudgetDeny = obs.C("dfmrouter.retry_budget_denied")
 	mEvicted    = obs.C("dfmrouter.evicted")
 	mReinstated = obs.C("dfmrouter.reinstated")
-	mBreakerHit = obs.C("dfmrouter.breaker_blocked")
 
 	// Distributed tile traffic (full-chip fan-out through the fleet).
 	mTileJobs   = obs.C("dfmrouter.tile_jobs")

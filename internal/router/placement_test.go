@@ -162,7 +162,8 @@ func TestPlacementBalance(t *testing.T) {
 		}
 		counts := map[string]int{}
 		for _, k := range keys {
-			counts[r.pick(k, nil).Name]++
+			b, _ := r.pick(k, nil)
+			counts[b.Name]++
 		}
 		r.Shutdown(context.Background())
 		fair := float64(len(keys)) / float64(n)

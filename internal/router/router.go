@@ -6,9 +6,10 @@
 // store) without reading a job in either direction: a submission's
 // bytes go to the chosen node as they came and the node's answer goes
 // back as it came (http.go), so validity and identity stay the node's. It keeps the paper's
-// interactive-checking contract honest when nodes die: active health
-// probes with threshold eviction and probe-based reinstatement,
-// per-backend circuit breakers, retry-on-another-replica with jittered
+// interactive-checking contract honest when nodes die: one health
+// record per backend that probes and data-path faults both feed
+// (threshold eviction, probe-based reinstatement onto a one-request
+// trial), retry-on-another-replica with jittered
 // backoff that honors server Retry-After hints, and a retry *budget* so
 // a cluster-wide outage sheds load instead of amplifying it.
 package router
@@ -35,19 +36,14 @@ type Config struct {
 	Backends []string
 
 	// CheckInterval/CheckTimeout drive the active health prober;
-	// defaults 500ms / 1s. FailAfter consecutive probe failures evict
-	// a backend, RiseAfter consecutive successes reinstate it;
-	// defaults 3 / 2.
+	// defaults 500ms / 1s. FailAfter consecutive probe failures, or
+	// FailAfter consecutive data-path faults, evict a backend;
+	// RiseAfter consecutive clean probes put it on trial for one
+	// request; defaults 3 / 2.
 	CheckInterval time.Duration
 	CheckTimeout  time.Duration
 	FailAfter     int
 	RiseAfter     int
-
-	// BreakerThreshold consecutive data-path failures open a
-	// backend's circuit; it half-opens after BreakerCooldown;
-	// defaults 5 / 2s.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 
 	// MaxAttempts bounds tries per request across replicas (first
 	// attempt included); default 3. RetryBase/RetryMax shape the
@@ -56,9 +52,9 @@ type Config struct {
 	RetryBase   time.Duration
 	RetryMax    time.Duration
 	// AttemptTimeout caps one backend attempt so a black-holed
-	// connection becomes a failover, not a hung client; 0 disables.
-	// Default 1m (comfortably above any evaluation, far below a
-	// human giving up).
+	// connection becomes a failover, not a hung client. Every attempt
+	// has one: 0 means the default, 1m (comfortably above any
+	// evaluation, far below a human giving up).
 	AttemptTimeout time.Duration
 
 	// RetryBudget caps cluster-wide retry amplification: each
@@ -79,9 +75,6 @@ type Config struct {
 	// Logf receives router lifecycle lines; nil uses log.Printf.
 	// Quiet callers pass a no-op.
 	Logf func(string, ...any)
-
-	// now overrides the breaker clock in tests.
-	now func() time.Time
 }
 
 // retryRatio is the share of a retry-budget token one success refunds.
@@ -99,12 +92,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RiseAfter == 0 {
 		c.RiseAfter = 2
-	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = 5
-	}
-	if c.BreakerCooldown == 0 {
-		c.BreakerCooldown = 2 * time.Second
 	}
 	if c.MaxAttempts == 0 {
 		c.MaxAttempts = 3
@@ -132,14 +119,13 @@ func (c Config) withDefaults() Config {
 
 // Stats is the router's always-on accounting.
 type Stats struct {
-	Requests       int64 `json:"requests"`
-	OK             int64 `json:"ok"`
-	Failed         int64 `json:"failed"`
-	Retries        int64 `json:"retries"`
-	Failovers      int64 `json:"failovers"`
-	NoBackend      int64 `json:"noBackend"`
-	BudgetDenied   int64 `json:"retryBudgetDenied"`
-	BreakerBlocked int64 `json:"breakerBlocked"`
+	Requests     int64 `json:"requests"`
+	OK           int64 `json:"ok"`
+	Failed       int64 `json:"failed"`
+	Retries      int64 `json:"retries"`
+	Failovers    int64 `json:"failovers"`
+	NoBackend    int64 `json:"noBackend"`
+	BudgetDenied int64 `json:"retryBudgetDenied"`
 	// TileJobs counts tile work units routed to completion; TileReused
 	// counts those a backend answered from cache or deduped into an
 	// in-flight twin — the fleet-wide duplicate-tile hit signal.
@@ -171,7 +157,6 @@ type Router struct {
 	requests, ok, failed    atomic.Int64
 	retries, failovers      atomic.Int64
 	noBackend, budgetDenied atomic.Int64
-	breakerBlocked          atomic.Int64
 	tileJobs, tileReused    atomic.Int64
 }
 
@@ -185,7 +170,7 @@ func New(cfg Config) (*Router, error) {
 	backends := make([]*Backend, len(cfg.Backends))
 	byName := make(map[string]*Backend, len(cfg.Backends))
 	for i, url := range cfg.Backends {
-		b := newBackend(fmt.Sprintf("n%d", i), url, hc, cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.now)
+		b := newBackend(fmt.Sprintf("n%d", i), url, hc, cfg.FailAfter, cfg.RiseAfter)
 		backends[i], byName[b.Name] = b, b
 	}
 	retry := client.NewRetryPolicy(cfg.MaxAttempts, cfg.Seed)
@@ -207,32 +192,30 @@ func New(cfg Config) (*Router, error) {
 
 func (r *Router) logf(format string, args ...any) { r.cfg.Logf(format, args...) }
 
-// errNoBackend is returned when no healthy, breaker-admitted backend
+// errNoBackend is returned when no backend that admits traffic
 // remains to try.
 var errNoBackend = errors.New("router: no available backend")
 
-// pick returns the first eligible backend not in tried, in the key's
-// preference order: every request for the same key goes to the same
+// pick returns the first backend not in tried that admits the request,
+// in the key's preference order, and whether the request is that
+// backend's trial: every request for the same key goes to the same
 // node, so the per-node LRU caches tile the keyspace instead of each
 // holding a diluted copy, and retries continue down the same order, so
 // the ranking is also the failover plan — a down node's keys stay
-// concentrated on one successor. Health is filtered here, on every
-// retry, so the ranking stays valid as nodes flap. The breaker is asked
-// only of a backend pick reaches, in order, because asking claims a
-// half-open breaker's one trial.
-func (r *Router) pick(key string, tried map[*Backend]bool) *Backend {
+// concentrated on one successor. Health is asked here, on every retry,
+// so the ranking stays valid as nodes flap; it is asked only of a
+// backend pick reaches, in order, because asking claims a trial's one
+// request.
+func (r *Router) pick(key string, tried map[*Backend]bool) (*Backend, bool) {
 	for _, b := range preference(key, r.backends) {
-		if tried[b] || !b.up.Load() {
+		if tried[b] {
 			continue
 		}
-		if !b.breaker.allow() {
-			r.breakerBlocked.Add(1)
-			mBreakerHit.Inc()
-			continue
+		if ok, isTrial := b.health.admit(); ok {
+			return b, isTrial
 		}
-		return b
 	}
-	return nil
+	return nil, false
 }
 
 // route drives one request through pick → call → classify → failover
@@ -271,12 +254,12 @@ func (r *Router) route(ctx context.Context, key string, call func(context.Contex
 				return nil, nil, ctx.Err()
 			}
 		}
-		b := r.pick(key, tried)
+		b, isTrial := r.pick(key, tried)
 		if b == nil && len(tried) > 0 {
 			// Every distinct replica was tried once; a further attempt
 			// may re-try one that has had time to recover.
 			clear(tried)
-			b = r.pick(key, tried)
+			b, isTrial = r.pick(key, tried)
 		}
 		if b == nil {
 			r.noBackend.Add(1)
@@ -293,10 +276,7 @@ func (r *Router) route(ctx context.Context, key string, call func(context.Contex
 		}
 		b.picks.Add(1)
 		b.inflight.Add(1)
-		actx, cancel := ctx, func() {}
-		if r.cfg.AttemptTimeout > 0 {
-			actx, cancel = context.WithTimeout(ctx, r.cfg.AttemptTimeout)
-		}
+		actx, cancel := context.WithTimeout(ctx, r.cfg.AttemptTimeout)
 		rep, err := call(actx, b)
 		cancel()
 		b.inflight.Add(-1)
@@ -307,10 +287,11 @@ func (r *Router) route(ctx context.Context, key string, call func(context.Contex
 			// backend. That is a transport fault — fail over.
 			o = outcomeFault
 		}
+		from, to := b.health.settle(isTrial, o)
+		r.note(b, from, to, err)
 		switch o {
 		case outcomeOK:
 			b.oks.Add(1)
-			b.breaker.success()
 			r.budget.onSuccess()
 			r.ok.Add(1)
 			mOK.Inc()
@@ -318,29 +299,25 @@ func (r *Router) route(ctx context.Context, key string, call func(context.Contex
 			return rep, b, nil
 		case outcomeOverloaded:
 			// The node is alive and pushing back; that is not a
-			// breaker-worthy fault, but it does spend retry budget —
-			// retrying into an overloaded cluster is amplification too.
+			// fault, but it does spend retry budget — retrying into an
+			// overloaded cluster is amplification too.
 			b.sheds.Add(1)
-			b.breaker.success()
 			r.budget.onFailure()
 			hint = client.RetryHint(err)
 			lastErr = err
 		case outcomeDraining:
-			// Deliberate drain: evict now rather than waiting out the
-			// probe threshold, and don't charge the budget — the node
-			// told us cleanly, nothing is burning.
-			r.evict(b, "draining on submit")
+			// Deliberate drain: settle has evicted the node without
+			// waiting out the probe threshold. Don't charge the budget
+			// — the node told us cleanly, nothing is burning.
 			lastErr = err
 		case outcomeTerminal:
 			// Validation errors and context expiry: the other
 			// replicas would say exactly the same thing.
-			b.breaker.success()
 			r.failed.Add(1)
 			mFailed.Inc()
 			return nil, b, err
 		case outcomeFault:
 			b.fails.Add(1)
-			b.breaker.failure()
 			r.budget.onFailure()
 			lastErr = err
 		}
@@ -400,17 +377,16 @@ func (r *Router) admit() bool {
 // Stats snapshots the router counters and per-backend states.
 func (r *Router) Stats() Stats {
 	st := Stats{
-		Requests:       r.requests.Load(),
-		OK:             r.ok.Load(),
-		Failed:         r.failed.Load(),
-		Retries:        r.retries.Load(),
-		Failovers:      r.failovers.Load(),
-		NoBackend:      r.noBackend.Load(),
-		BudgetDenied:   r.budgetDenied.Load(),
-		BreakerBlocked: r.breakerBlocked.Load(),
-		TileJobs:       r.tileJobs.Load(),
-		TileReused:     r.tileReused.Load(),
-		Draining:       r.draining.Load(),
+		Requests:     r.requests.Load(),
+		OK:           r.ok.Load(),
+		Failed:       r.failed.Load(),
+		Retries:      r.retries.Load(),
+		Failovers:    r.failovers.Load(),
+		NoBackend:    r.noBackend.Load(),
+		BudgetDenied: r.budgetDenied.Load(),
+		TileJobs:     r.tileJobs.Load(),
+		TileReused:   r.tileReused.Load(),
+		Draining:     r.draining.Load(),
 	}
 	for _, b := range r.backends {
 		st.Backends = append(st.Backends, b.status())

@@ -232,6 +232,95 @@ func TestInflightFailoverDeterministic(t *testing.T) {
 	}
 }
 
+// TestBlackHoledJobPathStaysEvicted: n0 answers every probe, but its
+// job path black-holes every request. FailAfter faulted requests evict
+// it however clean its probes are, and after that a live job reaches it
+// only as the one request of a trial its probes earned — never a job per
+// cooldown on a node that has proven nothing.
+func TestBlackHoledJobPathStaysEvicted(t *testing.T) {
+	nodes := []*node{startNode(t), startNode(t), startNode(t)}
+	const failAfter = 2
+	seeds := seedsOwnedBy(t, "n0", 4, 3)
+
+	tr := faultinject.NewTransport(nil)
+	tr.PlanHost(nodes[0].host(), faultinject.TransportFault{
+		Kind: faultinject.Hang, Path: "/v1/jobs", Times: 1000,
+	})
+	// AttemptTimeout clears a real evaluation on a replica (~150ms
+	// under -race); probes run far faster than jobs are submitted.
+	r, err := New(Config{Backends: urls(nodes),
+		CheckInterval: 10 * time.Millisecond, FailAfter: failAfter, RiseAfter: 2,
+		AttemptTimeout: time.Second, RetryBase: time.Millisecond, MaxAttempts: 3, Seed: 3,
+		Transport: tr, Logf: quiet})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Shutdown(context.Background())
+	c := front(t, r)
+	n0 := r.backends[0]
+
+	for i, seed := range seeds {
+		if i >= failAfter {
+			// Let the probes earn n0 a trial, so this job is its one
+			// request.
+			waitFor(t, "n0 on trial", func() bool { return n0.status().Up })
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		st, err := c.Eval(ctx, server.JobRequest{Technique: "sraf", Seed: seed})
+		cancel()
+		if err != nil || st.State != server.StateDone || servedBy(st) == "n0" {
+			t.Fatalf("job %d: %v, %+v; want done on a replica", i, err, st)
+		}
+		if ev := n0.status().Evictions; i+1 < failAfter && ev != 0 || i+1 == failAfter && ev != 1 {
+			t.Fatalf("after %d faulted jobs n0 has %d evictions, FailAfter is %d", i+1, ev, failAfter)
+		}
+	}
+	if st := r.Stats(); st.OK != int64(len(seeds)) || st.Failed != 0 {
+		t.Fatalf("router ok/failed = %d/%d, want %d/0", st.OK, st.Failed, len(seeds))
+	}
+	ns := n0.status()
+	t.Logf("n0: job path reached %d times, %d evictions, %d reinstatements", tr.Fired(nodes[0].host()), ns.Evictions, ns.Reinstates)
+	if fired := tr.Fired(nodes[0].host()); fired > failAfter+int(ns.Reinstates) {
+		t.Fatalf("n0's job path reached %d times, want at most FailAfter %d + %d reinstatements", fired, failAfter, ns.Reinstates)
+	}
+	if want := int64(len(seeds) - failAfter); ns.Reinstates < want {
+		t.Fatalf("n0 reinstated %d times, want the %d trials the later jobs waited for", ns.Reinstates, want)
+	}
+}
+
+// roundTripFunc is an http.RoundTripper made of a function.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { return f(req) }
+
+// TestAttemptTimeoutDefaultsToOneMinute: AttemptTimeout 0 is the 1m
+// default, not "no limit" — every attempt reaches its backend with a
+// deadline, even when the client's request has none.
+func TestAttemptTimeoutDefaultsToOneMinute(t *testing.T) {
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		server.WriteJSON(w, http.StatusOK, server.JobStatus{ID: "n0.j-1", State: server.StateDone})
+	}))
+	defer stub.Close()
+	var left atomic.Int64
+	r, err := New(Config{Backends: []string{stub.URL}, CheckInterval: time.Hour, Logf: quiet,
+		Transport: roundTripFunc(func(req *http.Request) (*http.Response, error) {
+			if dl, ok := req.Context().Deadline(); ok && req.URL.Path == "/v1/jobs" {
+				left.Store(int64(time.Until(dl)))
+			}
+			return http.DefaultTransport.RoundTrip(req)
+		})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Shutdown(context.Background())
+	if _, err := front(t, r).Eval(context.Background(), server.JobRequest{Technique: "sraf", Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Duration(left.Load()); d <= 50*time.Second || d > time.Minute {
+		t.Fatalf("an attempt reached the backend with %v left, want the 1m default", d)
+	}
+}
+
 // TestInflightFailoverOnRealKill kills a live backend (listener and
 // connections dropped) while requests whose affinity primary it is
 // are in flight; every one must complete on a replica with zero
@@ -280,7 +369,7 @@ func TestInflightFailoverOnRealKill(t *testing.T) {
 	if st.Failed != 0 || st.OK != int64(len(seeds)) {
 		t.Fatalf("ok/failed = %d/%d, want %d/0", st.OK, st.Failed, len(seeds))
 	}
-	waitFor(t, "dead backend eviction", func() bool { return !r.backends[0].up.Load() })
+	waitFor(t, "dead backend eviction", func() bool { return !r.backends[0].health.admitting() })
 }
 
 // TestHealthEvictionAndReinstatement drives a backend through
@@ -305,14 +394,14 @@ func TestHealthEvictionAndReinstatement(t *testing.T) {
 	defer r.Shutdown(context.Background())
 	b := r.backends[0]
 
-	waitFor(t, "initial healthy state", func() bool { return b.up.Load() })
+	waitFor(t, "initial healthy state", func() bool { return b.health.admitting() })
 	sick.Store(true)
-	waitFor(t, "threshold eviction", func() bool { return !b.up.Load() })
+	waitFor(t, "threshold eviction", func() bool { return !b.health.admitting() })
 	if ev := b.status().Evictions; ev != 1 {
 		t.Fatalf("evictions = %d, want 1", ev)
 	}
 	sick.Store(false)
-	waitFor(t, "probe-based reinstatement", func() bool { return b.up.Load() })
+	waitFor(t, "probe-based reinstatement", func() bool { return b.health.admitting() })
 	if ri := b.status().Reinstates; ri != 1 {
 		t.Fatalf("reinstates = %d, want 1", ri)
 	}
@@ -330,14 +419,14 @@ func TestDrainingBackendEvictedImmediately(t *testing.T) {
 	}
 	defer r.Shutdown(context.Background())
 	b := r.backends[0]
-	waitFor(t, "healthy", func() bool { return b.up.Load() })
+	waitFor(t, "healthy", func() bool { return b.health.admitting() })
 
 	if err := n.srv.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// FailAfter is 50: only the immediate drain eviction can fire
 	// this fast.
-	waitFor(t, "drain eviction", func() bool { return !b.up.Load() })
+	waitFor(t, "drain eviction", func() bool { return !b.health.admitting() })
 }
 
 // TestRetryBudgetBoundsAmplification: with every backend dead, the
@@ -345,9 +434,8 @@ func TestDrainingBackendEvictedImmediately(t *testing.T) {
 // one attempt, not MaxAttempts.
 func TestRetryBudgetBoundsAmplification(t *testing.T) {
 	r, err := New(Config{Backends: []string{deadURL(t), deadURL(t)},
-		CheckInterval: time.Hour, FailAfter: 1 << 30, // probes never evict: the data path is under test
-		BreakerThreshold: 1 << 30, MaxAttempts: 3,
-		RetryBase: time.Millisecond, RetryBudget: 8, Seed: 5, Logf: quiet})
+		CheckInterval: time.Hour, FailAfter: 1 << 30, // nothing evicts: the retry budget is under test
+		MaxAttempts: 3, RetryBase: time.Millisecond, RetryBudget: 8, Seed: 5, Logf: quiet})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -784,17 +872,17 @@ func TestPickFollowsPreferenceOrder(t *testing.T) {
 	want := nameList(preference(key, r.backends))
 	tried := map[*Backend]bool{}
 	for i, name := range want {
-		b := r.pick(key, tried)
+		b, _ := r.pick(key, tried)
 		if b == nil || b.Name != name {
 			t.Fatalf("pick %d = %v, preference order %v", i, b, want)
 		}
 		tried[b] = true
 	}
-	if b := r.pick(key, tried); b != nil {
+	if b, _ := r.pick(key, tried); b != nil {
 		t.Fatalf("pick after every backend was tried = %s, want none", b.Name)
 	}
-	r.byName[want[0]].up.Store(false)
-	if b := r.pick(key, nil); b == nil || b.Name != want[1] {
+	r.byName[want[0]].health.probed(client.ErrDraining)
+	if b, _ := r.pick(key, nil); b == nil || b.Name != want[1] {
 		t.Fatalf("pick with the primary down = %v, want %s", b, want[1])
 	}
 }

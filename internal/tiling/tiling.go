@@ -203,11 +203,11 @@ func Evaluate(stdctx context.Context, t *tech.Tech, ex *Extractor, o Opts) (*Res
 // locally (extraction is a pruned hierarchy walk — cheap and
 // impossible to distribute without shipping the chip), but each
 // non-empty tile and scan window is submitted through rc, typically a
-// client.TileSubmitter pointed at a dfmrouter, whose affinity ring
-// routes the unit's content address to the node most likely to hold
-// it cached. Opts.Workers bounds the in-flight submission window;
-// per-unit retry and replica failover live in the TileClient (the
-// router's breaker + retry-budget machinery). Results stream into the
+// client.TileSubmitter pointed at a dfmrouter, whose rendezvous
+// placement routes the unit's content address to the node most likely
+// to hold it cached. Opts.Workers bounds the in-flight submission
+// window; per-unit retry and replica failover live in the TileClient
+// (the router's health eviction and retry budget). Results stream into the
 // same stitcher as the local path, so the distributed result is
 // bit-identical to single-process Evaluate — a lost or duplicated
 // tile is structurally impossible (each unit settles into its own

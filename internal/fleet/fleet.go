@@ -160,8 +160,8 @@ func (cl *Cluster) BackendSums() server.Stats {
 // sink.
 func (cl *Cluster) Report() {
 	s := cl.BackendSums()
-	cl.logf("cluster backends: cacheHits=%d cacheMisses=%d deduped=%d completed=%d (fresh evaluations=%d)",
-		s.CacheHits, s.CacheMisses, s.Deduped, s.Completed, s.CacheMisses)
+	cl.logf("cluster backends: cacheHits=%d cacheMisses=%d deduped=%d completed=%d",
+		s.CacheHits, s.CacheMisses, s.Deduped, s.Completed)
 	// Hits over keyed lookups across the nodes. Singleflight
 	// dedupes are not hits — they saved work but never touched the
 	// cache.

@@ -22,22 +22,14 @@ var (
 	ErrPoolClosed = errors.New("harness: pool closed")
 )
 
-// Live pool gauges, shared by every Pool in the process (a serving
-// process runs one). Admission controllers should prefer the Pool
-// accessors — these exist so /metrics snapshots carry the signals.
-var (
-	gPoolQueueDepth = obs.G("harness.pool.queue_depth")
-	gPoolInFlight   = obs.G("harness.pool.inflight")
-	gPoolSaturation = obs.G("harness.pool.saturation")
-)
-
 // Pool is the one executor: a fixed set of workers draining a bounded
 // submission queue, each task through the per-attempt deadline, retry
 // and panic machinery of runTask. Callers Submit one task at a time and
 // receive its Result on a per-task channel; Run is a Pool sized to a
-// batch. The queue depth and worker saturation are exported live so an
+// batch. The queue depth and in-flight count are exported live so an
 // admission layer can shed load on real signals instead of a static
-// cap.
+// cap; they are read from the Pool, never from the obs registry, which
+// several pools in one process would share.
 type Pool struct {
 	opts  Options
 	queue chan *poolItem
@@ -72,9 +64,6 @@ func NewPool(opts Options, queue int) *Pool {
 		opts.sleep = sleepCtx
 	}
 	p := &Pool{opts: opts, queue: make(chan *poolItem, max(queue, 0))}
-	if obs.Enabled() {
-		obs.G("harness.pool.workers").Set(float64(opts.Workers))
-	}
 	p.wg.Add(opts.Workers)
 	for w := 0; w < opts.Workers; w++ {
 		go p.worker()
@@ -91,15 +80,12 @@ func (p *Pool) worker() {
 			// instead of starting late work during a drain.
 			it.done <- Result{Name: it.task.Name, Attempts: 0,
 				Err: &Error{Kind: KindCanceled, Technique: it.task.Name, Err: ErrPoolClosed}}
-			p.publishGauges()
 			continue
 		}
 		it.queued.End()
 		p.inflight.Add(1)
-		p.publishGauges()
 		res := runTask(it.ctx, it.task, p.opts)
 		p.inflight.Add(-1)
-		p.publishGauges()
 		it.done <- res
 	}
 }
@@ -122,7 +108,6 @@ func (p *Pool) Submit(ctx context.Context, t Task) (<-chan Result, error) {
 	case p.queue <- it:
 		p.depth.Add(1)
 		p.mu.Unlock()
-		p.publishGauges()
 		return done, nil
 	default:
 		p.mu.Unlock()
@@ -155,18 +140,3 @@ func (p *Pool) InFlight() int { return int(p.inflight.Load()) }
 
 // Workers returns the worker count.
 func (p *Pool) Workers() int { return p.opts.Workers }
-
-// Saturation returns the busy-worker fraction in [0, 1].
-func (p *Pool) Saturation() float64 {
-	return float64(p.inflight.Load()) / float64(p.opts.Workers)
-}
-
-// publishGauges mirrors the live signals into the metrics registry.
-func (p *Pool) publishGauges() {
-	if !obs.Enabled() {
-		return
-	}
-	gPoolQueueDepth.Set(float64(p.depth.Load()))
-	gPoolInFlight.Set(float64(p.inflight.Load()))
-	gPoolSaturation.Set(p.Saturation())
-}

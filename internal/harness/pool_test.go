@@ -92,8 +92,8 @@ func TestPoolQueueFullSheds(t *testing.T) {
 	if _, err := p.Submit(context.Background(), block); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("third submit err = %v, want ErrQueueFull", err)
 	}
-	if got := p.Saturation(); got != 1 {
-		t.Fatalf("saturation = %v, want 1", got)
+	if got, want := p.InFlight(), p.Workers(); got != want {
+		t.Fatalf("in flight = %d, want every worker (%d)", got, want)
 	}
 	close(gate)
 	if res := <-ch1; res.Err != nil {

@@ -67,8 +67,7 @@ var (
 	// streaming detector the sink feeds) plus the marker filters;
 	// detect.ns (morphology and labelling) is the detector's share of
 	// simulate.ns, clocked per row only while recording. Surrogate
-	// gating counters live beside these under
-	// litho.hotspot.surrogate.* (internal/surrogate).
+	// gating is counted in each scan's surrogate.Report, not here.
 	cScanWindows  = obs.C("litho.hotspot.windows")
 	cScanFound    = obs.C("litho.hotspot.found")
 	cScanInterior = obs.C("litho.hotspot.interior.dropped")

@@ -96,7 +96,7 @@ func DepthOfFocus(points []FEPoint, defocus []float64) float64 {
 		}
 	}
 	best, runStart := 0.0, math.NaN()
-	for i, f := range defocus {
+	for _, f := range defocus {
 		if okAt[f] {
 			if math.IsNaN(runStart) {
 				runStart = f
@@ -107,7 +107,6 @@ func DepthOfFocus(points []FEPoint, defocus []float64) float64 {
 		} else {
 			runStart = math.NaN()
 		}
-		_ = i
 	}
 	return best
 }

@@ -119,7 +119,6 @@ func Run(stdctx context.Context, t *tech.Tech, top *layout.Cell, o Opts) (*Outco
 				// already moved; it is stale, not illegal.
 				rs.Rejected++
 				out.Rejected = append(out.Rejected, Rejection{Fix: f, Reason: fmt.Sprintf("stale: %v", err)})
-				cRejected.Inc()
 				continue
 			}
 			fresh, err := NewViolations(stdctx, t, cur, cand, f.Delta, pad)
@@ -132,14 +131,12 @@ func Run(stdctx context.Context, t *tech.Tech, top *layout.Cell, o Opts) (*Outco
 					Fix:    f,
 					Reason: fmt.Sprintf("would introduce %d violation(s), first %v", len(fresh), fresh[0]),
 				})
-				cRejected.Inc()
 				continue
 			}
 			cur = cand
 			dirty.Merge(f.Delta)
 			out.Applied = append(out.Applied, f)
 			rs.Applied++
-			cApplied.Inc()
 		}
 		if rs.Applied == 0 {
 			out.Rounds = append(out.Rounds, rs)
@@ -153,11 +150,9 @@ func Run(stdctx context.Context, t *tech.Tech, top *layout.Cell, o Opts) (*Outco
 		switch {
 		case err == nil:
 			out.DeltaEvals++
-			cDeltaEvals.Inc()
 		case errors.Is(err, tiling.ErrFullRequired):
 			rs.Incremental = false
 			out.FullEvals++
-			cFullEvals.Inc()
 			if resN, snapN, err = tiling.EvaluateSnap(stdctx, t, ex, o.Eval); err != nil {
 				return nil, err
 			}

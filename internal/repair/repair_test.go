@@ -3,6 +3,7 @@ package repair
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/layout"
 	"repro/internal/litho"
+	"repro/internal/obs"
 	"repro/internal/tech"
 	"repro/internal/tiling"
 )
@@ -192,17 +194,7 @@ func TestRepairChipDifferential(t *testing.T) {
 // and the rejection recorded, never silently dropped.
 func TestRepairRejectsIllegalFix(t *testing.T) {
 	tt := tech.N45()
-	top := layout.NewCell("X_TRAP")
-	// A-B at an illegal 50nm gap; C parked exactly 70nm past B, so
-	// sliding B right by 20nm (the only spread proposal) recreates the
-	// violation on the other side.
-	top.Add(tech.Metal2, geom.R(0, 0, 300, 70))    // A
-	top.Add(tech.Metal2, geom.R(350, 0, 650, 70))  // B
-	top.Add(tech.Metal2, geom.R(720, 0, 1020, 70)) // C
-	// Metal1 plate pins the die well past the action.
-	top.Add(tech.Metal1, geom.R(0, 200, 3000, 3000))
-
-	out, err := Run(context.Background(), tt, top, Opts{
+	out, err := Run(context.Background(), tt, trapCell(), Opts{
 		Eval:   tiling.Opts{Tile: 8000, Halo: 2000, DRC: true},
 		Rounds: 2,
 	})
@@ -229,6 +221,61 @@ func TestRepairRejectsIllegalFix(t *testing.T) {
 	}
 	if out.Result.ByRule["metal2.space.70"] != 1 {
 		t.Fatalf("violation should remain: %v", out.Result.ByRule)
+	}
+}
+
+// trapCell holds one spacing violation whose only fix recreates it.
+func trapCell() *layout.Cell {
+	top := layout.NewCell("X_TRAP")
+	// A-B at an illegal 50nm gap; C parked exactly 70nm past B, so
+	// sliding B right by 20nm (the only spread proposal) recreates the
+	// violation on the other side.
+	top.Add(tech.Metal2, geom.R(0, 0, 300, 70))    // A
+	top.Add(tech.Metal2, geom.R(350, 0, 650, 70))  // B
+	top.Add(tech.Metal2, geom.R(720, 0, 1020, 70)) // C
+	// Metal1 plate pins the die well past the action.
+	top.Add(tech.Metal1, geom.R(0, 200, 3000, 3000))
+	return top
+}
+
+// An Outcome counts its own fixes and re-evaluations; the obs registry
+// holds none of them, so the counts are the same with it on or off —
+// on a chip whose fixes apply and re-score incrementally, and on a cell
+// whose one fix is rejected.
+func TestOutcomeIgnoresRegistry(t *testing.T) {
+	tt := tech.N45()
+	l, _, err := layout.GenerateChip(tt, layout.ChipOpts{
+		Seed: 3, Slots: 2, SlotPitch: 15000, Defects: 3, RepairDefects: 2,
+		MacroMix: []int{0, 1, 1, 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval := tiling.Opts{Tile: 9000, Halo: 2000, DRC: true}
+	// counts is everything of an Outcome that is a count.
+	type counts struct {
+		Applied, Rejected     int
+		Rounds                []RoundStats
+		Skipped               map[string]int
+		DeltaEvals, FullEvals int
+	}
+	defer obs.SetEnabled(obs.Enabled())
+	for _, top := range []*layout.Cell{l.Top, trapCell()} {
+		var got [2]counts
+		for i, on := range []bool{false, true} {
+			obs.SetEnabled(on)
+			out, err := Run(context.Background(), tt, top, Opts{Eval: eval, Rounds: 3})
+			if err != nil {
+				t.Fatalf("%s (obs %v): %v", top.Name, on, err)
+			}
+			got[i] = counts{len(out.Applied), len(out.Rejected), out.Rounds, out.Skipped, out.DeltaEvals, out.FullEvals}
+		}
+		if got[0].Applied+got[0].Rejected == 0 {
+			t.Fatalf("%s: no fix applied or rejected; the check is vacuous", top.Name)
+		}
+		if !reflect.DeepEqual(got[0], got[1]) {
+			t.Errorf("%s: Outcome counts differ with the registry on:\n  off: %+v\n  on:  %+v", top.Name, got[0], got[1])
+		}
 	}
 }
 

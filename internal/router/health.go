@@ -159,11 +159,9 @@ func (r *Router) note(b *Backend, from, to state, err error) {
 	switch {
 	case from != down && to == down:
 		b.evictions.Add(1)
-		mEvicted.Inc()
 		r.logf("router: backend %s evicted (%v)", b.Name, err)
 	case from == down && to == trial:
 		b.reinstates.Add(1)
-		mReinstated.Inc()
 		r.logf("router: backend %s reinstated on trial after %d clean probes", b.Name, r.cfg.RiseAfter)
 	}
 }

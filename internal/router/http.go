@@ -71,11 +71,9 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	// router.tile_reused_ratio and the chaos test asks of a second chip).
 	if rep.Header.Get(server.HeaderJobKind) == server.KindTile {
 		r.tileJobs.Add(1)
-		mTileJobs.Inc()
 		b.tiles.Add(1)
 		if rep.Header.Get(server.HeaderJobReused) != "" {
 			r.tileReused.Add(1)
-			mTileReused.Inc()
 		}
 	}
 	relay(w, rep)

@@ -224,7 +224,6 @@ func (r *Router) pick(key string, tried map[*Backend]bool) (*Backend, bool) {
 // sent to whichever backend is picked.
 func (r *Router) route(ctx context.Context, key string, call func(context.Context, *Backend) (*client.Reply, error)) (*client.Reply, *Backend, error) {
 	r.requests.Add(1)
-	mRequests.Inc()
 	start := time.Now()
 	tried := make(map[*Backend]bool)
 	var (
@@ -235,11 +234,9 @@ func (r *Router) route(ctx context.Context, key string, call func(context.Contex
 		if attempt > 1 {
 			if !r.budget.allowRetry() {
 				r.budgetDenied.Add(1)
-				mBudgetDeny.Inc()
 				break
 			}
 			r.retries.Add(1)
-			mRetries.Inc()
 			d := r.retry.Delay(attempt-1, hint)
 			if dl, ok := ctx.Deadline(); ok && time.Until(dl) < d {
 				break
@@ -250,7 +247,6 @@ func (r *Router) route(ctx context.Context, key string, call func(context.Contex
 			case <-ctx.Done():
 				t.Stop()
 				r.failed.Add(1)
-				mFailed.Inc()
 				return nil, nil, ctx.Err()
 			}
 		}
@@ -263,7 +259,6 @@ func (r *Router) route(ctx context.Context, key string, call func(context.Contex
 		}
 		if b == nil {
 			r.noBackend.Add(1)
-			mNoBackend.Inc()
 			if lastErr == nil {
 				lastErr = errNoBackend
 			}
@@ -272,7 +267,6 @@ func (r *Router) route(ctx context.Context, key string, call func(context.Contex
 		tried[b] = true
 		if attempt > 1 {
 			r.failovers.Add(1)
-			mFailovers.Inc()
 		}
 		b.picks.Add(1)
 		b.inflight.Add(1)
@@ -294,7 +288,6 @@ func (r *Router) route(ctx context.Context, key string, call func(context.Contex
 			b.oks.Add(1)
 			r.budget.onSuccess()
 			r.ok.Add(1)
-			mOK.Inc()
 			mE2E.ObserveSince(start)
 			return rep, b, nil
 		case outcomeOverloaded:
@@ -314,7 +307,6 @@ func (r *Router) route(ctx context.Context, key string, call func(context.Contex
 			// Validation errors and context expiry: the other
 			// replicas would say exactly the same thing.
 			r.failed.Add(1)
-			mFailed.Inc()
 			return nil, b, err
 		case outcomeFault:
 			b.fails.Add(1)
@@ -323,7 +315,6 @@ func (r *Router) route(ctx context.Context, key string, call func(context.Contex
 		}
 	}
 	r.failed.Add(1)
-	mFailed.Inc()
 	return nil, nil, lastErr
 }
 

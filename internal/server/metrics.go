@@ -2,25 +2,6 @@ package server
 
 import "repro/internal/obs"
 
-// obs mirrors of the server counters, so `/metrics` registry
-// snapshots and `-metrics` dumps carry the serving-layer signals next
-// to the harness/litho/geom ones. The authoritative always-on
-// accounting is Server.Stats; these record only while the registry is
-// enabled.
-var (
-	mSubmitted = obs.C("dfmd.submitted")
-	mAdmitted  = obs.C("dfmd.admitted")
-	mShed      = obs.C("dfmd.shed")
-	mDeduped   = obs.C("dfmd.deduped")
-	mCacheHit  = obs.C("dfmd.cache_hit")
-	mCacheMiss = obs.C("dfmd.cache_miss")
-	mCompleted = obs.C("dfmd.completed")
-	mFailed    = obs.C("dfmd.failed")
-	mRejected  = obs.C("dfmd.rejected")
-
-	mQueueDepth = obs.G("dfmd.queue_depth")
-
-	// mE2E is submit-to-settle latency per job, including queue wait
-	// and cache/dedup fast paths.
-	mE2E = obs.H("dfmd.e2e_ns")
-)
+// mE2E is submit-to-settle latency per job, including queue wait and
+// cache/dedup fast paths. Counts live in Server.Stats only.
+var mE2E = obs.H("dfmd.e2e_ns")

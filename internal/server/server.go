@@ -118,8 +118,8 @@ type job struct {
 	done    chan struct{}
 }
 
-// Stats is the always-on server accounting (independent of the obs
-// registry, which the server mirrors into when enabled).
+// Stats is the server's accounting, always on and the only record of
+// these counts (the obs registry holds just the e2e latency).
 type Stats struct {
 	Submitted   int64   `json:"submitted"`
 	Admitted    int64   `json:"admitted"`
@@ -163,9 +163,10 @@ type Server struct {
 	ewmaNs   atomic.Int64 // EWMA of evaluation latency
 	watchers sync.WaitGroup
 
-	submitted, admitted, shed, deduped atomic.Int64
-	cacheHits, cacheMisses             atomic.Int64
-	completed, failed, rejected        atomic.Int64
+	// A cache miss is an admission: both follow the same successful
+	// pool.Submit, so Stats reports admitted as CacheMisses.
+	submitted, admitted, shed, deduped, cacheHits atomic.Int64
+	completed, failed, rejected                   atomic.Int64
 }
 
 // New builds the service and starts its worker pool. The caller owns
@@ -188,12 +189,11 @@ func New(cfg Config) *Server {
 	}
 }
 
-// Submit admits one request. It returns the job's status snapshot,
+// submit admits one request. It returns the job's status snapshot,
 // errOverloaded (with a retry-after hint) when shedding, errDraining
 // during shutdown, or a validation error.
 func (s *Server) submit(req JobRequest) (JobStatus, time.Duration, error) {
 	s.submitted.Add(1)
-	mSubmitted.Inc()
 	if s.draining.Load() {
 		return JobStatus{}, 0, errDraining
 	}
@@ -229,7 +229,6 @@ func (s *Server) submit(req JobRequest) (JobStatus, time.Duration, error) {
 	// for this evaluation.
 	if v, ok := s.cache.Get(key); ok {
 		s.cacheHits.Add(1)
-		mCacheHit.Inc()
 		j.cached = true
 		switch cv := v.(type) {
 		case *tiling.TileResult:
@@ -239,7 +238,6 @@ func (s *Server) submit(req JobRequest) (JobStatus, time.Duration, error) {
 		}
 		s.trackLocked(j)
 		s.completed.Add(1)
-		mCompleted.Inc()
 		mE2E.ObserveSince(j.created)
 		return j.statusLocked(), 0, nil
 	}
@@ -248,7 +246,6 @@ func (s *Server) submit(req JobRequest) (JobStatus, time.Duration, error) {
 	// attach instead of re-evaluating.
 	if f, ok := s.flights[key]; ok {
 		s.deduped.Add(1)
-		mDeduped.Inc()
 		j.deduped = true
 		j.flight = f
 		f.jobs = append(f.jobs, j)
@@ -261,7 +258,6 @@ func (s *Server) submit(req JobRequest) (JobStatus, time.Duration, error) {
 	// latency, spread over the workers.
 	if wait := s.estimatedWait(); s.cfg.MaxWait > 0 && wait > s.cfg.MaxWait {
 		s.shed.Add(1)
-		mShed.Inc()
 		return JobStatus{}, wait, errOverloaded
 	}
 
@@ -278,14 +274,9 @@ func (s *Server) submit(req JobRequest) (JobStatus, time.Duration, error) {
 			return JobStatus{}, 0, errDraining
 		}
 		s.shed.Add(1)
-		mShed.Inc()
 		return JobStatus{}, s.estimatedWait(), errOverloaded
 	}
-	s.cacheMisses.Add(1)
-	mCacheMiss.Inc()
 	s.admitted.Add(1)
-	mAdmitted.Inc()
-	mQueueDepth.Set(float64(s.pool.QueueDepth()))
 	j.flight = f
 	f.jobs = append(f.jobs, j)
 	s.flights[key] = f
@@ -340,19 +331,15 @@ func (s *Server) complete(key string, res harness.Result) {
 			switch {
 			case errors.Is(o.Err, harness.ErrPoolClosed):
 				s.rejected.Add(1)
-				mRejected.Inc()
 			case o.Err != nil:
 				s.failed.Add(1)
-				mFailed.Inc()
 			default:
 				s.completed.Add(1)
-				mCompleted.Inc()
 			}
 			j.settleLocked(o, tile)
 		}
 	}
 	s.mu.Unlock()
-	mQueueDepth.Set(float64(s.pool.QueueDepth()))
 }
 
 // updateEWMA folds one clean evaluation latency into the admission
@@ -469,7 +456,7 @@ func (s *Server) Stats() Stats {
 		Shed:        s.shed.Load(),
 		Deduped:     s.deduped.Load(),
 		CacheHits:   s.cacheHits.Load(),
-		CacheMisses: s.cacheMisses.Load(),
+		CacheMisses: s.admitted.Load(),
 		Completed:   s.completed.Load(),
 		Failed:      s.failed.Load(),
 		Rejected:    s.rejected.Load(),

@@ -52,7 +52,7 @@ func sumSnapshot(s *Snapshot) [sha256.Size]byte {
 	for _, out := range s.outs {
 		fmt.Fprintf(h, "%+v|%v|", out.Violations, out.Dens)
 	}
-	fmt.Fprintf(h, "%+v|%v|%d|", s.st.viol, s.st.dens, s.st.seen)
+	fmt.Fprintf(h, "%+v|%v|", s.st.viol, s.st.dens)
 	writeCounts(h, s.st.byRule)
 	return [sha256.Size]byte(h.Sum(nil))
 }

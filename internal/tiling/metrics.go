@@ -2,36 +2,9 @@ package tiling
 
 import "repro/internal/obs"
 
+// Per-unit latency. Counts of units, shapes, cache answers, splices and
+// seam merges live in Result.Stats only.
 var (
-	// Tile fan-out.
-	cTiles      = obs.C("tiling.tiles")
-	cTilesEmpty = obs.C("tiling.tiles.empty")
-	cShapes     = obs.C("tiling.extract.shapes")
-	hTileNS     = obs.H("tiling.tile.ns")
-
-	// Hotspot scan windows.
-	cWindows      = obs.C("tiling.windows")
-	cWindowsEmpty = obs.C("tiling.windows.empty")
-	hWindowNS     = obs.H("tiling.window.ns")
-
-	// Per-cell result reuse.
-	cTileHit  = obs.C("tiling.cache.tile.hit")
-	cTileMiss = obs.C("tiling.cache.tile.miss")
-	cWinHit   = obs.C("tiling.cache.window.hit")
-	cWinMiss  = obs.C("tiling.cache.window.miss")
-
-	// Incremental re-evaluation (EvaluateDelta).
-	cSpliceTiles   = obs.C("tiling.splice.tiles")
-	cSpliceWindows = obs.C("tiling.splice.windows")
-
-	// Seam stitching.
-	cStitchViol  = obs.C("tiling.stitch.violations")
-	cStitchDedup = obs.C("tiling.stitch.deduped")
-	cStitchDrop  = obs.C("tiling.stitch.dropped")
-
-	// Distributed submission (DistEvaluate).
-	cRemoteTiles   = obs.C("tiling.remote.tiles")
-	cRemoteWindows = obs.C("tiling.remote.windows")
-	cRemoteCached  = obs.C("tiling.remote.cached")
-	cRemoteDeduped = obs.C("tiling.remote.deduped")
+	hTileNS   = obs.H("tiling.tile.ns")
+	hWindowNS = obs.H("tiling.window.ns")
 )

@@ -103,18 +103,15 @@ func (s *layerScan) plain(ctx context.Context) (nEmpty, nReused int, err error) 
 	err = harness.ForEachErr(ctx, s.workers, len(s.swins), func(i int) error {
 		if s.reuse != nil {
 			if hs, ok := s.reuse(i); ok {
-				cSpliceWindows.Inc()
 				reused.Add(1)
 				s.perWin[i] = hs
 				return nil
 			}
 		}
-		cWindows.Inc()
 		rs := s.rects(i)
 		if len(rs) == 0 {
 			// Nothing can reach this window's raster: the flat
 			// simulation of it is identically zero.
-			cWindowsEmpty.Inc()
 			empty.Add(1)
 			return nil
 		}
@@ -147,10 +144,8 @@ func (s *layerScan) gated(ctx context.Context, cfg surrogate.Config) (rep *surro
 	// int64 accumulators over the rect multiset, so tiled and flat
 	// extraction order cannot change a single gate decision.
 	err = harness.ForEachErr(ctx, s.workers, n, func(i int) error {
-		cWindows.Inc()
 		rs := s.rects(i)
 		if len(rs) == 0 {
-			cWindowsEmpty.Inc()
 			return nil
 		}
 		rects[i] = rs
@@ -184,7 +179,6 @@ func (s *layerScan) gated(ctx context.Context, cfg surrogate.Config) (rep *surro
 	if err = exact(sample); err != nil {
 		return nil, 0, err
 	}
-	surrogate.CSampled.Add(int64(len(sample)))
 	rep.Sampled = len(sample)
 
 	// Train/holdout split in sample order: every holdoutEvery-th
@@ -214,7 +208,6 @@ func (s *layerScan) gated(ctx context.Context, cfg surrogate.Config) (rep *surro
 		}
 	}
 	gate := surrogate.NewGate(trainX, trainY)
-	surrogate.CTrained.Inc()
 	rep.TClean = gate.TClean
 	rep.MAPE, rep.Pearson, rep.Precision, rep.Recall = surrogate.Calibrate(gate, holdX, holdY)
 
@@ -227,15 +220,11 @@ func (s *layerScan) gated(ctx context.Context, cfg surrogate.Config) (rep *surro
 			continue
 		}
 		if gate.Skip(feats[i]) {
-			surrogate.CSkip.Inc()
 			rep.Skipped++
 			continue
 		}
 		if surrogate.Guarded(feats[i]) {
-			surrogate.CGuard.Inc()
 			rep.Guarded++
-		} else {
-			surrogate.CFallback.Inc()
 		}
 		toRun = append(toRun, i)
 	}

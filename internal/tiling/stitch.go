@@ -22,10 +22,6 @@ type stitched struct {
 	// [plan.densRules index][plan.wins index].
 	dens   [][]float64
 	byRule map[string]int
-	// seen counts what went into the merge — every tile's violations
-	// plus every out-of-range window — so seen - len(viol) is what seam
-	// dedup removed.
-	seen int
 }
 
 // stitchTiles merges the stage-A outputs into res and returns the
@@ -55,7 +51,7 @@ func (p *plan) stitchTiles(res *Result, outs []*TileResult, dirty []int, prev *S
 	if prev != nil {
 		old = *prev.st
 	}
-	st := &stitched{byRule: make(map[string]int, len(p.rules)), dens: make([][]float64, len(p.densRules)), seen: old.seen}
+	st := &stitched{byRule: make(map[string]int, len(p.rules)), dens: make([][]float64, len(p.densRules))}
 	for _, name := range p.rules {
 		st.byRule[name] = 0
 	}
@@ -89,13 +85,6 @@ func (p *plan) stitchTiles(res *Result, outs []*TileResult, dirty []int, prev *S
 		st.dens[di], wasOut, nowOut = p.patchDensity(di, old.dens, outs, dirty, wins)
 		was, now = append(was, wasOut), append(now, nowOut)
 	}
-	for _, l := range was {
-		st.seen -= len(l)
-	}
-	for _, l := range now {
-		st.seen += len(l)
-	}
-
 	var clean []bool // the spliced tiles; nil when there are none
 	if len(dirty) < len(outs) {
 		clean = make([]bool, len(outs))
@@ -107,7 +96,6 @@ func (p *plan) stitchTiles(res *Result, outs []*TileResult, dirty []int, prev *S
 		}
 	}
 	st.viol = p.patchViolations(old.viol, was, now, outs, clean, st.byRule)
-	cStitchDedup.Add(int64(st.seen - len(st.viol)))
 
 	res.Stats.Tiles = len(outs)
 	for name, n := range st.byRule {
@@ -116,10 +104,8 @@ func (p *plan) stitchTiles(res *Result, outs []*TileResult, dirty []int, prev *S
 	res.Violations = st.viol
 	if limit := p.opts.MaxViolations; limit > 0 && len(st.viol) > limit {
 		res.Dropped = len(st.viol) - limit
-		cStitchDrop.Add(int64(res.Dropped))
 		res.Violations = st.viol[:limit:limit]
 	}
-	cStitchViol.Add(int64(len(res.Violations)))
 	if p.opts.KeepDensityMaps {
 		for di, dr := range p.densRules {
 			res.Density[dr.Layer] = fill.DensityMap{Windows: p.wins, Density: st.dens[di]}

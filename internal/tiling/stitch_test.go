@@ -222,8 +222,8 @@ func TestDeltaStitchResolvesAgainstCleanTiles(t *testing.T) {
 		if got := res.ByRule["r"]; got != tc.want+1 {
 			t.Fatalf("tile 1 holds %d: ByRule[r] = %d, want %d seam + 1 far", tc.tile1, got, tc.want)
 		}
-		if st.seen-len(st.viol) != 2+tc.tile1+1-(tc.want+1) {
-			t.Fatalf("tile 1 holds %d: seen %d, kept %d", tc.tile1, st.seen, len(st.viol))
+		if len(st.viol) != tc.want+1 {
+			t.Fatalf("tile 1 holds %d: stitched state keeps %d, want %d seam + 1 far", tc.tile1, len(st.viol), tc.want)
 		}
 		if len(prev.st.viol) != 4 || prev.st.byRule["r"] != 4 {
 			t.Fatal("delta stitch wrote into the snapshot it was spliced from")

@@ -17,7 +17,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/layout"
 	"repro/internal/litho"
-	"repro/internal/obs"
 	"repro/internal/surrogate"
 	"repro/internal/tech"
 )
@@ -248,9 +247,7 @@ func evaluate(ctx context.Context, p *plan, ex *Extractor, remote TileClient,
 	res.Stats.Rects = ex.Rects()
 	snap := &Snapshot{plan: p}
 	if !p.die.Empty() {
-		e := &engine{plan: p, ex: ex, remote: remote, prev: prev, changed: changed,
-			tiles:   unitCounts{cHit: cTileHit, cMiss: cTileMiss, cRemote: cRemoteTiles},
-			windows: unitCounts{cHit: cWinHit, cMiss: cWinMiss, cRemote: cRemoteWindows}}
+		e := &engine{plan: p, ex: ex, remote: remote, prev: prev, changed: changed}
 		var dirty []int
 		var err error
 		if snap.outs, dirty, err = e.runTiles(ctx); err != nil {
@@ -289,7 +286,6 @@ type engine struct {
 
 // unitCounts is the per-stage half of the run-unit accounting.
 type unitCounts struct {
-	cHit, cMiss, cRemote *obs.Counter
 	hits, misses, remote atomic.Int64
 }
 
@@ -329,7 +325,6 @@ func (e *engine) runUnit(ctx context.Context, u *TileRequest, origin geom.Point)
 	if cache != nil {
 		key = u.key(e.cfg)
 		if hit, ok := cache.lru.Get(key); ok {
-			n.cHit.Inc()
 			n.hits.Add(1)
 			return hit.translate(origin), nil
 		}
@@ -337,7 +332,6 @@ func (e *engine) runUnit(ctx context.Context, u *TileRequest, origin geom.Point)
 	var out *TileResult
 	var err error
 	if e.remote != nil {
-		n.cRemote.Inc()
 		n.remote.Add(1)
 		var served TileServed
 		if out, served, err = e.remote.EvalTile(ctx, u); err == nil {
@@ -350,18 +344,15 @@ func (e *engine) runUnit(ctx context.Context, u *TileRequest, origin geom.Point)
 			return nil, fmt.Errorf("%v scan window at %v: %w", u.Layer, origin, err)
 		}
 		if served.Cached {
-			cRemoteCached.Inc()
 			e.remoteCached.Add(1)
 		}
 		if served.Deduped {
-			cRemoteDeduped.Inc()
 			e.remoteDeduped.Add(1)
 		}
 	} else if out, err = u.execute(ctx, e.t, e.std, e.densRules); err != nil {
 		return nil, err
 	}
 	if cache != nil {
-		n.cMiss.Inc()
 		n.misses.Add(1)
 		cache.lru.Put(key, out)
 	}
@@ -374,11 +365,9 @@ func (e *engine) runUnit(ctx context.Context, u *TileRequest, origin geom.Point)
 // outputs, taken untouched.
 func (e *engine) runTiles(ctx context.Context) (outs []*TileResult, dirty []int, err error) {
 	n := e.nx * e.ny
-	cTiles.Add(int64(n))
 	if e.prev != nil {
 		outs, dirty = slices.Clone(e.prev.outs), e.dirtyTiles(e.changed)
 		e.splicedTiles = n - len(dirty)
-		cSpliceTiles.Add(int64(e.splicedTiles))
 	} else {
 		outs, dirty = make([]*TileResult, n), make([]int, n)
 		for i := range dirty {
@@ -391,9 +380,7 @@ func (e *engine) runTiles(ctx context.Context) (outs []*TileResult, dirty []int,
 		i := dirty[k]
 		u, origin := e.tileUnit(i, e.ex)
 		e.shapes.Add(int64(len(u.Shapes)))
-		cShapes.Add(int64(len(u.Shapes)))
 		if len(u.Shapes) == 0 {
-			cTilesEmpty.Inc()
 			e.emptyTiles.Add(1)
 			// No geometry in reach: no DRC violations, all densities
 			// zero — identical to what the flat run measures here. Empty

@@ -13,8 +13,7 @@
 // API (all JSON):
 //
 //	POST /v1/jobs            submit a job ({"technique","seed"}, or a tile
-//	                         unit); ?wait=1 blocks for the result
-//	GET  /v1/jobs/{id}       poll status
+//	                         unit); answered once it settles
 //	GET  /healthz            200 serving / 503 draining
 //	GET  /metrics            server stats + obs registry snapshot
 //
@@ -97,7 +96,7 @@ func main() {
 	defer cancel()
 	// Order: stop admitting first (jobs and health flip immediately),
 	// then drain the evaluation pool, then close HTTP listeners —
-	// poll/wait handlers keep answering while jobs settle.
+	// waiting submissions are answered as their jobs settle.
 	if err := srv.Shutdown(ctx); err != nil {
 		logf("dfmd: drain budget exceeded, in-flight jobs canceled")
 	}

@@ -19,8 +19,8 @@
 //	          [-drain D] [-quiet]
 //
 // The API is wire-compatible with a single dfmd node (see
-// internal/router.Handler); job IDs gain a backend prefix
-// ("n2.j-000017") so polls route back to the node that owns the job.
+// internal/router.Handler): a submission is answered with its settled
+// job, whichever node served it.
 //
 // SIGINT/SIGTERM begins a graceful drain mirroring dfmd's: new
 // submissions answer 503 immediately, requests already being routed

@@ -1,8 +1,9 @@
 // Package client is the Go client for the dfmd evaluation service:
-// typed submit/poll/result calls over the server's HTTP JSON API,
-// with overload (429) surfaced as a structured error carrying the
-// server's Retry-After hint so callers can implement their own
-// backoff or, like the load generator, account the shed and move on.
+// typed calls over the server's HTTP JSON API (a submission answered
+// with its settled job, the health probe, the metrics), with overload
+// (429) surfaced as a structured error carrying the server's
+// Retry-After hint so callers can implement their own backoff or, like
+// the load generator, account the shed and move on.
 package client
 
 import (
@@ -156,8 +157,8 @@ func (c *Client) do(ctx context.Context, method, path string, header http.Header
 	return json.Unmarshal(rep.Body, out)
 }
 
-// eval submits one job and blocks server-side until it settles, stating
-// the job's content address beside it (server.HeaderRouteKey) so that a
+// eval submits one job and returns its settled status, stating the
+// job's content address beside it (server.HeaderRouteKey) so that a
 // dfmrouter in the path can place it on the affinity ring without
 // parsing it. claim "" sends no header, and the router places the bytes
 // by their own hash.
@@ -167,46 +168,16 @@ func (c *Client) eval(ctx context.Context, req server.JobRequest, claim string) 
 		header = http.Header{server.HeaderRouteKey: {claim}}
 	}
 	var st server.JobStatus
-	err := c.do(ctx, http.MethodPost, "/v1/jobs?wait=1", header, req, &st)
+	err := c.do(ctx, http.MethodPost, "/v1/jobs", header, req, &st)
 	return st, err
 }
 
-// Eval submits and blocks server-side until the job settles. A request
+// Eval submits a job and returns its settled status. A request
 // KeyForRequest refuses is sent unclaimed: it is the node's to refuse,
 // with the node's own message.
 func (c *Client) Eval(ctx context.Context, req server.JobRequest) (server.JobStatus, error) {
 	claim, _ := server.KeyForRequest(req) //nolint:errcheck // see above
 	return c.eval(ctx, req, claim)
-}
-
-// Job polls one job's status.
-func (c *Client) Job(ctx context.Context, id string) (server.JobStatus, error) {
-	var st server.JobStatus
-	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil, nil, &st)
-	return st, err
-}
-
-// Wait polls until the job settles or ctx is done.
-func (c *Client) Wait(ctx context.Context, id string, interval time.Duration) (server.JobStatus, error) {
-	if interval <= 0 {
-		interval = 10 * time.Millisecond
-	}
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		st, err := c.Job(ctx, id)
-		if err != nil {
-			return st, err
-		}
-		if st.State == server.StateDone || st.State == server.StateFailed {
-			return st, nil
-		}
-		select {
-		case <-tick.C:
-		case <-ctx.Done():
-			return st, ctx.Err()
-		}
-	}
 }
 
 // Healthz reports nil when the server is accepting work.

@@ -22,7 +22,7 @@ import (
 )
 
 // TestClientAgainstRealServer drives the genuine service end to end:
-// eval, poll, eval again (cache hit), healthz, metrics.
+// eval, eval again (cache hit), healthz, metrics.
 func TestClientAgainstRealServer(t *testing.T) {
 	s := server.New(server.Config{Workers: 2, Queue: 8, MaxWait: time.Hour})
 	defer s.Shutdown(context.Background())
@@ -35,13 +35,9 @@ func TestClientAgainstRealServer(t *testing.T) {
 		t.Fatalf("healthz: %v", err)
 	}
 
-	st, err := c.Eval(ctx, server.JobRequest{Technique: "sraf", Seed: 3})
+	fin, err := c.Eval(ctx, server.JobRequest{Technique: "sraf", Seed: 3})
 	if err != nil {
 		t.Fatalf("eval: %v", err)
-	}
-	fin, err := c.Wait(ctx, st.ID, 5*time.Millisecond)
-	if err != nil {
-		t.Fatalf("wait: %v", err)
 	}
 	if fin.State != server.StateDone || fin.Result == nil {
 		t.Fatalf("job settled as %+v", fin)
@@ -64,9 +60,6 @@ func TestClientAgainstRealServer(t *testing.T) {
 		t.Fatalf("stats = %+v, want 1 hit / 1 miss", stats)
 	}
 
-	if _, err := c.Job(ctx, "j-424242"); err == nil {
-		t.Fatal("unknown job did not error")
-	}
 	var se *StatusError
 	if _, err := c.Eval(ctx, server.JobRequest{Technique: "bogus"}); !errors.As(err, &se) || se.Code != 400 {
 		t.Fatalf("bad technique err = %v, want 400 StatusError", err)
@@ -126,7 +119,7 @@ func testUnit(t *testing.T) (*tiling.TileRequest, string) {
 func TestEvalTileHoldsTheNodeToItsKey(t *testing.T) {
 	unit, key := testUnit(t)
 	var calls atomic.Int64
-	answer := server.JobStatus{ID: "j-1", State: server.StateDone, Kind: server.KindTile, Tile: &tiling.TileResult{}}
+	answer := server.JobStatus{State: server.StateDone, Kind: server.KindTile, Tile: &tiling.TileResult{}}
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
 		if got := r.Header.Get(server.HeaderRouteKey); got != key {
@@ -176,7 +169,7 @@ func TestClientReusesConnectionAfterLargeBody(t *testing.T) {
 		body any
 		call func(ctx context.Context, c *Client) error
 	}{
-		{"Eval", http.StatusOK, server.JobStatus{ID: "j-1", State: server.StateDone, Kind: server.KindTile, Tile: tile},
+		{"Eval", http.StatusOK, server.JobStatus{State: server.StateDone, Kind: server.KindTile, Tile: tile},
 			func(ctx context.Context, c *Client) error {
 				st, err := c.Eval(ctx, server.JobRequest{Kind: server.KindTile})
 				if err == nil && len(st.Tile.Violations) != 3000 {
@@ -184,7 +177,7 @@ func TestClientReusesConnectionAfterLargeBody(t *testing.T) {
 				}
 				return err
 			}},
-		{"EvalTile", http.StatusOK, server.JobStatus{ID: "j-1", State: server.StateDone, Kind: server.KindTile, Key: unitKey, Tile: tile},
+		{"EvalTile", http.StatusOK, server.JobStatus{State: server.StateDone, Kind: server.KindTile, Key: unitKey, Tile: tile},
 			func(ctx context.Context, c *Client) error {
 				res, _, err := c.EvalTile(ctx, unit)
 				if err == nil && len(res.Violations) != 3000 {

@@ -25,9 +25,7 @@ func stubEval(t *testing.T, failN int, fail func(w http.ResponseWriter)) (*Clien
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(server.JobStatus{ //nolint:errcheck // test stub
-			ID: "j-1", State: server.StateDone,
-		})
+		json.NewEncoder(w).Encode(server.JobStatus{State: server.StateDone}) //nolint:errcheck // test stub
 	}))
 	t.Cleanup(ts.Close)
 	return New(ts.URL, nil), &calls

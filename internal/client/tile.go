@@ -12,14 +12,15 @@ import (
 // TileFailed marks a tile job that the serving node settled as failed
 // (worker fault, timeout, drain rejection of a queued job). The work
 // unit itself may be fine — another node, or the same node later, can
-// succeed — so the submitter treats it as retryable.
+// succeed — so the submitter treats it as retryable. Key is the unit's
+// content address, the one identity a job has.
 type TileFailed struct {
-	ID  string
+	Key string
 	Msg string
 }
 
 func (e *TileFailed) Error() string {
-	return fmt.Sprintf("dfmd: tile job %s failed: %s", e.ID, e.Msg)
+	return fmt.Sprintf("dfmd: tile unit %s failed: %s", e.Key, e.Msg)
 }
 
 // errKeyMismatch marks a tile job whose node filed it under another
@@ -27,11 +28,9 @@ func (e *TileFailed) Error() string {
 // same way every time, so it is not worth another attempt.
 var errKeyMismatch = errors.New("dfmd: client and node disagree on a tile unit's content address")
 
-// EvalTile submits one tile work unit and blocks until it settles,
-// decoding the settled status into the tiling engine's result form.
-// If the server-side wait was cut short (proxy deadline upstream), it
-// falls back to polling the job it already paid to enqueue rather than
-// resubmitting — the satellite of the 202-on-wait-cancel contract.
+// EvalTile submits one tile work unit and returns its settled result in
+// the tiling engine's form. An answer that is not settled is an error:
+// every node of this build answers a submission only once it settles.
 //
 // The unit is keyed here, before any byte leaves: the key is the claim
 // a router places the unit by, and a unit this build cannot key is one
@@ -50,20 +49,17 @@ func (c *Client) EvalTile(ctx context.Context, req *tiling.TileRequest) (*tiling
 	if err != nil {
 		return nil, tiling.TileServed{}, err
 	}
-	if st.State != server.StateDone && st.State != server.StateFailed {
-		if st, err = c.Wait(ctx, st.ID, 0); err != nil {
-			return nil, tiling.TileServed{}, err
-		}
-	}
 	served := tiling.TileServed{Cached: st.Cached, Deduped: st.Deduped}
 	if st.Key != claim {
-		return nil, served, fmt.Errorf("%w: job %s settled under %q, this client keyed the unit %q", errKeyMismatch, st.ID, st.Key, claim)
+		return nil, served, fmt.Errorf("%w: the job settled under %q, this client keyed the unit %q", errKeyMismatch, st.Key, claim)
 	}
-	if st.State == server.StateFailed {
-		return nil, served, &TileFailed{ID: st.ID, Msg: st.Error}
-	}
-	if st.Tile == nil {
-		return nil, served, fmt.Errorf("dfmd: tile job %s settled done without a tile result", st.ID)
+	switch {
+	case st.State == server.StateFailed:
+		return nil, served, &TileFailed{Key: st.Key, Msg: st.Error}
+	case st.State != server.StateDone:
+		return nil, served, fmt.Errorf("dfmd: tile unit %s answered in state %q, want it settled", st.Key, st.State)
+	case st.Tile == nil:
+		return nil, served, fmt.Errorf("dfmd: tile unit %s settled done without a tile result", st.Key)
 	}
 	return st.Tile, served, nil
 }

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -254,29 +256,52 @@ func TestRunAllPreCanceled(t *testing.T) {
 	}
 }
 
+// cancelAt is a context whose Err reports context.Canceled from its
+// k-th call on, closing Done at that call: a cancellation that lands on
+// a chosen checkpoint, with no clock. With k 0 it never cancels and
+// only counts the calls.
+type cancelAt struct {
+	context.Context // Background: no deadline, no values
+	k               int64
+	calls           atomic.Int64
+	once            sync.Once
+	done            chan struct{}
+}
+
+func newCancelAt(k int64) *cancelAt {
+	return &cancelAt{Context: context.Background(), k: k, done: make(chan struct{})}
+}
+
+func (c *cancelAt) Done() <-chan struct{} { return c.done }
+
+func (c *cancelAt) Err() error {
+	if n := c.calls.Add(1); c.k > 0 && n >= c.k {
+		c.once.Do(func() { close(c.done) })
+		return context.Canceled
+	}
+	return nil
+}
+
 // TestEvalCancellationMidFlight proves the litho inner loops observe
 // cancellation: a heavy evaluator (SRAF runs a 65-condition
 // focus-exposure matrix) stops at a checkpoint mid-simulation once
 // its context dies, returning the context error instead of finishing
-// the sweep. The evaluator keeps getting faster as the kernels
-// improve, so the cancel delay walks down from a generous start until
-// one lands mid-evaluation — the test only fails if no delay, down to
-// firing the cancel immediately, is ever observed.
+// the sweep. Every checkpoint on its path is a ctx.Err call, so an
+// uncancelled run counts them, and the context then dies at the second
+// and at the last.
 func TestEvalCancellationMidFlight(t *testing.T) {
-	delays := []time.Duration{
-		5 * time.Millisecond, 2 * time.Millisecond, time.Millisecond,
-		500 * time.Microsecond, 100 * time.Microsecond,
-		20 * time.Microsecond, 5 * time.Microsecond, 0,
+	count := newCancelAt(0)
+	if o := EvalSRAF(count, tech.N45()); o.Err != nil {
+		t.Fatalf("uncancelled run: %v", o.Err)
 	}
-	for _, d := range delays {
-		ctx, cancel := context.WithCancel(context.Background())
-		timer := time.AfterFunc(d, cancel)
-		o := EvalSRAF(ctx, tech.N45())
-		timer.Stop()
-		cancel()
-		if errors.Is(o.Err, context.Canceled) {
-			return
+	last := count.calls.Load()
+	if last < 2 {
+		t.Fatalf("an uncancelled run passed %d checkpoints, want at least 2", last)
+	}
+	t.Logf("an uncancelled run passes %d checkpoints", last)
+	for _, k := range []int64{2, last} {
+		if o := EvalSRAF(newCancelAt(k), tech.N45()); !errors.Is(o.Err, context.Canceled) {
+			t.Errorf("cancelled at checkpoint %d of %d: err = %v, want context.Canceled", k, last, o.Err)
 		}
 	}
-	t.Fatalf("mid-flight cancel not observed at any delay down to 0")
 }

@@ -3,7 +3,7 @@
 // -cluster`), the fleet benchmark and the seeded chaos test: N dfmd nodes
 // on fixed ports behind one dfmrouter. Fixed per-node addresses are the
 // point: a node the chaos test kills and restarts on its slot keeps its
-// router name, its ring arcs, and its outstanding job IDs.
+// router name, and with it the keys placement gives it.
 package fleet
 
 import (

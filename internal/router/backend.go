@@ -5,16 +5,14 @@ import (
 	"sync/atomic"
 
 	"repro/internal/client"
-	"repro/internal/server"
 )
 
 // Backend is one dfmd node behind the router: its client and its one
 // health record, which probes and data-path outcomes both feed.
 type Backend struct {
 	// Name is the stable routing identity ("n0", "n1", ...): it is
-	// what placement scores and it prefixes job IDs, so a backend that
-	// restarts on the same slot keeps its keys and its outstanding jobs
-	// stay resolvable.
+	// what placement scores, so a backend that restarts on the same slot
+	// keeps its keys.
 	Name string
 	// URL is the node's base URL.
 	URL string
@@ -23,10 +21,6 @@ type Backend struct {
 	hash   uint64
 	cl     *client.Client
 	health health
-	// idPrefix is the header every job request to this node carries:
-	// the node writes its job IDs as "<Name>.<id>" (server.HeaderIDPrefix),
-	// so its answers need no rewriting on the way back.
-	idPrefix http.Header
 
 	// inflight counts requests this router currently has against the
 	// node.
@@ -40,12 +34,11 @@ type Backend struct {
 
 func newBackend(name, url string, hc *http.Client, failAfter, riseAfter int) *Backend {
 	return &Backend{
-		Name:     name,
-		URL:      url,
-		hash:     hash64(name),
-		cl:       client.New(url, hc),
-		health:   health{failAfter: failAfter, riseAfter: riseAfter},
-		idPrefix: http.Header{server.HeaderIDPrefix: {name + "."}},
+		Name:   name,
+		URL:    url,
+		hash:   hash64(name),
+		cl:     client.New(url, hc),
+		health: health{failAfter: failAfter, riseAfter: riseAfter},
 	}
 }
 

@@ -19,14 +19,12 @@ import (
 // single dfmd node, so clients point at the router and notice nothing
 // except that it survives node deaths:
 //
-//	POST /v1/jobs            route a submission, bytes untouched; ?wait=1 blocks
-//	GET  /v1/jobs/{id}       poll (IDs carry the backend: "n2.j-000017")
+//	POST /v1/jobs            route a submission, bytes untouched; answered once it settles
 //	GET  /healthz            200 while ≥1 backend is up and not draining
 //	GET  /metrics            router stats + per-backend states + obs registry
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", r.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs/{id}", r.handleJob)
 	mux.HandleFunc("GET /healthz", r.handleHealthz)
 	mux.HandleFunc("GET /metrics", r.handleMetrics)
 	return mux
@@ -36,12 +34,12 @@ func (r *Router) Handler() http.Handler {
 // buffered under the bound both tiers share and sent, byte for byte, to
 // the backend its key's preference order picks — the same buffer again on
 // every retry and failover — and the backend's answer is relayed byte
-// for byte. The
-// three facts the router needs travel beside the JSON (server.Header*):
-// the ID prefix goes out as a request header the node applies, and the
-// job's kind and reuse come back as response headers. So a malformed
-// body is the node's 400 passed through, and nothing a client sends can
-// make the router decode, validate, key or re-encode a payload.
+// for byte. The facts the router needs travel beside the JSON
+// (server.Header*): the placement claim goes out with the request, and
+// the job's kind and reuse come back as response headers. So a
+// malformed body is the node's 400 passed through, and nothing a client
+// sends can make the router decode, validate, key or re-encode a
+// payload.
 func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	if !r.admit() {
 		server.WriteError(w, http.StatusServiceUnavailable, "router shutting down")
@@ -53,13 +51,9 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	if !ok {
 		return
 	}
-	path := "/v1/jobs"
-	if server.WaitRequested(req) {
-		path += "?wait=1"
-	}
 	rep, b, err := r.route(req.Context(), placement(req.Header.Get(server.HeaderRouteKey), body),
 		func(ctx context.Context, b *Backend) (*client.Reply, error) {
-			return b.cl.Forward(ctx, http.MethodPost, path, b.idPrefix, body)
+			return b.cl.Forward(ctx, http.MethodPost, "/v1/jobs", nil, body)
 		})
 	if err != nil {
 		r.writeRouteError(w, err)
@@ -142,46 +136,6 @@ func (r *Router) writeRouteError(w http.ResponseWriter, err error) {
 		}
 		server.WriteError(w, http.StatusBadGateway, "all replicas failed: "+err.Error())
 	}
-}
-
-// splitID separates "n2.j-000017" into its backend and node-local job
-// ID. The local half is spliced into the URL the backend is asked, so
-// only the shape a node mints passes — "j-" and decimal digits, no more
-// of them than an int64 has: anything else ("x/../../metrics",
-// "healthz?deep=1") would reach whatever GET path on the backend it
-// spells.
-func (r *Router) splitID(id string) (*Backend, string, bool) {
-	name, local, ok := strings.Cut(id, ".")
-	digits, minted := strings.CutPrefix(local, "j-")
-	if !ok || !minted || len(digits) == 0 || len(digits) > 19 {
-		return nil, "", false
-	}
-	for _, c := range []byte(digits) {
-		if c < '0' || c > '9' {
-			return nil, "", false
-		}
-	}
-	b, ok := r.byName[name]
-	return b, local, ok
-}
-
-func (r *Router) handleJob(w http.ResponseWriter, req *http.Request) {
-	b, local, ok := r.splitID(req.PathValue("id"))
-	if !ok {
-		server.WriteError(w, http.StatusNotFound, "unknown job id (want <backend>.j-<digits>)")
-		return
-	}
-	rep, err := b.cl.Forward(req.Context(), http.MethodGet, "/v1/jobs/"+local, b.idPrefix, nil)
-	if err != nil {
-		var se *client.StatusError
-		if errors.As(err, &se) {
-			server.WriteError(w, se.Code, se.Msg)
-			return
-		}
-		server.WriteError(w, http.StatusBadGateway, "backend "+b.Name+" unreachable: "+err.Error())
-		return
-	}
-	relay(w, rep)
 }
 
 func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {

@@ -32,7 +32,7 @@ import (
 type Config struct {
 	// Backends are the dfmd base URLs. Each gets a stable name from
 	// its position ("n0", "n1", ...): restart a node on the same slot
-	// and it keeps its keys and outstanding job IDs.
+	// and it keeps its keys.
 	Backends []string
 
 	// CheckInterval/CheckTimeout drive the active health prober;
@@ -140,7 +140,6 @@ type Stats struct {
 type Router struct {
 	cfg      Config
 	backends []*Backend
-	byName   map[string]*Backend
 	retry    *client.RetryPolicy
 	budget   *throttle
 
@@ -168,17 +167,14 @@ func New(cfg Config) (*Router, error) {
 	}
 	hc := &http.Client{Transport: cfg.Transport}
 	backends := make([]*Backend, len(cfg.Backends))
-	byName := make(map[string]*Backend, len(cfg.Backends))
 	for i, url := range cfg.Backends {
-		b := newBackend(fmt.Sprintf("n%d", i), url, hc, cfg.FailAfter, cfg.RiseAfter)
-		backends[i], byName[b.Name] = b, b
+		backends[i] = newBackend(fmt.Sprintf("n%d", i), url, hc, cfg.FailAfter, cfg.RiseAfter)
 	}
 	retry := client.NewRetryPolicy(cfg.MaxAttempts, cfg.Seed)
 	retry.Base, retry.Max = cfg.RetryBase, cfg.RetryMax
 	r := &Router{
 		cfg:      cfg,
 		backends: backends,
-		byName:   byName,
 		retry:    retry,
 		budget:   newThrottle(float64(cfg.RetryBudget)),
 		stop:     make(chan struct{}),

@@ -73,8 +73,7 @@ func quiet(string, ...any) {}
 
 // front serves r's HTTP API and returns a client aimed at it. The
 // router has no other way in: every routing test submits the way a
-// client does, claim header and all, and reads which backend served a
-// job off the ID the answer carries.
+// client does, claim header and all.
 func front(t *testing.T, r *Router) *client.Client {
 	t.Helper()
 	ts := httptest.NewServer(r.Handler())
@@ -82,10 +81,17 @@ func front(t *testing.T, r *Router) *client.Client {
 	return client.New(ts.URL, ts.Client())
 }
 
-// servedBy is the backend a routed job's ID names.
-func servedBy(st server.JobStatus) string {
-	name, _, _ := strings.Cut(st.ID, ".")
-	return name
+// servedBy runs one request and returns the backend that answered it,
+// read off the router's own record: the one whose OKs moved.
+func servedBy(r *Router, request func()) string {
+	before := r.Stats().Backends
+	request()
+	for i, b := range r.Stats().Backends {
+		if b.OKs > before[i].OKs {
+			return b.Name
+		}
+	}
+	return ""
 }
 
 // deadURL is a guaranteed connection-refused target: a listener opened
@@ -152,13 +158,15 @@ func TestAffinityPinsDuplicateWorkToOneNode(t *testing.T) {
 	ctx := context.Background()
 	first := ""
 	for i := 0; i < 8; i++ {
-		st, err := c.Eval(ctx, req)
+		var st server.JobStatus
+		var err error
+		b := servedBy(r, func() { st, err = c.Eval(ctx, req) })
 		if err != nil || st.State != server.StateDone {
 			t.Fatalf("eval %d: %v %+v", i, err, st)
 		}
 		if first == "" {
-			first = servedBy(st)
-		} else if b := servedBy(st); b != first {
+			first = b
+		} else if b != first {
 			t.Fatalf("eval %d routed to %s, want sticky %s", i, b, first)
 		}
 		if i > 0 && !st.Cached {
@@ -208,9 +216,6 @@ func TestInflightFailoverDeterministic(t *testing.T) {
 			if err == nil && st.State != server.StateDone {
 				err = fmt.Errorf("settled as %+v", st)
 			}
-			if err == nil && servedBy(st) == "n0" {
-				err = fmt.Errorf("job completed on the black-holed primary")
-			}
 			errs[i] = err
 		}(i, s)
 	}
@@ -223,6 +228,9 @@ func TestInflightFailoverDeterministic(t *testing.T) {
 	st := r.Stats()
 	if st.OK != int64(len(seeds)) || st.Failed != 0 {
 		t.Fatalf("router ok/failed = %d/%d, want %d/0", st.OK, st.Failed, len(seeds))
+	}
+	if n := st.Backends[0].OKs; n != 0 {
+		t.Fatalf("%d jobs completed on the black-holed primary", n)
 	}
 	if st.Failovers != int64(len(seeds)) {
 		t.Fatalf("failovers = %d, want %d (one per black-holed primary attempt)", st.Failovers, len(seeds))
@@ -266,10 +274,11 @@ func TestBlackHoledJobPathStaysEvicted(t *testing.T) {
 			waitFor(t, "n0 on trial", func() bool { return n0.status().Up })
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		st, err := c.Eval(ctx, server.JobRequest{Technique: "sraf", Seed: seed})
+		var st server.JobStatus
+		b := servedBy(r, func() { st, err = c.Eval(ctx, server.JobRequest{Technique: "sraf", Seed: seed}) })
 		cancel()
-		if err != nil || st.State != server.StateDone || servedBy(st) == "n0" {
-			t.Fatalf("job %d: %v, %+v; want done on a replica", i, err, st)
+		if err != nil || st.State != server.StateDone || b == "n0" {
+			t.Fatalf("job %d: %v, %+v, served by %q; want done on a replica", i, err, st, b)
 		}
 		if ev := n0.status().Evictions; i+1 < failAfter && ev != 0 || i+1 == failAfter && ev != 1 {
 			t.Fatalf("after %d faulted jobs n0 has %d evictions, FailAfter is %d", i+1, ev, failAfter)
@@ -298,7 +307,7 @@ func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { re
 // deadline, even when the client's request has none.
 func TestAttemptTimeoutDefaultsToOneMinute(t *testing.T) {
 	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		server.WriteJSON(w, http.StatusOK, server.JobStatus{ID: "n0.j-1", State: server.StateDone})
+		server.WriteJSON(w, http.StatusOK, server.JobStatus{State: server.StateDone})
 	}))
 	defer stub.Close()
 	var left atomic.Int64
@@ -468,11 +477,19 @@ func TestRetryBudgetBoundsAmplification(t *testing.T) {
 	}
 }
 
-// TestRouterHTTPRewriteAndProxy covers the wire: job IDs gain the
-// backend prefix on submit and resolve through the proxy on poll.
+// TestRouterHTTPRewriteAndProxy covers the wire: a submission is
+// answered settled, a GET under /v1/jobs is the mux's 404 and reaches
+// no backend, and health and metrics answer.
 func TestRouterHTTPRewriteAndProxy(t *testing.T) {
 	nodes := []*node{startNode(t), startNode(t)}
-	r, err := New(Config{Backends: urls(nodes), CheckInterval: time.Hour, Logf: quiet})
+	var reached atomic.Int32
+	r, err := New(Config{Backends: urls(nodes), CheckInterval: time.Hour, Logf: quiet,
+		Transport: roundTripFunc(func(req *http.Request) (*http.Response, error) {
+			if req.URL.Path != "/healthz" {
+				reached.Add(1)
+			}
+			return http.DefaultTransport.RoundTrip(req)
+		})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,26 +507,34 @@ func TestRouterHTTPRewriteAndProxy(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if !strings.HasPrefix(st.ID, "n0.") && !strings.HasPrefix(st.ID, "n1.") {
-		t.Fatalf("submit returned unprefixed job id %q", st.ID)
+	if resp.StatusCode != http.StatusOK || st.State != server.StateDone || st.Result == nil {
+		t.Fatalf("submit answered %d %+v, want 200 and a settled job", resp.StatusCode, st)
 	}
 
-	waitFor(t, "proxied job to settle", func() bool {
-		resp, err := http.Get(front.URL + "/v1/jobs/" + st.ID)
+	// Job IDs are gone from the wire, and a GET under /v1/jobs with
+	// them: whatever it spells, it is never spliced into a backend URL.
+	reached.Store(0)
+	for _, path := range []string{
+		"n0.j-000001",
+		"j-000001",
+		"n0.x%2F..%2F..%2F..%2Fmetrics",
+		"n0.healthz%3Fdeep=1",
+		"n0.j-1%2F..",
+		"n0.j-" + strings.Repeat("1", 10<<10),
+	} {
+		resp, err := http.Get(front.URL + "/v1/jobs/" + path)
 		if err != nil {
-			return false
+			t.Fatal(err)
 		}
-		defer resp.Body.Close()
-		var ps server.JobStatus
-		if json.NewDecoder(resp.Body).Decode(&ps) != nil {
-			return false
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET /v1/jobs/%.40s = %d, want 404", path, resp.StatusCode)
 		}
-		return ps.State == server.StateDone && ps.ID == st.ID
-	})
-
-	if resp, _ := http.Get(front.URL + "/v1/jobs/bogus-no-prefix"); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unprefixed id status = %d, want 404", resp.StatusCode)
 	}
+	if n := reached.Load(); n != 0 {
+		t.Errorf("GETs under /v1/jobs reached a backend %d times, want 0", n)
+	}
+
 	if resp, _ := http.Get(front.URL + "/healthz"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz = %d, want 200", resp.StatusCode)
 	}
@@ -526,64 +551,6 @@ func TestRouterHTTPRewriteAndProxy(t *testing.T) {
 	}
 	if mb.Router.Requests < 1 || len(mb.Router.Backends) != 2 {
 		t.Fatalf("metrics body unexpected: %+v", mb.Router)
-	}
-}
-
-// TestPollRejectsIDsNoNodeMints: the node-local half of a job ID is
-// spliced into the URL a backend is asked, so an ID that is not
-// <backend>.j-<digits> is the router's own 404 and never reaches a
-// backend — spliced unchecked, the first two reach the node's /metrics
-// and /healthz, and the poll route reaches any GET path on any backend.
-func TestPollRejectsIDsNoNodeMints(t *testing.T) {
-	var reached atomic.Int32
-	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.URL.Path != "/healthz" {
-			reached.Add(1)
-			fmt.Fprint(w, "{}")
-		}
-	}))
-	defer stub.Close()
-	r, err := New(Config{Backends: []string{stub.URL}, CheckInterval: time.Hour, Logf: quiet})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Shutdown(context.Background())
-	front := httptest.NewServer(r.Handler())
-	defer front.Close()
-
-	for _, id := range []string{
-		"n0.x%2F..%2F..%2F..%2Fmetrics",
-		"n0.healthz%3Fdeep=1",
-		"n0.j-1%3Fwait=1",
-		"n0.j-1%23frag",
-		"n0.j-1%2F..",
-		"n0...",
-		"n0.j-",
-		"n0.j--1",
-		"n0.j-" + strings.Repeat("1", 20),
-		"n0.j-" + strings.Repeat("1", 10<<10),
-		"n9.j-1",
-		"j-1",
-	} {
-		resp, err := http.Get(front.URL + "/v1/jobs/" + id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("GET /v1/jobs/%.40s = %d, want 404", id, resp.StatusCode)
-		}
-		if n := reached.Swap(0); n != 0 {
-			t.Errorf("GET /v1/jobs/%.40s reached the backend (%d requests)", id, n)
-		}
-	}
-	resp, err := http.Get(front.URL + "/v1/jobs/n0.j-000007")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || reached.Load() != 1 {
-		t.Errorf("a minted id answered %d after %d backend requests, want 200 after 1", resp.StatusCode, reached.Load())
 	}
 }
 
@@ -604,7 +571,7 @@ func TestRouterDrainMirrorsDfmd(t *testing.T) {
 	go func() {
 		body, _ := json.Marshal(server.JobRequest{Technique: "sraf", Seed: 9})
 		close(startc)
-		resp, err := http.Post(front.URL+"/v1/jobs?wait=1", "application/json", bytes.NewReader(body))
+		resp, err := http.Post(front.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
 		if err == nil {
 			done <- resp
 		} else {
@@ -650,7 +617,7 @@ func TestRouterDrainMirrorsDfmd(t *testing.T) {
 // is rare, hence the rounds.
 func TestShutdownRacesSubmissions(t *testing.T) {
 	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		server.WriteJSON(w, http.StatusOK, server.JobStatus{ID: "j-1", State: server.StateDone})
+		server.WriteJSON(w, http.StatusOK, server.JobStatus{State: server.StateDone})
 	}))
 	defer stub.Close()
 	for round := 0; round < 200; round++ {
@@ -736,13 +703,12 @@ func TestRouterShutdownLeaksNoGoroutines(t *testing.T) {
 // one that is not JSON at all — and the client receives an answer
 // byte-identical to what the backend wrote, status and content type
 // included, directly and through a failover (the same buffer, sent
-// again). The job-ID prefix goes out as a header for the node to apply;
-// the stub applies it the way a node does, so the bytes compared carry
-// it. Tile accounting comes off the answer's headers, never its body.
+// again), to the backend the body's preference order names. Tile
+// accounting comes off the answer's headers, never its body.
 func TestRouterForwardsVerbatim(t *testing.T) {
-	const answer = "{\"id\" :\t\"%sj-000042\",\n\n  \"state\":\"done\", \"tile\":{\"unknown\":[1,2,3]}  }\r\n"
+	const answer = "{\"key\" :\t\"sha256:42\",\n\n  \"state\":\"done\", \"tile\":{\"unknown\":[1,2,3]}  }\r\n"
 	type seen struct {
-		body, claim, prefix string
+		body, claim, by string
 	}
 	var got []seen
 	var mu sync.Mutex
@@ -750,7 +716,8 @@ func TestRouterForwardsVerbatim(t *testing.T) {
 	// fault on the key's primary, wherever placement puts it.
 	var failNext atomic.Int32
 	stub := func() *httptest.Server {
-		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		var ts *httptest.Server
+		ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 			if req.URL.Path != "/v1/jobs" {
 				return // healthz: 200
 			}
@@ -761,13 +728,12 @@ func TestRouterForwardsVerbatim(t *testing.T) {
 			var body bytes.Buffer
 			body.ReadFrom(req.Body) //nolint:errcheck // test stub
 			mu.Lock()
-			got = append(got, seen{body.String(), req.Header.Get(server.HeaderRouteKey), req.Header.Get(server.HeaderIDPrefix)})
+			got = append(got, seen{body.String(), req.Header.Get(server.HeaderRouteKey), ts.URL})
 			mu.Unlock()
 			w.Header().Set("Content-Type", "application/x-stub")
 			w.Header().Set(server.HeaderJobKind, server.KindTile)
 			w.Header().Set(server.HeaderJobReused, "1")
-			w.WriteHeader(http.StatusAccepted)
-			fmt.Fprintf(w, answer, req.Header.Get(server.HeaderIDPrefix))
+			fmt.Fprint(w, answer)
 		}))
 		t.Cleanup(ts.Close)
 		return ts
@@ -799,8 +765,8 @@ func TestRouterForwardsVerbatim(t *testing.T) {
 			got = nil
 			mu.Unlock()
 			failNext.Store(tc.faults)
-			servedBy := preference(placement("", []byte(body)), r.backends)[tc.faults].Name + "."
-			resp, err := http.Post(ts.URL+"/v1/jobs?wait=1", "text/plain", strings.NewReader(body))
+			servedBy := preference(placement("", []byte(body)), r.backends)[tc.faults].URL
+			resp, err := http.Post(ts.URL+"/v1/jobs", "text/plain", strings.NewReader(body))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -810,14 +776,14 @@ func TestRouterForwardsVerbatim(t *testing.T) {
 			if len(got) != 1 || got[0].body != body {
 				t.Errorf("%s body %d: backend saw %q, client sent %q", tc.name, i, got, body)
 			}
-			if len(got) == 1 && got[0].prefix != servedBy {
-				t.Errorf("%s body %d: backend was asked for ID prefix %q, want %q", tc.name, i, got[0].prefix, servedBy)
+			if len(got) == 1 && got[0].by != servedBy {
+				t.Errorf("%s body %d: served by %s, want %s", tc.name, i, got[0].by, servedBy)
 			}
-			if want := fmt.Sprintf(answer, servedBy); back.String() != want {
-				t.Errorf("%s body %d: client received %q, backend wrote %q", tc.name, i, back.String(), want)
+			if back.String() != answer {
+				t.Errorf("%s body %d: client received %q, backend wrote %q", tc.name, i, back.String(), answer)
 			}
-			if resp.StatusCode != http.StatusAccepted || resp.Header.Get("Content-Type") != "application/x-stub" {
-				t.Errorf("%s body %d: client saw status %d type %q, backend answered 202 application/x-stub",
+			if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/x-stub" {
+				t.Errorf("%s body %d: client saw status %d type %q, backend answered 200 application/x-stub",
 					tc.name, i, resp.StatusCode, resp.Header.Get("Content-Type"))
 			}
 		}
@@ -869,7 +835,8 @@ func TestPickFollowsPreferenceOrder(t *testing.T) {
 	defer r.Shutdown(context.Background())
 
 	const key = "sha256:any"
-	want := nameList(preference(key, r.backends))
+	order := preference(key, r.backends)
+	want := nameList(order)
 	tried := map[*Backend]bool{}
 	for i, name := range want {
 		b, _ := r.pick(key, tried)
@@ -881,7 +848,7 @@ func TestPickFollowsPreferenceOrder(t *testing.T) {
 	if b, _ := r.pick(key, tried); b != nil {
 		t.Fatalf("pick after every backend was tried = %s, want none", b.Name)
 	}
-	r.byName[want[0]].health.probed(client.ErrDraining)
+	order[0].health.probed(client.ErrDraining)
 	if b, _ := r.pick(key, nil); b == nil || b.Name != want[1] {
 		t.Fatalf("pick with the primary down = %v, want %s", b, want[1])
 	}

@@ -28,20 +28,16 @@ const (
 )
 
 // Headers that travel beside a job's JSON, so that a dfmrouter in the
-// path can place a submission, name the job and count the outcome
-// without decoding the body in either direction (DESIGN.md, "Router
-// pass-through"). A bare dfmd honours the same headers; a client that
-// sends none is served all the same.
+// path can place a submission and count the outcome without decoding
+// the body in either direction (DESIGN.md, "Router pass-through"). A
+// bare dfmd honours the same headers; a client that sends none is
+// served all the same.
 const (
 	// HeaderRouteKey, on a submission, is the client's claim of the
 	// request's content address (KeyForRequest). The router places the
 	// job by it. It is placement, never identity:
 	// a node does not read it, and keys what it decoded.
 	HeaderRouteKey = "Dfm-Route-Key"
-	// HeaderIDPrefix, on any job request, is prepended by the node to
-	// the job ID in its answer: the router sends "<backend>." so the ID
-	// a client holds routes its polls back to the node that owns the job.
-	HeaderIDPrefix = "Dfm-Id-Prefix"
 	// HeaderJobKind and HeaderJobReused, on a job answer, repeat the
 	// status's Kind (absent for technique evaluations) and whether it
 	// was Cached or Deduped ("1", else absent): what the router's tile
@@ -71,17 +67,16 @@ type JobRequest struct {
 	Tile *tiling.TileRequest `json:"tile,omitempty"`
 }
 
-// Job states.
+// Job states: every answer to a submission is a settled job.
 const (
-	StateQueued  = "queued"
-	StateRunning = "running"
-	StateDone    = "done"
-	StateFailed  = "failed"
+	StateDone   = "done"
+	StateFailed = "failed"
 )
 
-// JobStatus is the poll/submit response for one job.
+// JobStatus is the answer to one submission, given once the job
+// settles. Its Key is the job's only identity: an identical submission
+// joins the evaluation while it runs and hits the cache after.
 type JobStatus struct {
-	ID    string `json:"id"`
 	State string `json:"state"`
 	// Kind mirrors the request kind; empty for technique evaluations,
 	// so pre-tile clients see an unchanged wire shape.
@@ -92,9 +87,9 @@ type JobStatus struct {
 	// marks one that joined an identical in-flight evaluation.
 	Cached  bool `json:"cached,omitempty"`
 	Deduped bool `json:"deduped,omitempty"`
-	// Result is set once State is done (or failed with a partial
-	// outcome); Error carries the failure summary for failed jobs.
-	// Tile jobs settle into Tile instead.
+	// Result is the technique outcome, set when done (and when failed
+	// with a partial outcome); Error carries the failure summary for
+	// failed jobs. Tile jobs settle into Tile instead.
 	Result *dfm.OutcomeView   `json:"result,omitempty"`
 	Tile   *tiling.TileResult `json:"tile,omitempty"`
 	Error  string             `json:"error,omitempty"`

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 
 	"repro/internal/obs"
@@ -14,8 +13,7 @@ import (
 
 // Handler returns the service's HTTP API:
 //
-//	POST /v1/jobs            submit a JobRequest; ?wait=1 blocks for the result
-//	GET  /v1/jobs/{id}       poll a job's status
+//	POST /v1/jobs            submit a JobRequest; answered 200 once the job settles
 //	GET  /healthz            200 serving / 503 draining
 //	GET  /metrics            server stats + obs registry snapshot
 //
@@ -25,7 +23,6 @@ import (
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return mux
@@ -81,15 +78,6 @@ func ReadJobBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	return nil, false
 }
 
-// WaitRequested reads a submission's ?wait= the one way both tiers do:
-// present with any value but a false one ("0", "false", …; see
-// strconv.ParseBool), the submit blocks until the job settles.
-func WaitRequested(r *http.Request) bool {
-	v := r.URL.Query().Get("wait")
-	block, err := strconv.ParseBool(v)
-	return v != "" && (block || err != nil)
-}
-
 // decodeJobRequest is the node's strict reading of a body: unknown
 // fields rejected, here and (tiling's own codec) inside "tile".
 func decodeJobRequest(body []byte) (JobRequest, error) {
@@ -98,36 +86,6 @@ func decodeJobRequest(body []byte) (JobRequest, error) {
 	dec.DisallowUnknownFields()
 	err := dec.Decode(&req)
 	return req, err
-}
-
-// writeStatus answers with a job status, with beside it what a router
-// in the path asked for and needs: the ID under the prefix r names, and
-// the kind and reuse flags repeated as headers.
-func writeStatus(w http.ResponseWriter, r *http.Request, code int, st JobStatus) {
-	st.ID = idPrefix(r) + st.ID
-	if st.Kind != "" {
-		w.Header().Set(HeaderJobKind, st.Kind)
-	}
-	if st.Cached || st.Deduped {
-		w.Header().Set(HeaderJobReused, "1")
-	}
-	WriteJSON(w, code, st)
-}
-
-// idPrefix is the job-ID prefix r asks for: a short run of the
-// characters backend names are made of, or none. Anything else is
-// ignored rather than echoed into an answer.
-func idPrefix(r *http.Request) string {
-	p := r.Header.Get(HeaderIDPrefix)
-	if len(p) > 32 {
-		return ""
-	}
-	for _, c := range []byte(p) {
-		if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || c == '.' || c == '-' || c == '_') {
-			return ""
-		}
-	}
-	return p
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -140,7 +98,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
-	st, retryAfter, err := s.submit(req)
+	j, retryAfter, err := s.submit(req)
 	switch {
 	case errors.Is(err, errDraining):
 		WriteError(w, http.StatusServiceUnavailable, "shutting down")
@@ -162,38 +120,23 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if WaitRequested(r) {
-		ws, ok, werr := s.wait(r.Context(), st.ID)
-		if werr != nil {
-			// The wait was cut short (client gone, proxy deadline), but
-			// the job was admitted and is still running. Answer 202
-			// with the job's current status — an anonymous 408 here
-			// would strand the job: the client could never poll or
-			// de-duplicate what it already paid to enqueue.
-			if cur, stillOK := s.Job(st.ID); stillOK {
-				st = cur
-			}
-			writeStatus(w, r, http.StatusAccepted, st)
-			return
-		}
-		if ok {
-			st = ws
-		}
-	}
-	code := http.StatusAccepted
-	if st.State == StateDone || st.State == StateFailed {
-		code = http.StatusOK
-	}
-	writeStatus(w, r, code, st)
-}
-
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.Job(r.PathValue("id"))
-	if !ok {
-		WriteError(w, http.StatusNotFound, "unknown job")
+	select {
+	case <-j.done:
+	case <-r.Context().Done():
+		// The caller is gone. Its evaluation runs on in its flight and
+		// lands in the cache, where an identical resubmission finds it.
 		return
 	}
-	writeStatus(w, r, http.StatusOK, st)
+	// The kind and reuse flags go out again as headers, for a router
+	// in the path to count without reading the body.
+	st := j.status()
+	if st.Kind != "" {
+		w.Header().Set(HeaderJobKind, st.Kind)
+	}
+	if st.Cached || st.Deduped {
+		w.Header().Set(HeaderJobReused, "1")
+	}
+	WriteJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -35,60 +36,48 @@ func decode[T any](t *testing.T, resp *http.Response) T {
 	return v
 }
 
+// A submission is answered once its job settles, whatever the query
+// string says: 200 with the result, and a duplicate 200 from the cache.
 func TestHTTPSubmitPollResult(t *testing.T) {
 	cfg, gate := gatedConfig(Config{Workers: 1, Queue: 4, MaxWait: time.Hour})
 	s := New(cfg)
 	defer s.Shutdown(context.Background())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
+	open := sync.OnceFunc(func() { close(gate) })
+	defer open()
 
-	resp := postJSON(t, ts.URL+"/v1/jobs", JobRequest{Technique: "sraf", Seed: 5})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit status = %d, want 202", resp.StatusCode)
-	}
-	st := decode[JobStatus](t, resp)
-	if st.ID == "" || !strings.HasPrefix(st.Key, "sha256:") {
-		t.Fatalf("implausible submit response: %+v", st)
-	}
-
-	// Pending: the poll answers 200 with a status that is not settled.
-	rr, err := http.Get(ts.URL + "/v1/jobs/" + st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pending := decode[JobStatus](t, rr); rr.StatusCode != http.StatusOK || pending.State == StateDone || pending.Result != nil {
-		t.Fatalf("pending poll: status %d body %+v", rr.StatusCode, pending)
-	}
-
-	close(gate)
-	deadline := time.Now().Add(5 * time.Second)
-	var fin JobStatus
-	for {
-		resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID)
+	answered := make(chan *http.Response, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/jobs?wait=0", "application/json",
+			strings.NewReader(`{"technique":"sraf","seed":5}`))
 		if err != nil {
-			t.Fatal(err)
+			resp = nil
 		}
-		fin = decode[JobStatus](t, resp)
-		if fin.State == StateDone || fin.State == StateFailed {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job stuck in state %q", fin.State)
-		}
-		time.Sleep(2 * time.Millisecond)
+		answered <- resp
+	}()
+	waitFor(t, "job in flight", func() bool { return s.Stats().InFlight == 1 })
+	select {
+	case <-answered:
+		t.Fatal("submission answered before its job settled")
+	default:
 	}
-	if fin.State != StateDone || fin.Result == nil || fin.Result.Verdict != "HIT" {
-		t.Fatalf("polled terminal status: %+v", fin)
+	open()
+	resp := <-answered
+	if resp == nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("submit answered %v, want 200", resp)
+	}
+	fin := decode[JobStatus](t, resp)
+	if fin.State != StateDone || fin.Result == nil || fin.Result.Verdict != "HIT" || !strings.HasPrefix(fin.Key, "sha256:") {
+		t.Fatalf("settled answer: %+v", fin)
 	}
 
-	// wait=1 on a duplicate: answered inline from the cache with 200.
-	resp2 := postJSON(t, ts.URL+"/v1/jobs?wait=1", JobRequest{Technique: "sraf", Seed: 5})
+	resp2 := postJSON(t, ts.URL+"/v1/jobs", JobRequest{Technique: "sraf", Seed: 5})
 	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("cached wait=1 status = %d, want 200", resp2.StatusCode)
+		t.Fatalf("cached submit status = %d, want 200", resp2.StatusCode)
 	}
-	st2 := decode[JobStatus](t, resp2)
-	if !st2.Cached || st2.Result == nil {
-		t.Fatalf("cached wait=1 body: %+v", st2)
+	if st2 := decode[JobStatus](t, resp2); !st2.Cached || st2.Result == nil || st2.Key != fin.Key {
+		t.Fatalf("cached submit body: %+v", st2)
 	}
 }
 
@@ -102,9 +91,15 @@ func TestHTTPShedsWith429AndRetryAfter(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	postJSON(t, ts.URL+"/v1/jobs", JobRequest{Technique: "sraf", Seed: 1}).Body.Close()
+	// Plug the worker and the queue, past HTTP: their submissions would
+	// be answered only once the gate opens.
+	if _, _, err := s.submit(req(1)); err != nil {
+		t.Fatal(err)
+	}
 	waitFor(t, "first job in flight", func() bool { return s.Stats().InFlight == 1 })
-	postJSON(t, ts.URL+"/v1/jobs", JobRequest{Technique: "sraf", Seed: 2}).Body.Close()
+	if _, _, err := s.submit(req(2)); err != nil {
+		t.Fatal(err)
+	}
 	waitFor(t, "second job queued", func() bool { return s.Stats().QueueDepth == 1 })
 
 	resp := postJSON(t, ts.URL+"/v1/jobs", JobRequest{Technique: "sraf", Seed: 3})
@@ -155,7 +150,7 @@ func TestHTTPValidationAndNotFound(t *testing.T) {
 		t.Fatal(err)
 	}
 	if r2.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown job status = %d, want 404", r2.StatusCode)
+		t.Fatalf("GET of a job path = %d, want the mux's 404", r2.StatusCode)
 	}
 	r2.Body.Close()
 }
@@ -176,7 +171,7 @@ func TestHTTPHealthzAndMetricsAcrossDrain(t *testing.T) {
 	}
 	hz.Body.Close()
 
-	resp := postJSON(t, ts.URL+"/v1/jobs?wait=1", JobRequest{Technique: "sraf", Seed: 9})
+	resp := postJSON(t, ts.URL+"/v1/jobs", JobRequest{Technique: "sraf", Seed: 9})
 	resp.Body.Close()
 
 	mr, err := http.Get(ts.URL + "/metrics")
@@ -208,54 +203,4 @@ func TestHTTPHealthzAndMetricsAcrossDrain(t *testing.T) {
 		t.Fatalf("draining submit status = %d, want 503", sub.StatusCode)
 	}
 	sub.Body.Close()
-}
-
-// A wait=1 submit whose wait is cut short (client deadline, proxy
-// timeout) must still hand back the job's identity: 202 with the full
-// JobStatus, never an anonymous timeout. The job was admitted — a
-// client that can't poll it would resubmit and double-pay.
-func TestHTTPWaitCutShortReturnsJobStatus(t *testing.T) {
-	cfg, gate := gatedConfig(Config{Workers: 1, Queue: 4, MaxWait: time.Hour})
-	s := New(cfg)
-	defer func() {
-		close(gate)
-		s.Shutdown(context.Background())
-	}()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	b, err := json.Marshal(JobRequest{Technique: "sraf", Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := httptest.NewRequest("POST", "/v1/jobs?wait=1", bytes.NewReader(b)).WithContext(ctx)
-	rec := httptest.NewRecorder()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		s.Handler().ServeHTTP(rec, req)
-	}()
-	// The handler admits the job, then blocks in wait (the task is
-	// gated); cancel the request mid-wait.
-	waitFor(t, "job admitted", func() bool { return s.Stats().Submitted == 1 })
-	cancel()
-	<-done
-
-	if rec.Code != http.StatusAccepted {
-		t.Fatalf("cut-short wait status = %d, want 202", rec.Code)
-	}
-	var st JobStatus
-	if err := json.NewDecoder(rec.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if st.ID == "" {
-		t.Fatalf("cut-short wait returned no job ID: %+v", st)
-	}
-	if st.State != StateQueued && st.State != StateRunning {
-		t.Fatalf("cut-short wait state = %q, want queued/running", st.State)
-	}
-	// The ID it returned must be pollable.
-	if _, ok := s.Job(st.ID); !ok {
-		t.Fatalf("job %s not pollable after cut-short wait", st.ID)
-	}
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -51,11 +50,9 @@ func DefaultConfig() Config {
 	return Config{Queue: 64, MaxWait: 30 * time.Second, Retries: 1}
 }
 
-// What the service does not leave to its caller.
-const (
-	retryBackoff = 50 * time.Millisecond // first harness retry delay
-	retainJobs   = 4096                  // settled jobs kept pollable; past it the oldest are evicted
-)
+// retryBackoff is the first harness retry delay, which the service
+// does not leave to its caller.
+const retryBackoff = 50 * time.Millisecond
 
 func (c Config) withDefaults() Config {
 	if c.Workers < 1 {
@@ -90,17 +87,10 @@ var (
 	errDraining   = errors.New("server: shutting down")
 )
 
-// flight is one in-flight evaluation shared by every job with the
-// same content key.
-type flight struct {
-	key     string
-	started atomic.Bool // a worker picked the task up
-	jobs    []*job      // guarded by Server.mu
-}
-
-// job is one client-visible submission.
+// job is one submission: what it asked for, and how it settled. The
+// outcome and tile are written once, before done closes, and read only
+// after.
 type job struct {
-	id      string
 	key     string
 	kind    string // "" for technique evaluations, KindTile for tiles
 	created time.Time
@@ -108,13 +98,8 @@ type job struct {
 	cached  bool
 	deduped bool
 
-	// mu-guarded terminal state; done closes when the job settles.
-	state   string
 	outcome dfm.Outcome
-	hasOut  bool
 	tile    *tiling.TileResult
-	errMsg  string
-	flight  *flight
 	done    chan struct{}
 }
 
@@ -147,10 +132,10 @@ type Server struct {
 	baseCtx    context.Context
 	cancelBase context.CancelFunc
 
-	mu      sync.Mutex
-	jobs    map[string]*job
-	order   []string // job ids in creation order, for retention eviction
-	flights map[string]*flight
+	mu sync.Mutex
+	// flights holds, per content key in evaluation, the jobs waiting
+	// on it: the first submission and every identical one since.
+	flights map[string][]*job
 	// cache holds clean results by content address — dfm.Outcome for
 	// technique evaluations, *tiling.TileResult for tile jobs (the kind
 	// is recoverable from the stored type). A timeout or fault is not a
@@ -158,7 +143,6 @@ type Server struct {
 	// served as done.
 	cache *lru.Cache[string, any]
 
-	seq      atomic.Int64
 	draining atomic.Bool
 	ewmaNs   atomic.Int64 // EWMA of evaluation latency
 	watchers sync.WaitGroup
@@ -183,28 +167,27 @@ func New(cfg Config) *Server {
 		}, cfg.Queue),
 		baseCtx:    ctx,
 		cancelBase: cancel,
-		jobs:       make(map[string]*job),
-		flights:    make(map[string]*flight),
+		flights:    make(map[string][]*job),
 		cache:      lru.New[string, any](cfg.CacheSize),
 	}
 }
 
-// submit admits one request. It returns the job's status snapshot,
-// errOverloaded (with a retry-after hint) when shedding, errDraining
-// during shutdown, or a validation error.
-func (s *Server) submit(req JobRequest) (JobStatus, time.Duration, error) {
+// submit admits one request. It returns the job, whose done closes
+// when it settles, errOverloaded (with a retry-after hint) when
+// shedding, errDraining during shutdown, or a validation error.
+func (s *Server) submit(req JobRequest) (*job, time.Duration, error) {
 	s.submitted.Add(1)
 	if s.draining.Load() {
-		return JobStatus{}, 0, errDraining
+		return nil, 0, errDraining
 	}
 	rq, err := resolve(req)
 	if err != nil {
-		return JobStatus{}, 0, err
+		return nil, 0, err
 	}
 	key := rq.key
 	task, err := s.cfg.TaskFactory(req)
 	if err != nil {
-		return JobStatus{}, 0, err
+		return nil, 0, err
 	}
 	task.Timeout = s.cfg.DefaultTimeout
 
@@ -213,15 +196,13 @@ func (s *Server) submit(req JobRequest) (JobStatus, time.Duration, error) {
 	// Again under mu, which Shutdown flips draining under: a job admitted
 	// here joins watchers before Shutdown waits on them.
 	if s.draining.Load() {
-		return JobStatus{}, 0, errDraining
+		return nil, 0, errDraining
 	}
 
 	j := &job{
-		id:      fmt.Sprintf("j-%06d", s.seq.Add(1)),
 		key:     key,
 		kind:    rq.kind, // "" for evals: statuses keep the pre-tile wire shape
 		created: time.Now(),
-		state:   StateQueued,
 		done:    make(chan struct{}),
 	}
 
@@ -232,14 +213,13 @@ func (s *Server) submit(req JobRequest) (JobStatus, time.Duration, error) {
 		j.cached = true
 		switch cv := v.(type) {
 		case *tiling.TileResult:
-			j.settleLocked(dfm.Outcome{}, cv)
+			j.settle(dfm.Outcome{}, cv)
 		case dfm.Outcome:
-			j.settleLocked(cv, nil) // cached outcomes are always clean: done
+			j.settle(cv, nil) // cached outcomes are always clean: done
 		}
-		s.trackLocked(j)
 		s.completed.Add(1)
 		mE2E.ObserveSince(j.created)
-		return j.statusLocked(), 0, nil
+		return j, 0, nil
 	}
 
 	// Singleflight: an identical evaluation is already in flight;
@@ -247,10 +227,8 @@ func (s *Server) submit(req JobRequest) (JobStatus, time.Duration, error) {
 	if f, ok := s.flights[key]; ok {
 		s.deduped.Add(1)
 		j.deduped = true
-		j.flight = f
-		f.jobs = append(f.jobs, j)
-		s.trackLocked(j)
-		return j.statusLocked(), 0, nil
+		s.flights[key] = append(f, j)
+		return j, 0, nil
 	}
 
 	// Admission control on live pool signals: estimated wait is the
@@ -258,35 +236,26 @@ func (s *Server) submit(req JobRequest) (JobStatus, time.Duration, error) {
 	// latency, spread over the workers.
 	if wait := s.estimatedWait(); s.cfg.MaxWait > 0 && wait > s.cfg.MaxWait {
 		s.shed.Add(1)
-		return JobStatus{}, wait, errOverloaded
+		return nil, wait, errOverloaded
 	}
 
-	f := &flight{key: key}
-	inner := task.Run
-	task.Run = func(ctx context.Context, attempt int) (any, error) {
-		f.started.Store(true)
-		return inner(ctx, attempt)
-	}
 	ch, err := s.pool.Submit(s.baseCtx, task)
 	if err != nil {
 		// ErrQueueFull (hard shed) or ErrPoolClosed (drain raced us).
 		if errors.Is(err, harness.ErrPoolClosed) {
-			return JobStatus{}, 0, errDraining
+			return nil, 0, errDraining
 		}
 		s.shed.Add(1)
-		return JobStatus{}, s.estimatedWait(), errOverloaded
+		return nil, s.estimatedWait(), errOverloaded
 	}
 	s.admitted.Add(1)
-	j.flight = f
-	f.jobs = append(f.jobs, j)
-	s.flights[key] = f
-	s.trackLocked(j)
+	s.flights[key] = []*job{j}
 	s.watchers.Add(1)
 	go func() {
 		defer s.watchers.Done()
 		s.complete(key, <-ch)
 	}()
-	return j.statusLocked(), 0, nil
+	return j, 0, nil
 }
 
 // estimatedWait projects how long a newly queued job would sit before
@@ -312,7 +281,7 @@ func (s *Server) complete(key string, res harness.Result) {
 	}
 
 	s.mu.Lock()
-	f := s.flights[key]
+	jobs := s.flights[key]
 	delete(s.flights, key)
 	if o.Err == nil {
 		if tile != nil {
@@ -322,22 +291,20 @@ func (s *Server) complete(key string, res harness.Result) {
 		}
 		s.updateEWMA(res.Runtime)
 	}
-	if f != nil {
-		for _, j := range f.jobs {
-			// Counted before settling: settleLocked wakes the job's
-			// waiters, and a client whose ?wait=1 just returned must find
-			// its own job in /metrics.
-			mE2E.ObserveSince(j.created)
-			switch {
-			case errors.Is(o.Err, harness.ErrPoolClosed):
-				s.rejected.Add(1)
-			case o.Err != nil:
-				s.failed.Add(1)
-			default:
-				s.completed.Add(1)
-			}
-			j.settleLocked(o, tile)
+	for _, j := range jobs {
+		// Counted before settling: settle wakes the job's waiter, and a
+		// client whose submission was just answered must find its own
+		// job in /metrics.
+		mE2E.ObserveSince(j.created)
+		switch {
+		case errors.Is(o.Err, harness.ErrPoolClosed):
+			s.rejected.Add(1)
+		case o.Err != nil:
+			s.failed.Add(1)
+		default:
+			s.completed.Add(1)
 		}
+		j.settle(o, tile)
 	}
 	s.mu.Unlock()
 }
@@ -357,95 +324,37 @@ func (s *Server) updateEWMA(d time.Duration) {
 	}
 }
 
-// settleLocked moves a job to its terminal state. Callers hold s.mu.
-// Tile jobs settle into tile (hasOut stays false so the
-// status never grows a technique Result); failed ones carry only the
-// error.
-func (j *job) settleLocked(o dfm.Outcome, tile *tiling.TileResult) {
+// settle records how the job ended and wakes its waiter. Tile jobs
+// settle into tile, never a technique Result; failed ones carry only
+// the error.
+func (j *job) settle(o dfm.Outcome, tile *tiling.TileResult) {
 	j.outcome = o
 	j.tile = tile
-	j.hasOut = tile == nil && j.kind == ""
-	j.flight = nil
-	if o.Err != nil {
-		j.state = StateFailed
-		if errors.Is(o.Err, harness.ErrPoolClosed) {
-			j.errMsg = "rejected: server shutting down before evaluation started"
-		} else {
-			j.errMsg = o.Err.Error()
-		}
-	} else {
-		j.state = StateDone
-	}
 	close(j.done)
 }
 
-// statusLocked snapshots the job. Callers hold s.mu.
-func (j *job) statusLocked() JobStatus {
+// status is the settled job's answer; call it only once done has
+// closed.
+func (j *job) status() JobStatus {
 	st := JobStatus{
-		ID:      j.id,
-		State:   j.state,
+		State:   StateDone,
 		Kind:    j.kind,
 		Key:     j.key,
 		Cached:  j.cached,
 		Deduped: j.deduped,
-		Error:   j.errMsg,
+		Tile:    j.tile,
 	}
-	if st.State == StateQueued && j.flight != nil && j.flight.started.Load() {
-		st.State = StateRunning
+	switch err := j.outcome.Err; {
+	case errors.Is(err, harness.ErrPoolClosed):
+		st.State, st.Error = StateFailed, "rejected: server shutting down before evaluation started"
+	case err != nil:
+		st.State, st.Error = StateFailed, err.Error()
 	}
-	if j.hasOut {
+	if j.tile == nil && j.kind == "" {
 		v := dfm.NewOutcomeView(j.outcome)
 		st.Result = &v
 	}
-	st.Tile = j.tile
 	return st
-}
-
-// trackLocked registers the job and evicts the oldest settled jobs
-// past the retention cap. Callers hold s.mu.
-func (s *Server) trackLocked(j *job) {
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	for len(s.jobs) > retainJobs && len(s.order) > 0 {
-		oldest, ok := s.jobs[s.order[0]]
-		if ok && oldest.state != StateDone && oldest.state != StateFailed {
-			break // never evict a live job
-		}
-		if ok {
-			delete(s.jobs, s.order[0])
-		}
-		s.order = s.order[1:]
-	}
-}
-
-// Job returns the status snapshot of a job by id.
-func (s *Server) Job(id string) (JobStatus, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return JobStatus{}, false
-	}
-	return j.statusLocked(), true
-}
-
-// wait blocks until the job settles or ctx is done, then returns the
-// latest snapshot.
-func (s *Server) wait(ctx context.Context, id string) (JobStatus, bool, error) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
-		return JobStatus{}, false, nil
-	}
-	select {
-	case <-j.done:
-	case <-ctx.Done():
-		return JobStatus{}, true, ctx.Err()
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return j.statusLocked(), true, nil
 }
 
 // Stats snapshots the server counters and live pool signals.

@@ -56,22 +56,25 @@ func req(seed int64) JobRequest {
 	return JobRequest{Technique: "sraf", Seed: seed}
 }
 
+// settled waits for j to settle and returns its answer.
+func settled(j *job) JobStatus {
+	<-j.done
+	return j.status()
+}
+
 func TestSubmitEvaluatesAndCaches(t *testing.T) {
 	cfg, gate := gatedConfig(Config{Workers: 1, Queue: 4, MaxWait: time.Hour})
 	s := New(cfg)
 	defer s.Shutdown(context.Background())
 	close(gate) // nothing blocks in this test
 
-	st, _, err := s.submit(req(1))
+	j, _, err := s.submit(req(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Cached || st.Deduped {
-		t.Fatalf("first submit marked cached/deduped: %+v", st)
-	}
-	fin, ok, err := s.wait(context.Background(), st.ID)
-	if err != nil || !ok {
-		t.Fatalf("wait: ok=%v err=%v", ok, err)
+	fin := settled(j)
+	if fin.Cached || fin.Deduped {
+		t.Fatalf("first submit marked cached/deduped: %+v", fin)
 	}
 	if fin.State != StateDone || fin.Result == nil {
 		t.Fatalf("job did not settle done: %+v", fin)
@@ -82,24 +85,29 @@ func TestSubmitEvaluatesAndCaches(t *testing.T) {
 
 	// Identical request: served from the content-addressed cache,
 	// already done at submit time.
-	st2, _, err := s.submit(req(1))
+	j2, _, err := s.submit(req(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st2.Cached || st2.State != StateDone || st2.Result == nil {
+	select {
+	case <-j2.done:
+	default:
+		t.Fatal("cache hit not settled at submit")
+	}
+	if st2 := j2.status(); !st2.Cached || st2.State != StateDone || st2.Result == nil {
 		t.Fatalf("second submit not a cache hit: %+v", st2)
 	}
-	if st2.Key != st.Key {
-		t.Fatalf("same request produced different keys: %s vs %s", st.Key, st2.Key)
+	if j2.key != j.key {
+		t.Fatalf("same request produced different keys: %s vs %s", j.key, j2.key)
 	}
 
 	// Different seed: different content, fresh evaluation.
-	st3, _, err := s.submit(req(2))
+	j3, _, err := s.submit(req(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st3.Cached || st3.Key == st.Key {
-		t.Fatalf("distinct request aliased: %+v", st3)
+	if j3.cached || j3.key == j.key {
+		t.Fatalf("distinct request aliased: %+v", settled(j3))
 	}
 
 	stats := s.Stats()
@@ -117,26 +125,24 @@ func TestSingleflightCollapsesConcurrentDuplicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var followers []JobStatus
+	var followers []*job
 	for i := 0; i < 3; i++ {
-		st, _, err := s.submit(req(7))
+		j, _, err := s.submit(req(7))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !st.Deduped {
-			t.Fatalf("duplicate in-flight submit %d not deduped: %+v", i, st)
+		if !j.deduped {
+			t.Fatalf("duplicate in-flight submit %d not deduped", i)
 		}
-		followers = append(followers, st)
+		followers = append(followers, j)
 	}
 	close(gate)
-	fin, _, err := s.wait(context.Background(), lead.ID)
-	if err != nil || fin.State != StateDone {
-		t.Fatalf("leader: %+v err=%v", fin, err)
+	if fin := settled(lead); fin.State != StateDone {
+		t.Fatalf("leader: %+v", fin)
 	}
-	for _, f := range followers {
-		ff, ok, err := s.wait(context.Background(), f.ID)
-		if err != nil || !ok || ff.State != StateDone || ff.Result == nil {
-			t.Fatalf("follower %s did not settle with result: %+v err=%v", f.ID, ff, err)
+	for i, f := range followers {
+		if ff := settled(f); ff.State != StateDone || ff.Result == nil {
+			t.Fatalf("follower %d did not settle with result: %+v", i, ff)
 		}
 	}
 	stats := s.Stats()
@@ -240,25 +246,24 @@ func TestFailedEvaluationNotCached(t *testing.T) {
 	s := New(cfg)
 	defer s.Shutdown(context.Background())
 
-	st, _, err := s.submit(req(1))
+	j, _, err := s.submit(req(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fin, _, _ := s.wait(context.Background(), st.ID)
-	if fin.State != StateFailed || fin.Error == "" {
+	if fin := settled(j); fin.State != StateFailed || fin.Error == "" {
 		t.Fatalf("failing job settled as %+v", fin)
 	}
 	// The failure must not be content-addressed: the next identical
 	// request re-evaluates (and now succeeds).
 	fail = false
-	st2, _, err := s.submit(req(1))
+	j2, _, err := s.submit(req(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st2.Cached {
-		t.Fatalf("failed outcome was served from cache: %+v", st2)
+	fin2 := settled(j2)
+	if fin2.Cached {
+		t.Fatalf("failed outcome was served from cache: %+v", fin2)
 	}
-	fin2, _, _ := s.wait(context.Background(), st2.ID)
 	if fin2.State != StateDone {
 		t.Fatalf("retry after failure settled as %+v", fin2)
 	}
@@ -284,33 +289,6 @@ func TestUnknownTechniqueAndTechRejected(t *testing.T) {
 	}
 }
 
-func TestJobRetentionEvictsOldestSettled(t *testing.T) {
-	cfg, gate := gatedConfig(Config{Workers: 1, Queue: 4, MaxWait: time.Hour})
-	s := New(cfg)
-	defer s.Shutdown(context.Background())
-	close(gate)
-	var ids []string
-	for i := 0; i < retainJobs+2; i++ {
-		st, _, err := s.submit(req(int64(100 + i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := s.wait(context.Background(), st.ID); err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, st.ID)
-	}
-	if _, ok := s.Job(ids[0]); ok {
-		t.Fatal("oldest settled job survived past the retention cap")
-	}
-	if _, ok := s.Job(ids[2]); !ok {
-		t.Fatal("a settled job inside the retention cap was evicted")
-	}
-	if _, ok := s.Job(ids[len(ids)-1]); !ok {
-		t.Fatal("newest job was evicted")
-	}
-}
-
 // TestConcurrentOverlappingClients is the acceptance scenario: many
 // clients submit overlapping workloads concurrently; every client
 // gets a correct, consistent result while duplicate layouts cost one
@@ -331,17 +309,12 @@ func TestConcurrentOverlappingClients(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perClient; i++ {
 				seed := int64((c + i) % uniqueSeeds) // overlapping across clients
-				st, _, err := s.submit(req(seed))
+				j, _, err := s.submit(req(seed))
 				if err != nil {
 					t.Errorf("client %d submit %d: %v", c, i, err)
 					return
 				}
-				fin, ok, err := s.wait(context.Background(), st.ID)
-				if err != nil || !ok {
-					t.Errorf("client %d wait %d: ok=%v err=%v", c, i, ok, err)
-					return
-				}
-				results[c] = append(results[c], fin)
+				results[c] = append(results[c], settled(j))
 			}
 		}()
 	}
@@ -358,7 +331,7 @@ func TestConcurrentOverlappingClients(t *testing.T) {
 		for _, fin := range results[c] {
 			total++
 			if fin.State != StateDone || fin.Result == nil {
-				t.Fatalf("job %s settled as %+v", fin.ID, fin)
+				t.Fatalf("job %s settled as %+v", fin.Key, fin)
 			}
 			if prev, ok := byKey[fin.Key]; ok {
 				if prev.Verdict != fin.Result.Verdict || len(prev.Metrics) != len(fin.Result.Metrics) {
@@ -397,14 +370,11 @@ func TestConcurrentOverlappingClients(t *testing.T) {
 func TestEndToEndRealEvaluator(t *testing.T) {
 	s := New(Config{Workers: 2, Queue: 8, MaxWait: time.Hour})
 	defer s.Shutdown(context.Background())
-	st, _, err := s.submit(JobRequest{Technique: "sraf", Seed: 11})
+	j, _, err := s.submit(JobRequest{Technique: "sraf", Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fin, _, err := s.wait(context.Background(), st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fin := settled(j)
 	if fin.State != StateDone || fin.Result == nil {
 		t.Fatalf("sraf evaluation settled as %+v (error %q)", fin, fin.Error)
 	}
@@ -412,11 +382,11 @@ func TestEndToEndRealEvaluator(t *testing.T) {
 		t.Fatalf("implausible outcome: %+v", fin.Result)
 	}
 	// Same request again: cache hit with the identical outcome.
-	st2, _, err := s.submit(JobRequest{Technique: "sraf", Seed: 11})
+	j2, _, err := s.submit(JobRequest{Technique: "sraf", Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st2.Cached || st2.Result == nil || st2.Result.Verdict != fin.Result.Verdict {
+	if st2 := settled(j2); !st2.Cached || st2.Result == nil || st2.Result.Verdict != fin.Result.Verdict {
 		t.Fatalf("cached replay diverged: %+v vs %+v", st2.Result, fin.Result)
 	}
 }

@@ -39,12 +39,12 @@ func TestGracefulShutdownDrainsInflightRejectsQueued(t *testing.T) {
 	close(gate) // let the in-flight evaluation finish
 	<-done
 
-	fin, ok := s.Job(inflight.ID)
-	if !ok || fin.State != StateDone || fin.Result == nil {
+	fin := settled(inflight)
+	if fin.State != StateDone || fin.Result == nil {
 		t.Fatalf("in-flight job did not complete through the drain: %+v", fin)
 	}
-	rej, ok := s.Job(queued.ID)
-	if !ok || rej.State != StateFailed {
+	rej := settled(queued)
+	if rej.State != StateFailed {
 		t.Fatalf("queued job not rejected: %+v", rej)
 	}
 	if !strings.Contains(rej.Error, "shutting down") {
@@ -64,7 +64,7 @@ func TestForcedShutdownCancelsInflight(t *testing.T) {
 	s := New(cfg)
 	defer close(gate)
 
-	st, _, err := s.submit(req(1))
+	j, _, err := s.submit(req(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,8 +75,7 @@ func TestForcedShutdownCancelsInflight(t *testing.T) {
 	if err := s.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("forced shutdown err = %v, want DeadlineExceeded", err)
 	}
-	fin, ok := s.Job(st.ID)
-	if !ok || fin.State != StateFailed {
+	if fin := settled(j); fin.State != StateFailed {
 		t.Fatalf("force-canceled job settled as %+v", fin)
 	}
 }
@@ -91,13 +90,11 @@ func TestShutdownLeaksNoGoroutines(t *testing.T) {
 		s := New(cfg)
 		close(gate)
 		for i := 0; i < 6; i++ {
-			st, _, err := s.submit(req(int64(i % 3)))
+			j, _, err := s.submit(req(int64(i % 3)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := s.wait(context.Background(), st.ID); err != nil {
-				t.Fatal(err)
-			}
+			<-j.done
 		}
 		if err := s.Shutdown(context.Background()); err != nil {
 			t.Fatal(err)
@@ -133,17 +130,17 @@ func TestShutdownRacesSubmissions(t *testing.T) {
 		cfg, gate := gatedConfig(Config{Workers: 2, Queue: 64, MaxWait: time.Hour})
 		close(gate)
 		s := New(cfg)
-		var ids []string
+		var jobs []*job
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
 			for seed := int64(0); ; seed++ {
-				st, _, err := s.submit(req(seed))
+				j, _, err := s.submit(req(seed))
 				if errors.Is(err, errDraining) {
 					return
 				}
 				if err == nil {
-					ids = append(ids, st.ID)
+					jobs = append(jobs, j)
 				}
 			}
 		}()
@@ -152,10 +149,11 @@ func TestShutdownRacesSubmissions(t *testing.T) {
 			t.Fatal(err)
 		}
 		<-done
-		for _, id := range ids {
-			// A job no longer retained was evicted settled.
-			if st, ok := s.Job(id); ok && st.State != StateDone && st.State != StateFailed {
-				t.Fatalf("round %d: job %s unsettled after Shutdown: %+v", round, id, st)
+		for i, j := range jobs {
+			select {
+			case <-j.done:
+			default:
+				t.Fatalf("round %d: job %d unsettled after Shutdown", round, i)
 			}
 		}
 	}

@@ -32,16 +32,13 @@ func TestTileJobLifecycle(t *testing.T) {
 	s := New(Config{Workers: 2, Queue: 8, MaxWait: time.Hour})
 	defer s.Shutdown(context.Background())
 
-	st, _, err := s.submit(JobRequest{Kind: KindTile, Tile: tileReq(0)})
+	j, _, err := s.submit(JobRequest{Kind: KindTile, Tile: tileReq(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(st.Key, "sha256:") {
-		t.Fatalf("tile job key %q not content-addressed", st.Key)
-	}
-	fin, ok, err := s.wait(context.Background(), st.ID)
-	if err != nil || !ok {
-		t.Fatalf("wait: ok=%v err=%v", ok, err)
+	fin := settled(j)
+	if !strings.HasPrefix(fin.Key, "sha256:") {
+		t.Fatalf("tile job key %q not content-addressed", fin.Key)
 	}
 	if fin.State != StateDone {
 		t.Fatalf("tile job state = %q, want done", fin.State)
@@ -58,33 +55,35 @@ func TestTileJobLifecycle(t *testing.T) {
 
 	// Identical unit: served from the content-addressed cache, result
 	// included at submit time.
-	st2, _, err := s.submit(JobRequest{Kind: KindTile, Tile: tileReq(0)})
+	j2, _, err := s.submit(JobRequest{Kind: KindTile, Tile: tileReq(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	st2 := settled(j2)
 	if !st2.Cached || st2.State != StateDone || st2.Tile == nil {
 		t.Fatalf("duplicate tile not a cache hit: %+v", st2)
 	}
-	if st2.Key != st.Key {
-		t.Fatalf("same tile produced different keys: %s vs %s", st.Key, st2.Key)
+	if st2.Key != fin.Key {
+		t.Fatalf("same tile produced different keys: %s vs %s", fin.Key, st2.Key)
 	}
 
 	// Shifted content: different key, fresh evaluation.
-	st3, _, err := s.submit(JobRequest{Kind: KindTile, Tile: tileReq(100)})
+	j3, _, err := s.submit(JobRequest{Kind: KindTile, Tile: tileReq(100)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st3.Cached || st3.Key == st.Key {
+	if st3 := settled(j3); st3.Cached || st3.Key == fin.Key {
 		t.Fatalf("distinct tile aliased: %+v", st3)
 	}
 
 	// Tile results and technique outcomes share one cache; an eval job
 	// must not collide with tile keys and vice versa.
-	ste, _, err := s.submit(JobRequest{Technique: "sraf", Seed: 1})
+	je, _, err := s.submit(JobRequest{Technique: "sraf", Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ste.Key == st.Key {
+	ste := settled(je)
+	if ste.Key == fin.Key {
 		t.Fatal("eval job aliased a tile key")
 	}
 	if ste.Kind != "" {
@@ -118,19 +117,17 @@ func TestTileJobSingleflight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dup.Deduped {
-		t.Fatalf("concurrent duplicate not deduped: %+v", dup)
+	if !dup.deduped {
+		t.Fatal("concurrent duplicate not deduped")
 	}
 	close(gate)
-	fin, ok, err := s.wait(context.Background(), lead.ID)
-	if err != nil || !ok || fin.State != StateDone || fin.Tile == nil {
-		t.Fatalf("lead tile job did not settle: ok=%v err=%v %+v", ok, err, fin)
+	if fin := settled(lead); fin.State != StateDone || fin.Tile == nil {
+		t.Fatalf("lead tile job did not settle: %+v", fin)
 	}
 	// The follower settles from the leader's evaluation, tile result
 	// included.
-	fdup, ok, err := s.wait(context.Background(), dup.ID)
-	if err != nil || !ok || fdup.State != StateDone || fdup.Tile == nil {
-		t.Fatalf("deduped tile job did not settle with result: ok=%v err=%v %+v", ok, err, fdup)
+	if fdup := settled(dup); fdup.State != StateDone || fdup.Tile == nil {
+		t.Fatalf("deduped tile job did not settle with result: %+v", fdup)
 	}
 	if st := s.Stats(); st.CacheMisses != 1 {
 		t.Fatalf("Stats.CacheMisses = %d, want 1 (one evaluation for two submits)", st.CacheMisses)
@@ -157,11 +154,11 @@ func TestTileJobValidation(t *testing.T) {
 		t.Errorf("unknown kind error = %v, want mention of kind", err)
 	}
 	// Explicit KindEval is the typed spelling of the legacy default.
-	st, _, err := s.submit(JobRequest{Kind: KindEval, Technique: "sraf", Seed: 3})
+	j, _, err := s.submit(JobRequest{Kind: KindEval, Technique: "sraf", Seed: 3})
 	if err != nil {
 		t.Fatalf("explicit eval kind rejected: %v", err)
 	}
-	if st.Kind != "" {
+	if st := settled(j); st.Kind != "" {
 		t.Errorf("explicit eval kind echoed as %q, want empty", st.Kind)
 	}
 }

@@ -38,7 +38,7 @@ func TestRecordsIgnoreRegistry(t *testing.T) {
 	runs := []struct {
 		name string
 		run  func() (*Result, error)
-		live func(Stats) bool
+		live func(*Result) bool
 	}{
 		{"cached", func() (*Result, error) {
 			// One worker: which of two equal tiles misses first is
@@ -46,13 +46,13 @@ func TestRecordsIgnoreRegistry(t *testing.T) {
 			o := Opts{Tile: 24000, Halo: 2000, DRC: true, Density: true, DensityWindow: 3000,
 				Workers: 1, Cache: NewCache(0)}
 			return Evaluate(ctx, tt, NewExtractor(repeated), o)
-		}, func(st Stats) bool { return st.TileHits > 0 }},
+		}, func(r *Result) bool { return r.Stats.TileHits > 0 }},
 		{"surrogate", func() (*Result, error) {
 			return EvaluateChip(ctx, tt, gated, surrOpts())
-		}, func(st Stats) bool { return st.SurrSkipped > 0 }},
+		}, func(r *Result) bool { return r.Surrogate[tech.Metal1] != nil && r.Surrogate[tech.Metal1].Skipped > 0 }},
 		{"dist", func() (*Result, error) {
 			return DistEvaluate(ctx, tt, NewExtractor(defects), drcOpts, &loopback{})
-		}, func(st Stats) bool { return st.RemoteTiles > 0 }},
+		}, func(r *Result) bool { return r.Stats.RemoteTiles > 0 }},
 		{"delta", func() (*Result, error) {
 			_, snap, err := EvaluateSnap(ctx, tt, NewExtractor(defects), drcOpts)
 			if err != nil {
@@ -61,7 +61,7 @@ func TestRecordsIgnoreRegistry(t *testing.T) {
 			edited, changed := editCell(t, defects, defectShapes(t, defects, info.DefectBoxes[0]), nil)
 			res, _, err := EvaluateDelta(ctx, tt, NewExtractor(edited), snap, changed)
 			return res, err
-		}, func(st Stats) bool { return st.SplicedTiles > 0 }},
+		}, func(r *Result) bool { return r.Stats.SplicedTiles > 0 }},
 	}
 	defer obs.SetEnabled(obs.Enabled())
 	for _, r := range runs {
@@ -76,7 +76,7 @@ func TestRecordsIgnoreRegistry(t *testing.T) {
 			got[i] = res
 		}
 		off, on := got[0], got[1]
-		if !r.live(off.Stats) {
+		if !r.live(off) {
 			t.Errorf("%s: the count under test stayed zero: %+v", r.name, off.Stats)
 		}
 		if !reflect.DeepEqual(off.Stats, on.Stats) {

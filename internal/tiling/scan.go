@@ -62,10 +62,6 @@ func scanLayer(ctx context.Context, o Opts, sp *scanPlan, res *Result, src scanS
 		var rep *surrogate.Report
 		if rep, nEmpty, err = s.gated(ctx, *o.Surrogate); err == nil {
 			res.Surrogate[sp.layer] = rep
-			res.Stats.SurrSampled += rep.Sampled
-			res.Stats.SurrSkipped += rep.Skipped
-			res.Stats.SurrGuarded += rep.Guarded
-			res.Stats.SurrExact += rep.Exact
 		}
 	} else {
 		nEmpty, nReused, err = s.plain(ctx)

@@ -106,9 +106,6 @@ func TestTiledMatchesFlatSurrogate(t *testing.T) {
 		t.Fatalf("window accounting broken: sampled %d + skipped %d + exact %d != non-empty %d",
 			rep.Sampled, rep.Skipped, rep.Exact, rep.NonEmpty)
 	}
-	if got := tiled.Stats.SurrSampled + tiled.Stats.SurrSkipped + tiled.Stats.SurrExact; got != rep.NonEmpty {
-		t.Fatalf("Stats accounting %d != report non-empty %d", got, rep.NonEmpty)
-	}
 
 	// The gate must pay for itself on this chip: at least one window
 	// skipped, or the fast path is dead weight.

@@ -135,13 +135,6 @@ type Stats struct {
 	// computation.
 	SplicedTiles, SplicedWindows int
 
-	// Surrogate gating outcomes, summed over scanned layers (gated
-	// runs only): windows exactly simulated for training+holdout,
-	// skipped as confidently clean, forced exact by fail-risk guards,
-	// and sent to exact by model score (SurrExact includes
-	// SurrGuarded).
-	SurrSampled, SurrSkipped, SurrGuarded, SurrExact int
-
 	ShapesExtracted int64 // total shapes handed to per-tile contexts
 	Elapsed         time.Duration
 

@@ -2,7 +2,7 @@
 // node and a dfmrouter fleet front. The router's whole pitch is that
 // clients cannot tell it from one big dfmd — so every check here runs
 // twice, once against each, and any divergence in status codes, error
-// bodies, Retry-After signaling, or job-ID pollability is a bug in
+// bodies, Retry-After signaling, or settled answers is a bug in
 // whichever side drifted.
 package wirecompat
 
@@ -12,14 +12,17 @@ import (
 	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -35,9 +38,13 @@ import (
 )
 
 // blockSeed marks "plug" jobs whose task blocks until the deployment's
-// gate closes — the deterministic way to occupy the single worker and
-// fill the queue so the next submit must shed.
-const blockSeed = 4242
+// gate closes, at cleanup — the deterministic way to occupy the single
+// worker and fill the queue so the next submit must shed. A heldSeed
+// job blocks until the suite releases it.
+const (
+	blockSeed = 4242
+	heldSeed  = 4141
+)
 
 // deployment is one system under test: a bare dfmd or a dfmd fleet
 // behind a router, plus the handles the suite needs to drive it into
@@ -48,14 +55,16 @@ type deployment struct {
 	// stats reads the backing dfmd's counters (the single node in both
 	// shapes), for occupancy waits.
 	stats func() server.Stats
-	gate  chan struct{}
+	// release lets heldSeed jobs finish.
+	release func()
 }
 
 // contractConfig is the dfmd config both deployments run: one worker,
 // one queue slot, immediate shed — small enough to overload with two
-// plug jobs. Tasks for blockSeed park on the gate; everything else
-// settles instantly (eval) or computes for real (tile).
-func contractConfig(gate chan struct{}) server.Config {
+// plug jobs. Tasks for blockSeed park on the gate and those for
+// heldSeed on held; everything else settles instantly (eval) or
+// computes for real (tile).
+func contractConfig(gate, held chan struct{}) server.Config {
 	cfg := server.Config{Workers: 1, Queue: 1, MaxWait: 0}
 	cfg.TaskFactory = func(req server.JobRequest) (harness.Task, error) {
 		if req.Kind == server.KindTile {
@@ -67,10 +76,17 @@ func contractConfig(gate chan struct{}) server.Config {
 		if _, err := dfm.TechniqueTask(tech.N45(), req.Technique, req.Seed, dfm.DefaultBlock()); err != nil {
 			return harness.Task{}, err
 		}
+		var wait chan struct{}
+		switch {
+		case req.Seed >= blockSeed:
+			wait = gate
+		case req.Seed == heldSeed:
+			wait = held
+		}
 		return harness.Task{Name: req.Technique, Run: func(ctx context.Context, attempt int) (any, error) {
-			if req.Seed >= blockSeed {
+			if wait != nil {
 				select {
-				case <-gate:
+				case <-wait:
 				case <-ctx.Done():
 					return nil, ctx.Err()
 				}
@@ -89,23 +105,47 @@ func contractConfig(gate chan struct{}) server.Config {
 	return cfg
 }
 
-func startDfmd(t *testing.T) *deployment {
-	t.Helper()
-	gate := make(chan struct{})
-	s := server.New(contractConfig(gate))
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		close(gate)
-		ts.Close()
-		s.Shutdown(context.Background())
-	})
-	return &deployment{name: "dfmd", url: ts.URL, stats: s.Stats, gate: gate}
+// stubConfig refuses what the deployed task factory refuses and
+// evaluates nothing: a technique evaluation settles as an empty outcome
+// and a tile unit as an empty result, at once.
+func stubConfig(_, _ chan struct{}) server.Config {
+	cfg := server.Config{Workers: 1, Queue: 64}
+	cfg.TaskFactory = func(req server.JobRequest) (harness.Task, error) {
+		var v any = &tiling.TileResult{}
+		if req.Kind != server.KindTile {
+			if _, err := dfm.TechniqueTask(tech.N45(), req.Technique, req.Seed, dfm.DefaultBlock()); err != nil {
+				return harness.Task{}, err
+			}
+			v = dfm.Outcome{Technique: req.Technique}
+		}
+		return harness.Task{Name: "stub", Run: func(context.Context, int) (any, error) { return v, nil }}, nil
+	}
+	return cfg
 }
 
-func startRouter(t *testing.T) *deployment {
+func startDfmd(t *testing.T) *deployment   { return deploy(t, "dfmd", contractConfig) }
+func startRouter(t *testing.T) *deployment { return deploy(t, "router", contractConfig) }
+
+// deploy starts one node on config and, for "router", a router in front
+// of it. Cleanup opens the node's gates before it shuts anything down,
+// so no job is left parked.
+func deploy(t testing.TB, name string, config func(gate, held chan struct{}) server.Config) *deployment {
 	t.Helper()
-	gate := make(chan struct{})
-	s := server.New(contractConfig(gate))
+	gate, held := make(chan struct{}), make(chan struct{})
+	release := sync.OnceFunc(func() { close(held) })
+	s := server.New(config(gate, held))
+	d := &deployment{name: name, stats: s.Stats, release: release}
+	if name == "dfmd" {
+		ts := httptest.NewServer(s.Handler())
+		t.Cleanup(func() {
+			close(gate)
+			release()
+			ts.Close()
+			s.Shutdown(context.Background())
+		})
+		d.url = ts.URL
+		return d
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -126,12 +166,14 @@ func startRouter(t *testing.T) *deployment {
 	front := httptest.NewServer(r.Handler())
 	t.Cleanup(func() {
 		close(gate)
+		release()
 		front.Close()
 		r.Shutdown(context.Background())
 		hs.Close()
 		s.Shutdown(context.Background())
 	})
-	return &deployment{name: "router", url: front.URL, stats: s.Stats, gate: gate}
+	d.url = front.URL
+	return d
 }
 
 func postJSON(t *testing.T, url string, body any) *http.Response {
@@ -160,6 +202,41 @@ func postClaimed(t *testing.T, url string, body any, claim string, absent bool) 
 		t.Fatal(err)
 	}
 	return resp
+}
+
+// answer is one submission's outcome: its status and body, or the
+// error that ended it.
+type answer struct {
+	code int
+	body []byte
+	err  error
+}
+
+// submit posts job under ctx and delivers its answer on the returned
+// channel once the job settles or ctx ends.
+func submit(ctx context.Context, url string, job server.JobRequest) <-chan answer {
+	out := make(chan answer, 1)
+	b, err := json.Marshal(job)
+	if err != nil {
+		out <- answer{err: err}
+		return out
+	}
+	go func() {
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v1/jobs", bytes.NewReader(b))
+		if err != nil {
+			out <- answer{err: err}
+			return
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			out <- answer{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		out <- answer{resp.StatusCode, body, err}
+	}()
+	return out
 }
 
 func postRaw(t *testing.T, url string, body io.Reader) *http.Response {
@@ -234,14 +311,81 @@ func TestContract(t *testing.T) {
 	}
 }
 
+// FuzzSubmit posts arbitrary bytes under an arbitrary placement claim
+// to the one job route of both tiers, whose nodes run stub tasks: each
+// body is decoded, validated and keyed, and nothing is evaluated. Every
+// answer is 200, 400 or 413 with a JSON body, never a dropped
+// connection (what a handler panic looks like from outside), and the
+// router answers each body with dfmd's status and bytes, but for the
+// runtime each node measured.
+func FuzzSubmit(f *testing.F) {
+	measured := regexp.MustCompile(`"runtimeMs": [^,\n]*`)
+	dfmd, routed := deploy(f, "dfmd", stubConfig), deploy(f, "router", stubConfig)
+	for _, job := range []server.JobRequest{
+		{Technique: "sraf", Seed: 1},
+		{Technique: "no-such"},
+		{Kind: server.KindTile, Tile: tileReq()},
+		{Kind: server.KindTile, Tile: windowReq()},
+		{Kind: "delta"},
+	} {
+		b, err := json.Marshal(job)
+		if err != nil {
+			f.Fatal(err)
+		}
+		claim, _ := server.KeyForRequest(job)
+		f.Add(b, claim)
+	}
+	f.Add([]byte(`{"kind":"tile","tile":{"schema":4,"stage":"tile","shapes":"AAA"}}`), "invalid:sraf")
+	f.Add([]byte("not JSON \x00\xff at all"), "")
+	f.Fuzz(func(t *testing.T, body []byte, claim string) {
+		for _, c := range []byte(claim) {
+			if c < ' ' && c != '\t' || c == 0x7f {
+				t.Skip("not a header value an HTTP client sends")
+			}
+		}
+		var got [2]answer
+		for i, d := range []*deployment{dfmd, routed} {
+			req, err := http.NewRequest(http.MethodPost, d.url+"/v1/jobs", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set(server.HeaderRouteKey, claim)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatalf("%s dropped the connection: %v", d.name, err)
+			}
+			got[i].code = resp.StatusCode
+			got[i].body, err = io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatalf("%s cut its answer short: %v", d.name, err)
+			}
+			switch got[i].code {
+			case http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+			default:
+				t.Fatalf("%s answered %d %s", d.name, got[i].code, got[i].body)
+			}
+			if ct := resp.Header.Get("Content-Type"); ct != "application/json" || !json.Valid(got[i].body) {
+				t.Fatalf("%s answered %d with %q, not a JSON body: %s", d.name, got[i].code, ct, got[i].body)
+			}
+			got[i].body = measured.ReplaceAll(got[i].body, []byte(`"runtimeMs": 0`))
+		}
+		if got[0].code != got[1].code || !bytes.Equal(got[0].body, got[1].body) {
+			t.Fatalf("router answered %d %s, dfmd %d %s", got[1].code, got[1].body, got[0].code, got[0].body)
+		}
+	})
+}
+
 // suite runs every contract check against one deployment. Order
 // matters only for the final overload check, which plugs the worker.
 func suite(t *testing.T, d *deployment) {
-	// A route needs a client: the two nothing called are gone from both
-	// tiers and answer as any path neither serves does, and ?deep=1 is
-	// an unknown parameter of the one health probe there is.
+	// A route needs a client: the ones nothing called — polling a job by
+	// ID among them — are gone from both tiers and answer as any path
+	// neither serves does, and ?deep=1 is an unknown parameter of the
+	// one health probe there is.
 	t.Run("unknown-route", func(t *testing.T) {
-		for _, path := range []string{"/v1/techniques", "/v1/jobs/j-000001/result", "/v1/jobs/n0.j-000001/result", "/v1/nope"} {
+		for _, path := range []string{"/v1/techniques", "/v1/jobs/j-000001", "/v1/jobs/n0.j-000001",
+			"/v1/jobs/j-000001/result", "/v1/jobs/n0.j-000001/result", "/v1/nope"} {
 			resp, err := http.Get(d.url + path)
 			if err != nil {
 				t.Fatal(err)
@@ -264,57 +408,25 @@ func suite(t *testing.T, d *deployment) {
 	})
 
 	t.Run("submit-poll-result", func(t *testing.T) {
-		resp := postJSON(t, d.url+"/v1/jobs?wait=1", server.JobRequest{Technique: "sraf", Seed: 1})
+		// A submission is answered once its job settles, whatever the
+		// query string: 200 and the result, and for a duplicate the same
+		// key served from cache.
+		resp := postJSON(t, d.url+"/v1/jobs?wait=0", server.JobRequest{Technique: "sraf", Seed: 1})
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("wait=1 submit status = %d, want 200", resp.StatusCode)
+			t.Fatalf("submit status = %d, want 200", resp.StatusCode)
 		}
 		st := decode[server.JobStatus](t, resp)
-		if st.ID == "" || st.State != server.StateDone || st.Result == nil {
-			t.Fatalf("wait=1 submit body: %+v", st)
+		if st.State != server.StateDone || st.Result == nil || !strings.HasPrefix(st.Key, "sha256:") {
+			t.Fatalf("submit body: %+v", st)
 		}
 		if st.Kind != "" {
 			t.Fatalf("eval job kind = %q on the wire, want empty (legacy compat)", st.Kind)
 		}
-		// Whatever ID the deployment handed out must be pollable as-is:
-		// bare "j-000001" on dfmd, backend-prefixed "n0.j-000001"
-		// through the router.
-		jr, err := http.Get(d.url + "/v1/jobs/" + st.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if jr.StatusCode != http.StatusOK {
-			t.Fatalf("poll of returned ID %q = %d, want 200", st.ID, jr.StatusCode)
-		}
-		pst := decode[server.JobStatus](t, jr)
-		if pst.ID != st.ID {
-			t.Fatalf("poll echoed ID %q, submitted as %q", pst.ID, st.ID)
-		}
-		if pst.State != server.StateDone || pst.Result == nil {
-			t.Fatalf("poll of settled %q: %+v", st.ID, pst)
-		}
-		// Duplicate submit: same key, served from cache.
-		dup := postJSON(t, d.url+"/v1/jobs?wait=1", server.JobRequest{Technique: "sraf", Seed: 1})
+		dup := postJSON(t, d.url+"/v1/jobs", server.JobRequest{Technique: "sraf", Seed: 1})
 		dst := decode[server.JobStatus](t, dup)
 		if !dst.Cached || dst.Key != st.Key {
 			t.Fatalf("duplicate submit not a cache hit on the same key: %+v vs key %s", dst, st.Key)
 		}
-	})
-
-	t.Run("wait-zero", func(t *testing.T) {
-		// ?wait=0 does not block: a fresh job answers 202 with the state
-		// it was admitted in, and settles for a poll to find.
-		resp := postJSON(t, d.url+"/v1/jobs?wait=0", server.JobRequest{Technique: "sraf", Seed: 3})
-		st := decode[server.JobStatus](t, resp)
-		if resp.StatusCode != http.StatusAccepted || st.State == server.StateDone || st.ID == "" {
-			t.Fatalf("wait=0 submit: status %d, body %+v; want 202 and an unsettled job", resp.StatusCode, st)
-		}
-		waitFor(t, "the wait=0 job to settle", func() bool {
-			jr, err := http.Get(d.url + "/v1/jobs/" + st.ID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return decode[server.JobStatus](t, jr).State == server.StateDone
-		})
 	})
 
 	t.Run("tile-round-trip", func(t *testing.T) {
@@ -325,7 +437,7 @@ func suite(t *testing.T, d *deployment) {
 		if len(want.Violations) == 0 {
 			t.Fatal("reference tile produced no violations; check is vacuous")
 		}
-		resp := postJSON(t, d.url+"/v1/jobs?wait=1", server.JobRequest{Kind: server.KindTile, Tile: tileReq()})
+		resp := postJSON(t, d.url+"/v1/jobs", server.JobRequest{Kind: server.KindTile, Tile: tileReq()})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("tile wait=1 submit status = %d, want 200", resp.StatusCode)
 		}
@@ -340,7 +452,7 @@ func suite(t *testing.T, d *deployment) {
 			t.Fatalf("wire tile violations diverge from local execution:\n got %+v\nwant %+v",
 				st.Tile.Violations, want.Violations)
 		}
-		dup := postJSON(t, d.url+"/v1/jobs?wait=1", server.JobRequest{Kind: server.KindTile, Tile: tileReq()})
+		dup := postJSON(t, d.url+"/v1/jobs", server.JobRequest{Kind: server.KindTile, Tile: tileReq()})
 		dst := decode[server.JobStatus](t, dup)
 		if !dst.Cached || dst.Tile == nil {
 			t.Fatalf("duplicate tile not served from cache: %+v", dst)
@@ -403,16 +515,6 @@ func suite(t *testing.T, d *deployment) {
 			t.Fatalf("tile job without payload status = %d, want 400", resp.StatusCode)
 		}
 		resp.Body.Close()
-		jr, err := http.Get(d.url + "/v1/jobs/n9.j-999999")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if jr.StatusCode != http.StatusNotFound {
-			t.Fatalf("unknown job status = %d, want 404", jr.StatusCode)
-		}
-		if body := decode[server.ErrorBody](t, jr); body.Error == "" {
-			t.Fatal("404 body carries no error message")
-		}
 	})
 
 	// settles posts a well-formed unit and wants it done under the key
@@ -421,7 +523,7 @@ func suite(t *testing.T, d *deployment) {
 	settles := func(t *testing.T, unit *tiling.TileRequest) {
 		t.Helper()
 		good := server.JobRequest{Kind: server.KindTile, Tile: unit}
-		resp := postJSON(t, d.url+"/v1/jobs?wait=1", good)
+		resp := postJSON(t, d.url+"/v1/jobs", good)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("well-formed unit status = %d, want 200", resp.StatusCode)
 		}
@@ -434,7 +536,7 @@ func suite(t *testing.T, d *deployment) {
 	// every one of want.
 	rejects := func(t *testing.T, name, body string, want ...string) {
 		t.Helper()
-		resp := postRaw(t, d.url+"/v1/jobs?wait=1", strings.NewReader(body))
+		resp := postRaw(t, d.url+"/v1/jobs", strings.NewReader(body))
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", name, resp.StatusCode)
 		}
@@ -583,7 +685,7 @@ func suite(t *testing.T, d *deployment) {
 			t.Fatal("fixture: U and V compute the same result; the check is vacuous")
 		}
 
-		resp := postClaimed(t, d.url+"/v1/jobs?wait=1", jobU, keyV, false)
+		resp := postClaimed(t, d.url+"/v1/jobs", jobU, keyV, false)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("U under V's key: status = %d, want 200", resp.StatusCode)
 		}
@@ -591,13 +693,13 @@ func suite(t *testing.T, d *deployment) {
 		if st.Key != keyU || st.Cached || !same(st.Tile, wantU) {
 			t.Fatalf("U under V's key: key %q cached %v tile %+v; want U's key %q and U's own result %+v", st.Key, st.Cached, st.Tile, keyU, wantU)
 		}
-		resp = postClaimed(t, d.url+"/v1/jobs?wait=1", jobV, keyV, false)
+		resp = postClaimed(t, d.url+"/v1/jobs", jobV, keyV, false)
 		st = decode[server.JobStatus](t, resp)
 		if st.Key != keyV || st.Cached || st.Deduped || !same(st.Tile, wantV) {
 			t.Fatalf("honest V after the lie: key %q cached %v tile %+v; want a miss under %q with V's own result %+v", st.Key, st.Cached, st.Tile, keyV, wantV)
 		}
 		// And U is where U belongs.
-		st = decode[server.JobStatus](t, postClaimed(t, d.url+"/v1/jobs?wait=1", jobU, keyU, false))
+		st = decode[server.JobStatus](t, postClaimed(t, d.url+"/v1/jobs", jobU, keyU, false))
 		if !st.Cached || st.Key != keyU || !same(st.Tile, wantU) {
 			t.Fatalf("honest U afterwards: %+v, want a hit under its own key", st)
 		}
@@ -624,7 +726,7 @@ func suite(t *testing.T, d *deployment) {
 			{"not ASCII", "sha256:" + strings.Repeat("é", 32), false},
 			{"another scheme", "invalid:sraf", false},
 		} {
-			resp := postClaimed(t, d.url+"/v1/jobs?wait=1", job, tc.claim, tc.absent)
+			resp := postClaimed(t, d.url+"/v1/jobs", job, tc.claim, tc.absent)
 			if resp.StatusCode != http.StatusOK {
 				t.Errorf("%s claim: status = %d, want 200", tc.name, resp.StatusCode)
 			}
@@ -647,7 +749,7 @@ func suite(t *testing.T, d *deployment) {
 		for _, tc := range cases {
 			r := fresh()
 			tc.mut(r)
-			resp := postJSON(t, d.url+"/v1/jobs?wait=1", server.JobRequest{Kind: server.KindTile, Tile: r})
+			resp := postJSON(t, d.url+"/v1/jobs", server.JobRequest{Kind: server.KindTile, Tile: r})
 			if resp.StatusCode != http.StatusBadRequest {
 				t.Errorf("%s: status = %d, want 400", tc.name, resp.StatusCode)
 			}
@@ -691,13 +793,43 @@ func suite(t *testing.T, d *deployment) {
 		})
 	})
 
+	t.Run("hang-up", func(t *testing.T) {
+		// A submitter that hangs up mid-evaluation leaves the evaluation
+		// running: the identical resubmission joins it, is answered done
+		// and deduped, and the job is evaluated once.
+		before := d.stats()
+		ctx, cancel := context.WithCancel(context.Background())
+		gone := submit(ctx, d.url, server.JobRequest{Technique: "sraf", Seed: heldSeed})
+		waitFor(t, "the held job in flight", func() bool { return d.stats().InFlight == 1 })
+		cancel()
+		if a := <-gone; !errors.Is(a.err, context.Canceled) {
+			t.Fatalf("hung-up submission ended with %+v, want context.Canceled", a)
+		}
+		again := submit(context.Background(), d.url, server.JobRequest{Technique: "sraf", Seed: heldSeed})
+		waitFor(t, "the resubmission to join the running evaluation", func() bool { return d.stats().Deduped > before.Deduped })
+		d.release()
+		a := <-again
+		if a.err != nil || a.code != http.StatusOK {
+			t.Fatalf("resubmission: status %d, err %v", a.code, a.err)
+		}
+		var st server.JobStatus
+		if err := json.Unmarshal(a.body, &st); err != nil || st.State != server.StateDone || !st.Deduped {
+			t.Fatalf("resubmission answered %s (%v), want done and deduped", a.body, err)
+		}
+		if after := d.stats(); after.Admitted-before.Admitted != 1 || after.Completed-before.Completed != 2 {
+			t.Fatalf("admitted %d and completed %d jobs, want 1 evaluation settling both submissions",
+				after.Admitted-before.Admitted, after.Completed-before.Completed)
+		}
+	})
+
 	// Last: plug the worker and the queue, then verify the shed shape.
 	// Both deployments must answer 429 with a Retry-After header that
-	// agrees with the JSON hint: header == max(1s, floor(ms/1000)).
+	// agrees with the JSON hint: header == max(1s, floor(ms/1000)). The
+	// plug jobs are answered only when cleanup opens the gate.
 	t.Run("overload-shape", func(t *testing.T) {
-		postJSON(t, d.url+"/v1/jobs", server.JobRequest{Technique: "sraf", Seed: blockSeed}).Body.Close()
+		submit(context.Background(), d.url, server.JobRequest{Technique: "sraf", Seed: blockSeed})
 		waitFor(t, "plug job in flight", func() bool { return d.stats().InFlight == 1 })
-		postJSON(t, d.url+"/v1/jobs", server.JobRequest{Technique: "sraf", Seed: blockSeed + 1}).Body.Close()
+		submit(context.Background(), d.url, server.JobRequest{Technique: "sraf", Seed: blockSeed + 1})
 		waitFor(t, "filler job queued", func() bool { return d.stats().QueueDepth == 1 })
 
 		resp := postJSON(t, d.url+"/v1/jobs", server.JobRequest{Technique: "sraf", Seed: 2})

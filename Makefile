@@ -207,10 +207,10 @@ fleetprofile: ## CPU profile of the fleet path (BenchmarkFleetChip: 50k-rect chi
 # Where lithoprofile keeps its test binary and profiles (bin/ is gitignored).
 LITHOPROFILE_DIR ?= bin/lithoprofile
 
-lithoprofile: ## which arm of the kernel's float loops runs (litho.kernel.simd: 1 AVX assembly, 0 Go loops) and how many rect footprints the banded blur summed into how many rank-1 updates (litho.blur.rects, litho.blur.updates: one update per footprint cluster of a y-band), ns/op of the generator's scan window and of the wall-to-wall one, then a CPU + allocation profile of the first (BenchmarkScanWindow, one P): the banded blur and its one rank-1 update per y-band cluster, the threshold sink and the row stages and labeller it feeds, and what the runtime spends clearing and allocating under them, by cumulative cost
+lithoprofile: ## which arm of the kernel's float loops runs (litho.kernel.simd: 1 AVX assembly, 0 Go loops), how many rect footprints the banded blur summed into how many rank-1 updates (litho.blur.rects, litho.blur.updates: one update per footprint cluster of a y-band) and how many printed rows equalled the row before them, whose morphology the detector reuses (litho.hotspot.rows.equal), ns/op of the generator's scan window and of the wall-to-wall one, then a CPU + allocation profile of the first (BenchmarkScanWindow, one P): the banded blur and its one rank-1 update per y-band cluster, the threshold sink and the row stages and labeller it feeds, and what the runtime spends clearing and allocating under them, by cumulative cost
 	@mkdir -p $(LITHOPROFILE_DIR)
 	$(GO) run ./cmd/lithosim -lines -metrics $(LITHOPROFILE_DIR)/metrics.json > /dev/null
-	@grep -oE '"litho\.(kernel\.simd|blur\.rects|blur\.updates)": *[0-9]+' $(LITHOPROFILE_DIR)/metrics.json
+	@grep -oE '"litho\.(kernel\.simd|blur\.rects|blur\.updates|hotspot\.rows\.equal)": *[0-9]+' $(LITHOPROFILE_DIR)/metrics.json
 	$(GO) test -run='^$$' -bench='^BenchmarkScanWindow(Dense)?$$' -benchtime=20x -benchmem -cpu 1 . | grep '^Benchmark'
 	$(GO) test -run='^$$' -bench='^BenchmarkScanWindow$$' -benchtime=40x -benchmem -cpu 1 \
 		-cpuprofile $(LITHOPROFILE_DIR)/cpu.prof -memprofile $(LITHOPROFILE_DIR)/mem.prof -o $(LITHOPROFILE_DIR)/repro.test .

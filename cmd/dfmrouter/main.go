@@ -123,6 +123,6 @@ func main() {
 		hs.Close()
 	}
 	st := r.Stats()
-	logf("dfmrouter: drained (ok=%d failed=%d retries=%d failovers=%d)",
-		st.OK, st.Failed, st.Retries, st.Failovers)
+	logf("dfmrouter: drained (ok=%d failed=%d rejected=%d abandoned=%d retries=%d failovers=%d)",
+		st.OK, st.Failed, st.Rejected, st.Abandoned, st.Retries, st.Failovers)
 }

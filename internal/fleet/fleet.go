@@ -171,8 +171,8 @@ func (cl *Cluster) Report() {
 	}
 	rs := cl.RT.Stats()
 	cl.logf("cluster-wide cache hit rate: %.1f%%", hitPct)
-	cl.logf("router: ok=%d failed=%d retries=%d failovers=%d budgetDenied=%d tileJobs=%d tileReused=%d",
-		rs.OK, rs.Failed, rs.Retries, rs.Failovers, rs.BudgetDenied, rs.TileJobs, rs.TileReused)
+	cl.logf("router: ok=%d failed=%d rejected=%d abandoned=%d retries=%d failovers=%d budgetDenied=%d tileJobs=%d tileReused=%d",
+		rs.OK, rs.Failed, rs.Rejected, rs.Abandoned, rs.Retries, rs.Failovers, rs.BudgetDenied, rs.TileJobs, rs.TileReused)
 	for _, b := range rs.Backends {
 		cl.logf("  backend %s: up=%v picks=%d oks=%d fails=%d sheds=%d tiles=%d evictions=%d reinstates=%d",
 			b.Name, b.Up, b.Picks, b.OKs, b.Fails, b.Sheds, b.Tiles, b.Evictions, b.Reinstates)

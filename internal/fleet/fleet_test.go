@@ -141,7 +141,8 @@ var chaosOpts = tiling.Opts{Tile: 12000, Halo: 2000, Workers: 4,
 //   - R6: a dfmload-drawn stream of technique jobs with duplicates,
 //     through client.EvalWithRetry: every job done, at least one a hit.
 //
-// Every seed ends with no request failed at the router. On the control
+// Every seed ends with no request failed at the router by the fleet
+// (Stats.Failed; a 4xx or a caller's hang-up counts apart). On the control
 // seed, which kills nothing, each distinct unit is computed exactly once
 // fleet-wide; under chaos, at least once.
 func TestSeededChaos(t *testing.T) {

@@ -2,6 +2,7 @@ package litho
 
 import (
 	"math/bits"
+	"slices"
 
 	"repro/internal/geom"
 )
@@ -84,15 +85,21 @@ func (b *Bitmap) morph(r int, ops ...morphOp) *Bitmap {
 	for i, op := range ops {
 		stages[i] = newStage(op, r, b.W, b.H)
 	}
-	head := chain(func(j int, row []uint64, lo, hi int) {
+	head := chain(func(j int, row []uint64, lo, hi int, _ bool) {
 		copy(out.row(j)[lo:hi], row[lo:hi])
 	}, stages...)
-	for j := 0; j < b.H; j++ {
-		lo, hi := trim(b.row(j), 0, b.stride)
-		head.push(j, b.row(j), lo, hi)
-	}
+	b.rows(head.push)
 	head.finish()
 	return out
+}
+
+// rows pushes each row of b into sink, with its extent and whether it
+// equals the row before it.
+func (b *Bitmap) rows(sink rowFunc) {
+	for j := 0; j < b.H; j++ {
+		lo, hi := trim(b.row(j), 0, b.stride)
+		sink(j, b.row(j), lo, hi, j > 0 && slices.Equal(b.row(j), b.row(j-1)))
+	}
 }
 
 // AndNot returns b AND NOT o.

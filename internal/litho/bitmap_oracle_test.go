@@ -2,6 +2,7 @@ package litho
 
 import (
 	"cmp"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -366,6 +367,66 @@ func sparseBlocks(rng *rand.Rand, w, h int) *Bitmap {
 	return b
 }
 
+// runBlocks paints a w-column bitmap whose rows come in runs of equal
+// rows, of the lengths lens from the top down, which is what the
+// streaming pieces reuse their work across. The first run's row is a
+// few random spans. Each later one paints over its predecessor a span
+// 2r+1 to 3r+2 columns wide where the row has room, all set or all
+// clear, opposite to the predecessor's pixel at the span's centre:
+// eroded or dilated by r, the two rows then differ at that centre, so a
+// stage whose window takes in a row of the run before when it should
+// not puts out another row.
+func runBlocks(rng *rand.Rand, w, r int, lens []int) *Bitmap {
+	h := 0
+	for _, n := range lens {
+		h += n
+	}
+	b := NewBitmap(w, h)
+	b.Pitch = 5
+	b.Origin = geom.Pt(int64(rng.Intn(2000)-1000), int64(rng.Intn(2000)-1000))
+	row := make([]bool, w)
+	paint := func(lo, hi int) {
+		sw := min(lo+rng.Intn(hi-lo+1), w)
+		i0 := rng.Intn(w - sw + 1)
+		v := !row[i0+sw/2]
+		for i := i0; i < i0+sw; i++ {
+			row[i] = v
+		}
+	}
+	for k := rng.Intn(1 + w/8); k >= 0; k-- {
+		paint(1, max(w/4, 1))
+	}
+	j := 0
+	for k, n := range lens {
+		if k > 0 {
+			paint(2*r+1, 3*r+2)
+		}
+		for ; n > 0; n, j = n-1, j+1 {
+			for i, v := range row {
+				b.Set(i, j, v)
+			}
+		}
+	}
+	return b
+}
+
+// runLengths draws run lengths that fill h rows, one in two from the
+// lengths around a radius-r window, 2r..2r+2, where reuse starts, and
+// the rest from 1..4r+4.
+func runLengths(rng *rand.Rand, h, r int) []int {
+	var lens []int
+	for h > 0 {
+		n := 1 + rng.Intn(4*r+4)
+		if rng.Intn(2) == 0 {
+			n = 2*r + rng.Intn(3)
+		}
+		n = min(max(n, 1), h)
+		lens = append(lens, n)
+		h -= n
+	}
+	return lens
+}
+
 // not complements every in-domain pixel in place.
 func (b *Bitmap) not() {
 	for j := 0; j < b.H; j++ {
@@ -374,14 +435,6 @@ func (b *Bitmap) not() {
 			row[k] = ^w
 		}
 		row[len(row)-1] &= tailMask(b.W)
-	}
-}
-
-// rows pushes each row of b, with its extent, into sink.
-func (b *Bitmap) rows(sink rowFunc) {
-	for j := 0; j < b.H; j++ {
-		lo, hi := trim(b.row(j), 0, b.stride)
-		sink(j, b.row(j), lo, hi)
 	}
 }
 
@@ -507,21 +560,64 @@ func TestStageMatchesOracle(t *testing.T) {
 		for _, r := range []int{1, 4, 63, 64, 65, 130} {
 			for _, h := range []int{1, 3, 40} {
 				for _, gen := range []func(*rand.Rand, int, int) *Bitmap{randomBlocks, sparseBlocks} {
-					p := gen(rng, w, h)
-					o := unpack(p)
-					for _, c := range []struct {
-						name string
-						got  *Bitmap
-						want *boolBitmap
-					}{{"erosion", p.morph(r, erosion), o.Erode(r)}, {"dilation", p.morph(r, dilation), o.Dilate(r)}} {
-						// Count also proves the tail bits past column W stayed clear.
-						if !reflect.DeepEqual(unpack(c.got).Bits, c.want.Bits) || c.got.Count() != c.want.count() {
-							t.Fatalf("%s(%d) on %dx%d differs from the oracle", c.name, r, w, h)
-						}
-					}
+					checkStages(t, gen(rng, w, h), r, "")
 				}
 			}
 		}
+	}
+}
+
+// checkStages compares one erosion and one dilation stage at radius r
+// with the oracle on p.
+func checkStages(t *testing.T, p *Bitmap, r int, name string) {
+	t.Helper()
+	o := unpack(p)
+	for _, c := range []struct {
+		op   string
+		got  *Bitmap
+		want *boolBitmap
+	}{{"erosion", p.morph(r, erosion), o.Erode(r)}, {"dilation", p.morph(r, dilation), o.Dilate(r)}} {
+		// Count also proves the tail bits past column W stayed clear.
+		if !slices.Equal(unpack(c.got).Bits, c.want.Bits) || c.got.Count() != c.want.count() {
+			t.Fatalf("%s(%d) on %dx%d%s differs from the oracle", c.op, r, p.W, p.H, name)
+		}
+	}
+}
+
+// Runs of equal rows around the 2r+1 rows a stage's window holds, where
+// a stage starts handing on its last output again: at the top of the
+// bitmap, at the bottom, and between runs of other lengths. A reuse
+// window one row too short or too long hands on a row that differs from
+// the oracle's. The detector's radii run at r = 1 and 4, with runs of
+// every length from 1 to 4r+4 and every operation checked; a row's reach
+// crosses a word at 63, 64 and 65, with the lengths either side of 2r+1
+// and 4r+4 and the stages alone checked.
+func TestStagesReuseRunsOfEqualRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	for _, r := range []int{1, 4, 63, 64, 65} {
+		// Room for runBlocks' spans of up to 3r+2 columns.
+		w := max(70, 4*r+4)
+		lens := make([]int, 4*r+4)
+		for n := range lens {
+			lens[n] = n + 1
+		}
+		if r > 4 {
+			lens = []int{1, 2, r, 2*r - 1, 2 * r, 2*r + 1, 2*r + 2, 2*r + 3, 4*r + 3, 4*r + 4}
+		}
+		check := func(p *Bitmap, name string) {
+			t.Helper()
+			if r <= 4 {
+				checkPacked(t, p, r)
+			} else {
+				checkStages(t, p, r, ", "+name)
+			}
+		}
+		for _, n := range lens {
+			// n at the top and at the bottom, up to a window and a row apart.
+			check(runBlocks(rng, w, r, []int{n, 1 + rng.Intn(2*r+2), n}), fmt.Sprintf("top and bottom runs of %d", n))
+		}
+		rng.Shuffle(len(lens), func(a, b int) { lens[a], lens[b] = lens[b], lens[a] })
+		check(runBlocks(rng, w, r, lens), "every length in turn")
 	}
 }
 
@@ -607,14 +703,28 @@ func FuzzBitmapMorphology(f *testing.F) {
 	for i, w := range oracleWidths {
 		f.Add(int64(i), uint16(w), uint8(1+i*21), uint8(i))
 	}
+	// Rows in runs: at the detector's radii, heights of one window, of a
+	// window and a row, and of several windows.
+	for i, r := range []int{1, 2, 4, 8} {
+		for k, h := range []int{2*r + 1, 2*r + 2, 4*r + 4, 149} {
+			f.Add(int64(2+8*(4*i+k)), uint16(oracleWidths[(i+k)%len(oracleWidths)]), uint8(h-1), uint8(r))
+		}
+	}
 	f.Fuzz(func(t *testing.T, seed int64, w uint16, h, r uint8) {
 		// Height 1..150, radius 0..8, width up to a full scan window row;
-		// odd seeds paint sparsely.
-		gen := randomBlocks
-		if seed&1 != 0 {
-			gen = sparseBlocks
+		// odd seeds paint sparsely, and seeds 2 mod 4 in runs of equal
+		// rows.
+		rng, wd, ht, rd := rand.New(rand.NewSource(seed)), 1+int(w)%2600, 1+int(h)%150, int(r)%9
+		var p *Bitmap
+		switch {
+		case seed&1 != 0:
+			p = sparseBlocks(rng, wd, ht)
+		case seed&2 != 0:
+			p = runBlocks(rng, wd, rd, runLengths(rng, ht, rd))
+		default:
+			p = randomBlocks(rng, wd, ht)
 		}
-		checkPacked(t, gen(rand.New(rand.NewSource(seed)), 1+int(w)%2600, 1+int(h)%150), int(r)%9)
+		checkPacked(t, p, rd)
 	})
 }
 

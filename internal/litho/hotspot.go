@@ -53,18 +53,28 @@ func (h Hotspot) String() string {
 // opened), a bridge a gap pixel the closing claims (closed AND NOT
 // printed), and each residue row goes to its labeller as soon as its
 // chain hands it on. What a window holds is those rings, a few
-// kilobytes, whatever its size.
+// kilobytes, whatever its size. A chain hands on row j flagged only
+// when its first stage took printed rows j-2r-1..j+2r as one run, so
+// the printed row is flagged too: the residue row equals the one before
+// it, and goes on again, flagged, without being computed.
 type detector struct {
 	origin        geom.Point
 	pitch         float64
 	h             int
 	printed       []uint64 // the ring of printed rows, row j in slot j % len(ext)
 	ext           [][2]int
-	res           []uint64 // the residue row being labelled
 	open, close   *stage
-	pinch, bridge *labeller
-	walked        int
+	pinch, bridge residue
+	walked, equal int
 	out           []Hotspot
+}
+
+// residue is one kind's residue row, the last one computed, with its
+// extent, and the labeller it goes to.
+type residue struct {
+	row    []uint64
+	lo, hi int
+	l      *labeller
 }
 
 // newDetector returns a detector of a w x h px window at origin and
@@ -75,8 +85,9 @@ func newDetector(w, h int, origin geom.Point, pitch float64, minWidth, minSpace 
 	rw, rs := radius(minWidth), radius(minSpace)
 	stride, n := (w+63)/64, min(2*max(rw, rs)+1, h)
 	d := &detector{origin: origin, pitch: pitch, h: h,
-		printed: make([]uint64, n*stride), ext: make([][2]int, n), res: make([]uint64, stride)}
-	d.pinch, d.bridge = newLabeller(w, d.keep(Pinch)), newLabeller(w, d.keep(Bridge))
+		printed: make([]uint64, n*stride), ext: make([][2]int, n)}
+	d.pinch = residue{row: make([]uint64, stride), l: newLabeller(w, d.keep(Pinch))}
+	d.bridge = residue{row: make([]uint64, stride), l: newLabeller(w, d.keep(Bridge))}
 	// Pinch: printed pixels removed by opening with a structuring
 	// element just under minWidth.
 	d.open = chain(d.pinched, newStage(erosion, rw, w, h), newStage(dilation, rw, w, h))
@@ -99,41 +110,48 @@ func (d *detector) keep(kind HotspotKind) func(i0, i1, j0, j1 int) {
 
 // printedRow returns the ring row that holds printed row j.
 func (d *detector) printedRow(j int) []uint64 {
-	k, stride := j%len(d.ext), len(d.res)
+	k, stride := j%len(d.ext), len(d.pinch.row)
 	return d.printed[k*stride : (k+1)*stride]
 }
 
 // push takes printed row j.
-func (d *detector) push(j int, row []uint64, lo, hi int) {
+func (d *detector) push(j int, row []uint64, lo, hi int, same bool) {
 	d.walked += hi - lo
+	if same {
+		d.equal++
+	}
 	slot, e := d.printedRow(j), &d.ext[j%len(d.ext)]
 	clearOutside(slot, e[0], e[1], lo, hi)
 	copy(slot[lo:hi], row[lo:hi])
 	*e = [2]int{lo, hi}
-	d.open.push(j, row, lo, hi)
-	d.close.push(j, row, lo, hi)
+	d.open.push(j, row, lo, hi, same)
+	d.close.push(j, row, lo, hi, same)
 }
 
 // pinched labels printed row j AND NOT opened row j; the opening lies
 // inside the printed region, so its extent does too.
-func (d *detector) pinched(j int, opened []uint64, _, _ int) {
-	p, e := d.printedRow(j), d.ext[j%len(d.ext)]
-	for k := e[0]; k < e[1]; k++ {
-		d.res[k] = p[k] &^ opened[k]
+func (d *detector) pinched(j int, opened []uint64, _, _ int, same bool) {
+	if !same {
+		p, e, res := d.printedRow(j), d.ext[j%len(d.ext)], d.pinch.row
+		for i := e[0]; i < e[1]; i++ {
+			res[i] = p[i] &^ opened[i]
+		}
+		d.pinch.lo, d.pinch.hi = trim(res, e[0], e[1])
 	}
-	lo, hi := trim(d.res, e[0], e[1])
-	d.pinch.push(j, d.res, lo, hi)
+	d.pinch.l.push(j, d.pinch.row, d.pinch.lo, d.pinch.hi, same)
 }
 
 // bridged labels closed row j AND NOT printed row j; the closing covers
 // the printed region, so its extent covers the printed row's.
-func (d *detector) bridged(j int, closed []uint64, lo, hi int) {
-	p := d.printedRow(j)
-	for k := lo; k < hi; k++ {
-		d.res[k] = closed[k] &^ p[k]
+func (d *detector) bridged(j int, closed []uint64, lo, hi int, same bool) {
+	if !same {
+		p, res := d.printedRow(j), d.bridge.row
+		for i := lo; i < hi; i++ {
+			res[i] = closed[i] &^ p[i]
+		}
+		d.bridge.lo, d.bridge.hi = trim(res, lo, hi)
 	}
-	lo, hi = trim(d.res, lo, hi)
-	d.bridge.push(j, d.res, lo, hi)
+	d.bridge.l.push(j, d.bridge.row, d.bridge.lo, d.bridge.hi, same)
 }
 
 // finish drains both chains once the window's last row is in and
@@ -141,10 +159,11 @@ func (d *detector) bridged(j int, closed []uint64, lo, hi int) {
 func (d *detector) finish() []Hotspot {
 	d.open.finish()
 	d.close.finish()
-	d.pinch.finish(d.h)
-	d.bridge.finish(d.h)
+	d.pinch.l.finish(d.h)
+	d.bridge.l.finish(d.h)
 	cWordsWalked.Add(int64(d.walked))
-	cWordsSpanned.Add(int64(d.h * len(d.res)))
+	cWordsSpanned.Add(int64(d.h * len(d.pinch.row)))
+	cRowsEqual.Add(int64(d.equal))
 	SortHotspots(d.out)
 	return d.out
 }
@@ -164,9 +183,9 @@ func detectPrinted(ctx context.Context, rm *RasterMask, o ScanOpts) ([]Hotspot, 
 		return d.finish(), nil
 	}
 	var spent time.Duration
-	err := rm.printedRows(ctx, o.Cond, func(j int, row []uint64, lo, hi int) {
+	err := rm.printedRows(ctx, o.Cond, func(j int, row []uint64, lo, hi int, same bool) {
 		t0 := time.Now()
-		d.push(j, row, lo, hi)
+		d.push(j, row, lo, hi, same)
 		spent += time.Since(t0)
 	})
 	if err != nil {

@@ -80,6 +80,11 @@ var (
 	// hands the detector, against rows × words per row.
 	cWordsWalked  = obs.C("litho.hotspot.words.walked")
 	cWordsSpanned = obs.C("litho.hotspot.words.spanned")
+
+	// Printed rows the row source flagged as equal to the row before
+	// them, which the detector's stages and labellers take for a copy or
+	// for nothing (stream.go). One add per scan window.
+	cRowsEqual = obs.C("litho.hotspot.rows.equal")
 )
 
 // countPerDefocus records the per-|defocus| split of a cache hit or

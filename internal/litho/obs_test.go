@@ -227,26 +227,27 @@ func TestConcurrentImageCounters(t *testing.T) {
 
 // Occupancy is counted, not guessed: one narrow line down a wide window
 // touches a few of the column groups each band offers and holds one
-// printed word per row, and the four counters say so — per band and per
+// printed word per row, and the counters say so — per band and per
 // scan window, so a snapshot explains why one window costs a fifth of
-// another.
+// another. The line runs past both ends of the window, so every printed
+// row but the first equals the one before it, and the detector is told.
 func TestScanWindowOccupancyCounters(t *testing.T) {
 	withObs(t)
 	tt := tech.N45()
 	win := geom.R(0, 0, 5000, 500)
 	// Printed columns 140..154 of the padded scan window: inside one word.
 	mask := []geom.Rect{geom.R(200, -2000, 270, 2500)}
-	read := func() (touched, offered, walked, spanned int64) {
+	read := func() (touched, offered, walked, spanned, equal int64) {
 		c := obs.Default().Snapshot().Counters
 		return c["litho.band.groups.touched"], c["litho.band.groups.offered"],
-			c["litho.hotspot.words.walked"], c["litho.hotspot.words.spanned"]
+			c["litho.hotspot.words.walked"], c["litho.hotspot.words.spanned"], c["litho.hotspot.rows.equal"]
 	}
-	t0, o0, w0, s0 := read()
+	t0, o0, w0, s0, e0 := read()
 	if _, err := ScanWindowCtx(context.Background(), mask, win, tt, tech.Metal1, ScanOpts{Cond: Nominal}); err != nil {
 		t.Fatal(err)
 	}
-	t1, o1, w1, s1 := read()
-	touched, offered, walked, spanned := t1-t0, o1-o0, w1-w0, s1-s0
+	t1, o1, w1, s1, e1 := read()
+	touched, offered, walked, spanned, equal := t1-t0, o1-o0, w1-w0, s1-s0, e1-e0
 
 	sim := win.Bloat(ScanPadNM)
 	w, h := gridDims(sim, tt.Optics.GridNM)
@@ -264,6 +265,9 @@ func TestScanWindowOccupancyCounters(t *testing.T) {
 	}
 	if walked != int64(h) {
 		t.Errorf("words walked = %d, want one per row (%d)", walked, h)
+	}
+	if equal != int64(h-1) {
+		t.Errorf("rows equal = %d, want every row but the first (%d)", equal, h-1)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/geom"
@@ -199,7 +200,8 @@ func (rm *RasterMask) unitIntensity(ctx context.Context, defocus float64) (*Grid
 
 // printedRows hands sink the printed/not-printed rows of the window
 // under cond, in the Bitmap layout, one at a time as the render
-// thresholds them, with each row's extent (stream.go); the bitmap
+// thresholds them, with each row's extent and whether it equals the row
+// before, found by one compare over the extent (stream.go); the bitmap
 // itself is never built. Each amplitude of a band is squared,
 // dose-scaled and thresholded with exactly the float operations
 // Simulate followed by PrintedBitmap performs, in the same order, so
@@ -218,8 +220,13 @@ func (rm *RasterMask) printedRows(ctx context.Context, cond Condition, sink rowF
 	if thresholdWord(make([]float64, 1), dose, thr) != 0 {
 		blank = ^uint64(0)
 	}
-	row := make([]uint64, (w+63)/64)
+	// Rows are thresholded into two buffers in turn, so the one before
+	// is still there to flag a row equal to it.
+	stride := (w + 63) / 64
+	bufs := make([]uint64, 2*stride)
+	var plo, phi int
 	return rm.renderLocked(ctx, cond.Defocus, w, h, bandRows, func(j int, a []float64, live []bool) {
+		row, prev := bufs[(j&1)*stride:][:stride], bufs[((j+1)&1)*stride:][:stride]
 		for k := range row {
 			if live[k] {
 				row[k] = thresholdWord(a[k<<6:min(k<<6+64, w)], dose, thr)
@@ -229,7 +236,9 @@ func (rm *RasterMask) printedRows(ctx context.Context, cond Condition, sink rowF
 		}
 		row[len(row)-1] &= mask
 		lo, hi := trim(row, 0, len(row))
-		sink(j, row, lo, hi)
+		same := j > 0 && lo == plo && hi == phi && slices.Equal(row[lo:hi], prev[lo:hi])
+		plo, phi = lo, hi
+		sink(j, row, lo, hi, same)
 	})
 }
 

@@ -437,15 +437,16 @@ func TestRemaskRendersOverPredecessorGrid(t *testing.T) {
 
 // printedBitmap collects what the scan's row source hands its sink
 // into a bitmap. It fails unless the rows come once each, in order, and
-// each comes with its exact extent: the words from its first to its
-// last non-zero one, 0, 0 for a blank row.
+// each comes with its exact extent, the words from its first to its
+// last non-zero one, 0, 0 for a blank row, and flagged exactly when it
+// equals the row before it.
 func printedBitmap(ctx context.Context, rm *RasterMask, cond Condition) (*Bitmap, error) {
 	w, h := gridDims(rm.window, rm.pitch)
 	b := NewBitmap(w, h)
 	b.Origin, b.Pitch = rm.window.LL(), rm.pitch
 	var bad error
 	next := 0
-	err := rm.printedRows(ctx, cond, func(j int, row []uint64, lo, hi int) {
+	err := rm.printedRows(ctx, cond, func(j int, row []uint64, lo, hi int, same bool) {
 		if j != next && bad == nil {
 			bad = fmt.Errorf("row %d handed after row %d", j, next-1)
 		}
@@ -453,6 +454,9 @@ func printedBitmap(ctx context.Context, rm *RasterMask, cond Condition) (*Bitmap
 		copy(b.row(j), row)
 		if l, r := trim(row, 0, len(row)); (l != lo || r != hi) && bad == nil {
 			bad = fmt.Errorf("row %d handed with extent [%d, %d), its words say [%d, %d)", j, lo, hi, l, r)
+		}
+		if eq := j > 0 && slices.Equal(row, b.row(j-1)); same != eq && bad == nil {
+			bad = fmt.Errorf("row %d handed with same = %v, its words say %v", j, same, eq)
 		}
 	})
 	if err != nil {

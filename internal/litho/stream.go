@@ -12,9 +12,25 @@ package litho
 // to its last non-zero one, lo == hi for a blank row. The row is zero
 // outside its extent, and it is only valid during the call it is
 // handed in.
+//
+// A row also comes flagged when it equals the row before it, bit for
+// bit; row 0 never is. A Manhattan mask under a separable blur prints
+// long runs of equal rows, and every piece turns the flag into work it
+// skips, each step exact Boolean arithmetic on identical inputs: a
+// stage copies its previous ring row instead of running the horizontal
+// pass; once its rows j-r-1..j+r are one run, output rows j-1 and j
+// are the AND or the OR of equal rows, so it hands on output row j-1
+// again, flagged, without the 2r+1-way AND or OR; the detector skips a
+// residue row whose printed and chain rows are both flagged; and the
+// labeller takes a flagged row as a no-op. An equal row's runs each
+// overlap their twin in the row before and nothing else, since runs
+// are maximal and so a column apart: every open component is reached
+// once, none merges, none closes and no box grows, so the state the
+// labeller would leave is the state it holds.
 
-// rowFunc receives row j of a stream, rows in ascending order.
-type rowFunc func(j int, row []uint64, lo, hi int)
+// rowFunc receives row j of a stream, rows in ascending order; same
+// reports that it equals row j-1.
+type rowFunc func(j int, row []uint64, lo, hi int, same bool)
 
 // morphOp is the operation of a stage.
 type morphOp bool
@@ -47,6 +63,7 @@ type stage struct {
 	next    *stage
 	sink    rowFunc
 	pending int // the next output row
+	run     int // the first input row of the run of equal rows the last one pushed is in
 }
 
 // newStage returns a stage of op at radius r > 0 over rows of w columns
@@ -106,10 +123,19 @@ func (s *stage) slot(j int) []uint64 {
 	return s.ring[k*stride : (k+1)*stride]
 }
 
-// push takes row j of the stage's input.
-func (s *stage) push(j int, row []uint64, lo, hi int) {
+// push takes row j of the stage's input; same reports that it equals
+// row j-1, whose horizontal pass it then copies.
+func (s *stage) push(j int, row []uint64, lo, hi int, same bool) {
 	e := &s.ext[j%len(s.ext)]
-	e[0], e[1] = s.horizontal(s.slot(j), *e, row, lo, hi)
+	if same {
+		prev, slot := s.ext[(j-1)%len(s.ext)], s.slot(j)
+		clearOutside(slot, e[0], e[1], prev[0], prev[1])
+		copy(slot[prev[0]:prev[1]], s.slot(j - 1)[prev[0]:prev[1]])
+		*e = prev
+	} else {
+		s.run = j
+		e[0], e[1] = s.horizontal(s.slot(j), *e, row, lo, hi)
+	}
 	if j >= s.r {
 		s.emit(j - s.r)
 	}
@@ -209,9 +235,16 @@ func hpass(dst, src []uint64, lo, hi int, steps []uint, flip, tail uint64) {
 }
 
 // emit hands on output row j: the AND or OR of the ring rows within r
-// of it, over their common (erosion) or joint (dilation) extent.
+// of it, over their common (erosion) or joint (dilation) extent. When
+// the input rows j-r-1..j+r that exist are one run, output rows j-1
+// and j take the AND or the OR of equal rows, and the row last handed
+// on goes again, flagged.
 func (s *stage) emit(j int) {
 	s.pending = j + 1
+	if j > 0 && s.run <= max(j-1-s.r, 0) {
+		s.hand(j, true)
+		return
+	}
 	n, stride := len(s.ext), len(s.out)
 	j0, j1 := max(j-s.r, 0), min(j+s.r, s.h-1)
 	lo, hi := stride, 0
@@ -256,10 +289,15 @@ func (s *stage) emit(j int) {
 		lo, hi = trim(s.out, lo, hi)
 	}
 	s.outExt = [2]int{lo, hi}
+	s.hand(j, false)
+}
+
+// hand passes out as output row j to the next stage or the sink.
+func (s *stage) hand(j int, same bool) {
 	if s.next != nil {
-		s.next.push(j, s.out, lo, hi)
+		s.next.push(j, s.out, s.outExt[0], s.outExt[1], same)
 	} else {
-		s.sink(j, s.out, lo, hi)
+		s.sink(j, s.out, s.outExt[0], s.outExt[1], same)
 	}
 }
 
@@ -332,8 +370,12 @@ func (l *labeller) find(c int) int {
 	return c
 }
 
-// push takes row j; rows must come in order, blank ones too.
-func (l *labeller) push(j int, row []uint64, lo, hi int) {
+// push takes row j; rows must come in order, blank ones too. A row
+// equal to row j-1 changes nothing (see the top of this file).
+func (l *labeller) push(j int, row []uint64, lo, hi int, same bool) {
+	if same {
+		return
+	}
 	end := min(hi<<6, l.w)
 	l.cur = l.cur[:0]
 	p := 0

@@ -117,11 +117,17 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats is the router's always-on accounting.
+// Stats is the router's always-on accounting. A request that ends
+// without an answer counts once, under whose failure it is: Failed, the
+// fleet's (attempts or backends ran out); Rejected, the request's (a
+// backend answered 4xx, as every replica would); Abandoned, the
+// caller's (its context ended first).
 type Stats struct {
 	Requests     int64 `json:"requests"`
 	OK           int64 `json:"ok"`
 	Failed       int64 `json:"failed"`
+	Rejected     int64 `json:"rejected"`
+	Abandoned    int64 `json:"abandoned"`
 	Retries      int64 `json:"retries"`
 	Failovers    int64 `json:"failovers"`
 	NoBackend    int64 `json:"noBackend"`
@@ -154,6 +160,7 @@ type Router struct {
 	loops    sync.WaitGroup
 
 	requests, ok, failed    atomic.Int64
+	rejected, abandoned     atomic.Int64
 	retries, failovers      atomic.Int64
 	noBackend, budgetDenied atomic.Int64
 	tileJobs, tileReused    atomic.Int64
@@ -242,7 +249,7 @@ func (r *Router) route(ctx context.Context, key string, call func(context.Contex
 			case <-t.C:
 			case <-ctx.Done():
 				t.Stop()
-				r.failed.Add(1)
+				r.abandoned.Add(1)
 				return nil, nil, ctx.Err()
 			}
 		}
@@ -302,7 +309,15 @@ func (r *Router) route(ctx context.Context, key string, call func(context.Contex
 		case outcomeTerminal:
 			// Validation errors and context expiry: the other
 			// replicas would say exactly the same thing.
-			r.failed.Add(1)
+			var se *client.StatusError
+			switch {
+			case ctx.Err() != nil:
+				r.abandoned.Add(1)
+			case errors.As(err, &se):
+				r.rejected.Add(1)
+			default:
+				r.failed.Add(1)
+			}
 			return nil, b, err
 		case outcomeFault:
 			b.fails.Add(1)
@@ -367,6 +382,8 @@ func (r *Router) Stats() Stats {
 		Requests:     r.requests.Load(),
 		OK:           r.ok.Load(),
 		Failed:       r.failed.Load(),
+		Rejected:     r.rejected.Load(),
+		Abandoned:    r.abandoned.Load(),
 		Retries:      r.retries.Load(),
 		Failovers:    r.failovers.Load(),
 		NoBackend:    r.noBackend.Load(),

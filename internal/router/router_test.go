@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -459,8 +461,8 @@ func TestRetryBudgetBoundsAmplification(t *testing.T) {
 		}
 	}
 	st := r.Stats()
-	if st.Failed != reqs {
-		t.Fatalf("failed = %d, want %d", st.Failed, reqs)
+	if st.Failed != reqs || st.Rejected != 0 || st.Abandoned != 0 {
+		t.Fatalf("failed/rejected/abandoned = %d/%d/%d, want %d/0/0", st.Failed, st.Rejected, st.Abandoned, reqs)
 	}
 	var picks int64
 	for _, b := range st.Backends {
@@ -474,6 +476,80 @@ func TestRetryBudgetBoundsAmplification(t *testing.T) {
 	}
 	if st.BudgetDenied == 0 {
 		t.Fatal("budget never denied a retry against a fully dead cluster")
+	}
+}
+
+// A backend's 4xx is the request's fault, not the fleet's: the router
+// relays it once, tries no other replica, and counts it rejected.
+func TestRejectedRequestIsNotAFleetFailure(t *testing.T) {
+	r, err := New(Config{Backends: urls([]*node{startNode(t), startNode(t)}), CheckInterval: time.Hour, Logf: quiet})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Shutdown(context.Background())
+	var se *client.StatusError
+	if _, err := front(t, r).Eval(context.Background(), server.JobRequest{Technique: "bogus"}); !errors.As(err, &se) || se.Code != http.StatusBadRequest {
+		t.Fatalf("bogus technique through the router: %v, want a 400", err)
+	}
+	if st := r.Stats(); st.Rejected != 1 || st.Failed != 0 || st.Abandoned != 0 || st.Retries != 0 {
+		t.Fatalf("rejected/failed/abandoned/retries = %d/%d/%d/%d, want 1/0/0/0", st.Rejected, st.Failed, st.Abandoned, st.Retries)
+	}
+}
+
+// A caller that hangs up ends its request, whose failure that is: the
+// router counts it abandoned whether the hang-up comes while a backend
+// holds the attempt or while the router waits out a retry's backoff.
+func TestCallerHangUpIsAbandoned(t *testing.T) {
+	held := make(chan struct{}, 1)
+	holding := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.URL.Path == "/healthz" {
+			server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+			return
+		}
+		// The server notices a hang-up only once the body is read.
+		io.Copy(io.Discard, req.Body) //nolint:errcheck // the body is not under test
+		held <- struct{}{}
+		<-req.Context().Done()
+	}))
+	defer holding.Close()
+	for _, c := range []struct {
+		name    string
+		backend string
+		reached func(r *Router) bool
+	}{
+		{"mid-attempt", holding.URL, func(*Router) bool {
+			select {
+			case <-held:
+				return true
+			default:
+				return false
+			}
+		}},
+		{"in backoff", deadURL(t), func(r *Router) bool { return r.Stats().Backends[0].Picks > 0 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r, err := New(Config{Backends: []string{c.backend}, CheckInterval: time.Hour, FailAfter: 1 << 30,
+				RetryBase: time.Hour, RetryMax: time.Hour, Logf: quiet})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Shutdown(context.Background())
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan error, 1)
+			go func() {
+				_, err := front(t, r).Eval(ctx, server.JobRequest{Technique: "sraf", Seed: 1})
+				done <- err
+			}()
+			waitFor(t, "the first attempt", func() bool { return c.reached(r) })
+			cancel()
+			if err := <-done; err == nil {
+				t.Fatal("a canceled request succeeded")
+			}
+			waitFor(t, "the request to end", func() bool { return r.Stats().Abandoned == 1 })
+			if st := r.Stats(); st.Failed != 0 || st.Rejected != 0 || st.OK != 0 {
+				t.Fatalf("failed/rejected/ok = %d/%d/%d, want 0/0/0", st.Failed, st.Rejected, st.OK)
+			}
+		})
 	}
 }
 

@@ -130,10 +130,11 @@ cover-kernel: ## litho kernel coverage gate: no function of raster.go/sparse.go/
 
 # The same watch on the path every chip unit takes — cut (plan.go), key
 # (key.go), validate / execute / absorb (wire.go), scan (scan.go, every
-# engine's stage-B driver): unit.String sat there unexecuted until PR 20
-# deleted it with the type.
-cover-engine: ## unit path coverage gate: no function of internal/tiling's plan.go/wire.go/key.go/scan.go at 0 % under the package's own tests
-	$(call cover-gate,cover-engine,./internal/tiling,plan|wire|key|scan,)
+# engine's stage-B driver), compute once per cache (cache.go, whose
+# wait-and-fallback path a race alone would reach): unit.String sat there
+# unexecuted until PR 20 deleted it with the type.
+cover-engine: ## unit path coverage gate: no function of internal/tiling's plan.go/wire.go/key.go/scan.go/cache.go at 0 % under the package's own tests
+	$(call cover-gate,cover-engine,./internal/tiling,plan|wire|key|scan|cache,)
 
 # And on what every tile's deck stands on: the index, the boundary
 # extraction, the region algebra and the band walk under

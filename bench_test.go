@@ -1,10 +1,10 @@
 package repro
 
-// Benchmarks that time: the chip engine, the surrogate gate, the repair
-// loop and the kernel micro-rows bench-smoke runs. Every row is time and
-// allocations; four of them also print a diagnostic line of counts on
-// their first call (b.N == 1, which the runner uses exactly once per
-// benchmark), after the timed loop. The paper's experiments are in
+// Benchmarks that time: the chip engine, the repair loop and the kernel
+// micro-rows bench-smoke runs. Every row is time and allocations; three
+// of them also print a diagnostic line of counts on their first call
+// (b.N == 1, which the runner uses exactly once per benchmark), after
+// the timed loop. The paper's experiments are in
 // experiments_test.go, timed by BenchmarkExperiment.
 //
 //	go test -run='^$' -bench=. -benchmem .
@@ -24,7 +24,6 @@ import (
 	"repro/internal/litho"
 	"repro/internal/obs"
 	"repro/internal/repair"
-	"repro/internal/surrogate"
 	"repro/internal/tech"
 	"repro/internal/tiling"
 )
@@ -102,150 +101,6 @@ func BenchmarkChipFlat(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := tiling.EvaluateFlat(context.Background(), tech.N45(), top, o); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// ---- Surrogate fast path benches (PR9): the uncertainty-gated ML
-// pre-filter on the full-chip hotspot scan vs the exact-only scan of
-// the same chip, both through the result cache dfmscore -chip passes by
-// default. ROADMAP item 2's rule: the gate stays only while the gated
-// scan is at least 2x faster than the cached exact scan on one of the
-// two chips. Recall 1.0 on the generator's injected litho defects is a
-// b.Fatal gate; what the gate costs in real hotspots is printed. ----
-
-// surrogateCache is dfmscore -chip's default -chipcache.
-const surrogateCache = 8192
-
-// surrogateRecall fails the benchmark unless every injected defect
-// site overlaps a reported hotspot on its layer.
-func surrogateRecall(b *testing.B, info layout.ChipInfo, res *tiling.Result) {
-	b.Helper()
-	for _, site := range info.HotspotSites {
-		found := false
-		for _, h := range res.Hotspots[site.Layer] {
-			if h.Box.Overlaps(site.Box) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			b.Fatalf("scan lost the injected %s defect at %v", site.Kind, site.Box)
-		}
-	}
-}
-
-// BenchmarkSurrogateChipScan — the headline experiment, per chip: the
-// gated scan (timed per iteration) against the exact-only scan of the
-// same chip (timed once), each from a fresh cache. The speedup, skip
-// counts, holdout calibration and both arms' metal1 hotspot counts are
-// printed as plain lines in their own units; defect recall is a b.Fatal
-// gate, not a number.
-func BenchmarkSurrogateChipScan(b *testing.B) {
-	// Two ~1M-rect chips: a via-farm-heavy mix, which keeps most metal1
-	// windows clean (the population the gate can skip) while the logic
-	// macros and six injected defects supply the dirty tail, and
-	// dfmscore -chip's own default mix.
-	for _, sc := range []struct {
-		name string
-		chip layout.ChipOpts
-	}{
-		{"via-farm", layout.ChipOpts{Seed: 11, TargetRects: 1_000_000, HotspotDefects: 6, MacroMix: []int{1, 1, 0, 4}}},
-		{"default", layout.ChipOpts{Seed: 11, TargetRects: 1_000_000, Defects: 8, HotspotDefects: 6}},
-	} {
-		b.Run(sc.name, func(b *testing.B) {
-			l, info, err := layout.GenerateChip(tech.N45(), sc.chip)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ex := tiling.NewExtractor(l.Top)
-			ctx := context.Background()
-			o := tiling.Opts{
-				Tile: 24000, Halo: 2000,
-				Hotspots:        []tech.Layer{tech.Metal1},
-				HotspotInterior: true,
-				Cache:           tiling.NewCache(surrogateCache),
-			}
-
-			exactStart := time.Now()
-			exact, err := tiling.Evaluate(ctx, tech.N45(), ex, o)
-			if err != nil {
-				b.Fatal(err)
-			}
-			exactNS := time.Since(exactStart).Nanoseconds()
-			surrogateRecall(b, info, exact)
-
-			o.Surrogate = &surrogate.Config{Seed: 11}
-			b.ReportAllocs()
-			b.ResetTimer()
-			var res *tiling.Result
-			for i := 0; i < b.N; i++ {
-				o.Cache = tiling.NewCache(surrogateCache)
-				if res, err = tiling.Evaluate(ctx, tech.N45(), ex, o); err != nil {
-					b.Fatal(err)
-				}
-				surrogateRecall(b, info, res)
-			}
-			b.StopTimer()
-			gatedNS := int64(b.Elapsed()) / int64(b.N)
-			rep := res.Surrogate[tech.Metal1]
-			if rep == nil || rep.Skipped == 0 {
-				b.Fatalf("gate skipped nothing; report: %+v", rep)
-			}
-			if b.N == 1 {
-				gated := map[litho.Hotspot]bool{}
-				for _, h := range res.Hotspots[tech.Metal1] {
-					gated[h] = true
-				}
-				lost := 0
-				for _, h := range exact.Hotspots[tech.Metal1] {
-					if !gated[h] {
-						lost++
-					}
-				}
-				fmt.Printf("surrogate %s chip: %d rects, %d windows (%d non-empty), sampled %d, skipped %d, guarded %d, exact %d\n",
-					sc.name, info.Rects, rep.Windows, rep.NonEmpty, rep.Sampled, rep.Skipped, rep.Guarded, rep.Exact)
-				fmt.Printf("surrogate %s calib: TClean %.3f, holdout %d (%d dirty), MAPE %.3f, r %.3f, P %.2f, R %.2f\n",
-					sc.name, rep.TClean, rep.Holdout, rep.HoldoutDirty, rep.MAPE, rep.Pearson, rep.Precision, rep.Recall)
-				fmt.Printf("surrogate %s time: exact-only %.2fs, gated %.2fs, speedup %.2fx (both cached)\n",
-					sc.name, float64(exactNS)/1e9, float64(gatedNS)/1e9, float64(exactNS)/float64(gatedNS))
-				fmt.Printf("surrogate %s hotspots: exact-only %d, gated %d, %d exact-only hotspots missing from gated\n",
-					sc.name, len(exact.Hotspots[tech.Metal1]), len(res.Hotspots[tech.Metal1]), lost)
-			}
-		})
-	}
-}
-
-// BenchmarkSurrogateTrain — the training microbenchmark: featurize +
-// boost on a synthetic window population, the in-loop cost the gate
-// adds to every chip evaluation.
-func BenchmarkSurrogateTrain(b *testing.B) {
-	rnd := rand.New(rand.NewSource(4))
-	win := geom.R(0, 0, 12000, 12000)
-	n := 512
-	X := make([]surrogate.Features, n)
-	y := make([]float64, n)
-	for i := range X {
-		var rs []geom.Rect
-		for j := 0; j < 40; j++ {
-			x0, y0 := rnd.Int63n(11000), rnd.Int63n(11000)
-			w := int64(90 + rnd.Intn(400))
-			if i%9 == 0 && j == 0 {
-				w = 30
-			}
-			rs = append(rs, geom.R(x0, y0, x0+w, y0+rnd.Int63n(800)+100))
-		}
-		X[i] = surrogate.WindowFeatures(win, 1000, rs, nil, 42, 42)
-		if i%9 == 0 {
-			y[i] = 1
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := surrogate.Train(X, y, 64, 0.3)
-		if len(m.Stumps) == 0 {
-			b.Fatal("training learned nothing")
 		}
 	}
 }
@@ -333,8 +188,8 @@ func scanWindowBench(b *testing.B) (*tech.Tech, []geom.Rect, geom.Rect) {
 
 // BenchmarkScanWindow — one exact 12 um hotspot-scan window end to
 // end (amplitude, threshold, the row stages and labeller it feeds,
-// interior filter): the unit every chip-scale scan, fleet window job
-// and surrogate label is priced in. ns/op and B/op are the per-window
+// interior filter): the unit every chip-scale scan and fleet window
+// job is priced in. ns/op and B/op are the per-window
 // cost and garbage.
 func BenchmarkScanWindow(b *testing.B) {
 	t, rs, win := scanWindowBench(b)

@@ -57,7 +57,6 @@ import (
 	"repro/internal/layout"
 	"repro/internal/obs"
 	"repro/internal/repair"
-	"repro/internal/surrogate"
 	"repro/internal/tech"
 	"repro/internal/tiling"
 )
@@ -80,7 +79,6 @@ func run() int {
 	chipFlat := flag.Bool("chipflat", false, "chip mode: also run the flat baseline and verify an exact match")
 	chipHot := flag.Bool("chiphotspots", false, "chip mode: include the metal1 litho hotspot scan")
 	chipHotDef := flag.Int("chiphotdefects", 0, "chip mode: injected litho defect structures (pinch necks + bridge pad pairs)")
-	chipSurr := flag.Bool("chipsurrogate", false, "chip mode: gate the hotspot scan with the uncertainty-gated ML surrogate (and keep only interior, true-neck pinch hotspots, dropping line-end pull-back markers)")
 	chipDens := flag.Bool("chipdensity", true, "chip mode: include the density-window deck (its violation list dominates memory on sparse floorplans)")
 	cluster := flag.Int("cluster", 0, "chip mode: fan tiles across N in-process dfmd backends behind a dfmrouter")
 	repairFlag := flag.Bool("repair", false, "chip mode: run the in-design score-and-repair loop (weighted DFM score, auto-fixes, incremental re-evaluation)")
@@ -115,7 +113,7 @@ func run() int {
 		if err := runChip(ctx, t, chipConfig{
 			seed: *seed, rects: *chipRects, slots: *chipSlots, cache: *chipCache, flat: *chipFlat,
 			hotspots: *chipHot, hotDefects: *chipHotDef,
-			surrogate: *chipSurr, density: *chipDens, asJSON: *asJSON,
+			density: *chipDens, asJSON: *asJSON,
 			cluster: *cluster, repair: *repairFlag, repairDefects: *repairDef,
 			deltaBench: *deltaBench,
 		}); err != nil {
@@ -185,7 +183,6 @@ type chipConfig struct {
 
 	hotspots   bool
 	hotDefects int
-	surrogate  bool
 	density    bool
 	asJSON     bool
 	cluster    int
@@ -224,13 +221,6 @@ func runChip(ctx context.Context, t *tech.Tech, cfg chipConfig) error {
 		return runRepair(ctx, t, cfg)
 	}
 	topts := chipTiling(cfg)
-	if cfg.surrogate {
-		// The gate only pays off once line-end pull-back markers are
-		// filtered — with them, every macro window is dirty and nothing
-		// can be skipped — so the surrogate implies the interior filter.
-		topts.HotspotInterior = true
-		topts.Surrogate = &surrogate.Config{Seed: cfg.seed}
-	}
 	if cfg.cache > 0 {
 		topts.Cache = tiling.NewCache(cfg.cache)
 	}
@@ -297,11 +287,6 @@ func runChip(ctx context.Context, t *tech.Tech, cfg chipConfig) error {
 		}
 		fmt.Printf("  results:   %d violations (%d dropped), %d hotspots\n",
 			rep.Violations, res.Dropped, rep.Hotspots)
-		for layer, sr := range rep.Surrogate {
-			fmt.Printf("  surrogate: %s skipped %d/%d windows (%.0f%%, %d guarded, %d exact); holdout MAPE %.3f r %.3f P %.2f R %.2f\n",
-				layer, sr.Skipped, sr.NonEmpty, 100*sr.SkipRate, sr.Guarded, sr.Exact,
-				sr.MAPE, sr.Pearson, sr.Precision, sr.Recall)
-		}
 		if rep.DefectSites > 0 {
 			fmt.Printf("  defects:   %d/%d injected litho defects found (recall %.2f)\n",
 				rep.DefectsFound, rep.DefectSites, rep.DefectRecall)
@@ -357,9 +342,6 @@ type deltaBenchReport struct {
 // generated chip: weighted scoring, legality-checked auto-fixes, and
 // incremental dirty-region re-scoring between rounds.
 func runRepair(ctx context.Context, t *tech.Tech, cfg chipConfig) error {
-	if cfg.surrogate {
-		return fmt.Errorf("-repair is incompatible with -chipsurrogate: surrogate gating is chip-global, the repair loop re-scores incrementally")
-	}
 	if cfg.cluster > 0 {
 		return fmt.Errorf("-repair runs in-process (in-design loop); drop -cluster")
 	}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/layout"
-	"repro/internal/surrogate"
 	"repro/internal/tech"
 	"repro/internal/tiling"
 )
@@ -45,9 +44,6 @@ type ChipEvalReport struct {
 	Violations int `json:"violations"`
 	Hotspots   int `json:"hotspots"`
 
-	// Surrogate holds the per-layer gating calibration reports
-	// (layer-name keyed) when the surrogate fast path ran.
-	Surrogate map[string]*surrogate.Report `json:"surrogate,omitempty"`
 	// DefectSites/DefectsFound/DefectRecall measure the scan against
 	// the generator's injected litho defects: a site counts as found
 	// when any reported hotspot on its layer overlaps its box. Recall
@@ -105,8 +101,9 @@ func heapPeak(fn func() error) (uint64, error) {
 
 // defectRecall checks every injected litho defect site against the
 // scan output: found means some hotspot on the site's layer overlaps
-// its box. This is the safety measurement for the surrogate fast
-// path — a gated scan must never lose an injected defect.
+// its box. The generator plants these defects so that the scan has
+// failures it must find: a recall under 1 is a scan that misses real
+// printability failures.
 func defectRecall(info layout.ChipInfo, res *tiling.Result) (sites, found int, recall float64) {
 	sites = len(info.HotspotSites)
 	if sites == 0 {
@@ -158,12 +155,6 @@ func EvalChipTiling(ctx context.Context, t *tech.Tech, o ChipEvalOpts) (*ChipEva
 	rep.Elapsed = res.Stats.Elapsed
 	if s := res.Stats.Elapsed.Seconds(); s > 0 {
 		rep.TilesPerSec = float64(res.Stats.Tiles) / s
-	}
-	if len(res.Surrogate) > 0 {
-		rep.Surrogate = make(map[string]*surrogate.Report, len(res.Surrogate))
-		for l, sr := range res.Surrogate {
-			rep.Surrogate[l.String()] = sr
-		}
 	}
 	rep.DefectSites, rep.DefectsFound, rep.DefectRecall = defectRecall(info, res)
 

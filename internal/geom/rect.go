@@ -39,14 +39,6 @@ func (r Rect) Area() int64 {
 	return r.Width() * r.Height()
 }
 
-// Perimeter returns 2*(Width+Height).
-func (r Rect) Perimeter() int64 {
-	if r.Empty() {
-		return 0
-	}
-	return 2 * (r.Width() + r.Height())
-}
-
 // Empty reports whether the rectangle encloses no area.
 func (r Rect) Empty() bool { return r.X0 >= r.X1 || r.Y0 >= r.Y1 }
 

@@ -27,9 +27,6 @@ func TestRectBasics(t *testing.T) {
 	if got := r.Area(); got != 40 {
 		t.Errorf("Area = %d, want 40", got)
 	}
-	if got := r.Perimeter(); got != 28 {
-		t.Errorf("Perimeter = %d, want 28", got)
-	}
 	if got := r.MinDim(); got != 4 {
 		t.Errorf("MinDim = %d, want 4", got)
 	}

@@ -50,7 +50,7 @@ type ChipOpts struct {
 	// defect structures (alternating drawn necks and near-bridging
 	// pad pairs, one per slot in the margin band): deterministic
 	// printability failures the hotspot scan must find, recorded in
-	// ChipInfo.HotspotSites so surrogate-gated scans can prove recall.
+	// ChipInfo.HotspotSites so every scan can be held to finding them.
 	HotspotDefects int
 	// RepairDefects injects up to this many seeded repairable via
 	// structures (one pair per slot, in the margin band): a legally

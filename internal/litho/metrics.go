@@ -66,8 +66,7 @@ var (
 	// scan.ns is its simulate.ns (amplitude, threshold sink and the
 	// streaming detector the sink feeds) plus the marker filters;
 	// detect.ns (morphology and labelling) is the detector's share of
-	// simulate.ns, clocked per row only while recording. Surrogate
-	// gating is counted in each scan's surrogate.Report, not here.
+	// simulate.ns, clocked per row only while recording.
 	cScanWindows  = obs.C("litho.hotspot.windows")
 	cScanFound    = obs.C("litho.hotspot.found")
 	cScanInterior = obs.C("litho.hotspot.interior.dropped")

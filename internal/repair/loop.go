@@ -14,8 +14,8 @@ import (
 // Opts parameterizes the score-and-repair loop.
 type Opts struct {
 	// Eval is the tiled evaluation configuration scores are computed
-	// from. Surrogate gating is rejected: the incremental engine cannot
-	// splice through a chip-global model.
+	// from; rounds after the first re-score it through
+	// tiling.EvaluateDelta.
 	Eval tiling.Opts
 	// Rounds bounds the propose-check-apply-rescore iterations
 	// (default 1). The loop stops early when a round applies nothing.
@@ -78,9 +78,6 @@ func (o *Outcome) AppliedByKind() map[string]int {
 // region, not the chip. top is never modified; the repaired layout is
 // Outcome.Top.
 func Run(stdctx context.Context, t *tech.Tech, top *layout.Cell, o Opts) (*Outcome, error) {
-	if o.Eval.Surrogate != nil {
-		return nil, errors.New("repair: surrogate-gated evaluation cannot be repaired incrementally")
-	}
 	rounds := o.Rounds
 	if rounds <= 0 {
 		rounds = 1

@@ -552,7 +552,7 @@ var longSections []string
 // item 12). Like longSections the bounds only shrink: a document that
 // grows past its bound fails, and one that shrinks below it fails until
 // the bound is lowered to match.
-var docBounds = map[string]int{"README.md": 780, "DESIGN.md": 1153, verifySkill: 801}
+var docBounds = map[string]int{"README.md": 714, "DESIGN.md": 1153, verifySkill: 761}
 
 // rSection is one "## R…" section: its id, the line of its heading, and
 // how many lines it runs from the heading to its last non-blank line.

@@ -168,7 +168,7 @@ func TestDeltaChainRandomEdits(t *testing.T) {
 					if !Equivalent(resD, fresh) {
 						t.Fatalf("%s: Equivalent(delta, from scratch) = false", label)
 					}
-					if oracle := snapD.plan.stitchOracle(newResult(o), snapD.outs); !Equivalent(resD, oracle) {
+					if oracle := snapD.plan.stitchOracle(newResult(), snapD.outs); !Equivalent(resD, oracle) {
 						t.Fatalf("%s: delta stitch differs from the whole-chip stitch of the same tile outputs", label)
 					}
 					sawSplice = sawSplice || resD.Stats.SplicedTiles > 0

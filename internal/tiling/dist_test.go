@@ -291,6 +291,42 @@ func TestTileRequestKeySurvivesJSON(t *testing.T) {
 	}
 }
 
+// The interior flag of a window unit must survive JSON and keep its
+// key, like every other request field.
+func TestTileRequestInteriorSurvivesJSON(t *testing.T) {
+	tt := tech.N45()
+	req := windowWireRequest(tt, Opts{DRC: true, HotspotInterior: true}, nil, tech.Metal1,
+		geom.R(0, 0, 12000, 12000), 500, []geom.Rect{geom.R(0, 0, 90, 1000)})
+	if err := req.Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	if !req.Interior {
+		t.Fatal("window request built from HotspotInterior opts does not carry the interior flag")
+	}
+	k0, err := req.Key()
+	if err != nil {
+		t.Fatalf("Key: %v", err)
+	}
+	b, err := json.Marshal(req)
+	if err != nil {
+		t.Fatalf("Marshal: %v", err)
+	}
+	var back TileRequest
+	if err := json.Unmarshal(b, &back); err != nil {
+		t.Fatalf("Unmarshal: %v", err)
+	}
+	if back.Interior != req.Interior {
+		t.Fatalf("wire round-trip lost the interior flag: %+v", back)
+	}
+	k1, err := back.Key()
+	if err != nil {
+		t.Fatalf("Key(round-trip): %v", err)
+	}
+	if k0 != k1 {
+		t.Error("JSON round-trip changed the content address")
+	}
+}
+
 func TestTileRequestValidate(t *testing.T) {
 	tt := tech.N45()
 	good := tileWireRequest(tt, Opts{DRC: true}, nil, geom.R(0, 0, 8000, 8000), 2000, nil, nil)

@@ -17,7 +17,7 @@ func testPlan(t *tech.Tech, o Opts, densLayers []tech.Layer) *plan {
 		Schema: TileSchema, Tech: *t,
 		DRC: o.DRC, Density: o.Density, DensityWindow: o.DensityWindow,
 		DensityLayers: densLayers, Cond: litho.Nominal,
-		Interior: o.HotspotInterior, Surrogate: o.Surrogate,
+		Interior: o.HotspotInterior,
 	}}
 }
 

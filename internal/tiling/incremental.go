@@ -30,9 +30,7 @@ import (
 // ErrFullRequired is returned (wrapped) by EvaluateDelta when the edit
 // invalidates the snapshot's global structure — the die bbox or a
 // scanned layer's bbox moved (re-anchoring a grid), the enabled
-// density layer set changed, the technology is not the snapshot's, or
-// the snapshot was recorded under surrogate gating (a chip-global model
-// no splice can preserve).
+// density layer set changed, or the technology is not the snapshot's.
 // Callers fall back to a full EvaluateSnap.
 var ErrFullRequired = errors.New("tiling: delta requires a full re-evaluation")
 

@@ -13,7 +13,6 @@ import (
 	"repro/internal/keysort"
 	"repro/internal/layout"
 	"repro/internal/litho"
-	"repro/internal/surrogate"
 	"repro/internal/tech"
 )
 
@@ -34,10 +33,12 @@ import (
 // layer empty everywhere is skipped, a tile-locally empty one is
 // not), so without it two chips could alias tiles whose density
 // outputs have different shapes.
-// Schema 3 added the interior-pinch filter flag and the surrogate
+// Schema 3 added the interior-pinch filter flag and the ML pre-filter's
 // gating config: the filter changes which hotspots a window reports,
-// and the surrogate changes which windows of a run are exact at all,
-// so results computed under different gating must never alias.
+// and the gate changed which windows of a run were exact at all, so
+// results computed under different gating must never alias. (The gate
+// is gone; its config hashed as an omitted field whenever it was off,
+// so dropping it moved no key.)
 // Schema 4: the aerial image's rounding changed (the blur sums a y-band's
 // column profiles before scaling them, EXPERIMENTS.md R43), so a window
 // result cached under schema 3 must not alias one computed now.
@@ -54,19 +55,18 @@ func configKey(r *TileRequest) [sha256.Size]byte {
 		densLayers = nil // canonical: empty and absent hash identically
 	}
 	p := struct {
-		Schema   int               `json:"schema"`
-		Tech     tech.Tech         `json:"tech"`
-		DRC      bool              `json:"drc"`
-		Density  bool              `json:"density"`
-		DensW    int64             `json:"densW"`
-		DensL    []tech.Layer      `json:"densL"`
-		Cond     litho.Condition   `json:"cond"`
-		MinW     int64             `json:"minW"`
-		MinS     int64             `json:"minS"`
-		Interior bool              `json:"interior"`
-		Surr     *surrogate.Config `json:"surr,omitempty"`
+		Schema   int             `json:"schema"`
+		Tech     tech.Tech       `json:"tech"`
+		DRC      bool            `json:"drc"`
+		Density  bool            `json:"density"`
+		DensW    int64           `json:"densW"`
+		DensL    []tech.Layer    `json:"densL"`
+		Cond     litho.Condition `json:"cond"`
+		MinW     int64           `json:"minW"`
+		MinS     int64           `json:"minS"`
+		Interior bool            `json:"interior"`
 	}{keySchema, r.Tech, r.DRC, r.Density, r.DensityWindow, densLayers, r.Cond, r.MinWidth, r.MinSpace,
-		r.Interior, r.Surrogate}
+		r.Interior}
 	b, err := json.Marshal(p)
 	if err != nil {
 		panic("tiling: config key marshal: " + err.Error())
@@ -130,7 +130,7 @@ func (r *TileRequest) key(cfg [sha256.Size]byte) [sha256.Size]byte {
 // a unit is keyed and shipped in: Shapes by layer then rectCmp, Rects by
 // rectCmp. Extraction order follows hierarchy traversal, which may
 // differ between tiles holding identical geometry sets; every consumer
-// (normalization, scans, components, the surrogate's multiset features)
+// (normalization, scans, components)
 // is order-insensitive up to the final global sort, so one order for
 // equal sets is sound and maximizes sharing. The engine calls it once,
 // where a unit first needs an identity (engine.runUnit); nothing

@@ -148,6 +148,26 @@ func tileUnits(p *plan, ex *Extractor) []*TileRequest {
 	return us
 }
 
+// The interior flag is part of the content address: a window scanned
+// with and without the interior-pinch filter reports different hotspots,
+// so the two must never share a cached result.
+func TestKeyVariesWithInterior(t *testing.T) {
+	tt := tech.N45()
+	rects := []geom.Rect{geom.R(10, 10, 100, 2000)}
+	win := geom.R(0, 0, 12000, 12000)
+	key := func(o Opts) [32]byte {
+		t.Helper()
+		k, err := windowWireRequest(tt, o, nil, tech.Metal1, win, 500, rects).Key()
+		if err != nil {
+			t.Fatalf("Key: %v", err)
+		}
+		return k
+	}
+	if key(Opts{DRC: true}) == key(Opts{DRC: true, HotspotInterior: true}) {
+		t.Error("interior flag does not change the content address")
+	}
+}
+
 // Extraction order follows the hierarchy walk, and two tiles holding
 // the same geometry may be walked differently; canonicalize is what
 // makes them one unit. A real plan unit of each stage — given exact

@@ -108,7 +108,7 @@ func newPlan(t *tech.Tech, ex *Extractor, o Opts) *plan {
 		Schema: TileSchema, Tech: *t,
 		DRC: o.DRC, Density: o.Density, DensityWindow: o.DensityWindow,
 		Cond:     litho.Nominal,
-		Interior: o.HotspotInterior, Surrogate: o.Surrogate,
+		Interior: o.HotspotInterior,
 	}
 	for _, dw := range p.densRules {
 		p.tmpl.DensityLayers = append(p.tmpl.DensityLayers, dw.Layer)
@@ -183,9 +183,6 @@ func (p *plan) dirtyTiles(changed []geom.Rect) []int {
 // once — typed as ErrFullRequired so callers fall back to a
 // from-scratch run instead of stitching garbage.
 func (p *plan) spliceable(t *tech.Tech, ex *Extractor) error {
-	if p.opts.Surrogate != nil {
-		return fmt.Errorf("%w: surrogate gating is chip-global", ErrFullRequired)
-	}
 	if t != p.t && !reflect.DeepEqual(t, p.t) {
 		return fmt.Errorf("%w: not the technology the snapshot was recorded under", ErrFullRequired)
 	}

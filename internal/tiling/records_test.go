@@ -10,11 +10,11 @@ import (
 	"repro/internal/tech"
 )
 
-// A run counts its own events, in Result.Stats and Result.Surrogate, and
-// nowhere else: the obs registry keeps only latencies and kernel
-// internals. So every record comes out the same whether the registry is
-// recording or not — a cached evaluation of a repeated-macro chip, a
-// surrogate-gated scan, a loopback DistEvaluate and an EvaluateDelta.
+// A run counts its own events, in Result.Stats, and nowhere else: the
+// obs registry keeps only latencies and kernel internals. So every
+// record comes out the same whether the registry is recording or not —
+// a cached evaluation of a repeated-macro chip, a loopback DistEvaluate
+// and an EvaluateDelta.
 func TestRecordsIgnoreRegistry(t *testing.T) {
 	tt := tech.N45()
 	ctx := context.Background()
@@ -30,7 +30,6 @@ func TestRecordsIgnoreRegistry(t *testing.T) {
 		t.Fatalf("GenerateChip: %v", err)
 	}
 	defects := l.Top
-	gated, _ := surrChip(t)
 	drcOpts := Opts{Tile: 9000, Halo: 2000, DRC: true, Density: true, DensityWindow: 3000}
 
 	// Each run's live reports whether the count it is there for moved,
@@ -47,9 +46,6 @@ func TestRecordsIgnoreRegistry(t *testing.T) {
 				Workers: 1, Cache: NewCache(0)}
 			return Evaluate(ctx, tt, NewExtractor(repeated), o)
 		}, func(r *Result) bool { return r.Stats.TileHits > 0 }},
-		{"surrogate", func() (*Result, error) {
-			return EvaluateChip(ctx, tt, gated, surrOpts())
-		}, func(r *Result) bool { return r.Surrogate[tech.Metal1] != nil && r.Surrogate[tech.Metal1].Skipped > 0 }},
 		{"dist", func() (*Result, error) {
 			return DistEvaluate(ctx, tt, NewExtractor(defects), drcOpts, &loopback{})
 		}, func(r *Result) bool { return r.Stats.RemoteTiles > 0 }},
@@ -81,9 +77,6 @@ func TestRecordsIgnoreRegistry(t *testing.T) {
 		}
 		if !reflect.DeepEqual(off.Stats, on.Stats) {
 			t.Errorf("%s: Stats differ with the registry on:\n  off: %+v\n  on:  %+v", r.name, off.Stats, on.Stats)
-		}
-		if !reflect.DeepEqual(off.Surrogate, on.Surrogate) {
-			t.Errorf("%s: surrogate reports differ with the registry on", r.name)
 		}
 	}
 }

@@ -141,9 +141,9 @@ func TestStitchKeepsMaxMultiplicity(t *testing.T) {
 			pp.perTileWins[i] = p.perTileWins[j]
 		}
 		before := slices.Clone(outs[0].Violations)
-		res := newResult(Opts{})
+		res := newResult()
 		pp.stitchTiles(res, perm, []int{0, 1, 2}, nil)
-		if oracle := newResult(Opts{}); !Equivalent(res, pp.stitchOracle(oracle, perm)) {
+		if oracle := newResult(); !Equivalent(res, pp.stitchOracle(oracle, perm)) {
 			t.Fatalf("tile order %v: stitch differs from the whole-chip oracle:\n got %v\nwant %v", order, res.Violations, oracle.Violations)
 		}
 		if !slices.Equal(res.Violations, want) {
@@ -163,7 +163,7 @@ func TestStitchKeepsMaxMultiplicity(t *testing.T) {
 // a nil slice from an empty one (a hotspot-only run has no deck at all).
 func TestStitchOfNothingIsNil(t *testing.T) {
 	p := &plan{perTileWins: [][]int{nil, nil}}
-	res := newResult(Opts{})
+	res := newResult()
 	p.stitchTiles(res, []*TileResult{{}, {}}, []int{0, 1}, nil)
 	if res.Violations != nil {
 		t.Fatalf("Violations = %#v, want nil", res.Violations)
@@ -186,7 +186,7 @@ func snapshotOf(p *plan, outs []*TileResult) *Snapshot {
 		dirty[i] = i
 	}
 	s := &Snapshot{plan: p, outs: slices.Clone(outs)}
-	s.st = p.stitchTiles(newResult(p.opts), s.outs, dirty, nil)
+	s.st = p.stitchTiles(newResult(), s.outs, dirty, nil)
 	return s
 }
 
@@ -214,9 +214,9 @@ func TestDeltaStitchResolvesAgainstCleanTiles(t *testing.T) {
 	for _, tc := range []struct{ tile1, want int }{{1, 2}, {0, 2}, {4, 4}, {3, 3}} {
 		outs := slices.Clone(prev.outs)
 		outs[1] = &TileResult{Violations: rep(seam, tc.tile1)}
-		res := newResult(p.opts)
+		res := newResult()
 		st := p.stitchTiles(res, outs, []int{1}, prev)
-		if !Equivalent(res, p.stitchOracle(newResult(p.opts), outs)) {
+		if !Equivalent(res, p.stitchOracle(newResult(), outs)) {
 			t.Fatalf("tile 1 holds %d: delta stitch %v differs from the whole-chip oracle", tc.tile1, res.Violations)
 		}
 		if got := res.ByRule["r"]; got != tc.want+1 {
@@ -251,7 +251,7 @@ func TestDeltaStitchAllocsIgnoreCleanTiles(t *testing.T) {
 		prev := snapshotOf(p, outs)
 		next := slices.Clone(prev.outs)
 		next[3] = &TileResult{Violations: slices.Clone(prev.outs[3].Violations[1:])}
-		res := newResult(p.opts)
+		res := newResult()
 		n := testing.AllocsPerRun(20, func() {
 			p.stitchTiles(res, next, []int{3}, prev)
 		})

@@ -2,7 +2,6 @@ package tiling
 
 import (
 	"context"
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"reflect"
@@ -17,7 +16,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/layout"
 	"repro/internal/litho"
-	"repro/internal/surrogate"
 	"repro/internal/tech"
 )
 
@@ -54,12 +52,6 @@ type Opts struct {
 	// geometry (true necks), dropping line-end pull-back markers —
 	// see litho.InteriorDefect. Bridges are unaffected.
 	HotspotInterior bool
-	// Surrogate enables the uncertainty-gated ML pre-filter on the
-	// hotspot scan: a seed-deterministic model trained in-run on an
-	// exactly-simulated sample decides which windows may skip
-	// simulation; guarded and uncertain windows always fall through.
-	// Part of the content address — changing it changes results.
-	Surrogate *surrogate.Config
 
 	// Cache enables evaluate-once-per-unique-content replay of tile
 	// and scan-window results across repeated macro instances (and
@@ -159,16 +151,12 @@ type Result struct {
 	ByRule     map[string]int
 	Dropped    int
 
-	// Hotspots holds per-layer litho scan results; a plain scan's are
-	// identical to litho.ScanLayer over the flattened layer.
+	// Hotspots holds per-layer litho scan results, identical to
+	// litho.ScanLayer over the flattened layer.
 	Hotspots map[tech.Layer][]litho.Hotspot
 
 	// Density holds per-layer window density maps (KeepDensityMaps).
 	Density map[tech.Layer]fill.DensityMap
-
-	// Surrogate holds the per-layer calibration report when the gated
-	// fast path ran (Opts.Surrogate set).
-	Surrogate map[tech.Layer]*surrogate.Report
 
 	Stats Stats
 }
@@ -213,16 +201,12 @@ func DistEvaluate(stdctx context.Context, t *tech.Tech, ex *Extractor, o Opts, r
 	return res, err
 }
 
-func newResult(o Opts) *Result {
-	res := &Result{
+func newResult() *Result {
+	return &Result{
 		ByRule:   make(map[string]int),
 		Hotspots: make(map[tech.Layer][]litho.Hotspot),
 		Density:  make(map[tech.Layer]fill.DensityMap),
 	}
-	if o.Surrogate != nil {
-		res.Surrogate = make(map[tech.Layer]*surrogate.Report)
-	}
-	return res
 }
 
 // evaluate is the engine behind Evaluate, DistEvaluate (units executed
@@ -235,7 +219,7 @@ func newResult(o Opts) *Result {
 func evaluate(ctx context.Context, p *plan, ex *Extractor, remote TileClient,
 	prev *Snapshot, changed []geom.Rect) (*Result, *Snapshot, error) {
 	start := time.Now()
-	res := newResult(p.opts)
+	res := newResult()
 	res.Stats.Die = p.die
 	res.Stats.Rects = ex.Rects()
 	snap := &Snapshot{plan: p}
@@ -314,42 +298,51 @@ func (e *engine) runUnit(ctx context.Context, u *TileRequest, origin geom.Point)
 	if cache != nil || e.remote != nil {
 		u.canonicalize()
 	}
-	var key [sha256.Size]byte
-	if cache != nil {
-		key = u.key(e.cfg)
-		if hit, ok := cache.lru.Get(key); ok {
-			n.hits.Add(1)
-			return hit.translate(origin), nil
-		}
-	}
-	var out *TileResult
-	var err error
-	if e.remote != nil {
-		n.remote.Add(1)
-		var served TileServed
-		if out, served, err = e.remote.EvalTile(ctx, u); err == nil {
-			err = absorbTileResult(out, u)
-		}
+	if cache == nil {
+		out, err := e.compute(ctx, u, n, origin)
 		if err != nil {
-			if u.Stage == StageTile {
-				return nil, fmt.Errorf("tile at %v: %w", origin, err)
-			}
-			return nil, fmt.Errorf("%v scan window at %v: %w", u.Layer, origin, err)
+			return nil, err
 		}
-		if served.Cached {
-			e.remoteCached.Add(1)
-		}
-		if served.Deduped {
-			e.remoteDeduped.Add(1)
-		}
-	} else if out, err = u.execute(ctx, e.t, e.std, e.densRules); err != nil {
+		return out.translate(origin), nil
+	}
+	out, hit, err := cache.do(ctx, u.key(e.cfg), func() (*TileResult, error) {
+		return e.compute(ctx, u, n, origin)
+	})
+	if err != nil {
 		return nil, err
 	}
-	if cache != nil {
+	if hit {
+		n.hits.Add(1)
+	} else {
 		n.misses.Add(1)
-		cache.lru.Put(key, out)
 	}
 	return out.translate(origin), nil
+}
+
+// compute answers one unit in its own frame: through the fleet when the
+// engine has one, by the execute a node would run otherwise.
+func (e *engine) compute(ctx context.Context, u *TileRequest, n *unitCounts, origin geom.Point) (*TileResult, error) {
+	if e.remote == nil {
+		return u.execute(ctx, e.t, e.std, e.densRules)
+	}
+	n.remote.Add(1)
+	out, served, err := e.remote.EvalTile(ctx, u)
+	if err == nil {
+		err = absorbTileResult(out, u)
+	}
+	if err != nil {
+		if u.Stage == StageTile {
+			return nil, fmt.Errorf("tile at %v: %w", origin, err)
+		}
+		return nil, fmt.Errorf("%v scan window at %v: %w", u.Layer, origin, err)
+	}
+	if served.Cached {
+		e.remoteCached.Add(1)
+	}
+	if served.Deduped {
+		e.remoteDeduped.Add(1)
+	}
+	return out, nil
 }
 
 // runTiles is stage A: one DRC + density output per tile of the grid.
@@ -404,8 +397,7 @@ func (e *engine) runScans(ctx context.Context, res *Result) ([][][]litho.Hotspot
 		sp := &e.scans[si]
 		reach := func(i int) geom.Rect { return sp.swins[i].Bloat(sp.extPad) }
 		src := scanSource{
-			rects:    func(i int) []geom.Rect { return e.ex.AppendLayerRects(reach(i), sp.layer, nil) },
-			neighbor: func(i int) []geom.Rect { return e.ex.AppendLayerRects(reach(i), neighborLayer(sp.layer), nil) },
+			rects: func(i int) []geom.Rect { return e.ex.AppendLayerRects(reach(i), sp.layer, nil) },
 			exec: func(win geom.Rect, rs []geom.Rect) ([]litho.Hotspot, error) {
 				span := hWindowNS.Start()
 				defer span.End()
@@ -423,7 +415,7 @@ func (e *engine) runScans(ctx context.Context, res *Result) ([][][]litho.Hotspot
 			}
 		}
 		var err error
-		if perWin[si], err = scanLayer(ctx, e.opts, sp, res, src); err != nil {
+		if perWin[si], err = scanLayer(ctx, e.opts.Workers, sp, res, src); err != nil {
 			return nil, err
 		}
 	}
@@ -489,7 +481,7 @@ func EvaluateFlat(stdctx context.Context, t *tech.Tech, top *layout.Cell, o Opts
 	start := time.Now()
 	o = withDefaults(t, o)
 	flat := (&layout.Layout{Top: top}).Flatten()
-	res := newResult(o)
+	res := newResult()
 	res.Stats.Rects = int64(len(flat))
 	if len(flat) == 0 {
 		res.Stats.Elapsed = time.Since(start)
@@ -549,21 +541,16 @@ func EvaluateFlat(stdctx context.Context, t *tech.Tech, top *layout.Cell, o Opts
 
 	for _, hl := range o.Hotspots {
 		// Shared stage-B driver (scan.go), window-local like the tiled
-		// engine so features and gate decisions match it bit-for-bit.
-		// Features must come from the raw drawn multiset — the extractor
-		// emits whole shapes, while tctx.Layers is Normalize()d, which
-		// changes rect counts, drawn widths, and gaps (the printed
-		// raster is union-invariant, the featurizer is not).
+		// engine. Each window scans the raw drawn multiset — the whole
+		// shapes the extractor emits, not tctx.Layers, which is
+		// Normalize()d — so every window simulates the same input, rect
+		// for rect, as the tiled engine's and the differential leans on
+		// no union invariance of the raster.
 		layerRs := rawLayerRects(flat, hl)
-		var nbRs []geom.Rect
-		if o.Surrogate != nil {
-			nbRs = rawLayerRects(flat, neighborLayer(hl))
-		}
 		sp := newScanPlan(t, o, hl, geom.BBoxOf(layerRs))
 		reach := func(i int) geom.Rect { return sp.swins[i].Bloat(sp.extPad) }
-		if _, err := scanLayer(stdctx, o, &sp, res, scanSource{
-			rects:    func(i int) []geom.Rect { return rectsTouching(layerRs, reach(i)) },
-			neighbor: func(i int) []geom.Rect { return rectsTouching(nbRs, reach(i)) },
+		if _, err := scanLayer(stdctx, o.Workers, &sp, res, scanSource{
+			rects: func(i int) []geom.Rect { return rectsTouching(layerRs, reach(i)) },
 			exec: func(win geom.Rect, rs []geom.Rect) ([]litho.Hotspot, error) {
 				return litho.ScanWindowCtx(stdctx, rs, win, t, hl, sp.opts)
 			},

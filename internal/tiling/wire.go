@@ -12,7 +12,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/layout"
 	"repro/internal/litho"
-	"repro/internal/surrogate"
 	"repro/internal/tech"
 )
 
@@ -30,10 +29,10 @@ import (
 
 // TileSchema versions the TileRequest wire payload; a node built with
 // a different schema rejects the request rather than mis-evaluating it.
-// Schema 2 added the interior-pinch filter flag and the surrogate
-// gating config (key schema 3): both change what a unit's content
-// address means, so a schema-1 node must reject rather than serve a
-// stale-keyed result. Schema 3 changed only how the bulk fields are
+// Schema 2 added the interior-pinch filter flag and the ML pre-filter's
+// gating config (key schema 3; the gate and its field are gone since):
+// both changed what a unit's content address means, so a schema-1 node
+// must reject rather than serve a stale-keyed result. Schema 3 changed only how the bulk fields are
 // spelled — packed columns (packed.go) instead of arrays of objects —
 // and so left keySchema alone: a key hashes geometry, not wire bytes.
 // Schema 4 makes canonical order part of the contract: Shapes and Rects
@@ -83,15 +82,11 @@ type TileRequest struct {
 	// Cond and MinWidth/MinSpace parameterize stage-B scans; raw
 	// zeros mean the per-layer litho.ScanDefaults, resolved
 	// identically on both sides. Interior applies the interior-pinch
-	// filter to stage-B results. Surrogate is the submitter's gating
-	// config: gating itself is submitter-side (skipped windows are
-	// never sent), but the config is part of the content address, so
-	// it rides along for Key parity.
-	Cond      litho.Condition   `json:"cond"`
-	MinWidth  int64             `json:"minWidth,omitempty"`
-	MinSpace  int64             `json:"minSpace,omitempty"`
-	Interior  bool              `json:"interior,omitempty"`
-	Surrogate *surrogate.Config `json:"surrogate,omitempty"`
+	// filter to stage-B results.
+	Cond     litho.Condition `json:"cond"`
+	MinWidth int64           `json:"minWidth,omitempty"`
+	MinSpace int64           `json:"minSpace,omitempty"`
+	Interior bool            `json:"interior,omitempty"`
 
 	// Stage "tile": the core spans (0,0)-(CoreW,CoreH); Pad is the
 	// context halo; Windows are the core's density windows and Shapes

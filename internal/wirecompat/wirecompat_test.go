@@ -560,6 +560,9 @@ func suite(t *testing.T, d *deployment) {
 		// once named a node, a block shape and a deadline are unknown
 		// fields now, on either kind of job: a client still sending one
 		// is told so rather than served something it did not ask for.
+		// So is the ML gating config a tile unit once carried: every
+		// window is scanned exactly, and no config is left to key by.
+		var tileJob []byte
 		for kind, job := range map[string]server.JobRequest{
 			server.KindEval: {Technique: "sraf", Seed: 1},
 			server.KindTile: {Kind: server.KindTile, Tile: tileReq()},
@@ -567,6 +570,9 @@ func suite(t *testing.T, d *deployment) {
 			b, err := json.Marshal(job)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if kind == server.KindTile {
+				tileJob = b
 			}
 			for field, value := range map[string]string{
 				"tech":      `"N45"`,
@@ -576,6 +582,13 @@ func suite(t *testing.T, d *deployment) {
 				rejects(t, field+" on "+kind, `{"`+field+`":`+value+`,`+string(b[1:]), `unknown field "`+field+`"`)
 			}
 		}
+		unit := `"tile":{`
+		if !bytes.Contains(tileJob, []byte(unit)) {
+			t.Fatalf("tile job %s has no %s", tileJob, unit)
+		}
+		rejects(t, "surrogate on a tile unit",
+			strings.Replace(string(tileJob), unit, unit+`"surrogate":{"seed":11,"minSample":8},`, 1),
+			`unknown field "surrogate"`)
 		settles(t, tileReq())
 	})
 

@@ -199,7 +199,7 @@ editprofile: ## CPU profile of the in-design edit cycle (100k-rect chip, repair 
 # Where fleetprofile keeps its test binary and profile (bin/ is gitignored).
 FLEETPROFILE_DIR ?= bin/fleetprofile
 
-fleetprofile: ## CPU profile of the fleet path (BenchmarkFleetChip: 50k-rect chip, router + 2 in-process nodes, cold pass A then resubmitted pass B): encoding/json, wire codec, the unit's one sort and its key (hashed where it is built and on the node that serves it; the router only forwards), router, client and deck by cumulative cost
+fleetprofile: ## CPU profile of the fleet path (BenchmarkFleetChip: 50k-rect chip, router + 2 in-process nodes, cold pass A then resubmitted pass B): the job envelope's one encoding/json pass each way with the tile packed inside it (server.decodeJobRequest and client eval's DecodeJobStatus, then the packed form's Unpack), the unit's one sort and its key (hashed where it is built and on the node that serves it; the router only forwards), router, client and deck by cumulative cost
 	@mkdir -p $(FLEETPROFILE_DIR)
 	$(GO) test -run='^$$' -bench='^BenchmarkFleetChip$$' -benchtime=20x -benchmem \
 		-cpuprofile $(FLEETPROFILE_DIR)/cpu.prof -o $(FLEETPROFILE_DIR)/fleet.test ./internal/fleet

@@ -102,9 +102,10 @@ func (c *Client) Forward(ctx context.Context, method, path string, header http.H
 	// Read to the end before closing, on every path: a body closed with
 	// its trailing newline and chunk terminator unread takes its
 	// connection down with it — one TCP handshake per large response
-	// instead of one per client.
+	// instead of one per client. What is left of an answer refused as
+	// oversize is not read: that connection goes.
 	defer func() {
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck // best-effort, for reuse
+		io.CopyN(io.Discard, resp.Body, drainBytes) //nolint:errcheck // best-effort, for reuse
 		resp.Body.Close()
 	}()
 	switch {
@@ -133,24 +134,21 @@ func (c *Client) Forward(ctx context.Context, method, path string, header http.H
 		json.NewDecoder(resp.Body).Decode(&eb) //nolint:errcheck // best-effort detail
 		return nil, &StatusError{Code: resp.StatusCode, Msg: eb.Error}
 	}
-	b, err := io.ReadAll(resp.Body)
+	b, err := server.ReadAnswer(resp)
 	if err != nil {
 		return nil, err
 	}
 	return &Reply{Code: resp.StatusCode, Header: resp.Header, Body: b}, nil
 }
 
-// do is Forward with both ends typed: body marshalled, the answer
-// decoded into out (nil for neither).
-func (c *Client) do(ctx context.Context, method, path string, header http.Header, body, out any) error {
-	var b []byte
-	if body != nil {
-		var err error
-		if b, err = json.Marshal(body); err != nil {
-			return err
-		}
-	}
-	rep, err := c.Forward(ctx, method, path, header, b)
+// drainBytes bounds what Forward reads of an answer past what it uses:
+// an error body's remainder and a chunk terminator, not a stream that
+// runs on.
+const drainBytes = 64 << 10
+
+// get is Forward of a GET, the answer decoded into out (nil for none).
+func (c *Client) get(ctx context.Context, path string, out any) error {
+	rep, err := c.Forward(ctx, http.MethodGet, path, nil, nil)
 	if err != nil || out == nil {
 		return err
 	}
@@ -161,15 +159,22 @@ func (c *Client) do(ctx context.Context, method, path string, header http.Header
 // job's content address beside it (server.HeaderRouteKey) so that a
 // dfmrouter in the path can place it on the affinity ring without
 // parsing it. claim "" sends no header, and the router places the bytes
-// by their own hash.
+// by their own hash. Both ends go through the server's own job codec,
+// which carries a tile in its packed form.
 func (c *Client) eval(ctx context.Context, req server.JobRequest, claim string) (server.JobStatus, error) {
 	var header http.Header
 	if claim != "" {
 		header = http.Header{server.HeaderRouteKey: {claim}}
 	}
-	var st server.JobStatus
-	err := c.do(ctx, http.MethodPost, "/v1/jobs", header, req, &st)
-	return st, err
+	body, err := server.EncodeJobRequest(req)
+	if err != nil {
+		return server.JobStatus{}, err
+	}
+	rep, err := c.Forward(ctx, http.MethodPost, "/v1/jobs", header, body)
+	if err != nil {
+		return server.JobStatus{}, err
+	}
+	return server.DecodeJobStatus(rep.Body)
 }
 
 // Eval submits a job and returns its settled status. A request
@@ -182,7 +187,7 @@ func (c *Client) Eval(ctx context.Context, req server.JobRequest) (server.JobSta
 
 // Healthz reports nil when the server is accepting work.
 func (c *Client) Healthz(ctx context.Context) error {
-	return c.do(ctx, http.MethodGet, "/healthz", nil, nil, nil)
+	return c.get(ctx, "/healthz", nil)
 }
 
 // Metrics fetches the server stats and registry snapshot.
@@ -191,6 +196,6 @@ func (c *Client) Metrics(ctx context.Context) (server.Stats, json.RawMessage, er
 		Server   server.Stats    `json:"server"`
 		Registry json.RawMessage `json:"registry"`
 	}
-	err := c.do(ctx, http.MethodGet, "/metrics", nil, nil, &body)
+	err := c.get(ctx, "/metrics", &body)
 	return body.Server, body.Registry, err
 }

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -150,7 +152,7 @@ func TestEvalTileHoldsTheNodeToItsKey(t *testing.T) {
 
 // A json.Decoder stops at the end of its value; a chunked body closed
 // with its trailing newline and chunk terminator unread takes the
-// connection down with it. Every path of do that reads a body must
+// connection down with it. Every path of Forward that reads a body must
 // leave the connection reusable: 50 sequential calls, each answered
 // with a body too large to be sent unchunked, open one connection —
 // at the parent of PR 19 they opened 50.
@@ -225,6 +227,41 @@ func TestClientReusesConnectionAfterLargeBody(t *testing.T) {
 			}
 			if n := opened.Load(); n != 1 {
 				t.Fatalf("50 sequential calls opened %d connections, want 1", n)
+			}
+		})
+	}
+}
+
+// An answer is read under the bound a submission is: a backend that
+// declares or streams more than 64 MiB is an error naming the bound,
+// not a buffer that grows for as long as the backend writes — which a
+// dfmrouter, relaying every backend answer through Forward, would pay.
+func TestForwardBoundsTheAnswer(t *testing.T) {
+	const bound = 64 << 20
+	for _, tc := range []struct {
+		name   string
+		answer func(w http.ResponseWriter)
+	}{
+		{"declared", func(w http.ResponseWriter) {
+			w.Header().Set("Content-Length", strconv.Itoa(bound+1))
+			w.Write([]byte("{}")) //nolint:errcheck // the client hangs up
+		}},
+		{"streamed", func(w http.ResponseWriter) {
+			chunk := bytes.Repeat([]byte{' '}, 64<<10)
+			for sent := 0; sent <= bound; sent += len(chunk) {
+				if _, err := w.Write(chunk); err != nil {
+					return
+				}
+			}
+			w.Write([]byte("{}")) //nolint:errcheck // the client hangs up
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { tc.answer(w) }))
+			defer ts.Close()
+			rep, err := New(ts.URL, nil).Forward(context.Background(), http.MethodGet, "/metrics", nil, nil)
+			if err == nil || !strings.Contains(err.Error(), strconv.Itoa(bound)) {
+				t.Fatalf("Forward = %v, %v; want an error naming the %d-byte bound", rep, err, bound)
 			}
 		})
 	}

@@ -89,10 +89,13 @@ type JobStatus struct {
 	Deduped bool `json:"deduped,omitempty"`
 	// Result is the technique outcome, set when done (and when failed
 	// with a partial outcome); Error carries the failure summary for
-	// failed jobs. Tile jobs settle into Tile instead.
+	// failed jobs. Tile jobs settle into Tile instead. Tile is the last
+	// field, as it is JobRequest's, so that the packed envelope
+	// (jobStatusWire) shadows it in place; a job that carries a tile
+	// never carries an error.
 	Result *dfm.OutcomeView   `json:"result,omitempty"`
-	Tile   *tiling.TileResult `json:"tile,omitempty"`
 	Error  string             `json:"error,omitempty"`
+	Tile   *tiling.TileResult `json:"tile,omitempty"`
 }
 
 // ErrorBody is the JSON body of every non-2xx response.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -29,14 +30,13 @@ func (s *Server) Handler() http.Handler {
 }
 
 // WriteJSON and WriteError are the one way either tier answers a
-// request (dfmrouter calls them too), so content type, indentation and
-// the error-body shape cannot drift between dfmd and the router.
+// request (dfmrouter calls them too), so content type, format and the
+// error-body shape cannot drift between dfmd and the router. The format
+// is json.Marshal's, compact, and a newline.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client gone; nothing to do
+	json.NewEncoder(w).Encode(v) //nolint:errcheck // client gone; nothing to do
 }
 
 // WriteError answers code with an ErrorBody carrying msg.
@@ -57,16 +57,9 @@ const maxRequestBytes = 64 << 20
 // already answered, 413 for an oversize body and 400 for one that could
 // not be read, and returns false.
 func ReadJobBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	var buf bytes.Buffer
-	if n := r.ContentLength; n > 0 {
-		// A declared length sizes the buffer once, up to a bound a lying
-		// client cannot turn into memory; past it the buffer grows with
-		// the bytes that actually arrive.
-		buf.Grow(int(min(n, 1<<20)) + bytes.MinRead)
-	}
-	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	b, err := readBody(http.MaxBytesReader(w, r.Body, maxRequestBytes), r.ContentLength)
 	if err == nil {
-		return buf.Bytes(), true
+		return b, true
 	}
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
@@ -78,14 +71,34 @@ func ReadJobBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	return nil, false
 }
 
-// decodeJobRequest is the node's strict reading of a body: unknown
-// fields rejected, here and (tiling's own codec) inside "tile".
-func decodeJobRequest(body []byte) (JobRequest, error) {
-	var req JobRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(&req)
-	return req, err
+// ReadAnswer reads the body of an answer the way ReadJobBody reads a
+// submission, under the same bound: client.Forward reads every answer
+// through it, and dfmrouter relays every backend answer through that,
+// so no backend can make a router or a client buffer without limit.
+func ReadAnswer(resp *http.Response) ([]byte, error) {
+	if resp.ContentLength > maxRequestBytes {
+		return nil, fmt.Errorf("answer body declares %d bytes, the bound is %d", resp.ContentLength, maxRequestBytes)
+	}
+	b, err := readBody(io.LimitReader(resp.Body, maxRequestBytes+1), resp.ContentLength)
+	if err == nil && len(b) > maxRequestBytes {
+		err = fmt.Errorf("answer body exceeds %d bytes", maxRequestBytes)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// readBody reads r to its end. A declared length sizes the buffer once,
+// up to a bound a lying peer cannot turn into memory; past it the buffer
+// grows with the bytes that actually arrive.
+func readBody(r io.Reader, declared int64) ([]byte, error) {
+	var buf bytes.Buffer
+	if declared > 0 {
+		buf.Grow(int(min(declared, 1<<20)) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -136,7 +149,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if st.Cached || st.Deduped {
 		w.Header().Set(HeaderJobReused, "1")
 	}
-	WriteJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, packStatus(st))
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

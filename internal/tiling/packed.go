@@ -33,13 +33,17 @@ import (
 // x0 deltas within a layer are never negative and pack small; the codec
 // itself keeps whatever order it is given and leaves order to Validate.
 // Rule and Detail index the result's "strings" table. The Go field types are
-// unchanged: only MarshalJSON/UnmarshalJSON below know the layout, and
-// the content address (key.go) hashes geometry, never these bytes.
+// unchanged: only the packed forms below (RequestWire, ResultWire) know
+// the layout, and the content address (key.go) hashes geometry, never
+// these bytes. The serving tiers carry the packed forms in their job
+// envelope; MarshalJSON/UnmarshalJSON are adapters over the same codec
+// for everything else.
 //
 // The decoder keeps three properties the plain form had for free:
-// unknown fields are rejected (encoding/json does not carry
-// DisallowUnknownFields into a custom UnmarshalJSON, so it builds its
-// own strict decoder); a declared count is checked against the bytes
+// unknown fields are rejected (an envelope holding a packed form is read
+// with DisallowUnknownFields, which reaches inside it; UnmarshalJSON,
+// which encoding/json does not carry that setting into, builds its own
+// strict decoder); a declared count is checked against the bytes
 // actually present before anything is allocated; and values that are
 // merely wrong — an inverted rect, layer 200 — decode, so Validate
 // rejects them with its own message. An empty column is omitted and
@@ -52,20 +56,25 @@ type (
 	plainResult  TileResult
 )
 
-// requestWire is TileRequest's JSON envelope: every scalar field of the
-// embedded struct, with the three geometry fields shadowed by their
-// packed columns (the shallower field wins a JSON name).
-type requestWire struct {
-	*plainRequest
+// RequestWire is a TileRequest in the form it crosses the wire: every
+// scalar field of the embedded struct, with the three geometry fields
+// shadowed by their packed columns (the shallower field wins a JSON
+// name). It has no JSON methods, so an envelope that holds one — the
+// serving tiers' job envelope — is written and strictly read by
+// encoding/json in one pass, columns included. The embedded struct is a
+// value, so a decoder that allocates a RequestWire for a nil field can
+// fill it.
+type RequestWire struct {
+	plainRequest
 	Windows []byte `json:"windows,omitempty"`
 	Shapes  []byte `json:"shapes,omitempty"`
 	Rects   []byte `json:"rects,omitempty"`
 }
 
-// resultWire is TileResult's JSON envelope. Hotspots stay plain JSON: a
-// window has a few.
-type resultWire struct {
-	*plainResult
+// ResultWire is a TileResult in the form it crosses the wire. Hotspots
+// stay plain JSON: a window has a few.
+type ResultWire struct {
+	plainResult
 	Strings    []string `json:"strings,omitempty"`
 	Violations []byte   `json:"violations,omitempty"`
 	Dens       []byte   `json:"dens,omitempty"`
@@ -80,21 +89,38 @@ const (
 	minDensRowBytes   = 1
 )
 
-// MarshalJSON implements json.Marshaler.
-func (r TileRequest) MarshalJSON() ([]byte, error) {
-	return json.Marshal(requestWire{
-		plainRequest: (*plainRequest)(&r),
+// PackRequest returns r's wire form, nil for nil.
+func PackRequest(r *TileRequest) *RequestWire {
+	if r == nil {
+		return nil
+	}
+	return &RequestWire{
+		plainRequest: plainRequest(*r),
 		Windows:      packRects(r.Windows),
 		Shapes:       packShapes(r.Shapes),
 		Rects:        packRects(r.Rects),
-	})
+	}
 }
 
-// UnmarshalJSON implements json.Unmarshaler. It replaces *r.
-func (r *TileRequest) UnmarshalJSON(data []byte) error {
-	*r = TileRequest{}
-	w := requestWire{plainRequest: (*plainRequest)(r)}
-	err := strictUnmarshal(data, &w, "windows", "shapes", "rects")
+// Unpack decodes w's columns into a new TileRequest, nil for nil.
+func (w *RequestWire) Unpack() (*TileRequest, error) {
+	if w == nil {
+		return nil, nil
+	}
+	r := new(TileRequest)
+	if err := w.unpackInto(r, nil); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// unpackInto sets *r to w's unit. err is how reading w failed, if it
+// did; it, or a column that does not decode, is answered as the
+// request's error: Validate's, naming the schema, when w declares
+// another one (which spells these fields differently, so which byte of
+// it failed to parse as this one is beside the point), else err wrapped.
+func (w *RequestWire) unpackInto(r *TileRequest, err error) error {
+	*r = TileRequest(w.plainRequest)
 	if err == nil {
 		r.Windows, err = unpackRects("windows", w.Windows)
 	}
@@ -106,8 +132,6 @@ func (r *TileRequest) UnmarshalJSON(data []byte) error {
 	}
 	if err != nil {
 		if r.Schema != 0 && r.Schema != TileSchema {
-			// Another schema spells these fields differently; say that,
-			// not which byte of it failed to parse as this one.
 			return r.Validate()
 		}
 		return fmt.Errorf("tiling: tile request: %w", err)
@@ -115,18 +139,31 @@ func (r *TileRequest) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// MarshalJSON implements json.Marshaler.
-func (r TileResult) MarshalJSON() ([]byte, error) {
-	w := resultWire{plainResult: (*plainResult)(&r), Dens: packDens(r.Dens)}
+// PackResult returns r's wire form, nil for nil.
+func PackResult(r *TileResult) *ResultWire {
+	if r == nil {
+		return nil
+	}
+	w := &ResultWire{plainResult: plainResult(*r), Dens: packDens(r.Dens)}
 	w.Violations, w.Strings = packViolations(r.Violations)
-	return json.Marshal(w)
+	return w
 }
 
-// UnmarshalJSON implements json.Unmarshaler. It replaces *r.
-func (r *TileResult) UnmarshalJSON(data []byte) error {
-	*r = TileResult{}
-	w := resultWire{plainResult: (*plainResult)(r)}
-	err := strictUnmarshal(data, &w, "violations", "dens")
+// Unpack decodes w's columns into a new TileResult, nil for nil.
+func (w *ResultWire) Unpack() (*TileResult, error) {
+	if w == nil {
+		return nil, nil
+	}
+	r := new(TileResult)
+	if err := w.unpackInto(r, nil); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// unpackInto is RequestWire.unpackInto for a result.
+func (w *ResultWire) unpackInto(r *TileResult, err error) error {
+	*r = TileResult(w.plainResult)
 	if err == nil {
 		r.Violations, err = unpackColumn("violations", w.Violations, minViolationBytes,
 			func(c *colReader) drc.Violation { return c.violation(w.Strings) })
@@ -138,6 +175,24 @@ func (r *TileResult) UnmarshalJSON(data []byte) error {
 		return fmt.Errorf("tiling: tile result: %w", err)
 	}
 	return nil
+}
+
+// MarshalJSON implements json.Marshaler.
+func (r TileRequest) MarshalJSON() ([]byte, error) { return json.Marshal(PackRequest(&r)) }
+
+// UnmarshalJSON implements json.Unmarshaler. It replaces *r.
+func (r *TileRequest) UnmarshalJSON(data []byte) error {
+	var w RequestWire
+	return w.unpackInto(r, strictUnmarshal(data, &w, "windows", "shapes", "rects"))
+}
+
+// MarshalJSON implements json.Marshaler.
+func (r TileResult) MarshalJSON() ([]byte, error) { return json.Marshal(PackResult(&r)) }
+
+// UnmarshalJSON implements json.Unmarshaler. It replaces *r.
+func (r *TileResult) UnmarshalJSON(data []byte) error {
+	var w ResultWire
+	return w.unpackInto(r, strictUnmarshal(data, &w, "violations", "dens"))
 }
 
 // strictUnmarshal decodes one envelope rejecting unknown fields.

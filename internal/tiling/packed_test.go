@@ -6,6 +6,8 @@ import (
 	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"reflect"
@@ -474,10 +476,34 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 	return seeds
 }
 
+// readPacked reads data as the packed form the serving tiers carry: one
+// strict encoding/json pass, columns included, then Unpack. Like
+// json.Unmarshal, which it is held to, it refuses anything after the
+// value.
+func readPacked[W any, T any](data []byte, unpack func(*W) (*T, error)) (*T, error) {
+	var w *W
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&w); err != nil {
+		return nil, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("data after the value: %v", err)
+	}
+	if w == nil { // null, which UnmarshalJSON leaves a zero value
+		return new(T), nil
+	}
+	return unpack(w)
+}
+
 // FuzzTileWire feeds arbitrary bytes to both decoders. They must not
 // panic or allocate more than a small multiple of what they were given;
-// and whatever decodes must survive its own re-encoding: same columns,
-// same bytes, and for a unit that validates, the same key.
+// whatever decodes must survive its own re-encoding: same columns, same
+// bytes, and for a unit that validates, the same key. And the two ways
+// a unit or result is read and written — UnmarshalJSON/MarshalJSON, and
+// the packed form the serving tiers carry in their job envelope — must
+// agree on every input: the same bytes taken or refused, the same value
+// read, the same bytes written.
 func FuzzTileWire(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {
 		f.Add(s)
@@ -494,6 +520,25 @@ func FuzzTileWire(f *testing.F) {
 		// becoming a 24-byte slice header; decoding is done twice here.
 		if grew, limit := m1.TotalAlloc-m0.TotalAlloc, uint64(64<<10+128*len(data)); grew > limit {
 			t.Fatalf("decoding %d bytes allocated %d (limit %d)", len(data), grew, limit)
+		}
+		hopReq, errHop := readPacked(data, (*RequestWire).Unpack)
+		if (errReq == nil) != (errHop == nil) || errReq == nil && !reflect.DeepEqual(&req, hopReq) {
+			t.Fatalf("UnmarshalJSON read %+v (%v), the packed form %+v (%v)", &req, errReq, hopReq, errHop)
+		}
+		hopRes, errHop := readPacked(data, (*ResultWire).Unpack)
+		if (errRes == nil) != (errHop == nil) || errRes == nil && !(reflect.DeepEqual(res.Violations, hopRes.Violations) &&
+			sameDens(res.Dens, hopRes.Dens) && reflect.DeepEqual(res.Hotspots, hopRes.Hotspots)) {
+			t.Fatalf("UnmarshalJSON read %+v (%v), the packed form %+v (%v)", &res, errRes, hopRes, errHop)
+		}
+		if errReq == nil {
+			if b1, b2 := mustMarshal(t, &req), mustMarshal(t, PackRequest(&req)); !bytes.Equal(b1, b2) {
+				t.Fatalf("MarshalJSON wrote\n%s\nthe packed form\n%s", b1, b2)
+			}
+		}
+		if errRes == nil {
+			if b1, b2 := mustMarshal(t, &res), mustMarshal(t, PackResult(&res)); !bytes.Equal(b1, b2) {
+				t.Fatalf("MarshalJSON wrote\n%s\nthe packed form\n%s", b1, b2)
+			}
 		}
 		if errReq == nil {
 			b1, err := json.Marshal(&req)
@@ -540,7 +585,12 @@ func FuzzTileWire(f *testing.F) {
 // BenchmarkTileWire is what one unit pays to cross the wire once, each
 // way: encode plus strict decode of the fullest 24000-nm signoff tile
 // (DRC + density) of the benchmark's 50k-rect fleet chip, request and
-// result. MB/s is over the JSON bytes on the wire.
+// result. MB/s is over the JSON bytes on the wire. The request and
+// result rows go through MarshalJSON/UnmarshalJSON, as encoding/json
+// does for a unit nested in a plain envelope; the hop rows time what a
+// serving tier does instead: the unit's packed form inside its job
+// envelope, written and strictly read in one encoding/json pass, then
+// unpacked.
 func BenchmarkTileWire(b *testing.B) {
 	req, _ := fullestUnits(b, 50_000)
 	req.canonicalize()
@@ -550,24 +600,61 @@ func BenchmarkTileWire(b *testing.B) {
 	}
 	b.Logf("tile: %d shapes, %d windows; result: %d violations, %d density rows",
 		len(req.Shapes), len(req.Windows), len(res.Violations), len(res.Dens))
-	run := func(name string, v any, fresh func() any) {
+	run := func(b *testing.B, name string, encode func() ([]byte, error), decode func([]byte) error) {
 		b.Run(name, func(b *testing.B) {
-			wire, err := json.Marshal(v)
+			wire, err := encode()
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.SetBytes(int64(len(wire)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if wire, err = json.Marshal(v); err != nil {
+				if wire, err = encode(); err != nil {
 					b.Fatal(err)
 				}
-				if err := json.Unmarshal(wire, fresh()); err != nil {
+				if err := decode(wire); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
-	run("request", req, func() any { return new(TileRequest) })
-	run("result", res, func() any { return new(TileResult) })
+	type (
+		requestEnvelope struct {
+			Kind string       `json:"kind"`
+			Tile *RequestWire `json:"tile"`
+		}
+		resultEnvelope struct {
+			State string      `json:"state"`
+			Tile  *ResultWire `json:"tile"`
+		}
+	)
+	strict := func(wire []byte, v any) error {
+		dec := json.NewDecoder(bytes.NewReader(wire))
+		dec.DisallowUnknownFields()
+		return dec.Decode(v)
+	}
+	run(b, "request", func() ([]byte, error) { return json.Marshal(req) },
+		func(wire []byte) error { return json.Unmarshal(wire, new(TileRequest)) })
+	run(b, "result", func() ([]byte, error) { return json.Marshal(res) },
+		func(wire []byte) error { return json.Unmarshal(wire, new(TileResult)) })
+	b.Run("hop", func(b *testing.B) {
+		run(b, "request", func() ([]byte, error) { return json.Marshal(requestEnvelope{"tile", PackRequest(req)}) },
+			func(wire []byte) error {
+				var e requestEnvelope
+				if err := strict(wire, &e); err != nil {
+					return err
+				}
+				_, err := e.Tile.Unpack()
+				return err
+			})
+		run(b, "result", func() ([]byte, error) { return json.Marshal(resultEnvelope{"done", PackResult(res)}) },
+			func(wire []byte) error {
+				var e resultEnvelope
+				if err := strict(wire, &e); err != nil {
+					return err
+				}
+				_, err := e.Tile.Unpack()
+				return err
+			})
+	})
 }

@@ -319,7 +319,7 @@ func TestContract(t *testing.T) {
 // router answers each body with dfmd's status and bytes, but for the
 // runtime each node measured.
 func FuzzSubmit(f *testing.F) {
-	measured := regexp.MustCompile(`"runtimeMs": [^,\n]*`)
+	measured := regexp.MustCompile(`"runtimeMs":[^,}]*`)
 	dfmd, routed := deploy(f, "dfmd", stubConfig), deploy(f, "router", stubConfig)
 	for _, job := range []server.JobRequest{
 		{Technique: "sraf", Seed: 1},
@@ -368,7 +368,7 @@ func FuzzSubmit(f *testing.F) {
 			if ct := resp.Header.Get("Content-Type"); ct != "application/json" || !json.Valid(got[i].body) {
 				t.Fatalf("%s answered %d with %q, not a JSON body: %s", d.name, got[i].code, ct, got[i].body)
 			}
-			got[i].body = measured.ReplaceAll(got[i].body, []byte(`"runtimeMs": 0`))
+			got[i].body = measured.ReplaceAll(got[i].body, []byte(`"runtimeMs":0`))
 		}
 		if got[0].code != got[1].code || !bytes.Equal(got[0].body, got[1].body) {
 			t.Fatalf("router answered %d %s, dfmd %d %s", got[1].code, got[1].body, got[0].code, got[0].body)
@@ -624,8 +624,9 @@ func suite(t *testing.T, d *deployment) {
 
 	t.Run("tile-unknown-field", func(t *testing.T) {
 		// Strictness has to reach inside "tile": the envelope-level case
-		// (delta-kind-removed) is encoding/json's doing, this one is the
-		// tile codec's own.
+		// is delta-kind-removed; this one holds because the node reads the
+		// tile's packed form, which has no UnmarshalJSON, with the same
+		// strict decoder.
 		rejects(t, "unknown field inside tile", tileBody(tiling.TileSchema, `"bogus":1`), `unknown field "bogus"`)
 		settles(t, tileReq())
 	})

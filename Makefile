@@ -71,21 +71,21 @@ race-fast: ## race pass skipping the slow full-scorecard experiments
 	$(GO) test -race -short ./...
 
 fuzz-smoke: ## 20 s of the morphology fuzzer (the streaming erosion and dilation stages, the run labeller and the hotspot detector against the per-pixel oracle), 10 s of the sparse-blur fuzzer (the banded update against the per-rect oracle and the dense blur, both kernel arms too) and 10 s of the boundary-edge fuzzer, each against its oracle; 10 s of the litho kernel's assembly routines (the blur's rank-1 update, the square, the threshold word) against their Go loops, the rank-1 update over 0–7 rows with guard words between them; 10 s of geom's region ops and area queries against the slab oracle; 10 s of the spatial index over a fuzzed extent against brute force; 10 s of the band walk, clipped area, clip and connected components of a normal-form set against a linear scan, ClipArea, Intersect and a brute-force union-find; 10 s of the deck's facing-edge scans and MinArea against their oracles; 10 s of the tile wire decoders on arbitrary bytes (no panic, bounded allocation, re-encode is a fixed point with the same key); 10 s of a unit's packed-key sort against the comparator sort; 10 s of keysort's radix sort against slices.Sort and its permutation against a gather; 10 s of a pattern's two-form canonical hash against the eight-orientation oracle; 10 s of the router's rendezvous placement over 1–8 backend names (a permutation whose head is the argmax, kept when another name is dropped, moved only onto a name added); 10 s of the router's per-backend health record against its reference model over any sequence of probe results, admissions and request outcomes; 10 s of the one job route of dfmd and of the router on arbitrary bodies and placement claims (200, 400 or 413 with a JSON body, no dropped connection, the router's answer dfmd's)
-	$(GO) test -run='^$$' -fuzz=FuzzBitmapMorphology -fuzztime=20s ./internal/litho
-	$(GO) test -run='^$$' -fuzz=FuzzSparseBlur -fuzztime=10s ./internal/litho
-	$(GO) test -run='^$$' -fuzz=FuzzKernelLoops -fuzztime=10s ./internal/litho
-	$(GO) test -run='^$$' -fuzz=FuzzBoundaryEdges -fuzztime=10s ./internal/geom
-	$(GO) test -run='^$$' -fuzz=FuzzRegionOps -fuzztime=10s ./internal/geom
-	$(GO) test -run='^$$' -fuzz=FuzzIndexQuery -fuzztime=10s ./internal/geom
-	$(GO) test -run='^$$' -fuzz=FuzzBanded -fuzztime=10s ./internal/geom
-	$(GO) test -run='^$$' -fuzz=FuzzDeckScans -fuzztime=10s ./internal/drc
-	$(GO) test -run='^$$' -fuzz=FuzzTileWire -fuzztime=10s ./internal/tiling
-	$(GO) test -run='^$$' -fuzz=FuzzCanonicalize -fuzztime=10s ./internal/tiling
-	$(GO) test -run='^$$' -fuzz=FuzzKeySort -fuzztime=10s ./internal/keysort
-	$(GO) test -run='^$$' -fuzz=FuzzCanonHash -fuzztime=10s ./internal/pattern
-	$(GO) test -run='^$$' -fuzz=FuzzPlacement -fuzztime=10s ./internal/router
-	$(GO) test -run='^$$' -fuzz=FuzzBackendHealth -fuzztime=10s ./internal/router
-	$(GO) test -run='^$$' -fuzz=FuzzSubmit -fuzztime=10s ./internal/wirecompat
+	$(GO) test -run='^$$' -fuzz=FuzzBitmapMorphology -fuzztime=20s -fuzzminimizetime=2s ./internal/litho
+	$(GO) test -run='^$$' -fuzz=FuzzSparseBlur -fuzztime=10s -fuzzminimizetime=2s ./internal/litho
+	$(GO) test -run='^$$' -fuzz=FuzzKernelLoops -fuzztime=10s -fuzzminimizetime=2s ./internal/litho
+	$(GO) test -run='^$$' -fuzz=FuzzBoundaryEdges -fuzztime=10s -fuzzminimizetime=2s ./internal/geom
+	$(GO) test -run='^$$' -fuzz=FuzzRegionOps -fuzztime=10s -fuzzminimizetime=2s ./internal/geom
+	$(GO) test -run='^$$' -fuzz=FuzzIndexQuery -fuzztime=10s -fuzzminimizetime=2s ./internal/geom
+	$(GO) test -run='^$$' -fuzz=FuzzBanded -fuzztime=10s -fuzzminimizetime=2s ./internal/geom
+	$(GO) test -run='^$$' -fuzz=FuzzDeckScans -fuzztime=10s -fuzzminimizetime=2s ./internal/drc
+	$(GO) test -run='^$$' -fuzz=FuzzTileWire -fuzztime=10s -fuzzminimizetime=2s ./internal/tiling
+	$(GO) test -run='^$$' -fuzz=FuzzCanonicalize -fuzztime=10s -fuzzminimizetime=2s ./internal/tiling
+	$(GO) test -run='^$$' -fuzz=FuzzKeySort -fuzztime=10s -fuzzminimizetime=2s ./internal/keysort
+	$(GO) test -run='^$$' -fuzz=FuzzCanonHash -fuzztime=10s -fuzzminimizetime=2s ./internal/pattern
+	$(GO) test -run='^$$' -fuzz=FuzzPlacement -fuzztime=10s -fuzzminimizetime=2s ./internal/router
+	$(GO) test -run='^$$' -fuzz=FuzzBackendHealth -fuzztime=10s -fuzzminimizetime=2s ./internal/router
+	$(GO) test -run='^$$' -fuzz=FuzzSubmit -fuzztime=10s -fuzzminimizetime=2s ./internal/wirecompat
 
 # Where the coverage gates keep their profiles (bin/ is gitignored).
 COVER_DIR ?= bin/cover

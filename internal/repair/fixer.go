@@ -39,7 +39,7 @@ const (
 // the attributions no strategy could propose for, by reason.
 func Propose(ctx context.Context, t *tech.Tech, top *layout.Cell, sc Score, w Weights) (fixes []Fix, skipped map[string]int, err error) {
 	skipped = make(map[string]int)
-	for _, a := range sc.Attr {
+	for _, a := range sc.Attributions() {
 		switch {
 		case strings.Contains(a.Rule, ".space.") && !a.Layer.IsVia():
 			if f, ok := proposeSpread(top, a); ok {

@@ -43,17 +43,18 @@ func TestScoreResult(t *testing.T) {
 		t.Fatalf("Total = %v, want 18.5", sc.Total)
 	}
 	// Attribution order: weight descending, ties by rule then marker.
-	if len(sc.Attr) != 5 {
-		t.Fatalf("attr count = %d, want 5", len(sc.Attr))
+	attr := sc.Attributions()
+	if len(attr) != 5 {
+		t.Fatalf("attr count = %d, want 5", len(attr))
 	}
 	wantRules := []string{"hotspot.metal1", "metal2.space.70", "metal2.space.70", "via1.enc.metal2.20", "metal1.density"}
-	for i, a := range sc.Attr {
+	for i, a := range attr {
 		if a.Rule != wantRules[i] {
-			t.Fatalf("attr[%d] = %+v, want rule %s (full: %+v)", i, a, wantRules[i], sc.Attr)
+			t.Fatalf("attr[%d] = %+v, want rule %s (full: %+v)", i, a, wantRules[i], attr)
 		}
 	}
-	if sc.Attr[1].Marker.Y0 > sc.Attr[2].Marker.Y0 {
-		t.Fatalf("tied attributions out of marker order: %+v", sc.Attr[1:3])
+	if attr[1].Marker.Y0 > attr[2].Marker.Y0 {
+		t.Fatalf("tied attributions out of marker order: %+v", attr[1:3])
 	}
 
 	// Per-rule override wins over the class weight.

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/drc"
 	"repro/internal/geom"
+	"repro/internal/litho"
 	"repro/internal/tech"
 	"repro/internal/tiling"
 )
@@ -92,7 +93,10 @@ type Attribution struct {
 }
 
 // Score is the weighted DFM cost of one evaluation: lower is better,
-// zero is a clean chip with no doubling opportunities left.
+// zero is a clean chip with no doubling opportunities left. A Score
+// shares the scored result's violation list and hotspots, which it
+// only reads: the result must not be modified while the Score is in
+// use.
 type Score struct {
 	Total      float64
 	Violations float64 // DRC + density contribution
@@ -100,45 +104,41 @@ type Score struct {
 	SingleVias float64 // redundancy contribution (Singles * SingleVia)
 	Singles    int
 	ByRule     map[string]float64
-	// Attr lists every violation and hotspot with its weight, sorted
-	// most expensive first (ties by rule, then marker position, then —
-	// so the order is total — layer) — the fixer's worklist order.
-	Attr []Attribution
+	// blocks holds the findings one rule at a time, most expensive
+	// rule first (ties by rule name): what Attributions expands.
+	blocks []ruleBlock
+}
+
+// ruleBlock is one rule's findings: a run of the scored result's
+// violations, or one layer's hotspots in scan order.
+type ruleBlock struct {
+	rule   string
+	weight float64
+	vs     []drc.Violation
+	layer  tech.Layer // hotspot blocks
+	hs     []litho.Hotspot
 }
 
 // ScoreResult scores a tiled evaluation. singles is the single-cut via
 // count the caller attributes to the design (pass 0 to score DRC and
 // litho findings only).
 //
-// Nothing is sorted per violation: an evaluator's list arrives in
-// (rule, marker, layer, detail) order, which within one rule is the
-// worklist's order too, so Attr is that list cut into per-rule blocks
-// and the blocks — a few dozen — ranked by weight. A hand-built result
-// in any other order is sorted on a copy first.
+// Nothing is copied or sorted per finding: an evaluator's list arrives
+// in (rule, marker, layer, detail) order, so each rule's violations
+// are one run of it, and the totals are summed run by run. Only the
+// rules' order is checked here; a hand-built result whose rules are
+// not contiguous and ascending is sorted on a copy first.
 func ScoreResult(res *tiling.Result, singles int, w Weights) Score {
 	sc := Score{ByRule: make(map[string]float64), Singles: singles}
-	vs := res.Violations
-	if !slices.IsSortedFunc(vs, drc.CompareViolations) {
-		vs = slices.Clone(vs)
+	blocks, ok := cutRules(res.Violations)
+	if !ok {
+		vs := slices.Clone(res.Violations)
 		drc.SortViolations(vs)
+		blocks, _ = cutRules(vs)
 	}
-	// block is one rule's attributions: a run of vs, or a hotspot
-	// layer's boxes.
-	type block struct {
-		rule   string
-		weight float64
-		layer  tech.Layer // hotspot blocks
-		vs     []drc.Violation
-		boxes  []geom.Rect
-	}
-	var blocks []block
-	n := len(vs) // attributions in all
-	for i := 0; i < len(vs); {
-		j := i + 1
-		for j < len(vs) && vs[j].Rule == vs[i].Rule {
-			j++
-		}
-		b := block{rule: vs[i].Rule, weight: w.ViolationWeight(vs[i].Rule), vs: vs[i:j]}
+	for i := range blocks {
+		b := &blocks[i]
+		b.weight = w.ViolationWeight(b.rule)
 		// Added once per violation, not multiplied: a weight that is not
 		// exact in binary must sum as it would finding by finding.
 		sum := 0.0
@@ -147,8 +147,6 @@ func ScoreResult(res *tiling.Result, singles int, w Weights) Score {
 			sum += b.weight
 		}
 		sc.ByRule[b.rule] = sum
-		blocks = append(blocks, b)
-		i = j
 	}
 	// Violations dropped past Opts.MaxViolations still cost; they are
 	// counted in ByRule totals at the rule's weight but cannot be
@@ -177,37 +175,83 @@ func ScoreResult(res *tiling.Result, singles int, w Weights) Score {
 		if len(hs) == 0 {
 			continue
 		}
-		b := block{rule: "hotspot." + layer.String(), weight: hw, layer: layer, boxes: make([]geom.Rect, len(hs))}
-		for i, h := range hs {
-			b.boxes[i] = h.Box
+		b := ruleBlock{rule: "hotspot." + layer.String(), weight: hw, layer: layer, hs: hs}
+		for range hs {
 			sc.Hotspots += hw
 			sc.ByRule[b.rule] += hw
 		}
-		slices.SortFunc(b.boxes, geom.Rect.Compare)
 		blocks = append(blocks, b)
-		n += len(hs)
 	}
 	sc.SingleVias = float64(singles) * w.SingleViaWeight()
 	sc.Total = sc.Violations + sc.Hotspots + sc.SingleVias
 
-	slices.SortFunc(blocks, func(a, b block) int {
+	slices.SortFunc(blocks, func(a, b ruleBlock) int {
 		if c := cmp.Compare(b.weight, a.weight); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.rule, b.rule)
 	})
-	if n > 0 {
-		sc.Attr = make([]Attribution, 0, n)
-	}
-	for _, b := range blocks {
-		for _, v := range b.vs {
-			sc.Attr = append(sc.Attr, Attribution{Rule: b.rule, Layer: v.Layer, Marker: v.Marker, Weight: b.weight})
-		}
-		for _, box := range b.boxes {
-			sc.Attr = append(sc.Attr, Attribution{Rule: b.rule, Layer: b.layer, Marker: box, Weight: b.weight})
-		}
-	}
+	sc.blocks = blocks
 	return sc
+}
+
+// cutRules cuts vs into one block per rule. It reports false when a
+// rule follows a greater one: the rules are then not contiguous and
+// ascending, and vs must be sorted before it is cut.
+func cutRules(vs []drc.Violation) ([]ruleBlock, bool) {
+	var blocks []ruleBlock
+	for i := 0; i < len(vs); {
+		j := i + 1
+		for j < len(vs) && vs[j].Rule == vs[i].Rule {
+			j++
+		}
+		if j < len(vs) && vs[j].Rule < vs[i].Rule {
+			return nil, false
+		}
+		blocks = append(blocks, ruleBlock{rule: vs[i].Rule, vs: vs[i:j]})
+		i = j
+	}
+	return blocks, true
+}
+
+// Attributions lists every violation and hotspot the score counted
+// with its weight, sorted most expensive first (ties by rule, then
+// marker position, then — so the order is total — layer): the fixer's
+// worklist. It is built on each call, so call it once per score. A
+// rule whose violations are out of marker order is sorted on a copy,
+// as is each layer's list of hotspot boxes; the scored result is only
+// read.
+func (sc Score) Attributions() []Attribution {
+	n := 0
+	for _, b := range sc.blocks {
+		n += len(b.vs) + len(b.hs)
+	}
+	if n == 0 {
+		return nil
+	}
+	attr := make([]Attribution, 0, n)
+	for _, b := range sc.blocks {
+		vs := b.vs
+		if !slices.IsSortedFunc(vs, drc.CompareViolations) {
+			vs = slices.Clone(vs)
+			drc.SortViolations(vs)
+		}
+		for _, v := range vs {
+			attr = append(attr, Attribution{Rule: b.rule, Layer: v.Layer, Marker: v.Marker, Weight: b.weight})
+		}
+		if len(b.hs) == 0 {
+			continue
+		}
+		boxes := make([]geom.Rect, len(b.hs))
+		for i, h := range b.hs {
+			boxes[i] = h.Box
+		}
+		slices.SortFunc(boxes, geom.Rect.Compare)
+		for _, box := range boxes {
+			attr = append(attr, Attribution{Rule: b.rule, Layer: b.layer, Marker: box, Weight: b.weight})
+		}
+	}
+	return attr
 }
 
 // ruleDistance parses the trailing numeric field of a rule name

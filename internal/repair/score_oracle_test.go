@@ -2,10 +2,14 @@ package repair
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/drc"
@@ -21,13 +25,14 @@ import (
 // of all of them. Its comparator stops at the marker and sort.Slice is
 // unstable, so it is a reference only where no two attributions tie on
 // (weight, rule, marker) with different layers.
-func scoreOracle(res *tiling.Result, singles int, w Weights) Score {
+func scoreOracle(res *tiling.Result, singles int, w Weights) (Score, []Attribution) {
 	sc := Score{ByRule: make(map[string]float64), Singles: singles}
+	var attr []Attribution
 	for _, v := range res.Violations {
 		wt := w.ViolationWeight(v.Rule)
 		sc.Violations += wt
 		sc.ByRule[v.Rule] += wt
-		sc.Attr = append(sc.Attr, Attribution{Rule: v.Rule, Layer: v.Layer, Marker: v.Marker, Weight: wt})
+		attr = append(attr, Attribution{Rule: v.Rule, Layer: v.Layer, Marker: v.Marker, Weight: wt})
 	}
 	// Violations dropped past Opts.MaxViolations still cost; they are
 	// counted in ByRule totals at the rule's weight but cannot be
@@ -53,13 +58,13 @@ func scoreOracle(res *tiling.Result, singles int, w Weights) Score {
 		for _, h := range hs {
 			sc.Hotspots += hw
 			sc.ByRule[rule] += hw
-			sc.Attr = append(sc.Attr, Attribution{Rule: rule, Layer: layer, Marker: h.Box, Weight: hw})
+			attr = append(attr, Attribution{Rule: rule, Layer: layer, Marker: h.Box, Weight: hw})
 		}
 	}
 	sc.SingleVias = float64(singles) * w.SingleViaWeight()
 	sc.Total = sc.Violations + sc.Hotspots + sc.SingleVias
-	sort.Slice(sc.Attr, func(i, j int) bool {
-		a, b := sc.Attr[i], sc.Attr[j]
+	sort.Slice(attr, func(i, j int) bool {
+		a, b := attr[i], attr[j]
 		if a.Weight != b.Weight {
 			return a.Weight > b.Weight
 		}
@@ -78,13 +83,39 @@ func scoreOracle(res *tiling.Result, singles int, w Weights) Score {
 		}
 		return am.X1 < bm.X1
 	})
-	return sc
+	return sc, attr
 }
 
-// The linear ScoreResult against the sorting one it replaced, on a
-// generated chip's evaluation: as evaluated, shuffled (a caller-built
-// result owes no order), truncated with Dropped > 0, and with hotspots
-// on two layers.
+// sameTotals reports how got's totals differ from want's, bit for bit;
+// "" when they do not.
+func sameTotals(got, want Score) string {
+	bits := math.Float64bits
+	switch {
+	case bits(got.Total) != bits(want.Total):
+		return fmt.Sprintf("Total %v, want %v", got.Total, want.Total)
+	case bits(got.Violations) != bits(want.Violations):
+		return fmt.Sprintf("Violations %v, want %v", got.Violations, want.Violations)
+	case bits(got.Hotspots) != bits(want.Hotspots):
+		return fmt.Sprintf("Hotspots %v, want %v", got.Hotspots, want.Hotspots)
+	case bits(got.SingleVias) != bits(want.SingleVias) || got.Singles != want.Singles:
+		return fmt.Sprintf("SingleVias %v (%d), want %v (%d)", got.SingleVias, got.Singles, want.SingleVias, want.Singles)
+	case len(got.ByRule) != len(want.ByRule):
+		return fmt.Sprintf("%d ByRule entries, want %d", len(got.ByRule), len(want.ByRule))
+	}
+	for rule, v := range want.ByRule {
+		if g, ok := got.ByRule[rule]; !ok || bits(g) != bits(v) {
+			return fmt.Sprintf("ByRule[%s] %v, want %v", rule, g, v)
+		}
+	}
+	return ""
+}
+
+// The linear ScoreResult and its worklist against the sorting one they
+// replaced, on a generated chip's evaluation: as evaluated, shuffled (a
+// caller-built result owes no order), with each rule's run shuffled in
+// place, with the rules interleaved, truncated with Dropped > 0, and
+// with hotspots on two layers. The worklist is asked for twice: the
+// same list both times, and the scored result untouched.
 func TestScoreResultMatchesOracle(t *testing.T) {
 	tt := tech.N45()
 	l, _, err := layout.GenerateChip(tt, layout.ChipOpts{
@@ -111,11 +142,37 @@ func TestScoreResultMatchesOracle(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(17))
-	shuffled := *res
-	shuffled.Violations = slices.Clone(res.Violations)
-	rng.Shuffle(len(shuffled.Violations), func(i, j int) {
-		shuffled.Violations[i], shuffled.Violations[j] = shuffled.Violations[j], shuffled.Violations[i]
+	reorder := func(order func(vs []drc.Violation)) *tiling.Result {
+		r := *res
+		r.Violations = slices.Clone(res.Violations)
+		order(r.Violations)
+		return &r
+	}
+	shuffled := reorder(func(vs []drc.Violation) {
+		rng.Shuffle(len(vs), func(i, j int) { vs[i], vs[j] = vs[j], vs[i] })
 	})
+	// Rules contiguous and ascending, markers in no order within a rule.
+	withinRule := reorder(func(vs []drc.Violation) {
+		for i := 0; i < len(vs); {
+			j := i + 1
+			for j < len(vs) && vs[j].Rule == vs[i].Rule {
+				j++
+			}
+			run := vs[i:j]
+			rng.Shuffle(len(run), func(a, b int) { run[a], run[b] = run[b], run[a] })
+			i = j
+		}
+	})
+	// Marker order across rules: each rule's violations in order, the
+	// rules interleaved.
+	interleaved := reorder(func(vs []drc.Violation) {
+		slices.SortStableFunc(vs, func(a, b drc.Violation) int { return a.Marker.Compare(b.Marker) })
+	})
+	if slices.IsSortedFunc(withinRule.Violations, drc.CompareViolations) || slices.IsSortedFunc(interleaved.Violations, func(a, b drc.Violation) int {
+		return strings.Compare(a.Rule, b.Rule)
+	}) {
+		t.Fatal("reordered results are still in evaluator order; the cases are vacuous")
+	}
 
 	// Hotspots on two layers, in scan order (not marker order), with a
 	// pair of boxes tied on Y0.
@@ -129,16 +186,25 @@ func TestScoreResultMatchesOracle(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		res  *tiling.Result
-	}{{"evaluated", res}, {"shuffled", &shuffled}, {"dropped", capped}, {"hotspots", &spots}} {
+	}{{"evaluated", res}, {"shuffled", shuffled}, {"within-rule", withinRule}, {"interleaved", interleaved},
+		{"dropped", capped}, {"hotspots", &spots}} {
 		for wi, w := range []Weights{{}, custom} {
 			before := slices.Clone(tc.res.Violations)
-			got, want := ScoreResult(tc.res, 7, w), scoreOracle(tc.res, 7, w)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s, weights %d: ScoreResult differs from the oracle (total %v vs %v, %d vs %d attributions)",
-					tc.name, wi, got.Total, want.Total, len(got.Attr), len(want.Attr))
+			got := ScoreResult(tc.res, 7, w)
+			want, wantAttr := scoreOracle(tc.res, 7, w)
+			if diff := sameTotals(got, want); diff != "" {
+				t.Errorf("%s, weights %d: ScoreResult differs from the oracle: %s", tc.name, wi, diff)
+			}
+			attr := got.Attributions()
+			if !reflect.DeepEqual(attr, wantAttr) {
+				t.Errorf("%s, weights %d: worklist differs from the oracle's (%d vs %d attributions)",
+					tc.name, wi, len(attr), len(wantAttr))
+			}
+			if again := got.Attributions(); !reflect.DeepEqual(again, attr) {
+				t.Errorf("%s, weights %d: a second worklist differs from the first", tc.name, wi)
 			}
 			if !reflect.DeepEqual(before, tc.res.Violations) {
-				t.Fatalf("%s: ScoreResult reordered the result it scored", tc.name)
+				t.Fatalf("%s: scoring or ranking reordered the result it read", tc.name)
 			}
 		}
 	}
@@ -155,10 +221,47 @@ func TestScoreResultOrderIsTotal(t *testing.T) {
 	}
 	for i := 0; i < 20; i++ {
 		sc := ScoreResult(res, 0, Weights{})
+		want, _ := scoreOracle(res, 0, Weights{})
+		if diff := sameTotals(sc, want); diff != "" {
+			t.Fatalf("call %d: %s", i, diff)
+		}
+		attr := sc.Attributions()
 		for k, want := range []tech.Layer{tech.Metal1, tech.Metal2, tech.Metal3} {
-			if sc.Attr[k].Layer != want {
-				t.Fatalf("call %d: Attr layers = %v %v %v, want ascending", i, sc.Attr[0].Layer, sc.Attr[1].Layer, sc.Attr[2].Layer)
+			if attr[k].Layer != want {
+				t.Fatalf("call %d: worklist layers = %v %v %v, want ascending", i, attr[0].Layer, attr[1].Layer, attr[2].Layer)
 			}
 		}
+	}
+}
+
+// Scoring costs the rules, not the findings: on an evaluator-ordered
+// result of 24 000 violations over 24 rules, ScoreResult allocates at
+// most 1 KiB per rule (the ByRule map and the rule blocks). Copying
+// each violation into a worklist, as it once did, costs 64 bytes apiece.
+func TestScoreResultAllocatesPerRule(t *testing.T) {
+	const rules, perRule = 24, 1000
+	res := &tiling.Result{ByRule: map[string]int{}}
+	for r := 0; r < rules; r++ {
+		rule := fmt.Sprintf("metal%d.space.%d", r%3+1, 100+r)
+		res.ByRule[rule] = perRule
+		for k := 0; k < perRule; k++ {
+			x := int64(k) * 200
+			res.Violations = append(res.Violations, drc.Violation{Rule: rule, Layer: tech.Metal1, Marker: geom.R(x, 0, x+50, 70)})
+		}
+	}
+	drc.SortViolations(res.Violations)
+	const calls = 10
+	ScoreResult(res, 0, Weights{})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		ScoreResult(res, 0, Weights{})
+	}
+	runtime.ReadMemStats(&after)
+	perCall := (after.TotalAlloc - before.TotalAlloc) / calls
+	t.Logf("ScoreResult of %d violations over %d rules: %d bytes a call", len(res.Violations), rules, perCall)
+	if bound := uint64(rules) << 10; perCall > bound {
+		t.Fatalf("ScoreResult of %d violations over %d rules allocates %d bytes a call, bound %d",
+			len(res.Violations), rules, perCall, bound)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-	"unsafe"
 
 	"repro/internal/geom"
 	"repro/internal/layout"
@@ -134,50 +133,6 @@ func TestDeltaMatchesFullChipGrid(t *testing.T) {
 			}
 			diffResults(t, "chained delta vs original", resD2, res0)
 		})
-	}
-}
-
-// A delta that moves no violation — here a top-level shape taken out
-// and put back, so its tiles are recomputed to what they held — hands
-// back the snapshot's violation list itself, not a copy of it, and the
-// result still equals a from-scratch evaluation.
-func TestDeltaThatMovesNothingSharesTheList(t *testing.T) {
-	tt := tech.N45()
-	l, _, err := layout.GenerateChip(tt, layout.ChipOpts{
-		Seed: 3, Slots: 2, SlotPitch: 15000, Defects: 3,
-		MacroMix: []int{0, 1, 1, 1},
-	})
-	if err != nil {
-		t.Fatalf("GenerateChip: %v", err)
-	}
-	top := l.Top
-	o := Opts{Tile: 9000, Halo: 2000, DRC: true, Density: true, DensityWindow: 3000}
-	res0, snap, err := EvaluateSnap(context.Background(), tt, NewExtractor(top), o)
-	if err != nil {
-		t.Fatalf("EvaluateSnap: %v", err)
-	}
-	if len(res0.Violations) == 0 {
-		t.Fatal("chip is clean; nothing to share")
-	}
-	s := top.Shapes[len(top.Shapes)/2]
-	same, changed := editCell(t, top, []layout.Shape{s}, []layout.Shape{s})
-	resD, _, err := EvaluateDelta(context.Background(), tt, NewExtractor(same), snap, changed)
-	if err != nil {
-		t.Fatalf("EvaluateDelta: %v", err)
-	}
-	if resD.Stats.SplicedTiles == resD.Stats.Tiles {
-		t.Fatal("the delta recomputed no tile; the check is vacuous")
-	}
-	if unsafe.SliceData(resD.Violations) != unsafe.SliceData(res0.Violations) {
-		t.Fatal("a delta that moved no violation copied the snapshot's list")
-	}
-	fresh, err := EvaluateChip(context.Background(), tt, same, o)
-	if err != nil {
-		t.Fatalf("EvaluateChip: %v", err)
-	}
-	diffResults(t, "unmoved delta vs fresh", resD, fresh)
-	if !Equivalent(resD, fresh) {
-		t.Fatal("Equivalent(delta, fresh) = false")
 	}
 }
 

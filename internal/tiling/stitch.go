@@ -179,12 +179,13 @@ func (p *plan) patchDensity(di int, old [][]float64, outs []*TileResult, dirty, 
 // longest run among them did not move keeps its place; one that did is
 // re-resolved against the clean tiles under its marker and written
 // between copied segments of the retained list, byRule moving with it.
-// When no value's run moves, the retained list itself is returned: it
-// is immutable, and capped so an append cannot write into it.
 func (p *plan) patchViolations(retained []drc.Violation, was, now [][]drc.Violation,
 	outs []*TileResult, clean []bool, byRule map[string]int) []drc.Violation {
-	var all []drc.Violation // nil until a run moves
-	done := 0               // retained[:done] is in all, or unchanged while all is nil
+	grow := 0
+	for _, l := range now {
+		grow += len(l)
+	}
+	all := make([]drc.Violation, 0, len(retained)+grow)
 	// byRule is written once per run of a rule, not once per value.
 	rule, moved := "", 0
 	flush := func(next string) {
@@ -222,21 +223,14 @@ func (p *plan) patchViolations(retained []drc.Violation, was, now [][]drc.Violat
 		if clean != nil {
 			nNow = max(nNow, p.longestCleanRun(v, outs, clean))
 		}
-		at, _ := slices.BinarySearchFunc(retained[done:], v, drc.CompareViolations)
-		at += done
+		at, _ := slices.BinarySearchFunc(retained, v, drc.CompareViolations)
+		all = append(all, retained[:at]...)
+		retained = retained[at:]
 		had := 0
-		for at+had < len(retained) && retained[at+had] == v {
+		for had < len(retained) && retained[had] == v {
 			had++
 		}
-		if all == nil {
-			grow := 0
-			for _, l := range now {
-				grow += len(l)
-			}
-			all = make([]drc.Violation, 0, len(retained)+grow)
-		}
-		all = append(all, retained[done:at]...)
-		done = at + had
+		retained = retained[had:]
 		for k := 0; k < nNow; k++ {
 			all = append(all, v)
 		}
@@ -246,11 +240,7 @@ func (p *plan) patchViolations(retained []drc.Violation, was, now [][]drc.Violat
 		moved += nNow - had
 	}
 	flush("")
-	if all == nil {
-		all = retained
-	} else {
-		all = append(all, retained[done:]...)
-	}
+	all = append(all, retained...)
 	if len(all) == 0 {
 		return nil // as the flat result's list is when nothing violates
 	}

@@ -8,7 +8,7 @@
 // Usage:
 //
 //	dfmd [-addr HOST:PORT] [-workers N] [-queue N] [-cache N]
-//	     [-max-wait D] [-timeout D] [-retries N] [-drain D] [-quiet]
+//	     [-max-wait D] [-timeout D] [-drain D] [-quiet]
 //
 // API (all JSON):
 //
@@ -47,7 +47,6 @@ func main() {
 	cache := flag.Int("cache", 1024, "result cache entries")
 	maxWait := flag.Duration("max-wait", def.MaxWait, "admission wait budget before shedding (0 = shed only on a full queue)")
 	timeout := flag.Duration("timeout", 2*time.Minute, "evaluation budget of every job")
-	retries := flag.Int("retries", def.Retries, "extra attempts for retryable workload failures")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-drain budget on shutdown before in-flight jobs are canceled")
 	quiet := flag.Bool("quiet", false, "suppress the startup/shutdown log lines")
 	flag.Parse()
@@ -68,7 +67,6 @@ func main() {
 		CacheSize:      *cache,
 		MaxWait:        *maxWait,
 		DefaultTimeout: *timeout,
-		Retries:        *retries,
 	})
 
 	ln, err := net.Listen("tcp", *addr)

@@ -5,14 +5,14 @@
 //
 // The run goes through the fault-tolerant evaluation harness: the
 // techniques execute in a bounded worker pool, each under its own
-// wall-clock budget, with panic recovery and seed-perturbing retries
-// for transient workload failures. A failing technique degrades to a
+// wall-clock budget, with panic recovery. Each technique runs once on
+// the seed it is reported under. A failing technique degrades to a
 // structured per-technique error; the rest of the scorecard still
 // reports.
 //
 // Usage:
 //
-//	dfmscore [-seed N] [-detail] [-json] [-timeout D] [-retries N] [-metrics FILE]
+//	dfmscore [-seed N] [-detail] [-json] [-timeout D] [-metrics FILE]
 //	         [-cpuprofile FILE] [-memprofile FILE]
 //
 // -metrics enables the observability registry for the run and writes
@@ -70,7 +70,6 @@ func run() int {
 	detail := flag.Bool("detail", false, "print every metric, not just the primary")
 	asJSON := flag.Bool("json", false, "emit the scorecard as JSON")
 	timeout := flag.Duration("timeout", 2*time.Minute, "per-technique wall-clock budget (0 = none)")
-	retries := flag.Int("retries", 1, "extra attempts for retryable workload failures")
 	metrics := flag.String("metrics", "", "write the run's metrics snapshot to this file (\"-\" = stdout)")
 	chip := flag.Bool("chip", false, "full-chip mode: generate an SoC floorplan and run the tiled streaming evaluation")
 	chipRects := flag.Int64("chiprects", 1_000_000, "chip mode: target flattened rect count (ignored when -chipslots > 0)")
@@ -136,8 +135,6 @@ func run() int {
 	sc := dfm.RunAllConfig(ctx, t, *seed, dfm.Config{
 		Parallel: runtime.GOMAXPROCS(0),
 		Timeout:  *timeout,
-		Retries:  *retries,
-		Backoff:  250 * time.Millisecond,
 	})
 
 	if *asJSON {

@@ -76,10 +76,6 @@ type Outcome struct {
 	CostNote string
 	Runtime  time.Duration
 	Verdict  Verdict
-	// Attempts is how many evaluation attempts the harness spent on
-	// this outcome (retries of transient workload failures); 0 or 1
-	// for unharnessed runs.
-	Attempts int
 	Err      error
 }
 
@@ -213,14 +209,10 @@ type OutcomeView struct {
 	CostFrac  float64 `json:"costFrac"`
 	CostNote  string  `json:"costNote,omitempty"`
 	RuntimeMS float64 `json:"runtimeMs"`
-	// Attempts counts harness evaluation attempts (> 1 when retries
-	// recovered or exhausted a transient workload failure).
-	Attempts int    `json:"attempts,omitempty"`
-	Error    string `json:"error,omitempty"`
+	Error     string  `json:"error,omitempty"`
 	// ErrorKind is the harness taxonomy bucket of Error: "timeout",
 	// "panic", "workload", "canceled", or "error".
 	ErrorKind string   `json:"errorKind,omitempty"`
-	Retryable bool     `json:"retryable,omitempty"`
 	Metrics   []Metric `json:"metrics,omitempty"`
 }
 
@@ -233,13 +225,11 @@ func NewOutcomeView(o Outcome) OutcomeView {
 		CostFrac:  o.CostFrac,
 		CostNote:  o.CostNote,
 		RuntimeMS: float64(o.Runtime.Microseconds()) / 1000,
-		Attempts:  o.Attempts,
 		Metrics:   o.Metrics,
 	}
 	if o.Err != nil {
 		v.Error = o.Err.Error()
 		v.ErrorKind = errKind(o.Err)
-		v.Retryable = harness.IsRetryable(o.Err)
 	}
 	return v
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/dpt"
 	"repro/internal/geom"
-	"repro/internal/harness"
 	"repro/internal/layout"
 	"repro/internal/tech"
 )
@@ -25,9 +24,9 @@ func EvalDPT(ctx context.Context, t *tech.Tech, opts layout.BlockOpts) (o Outcom
 		return o
 	}
 	sp := stage("dpt-decomposition", "workload")
-	l, err := layout.GenerateBlock(t, opts)
+	l, err := generateBlock(t, opts)
 	if err != nil {
-		o.Err = harness.Workload(err)
+		o.Err = err
 		return o
 	}
 	m2 := layout.ByLayer(l.Flatten())[tech.Metal2]

@@ -13,13 +13,27 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/harness"
+	"repro/internal/layout"
 	"repro/internal/obs"
 	"repro/internal/tech"
 	"repro/internal/tiling"
 )
 
+// countingHook wraps a fault set's Hook and counts its calls per
+// technique.
+func countingHook(fi *faultinject.Set) (func(context.Context, string) error, map[string]*atomic.Int32) {
+	fires := map[string]*atomic.Int32{}
+	for _, name := range Techniques() {
+		fires[name] = new(atomic.Int32)
+	}
+	return func(ctx context.Context, technique string) error {
+		fires[technique].Add(1)
+		return fi.Hook(ctx, technique)
+	}, fires
+}
+
 // TestScorecardSurvivesTotalFaultStorm injects a fault into every
-// technique — panics, hangs, transient and terminal errors — and
+// technique — panics, hangs, workload and terminal errors — and
 // checks that the run degrades to a complete scorecard of typed
 // per-technique errors instead of a dead process. No real evaluation
 // runs, so this covers the whole failure surface in milliseconds.
@@ -35,13 +49,12 @@ func TestScorecardSurvivesTotalFaultStorm(t *testing.T) {
 		Plan("restricted-rules", faultinject.Fault{Err: terminal}).
 		Plan("dpt-decomposition", faultinject.Fault{Err: harness.Workload(errors.New("flaky workload")), Times: 3})
 
+	hook, fires := countingHook(fi)
 	start := time.Now()
 	sc := RunAllConfig(context.Background(), tech.N45(), 11, Config{
 		Parallel: 4,
 		Timeout:  50 * time.Millisecond,
-		Retries:  2,
-		Backoff:  time.Millisecond,
-		Hook:     fi.Hook,
+		Hook:     hook,
 	})
 	if elapsed := time.Since(start); elapsed > 30*time.Second {
 		t.Fatalf("fault storm took %v; hangs not abandoned", elapsed)
@@ -72,18 +85,11 @@ func TestScorecardSurvivesTotalFaultStorm(t *testing.T) {
 			t.Errorf("%s: err %v, want kind %v", o.Technique, o.Err, want)
 		}
 	}
-	// The retryable faults outlasted Retries=2 (3 attempts), the
-	// terminal ones must not have been retried.
-	for _, o := range sc.Outcomes {
-		switch o.Technique {
-		case "sraf", "dpt-decomposition":
-			if o.Attempts != 3 {
-				t.Errorf("%s: attempts = %d, want 3", o.Technique, o.Attempts)
-			}
-		case "model-opc", "restricted-rules":
-			if o.Attempts != 1 {
-				t.Errorf("%s: terminal error retried (%d attempts)", o.Technique, o.Attempts)
-			}
+	// Every fault is terminal: each technique ran once, so the hook
+	// fired once even where three workload faults were planned.
+	for name, n := range fires {
+		if n.Load() != 1 {
+			t.Errorf("%s: hook fired %d times, want 1", name, n.Load())
 		}
 	}
 	// All renderers must survive the degraded scorecard.
@@ -97,7 +103,7 @@ func TestScorecardSurvivesTotalFaultStorm(t *testing.T) {
 
 // TestRunAllFaultInjection is the end-to-end degradation proof: one
 // technique panics, one hangs past the timeout the others finish well
-// inside, one fails transiently and recovers on a retried seed — and every
+// inside, one fails its workload once and is not run again — and every
 // other technique still reports a real verdict with real metrics.
 func TestRunAllFaultInjection(t *testing.T) {
 	if testing.Short() {
@@ -106,14 +112,13 @@ func TestRunAllFaultInjection(t *testing.T) {
 	fi := faultinject.New().
 		Plan("model-opc", faultinject.Fault{PanicMsg: "injected opc crash"}).
 		Plan("sraf", faultinject.Fault{Delay: time.Minute, Block: true}).
-		Plan("drc-plus", faultinject.Fault{Err: harness.Workload(errors.New("transient workload hiccup"))})
+		Plan("drc-plus", faultinject.Fault{Err: harness.Workload(errors.New("injected workload failure"))})
 
+	hook, fires := countingHook(fi)
 	sc := RunAllConfig(context.Background(), tech.N45(), 11, Config{
 		Parallel: 4,
 		Timeout:  3 * time.Second,
-		Retries:  1,
-		Backoff:  time.Millisecond,
-		Hook:     fi.Hook,
+		Hook:     hook,
 	})
 
 	if len(sc.Outcomes) != 8 {
@@ -135,12 +140,11 @@ func TestRunAllFaultInjection(t *testing.T) {
 	if o := byName["sraf"]; !errors.Is(o.Err, harness.ErrTimeout) {
 		t.Errorf("sraf: %v, want timeout", o.Err)
 	}
-	if o := byName["drc-plus"]; o.Err != nil {
-		t.Errorf("drc-plus did not recover from transient fault: %v", o.Err)
-	} else if o.Attempts != 2 {
-		t.Errorf("drc-plus attempts = %d, want 2", o.Attempts)
-	} else if len(o.Metrics) == 0 {
-		t.Errorf("drc-plus recovered without metrics")
+	if o := byName["drc-plus"]; !errors.Is(o.Err, harness.ErrWorkload) || o.Verdict != Hype || len(o.Metrics) != 0 {
+		t.Errorf("drc-plus: err %v verdict %v, %d metrics; want the workload fault, HYPE, none", o.Err, o.Verdict, len(o.Metrics))
+	}
+	if n := fires["drc-plus"].Load(); n != 1 {
+		t.Errorf("drc-plus: hook fired %d times, want 1", n)
 	}
 
 	// Every unfaulted technique reports a real verdict.
@@ -177,8 +181,8 @@ func TestRunAllFaultInjection(t *testing.T) {
 	}
 }
 
-// TestHookErrorSkipsEvaluator: a Config.Hook error fails the attempt
-// it ran in, exactly as the evaluator's own error would, and the
+// TestHookErrorSkipsEvaluator: a Config.Hook error fails the task it
+// ran in, exactly as the evaluator's own error would, and the
 // evaluator behind it never runs.
 func TestHookErrorSkipsEvaluator(t *testing.T) {
 	defer obs.SetEnabled(obs.Enabled())
@@ -193,14 +197,14 @@ func TestHookErrorSkipsEvaluator(t *testing.T) {
 	hookErr := errors.New("injected")
 	sc := RunAllConfig(context.Background(), tech.N45(), 11, Config{
 		Parallel: 2,
-		Hook:     func(ctx context.Context, technique string, attempt int) error { return hookErr },
+		Hook:     func(ctx context.Context, technique string) error { return hookErr },
 	})
 	if len(sc.Outcomes) != 8 {
 		t.Fatalf("scorecard incomplete: %d outcomes", len(sc.Outcomes))
 	}
 	for _, o := range sc.Outcomes {
-		if !errors.Is(o.Err, hookErr) || o.Verdict != Hype || o.Attempts != 1 {
-			t.Errorf("%s: err %v verdict %v attempts %d, want the hook's error, HYPE, 1", o.Technique, o.Err, o.Verdict, o.Attempts)
+		if !errors.Is(o.Err, hookErr) || o.Verdict != Hype {
+			t.Errorf("%s: err %v verdict %v, want the hook's error, HYPE", o.Technique, o.Err, o.Verdict)
 		}
 		if n := evaluated(o.Technique) - before[o.Technique]; n != 0 || len(o.Metrics) != 0 {
 			t.Errorf("%s: evaluator ran %d times behind a failing hook (%d metrics)", o.Technique, n, len(o.Metrics))
@@ -208,10 +212,36 @@ func TestHookErrorSkipsEvaluator(t *testing.T) {
 	}
 }
 
+// TestGenerationFailureIsTerminal: a workload that cannot be generated
+// fails its technique once, as a workload error that names the seed the
+// outcome is labelled with.
+func TestGenerationFailureIsTerminal(t *testing.T) {
+	task, err := TechniqueTask(tech.N45(), "redundant-via", 42, layout.BlockOpts{Rows: 0, RowWidth: 10000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs atomic.Int32
+	run := task.Run
+	task.Run = func(ctx context.Context, _ int) (any, error) {
+		runs.Add(1)
+		return run(ctx, 0)
+	}
+	r := harness.Run(context.Background(), []harness.Task{task}, harness.Options{})[0]
+	if n := runs.Load(); n != 1 {
+		t.Errorf("evaluator ran %d times, want 1", n)
+	}
+	if !errors.Is(r.Err, harness.ErrWorkload) {
+		t.Errorf("err = %v, want a workload error", r.Err)
+	}
+	if r.Err == nil || !strings.Contains(r.Err.Error(), "42") {
+		t.Errorf("err = %v, want it to name seed 42", r.Err)
+	}
+}
+
 // TestOutcomeOf holds the one fold from a harness result to an outcome
 // that the scorecard and dfmd share.
 func TestOutcomeOf(t *testing.T) {
-	fault := &harness.Error{Kind: harness.KindTimeout, Technique: "sraf", Attempts: 2, Err: context.DeadlineExceeded}
+	fault := &harness.Error{Kind: harness.KindTimeout, Technique: "sraf", Err: context.DeadlineExceeded}
 	judged := Outcome{Technique: "sraf", Metrics: []Metric{{Name: "cd", Before: 2, After: 1, Primary: true}},
 		Runtime: time.Second, Verdict: Hit, Err: context.DeadlineExceeded}
 	cases := []struct {
@@ -219,14 +249,14 @@ func TestOutcomeOf(t *testing.T) {
 		res  harness.Result
 		want Outcome
 	}{
-		{"an outcome", harness.Result{Name: "sraf", Value: Outcome{Technique: "sraf", Runtime: time.Second, Verdict: Hit}, Attempts: 1, Runtime: time.Minute},
-			Outcome{Technique: "sraf", Runtime: time.Second, Verdict: Hit, Attempts: 1}},
-		{"a tile result", harness.Result{Name: "tile/drc", Value: &tiling.TileResult{}, Attempts: 1, Runtime: time.Minute},
-			Outcome{Technique: "tile/drc", Runtime: time.Minute, Attempts: 1}},
-		{"nil with an error", harness.Result{Name: "sraf", Err: fault, Attempts: 2, Runtime: time.Minute},
-			Outcome{Technique: "sraf", Runtime: time.Minute, Verdict: Hype, Attempts: 2, Err: fault}},
-		{"an outcome with an error", harness.Result{Name: "sraf", Value: judged, Err: fault, Attempts: 2, Runtime: time.Minute},
-			Outcome{Technique: "sraf", Metrics: judged.Metrics, Runtime: time.Second, Verdict: Hype, Attempts: 2, Err: fault}},
+		{"an outcome", harness.Result{Name: "sraf", Value: Outcome{Technique: "sraf", Runtime: time.Second, Verdict: Hit}, Runtime: time.Minute},
+			Outcome{Technique: "sraf", Runtime: time.Second, Verdict: Hit}},
+		{"a tile result", harness.Result{Name: "tile/drc", Value: &tiling.TileResult{}, Runtime: time.Minute},
+			Outcome{Technique: "tile/drc", Runtime: time.Minute}},
+		{"nil with an error", harness.Result{Name: "sraf", Err: fault, Runtime: time.Minute},
+			Outcome{Technique: "sraf", Runtime: time.Minute, Verdict: Hype, Err: fault}},
+		{"an outcome with an error", harness.Result{Name: "sraf", Value: judged, Err: fault, Runtime: time.Minute},
+			Outcome{Technique: "sraf", Metrics: judged.Metrics, Runtime: time.Second, Verdict: Hype, Err: fault}},
 	}
 	for _, c := range cases {
 		if got := OutcomeOf(c.res); !reflect.DeepEqual(got, c.want) {

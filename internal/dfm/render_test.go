@@ -18,29 +18,24 @@ func errorScorecard() *Scorecard {
 		Technique: "healthy",
 		Metrics:   []Metric{{Name: "m", Before: 1, After: 2, Unit: "x", HigherIsBetter: true, Primary: true}},
 		Verdict:   Hit,
-		Attempts:  1,
 		Runtime:   5 * time.Millisecond,
 	})
 	sc.Add(Outcome{
 		Technique: "timed-out",
-		Attempts:  1,
-		Err:       &harness.Error{Kind: harness.KindTimeout, Technique: "timed-out", Attempts: 1, Err: errors.New("context deadline exceeded")},
+		Err:       &harness.Error{Kind: harness.KindTimeout, Technique: "timed-out", Err: errors.New("context deadline exceeded")},
 	})
 	sc.Add(Outcome{
 		Technique: "crashed",
-		Attempts:  1,
-		Err: &harness.Error{Kind: harness.KindPanic, Technique: "crashed", Attempts: 1,
+		Err: &harness.Error{Kind: harness.KindPanic, Technique: "crashed",
 			Stack: []byte("goroutine 7 [running]:\nrepro/internal/dfm.EvalBoom(...)\n"),
 			Err:   errors.New("index out of range")},
 	})
 	sc.Add(Outcome{
 		Technique: "bad-workload",
-		Attempts:  3,
-		Err:       &harness.Error{Kind: harness.KindWorkload, Technique: "bad-workload", Attempts: 3, Retryable: true, Err: errors.New("no hotspots on test design")},
+		Err:       &harness.Error{Kind: harness.KindWorkload, Technique: "bad-workload", Err: errors.New("no hotspots on test design")},
 	})
 	sc.Add(Outcome{
 		Technique: "plain-failure",
-		Attempts:  1,
 		Err:       errors.New("unclassified evaluation failure"),
 	})
 	return sc
@@ -51,7 +46,7 @@ func TestTableRendersTypedErrors(t *testing.T) {
 	for _, want := range []string{
 		"ERROR[timeout]",
 		"ERROR[panic]: panic: index out of range",
-		"ERROR[workload]: workload after 3 attempts: no hotspots",
+		"ERROR[workload]: workload: no hotspots",
 		"ERROR[error]: unclassified evaluation failure",
 		"HIT",
 	} {
@@ -109,18 +104,18 @@ func TestJSONSerializesErrorTaxonomy(t *testing.T) {
 		t.Errorf("panic row: %v", r)
 	}
 	r := byName["bad-workload"]
-	if r["errorKind"] != "workload" || r["retryable"] != true || r["attempts"] != float64(3) {
+	if r["errorKind"] != "workload" {
 		t.Errorf("workload row: %v", r)
 	}
 	if !strings.Contains(r["error"].(string), "no hotspots") {
 		t.Errorf("workload row lost its message: %v", r["error"])
 	}
-	if r := byName["plain-failure"]; r["errorKind"] != "error" || r["retryable"] != nil {
+	if r := byName["plain-failure"]; r["errorKind"] != "error" {
 		t.Errorf("plain error row: %v", r)
 	}
 	// Healthy rows carry no error fields at all.
 	h := byName["healthy"]
-	for _, k := range []string{"error", "errorKind", "retryable"} {
+	for _, k := range []string{"error", "errorKind"} {
 		if _, ok := h[k]; ok {
 			t.Errorf("healthy row has %s: %v", k, h[k])
 		}

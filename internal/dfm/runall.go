@@ -14,53 +14,32 @@ import (
 
 // Scorecard assembly on top of the fault-tolerant harness: the
 // technique evaluators become harness tasks, run through a bounded
-// worker pool with per-technique deadlines, panic recovery, and
-// retry-on-workload-failure, and the results fold back into a
-// Scorecard in the canonical technique order regardless of
-// completion order.
+// worker pool with per-technique deadlines and panic recovery, and
+// the results fold back into a Scorecard in the canonical technique
+// order regardless of completion order. Each technique runs once on
+// the seed it is labelled with.
 
 // Config controls a harnessed scorecard run.
 type Config struct {
 	// Parallel is the worker-pool size; < 1 means sequential.
 	Parallel int
-	// Timeout is the per-technique, per-attempt wall-clock budget;
-	// 0 means none.
+	// Timeout is the per-technique wall-clock budget; 0 means none.
 	Timeout time.Duration
-	// Retries is the number of extra attempts granted to retryable
-	// workload failures; each retry perturbs the workload seed.
-	Retries int
-	// Backoff is the first retry delay (doubles per retry).
-	Backoff time.Duration
-	// Hook runs before every attempt, inside the attempt: an error it
-	// returns fails the attempt without running the evaluator, and a
-	// panic or hang in it is classified like the evaluator's. Fault
-	// injection plugs in here.
-	Hook func(ctx context.Context, technique string, attempt int) error
+	// Hook runs inside each technique's task, ahead of the evaluator:
+	// an error it returns fails the technique without running the
+	// evaluator, and a panic or hang in it is classified like the
+	// evaluator's. Fault injection plugs in here.
+	Hook func(ctx context.Context, technique string) error
 }
 
-// DefaultConfig runs one worker per CPU with one retry and no
-// deadline — the deadline is a deployment policy, so the CLI sets it
-// explicitly.
+// DefaultConfig runs one worker per CPU with no deadline — the
+// deadline is a deployment policy, so the CLI sets it explicitly.
 func DefaultConfig() Config {
-	return Config{
-		Parallel: runtime.GOMAXPROCS(0),
-		Retries:  1,
-		Backoff:  50 * time.Millisecond,
-	}
-}
-
-// seedPerturb spreads retry seeds away from the original and from
-// each other so a degenerate workload is not regenerated verbatim.
-const seedPerturb = 7919
-
-// PerturbSeed derives the workload seed for a retry attempt
-// (attempt 0 returns the seed unchanged).
-func PerturbSeed(seed int64, attempt int) int64 {
-	return seed + int64(attempt)*seedPerturb
+	return Config{Parallel: runtime.GOMAXPROCS(0)}
 }
 
 // DefaultBlock is the scorecard's standard workload shape; the Seed
-// field is ignored (each attempt derives its seed via PerturbSeed).
+// field is ignored (the technique's seed replaces it).
 func DefaultBlock() layout.BlockOpts {
 	return layout.BlockOpts{Rows: 3, RowWidth: 10000, Nets: 15, MaxFan: 3}
 }
@@ -76,11 +55,11 @@ type Threshold struct {
 
 // technique is one row of the scorecard: the name and verdict bar, and
 // the evaluator. base carries the workload shape for block-driven
-// techniques (its Seed is overwritten with the perturbed attempt
-// seed); analysis techniques ignore it.
+// techniques (its Seed is overwritten with seed); analysis techniques
+// ignore it.
 type technique struct {
 	Threshold
-	run func(ctx context.Context, t *tech.Tech, seed int64, base layout.BlockOpts, attempt int) Outcome
+	run func(ctx context.Context, t *tech.Tech, seed int64, base layout.BlockOpts) Outcome
 }
 
 // techniques is the one technique table, in scorecard order. Every
@@ -92,39 +71,38 @@ var techniques []technique
 func init() {
 	techniques = []technique{
 		{Threshold{"redundant-via", 0.02, 0.10, "chip yield moves in points, and extra cuts cost no area"},
-			func(ctx context.Context, t *tech.Tech, seed int64, base layout.BlockOpts, a int) Outcome {
-				base.Seed = PerturbSeed(seed, a)
+			func(ctx context.Context, t *tech.Tech, seed int64, base layout.BlockOpts) Outcome {
+				base.Seed = seed
 				return EvalRedundantVia(ctx, t, base)
 			}},
 		{Threshold{"dummy-fill", 0.10, 0.40, "fill is dead metal, electrically cheap, so the cost cap is loose"},
-			func(ctx context.Context, t *tech.Tech, seed int64, base layout.BlockOpts, a int) Outcome {
-				base.Seed = PerturbSeed(seed, a)
+			func(ctx context.Context, t *tech.Tech, seed int64, base layout.BlockOpts) Outcome {
+				base.Seed = seed
 				return EvalDummyFill(ctx, t, base)
 			}},
 		{Threshold{"model-opc", 0.30, 0.10, "correction must remove most of the raw error to earn its mask data and compute"},
-			func(ctx context.Context, t *tech.Tech, seed int64, base layout.BlockOpts, a int) Outcome {
+			func(ctx context.Context, t *tech.Tech, seed int64, base layout.BlockOpts) Outcome {
 				return EvalOPCAccuracy(ctx, t)
 			}},
 		{Threshold{"sraf", 0.15, 0.10, "assists must buy visible through-focus stability for their MRC burden"},
-			func(ctx context.Context, t *tech.Tech, seed int64, base layout.BlockOpts, a int) Outcome {
+			func(ctx context.Context, t *tech.Tech, seed int64, base layout.BlockOpts) Outcome {
 				return EvalSRAF(ctx, t)
 			}},
 		{Threshold{"drc-plus", 0.10, 0.10, "a pattern deck must catch what plain DRC misses to earn its upkeep"},
-			func(ctx context.Context, t *tech.Tech, seed int64, base layout.BlockOpts, a int) Outcome {
-				s := PerturbSeed(seed, a)
-				return EvalDRCPlus(ctx, t, s, s+1)
+			func(ctx context.Context, t *tech.Tech, seed int64, base layout.BlockOpts) Outcome {
+				return EvalDRCPlus(ctx, t, seed, seed+1)
 			}},
 		{Threshold{"litho-aware-timing", 0.02, 0.10, "a slack error of 2% of the period is a speed bin"},
-			func(ctx context.Context, t *tech.Tech, seed int64, base layout.BlockOpts, a int) Outcome {
-				return EvalLithoTiming(ctx, t, PerturbSeed(seed, a))
+			func(ctx context.Context, t *tech.Tech, seed int64, base layout.BlockOpts) Outcome {
+				return EvalLithoTiming(ctx, t, seed)
 			}},
 		{Threshold{"restricted-rules", 0.05, 0.10, "area is the bill the panel argued over; more than 10% of it is not a clear win"},
-			func(ctx context.Context, t *tech.Tech, seed int64, base layout.BlockOpts, a int) Outcome {
+			func(ctx context.Context, t *tech.Tech, seed int64, base layout.BlockOpts) Outcome {
 				return EvalRestrictedRules(ctx, t)
 			}},
 		{Threshold{"dpt-decomposition", 0.10, 0.10, "decomposition must separate the adjacencies; stitch overlap is the cost"},
-			func(ctx context.Context, t *tech.Tech, seed int64, base layout.BlockOpts, a int) Outcome {
-				base.Seed = PerturbSeed(seed, a)
+			func(ctx context.Context, t *tech.Tech, seed int64, base layout.BlockOpts) Outcome {
+				base.Seed = seed
 				return EvalDPT(ctx, t, base)
 			}},
 	}
@@ -178,22 +156,20 @@ var ErrUnknownTechnique = errors.New("dfm: unknown technique")
 // TechniqueTask builds the harness task for one named technique on an
 // explicit workload shape — the entry point the serving layer uses to
 // evaluate a single technique per request. seed is the workload base
-// seed (perturbed per retry attempt); base is the block shape for
-// block-driven techniques.
+// seed; base is the block shape for block-driven techniques.
 func TechniqueTask(t *tech.Tech, name string, seed int64, base layout.BlockOpts) (harness.Task, error) {
 	d, ok := techniqueNamed(name)
 	if !ok {
 		return harness.Task{}, fmt.Errorf("%w: %q", ErrUnknownTechnique, name)
 	}
-	return harness.Task{Name: name, Run: func(ctx context.Context, attempt int) (any, error) {
-		o := d.run(ctx, t, seed, base, attempt)
+	return harness.Task{Name: name, Run: func(ctx context.Context, _ int) (any, error) {
+		o := d.run(ctx, t, seed, base)
 		return o, o.Err
 	}}, nil
 }
 
 // TechniqueTasks builds the harness task list for every technique at
-// the given base seed, in the canonical scorecard order. Retry
-// attempts of workload-driven techniques run on perturbed seeds.
+// the given base seed, in the canonical scorecard order.
 func TechniqueTasks(t *tech.Tech, seed int64) []harness.Task {
 	tasks := make([]harness.Task, 0, len(techniques))
 	for _, d := range techniques {
@@ -221,19 +197,15 @@ func RunAllConfig(ctx context.Context, t *tech.Tech, seed int64, cfg Config) *Sc
 		tasks[i].Timeout = cfg.Timeout
 		if cfg.Hook != nil {
 			name, run := tasks[i].Name, tasks[i].Run
-			tasks[i].Run = func(ctx context.Context, attempt int) (any, error) {
-				if err := cfg.Hook(ctx, name, attempt); err != nil {
+			tasks[i].Run = func(ctx context.Context, _ int) (any, error) {
+				if err := cfg.Hook(ctx, name); err != nil {
 					return nil, err
 				}
-				return run(ctx, attempt)
+				return run(ctx, 0)
 			}
 		}
 	}
-	results := harness.Run(ctx, tasks, harness.Options{
-		Workers: cfg.Parallel,
-		Retries: cfg.Retries,
-		Backoff: cfg.Backoff,
-	})
+	results := harness.Run(ctx, tasks, harness.Options{Workers: cfg.Parallel})
 	sc := &Scorecard{}
 	for _, r := range results {
 		sc.Add(OutcomeOf(r))
@@ -256,7 +228,6 @@ func OutcomeOf(r harness.Result) Outcome {
 		o.Err = r.Err
 		o.Verdict = Hype
 	}
-	o.Attempts = r.Attempts
 	if o.Runtime == 0 {
 		o.Runtime = r.Runtime
 	}

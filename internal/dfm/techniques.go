@@ -31,13 +31,23 @@ import (
 // Every evaluator takes a context and honors cancellation at the
 // checkpoints of its heavy inner loops (litho simulation, OPC
 // iteration, layer scans), returning a partial Outcome whose Err is
-// the context error. Workload-generation failures are wrapped with
-// harness.Workload so the runner can retry them on a perturbed seed.
+// the context error. Workload-generation failures are terminal
+// harness.Workload errors that name the seed (see generateBlock).
 
 // FullChipVias is the via count the per-block redundancy statistics
 // are extrapolated to — the scale at which the panel's yield argument
 // plays out.
 const FullChipVias = 1e8
+
+// generateBlock builds a technique's workload block; a failure is a
+// harness.Workload error that names the seed.
+func generateBlock(t *tech.Tech, opts layout.BlockOpts) (*layout.Layout, error) {
+	l, err := layout.GenerateBlock(t, opts)
+	if err != nil {
+		return nil, harness.Workloadf("seed %d: %w", opts.Seed, err)
+	}
+	return l, nil
+}
 
 // track stamps the outcome's runtime when the evaluator returns,
 // including early error returns, and feeds it to the per-technique
@@ -60,9 +70,9 @@ func EvalRedundantVia(ctx context.Context, t *tech.Tech, opts layout.BlockOpts) 
 		return o
 	}
 	sp := stage("redundant-via", "workload")
-	l, err := layout.GenerateBlock(t, opts)
+	l, err := generateBlock(t, opts)
 	if err != nil {
-		o.Err = harness.Workload(err)
+		o.Err = err
 		return o
 	}
 	flat := l.Flatten()
@@ -118,9 +128,9 @@ func EvalDummyFill(ctx context.Context, t *tech.Tech, opts layout.BlockOpts) (o 
 		return o
 	}
 	sp := stage("dummy-fill", "workload")
-	l, err := layout.GenerateBlock(t, opts)
+	l, err := generateBlock(t, opts)
 	if err != nil {
-		o.Err = harness.Workload(err)
+		o.Err = err
 		return o
 	}
 	flat := l.Flatten()
@@ -308,11 +318,11 @@ func EvalSRAF(ctx context.Context, t *tech.Tech) (o Outcome) {
 // returns its normalized metal1 and the litho hotspots it shows at the
 // stress condition.
 func drcPlusBlock(ctx context.Context, t *tech.Tech, seed int64) ([]geom.Rect, []litho.Hotspot, error) {
-	l, err := layout.GenerateBlock(t, layout.BlockOpts{
+	l, err := generateBlock(t, layout.BlockOpts{
 		Rows: 2, RowWidth: 6000, Nets: 8, MaxFan: 3, Seed: seed,
 	})
 	if err != nil {
-		return nil, nil, harness.Workload(err)
+		return nil, nil, err
 	}
 	m1 := geom.Normalize(layout.ByLayer(l.Flatten())[tech.Metal1])
 	hs, err := litho.ScanLayer(ctx, m1, t, tech.Metal1, litho.ScanOpts{Cond: StressCond})
@@ -372,9 +382,8 @@ func EvalDRCPlus(ctx context.Context, t *tech.Tech, trainSeed, testSeed int64) (
 		return o
 	}
 	if len(testHS) == 0 {
-		// A hotspot-free test design cannot measure capture; a fresh
-		// seed usually produces one, so let the harness retry.
-		o.Err = harness.Workloadf("no hotspots on test design at stress condition")
+		// A hotspot-free test design cannot measure capture.
+		o.Err = harness.Workloadf("drc-plus: test seed %d shows no hotspots at the stress condition", testSeed)
 		return o
 	}
 

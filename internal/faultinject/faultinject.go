@@ -1,7 +1,7 @@
 // Package faultinject is a deterministic fault-injection hook layer
-// for the scorecard: plan panics, delays, and transient errors by
-// technique name, then hand Set.Hook to dfm.Config.Hook, which runs it
-// inside each attempt ahead of the evaluator.
+// for the scorecard: plan panics, delays, and errors by technique name,
+// then hand Set.Hook to dfm.Config.Hook, which runs it inside each
+// technique's task ahead of the evaluator.
 // Faults fire in plan order, a fixed number of times, with no
 // randomness — the same plan produces the same failure sequence on
 // every run, which is what makes degraded-mode behavior testable.
@@ -16,9 +16,9 @@ import (
 // Fault is one planned failure. At most one action fires per
 // activation, checked in order: Delay (if set), then PanicMsg, then
 // Err. A pure-delay fault (no PanicMsg, nil Err) just slows the
-// attempt down.
+// task down.
 type Fault struct {
-	// Delay stalls the attempt before acting.
+	// Delay stalls the task before acting.
 	Delay time.Duration
 	// Block makes Delay ignore context cancellation — a true hang
 	// the harness can only abandon. When false the delay honors ctx
@@ -27,8 +27,8 @@ type Fault struct {
 	Block bool
 	// PanicMsg, when non-empty, panics with this message.
 	PanicMsg string
-	// Err, when non-nil, is returned as the attempt's error. Wrap it
-	// with harness.Workload to make it retryable.
+	// Err, when non-nil, is returned as the task's error. Wrap it
+	// with harness.Workload to classify it as a workload failure.
 	Err error
 	// Times is how many consecutive activations this fault covers
 	// (0 means 1).
@@ -48,7 +48,7 @@ func New() *Set {
 
 // Plan appends a fault for the named technique and returns the set
 // for chaining. Each activation consumes one planned fault; once a
-// technique's plan is exhausted its attempts run clean.
+// technique's plan is exhausted its runs are clean.
 func (s *Set) Plan(name string, f Fault) *Set {
 	n := f.Times
 	if n < 1 {
@@ -65,7 +65,7 @@ func (s *Set) Plan(name string, f Fault) *Set {
 
 // Hook is a dfm.Config.Hook: it fires the next planned fault for the
 // technique, if any.
-func (s *Set) Hook(ctx context.Context, technique string, attempt int) error {
+func (s *Set) Hook(ctx context.Context, technique string) error {
 	s.mu.Lock()
 	q := s.plans[technique]
 	if len(q) == 0 {

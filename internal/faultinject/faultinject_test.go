@@ -13,13 +13,13 @@ func TestFaultsFireInPlanOrderThenClear(t *testing.T) {
 		Plan("tech", Fault{Err: e1}).
 		Plan("tech", Fault{Err: e2})
 	ctx := context.Background()
-	if err := s.Hook(ctx, "tech", 0); !errors.Is(err, e1) {
+	if err := s.Hook(ctx, "tech"); !errors.Is(err, e1) {
 		t.Fatalf("first activation = %v", err)
 	}
-	if err := s.Hook(ctx, "tech", 1); !errors.Is(err, e2) {
+	if err := s.Hook(ctx, "tech"); !errors.Is(err, e2) {
 		t.Fatalf("second activation = %v", err)
 	}
-	if err := s.Hook(ctx, "tech", 2); err != nil {
+	if err := s.Hook(ctx, "tech"); err != nil {
 		t.Fatalf("exhausted plan still firing: %v", err)
 	}
 	if n := len(s.plans["tech"]); n != 0 {
@@ -32,18 +32,18 @@ func TestTimesExpandsActivations(t *testing.T) {
 	s := New().Plan("tech", Fault{Err: e, Times: 3})
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
-		if err := s.Hook(ctx, "tech", i); !errors.Is(err, e) {
+		if err := s.Hook(ctx, "tech"); !errors.Is(err, e) {
 			t.Fatalf("activation %d = %v", i, err)
 		}
 	}
-	if err := s.Hook(ctx, "tech", 3); err != nil {
+	if err := s.Hook(ctx, "tech"); err != nil {
 		t.Fatalf("fault fired beyond Times: %v", err)
 	}
 }
 
 func TestUnplannedTechniqueUnaffected(t *testing.T) {
 	s := New().Plan("other", Fault{PanicMsg: "boom"})
-	if err := s.Hook(context.Background(), "tech", 0); err != nil {
+	if err := s.Hook(context.Background(), "tech"); err != nil {
 		t.Fatalf("clean technique got fault: %v", err)
 	}
 	if n := len(s.plans["other"]); n != 1 {
@@ -58,7 +58,7 @@ func TestPanicFault(t *testing.T) {
 			t.Fatalf("recover = %v", r)
 		}
 	}()
-	s.Hook(context.Background(), "tech", 0)
+	s.Hook(context.Background(), "tech")
 	t.Fatal("hook did not panic")
 }
 
@@ -67,7 +67,7 @@ func TestDelayHonorsContext(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err := s.Hook(ctx, "tech", 0)
+	err := s.Hook(ctx, "tech")
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("delay did not yield to ctx: %v", err)
 	}
@@ -81,7 +81,7 @@ func TestBlockingDelayIgnoresContext(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	if err := s.Hook(ctx, "tech", 0); err != nil {
+	if err := s.Hook(ctx, "tech"); err != nil {
 		t.Fatalf("blocking delay returned error: %v", err)
 	}
 	if time.Since(start) < 40*time.Millisecond {

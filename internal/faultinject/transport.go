@@ -68,7 +68,7 @@ type TransportFault struct {
 // Transport is a deterministic fault-injecting http.RoundTripper:
 // plan faults per destination host, in order, a fixed number of
 // times — same plan, same failure sequence, like Set does for
-// evaluator attempts. Requests to hosts with an exhausted (or empty)
+// evaluators. Requests to hosts with an exhausted (or empty)
 // plan pass straight through to the base transport.
 type Transport struct {
 	base http.RoundTripper

@@ -1,10 +1,11 @@
 // Package harness runs technique evaluators through a bounded,
 // fault-tolerant worker pool: per-task deadlines, panic recovery,
-// bounded retry with exponential backoff, and a typed error taxonomy
-// that downstream scorecards can render and serialize. A production
-// DFM scoring flow evaluates thousands of rules under a hard
-// wall-clock budget; one hung or crashing evaluator must degrade to a
-// structured per-technique error, never to a dead process.
+// and a typed error taxonomy that downstream scorecards can render and
+// serialize. Each task runs once, and a failure is reported as it
+// happened, never re-run. A production DFM scoring flow evaluates
+// thousands of rules under a hard wall-clock budget; one hung or
+// crashing evaluator must degrade to a structured per-technique error,
+// never to a dead process.
 package harness
 
 import (
@@ -18,17 +19,17 @@ type Kind uint8
 // Failure kinds. KindNone is the zero value of a non-harness error.
 const (
 	KindNone Kind = iota
-	// KindTimeout: the evaluator exceeded its per-attempt deadline
+	// KindTimeout: the evaluator exceeded its task deadline
 	// (either abandoned mid-flight or returned ctx.Err() from a
 	// cancellation checkpoint).
 	KindTimeout
 	// KindPanic: the evaluator panicked; the stack was captured.
 	KindPanic
-	// KindWorkload: synthetic workload generation failed. Retryable —
-	// a perturbed seed usually produces a usable workload.
+	// KindWorkload: synthetic workload generation failed for the
+	// task's seed. Terminal, like every kind.
 	KindWorkload
 	// KindCanceled: the whole run was canceled before or during the
-	// attempt.
+	// task.
 	KindCanceled
 )
 
@@ -69,16 +70,11 @@ func sentinelOf(k Kind) error {
 	return nil
 }
 
-// Error is a classified evaluator failure. Technique and Attempts are
-// filled in by the runner when the attempt loop settles.
+// Error is a classified evaluator failure. Technique is filled in by
+// the runner when the task settles.
 type Error struct {
 	Kind      Kind
 	Technique string
-	Attempts  int
-	// Retryable marks errors worth re-attempting (with backoff and,
-	// for workload errors, a perturbed seed). Timeouts and panics are
-	// terminal: a hung evaluator hangs again.
-	Retryable bool
 	// Stack is the recovered goroutine stack for KindPanic.
 	Stack []byte
 	Err   error
@@ -86,9 +82,6 @@ type Error struct {
 
 func (e *Error) Error() string {
 	msg := e.Kind.String()
-	if e.Attempts > 1 {
-		msg = fmt.Sprintf("%s after %d attempts", msg, e.Attempts)
-	}
 	if e.Err != nil {
 		msg += ": " + e.Err.Error()
 	}
@@ -101,23 +94,14 @@ func (e *Error) Unwrap() error { return e.Err }
 // can write errors.Is(err, harness.ErrTimeout).
 func (e *Error) Is(target error) bool { return target == sentinelOf(e.Kind) }
 
-// Workload wraps a workload-generation failure as a retryable
-// harness error. Evaluators use it to tell the runner that a fresh
-// (perturbed-seed) attempt may succeed.
+// Workload wraps a workload-generation failure as a harness error.
 func Workload(err error) error {
-	return &Error{Kind: KindWorkload, Retryable: true, Err: err}
+	return &Error{Kind: KindWorkload, Err: err}
 }
 
 // Workloadf is Workload with formatting.
 func Workloadf(format string, args ...any) error {
 	return Workload(fmt.Errorf(format, args...))
-}
-
-// IsRetryable reports whether the error is a harness error marked
-// retryable.
-func IsRetryable(err error) bool {
-	var he *Error
-	return errors.As(err, &he) && he.Retryable
 }
 
 // KindOf returns the harness kind of the error, or KindNone for
@@ -130,16 +114,15 @@ func KindOf(err error) Kind {
 	return KindNone
 }
 
-// annotate stamps technique name and attempt count onto a harness
-// error. It copies: the inner error may be shared across techniques
-// (e.g. a reused fault plan), and results are written concurrently.
-func annotate(err error, technique string, attempts int) error {
+// annotate stamps the technique name onto a harness error. It copies:
+// the inner error may be shared across techniques (e.g. a reused fault
+// plan), and results are written concurrently.
+func annotate(err error, technique string) error {
 	var he *Error
 	if !errors.As(err, &he) {
 		return err
 	}
 	cp := *he
 	cp.Technique = technique
-	cp.Attempts = attempts
 	return &cp
 }

@@ -17,8 +17,8 @@ var (
 // ForEach runs fn(i) for every i in [0, n) across a bounded pool of
 // at most parallel goroutines, the lightweight sibling of Run for
 // homogeneous fan-out (independent DRC rules, density windows,
-// critical-area pairs) where the per-task Result/retry/timeout
-// machinery would be overhead. Workers pull indices from a shared
+// critical-area pairs) where the per-task Result/timeout machinery
+// would be overhead. Workers pull indices from a shared
 // atomic counter, so callers get deterministic output by writing
 // results[i] — completion order never leaks into the aggregate.
 //

@@ -8,15 +8,15 @@ import (
 	"time"
 )
 
-// Task is one unit of work: a named evaluator. Run receives the
-// attempt number (0 for the first try) so retries can perturb
-// workload seeds, and must honor ctx cancellation at its internal
-// checkpoints. The returned value is carried through to the Result
-// even when err is non-nil (partial outcomes are useful).
+// Task is one unit of work: a named evaluator, run once. Run must
+// honor ctx cancellation at its internal checkpoints. Its int argument
+// is always 0; the benchmark module (benchmark/) calls Run(ctx, 0), so
+// the signature keeps it. The returned value is carried through to the
+// Result even when err is non-nil (partial outcomes are useful).
 type Task struct {
 	Name string
-	Run  func(ctx context.Context, attempt int) (any, error)
-	// Timeout is the per-attempt wall-clock budget; 0 means none.
+	Run  func(ctx context.Context, _ int) (any, error)
+	// Timeout is the task's wall-clock budget; 0 means none.
 	Timeout time.Duration
 }
 
@@ -25,33 +25,24 @@ type Options struct {
 	// Workers is the number of concurrent evaluator goroutines;
 	// values < 1 mean 1.
 	Workers int
-	// Retries is the number of extra attempts granted to retryable
-	// errors (see IsRetryable); 0 means one attempt only.
-	Retries int
-	// Backoff is the first retry delay; it doubles each retry.
-	// Defaults to 100ms when unset.
-	Backoff time.Duration
-	// sleep is injectable for tests.
-	sleep func(ctx context.Context, d time.Duration) error
 }
 
-// Result is one task's final state. Value holds whatever the last
-// attempt returned (possibly a partial outcome alongside Err); for
-// timeouts of non-cooperative evaluators it is nil.
+// Result is one task's final state. Value holds whatever Run returned
+// (possibly a partial outcome alongside Err); for timeouts of
+// non-cooperative evaluators it is nil.
 type Result struct {
-	Name     string
-	Value    any
-	Err      error
-	Attempts int
-	Runtime  time.Duration
+	Name    string
+	Value   any
+	Err     error
+	Runtime time.Duration
 }
 
 // Run executes a batch on a Pool of at most opts.Workers workers whose
 // queue holds the whole batch, and returns results in task order. It
-// never panics and never blocks past cancellation: a timed-out attempt
+// never panics and never blocks past cancellation: a timed-out task
 // is abandoned (its goroutine parks on a buffered channel and exits
 // whenever the evaluator next observes ctx or finishes), a panicking
-// attempt is recovered with its stack, and a canceled run settles the
+// task is recovered with its stack, and a canceled run settles the
 // tasks still queued as KindCanceled results without running them.
 func Run(ctx context.Context, tasks []Task, opts Options) []Result {
 	opts.Workers = min(opts.Workers, len(tasks))
@@ -70,86 +61,67 @@ func Run(ctx context.Context, tasks []Task, opts Options) []Result {
 	return results
 }
 
-// runTask drives one task's attempt loop: run, classify, and retry
-// retryable failures with exponential backoff until attempts or the
-// parent context run out.
-func runTask(ctx context.Context, t Task, opts Options) Result {
+// runTask runs one task, stamps its name on a harness error, and folds
+// the settled result into the metrics.
+func runTask(ctx context.Context, t Task) Result {
 	start := time.Now()
 	res := Result{Name: t.Name}
-	for attempt := 0; ; attempt++ {
-		res.Attempts = attempt + 1
-		res.Value, res.Err = runAttempt(ctx, t, attempt)
-		if res.Err == nil || !IsRetryable(res.Err) || attempt >= opts.Retries {
-			break
-		}
-		if opts.sleep(ctx, backoff(opts.Backoff, attempt)) != nil {
-			break // canceled mid-backoff; keep the last real error
-		}
-	}
-	res.Err = annotate(res.Err, t.Name, res.Attempts)
+	res.Value, res.Err = runGuarded(ctx, t)
+	res.Err = annotate(res.Err, t.Name)
 	res.Runtime = time.Since(start)
 	recordTask(t.Name, res)
 	return res
 }
 
-// backoff returns the delay before retry number `attempt+1`,
-// doubling per attempt and capped at 64x the base.
-func backoff(base time.Duration, attempt int) time.Duration {
-	if attempt > 6 {
-		attempt = 6
-	}
-	return base << uint(attempt)
-}
-
-type attemptResult struct {
+type taskResult struct {
 	v   any
 	err error
 }
 
-// runAttempt executes one attempt in its own goroutine under the
-// task's deadline, if any, recovering panics and classifying context
-// errors into the taxonomy.
-func runAttempt(ctx context.Context, t Task, attempt int) (any, error) {
+// runGuarded runs the task in its own goroutine under its deadline, if
+// any, recovering panics and classifying context errors into the
+// taxonomy.
+func runGuarded(ctx context.Context, t Task) (any, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, &Error{Kind: KindCanceled, Err: err}
 	}
-	actx := ctx
+	tctx := ctx
 	cancel := func() {}
 	hadDeadline := t.Timeout > 0
 	if hadDeadline {
-		actx, cancel = context.WithTimeout(ctx, t.Timeout)
+		tctx, cancel = context.WithTimeout(ctx, t.Timeout)
 	}
 	defer cancel()
 
-	ch := make(chan attemptResult, 1) // buffered: abandoned attempts must not leak forever
+	ch := make(chan taskResult, 1) // buffered: an abandoned task must not leak forever
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {
-				ch <- attemptResult{err: &Error{
+				ch <- taskResult{err: &Error{
 					Kind:  KindPanic,
 					Stack: debug.Stack(),
 					Err:   fmt.Errorf("%v", r),
 				}}
 			}
 		}()
-		v, err := t.Run(actx, attempt)
-		ch <- attemptResult{v: v, err: classify(ctx, hadDeadline, err)}
+		v, err := t.Run(tctx, 0)
+		ch <- taskResult{v: v, err: classify(ctx, hadDeadline, err)}
 	}()
 
 	select {
 	case r := <-ch:
 		return r.v, r.err
-	case <-actx.Done():
+	case <-tctx.Done():
 		// The evaluator missed its deadline (or the run was
-		// canceled). Abandon the attempt; the goroutine exits on its
-		// own at its next checkpoint or completion.
-		return nil, classify(ctx, hadDeadline, actx.Err())
+		// canceled). Abandon it; the goroutine exits on its own at
+		// its next checkpoint or completion.
+		return nil, classify(ctx, hadDeadline, tctx.Err())
 	}
 }
 
 // classify maps raw errors into the taxonomy. parent is the caller's
-// context, used to tell a per-attempt deadline (timeout) from a
-// whole-run cancellation; hadDeadline reports whether this attempt
+// context, used to tell the task's deadline (timeout) from a
+// whole-run cancellation; hadDeadline reports whether the task
 // actually ran under one. Already-classified errors pass through.
 func classify(parent context.Context, hadDeadline bool, err error) error {
 	if err == nil {
@@ -165,31 +137,16 @@ func classify(parent context.Context, hadDeadline bool, err error) error {
 	case errors.Is(err, context.DeadlineExceeded):
 		return &Error{Kind: KindTimeout, Err: err}
 	case errors.Is(err, context.Canceled) && hadDeadline:
-		// The attempt context was canceled but the parent is live and
+		// The task context was canceled but the parent is live and
 		// a deadline existed: the deadline path canceled it, treat as
 		// timeout.
 		return &Error{Kind: KindTimeout, Err: err}
 	default:
 		// Includes context.Canceled from an evaluator that ran with no
-		// attempt deadline under a live parent: that cancellation is
+		// task deadline under a live parent: that cancellation is
 		// the evaluator's own (a wrapped sub-context, a library's
 		// sentinel reuse), not a harness timeout — pass it through
 		// unclassified.
 		return err
-	}
-}
-
-// sleepCtx sleeps for d or until the context is done.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
 	}
 }

@@ -11,18 +11,13 @@ import (
 	"time"
 )
 
-// noSleep makes retry backoff instantaneous for tests.
-func noSleep(opts *Options) {
-	opts.sleep = func(ctx context.Context, d time.Duration) error { return ctx.Err() }
-}
-
 func TestRunPreservesTaskOrder(t *testing.T) {
 	var tasks []Task
 	for i := 0; i < 10; i++ {
 		i := i
 		tasks = append(tasks, Task{
 			Name: fmt.Sprintf("t%d", i),
-			Run: func(ctx context.Context, attempt int) (any, error) {
+			Run: func(ctx context.Context, _ int) (any, error) {
 				return i * i, nil
 			},
 		})
@@ -32,7 +27,7 @@ func TestRunPreservesTaskOrder(t *testing.T) {
 		t.Fatalf("results = %d, want 10", len(results))
 	}
 	for i, r := range results {
-		if r.Name != fmt.Sprintf("t%d", i) || r.Value != i*i || r.Err != nil || r.Attempts != 1 {
+		if r.Name != fmt.Sprintf("t%d", i) || r.Value != i*i || r.Err != nil {
 			t.Fatalf("result %d = %+v", i, r)
 		}
 	}
@@ -45,7 +40,7 @@ func TestBoundedParallelism(t *testing.T) {
 	for i := range tasks {
 		tasks[i] = Task{
 			Name: fmt.Sprintf("t%d", i),
-			Run: func(ctx context.Context, attempt int) (any, error) {
+			Run: func(ctx context.Context, _ int) (any, error) {
 				n := atomic.AddInt32(&cur, 1)
 				mu.Lock()
 				if n > peak {
@@ -71,10 +66,10 @@ func TestBoundedParallelism(t *testing.T) {
 
 func TestPanicRecovered(t *testing.T) {
 	tasks := []Task{
-		{Name: "boom", Run: func(ctx context.Context, attempt int) (any, error) {
+		{Name: "boom", Run: func(ctx context.Context, _ int) (any, error) {
 			panic("kaboom in evaluator")
 		}},
-		{Name: "fine", Run: func(ctx context.Context, attempt int) (any, error) {
+		{Name: "fine", Run: func(ctx context.Context, _ int) (any, error) {
 			return "ok", nil
 		}},
 	}
@@ -101,11 +96,11 @@ func TestTimeoutAbandonsHungTask(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	tasks := []Task{
-		{Name: "hang", Timeout: 30 * time.Millisecond, Run: func(ctx context.Context, attempt int) (any, error) {
+		{Name: "hang", Timeout: 30 * time.Millisecond, Run: func(ctx context.Context, _ int) (any, error) {
 			<-release // ignores ctx: a truly wedged evaluator
 			return nil, nil
 		}},
-		{Name: "fine", Timeout: 30 * time.Millisecond, Run: func(ctx context.Context, attempt int) (any, error) {
+		{Name: "fine", Timeout: 30 * time.Millisecond, Run: func(ctx context.Context, _ int) (any, error) {
 			return 42, nil
 		}},
 	}
@@ -124,7 +119,7 @@ func TestTimeoutAbandonsHungTask(t *testing.T) {
 
 func TestCooperativeTimeout(t *testing.T) {
 	tasks := []Task{
-		{Name: "coop", Timeout: 20 * time.Millisecond, Run: func(ctx context.Context, attempt int) (any, error) {
+		{Name: "coop", Timeout: 20 * time.Millisecond, Run: func(ctx context.Context, _ int) (any, error) {
 			<-ctx.Done() // evaluator notices its budget expired
 			return "partial", ctx.Err()
 		}},
@@ -135,70 +130,34 @@ func TestCooperativeTimeout(t *testing.T) {
 	}
 }
 
-func TestRetryRecoversTransientWorkload(t *testing.T) {
-	var calls int32
-	tasks := []Task{
-		{Name: "flaky", Run: func(ctx context.Context, attempt int) (any, error) {
-			if atomic.AddInt32(&calls, 1) <= 2 {
-				return nil, Workloadf("degenerate workload, attempt %d", attempt)
-			}
-			return "recovered on attempt " + fmt.Sprint(attempt), nil
-		}},
-	}
-	opts := Options{Retries: 2}
-	noSleep(&opts)
-	results := Run(context.Background(), tasks, opts)
-	if results[0].Err != nil {
-		t.Fatalf("retry did not recover: %v", results[0].Err)
-	}
-	if results[0].Attempts != 3 {
-		t.Fatalf("attempts = %d, want 3", results[0].Attempts)
-	}
-	if results[0].Value != "recovered on attempt 2" {
-		t.Fatalf("attempt number not plumbed: %v", results[0].Value)
-	}
-}
-
-func TestRetryExhaustion(t *testing.T) {
-	tasks := []Task{
-		{Name: "doomed", Run: func(ctx context.Context, attempt int) (any, error) {
-			return nil, Workload(errors.New("always bad"))
-		}},
-	}
-	opts := Options{Retries: 1}
-	noSleep(&opts)
-	results := Run(context.Background(), tasks, opts)
-	if !errors.Is(results[0].Err, ErrWorkload) {
-		t.Fatalf("exhausted retries not classified workload: %v", results[0].Err)
-	}
-	if results[0].Attempts != 2 {
-		t.Fatalf("attempts = %d, want 2", results[0].Attempts)
-	}
-	var he *Error
-	if !errors.As(results[0].Err, &he) || !he.Retryable || he.Attempts != 2 {
-		t.Fatalf("error annotation wrong: %+v", he)
-	}
-	if !strings.Contains(results[0].Err.Error(), "after 2 attempts") {
-		t.Fatalf("error string missing attempts: %v", results[0].Err)
-	}
-}
-
+// TestTerminalErrorNotRetried: every failure is final. A workload
+// error runs once and keeps its kind; a plain error runs once and
+// stays unclassified.
 func TestTerminalErrorNotRetried(t *testing.T) {
-	var calls int32
+	var workload, plain int32
 	tasks := []Task{
-		{Name: "terminal", Run: func(ctx context.Context, attempt int) (any, error) {
-			atomic.AddInt32(&calls, 1)
+		{Name: "workload", Run: func(ctx context.Context, _ int) (any, error) {
+			atomic.AddInt32(&workload, 1)
+			return nil, Workloadf("seed %d: degenerate workload", 7)
+		}},
+		{Name: "plain", Run: func(ctx context.Context, _ int) (any, error) {
+			atomic.AddInt32(&plain, 1)
 			return nil, errors.New("deterministic evaluation failure")
 		}},
 	}
-	opts := Options{Retries: 3}
-	noSleep(&opts)
-	results := Run(context.Background(), tasks, opts)
-	if calls != 1 {
-		t.Fatalf("terminal error retried %d times", calls)
+	results := Run(context.Background(), tasks, Options{Workers: 2})
+	if workload != 1 || plain != 1 {
+		t.Fatalf("runs = %d workload, %d plain; want 1 each", workload, plain)
 	}
-	if KindOf(results[0].Err) != KindNone {
-		t.Fatalf("plain error reclassified: %v", results[0].Err)
+	var he *Error
+	if !errors.As(results[0].Err, &he) || he.Kind != KindWorkload || he.Technique != "workload" {
+		t.Fatalf("workload error = %#v, want KindWorkload stamped with its task", results[0].Err)
+	}
+	if got, want := results[0].Err.Error(), "workload: seed 7: degenerate workload"; got != want {
+		t.Fatalf("workload error = %q, want %q", got, want)
+	}
+	if KindOf(results[1].Err) != KindNone {
+		t.Fatalf("plain error reclassified: %v", results[1].Err)
 	}
 }
 
@@ -206,14 +165,14 @@ func TestCanceledRunDrains(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{})
 	var tasks []Task
-	tasks = append(tasks, Task{Name: "first", Run: func(ctx context.Context, attempt int) (any, error) {
+	tasks = append(tasks, Task{Name: "first", Run: func(ctx context.Context, _ int) (any, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}})
 	for i := 0; i < 4; i++ {
 		tasks = append(tasks, Task{Name: fmt.Sprintf("queued%d", i),
-			Run: func(ctx context.Context, attempt int) (any, error) { return "ran", nil }})
+			Run: func(ctx context.Context, _ int) (any, error) { return "ran", nil }})
 	}
 	go func() {
 		<-started
@@ -224,8 +183,8 @@ func TestCanceledRunDrains(t *testing.T) {
 		t.Fatalf("in-flight task not canceled: %v", results[0].Err)
 	}
 	for _, r := range results[1:] {
-		if !errors.Is(r.Err, ErrCanceled) || r.Attempts != 1 {
-			t.Fatalf("queued task %s not drained as canceled in one attempt: %v (%d attempts)", r.Name, r.Err, r.Attempts)
+		if !errors.Is(r.Err, ErrCanceled) || r.Value != nil {
+			t.Fatalf("queued task %s not drained as canceled without running: %v (value %v)", r.Name, r.Err, r.Value)
 		}
 	}
 }
@@ -258,11 +217,8 @@ func TestErrorTaxonomyMatching(t *testing.T) {
 	if KindOf(errors.New("plain")) != KindNone {
 		t.Errorf("plain error got a harness kind")
 	}
-	if IsRetryable(&Error{Kind: KindTimeout}) {
-		t.Errorf("timeout marked retryable")
-	}
-	if !IsRetryable(fmt.Errorf("wrap: %w", Workload(errors.New("w")))) {
-		t.Errorf("wrapped workload error not retryable")
+	if KindOf(fmt.Errorf("wrap: %w", Workload(errors.New("w")))) != KindWorkload {
+		t.Errorf("wrapped workload error lost its kind")
 	}
 }
 
@@ -280,11 +236,11 @@ func TestClassifyDeadlineSensitive(t *testing.T) {
 		want        Kind
 	}{
 		// The regression: an evaluator returning its own
-		// context.Canceled with no attempt deadline and a live parent
+		// context.Canceled with no task deadline and a live parent
 		// must NOT be reported as a harness timeout.
 		{"evaluator canceled, no deadline", live, false, context.Canceled, KindNone},
 		{"evaluator canceled wrapped, no deadline", live, false, wrapped, KindNone},
-		// With a deadline the attempt context is the only cancel
+		// With a deadline the task context is the only cancel
 		// source, so Canceled means the deadline path fired.
 		{"canceled under deadline", live, true, context.Canceled, KindTimeout},
 		{"deadline exceeded", live, true, context.DeadlineExceeded, KindTimeout},
@@ -323,7 +279,7 @@ func TestEvaluatorCanceledNoTimeoutNotATimeout(t *testing.T) {
 	// sub-context. The result must not claim a harness timeout.
 	res := Run(context.Background(), []Task{{
 		Name: "self-cancel",
-		Run: func(ctx context.Context, attempt int) (any, error) {
+		Run: func(ctx context.Context, _ int) (any, error) {
 			sub, cancel := context.WithCancel(ctx)
 			cancel()
 			return nil, sub.Err()

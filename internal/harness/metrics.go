@@ -4,35 +4,26 @@ import (
 	"repro/internal/obs"
 )
 
-// Harness instrumentation: per-run pool stats and per-technique
-// attempt/outcome accounting. Aggregate instruments are cached here;
-// per-technique counters are looked up by name only while the metrics
-// registry is recording.
+// Harness instrumentation: per-run pool stats and per-technique outcome
+// accounting. Aggregate instruments are cached here; per-technique
+// counters are looked up by name only while the metrics registry is
+// recording.
 var (
 	hQueueWait = obs.H("harness.queue_wait_ns")
 	hTaskNS    = obs.H("harness.task_ns")
 
-	cAttempts = obs.C("harness.attempts")
-	cRetries  = obs.C("harness.retries")
 	cTimeouts = obs.C("harness.timeouts")
 	cPanics   = obs.C("harness.panics")
 	cWorkload = obs.C("harness.workload_errors")
 	cCanceled = obs.C("harness.canceled")
 )
 
-// recordTask folds one settled task into the metrics registry:
-// attempts and retries spent, final-outcome kind, and wall-clock
-// runtime, each both in aggregate and per technique
-// ("harness.<metric>.<technique>").
+// recordTask folds one settled task into the metrics registry: its
+// final-outcome kind and wall-clock runtime, each both in aggregate and
+// per technique ("harness.<metric>.<technique>").
 func recordTask(name string, res Result) {
 	if !obs.Enabled() {
 		return
-	}
-	cAttempts.Add(int64(res.Attempts))
-	obs.C("harness.attempts." + name).Add(int64(res.Attempts))
-	if res.Attempts > 1 {
-		cRetries.Add(int64(res.Attempts - 1))
-		obs.C("harness.retries." + name).Add(int64(res.Attempts - 1))
 	}
 	hTaskNS.Observe(float64(res.Runtime))
 	obs.ObserveNS("harness.task_ns."+name, res.Runtime)

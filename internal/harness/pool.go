@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -23,13 +22,13 @@ var (
 )
 
 // Pool is the one executor: a fixed set of workers draining a bounded
-// submission queue, each task through the per-attempt deadline, retry
-// and panic machinery of runTask. Callers Submit one task at a time and
-// receive its Result on a per-task channel; Run is a Pool sized to a
-// batch. The queue depth and in-flight count are exported live so an
-// admission layer can shed load on real signals instead of a static
-// cap; they are read from the Pool, never from the obs registry, which
-// several pools in one process would share.
+// submission queue, each task through the deadline and panic machinery
+// of runTask. Callers Submit one task at a time and receive its Result
+// on a per-task channel; Run is a Pool sized to a batch. The queue
+// depth and in-flight count are exported live so an admission layer can
+// shed load on real signals instead of a static cap; they are read from
+// the Pool, never from the obs registry, which several pools in one
+// process would share.
 type Pool struct {
 	opts  Options
 	queue chan *poolItem
@@ -57,12 +56,6 @@ type poolItem struct {
 // caller must Close it to release them.
 func NewPool(opts Options, queue int) *Pool {
 	opts.Workers = max(opts.Workers, 1)
-	if opts.Backoff <= 0 {
-		opts.Backoff = 100 * time.Millisecond
-	}
-	if opts.sleep == nil {
-		opts.sleep = sleepCtx
-	}
 	p := &Pool{opts: opts, queue: make(chan *poolItem, max(queue, 0))}
 	p.wg.Add(opts.Workers)
 	for w := 0; w < opts.Workers; w++ {
@@ -78,13 +71,13 @@ func (p *Pool) worker() {
 		if p.closing.Load() {
 			// Queued when Close began: settle with a clean rejection
 			// instead of starting late work during a drain.
-			it.done <- Result{Name: it.task.Name, Attempts: 0,
+			it.done <- Result{Name: it.task.Name,
 				Err: &Error{Kind: KindCanceled, Technique: it.task.Name, Err: ErrPoolClosed}}
 			continue
 		}
 		it.queued.End()
 		p.inflight.Add(1)
-		res := runTask(it.ctx, it.task, p.opts)
+		res := runTask(it.ctx, it.task)
 		p.inflight.Add(-1)
 		it.done <- res
 	}
@@ -95,7 +88,7 @@ func (p *Pool) worker() {
 // caller that stopped listening). A full queue returns ErrQueueFull;
 // a closed pool returns ErrPoolClosed. ctx cancels the task while
 // queued or running: a task still queued when it is canceled settles
-// as KindCanceled after one attempt that never calls Run.
+// as KindCanceled without calling Run.
 func (p *Pool) Submit(ctx context.Context, t Task) (<-chan Result, error) {
 	done := make(chan Result, 1)
 	it := &poolItem{ctx: ctx, task: t, done: done, queued: hQueueWait.Start()}

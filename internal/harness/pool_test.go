@@ -18,7 +18,7 @@ func TestPoolRunsSubmittedTasks(t *testing.T) {
 		i := i
 		ch, err := p.Submit(context.Background(), Task{
 			Name: fmt.Sprintf("t%d", i),
-			Run: func(ctx context.Context, attempt int) (any, error) {
+			Run: func(ctx context.Context, _ int) (any, error) {
 				return i * i, nil
 			},
 		})
@@ -35,35 +35,6 @@ func TestPoolRunsSubmittedTasks(t *testing.T) {
 		if res.Value.(int) != i*i {
 			t.Fatalf("task %d value = %v, want %d", i, res.Value, i*i)
 		}
-		if res.Attempts != 1 {
-			t.Fatalf("task %d attempts = %d, want 1", i, res.Attempts)
-		}
-	}
-}
-
-func TestPoolRetriesRetryableFailures(t *testing.T) {
-	p := NewPool(Options{Workers: 1, Retries: 2, Backoff: time.Microsecond}, 1)
-	defer p.Close()
-	calls := 0
-	ch, err := p.Submit(context.Background(), Task{
-		Name: "flaky",
-		Run: func(ctx context.Context, attempt int) (any, error) {
-			calls++
-			if attempt < 2 {
-				return nil, Workloadf("flaky attempt %d", attempt)
-			}
-			return "ok", nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := <-ch
-	if res.Err != nil || res.Value != "ok" {
-		t.Fatalf("result = %+v, want ok", res)
-	}
-	if res.Attempts != 3 || calls != 3 {
-		t.Fatalf("attempts = %d (calls %d), want 3", res.Attempts, calls)
 	}
 }
 
@@ -71,7 +42,7 @@ func TestPoolQueueFullSheds(t *testing.T) {
 	p := NewPool(Options{Workers: 1}, 1)
 	defer p.Close()
 	gate := make(chan struct{})
-	block := Task{Name: "block", Run: func(ctx context.Context, attempt int) (any, error) {
+	block := Task{Name: "block", Run: func(ctx context.Context, _ int) (any, error) {
 		<-gate
 		return nil, nil
 	}}
@@ -108,7 +79,7 @@ func TestPoolCloseDrainsInflightRejectsQueued(t *testing.T) {
 	p := NewPool(Options{Workers: 1}, 2)
 	gate := make(chan struct{})
 	inflight, err := p.Submit(context.Background(), Task{Name: "inflight",
-		Run: func(ctx context.Context, attempt int) (any, error) {
+		Run: func(ctx context.Context, _ int) (any, error) {
 			<-gate
 			return "done", nil
 		}})
@@ -119,7 +90,7 @@ func TestPoolCloseDrainsInflightRejectsQueued(t *testing.T) {
 	var queued []<-chan Result
 	for i := 0; i < 2; i++ {
 		ch, err := p.Submit(context.Background(), Task{Name: "queued",
-			Run: func(ctx context.Context, attempt int) (any, error) {
+			Run: func(ctx context.Context, _ int) (any, error) {
 				return "ran", nil
 			}})
 		if err != nil {
@@ -165,7 +136,7 @@ func TestPoolSubmitCtxCancelWhileQueued(t *testing.T) {
 	gate := make(chan struct{})
 	defer close(gate)
 	if _, err := p.Submit(context.Background(), Task{Name: "block",
-		Run: func(ctx context.Context, attempt int) (any, error) {
+		Run: func(ctx context.Context, _ int) (any, error) {
 			<-gate
 			return nil, nil
 		}}); err != nil {
@@ -174,7 +145,7 @@ func TestPoolSubmitCtxCancelWhileQueued(t *testing.T) {
 	waitFor(t, func() bool { return p.InFlight() == 1 })
 	ctx, cancel := context.WithCancel(context.Background())
 	ch, err := p.Submit(ctx, Task{Name: "queued",
-		Run: func(ctx context.Context, attempt int) (any, error) {
+		Run: func(ctx context.Context, _ int) (any, error) {
 			return "ran", nil
 		}})
 	if err != nil {
@@ -203,7 +174,7 @@ func TestPoolRecordsQueueWait(t *testing.T) {
 	var chans []<-chan Result
 	for i := 0; i < 3; i++ {
 		ch, err := p.Submit(context.Background(), Task{Name: fmt.Sprintf("t%d", i),
-			Run: func(ctx context.Context, attempt int) (any, error) { return nil, nil }})
+			Run: func(ctx context.Context, _ int) (any, error) { return nil, nil }})
 		if err != nil {
 			t.Fatal(err)
 		}

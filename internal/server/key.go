@@ -21,8 +21,8 @@ import (
 const keySchema = 2
 
 // keyPayload is the canonical content of a request: everything that
-// determines the evaluation result, nothing that does not (timeouts
-// and retry policy change whether a result arrives, not its value).
+// determines the evaluation result, nothing that does not (a timeout
+// changes whether a result arrives, not its value).
 // Field order is fixed by the struct, and encoding/json emits it
 // deterministically, so the marshaled bytes are a canonical form.
 type keyPayload struct {

@@ -17,7 +17,7 @@ import (
 )
 
 // Config sizes the service. DefaultConfig is dfmd's deployed policy;
-// a zero Queue, MaxWait or Retries means exactly that.
+// a zero Queue or MaxWait means exactly that.
 type Config struct {
 	// Workers is the evaluation pool width; 0 means GOMAXPROCS.
 	Workers int
@@ -34,9 +34,6 @@ type Config struct {
 	// DefaultTimeout is the evaluation budget of every job; 0 means
 	// 2m.
 	DefaultTimeout time.Duration
-	// Retries is how often the harness retries a transient workload
-	// failure.
-	Retries int
 
 	// TaskFactory overrides job-task construction (tests and contract
 	// suites inject gated tasks to exercise admission and shutdown
@@ -44,15 +41,11 @@ type Config struct {
 	TaskFactory func(req JobRequest) (harness.Task, error)
 }
 
-// DefaultConfig is the policy dfmd deploys with: a 64-job queue, 30 s
-// of estimated wait before shedding, and one retry.
+// DefaultConfig is the policy dfmd deploys with: a 64-job queue and
+// 30 s of estimated wait before shedding.
 func DefaultConfig() Config {
-	return Config{Queue: 64, MaxWait: 30 * time.Second, Retries: 1}
+	return Config{Queue: 64, MaxWait: 30 * time.Second}
 }
-
-// retryBackoff is the first harness retry delay, which the service
-// does not leave to its caller.
-const retryBackoff = 50 * time.Millisecond
 
 func (c Config) withDefaults() Config {
 	if c.Workers < 1 {
@@ -70,7 +63,7 @@ func (c Config) withDefaults() Config {
 				tr := req.Tile
 				return harness.Task{
 					Name: req.Kind + "/" + tr.Stage,
-					Run: func(ctx context.Context, attempt int) (any, error) {
+					Run: func(ctx context.Context, _ int) (any, error) {
 						return tiling.ExecuteTile(ctx, tr)
 					},
 				}, nil
@@ -159,12 +152,8 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Server{
-		cfg: cfg,
-		pool: harness.NewPool(harness.Options{
-			Workers: cfg.Workers,
-			Retries: cfg.Retries,
-			Backoff: retryBackoff,
-		}, cfg.Queue),
+		cfg:        cfg,
+		pool:       harness.NewPool(harness.Options{Workers: cfg.Workers}, cfg.Queue),
 		baseCtx:    ctx,
 		cancelBase: cancel,
 		flights:    make(map[string][]*job),

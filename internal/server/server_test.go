@@ -21,7 +21,7 @@ func gatedConfig(cfg Config) (Config, chan struct{}) {
 		if _, err := dfm.TechniqueTask(tech.N45(), req.Technique, req.Seed, dfm.DefaultBlock()); err != nil {
 			return harness.Task{}, err
 		}
-		return harness.Task{Name: req.Technique, Run: func(ctx context.Context, attempt int) (any, error) {
+		return harness.Task{Name: req.Technique, Run: func(ctx context.Context, _ int) (any, error) {
 			select {
 			case <-gate:
 			case <-ctx.Done():
@@ -234,9 +234,9 @@ func TestZeroMaxWaitShedsOnlyOnFullQueue(t *testing.T) {
 func TestFailedEvaluationNotCached(t *testing.T) {
 	boom := errors.New("workload exploded")
 	fail := true
-	cfg := Config{Workers: 1, Queue: 4, MaxWait: time.Hour, Retries: 0}
+	cfg := Config{Workers: 1, Queue: 4, MaxWait: time.Hour}
 	cfg.TaskFactory = func(req JobRequest) (harness.Task, error) {
-		return harness.Task{Name: req.Technique, Run: func(ctx context.Context, attempt int) (any, error) {
+		return harness.Task{Name: req.Technique, Run: func(ctx context.Context, _ int) (any, error) {
 			if fail {
 				return nil, boom
 			}

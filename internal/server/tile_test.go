@@ -97,7 +97,7 @@ func TestTileJobSingleflight(t *testing.T) {
 	cfg := Config{Workers: 1, Queue: 8, MaxWait: time.Hour}
 	cfg.TaskFactory = func(req JobRequest) (harness.Task, error) {
 		tr := req.Tile
-		return harness.Task{Name: "tile/" + tr.Stage, Run: func(ctx context.Context, attempt int) (any, error) {
+		return harness.Task{Name: "tile/" + tr.Stage, Run: func(ctx context.Context, _ int) (any, error) {
 			select {
 			case <-gate:
 			case <-ctx.Done():

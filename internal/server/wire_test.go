@@ -210,8 +210,11 @@ func TestJobWireMatchesEncodingJSON(t *testing.T) {
 	for _, r := range results {
 		answers = append(answers, []byte(`{"state":"done","kind":"tile","key":"k","tile":`+r+`}`))
 	}
-	// A node that has grown a field is still read, as json.Unmarshal reads it.
-	answers = append(answers, []byte(`{"state":"done","key":"k","queuedMs":3,"tile":{}}`), []byte(`{"state":"done"} x`))
+	// A node that has grown a field is still read, as json.Unmarshal reads
+	// it; so is one that still sends the result's attempts and retryable,
+	// which left the answer when the workload retry went.
+	answers = append(answers, []byte(`{"state":"done","key":"k","queuedMs":3,"tile":{}}`), []byte(`{"state":"done"} x`),
+		[]byte(`{"state":"failed","key":"k","result":{"technique":"sraf","verdict":"HYPE","costFrac":0,"runtimeMs":1,"attempts":2,"error":"workload: x","errorKind":"workload","retryable":true},"error":"workload: x"}`))
 
 	var took, refused int
 	count := func(err error) {

@@ -492,7 +492,7 @@ func TestEveryExportAnswersToACaller(t *testing.T) {
 var allowFields = map[string]string{
 	"router.Config.Transport": "the seam router tests put a fault-injecting or counting RoundTripper through; production dials for itself",
 	"router.Config.Seed":      "fixes the retry jitter so router tests can assert a failover order and timing",
-	"dfm.Config.Hook":         "the per-attempt seam dfm tests inject faults through (faultinject); production runs with none",
+	"dfm.Config.Hook":         "the per-task seam dfm tests inject faults through (faultinject); production runs with none",
 }
 
 // isOptionStruct reports whether a type is a bag of options by this

@@ -69,7 +69,7 @@ func contractConfig(gate, held chan struct{}) server.Config {
 	cfg.TaskFactory = func(req server.JobRequest) (harness.Task, error) {
 		if req.Kind == server.KindTile {
 			tr := req.Tile
-			return harness.Task{Name: req.Kind + "/" + tr.Stage, Run: func(ctx context.Context, attempt int) (any, error) {
+			return harness.Task{Name: req.Kind + "/" + tr.Stage, Run: func(ctx context.Context, _ int) (any, error) {
 				return tiling.ExecuteTile(ctx, tr)
 			}}, nil
 		}
@@ -83,7 +83,7 @@ func contractConfig(gate, held chan struct{}) server.Config {
 		case req.Seed == heldSeed:
 			wait = held
 		}
-		return harness.Task{Name: req.Technique, Run: func(ctx context.Context, attempt int) (any, error) {
+		return harness.Task{Name: req.Technique, Run: func(ctx context.Context, _ int) (any, error) {
 			if wait != nil {
 				select {
 				case <-wait:

@@ -2,14 +2,17 @@ package server
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
+	"flag"
+	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
+	"os"
 	"strings"
 	"testing"
 
@@ -128,10 +131,10 @@ func wireSeeds(t *testing.T) (units, results []string) {
 		t.Fatal(err)
 	}
 	for _, u := range []*tiling.TileRequest{tile, window} {
-		units = append(units, string(mustJSON(t, u)))
+		units = append(units, string(mustJSON(t, tiling.PackRequest(u))))
 	}
-	results = append(results, string(mustJSON(t, res)),
-		string(mustJSON(t, &tiling.TileResult{Dens: [][]float64{{0.25, math.Copysign(0, -1)}, {}}, Hotspots: []litho.Hotspot{{Box: geom.R(0, 0, 9, 9)}}})))
+	results = append(results, string(mustJSON(t, tiling.PackResult(res))),
+		string(mustJSON(t, tiling.PackResult(&tiling.TileResult{Dens: [][]float64{{0.25, math.Copysign(0, -1)}, {}}, Hotspots: []litho.Hotspot{{Box: geom.R(0, 0, 9, 9)}}}))))
 	huge := base64.StdEncoding.EncodeToString(append(binary.AppendUvarint(nil, 1<<60), make([]byte, 10)...))
 	units = append(units, `{"schema":4,"stage":"tile","shapes":"`+huge+`"}`, `{"schema":4,"bogus":1}`,
 		`{"schema":2,"stage":"tile","shapes":[{"Layer":4,"R":{"X0":1500,"Y0":1500,"X1":1800,"Y1":1570},"Net":0}]}`,
@@ -173,35 +176,22 @@ func mutations(rng *rand.Rand, body []byte, n int) [][]byte {
 	return out
 }
 
-// The tiers write and read a job with the tile in its packed form, in
-// one encoding/json pass; that must change nothing anyone can see. The
-// encoders write exactly json.Marshal's bytes of the plain JobRequest
-// and JobStatus (the answer a newline after them, as WriteJSON has
-// always ended it), and each decoder takes and refuses exactly the
-// bodies the plain reading does — the node's strict Decoder on a
-// JobRequest, json.Unmarshal on a JobStatus — with equal values and the
-// same error.
-func TestJobWireMatchesEncodingJSON(t *testing.T) {
+var update = flag.Bool("update", false, "re-mint testdata/jobwire.golden from this build's encoders and decoders")
+
+const jobWireGolden = "testdata/jobwire.golden"
+
+// jobWireBodies are the bodies TestJobWireGolden pins: seeded jobs and
+// answers as the encoders write them, wireSeeds' units and results in
+// a job envelope, and answers from nodes of other builds.
+func jobWireBodies(t *testing.T) (requests, answers [][]byte) {
 	rng := rand.New(rand.NewSource(53))
-	var requests, answers [][]byte
-	for range 300 {
-		req := wireJob(rng)
-		got, err := EncodeJobRequest(req)
+	for range 40 {
+		req, err := EncodeJobRequest(wireJob(rng))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := mustJSON(t, req); !bytes.Equal(got, want) {
-			t.Fatalf("request encoder wrote\n%s\njson.Marshal writes\n%s", got, want)
-		}
-		requests = append(requests, got)
-
-		st := wireStatus(rng)
-		rec := httptest.NewRecorder()
-		WriteJSON(rec, http.StatusOK, packStatus(st))
-		if want := append(mustJSON(t, st), '\n'); !bytes.Equal(rec.Body.Bytes(), want) {
-			t.Fatalf("answer encoder wrote\n%s\njson.Marshal writes\n%s", rec.Body.Bytes(), want)
-		}
-		answers = append(answers, rec.Body.Bytes())
+		requests = append(requests, req)
+		answers = append(answers, encodeAnswer(wireStatus(rng)))
 	}
 	units, results := wireSeeds(t)
 	for _, u := range units {
@@ -210,52 +200,140 @@ func TestJobWireMatchesEncodingJSON(t *testing.T) {
 	for _, r := range results {
 		answers = append(answers, []byte(`{"state":"done","kind":"tile","key":"k","tile":`+r+`}`))
 	}
-	// A node that has grown a field is still read, as json.Unmarshal reads
-	// it; so is one that still sends the result's attempts and retryable,
-	// which left the answer when the workload retry went.
+	// A node that has grown a field, one that still sends the result's
+	// attempts and retryable (which left the answer with the workload
+	// retry), and data after an answer.
 	answers = append(answers, []byte(`{"state":"done","key":"k","queuedMs":3,"tile":{}}`), []byte(`{"state":"done"} x`),
 		[]byte(`{"state":"failed","key":"k","result":{"technique":"sraf","verdict":"HYPE","costFrac":0,"runtimeMs":1,"attempts":2,"error":"workload: x","errorKind":"workload","retryable":true},"error":"workload: x"}`))
+	return requests, answers
+}
 
+// encodeAnswer is st as a node answers it.
+func encodeAnswer(st JobStatus) []byte {
+	rec := httptest.NewRecorder()
+	WriteJSON(rec, http.StatusOK, packStatus(st))
+	return rec.Body.Bytes()
+}
+
+// The job wire, pinned byte for byte: what the encoders write for
+// seeded jobs and answers, and what each decoder makes of every body
+// and 20 mutants of it — taken or refused, and a digest of what the
+// ones taken re-encode to. The golden was minted from the tile types'
+// own JSON methods, before the packed envelope became the only way a
+// tile is written or read; -update re-mints it, and a diff of it is a
+// change to the wire.
+func TestJobWireGolden(t *testing.T) {
+	requests, answers := jobWireBodies(t)
+	rng := rand.New(rand.NewSource(56))
+	var lines []string
 	var took, refused int
-	count := func(err error) {
-		if err == nil {
-			took++
-		} else {
-			refused++
-		}
-	}
-	for i, body := range requests {
+	pin := func(kind string, body []byte, read func([]byte) ([]byte, error)) {
+		verdicts := make([]byte, 0, 21)
+		digest := sha256.New()
 		for _, b := range append(mutations(rng, body, 20), body) {
-			got, err := decodeJobRequest(b)
-			var want JobRequest
-			_, wantErr := strictDecode(b, &want)
-			count(err)
-			if !sameOutcome(err, wantErr) || err == nil && !reflect.DeepEqual(got, want) {
-				t.Fatalf("request %d: %s\nread as %+v (%v), the plain reading %+v (%v)", i, b, got, err, want, wantErr)
+			if again, err := read(b); err != nil {
+				verdicts = append(verdicts, '-')
+				refused++
+			} else {
+				verdicts = append(verdicts, '+')
+				digest.Write(again)
+				took++
 			}
 		}
+		lines = append(lines, fmt.Sprintf("%s %s %x %s", kind, verdicts, digest.Sum(nil)[:8], bytes.TrimSuffix(body, []byte("\n"))))
 	}
-	for i, body := range answers {
-		for _, b := range append(mutations(rng, body, 20), body) {
-			got, err := DecodeJobStatus(b)
-			var want JobStatus
-			wantErr := json.Unmarshal(b, &want)
-			count(err)
-			if !sameOutcome(err, wantErr) || err == nil && !reflect.DeepEqual(got, want) {
-				t.Fatalf("answer %d: %s\nread as %+v (%v), json.Unmarshal %+v (%v)", i, b, got, err, want, wantErr)
+	for _, body := range requests {
+		pin("request", body, func(b []byte) ([]byte, error) {
+			req, err := decodeJobRequest(b)
+			if err != nil {
+				return nil, err
 			}
-		}
+			return EncodeJobRequest(req)
+		})
 	}
-	if took < 1000 || refused < 1000 {
-		t.Fatalf("%d bodies taken, %d refused: too few of one for the comparison to mean much", took, refused)
+	for _, body := range answers {
+		pin("answer", body, func(b []byte) ([]byte, error) {
+			st, err := DecodeJobStatus(b)
+			return encodeAnswer(st), err
+		})
+	}
+	if took < 300 || refused < 300 {
+		t.Fatalf("%d bodies taken, %d refused: too few of one for the pin to mean much", took, refused)
+	}
+	got := strings.Join(lines, "\n") + "\n"
+	if *update {
+		if err := os.WriteFile(jobWireGolden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(jobWireGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantLines := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
+	if len(wantLines) != len(lines) {
+		t.Fatalf("%d bodies, the golden pins %d", len(lines), len(wantLines))
+	}
+	for i := range lines {
+		if lines[i] != wantLines[i] {
+			t.Errorf("body %d:\n got %.300s\nwant %.300s", i, lines[i], wantLines[i])
+		}
 	}
 }
 
-// sameOutcome reports whether two readings both took a body, or both
-// refused it saying the same thing.
-func sameOutcome(a, b error) bool {
-	if a == nil || b == nil {
-		return a == nil && b == nil
+// Fixed bodies each decoder must take or refuse, and what a refusal
+// must say: the surface a peer of another build meets.
+func TestJobWireTakesAndRefuses(t *testing.T) {
+	const tile = `{"kind":"tile","tile":{"schema":4,"stage":"tile","coreW":8000,"coreH":8000,"pad":2000,`
+	const answer = `{"state":"done","kind":"tile","key":"k","tile":{`
+	for _, tc := range []struct {
+		name    string
+		request bool // decodeJobRequest, else DecodeJobStatus
+		body    string
+		want    []string // what the refusal says; none for a body taken
+	}{
+		{"request", true, tile + `"shapes":"AQQAAAQEAA=="}}`, nil},
+		{"unknown field beside a unit", true, `{"bogus":1,` + tile[1:] + `"drc":true}}`, []string{`unknown field "bogus"`}},
+		{"unknown field inside a unit", true, tile + `"bogus":1}}`, []string{`unknown field "bogus"`}},
+		{"schema-2 unit", true, `{"kind":"tile","tile":{"schema":2,"stage":"tile","shapes":[{"Layer":4,"R":{"X0":0,"Y0":0,"X1":1,"Y1":1},"Net":0}]}}`,
+			[]string{"schema 2, this build speaks 4"}},
+		{"shapes spelled as an array", true, tile + `"shapes":[{"Layer":4,"R":{"X0":0,"Y0":0,"X1":1,"Y1":1},"Net":0}]}}`, []string{"shapes"}},
+		{"windows spelled as an array", true, tile + `"windows":[{"X0":0,"Y0":0,"X1":1,"Y1":1}]}}`, []string{"windows"}},
+		{"rects spelled as an array", true, tile + `"rects":[{"X0":0,"Y0":0,"X1":1,"Y1":1}]}}`, []string{"rects"}},
+		{"shapes not base64", true, tile + `"shapes":"AAA"}}`, []string{"shapes column", "base64"}},
+		{"windows not base64", true, tile + `"windows":"!!!!"}}`, []string{"windows column", "base64"}},
+		{"rects not base64", true, tile + `"shapes":"AQQAAAQEAA==","rects":"!!!!"}}`, []string{"rects column", "base64"}},
+		{"schema-3 unit not base64", true, strings.Replace(tile, `"schema":4`, `"schema":3`, 1) + `"shapes":"AAA"}}`,
+			[]string{"schema 3, this build speaks 4"}},
+
+		{"answer", false, answer + `"violations":"AQQAAAQEAAE=","strings":["r","d"]}}`, nil},
+		{"unknown field beside the tile", false, `{"state":"done","key":"k","queuedMs":3,"tile":{}}`, nil},
+		{"unknown field inside the tile", false, answer + `"bogus":1}}`, []string{`unknown field "bogus"`}},
+		{"data after the answer", false, `{"state":"done"} x`, []string{"after top-level value"}},
+		{"leftover attempts and retryable", false, `{"state":"failed","key":"k","result":{"technique":"sraf","verdict":"HYPE",` +
+			`"costFrac":0,"runtimeMs":1,"attempts":2,"error":"workload: x","errorKind":"workload","retryable":true},"error":"workload: x"}`, nil},
+		{"violations spelled as an array", false, answer + `"violations":[{"Rule":"r"}]}}`, []string{"violations"}},
+		{"dens spelled as an array", false, answer + `"dens":[[0.5]]}}`, []string{"dens"}},
+		{"violations not base64", false, answer + `"violations":"AAA"}}`, []string{"violations column", "base64"}},
+		{"dens not base64", false, answer + `"dens":"!!!!"}}`, []string{"dens column", "base64"}},
+	} {
+		var err error
+		if tc.request {
+			_, err = decodeJobRequest([]byte(tc.body))
+		} else {
+			_, err = DecodeJobStatus([]byte(tc.body))
+		}
+		switch {
+		case tc.want == nil && err != nil:
+			t.Errorf("%s: refused (%v), want it taken", tc.name, err)
+		case tc.want != nil && err == nil:
+			t.Errorf("%s: taken, want it refused", tc.name)
+		}
+		for _, w := range tc.want {
+			if err != nil && !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: %q, want it to say %q", tc.name, err, w)
+			}
+		}
 	}
-	return a.Error() == b.Error()
 }

@@ -127,7 +127,7 @@ func TestEvalTileHoldsTheNodeToItsKey(t *testing.T) {
 		if got := r.Header.Get(server.HeaderRouteKey); got != key {
 			t.Errorf("claimed %q beside the unit, want its key %q", got, key)
 		}
-		server.WriteJSON(w, http.StatusOK, answer)
+		server.WriteJobStatus(w, answer)
 	}))
 	defer ts.Close()
 	sub := &TileSubmitter{C: New(ts.URL, ts.Client()), Policy: NewRetryPolicy(4, 1)}
@@ -208,6 +208,10 @@ func TestClientReusesConnectionAfterLargeBody(t *testing.T) {
 			var opened atomic.Int64
 			ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				io.Copy(io.Discard, r.Body) //nolint:errcheck // test server
+				if st, ok := tc.body.(server.JobStatus); ok {
+					server.WriteJobStatus(w, st)
+					return
+				}
 				server.WriteJSON(w, tc.code, tc.body)
 			}))
 			ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {

@@ -140,16 +140,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// lands in the cache, where an identical resubmission finds it.
 		return
 	}
-	// The kind and reuse flags go out again as headers, for a router
-	// in the path to count without reading the body.
-	st := j.status()
-	if st.Kind != "" {
-		w.Header().Set(HeaderJobKind, st.Kind)
-	}
-	if st.Cached || st.Deduped {
-		w.Header().Set(HeaderJobReused, "1")
-	}
-	WriteJSON(w, http.StatusOK, packStatus(st))
+	WriteJobStatus(w, j.status())
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

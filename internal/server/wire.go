@@ -3,20 +3,24 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"net/http"
+	"strings"
 
 	"repro/internal/tiling"
 )
 
 // The job envelope on the wire. jobRequestWire and jobStatusWire are
 // JobRequest and JobStatus with the tile in its packed form
-// (tiling.RequestWire, tiling.ResultWire): the shallower Tile field
-// shadows the embedded one, and, both being the last field, writes in
-// its place. Neither form holds a json.Marshaler, so encoding/json
-// writes a job and strictly reads one in one pass over it, base64
-// columns included; a Marshaler nested in the envelope is compacted,
-// skipped and re-decoded at every level. The bytes are json.Marshal's
-// of the plain types, exactly (TestJobWireMatchesEncodingJSON).
+// (tiling.RequestWire, tiling.ResultWire), the only form a tile is
+// written or read in: the shallower Tile field shadows the embedded
+// one, and, both being the last field, writes in its place. Neither
+// form holds a json.Marshaler, so encoding/json writes a job and
+// strictly reads one in one pass over it, base64 columns included; a
+// Marshaler nested in the envelope is compacted, skipped and re-decoded
+// at every level. testdata/jobwire.golden pins the bytes and what each
+// reading takes and refuses.
 type (
 	jobRequestWire struct {
 		JobRequest
@@ -28,63 +32,97 @@ type (
 	}
 )
 
-// packStatus is the envelope an answer is written from.
-func packStatus(st JobStatus) jobStatusWire {
-	return jobStatusWire{JobStatus: st, Tile: tiling.PackResult(st.Tile)}
-}
-
 // EncodeJobRequest is a submission's body, as a client sends it.
 func EncodeJobRequest(req JobRequest) ([]byte, error) {
 	return json.Marshal(jobRequestWire{JobRequest: req, Tile: tiling.PackRequest(req.Tile)})
 }
 
+// WriteJobStatus answers a settled job: its kind and reuse flags as
+// headers, for a router in the path to count without reading the body,
+// then the status, its tile packed.
+func WriteJobStatus(w http.ResponseWriter, st JobStatus) {
+	if st.Kind != "" {
+		w.Header().Set(HeaderJobKind, st.Kind)
+	}
+	if st.Cached || st.Deduped {
+		w.Header().Set(HeaderJobReused, "1")
+	}
+	WriteJSON(w, http.StatusOK, jobStatusWire{JobStatus: st, Tile: tiling.PackResult(st.Tile)})
+}
+
 // decodeJobRequest is the node's strict reading of a body: unknown
-// fields rejected at every level, "tile" included.
+// fields rejected at every level, "tile" included, in one pass. A body
+// it refuses is answered as Unpack says: by the schema the unit
+// declares, or naming the column at fault.
 func decodeJobRequest(body []byte) (JobRequest, error) {
 	var w jobRequestWire
-	_, err := strictDecode(body, &w)
-	if err == nil {
-		w.JobRequest.Tile, err = w.Tile.Unpack()
-	}
-	if err != nil {
-		// A body the packed reading refuses is read again the plain way,
-		// through the tile's own UnmarshalJSON, so that a 400 says what it
-		// always has: which column holds bad base64, or, for a column
-		// spelled as another schema spells it, which schema the unit
-		// declares.
-		if _, plain := strictDecode(body, new(JobRequest)); plain != nil {
-			err = plain
-		}
+	err := strictDecoder(body).Decode(&w)
+	if w.JobRequest.Tile, err = w.Tile.Unpack(body, err); err != nil {
 		return JobRequest{}, err
 	}
 	return w.JobRequest, nil
 }
 
-// DecodeJobStatus reads a job answer as json.Unmarshal reads it into a
-// JobStatus: strict inside "tile", lenient beside it, so that a client
-// reads the answer of a node that has grown a field.
+// DecodeJobStatus reads a job answer in one pass: strictly inside
+// "tile", and leniently beside it, so that a client reads the answer of
+// a node that has grown a field. As json.Unmarshal does, it refuses
+// data after the answer and reads null as a zero answer.
 func DecodeJobStatus(body []byte) (JobStatus, error) {
-	var w jobStatusWire
-	if dec, err := strictDecode(body, &w); err == nil {
-		if _, end := dec.Token(); end == io.EOF {
-			if w.JobStatus.Tile, err = w.Tile.Unpack(); err == nil {
-				return w.JobStatus, nil
-			}
-		}
-	}
-	// A field this build does not know, data after the answer, or a body
-	// it cannot read: the plain reading decides, and says why.
 	var st JobStatus
-	if err := json.Unmarshal(body, &st); err != nil {
+	dec := strictDecoder(body)
+	err := readAnswer(dec, body, &st)
+	if _, end := dec.Token(); err == nil && end != io.EOF {
+		err = fmt.Errorf("json: data after top-level value: %v", end)
+	}
+	if err != nil {
 		return JobStatus{}, err
 	}
 	return st, nil
 }
 
-// strictDecode decodes the first JSON value of body into v, rejecting
-// unknown fields, and returns the decoder positioned after it.
-func strictDecode(body []byte, v any) (*json.Decoder, error) {
+// readAnswer reads one answer from dec into st. A tile is read where it
+// stands, by the strict decoder; the members beside it are gathered and
+// read as json.Unmarshal reads them into a JobStatus.
+func readAnswer(dec *json.Decoder, body []byte, st *JobStatus) error {
+	switch tok, err := dec.Token(); {
+	case err != nil || tok == nil:
+		return err
+	case tok != json.Delim('{'):
+		return fmt.Errorf("json: cannot unmarshal %v into a job answer", tok)
+	}
+	beside := []byte{'{'}
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			return err
+		}
+		if name := tok.(string); strings.EqualFold(name, "tile") {
+			var w *tiling.ResultWire
+			err = dec.Decode(&w)
+			if st.Tile, err = w.Unpack(body, err); err != nil {
+				return err
+			}
+		} else {
+			var v json.RawMessage
+			if err := dec.Decode(&v); err != nil {
+				return err
+			}
+			if len(beside) > 1 {
+				beside = append(beside, ',')
+			}
+			key, _ := json.Marshal(name)
+			beside = append(append(append(beside, key...), ':'), v...)
+		}
+	}
+	if _, err := dec.Token(); err != nil { // the closing brace
+		return err
+	}
+	return json.Unmarshal(append(beside, '}'), st)
+}
+
+// strictDecoder reads body rejecting unknown fields.
+func strictDecoder(body []byte) *json.Decoder {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
-	return dec, dec.Decode(v)
+	return dec
 }

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"net/http"
 	"net/http/httptest"
 	"os"
 	"strings"
@@ -211,17 +210,17 @@ func jobWireBodies(t *testing.T) (requests, answers [][]byte) {
 // encodeAnswer is st as a node answers it.
 func encodeAnswer(st JobStatus) []byte {
 	rec := httptest.NewRecorder()
-	WriteJSON(rec, http.StatusOK, packStatus(st))
+	WriteJobStatus(rec, st)
 	return rec.Body.Bytes()
 }
 
 // The job wire, pinned byte for byte: what the encoders write for
 // seeded jobs and answers, and what each decoder makes of every body
 // and 20 mutants of it — taken or refused, and a digest of what the
-// ones taken re-encode to. The golden was minted from the tile types'
-// own JSON methods, before the packed envelope became the only way a
-// tile is written or read; -update re-mints it, and a diff of it is a
-// change to the wire.
+// ones taken re-encode to. The golden was minted while the tile types
+// still had JSON methods and the decoders fell back to them, so it holds
+// the packed envelope, now the only codec, to what they answered;
+// -update re-mints it, and a diff of it is a change to the wire.
 func TestJobWireGolden(t *testing.T) {
 	requests, answers := jobWireBodies(t)
 	rng := rand.New(rand.NewSource(56))
@@ -304,10 +303,16 @@ func TestJobWireTakesAndRefuses(t *testing.T) {
 		{"shapes not base64", true, tile + `"shapes":"AAA"}}`, []string{"shapes column", "base64"}},
 		{"windows not base64", true, tile + `"windows":"!!!!"}}`, []string{"windows column", "base64"}},
 		{"rects not base64", true, tile + `"shapes":"AQQAAAQEAA==","rects":"!!!!"}}`, []string{"rects column", "base64"}},
+		{"null request", true, `null`, nil},
 		{"schema-3 unit not base64", true, strings.Replace(tile, `"schema":4`, `"schema":3`, 1) + `"shapes":"AAA"}}`,
 			[]string{"schema 3, this build speaks 4"}},
 
 		{"answer", false, answer + `"violations":"AQQAAAQEAAE=","strings":["r","d"]}}`, nil},
+		{"null answer", false, `null`, nil},
+		{"no answer", false, ` `, []string{}},
+		{"an array for an answer", false, `[]`, []string{"cannot unmarshal"}},
+		{"a tile that is not an object", false, `{"state":"done","tile":[]}`, []string{"array"}},
+		{"the tile twice", false, `{"tile":{"dens":"AQA="},"state":"done","tile":{"dens":"!!!!"}}`, []string{"dens column", "base64"}},
 		{"unknown field beside the tile", false, `{"state":"done","key":"k","queuedMs":3,"tile":{}}`, nil},
 		{"unknown field inside the tile", false, answer + `"bogus":1}}`, []string{`unknown field "bogus"`}},
 		{"data after the answer", false, `{"state":"done"} x`, []string{"after top-level value"}},

@@ -17,7 +17,7 @@ import (
 )
 
 // loopback is a TileClient that round-trips the request and result
-// through JSON — exactly what the HTTP path does — and executes the
+// through their packed JSON — what the HTTP path does — and executes the
 // unit with the reference executor. DistEvaluate through loopback must
 // therefore be bit-identical to Evaluate, or the wire form loses
 // information.
@@ -29,12 +29,12 @@ type loopback struct {
 }
 
 func (lb *loopback) EvalTile(ctx context.Context, req *TileRequest) (*TileResult, TileServed, error) {
-	b, err := json.Marshal(req)
+	b, err := json.Marshal(PackRequest(req))
 	if err != nil {
 		return nil, TileServed{}, err
 	}
-	var wire TileRequest
-	if err := json.Unmarshal(b, &wire); err != nil {
+	wire, err := readPacked(b, (*RequestWire).Unpack)
+	if err != nil {
 		return nil, TileServed{}, err
 	}
 	switch wire.Stage {
@@ -43,22 +43,21 @@ func (lb *loopback) EvalTile(ctx context.Context, req *TileRequest) (*TileResult
 	case StageWindow:
 		lb.windows.Add(1)
 	}
-	res, err := ExecuteTile(ctx, &wire)
+	res, err := ExecuteTile(ctx, wire)
 	if err != nil {
 		return nil, TileServed{}, err
 	}
-	rb, err := json.Marshal(res)
-	if err != nil {
+	if b, err = json.Marshal(PackResult(res)); err != nil {
 		return nil, TileServed{}, err
 	}
-	var out TileResult
-	if err := json.Unmarshal(rb, &out); err != nil {
+	out, err := readPacked(b, (*ResultWire).Unpack)
+	if err != nil {
 		return nil, TileServed{}, err
 	}
 	if lb.onResult != nil {
-		lb.onResult(res, &out)
+		lb.onResult(res, out)
 	}
-	return &out, TileServed{}, nil
+	return out, TileServed{}, nil
 }
 
 // The headline distributed differential: a generated chip with injected
@@ -274,13 +273,9 @@ func TestTileRequestKeySurvivesJSON(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Key: %v", err)
 	}
-	b, err := json.Marshal(req)
+	back, err := requestRoundTrip(t, req)
 	if err != nil {
-		t.Fatalf("Marshal: %v", err)
-	}
-	var back TileRequest
-	if err := json.Unmarshal(b, &back); err != nil {
-		t.Fatalf("Unmarshal: %v", err)
+		t.Fatalf("wire round trip: %v", err)
 	}
 	k1, err := back.Key()
 	if err != nil {
@@ -307,13 +302,9 @@ func TestTileRequestInteriorSurvivesJSON(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Key: %v", err)
 	}
-	b, err := json.Marshal(req)
+	back, err := requestRoundTrip(t, req)
 	if err != nil {
-		t.Fatalf("Marshal: %v", err)
-	}
-	var back TileRequest
-	if err := json.Unmarshal(b, &back); err != nil {
-		t.Fatalf("Unmarshal: %v", err)
+		t.Fatalf("wire round trip: %v", err)
 	}
 	if back.Interior != req.Interior {
 		t.Fatalf("wire round-trip lost the interior flag: %+v", back)

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"context"
 	"encoding/hex"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -88,13 +87,9 @@ func TestGoldenKeys(t *testing.T) {
 		if got := hex.EncodeToString(k[:]); got != tc.want {
 			t.Errorf("%s: key %s, recorded under keySchema 4 as %s", tc.name, got, tc.want)
 		}
-		b, err := json.Marshal(tc.req)
+		back, err := requestRoundTrip(t, tc.req)
 		if err != nil {
-			t.Fatalf("%s: marshal: %v", tc.name, err)
-		}
-		var back TileRequest
-		if err := json.Unmarshal(b, &back); err != nil {
-			t.Fatalf("%s: unmarshal: %v", tc.name, err)
+			t.Fatalf("%s: wire round trip: %v", tc.name, err)
 		}
 		if bk, err := back.Key(); err != nil || bk != k {
 			t.Errorf("%s: key after the wire round trip %x (%v), before it %x", tc.name, bk, err, k)

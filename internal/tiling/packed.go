@@ -1,13 +1,12 @@
 package tiling
 
 import (
-	"bytes"
 	"encoding/base64"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
+	"regexp"
 
 	"repro/internal/drc"
 	"repro/internal/geom"
@@ -32,40 +31,34 @@ import (
 // shapes and rects are in canonical order (schema 4; key.go), so their
 // x0 deltas within a layer are never negative and pack small; the codec
 // itself keeps whatever order it is given and leaves order to Validate.
-// Rule and Detail index the result's "strings" table. The Go field types are
-// unchanged: only the packed forms below (RequestWire, ResultWire) know
-// the layout, and the content address (key.go) hashes geometry, never
-// these bytes. The serving tiers carry the packed forms in their job
-// envelope; MarshalJSON/UnmarshalJSON are adapters over the same codec
-// for everything else.
+// Rule and Detail index the result's "strings" table. The Go field
+// types are unchanged: only the packed forms below (RequestWire,
+// ResultWire) know the layout, and the content address (key.go) hashes
+// geometry, never these bytes. The packed forms are the one way a unit
+// or result is written or read — the serving tiers carry them in their
+// job envelope — and the unit and result types have no JSON methods.
 //
 // The decoder keeps three properties the plain form had for free:
-// unknown fields are rejected (an envelope holding a packed form is read
-// with DisallowUnknownFields, which reaches inside it; UnmarshalJSON,
-// which encoding/json does not carry that setting into, builds its own
-// strict decoder); a declared count is checked against the bytes
-// actually present before anything is allocated; and values that are
-// merely wrong — an inverted rect, layer 200 — decode, so Validate
-// rejects them with its own message. An empty column is omitted and
-// decodes to nil, never to an empty non-nil slice.
-
-// plainRequest and plainResult have the wire types' fields and none of
-// their methods, so the envelope structs marshal without recursing.
-type (
-	plainRequest TileRequest
-	plainResult  TileResult
-)
+// unknown fields are rejected (a strict decoder's DisallowUnknownFields
+// reaches a type with no JSON methods); a declared count is checked
+// against the bytes actually present before anything is allocated; and
+// values that are merely wrong — an inverted rect, layer 200 — decode,
+// so Validate rejects them with its own message. A body that does not
+// decode is answered with the schema it declares or the column at
+// fault (Unpack). An empty column is omitted and decodes to nil, never
+// to an empty non-nil slice.
 
 // RequestWire is a TileRequest in the form it crosses the wire: every
-// scalar field of the embedded struct, with the three geometry fields
+// scalar field of the embedded unit, with its three geometry fields
 // shadowed by their packed columns (the shallower field wins a JSON
-// name). It has no JSON methods, so an envelope that holds one — the
-// serving tiers' job envelope — is written and strictly read by
-// encoding/json in one pass, columns included. The embedded struct is a
-// value, so a decoder that allocates a RequestWire for a nil field can
-// fill it.
+// name), so a decoded RequestWire's own geometry is empty and the unit
+// is what Unpack returns. It has no JSON methods, so an envelope that
+// holds one — the serving tiers' job envelope — is written and strictly
+// read by encoding/json in one pass, columns included. The embedded
+// unit is a value, so a decoder that allocates a RequestWire for a nil
+// field can fill it.
 type RequestWire struct {
-	plainRequest
+	TileRequest
 	Windows []byte `json:"windows,omitempty"`
 	Shapes  []byte `json:"shapes,omitempty"`
 	Rects   []byte `json:"rects,omitempty"`
@@ -74,7 +67,7 @@ type RequestWire struct {
 // ResultWire is a TileResult in the form it crosses the wire. Hotspots
 // stay plain JSON: a window has a few.
 type ResultWire struct {
-	plainResult
+	TileResult
 	Strings    []string `json:"strings,omitempty"`
 	Violations []byte   `json:"violations,omitempty"`
 	Dens       []byte   `json:"dens,omitempty"`
@@ -95,48 +88,44 @@ func PackRequest(r *TileRequest) *RequestWire {
 		return nil
 	}
 	return &RequestWire{
-		plainRequest: plainRequest(*r),
-		Windows:      packRects(r.Windows),
-		Shapes:       packShapes(r.Shapes),
-		Rects:        packRects(r.Rects),
+		TileRequest: *r,
+		Windows:     packRects(r.Windows),
+		Shapes:      packShapes(r.Shapes),
+		Rects:       packRects(r.Rects),
 	}
 }
 
-// Unpack decodes w's columns into a new TileRequest, nil for nil.
-func (w *RequestWire) Unpack() (*TileRequest, error) {
+// Unpack finishes reading a unit: w is what a strict decode of body
+// filled, read what that decode returned. It returns w's unit, nil for
+// nil, or the error to answer the body with:
+//   - Validate's, naming the schema, when w declares another one, which
+//     spells these fields differently, so which byte of it failed to
+//     parse as this one is beside the point;
+//   - else read, naming the column if it is bad base64;
+//   - else the column that does not decode, named.
+func (w *RequestWire) Unpack(body []byte, read error) (*TileRequest, error) {
 	if w == nil {
-		return nil, nil
+		return nil, read
 	}
-	r := new(TileRequest)
-	if err := w.unpackInto(r, nil); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// unpackInto sets *r to w's unit. err is how reading w failed, if it
-// did; it, or a column that does not decode, is answered as the
-// request's error: Validate's, naming the schema, when w declares
-// another one (which spells these fields differently, so which byte of
-// it failed to parse as this one is beside the point), else err wrapped.
-func (w *RequestWire) unpackInto(r *TileRequest, err error) error {
-	*r = TileRequest(w.plainRequest)
-	if err == nil {
+	r, err := w.TileRequest, namedColumn(body, read)
+	if read == nil {
 		r.Windows, err = unpackRects("windows", w.Windows)
-	}
-	if err == nil {
-		r.Shapes, err = unpackColumn("shapes", w.Shapes, minShapeBytes, (*colReader).shape)
-	}
-	if err == nil {
-		r.Rects, err = unpackRects("rects", w.Rects)
-	}
-	if err != nil {
-		if r.Schema != 0 && r.Schema != TileSchema {
-			return r.Validate()
+		if err == nil {
+			r.Shapes, err = unpackColumn("shapes", w.Shapes, minShapeBytes, (*colReader).shape)
 		}
-		return fmt.Errorf("tiling: tile request: %w", err)
+		if err == nil {
+			r.Rects, err = unpackRects("rects", w.Rects)
+		}
 	}
-	return nil
+	switch {
+	case err == nil:
+		return &r, nil
+	case r.Schema != 0 && r.Schema != TileSchema:
+		return nil, r.Validate()
+	case err != read:
+		err = fmt.Errorf("tiling: tile request: %w", err)
+	}
+	return nil, err
 }
 
 // PackResult returns r's wire form, nil for nil.
@@ -144,77 +133,50 @@ func PackResult(r *TileResult) *ResultWire {
 	if r == nil {
 		return nil
 	}
-	w := &ResultWire{plainResult: plainResult(*r), Dens: packDens(r.Dens)}
+	w := &ResultWire{TileResult: *r, Dens: packDens(r.Dens)}
 	w.Violations, w.Strings = packViolations(r.Violations)
 	return w
 }
 
-// Unpack decodes w's columns into a new TileResult, nil for nil.
-func (w *ResultWire) Unpack() (*TileResult, error) {
+// Unpack is RequestWire.Unpack for a result, which has no schema.
+func (w *ResultWire) Unpack(body []byte, read error) (*TileResult, error) {
 	if w == nil {
-		return nil, nil
+		return nil, read
 	}
-	r := new(TileResult)
-	if err := w.unpackInto(r, nil); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// unpackInto is RequestWire.unpackInto for a result.
-func (w *ResultWire) unpackInto(r *TileResult, err error) error {
-	*r = TileResult(w.plainResult)
-	if err == nil {
+	r, err := w.TileResult, namedColumn(body, read)
+	if read == nil {
 		r.Violations, err = unpackColumn("violations", w.Violations, minViolationBytes,
 			func(c *colReader) drc.Violation { return c.violation(w.Strings) })
-	}
-	if err == nil {
-		r.Dens, err = unpackColumn("dens", w.Dens, minDensRowBytes, (*colReader).densRow)
-	}
-	if err != nil {
-		return fmt.Errorf("tiling: tile result: %w", err)
-	}
-	return nil
-}
-
-// MarshalJSON implements json.Marshaler.
-func (r TileRequest) MarshalJSON() ([]byte, error) { return json.Marshal(PackRequest(&r)) }
-
-// UnmarshalJSON implements json.Unmarshaler. It replaces *r.
-func (r *TileRequest) UnmarshalJSON(data []byte) error {
-	var w RequestWire
-	return w.unpackInto(r, strictUnmarshal(data, &w, "windows", "shapes", "rects"))
-}
-
-// MarshalJSON implements json.Marshaler.
-func (r TileResult) MarshalJSON() ([]byte, error) { return json.Marshal(PackResult(&r)) }
-
-// UnmarshalJSON implements json.Unmarshaler. It replaces *r.
-func (r *TileResult) UnmarshalJSON(data []byte) error {
-	var w ResultWire
-	return w.unpackInto(r, strictUnmarshal(data, &w, "violations", "dens"))
-}
-
-// strictUnmarshal decodes one envelope rejecting unknown fields.
-// encoding/json reports bad base64 without saying where; columns names
-// the envelope's packed fields so the error can.
-func strictUnmarshal(data []byte, v any, columns ...string) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(v)
-	var bad base64.CorruptInputError
-	if !errors.As(err, &bad) {
-		return err
-	}
-	var fields map[string]json.RawMessage
-	json.Unmarshal(data, &fields) //nolint:errcheck // the strict decode above already parsed it
-	for _, name := range columns {
-		var b []byte
-		if raw, ok := fields[name]; ok && json.Unmarshal(raw, &b) != nil {
-			return fmt.Errorf("%s column: %w", name, err)
+		if err == nil {
+			r.Dens, err = unpackColumn("dens", w.Dens, minDensRowBytes, (*colReader).densRow)
 		}
 	}
-	return err
+	switch {
+	case err == nil:
+		return &r, nil
+	case err != read:
+		err = fmt.Errorf("tiling: tile result: %w", err)
+	}
+	return nil, err
+}
+
+// columnMember matches a member that may be a packed column.
+var columnMember = regexp.MustCompile(`"(windows|shapes|rects|violations|dens)"\s*:\s*"([^"]*)"`)
+
+// namedColumn is read, naming the column it is about when it is
+// encoding/json's report of bad base64, which names no field. Only on
+// that error path is body searched, for the first column whose string
+// does not decode.
+func namedColumn(body []byte, read error) error {
+	var bad base64.CorruptInputError
+	if errors.As(read, &bad) {
+		for _, m := range columnMember.FindAllSubmatch(body, -1) {
+			if _, err := base64.StdEncoding.DecodeString(string(m[2])); err != nil {
+				return fmt.Errorf("%s column: %w", m[1], read)
+			}
+		}
+	}
+	return read
 }
 
 // colWriter appends records to one column.

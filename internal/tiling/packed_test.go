@@ -150,15 +150,9 @@ func TestPackedRoundTrip(t *testing.T) {
 			// order it is given, and it is Validate that refuses one.
 			in.canonicalize()
 		}
-		b, err := json.Marshal(in)
+		out, err := requestRoundTrip(t, in)
 		if err != nil {
-			t.Fatalf("unit %d: marshal: %v", i, err)
-		}
-		var out TileRequest
-		dec := json.NewDecoder(bytes.NewReader(b))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&out); err != nil {
-			t.Fatalf("unit %d: strict unmarshal: %v", i, err)
+			t.Fatalf("unit %d: strict read: %v", i, err)
 		}
 		for _, col := range []struct {
 			name    string
@@ -178,14 +172,14 @@ func TestPackedRoundTrip(t *testing.T) {
 			}
 		}
 		in.Windows, in.Shapes, in.Rects = out.Windows, out.Shapes, out.Rects
-		if !reflect.DeepEqual(in, &out) {
-			t.Fatalf("unit %d: scalar fields changed on the wire:\n in %+v\nout %+v", i, in, &out)
+		if !reflect.DeepEqual(in, out) {
+			t.Fatalf("unit %d: scalar fields changed on the wire:\n in %+v\nout %+v", i, in, out)
 		}
 		// The hash under Key, so that the units Validate refuses — the
 		// inverted ones and, since coordinates are bounded, every one
 		// with a value near an int64 end — are compared as well: the
 		// codec is value-agnostic, Validate is what answers.
-		kin, kout := in.key(configKey(in)), out.key(configKey(&out))
+		kin, kout := in.key(configKey(in)), out.key(configKey(out))
 		_, errIn := in.Key()
 		_, errOut := out.Key()
 		if (errIn == nil) != (errOut == nil) || kin != kout {
@@ -198,13 +192,9 @@ func TestPackedRoundTrip(t *testing.T) {
 
 	for i := 0; i < 200; i++ {
 		in := randResult(rng)
-		b, err := json.Marshal(in)
+		out, err := resultRoundTrip(t, in)
 		if err != nil {
-			t.Fatalf("result %d: marshal: %v", i, err)
-		}
-		var out TileResult
-		if err := json.Unmarshal(b, &out); err != nil {
-			t.Fatalf("result %d: unmarshal: %v\n%s", i, err, b)
+			t.Fatalf("result %d: strict read: %v", i, err)
 		}
 		if len(in.Violations) == 0 && out.Violations != nil || len(in.Dens) == 0 && out.Dens != nil {
 			t.Fatalf("result %d: an empty column decoded to a non-nil slice: %+v", i, out)
@@ -261,10 +251,7 @@ func TestPackedEmptyRowsStitchTheSame(t *testing.T) {
 // base64 of col (or by raw, when col is nil).
 func withColumn(t *testing.T, v any, field string, col []byte, raw string) []byte {
 	t.Helper()
-	b, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := packedJSON(t, v)
 	var fields map[string]json.RawMessage
 	if err := json.Unmarshal(b, &fields); err != nil {
 		t.Fatal(err)
@@ -273,10 +260,7 @@ func withColumn(t *testing.T, v any, field string, col []byte, raw string) []byt
 		raw = `"` + base64.StdEncoding.EncodeToString(col) + `"`
 	}
 	fields[field] = json.RawMessage(raw)
-	if b, err = json.Marshal(fields); err != nil {
-		t.Fatal(err)
-	}
-	return b
+	return mustMarshal(t, fields)
 }
 
 func cat(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
@@ -324,9 +308,9 @@ func TestPackedMalformedColumns(t *testing.T) {
 		body := withColumn(t, tc.v, tc.field, tc.col, tc.raw)
 		var err error
 		if _, isReq := tc.v.(*TileRequest); isReq {
-			err = json.Unmarshal(body, new(TileRequest))
+			_, err = readPacked(body, (*RequestWire).Unpack)
 		} else {
-			err = json.Unmarshal(body, new(TileResult))
+			_, err = readPacked(body, (*ResultWire).Unpack)
 		}
 		if tc.want == "" {
 			if err != nil {
@@ -354,7 +338,7 @@ func TestPackedCountBoundsAllocation(t *testing.T) {
 	} {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		err := json.Unmarshal([]byte(body), new(TileRequest))
+		_, err := readPacked([]byte(body), (*RequestWire).Unpack)
 		runtime.ReadMemStats(&m1)
 		if err == nil || !strings.Contains(err.Error(), "declares") {
 			t.Fatalf("%s: error %v, want the count rejected", body, err)
@@ -365,16 +349,17 @@ func TestPackedCountBoundsAllocation(t *testing.T) {
 	}
 }
 
-// encoding/json does not carry DisallowUnknownFields into a custom
-// UnmarshalJSON; the codec has to bring its own, or a typo inside
-// "tile" is silently accepted while the same typo beside it is a 400.
+// The packed forms have no JSON methods, so a strict decoder's
+// DisallowUnknownFields reaches inside them: a typo inside "tile" is a
+// 400 as the same typo beside it is. A method on either would take the
+// setting away (encoding/json does not carry it into UnmarshalJSON).
 func TestPackedRejectsUnknownFields(t *testing.T) {
 	req := withColumn(t, goldenTile(), "bogus", nil, "1")
-	if err := json.Unmarshal(req, new(TileRequest)); err == nil || !strings.Contains(err.Error(), `unknown field "bogus"`) {
+	if _, err := readPacked(req, (*RequestWire).Unpack); err == nil || !strings.Contains(err.Error(), `unknown field "bogus"`) {
 		t.Errorf("request with an unknown field: %v", err)
 	}
 	res := withColumn(t, &TileResult{}, "bogus", nil, "1")
-	if err := json.Unmarshal(res, new(TileResult)); err == nil || !strings.Contains(err.Error(), `unknown field "bogus"`) {
+	if _, err := readPacked(res, (*ResultWire).Unpack); err == nil || !strings.Contains(err.Error(), `unknown field "bogus"`) {
 		t.Errorf("result with an unknown field: %v", err)
 	}
 }
@@ -399,12 +384,8 @@ func TestPackedHostileValuesReachValidate(t *testing.T) {
 	} {
 		r := goldenTile()
 		tc.mut(r)
-		b, err := json.Marshal(r)
+		back, err := requestRoundTrip(t, r)
 		if err != nil {
-			t.Fatal(err)
-		}
-		var back TileRequest
-		if err := json.Unmarshal(b, &back); err != nil {
 			t.Errorf("%s: rejected by the decoder (%v), want it left to Validate", tc.name, err)
 		} else if err := back.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: Validate = %v, want %q", tc.name, err, tc.want)
@@ -412,15 +393,15 @@ func TestPackedHostileValuesReachValidate(t *testing.T) {
 	}
 	old := `{"schema":2,"stage":"tile","coreW":8000,"coreH":8000,"pad":2000,` +
 		`"shapes":[{"Layer":4,"R":{"X0":1500,"Y0":1500,"X1":1800,"Y1":1570},"Net":0}]}`
-	if err := json.Unmarshal([]byte(old), new(TileRequest)); err == nil || !strings.Contains(err.Error(), "schema 2, this build speaks 4") {
+	if _, err := readPacked([]byte(old), (*RequestWire).Unpack); err == nil || !strings.Contains(err.Error(), "schema 2, this build speaks 4") {
 		t.Errorf("schema-2 body: %v, want the schema named", err)
 	}
 	// Schema 3 spelled its columns as this build does but promised no
 	// order, so it is refused by schema whether or not it happens to be
 	// sorted.
-	prev := strings.Replace(string(mustMarshal(t, goldenTile())), `"schema":4`, `"schema":3`, 1)
-	var back TileRequest
-	if err := json.Unmarshal([]byte(prev), &back); err != nil {
+	prev := strings.Replace(string(packedJSON(t, goldenTile())), `"schema":4`, `"schema":3`, 1)
+	back, err := readPacked([]byte(prev), (*RequestWire).Unpack)
+	if err != nil {
 		t.Errorf("schema-3 body: rejected by the decoder (%v), want it left to Validate", err)
 	} else if err := back.Validate(); err == nil || !strings.Contains(err.Error(), "schema 3, this build speaks 4") {
 		t.Errorf("schema-3 body: Validate = %v, want the schema named", err)
@@ -436,11 +417,35 @@ func mustMarshal(tb testing.TB, v any) []byte {
 	return b
 }
 
+// packedJSON is a unit or result (v is a *TileRequest or *TileResult)
+// as it crosses the wire: its packed form, marshalled.
+func packedJSON(tb testing.TB, v any) []byte {
+	tb.Helper()
+	switch v := v.(type) {
+	case *TileRequest:
+		return mustMarshal(tb, PackRequest(v))
+	case *TileResult:
+		return mustMarshal(tb, PackResult(v))
+	}
+	tb.Fatalf("%T is not a unit or a result", v)
+	return nil
+}
+
+// requestRoundTrip and resultRoundTrip send r across the wire and back:
+// packed, marshalled, strictly read.
+func requestRoundTrip(tb testing.TB, r *TileRequest) (*TileRequest, error) {
+	return readPacked(packedJSON(tb, r), (*RequestWire).Unpack)
+}
+
+func resultRoundTrip(tb testing.TB, r *TileResult) (*TileResult, error) {
+	return readPacked(packedJSON(tb, r), (*ResultWire).Unpack)
+}
+
 // fuzzSeeds are the units internal/wirecompat posts, their results,
 // and a few bodies that are wrong in ways mutation finds slowly.
 func fuzzSeeds(tb testing.TB) [][]byte {
 	var seeds [][]byte
-	add := func(v any) { seeds = append(seeds, mustMarshal(tb, v)) }
+	add := func(v any) { seeds = append(seeds, packedJSON(tb, v)) }
 	tile := &TileRequest{
 		Schema: TileSchema, Stage: StageTile, Tech: *tech.N45(), DRC: true,
 		CoreW: 8000, CoreH: 8000, Pad: 2000,
@@ -477,33 +482,28 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 }
 
 // readPacked reads data as the packed form the serving tiers carry: one
-// strict encoding/json pass, columns included, then Unpack. Like
-// json.Unmarshal, which it is held to, it refuses anything after the
-// value.
-func readPacked[W any, T any](data []byte, unpack func(*W) (*T, error)) (*T, error) {
+// strict encoding/json pass, columns included, then Unpack. It refuses
+// anything after the value, and reads null as a zero value.
+func readPacked[W any, T any](data []byte, unpack func(*W, []byte, error) (*T, error)) (*T, error) {
 	var w *W
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&w); err != nil {
-		return nil, err
+	err := dec.Decode(&w)
+	if err == nil {
+		if _, end := dec.Token(); end != io.EOF {
+			err = fmt.Errorf("data after the value: %v", end)
+		}
 	}
-	if _, err := dec.Token(); err != io.EOF {
-		return nil, fmt.Errorf("data after the value: %v", err)
-	}
-	if w == nil { // null, which UnmarshalJSON leaves a zero value
+	if err == nil && w == nil {
 		return new(T), nil
 	}
-	return unpack(w)
+	return unpack(w, data, err)
 }
 
 // FuzzTileWire feeds arbitrary bytes to both decoders. They must not
-// panic or allocate more than a small multiple of what they were given;
-// whatever decodes must survive its own re-encoding: same columns, same
-// bytes, and for a unit that validates, the same key. And the two ways
-// a unit or result is read and written — UnmarshalJSON/MarshalJSON, and
-// the packed form the serving tiers carry in their job envelope — must
-// agree on every input: the same bytes taken or refused, the same value
-// read, the same bytes written.
+// panic or allocate more than a small multiple of what they were given,
+// and whatever decodes must survive its own re-encoding: same columns,
+// same bytes, and for a unit that validates, the same key.
 func FuzzTileWire(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {
 		f.Add(s)
@@ -511,49 +511,25 @@ func FuzzTileWire(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		var req TileRequest
-		errReq := json.Unmarshal(data, &req)
-		var res TileResult
-		errRes := json.Unmarshal(data, &res)
+		req, errReq := readPacked(data, (*RequestWire).Unpack)
+		res, errRes := readPacked(data, (*ResultWire).Unpack)
 		runtime.ReadMemStats(&m1)
 		// The widest honest amplification is a one-byte density row
 		// becoming a 24-byte slice header; decoding is done twice here.
 		if grew, limit := m1.TotalAlloc-m0.TotalAlloc, uint64(64<<10+128*len(data)); grew > limit {
 			t.Fatalf("decoding %d bytes allocated %d (limit %d)", len(data), grew, limit)
 		}
-		hopReq, errHop := readPacked(data, (*RequestWire).Unpack)
-		if (errReq == nil) != (errHop == nil) || errReq == nil && !reflect.DeepEqual(&req, hopReq) {
-			t.Fatalf("UnmarshalJSON read %+v (%v), the packed form %+v (%v)", &req, errReq, hopReq, errHop)
-		}
-		hopRes, errHop := readPacked(data, (*ResultWire).Unpack)
-		if (errRes == nil) != (errHop == nil) || errRes == nil && !(reflect.DeepEqual(res.Violations, hopRes.Violations) &&
-			sameDens(res.Dens, hopRes.Dens) && reflect.DeepEqual(res.Hotspots, hopRes.Hotspots)) {
-			t.Fatalf("UnmarshalJSON read %+v (%v), the packed form %+v (%v)", &res, errRes, hopRes, errHop)
-		}
 		if errReq == nil {
-			if b1, b2 := mustMarshal(t, &req), mustMarshal(t, PackRequest(&req)); !bytes.Equal(b1, b2) {
-				t.Fatalf("MarshalJSON wrote\n%s\nthe packed form\n%s", b1, b2)
-			}
-		}
-		if errRes == nil {
-			if b1, b2 := mustMarshal(t, &res), mustMarshal(t, PackResult(&res)); !bytes.Equal(b1, b2) {
-				t.Fatalf("MarshalJSON wrote\n%s\nthe packed form\n%s", b1, b2)
-			}
-		}
-		if errReq == nil {
-			b1, err := json.Marshal(&req)
+			b1 := packedJSON(t, req)
+			again, err := readPacked(b1, (*RequestWire).Unpack)
 			if err != nil {
-				t.Fatalf("re-encode request: %v", err)
-			}
-			var again TileRequest
-			if err := json.Unmarshal(b1, &again); err != nil {
 				t.Fatalf("decode of a re-encoded request: %v\n%s", err, b1)
 			}
 			if !reflect.DeepEqual(req.Windows, again.Windows) || !reflect.DeepEqual(req.Shapes, again.Shapes) || !reflect.DeepEqual(req.Rects, again.Rects) {
 				t.Fatalf("columns changed across a re-encode:\n%+v\n%+v", req, again)
 			}
-			if b2, err := json.Marshal(&again); err != nil || !bytes.Equal(b1, b2) {
-				t.Fatalf("re-encoding is not a fixed point (%v):\n%s\n%s", err, b1, b2)
+			if b2 := packedJSON(t, again); !bytes.Equal(b1, b2) {
+				t.Fatalf("re-encoding is not a fixed point:\n%s\n%s", b1, b2)
 			}
 			if req.Validate() == nil {
 				k1, err1 := req.Key()
@@ -564,19 +540,16 @@ func FuzzTileWire(f *testing.F) {
 			}
 		}
 		if errRes == nil {
-			b1, err := json.Marshal(&res)
+			b1 := packedJSON(t, res)
+			again, err := readPacked(b1, (*ResultWire).Unpack)
 			if err != nil {
-				t.Fatalf("re-encode result: %v", err)
-			}
-			var again TileResult
-			if err := json.Unmarshal(b1, &again); err != nil {
 				t.Fatalf("decode of a re-encoded result: %v\n%s", err, b1)
 			}
 			if !reflect.DeepEqual(res.Violations, again.Violations) || !sameDens(res.Dens, again.Dens) {
 				t.Fatalf("columns changed across a re-encode:\n%+v\n%+v", res, again)
 			}
-			if b2, err := json.Marshal(&again); err != nil || !bytes.Equal(b1, b2) {
-				t.Fatalf("re-encoding is not a fixed point (%v):\n%s\n%s", err, b1, b2)
+			if b2 := packedJSON(t, again); !bytes.Equal(b1, b2) {
+				t.Fatalf("re-encoding is not a fixed point:\n%s\n%s", b1, b2)
 			}
 		}
 	})
@@ -585,10 +558,8 @@ func FuzzTileWire(f *testing.F) {
 // BenchmarkTileWire is what one unit pays to cross the wire once, each
 // way: encode plus strict decode of the fullest 24000-nm signoff tile
 // (DRC + density) of the benchmark's 50k-rect fleet chip, request and
-// result. MB/s is over the JSON bytes on the wire. The request and
-// result rows go through MarshalJSON/UnmarshalJSON, as encoding/json
-// does for a unit nested in a plain envelope; the hop rows time what a
-// serving tier does instead: the unit's packed form inside its job
+// result. MB/s is over the JSON bytes on the wire. Each hop row times
+// what a serving tier does: the unit's packed form inside its job
 // envelope, written and strictly read in one encoding/json pass, then
 // unpacked.
 func BenchmarkTileWire(b *testing.B) {
@@ -633,27 +604,19 @@ func BenchmarkTileWire(b *testing.B) {
 		dec.DisallowUnknownFields()
 		return dec.Decode(v)
 	}
-	run(b, "request", func() ([]byte, error) { return json.Marshal(req) },
-		func(wire []byte) error { return json.Unmarshal(wire, new(TileRequest)) })
-	run(b, "result", func() ([]byte, error) { return json.Marshal(res) },
-		func(wire []byte) error { return json.Unmarshal(wire, new(TileResult)) })
 	b.Run("hop", func(b *testing.B) {
 		run(b, "request", func() ([]byte, error) { return json.Marshal(requestEnvelope{"tile", PackRequest(req)}) },
 			func(wire []byte) error {
 				var e requestEnvelope
-				if err := strict(wire, &e); err != nil {
-					return err
-				}
-				_, err := e.Tile.Unpack()
+				err := strict(wire, &e)
+				_, err = e.Tile.Unpack(wire, err)
 				return err
 			})
 		run(b, "result", func() ([]byte, error) { return json.Marshal(resultEnvelope{"done", PackResult(res)}) },
 			func(wire []byte) error {
 				var e resultEnvelope
-				if err := strict(wire, &e); err != nil {
-					return err
-				}
-				_, err := e.Tile.Unpack()
+				err := strict(wire, &e)
+				_, err = e.Tile.Unpack(wire, err)
 				return err
 			})
 	})

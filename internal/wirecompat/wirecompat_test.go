@@ -176,16 +176,16 @@ func deploy(t testing.TB, name string, config func(gate, held chan struct{}) ser
 	return d
 }
 
-func postJSON(t *testing.T, url string, body any) *http.Response {
+func postJSON(t *testing.T, url string, job server.JobRequest) *http.Response {
 	t.Helper()
-	return postClaimed(t, url, body, "", true)
+	return postClaimed(t, url, job, "", true)
 }
 
-// postClaimed posts body with claim as the content address a client
+// postClaimed posts job with claim as the content address a client
 // states beside it; absent sends no such header at all.
-func postClaimed(t *testing.T, url string, body any, claim string, absent bool) *http.Response {
+func postClaimed(t *testing.T, url string, job server.JobRequest, claim string, absent bool) *http.Response {
 	t.Helper()
-	b, err := json.Marshal(body)
+	b, err := server.EncodeJobRequest(job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ type answer struct {
 // channel once the job settles or ctx ends.
 func submit(ctx context.Context, url string, job server.JobRequest) <-chan answer {
 	out := make(chan answer, 1)
-	b, err := json.Marshal(job)
+	b, err := server.EncodeJobRequest(job)
 	if err != nil {
 		out <- answer{err: err}
 		return out
@@ -266,6 +266,21 @@ func decode[T any](t *testing.T, resp *http.Response) T {
 		t.Fatal(err)
 	}
 	return v
+}
+
+// status reads a job answer as a client does.
+func status(t *testing.T, resp *http.Response) server.JobStatus {
+	t.Helper()
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := server.DecodeJobStatus(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -328,7 +343,7 @@ func FuzzSubmit(f *testing.F) {
 		{Kind: server.KindTile, Tile: windowReq()},
 		{Kind: "delta"},
 	} {
-		b, err := json.Marshal(job)
+		b, err := server.EncodeJobRequest(job)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -415,7 +430,7 @@ func suite(t *testing.T, d *deployment) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("submit status = %d, want 200", resp.StatusCode)
 		}
-		st := decode[server.JobStatus](t, resp)
+		st := status(t, resp)
 		if st.State != server.StateDone || st.Result == nil || !strings.HasPrefix(st.Key, "sha256:") {
 			t.Fatalf("submit body: %+v", st)
 		}
@@ -423,7 +438,7 @@ func suite(t *testing.T, d *deployment) {
 			t.Fatalf("eval job kind = %q on the wire, want empty (legacy compat)", st.Kind)
 		}
 		dup := postJSON(t, d.url+"/v1/jobs", server.JobRequest{Technique: "sraf", Seed: 1})
-		dst := decode[server.JobStatus](t, dup)
+		dst := status(t, dup)
 		if !dst.Cached || dst.Key != st.Key {
 			t.Fatalf("duplicate submit not a cache hit on the same key: %+v vs key %s", dst, st.Key)
 		}
@@ -441,7 +456,7 @@ func suite(t *testing.T, d *deployment) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("tile wait=1 submit status = %d, want 200", resp.StatusCode)
 		}
-		st := decode[server.JobStatus](t, resp)
+		st := status(t, resp)
 		if st.State != server.StateDone || st.Kind != server.KindTile || st.Tile == nil {
 			t.Fatalf("tile submit body: %+v", st)
 		}
@@ -453,7 +468,7 @@ func suite(t *testing.T, d *deployment) {
 				st.Tile.Violations, want.Violations)
 		}
 		dup := postJSON(t, d.url+"/v1/jobs", server.JobRequest{Kind: server.KindTile, Tile: tileReq()})
-		dst := decode[server.JobStatus](t, dup)
+		dst := status(t, dup)
 		if !dst.Cached || dst.Tile == nil {
 			t.Fatalf("duplicate tile not served from cache: %+v", dst)
 		}
@@ -527,7 +542,7 @@ func suite(t *testing.T, d *deployment) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("well-formed unit status = %d, want 200", resp.StatusCode)
 		}
-		st := decode[server.JobStatus](t, resp)
+		st := status(t, resp)
 		if want, err := server.KeyForRequest(good); err != nil || st.Key != want || st.State != server.StateDone {
 			t.Fatalf("well-formed unit: state %q key %q; KeyForRequest = %q, %v", st.State, st.Key, want, err)
 		}
@@ -567,7 +582,7 @@ func suite(t *testing.T, d *deployment) {
 			server.KindEval: {Technique: "sraf", Seed: 1},
 			server.KindTile: {Kind: server.KindTile, Tile: tileReq()},
 		} {
-			b, err := json.Marshal(job)
+			b, err := server.EncodeJobRequest(job)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -610,7 +625,7 @@ func suite(t *testing.T, d *deployment) {
 		// no order, and the key is now a hash of the order it arrives in.
 		// A schema-3 peer is refused by schema, sorted or not, as a
 		// schema-2 one is.
-		b, err := json.Marshal(server.JobRequest{Kind: server.KindTile, Tile: tileReq()})
+		b, err := server.EncodeJobRequest(server.JobRequest{Kind: server.KindTile, Tile: tileReq()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -625,8 +640,8 @@ func suite(t *testing.T, d *deployment) {
 	t.Run("tile-unknown-field", func(t *testing.T) {
 		// Strictness has to reach inside "tile": the envelope-level case
 		// is delta-kind-removed; this one holds because the node reads the
-		// tile's packed form, which has no UnmarshalJSON, with the same
-		// strict decoder.
+		// tile's packed form, which has no JSON methods, with the same
+		// strict decoder in the same pass.
 		rejects(t, "unknown field inside tile", tileBody(tiling.TileSchema, `"bogus":1`), `unknown field "bogus"`)
 		settles(t, tileReq())
 	})
@@ -651,7 +666,7 @@ func suite(t *testing.T, d *deployment) {
 		// stands, so an order it did not verify would be an address no
 		// honest client computes.
 		posted := func(unit *tiling.TileRequest) string {
-			b, err := json.Marshal(server.JobRequest{Kind: server.KindTile, Tile: unit})
+			b, err := server.EncodeJobRequest(server.JobRequest{Kind: server.KindTile, Tile: unit})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -703,17 +718,17 @@ func suite(t *testing.T, d *deployment) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("U under V's key: status = %d, want 200", resp.StatusCode)
 		}
-		st := decode[server.JobStatus](t, resp)
+		st := status(t, resp)
 		if st.Key != keyU || st.Cached || !same(st.Tile, wantU) {
 			t.Fatalf("U under V's key: key %q cached %v tile %+v; want U's key %q and U's own result %+v", st.Key, st.Cached, st.Tile, keyU, wantU)
 		}
 		resp = postClaimed(t, d.url+"/v1/jobs", jobV, keyV, false)
-		st = decode[server.JobStatus](t, resp)
+		st = status(t, resp)
 		if st.Key != keyV || st.Cached || st.Deduped || !same(st.Tile, wantV) {
 			t.Fatalf("honest V after the lie: key %q cached %v tile %+v; want a miss under %q with V's own result %+v", st.Key, st.Cached, st.Tile, keyV, wantV)
 		}
 		// And U is where U belongs.
-		st = decode[server.JobStatus](t, postClaimed(t, d.url+"/v1/jobs", jobU, keyU, false))
+		st = status(t, postClaimed(t, d.url+"/v1/jobs", jobU, keyU, false))
 		if !st.Cached || st.Key != keyU || !same(st.Tile, wantU) {
 			t.Fatalf("honest U afterwards: %+v, want a hit under its own key", st)
 		}
@@ -744,7 +759,7 @@ func suite(t *testing.T, d *deployment) {
 			if resp.StatusCode != http.StatusOK {
 				t.Errorf("%s claim: status = %d, want 200", tc.name, resp.StatusCode)
 			}
-			if st := decode[server.JobStatus](t, resp); st.State != server.StateDone || st.Key != want || st.Tile == nil {
+			if st := status(t, resp); st.State != server.StateDone || st.Key != want || st.Tile == nil {
 				t.Errorf("%s claim: state %q key %q, want done under %q", tc.name, st.State, st.Key, want)
 			}
 		}
@@ -826,8 +841,8 @@ func suite(t *testing.T, d *deployment) {
 		if a.err != nil || a.code != http.StatusOK {
 			t.Fatalf("resubmission: status %d, err %v", a.code, a.err)
 		}
-		var st server.JobStatus
-		if err := json.Unmarshal(a.body, &st); err != nil || st.State != server.StateDone || !st.Deduped {
+		st, err := server.DecodeJobStatus(a.body)
+		if err != nil || st.State != server.StateDone || !st.Deduped {
 			t.Fatalf("resubmission answered %s (%v), want done and deduped", a.body, err)
 		}
 		if after := d.stats(); after.Admitted-before.Admitted != 1 || after.Completed-before.Completed != 2 {

@@ -3,38 +3,39 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
-	"io"
+	"errors"
 	"net/http"
+	"reflect"
 	"strings"
 
 	"repro/internal/tiling"
 )
 
 // The job envelope on the wire. jobRequestWire and jobStatusWire are
-// JobRequest and JobStatus with the tile in its packed form
-// (tiling.RequestWire, tiling.ResultWire), the only form a tile is
-// written or read in: the shallower Tile field shadows the embedded
-// one, and, both being the last field, writes in its place. Neither
-// form holds a json.Marshaler, so encoding/json writes a job and
-// strictly reads one in one pass over it, base64 columns included; a
-// Marshaler nested in the envelope is compacted, skipped and re-decoded
-// at every level. testdata/jobwire.golden pins the bytes and what each
-// reading takes and refuses.
+// JobRequest and JobStatus with the tile in another form: the
+// shallower Tile field shadows the embedded one and, both being the
+// last field, stands in its place. A job is written with the tile
+// packed (tiling.RequestWire, tiling.ResultWire), which holds no
+// json.Marshaler, so encoding/json writes it in one pass, columns
+// included. It is read with the tile held raw, then the tile by
+// tiling's strict reader, the one way a tile is read, so a refusal says
+// whether it is about the tile and which field of it.
+// testdata/jobwire.golden pins the bytes, what each reading takes, and
+// the text it answers a body it refuses with.
 type (
-	jobRequestWire struct {
+	jobRequestWire[T any] struct {
 		JobRequest
-		Tile *tiling.RequestWire `json:"tile,omitempty"`
+		Tile T `json:"tile,omitempty"`
 	}
-	jobStatusWire struct {
+	jobStatusWire[T any] struct {
 		JobStatus
-		Tile *tiling.ResultWire `json:"tile,omitempty"`
+		Tile T `json:"tile,omitempty"`
 	}
 )
 
 // EncodeJobRequest is a submission's body, as a client sends it.
 func EncodeJobRequest(req JobRequest) ([]byte, error) {
-	return json.Marshal(jobRequestWire{JobRequest: req, Tile: tiling.PackRequest(req.Tile)})
+	return json.Marshal(jobRequestWire[*tiling.RequestWire]{JobRequest: req, Tile: tiling.PackRequest(req.Tile)})
 }
 
 // WriteJobStatus answers a settled job: its kind and reuse flags as
@@ -47,82 +48,61 @@ func WriteJobStatus(w http.ResponseWriter, st JobStatus) {
 	if st.Cached || st.Deduped {
 		w.Header().Set(HeaderJobReused, "1")
 	}
-	WriteJSON(w, http.StatusOK, jobStatusWire{JobStatus: st, Tile: tiling.PackResult(st.Tile)})
+	WriteJSON(w, http.StatusOK, jobStatusWire[*tiling.ResultWire]{JobStatus: st, Tile: tiling.PackResult(st.Tile)})
 }
 
 // decodeJobRequest is the node's strict reading of a body: unknown
-// fields rejected at every level, "tile" included, in one pass. A body
-// it refuses is answered as Unpack says: by the schema the unit
-// declares, or naming the column at fault.
+// fields rejected at every level, "tile" included.
 func decodeJobRequest(body []byte) (JobRequest, error) {
-	var w jobRequestWire
-	err := strictDecoder(body).Decode(&w)
-	if w.JobRequest.Tile, err = w.Tile.Unpack(body, err); err != nil {
+	var w jobRequestWire[json.RawMessage]
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	err := asPlain(dec.Decode(&w), reflect.TypeOf(w), reflect.TypeOf(w.JobRequest))
+	if w.JobRequest.Tile, err = readTile(w.Tile, err, tiling.ReadRequest); err != nil {
 		return JobRequest{}, err
 	}
 	return w.JobRequest, nil
 }
 
-// DecodeJobStatus reads a job answer in one pass: strictly inside
-// "tile", and leniently beside it, so that a client reads the answer of
-// a node that has grown a field. As json.Unmarshal does, it refuses
-// data after the answer and reads null as a zero answer.
+// DecodeJobStatus reads a job answer as json.Unmarshal reads a
+// JobStatus: strictly inside "tile", and leniently beside it, so that a
+// client reads the answer of a node that has grown a field.
 func DecodeJobStatus(body []byte) (JobStatus, error) {
-	var st JobStatus
-	dec := strictDecoder(body)
-	err := readAnswer(dec, body, &st)
-	if _, end := dec.Token(); err == nil && end != io.EOF {
-		err = fmt.Errorf("json: data after top-level value: %v", end)
-	}
-	if err != nil {
+	var w jobStatusWire[json.RawMessage]
+	err := asPlain(json.Unmarshal(body, &w), reflect.TypeOf(w), reflect.TypeOf(w.JobStatus))
+	if w.JobStatus.Tile, err = readTile(w.Tile, err, tiling.ReadResult); err != nil {
 		return JobStatus{}, err
 	}
-	return st, nil
+	return w.JobStatus, nil
 }
 
-// readAnswer reads one answer from dec into st. A tile is read where it
-// stands, by the strict decoder; the members beside it are gathered and
-// read as json.Unmarshal reads them into a JobStatus.
-func readAnswer(dec *json.Decoder, body []byte, st *JobStatus) error {
-	switch tok, err := dec.Token(); {
-	case err != nil || tok == nil:
-		return err
-	case tok != json.Delim('{'):
-		return fmt.Errorf("json: cannot unmarshal %v into a job answer", tok)
+// readTile reads a job's raw tile with read, given err, how reading the
+// members beside it went. The tile's own error comes first, as it did
+// when the tile type read itself and encoding/json stopped at it.
+func readTile[T any](raw json.RawMessage, err error, read func([]byte) (*T, error)) (*T, error) {
+	if len(raw) == 0 {
+		return nil, err
 	}
-	beside := []byte{'{'}
-	for dec.More() {
-		tok, err := dec.Token()
-		if err != nil {
-			return err
-		}
-		if name := tok.(string); strings.EqualFold(name, "tile") {
-			var w *tiling.ResultWire
-			err = dec.Decode(&w)
-			if st.Tile, err = w.Unpack(body, err); err != nil {
-				return err
-			}
-		} else {
-			var v json.RawMessage
-			if err := dec.Decode(&v); err != nil {
-				return err
-			}
-			if len(beside) > 1 {
-				beside = append(beside, ',')
-			}
-			key, _ := json.Marshal(name)
-			beside = append(append(append(beside, key...), ':'), v...)
-		}
+	tile, tileErr := read(raw)
+	if tileErr != nil {
+		return nil, tileErr
 	}
-	if _, err := dec.Token(); err != nil { // the closing brace
-		return err
-	}
-	return json.Unmarshal(append(beside, '}'), st)
+	return tile, err
 }
 
-// strictDecoder reads body rejecting unknown fields.
-func strictDecoder(body []byte) *json.Decoder {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	return dec
+// asPlain restates a type error in reading an envelope as reading the
+// plain type has always stated it: encoding/json names the envelope,
+// and the plain type's embedded field in the path.
+func asPlain(err error, envelope, plain reflect.Type) error {
+	var te *json.UnmarshalTypeError
+	if errors.As(err, &te) {
+		if te.Type == envelope {
+			te.Type = plain
+		}
+		if te.Struct == envelope.Name() {
+			te.Struct = plain.Name()
+		}
+		te.Field = strings.TrimPrefix(te.Field, plain.Name()+".")
+	}
+	return err
 }

@@ -184,7 +184,7 @@ const jobWireGolden = "testdata/jobwire.golden"
 // a job envelope, and answers from nodes of other builds.
 func jobWireBodies(t *testing.T) (requests, answers [][]byte) {
 	rng := rand.New(rand.NewSource(53))
-	for range 40 {
+	for range 300 {
 		req, err := EncodeJobRequest(wireJob(rng))
 		if err != nil {
 			t.Fatal(err)
@@ -214,32 +214,46 @@ func encodeAnswer(st JobStatus) []byte {
 	return rec.Body.Bytes()
 }
 
-// The job wire, pinned byte for byte: what the encoders write for
-// seeded jobs and answers, and what each decoder makes of every body
-// and 20 mutants of it — taken or refused, and a digest of what the
-// ones taken re-encode to. The golden was minted while the tile types
-// still had JSON methods and the decoders fell back to them, so it holds
-// the packed envelope, now the only codec, to what they answered;
-// -update re-mints it, and a diff of it is a change to the wire.
+// digest is a short hex sha256 of b.
+func digest(b []byte, n int) string {
+	sum := sha256.Sum256(b)
+	return fmt.Sprintf("%x", sum[:n])
+}
+
+// The job wire, pinned: what the encoders write for seeded jobs and
+// answers, and what each decoder makes of every body and 20 mutants of
+// it. A golden line is the body's kind and a digest of its bytes, then
+// one word per reading, the mutants first and the body last: "+" and a
+// digest of what a body taken re-encodes to, or "-" and a digest of the
+// error a body refused is answered with. The golden was minted while
+// the tile types still had JSON methods and the decoders fell back to
+// them, so it holds the packed envelope, now the only codec, to what
+// they answered, refusals' texts included; -update re-mints it, and a
+// diff of it is a change to the wire.
 func TestJobWireGolden(t *testing.T) {
 	requests, answers := jobWireBodies(t)
 	rng := rand.New(rand.NewSource(56))
+	type reading struct{ body, word, text string }
 	var lines []string
+	var readings [][]reading
 	var took, refused int
 	pin := func(kind string, body []byte, read func([]byte) ([]byte, error)) {
-		verdicts := make([]byte, 0, 21)
-		digest := sha256.New()
+		words := []string{kind, digest(body, 8)}
+		var rs []reading
 		for _, b := range append(mutations(rng, body, 20), body) {
+			r := reading{body: string(b)}
 			if again, err := read(b); err != nil {
-				verdicts = append(verdicts, '-')
+				r.word, r.text = "-"+digest([]byte(err.Error()), 4), err.Error()
 				refused++
 			} else {
-				verdicts = append(verdicts, '+')
-				digest.Write(again)
+				r.word, r.text = "+"+digest(again, 4), string(again)
 				took++
 			}
+			words = append(words, r.word)
+			rs = append(rs, r)
 		}
-		lines = append(lines, fmt.Sprintf("%s %s %x %s", kind, verdicts, digest.Sum(nil)[:8], bytes.TrimSuffix(body, []byte("\n"))))
+		lines = append(lines, strings.Join(words, " "))
+		readings = append(readings, rs)
 	}
 	for _, body := range requests {
 		pin("request", body, func(b []byte) ([]byte, error) {
@@ -256,7 +270,7 @@ func TestJobWireGolden(t *testing.T) {
 			return encodeAnswer(st), err
 		})
 	}
-	if took < 300 || refused < 300 {
+	if took < 1000 || refused < 1000 {
 		t.Fatalf("%d bodies taken, %d refused: too few of one for the pin to mean much", took, refused)
 	}
 	got := strings.Join(lines, "\n") + "\n"
@@ -274,15 +288,27 @@ func TestJobWireGolden(t *testing.T) {
 	if len(wantLines) != len(lines) {
 		t.Fatalf("%d bodies, the golden pins %d", len(lines), len(wantLines))
 	}
-	for i := range lines {
-		if lines[i] != wantLines[i] {
-			t.Errorf("body %d:\n got %.300s\nwant %.300s", i, lines[i], wantLines[i])
+	for i, line := range lines {
+		gotWords, wantWords := strings.Fields(line), strings.Fields(wantLines[i])
+		if len(wantWords) != len(gotWords) {
+			t.Errorf("body %d: the golden line has %d words, want %d", i, len(wantWords), len(gotWords))
+			continue
+		}
+		if gotWords[1] != wantWords[1] {
+			t.Errorf("body %d: %s is encoded as\n%.300s\nwhose digest %s the golden does not pin (%s)", i, gotWords[0], readings[i][20].body, gotWords[1], wantWords[1])
+			continue
+		}
+		for j, r := range readings[i] {
+			if w := wantWords[2+j]; r.word != w {
+				t.Errorf("body %d, reading %d: %.300s\nread as %s %.300s; the golden pins %s", i, j, r.body, r.word, r.text, w)
+			}
 		}
 	}
 }
 
 // Fixed bodies each decoder must take or refuse, and what a refusal
-// must say: the surface a peer of another build meets.
+// must say, word for word: the surface a peer of another build meets.
+// Every text is the one the tile types' own JSON methods answered.
 func TestJobWireTakesAndRefuses(t *testing.T) {
 	const tile = `{"kind":"tile","tile":{"schema":4,"stage":"tile","coreW":8000,"coreH":8000,"pad":2000,`
 	const answer = `{"state":"done","kind":"tile","key":"k","tile":{`
@@ -290,38 +316,52 @@ func TestJobWireTakesAndRefuses(t *testing.T) {
 		name    string
 		request bool // decodeJobRequest, else DecodeJobStatus
 		body    string
-		want    []string // what the refusal says; none for a body taken
+		want    string // what the refusal says; "" for a body taken
 	}{
-		{"request", true, tile + `"shapes":"AQQAAAQEAA=="}}`, nil},
-		{"unknown field beside a unit", true, `{"bogus":1,` + tile[1:] + `"drc":true}}`, []string{`unknown field "bogus"`}},
-		{"unknown field inside a unit", true, tile + `"bogus":1}}`, []string{`unknown field "bogus"`}},
+		{"request", true, tile + `"shapes":"AQQAAAQEAA=="}}`, ""},
+		{"unknown field beside a unit", true, `{"bogus":1,` + tile[1:] + `"drc":true}}`, `json: unknown field "bogus"`},
+		{"unknown field inside a unit", true, tile + `"bogus":1}}`, `tiling: tile request: json: unknown field "bogus"`},
+		{"type error beside a unit", true, `{"kind":"tile","seed":"7"}`, "json: cannot unmarshal string into Go struct field JobRequest.seed of type int64"},
+		{"type error inside a unit", true, tile + `"drc":1}}`, "tiling: tile request: json: cannot unmarshal number into Go struct field RequestWire.plainRequest.drc of type bool"},
+		{"a string for a request", true, `"tile"`, "json: cannot unmarshal string into Go value of type server.JobRequest"},
 		{"schema-2 unit", true, `{"kind":"tile","tile":{"schema":2,"stage":"tile","shapes":[{"Layer":4,"R":{"X0":0,"Y0":0,"X1":1,"Y1":1},"Net":0}]}}`,
-			[]string{"schema 2, this build speaks 4"}},
-		{"shapes spelled as an array", true, tile + `"shapes":[{"Layer":4,"R":{"X0":0,"Y0":0,"X1":1,"Y1":1},"Net":0}]}}`, []string{"shapes"}},
-		{"windows spelled as an array", true, tile + `"windows":[{"X0":0,"Y0":0,"X1":1,"Y1":1}]}}`, []string{"windows"}},
-		{"rects spelled as an array", true, tile + `"rects":[{"X0":0,"Y0":0,"X1":1,"Y1":1}]}}`, []string{"rects"}},
-		{"shapes not base64", true, tile + `"shapes":"AAA"}}`, []string{"shapes column", "base64"}},
-		{"windows not base64", true, tile + `"windows":"!!!!"}}`, []string{"windows column", "base64"}},
-		{"rects not base64", true, tile + `"shapes":"AQQAAAQEAA==","rects":"!!!!"}}`, []string{"rects column", "base64"}},
-		{"null request", true, `null`, nil},
+			"tiling: tile request schema 2, this build speaks 4"},
+		{"shapes spelled as an array", true, tile + `"shapes":[{"Layer":4,"R":{"X0":0,"Y0":0,"X1":1,"Y1":1},"Net":0}]}}`,
+			"tiling: tile request: json: cannot unmarshal object into Go struct field RequestWire.shapes of type uint8"},
+		{"windows spelled as an array", true, tile + `"windows":[{"X0":0,"Y0":0,"X1":1,"Y1":1}]}}`,
+			"tiling: tile request: json: cannot unmarshal object into Go struct field RequestWire.windows of type uint8"},
+		{"rects spelled as an array", true, tile + `"rects":[{"X0":0,"Y0":0,"X1":1,"Y1":1}]}}`,
+			"tiling: tile request: json: cannot unmarshal object into Go struct field RequestWire.rects of type uint8"},
+		{"shapes not base64", true, tile + `"shapes":"AAA"}}`, "tiling: tile request: shapes column: illegal base64 data at input byte 0"},
+		{"windows not base64", true, tile + `"windows":"!!!!"}}`, "tiling: tile request: windows column: illegal base64 data at input byte 0"},
+		{"rects not base64", true, tile + `"shapes":"AQQAAAQEAA==","rects":"!!!!"}}`, "tiling: tile request: rects column: illegal base64 data at input byte 0"},
+		{"rects not base64 after an escaped column", true, tile + `"shapes":"AQQAAAQEAA\u003d\u003d","rects":"!!!!"}}`,
+			"tiling: tile request: rects column: illegal base64 data at input byte 0"},
+		{"rects not base64 after an escaped quote", true, `{"kind":"tile","technique":"a\"windows\":\"","tile":{"schema":4,"rects":"!!!!"}}`,
+			"tiling: tile request: rects column: illegal base64 data at input byte 0"},
+		{"null request", true, `null`, ""},
 		{"schema-3 unit not base64", true, strings.Replace(tile, `"schema":4`, `"schema":3`, 1) + `"shapes":"AAA"}}`,
-			[]string{"schema 3, this build speaks 4"}},
+			"tiling: tile request schema 3, this build speaks 4"},
 
-		{"answer", false, answer + `"violations":"AQQAAAQEAAE=","strings":["r","d"]}}`, nil},
-		{"null answer", false, `null`, nil},
-		{"no answer", false, ` `, []string{}},
-		{"an array for an answer", false, `[]`, []string{"cannot unmarshal"}},
-		{"a tile that is not an object", false, `{"state":"done","tile":[]}`, []string{"array"}},
-		{"the tile twice", false, `{"tile":{"dens":"AQA="},"state":"done","tile":{"dens":"!!!!"}}`, []string{"dens column", "base64"}},
-		{"unknown field beside the tile", false, `{"state":"done","key":"k","queuedMs":3,"tile":{}}`, nil},
-		{"unknown field inside the tile", false, answer + `"bogus":1}}`, []string{`unknown field "bogus"`}},
-		{"data after the answer", false, `{"state":"done"} x`, []string{"after top-level value"}},
+		{"answer", false, answer + `"violations":"AQQAAAQEAAE=","strings":["r","d"]}}`, ""},
+		{"null answer", false, `null`, ""},
+		{"no answer", false, ` `, "unexpected end of JSON input"},
+		{"an array for an answer", false, `[]`, "json: cannot unmarshal array into Go value of type server.JobStatus"},
+		{"type error beside the tile", false, `{"state":"done","cached":"yes","tile":{}}`, "json: cannot unmarshal string into Go struct field JobStatus.cached of type bool"},
+		{"type error in the result", false, `{"state":"done","result":{"costFrac":"x"}}`, "json: cannot unmarshal string into Go struct field OutcomeView.result.costFrac of type float64"},
+		{"errors beside and inside the tile", false, `{"cached":"yes","tile":{"dens":"!!!!"}}`, "tiling: tile result: dens column: illegal base64 data at input byte 0"},
+		{"a tile that is not an object", false, `{"state":"done","tile":[]}`, "tiling: tile result: json: cannot unmarshal array into Go value of type tiling.ResultWire"},
+		{"the tile twice", false, `{"tile":{"dens":"AQA="},"state":"done","tile":{"dens":"!!!!"}}`, "tiling: tile result: dens column: illegal base64 data at input byte 0"},
+		{"unknown field beside the tile", false, `{"state":"done","key":"k","queuedMs":3,"tile":{}}`, ""},
+		{"unknown field inside the tile", false, answer + `"bogus":1}}`, `tiling: tile result: json: unknown field "bogus"`},
+		{"data after the answer", false, `{"state":"done"} x`, "invalid character 'x' after top-level value"},
 		{"leftover attempts and retryable", false, `{"state":"failed","key":"k","result":{"technique":"sraf","verdict":"HYPE",` +
-			`"costFrac":0,"runtimeMs":1,"attempts":2,"error":"workload: x","errorKind":"workload","retryable":true},"error":"workload: x"}`, nil},
-		{"violations spelled as an array", false, answer + `"violations":[{"Rule":"r"}]}}`, []string{"violations"}},
-		{"dens spelled as an array", false, answer + `"dens":[[0.5]]}}`, []string{"dens"}},
-		{"violations not base64", false, answer + `"violations":"AAA"}}`, []string{"violations column", "base64"}},
-		{"dens not base64", false, answer + `"dens":"!!!!"}}`, []string{"dens column", "base64"}},
+			`"costFrac":0,"runtimeMs":1,"attempts":2,"error":"workload: x","errorKind":"workload","retryable":true},"error":"workload: x"}`, ""},
+		{"violations spelled as an array", false, answer + `"violations":[{"Rule":"r"}]}}`,
+			"tiling: tile result: json: cannot unmarshal object into Go struct field ResultWire.violations of type uint8"},
+		{"dens spelled as an array", false, answer + `"dens":[[0.5]]}}`, "tiling: tile result: json: cannot unmarshal array into Go struct field ResultWire.dens of type uint8"},
+		{"violations not base64", false, answer + `"violations":"AAA"}}`, "tiling: tile result: violations column: illegal base64 data at input byte 0"},
+		{"dens not base64", false, answer + `"dens":"!!!!"}}`, "tiling: tile result: dens column: illegal base64 data at input byte 0"},
 	} {
 		var err error
 		if tc.request {
@@ -330,15 +370,12 @@ func TestJobWireTakesAndRefuses(t *testing.T) {
 			_, err = DecodeJobStatus([]byte(tc.body))
 		}
 		switch {
-		case tc.want == nil && err != nil:
+		case tc.want == "" && err != nil:
 			t.Errorf("%s: refused (%v), want it taken", tc.name, err)
-		case tc.want != nil && err == nil:
+		case tc.want != "" && err == nil:
 			t.Errorf("%s: taken, want it refused", tc.name)
-		}
-		for _, w := range tc.want {
-			if err != nil && !strings.Contains(err.Error(), w) {
-				t.Errorf("%s: %q, want it to say %q", tc.name, err, w)
-			}
+		case err != nil && err.Error() != tc.want:
+			t.Errorf("%s: %q, want %q", tc.name, err, tc.want)
 		}
 	}
 }

@@ -33,7 +33,7 @@ func (lb *loopback) EvalTile(ctx context.Context, req *TileRequest) (*TileResult
 	if err != nil {
 		return nil, TileServed{}, err
 	}
-	wire, err := readPacked(b, (*RequestWire).Unpack)
+	wire, err := ReadRequest(b)
 	if err != nil {
 		return nil, TileServed{}, err
 	}
@@ -50,7 +50,7 @@ func (lb *loopback) EvalTile(ctx context.Context, req *TileRequest) (*TileResult
 	if b, err = json.Marshal(PackResult(res)); err != nil {
 		return nil, TileServed{}, err
 	}
-	out, err := readPacked(b, (*ResultWire).Unpack)
+	out, err := ReadResult(b)
 	if err != nil {
 		return nil, TileServed{}, err
 	}

@@ -1,12 +1,13 @@
 package tiling
 
 import (
+	"bytes"
 	"encoding/base64"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
-	"regexp"
 
 	"repro/internal/drc"
 	"repro/internal/geom"
@@ -35,30 +36,36 @@ import (
 // types are unchanged: only the packed forms below (RequestWire,
 // ResultWire) know the layout, and the content address (key.go) hashes
 // geometry, never these bytes. The packed forms are the one way a unit
-// or result is written or read — the serving tiers carry them in their
-// job envelope — and the unit and result types have no JSON methods.
+// or result is written (PackRequest, PackResult, then encoding/json) or
+// read (ReadRequest, ReadResult); the unit and result types have no
+// JSON methods.
 //
-// The decoder keeps three properties the plain form had for free:
-// unknown fields are rejected (a strict decoder's DisallowUnknownFields
-// reaches a type with no JSON methods); a declared count is checked
-// against the bytes actually present before anything is allocated; and
-// values that are merely wrong — an inverted rect, layer 200 — decode,
-// so Validate rejects them with its own message. A body that does not
-// decode is answered with the schema it declares or the column at
-// fault (Unpack). An empty column is omitted and decodes to nil, never
-// to an empty non-nil slice.
+// The readers keep three properties the plain form had for free:
+// unknown fields are rejected, at every level of the unit; a declared
+// count is checked against the bytes actually present before anything
+// is allocated; and values that are merely wrong — an inverted rect,
+// layer 200 — decode, so Validate rejects them with its own message. A
+// unit that does not read is answered with the schema it declares or
+// the column at fault. An empty column is omitted and decodes to nil,
+// never to an empty non-nil slice.
+
+// plainRequest and plainResult are the unit and result types by
+// another name, embedded in the wire forms: a type error inside a unit
+// names the field through them (RequestWire.plainRequest.pad), as it
+// always has.
+type (
+	plainRequest TileRequest
+	plainResult  TileResult
+)
 
 // RequestWire is a TileRequest in the form it crosses the wire: every
 // scalar field of the embedded unit, with its three geometry fields
 // shadowed by their packed columns (the shallower field wins a JSON
-// name), so a decoded RequestWire's own geometry is empty and the unit
-// is what Unpack returns. It has no JSON methods, so an envelope that
-// holds one — the serving tiers' job envelope — is written and strictly
-// read by encoding/json in one pass, columns included. The embedded
-// unit is a value, so a decoder that allocates a RequestWire for a nil
-// field can fill it.
+// name). It has no JSON methods, so an envelope that holds one — the
+// serving tiers' job envelope — is written by encoding/json in one
+// pass, columns included.
 type RequestWire struct {
-	TileRequest
+	plainRequest
 	Windows []byte `json:"windows,omitempty"`
 	Shapes  []byte `json:"shapes,omitempty"`
 	Rects   []byte `json:"rects,omitempty"`
@@ -67,7 +74,7 @@ type RequestWire struct {
 // ResultWire is a TileResult in the form it crosses the wire. Hotspots
 // stay plain JSON: a window has a few.
 type ResultWire struct {
-	TileResult
+	plainResult
 	Strings    []string `json:"strings,omitempty"`
 	Violations []byte   `json:"violations,omitempty"`
 	Dens       []byte   `json:"dens,omitempty"`
@@ -88,44 +95,42 @@ func PackRequest(r *TileRequest) *RequestWire {
 		return nil
 	}
 	return &RequestWire{
-		TileRequest: *r,
-		Windows:     packRects(r.Windows),
-		Shapes:      packShapes(r.Shapes),
-		Rects:       packRects(r.Rects),
+		plainRequest: plainRequest(*r),
+		Windows:      packRects(r.Windows),
+		Shapes:       packShapes(r.Shapes),
+		Rects:        packRects(r.Rects),
 	}
 }
 
-// Unpack finishes reading a unit: w is what a strict decode of body
-// filled, read what that decode returned. It returns w's unit, nil for
-// nil, or the error to answer the body with:
-//   - Validate's, naming the schema, when w declares another one, which
-//     spells these fields differently, so which byte of it failed to
-//     parse as this one is beside the point;
-//   - else read, naming the column if it is bad base64;
-//   - else the column that does not decode, named.
-func (w *RequestWire) Unpack(body []byte, read error) (*TileRequest, error) {
+// ReadRequest reads a unit from data, one JSON value in its wire form:
+// nil for null. Unknown fields are rejected at every level. A unit
+// that does not read is answered with Validate's error, naming the
+// schema, when it declares another one, which spells these fields
+// differently, so which byte of it failed to parse as this one is
+// beside the point; else with what failed, the column named.
+func ReadRequest(data []byte) (*TileRequest, error) {
+	w := new(RequestWire)
+	err := readWire(data, &w, "windows", "shapes", "rects")
 	if w == nil {
-		return nil, read
+		return nil, err
 	}
-	r, err := w.TileRequest, namedColumn(body, read)
-	if read == nil {
+	r := TileRequest(w.plainRequest)
+	if err == nil {
 		r.Windows, err = unpackRects("windows", w.Windows)
-		if err == nil {
-			r.Shapes, err = unpackColumn("shapes", w.Shapes, minShapeBytes, (*colReader).shape)
-		}
-		if err == nil {
-			r.Rects, err = unpackRects("rects", w.Rects)
-		}
+	}
+	if err == nil {
+		r.Shapes, err = unpackColumn("shapes", w.Shapes, minShapeBytes, (*colReader).shape)
+	}
+	if err == nil {
+		r.Rects, err = unpackRects("rects", w.Rects)
 	}
 	switch {
 	case err == nil:
 		return &r, nil
 	case r.Schema != 0 && r.Schema != TileSchema:
 		return nil, r.Validate()
-	case err != read:
-		err = fmt.Errorf("tiling: tile request: %w", err)
 	}
-	return nil, err
+	return nil, fmt.Errorf("tiling: tile request: %w", err)
 }
 
 // PackResult returns r's wire form, nil for nil.
@@ -133,50 +138,53 @@ func PackResult(r *TileResult) *ResultWire {
 	if r == nil {
 		return nil
 	}
-	w := &ResultWire{TileResult: *r, Dens: packDens(r.Dens)}
+	w := &ResultWire{plainResult: plainResult(*r), Dens: packDens(r.Dens)}
 	w.Violations, w.Strings = packViolations(r.Violations)
 	return w
 }
 
-// Unpack is RequestWire.Unpack for a result, which has no schema.
-func (w *ResultWire) Unpack(body []byte, read error) (*TileResult, error) {
+// ReadResult is ReadRequest for a result, which has no schema.
+func ReadResult(data []byte) (*TileResult, error) {
+	w := new(ResultWire)
+	err := readWire(data, &w, "violations", "dens")
 	if w == nil {
-		return nil, read
+		return nil, err
 	}
-	r, err := w.TileResult, namedColumn(body, read)
-	if read == nil {
+	r := TileResult(w.plainResult)
+	if err == nil {
 		r.Violations, err = unpackColumn("violations", w.Violations, minViolationBytes,
 			func(c *colReader) drc.Violation { return c.violation(w.Strings) })
-		if err == nil {
-			r.Dens, err = unpackColumn("dens", w.Dens, minDensRowBytes, (*colReader).densRow)
-		}
 	}
-	switch {
-	case err == nil:
-		return &r, nil
-	case err != read:
-		err = fmt.Errorf("tiling: tile result: %w", err)
+	if err == nil {
+		r.Dens, err = unpackColumn("dens", w.Dens, minDensRowBytes, (*colReader).densRow)
 	}
-	return nil, err
+	if err != nil {
+		return nil, fmt.Errorf("tiling: tile result: %w", err)
+	}
+	return &r, nil
 }
 
-// columnMember matches a member that may be a packed column.
-var columnMember = regexp.MustCompile(`"(windows|shapes|rects|violations|dens)"\s*:\s*"([^"]*)"`)
-
-// namedColumn is read, naming the column it is about when it is
-// encoding/json's report of bad base64, which names no field. Only on
-// that error path is body searched, for the first column whose string
-// does not decode.
-func namedColumn(body []byte, read error) error {
+// readWire decodes the first JSON value of data into *w, rejecting
+// unknown fields; null sets *w to nil. encoding/json reports bad base64
+// without saying where; columns names w's packed fields so the error
+// can, and only that error path looks at data again.
+func readWire[W any](data []byte, w **W, columns ...string) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(w)
 	var bad base64.CorruptInputError
-	if errors.As(read, &bad) {
-		for _, m := range columnMember.FindAllSubmatch(body, -1) {
-			if _, err := base64.StdEncoding.DecodeString(string(m[2])); err != nil {
-				return fmt.Errorf("%s column: %w", m[1], read)
-			}
+	if !errors.As(err, &bad) {
+		return err
+	}
+	var fields map[string]json.RawMessage
+	json.Unmarshal(data, &fields) //nolint:errcheck // the strict decode above already parsed it
+	for _, name := range columns {
+		var b []byte
+		if raw, ok := fields[name]; ok && json.Unmarshal(raw, &b) != nil {
+			return fmt.Errorf("%s column: %w", name, err)
 		}
 	}
-	return read
+	return err
 }
 
 // colWriter appends records to one column.

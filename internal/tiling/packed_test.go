@@ -6,8 +6,6 @@ import (
 	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
-	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"reflect"
@@ -308,9 +306,9 @@ func TestPackedMalformedColumns(t *testing.T) {
 		body := withColumn(t, tc.v, tc.field, tc.col, tc.raw)
 		var err error
 		if _, isReq := tc.v.(*TileRequest); isReq {
-			_, err = readPacked(body, (*RequestWire).Unpack)
+			_, err = ReadRequest(body)
 		} else {
-			_, err = readPacked(body, (*ResultWire).Unpack)
+			_, err = ReadResult(body)
 		}
 		if tc.want == "" {
 			if err != nil {
@@ -338,7 +336,7 @@ func TestPackedCountBoundsAllocation(t *testing.T) {
 	} {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		_, err := readPacked([]byte(body), (*RequestWire).Unpack)
+		_, err := ReadRequest([]byte(body))
 		runtime.ReadMemStats(&m1)
 		if err == nil || !strings.Contains(err.Error(), "declares") {
 			t.Fatalf("%s: error %v, want the count rejected", body, err)
@@ -349,17 +347,15 @@ func TestPackedCountBoundsAllocation(t *testing.T) {
 	}
 }
 
-// The packed forms have no JSON methods, so a strict decoder's
-// DisallowUnknownFields reaches inside them: a typo inside "tile" is a
-// 400 as the same typo beside it is. A method on either would take the
-// setting away (encoding/json does not carry it into UnmarshalJSON).
+// The readers are strict at every level of a unit or result: a typo
+// inside "tile" is a 400 as the same typo beside it is.
 func TestPackedRejectsUnknownFields(t *testing.T) {
 	req := withColumn(t, goldenTile(), "bogus", nil, "1")
-	if _, err := readPacked(req, (*RequestWire).Unpack); err == nil || !strings.Contains(err.Error(), `unknown field "bogus"`) {
+	if _, err := ReadRequest(req); err == nil || !strings.Contains(err.Error(), `unknown field "bogus"`) {
 		t.Errorf("request with an unknown field: %v", err)
 	}
 	res := withColumn(t, &TileResult{}, "bogus", nil, "1")
-	if _, err := readPacked(res, (*ResultWire).Unpack); err == nil || !strings.Contains(err.Error(), `unknown field "bogus"`) {
+	if _, err := ReadResult(res); err == nil || !strings.Contains(err.Error(), `unknown field "bogus"`) {
 		t.Errorf("result with an unknown field: %v", err)
 	}
 }
@@ -393,14 +389,14 @@ func TestPackedHostileValuesReachValidate(t *testing.T) {
 	}
 	old := `{"schema":2,"stage":"tile","coreW":8000,"coreH":8000,"pad":2000,` +
 		`"shapes":[{"Layer":4,"R":{"X0":1500,"Y0":1500,"X1":1800,"Y1":1570},"Net":0}]}`
-	if _, err := readPacked([]byte(old), (*RequestWire).Unpack); err == nil || !strings.Contains(err.Error(), "schema 2, this build speaks 4") {
+	if _, err := ReadRequest([]byte(old)); err == nil || !strings.Contains(err.Error(), "schema 2, this build speaks 4") {
 		t.Errorf("schema-2 body: %v, want the schema named", err)
 	}
 	// Schema 3 spelled its columns as this build does but promised no
 	// order, so it is refused by schema whether or not it happens to be
 	// sorted.
 	prev := strings.Replace(string(packedJSON(t, goldenTile())), `"schema":4`, `"schema":3`, 1)
-	back, err := readPacked([]byte(prev), (*RequestWire).Unpack)
+	back, err := ReadRequest([]byte(prev))
 	if err != nil {
 		t.Errorf("schema-3 body: rejected by the decoder (%v), want it left to Validate", err)
 	} else if err := back.Validate(); err == nil || !strings.Contains(err.Error(), "schema 3, this build speaks 4") {
@@ -434,11 +430,11 @@ func packedJSON(tb testing.TB, v any) []byte {
 // requestRoundTrip and resultRoundTrip send r across the wire and back:
 // packed, marshalled, strictly read.
 func requestRoundTrip(tb testing.TB, r *TileRequest) (*TileRequest, error) {
-	return readPacked(packedJSON(tb, r), (*RequestWire).Unpack)
+	return ReadRequest(packedJSON(tb, r))
 }
 
 func resultRoundTrip(tb testing.TB, r *TileResult) (*TileResult, error) {
-	return readPacked(packedJSON(tb, r), (*ResultWire).Unpack)
+	return ReadResult(packedJSON(tb, r))
 }
 
 // fuzzSeeds are the units internal/wirecompat posts, their results,
@@ -481,26 +477,7 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 	return seeds
 }
 
-// readPacked reads data as the packed form the serving tiers carry: one
-// strict encoding/json pass, columns included, then Unpack. It refuses
-// anything after the value, and reads null as a zero value.
-func readPacked[W any, T any](data []byte, unpack func(*W, []byte, error) (*T, error)) (*T, error) {
-	var w *W
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(&w)
-	if err == nil {
-		if _, end := dec.Token(); end != io.EOF {
-			err = fmt.Errorf("data after the value: %v", end)
-		}
-	}
-	if err == nil && w == nil {
-		return new(T), nil
-	}
-	return unpack(w, data, err)
-}
-
-// FuzzTileWire feeds arbitrary bytes to both decoders. They must not
+// FuzzTileWire feeds arbitrary bytes to both readers. They must not
 // panic or allocate more than a small multiple of what they were given,
 // and whatever decodes must survive its own re-encoding: same columns,
 // same bytes, and for a unit that validates, the same key.
@@ -511,17 +488,17 @@ func FuzzTileWire(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		req, errReq := readPacked(data, (*RequestWire).Unpack)
-		res, errRes := readPacked(data, (*ResultWire).Unpack)
+		req, errReq := ReadRequest(data)
+		res, errRes := ReadResult(data)
 		runtime.ReadMemStats(&m1)
 		// The widest honest amplification is a one-byte density row
 		// becoming a 24-byte slice header; decoding is done twice here.
 		if grew, limit := m1.TotalAlloc-m0.TotalAlloc, uint64(64<<10+128*len(data)); grew > limit {
 			t.Fatalf("decoding %d bytes allocated %d (limit %d)", len(data), grew, limit)
 		}
-		if errReq == nil {
+		if errReq == nil && req != nil {
 			b1 := packedJSON(t, req)
-			again, err := readPacked(b1, (*RequestWire).Unpack)
+			again, err := ReadRequest(b1)
 			if err != nil {
 				t.Fatalf("decode of a re-encoded request: %v\n%s", err, b1)
 			}
@@ -539,9 +516,9 @@ func FuzzTileWire(f *testing.F) {
 				}
 			}
 		}
-		if errRes == nil {
+		if errRes == nil && res != nil {
 			b1 := packedJSON(t, res)
-			again, err := readPacked(b1, (*ResultWire).Unpack)
+			again, err := ReadResult(b1)
 			if err != nil {
 				t.Fatalf("decode of a re-encoded result: %v\n%s", err, b1)
 			}
@@ -559,9 +536,9 @@ func FuzzTileWire(f *testing.F) {
 // way: encode plus strict decode of the fullest 24000-nm signoff tile
 // (DRC + density) of the benchmark's 50k-rect fleet chip, request and
 // result. MB/s is over the JSON bytes on the wire. Each hop row times
-// what a serving tier does: the unit's packed form inside its job
-// envelope, written and strictly read in one encoding/json pass, then
-// unpacked.
+// what a serving tier does: the unit's packed form written inside its
+// job envelope in one encoding/json pass; the envelope strictly read
+// with the tile held raw, then the tile by ReadRequest or ReadResult.
 func BenchmarkTileWire(b *testing.B) {
 	req, _ := fullestUnits(b, 50_000)
 	req.canonicalize()
@@ -598,26 +575,30 @@ func BenchmarkTileWire(b *testing.B) {
 			State string      `json:"state"`
 			Tile  *ResultWire `json:"tile"`
 		}
+		// What a tier reads a job into: the tile held raw.
+		readEnvelope struct {
+			Kind  string          `json:"kind"`
+			State string          `json:"state"`
+			Tile  json.RawMessage `json:"tile"`
+		}
 	)
-	strict := func(wire []byte, v any) error {
+	read := func(wire []byte, tile func([]byte) error) error {
+		var e readEnvelope
 		dec := json.NewDecoder(bytes.NewReader(wire))
 		dec.DisallowUnknownFields()
-		return dec.Decode(v)
+		if err := dec.Decode(&e); err != nil {
+			return err
+		}
+		return tile(e.Tile)
 	}
 	b.Run("hop", func(b *testing.B) {
 		run(b, "request", func() ([]byte, error) { return json.Marshal(requestEnvelope{"tile", PackRequest(req)}) },
 			func(wire []byte) error {
-				var e requestEnvelope
-				err := strict(wire, &e)
-				_, err = e.Tile.Unpack(wire, err)
-				return err
+				return read(wire, func(raw []byte) error { _, err := ReadRequest(raw); return err })
 			})
 		run(b, "result", func() ([]byte, error) { return json.Marshal(resultEnvelope{"done", PackResult(res)}) },
 			func(wire []byte) error {
-				var e resultEnvelope
-				err := strict(wire, &e)
-				_, err = e.Tile.Unpack(wire, err)
-				return err
+				return read(wire, func(raw []byte) error { _, err := ReadResult(raw); return err })
 			})
 	})
 }

@@ -640,8 +640,8 @@ func suite(t *testing.T, d *deployment) {
 	t.Run("tile-unknown-field", func(t *testing.T) {
 		// Strictness has to reach inside "tile": the envelope-level case
 		// is delta-kind-removed; this one holds because the node reads the
-		// tile's packed form, which has no JSON methods, with the same
-		// strict decoder in the same pass.
+		// tile's bytes with tiling.ReadRequest, whose decoder is strict
+		// too.
 		rejects(t, "unknown field inside tile", tileBody(tiling.TileSchema, `"bogus":1`), `unknown field "bogus"`)
 		settles(t, tileReq())
 	})

@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: tier1 check build vet test race-fast fuzz-smoke cover-kernel cover-engine cover-deck cover-harness cover-opc drcprofile scoreprofile editprofile fleetprofile lithoprofile bench bench-smoke examples-smoke docs-check fmt-check unit-check
+.PHONY: tier1 check build vet test race-fast fuzz-smoke cover-kernel cover-engine cover-deck cover-harness cover-opc cover-dfm drcprofile scoreprofile editprofile fleetprofile lithoprofile bench bench-smoke examples-smoke docs-check fmt-check unit-check
 
 # benchmark/ is a module of its own, so ./... above never reaches it;
 # without this an exported-name change breaks the benchmark silently.
@@ -31,6 +31,7 @@ tier1: ## build + vet + gofmt gate + full tests under the race detector
 	$(MAKE) cover-deck
 	$(MAKE) cover-harness
 	$(MAKE) cover-opc
+	$(MAKE) cover-dfm
 	$(MAKE) bench-smoke
 	$(MAKE) examples-smoke
 	$(MAKE) docs-check
@@ -163,6 +164,13 @@ cover-harness: ## executor coverage gate: no function of internal/harness's harn
 # unexercised; ilt.go may not hold a function the tests never run.
 cover-opc: ## OPC coverage gate: no function of internal/opc's opc.go/pwopc.go/ilt.go at 0 % under the package's own tests; opc.go and pwopc.go >= 90 % of statements
 	$(call cover-gate,cover-opc,./internal/opc,opc|pwopc|ilt,opc|pwopc)
+
+# And on the scorecard itself: every technique is a row of runall.go's
+# table run by its one driver, over the fixtures, fixes and measures of
+# techniques.go and dpt_eval.go, and chip.go is the full-chip run behind
+# dfmscore -chip, which no other test reached before TestEvalChipTiling.
+cover-dfm: ## scorecard coverage gate: no function of internal/dfm's techniques.go/dpt_eval.go/runall.go/chip.go at 0 % under the package's own tests
+	$(call cover-gate,cover-dfm,./internal/dfm,techniques|dpt_eval|runall|chip,)
 
 # Where drcprofile keeps its binary and profiles (bin/ is gitignored).
 DRCPROFILE_DIR ?= bin/drcprofile

@@ -69,13 +69,19 @@ func flatBlock(tb testing.TB, t *tech.Tech, o layout.BlockOpts) []layout.Shape {
 	return l.Flatten()
 }
 
-// outcomeOf fails the experiment on an evaluator error.
-func outcomeOf(tb testing.TB, o dfm.Outcome) dfm.Outcome {
+// evaluated runs one technique of the scorecard at seed, on the
+// scorecard's block, and fails the experiment on an evaluation error.
+func evaluated(tb testing.TB, t *tech.Tech, name string, seed int64) dfm.Outcome {
 	tb.Helper()
-	if o.Err != nil {
-		tb.Fatal(o.Err)
+	task, err := dfm.TechniqueTask(t, name, seed, dfm.DefaultBlock())
+	if err != nil {
+		tb.Fatal(err)
 	}
-	return o
+	o, err := task.Run(context.Background(), 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return o.(dfm.Outcome)
 }
 
 // simulate runs litho.Simulate to completion.
@@ -118,13 +124,13 @@ var experiments = []experiment{
 	})},
 	// T2: hotspot capture, plain DRC vs DRC Plus pattern matching.
 	{"T2", direct(func(tb testing.TB, t *tech.Tech) []string {
-		o := outcomeOf(tb, dfm.EvalDRCPlus(context.Background(), t, 11, 12))
+		o := evaluated(tb, t, "drc-plus", 11)
 		p, _ := o.Primary()
 		return []string{fmt.Sprintf("capture: plain DRC %.2f -> DRC Plus %.2f (%s)", p.Before, p.After, o.CostNote)}
 	})},
 	// T3: EPE statistics for no / rule-based / model-based OPC.
 	{"T3", direct(func(tb testing.TB, t *tech.Tech) (out []string) {
-		for _, m := range outcomeOf(tb, dfm.EvalOPCAccuracy(context.Background(), t)).Metrics {
+		for _, m := range evaluated(tb, t, "model-opc", 11).Metrics {
 			addf(&out, "%s: %.2f -> %.2f %s", m.Name, m.Before, m.After, m.Unit)
 		}
 		return out
@@ -192,8 +198,7 @@ var experiments = []experiment{
 	}},
 	// T4: dummy-fill density uniformity and CMP planarity, with area cost.
 	{"T4", direct(func(tb testing.TB, t *tech.Tech) (out []string) {
-		o := outcomeOf(tb, dfm.EvalDummyFill(context.Background(), t,
-			layout.BlockOpts{Rows: 3, RowWidth: 10000, Nets: 15, MaxFan: 3, Seed: 11}))
+		o := evaluated(tb, t, "dummy-fill", 11)
 		for _, m := range o.Metrics {
 			addf(&out, "%s: %.4f -> %.4f %s", m.Name, m.Before, m.After, m.Unit)
 		}
@@ -202,7 +207,7 @@ var experiments = []experiment{
 	})},
 	// T5: drawn vs post-OPC-extracted timing.
 	{"T5", direct(func(tb testing.TB, t *tech.Tech) (out []string) {
-		for _, m := range outcomeOf(tb, dfm.EvalLithoTiming(context.Background(), t, 9)).Metrics {
+		for _, m := range evaluated(tb, t, "litho-aware-timing", 9).Metrics {
 			addf(&out, "%s: %.4f %s", m.Name, m.Before, m.Unit)
 		}
 		return out
@@ -244,7 +249,7 @@ var experiments = []experiment{
 	}},
 	// T6: restricted design rules, PV-band robustness vs area.
 	{"T6", direct(func(tb testing.TB, t *tech.Tech) (out []string) {
-		o := outcomeOf(tb, dfm.EvalRestrictedRules(context.Background(), t))
+		o := evaluated(tb, t, "restricted-rules", 11)
 		for _, m := range o.Metrics {
 			addf(&out, "%s: %.4g -> %.4g %s", m.Name, m.Before, m.After, m.Unit)
 		}
@@ -275,7 +280,7 @@ var experiments = []experiment{
 	// T7: the full hit-or-hype scorecard at seed 11, then the bar each
 	// verdict was judged against, read from dfm's thresholds table.
 	{"T7", direct(func(tb testing.TB, t *tech.Tech) []string {
-		out := lines(dfm.RunAll(context.Background(), t, 11).Table())
+		out := lines(dfm.RunAllConfig(context.Background(), t, 11, dfm.DefaultConfig()).Table())
 		for _, th := range dfm.Thresholds() {
 			addf(&out, "%-22s %s", th.Technique, th.Bar())
 		}

@@ -75,22 +75,20 @@ func heapPeak(fn func() error) (uint64, error) {
 	go func() {
 		var ms runtime.MemStats
 		var peak uint64
+		sample := func() uint64 {
+			runtime.ReadMemStats(&ms)
+			peak = max(peak, ms.HeapAlloc)
+			return peak
+		}
 		tick := time.NewTicker(5 * time.Millisecond)
 		defer tick.Stop()
 		for {
 			select {
 			case <-stop:
-				runtime.ReadMemStats(&ms)
-				if ms.HeapAlloc > peak {
-					peak = ms.HeapAlloc
-				}
-				done <- peak
+				done <- sample()
 				return
 			case <-tick.C:
-				runtime.ReadMemStats(&ms)
-				if ms.HeapAlloc > peak {
-					peak = ms.HeapAlloc
-				}
+				sample()
 			}
 		}
 	}()

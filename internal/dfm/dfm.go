@@ -122,8 +122,8 @@ type Scorecard struct {
 	Outcomes []Outcome
 }
 
-// Add appends an outcome as-is. Judging is the evaluator's job —
-// every Eval* judges from its row of the technique table before returning.
+// Add appends an outcome as-is. Judging is the evaluation's job: each
+// outcome is judged against its row of the technique table.
 func (s *Scorecard) Add(o Outcome) {
 	s.Outcomes = append(s.Outcomes, o)
 }

@@ -66,7 +66,8 @@ func TestThresholdsCoverEveryTechnique(t *testing.T) {
 	}
 	o := Outcome{Technique: "dummy-fill", CostFrac: 0.284,
 		Metrics: []Metric{{Name: "density sigma", Before: 0.09, After: 0.03, Primary: true}}}
-	o.judge()
+	d, _ := techniqueNamed(o.Technique)
+	o.Judge(d.HitGain, d.CostCap)
 	det := (&Scorecard{Outcomes: []Outcome{o}}).Detail()
 	if o.Verdict != Hit || !strings.Contains(det, "HIT at gain >= 10% and cost <= 40%") {
 		t.Errorf("dummy-fill at 28.4%% cost: verdict %v, detail:\n%s", o.Verdict, det)
@@ -142,12 +143,24 @@ func TestScorecardRendering(t *testing.T) {
 	}
 }
 
-func TestEvalRedundantVia(t *testing.T) {
-	tt := tech.N45()
-	o := EvalRedundantVia(context.Background(), tt, layout.BlockOpts{Rows: 2, RowWidth: 8000, Nets: 10, MaxFan: 3, Seed: 4})
+// evaluated runs the named technique through the driver at seed, on
+// the block shape opts where it draws a block, and fails the test on
+// an evaluation error.
+func evaluated(t *testing.T, name string, seed int64, opts layout.BlockOpts) Outcome {
+	t.Helper()
+	d, ok := techniqueNamed(name)
+	if !ok {
+		t.Fatalf("no technique %q", name)
+	}
+	o := d.evaluate(context.Background(), tech.N45(), seed, opts)
 	if o.Err != nil {
 		t.Fatal(o.Err)
 	}
+	return o
+}
+
+func TestEvalRedundantVia(t *testing.T) {
+	o := evaluated(t, "redundant-via", 4, layout.BlockOpts{Rows: 2, RowWidth: 8000, Nets: 10, MaxFan: 3})
 	p, _ := o.Primary()
 	if p.After <= p.Before {
 		t.Fatalf("full-chip via yield did not improve: %+v", p)
@@ -158,11 +171,7 @@ func TestEvalRedundantVia(t *testing.T) {
 }
 
 func TestEvalDummyFill(t *testing.T) {
-	tt := tech.N45()
-	o := EvalDummyFill(context.Background(), tt, layout.BlockOpts{Rows: 2, RowWidth: 8000, Nets: 10, MaxFan: 3, Seed: 4})
-	if o.Err != nil {
-		t.Fatal(o.Err)
-	}
+	o := evaluated(t, "dummy-fill", 4, layout.BlockOpts{Rows: 2, RowWidth: 8000, Nets: 10, MaxFan: 3})
 	p, _ := o.Primary()
 	if p.Gain() <= 0 {
 		t.Fatalf("fill did not improve density sigma: %+v", p)
@@ -173,11 +182,7 @@ func TestEvalDummyFill(t *testing.T) {
 }
 
 func TestEvalOPCAccuracy(t *testing.T) {
-	tt := tech.N45()
-	o := EvalOPCAccuracy(context.Background(), tt)
-	if o.Err != nil {
-		t.Fatal(o.Err)
-	}
+	o := evaluated(t, "model-opc", 0, DefaultBlock())
 	p, _ := o.Primary()
 	if p.After >= p.Before {
 		t.Fatalf("model OPC did not reduce RMS EPE: %+v", p)
@@ -198,8 +203,7 @@ func TestEvalOPCAccuracy(t *testing.T) {
 }
 
 func TestEvalSRAF(t *testing.T) {
-	tt := tech.N45()
-	o := EvalSRAF(context.Background(), tt)
+	o := evaluated(t, "sraf", 0, DefaultBlock())
 	if o.Err != nil {
 		t.Fatal(o.Err)
 	}
@@ -217,11 +221,7 @@ func TestEvalSRAF(t *testing.T) {
 }
 
 func TestEvalDRCPlusCapturesMoreThanDRC(t *testing.T) {
-	tt := tech.N45()
-	o := EvalDRCPlus(context.Background(), tt, 11, 12)
-	if o.Err != nil {
-		t.Fatal(o.Err)
-	}
+	o := evaluated(t, "drc-plus", 11, DefaultBlock())
 	p, _ := o.Primary()
 	if p.After <= p.Before {
 		t.Fatalf("DRC+ capture (%v) not above plain DRC (%v)", p.After, p.Before)
@@ -254,11 +254,7 @@ func TestExtractGateLengths(t *testing.T) {
 }
 
 func TestEvalLithoTiming(t *testing.T) {
-	tt := tech.N45()
-	o := EvalLithoTiming(context.Background(), tt, 9)
-	if o.Err != nil {
-		t.Fatal(o.Err)
-	}
+	o := evaluated(t, "litho-aware-timing", 9, DefaultBlock())
 	p, _ := o.Primary()
 	if p.Before <= 0 {
 		t.Fatalf("no slack error measured: %+v", p)
@@ -269,8 +265,7 @@ func TestEvalLithoTiming(t *testing.T) {
 }
 
 func TestEvalRestrictedRules(t *testing.T) {
-	tt := tech.N45()
-	o := EvalRestrictedRules(context.Background(), tt)
+	o := evaluated(t, "restricted-rules", 0, DefaultBlock())
 	if o.Err != nil {
 		t.Fatal(o.Err)
 	}
@@ -289,7 +284,7 @@ func TestRunAllScorecard(t *testing.T) {
 		t.Skip("full scorecard is slow")
 	}
 	tt := tech.N45()
-	sc := RunAll(context.Background(), tt, 11)
+	sc := RunAllConfig(context.Background(), tt, 11, DefaultConfig())
 	if len(sc.Outcomes) != 8 {
 		t.Fatalf("technique count = %d", len(sc.Outcomes))
 	}

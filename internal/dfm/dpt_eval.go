@@ -9,62 +9,54 @@ import (
 	"repro/internal/tech"
 )
 
-// EvalDPT measures double-patterning readiness of the node's layout
-// style: decompose a routed metal2 layer with a same-mask spacing
-// constraint above the drawn minimum (the single-exposure limit the
-// next shrink would impose) and score the result with and without
-// stitch repair. The benefit metric is unresolved conflicts removed by
-// stitching; the cost is stitch count (each stitch is an overlay-
-// sensitive liability).
-func EvalDPT(ctx context.Context, t *tech.Tech, opts layout.BlockOpts) (o Outcome) {
-	o = Outcome{Technique: "dpt-decomposition"}
-	defer track(&o)()
-	if err := ctx.Err(); err != nil {
-		o.Err = err
-		return o
-	}
-	sp := stage("dpt-decomposition", "workload")
-	l, err := generateBlock(t, opts)
+// dptSameMask is the same-mask spacing of the decomposition: features
+// closer than 1.7x the drawn metal2 minimum must split across masks —
+// the pitch a 0.7x shrink would produce, above the single-exposure
+// limit.
+func dptSameMask(t *tech.Tech) int64 { return t.Rules[tech.Metal2].MinSpace * 17 / 10 }
+
+// dptDecomposition measures double-patterning readiness of the node's
+// layout style: decompose a routed metal2 layer and score the result
+// with and without stitch repair. The benefit is unresolved conflicts
+// removed by stitching; the cost is stitch overlap (each stitch is an
+// overlay-sensitive liability).
+//
+// It is a fixer that keeps its own body. Its metrics compare two
+// decompositions, not a layer before and after one: the before of its
+// primary metric, the problem size, is the adjacency count among the
+// stitched decomposition's features, which every stitch splits, and
+// the before of the odd cycles is the plain decomposition's. No
+// measure of the undecomposed layer reads either. (On the scorecard's
+// blocks at seeds 0-39 the plain decomposition leaves no conflict, so
+// no stitch is made and the two adjacency counts agree.)
+func dptDecomposition(ctx context.Context, name string, t *tech.Tech, opts layout.BlockOpts) (v values, err error) {
+	sp := stage(name, "fixture")
+	flat, err := flatBlock(t, opts)
+	sp.End()
 	if err != nil {
-		o.Err = err
-		return o
+		return v, err
 	}
-	m2 := layout.ByLayer(l.Flatten())[tech.Metal2]
-	sp.End()
-	// The constraint: features closer than 1.7x the drawn minimum must
-	// split across masks — the pitch a 0.7x shrink would produce.
-	sameMask := t.Rules[tech.Metal2].MinSpace * 17 / 10
+	m2 := layout.ByLayer(flat)[tech.Metal2]
 
-	sp = stage("dpt-decomposition", "decompose")
-	plain := dpt.Decompose(m2, sameMask, false, 0)
+	sp = stage(name, "decompose")
+	plain := dpt.Decompose(m2, dptSameMask(t), false, 0)
 	if err := ctx.Err(); err != nil {
-		o.Err = err
-		return o
+		return v, err
 	}
-	stitched := dpt.Decompose(m2, sameMask, true, 40)
-	sStitched := stitched.ScoreDecomposition(40)
+	stitched := dpt.Decompose(m2, dptSameMask(t), true, 40)
+	score := stitched.ScoreDecomposition(40)
 	sp.End()
 
-	// The problem DPT solves: every sub-single-exposure adjacency is
-	// unprintable in one exposure. "Before" is the full problem size;
-	// "after" is what decomposition could not separate.
-	o.Metrics = []Metric{
-		{Name: "unprintable adjacencies", Before: float64(stitched.Edges),
-			After: float64(len(stitched.Conflicts)), Unit: "count", HigherIsBetter: false, Primary: true},
-		{Name: "unresolved odd cycles", Before: float64(len(plain.Conflicts)),
-			After: float64(len(stitched.Conflicts)), Unit: "count", HigherIsBetter: false},
-		{Name: "composite score", Before: 0, After: sStitched.Composite,
-			Unit: "score", HigherIsBetter: true},
-		{Name: "mask balance", Before: 0, After: 1 - stitched.DensityBalance(),
-			Unit: "score", HigherIsBetter: true},
-	}
-	total := geom.AreaOf(m2)
-	if total > 0 {
-		// Stitch overlap area as the cost fraction.
+	// Every sub-single-exposure adjacency is unprintable in one
+	// exposure: "before" is the full problem size, "after" is what
+	// decomposition could not separate. An undecomposed layer scores 0.
+	left := float64(len(stitched.Conflicts))
+	v.before = []float64{float64(stitched.Edges), float64(len(plain.Conflicts)), 0, 0}
+	v.after = []float64{left, left, score.Composite, 1 - stitched.DensityBalance()}
+	if total := geom.AreaOf(m2); total > 0 {
 		overlap := geom.AreaOf(geom.Intersect(stitched.MaskRects(0), stitched.MaskRects(1)))
-		o.CostFrac = float64(overlap) / float64(total)
+		v.frac = float64(overlap) / float64(total)
 	}
-	o.CostNote = "stitch overlays (CD variability at every stitch)"
-	o.judge()
-	return o
+	v.note = "stitch overlays (CD variability at every stitch)"
+	return v, nil
 }

@@ -1,19 +1,13 @@
 package dfm
 
 import (
-	"context"
 	"testing"
 
 	"repro/internal/layout"
-	"repro/internal/tech"
 )
 
 func TestEvalDPT(t *testing.T) {
-	tt := tech.N45()
-	o := EvalDPT(context.Background(), tt, layout.BlockOpts{Rows: 2, RowWidth: 8000, Nets: 12, MaxFan: 3, Seed: 5})
-	if o.Err != nil {
-		t.Fatal(o.Err)
-	}
+	o := evaluated(t, "dpt-decomposition", 5, layout.BlockOpts{Rows: 2, RowWidth: 8000, Nets: 12, MaxFan: 3})
 	p, _ := o.Primary()
 	// Stitching must not increase conflicts.
 	if p.After > p.Before {

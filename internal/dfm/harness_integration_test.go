@@ -320,8 +320,9 @@ func (c *cancelAt) Err() error {
 // uncancelled run counts them, and the context then dies at the second
 // and at the last.
 func TestEvalCancellationMidFlight(t *testing.T) {
+	sraf, _ := techniqueNamed("sraf")
 	count := newCancelAt(0)
-	if o := EvalSRAF(count, tech.N45()); o.Err != nil {
+	if o := sraf.evaluate(count, tech.N45(), 0, DefaultBlock()); o.Err != nil {
 		t.Fatalf("uncancelled run: %v", o.Err)
 	}
 	last := count.calls.Load()
@@ -330,7 +331,7 @@ func TestEvalCancellationMidFlight(t *testing.T) {
 	}
 	t.Logf("an uncancelled run passes %d checkpoints", last)
 	for _, k := range []int64{2, last} {
-		if o := EvalSRAF(newCancelAt(k), tech.N45()); !errors.Is(o.Err, context.Canceled) {
+		if o := sraf.evaluate(newCancelAt(k), tech.N45(), 0, DefaultBlock()); !errors.Is(o.Err, context.Canceled) {
 			t.Errorf("cancelled at checkpoint %d of %d: err = %v, want context.Canceled", k, last, o.Err)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/harness"
@@ -53,59 +54,163 @@ type Threshold struct {
 	Why              string
 }
 
-// technique is one row of the scorecard: the name and verdict bar, and
-// the evaluator. base carries the workload shape for block-driven
-// techniques (its Seed is overwritten with seed); analysis techniques
-// ignore it.
+// technique is one row of the scorecard: the name and verdict bar, the
+// metrics its evaluation reports, and the evaluation, in one of three
+// shapes. A fixer is a fixture, a fix and a measure (fixer). A setting
+// of the generator is one measure over two fixtures (restrictedRules).
+// A check (drcPlus) or an analysis (lithoTiming) keeps its body, and so
+// does dpt-decomposition, a fixer whose before no measure of its
+// fixture reads (dptDecomposition). evaluate does the rest.
 type technique struct {
 	Threshold
-	run func(ctx context.Context, t *tech.Tech, seed int64, base layout.BlockOpts) Outcome
+	// metrics are the evaluation's metrics in the order it reports
+	// them, Before and After left for evaluate to fill.
+	metrics []Metric
+	eval    evaluation
 }
 
-// techniques is the one technique table, in scorecard order. Every
-// Eval* judges from its row and Scorecard.Detail prints it; since the
-// rows name the Eval*s, a static initializer would be a cycle, so init
-// fills it.
-var techniques []technique
+// evaluation evaluates one technique at the seed in opts.Seed (block
+// techniques draw their block from opts; the others ignore the shape),
+// naming its stage spans after name.
+type evaluation func(ctx context.Context, name string, t *tech.Tech, opts layout.BlockOpts) (values, error)
 
-func init() {
-	techniques = []technique{
-		{Threshold{"redundant-via", 0.02, 0.10, "chip yield moves in points, and extra cuts cost no area"},
-			func(ctx context.Context, t *tech.Tech, seed int64, base layout.BlockOpts) Outcome {
-				base.Seed = seed
-				return EvalRedundantVia(ctx, t, base)
-			}},
-		{Threshold{"dummy-fill", 0.10, 0.40, "fill is dead metal, electrically cheap, so the cost cap is loose"},
-			func(ctx context.Context, t *tech.Tech, seed int64, base layout.BlockOpts) Outcome {
-				base.Seed = seed
-				return EvalDummyFill(ctx, t, base)
-			}},
-		{Threshold{"model-opc", 0.30, 0.10, "correction must remove most of the raw error to earn its mask data and compute"},
-			func(ctx context.Context, t *tech.Tech, seed int64, base layout.BlockOpts) Outcome {
-				return EvalOPCAccuracy(ctx, t)
-			}},
-		{Threshold{"sraf", 0.15, 0.10, "assists must buy visible through-focus stability for their MRC burden"},
-			func(ctx context.Context, t *tech.Tech, seed int64, base layout.BlockOpts) Outcome {
-				return EvalSRAF(ctx, t)
-			}},
-		{Threshold{"drc-plus", 0.10, 0.10, "a pattern deck must catch what plain DRC misses to earn its upkeep"},
-			func(ctx context.Context, t *tech.Tech, seed int64, base layout.BlockOpts) Outcome {
-				return EvalDRCPlus(ctx, t, seed, seed+1)
-			}},
-		{Threshold{"litho-aware-timing", 0.02, 0.10, "a slack error of 2% of the period is a speed bin"},
-			func(ctx context.Context, t *tech.Tech, seed int64, base layout.BlockOpts) Outcome {
-				return EvalLithoTiming(ctx, t, seed)
-			}},
-		{Threshold{"restricted-rules", 0.05, 0.10, "area is the bill the panel argued over; more than 10% of it is not a clear win"},
-			func(ctx context.Context, t *tech.Tech, seed int64, base layout.BlockOpts) Outcome {
-				return EvalRestrictedRules(ctx, t)
-			}},
-		{Threshold{"dpt-decomposition", 0.10, 0.10, "decomposition must separate the adjacencies; stitch overlap is the cost"},
-			func(ctx context.Context, t *tech.Tech, seed int64, base layout.BlockOpts) Outcome {
-				base.Seed = seed
-				return EvalDPT(ctx, t, base)
-			}},
+// values is what an evaluation reports: one before and one after value
+// per metric of its row, and the cost.
+type values struct {
+	before, after []float64
+	cost
+}
+
+// cost is a technique's resource cost, Outcome's CostFrac and CostNote.
+type cost struct {
+	frac float64
+	note string
+}
+
+// fixer is the evaluation of a technique that changes a layout: its
+// fixture, measured, then fixed and measured again by the same measure.
+// The fix reports the cost of what it added.
+func fixer[L any](fixture func(t *tech.Tech, opts layout.BlockOpts) (L, error),
+	fix func(ctx context.Context, t *tech.Tech, in L) (L, cost, error),
+	measure func(ctx context.Context, t *tech.Tech, l L) ([]float64, error)) evaluation {
+	return func(ctx context.Context, name string, t *tech.Tech, opts layout.BlockOpts) (v values, err error) {
+		sp := stage(name, "fixture")
+		in, err := fixture(t, opts)
+		sp.End()
+		if err != nil {
+			return v, err
+		}
+		sp = stage(name, "measure")
+		v.before, err = measure(ctx, t, in)
+		sp.End()
+		if err != nil {
+			return v, err
+		}
+		if err := ctx.Err(); err != nil {
+			return v, err
+		}
+		sp = stage(name, "fix")
+		out, c, err := fix(ctx, t, in)
+		sp.End()
+		if err != nil {
+			return v, err
+		}
+		sp = stage(name, "measure")
+		v.after, err = measure(ctx, t, out)
+		sp.End()
+		v.cost = c
+		return v, err
 	}
+}
+
+// techniques is the one technique table, in scorecard order.
+// Scorecard.Detail prints each row's bar beside its outcome.
+var techniques = []technique{
+	{Threshold{"redundant-via", 0.02, 0.10, "chip yield moves in points, and extra cuts cost no area"},
+		[]Metric{
+			{Name: "full-chip via yield", Unit: "frac", HigherIsBetter: true, Primary: true},
+			{Name: "block via yield", Unit: "frac", HigherIsBetter: true},
+			{Name: "single-via fraction", Unit: "frac"},
+		},
+		fixer(flatBlock, viaFix, viaMeasure)},
+	{Threshold{"dummy-fill", 0.10, 0.40, "fill is dead metal, electrically cheap, so the cost cap is loose"},
+		[]Metric{
+			{Name: "density sigma", Unit: "frac", Primary: true},
+			{Name: "density min", Unit: "frac", HigherIsBetter: true},
+			{Name: "CMP thickness range", Unit: "nm"},
+			{Name: "max density gradient", Unit: "frac"},
+		},
+		fixer(dieFixture, fillFix, fillMeasure)},
+	// Its fix offers two corrections of the one fixture, each measured
+	// against it.
+	{Threshold{"model-opc", 0.30, 0.10, "correction must remove most of the raw error to earn its mask data and compute"},
+		[]Metric{
+			{Name: "RMS EPE (model OPC)", Unit: "nm", Primary: true},
+			{Name: "RMS EPE (rule OPC)", Unit: "nm"},
+		},
+		fixer(opcFixture, opcFix, epeMeasure)},
+	{Threshold{"sraf", 0.15, 0.10, "assists must buy visible through-focus stability for their MRC burden"},
+		[]Metric{
+			{Name: "CD shift @80nm defocus", Unit: "nm", Primary: true},
+			{Name: "depth of focus", Unit: "nm", HigherIsBetter: true},
+		},
+		fixer(srafFixture, srafFix, srafMeasure)},
+	{Threshold{"drc-plus", 0.10, 0.10, "a pattern deck must catch what plain DRC misses to earn its upkeep"},
+		[]Metric{
+			{Name: "hotspot capture rate", Unit: "frac", HigherIsBetter: true, Primary: true},
+			{Name: "library size", Unit: "patterns", HigherIsBetter: true},
+			{Name: "test hotspots", Unit: "sites"},
+		},
+		drcPlus},
+	{Threshold{"litho-aware-timing", 0.02, 0.10, "a slack error of 2% of the period is a speed bin"},
+		[]Metric{
+			{Name: "unmodeled slack error", Unit: "frac of period", Primary: true},
+			{Name: "path rank churn", Unit: "frac inversions"},
+			{Name: "unmodeled leakage error", Unit: "frac"},
+		},
+		lithoTiming},
+	{Threshold{"restricted-rules", 0.05, 0.10, "area is the bill the panel argued over; more than 10% of it is not a clear win"},
+		[]Metric{
+			{Name: "M1 PV band fraction", Unit: "frac", Primary: true},
+			{Name: "M1 CD loss @120nm defocus", Unit: "nm"},
+			{Name: "library cell area", Unit: "nm2"},
+		},
+		restrictedRules},
+	{Threshold{"dpt-decomposition", 0.10, 0.10, "decomposition must separate the adjacencies; stitch overlap is the cost"},
+		[]Metric{
+			{Name: "unprintable adjacencies", Unit: "count", Primary: true},
+			{Name: "unresolved odd cycles", Unit: "count"},
+			{Name: "composite score", Unit: "score", HigherIsBetter: true},
+			{Name: "mask balance", Unit: "score", HigherIsBetter: true},
+		},
+		dptDecomposition},
+}
+
+// evaluate runs one row at a seed: the outcome's clock and context
+// check, the evaluation, its values zipped into the row's metrics, the
+// cost, and the verdict against the row's bar. A failed evaluation's
+// outcome carries its error and no metrics. Where an evaluation reports
+// fewer before values than after values (model-opc's two corrections of
+// one fixture), the befores repeat.
+func (d technique) evaluate(ctx context.Context, t *tech.Tech, seed int64, opts layout.BlockOpts) (o Outcome) {
+	o = Outcome{Technique: d.Technique}
+	defer track(&o)()
+	if o.Err = ctx.Err(); o.Err != nil {
+		return o
+	}
+	opts.Seed = seed
+	v, err := d.eval(ctx, d.Technique, t, opts)
+	if err != nil {
+		o.Err = err
+		return o
+	}
+	o.Metrics = slices.Clone(d.metrics)
+	for i := range o.Metrics {
+		o.Metrics[i].Before, o.Metrics[i].After = v.before[i%len(v.before)], v.after[i]
+	}
+	o.CostFrac, o.CostNote = v.frac, v.note
+	o.Judge(d.HitGain, d.CostCap)
+	return o
 }
 
 // techniqueNamed returns the table row for name.
@@ -133,12 +238,6 @@ func (th Threshold) Bar() string {
 	return fmt.Sprintf("HIT at gain >= %.0f%% and cost <= %.0f%%", 100*th.HitGain, 100*th.CostCap)
 }
 
-// judge sets the verdict from the technique's row of the table.
-func (o *Outcome) judge() {
-	d, _ := techniqueNamed(o.Technique)
-	o.Judge(d.HitGain, d.CostCap)
-}
-
 // Techniques returns the technique names in canonical scorecard
 // order. The slice is fresh on every call.
 func Techniques() []string {
@@ -163,47 +262,30 @@ func TechniqueTask(t *tech.Tech, name string, seed int64, base layout.BlockOpts)
 		return harness.Task{}, fmt.Errorf("%w: %q", ErrUnknownTechnique, name)
 	}
 	return harness.Task{Name: name, Run: func(ctx context.Context, _ int) (any, error) {
-		o := d.run(ctx, t, seed, base)
+		o := d.evaluate(ctx, t, seed, base)
 		return o, o.Err
 	}}, nil
 }
 
-// TechniqueTasks builds the harness task list for every technique at
-// the given base seed, in the canonical scorecard order.
-func TechniqueTasks(t *tech.Tech, seed int64) []harness.Task {
-	tasks := make([]harness.Task, 0, len(techniques))
-	for _, d := range techniques {
-		task, _ := TechniqueTask(t, d.Technique, seed, DefaultBlock())
-		tasks = append(tasks, task)
-	}
-	return tasks
-}
-
-// RunAll evaluates every technique with default workloads and returns
-// the scorecard — the panel's question, answered end to end. It runs
-// through the fault-tolerant harness with DefaultConfig.
-func RunAll(ctx context.Context, t *tech.Tech, seed int64) *Scorecard {
-	return RunAllConfig(ctx, t, seed, DefaultConfig())
-}
-
-// RunAllConfig is RunAll with explicit harness policy. Every
+// RunAllConfig evaluates every technique at the seed with the default
+// block and returns the scorecard — the panel's question, answered end
+// to end — through the fault-tolerant harness under cfg. Every
 // technique always yields exactly one outcome: a failed, timed-out,
 // panicked, or canceled evaluator degrades to an outcome whose Err
 // carries the harness's typed classification while the remaining
 // techniques report real verdicts.
 func RunAllConfig(ctx context.Context, t *tech.Tech, seed int64, cfg Config) *Scorecard {
-	tasks := TechniqueTasks(t, seed)
-	for i := range tasks {
-		tasks[i].Timeout = cfg.Timeout
-		if cfg.Hook != nil {
-			name, run := tasks[i].Name, tasks[i].Run
-			tasks[i].Run = func(ctx context.Context, _ int) (any, error) {
-				if err := cfg.Hook(ctx, name); err != nil {
+	tasks := make([]harness.Task, len(techniques))
+	for i, d := range techniques {
+		tasks[i] = harness.Task{Name: d.Technique, Timeout: cfg.Timeout, Run: func(ctx context.Context, _ int) (any, error) {
+			if cfg.Hook != nil {
+				if err := cfg.Hook(ctx, d.Technique); err != nil {
 					return nil, err
 				}
-				return run(ctx, 0)
 			}
-		}
+			o := d.evaluate(ctx, t, seed, DefaultBlock())
+			return o, o.Err
+		}}
 	}
 	results := harness.Run(ctx, tasks, harness.Options{Workers: cfg.Parallel})
 	sc := &Scorecard{}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"reflect"
 	"strings"
@@ -52,12 +53,17 @@ func WriteJobStatus(w http.ResponseWriter, st JobStatus) {
 }
 
 // decodeJobRequest is the node's strict reading of a body: unknown
-// fields rejected at every level, "tile" included.
+// fields rejected at every level, "tile" included, and so is anything
+// but white space after the request, in json.Unmarshal's words. Only
+// the bytes after the request are read for that.
 func decodeJobRequest(body []byte) (JobRequest, error) {
 	var w jobRequestWire[json.RawMessage]
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	err := asPlain(dec.Decode(&w), reflect.TypeOf(w), reflect.TypeOf(w.JobRequest))
+	if rest := bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n"); err == nil && len(rest) > 0 {
+		err = fmt.Errorf("invalid character %q after top-level value", rest[0])
+	}
 	if w.JobRequest.Tile, err = readTile(w.Tile, err, tiling.ReadRequest); err != nil {
 		return JobRequest{}, err
 	}

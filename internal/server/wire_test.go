@@ -340,6 +340,9 @@ func TestJobWireTakesAndRefuses(t *testing.T) {
 		{"rects not base64 after an escaped quote", true, `{"kind":"tile","technique":"a\"windows\":\"","tile":{"schema":4,"rects":"!!!!"}}`,
 			"tiling: tile request: rects column: illegal base64 data at input byte 0"},
 		{"null request", true, `null`, ""},
+		{"data after the request", true, `{"technique":"sraf","seed":1} garbage`, "invalid character 'g' after top-level value"},
+		{"a second value after the request", true, `{"technique":"sraf","seed":1}{"kind":"x"}`, "invalid character '{' after top-level value"},
+		{"white space after the request", true, "{\"technique\":\"sraf\",\"seed\":1} \r\n\t", ""},
 		{"schema-3 unit not base64", true, strings.Replace(tile, `"schema":4`, `"schema":3`, 1) + `"shapes":"AAA"}}`,
 			"tiling: tile request schema 3, this build speaks 4"},
 

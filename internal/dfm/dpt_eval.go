@@ -36,14 +36,14 @@ func dptDecomposition(ctx context.Context, name string, t *tech.Tech, opts layou
 	if err != nil {
 		return v, err
 	}
-	m2 := layout.ByLayer(flat)[tech.Metal2]
+	m2, sameMask := layout.ByLayer(flat)[tech.Metal2], dptSameMask(t)
 
 	sp = stage(name, "decompose")
-	plain := dpt.Decompose(m2, dptSameMask(t), false, 0)
+	plain := dpt.Decompose(m2, sameMask, false, 0)
 	if err := ctx.Err(); err != nil {
 		return v, err
 	}
-	stitched := dpt.Decompose(m2, dptSameMask(t), true, 40)
+	stitched := dpt.Decompose(m2, sameMask, true, 40)
 	score := stitched.ScoreDecomposition(40)
 	sp.End()
 

@@ -88,8 +88,11 @@ type cost struct {
 }
 
 // fixer is the evaluation of a technique that changes a layout: its
-// fixture, measured, then fixed and measured again by the same measure.
-// The fix reports the cost of what it added.
+// fixture, fixed, then the fix and the fixture measured by the same
+// measure. The fix reports the cost of what it added. Fixing first
+// keeps the evaluation's render handle empty while the fix runs (the
+// OPC loop renders through its own), and measuring the fix first lets
+// an image the fix hands over go before the fixture's mask renders.
 func fixer[L any](fixture func(t *tech.Tech, opts layout.BlockOpts) (L, error),
 	fix func(ctx context.Context, t *tech.Tech, in L) (L, cost, error),
 	measure func(ctx context.Context, t *tech.Tech, l L) ([]float64, error)) evaluation {
@@ -100,15 +103,6 @@ func fixer[L any](fixture func(t *tech.Tech, opts layout.BlockOpts) (L, error),
 		if err != nil {
 			return v, err
 		}
-		sp = stage(name, "measure")
-		v.before, err = measure(ctx, t, in)
-		sp.End()
-		if err != nil {
-			return v, err
-		}
-		if err := ctx.Err(); err != nil {
-			return v, err
-		}
 		sp = stage(name, "fix")
 		out, c, err := fix(ctx, t, in)
 		sp.End()
@@ -116,8 +110,11 @@ func fixer[L any](fixture func(t *tech.Tech, opts layout.BlockOpts) (L, error),
 			return v, err
 		}
 		sp = stage(name, "measure")
-		v.after, err = measure(ctx, t, out)
-		sp.End()
+		defer sp.End()
+		if v.after, err = measure(ctx, t, out); err != nil {
+			return v, err
+		}
+		v.before, err = measure(ctx, t, in)
 		v.cost = c
 		return v, err
 	}

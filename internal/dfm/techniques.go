@@ -136,12 +136,15 @@ func newPrinted(t *tech.Tech, drawn []geom.Rect, window geom.Rect, maxDefocus fl
 	return printed{drawn, window, litho.NewRasterMask(nil, window, t.Optics, maxDefocus), []mask{{rects: drawn}}}
 }
 
-// image is m's nominal image: the one its fix rendered, or rendered now.
-func (p printed) image(ctx context.Context, m mask) (*litho.Image, error) {
-	if m.img != nil {
-		return m.img, nil
+// image is mask i's nominal image: the one its fix rendered, handed
+// over once so that its grid goes with the caller's last use of it, or
+// rendered now.
+func (p printed) image(ctx context.Context, i int) (*litho.Image, error) {
+	if img := p.masks[i].img; img != nil {
+		p.masks[i].img = nil
+		return img, nil
 	}
-	p.rm.Remask(m.rects)
+	p.rm.Remask(p.masks[i].rects)
 	return p.rm.Image(ctx, litho.Nominal)
 }
 
@@ -178,8 +181,8 @@ func opcFix(ctx context.Context, t *tech.Tech, p printed) (printed, cost, error)
 // print against the drawn pattern.
 func epeMeasure(ctx context.Context, _ *tech.Tech, p printed) ([]float64, error) {
 	var out []float64
-	for _, m := range p.masks {
-		img, err := p.image(ctx, m)
+	for i := range p.masks {
+		img, err := p.image(ctx, i)
 		if err != nil {
 			return nil, err
 		}
@@ -212,7 +215,7 @@ func srafFix(_ context.Context, _ *tech.Tech, p printed) (printed, cost, error) 
 // defocus-80 image and the FE matrix, which renders its other defoci
 // over one grid.
 func srafMeasure(ctx context.Context, _ *tech.Tech, p printed) ([]float64, error) {
-	img, err := p.image(ctx, p.masks[0])
+	img, err := p.image(ctx, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -39,6 +39,8 @@ func TestEvalChipTiling(t *testing.T) {
 	if !rep.Match {
 		t.Fatal("the tiled result differs from the flat one")
 	}
+	t.Logf("%d tiles, %d violations, %d hotspots, %d of %d injected defects found",
+		rep.Stats.Tiles, rep.Violations, rep.Hotspots, rep.DefectsFound, rep.DefectSites)
 	if rep.DefectSites == 0 || rep.DefectsFound != rep.DefectSites {
 		t.Errorf("found %d of %d injected litho defects", rep.DefectsFound, rep.DefectSites)
 	}

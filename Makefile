@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: tier1 check build vet test race-fast fuzz-smoke cover-kernel cover-engine cover-deck cover-harness cover-opc cover-dfm drcprofile scoreprofile editprofile fleetprofile lithoprofile bench bench-smoke examples-smoke docs-check fmt-check unit-check
+.PHONY: tier1 check build vet test race-fast fuzz-smoke cover-kernel cover-engine cover-deck cover-harness cover-wire cover-opc cover-dfm drcprofile scoreprofile editprofile fleetprofile lithoprofile bench bench-smoke examples-smoke docs-check fmt-check unit-check
 
 # benchmark/ is a module of its own, so ./... above never reaches it;
 # without this an exported-name change breaks the benchmark silently.
@@ -30,6 +30,7 @@ tier1: ## build + vet + gofmt gate + full tests under the race detector
 	$(MAKE) cover-engine
 	$(MAKE) cover-deck
 	$(MAKE) cover-harness
+	$(MAKE) cover-wire
 	$(MAKE) cover-opc
 	$(MAKE) cover-dfm
 	$(MAKE) bench-smoke
@@ -71,7 +72,7 @@ test:
 race-fast: ## race pass skipping the slow full-scorecard experiments
 	$(GO) test -race -short ./...
 
-fuzz-smoke: ## 20 s of the morphology fuzzer (the streaming erosion and dilation stages, the run labeller and the hotspot detector against the per-pixel oracle), 10 s of the sparse-blur fuzzer (the banded update against the per-rect oracle and the dense blur, both kernel arms too) and 10 s of the boundary-edge fuzzer, each against its oracle; 10 s of the litho kernel's assembly routines (the blur's rank-1 update, the square, the threshold word) against their Go loops, the rank-1 update over 0–7 rows with guard words between them; 10 s of geom's region ops and area queries against the slab oracle; 10 s of the spatial index over a fuzzed extent against brute force; 10 s of the band walk, clipped area, clip and connected components of a normal-form set against a linear scan, ClipArea, Intersect and a brute-force union-find; 10 s of the deck's facing-edge scans and MinArea against their oracles; 10 s of the tile wire's one reader, tiling.ReadRequest and ReadResult, on arbitrary bytes (no panic, bounded allocation, re-encode is a fixed point with the same key); 10 s of a unit's packed-key sort against the comparator sort; 10 s of keysort's radix sort against slices.Sort and its permutation against a gather; 10 s of a pattern's two-form canonical hash against the eight-orientation oracle; 10 s of the router's rendezvous placement over 1–8 backend names (a permutation whose head is the argmax, kept when another name is dropped, moved only onto a name added); 10 s of the router's per-backend health record against its reference model over any sequence of probe results, admissions and request outcomes; 10 s of the one job route of dfmd and of the router on arbitrary bodies and placement claims (200, 400 or 413 with a JSON body, no dropped connection, the router's answer dfmd's)
+fuzz-smoke: ## 20 s of the morphology fuzzer (the streaming erosion and dilation stages, the run labeller and the hotspot detector against the per-pixel oracle), 10 s of the sparse-blur fuzzer (the banded update against the per-rect oracle and the dense blur, both kernel arms too) and 10 s of the boundary-edge fuzzer, each against its oracle; 10 s of the litho kernel's assembly routines (the blur's rank-1 update, the square, the threshold word) against their Go loops, the rank-1 update over 0–7 rows with guard words between them; 10 s of geom's region ops and area queries against the slab oracle; 10 s of the spatial index over a fuzzed extent against brute force; 10 s of the band walk, clipped area, clip and connected components of a normal-form set against a linear scan, ClipArea, Intersect and a brute-force union-find; 10 s of the deck's facing-edge scans and MinArea against their oracles; 10 s of the tile wire's one reader, tiling.ReadRequest and ReadResult, on arbitrary bytes (no panic, bounded allocation, re-encode is a fixed point with the same key); 10 s of a unit's packed-key sort against the comparator sort; 10 s of keysort's radix sort against slices.Sort and its permutation against a gather; 10 s of a pattern's two-form canonical hash against the eight-orientation oracle; 10 s of the router's rendezvous placement over 1–8 backend names (a permutation whose head is the argmax, kept when another name is dropped, moved only onto a name added); 10 s of the router's per-backend health record against its reference model over any sequence of probe results, admissions and request outcomes; 10 s of the one job route of dfmd and of the router on arbitrary bodies and placement claims (200, 400 or 413 with a JSON body, no dropped connection, the router's answer dfmd's); 10 s of the job wire's one-pass reading against its two-stage reading, as a request and as an answer, on arbitrary bytes (a body the one pass takes, the two-stage reading takes into the same job or answer, re-encoded to the same bytes)
 	$(GO) test -run='^$$' -fuzz=FuzzBitmapMorphology -fuzztime=20s -fuzzminimizetime=2s ./internal/litho
 	$(GO) test -run='^$$' -fuzz=FuzzSparseBlur -fuzztime=10s -fuzzminimizetime=2s ./internal/litho
 	$(GO) test -run='^$$' -fuzz=FuzzKernelLoops -fuzztime=10s -fuzzminimizetime=2s ./internal/litho
@@ -87,6 +88,7 @@ fuzz-smoke: ## 20 s of the morphology fuzzer (the streaming erosion and dilation
 	$(GO) test -run='^$$' -fuzz=FuzzPlacement -fuzztime=10s -fuzzminimizetime=2s ./internal/router
 	$(GO) test -run='^$$' -fuzz=FuzzBackendHealth -fuzztime=10s -fuzzminimizetime=2s ./internal/router
 	$(GO) test -run='^$$' -fuzz=FuzzSubmit -fuzztime=10s -fuzzminimizetime=2s ./internal/wirecompat
+	$(GO) test -run='^$$' -fuzz=FuzzJobWire -fuzztime=10s -fuzzminimizetime=2s ./internal/server
 
 # Where the coverage gates keep their profiles (bin/ is gitignored).
 COVER_DIR ?= bin/cover
@@ -132,10 +134,11 @@ cover-kernel: ## litho kernel coverage gate: no function of raster.go/sparse.go/
 # The same watch on the path every chip unit takes — cut (plan.go), key
 # (key.go), validate / execute / absorb (wire.go), scan (scan.go, every
 # engine's stage-B driver), compute once per cache (cache.go, whose
-# wait-and-fallback path a race alone would reach): unit.String sat there
-# unexecuted until PR 20 deleted it with the type.
-cover-engine: ## unit path coverage gate: no function of internal/tiling's plan.go/wire.go/key.go/scan.go/cache.go at 0 % under the package's own tests
-	$(call cover-gate,cover-engine,./internal/tiling,plan|wire|key|scan|cache,)
+# wait-and-fallback path a race alone would reach), pack and unpack
+# (packed.go): unit.String sat there unexecuted until PR 20 deleted it
+# with the type.
+cover-engine: ## unit path coverage gate: no function of internal/tiling's plan.go/wire.go/key.go/scan.go/cache.go/packed.go at 0 % under the package's own tests
+	$(call cover-gate,cover-engine,./internal/tiling,plan|wire|key|scan|cache|packed,)
 
 # And on what every tile's deck stands on: the index, the boundary
 # extraction, the region algebra and the band walk under
@@ -157,6 +160,14 @@ cover-deck: ## deck path coverage gate: no function of internal/geom's index.go/
 # the way Pool.Workers sat outside the package's own tests.
 cover-harness: ## executor coverage gate: no function of internal/harness's harness.go/pool.go/foreach.go/metrics.go at 0 % under the package's own tests; harness.go and pool.go >= 90 % of statements
 	$(call cover-gate,cover-harness,./internal/harness,harness|pool|foreach|metrics,harness|pool)
+
+# And on the job wire: an accepted job is read in one pass, so the
+# two-stage reading in wire.go runs only for a body the one pass passes
+# on (an error, an unknown field, a repeated or escaped member name), and
+# 90 % of the file's statements keeps that reading, which words every
+# refusal, from going unexercised.
+cover-wire: ## job wire coverage gate: no function of internal/server's wire.go at 0 % under the package's own tests; wire.go >= 90 % of statements
+	$(call cover-gate,cover-wire,./internal/server,wire,wire)
 
 # And on the correction loop: model-based OPC is pwopc.go's loop at one
 # corner, so 90 % of the statements of opc.go (fragments, bias, MRC caps)
@@ -207,7 +218,7 @@ editprofile: ## CPU profile of the in-design edit cycle (100k-rect chip, repair 
 # Where fleetprofile keeps its test binary and profile (bin/ is gitignored).
 FLEETPROFILE_DIR ?= bin/fleetprofile
 
-fleetprofile: ## CPU profile of the fleet path (BenchmarkFleetChip: 50k-rect chip, router + 2 in-process nodes, cold pass A then resubmitted pass B): the job envelope, written in one encoding/json pass with the tile packed inside it and read with the tile held raw, then the tile by tiling.ReadRequest or ReadResult (server.decodeJobRequest, client eval's DecodeJobStatus), the unit's one sort and its key (hashed where it is built and on the node that serves it; the router only forwards), router, client and deck by cumulative cost
+fleetprofile: ## CPU profile of the fleet path (BenchmarkFleetChip: 50k-rect chip, router + 2 in-process nodes, cold pass A then resubmitted pass B): the job envelope, written in one encoding/json pass with the tile packed inside it and read in one strict pass, the columns decoded in place and unpacked by tiling.UnpackRequest or UnpackResult (server.decodeJobRequest, client eval's DecodeJobStatus; no json.RawMessage and no second Decoder under either for an accepted body), the unit's one sort and its key (hashed where it is built and on the node that serves it; the router only forwards), router, client and deck by cumulative cost
 	@mkdir -p $(FLEETPROFILE_DIR)
 	$(GO) test -run='^$$' -bench='^BenchmarkFleetChip$$' -benchtime=20x -benchmem \
 		-cpuprofile $(FLEETPROFILE_DIR)/cpu.prof -o $(FLEETPROFILE_DIR)/fleet.test ./internal/fleet
@@ -229,11 +240,12 @@ lithoprofile: ## which arm of the kernel's float loops runs (litho.kernel.simd: 
 bench: ## every root-module benchmark (BenchmarkExperiment/<id> times the paper's experiments), time and allocations only; writes no file and regenerates no table (records come from `bash benchmark/run.sh`, the tables from `go test -run TestExperimentTables -update .`)
 	$(GO) test -run='^$$' -bench=. -benchmem .
 
-bench-smoke: ## one iteration of the five kernel micro-rows (the geometry Booleans, a block DRC, the erosion and dilation row stages opening a scan window, the scan window with its streaming detector, the wall-to-wall window), of the scorecard that scoreprofile profiles (four seeds, every evaluator, litho's banded blur — one rank-1 update per y-band footprint cluster — under most of it), of one experiment of the table, of the tile wire codec, of the tile key and of the sort before it, of the key sort's two arms, of the index build (a dense set and a sparse one over a 190 µm extent), of the sweep under each coverage rule, of the boundary extraction, of the deck and the endcap rule on a tile, of a layer's query mix on its bands, of the pattern hash's two arms and of drc-plus's pattern scan, so the gate executes the benchmarks and does not merely compile them
+bench-smoke: ## one iteration of the five kernel micro-rows (the geometry Booleans, a block DRC, the erosion and dilation row stages opening a scan window, the scan window with its streaming detector, the wall-to-wall window), of the scorecard that scoreprofile profiles (four seeds, every evaluator, litho's banded blur — one rank-1 update per y-band footprint cluster — under most of it), of one experiment of the table, of the fleet's fullest tile as a job each way through the job wire, of the tile key and of the sort before it, of the key sort's two arms, of the index build (a dense set and a sparse one over a 190 µm extent), of the sweep under each coverage rule, of the boundary extraction, of the deck and the endcap rule on a tile, of a layer's query mix on its bands, of the pattern hash's two arms and of drc-plus's pattern scan, so the gate executes the benchmarks and does not merely compile them
 	$(GO) test -run='^$$' -bench='^Benchmark(GeomBoolean|DRCBlock|BitmapOpen|ScanWindow|ScanWindowDense)$$' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='^BenchmarkScorecard$$' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='^BenchmarkExperiment$$/^F5$$' -benchtime=1x .
-	$(GO) test -run='^$$' -bench='^BenchmarkTile(Wire|Key)$$' -benchtime=1x -benchmem ./internal/tiling
+	$(GO) test -run='^$$' -bench='^BenchmarkJobWire$$' -benchtime=1x -benchmem ./internal/server
+	$(GO) test -run='^$$' -bench='^BenchmarkTileKey$$' -benchtime=1x -benchmem ./internal/tiling
 	$(GO) test -run='^$$' -bench='^BenchmarkCanonicalize$$' -benchtime=1x -benchmem ./internal/tiling
 	$(GO) test -run='^$$' -bench='^BenchmarkKeySort$$' -benchtime=1x -benchmem ./internal/keysort
 	$(GO) test -run='^$$' -bench='^Benchmark(IndexBuildQuery|Sweep|BoundaryOfNormal)$$' -benchtime=1x -benchmem ./internal/geom

@@ -2,6 +2,7 @@ package dfm
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/dpt"
@@ -126,8 +127,12 @@ func TestFixersAreIdempotent(t *testing.T) {
 
 	t.Run("sraf", func(t *testing.T) {
 		p, _ := srafFixture(tt, opts)
-		if _, gain := secondGain(t, "sraf", p, srafFix, srafMeasure); gain >= idempotentEps {
+		once, gain := secondGain(t, "sraf", p, srafFix, srafMeasure)
+		if gain >= idempotentEps {
 			t.Errorf("a second assist pass gains %.4f", gain)
+		}
+		if mask := once.masks[0].rects; !slices.Equal(opc.WithSRAF(mask), mask) {
+			t.Errorf("a second assist pass grows the mask from %d to %d rects", len(mask), len(opc.WithSRAF(mask)))
 		}
 	})
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -191,6 +192,14 @@ func TestInsertSRAFPlacesAndSkips(t *testing.T) {
 	for _, b := range InsertSRAF(dense) {
 		if b.X0 >= 70 && b.X1 <= 140 {
 			t.Fatalf("assist inserted into a sub-minimum gap: %v", b)
+		}
+	}
+	// A mask that holds its assists gets no more: the bars' own edges
+	// are no wider than a bar, and the drawn edges have no room left.
+	for _, drawn := range [][]geom.Rect{iso, dense} {
+		once := WithSRAF(drawn)
+		if twice := WithSRAF(once); !slices.Equal(twice, once) {
+			t.Fatalf("a second assist pass over %v grows the mask from %d to %d rects: %v", drawn, len(once), len(twice), twice)
 		}
 	}
 }

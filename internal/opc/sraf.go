@@ -30,7 +30,10 @@ func srafReach(k int) int64 {
 // InsertSRAF returns the assist bars for the drawn geometry (not
 // including the drawn geometry itself). Each qualifying edge receives
 // up to srafBars scatter bars; when the clear space fits only fewer
-// bars, fewer are placed.
+// bars, fewer are placed. An edge of a feature no wider than an assist
+// bar somewhere along it does not qualify: that feature is an assist
+// already, so a mask that holds its assists gets no more
+// (WithSRAF(WithSRAF(m)) is WithSRAF(m)).
 func InsertSRAF(drawn []geom.Rect) []geom.Rect {
 	norm := geom.Normalize(drawn)
 	layer := geom.BandedOf(norm)
@@ -38,6 +41,9 @@ func InsertSRAF(drawn []geom.Rect) []geom.Rect {
 	var assists []geom.Rect
 	for _, e := range geom.BoundaryEdges(norm) {
 		if e.Length() < srafMinSpan {
+			continue
+		}
+		if inside := extrude(e, -(srafWidth + 1)); layer.ClipArea(inside) < inside.Area() {
 			continue
 		}
 		// Fit as many bars as the clear space allows.

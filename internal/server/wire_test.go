@@ -118,7 +118,7 @@ func wireStatus(rng *rand.Rand) JobStatus {
 // wireSeeds are FuzzTileWire's kinds of seed, each a tile unit or tile
 // result in its wire form: real units and results, a column that
 // declares 2^60 records, and an unknown field.
-func wireSeeds(t *testing.T) (units, results []string) {
+func wireSeeds(t testing.TB) (units, results []string) {
 	tile := tileReq(0)
 	window := &tiling.TileRequest{
 		Schema: tiling.TileSchema, Stage: tiling.StageWindow, Tech: *tech.N45(), Cond: litho.Nominal, Layer: tech.Metal1,
@@ -142,7 +142,7 @@ func wireSeeds(t *testing.T) (units, results []string) {
 	return units, results
 }
 
-func mustJSON(t *testing.T, v any) []byte {
+func mustJSON(t testing.TB, v any) []byte {
 	t.Helper()
 	b, err := json.Marshal(v)
 	if err != nil {
@@ -182,7 +182,7 @@ const jobWireGolden = "testdata/jobwire.golden"
 // jobWireBodies are the bodies TestJobWireGolden pins: seeded jobs and
 // answers as the encoders write them, wireSeeds' units and results in
 // a job envelope, and answers from nodes of other builds.
-func jobWireBodies(t *testing.T) (requests, answers [][]byte) {
+func jobWireBodies(t testing.TB) (requests, answers [][]byte) {
 	rng := rand.New(rand.NewSource(53))
 	for range 300 {
 		req, err := EncodeJobRequest(wireJob(rng))
@@ -256,19 +256,10 @@ func TestJobWireGolden(t *testing.T) {
 		readings = append(readings, rs)
 	}
 	for _, body := range requests {
-		pin("request", body, func(b []byte) ([]byte, error) {
-			req, err := decodeJobRequest(b)
-			if err != nil {
-				return nil, err
-			}
-			return EncodeJobRequest(req)
-		})
+		pin("request", body, func(b []byte) ([]byte, error) { return reencode(true, b) })
 	}
 	for _, body := range answers {
-		pin("answer", body, func(b []byte) ([]byte, error) {
-			st, err := DecodeJobStatus(b)
-			return encodeAnswer(st), err
-		})
+		pin("answer", body, func(b []byte) ([]byte, error) { return reencode(false, b) })
 	}
 	if took < 1000 || refused < 1000 {
 		t.Fatalf("%d bodies taken, %d refused: too few of one for the pin to mean much", took, refused)

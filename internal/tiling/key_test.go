@@ -258,7 +258,7 @@ func TestKeyAllocatesNothingPerShape(t *testing.T) {
 // BenchmarkTileKey is what identity costs once a unit is in canonical
 // order: Validate's linear pass plus one hash of the fullest 24000-nm
 // signoff tile of the benchmark's 50k-rect fleet chip, the unit
-// BenchmarkTileWire ships. The sort that puts a unit in that order runs
+// server's BenchmarkJobWire ships. The sort that puts a unit in that order runs
 // before the timer starts; BenchmarkCanonicalize times it.
 func BenchmarkTileKey(b *testing.B) {
 	tile, _ := fullestUnits(b, 50_000)

@@ -37,8 +37,10 @@ import (
 // ResultWire) know the layout, and the content address (key.go) hashes
 // geometry, never these bytes. The packed forms are the one way a unit
 // or result is written (PackRequest, PackResult, then encoding/json) or
-// read (ReadRequest, ReadResult); the unit and result types have no
-// JSON methods.
+// read: from its own bytes (ReadRequest, ReadResult), or decoded inside
+// an envelope by its holder's encoding/json pass and then unpacked
+// (UnpackRequest, UnpackResult), the second half of the same reading.
+// The unit and result types have no JSON methods.
 //
 // The readers keep three properties the plain form had for free:
 // unknown fields are rejected, at every level of the unit; a declared
@@ -110,27 +112,43 @@ func PackRequest(r *TileRequest) *RequestWire {
 // beside the point; else with what failed, the column named.
 func ReadRequest(data []byte) (*TileRequest, error) {
 	w := new(RequestWire)
-	err := readWire(data, &w, "windows", "shapes", "rects")
+	if err := readWire(data, &w, "windows", "shapes", "rects"); err != nil {
+		return nil, w.refusal(err)
+	}
+	return UnpackRequest(w)
+}
+
+// UnpackRequest is the unit whose wire form w is, already decoded: nil
+// for nil. It is ReadRequest after the JSON, for a reader that decoded
+// the unit inside an envelope of its own, and refuses as ReadRequest
+// does.
+func UnpackRequest(w *RequestWire) (*TileRequest, error) {
 	if w == nil {
-		return nil, err
+		return nil, nil
 	}
 	r := TileRequest(w.plainRequest)
-	if err == nil {
-		r.Windows, err = unpackRects("windows", w.Windows)
-	}
+	var err error
+	r.Windows, err = unpackRects("windows", w.Windows)
 	if err == nil {
 		r.Shapes, err = unpackColumn("shapes", w.Shapes, minShapeBytes, (*colReader).shape)
 	}
 	if err == nil {
 		r.Rects, err = unpackRects("rects", w.Rects)
 	}
-	switch {
-	case err == nil:
-		return &r, nil
-	case r.Schema != 0 && r.Schema != TileSchema:
-		return nil, r.Validate()
+	if err != nil {
+		return nil, w.refusal(err)
 	}
-	return nil, fmt.Errorf("tiling: tile request: %w", err)
+	return &r, nil
+}
+
+// refusal words err, met in reading w: Validate's error when w declares
+// another schema, else err as the unit's.
+func (w *RequestWire) refusal(err error) error {
+	if w.Schema != 0 && w.Schema != TileSchema {
+		r := TileRequest(w.plainRequest)
+		return r.Validate()
+	}
+	return fmt.Errorf("tiling: tile request: %w", err)
 }
 
 // PackResult returns r's wire form, nil for nil.
@@ -146,15 +164,21 @@ func PackResult(r *TileResult) *ResultWire {
 // ReadResult is ReadRequest for a result, which has no schema.
 func ReadResult(data []byte) (*TileResult, error) {
 	w := new(ResultWire)
-	err := readWire(data, &w, "violations", "dens")
+	if err := readWire(data, &w, "violations", "dens"); err != nil {
+		return nil, fmt.Errorf("tiling: tile result: %w", err)
+	}
+	return UnpackResult(w)
+}
+
+// UnpackResult is UnpackRequest for a result.
+func UnpackResult(w *ResultWire) (*TileResult, error) {
 	if w == nil {
-		return nil, err
+		return nil, nil
 	}
 	r := TileResult(w.plainResult)
-	if err == nil {
-		r.Violations, err = unpackColumn("violations", w.Violations, minViolationBytes,
-			func(c *colReader) drc.Violation { return c.violation(w.Strings) })
-	}
+	var err error
+	r.Violations, err = unpackColumn("violations", w.Violations, minViolationBytes,
+		func(c *colReader) drc.Violation { return c.violation(w.Strings) })
 	if err == nil {
 		r.Dens, err = unpackColumn("dens", w.Dens, minDensRowBytes, (*colReader).densRow)
 	}
@@ -165,9 +189,10 @@ func ReadResult(data []byte) (*TileResult, error) {
 }
 
 // readWire decodes the first JSON value of data into *w, rejecting
-// unknown fields; null sets *w to nil. encoding/json reports bad base64
-// without saying where; columns names w's packed fields so the error
-// can, and only that error path looks at data again.
+// unknown fields; null sets *w to nil, and an error leaves it set.
+// encoding/json reports bad base64 without saying where; columns names
+// w's packed fields so the error can, and only that error path looks at
+// data again.
 func readWire[W any](data []byte, w **W, columns ...string) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()

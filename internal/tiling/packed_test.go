@@ -531,74 +531,3 @@ func FuzzTileWire(f *testing.F) {
 		}
 	})
 }
-
-// BenchmarkTileWire is what one unit pays to cross the wire once, each
-// way: encode plus strict decode of the fullest 24000-nm signoff tile
-// (DRC + density) of the benchmark's 50k-rect fleet chip, request and
-// result. MB/s is over the JSON bytes on the wire. Each hop row times
-// what a serving tier does: the unit's packed form written inside its
-// job envelope in one encoding/json pass; the envelope strictly read
-// with the tile held raw, then the tile by ReadRequest or ReadResult.
-func BenchmarkTileWire(b *testing.B) {
-	req, _ := fullestUnits(b, 50_000)
-	req.canonicalize()
-	res, err := ExecuteTile(context.Background(), req)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Logf("tile: %d shapes, %d windows; result: %d violations, %d density rows",
-		len(req.Shapes), len(req.Windows), len(res.Violations), len(res.Dens))
-	run := func(b *testing.B, name string, encode func() ([]byte, error), decode func([]byte) error) {
-		b.Run(name, func(b *testing.B) {
-			wire, err := encode()
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(len(wire)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if wire, err = encode(); err != nil {
-					b.Fatal(err)
-				}
-				if err := decode(wire); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	type (
-		requestEnvelope struct {
-			Kind string       `json:"kind"`
-			Tile *RequestWire `json:"tile"`
-		}
-		resultEnvelope struct {
-			State string      `json:"state"`
-			Tile  *ResultWire `json:"tile"`
-		}
-		// What a tier reads a job into: the tile held raw.
-		readEnvelope struct {
-			Kind  string          `json:"kind"`
-			State string          `json:"state"`
-			Tile  json.RawMessage `json:"tile"`
-		}
-	)
-	read := func(wire []byte, tile func([]byte) error) error {
-		var e readEnvelope
-		dec := json.NewDecoder(bytes.NewReader(wire))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&e); err != nil {
-			return err
-		}
-		return tile(e.Tile)
-	}
-	b.Run("hop", func(b *testing.B) {
-		run(b, "request", func() ([]byte, error) { return json.Marshal(requestEnvelope{"tile", PackRequest(req)}) },
-			func(wire []byte) error {
-				return read(wire, func(raw []byte) error { _, err := ReadRequest(raw); return err })
-			})
-		run(b, "result", func() ([]byte, error) { return json.Marshal(resultEnvelope{"done", PackResult(res)}) },
-			func(wire []byte) error {
-				return read(wire, func(raw []byte) error { _, err := ReadResult(raw); return err })
-			})
-	})
-}

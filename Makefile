@@ -131,14 +131,17 @@ endef
 cover-kernel: ## litho kernel coverage gate: no function of raster.go/sparse.go/optics.go/bitmap.go/stream.go/kernel.go/hotspot.go/window.go at 0 %, raster.go, sparse.go and stream.go each >= 90 % of statements
 	$(call cover-gate,cover-kernel,./internal/litho,raster|sparse|optics|bitmap|stream|kernel|hotspot|window,raster|sparse|stream)
 
-# The same watch on the path every chip unit takes — cut (plan.go), key
-# (key.go), validate / execute / absorb (wire.go), scan (scan.go, every
-# engine's stage-B driver), compute once per cache (cache.go, whose
-# wait-and-fallback path a race alone would reach), pack and unpack
-# (packed.go): unit.String sat there unexecuted until PR 20 deleted it
-# with the type.
-cover-engine: ## unit path coverage gate: no function of internal/tiling's plan.go/wire.go/key.go/scan.go/cache.go/packed.go at 0 % under the package's own tests
-	$(call cover-gate,cover-engine,./internal/tiling,plan|wire|key|scan|cache|packed,)
+# The same watch on the path every chip unit takes — extract
+# (extract.go), cut (plan.go), key (key.go), validate / execute / absorb
+# (wire.go), scan (scan.go, every engine's stage-B driver), compute once
+# per cache (cache.go, whose wait-and-fallback path a race alone would
+# reach), pack and unpack (packed.go): unit.String sat there unexecuted
+# until PR 20 deleted it with the type. And on what the extraction
+# stands on: layout's one summary walk (Extents), Read's refusal of a
+# file that flattens past its bound, and the chip generator.
+cover-engine: ## unit path coverage gate: no function of internal/tiling's extract.go/plan.go/wire.go/key.go/scan.go/cache.go/packed.go, nor of internal/layout's layout.go/io.go/chip.go, at 0 % under the package's own tests
+	$(call cover-gate,cover-engine,./internal/tiling,extract|plan|wire|key|scan|cache|packed,)
+	$(call cover-gate,cover-engine-layout,./internal/layout,layout|io|chip,)
 
 # And on what every tile's deck stands on: the index, the boundary
 # extraction, the region algebra and the band walk under

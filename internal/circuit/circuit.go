@@ -67,36 +67,11 @@ type Gate struct {
 }
 
 // Netlist is a combinational DAG. Gates must be topologically ordered
-// (fanins have smaller IDs), which the generators guarantee and
-// Validate enforces.
+// (fanins have smaller IDs), which the generators guarantee and the
+// package's tests check.
 type Netlist struct {
 	Gates []Gate
 	POs   []int // primary outputs (gate IDs)
-}
-
-// Validate checks structural sanity: IDs match indices, fanin counts
-// match types, fanin references point backwards (acyclic by
-// construction), and POs are valid.
-func (n *Netlist) Validate() error {
-	for i, g := range n.Gates {
-		if g.ID != i {
-			return fmt.Errorf("circuit: gate %d has ID %d", i, g.ID)
-		}
-		if got, want := len(g.Fanin), g.Type.Fanin(); got != want {
-			return fmt.Errorf("circuit: gate %d (%v) has %d fanins, want %d", i, g.Type, got, want)
-		}
-		for _, f := range g.Fanin {
-			if f < 0 || f >= i {
-				return fmt.Errorf("circuit: gate %d fanin %d out of order", i, f)
-			}
-		}
-	}
-	for _, po := range n.POs {
-		if po < 0 || po >= len(n.Gates) {
-			return fmt.Errorf("circuit: PO %d out of range", po)
-		}
-	}
-	return nil
 }
 
 // Fanouts returns, for each gate, the IDs of gates it drives.

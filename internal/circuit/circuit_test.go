@@ -1,6 +1,34 @@
 package circuit
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
+
+// validate checks structural sanity: IDs match indices, fanin counts
+// match types, fanin references point backwards (acyclic by
+// construction), and POs are valid.
+func (n *Netlist) validate() error {
+	for i, g := range n.Gates {
+		if g.ID != i {
+			return fmt.Errorf("circuit: gate %d has ID %d", i, g.ID)
+		}
+		if got, want := len(g.Fanin), g.Type.Fanin(); got != want {
+			return fmt.Errorf("circuit: gate %d (%v) has %d fanins, want %d", i, g.Type, got, want)
+		}
+		for _, f := range g.Fanin {
+			if f < 0 || f >= i {
+				return fmt.Errorf("circuit: gate %d fanin %d out of order", i, f)
+			}
+		}
+	}
+	for _, po := range n.POs {
+		if po < 0 || po >= len(n.Gates) {
+			return fmt.Errorf("circuit: PO %d out of range", po)
+		}
+	}
+	return nil
+}
 
 func TestGateTypeBasics(t *testing.T) {
 	if Input.Fanin() != 0 || Inv.Fanin() != 1 || Nand2.Fanin() != 2 || Nor2.Fanin() != 2 || Buf.Fanin() != 1 {
@@ -16,7 +44,7 @@ func TestGateTypeBasics(t *testing.T) {
 
 func TestChain(t *testing.T) {
 	nl := Chain(5)
-	if err := nl.Validate(); err != nil {
+	if err := nl.validate(); err != nil {
 		t.Fatal(err)
 	}
 	if len(nl.Gates) != 6 {
@@ -36,7 +64,7 @@ func TestChain(t *testing.T) {
 func TestRandomLogicValid(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		nl := RandomLogic(8, 10, 12, seed)
-		if err := nl.Validate(); err != nil {
+		if err := nl.validate(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if len(nl.POs) == 0 {
@@ -75,23 +103,23 @@ func TestRandomLogicDeterministic(t *testing.T) {
 
 func TestValidateCatchesBadNetlists(t *testing.T) {
 	bad1 := &Netlist{Gates: []Gate{{ID: 1, Type: Input}}}
-	if bad1.Validate() == nil {
+	if bad1.validate() == nil {
 		t.Fatal("bad ID accepted")
 	}
 	bad2 := &Netlist{Gates: []Gate{{ID: 0, Type: Inv, Fanin: []int{0}}}}
-	if bad2.Validate() == nil {
+	if bad2.validate() == nil {
 		t.Fatal("self-loop accepted")
 	}
 	bad3 := &Netlist{Gates: []Gate{{ID: 0, Type: Nand2, Fanin: []int{0}}}}
-	if bad3.Validate() == nil {
+	if bad3.validate() == nil {
 		t.Fatal("wrong fanin count accepted")
 	}
 	bad4 := &Netlist{Gates: []Gate{{ID: 0, Type: Input}}, POs: []int{7}}
-	if bad4.Validate() == nil {
+	if bad4.validate() == nil {
 		t.Fatal("bad PO accepted")
 	}
 	minSize := RandomLogic(0, 0, 0, 1)
-	if err := minSize.Validate(); err != nil {
+	if err := minSize.validate(); err != nil {
 		t.Fatalf("clamped generator invalid: %v", err)
 	}
 }

@@ -60,6 +60,11 @@ func GenerateBlock(t *tech.Tech, opts BlockOpts) (*Layout, error) {
 
 	// Cells eligible for random placement (TAP used as filler).
 	placeable := []string{"INVX1", "NAND2X1", "NOR2X1", "BUFX2", "DFFX1"}
+	// BBox walks on every call: ask each library cell once.
+	width := make([]int64, len(placeable))
+	for k, n := range placeable {
+		width[k] = lib.Cells[n].BBox().X1
+	}
 	tap := lib.Cells["TAP"]
 
 	// Rows are separated by a routing channel: cell input-pin pads hang
@@ -73,8 +78,8 @@ func GenerateBlock(t *tech.Tech, opts BlockOpts) (*Layout, error) {
 		y := int64(row) * rowPitch
 		var x int64
 		for x < opts.RowWidth {
-			c := lib.Cells[placeable[rnd.Intn(len(placeable))]]
-			w := c.BBox().X1
+			k := rnd.Intn(len(placeable))
+			c := lib.Cells[placeable[k]]
 			tr := geom.Translate(x, y)
 			top.Place(c, tr, fmt.Sprintf("i%d", instCount))
 			instCount++
@@ -82,7 +87,7 @@ func GenerateBlock(t *tech.Tech, opts BlockOpts) (*Layout, error) {
 				box := tr.ApplyRect(p.R)
 				pins = append(pins, pinRef{at: box.Center(), box: box})
 			}
-			x += w
+			x += width[k]
 		}
 		// Terminate the row with a tap for density realism.
 		top.Place(tap, geom.Translate(x, y), fmt.Sprintf("tap%d", row))
@@ -108,11 +113,12 @@ type router struct {
 }
 
 func newRouter(t *tech.Tech, top *Cell) *router {
+	bb := top.BBox()
 	return &router{
 		t:    t,
 		top:  top,
-		m2:   geom.NewIndex(top.BBox(), 8*t.Rules[tech.Metal2].Pitch),
-		m3:   geom.NewIndex(top.BBox(), 8*t.Rules[tech.Metal3].Pitch),
+		m2:   geom.NewIndex(bb, 8*t.Rules[tech.Metal2].Pitch),
+		m3:   geom.NewIndex(bb, 8*t.Rules[tech.Metal3].Pitch),
 		grid: t.Rules[tech.Metal2].Pitch,
 	}
 }

@@ -134,7 +134,8 @@ func GenerateChip(t *tech.Tech, opts ChipOpts) (*Layout, ChipInfo, error) {
 		if mix[i] == 0 {
 			continue // never placed; exempt from the slot fit check
 		}
-		bb := macros[i].cell.BBox()
+		x := Extents(macros[i].cell)[macros[i].cell]
+		bb := x.BBox
 		mx := (opts.SlotPitch - bb.Width()) / 2
 		my := (opts.SlotPitch - bb.Height()) / 2
 		if mx < chipMargin || my < chipMargin {
@@ -144,7 +145,7 @@ func GenerateChip(t *tech.Tech, opts ChipOpts) (*Layout, ChipInfo, error) {
 		}
 		macros[i].off = geom.Pt(mx-bb.X0, my-bb.Y0)
 		wsum += int64(mix[i])
-		wavg += float64(mix[i]) * float64(macros[i].cell.RectCount())
+		wavg += float64(mix[i]) * float64(x.Rects)
 	}
 	if wsum == 0 {
 		return nil, ChipInfo{}, fmt.Errorf("layout: MacroMix sums to zero")
@@ -311,8 +312,7 @@ func GenerateChip(t *tech.Tech, opts ChipOpts) (*Layout, ChipInfo, error) {
 		}
 	}
 
-	info.Rects = top.RectCount()
-	top.BBox() // warm the bbox cache single-threaded
+	info.Rects = Extents(top)[top].Rects
 	return l, info, nil
 }
 
@@ -341,7 +341,8 @@ func chipMacros(t *tech.Tech, seed int64) ([]chipMacroDef, error) {
 // pruned hierarchy walks stay shallow-fanout at every level.
 func sramMacro(t *tech.Tech, rows, cols int) *Cell {
 	bit := sramBitcell(t)
-	bw, bh := bit.BBox().X1, bit.BBox().Y1
+	bb := bit.BBox()
+	bw, bh := bb.X1, bb.Y1
 	row := NewCell(fmt.Sprintf("CHIP_SRAMROW_c%d", cols))
 	for c := 0; c < cols; c++ {
 		o, off := geom.R0, geom.Pt(int64(c)*bw, 0)

@@ -19,16 +19,24 @@ func TestGenerateChipBasics(t *testing.T) {
 	if want := geom.R(0, 0, 72000, 72000); info.Die != want {
 		t.Fatalf("die = %v, want %v", info.Die, want)
 	}
-	// The seal ring pins the cell bbox (and each routing layer's bbox)
-	// to exactly the die: that grid alignment is what the tiling cache
-	// keys rely on.
-	if got := l.Top.BBox(); got != info.Die {
-		t.Fatalf("top bbox = %v, want die %v", got, info.Die)
+	// The summary walk must agree with an actual flatten, and the seal
+	// ring pins the cell bbox (and each routing layer's bbox) to exactly
+	// the die: that grid alignment is what the tiling cache keys rely on.
+	flat := l.Flatten()
+	want := flatExtent(flat)
+	if got := *Extents(l.Top)[l.Top]; got != want {
+		t.Fatalf("Extents = %+v, flatten = %+v", got, want)
+	}
+	if got := l.Top.BBox(); got != want.BBox || got != info.Die {
+		t.Fatalf("top bbox = %v, flatten %v, want die %v", got, want.BBox, info.Die)
 	}
 	for _, layer := range []tech.Layer{tech.Metal1, tech.Metal2, tech.Metal3} {
-		if got := l.Top.LayerBBox(layer); got != info.Die {
+		if got := want.Layer[layer]; got != info.Die {
 			t.Fatalf("%v bbox = %v, want die %v", layer, got, info.Die)
 		}
+	}
+	if info.Rects != want.Rects {
+		t.Fatalf("info.Rects = %d, flatten = %d", info.Rects, want.Rects)
 	}
 	placed := 0
 	for _, n := range info.MacroCounts {
@@ -39,11 +47,6 @@ func TestGenerateChipBasics(t *testing.T) {
 	}
 	if len(info.DefectBoxes) != 4 {
 		t.Fatalf("defect boxes = %d, want 4", len(info.DefectBoxes))
-	}
-	// RectCount must agree with an actual flatten.
-	flat := l.Flatten()
-	if int64(len(flat)) != info.Rects {
-		t.Fatalf("info.Rects = %d, flatten = %d", info.Rects, len(flat))
 	}
 	// Each injected defect is a metal2 pair at a 50nm gap: both rects
 	// must exist in the flat view, abutting the recorded gap box.
@@ -60,6 +63,18 @@ func TestGenerateChipBasics(t *testing.T) {
 			t.Fatalf("defect pair around %v missing from flat view", gap)
 		}
 	}
+}
+
+// flatExtent is the oracle of Extents: the bbox of every flattened
+// shape, of each layer's, and their count.
+func flatExtent(flat []Shape) Extent {
+	var x Extent
+	for _, s := range flat {
+		x.BBox = x.BBox.Union(s.R)
+		x.Layer[s.Layer] = x.Layer[s.Layer].Union(s.R)
+	}
+	x.Rects = int64(len(flat))
+	return x
 }
 
 func TestGenerateChipDeterministic(t *testing.T) {

@@ -109,9 +109,16 @@ func topoOrder(l *Layout) ([]*Cell, error) {
 	return order, nil
 }
 
+// maxReadRects bounds the shapes a layout read from a file may flatten
+// to: 16x the 1M-rect chip dfmscore generates, about 0.8 GB of Shapes.
+// A line is capped, but what a few lines expand to is not: 64 cells
+// that each place the one before twice take 3 KB and flatten to 2^64.
+const maxReadRects = 1 << 24
+
 // Read parses a layout written by Write. The technology is resolved by
 // name against the built-in nodes; an unknown or missing tech line
-// leaves Tech nil.
+// leaves Tech nil. A top cell that flattens to more than maxReadRects
+// shapes is refused, counted by Extents without flattening it.
 func Read(r io.Reader) (*Layout, error) {
 	l := &Layout{Cells: make(map[string]*Cell)}
 	sc := bufio.NewScanner(r)
@@ -274,6 +281,9 @@ func Read(r io.Reader) (*Layout, error) {
 		if len(tops) > 0 {
 			l.Top = l.Cells[tops[0]]
 		}
+	}
+	if n := Extents(l.Top)[l.Top].Rects; n > maxReadRects {
+		return nil, fmt.Errorf("layout: top cell %q flattens to %d shapes, over the bound of %d", l.Top.Name, n, maxReadRects)
 	}
 	return l, nil
 }

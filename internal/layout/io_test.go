@@ -2,6 +2,7 @@ package layout
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -62,6 +63,41 @@ func TestReadErrors(t *testing.T) {
 	for _, c := range cases {
 		if _, err := Read(strings.NewReader(c.in)); err == nil {
 			t.Errorf("%s: accepted", c.name)
+		}
+	}
+}
+
+// doublingFile writes doubling(levels) as a layout file: a few KB (64
+// levels take 3 KB) that flatten to 2^levels shapes.
+func doublingFile(levels int) string {
+	var b strings.Builder
+	b.WriteString("cell D0\nrect metal1 0 0 10 10\nend\n")
+	for k := 1; k <= levels; k++ {
+		fmt.Fprintf(&b, "cell D%d\ninst D%d R0 0 0 a\ninst D%d R0 20 0 b\nend\n", k, k-1, k-1)
+	}
+	return b.String()
+}
+
+// Read counts what a file flattens to before any caller can flatten it:
+// the 64-level file is refused (never flattened, here or in Read), the
+// bound itself is taken.
+func TestReadRefusesWhatFlattensTooFar(t *testing.T) {
+	for _, tc := range []struct {
+		levels int
+		want   string // "" when the file is accepted
+	}{
+		{64, "flattens to 9223372036854775807 shapes, over the bound of 16777216"},
+		{25, "flattens to 33554432 shapes, over the bound of 16777216"},
+		{24, ""},
+	} {
+		l, err := Read(strings.NewReader(doublingFile(tc.levels)))
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%d levels: %v", tc.levels, err)
+		case tc.want == "" && Extents(l.Top)[l.Top].Rects != maxReadRects:
+			t.Errorf("%d levels: top %s counts %d shapes, want %d", tc.levels, l.Top.Name, Extents(l.Top)[l.Top].Rects, maxReadRects)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%d levels: err = %v, want %q", tc.levels, err, tc.want)
 		}
 	}
 }

@@ -8,6 +8,7 @@ package layout
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/geom"
@@ -51,9 +52,6 @@ type Cell struct {
 	Shapes []Shape
 	Pins   []Pin
 	Insts  []Instance
-
-	bboxValid bool
-	bbox      geom.Rect
 }
 
 // NewCell creates an empty cell.
@@ -70,7 +68,6 @@ func (c *Cell) AddNet(l tech.Layer, r geom.Rect, n NetID) {
 		return
 	}
 	c.Shapes = append(c.Shapes, Shape{Layer: l, R: r, Net: n})
-	c.bboxValid = false
 }
 
 // AddPin appends a pin and its backing shape.
@@ -82,36 +79,21 @@ func (c *Cell) AddPin(name string, l tech.Layer, r geom.Rect, n NetID) {
 // Place adds an instance of child at the given transform.
 func (c *Cell) Place(child *Cell, t geom.Transform, name string) {
 	c.Insts = append(c.Insts, Instance{Cell: child, T: t, Name: name})
-	c.bboxValid = false
 }
 
-// BBox returns the bounding box of the cell including placed
-// instances (the full hierarchical extent, recursively). The result
-// is cached on the cell; because the cache is written on first use,
-// BBox is NOT safe for concurrent first calls — warm it from a single
-// goroutine (or use tiling.NewExtractor, which precomputes immutable
-// per-cell bounds) before fanning out.
-func (c *Cell) BBox() geom.Rect {
-	if c.bboxValid {
-		return c.bbox
-	}
-	var bb geom.Rect
-	for _, s := range c.Shapes {
-		bb = bb.Union(s.R)
-	}
-	for _, in := range c.Insts {
-		bb = bb.Union(in.T.ApplyRect(in.Cell.BBox()))
-	}
-	c.bbox, c.bboxValid = bb, true
-	return bb
-}
+// BBox returns the bounding box of the hierarchy under the cell,
+// placed instances included. It walks the hierarchy (Extents) on each
+// call and stores nothing on the cell, so it is safe for concurrent
+// use; a caller that needs more than the top's box walks once with
+// Extents.
+func (c *Cell) BBox() geom.Rect { return Extents(c)[c].BBox }
 
 // LayerRects returns the rectangles of one layer of the cell's own
 // shapes, unnormalized. Contract: this is FLAT-ONLY — geometry inside
 // placed instances is silently ignored, unlike BBox, which recurses.
 // Callers that need hierarchical geometry must Flatten (whole-chip)
 // or walk the hierarchy lazily (tiling.Extractor); callers that only
-// need the hierarchical per-layer extent should use LayerBBox.
+// need the hierarchical per-layer extent read it from Extents.
 func (c *Cell) LayerRects(l tech.Layer) []geom.Rect {
 	var rs []geom.Rect
 	for _, s := range c.Shapes {
@@ -122,58 +104,57 @@ func (c *Cell) LayerRects(l tech.Layer) []geom.Rect {
 	return rs
 }
 
-// LayerBBox returns the bounding box of one layer including placed
-// instances — the hierarchical sibling of LayerRects that the tiler
-// uses to anchor per-layer scan grids without flattening. Axis-aligned
-// orthogonal transforms map bboxes to bboxes exactly, so the walk
-// composes child layer bboxes instead of visiting every shape path:
-// cost is O(cells + instances), not O(flattened shapes). Not cached on
-// the cell (a fresh memo per call), so it is safe to call concurrently
-// with other read-only cell access.
-func (c *Cell) LayerBBox(l tech.Layer) geom.Rect {
-	memo := make(map[*Cell]geom.Rect)
-	var walk func(c *Cell) geom.Rect
-	walk = func(c *Cell) geom.Rect {
-		if bb, ok := memo[c]; ok {
-			return bb
-		}
-		var bb geom.Rect
-		for _, s := range c.Shapes {
-			if s.Layer == l {
-				bb = bb.Union(s.R)
-			}
-		}
-		for _, in := range c.Insts {
-			cb := walk(in.Cell)
-			if !cb.Empty() {
-				bb = bb.Union(in.T.ApplyRect(cb))
-			}
-		}
-		memo[c] = bb
-		return bb
-	}
-	return walk(c)
+// Extent is what the hierarchy under one cell holds, as Flatten would
+// emit it: the bounding box of every shape, of each layer's shapes,
+// and the shape count. Rects saturates at math.MaxInt64 instead of
+// wrapping, so a hierarchy that doubles at each of 64 levels counts as
+// huge, not as empty.
+type Extent struct {
+	BBox  geom.Rect
+	Layer [tech.NumLayers]geom.Rect
+	Rects int64
 }
 
-// RectCount returns the number of shapes Flatten would emit for the
-// hierarchy under the cell, without materializing them. Memoized per
-// distinct cell, so counting a 10^8-rect chip costs O(cells +
-// instances).
-func (c *Cell) RectCount() int64 {
-	memo := make(map[*Cell]int64)
-	var walk func(c *Cell) int64
-	walk = func(c *Cell) int64 {
-		if n, ok := memo[c]; ok {
-			return n
+// Extents returns the Extent of every cell reachable from top, top
+// included, from one memoized walk: each distinct cell is summarized
+// once, by composing its children's summaries through their placements
+// (an orthogonal transform maps a box to a box exactly), so the cost is
+// O(cells + instances) however many shapes the hierarchy flattens to.
+// The walk writes to no cell, and the map is the caller's: concurrent
+// walks of one hierarchy are safe, and the summaries are immutable.
+func Extents(top *Cell) map[*Cell]*Extent {
+	m := make(map[*Cell]*Extent)
+	var walk func(c *Cell) *Extent
+	walk = func(c *Cell) *Extent {
+		if x, ok := m[c]; ok {
+			return x
 		}
-		n := int64(len(c.Shapes))
+		x := &Extent{Rects: int64(len(c.Shapes))}
+		for _, s := range c.Shapes {
+			x.BBox = x.BBox.Union(s.R)
+			x.Layer[s.Layer] = x.Layer[s.Layer].Union(s.R)
+		}
 		for _, in := range c.Insts {
-			n += walk(in.Cell)
+			cx := walk(in.Cell)
+			if !cx.BBox.Empty() {
+				x.BBox = x.BBox.Union(in.T.ApplyRect(cx.BBox))
+			}
+			for l := range cx.Layer {
+				if lb := cx.Layer[l]; !lb.Empty() {
+					x.Layer[l] = x.Layer[l].Union(in.T.ApplyRect(lb))
+				}
+			}
+			if x.Rects > math.MaxInt64-cx.Rects {
+				x.Rects = math.MaxInt64
+			} else {
+				x.Rects += cx.Rects
+			}
 		}
-		memo[c] = n
-		return n
+		m[c] = x
+		return x
 	}
-	return walk(c)
+	walk(top)
+	return m
 }
 
 // MaxNet returns the highest net id used by the cell's own shapes, or

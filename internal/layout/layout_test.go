@@ -1,6 +1,9 @@
 package layout
 
 import (
+	"fmt"
+	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/geom"
@@ -34,6 +37,91 @@ func TestBBoxIncludesInstances(t *testing.T) {
 	if got := parent.BBox(); got != geom.R(-50, 0, 110, 110) {
 		t.Fatalf("parent BBox after second place = %v", got)
 	}
+}
+
+// Every cell's summary equals the oracle over its own flat view, through
+// all eight orientations, two levels of composition and a placed empty
+// cell (whose degenerate box must not widen its parent's).
+func TestExtentsMatchFlatten(t *testing.T) {
+	leaf := NewCell("E_LEAF")
+	leaf.Add(tech.Metal1, geom.R(10, 0, 110, 30))
+	leaf.Add(tech.Poly, geom.R(0, 40, 20, 200))
+	empty := NewCell("E_EMPTY")
+	mid := NewCell("E_MID")
+	for i, o := range []geom.Orient{geom.R0, geom.R90, geom.R180, geom.R270, geom.MX, geom.MX90, geom.MY, geom.MY90} {
+		mid.Place(leaf, geom.Transform{Orient: o, Offset: geom.Pt(int64(i)*500, int64(i%3)*700)}, fmt.Sprintf("l%d", i))
+	}
+	mid.Place(empty, geom.Translate(-9000, -9000), "e")
+	top := NewCell("E_TOP")
+	top.Add(tech.Metal2, geom.R(-50, -50, 0, 0))
+	top.Place(mid, geom.Transform{Orient: geom.R90, Offset: geom.Pt(3000, 100)}, "m0")
+	top.Place(mid, geom.Transform{Orient: geom.MX90, Offset: geom.Pt(-2000, 4000)}, "m1")
+
+	ext := Extents(top)
+	if len(ext) != 4 {
+		t.Fatalf("Extents holds %d cells, want 4", len(ext))
+	}
+	for c, x := range ext {
+		if want := flatExtent((&Layout{Top: c}).Flatten()); *x != want {
+			t.Errorf("%s: Extents = %+v, flatten = %+v", c.Name, *x, want)
+		}
+		if got := c.BBox(); got != x.BBox {
+			t.Errorf("%s: BBox = %v, Extents = %v", c.Name, got, x.BBox)
+		}
+	}
+}
+
+// doubling returns cells 0..levels of a hierarchy in which cell k places
+// cell k-1 twice over a one-rect leaf, so cell k flattens to 2^k shapes.
+func doubling(levels int) []*Cell {
+	cs := []*Cell{NewCell("D0")}
+	cs[0].Add(tech.Metal1, geom.R(0, 0, 10, 10))
+	for k := 1; k <= levels; k++ {
+		c := NewCell(fmt.Sprintf("D%d", k))
+		c.Place(cs[k-1], geom.Identity, "a")
+		c.Place(cs[k-1], geom.Translate(20, 0), "b")
+		cs = append(cs, c)
+	}
+	return cs
+}
+
+// The count is exact up to MaxInt64 and holds there: 2^64 shapes wrapped
+// an int64 sum to 0.
+func TestExtentsCountSaturates(t *testing.T) {
+	cs := doubling(64)
+	ext := Extents(cs[64])
+	for k, want := range map[int]int64{62: 1 << 62, 63: math.MaxInt64, 64: math.MaxInt64} {
+		if got := ext[cs[k]].Rects; got != want {
+			t.Errorf("cell %d counts %d shapes, want %d", k, got, want)
+		}
+	}
+	if got, want := ext[cs[64]].BBox, geom.R(0, 0, 20*64+10, 10); got != want {
+		t.Errorf("bbox = %v, want %v", got, want)
+	}
+}
+
+// A fresh hierarchy asked for its box and its summaries from 8
+// goroutines at once: nothing is written to a cell, so the race
+// detector finds nothing.
+func TestBBoxAndExtentsConcurrent(t *testing.T) {
+	cs := doubling(6)
+	top := cs[len(cs)-1]
+	want := geom.R(0, 0, 20*6+10, 10)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := top.BBox(); got != want {
+				t.Errorf("BBox = %v, want %v", got, want)
+			}
+			x := Extents(top)[top]
+			if x.Rects != 64 || x.Layer[tech.Metal1] != want {
+				t.Errorf("Extents = %d shapes, metal1 %v; want 64, %v", x.Rects, x.Layer[tech.Metal1], want)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestLayerRectsAndPins(t *testing.T) {

@@ -170,7 +170,8 @@ func proposeGrow(t *tech.Tech, top *layout.Cell, a Attribution) (Fix, bool) {
 // NewViolations runs the legality check for a delta: extract the dirty
 // window (the delta's bbox bloated by pad) from the current and the
 // candidate hierarchy, run the full standard deck on both, and return
-// the violations present after but not before (multiset difference).
+// the violations present after but not before (multiset difference),
+// in SortViolations order.
 // An empty return means the fix is DRC-legal by construction — it
 // cannot have introduced a violation anywhere, because every rule
 // interaction involving changed geometry lies within pad of it and the
@@ -207,15 +208,6 @@ func NewViolations(stdctx context.Context, t *tech.Tech, cur, cand *layout.Cell,
 			fresh = append(fresh, v)
 		}
 	}
-	sort.Slice(fresh, func(i, j int) bool {
-		a, b := fresh[i], fresh[j]
-		if a.Rule != b.Rule {
-			return a.Rule < b.Rule
-		}
-		if a.Marker.Y0 != b.Marker.Y0 {
-			return a.Marker.Y0 < b.Marker.Y0
-		}
-		return a.Marker.X0 < b.Marker.X0
-	})
+	drc.SortViolations(fresh)
 	return fresh, nil
 }

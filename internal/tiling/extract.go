@@ -16,63 +16,29 @@ import (
 	"repro/internal/tech"
 )
 
-// Extractor answers window queries against a cell hierarchy. All
-// per-cell bounds are precomputed immutably at construction, so —
-// unlike layout.Cell.BBox, which writes a cache on first use —
-// concurrent window extractions are pure reads and race-free.
+// Extractor answers window queries against a cell hierarchy. It holds
+// layout.Extents of the hierarchy, taken once at construction: every
+// window walk prunes on those immutable summaries, so concurrent
+// extractions are pure reads and race-free.
 type Extractor struct {
-	top  *layout.Cell
-	info map[*layout.Cell]*cellInfo
+	top *layout.Cell
+	ext map[*layout.Cell]*layout.Extent
 }
 
-type cellInfo struct {
-	bbox    geom.Rect
-	layerBB [tech.NumLayers]geom.Rect
-	rects   int64
-}
-
-// NewExtractor precomputes hierarchical bounds for every cell
-// reachable from top. Cost is O(cells + instances); the flattened
-// geometry is never materialized.
+// NewExtractor summarizes every cell reachable from top. Cost is
+// O(cells + instances); the flattened geometry is never materialized.
 func NewExtractor(top *layout.Cell) *Extractor {
-	e := &Extractor{top: top, info: make(map[*layout.Cell]*cellInfo)}
-	e.build(top)
-	return e
-}
-
-func (e *Extractor) build(c *layout.Cell) *cellInfo {
-	if ci, ok := e.info[c]; ok {
-		return ci
-	}
-	ci := &cellInfo{rects: int64(len(c.Shapes))}
-	for _, s := range c.Shapes {
-		ci.bbox = ci.bbox.Union(s.R)
-		ci.layerBB[s.Layer] = ci.layerBB[s.Layer].Union(s.R)
-	}
-	for _, in := range c.Insts {
-		child := e.build(in.Cell)
-		if !child.bbox.Empty() {
-			ci.bbox = ci.bbox.Union(in.T.ApplyRect(child.bbox))
-		}
-		for l := range child.layerBB {
-			if !child.layerBB[l].Empty() {
-				ci.layerBB[l] = ci.layerBB[l].Union(in.T.ApplyRect(child.layerBB[l]))
-			}
-		}
-		ci.rects += child.rects
-	}
-	e.info[c] = ci
-	return ci
+	return &Extractor{top: top, ext: layout.Extents(top)}
 }
 
 // BBox returns the hierarchical bounding box of the top cell.
-func (e *Extractor) BBox() geom.Rect { return e.info[e.top].bbox }
+func (e *Extractor) BBox() geom.Rect { return e.ext[e.top].BBox }
 
 // LayerBBox returns the hierarchical bounding box of one layer.
-func (e *Extractor) LayerBBox(l tech.Layer) geom.Rect { return e.info[e.top].layerBB[l] }
+func (e *Extractor) LayerBBox(l tech.Layer) geom.Rect { return e.ext[e.top].Layer[l] }
 
 // Rects returns the flattened shape count of the hierarchy.
-func (e *Extractor) Rects() int64 { return e.info[e.top].rects }
+func (e *Extractor) Rects() int64 { return e.ext[e.top].Rects }
 
 // touches reports closed-interval overlap: unlike Rect.Overlaps
 // (interior intersection), shapes merely abutting the window edge are
@@ -110,14 +76,14 @@ func (e *Extractor) walkShapes(c *layout.Cell, t geom.Transform, win geom.Rect, 
 	}
 	for _, in := range c.Insts {
 		ct := t.Compose(in.T)
-		ci := e.info[in.Cell]
-		bb := ct.ApplyRect(ci.bbox)
-		if ci.bbox.Empty() || !touches(bb, win) {
+		x := e.ext[in.Cell]
+		bb := ct.ApplyRect(x.BBox)
+		if x.BBox.Empty() || !touches(bb, win) {
 			continue
 		}
 		if win.ContainsRect(bb) {
 			// Every rect below will be emitted: make room for them once.
-			dst = slices.Grow(dst, int(ci.rects))
+			dst = slices.Grow(dst, int(x.Rects))
 		}
 		dst = e.walkShapes(in.Cell, ct, win, dst)
 	}
@@ -143,7 +109,7 @@ func (e *Extractor) walkLayer(c *layout.Cell, t geom.Transform, win geom.Rect, l
 	}
 	for _, in := range c.Insts {
 		ct := t.Compose(in.T)
-		lb := e.info[in.Cell].layerBB[l]
+		lb := e.ext[in.Cell].Layer[l]
 		if lb.Empty() || !touches(ct.ApplyRect(lb), win) {
 			continue
 		}

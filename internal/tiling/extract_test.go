@@ -55,16 +55,24 @@ func TestExtractorMatchesFlatten(t *testing.T) {
 	top := chipTop(t, layout.ChipOpts{Seed: 7, Slots: 2, Defects: 2})
 	ex := NewExtractor(top)
 
+	// The summaries against an oracle over the flat view: the bbox of
+	// every shape, of each layer's, and the shape count.
 	flat := (&layout.Layout{Top: top}).Flatten()
+	var bbox geom.Rect
+	var layerBB [tech.NumLayers]geom.Rect
+	for _, s := range flat {
+		bbox = bbox.Union(s.R)
+		layerBB[s.Layer] = layerBB[s.Layer].Union(s.R)
+	}
 	if got, want := ex.Rects(), int64(len(flat)); got != want {
 		t.Fatalf("Rects() = %d, flat count = %d", got, want)
 	}
-	if got, want := ex.BBox(), top.BBox(); got != want {
-		t.Fatalf("BBox() = %v, Cell.BBox() = %v", got, want)
+	if got := ex.BBox(); got != bbox || top.BBox() != bbox {
+		t.Fatalf("BBox() = %v, Cell.BBox() = %v, flat bbox = %v", got, top.BBox(), bbox)
 	}
 	for l := tech.Layer(0); l < tech.NumLayers; l++ {
-		if got, want := ex.LayerBBox(l), top.LayerBBox(l); got != want {
-			t.Fatalf("LayerBBox(%v) = %v, Cell.LayerBBox = %v", l, got, want)
+		if got, want := ex.LayerBBox(l), layerBB[l]; got != want {
+			t.Fatalf("LayerBBox(%v) = %v, flat layer bbox = %v", l, got, want)
 		}
 	}
 

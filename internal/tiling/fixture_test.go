@@ -7,6 +7,17 @@ import (
 	"repro/internal/tech"
 )
 
+// defaultOpts is the full signoff configuration the tests start from:
+// DRC + density + metal1 hotspot scan at nominal conditions, 24000nm
+// tiles with a 2000nm halo.
+func defaultOpts() Opts {
+	return Opts{
+		Tile: 24000, Halo: 2000,
+		DRC: true, Density: true, DensityWindow: 3000, KeepDensityMaps: true,
+		Hotspots: []tech.Layer{tech.Metal1},
+	}
+}
+
 // Hand-made units for the wire, key and validation tests: what the
 // engine would cut for a tile or scan window at a given place on a chip,
 // without building the chip. testPlan fills the template the way newPlan

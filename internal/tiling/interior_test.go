@@ -26,7 +26,7 @@ func interiorChip(t *testing.T) (*layout.Cell, layout.ChipInfo, Opts) {
 	if len(info.HotspotSites) != 2 {
 		t.Fatalf("injected %d defect sites, want 2", len(info.HotspotSites))
 	}
-	o := DefaultOpts()
+	o := defaultOpts()
 	o.Tile, o.Halo = 9000, 2000
 	o.Density = false
 	o.HotspotInterior = true

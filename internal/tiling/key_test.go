@@ -498,7 +498,7 @@ func TestKeySchemaPinned(t *testing.T) {
 	for _, c := range chips {
 		for _, tile := range []int64{8000, 16000} {
 			for _, halo := range []int64{2000, 3000} {
-				o := DefaultOpts()
+				o := defaultOpts()
 				o.Tile, o.Halo = tile, halo
 				res, err := EvaluateChip(context.Background(), tt, c.top, o)
 				if err != nil {

@@ -1,12 +1,15 @@
 package tiling
 
 import (
+	"context"
+	"fmt"
 	"slices"
 	"testing"
 
 	"repro/internal/drc"
 	"repro/internal/fill"
 	"repro/internal/geom"
+	"repro/internal/layout"
 	"repro/internal/tech"
 )
 
@@ -263,5 +266,84 @@ func TestDeltaStitchAllocsIgnoreCleanTiles(t *testing.T) {
 	small, large := allocs(10), allocs(5000)
 	if large > small {
 		t.Fatalf("a one-tile delta stitch allocates %v times over 8 x 10 violations and %v over 8 x 5000", small, large)
+	}
+}
+
+// Every engine hands its violation list back in drc.SortViolations
+// order, and a capped run the first MaxViolations of that order: the
+// guarantee Result.Violations states and repair.ScoreResult cuts rule
+// runs on. Engines: Evaluate uncached and cached, EvaluateFlat, a
+// loopback DistEvaluate, an EvaluateDelta chain that removes, restores
+// and removes defect pairs, and a capped Evaluate.
+func TestViolationsInSortOrder(t *testing.T) {
+	tt := tech.N45()
+	ctx := context.Background()
+	l, info, err := layout.GenerateChip(tt, layout.ChipOpts{
+		Seed: 3, Slots: 2, SlotPitch: 15000, Defects: 3,
+		MacroMix: []int{0, 1, 1, 1},
+	})
+	if err != nil {
+		t.Fatalf("GenerateChip: %v", err)
+	}
+	top := l.Top
+	o := Opts{Tile: 9000, Halo: 2000, DRC: true, Density: true, DensityWindow: 3000}
+
+	type run struct {
+		name string
+		res  *Result
+	}
+	var runs []run
+	add := func(name string, res *Result, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		runs = append(runs, run{name, res})
+	}
+	full, err := Evaluate(ctx, tt, NewExtractor(top), o)
+	add("evaluate", full, err)
+	cached := o
+	cached.Cache = NewCache(0)
+	res, err := Evaluate(ctx, tt, NewExtractor(top), cached)
+	add("cached", res, err)
+	res, err = EvaluateFlat(ctx, tt, top, o)
+	add("flat", res, err)
+	res, err = DistEvaluate(ctx, tt, NewExtractor(top), o, &loopback{})
+	add("dist", res, err)
+
+	res, snap, err := EvaluateSnap(ctx, tt, NewExtractor(top), o)
+	add("snap", res, err)
+	pair0 := defectShapes(t, top, info.DefectBoxes[0])
+	cur := top
+	for i, edit := range []struct{ remove, add []layout.Shape }{
+		{remove: pair0},
+		{add: pair0},
+		{remove: defectShapes(t, top, info.DefectBoxes[1])},
+	} {
+		next, changed := editCell(t, cur, edit.remove, edit.add)
+		res, snap, err = EvaluateDelta(ctx, tt, NewExtractor(next), snap, changed)
+		add(fmt.Sprintf("delta %d", i+1), res, err)
+		cur = next
+	}
+
+	capped := o
+	capped.MaxViolations = len(full.Violations) / 3
+	res, err = Evaluate(ctx, tt, NewExtractor(top), capped)
+	add("capped", res, err)
+	if res.Dropped == 0 || !slices.Equal(res.Violations, full.Violations[:capped.MaxViolations]) {
+		t.Errorf("capped: %d kept, %d dropped; want the first %d of the uncapped %d",
+			len(res.Violations), res.Dropped, capped.MaxViolations, len(full.Violations))
+	}
+
+	if len(full.ByRule) < 5 {
+		t.Fatalf("chip breaks %d rules; too few for an order to show", len(full.ByRule))
+	}
+	for _, r := range runs {
+		if len(r.res.Violations) == 0 {
+			t.Errorf("%s: no violations; the check is vacuous", r.name)
+		}
+		if !slices.IsSortedFunc(r.res.Violations, drc.CompareViolations) {
+			t.Errorf("%s: violations are not in SortViolations order", r.name)
+		}
 	}
 }

@@ -20,7 +20,7 @@ import (
 )
 
 // Opts parameterizes a chip evaluation. The zero value of any field
-// gets a sensible default at Evaluate; DefaultOpts spells them out.
+// gets a sensible default at Evaluate (withDefaults).
 type Opts struct {
 	// Tile is the core tile edge, nm. Memory scales with (Tile +
 	// 2*context pad)^2 worth of geometry; throughput prefers tiles
@@ -60,17 +60,6 @@ type Opts struct {
 	// MaxViolations caps the merged violation list (0 = unlimited).
 	// ByRule counts stay complete; Result.Dropped reports the excess.
 	MaxViolations int
-}
-
-// DefaultOpts returns the full signoff configuration: DRC + density +
-// metal1 hotspot scan at nominal conditions, 24000nm tiles with a
-// 2000nm halo.
-func DefaultOpts() Opts {
-	return Opts{
-		Tile: 24000, Halo: 2000,
-		DRC: true, Density: true, DensityWindow: 3000, KeepDensityMaps: true,
-		Hotspots: []tech.Layer{tech.Metal1},
-	}
 }
 
 func withDefaults(t *tech.Tech, o Opts) Opts {
@@ -143,10 +132,12 @@ type Stats struct {
 // Result is a stitched whole-chip evaluation.
 type Result struct {
 	// Violations is the merged, seam-deduped DRC + density violation
-	// list in a deterministic total order, possibly truncated to
-	// MaxViolations (Dropped counts the excess; ByRule never
-	// truncates). Read-only, like Density: a Snapshot taken with the
-	// result, and every delta chained from it, share the backing arrays.
+	// list in drc.SortViolations order on every engine (flat, tiled,
+	// distributed, delta), and under MaxViolations the first that many
+	// of that order (Dropped counts the excess; ByRule never truncates):
+	// repair.ScoreResult cuts it into rule runs on that guarantee.
+	// Read-only, like Density: a Snapshot taken with the result, and
+	// every delta chained from it, share the backing arrays.
 	Violations []drc.Violation
 	ByRule     map[string]int
 	Dropped    int

@@ -230,7 +230,7 @@ func TestTiledMatchesFlatFullStack(t *testing.T) {
 	top.Add(tech.Metal1, geom.R(12500, 12500, 13000, 13000))
 	top.Add(tech.Metal1, geom.R(0, 12500, 500, 13000))
 	top.Add(tech.Metal1, geom.R(12500, 0, 13000, 500))
-	o := DefaultOpts()
+	o := defaultOpts()
 	o.Tile, o.Halo = 8000, 2000
 	flat, err := EvaluateFlat(context.Background(), tt, top, o)
 	if err != nil {
@@ -334,7 +334,7 @@ func translated(r *Result, d geom.Point) *Result {
 // know nothing of the chip frame.
 func TestEvaluateTranslationInvariant(t *testing.T) {
 	tt := tech.N45()
-	o := DefaultOpts()
+	o := defaultOpts()
 	o.Tile, o.Halo = 8000, 2000
 	o.Cache = NewCache(0)
 	chip := seamChip()
@@ -404,13 +404,13 @@ func TestEvaluateCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	top := twoClusterCell()
-	if _, err := EvaluateChip(ctx, tech.N45(), top, DefaultOpts()); err == nil {
+	if _, err := EvaluateChip(ctx, tech.N45(), top, defaultOpts()); err == nil {
 		t.Fatal("EvaluateChip on canceled context: want error, got nil")
 	}
 }
 
 func TestEvaluateEmpty(t *testing.T) {
-	res, err := EvaluateChip(context.Background(), tech.N45(), layout.NewCell("X_EMPTY"), DefaultOpts())
+	res, err := EvaluateChip(context.Background(), tech.N45(), layout.NewCell("X_EMPTY"), defaultOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

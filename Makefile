@@ -135,12 +135,15 @@ cover-kernel: ## litho kernel coverage gate: no function of raster.go/sparse.go/
 # (extract.go), cut (plan.go), key (key.go), validate / execute / absorb
 # (wire.go), scan (scan.go, every engine's stage-B driver), compute once
 # per cache (cache.go, whose wait-and-fallback path a race alone would
-# reach), pack and unpack (packed.go): unit.String sat there unexecuted
-# until PR 20 deleted it with the type. And on what the extraction
-# stands on: layout's one summary walk (Extents), Read's refusal of a
-# file that flattens past its bound, and the chip generator.
-cover-engine: ## unit path coverage gate: no function of internal/tiling's extract.go/plan.go/wire.go/key.go/scan.go/cache.go/packed.go, nor of internal/layout's layout.go/io.go/chip.go, at 0 % under the package's own tests
-	$(call cover-gate,cover-engine,./internal/tiling,extract|plan|wire|key|scan|cache|packed,)
+# reach), pack and unpack (packed.go), and around them the evaluation
+# (tiling.go), the delta that splices a snapshot or re-plans an edit it
+# no longer fits (incremental.go) and the stitch (stitch.go): unit.String
+# sat there unexecuted until PR 20 deleted it with the type. And on what
+# the extraction stands on: layout's one summary walk (Extents), Read's
+# refusal of a file that flattens past its bound or names an unknown
+# technology, and the chip generator.
+cover-engine: ## unit path coverage gate: no function of internal/tiling's extract.go/plan.go/wire.go/key.go/scan.go/cache.go/packed.go/incremental.go/stitch.go/tiling.go, nor of internal/layout's layout.go/io.go/chip.go, at 0 % under the package's own tests
+	$(call cover-gate,cover-engine,./internal/tiling,extract|plan|wire|key|scan|cache|packed|incremental|stitch|tiling,)
 	$(call cover-gate,cover-engine-layout,./internal/layout,layout|io|chip,)
 
 # And on what every tile's deck stands on: the index, the boundary
@@ -158,9 +161,10 @@ cover-deck: ## deck path coverage gate: no function of internal/geom's index.go/
 	$(call cover-gate,cover-deck-keysort,./internal/keysort,keysort,keysort)
 
 # And on the one task executor: the scorecard's batch and every dfmd
-# job run through pool.go's workers and harness.go's attempt loop, so
-# 90 % of their statements keeps a path of either from going unexercised
-# the way Pool.Workers sat outside the package's own tests.
+# job run through pool.go's workers and harness.go's Run, which hands a
+# batch to a pool sized to it, each task run once, so 90 % of their
+# statements keeps a path of either from going unexercised the way
+# Pool.Workers sat outside the package's own tests.
 cover-harness: ## executor coverage gate: no function of internal/harness's harness.go/pool.go/foreach.go/metrics.go at 0 % under the package's own tests; harness.go and pool.go >= 90 % of statements
 	$(call cover-gate,cover-harness,./internal/harness,harness|pool|foreach|metrics,harness|pool)
 

@@ -376,8 +376,8 @@ func BenchmarkRepairLoop(b *testing.B) {
 	if b.N == 1 {
 		fmt.Printf("repair chip: %d rects, %d spacing defects, %d repair sites\n",
 			info.Rects, len(info.DefectBoxes), len(info.RepairSites))
-		fmt.Printf("repair loop: score %.1f -> %.1f, %v applied, %d rejected, %d delta / %d full re-evals\n",
-			out.Before.Total, out.After.Total, out.AppliedByKind(), len(out.Rejected), out.DeltaEvals, out.FullEvals)
+		fmt.Printf("repair loop: score %.1f -> %.1f, %v applied, %d rejected, %d rounds\n",
+			out.Before.Total, out.After.Total, out.AppliedByKind(), len(out.Rejected), len(out.Rounds))
 		fmt.Printf("repair delta: incremental %.2fs vs full %.2fs, speedup %.2fx\n",
 			float64(incNS)/1e9, float64(fullNS)/1e9, speedup)
 	}

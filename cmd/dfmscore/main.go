@@ -305,24 +305,14 @@ func runChip(ctx context.Context, t *tech.Tech, cfg chipConfig) error {
 
 // repairReport is the -repair JSON payload.
 type repairReport struct {
-	ScoreBefore float64           `json:"scoreBefore"`
-	ScoreAfter  float64           `json:"scoreAfter"`
-	Applied     map[string]int    `json:"applied"`
-	Rejected    int               `json:"rejected"`
-	Skipped     map[string]int    `json:"skipped,omitempty"`
-	Rounds      []repairRound     `json:"rounds"`
-	DeltaEvals  int               `json:"deltaEvals"`
-	FullEvals   int               `json:"fullEvals"`
-	Elapsed     time.Duration     `json:"elapsedNs"`
-	Bench       *deltaBenchReport `json:"deltaBench,omitempty"`
-}
-
-type repairRound struct {
-	Proposed     int     `json:"proposed"`
-	Applied      int     `json:"applied"`
-	Rejected     int     `json:"rejected"`
-	SplicedTiles int     `json:"splicedTiles"`
-	Score        float64 `json:"score"`
+	ScoreBefore float64             `json:"scoreBefore"`
+	ScoreAfter  float64             `json:"scoreAfter"`
+	Applied     map[string]int      `json:"applied"`
+	Rejected    int                 `json:"rejected"`
+	Skipped     map[string]int      `json:"skipped,omitempty"`
+	Rounds      []repair.RoundStats `json:"rounds"`
+	Elapsed     time.Duration       `json:"elapsedNs"`
+	Bench       *deltaBenchReport   `json:"deltaBench,omitempty"`
 }
 
 // deltaBenchReport times the incremental re-evaluation of the repair
@@ -359,14 +349,7 @@ func runRepair(ctx context.Context, t *tech.Tech, cfg chipConfig) error {
 	rep := repairReport{
 		ScoreBefore: out.Before.Total, ScoreAfter: out.After.Total,
 		Applied: out.AppliedByKind(), Rejected: len(out.Rejected), Skipped: out.Skipped,
-		DeltaEvals: out.DeltaEvals, FullEvals: out.FullEvals,
-		Elapsed: time.Since(start),
-	}
-	for _, r := range out.Rounds {
-		rep.Rounds = append(rep.Rounds, repairRound{
-			Proposed: r.Proposed, Applied: r.Applied, Rejected: r.Rejected,
-			SplicedTiles: r.SplicedTiles, Score: r.Score,
-		})
+		Rounds: out.Rounds, Elapsed: time.Since(start),
 	}
 
 	if cfg.deltaBench {
@@ -398,8 +381,7 @@ func runRepair(ctx context.Context, t *tech.Tech, cfg chipConfig) error {
 			fmt.Printf("  round %d: %d proposed, %d applied, %d rejected, %d tiles spliced, score %.1f\n",
 				i+1, r.Proposed, r.Applied, r.Rejected, r.SplicedTiles, r.Score)
 		}
-		fmt.Printf("  re-eval: %d incremental, %d full, %v total\n",
-			out.DeltaEvals, out.FullEvals, rep.Elapsed.Round(time.Millisecond))
+		fmt.Printf("  elapsed: %v\n", rep.Elapsed.Round(time.Millisecond))
 		if rep.Bench != nil {
 			fmt.Printf("  delta:   incremental %v vs full %v (%.1fx), results identical: %v\n",
 				rep.Bench.Incremental.Round(time.Millisecond), rep.Bench.Full.Round(time.Millisecond),

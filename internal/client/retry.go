@@ -10,12 +10,14 @@ import (
 	"repro/internal/server"
 )
 
-// RetryPolicy is the one retry loop the load generator and the router
-// both lean on: capped exponential backoff with full jitter on the
-// top half of the window, a floor taken from the server's Retry-After
-// hint when one arrived, and hard respect for the caller's context —
-// a retry whose backoff cannot finish before the deadline is not
-// attempted at all.
+// RetryPolicy is the backoff the clients and the router share: capped
+// exponential backoff with full jitter on the top half of the window
+// and a floor taken from the server's Retry-After hint when one
+// arrived. The clients retry through its loop (do), which respects the
+// caller's context hard — a retry whose backoff cannot finish before
+// the deadline is not attempted at all. The router runs its own loop,
+// with a retry budget and failover across backends, and takes only
+// Delay from it.
 type RetryPolicy struct {
 	// MaxAttempts is the total try count (first attempt included);
 	// values below 1 mean 1 — no retries.

@@ -116,8 +116,8 @@ func topoOrder(l *Layout) ([]*Cell, error) {
 const maxReadRects = 1 << 24
 
 // Read parses a layout written by Write. The technology is resolved by
-// name against the built-in nodes; an unknown or missing tech line
-// leaves Tech nil. A top cell that flattens to more than maxReadRects
+// name against the built-in nodes, and an unknown name is refused; a
+// missing tech line leaves Tech nil. A top cell that flattens to more than maxReadRects
 // shapes is refused, counted by Extents without flattening it.
 func Read(r io.Reader) (*Layout, error) {
 	l := &Layout{Cells: make(map[string]*Cell)}
@@ -145,6 +145,8 @@ func Read(r io.Reader) (*Layout, error) {
 				l.Tech = tech.N45()
 			case "N45R":
 				l.Tech = tech.N45R()
+			default:
+				return nil, fail("unknown tech (known: N45, N45R)")
 			}
 		case "cell":
 			if len(f) != 2 {

@@ -48,6 +48,7 @@ func TestReadErrors(t *testing.T) {
 		{"rect outside cell", "rect metal1 0 0 10 10\n"},
 		{"unknown layer", "cell A\nrect bogus 0 0 10 10\nend\n"},
 		{"unknown directive", "wibble\n"},
+		{"unknown tech", "tech N7\ncell A\nend\n"},
 		{"inst before def", "cell A\ninst B R0 0 0\nend\n"},
 		{"bad orient", "cell B\nend\ncell A\ninst B R45 0 0\nend\n"},
 		{"unterminated cell", "cell A\n"},
@@ -112,9 +113,12 @@ func TestReadSkipsCommentsAndBlank(t *testing.T) {
 	if c == nil || len(c.Shapes) != 1 || c.Shapes[0].Net != 4 {
 		t.Fatalf("parse result wrong: %+v", c)
 	}
-	// Top falls back to the only cell.
+	// Top falls back to the only cell; with no tech line, Tech is nil.
 	if l.Top != c {
 		t.Fatalf("top fallback failed")
+	}
+	if l.Tech != nil {
+		t.Fatalf("no tech line, yet Tech = %s", l.Tech.Name)
 	}
 }
 

@@ -2,7 +2,6 @@ package repair
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"repro/internal/layout"
@@ -26,16 +25,14 @@ type Opts struct {
 
 // RoundStats reports one repair round.
 type RoundStats struct {
-	Proposed int
-	Applied  int
-	Rejected int
-	// Incremental is false when the round's re-evaluation fell back to
-	// a full run (tiling.ErrFullRequired — e.g. a fix moved a layer
-	// bbox).
-	Incremental    bool
-	SplicedTiles   int
-	SplicedWindows int
-	Score          float64 // score after the round
+	Proposed int `json:"proposed"`
+	Applied  int `json:"applied"`
+	Rejected int `json:"rejected"`
+	// SplicedTiles is how incremental the round's re-evaluation was: the
+	// tiles it took from the prior snapshot. It is 0 when a fix moved a
+	// grid anchor (say, a layer bbox) and tiling.EvaluateDelta re-planned.
+	SplicedTiles int     `json:"splicedTiles"`
+	Score        float64 `json:"score"` // score after the round
 }
 
 // Rejection is one fix that failed the legality check, kept with the
@@ -56,9 +53,6 @@ type Outcome struct {
 	// Skipped counts attributions no strategy could propose for,
 	// accumulated across rounds by reason.
 	Skipped map[string]int
-	// DeltaEvals and FullEvals count incremental vs from-scratch
-	// re-evaluations (the initial scoring run is not counted).
-	DeltaEvals, FullEvals int
 }
 
 // AppliedByKind returns applied-fix counts per kind.
@@ -104,7 +98,7 @@ func Run(stdctx context.Context, t *tech.Tech, top *layout.Cell, o Opts) (*Outco
 		for k, n := range skipped {
 			out.Skipped[k] += n
 		}
-		rs := RoundStats{Proposed: len(fixes), Incremental: true}
+		rs := RoundStats{Proposed: len(fixes)}
 		var dirty Delta
 		for _, f := range fixes {
 			if o.MaxFixes > 0 && rs.Applied >= o.MaxFixes {
@@ -140,25 +134,10 @@ func Run(stdctx context.Context, t *tech.Tech, top *layout.Cell, o Opts) (*Outco
 			break
 		}
 
-		// Re-evaluate the edited chip: incremental against the prior
-		// snapshot, with the typed full-run fallback.
-		ex := tiling.NewExtractor(cur)
-		resN, snapN, err := tiling.EvaluateDelta(stdctx, t, ex, snap, dirty.Rects())
-		switch {
-		case err == nil:
-			out.DeltaEvals++
-		case errors.Is(err, tiling.ErrFullRequired):
-			rs.Incremental = false
-			out.FullEvals++
-			if resN, snapN, err = tiling.EvaluateSnap(stdctx, t, ex, o.Eval); err != nil {
-				return nil, err
-			}
-		default:
+		if res, snap, err = tiling.EvaluateDelta(stdctx, t, tiling.NewExtractor(cur), snap, dirty.Rects()); err != nil {
 			return nil, err
 		}
-		res, snap = resN, snapN
 		rs.SplicedTiles = res.Stats.SplicedTiles
-		rs.SplicedWindows = res.Stats.SplicedWindows
 		singles, _ = yieldpkg.CountViaRedundancy(cur.Shapes, t)
 		sc = ScoreResult(res, singles, Weights{})
 		rs.Score = sc.Total

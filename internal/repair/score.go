@@ -127,7 +127,10 @@ type ruleBlock struct {
 // Nothing is copied, sorted or read per finding: a result's violation
 // list is in drc.SortViolations order (tiling.Result.Violations), so
 // each rule's violations are one run of it, found by binary search,
-// and the totals are summed run by run.
+// and the totals are summed run by run. A list out of that order is
+// scored wrong, without an error; it is not checked here, because
+// every engine hands its list over sorted and TestViolationsInSortOrder
+// holds each of them to it.
 func ScoreResult(res *tiling.Result, singles int, w Weights) Score {
 	sc := Score{ByRule: make(map[string]float64), Singles: singles}
 	blocks := cutRules(res.Violations)

@@ -64,10 +64,12 @@ func sumSnapshot(s *Snapshot) [sha256.Size]byte {
 // straddle a seam, identical cuts drawn twice (a run longer than one,
 // beside a seam and across it), single shapes taken away again (a run
 // that shrinks), blocks that move density windows into and out of
-// range, and an edit deep inside one tile, which leaves the neighbours
-// that own the windows overhanging its core clean. Snapshots share what
-// they retain, so at the end every earlier result and snapshot must
-// still digest as it did when it was returned.
+// range, an edit deep inside one tile, which leaves the neighbours
+// that own the windows overhanging its core clean, and one shape drawn
+// past the die's edge and later taken away, which moves the die twice
+// and so takes the chain through a re-plan and back. Snapshots share
+// what they retain, so at the end every earlier result and snapshot
+// must still digest as it did when it was returned.
 func TestDeltaChainRandomEdits(t *testing.T) {
 	tt := tech.N45()
 	l, _, err := layout.GenerateChip(tt, layout.ChipOpts{
@@ -107,11 +109,15 @@ func TestDeltaChainRandomEdits(t *testing.T) {
 				}
 				chain := []link{{res: res, snap: snap, resSum: sumResult(res), snapSum: sumSnapshot(snap)}}
 				cur := l.Top
-				var mine []layout.Shape // what the chain added and has not removed
+				var mine []layout.Shape  // what the chain added and has not removed
+				var outside layout.Shape // the shape drawn past the die's edge
 				var sawSplice, sawRun, sawSeam, sawDensityMove, sawLoneTile bool
 
-				kinds := []string{"seam", "twice", "density", "inside", "seam", "twice", "density", "remove", "remove", "inside", "remove", "remove"}
+				kinds := []string{"seam", "twice", "density", "inside", "seam", "twice", "density", "remove", "remove", "inside", "remove", "remove", "grow", "shrink"}
 				rng.Shuffle(len(kinds), func(i, j int) { kinds[i], kinds[j] = kinds[j], kinds[i] })
+				if g, sh := slices.Index(kinds, "grow"), slices.Index(kinds, "shrink"); sh < g {
+					kinds[g], kinds[sh] = kinds[sh], kinds[g]
+				}
 				for step, kind := range kinds {
 					var remove, add []layout.Shape
 					switch {
@@ -144,6 +150,15 @@ func TestDeltaChainRandomEdits(t *testing.T) {
 						tx, ty := int64(rng.Intn(nx-1)), int64(rng.Intn(ny-1))
 						x, y := die.X0+tx*tile+tile/2, die.Y0+ty*tile+tile/2
 						add = []layout.Shape{shape(tech.Metal3, geom.R(x, y, x+50, y+400))}
+					case kind == "grow":
+						// A sliver past the die's right edge: the die, and
+						// the grids anchored on it, no longer fit the plan.
+						y := anyY()
+						outside = shape(tech.Metal3, geom.R(die.X1+500, y, die.X1+550, y+400))
+						add = []layout.Shape{outside}
+					case kind == "shrink":
+						// The sliver goes again, and the die with it.
+						remove = []layout.Shape{outside}
 					case len(mine) > 0: // "remove": one shape the chain added, a twin stays
 						i := rng.Intn(len(mine))
 						remove = []layout.Shape{mine[i]}
@@ -151,7 +166,9 @@ func TestDeltaChainRandomEdits(t *testing.T) {
 					default:
 						continue
 					}
-					mine = append(mine, add...)
+					if kind != "grow" {
+						mine = append(mine, add...)
+					}
 
 					edited, changed := editCell(t, cur, remove, add)
 					prev := chain[len(chain)-1]
@@ -172,6 +189,17 @@ func TestDeltaChainRandomEdits(t *testing.T) {
 						t.Fatalf("%s: delta stitch differs from the whole-chip stitch of the same tile outputs", label)
 					}
 					sawSplice = sawSplice || resD.Stats.SplicedTiles > 0
+					if kind == "grow" || kind == "shrink" {
+						if snapD.Die() == prev.snap.Die() {
+							t.Fatalf("%s: die stayed %v", label, snapD.Die())
+						}
+						if resD.Stats.SplicedTiles != 0 {
+							t.Fatalf("%s: re-plan spliced %d tiles, want none", label, resD.Stats.SplicedTiles)
+						}
+					}
+					if kind == "shrink" && snapD.Die() != die {
+						t.Fatalf("%s: die %v, want it back at %v", label, snapD.Die(), die)
+					}
 
 					all := snapD.st.viol
 					for i, v := range all {

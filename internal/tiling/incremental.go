@@ -3,7 +3,6 @@ package tiling
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"repro/internal/geom"
 	"repro/internal/litho"
@@ -26,13 +25,6 @@ import (
 // every tile, so the result is bit-identical to a from-scratch Evaluate
 // of the edited chip — pinned by the differential tests in
 // incremental_test.go and delta_chain_test.go.
-
-// ErrFullRequired is returned (wrapped) by EvaluateDelta when the edit
-// invalidates the snapshot's global structure — the die bbox or a
-// scanned layer's bbox moved (re-anchoring a grid), the enabled
-// density layer set changed, or the technology is not the snapshot's.
-// Callers fall back to a full EvaluateSnap.
-var ErrFullRequired = errors.New("tiling: delta requires a full re-evaluation")
 
 // Snapshot retains one evaluation's plan — the grid that located every
 // unit — the per-unit outputs its stitch consumed, and the stitched
@@ -73,17 +65,16 @@ func EvaluateSnap(stdctx context.Context, t *tech.Tech, ex *Extractor, o Opts) (
 // changed rect are re-extracted and recomputed; the rest splice from
 // the snapshot. Returns the result — bit-identical to a from-scratch
 // Evaluate of the edited chip under the snapshot's options — plus a
-// new snapshot for chaining. Errors wrapping ErrFullRequired mean the
-// edit moved grid anchors or rule sets; fall back to EvaluateSnap.
+// new snapshot for chaining. An edit the snapshot's plan no longer
+// fits (plan.fits: it moved a grid anchor or changed which rules run)
+// is evaluated from scratch under those options instead, splicing
+// nothing; its snapshot chains like any other.
 func EvaluateDelta(stdctx context.Context, t *tech.Tech, ex *Extractor, prev *Snapshot, changed []geom.Rect) (*Result, *Snapshot, error) {
 	if prev == nil {
 		return nil, nil, errors.New("tiling: EvaluateDelta needs a snapshot")
 	}
-	if prev.plan.die.Empty() {
-		return nil, nil, fmt.Errorf("%w: snapshot recorded over an empty die", ErrFullRequired)
-	}
-	if err := prev.plan.spliceable(t, ex); err != nil {
-		return nil, nil, err
+	if !prev.plan.fits(t, ex) {
+		return evaluate(stdctx, newPlan(t, ex, prev.plan.opts), ex, nil, nil, nil)
 	}
 	return evaluate(stdctx, prev.plan, ex, nil, prev, changed)
 }

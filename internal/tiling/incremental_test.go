@@ -2,7 +2,6 @@ package tiling
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -262,9 +261,12 @@ func TestDeltaMatchesFullHotspots(t *testing.T) {
 	}
 }
 
-// The guards: edits that move grid anchors or change chip-global
-// structure must refuse to splice, typed ErrFullRequired.
-func TestEvaluateDeltaFullRequired(t *testing.T) {
+// An edit its snapshot's plan no longer fits — a grid anchor moved, the
+// rule set changed, another technology — is re-planned and evaluated
+// from scratch under the snapshot's options: the answer equals a fresh
+// EvaluateSnap of the edited chip, nothing is spliced, and the returned
+// snapshot chains.
+func TestEvaluateDeltaReplans(t *testing.T) {
 	tt := tech.N45()
 	ctx := context.Background()
 
@@ -275,64 +277,80 @@ func TestEvaluateDeltaFullRequired(t *testing.T) {
 		}
 	})
 
-	t.Run("empty-die snapshot", func(t *testing.T) {
-		_, snap, err := EvaluateSnap(ctx, tt, NewExtractor(layout.NewCell("X_E")), Opts{Tile: 8000, DRC: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := EvaluateDelta(ctx, tt, NewExtractor(layout.NewCell("X_E")), snap, nil); !errors.Is(err, ErrFullRequired) {
-			t.Fatalf("err = %v, want ErrFullRequired", err)
-		}
-	})
-
-	t.Run("die bbox moved", func(t *testing.T) {
-		top := layout.NewCell("X_D")
-		top.Add(tech.Metal1, geom.R(0, 0, 3000, 3000))
-		_, snap, err := EvaluateSnap(ctx, tt, NewExtractor(top), Opts{Tile: 8000, DRC: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		grown, changed := editCell(t, top, nil, []layout.Shape{
-			{Layer: tech.Metal1, R: geom.R(5000, 5000, 5100, 5100), Net: layout.NoNet}})
-		if _, _, err := EvaluateDelta(ctx, tt, NewExtractor(grown), snap, changed); !errors.Is(err, ErrFullRequired) {
-			t.Fatalf("err = %v, want ErrFullRequired", err)
-		}
-	})
-
-	t.Run("density layer set changed", func(t *testing.T) {
-		top := layout.NewCell("X_DL")
-		top.Add(tech.Metal1, geom.R(0, 0, 3000, 3000))
-		m2 := layout.Shape{Layer: tech.Metal2, R: geom.R(100, 100, 200, 200), Net: layout.NoNet}
-		top.AddNet(m2.Layer, m2.R, m2.Net)
-		o := Opts{Tile: 8000, Density: true, DensityWindow: 3000}
-		_, snap, err := EvaluateSnap(ctx, tt, NewExtractor(top), o)
-		if err != nil {
-			t.Fatal(err)
-		}
+	shape := func(l tech.Layer, r geom.Rect) layout.Shape { return layout.Shape{Layer: l, R: r, Net: layout.NoNet} }
+	m2 := shape(tech.Metal2, geom.R(100, 100, 200, 200))
+	for _, c := range []struct {
+		name        string
+		slow        bool // runs a litho scan
+		o           Opts
+		shapes      []layout.Shape // the chip the snapshot is recorded over, under N45
+		et          *tech.Tech     // the edited chip's technology
+		remove, add []layout.Shape
+	}{
+		{name: "empty-die snapshot", o: Opts{Tile: 8000, DRC: true}, et: tt,
+			add: []layout.Shape{shape(tech.Metal1, geom.R(0, 0, 3000, 3000))}},
+		{name: "die bbox moved", o: Opts{Tile: 8000, DRC: true}, et: tt,
+			shapes: []layout.Shape{shape(tech.Metal1, geom.R(0, 0, 3000, 3000))},
+			add:    []layout.Shape{shape(tech.Metal1, geom.R(5000, 5000, 5100, 5100))}},
+		// Metal1 wires 75nm apart: legal under N45 (70), a spacing
+		// violation under N45R (80).
+		{name: "another technology", o: Opts{Tile: 8000, DRC: true}, et: tech.N45R(),
+			shapes: []layout.Shape{shape(tech.Metal1, geom.R(0, 0, 1000, 100)), shape(tech.Metal1, geom.R(0, 175, 1000, 275))}},
 		// Removing the only metal2 shape drops metal2 from the enabled
 		// density layer set (the die stays pinned by metal1).
-		bare, changed := editCell(t, top, []layout.Shape{m2}, nil)
-		if _, _, err := EvaluateDelta(ctx, tt, NewExtractor(bare), snap, changed); !errors.Is(err, ErrFullRequired) {
-			t.Fatalf("err = %v, want ErrFullRequired", err)
-		}
-	})
-
-	t.Run("hotspot layer bbox moved", func(t *testing.T) {
-		if testing.Short() {
-			t.Skip("runs a litho scan; skipped in -short")
-		}
-		top := layout.NewCell("X_HB")
-		top.Add(tech.Metal2, geom.R(0, 0, 3000, 3000)) // pins the die
-		top.Add(tech.Metal1, geom.R(0, 0, 90, 1000))
-		_, snap, err := EvaluateSnap(ctx, tt, NewExtractor(top),
-			Opts{Tile: 8000, Halo: 2000, Hotspots: []tech.Layer{tech.Metal1}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		moved, changed := editCell(t, top, nil, []layout.Shape{
-			{Layer: tech.Metal1, R: geom.R(0, 1500, 90, 2000), Net: layout.NoNet}})
-		if _, _, err := EvaluateDelta(ctx, tt, NewExtractor(moved), snap, changed); !errors.Is(err, ErrFullRequired) {
-			t.Fatalf("err = %v, want ErrFullRequired", err)
-		}
-	})
+		{name: "density layer set changed", o: Opts{Tile: 8000, Density: true, DensityWindow: 3000}, et: tt,
+			shapes: []layout.Shape{shape(tech.Metal1, geom.R(0, 0, 3000, 3000)), m2},
+			remove: []layout.Shape{m2}},
+		// Metal2 pins the die; the new metal1 line moves the scan anchor.
+		{name: "hotspot layer bbox moved", slow: true, o: Opts{Tile: 8000, Halo: 2000, Hotspots: []tech.Layer{tech.Metal1}}, et: tt,
+			shapes: []layout.Shape{shape(tech.Metal2, geom.R(0, 0, 3000, 3000)), shape(tech.Metal1, geom.R(0, 0, 90, 1000))},
+			add:    []layout.Shape{shape(tech.Metal1, geom.R(0, 1500, 90, 2000))}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if c.slow && testing.Short() {
+				t.Skip("runs a litho scan; skipped in -short")
+			}
+			top := layout.NewCell("X_R")
+			for _, s := range c.shapes {
+				top.AddNet(s.Layer, s.R, s.Net)
+			}
+			res0, snap, err := EvaluateSnap(ctx, tt, NewExtractor(top), c.o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			edited, changed := editCell(t, top, c.remove, c.add)
+			ex := NewExtractor(edited)
+			if snap.plan.fits(c.et, ex) {
+				t.Fatal("the snapshot's plan fits the edit; the case is vacuous")
+			}
+			res, snapD, err := EvaluateDelta(ctx, c.et, ex, snap, changed)
+			if err != nil {
+				t.Fatalf("EvaluateDelta: %v", err)
+			}
+			fresh, _, err := EvaluateSnap(ctx, c.et, ex, c.o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			diffResults(t, "re-planned delta vs from scratch", res, fresh)
+			if !Equivalent(res, fresh) {
+				t.Fatal("Equivalent(re-planned delta, from scratch) = false")
+			}
+			if c.et != tt && Equivalent(res0, fresh) {
+				t.Fatal("the technologies agree on this chip; the case is vacuous")
+			}
+			if res.Stats.SplicedTiles != 0 || res.Stats.SplicedWindows != 0 {
+				t.Fatalf("re-plan spliced %d tiles, %d windows; want none", res.Stats.SplicedTiles, res.Stats.SplicedWindows)
+			}
+			again, _, err := EvaluateDelta(ctx, c.et, ex, snapD, nil)
+			if err != nil {
+				t.Fatalf("EvaluateDelta from the re-planned snapshot: %v", err)
+			}
+			if !Equivalent(again, fresh) {
+				t.Fatal("a delta from the re-planned snapshot differs from the from-scratch run")
+			}
+			if again.Stats.SplicedTiles == 0 {
+				t.Fatal("a delta from the re-planned snapshot spliced nothing; it did not chain")
+			}
+		})
+	}
 }

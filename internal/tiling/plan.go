@@ -2,7 +2,6 @@ package tiling
 
 import (
 	"crypto/sha256"
-	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -175,32 +174,29 @@ func (p *plan) dirtyTiles(changed []geom.Rect) []int {
 	return out
 }
 
-// spliceable verifies that the chip under ex, an edit of the one p was
-// cut for, still lines up with p unit for unit, so that p — grid, decks,
+// fits reports whether the chip under ex, an edit of the one p was cut
+// for, still lines up with p unit for unit, so that p — grid, decks,
 // window ownership, config hash — serves the edited chip as it is and
-// no second plan is built. Anything that moves the tile or window grids,
-// or changes which rules run where, invalidates every retained unit at
-// once — typed as ErrFullRequired so callers fall back to a
-// from-scratch run instead of stitching garbage.
-func (p *plan) spliceable(t *tech.Tech, ex *Extractor) error {
-	if t != p.t && !reflect.DeepEqual(t, p.t) {
-		return fmt.Errorf("%w: not the technology the snapshot was recorded under", ErrFullRequired)
-	}
-	if die := ex.BBox(); die != p.die {
-		return fmt.Errorf("%w: die bbox moved %v -> %v", ErrFullRequired, p.die, die)
+// no second plan is built. An empty die, another technology, a moved
+// die bbox (the tile and density grids' anchor), a changed set of
+// enabled density layers or a moved scanned-layer bbox (a scan grid's
+// anchor) each invalidate every retained unit at once.
+func (p *plan) fits(t *tech.Tech, ex *Extractor) bool {
+	if p.die.Empty() || t != p.t && !reflect.DeepEqual(t, p.t) || ex.BBox() != p.die {
+		return false
 	}
 	if p.opts.Density {
 		enabled := densityRules(t, ex, p.opts)
 		if !slices.EqualFunc(enabled, p.tmpl.DensityLayers, func(dw drc.DensityWindow, l tech.Layer) bool { return dw.Layer == l }) {
-			return fmt.Errorf("%w: enabled density layer set changed", ErrFullRequired)
+			return false
 		}
 	}
 	for _, sp := range p.scans {
 		if ex.LayerBBox(sp.layer) != sp.bbox {
-			return fmt.Errorf("%w: %v bbox moved (scan grid anchor)", ErrFullRequired, sp.layer)
+			return false
 		}
 	}
-	return nil
+	return true
 }
 
 // tileUnit cuts tile i: the template with the tile's dimensions, the

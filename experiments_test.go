@@ -36,7 +36,7 @@ import (
 	yieldpkg "repro/internal/yield"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/experiments.golden from this run")
+var update = flag.Bool("update", false, "rewrite the golden file of each test run (testdata/experiments.golden, testdata/chips.golden)")
 
 const goldenPath = "testdata/experiments.golden"
 

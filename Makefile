@@ -255,7 +255,7 @@ bench-smoke: ## one iteration of the five kernel micro-rows (the geometry Boolea
 	$(GO) test -run='^$$' -bench='^BenchmarkTileKey$$' -benchtime=1x -benchmem ./internal/tiling
 	$(GO) test -run='^$$' -bench='^BenchmarkCanonicalize$$' -benchtime=1x -benchmem ./internal/tiling
 	$(GO) test -run='^$$' -bench='^BenchmarkKeySort$$' -benchtime=1x -benchmem ./internal/keysort
-	$(GO) test -run='^$$' -bench='^Benchmark(IndexBuildQuery|Sweep|BoundaryOfNormal)$$' -benchtime=1x -benchmem ./internal/geom
+	$(GO) test -run='^$$' -bench='^Benchmark(IndexBuildQuery|Sweep|BoundarySides)$$' -benchtime=1x -benchmem ./internal/geom
 	$(GO) test -run='^$$' -bench='^Benchmark(DeckTile|Endcap|LayerQuery)$$' -benchtime=1x -benchmem ./internal/drc
 	$(GO) test -run='^$$' -bench='^BenchmarkCanonHash$$' -benchtime=1x -benchmem ./internal/pattern
 	$(GO) test -run='^$$' -bench='^BenchmarkMatcherScan$$' -benchtime=1x -benchmem ./internal/dfm

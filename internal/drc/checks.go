@@ -139,14 +139,14 @@ func facingPairs(ly *preparedLayer, lim int64, interior bool) []candidate {
 		}
 		first := 0 // of face on a line past e's; scan is sorted by line too
 		for _, e := range scan {
-			first = after(face, first, e.at, math.MaxInt64)
-			for k := first; k < len(face) && face[k].at-e.at < lim; {
-				at := face[k].at
-				for k = after(face, k, at, e.lo); k < len(face) && face[k].at == at && face[k].lo < e.hi; k++ {
-					lo, hi := max(e.lo, face[k].lo), min(e.hi, face[k].hi)
-					m := geom.Rect{X0: lo, Y0: e.at, X1: hi, Y1: at}
+			first = after(face, first, e.At, math.MaxInt64)
+			for k := first; k < len(face) && face[k].At-e.At < lim; {
+				at := face[k].At
+				for k = after(face, k, at, e.Lo); k < len(face) && face[k].At == at && face[k].Lo < e.Hi; k++ {
+					lo, hi := max(e.Lo, face[k].Lo), min(e.Hi, face[k].Hi)
+					m := geom.Rect{X0: lo, Y0: e.At, X1: hi, Y1: at}
 					if axis == 1 {
-						m = geom.Rect{X0: e.at, Y0: lo, X1: at, Y1: hi}
+						m = geom.Rect{X0: e.At, Y0: lo, X1: at, Y1: hi}
 					}
 					found++
 					// Validity: space between must be all-interior (width) or
@@ -169,11 +169,11 @@ func facingPairs(ly *preparedLayer, lim int64, interior bool) []candidate {
 // or on it and ending past lo: (at, hi) is sorted along a side, so this
 // is a binary search. With lo = math.MaxInt64 it is the first edge past
 // the line.
-func after(s []seg, i int, at, lo int64) int {
+func after(s []geom.Seg, i int, at, lo int64) int {
 	j := len(s)
 	for i < j {
 		h := int(uint(i+j) >> 1)
-		if s[h].at < at || (s[h].at == at && s[h].hi <= lo) {
+		if s[h].At < at || (s[h].At == at && s[h].Hi <= lo) {
 			i = h + 1
 		} else {
 			j = h

@@ -16,7 +16,7 @@ import (
 // generated chip — the unit of work the tiled engine hands the deck.
 // The tile starts at slot (2,2) of 4x4, where the seed-11 floorplan
 // puts violating SRAM and via-farm content next to logic.
-func chipTile(b *testing.B, t *tech.Tech, size int64) []layout.Shape {
+func chipTile(b testing.TB, t *tech.Tech, size int64) []layout.Shape {
 	b.Helper()
 	l, info, err := layout.GenerateChip(t, layout.ChipOpts{Seed: 11, Slots: 4})
 	if err != nil {

@@ -11,6 +11,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 
@@ -51,11 +52,33 @@ type Context struct {
 	prep [tech.NumLayers]preparedLayer
 }
 
-// NewContext normalizes a flat shape list for checking.
+// NewContext normalizes a flat shape list for checking: Layers holds
+// the normal form of each layer that has shapes, any layer number
+// included. The rects are split by layer into one backing array, each
+// layer's part capped at its length, since Normalize returns an input
+// already in normal form as it is.
 func NewContext(t *tech.Tech, flat []layout.Shape) *Context {
-	ctx := &Context{Tech: t, Layers: make(map[tech.Layer][]geom.Rect), Shapes: flat}
-	for l, rs := range layout.ByLayer(flat) {
-		ctx.Layers[l] = geom.Normalize(rs)
+	var at [math.MaxUint8 + 2]int // layer l's part of the backing is [at[l], at[l+1])
+	for _, s := range flat {
+		at[int(s.Layer)+1]++
+	}
+	layers := 0
+	for l := 1; l < len(at); l++ {
+		if at[l] > 0 {
+			layers++
+		}
+		at[l] += at[l-1]
+	}
+	backing, next := make([]geom.Rect, len(flat)), at
+	for _, s := range flat {
+		backing[next[s.Layer]] = s.R
+		next[s.Layer]++
+	}
+	ctx := &Context{Tech: t, Layers: make(map[tech.Layer][]geom.Rect, layers), Shapes: flat}
+	for l := range len(at) - 1 {
+		if lo, hi := at[l], at[l+1]; hi > lo {
+			ctx.Layers[tech.Layer(l)] = geom.Normalize(backing[lo:hi:hi])
+		}
 	}
 	return ctx
 }
@@ -92,9 +115,8 @@ func (d *Deck) RunCtx(stdctx context.Context, ctx *Context, parallel int) Result
 	_ = harness.ForEach(stdctx, parallel, len(d.Rules), func(i int) {
 		perRule[i] = d.Rules[i].Check(ctx)
 	})
-	res := Result{ByRule: make(map[string]int)}
+	res := Result{Violations: slices.Concat(perRule...), ByRule: make(map[string]int, len(d.Rules))}
 	for i, rule := range d.Rules {
-		res.Violations = append(res.Violations, perRule[i]...)
 		res.ByRule[rule.Name()] += len(perRule[i])
 	}
 	SortViolations(res.Violations)

@@ -64,17 +64,13 @@ func (r MinArea) Check(ctx *Context) []Violation {
 	name := r.Name()
 	ly := ctx.layer(r.Layer)
 	var out []Violation
-	for _, comp := range ly.Components() {
-		var a int64 // a component's rects are disjoint: their areas add up
-		for _, rc := range comp {
-			a += rc.Area()
-		}
-		if a < r.A {
+	for _, g := range ly.Regions() {
+		if g.Area < r.A {
 			out = append(out, Violation{
 				Rule:   name,
 				Layer:  r.Layer,
-				Marker: geom.BBoxOf(comp),
-				Detail: fmt.Sprintf("region area %d < %d", a, r.A),
+				Marker: g.BBox,
+				Detail: fmt.Sprintf("region area %d < %d", g.Area, r.A),
 			})
 		}
 	}

@@ -18,12 +18,8 @@ type preparedLayer struct {
 	*geom.Banded
 
 	sideOnce sync.Once
-	sides    [4][]seg // by geom.Side
+	sides    [4][]geom.Seg // by geom.Side
 }
-
-// seg is a boundary edge lying on the line at (y for a horizontal edge,
-// x for a vertical one) and spanning [lo, hi) along it.
-type seg struct{ at, lo, hi int64 }
 
 // layer returns the prepared form of ctx.Layers[l].
 func (c *Context) layer(l tech.Layer) *preparedLayer {
@@ -36,28 +32,10 @@ func (c *Context) layer(l tech.Layer) *preparedLayer {
 func (p *preparedLayer) prepare(rs []geom.Rect) { p.Banded = geom.BandedOf(rs) }
 
 // boundary returns the layer's boundary edges by interior side, indexed
-// by geom.Side. Each side is in (at, lo) order and its edges on one line
-// are disjoint: the order geom.BoundaryOfNormal emits them in, kept by
-// splitting its output without sorting.
-func (p *preparedLayer) boundary() *[4][]seg {
-	p.sideOnce.Do(func() {
-		edges := geom.BoundaryOfNormal(p.Rects())
-		var n [4]int
-		for _, e := range edges {
-			n[e.Interior]++
-		}
-		backing := make([]seg, len(edges))
-		for s := range p.sides {
-			p.sides[s], backing = backing[:0:n[s]], backing[n[s]:]
-		}
-		for _, e := range edges {
-			sg := seg{e.P0.Y, e.P0.X, e.P1.X}
-			if !e.Horizontal() {
-				sg = seg{e.P0.X, e.P0.Y, e.P1.Y}
-			}
-			p.sides[e.Interior] = append(p.sides[e.Interior], sg)
-		}
-	})
+// by geom.Side. Each side is in (At, Lo) order and its edges on one line
+// are disjoint, as geom.BoundarySides returns them.
+func (p *preparedLayer) boundary() *[4][]geom.Seg {
+	p.sideOnce.Do(func() { p.sides = geom.BoundarySides(p.Rects()) })
 	return &p.sides
 }
 

@@ -44,7 +44,7 @@ func dimensionScanOracle(ly *preparedLayer, lim int64, interior bool, mk func(ge
 	if len(ly.Rects()) == 0 || lim <= 1 {
 		return nil
 	}
-	edges := geom.BoundaryOfNormal(ly.Rects())
+	edges := geom.BoundaryEdges(ly.Rects())
 	boxes := make([]geom.Rect, len(edges))
 	for i, e := range edges {
 		boxes[i] = geom.R(e.P0.X, e.P0.Y, e.P1.X, e.P1.Y)

@@ -116,15 +116,58 @@ func (b *Banded) Clip(q Rect, dst []Rect) []Rect {
 
 // Components groups the set into connected regions (touching, corners
 // included, counts as connected), each as the rects of the set it holds,
-// in position order. Components are numbered by their first rect. In
-// normal form two rects can only touch across the line one band ends and
-// the next begins, so each band is joined to the one below, when the two
-// abut, by a merge of their x-sorted rects.
+// in position order. Components are numbered by their first rect.
 func (b *Banded) Components() [][]Rect {
+	comp, sizes := b.label()
+	if len(sizes) == 0 {
+		return nil
+	}
+	// Cut every component from one backing array.
+	backing := make([]Rect, 0, len(b.rects))
+	out := make([][]Rect, len(sizes))
+	for c, sz := range sizes {
+		out[c] = backing[len(backing) : len(backing) : len(backing)+sz]
+		backing = backing[:len(backing)+sz]
+	}
+	for i, r := range b.rects {
+		out[comp[i]] = append(out[comp[i]], r)
+	}
+	return out
+}
+
+// Region is what a connected region of a set measures: the area it
+// covers and its bounding box.
+type Region struct {
+	Area int64
+	BBox Rect
+}
+
+// Regions is Components measured: each component's area and bounding
+// box, in the same order, without gathering its rects.
+func (b *Banded) Regions() []Region {
+	comp, sizes := b.label()
+	if len(sizes) == 0 {
+		return nil
+	}
+	out := make([]Region, len(sizes))
+	for i, r := range b.rects {
+		g := &out[comp[i]]
+		g.Area += r.Area() // normal-form rects are disjoint: their areas add up
+		g.BBox = g.BBox.Union(r)
+	}
+	return out
+}
+
+// label numbers the connected components of the set by first rect and
+// returns each rect's component and each component's size. In normal
+// form two rects can only touch across the line one band ends and the
+// next begins, so each band is joined to the one below, when the two
+// abut, by a merge of their x-sorted rects.
+func (b *Banded) label() (comp []int32, sizes []int) {
 	rs := b.rects
 	n := len(rs)
 	if n == 0 {
-		return nil
+		return nil, nil
 	}
 	parent := make([]int32, n)
 	for i := range parent {
@@ -157,27 +200,21 @@ func (b *Banded) Components() [][]Rect {
 			}
 		}
 	}
-	// Number the components by first rect, size them, and cut them all
-	// from one backing array.
-	comp := make([]int32, n) // by root: component number + 1
-	var sizes []int
-	for i := range rs {
-		root := find(int32(i))
-		if comp[root] == 0 {
+	for i := range parent {
+		parent[i] = find(int32(i))
+	}
+	// Number the components by first rect and size them; then parent,
+	// every rect's root, becomes every rect's component.
+	byRoot := make([]int32, n) // component number + 1
+	for _, root := range parent {
+		if byRoot[root] == 0 {
 			sizes = append(sizes, 0)
-			comp[root] = int32(len(sizes))
+			byRoot[root] = int32(len(sizes))
 		}
-		sizes[comp[root]-1]++
+		sizes[byRoot[root]-1]++
 	}
-	backing := make([]Rect, 0, n)
-	out := make([][]Rect, len(sizes))
-	for c, sz := range sizes {
-		out[c] = backing[len(backing) : len(backing) : len(backing)+sz]
-		backing = backing[:len(backing)+sz]
+	for i, root := range parent {
+		parent[i] = byRoot[root] - 1
 	}
-	for i, r := range rs {
-		c := comp[find(int32(i))] - 1
-		out[c] = append(out[c], r)
-	}
-	return out
+	return parent, sizes
 }

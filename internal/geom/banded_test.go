@@ -52,7 +52,8 @@ func bandedQueries(rs []Rect, lim int64) []Rect {
 
 // checkBanded holds the banded form of rs, and of rs moved by ±2^40 each
 // way, to the whole-set functions: Components to componentsOracle, the
-// same partition numbered by first rect, and over bandedQueries(rs, lim)
+// same partition numbered by first rect, Regions to each component's
+// area and bounding box, and over bandedQueries(rs, lim)
 // Near to a linear touch-inclusive scan, ClipArea to ClipArea, and Clip
 // to Intersect rect for rect, also when it appends to rects already in
 // dst.
@@ -70,8 +71,16 @@ func checkBanded(t *testing.T, rs []Rect, lim int64) {
 		if got := b.Rects(); !sameRects(got, moved) {
 			t.Fatalf("Rects() = %v, built from %v", got, moved)
 		}
-		if got, want := b.Components(), componentsOracle(moved); !reflect.DeepEqual(got, want) {
-			t.Fatalf("Components() over %v\n got %v\nwant %v", moved, got, want)
+		comps := b.Components()
+		if want := componentsOracle(moved); !reflect.DeepEqual(comps, want) {
+			t.Fatalf("Components() over %v\n got %v\nwant %v", moved, comps, want)
+		}
+		var want []Region
+		for _, c := range comps {
+			want = append(want, Region{AreaOf(c), BBoxOf(c)})
+		}
+		if got := b.Regions(); !slices.Equal(got, want) {
+			t.Fatalf("Regions() over %v\n got %v\nwant %v", moved, got, want)
 		}
 		for _, q := range bandedQueries(moved, lim) {
 			var got []int
@@ -127,7 +136,8 @@ func TestBanded(t *testing.T) {
 }
 
 // Touching rects, corners included, are one component; so are the
-// normal-form rects of overlapping ones.
+// normal-form rects of overlapping ones, and a component's region
+// measures what its rects cover.
 func TestComponents(t *testing.T) {
 	rs := Normalize([]Rect{
 		R(0, 0, 10, 10),
@@ -154,6 +164,13 @@ func TestComponents(t *testing.T) {
 	}
 	if a := AreaOf(comps[0]); a != 100+75+25 {
 		t.Fatalf("first component %v covers %d, want 200", comps[0], a)
+	}
+	want := []Region{{200, R(0, 0, 20, 20)}, {100, R(100, 100, 110, 110)}}
+	if got := BandedOf(Normalize(raw)).Regions(); !slices.Equal(got, want) {
+		t.Fatalf("regions of %v = %v, want %v", raw, got, want)
+	}
+	if got := BandedOf(nil).Regions(); got != nil {
+		t.Fatalf("empty set has regions %v", got)
 	}
 }
 

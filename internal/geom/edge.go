@@ -77,7 +77,13 @@ func (e Edge) OutwardNormal() Point {
 // boundary runs with the same interior side are returned as single
 // segments. The result is deterministic (sorted).
 func BoundaryEdges(rs []Rect) []Edge {
-	edges := BoundaryOfNormal(Normalize(rs))
+	sides := BoundarySides(Normalize(rs))
+	edges := make([]Edge, 0, len(sides[0])+len(sides[1])+len(sides[2])+len(sides[3]))
+	for side, segs := range sides {
+		for _, g := range segs {
+			edges = append(edges, g.edge(Side(side)))
+		}
+	}
 	slices.SortFunc(edges, func(a, b Edge) int {
 		if c := cmp.Compare(a.P0.Y, b.P0.Y); c != 0 {
 			return c
@@ -90,71 +96,83 @@ func BoundaryEdges(rs []Rect) []Edge {
 	return edges
 }
 
-// BoundaryOfNormal is BoundaryEdges for input already in normal form
-// (IsNormal), in the order the extraction finds the edges rather than
-// sorted: the horizontal ones line by line upwards, on a line the
-// bottom edges left to right and then the top edges, and after them the
-// vertical ones likewise by x.
+// Seg is an axis-parallel segment on the line At (y for a horizontal
+// one, x for a vertical one) spanning [Lo, Hi) along it.
+type Seg struct{ At, Lo, Hi int64 }
+
+// compare orders segments by line, then by where they begin on it.
+func (g Seg) compare(o Seg) int {
+	if c := cmp.Compare(g.At, o.At); c != 0 {
+		return c
+	}
+	return cmp.Compare(g.Lo, o.Lo)
+}
+
+// edge is g as a boundary edge with the given interior side.
+func (g Seg) edge(interior Side) Edge {
+	if interior <= Above {
+		return Edge{Point{g.Lo, g.At}, Point{g.Hi, g.At}, interior}
+	}
+	return Edge{Point{g.At, g.Lo}, Point{g.At, g.Hi}, interior}
+}
+
+// BoundarySides is the boundary of norm, which must be in normal form
+// (IsNormal), split by interior side and indexed by Side: the edges
+// BoundaryEdges returns, as segments, every side cut from one backing
+// array of exactly their number: once its pool is warm, all a call
+// allocates.
 //
-// That order is a guarantee, and package drc's facing-edge scan relies
-// on it: the edges of each Interior side, taken in output order, are
-// sorted by their line (y, or x for Left and Right) and on one line by
-// where they begin, and on one line they are disjoint.
+// A side's order is a guarantee, and package drc's facing-edge scan
+// relies on it: each side is sorted by line (y, or x for Left and
+// Right) and on one line by where its segments begin, and on one line
+// they are disjoint.
 //
 // Normalized rects are disjoint, so whatever crosses a coordinate
 // cancels out of the coverage on its two sides: the boundary on the
 // line y is the bottoms of the rects starting there minus the tops of
 // those ending there, and the reverse. One pass over the rect sides
-// sorted by coordinate finds every edge. The sides live in pooled
-// scratch, so the edges returned are all a call allocates.
-func BoundaryOfNormal(norm []Rect) []Edge {
+// sorted by coordinate finds every edge: the horizontal ones line by
+// line upwards, then the vertical ones likewise by x. The sides and the
+// edges found live in pooled scratch.
+func BoundarySides(norm []Rect) (sides [4][]Seg) {
 	if len(norm) == 0 {
-		return nil
+		return sides
 	}
 	sc := sidePool.Get().(*sideScratch)
-	lo, hi := sc.sides(len(norm))
+	if cap(sc.lo) < len(norm) {
+		sc.lo, sc.hi = make([]Seg, len(norm)), make([]Seg, len(norm))
+	}
+	lo, hi := sc.lo[:len(norm)], sc.hi[:len(norm)]
 	for i, r := range norm {
-		lo[i] = rectSide{r.Y0, r.X0, r.X1}
-		hi[i] = rectSide{r.Y1, r.X0, r.X1}
+		lo[i] = Seg{r.Y0, r.X0, r.X1}
+		hi[i] = Seg{r.Y1, r.X0, r.X1}
+	}
+	for side := range sc.found {
+		sc.found[side] = sc.found[side][:0]
 	}
 	// Normal form lists its rects band by band upwards and left to right
 	// within a band: bottoms and tops are both in (y, x) order as found.
-	edges := make([]Edge, 0, 4*len(norm))
-	edges = sc.edges(edges, lo, hi, true)
+	sc.edges(lo, hi, Above, Below)
 	verticalSides(norm, lo, hi)
-	edges = sc.edges(edges, lo, hi, false)
-	sidePool.Put(sc)
-	return edges
-}
-
-// rectSide is one side of a rect: the coordinate of the line it lies
-// on and its extent along that line.
-type rectSide struct{ at, lo, hi int64 }
-
-// compare orders sides by line, then by where they begin on it.
-func (a rectSide) compare(b rectSide) int {
-	if c := cmp.Compare(a.at, b.at); c != 0 {
-		return c
+	sc.edges(lo, hi, Right, Left)
+	backing := slices.Concat(sc.found[:]...)
+	for side, segs := range sc.found {
+		sides[side], backing = backing[:len(segs):len(segs)], backing[len(segs):]
 	}
-	return cmp.Compare(a.lo, b.lo)
+	sidePool.Put(sc)
+	return sides
 }
 
-// sideScratch is BoundaryOfNormal's working memory: one side per rect
-// where rects begin and one where they end, and the merged intervals of
-// one line of each.
+// sideScratch is BoundarySides' working memory: one side per rect where
+// rects begin and one where they end, the merged intervals of one line
+// of each, and the edges found on each side.
 type sideScratch struct {
-	lo, hi       []rectSide
+	lo, hi       []Seg
 	starts, ends []interval
+	found        [4][]Seg
 }
 
 var sidePool = sync.Pool{New: func() any { return new(sideScratch) }}
-
-func (sc *sideScratch) sides(n int) (lo, hi []rectSide) {
-	if cap(sc.lo) < n {
-		sc.lo, sc.hi = make([]rectSide, n), make([]rectSide, n)
-	}
-	return sc.lo[:n], sc.hi[:n]
-}
 
 // verticalSides fills lo with the left sides of norm and hi with the
 // right ones, each in compare order. It sorts integers, not sides: a
@@ -164,7 +182,7 @@ func (sc *sideScratch) sides(n int) (lo, hi []rectSide) {
 // their Y0 does; two sides never tie on (x, Y0), as their rects would
 // overlap. So the keys order the sides as compare does. A layer too
 // wide to pack in 64 bits keeps the comparator sort.
-func verticalSides(norm []Rect, lo, hi []rectSide) {
+func verticalSides(norm []Rect, lo, hi []Seg) {
 	minX, maxX := norm[0].X0, norm[0].X1
 	for _, r := range norm[1:] {
 		minX, maxX = min(minX, r.X0), max(maxX, r.X1)
@@ -173,16 +191,16 @@ func verticalSides(norm []Rect, lo, hi []rectSide) {
 	top := idxBits + uint(bits.Len64(uint64(maxX)-uint64(minX)))
 	if top > 64 {
 		for i, r := range norm {
-			lo[i] = rectSide{r.X0, r.Y0, r.Y1}
-			hi[i] = rectSide{r.X1, r.Y0, r.Y1}
+			lo[i] = Seg{r.X0, r.Y0, r.Y1}
+			hi[i] = Seg{r.X1, r.Y0, r.Y1}
 		}
-		slices.SortFunc(lo, rectSide.compare)
-		slices.SortFunc(hi, rectSide.compare)
+		slices.SortFunc(lo, Seg.compare)
+		slices.SortFunc(hi, Seg.compare)
 		return
 	}
 	mask := uint64(1)<<idxBits - 1
 	sc := keysort.Get()
-	for right, dst := range [2][]rectSide{lo, hi} {
+	for right, dst := range [2][]Seg{lo, hi} {
 		keys := sc.Keys(len(norm))
 		for i, r := range norm {
 			x := r.X0
@@ -193,47 +211,43 @@ func verticalSides(norm []Rect, lo, hi []rectSide) {
 		}
 		for j, k := range sc.Sort(keys, idxBits, top) {
 			r := norm[k&mask]
-			dst[j] = rectSide{int64(k>>idxBits + uint64(minX)), r.Y0, r.Y1}
+			dst[j] = Seg{int64(k>>idxBits + uint64(minX)), r.Y0, r.Y1}
 		}
 	}
 	keysort.Put(sc)
 }
 
 // edges appends the boundary edges on every line that carries a rect
-// side: lo holds the sides where rects begin (bottoms, or left sides
-// when !horizontal), hi the sides where they end, each in compare
-// order.
-func (sc *sideScratch) edges(edges []Edge, lo, hi []rectSide, horizontal bool) []Edge {
-	begin, end := Above, Below
-	if !horizontal {
-		begin, end = Right, Left
-	}
+// side to sc.found: lo holds the sides where rects begin (bottoms, or
+// left sides), hi the sides where they end, each in compare order. An
+// edge where coverage begins has its interior on the begin side, one
+// where it ends on the end side.
+func (sc *sideScratch) edges(lo, hi []Seg, begin, end Side) {
 	starts, ends := sc.starts, sc.ends
 	i, j := 0, 0
 	for i < len(lo) || j < len(hi) {
 		var at int64
-		if j == len(hi) || (i < len(lo) && lo[i].at <= hi[j].at) {
-			at = lo[i].at
+		if j == len(hi) || (i < len(lo) && lo[i].At <= hi[j].At) {
+			at = lo[i].At
 		} else {
-			at = hi[j].at
+			at = hi[j].At
 		}
 		starts, ends = starts[:0], ends[:0]
-		for ; i < len(lo) && lo[i].at == at; i++ {
-			starts = appendMerged(starts, interval{lo[i].lo, lo[i].hi})
+		for ; i < len(lo) && lo[i].At == at; i++ {
+			starts = appendMerged(starts, interval{lo[i].Lo, lo[i].Hi})
 		}
-		for ; j < len(hi) && hi[j].at == at; j++ {
-			ends = appendMerged(ends, interval{hi[j].lo, hi[j].hi})
+		for ; j < len(hi) && hi[j].At == at; j++ {
+			ends = appendMerged(ends, interval{hi[j].Lo, hi[j].Hi})
 		}
-		edges = appendDifference(edges, starts, ends, at, horizontal, begin)
-		edges = appendDifference(edges, ends, starts, at, horizontal, end)
+		sc.found[begin] = appendDifference(sc.found[begin], starts, ends, at)
+		sc.found[end] = appendDifference(sc.found[end], ends, starts, at)
 	}
 	sc.starts, sc.ends = starts, ends
-	return edges
 }
 
-// appendDifference appends one edge per maximal run of a not covered
-// by b (both merged and sorted) on the line at.
-func appendDifference(edges []Edge, a, b []interval, at int64, horizontal bool, interior Side) []Edge {
+// appendDifference appends one segment per maximal run of a not
+// covered by b (both merged and sorted) on the line at.
+func appendDifference(segs []Seg, a, b []interval, at int64) []Seg {
 	k := 0
 	for _, v := range a {
 		x := v.lo
@@ -242,7 +256,7 @@ func appendDifference(edges []Edge, a, b []interval, at int64, horizontal bool, 
 				continue
 			}
 			if b[k].lo > x {
-				edges = append(edges, lineEdge(at, x, b[k].lo, horizontal, interior))
+				segs = append(segs, Seg{at, x, b[k].lo})
 			}
 			x = b[k].hi
 			if x >= v.hi {
@@ -250,17 +264,10 @@ func appendDifference(edges []Edge, a, b []interval, at int64, horizontal bool, 
 			}
 		}
 		if x < v.hi {
-			edges = append(edges, lineEdge(at, x, v.hi, horizontal, interior))
+			segs = append(segs, Seg{at, x, v.hi})
 		}
 	}
-	return edges
-}
-
-func lineEdge(at, lo, hi int64, horizontal bool, interior Side) Edge {
-	if horizontal {
-		return Edge{Point{lo, at}, Point{hi, at}, interior}
-	}
-	return Edge{Point{at, lo}, Point{at, hi}, interior}
+	return segs
 }
 
 // PerimeterOf returns the total boundary length of the region.

@@ -47,12 +47,12 @@ func BenchmarkBoundaryEdges(b *testing.B) {
 	}
 }
 
-// BenchmarkBoundaryOfNormal extracts the boundary of a normalized layer
-// as the deck does: one signoff tile's metal1, whose vertical sides are
+// BenchmarkBoundarySides extracts the boundary of a normalized layer as
+// the deck does: one signoff tile's metal1, whose vertical sides are
 // sorted by slices.Sort of their keys, and a grid of 1024 rects, past
-// keysort's radix cutoff. Run with -benchmem: the edges returned
-// are the one allocation.
-func BenchmarkBoundaryOfNormal(b *testing.B) {
+// keysort's radix cutoff. Run with -benchmem: the backing the four
+// sides are cut from is the one allocation.
+func BenchmarkBoundarySides(b *testing.B) {
 	for _, c := range []struct {
 		name string
 		rs   []Rect
@@ -60,7 +60,7 @@ func BenchmarkBoundaryOfNormal(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				benchSink = len(BoundaryOfNormal(c.rs))
+				benchSink = len(BoundarySides(c.rs)[Above])
 			}
 		})
 	}

@@ -1,7 +1,6 @@
 package geom
 
 import (
-	"cmp"
 	"math/rand"
 	"slices"
 	"sort"
@@ -116,8 +115,9 @@ func coverageAtX(norm []Rect, x int64, right bool) []interval {
 	return mergeIntervals(iv)
 }
 
-// checkBoundaryEdges compares BoundaryEdges with the oracle on rs and
-// checks what any correct answer satisfies: every edge has length, the
+// checkBoundaryEdges compares BoundaryEdges with the oracle on rs, and
+// BoundarySides with BoundaryEdges grouped by side, and checks what any
+// correct answer satisfies: every edge has length, the
 // up-facing and down-facing (left- and right-facing) edges pair off in
 // total length, and no edge starts where another of its kind ends —
 // the two would be one maximal run split in two.
@@ -127,41 +127,33 @@ func checkBoundaryEdges(t testing.TB, rs []Rect) {
 	if !slices.Equal(got, want) {
 		t.Fatalf("BoundaryEdges(%v)\n got %v\nwant %v", rs, got, want)
 	}
-	// The sweep-order form is the same edges unsorted: horizontal ones
-	// first by rising y, then vertical ones by rising x.
-	sweep := BoundaryOfNormal(Normalize(rs))
-	for i := 1; i < len(sweep); i++ {
-		p, e := sweep[i-1], sweep[i]
-		switch {
-		case p.Horizontal() && e.Horizontal() && p.P0.Y > e.P0.Y,
-			!p.Horizontal() && !e.Horizontal() && p.P0.X > e.P0.X,
-			!p.Horizontal() && e.Horizontal():
-			t.Fatalf("BoundaryOfNormal(%v): %v before %v", rs, p, e)
-		}
-	}
-	// And each Interior side on its own is in (line, start) order with the
-	// edges of a line disjoint, the order drc's facing-edge scan searches.
-	var last [4]*Edge
-	for i := range sweep {
-		e := &sweep[i]
-		if p := last[e.Interior]; p != nil {
-			pLine, pHi, eLine, eLo := p.P0.Y, p.P1.X, e.P0.Y, e.P0.X
-			if !e.Horizontal() {
-				pLine, pHi, eLine, eLo = p.P0.X, p.P1.Y, e.P0.X, e.P0.Y
-			}
-			// Edges have length, so p ending where e begins or before
-			// also puts p's start first.
-			if pLine > eLine || (pLine == eLine && pHi > eLo) {
-				t.Fatalf("BoundaryOfNormal(%v): %v side: %v before %v", rs, e.Interior, *p, *e)
+	// The split form is the same edges grouped by interior side, each
+	// side in (line, start) order with the edges of a line disjoint, the
+	// order drc's facing-edge scan searches, and each side's capacity
+	// its length, so appending to one never reaches the next.
+	sides := BoundarySides(Normalize(rs))
+	for side, segs := range sides {
+		var want []Seg
+		for _, e := range got {
+			if e.Interior == Side(side) {
+				want = append(want, Seg{e.P0.Y, e.P0.X, e.P1.X})
+				if side >= int(Left) {
+					want[len(want)-1] = Seg{e.P0.X, e.P0.Y, e.P1.Y}
+				}
 			}
 		}
-		last[e.Interior] = e
-	}
-	slices.SortFunc(sweep, func(a, b Edge) int {
-		return cmp.Or(cmp.Compare(a.P0.Y, b.P0.Y), cmp.Compare(a.P0.X, b.P0.X), cmp.Compare(a.Interior, b.Interior))
-	})
-	if !slices.Equal(sweep, got) {
-		t.Fatalf("BoundaryOfNormal(%v) sorted\n got %v\nwant %v", rs, sweep, got)
+		slices.SortFunc(want, Seg.compare)
+		if !slices.Equal(segs, want) {
+			t.Fatalf("BoundarySides(%v)[%v]\n got %v\nwant %v", rs, Side(side), segs, want)
+		}
+		for i := 1; i < len(segs); i++ {
+			if p, g := segs[i-1], segs[i]; p.At == g.At && p.Hi > g.Lo {
+				t.Fatalf("BoundarySides(%v)[%v]: %v overlaps %v", rs, Side(side), p, g)
+			}
+		}
+		if cap(segs) != len(segs) {
+			t.Fatalf("BoundarySides(%v)[%v]: capacity %d past its %d segments", rs, Side(side), cap(segs), len(segs))
+		}
 	}
 	type start struct {
 		at   Point
@@ -219,8 +211,8 @@ func TestBoundaryEdgesMatchOracle(t *testing.T) {
 // y, width, height), up to 1024 rects, and the top three bits of a
 // coordinate byte move the rect to a far cell, that many times 2^far.
 // Cells spread over 2^61 leave too few bits to pack a side's x beside
-// the index of 5 rects or more, so BoundaryOfNormal falls back to its
-// comparator sort; 640 rects or more in normal form put it past
+// the index of 5 rects or more, so the boundary extraction falls back to
+// its comparator sort; 640 rects or more in normal form put it past
 // keysort's radix cutoff.
 func FuzzBoundaryEdges(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 10, 5})

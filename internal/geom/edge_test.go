@@ -167,11 +167,11 @@ func TestQuickPerimeterMatchesRectForSingles(t *testing.T) {
 	}
 }
 
-// BoundaryOfNormal's sides, their keys and the merged intervals of a
-// line are pooled scratch, so once the pools are warm a call allocates
-// the edges it returns and nothing else, below keysort's radix cutoff
-// and above it.
-func TestBoundaryOfNormalAllocatesOnlyItsEdges(t *testing.T) {
+// BoundarySides' rect sides, their keys, the merged intervals of a line
+// and the segments found on each side are pooled scratch, so once the
+// pools are warm a call allocates one array, the backing its four sides
+// are cut from, below keysort's radix cutoff and above it.
+func TestBoundarySidesAllocatesOnlyItsBacking(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector sync.Pool drops some of what is put back")
 	}
@@ -179,9 +179,9 @@ func TestBoundaryOfNormalAllocatesOnlyItsEdges(t *testing.T) {
 		if !IsNormal(norm) {
 			t.Fatalf("the %d-rect layer is not in normal form", len(norm))
 		}
-		BoundaryOfNormal(norm)
-		if a := testing.AllocsPerRun(20, func() { BoundaryOfNormal(norm) }); a > 1 {
-			t.Errorf("BoundaryOfNormal of %d rects allocates %v times, want 1", len(norm), a)
+		BoundarySides(norm)
+		if a := testing.AllocsPerRun(20, func() { BoundarySides(norm) }); a > 1 {
+			t.Errorf("BoundarySides of %d rects allocates %v times, want 1", len(norm), a)
 		}
 	}
 }

@@ -322,7 +322,7 @@ func FuzzRegionOps(f *testing.F) {
 // relations no oracle is needed for. A region does not depend on the
 // order its rects are listed in, so every op on shuffled operands must
 // equal the op on the operands as given: the sweep sorts its y-events
-// and BoundaryOfNormal its sides by packed integer keys, and a key that
+// and BoundarySides its sides by packed integer keys, and a key that
 // leaked the input order into the output would show here. And a region
 // translated is the region's translation, so every op on operands moved
 // by ±2^40 must equal the op's result moved: the keys pack coordinates
@@ -354,14 +354,19 @@ func TestRegionOpsIgnoreInputOrder(t *testing.T) {
 	}
 	// results runs every op on the operands a, b and c (in UnionAll and
 	// DoubleCoverArea) and the clip rect, returning the regions, the
-	// boundary of a's normal form and the areas.
+	// boundary of a's normal form, side by side, and the areas.
 	results := func(a, b, c []Rect, clip Rect) (regions [][]Rect, edges []Edge, areas []int64) {
 		regions = [][]Rect{Normalize(a), Union(a, b), Intersect(a, b), Subtract(a, b), UnionAll(a, b, c)}
 		areas = []int64{AreaOf(a), UnionArea(a, b), IntersectArea(a, b), DoubleCoverArea(a, b, c), ClipArea(a, clip)}
-		return regions, BoundaryOfNormal(regions[0]), areas
+		for side, segs := range BoundarySides(regions[0]) {
+			for _, g := range segs {
+				edges = append(edges, g.edge(Side(side)))
+			}
+		}
+		return regions, edges, areas
 	}
 	// The block-scale operands are sparse enough that a's normal form
-	// holds over 640 rects, so BoundaryOfNormal radix-sorts its sides.
+	// holds over 640 rects, so BoundarySides radix-sorts its sides.
 	cases := []struct {
 		n     int
 		span  int64

@@ -414,11 +414,16 @@ func (e *engine) runScans(ctx context.Context, res *Result) ([][][]litho.Hotspot
 }
 
 // computeTile runs the per-tile workhorses on an extracted context;
-// core, padded, wins and the result share the shapes' frame.
+// core, padded, wins and the result share the shapes' frame. A unit
+// with no deck and no density rule (a hotspot-only evaluation's tile)
+// builds no context: its result holds nothing either way.
 func computeTile(ctx context.Context, t *tech.Tech, std *drc.Deck, densRules []drc.DensityWindow,
 	shapes []layout.Shape, core, padded geom.Rect, wins []geom.Rect) (*TileResult, error) {
+	out := &TileResult{Dens: make([][]float64, len(densRules))}
+	if std == nil && len(densRules) == 0 {
+		return out, nil
+	}
 	tctx := drc.NewContext(t, shapes)
-	out := &TileResult{}
 	if std != nil {
 		r := std.RunCtx(ctx, tctx, 1)
 		if err := ctx.Err(); err != nil {
@@ -428,7 +433,6 @@ func computeTile(ctx context.Context, t *tech.Tech, std *drc.Deck, densRules []d
 		}
 		out.Violations = keepViolations(r.Violations, core, padded)
 	}
-	out.Dens = make([][]float64, len(densRules))
 	for di, dr := range densRules {
 		ds := make([]float64, len(wins))
 		for j, w := range wins {
@@ -446,20 +450,17 @@ func computeTile(ctx context.Context, t *tech.Tech, std *drc.Deck, densRules []d
 // necessarily reaches the padded boundary (whole-shape extraction
 // pulls boundary-crossing shapes in full), while every genuine
 // violation that fits in the halo is strictly interior to some tile's
-// pad — exactly one per seam after dedup.
+// pad — exactly one per seam after dedup. vs is filtered in place, and
+// a tile that keeps nothing gets nil.
 func keepViolations(vs []drc.Violation, core, padded geom.Rect) []drc.Violation {
-	var out []drc.Violation
-	for _, v := range vs {
+	vs = slices.DeleteFunc(vs, func(v drc.Violation) bool {
 		m := v.Marker
-		if !m.Overlaps(core) {
-			continue
-		}
-		if m.X0 <= padded.X0 || m.Y0 <= padded.Y0 || m.X1 >= padded.X1 || m.Y1 >= padded.Y1 {
-			continue
-		}
-		out = append(out, v)
+		return !m.Overlaps(core) || m.X0 <= padded.X0 || m.Y0 <= padded.Y0 || m.X1 >= padded.X1 || m.Y1 >= padded.Y1
+	})
+	if len(vs) == 0 {
+		return nil
 	}
-	return out
+	return vs
 }
 
 // EvaluateFlat is the flatten-everything twin of Evaluate: same

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/drc"
 	"repro/internal/fill"
 	"repro/internal/geom"
 	"repro/internal/layout"
@@ -425,5 +426,26 @@ func TestMinHalo(t *testing.T) {
 	// = 400nm, the widest interaction of the deck.
 	if h != 400 {
 		t.Fatalf("MinHalo(N45) = %d, want 400", h)
+	}
+}
+
+// A tile with no deck and no density rule — every tile of a
+// hotspot-only evaluation — builds no drc.Context, and returns what a
+// context checked by an empty deck returns: no violations (nil) and an
+// empty density list that is not nil.
+func TestComputeTileWithNothingToCheck(t *testing.T) {
+	tt := tech.N45()
+	core := geom.R(0, 0, 24000, 24000)
+	shapes := (&layout.Layout{Top: seamChip()}).Flatten()
+	got, err := computeTile(context.Background(), tt, nil, nil, shapes, core, core.Bloat(2000), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := computeTile(context.Background(), tt, &drc.Deck{}, nil, shapes, core, core.Bloat(2000), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) || got.Violations != nil || got.Dens == nil || len(got.Dens) != 0 {
+		t.Fatalf("no deck, no density: %#v; an empty deck: %#v", got, want)
 	}
 }

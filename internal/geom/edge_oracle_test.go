@@ -117,9 +117,8 @@ func coverageAtX(norm []Rect, x int64, right bool) []interval {
 
 // checkBoundaryEdges compares BoundaryEdges with the oracle on rs, and
 // BoundarySides with BoundaryEdges grouped by side, and checks what any
-// correct answer satisfies: every edge has length, the
-// up-facing and down-facing (left- and right-facing) edges pair off in
-// total length, and no edge starts where another of its kind ends —
+// correct answer satisfies: every edge has length, the up-facing and
+// down-facing (left- and right-facing) edges pair off in total length, and no edge starts where another of its kind ends —
 // the two would be one maximal run split in two.
 func checkBoundaryEdges(t testing.TB, rs []Rect) {
 	t.Helper()
@@ -135,12 +134,14 @@ func checkBoundaryEdges(t testing.TB, rs []Rect) {
 	for side, segs := range sides {
 		var want []Seg
 		for _, e := range got {
-			if e.Interior == Side(side) {
-				want = append(want, Seg{e.P0.Y, e.P0.X, e.P1.X})
-				if side >= int(Left) {
-					want[len(want)-1] = Seg{e.P0.X, e.P0.Y, e.P1.Y}
-				}
+			if e.Interior != Side(side) {
+				continue
 			}
+			g := Seg{e.P0.Y, e.P0.X, e.P1.X}
+			if !e.Horizontal() {
+				g = Seg{e.P0.X, e.P0.Y, e.P1.Y}
+			}
+			want = append(want, g)
 		}
 		slices.SortFunc(want, Seg.compare)
 		if !slices.Equal(segs, want) {

@@ -12,6 +12,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -20,6 +21,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dfm"
 	"repro/internal/drc"
 	"repro/internal/geom"
 	"repro/internal/layout"
@@ -57,14 +59,84 @@ func evaluateWith(o tiling.Opts) func(*testing.T, *tech.Tech, *layout.Cell) *til
 	}
 }
 
+// loopback is a tile client without a fleet: each unit goes through
+// the tile wire's packed JSON each way and is executed by
+// tiling.ExecuteTile, as a dfmd node executes it.
+type loopback struct{}
+
+func (loopback) EvalTile(ctx context.Context, req *tiling.TileRequest) (*tiling.TileResult, tiling.TileServed, error) {
+	b, err := json.Marshal(tiling.PackRequest(req))
+	if err != nil {
+		return nil, tiling.TileServed{}, err
+	}
+	if req, err = tiling.ReadRequest(b); err != nil {
+		return nil, tiling.TileServed{}, err
+	}
+	res, err := tiling.ExecuteTile(ctx, req)
+	if err != nil {
+		return nil, tiling.TileServed{}, err
+	}
+	if b, err = json.Marshal(tiling.PackResult(res)); err != nil {
+		return nil, tiling.TileServed{}, err
+	}
+	res, err = tiling.ReadResult(b)
+	return res, tiling.TileServed{}, err
+}
+
 var chipCases = []chipCase{
 	// chip_drc: signoff over the 8×8-slot chip.
 	{"drc", layout.ChipOpts{TargetRects: 100_000, Defects: 8}, evaluateWith(signoff)},
 	// chip_litho: the exact metal1 scan of the 2×2-slot chip.
 	{"litho", layout.ChipOpts{Slots: 2, SlotPitch: 14000, MacroMix: []int{0, 2, 2, 1}, HotspotDefects: 2},
 		evaluateWith(tiling.Opts{Hotspots: []tech.Layer{tech.Metal1}, HotspotInterior: true})},
+	// chip_fleet: signoff over the 6×6-slot chip, every unit sent
+	// through the tile wire.
+	{"fleet", layout.ChipOpts{TargetRects: 50_000, Defects: 8}, distributeWith(signoff)},
 	// chip_edit: the 5×5-slot chip after its first 6 fixes.
 	{"edit", layout.ChipOpts{TargetRects: 30_000, Defects: 8, RepairDefects: 16}, editSix},
+}
+
+// distributeWith is a chipCase's run for one DistEvaluate under o
+// through the loopback tile client.
+func distributeWith(o tiling.Opts) func(*testing.T, *tech.Tech, *layout.Cell) *tiling.Result {
+	return func(t *testing.T, tt *tech.Tech, top *layout.Cell) *tiling.Result {
+		res, err := tiling.DistEvaluate(context.Background(), tt, tiling.NewExtractor(top), o, loopback{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+}
+
+// generatorOpts is signoff plus the plain metal1 hotspot scan: what a
+// generator draws, by rule and by hotspot kind.
+var generatorOpts = func() tiling.Opts {
+	o := signoff
+	o.Hotspots = []tech.Layer{tech.Metal1}
+	return o
+}()
+
+// generatorCells are the chip's generators one at a time, each at
+// generator seed 11: every macro alone in one slot (a one-hot
+// MacroMix, in its {sram, logicA, logicB, viafarm} order), and the
+// scorecard's routed block at dfm.DefaultBlock.
+func generatorCells(t *testing.T, tt *tech.Tech) (names []string, tops []*layout.Cell) {
+	for i, name := range []string{"sram", "logicA", "logicB", "viafarm"} {
+		mix := make([]int, 4)
+		mix[i] = 1
+		l, _, err := layout.GenerateChip(tt, layout.ChipOpts{Seed: 11, Slots: 1, MacroMix: mix})
+		if err != nil {
+			t.Fatal(err)
+		}
+		names, tops = append(names, "macro "+name), append(tops, l.Top)
+	}
+	bo := dfm.DefaultBlock()
+	bo.Seed = 11
+	l, err := layout.GenerateBlock(tt, bo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(names, "block"), append(tops, l.Top)
 }
 
 // editSix is chip_edit's pass: score the chip, propose fixes, and apply
@@ -106,9 +178,11 @@ func editSix(t *testing.T, tt *tech.Tech, top *layout.Cell) *tiling.Result {
 
 // chipValues is what the golden file pins of one chip's result, one
 // "name = value" line each: the per-rule counts and what was dropped,
-// hotspots by layer and kind, the injected defects found, and a digest
-// of the sorted violations, the hotspots and the density values.
-func chipValues(prefix string, info layout.ChipInfo, res *tiling.Result) []string {
+// hotspots by layer and kind, pinches split into interior ones and the
+// rest (litho.InteriorDefect against top's drawn layer, at the scan's
+// width threshold), the injected defects found, and a digest of the
+// sorted violations, the hotspots and the density values.
+func chipValues(tt *tech.Tech, prefix string, top *layout.Cell, info layout.ChipInfo, res *tiling.Result) []string {
 	var out []string
 	add := func(name string, format string, a ...any) {
 		out = append(out, prefix+" "+name+" = "+fmt.Sprintf(format, a...))
@@ -122,18 +196,36 @@ func chipValues(prefix string, info layout.ChipInfo, res *tiling.Result) []strin
 		add("rule "+rule, "%d", res.ByRule[rule])
 	}
 	add("dropped", "%d", res.Dropped)
+	var flat []layout.Shape
 	for l := tech.Layer(0); l < tech.NumLayers; l++ {
 		hs, ok := res.Hotspots[l]
 		if !ok {
 			continue
 		}
-		var n [2]int
+		if flat == nil {
+			flat = (&layout.Layout{Top: top}).Flatten()
+		}
+		var drawn []geom.Rect
+		for _, s := range flat {
+			if s.Layer == l {
+				drawn = append(drawn, s.R)
+			}
+		}
+		probe, _ := litho.ScanDefaults(tt, l)
+		var interior, other, bridges int
 		for _, h := range hs {
-			n[h.Kind]++
+			switch {
+			case h.Kind == litho.Bridge:
+				bridges++
+			case litho.InteriorDefect(h, drawn, probe):
+				interior++
+			default:
+				other++
+			}
 		}
-		for k, c := range n {
-			add(fmt.Sprintf("hotspots %v %v", l, litho.HotspotKind(k)), "%d", c)
-		}
+		add(fmt.Sprintf("hotspots %v pinch interior", l), "%d", interior)
+		add(fmt.Sprintf("hotspots %v pinch not-interior", l), "%d", other)
+		add(fmt.Sprintf("hotspots %v bridge", l), "%d", bridges)
 	}
 	if len(info.DefectBoxes) > 0 {
 		found := 0
@@ -226,16 +318,22 @@ func variant(t *testing.T, tt *tech.Tech, co layout.ChipOpts, seed int64) (*layo
 }
 
 // TestChipResults evaluates each of the benchmark's chip shapes at the
-// benchmark's seeds 11 and 23 and holds what chipValues reads of each
-// result to testdata/chips.golden, line for line.
+// benchmark's seeds 11 and 23, and each generator alone, and holds what
+// chipValues reads of each result to testdata/chips.golden, line for
+// line.
 func TestChipResults(t *testing.T) {
 	tt := tech.N45()
 	var got []string
 	for _, seed := range []int64{11, 23} {
 		for _, c := range chipCases {
 			top, info := variant(t, tt, c.co, seed)
-			got = append(got, chipValues(fmt.Sprintf("%s/seed=%d", c.name, seed), info, c.run(t, tt, top))...)
+			got = append(got, chipValues(tt, fmt.Sprintf("%s/seed=%d", c.name, seed), top, info, c.run(t, tt, top))...)
 		}
+	}
+	names, tops := generatorCells(t, tt)
+	for i, top := range tops {
+		res := evaluateWith(generatorOpts)(t, tt, top)
+		got = append(got, chipValues(tt, names[i], top, layout.ChipInfo{}, res)...)
 	}
 	var want []string
 	if b, err := os.ReadFile(chipsGoldenPath); err == nil {

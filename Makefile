@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: tier1 check build vet test race-fast fuzz-smoke cover-kernel cover-engine cover-deck cover-harness cover-wire cover-opc cover-dfm drcprofile scoreprofile editprofile fleetprofile lithoprofile bench bench-smoke examples-smoke docs-check fmt-check unit-check
+.PHONY: tier1 check build vet test race-fast fuzz-smoke cover-kernel cover-engine cover-deck cover-harness cover-wire cover-opc cover-dfm drcprofile scoreprofile editprofile fleetprofile lithoprofile bench bench-smoke examples-smoke regold docs-check fmt-check unit-check
 
 # benchmark/ is a module of its own, so ./... above never reaches it;
 # without this an exported-name change breaks the benchmark silently.
@@ -193,12 +193,15 @@ cover-dfm: ## scorecard coverage gate: no function of internal/dfm's techniques.
 # Where drcprofile keeps its binary and profiles (bin/ is gitignored).
 DRCPROFILE_DIR ?= bin/drcprofile
 
-drcprofile: ## CPU + allocation profile of the signoff DRC path (100k-rect chip, no tile cache), drc.* and geom.* by cumulative cost; then the counters of what the deck asked: facing pairs found / kept, endcap gates asked / built
+drcprofile: ## CPU profile of the signoff DRC path over 30 uncached passes of the 100k-rect chip (BenchmarkChipSignoff: dfmscore -chip -chiprects 100000 -chipcache 0's pass) with its sample count, and an allocation profile of one dfmscore pass, drc.* and geom.* by cumulative cost; then the counters of what the deck asked: facing pairs found / kept, endcap gates asked / built
 	@mkdir -p $(DRCPROFILE_DIR)
 	$(GO) build -o $(DRCPROFILE_DIR)/dfmscore ./cmd/dfmscore
 	$(DRCPROFILE_DIR)/dfmscore -chip -chiprects 100000 -chipcache 0 -metrics $(DRCPROFILE_DIR)/metrics.json \
-		-cpuprofile $(DRCPROFILE_DIR)/cpu.prof -memprofile $(DRCPROFILE_DIR)/mem.prof
-	$(GO) tool pprof -top -cum -nodecount=40 -show='drc\.|geom\.' $(DRCPROFILE_DIR)/dfmscore $(DRCPROFILE_DIR)/cpu.prof
+		-memprofile $(DRCPROFILE_DIR)/mem.prof
+	$(GO) test -run='^$$' -bench='^BenchmarkChipSignoff$$' -benchtime=30x -benchmem \
+		-cpuprofile $(DRCPROFILE_DIR)/cpu.prof -o $(DRCPROFILE_DIR)/repro.test .
+	@$(GO) tool pprof -sample_index=samples -top -nodecount=1 $(DRCPROFILE_DIR)/repro.test $(DRCPROFILE_DIR)/cpu.prof 2>/dev/null | grep -oE 'Total samples = [0-9]+'
+	$(GO) tool pprof -top -cum -nodecount=40 -show='drc\.|geom\.' $(DRCPROFILE_DIR)/repro.test $(DRCPROFILE_DIR)/cpu.prof
 	$(GO) tool pprof -sample_index=alloc_space -top -cum -nodecount=25 -show='drc\.|geom\.' $(DRCPROFILE_DIR)/dfmscore $(DRCPROFILE_DIR)/mem.prof
 	@grep -oE '"(drc\.facing\.pairs\.(found|kept)|drc\.endcap\.gates\.(asked|built))": *[0-9]+' $(DRCPROFILE_DIR)/metrics.json
 
@@ -259,6 +262,20 @@ bench-smoke: ## one iteration of the five kernel micro-rows (the geometry Boolea
 	$(GO) test -run='^$$' -bench='^Benchmark(DeckTile|Endcap|LayerQuery)$$' -benchtime=1x -benchmem ./internal/drc
 	$(GO) test -run='^$$' -bench='^BenchmarkCanonHash$$' -benchtime=1x -benchmem ./internal/pattern
 	$(GO) test -run='^$$' -bench='^BenchmarkMatcherScan$$' -benchtime=1x -benchmem ./internal/dfm
+
+# One command re-mints every golden that holds result bits, after a
+# change that moves them on purpose: the paper's tables and the chip
+# results (root; TestChipResults logs one "old → new" line per moved
+# value, the table EXPERIMENTS.md takes), the tile key schema's digests
+# (internal/tiling) and what each example prints, written as
+# examples-smoke diffs it. internal/server's jobwire.golden stays out:
+# its bytes and refusal texts must not move with result bits.
+regold: ## re-mint testdata/experiments.golden, testdata/chips.golden (printing each moved value, old → new), internal/tiling/testdata/keyschema.golden and every examples/<name>/output.golden; jobwire.golden stays out
+	$(GO) test -count=1 -v -run 'TestExperimentTables|TestChipResults' . -update
+	$(GO) test -count=1 -run TestKeySchemaPinned ./internal/tiling -update
+	@for d in examples/*/; do echo "$(GO) run ./$$d > $${d}output.golden"; \
+		out=$$($(GO) run ./$$d) || exit 1; \
+		printf '%s\n' "$$out" > $${d}output.golden; done
 
 # The same run is part of `go test ./...`; the target names it. A flag
 # no command passes fails the test beside it, TestEveryFlagAnswersToASetter.

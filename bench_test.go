@@ -34,25 +34,29 @@ import (
 // reuse only), ChipTiledWarm (every tile replayed from cache), and
 // ChipFlat (the baseline the tiled results are proven equal to). ----
 
-// chipBench builds the shared 3x3-slot workload.
-func chipBench(b *testing.B) (*layout.Cell, tiling.Opts) {
+// chipBench generates the chip co describes and returns it with the
+// signoff deck dfmscore -chip runs: DRC plus density at the 24 µm tile.
+func chipBench(b *testing.B, co layout.ChipOpts) (*layout.Cell, tiling.Opts) {
 	b.Helper()
-	l, _, err := layout.GenerateChip(tech.N45(), layout.ChipOpts{Seed: 7, Slots: 3, Defects: 4})
+	l, _, err := layout.GenerateChip(tech.N45(), co)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return l.Top, tiling.Opts{
 		Tile: 24000, Halo: 2000,
 		DRC: true, Density: true, DensityWindow: 3000,
-		MaxViolations: 100_000,
 	}
 }
+
+// smallChip is the shared 3x3-slot workload of the tiled, warm and flat
+// rows.
+var smallChip = layout.ChipOpts{Seed: 7, Slots: 3, Defects: 4}
 
 // BenchmarkChipTiled — halo-tiled streaming evaluation, fresh cache
 // each iteration: what a first full-chip run costs, including the
 // intra-run reuse between identical tiles.
 func BenchmarkChipTiled(b *testing.B) {
-	top, o := chipBench(b)
+	top, o := chipBench(b, smallChip)
 	ex := tiling.NewExtractor(top)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -73,7 +77,7 @@ func BenchmarkChipTiled(b *testing.B) {
 // BenchmarkChipTiledWarm — same evaluation against a pre-warmed cache:
 // the incremental-rerun cost when nothing changed.
 func BenchmarkChipTiledWarm(b *testing.B) {
-	top, o := chipBench(b)
+	top, o := chipBench(b, smallChip)
 	ex := tiling.NewExtractor(top)
 	o.Cache = tiling.NewCache(0)
 	if _, err := tiling.Evaluate(context.Background(), tech.N45(), ex, o); err != nil {
@@ -95,11 +99,27 @@ func BenchmarkChipTiledWarm(b *testing.B) {
 // BenchmarkChipFlat — the flatten-everything baseline on the same
 // chip and deck set.
 func BenchmarkChipFlat(b *testing.B) {
-	top, o := chipBench(b)
+	top, o := chipBench(b, smallChip)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := tiling.EvaluateFlat(context.Background(), tech.N45(), top, o); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkChipSignoff — the pass make drcprofile profiles: dfmscore
+// -chip -chiprects 100000 -chipcache 0's signoff evaluation of the
+// 100k-rect chip at seed 11, no tile cache, once per iteration, so a
+// profile over enough iterations resolves the deck's smaller frames.
+func BenchmarkChipSignoff(b *testing.B) {
+	top, o := chipBench(b, layout.ChipOpts{Seed: 11, TargetRects: 100_000, Defects: 8})
+	ex := tiling.NewExtractor(top)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := tiling.Evaluate(context.Background(), tech.N45(), ex, o); err != nil {
 			b.Fatal(err)
 		}
 	}

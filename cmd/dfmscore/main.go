@@ -202,7 +202,6 @@ func chipTiling(cfg chipConfig) tiling.Opts {
 	o := tiling.Opts{
 		Tile: chipTile, Halo: chipHalo, Workers: runtime.GOMAXPROCS(0),
 		DRC: true, Density: cfg.density, DensityWindow: 3000,
-		MaxViolations: 100_000,
 	}
 	if cfg.hotspots {
 		o.Hotspots = []tech.Layer{tech.Metal1}
@@ -251,7 +250,7 @@ func runChip(ctx context.Context, t *tech.Tech, cfg chipConfig) error {
 			fmt.Printf("distributing tiles across %d dfmd backends at %s\n", cfg.cluster, cl.URL)
 		}
 	}
-	rep, res, err := dfm.EvalChipTiling(ctx, t, o)
+	rep, _, err := dfm.EvalChipTiling(ctx, t, o)
 	if err != nil {
 		return err
 	}
@@ -282,8 +281,7 @@ func runChip(ctx context.Context, t *tech.Tech, cfg chipConfig) error {
 			fmt.Printf("  fleet:     %d tiles + %d windows evaluated remotely, %d served cached + %d deduped fleet-side\n",
 				st.RemoteTiles, st.RemoteWindows, st.RemoteCached, st.RemoteDeduped)
 		}
-		fmt.Printf("  results:   %d violations (%d dropped), %d hotspots\n",
-			rep.Violations, res.Dropped, rep.Hotspots)
+		fmt.Printf("  results:   %d violations, %d hotspots\n", rep.Violations, rep.Hotspots)
 		if rep.DefectSites > 0 {
 			fmt.Printf("  defects:   %d/%d injected litho defects found (recall %.2f)\n",
 				rep.DefectsFound, rep.DefectSites, rep.DefectRecall)

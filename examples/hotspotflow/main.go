@@ -75,7 +75,7 @@ func main() {
 	// Phase 3: build the exact-match library and scan the product.
 	m := pattern.NewMatcher(radius)
 	for i, p := range pats {
-		m.AddEntry(&pattern.LibEntry{Name: fmt.Sprintf("hs%d", i), P: p, Exact: true})
+		m.AddEntry(&pattern.LibEntry{Name: fmt.Sprintf("hs%d", i), P: p})
 	}
 	test := m1Layer(t, 12)
 	testHS := scan(t, test, stress)

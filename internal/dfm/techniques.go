@@ -110,7 +110,7 @@ func fillFix(_ context.Context, _ *tech.Tech, d die) (die, cost, error) {
 func fillMeasure(_ context.Context, _ *tech.Tech, d die) ([]float64, error) {
 	dm := fill.Analyze(d.m1, d.extent, fillWindow, fillStep)
 	s := dm.Summarize()
-	return []float64{s.Sigma, s.Min, fill.DefaultCMP().ThicknessRange(dm), s.MaxGradient}, nil
+	return []float64{s.Sigma, s.Min, fill.ThicknessRange(dm), s.MaxGradient}, nil
 }
 
 // printed is the layout of the litho fixers: a pattern as drawn in a
@@ -341,11 +341,7 @@ func drcPlusLibrary(m1 []geom.Rect, hs []litho.Hotspot) *pattern.Matcher {
 		if p.Empty() {
 			continue
 		}
-		matcher.AddEntry(&pattern.LibEntry{
-			Name:  fmt.Sprintf("hs%d", i),
-			P:     p,
-			Exact: true,
-		})
+		matcher.AddEntry(&pattern.LibEntry{Name: fmt.Sprintf("hs%d", i), P: p})
 	}
 	return matcher
 }

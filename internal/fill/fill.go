@@ -172,35 +172,28 @@ func blockedBy(ix *geom.Index, tile geom.Rect) bool {
 	return hit
 }
 
-// CMPModel is a first-order dielectric thickness model: post-polish
-// thickness deviation is proportional to the local density's deviation
-// from the mean.
-type CMPModel struct {
-	// NominalNM is the target dielectric thickness.
-	NominalNM float64
-	// SensitivityNM is the thickness change per unit density deviation.
-	SensitivityNM float64
-}
+// The CMP model, first order, at 45nm-era copper sensitivity:
+// post-polish dielectric thickness deviates from nominal in proportion
+// to the local density's deviation from the mean.
+const (
+	cmpNominalNM     = 250 // target dielectric thickness
+	cmpSensitivityNM = 120 // thickness change per unit density deviation
+)
 
-// DefaultCMP returns 45nm-era copper CMP sensitivity.
-func DefaultCMP() CMPModel {
-	return CMPModel{NominalNM: 250, SensitivityNM: 120}
-}
-
-// Thickness maps a density map to per-window thickness.
-func (m CMPModel) Thickness(dm DensityMap) []float64 {
+// thickness maps a density map to per-window post-CMP thickness.
+func thickness(dm DensityMap) []float64 {
 	st := dm.Summarize()
 	out := make([]float64, len(dm.Density))
 	for i, d := range dm.Density {
-		out[i] = m.NominalNM - m.SensitivityNM*(d-st.Mean)
+		out[i] = cmpNominalNM - cmpSensitivityNM*(d-st.Mean)
 	}
 	return out
 }
 
 // ThicknessRange returns max-min post-CMP thickness, the planarity
 // figure of merit.
-func (m CMPModel) ThicknessRange(dm DensityMap) float64 {
-	th := m.Thickness(dm)
+func ThicknessRange(dm DensityMap) float64 {
+	th := thickness(dm)
 	if len(th) == 0 {
 		return 0
 	}

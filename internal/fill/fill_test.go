@@ -88,11 +88,10 @@ func TestSynthesizeNoFillWhenDense(t *testing.T) {
 	}
 }
 
-func TestCMPModel(t *testing.T) {
-	m := DefaultCMP()
+func TestCMPThickness(t *testing.T) {
 	rs := []geom.Rect{geom.R(0, 0, 5000, 10000)}
 	dm := Analyze(rs, geom.R(0, 0, 10000, 10000), 5000, 5000)
-	th := m.Thickness(dm)
+	th := thickness(dm)
 	if len(th) != len(dm.Windows) {
 		t.Fatalf("thickness length mismatch")
 	}
@@ -109,10 +108,10 @@ func TestCMPModel(t *testing.T) {
 	if dense >= sparse {
 		t.Fatalf("CMP polarity wrong: dense=%v sparse=%v", dense, sparse)
 	}
-	if got := m.ThicknessRange(dm); got != m.SensitivityNM {
-		t.Fatalf("thickness range = %v, want %v", got, m.SensitivityNM)
+	if got := ThicknessRange(dm); got != cmpSensitivityNM {
+		t.Fatalf("thickness range = %v, want %v", got, cmpSensitivityNM)
 	}
-	if m.ThicknessRange(DensityMap{}) != 0 {
+	if ThicknessRange(DensityMap{}) != 0 {
 		t.Fatalf("empty map range != 0")
 	}
 }

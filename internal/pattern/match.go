@@ -11,27 +11,24 @@ import (
 // DRC Plus: a foundry ships a library of known-bad 2D constructs and
 // physical verification flags every occurrence in the design.
 
-// LibEntry is one library pattern with its metadata.
+// LibEntry is one library pattern: a known-bad construct, matched
+// exactly, in any of the eight orientations, by its canonical hash.
 type LibEntry struct {
-	Name    string
-	P       Pattern
-	Exact   bool    // match by canonical hash; otherwise by similarity
-	MinSim  float64 // similarity threshold when Exact is false
-	Penalty float64 // severity weight used by DFM scoring
+	Name string
+	P    Pattern
 }
 
 // Match is one found occurrence.
 type Match struct {
 	Entry *LibEntry
 	At    geom.Point
-	Sim   float64 // 1.0 for exact matches
 }
 
 // Matcher scans layouts against a pattern library.
 type Matcher struct {
-	Radius  int64
-	entries []*LibEntry
-	byHash  map[uint64][]*LibEntry // exact entries keyed by canonical hash
+	Radius int64
+	n      int
+	byHash map[uint64][]*LibEntry // entries keyed by canonical hash
 }
 
 // NewMatcher creates a matcher; all library entries must use the same
@@ -42,15 +39,13 @@ func NewMatcher(radius int64) *Matcher {
 
 // AddEntry registers a library pattern.
 func (m *Matcher) AddEntry(e *LibEntry) {
-	m.entries = append(m.entries, e)
-	if e.Exact {
-		h := e.P.CanonHash()
-		m.byHash[h] = append(m.byHash[h], e)
-	}
+	m.n++
+	h := e.P.CanonHash()
+	m.byHash[h] = append(m.byHash[h], e)
 }
 
 // Len returns the library size.
-func (m *Matcher) Len() int { return len(m.entries) }
+func (m *Matcher) Len() int { return m.n }
 
 // ScanLayer extracts a pattern at every geometry corner of the layer
 // and reports all library matches, sorted by position.
@@ -59,7 +54,9 @@ func (m *Matcher) ScanLayer(rs []geom.Rect) []Match {
 	l := geom.BandedOf(norm)
 	var out []Match
 	for _, a := range Anchors(norm) {
-		out = append(out, m.MatchAt(ExtractAt(l, a, m.Radius), a)...)
+		for _, e := range m.byHash[ExtractAt(l, a, m.Radius).CanonHash()] {
+			out = append(out, Match{Entry: e, At: a})
+		}
 	}
 	slices.SortFunc(out, func(a, b Match) int {
 		if a.At != b.At {
@@ -70,24 +67,5 @@ func (m *Matcher) ScanLayer(rs []geom.Rect) []Match {
 		}
 		return strings.Compare(a.Entry.Name, b.Entry.Name)
 	})
-	return out
-}
-
-// MatchAt tests one extracted pattern against the library.
-func (m *Matcher) MatchAt(p Pattern, at geom.Point) []Match {
-	var out []Match
-	if es, ok := m.byHash[p.CanonHash()]; ok {
-		for _, e := range es {
-			out = append(out, Match{Entry: e, At: at, Sim: 1})
-		}
-	}
-	for _, e := range m.entries {
-		if e.Exact {
-			continue
-		}
-		if s := JaccardOriented(e.P, p); s >= e.MinSim {
-			out = append(out, Match{Entry: e, At: at, Sim: s})
-		}
-	}
 	return out
 }

@@ -327,37 +327,41 @@ func TestClustererOriented(t *testing.T) {
 	}
 }
 
-func TestMatcherExactAndSimilar(t *testing.T) {
+func TestMatcherExact(t *testing.T) {
 	m := NewMatcher(150)
-	// Library: exact line-end-gap pattern anchored at a line-tip corner
+	// Library: a line-end-gap pattern anchored at a line-tip corner
 	// (scan anchors are geometry corners, so library entries must be
-	// corner-anchored too) and a fuzzy big-block pattern.
+	// corner-anchored too).
 	lineEnd := ExtractAt(banded([]geom.Rect{geom.R(0, 0, 70, 500), geom.R(0, 600, 70, 1100)}), geom.Pt(0, 500), 150)
-	m.AddEntry(&LibEntry{Name: "line-end", P: lineEnd, Exact: true, Penalty: 1})
-	blockish := Pattern{Radius: 150, Rects: []geom.Rect{geom.R(0, 0, 300, 300)}}
-	m.AddEntry(&LibEntry{Name: "block", P: blockish, MinSim: 0.9, Penalty: 0.5})
-	if m.Len() != 2 {
+	m.AddEntry(&LibEntry{Name: "line-end", P: lineEnd})
+	if m.Len() != 1 {
 		t.Fatalf("library size = %d", m.Len())
 	}
 
-	// Target layout: the same line-end structure somewhere else.
+	// Target layout: the same line-end structure somewhere else, and a
+	// near miss, whose gap is 10 nm wider, which an exact match must not
+	// take.
 	target := []geom.Rect{geom.R(1000, 1000, 1070, 1500), geom.R(1000, 1600, 1070, 2100)}
 	matches := m.ScanLayer(target)
 	found := false
 	for _, mt := range matches {
-		if mt.Entry.Name == "line-end" && mt.Sim == 1 {
+		if mt.Entry.Name == "line-end" && mt.At == geom.Pt(1000, 1500) {
 			found = true
 		}
 	}
 	if !found {
 		t.Fatalf("exact pattern not found: %v", matches)
 	}
+	nearMiss := []geom.Rect{geom.R(0, 0, 70, 500), geom.R(0, 610, 70, 1110)}
+	if got := m.ScanLayer(nearMiss); len(got) != 0 {
+		t.Fatalf("a 10 nm wider gap matched exactly: %v", got)
+	}
 }
 
 func TestMatcherNoFalsePositiveOnClean(t *testing.T) {
 	m := NewMatcher(150)
 	lineEnd := ExtractAt(banded([]geom.Rect{geom.R(0, 0, 70, 500), geom.R(0, 600, 70, 1100)}), geom.Pt(0, 500), 150)
-	m.AddEntry(&LibEntry{Name: "line-end", P: lineEnd, Exact: true})
+	m.AddEntry(&LibEntry{Name: "line-end", P: lineEnd})
 	// A plain wide plate has no line-end construct.
 	clean := []geom.Rect{geom.R(0, 0, 5000, 5000)}
 	if got := m.ScanLayer(clean); len(got) != 0 {

@@ -37,7 +37,7 @@ const (
 // into candidate fixes, ordered most-valuable first: attribution
 // weight descending, then kind, then marker position. skipped counts
 // the attributions no strategy could propose for, by reason.
-func Propose(ctx context.Context, t *tech.Tech, top *layout.Cell, sc Score, w Weights) (fixes []Fix, skipped map[string]int, err error) {
+func Propose(ctx context.Context, t *tech.Tech, top *layout.Cell, sc Score, _ Weights) (fixes []Fix, skipped map[string]int, err error) {
 	skipped = make(map[string]int)
 	for _, a := range sc.Attributions() {
 		switch {
@@ -65,13 +65,12 @@ func Propose(ctx context.Context, t *tech.Tech, top *layout.Cell, sc Score, w We
 	if err != nil {
 		return nil, nil, err
 	}
-	svw := w.SingleViaWeight()
 	for _, ins := range rep.Placed {
 		fixes = append(fixes, Fix{
 			Kind:   "double",
 			Rule:   "single." + ins.Via.String(),
 			Target: ins.Origin,
-			Weight: svw,
+			Weight: singleViaWeight,
 			Delta:  Delta{Added: ins.Shapes},
 		})
 	}

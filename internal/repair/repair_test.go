@@ -38,7 +38,7 @@ func TestScoreResult(t *testing.T) {
 		t.Fatalf("the hand-built list is not in drc.SortViolations order: %+v", res.Violations)
 	}
 	sc := ScoreResult(res, 3, Weights{})
-	// Defaults: space 4, density 1, enclosure 3, hotspot 5, single 0.5.
+	// Prices: space 4, density 1, enclosure 3, hotspot 5, single 0.5.
 	if sc.Violations != 2*4+1+3 {
 		t.Fatalf("Violations = %v, want 12", sc.Violations)
 	}
@@ -61,23 +61,6 @@ func TestScoreResult(t *testing.T) {
 	}
 	if attr[1].Marker.Y0 > attr[2].Marker.Y0 {
 		t.Fatalf("tied attributions out of marker order: %+v", attr[1:3])
-	}
-
-	// Per-rule override wins over the class weight.
-	sc2 := ScoreResult(res, 0, Weights{Rule: map[string]float64{"metal2.space.70": 10}})
-	if sc2.ByRule["metal2.space.70"] != 20 {
-		t.Fatalf("override ByRule = %v", sc2.ByRule)
-	}
-
-	// Dropped violations still cost at the rule's weight.
-	capped := &tiling.Result{
-		Violations: res.Violations[1:2],
-		Dropped:    1,
-		ByRule:     map[string]int{"metal2.space.70": 2},
-	}
-	scc := ScoreResult(capped, 0, Weights{})
-	if scc.Violations != 8 {
-		t.Fatalf("capped Violations = %v, want 8 (one attributed + one dropped)", scc.Violations)
 	}
 }
 

@@ -21,68 +21,38 @@ import (
 	"repro/internal/tiling"
 )
 
-// Weights maps evaluator findings to score cost. A zero Weights is
-// usable (every field falls back to the DefaultWeights value), so
-// callers override only what they care about.
-type Weights struct {
-	// Rule gives exact per-rule overrides, keyed by the DRC rule name
-	// (e.g. "metal2.space.70").
-	Rule map[string]float64
-	// Class weights by rule family; 0 means the default.
-	Space, Width, Enclosure, Area, Density, Endcap float64
-	// Hotspot is the cost per printed litho hotspot.
-	Hotspot float64
-	// SingleVia is the cost per single-cut via (the doubling target).
-	SingleVia float64
-}
+// Weights is empty: every finding is priced by the one table below.
+// The benchmark module (benchmark/) passes Weights{} to ScoreResult and
+// Propose, so their signatures keep it.
+type Weights struct{}
 
-// DefaultWeights reflects the paper's severity ordering: hard shorts
-// and opens (spacing/width) over reliability (enclosure, area) over
-// manufacturability guidance (density), with printed hotspots between
-// the two — a litho pinch is a probable open, not a certain one.
-func DefaultWeights() Weights {
-	return Weights{
-		Space: 4, Width: 4, Enclosure: 3, Area: 2, Density: 1, Endcap: 3,
-		Hotspot:   5,
-		SingleVia: 0.5,
-	}
-}
+// The price of one finding, in the severity ordering: hard shorts and
+// opens (spacing, width) over reliability (enclosure, endcap, area)
+// over manufacturability guidance (density), with a printed hotspot
+// between the two — a litho pinch is a probable open, not a certain
+// one — and a single-cut via, the doubling target, cheapest.
+const (
+	hotspotWeight   = 5
+	singleViaWeight = 0.5
+)
 
-func defVal(v, def float64) float64 {
-	if v != 0 {
-		return v
-	}
-	return def
-}
-
-// ViolationWeight returns the cost of one violation of the rule.
-func (w Weights) ViolationWeight(rule string) float64 {
-	if v, ok := w.Rule[rule]; ok {
-		return v
-	}
-	d := DefaultWeights()
+// violationWeight returns the cost of one violation of the rule: the
+// price of the first family, in this order, whose tag its name holds.
+func violationWeight(rule string) float64 {
 	switch {
-	case strings.Contains(rule, ".space."):
-		return defVal(w.Space, d.Space)
-	case strings.Contains(rule, ".width."):
-		return defVal(w.Width, d.Width)
+	case strings.Contains(rule, ".space."), strings.Contains(rule, ".width."):
+		return 4
 	case strings.Contains(rule, ".enc."):
-		return defVal(w.Enclosure, d.Enclosure)
+		return 3
 	case strings.Contains(rule, ".area."):
-		return defVal(w.Area, d.Area)
+		return 2
 	case strings.Contains(rule, ".density"):
-		return defVal(w.Density, d.Density)
+		return 1
 	case strings.Contains(rule, ".endcap"):
-		return defVal(w.Endcap, d.Endcap)
+		return 3
 	}
 	return 1
 }
-
-// HotspotWeight returns the cost of one printed hotspot.
-func (w Weights) HotspotWeight() float64 { return defVal(w.Hotspot, DefaultWeights().Hotspot) }
-
-// SingleViaWeight returns the cost of one single-cut via.
-func (w Weights) SingleViaWeight() float64 { return defVal(w.SingleVia, DefaultWeights().SingleVia) }
 
 // Attribution ties one unit of score cost to the rect that earned it,
 // so the fixer (and reports) can rank concrete offenders.
@@ -131,56 +101,30 @@ type ruleBlock struct {
 // scored wrong, without an error; it is not checked here, because
 // every engine hands its list over sorted and TestViolationsInSortOrder
 // holds each of them to it.
-func ScoreResult(res *tiling.Result, singles int, w Weights) Score {
+func ScoreResult(res *tiling.Result, singles int, _ Weights) Score {
 	sc := Score{ByRule: make(map[string]float64), Singles: singles}
 	blocks := cutRules(res.Violations)
+	// Every price but the single via's is a whole number, so a rule's
+	// total is its count times its price, exactly.
 	for i := range blocks {
 		b := &blocks[i]
-		b.weight = w.ViolationWeight(b.rule)
-		// Added once per violation, not multiplied: a weight that is not
-		// exact in binary must sum as it would finding by finding.
-		sum := 0.0
-		for range b.vs {
-			sc.Violations += b.weight
-			sum += b.weight
-		}
+		b.weight = violationWeight(b.rule)
+		sum := b.weight * float64(len(b.vs))
+		sc.Violations += sum
 		sc.ByRule[b.rule] = sum
 	}
-	// Violations dropped past Opts.MaxViolations still cost; they are
-	// counted in ByRule totals at the rule's weight but cannot be
-	// attributed to a rect.
-	if res.Dropped > 0 {
-		kept := make(map[string]int, len(blocks))
-		for _, b := range blocks {
-			kept[b.rule] = len(b.vs)
-		}
-		rules := make([]string, 0, len(res.ByRule))
-		for rule := range res.ByRule {
-			rules = append(rules, rule)
-		}
-		slices.Sort(rules)
-		for _, rule := range rules {
-			if extra := res.ByRule[rule] - kept[rule]; extra > 0 {
-				wt := w.ViolationWeight(rule) * float64(extra)
-				sc.Violations += wt
-				sc.ByRule[rule] += wt
-			}
-		}
-	}
-	hw := w.HotspotWeight()
 	for layer := tech.Layer(0); layer < tech.NumLayers; layer++ {
 		hs := res.Hotspots[layer]
 		if len(hs) == 0 {
 			continue
 		}
-		b := ruleBlock{rule: "hotspot." + layer.String(), weight: hw, layer: layer, hs: hs}
-		for range hs {
-			sc.Hotspots += hw
-			sc.ByRule[b.rule] += hw
-		}
+		b := ruleBlock{rule: "hotspot." + layer.String(), weight: hotspotWeight, layer: layer, hs: hs}
+		sum := hotspotWeight * float64(len(hs))
+		sc.Hotspots += sum
+		sc.ByRule[b.rule] += sum
 		blocks = append(blocks, b)
 	}
-	sc.SingleVias = float64(singles) * w.SingleViaWeight()
+	sc.SingleVias = float64(singles) * singleViaWeight
 	sc.Total = sc.Violations + sc.Hotspots + sc.SingleVias
 
 	slices.SortFunc(blocks, func(a, b ruleBlock) int {

@@ -23,34 +23,16 @@ import (
 // of all of them. Its comparator stops at the marker and sort.Slice is
 // unstable, so it is a reference only where no two attributions tie on
 // (weight, rule, marker) with different layers.
-func scoreOracle(res *tiling.Result, singles int, w Weights) (Score, []Attribution) {
+func scoreOracle(res *tiling.Result, singles int) (Score, []Attribution) {
 	sc := Score{ByRule: make(map[string]float64), Singles: singles}
 	var attr []Attribution
 	for _, v := range res.Violations {
-		wt := w.ViolationWeight(v.Rule)
+		wt := violationWeight(v.Rule)
 		sc.Violations += wt
 		sc.ByRule[v.Rule] += wt
 		attr = append(attr, Attribution{Rule: v.Rule, Layer: v.Layer, Marker: v.Marker, Weight: wt})
 	}
-	// Violations dropped past Opts.MaxViolations still cost; they are
-	// counted in ByRule totals at the rule's weight but cannot be
-	// attributed to a rect.
-	if res.Dropped > 0 {
-		for rule, n := range res.ByRule {
-			seen := 0
-			for _, v := range res.Violations {
-				if v.Rule == rule {
-					seen++
-				}
-			}
-			if extra := n - seen; extra > 0 {
-				wt := w.ViolationWeight(rule) * float64(extra)
-				sc.Violations += wt
-				sc.ByRule[rule] += wt
-			}
-		}
-	}
-	hw := w.HotspotWeight()
+	hw := float64(hotspotWeight)
 	for layer, hs := range res.Hotspots {
 		rule := "hotspot." + layer.String()
 		for _, h := range hs {
@@ -59,7 +41,7 @@ func scoreOracle(res *tiling.Result, singles int, w Weights) (Score, []Attributi
 			attr = append(attr, Attribution{Rule: rule, Layer: layer, Marker: h.Box, Weight: hw})
 		}
 	}
-	sc.SingleVias = float64(singles) * w.SingleViaWeight()
+	sc.SingleVias = float64(singles) * singleViaWeight
 	sc.Total = sc.Violations + sc.Hotspots + sc.SingleVias
 	sort.Slice(attr, func(i, j int) bool {
 		a, b := attr[i], attr[j]
@@ -109,9 +91,9 @@ func sameTotals(got, want Score) string {
 }
 
 // The linear ScoreResult and its worklist against the sorting one they
-// replaced, on a generated chip's evaluation: as evaluated, truncated
-// with Dropped > 0, and with hotspots on two layers. The worklist is asked for twice: the
-// same list both times, and the scored result untouched.
+// replaced, on a generated chip's evaluation: as evaluated, and with
+// hotspots on two layers. The worklist is asked for twice: the same
+// list both times, and the scored result untouched.
 func TestScoreResultMatchesOracle(t *testing.T) {
 	tt := tech.N45()
 	l, _, err := layout.GenerateChip(tt, layout.ChipOpts{
@@ -128,15 +110,6 @@ func TestScoreResultMatchesOracle(t *testing.T) {
 	if len(res.Violations) < 100 || len(res.ByRule) < 5 {
 		t.Fatalf("chip too clean to rank: %d violations, %d rules", len(res.Violations), len(res.ByRule))
 	}
-	o.MaxViolations = len(res.Violations) / 3
-	capped, err := tiling.EvaluateChip(context.Background(), tt, l.Top, o)
-	if err != nil {
-		t.Fatalf("EvaluateChip(capped): %v", err)
-	}
-	if capped.Dropped == 0 {
-		t.Fatal("capped result dropped nothing")
-	}
-
 	// Hotspots on two layers, in scan order (not marker order), with a
 	// pair of boxes tied on Y0.
 	spots := *res
@@ -145,29 +118,26 @@ func TestScoreResultMatchesOracle(t *testing.T) {
 		tech.Metal1: {{Box: geom.R(5000, 5000, 5050, 5050)}, {Box: geom.R(10, 10, 70, 70)}},
 	}
 
-	custom := Weights{Rule: map[string]float64{"metal2.space.70": 10}, Density: 4, Hotspot: 3}
 	for _, tc := range []struct {
 		name string
 		res  *tiling.Result
-	}{{"evaluated", res}, {"dropped", capped}, {"hotspots", &spots}} {
-		for wi, w := range []Weights{{}, custom} {
-			before := slices.Clone(tc.res.Violations)
-			got := ScoreResult(tc.res, 7, w)
-			want, wantAttr := scoreOracle(tc.res, 7, w)
-			if diff := sameTotals(got, want); diff != "" {
-				t.Errorf("%s, weights %d: ScoreResult differs from the oracle: %s", tc.name, wi, diff)
-			}
-			attr := got.Attributions()
-			if !reflect.DeepEqual(attr, wantAttr) {
-				t.Errorf("%s, weights %d: worklist differs from the oracle's (%d vs %d attributions)",
-					tc.name, wi, len(attr), len(wantAttr))
-			}
-			if again := got.Attributions(); !reflect.DeepEqual(again, attr) {
-				t.Errorf("%s, weights %d: a second worklist differs from the first", tc.name, wi)
-			}
-			if !reflect.DeepEqual(before, tc.res.Violations) {
-				t.Fatalf("%s: scoring or ranking reordered the result it read", tc.name)
-			}
+	}{{"evaluated", res}, {"hotspots", &spots}} {
+		before := slices.Clone(tc.res.Violations)
+		got := ScoreResult(tc.res, 7, Weights{})
+		want, wantAttr := scoreOracle(tc.res, 7)
+		if diff := sameTotals(got, want); diff != "" {
+			t.Errorf("%s: ScoreResult differs from the oracle: %s", tc.name, diff)
+		}
+		attr := got.Attributions()
+		if !reflect.DeepEqual(attr, wantAttr) {
+			t.Errorf("%s: worklist differs from the oracle's (%d vs %d attributions)",
+				tc.name, len(attr), len(wantAttr))
+		}
+		if again := got.Attributions(); !reflect.DeepEqual(again, attr) {
+			t.Errorf("%s: a second worklist differs from the first", tc.name)
+		}
+		if !reflect.DeepEqual(before, tc.res.Violations) {
+			t.Fatalf("%s: scoring or ranking reordered the result it read", tc.name)
 		}
 	}
 }
@@ -184,7 +154,7 @@ func TestScoreResultOrderIsTotal(t *testing.T) {
 	drc.SortViolations(res.Violations) // as every evaluator hands it over
 	for i := 0; i < 20; i++ {
 		sc := ScoreResult(res, 0, Weights{})
-		want, _ := scoreOracle(res, 0, Weights{})
+		want, _ := scoreOracle(res, 0)
 		if diff := sameTotals(sc, want); diff != "" {
 			t.Fatalf("call %d: %s", i, diff)
 		}

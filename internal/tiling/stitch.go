@@ -15,8 +15,7 @@ import (
 // snapshots share its slices.
 type stitched struct {
 	// viol is the merged, seam-resolved violation list in SortViolations
-	// order, never truncated: Opts.MaxViolations is a view taken when a
-	// Result is filled, so a delta can patch past the cap.
+	// order: the result's Violations, which a delta patches.
 	viol []drc.Violation
 	// dens holds the global per-rule window densities,
 	// [plan.densRules index][plan.wins index].
@@ -102,10 +101,6 @@ func (p *plan) stitchTiles(res *Result, outs []*TileResult, dirty []int, prev *S
 		res.ByRule[name] = n
 	}
 	res.Violations = st.viol
-	if limit := p.opts.MaxViolations; limit > 0 && len(st.viol) > limit {
-		res.Dropped = len(st.viol) - limit
-		res.Violations = st.viol[:limit:limit]
-	}
 	if p.opts.KeepDensityMaps {
 		for di, dr := range p.densRules {
 			res.Density[dr.Layer] = fill.DensityMap{Windows: p.wins, Density: st.dens[di]}

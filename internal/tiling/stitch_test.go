@@ -96,10 +96,6 @@ func (p *plan) stitchOracle(res *Result, outs []*TileResult) *Result {
 	for _, v := range all {
 		res.ByRule[v.Rule]++
 	}
-	if limit := p.opts.MaxViolations; limit > 0 && len(all) > limit {
-		res.Dropped = len(all) - limit
-		all = all[:limit:limit]
-	}
 	res.Violations = all
 	if p.opts.KeepDensityMaps {
 		for di, dr := range p.densRules {
@@ -270,11 +266,10 @@ func TestDeltaStitchAllocsIgnoreCleanTiles(t *testing.T) {
 }
 
 // Every engine hands its violation list back in drc.SortViolations
-// order, and a capped run the first MaxViolations of that order: the
-// guarantee Result.Violations states and repair.ScoreResult cuts rule
-// runs on. Engines: Evaluate uncached and cached, EvaluateFlat, a
-// loopback DistEvaluate, an EvaluateDelta chain that removes, restores
-// and removes defect pairs, and a capped Evaluate.
+// order: the guarantee Result.Violations states and repair.ScoreResult
+// cuts rule runs on. Engines: Evaluate uncached and cached,
+// EvaluateFlat, a loopback DistEvaluate, and an EvaluateDelta chain
+// that removes, restores and removes defect pairs.
 func TestViolationsInSortOrder(t *testing.T) {
 	tt := tech.N45()
 	ctx := context.Background()
@@ -324,15 +319,6 @@ func TestViolationsInSortOrder(t *testing.T) {
 		res, snap, err = EvaluateDelta(ctx, tt, NewExtractor(next), snap, changed)
 		add(fmt.Sprintf("delta %d", i+1), res, err)
 		cur = next
-	}
-
-	capped := o
-	capped.MaxViolations = len(full.Violations) / 3
-	res, err = Evaluate(ctx, tt, NewExtractor(top), capped)
-	add("capped", res, err)
-	if res.Dropped == 0 || !slices.Equal(res.Violations, full.Violations[:capped.MaxViolations]) {
-		t.Errorf("capped: %d kept, %d dropped; want the first %d of the uncapped %d",
-			len(res.Violations), res.Dropped, capped.MaxViolations, len(full.Violations))
 	}
 
 	if len(full.ByRule) < 5 {

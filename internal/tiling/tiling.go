@@ -57,9 +57,6 @@ type Opts struct {
 	// and scan-window results across repeated macro instances (and
 	// across successive evaluations sharing the cache).
 	Cache *Cache
-	// MaxViolations caps the merged violation list (0 = unlimited).
-	// ByRule counts stay complete; Result.Dropped reports the excess.
-	MaxViolations int
 }
 
 func withDefaults(t *tech.Tech, o Opts) Opts {
@@ -132,15 +129,16 @@ type Stats struct {
 // Result is a stitched whole-chip evaluation.
 type Result struct {
 	// Violations is the merged, seam-deduped DRC + density violation
-	// list in drc.SortViolations order on every engine (flat, tiled,
-	// distributed, delta), and under MaxViolations the first that many
-	// of that order (Dropped counts the excess; ByRule never truncates):
-	// repair.ScoreResult cuts it into rule runs on that guarantee.
-	// Read-only, like Density: a Snapshot taken with the result, and
-	// every delta chained from it, share the backing arrays.
+	// list, every finding, in drc.SortViolations order on every engine
+	// (flat, tiled, distributed, delta): repair.ScoreResult cuts it into
+	// rule runs on that guarantee. Read-only, like Density: a Snapshot
+	// taken with the result, and every delta chained from it, share the
+	// backing arrays.
 	Violations []drc.Violation
 	ByRule     map[string]int
-	Dropped    int
+	// Dropped is always 0: nothing caps Violations. The benchmark module
+	// (benchmark/) hashes it, so the field stays.
+	Dropped int
 
 	// Hotspots holds per-layer litho scan results, identical to
 	// litho.ScanLayer over the flattened layer.
@@ -525,10 +523,6 @@ func EvaluateFlat(stdctx context.Context, t *tech.Tech, top *layout.Cell, o Opts
 		}
 	}
 	drc.SortViolations(all)
-	if o.MaxViolations > 0 && len(all) > o.MaxViolations {
-		res.Dropped = len(all) - o.MaxViolations
-		all = all[:o.MaxViolations:o.MaxViolations]
-	}
 	res.Violations = all
 
 	for _, hl := range o.Hotspots {

@@ -374,33 +374,6 @@ func TestEvaluateTranslationInvariant(t *testing.T) {
 	}
 }
 
-// MaxViolations must cap the sorted list identically on both paths.
-func TestMaxViolationsCap(t *testing.T) {
-	tt := tech.N45()
-	top := twoClusterCell()
-	o := Opts{Tile: 8000, DRC: true, Density: true, MaxViolations: 5}
-	flat, err := EvaluateFlat(context.Background(), tt, top, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tiled, err := EvaluateChip(context.Background(), tt, top, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tiled.Violations) != 5 || tiled.Dropped == 0 {
-		t.Fatalf("cap not applied: %d violations, %d dropped", len(tiled.Violations), tiled.Dropped)
-	}
-	diffResults(t, "capped", tiled, flat)
-	// ByRule stays complete past the cap.
-	total := 0
-	for _, n := range tiled.ByRule {
-		total += n
-	}
-	if total != len(tiled.Violations)+tiled.Dropped {
-		t.Fatalf("ByRule total %d != kept %d + dropped %d", total, len(tiled.Violations), tiled.Dropped)
-	}
-}
-
 func TestEvaluateCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

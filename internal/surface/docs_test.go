@@ -552,7 +552,7 @@ var longSections []string
 // item 12). Like longSections the bounds only shrink: a document that
 // grows past its bound fails, and one that shrinks below it fails until
 // the bound is lowered to match.
-var docBounds = map[string]int{"README.md": 710, "DESIGN.md": 1150, verifySkill: 761}
+var docBounds = map[string]int{"README.md": 708, "DESIGN.md": 1150, verifySkill: 761}
 
 // rSection is one "## R…" section: its id, the line of its heading, and
 // how many lines it runs from the heading to its last non-blank line.

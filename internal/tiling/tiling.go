@@ -562,13 +562,12 @@ func rawLayerRects(flat []layout.Shape, l tech.Layer) []geom.Rect {
 }
 
 // Equivalent reports whether two results agree on every evaluation
-// output — violations, rule counts, drop counts, hotspots, density
-// maps. Stats are intentionally ignored: they describe how a result
-// was computed, not what it is.
+// output — violations, rule counts, hotspots, density maps. Stats are
+// intentionally ignored: they describe how a result was computed, not
+// what it is.
 func Equivalent(a, b *Result) bool {
 	return reflect.DeepEqual(a.Violations, b.Violations) &&
 		reflect.DeepEqual(a.ByRule, b.ByRule) &&
-		a.Dropped == b.Dropped &&
 		reflect.DeepEqual(a.Hotspots, b.Hotspots) &&
 		reflect.DeepEqual(a.Density, b.Density)
 }

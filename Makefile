@@ -193,7 +193,7 @@ cover-dfm: ## scorecard coverage gate: no function of internal/dfm's techniques.
 # Where drcprofile keeps its binary and profiles (bin/ is gitignored).
 DRCPROFILE_DIR ?= bin/drcprofile
 
-drcprofile: ## CPU profile of the signoff DRC path over 30 uncached passes of the 100k-rect chip (BenchmarkChipSignoff: dfmscore -chip -chiprects 100000 -chipcache 0's pass) with its sample count, and an allocation profile of one dfmscore pass, drc.* and geom.* by cumulative cost; then the counters of what the deck asked: facing pairs found / kept, endcap gates asked / built
+drcprofile: ## CPU profile of the signoff DRC path over 30 uncached passes of the 100k-rect chip (BenchmarkChipSignoff: dfmscore -chip -chiprects 100000 -chipcache 0's pass) with its sample count, and an allocation profile of one dfmscore pass, drc.* and geom.* by cumulative cost (a tile worker reuses one extraction buffer and one drc.Context for all its tiles, so NewContext, Normalize and BoundarySides allocate per worker, not per tile); then the counters of what the deck asked: facing pairs found / kept, endcap gates asked / built
 	@mkdir -p $(DRCPROFILE_DIR)
 	$(GO) build -o $(DRCPROFILE_DIR)/dfmscore ./cmd/dfmscore
 	$(DRCPROFILE_DIR)/dfmscore -chip -chiprects 100000 -chipcache 0 -metrics $(DRCPROFILE_DIR)/metrics.json \
@@ -250,7 +250,7 @@ lithoprofile: ## which arm of the kernel's float loops runs (litho.kernel.simd: 
 bench: ## every root-module benchmark (BenchmarkExperiment/<id> times the paper's experiments), time and allocations only; writes no file and regenerates no table (records come from `bash benchmark/run.sh`, the tables from `go test -run TestExperimentTables -update .`)
 	$(GO) test -run='^$$' -bench=. -benchmem .
 
-bench-smoke: ## one iteration of the five kernel micro-rows (the geometry Booleans, a block DRC, the erosion and dilation row stages opening a scan window, the scan window with its streaming detector, the wall-to-wall window), of the scorecard that scoreprofile profiles (four seeds, every evaluator, litho's banded blur — one rank-1 update per y-band footprint cluster — under most of it), of one experiment of the table, of the fleet's fullest tile as a job each way through the job wire, of the tile key and of the sort before it, of the key sort's two arms, of the index build (a dense set and a sparse one over a 190 µm extent), of the sweep under each coverage rule, of the boundary extraction, of the deck and the endcap rule on a tile, of a layer's query mix on its bands, of the pattern hash's two arms and of drc-plus's pattern scan, so the gate executes the benchmarks and does not merely compile them
+bench-smoke: ## one iteration of the five kernel micro-rows (the geometry Booleans, a block DRC, the erosion and dilation row stages opening a scan window, the scan window with its streaming detector, the wall-to-wall window), of the scorecard that scoreprofile profiles (four seeds, every evaluator, litho's banded blur — one rank-1 update per y-band footprint cluster — under most of it), of one experiment of the table, of the fleet's fullest tile as a job each way through the job wire, of the tile key and of the sort before it, of the key sort's two arms, of the index build (a dense set and a sparse one over a 190 µm extent), of the sweep under each coverage rule, of the boundary extraction, of the deck on a tile (a fresh context per tile, and one reset across three) and of the endcap rule, of a layer's query mix on its bands, of the pattern hash's two arms and of drc-plus's pattern scan, so the gate executes the benchmarks and does not merely compile them
 	$(GO) test -run='^$$' -bench='^Benchmark(GeomBoolean|DRCBlock|BitmapOpen|ScanWindow|ScanWindowDense)$$' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='^BenchmarkScorecard$$' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='^BenchmarkExperiment$$/^F5$$' -benchtime=1x .

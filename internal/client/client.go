@@ -100,10 +100,12 @@ func (c *Client) Forward(ctx context.Context, method, path string, header http.H
 		return nil, err
 	}
 	// Read to the end before closing, on every path: a body closed with
-	// its trailing newline and chunk terminator unread takes its
-	// connection down with it — one TCP handshake per large response
-	// instead of one per client. What is left of an answer refused as
-	// oversize is not read: that connection goes.
+	// bytes unread takes its connection down with it — one TCP handshake
+	// per response instead of one per client. An answer ReadAnswer takes
+	// is read whole, to the length it declares; an error body decoded
+	// below leaves at least the newline WriteJSON ends it with, which the
+	// drain reads. What is left of an answer refused as oversize is not
+	// read: that connection goes.
 	defer func() {
 		io.CopyN(io.Discard, resp.Body, drainBytes) //nolint:errcheck // best-effort, for reuse
 		resp.Body.Close()
@@ -142,8 +144,7 @@ func (c *Client) Forward(ctx context.Context, method, path string, header http.H
 }
 
 // drainBytes bounds what Forward reads of an answer past what it uses:
-// an error body's remainder and a chunk terminator, not a stream that
-// runs on.
+// an error body's remainder, not a stream that runs on.
 const drainBytes = 64 << 10
 
 // get is Forward of a GET, the answer decoded into out (nil for none).

@@ -1,6 +1,7 @@
 package drc_test
 
 import (
+	"maps"
 	"slices"
 	"testing"
 
@@ -56,5 +57,43 @@ func TestNewContextSplitsAsByLayer(t *testing.T) {
 	}
 	if got := drc.StandardDeck(tt).Run(ctx); got.ByRule["via1.size.60"] != 0 {
 		t.Fatalf("deck over the edge shapes: %v", got.ByRule)
+	}
+}
+
+// One Context reset from shape list to shape list — a 48000 tile, no
+// shapes, one layer of a 24000 tile, shapes past tech.NumLayers, the
+// 48000 tile again — holds what NewContext builds for each, and the deck
+// finds in it what it finds in a fresh one.
+func TestContextResetMatchesNew(t *testing.T) {
+	tt := tech.N45()
+	big, mid := chipTile(t, tt, 48000), chipTile(t, tt, 24000)
+	var metal2 []layout.Shape
+	for _, s := range mid {
+		if s.Layer == tech.Metal2 {
+			metal2 = append(metal2, s)
+		}
+	}
+	far := []layout.Shape{
+		{Layer: tech.Metal1, R: geom.R(0, 0, 100, 100)},
+		{Layer: tech.Layer(200), R: geom.R(5, 5, 10, 10)},
+		{Layer: tech.Layer(200), R: geom.R(0, 0, 8, 8)},
+	}
+	deck := drc.StandardDeck(tt)
+	var ctx drc.Context
+	for k, shapes := range [][]layout.Shape{big, nil, metal2, far, big} {
+		ctx.Reset(tt, shapes)
+		want := drc.NewContext(tt, shapes)
+		if len(ctx.Layers) != len(want.Layers) {
+			t.Fatalf("list %d: %d layers after a reset, %d fresh", k, len(ctx.Layers), len(want.Layers))
+		}
+		for l, rs := range want.Layers {
+			if got, ok := ctx.Layers[l]; !ok || !slices.Equal(got, rs) {
+				t.Fatalf("list %d: layer %v differs after a reset", k, l)
+			}
+		}
+		got, fresh := deck.Run(&ctx), deck.Run(want)
+		if !slices.Equal(got.Violations, fresh.Violations) || !maps.Equal(got.ByRule, fresh.ByRule) {
+			t.Fatalf("list %d: the deck finds %d violations after a reset, %d fresh", k, got.Count(), fresh.Count())
+		}
 	}
 }

@@ -35,12 +35,17 @@ func chipTile(b testing.TB, t *tech.Tech, size int64) []layout.Shape {
 // sizes, Context construction included. The figure to watch is
 // ns/rect: a deck whose rules cost what the geometry near each check
 // costs holds it flat as the tile grows; one that sweeps the whole
-// layer per gate or per edge coordinate grows with tile area.
+// layer per gate or per edge coordinate grows with tile area. The
+// reused row is what a tile worker does: one Context reset onto the
+// three tiles in turn, one iteration checking all three; its B/op
+// against the sum of the three rows' is what the reset keeps.
 func BenchmarkDeckTile(b *testing.B) {
 	t := tech.N45()
 	deck := drc.StandardDeck(t)
+	var tiles [][]layout.Shape
 	for _, size := range []int64{12000, 24000, 48000} {
 		shapes := chipTile(b, t, size)
+		tiles = append(tiles, shapes)
 		b.Run(fmt.Sprintf("tile%d", size), func(b *testing.B) {
 			b.ReportAllocs()
 			n := 0
@@ -54,6 +59,20 @@ func BenchmarkDeckTile(b *testing.B) {
 			b.ReportMetric(float64(len(shapes)), "rects")
 		})
 	}
+	b.Run("reused", func(b *testing.B) {
+		b.ReportAllocs()
+		var ctx drc.Context
+		n := 0
+		for i := 0; i < b.N; i++ {
+			for _, shapes := range tiles {
+				ctx.Reset(t, shapes)
+				n += deck.RunCtx(context.Background(), &ctx, 1).Count()
+			}
+		}
+		if n == 0 {
+			b.Fatal("deck found nothing")
+		}
+	})
 }
 
 // BenchmarkEndcap is the gate-endcap rule alone on a 24000 tile.

@@ -161,7 +161,7 @@ func (r Endcap) Check(ctx *Context) []Violation {
 	}
 	name, detail := r.Name(), fmt.Sprintf("gate endcap < %d", r.Ext)
 	gates := new(preparedLayer)
-	gates.prepare(geom.Intersect(poly.Rects(), diff.Rects()))
+	gates.Reset(geom.Intersect(poly.Rects(), diff.Rects()))
 	var out []Violation
 	for _, g := range gates.Components() {
 		bb := geom.BBoxOf(g)

@@ -41,23 +41,41 @@ type Rule interface {
 
 // Context carries the prepared layout data shared by all rules of one
 // run. Layer geometry is normalized once; what rules derive from a
-// layer (band starts, boundary edges) is prepared on first use and
-// shared by every rule that reads the layer (layer.go). Layers must
+// layer (band starts, boundary edges, regions) is prepared on first use
+// and shared by every rule that reads the layer (layer.go). Layers must
 // not change once a rule has run. A Context must not be copied.
 type Context struct {
 	Tech   *tech.Tech
 	Layers map[tech.Layer][]geom.Rect // normalized
 	Shapes []layout.Shape             // original flat shapes (net-annotated)
 
-	prep [tech.NumLayers]preparedLayer
+	prep    [tech.NumLayers]preparedLayer
+	backing []geom.Rect // the shapes' rects split by layer; Layers alias it
 }
 
 // NewContext normalizes a flat shape list for checking: Layers holds
 // the normal form of each layer that has shapes, any layer number
-// included. The rects are split by layer into one backing array, each
-// layer's part capped at its length, since Normalize returns an input
-// already in normal form as it is.
+// included. It is a fresh Context reset onto flat.
 func NewContext(t *tech.Tech, flat []layout.Shape) *Context {
+	c := new(Context)
+	c.Reset(t, flat)
+	return c
+}
+
+// Reset makes c the context of flat under t, equal to what NewContext
+// builds, in the storage c holds from the shapes it was last reset onto:
+// the rect backing, the Layers map, and each layer's normal form, band
+// index, boundary and labelling arrays keep their capacity, and every
+// prepared part is built again on first use. A caller that checks one
+// shape list after another — a tile worker — keeps one Context. No rule
+// may be running on c, and nothing read from c before the reset (Layers,
+// a rule's view of a layer) may be used after it; what the rules return
+// is their own.
+//
+// The rects are split by layer into one backing array, each layer's part
+// capped at its length. A part already in normal form is the layer as it
+// is; any other is normalized into the layer's own buffer.
+func (c *Context) Reset(t *tech.Tech, flat []layout.Shape) {
 	var at [math.MaxUint8 + 2]int // layer l's part of the backing is [at[l], at[l+1])
 	for _, s := range flat {
 		at[int(s.Layer)+1]++
@@ -69,18 +87,37 @@ func NewContext(t *tech.Tech, flat []layout.Shape) *Context {
 		}
 		at[l] += at[l-1]
 	}
-	backing, next := make([]geom.Rect, len(flat)), at
+	backing, next := slices.Grow(c.backing[:0], len(flat))[:len(flat)], at
 	for _, s := range flat {
 		backing[next[s.Layer]] = s.R
 		next[s.Layer]++
 	}
-	ctx := &Context{Tech: t, Layers: make(map[tech.Layer][]geom.Rect, layers), Shapes: flat}
+	c.Tech, c.Shapes, c.backing = t, flat, backing
+	if c.Layers == nil {
+		c.Layers = make(map[tech.Layer][]geom.Rect, layers)
+	} else {
+		clear(c.Layers)
+	}
+	for l := range c.prep {
+		c.prep[l].forget()
+	}
 	for l := range len(at) - 1 {
-		if lo, hi := at[l], at[l+1]; hi > lo {
-			ctx.Layers[tech.Layer(l)] = geom.Normalize(backing[lo:hi:hi])
+		lo, hi := at[l], at[l+1]
+		if hi == lo {
+			continue
+		}
+		part := backing[lo:hi:hi]
+		switch {
+		case geom.IsNormal(part):
+			c.Layers[tech.Layer(l)] = part
+		case l < len(c.prep):
+			p := &c.prep[l]
+			p.norm = geom.AppendNormal(p.norm[:0], part)
+			c.Layers[tech.Layer(l)] = p.norm
+		default: // a layer the deck never reads
+			c.Layers[tech.Layer(l)] = geom.Normalize(part)
 		}
 	}
-	return ctx
 }
 
 // Deck is an ordered rule collection.

@@ -64,7 +64,7 @@ func (r MinArea) Check(ctx *Context) []Violation {
 	name := r.Name()
 	ly := ctx.layer(r.Layer)
 	var out []Violation
-	for _, g := range ly.Regions() {
+	for _, g := range ly.regions() {
 		if g.Area < r.A {
 			out = append(out, Violation{
 				Rule:   name,

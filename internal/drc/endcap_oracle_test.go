@@ -286,7 +286,7 @@ func TestPreparedLayerMatchesGeom(t *testing.T) {
 		ly, rs := ctx.layer(tech.Metal1), ctx.Layers[tech.Metal1]
 		gates := geom.Intersect(ctx.layer(tech.Poly).Rects(), ctx.layer(tech.Diff).Rects())
 		gl := new(preparedLayer)
-		gl.prepare(gates)
+		gl.Reset(gates)
 		gateRects += len(gates)
 		for q := 0; q < 40; q++ {
 			x, y := rnd.Int63n(8000)-4000, rnd.Int63n(8000)-4000

@@ -9,34 +9,53 @@ import (
 
 // preparedLayer is what the rules derive from one layer's normalized
 // rects, built on first use and then shared: the rects in banded form,
-// whose walk finds what is near a box, and the boundary edges split by
-// interior side, each side a list sorted by line. Rules run concurrently
-// under RunCtx, so each part is built under a sync.Once and only read
-// afterwards; it lives exactly as long as its Context.
+// whose walk finds what is near a box, the boundary edges split by
+// interior side, each side a list sorted by line, and the connected
+// regions. Rules run concurrently under RunCtx, so each part is built
+// under a sync.Once and only read afterwards. The parts live until their
+// Context is reset, and their arrays beyond it: reset starts the Onces
+// afresh and keeps every array's capacity for the next shapes.
 type preparedLayer struct {
 	once sync.Once
-	*geom.Banded
+	geom.Banded
 
 	sideOnce sync.Once
 	sides    [4][]geom.Seg // by geom.Side
+	sideBuf  []geom.Seg    // the sides' backing
+
+	regionOnce sync.Once
+	regs       []geom.Region // in labels' arrays
+	labels     geom.Labels
+
+	norm []geom.Rect // the layer's normal form, when its shapes were not in it
+}
+
+// forget readies p for the layer of a Context's next shapes: nothing of
+// it is built, and its arrays are kept to be written over.
+func (p *preparedLayer) forget() {
+	p.once, p.sideOnce, p.regionOnce = sync.Once{}, sync.Once{}, sync.Once{}
 }
 
 // layer returns the prepared form of ctx.Layers[l].
 func (c *Context) layer(l tech.Layer) *preparedLayer {
 	p := &c.prep[l]
-	p.once.Do(func() { p.prepare(c.Layers[l]) })
+	p.once.Do(func() { p.Reset(c.Layers[l]) })
 	return p
 }
-
-// prepare makes p the prepared form of rs, which must be in normal form.
-func (p *preparedLayer) prepare(rs []geom.Rect) { p.Banded = geom.BandedOf(rs) }
 
 // boundary returns the layer's boundary edges by interior side, indexed
 // by geom.Side. Each side is in (At, Lo) order and its edges on one line
 // are disjoint, as geom.BoundarySides returns them.
 func (p *preparedLayer) boundary() *[4][]geom.Seg {
-	p.sideOnce.Do(func() { p.sides = geom.BoundarySides(p.Rects()) })
+	p.sideOnce.Do(func() { p.sides, p.sideBuf = geom.AppendBoundarySides(p.sideBuf[:0], p.Rects()) })
 	return &p.sides
+}
+
+// regions returns the layer's connected regions measured: each one's
+// area and bounding box, numbered as geom.Banded.Components numbers them.
+func (p *preparedLayer) regions() []geom.Region {
+	p.regionOnce.Do(func() { p.regs = p.labels.Regions(&p.Banded) })
+	return p.regs
 }
 
 // coversPoint is geom.CoversPoint(p.Rects(), pt).

@@ -42,7 +42,7 @@ func tileMetal1(tb testing.TB) []geom.Rect {
 func layerQueries(rs []geom.Rect) (clips []geom.Rect, points []geom.Point, bloats []geom.Rect) {
 	const lim = 70
 	var ly preparedLayer
-	ly.prepare(rs)
+	ly.Reset(rs)
 	for _, interior := range []bool{true, false} {
 		for _, c := range facingPairs(&ly, lim, interior) {
 			clips = append(clips, c.m)
@@ -76,7 +76,7 @@ func BenchmarkLayerQuery(b *testing.B) {
 	var sum int64
 	for i := 0; i < b.N; i++ {
 		var ly preparedLayer
-		ly.prepare(rs)
+		ly.Reset(rs)
 		sum = 0
 		for _, q := range clips {
 			sum += ly.ClipArea(q)

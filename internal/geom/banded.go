@@ -1,5 +1,7 @@
 package geom
 
+import "slices"
+
 // Banded is a rect set in normal form together with where each of its
 // y-bands begins, so that the rects near a query box are found by binary
 // search instead of a scan of the whole set. In normal form the bands are
@@ -14,13 +16,22 @@ type Banded struct {
 // BandedOf returns the banded form of rs, which must be in normal form
 // (as Normalize and the boolean ops return it). rs is kept, not copied.
 func BandedOf(rs []Rect) *Banded {
-	var bands []int32
+	b := new(Banded)
+	b.Reset(rs)
+	return b
+}
+
+// Reset makes b the banded form of rs, as BandedOf builds it, writing
+// the band index over the one b held: a caller that bands one set after
+// another keeps one index. Nothing may read b while it is reset.
+func (b *Banded) Reset(rs []Rect) {
+	bands := b.bands[:0]
 	for i, r := range rs {
 		if i == 0 || r.Y0 != rs[i-1].Y0 {
 			bands = append(bands, int32(i))
 		}
 	}
-	return &Banded{rects: rs, bands: append(bands, int32(len(rs)))}
+	b.rects, b.bands = rs, append(bands, int32(len(rs)))
 }
 
 // Rects returns the normal-form rects the set was built from.
@@ -118,7 +129,8 @@ func (b *Banded) Clip(q Rect, dst []Rect) []Rect {
 // included, counts as connected), each as the rects of the set it holds,
 // in position order. Components are numbered by their first rect.
 func (b *Banded) Components() [][]Rect {
-	comp, sizes := b.label()
+	var l Labels
+	comp, sizes := l.label(b)
 	if len(sizes) == 0 {
 		return nil
 	}
@@ -142,34 +154,48 @@ type Region struct {
 	BBox Rect
 }
 
-// Regions is Components measured: each component's area and bounding
-// box, in the same order, without gathering its rects.
-func (b *Banded) Regions() []Region {
-	comp, sizes := b.label()
+// Labels is the working memory of component labelling: each rect's
+// component, each component's size and what Regions measures. A caller
+// that labels one set after another keeps one and allocates the arrays
+// once. The zero value is ready to use; it is not safe for concurrent
+// use.
+type Labels struct {
+	parent, byRoot []int32
+	sizes          []int
+	regions        []Region
+}
+
+// Regions is b's Components measured: each component's area and
+// bounding box, in the same order, without gathering its rects. The
+// result is in l's arrays: the next call on l writes over it.
+func (l *Labels) Regions(b *Banded) []Region {
+	comp, sizes := l.label(b)
 	if len(sizes) == 0 {
 		return nil
 	}
-	out := make([]Region, len(sizes))
+	out := slices.Grow(l.regions[:0], len(sizes))[:len(sizes)]
+	clear(out)
 	for i, r := range b.rects {
 		g := &out[comp[i]]
 		g.Area += r.Area() // normal-form rects are disjoint: their areas add up
 		g.BBox = g.BBox.Union(r)
 	}
+	l.regions = out
 	return out
 }
 
-// label numbers the connected components of the set by first rect and
-// returns each rect's component and each component's size. In normal
-// form two rects can only touch across the line one band ends and the
-// next begins, so each band is joined to the one below, when the two
-// abut, by a merge of their x-sorted rects.
-func (b *Banded) label() (comp []int32, sizes []int) {
+// label numbers the connected components of b by first rect and returns
+// each rect's component and each component's size, both in l's arrays.
+// In normal form two rects can only touch across the line one band ends
+// and the next begins, so each band is joined to the one below, when the
+// two abut, by a merge of their x-sorted rects.
+func (l *Labels) label(b *Banded) (comp []int32, sizes []int) {
 	rs := b.rects
 	n := len(rs)
 	if n == 0 {
 		return nil, nil
 	}
-	parent := make([]int32, n)
+	parent := slices.Grow(l.parent[:0], n)[:n]
 	for i := range parent {
 		parent[i] = int32(i)
 	}
@@ -205,7 +231,9 @@ func (b *Banded) label() (comp []int32, sizes []int) {
 	}
 	// Number the components by first rect and size them; then parent,
 	// every rect's root, becomes every rect's component.
-	byRoot := make([]int32, n) // component number + 1
+	byRoot := slices.Grow(l.byRoot[:0], n)[:n] // component number + 1
+	clear(byRoot)
+	sizes = l.sizes[:0]
 	for _, root := range parent {
 		if byRoot[root] == 0 {
 			sizes = append(sizes, 0)
@@ -216,5 +244,6 @@ func (b *Banded) label() (comp []int32, sizes []int) {
 	for i, root := range parent {
 		parent[i] = byRoot[root] - 1
 	}
+	l.parent, l.byRoot, l.sizes = parent, byRoot, sizes
 	return parent, sizes
 }

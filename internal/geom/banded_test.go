@@ -79,7 +79,8 @@ func checkBanded(t *testing.T, rs []Rect, lim int64) {
 		for _, c := range comps {
 			want = append(want, Region{AreaOf(c), BBoxOf(c)})
 		}
-		if got := b.Regions(); !slices.Equal(got, want) {
+		var l Labels
+		if got := l.Regions(b); !slices.Equal(got, want) {
 			t.Fatalf("Regions() over %v\n got %v\nwant %v", moved, got, want)
 		}
 		for _, q := range bandedQueries(moved, lim) {
@@ -165,12 +166,18 @@ func TestComponents(t *testing.T) {
 	if a := AreaOf(comps[0]); a != 100+75+25 {
 		t.Fatalf("first component %v covers %d, want 200", comps[0], a)
 	}
+	// One Labels measures the set, then none, then one rect: what the
+	// set left in its arrays shows in neither.
+	var l Labels
 	want := []Region{{200, R(0, 0, 20, 20)}, {100, R(100, 100, 110, 110)}}
-	if got := BandedOf(Normalize(raw)).Regions(); !slices.Equal(got, want) {
+	if got := l.Regions(BandedOf(Normalize(raw))); !slices.Equal(got, want) {
 		t.Fatalf("regions of %v = %v, want %v", raw, got, want)
 	}
-	if got := BandedOf(nil).Regions(); got != nil {
+	if got := l.Regions(BandedOf(nil)); got != nil {
 		t.Fatalf("empty set has regions %v", got)
+	}
+	if got, want := l.Regions(BandedOf([]Rect{R(1, 2, 3, 4)})), []Region{{4, R(1, 2, 3, 4)}}; !slices.Equal(got, want) {
+		t.Fatalf("regions of one rect after a larger set = %v, want %v", got, want)
 	}
 }
 

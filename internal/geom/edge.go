@@ -134,9 +134,19 @@ func (g Seg) edge(interior Side) Edge {
 // sorted by coordinate finds every edge: the horizontal ones line by
 // line upwards, then the vertical ones likewise by x. The sides and the
 // edges found live in pooled scratch.
-func BoundarySides(norm []Rect) (sides [4][]Seg) {
+func BoundarySides(norm []Rect) [4][]Seg {
+	sides, _ := AppendBoundarySides(nil, norm)
+	return sides
+}
+
+// AppendBoundarySides is BoundarySides cut from dst's storage: the four
+// sides are appended to dst in Side order, and returned both as the
+// sides, each capped at its length, and as dst grown, which a caller
+// that extracts one boundary after another hands to the next call as
+// dst[:0]. It allocates only when dst has too little room.
+func AppendBoundarySides(dst []Seg, norm []Rect) (sides [4][]Seg, all []Seg) {
 	if len(norm) == 0 {
-		return sides
+		return sides, dst
 	}
 	sc := sidePool.Get().(*sideScratch)
 	if cap(sc.lo) < len(norm) {
@@ -155,12 +165,18 @@ func BoundarySides(norm []Rect) (sides [4][]Seg) {
 	sc.edges(lo, hi, Above, Below)
 	verticalSides(norm, lo, hi)
 	sc.edges(lo, hi, Right, Left)
-	backing := slices.Concat(sc.found[:]...)
+	n := 0
+	for _, segs := range sc.found {
+		n += len(segs)
+	}
+	dst = slices.Grow(dst, n)
 	for side, segs := range sc.found {
-		sides[side], backing = backing[:len(segs):len(segs)], backing[len(segs):]
+		at := len(dst)
+		dst = append(dst, segs...)
+		sides[side] = dst[at:len(dst):len(dst)]
 	}
 	sidePool.Put(sc)
-	return sides
+	return sides, dst
 }
 
 // sideScratch is BoundarySides' working memory: one side per rect where

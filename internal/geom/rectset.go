@@ -24,7 +24,7 @@ func sameIntervals(a, b []interval) bool {
 
 // Union returns the region covered by a or b as disjoint rects.
 func Union(a, b []Rect) []Rect {
-	return bands(opUnion, a, b)
+	return bands(nil, opUnion, a, b)
 }
 
 // Normalize converts an arbitrary (possibly overlapping) rect list into
@@ -37,7 +37,15 @@ func Normalize(rs []Rect) []Rect {
 	if IsNormal(rs) {
 		return rs
 	}
-	return bands(opCovered, rs)
+	return AppendNormal(nil, rs)
+}
+
+// AppendNormal appends the normal form of rs to dst and returns it, the
+// form of Normalize for a caller that keeps one buffer across many
+// sets. It runs the sweep whatever rs is: a caller that can use rs
+// itself when it is already normal asks IsNormal first.
+func AppendNormal(dst, rs []Rect) []Rect {
+	return bands(dst, opCovered, rs)
 }
 
 // IsNormal reports whether rs is exactly in the canonical form the
@@ -92,12 +100,12 @@ func sameXSpans(a, b []Rect) bool {
 
 // Intersect returns the region covered by both a and b.
 func Intersect(a, b []Rect) []Rect {
-	return bands(opIntersect, a, b)
+	return bands(nil, opIntersect, a, b)
 }
 
 // Subtract returns the region covered by a but not b.
 func Subtract(a, b []Rect) []Rect {
-	return bands(opSubtract, a, b)
+	return bands(nil, opSubtract, a, b)
 }
 
 // AreaOf returns the total area covered by the rect set, counting

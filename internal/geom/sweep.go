@@ -306,17 +306,16 @@ func btoi(b bool) int {
 	return 0
 }
 
-// bands runs the sweep under op and returns the region in normal form:
-// a segment whose coverage equals the open band's extends it, any other
-// closes it and opens the next. Bands come out bottom-up and intervals
-// left to right, so no final sort is needed.
-func bands(op opKind, sets ...[]Rect) []Rect {
+// bands runs the sweep under op and appends the region in normal form
+// to out: a segment whose coverage equals the open band's extends it,
+// any other closes it and opens the next. Bands come out bottom-up and
+// intervals left to right, so no final sort is needed.
+func bands(out []Rect, op opKind, sets ...[]Rect) []Rect {
 	s := getSweeper()
 	defer s.release()
 	if !s.load(op, sets...) {
-		return nil
+		return out
 	}
-	var out []Rect
 	row := s.rowA[:0] // intervals of the open band
 	var bandY0 int64  // where the open band started
 	for {
@@ -377,7 +376,7 @@ func sweepArea(op opKind, sets ...[]Rect) int64 {
 // over all operands replaces a chain of pairwise Union calls, which
 // costs O(m · n log n) for m operands against one O(n log n) pass.
 func UnionAll(sets ...[]Rect) []Rect {
-	return bands(opCovered, sets...)
+	return bands(nil, opCovered, sets...)
 }
 
 // IntersectArea returns the area covered by both a and b without

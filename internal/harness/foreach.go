@@ -38,6 +38,15 @@ func ForEach(ctx context.Context, parallel, n int, fn func(i int)) error {
 // below a failed one was taken before it. Returns the context error if
 // no item failed but the context was canceled.
 func ForEachErr(ctx context.Context, parallel, n int, fn func(i int) error) error {
+	return ForEachWorker(ctx, parallel, n, func(_, i int) error { return fn(i) })
+}
+
+// ForEachWorker is ForEachErr that also hands fn the number of the
+// worker running item i, in [0, parallel): one worker runs its items one
+// after another, so fn may keep per-worker scratch in a slice indexed by
+// it and reuse it from item to item without a lock. The inline loop is
+// worker 0.
+func ForEachWorker(ctx context.Context, parallel, n int, fn func(w, i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
@@ -51,7 +60,7 @@ func ForEachErr(ctx context.Context, parallel, n int, fn func(i int) error) erro
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := fn(i); err != nil {
+			if err := fn(0, i); err != nil {
 				cForEachErrors.Inc()
 				return err
 			}
@@ -76,7 +85,7 @@ func ForEachErr(ctx context.Context, parallel, n int, fn func(i int) error) erro
 				if i >= n {
 					return
 				}
-				if err := fn(i); err != nil {
+				if err := fn(w, i); err != nil {
 					mu.Lock()
 					if i < firstIdx {
 						firstIdx, firstErr = i, err

@@ -26,35 +26,55 @@ type Fix struct {
 }
 
 // Skip reasons for findings the fixer cannot turn into a proposal.
-// These are reported, never silently dropped: an attribution with no
+// These are reported, never silently dropped: a finding with no
 // proposal is as much a repair-loop outcome as a rejected fix.
 const (
 	SkipNotTopLevel = "offender-not-top-level" // geometry lives inside a macro
 	SkipNoStrategy  = "no-fix-strategy"        // no fixer handles the rule
 )
 
-// Propose turns a score's attributions (plus a redundant-via pass)
-// into candidate fixes, ordered most-valuable first: attribution
-// weight descending, then kind, then marker position. skipped counts
-// the attributions no strategy could propose for, by reason.
+// Propose turns a score's findings (plus a redundant-via pass) into
+// candidate fixes, ordered most-valuable first: finding weight
+// descending, then kind, then marker position. skipped counts the
+// findings no strategy could propose for, by reason.
+//
+// The score is read once, rule by rule: a rule's strategy is chosen
+// once, its skips are counted once, and a proposal searches the cell's
+// own shapes of one layer, bucketed once, not the whole cell. Hotspot
+// findings have no strategy.
 func Propose(ctx context.Context, t *tech.Tech, top *layout.Cell, sc Score, _ Weights) (fixes []Fix, skipped map[string]int, err error) {
 	skipped = make(map[string]int)
-	for _, a := range sc.Attributions() {
-		switch {
-		case strings.Contains(a.Rule, ".space.") && !a.Layer.IsVia():
-			if f, ok := proposeSpread(top, a); ok {
+	own := make(map[tech.Layer][]layout.Shape)
+	for _, sh := range top.Shapes {
+		own[sh.Layer] = append(own[sh.Layer], sh)
+	}
+	for _, b := range sc.blocks {
+		spacing, enclosure := strings.Contains(b.rule, ".space."), strings.Contains(b.rule, ".enc.")
+		notTop, none := 0, len(b.hs)
+		for _, v := range b.vs {
+			a := Attribution{Rule: b.rule, Layer: v.Layer, Marker: v.Marker, Weight: b.weight}
+			var f Fix
+			var ok bool
+			switch {
+			case spacing && !v.Layer.IsVia():
+				f, ok = proposeSpread(own[v.Layer], a)
+			case enclosure:
+				f, ok = proposeGrow(t, own[v.Layer.AboveOf()], a)
+			default:
+				none++
+				continue
+			}
+			if ok {
 				fixes = append(fixes, f)
 			} else {
-				skipped[a.Rule+":"+SkipNotTopLevel]++
+				notTop++
 			}
-		case strings.Contains(a.Rule, ".enc."):
-			if f, ok := proposeGrow(t, top, a); ok {
-				fixes = append(fixes, f)
-			} else {
-				skipped[a.Rule+":"+SkipNotTopLevel]++
-			}
-		default:
-			skipped[a.Rule+":"+SkipNoStrategy]++
+		}
+		if notTop > 0 {
+			skipped[b.rule+":"+SkipNotTopLevel] += notTop
+		}
+		if none > 0 {
+			skipped[b.rule+":"+SkipNoStrategy] += none
 		}
 	}
 
@@ -100,8 +120,9 @@ func Propose(ctx context.Context, t *tech.Tech, top *layout.Cell, sc Score, _ We
 // spacing violation is the gap box: its short axis is the measured
 // gap, and the shape abutting its far side is the one to move. Only a
 // shape of the cell's own (the designer's wires) can move; macro
-// internals cannot.
-func proposeSpread(top *layout.Cell, a Attribution) (Fix, bool) {
+// internals cannot. own holds the cell's shapes, or those of a's layer
+// among them, in the cell's order: the first that fits moves.
+func proposeSpread(own []layout.Shape, a Attribution) (Fix, bool) {
 	s, ok := ruleDistance(a.Rule)
 	if !ok {
 		return Fix{}, false
@@ -121,7 +142,7 @@ func proposeSpread(top *layout.Cell, a Attribution) (Fix, bool) {
 		// is not a single-axis slide, so no proposal.
 		return Fix{}, false
 	}
-	for _, sh := range top.Shapes {
+	for _, sh := range own {
 		if sh.Layer != a.Layer || !matches(sh.R) {
 			continue
 		}
@@ -137,8 +158,9 @@ func proposeSpread(top *layout.Cell, a Attribution) (Fix, bool) {
 
 // proposeGrow heals a via enclosure violation by extending the metal
 // pad over the cut to a full legal enclosure. The marker is the cut;
-// the pad is the cell's own metal shape overlapping it.
-func proposeGrow(t *tech.Tech, top *layout.Cell, a Attribution) (Fix, bool) {
+// the pad is the cell's own metal shape overlapping it, the first in
+// own, which holds the cell's shapes or those of the metal among them.
+func proposeGrow(t *tech.Tech, own []layout.Shape, a Attribution) (Fix, bool) {
 	if !a.Layer.IsVia() {
 		return Fix{}, false
 	}
@@ -147,7 +169,7 @@ func proposeGrow(t *tech.Tech, top *layout.Cell, a Attribution) (Fix, bool) {
 	cut := a.Marker
 	encA := cut.BloatXY(rules.ViaEnclosure, rules.ViaEncSide)
 	encB := cut.BloatXY(rules.ViaEncSide, rules.ViaEnclosure)
-	for _, sh := range top.Shapes {
+	for _, sh := range own {
 		if sh.Layer != metal || !sh.R.Overlaps(cut) {
 			continue
 		}

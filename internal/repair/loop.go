@@ -50,8 +50,9 @@ type Outcome struct {
 	Rounds        []RoundStats
 	Applied       []Fix
 	Rejected      []Rejection
-	// Skipped counts attributions no strategy could propose for,
-	// accumulated across rounds by reason.
+	// Skipped counts, by reason, the findings the last proposal had no
+	// fix for: what the loop still could not reach when it stopped. A
+	// finding skipped round after round counts once.
 	Skipped map[string]int
 }
 
@@ -89,15 +90,13 @@ func Run(stdctx context.Context, t *tech.Tech, top *layout.Cell, o Opts) (*Outco
 	singles, _ := yieldpkg.CountViaRedundancy(cur.Shapes, t)
 	sc := ScoreResult(res, singles, Weights{})
 
-	out := &Outcome{Before: sc, Skipped: make(map[string]int)}
+	out := &Outcome{Before: sc}
 	for round := 0; round < rounds; round++ {
 		fixes, skipped, err := Propose(stdctx, t, cur, sc, Weights{})
 		if err != nil {
 			return nil, err
 		}
-		for k, n := range skipped {
-			out.Skipped[k] += n
-		}
+		out.Skipped = skipped
 		rs := RoundStats{Proposed: len(fixes)}
 		var dirty Delta
 		for _, f := range fixes {

@@ -49,7 +49,7 @@ func TestScoreResult(t *testing.T) {
 		t.Fatalf("Total = %v, want 18.5", sc.Total)
 	}
 	// Attribution order: weight descending, ties by rule then marker.
-	attr := sc.Attributions()
+	attr := attributions(sc)
 	if len(attr) != 5 {
 		t.Fatalf("attr count = %d, want 5", len(attr))
 	}
@@ -339,5 +339,36 @@ func TestRepairSkipsAreCounted(t *testing.T) {
 	}
 	if out.After.Total != out.Before.Total {
 		t.Fatalf("score moved: %v -> %v", out.Before.Total, out.After.Total)
+	}
+}
+
+// A finding the loop cannot reach counts once in Skipped however many
+// rounds skip it: over two rounds — the first spreads a top-level pair,
+// so the second proposes again — the macro-internal spacing finding is
+// skipped twice and reported once, as often as the result holds it.
+func TestSkippedCountsEachFindingOnce(t *testing.T) {
+	tt := tech.N45()
+	inner := layout.NewCell("X_INNER")
+	inner.Add(tech.Metal2, geom.R(0, 0, 300, 70))
+	inner.Add(tech.Metal2, geom.R(350, 0, 650, 70)) // 50nm gap inside the macro
+	top := layout.NewCell("X_TWICE")
+	top.Place(inner, geom.Translate(500, 500), "u0")
+	top.Add(tech.Metal2, geom.R(500, 2000, 800, 2070)) // a 50nm gap the fixer owns
+	top.Add(tech.Metal2, geom.R(850, 2000, 1150, 2070))
+	top.Add(tech.Metal1, geom.R(0, 0, 3000, 3000))
+
+	out, err := Run(context.Background(), tt, top, Opts{
+		Eval:   tiling.Opts{Tile: 8000, Halo: 2000, DRC: true},
+		Rounds: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Rounds) != 2 || out.Rounds[0].Applied != 1 {
+		t.Fatalf("rounds %+v, want two with one fix applied in the first", out.Rounds)
+	}
+	const rule = "metal2.space.70"
+	if got, want := out.Skipped[rule+":"+SkipNotTopLevel], out.Result.ByRule[rule]; got != want || want != 1 {
+		t.Fatalf("skipped %d %s findings, the result holds %d (want 1): %v", got, rule, want, out.Skipped)
 	}
 }

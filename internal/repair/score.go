@@ -54,8 +54,8 @@ func violationWeight(rule string) float64 {
 	return 1
 }
 
-// Attribution ties one unit of score cost to the rect that earned it,
-// so the fixer (and reports) can rank concrete offenders.
+// Attribution ties one unit of score cost to the rect that earned it:
+// the finding a fix is proposed for.
 type Attribution struct {
 	Rule   string // DRC rule name, or "hotspot.<layer>"
 	Layer  tech.Layer
@@ -76,7 +76,7 @@ type Score struct {
 	Singles    int
 	ByRule     map[string]float64
 	// blocks holds the findings one rule at a time, most expensive
-	// rule first (ties by rule name): what Attributions expands.
+	// rule first (ties by rule name): what Propose walks.
 	blocks []ruleBlock
 }
 
@@ -148,41 +148,6 @@ func cutRules(vs []drc.Violation) []ruleBlock {
 		vs = vs[n:]
 	}
 	return blocks
-}
-
-// Attributions lists every violation and hotspot the score counted
-// with its weight, sorted most expensive first (ties by rule, then
-// marker position, then — so the order is total — layer): the fixer's
-// worklist. It is built on each call, so call it once per score. Each
-// rule's violations are already in that order; each layer's hotspot
-// boxes are sorted on a copy, since scan order is not marker order.
-// The scored result is only read.
-func (sc Score) Attributions() []Attribution {
-	n := 0
-	for _, b := range sc.blocks {
-		n += len(b.vs) + len(b.hs)
-	}
-	if n == 0 {
-		return nil
-	}
-	attr := make([]Attribution, 0, n)
-	for _, b := range sc.blocks {
-		for _, v := range b.vs {
-			attr = append(attr, Attribution{Rule: b.rule, Layer: v.Layer, Marker: v.Marker, Weight: b.weight})
-		}
-		if len(b.hs) == 0 {
-			continue
-		}
-		boxes := make([]geom.Rect, len(b.hs))
-		for i, h := range b.hs {
-			boxes[i] = h.Box
-		}
-		slices.SortFunc(boxes, geom.Rect.Compare)
-		for _, box := range boxes {
-			attr = append(attr, Attribution{Rule: b.rule, Layer: b.layer, Marker: box, Weight: b.weight})
-		}
-	}
-	return attr
 }
 
 // ruleDistance parses the trailing numeric field of a rule name

@@ -8,9 +8,11 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/drc"
+	"repro/internal/dvia"
 	"repro/internal/geom"
 	"repro/internal/layout"
 	"repro/internal/litho"
@@ -128,12 +130,12 @@ func TestScoreResultMatchesOracle(t *testing.T) {
 		if diff := sameTotals(got, want); diff != "" {
 			t.Errorf("%s: ScoreResult differs from the oracle: %s", tc.name, diff)
 		}
-		attr := got.Attributions()
+		attr := attributions(got)
 		if !reflect.DeepEqual(attr, wantAttr) {
 			t.Errorf("%s: worklist differs from the oracle's (%d vs %d attributions)",
 				tc.name, len(attr), len(wantAttr))
 		}
-		if again := got.Attributions(); !reflect.DeepEqual(again, attr) {
+		if again := attributions(got); !reflect.DeepEqual(again, attr) {
 			t.Errorf("%s: a second worklist differs from the first", tc.name)
 		}
 		if !reflect.DeepEqual(before, tc.res.Violations) {
@@ -158,7 +160,7 @@ func TestScoreResultOrderIsTotal(t *testing.T) {
 		if diff := sameTotals(sc, want); diff != "" {
 			t.Fatalf("call %d: %s", i, diff)
 		}
-		attr := sc.Attributions()
+		attr := attributions(sc)
 		for k, want := range []tech.Layer{tech.Metal1, tech.Metal2, tech.Metal3} {
 			if attr[k].Layer != want {
 				t.Fatalf("call %d: worklist layers = %v %v %v, want ascending", i, attr[0].Layer, attr[1].Layer, attr[2].Layer)
@@ -196,5 +198,153 @@ func TestScoreResultAllocatesPerRule(t *testing.T) {
 	if bound := uint64(rules) << 10; perCall > bound {
 		t.Fatalf("ScoreResult of %d violations over %d rules allocates %d bytes a call, bound %d",
 			len(res.Violations), rules, perCall, bound)
+	}
+}
+
+// attributions is the worklist Propose once walked: every violation and
+// hotspot the score counted with its weight, sorted most expensive first
+// (ties by rule, then marker position, then — so the order is total —
+// layer). Each rule's violations are already in that order; each
+// layer's hotspot boxes are sorted on a copy, since scan order is not
+// marker order. The scored result is only read.
+func attributions(sc Score) []Attribution {
+	n := 0
+	for _, b := range sc.blocks {
+		n += len(b.vs) + len(b.hs)
+	}
+	if n == 0 {
+		return nil
+	}
+	attr := make([]Attribution, 0, n)
+	for _, b := range sc.blocks {
+		for _, v := range b.vs {
+			attr = append(attr, Attribution{Rule: b.rule, Layer: v.Layer, Marker: v.Marker, Weight: b.weight})
+		}
+		if len(b.hs) == 0 {
+			continue
+		}
+		boxes := make([]geom.Rect, len(b.hs))
+		for i, h := range b.hs {
+			boxes[i] = h.Box
+		}
+		slices.SortFunc(boxes, geom.Rect.Compare)
+		for _, box := range boxes {
+			attr = append(attr, Attribution{Rule: b.rule, Layer: b.layer, Marker: box, Weight: b.weight})
+		}
+	}
+	return attr
+}
+
+// proposeOracle is Propose as it stood when it walked the worklist: one
+// attribution at a time, a skip key built for each, every proposal
+// searching all of the cell's own shapes.
+func proposeOracle(ctx context.Context, t *tech.Tech, top *layout.Cell, sc Score) ([]Fix, map[string]int, error) {
+	skipped := make(map[string]int)
+	var fixes []Fix
+	for _, a := range attributions(sc) {
+		switch {
+		case strings.Contains(a.Rule, ".space.") && !a.Layer.IsVia():
+			if f, ok := proposeSpread(top.Shapes, a); ok {
+				fixes = append(fixes, f)
+			} else {
+				skipped[a.Rule+":"+SkipNotTopLevel]++
+			}
+		case strings.Contains(a.Rule, ".enc."):
+			if f, ok := proposeGrow(t, top.Shapes, a); ok {
+				fixes = append(fixes, f)
+			} else {
+				skipped[a.Rule+":"+SkipNotTopLevel]++
+			}
+		default:
+			skipped[a.Rule+":"+SkipNoStrategy]++
+		}
+	}
+	rep, err := dvia.Insert(ctx, top.Shapes, t)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, ins := range rep.Placed {
+		fixes = append(fixes, Fix{
+			Kind: "double", Rule: "single." + ins.Via.String(), Target: ins.Origin,
+			Weight: singleViaWeight, Delta: Delta{Added: ins.Shapes},
+		})
+	}
+	if unfixed := rep.Candidates - rep.Inserted; unfixed > 0 {
+		skipped["single-via:no-legal-position"] += unfixed
+	}
+	sort.SliceStable(fixes, func(i, j int) bool {
+		a, b := fixes[i], fixes[j]
+		if a.Weight != b.Weight {
+			return a.Weight > b.Weight
+		}
+		if a.Kind != b.Kind {
+			return a.Kind < b.Kind
+		}
+		am, bm := a.Target, b.Target
+		if am.Y0 != bm.Y0 {
+			return am.Y0 < bm.Y0
+		}
+		return am.X0 < bm.X0
+	})
+	return fixes, skipped, nil
+}
+
+// Propose, reading the score rule by rule over shapes bucketed by layer,
+// proposes what the worklist walk proposed, in the same order, and skips
+// what it skipped, on a repair chip, on a routed block and on the chip
+// with hotspots on two layers scored beside its violations.
+func TestProposeMatchesOracle(t *testing.T) {
+	tt := tech.N45()
+	chip, _, err := layout.GenerateChip(tt, layout.ChipOpts{Seed: 3, Slots: 3, Defects: 3, RepairDefects: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	block, err := layout.GenerateBlock(tt, layout.BlockOpts{Rows: 3, RowWidth: 10000, Nets: 15, MaxFan: 3, Seed: 31})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := tiling.Opts{Tile: 9000, Halo: 2000, DRC: true, Density: true, DensityWindow: 3000}
+	type fixture struct {
+		name string
+		top  *layout.Cell
+		res  *tiling.Result
+	}
+	var cases []fixture
+	for _, c := range []struct {
+		name string
+		top  *layout.Cell
+	}{{"chip", chip.Top}, {"block", block.Top}} {
+		res, err := tiling.EvaluateChip(context.Background(), tt, c.top, o)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		cases = append(cases, fixture{c.name, c.top, res})
+	}
+	spots := *cases[0].res
+	spots.Hotspots = map[tech.Layer][]litho.Hotspot{
+		tech.Metal2: {{Box: geom.R(900, 500, 960, 560)}, {Box: geom.R(100, 500, 160, 560)}},
+		tech.Metal1: {{Box: geom.R(5000, 5000, 5050, 5050)}},
+	}
+	cases = append(cases, fixture{"chip+hotspots", chip.Top, &spots})
+	for _, c := range cases {
+		sc := ScoreResult(c.res, 4, Weights{})
+		fixes, skipped, err := Propose(context.Background(), tt, c.top, sc, Weights{})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		wantFixes, wantSkipped, err := proposeOracle(context.Background(), tt, c.top, sc)
+		if err != nil {
+			t.Fatalf("%s: oracle: %v", c.name, err)
+		}
+		if len(fixes) == 0 || len(skipped) == 0 {
+			t.Fatalf("%s: %d fixes and %d skip reasons; the case is vacuous", c.name, len(fixes), len(skipped))
+		}
+		if !reflect.DeepEqual(fixes, wantFixes) {
+			t.Errorf("%s: %d fixes differ from the oracle's %d\n got %+v\nwant %+v", c.name, len(fixes), len(wantFixes), fixes, wantFixes)
+		}
+		if !reflect.DeepEqual(skipped, wantSkipped) {
+			t.Errorf("%s: skipped %v, oracle %v", c.name, skipped, wantSkipped)
+		}
+		t.Logf("%s: %d violations, %d fixes, skipped %v", c.name, len(c.res.Violations), len(fixes), skipped)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -92,11 +93,13 @@ func placement(claim string, body []byte) string {
 	return "sha256:" + hex.EncodeToString(sum[:])
 }
 
-// relay writes a backend's answer out as it came.
+// relay writes a backend's answer out as it came, declaring its length
+// so that it is not chunked.
 func relay(w http.ResponseWriter, rep *client.Reply) {
 	if ct := rep.Header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
 	}
+	w.Header().Set("Content-Length", strconv.Itoa(len(rep.Body)))
 	w.WriteHeader(rep.Code)
 	w.Write(rep.Body) //nolint:errcheck // client gone; nothing to do
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"time"
 
 	"repro/internal/obs"
@@ -32,11 +33,19 @@ func (s *Server) Handler() http.Handler {
 // WriteJSON and WriteError are the one way either tier answers a
 // request (dfmrouter calls them too), so content type, format and the
 // error-body shape cannot drift between dfmd and the router. The format
-// is json.Marshal's, compact, and a newline.
+// is json.Marshal's, compact, and a newline. The body is marshalled
+// before the header goes, so the answer declares its length and is not
+// chunked: a reader sizes its buffer once. A value that does not marshal
+// is answered with code and no body.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
+	b, err := json.Marshal(v)
+	if err == nil {
+		b = append(b, '\n')
+		w.Header().Set("Content-Length", strconv.Itoa(len(b)))
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v) //nolint:errcheck // client gone; nothing to do
+	w.Write(b) //nolint:errcheck // client gone; nothing to do
 }
 
 // WriteError answers code with an ErrorBody carrying msg.

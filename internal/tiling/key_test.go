@@ -138,7 +138,7 @@ func fixturePlan(tb testing.TB, rects int64) (*plan, *Extractor) {
 func tileUnits(p *plan, ex *Extractor) []*TileRequest {
 	us := make([]*TileRequest, p.nx*p.ny)
 	for i := range us {
-		us[i], _ = p.tileUnit(i, ex)
+		us[i], _ = p.tileUnit(i, ex, nil)
 	}
 	return us
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/drc"
 	"repro/internal/geom"
+	"repro/internal/layout"
 	"repro/internal/litho"
 	"repro/internal/tech"
 )
@@ -203,13 +204,14 @@ func (p *plan) fits(t *tech.Tech, ex *Extractor) bool {
 // density windows it owns and the whole-shape extraction over its padded
 // core, all with the core at the origin — origin on the chip. Shapes
 // are extracted straight into that frame; none is copied to be moved.
-func (p *plan) tileUnit(i int, ex *Extractor) (*TileRequest, geom.Point) {
+// They are appended to shapes, a worker's buffer or nil.
+func (p *plan) tileUnit(i int, ex *Extractor, shapes []layout.Shape) (*TileRequest, geom.Point) {
 	core := p.core(i)
 	origin, d := geom.Pt(core.X0, core.Y0), geom.Pt(-core.X0, -core.Y0)
 	u := p.tmpl
 	u.Stage = StageTile
 	u.CoreW, u.CoreH, u.Pad = core.Width(), core.Height(), p.pad
-	u.Shapes = ex.appendShapesRel(core.Bloat(p.pad), origin, nil)
+	u.Shapes = ex.appendShapesRel(core.Bloat(p.pad), origin, shapes)
 	u.Windows = make([]geom.Rect, len(p.perTileWins[i]))
 	for j, wi := range p.perTileWins[i] {
 		u.Windows[j] = p.wins[wi].Translate(d)

@@ -278,7 +278,10 @@ func (e *engine) report(st *Stats) {
 // the one place a unit is put in canonical order, and only a unit that
 // is about to be keyed or shipped: a local, cache-less evaluation (every
 // delta of an edit loop) has no use for an identity and pays no sort.
-func (e *engine) runUnit(ctx context.Context, u *TileRequest, origin geom.Point) (*TileResult, error) {
+//
+// deck is the context a tile computed in process is checked in: its
+// worker's, or nil for a fresh one.
+func (e *engine) runUnit(ctx context.Context, u *TileRequest, origin geom.Point, deck *drc.Context) (*TileResult, error) {
 	n := &e.tiles
 	if u.Stage == StageWindow {
 		n = &e.windows
@@ -288,14 +291,14 @@ func (e *engine) runUnit(ctx context.Context, u *TileRequest, origin geom.Point)
 		u.canonicalize()
 	}
 	if cache == nil {
-		out, err := e.compute(ctx, u, n, origin)
+		out, err := e.compute(ctx, u, n, origin, deck)
 		if err != nil {
 			return nil, err
 		}
 		return out.translate(origin), nil
 	}
 	out, hit, err := cache.do(ctx, u.key(e.cfg), func() (*TileResult, error) {
-		return e.compute(ctx, u, n, origin)
+		return e.compute(ctx, u, n, origin, deck)
 	})
 	if err != nil {
 		return nil, err
@@ -310,9 +313,9 @@ func (e *engine) runUnit(ctx context.Context, u *TileRequest, origin geom.Point)
 
 // compute answers one unit in its own frame: through the fleet when the
 // engine has one, by the execute a node would run otherwise.
-func (e *engine) compute(ctx context.Context, u *TileRequest, n *unitCounts, origin geom.Point) (*TileResult, error) {
+func (e *engine) compute(ctx context.Context, u *TileRequest, n *unitCounts, origin geom.Point, deck *drc.Context) (*TileResult, error) {
 	if e.remote == nil {
-		return u.execute(ctx, e.t, e.std, e.densRules)
+		return u.execute(ctx, e.t, e.std, e.densRules, deck)
 	}
 	n.remote.Add(1)
 	out, served, err := e.remote.EvalTile(ctx, u)
@@ -338,6 +341,11 @@ func (e *engine) compute(ctx context.Context, u *TileRequest, n *unitCounts, ori
 // dirty lists, ascending, the tiles that were computed: all of them, or
 // with a prior snapshot those a changed rect reaches — the rest are its
 // outputs, taken untouched.
+//
+// A worker of an in-process run keeps one tileScratch for every tile it
+// runs, and the scratch goes with the evaluation. A run through the
+// fleet extracts every unit into a buffer of its own: a TileClient may
+// keep the unit it was handed.
 func (e *engine) runTiles(ctx context.Context) (outs []*TileResult, dirty []int, err error) {
 	n := e.nx * e.ny
 	if e.prev != nil {
@@ -349,11 +357,20 @@ func (e *engine) runTiles(ctx context.Context) (outs []*TileResult, dirty []int,
 			dirty[i] = i
 		}
 	}
-	err = harness.ForEachErr(ctx, e.opts.Workers, len(dirty), func(k int) error {
+	var scratch []tileScratch
+	if e.remote == nil {
+		scratch = make([]tileScratch, min(e.opts.Workers, len(dirty)))
+	}
+	err = harness.ForEachWorker(ctx, e.opts.Workers, len(dirty), func(w, k int) error {
 		sp := hTileNS.Start()
 		defer sp.End()
 		i := dirty[k]
-		u, origin := e.tileUnit(i, e.ex)
+		var shapes []layout.Shape
+		var deck *drc.Context
+		if scratch != nil {
+			shapes, deck = scratch[w].shapes[:0], &scratch[w].deck
+		}
+		u, origin := e.tileUnit(i, e.ex, shapes)
 		e.shapes.Add(int64(len(u.Shapes)))
 		if len(u.Shapes) == 0 {
 			e.emptyTiles.Add(1)
@@ -368,10 +385,23 @@ func (e *engine) runTiles(ctx context.Context) (outs []*TileResult, dirty []int,
 			return nil
 		}
 		var err error
-		outs[i], err = e.runUnit(ctx, u, origin)
+		outs[i], err = e.runUnit(ctx, u, origin, deck)
+		if scratch != nil {
+			scratch[w].shapes = u.Shapes[:0] // grown to what the unit needed
+		}
 		return err
 	})
 	return outs, dirty, err
+}
+
+// tileScratch is what one tile worker of an in-process evaluation
+// reuses from tile to tile: the buffer its units are extracted into and
+// the context the deck checks them in. Nothing a tile returns aliases
+// either — violations and densities are values in fresh slices — so the
+// next tile may write over both.
+type tileScratch struct {
+	shapes []layout.Shape
+	deck   drc.Context
 }
 
 // runScans is stage B: every hotspot layer's window scan, stitched into
@@ -390,7 +420,7 @@ func (e *engine) runScans(ctx context.Context, res *Result) ([][][]litho.Hotspot
 			exec: func(win geom.Rect, rs []geom.Rect) ([]litho.Hotspot, error) {
 				span := hWindowNS.Start()
 				defer span.End()
-				out, err := e.runUnit(ctx, e.windowUnit(sp, win, rs), geom.Pt(win.X0, win.Y0))
+				out, err := e.runUnit(ctx, e.windowUnit(sp, win, rs), geom.Pt(win.X0, win.Y0), nil)
 				if err != nil {
 					return nil, err
 				}
@@ -412,16 +442,21 @@ func (e *engine) runScans(ctx context.Context, res *Result) ([][][]litho.Hotspot
 }
 
 // computeTile runs the per-tile workhorses on an extracted context;
-// core, padded, wins and the result share the shapes' frame. A unit
+// core, padded, wins and the result share the shapes' frame. The context
+// is tctx reset onto the shapes, or a fresh one when tctx is nil. A unit
 // with no deck and no density rule (a hotspot-only evaluation's tile)
 // builds no context: its result holds nothing either way.
-func computeTile(ctx context.Context, t *tech.Tech, std *drc.Deck, densRules []drc.DensityWindow,
+func computeTile(ctx context.Context, t *tech.Tech, std *drc.Deck, densRules []drc.DensityWindow, tctx *drc.Context,
 	shapes []layout.Shape, core, padded geom.Rect, wins []geom.Rect) (*TileResult, error) {
 	out := &TileResult{Dens: make([][]float64, len(densRules))}
 	if std == nil && len(densRules) == 0 {
 		return out, nil
 	}
-	tctx := drc.NewContext(t, shapes)
+	if tctx == nil {
+		tctx = drc.NewContext(t, shapes)
+	} else {
+		tctx.Reset(t, shapes)
+	}
 	if std != nil {
 		r := std.RunCtx(ctx, tctx, 1)
 		if err := ctx.Err(); err != nil {

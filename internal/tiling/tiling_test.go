@@ -410,15 +410,73 @@ func TestComputeTileWithNothingToCheck(t *testing.T) {
 	tt := tech.N45()
 	core := geom.R(0, 0, 24000, 24000)
 	shapes := (&layout.Layout{Top: seamChip()}).Flatten()
-	got, err := computeTile(context.Background(), tt, nil, nil, shapes, core, core.Bloat(2000), nil)
+	got, err := computeTile(context.Background(), tt, nil, nil, nil, shapes, core, core.Bloat(2000), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := computeTile(context.Background(), tt, &drc.Deck{}, nil, shapes, core, core.Bloat(2000), nil)
+	want, err := computeTile(context.Background(), tt, &drc.Deck{}, nil, nil, shapes, core, core.Bloat(2000), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) || got.Violations != nil || got.Dens == nil || len(got.Dens) != 0 {
 		t.Fatalf("no deck, no density: %#v; an empty deck: %#v", got, want)
+	}
+}
+
+// One worker's scratch carried through tiles chosen to leave stale tails
+// behind — the chip's largest tile, an empty one, a single-layer one of
+// fewer regions (metal1 islands under the area rule), the largest again
+// — answers each as a fresh context does, and what it returned for a
+// tile still holds after the tiles that followed wrote over the scratch.
+func TestTileScratchReuse(t *testing.T) {
+	tt := tech.N45()
+	l, _, err := layout.GenerateChip(tt, layout.ChipOpts{Seed: 11, Slots: 4, Defects: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := NewExtractor(l.Top)
+	p := newPlan(tt, ex, Opts{DRC: true, Density: true, DensityWindow: 3000})
+	var big *TileRequest
+	for i := range p.nx * p.ny {
+		if u, _ := p.tileUnit(i, ex, nil); big == nil || len(u.Shapes) > len(big.Shapes) {
+			big = u
+		}
+	}
+	empty, single := *big, *big
+	empty.Shapes, single.Shapes = nil, nil
+	for x := int64(1000); x < 13000; x += 600 {
+		single.Shapes = append(single.Shapes, layout.Shape{Layer: tech.Metal1, R: geom.R(x, 1000, x+100, 1100)})
+	}
+	units := []*TileRequest{big, &empty, &single, big}
+	core := geom.R(0, 0, big.CoreW, big.CoreH)
+	fresh := func(u *TileRequest) *TileResult {
+		out, err := computeTile(context.Background(), tt, p.std, p.densRules, nil, u.Shapes, core, core.Bloat(u.Pad), u.Windows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	var sc tileScratch
+	var got []*TileResult
+	for k, u := range units {
+		sc.shapes = append(sc.shapes[:0], u.Shapes...)
+		out, err := computeTile(context.Background(), tt, p.std, p.densRules, &sc.deck, sc.shapes, core, core.Bloat(u.Pad), u.Windows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fresh(u); !reflect.DeepEqual(out, want) {
+			t.Fatalf("tile %d of %d shapes: the reused scratch gives %d violations, a fresh context %d",
+				k, len(u.Shapes), len(out.Violations), len(want.Violations))
+		}
+		got = append(got, out)
+	}
+	if len(got[0].Violations) == 0 || len(got[2].Violations) != len(single.Shapes) {
+		t.Fatalf("largest tile: %d violations; %d islands: %d violations; the case is vacuous",
+			len(got[0].Violations), len(single.Shapes), len(got[2].Violations))
+	}
+	for k, u := range units {
+		if !reflect.DeepEqual(got[k], fresh(u)) {
+			t.Fatalf("tile %d's result moved when later tiles reused the scratch", k)
+		}
 	}
 }

@@ -336,18 +336,20 @@ func ExecuteTile(ctx context.Context, r *TileRequest) (*TileResult, error) {
 			}
 		}
 	}
-	return r.execute(ctx, &t, std, densRules)
+	return r.execute(ctx, &t, std, densRules, nil)
 }
 
 // execute runs the unit's workhorses in the unit's own frame — the one
 // computation behind a unit wherever it runs: the engine calls it with
-// its plan's technology and decks, ExecuteTile with those it built from
-// the unit. Scan thresholds travel raw (zero means the per-layer
+// its plan's technology and decks and a tile worker's context,
+// ExecuteTile with those it built from the unit and none: a tile is
+// checked in deck reset onto its shapes, or in a fresh context when deck
+// is nil, and a scan window has no use for it. Scan thresholds travel raw (zero means the per-layer
 // default); litho.ScanWindowCtx resolves them.
-func (r *TileRequest) execute(ctx context.Context, t *tech.Tech, std *drc.Deck, densRules []drc.DensityWindow) (*TileResult, error) {
+func (r *TileRequest) execute(ctx context.Context, t *tech.Tech, std *drc.Deck, densRules []drc.DensityWindow, deck *drc.Context) (*TileResult, error) {
 	if r.Stage == StageTile {
 		core := geom.R(0, 0, r.CoreW, r.CoreH)
-		return computeTile(ctx, t, std, densRules, r.Shapes, core, core.Bloat(r.Pad), r.Windows)
+		return computeTile(ctx, t, std, densRules, deck, r.Shapes, core, core.Bloat(r.Pad), r.Windows)
 	}
 	kept, err := litho.ScanWindowCtx(ctx, r.Rects, geom.R(0, 0, r.WinW, r.WinH), t, r.Layer,
 		litho.ScanOpts{Cond: r.Cond, MinWidth: r.MinWidth, MinSpace: r.MinSpace, Interior: r.Interior})

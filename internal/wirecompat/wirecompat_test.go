@@ -444,6 +444,36 @@ func suite(t *testing.T, d *deployment) {
 		}
 	})
 
+	// A job answer declares its length, on both tiers: marshalled
+	// before it is written, and relayed with the length of the bytes
+	// that came, it is never chunked, so a reader sizes its buffer once.
+	// The answer here, 440 violations, is past the size (2 KiB) net/http
+	// would otherwise send in chunks.
+	t.Run("answer-declares-length", func(t *testing.T) {
+		u := tileReq()
+		u.Shapes = nil
+		for x := int64(0); x < 7700; x += 700 {
+			for _, x0 := range []int64{x, x + 350} {
+				for y := int64(0); y < 8000; y += 200 {
+					u.Shapes = append(u.Shapes, layout.Shape{Layer: tech.Metal2, R: geom.R(x0, y, x0+300, y+70)})
+				}
+			}
+		}
+		resp := postJSON(t, d.url+"/v1/jobs", server.JobRequest{Kind: server.KindTile, Tile: u})
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || len(body) < 4<<10 {
+			t.Fatalf("answer %d of %d bytes, want 200 and over 4 KiB", resp.StatusCode, len(body))
+		}
+		if len(resp.TransferEncoding) != 0 || resp.ContentLength != int64(len(body)) {
+			t.Fatalf("answer of %d bytes sent with transfer encoding %v and declared length %d, want the length declared",
+				len(body), resp.TransferEncoding, resp.ContentLength)
+		}
+	})
+
 	t.Run("tile-round-trip", func(t *testing.T) {
 		want, err := tiling.ExecuteTile(context.Background(), tileReq())
 		if err != nil {

@@ -72,7 +72,7 @@ test:
 race-fast: ## race pass skipping the slow full-scorecard experiments
 	$(GO) test -race -short ./...
 
-fuzz-smoke: ## 20 s of the morphology fuzzer (the streaming erosion and dilation stages, the run labeller and the hotspot detector against the per-pixel oracle), 10 s of the sparse-blur fuzzer (the banded update against the per-rect oracle and the dense blur, both kernel arms too) and 10 s of the boundary-edge fuzzer, each against its oracle; 10 s of the litho kernel's assembly routines (the blur's rank-1 update, the square, the threshold word) against their Go loops, the rank-1 update over 0–7 rows with guard words between them; 10 s of geom's region ops and area queries against the slab oracle; 10 s of the spatial index over a fuzzed extent against brute force; 10 s of the band walk, clipped area, clip and connected components of a normal-form set against a linear scan, ClipArea, Intersect and a brute-force union-find; 10 s of the deck's facing-edge scans and MinArea against their oracles; 10 s of the tile wire's one reader, tiling.ReadRequest and ReadResult, on arbitrary bytes (no panic, bounded allocation, re-encode is a fixed point with the same key); 10 s of a unit's packed-key sort against the comparator sort; 10 s of keysort's radix sort against slices.Sort and its permutation against a gather; 10 s of a pattern's two-form canonical hash against the eight-orientation oracle; 10 s of the router's rendezvous placement over 1–8 backend names (a permutation whose head is the argmax, kept when another name is dropped, moved only onto a name added); 10 s of the router's per-backend health record against its reference model over any sequence of probe results, admissions and request outcomes; 10 s of the one job route of dfmd and of the router on arbitrary bodies and placement claims (200, 400 or 413 with a JSON body, no dropped connection, the router's answer dfmd's); 10 s of the job wire's one-pass reading against its two-stage reading, as a request and as an answer, on arbitrary bytes (a body the one pass takes, the two-stage reading takes into the same job or answer, re-encoded to the same bytes)
+fuzz-smoke: ## 20 s of the morphology fuzzer (the streaming erosion and dilation stages, the run labeller and the hotspot detector against the per-pixel oracle), 10 s of the sparse-blur fuzzer (the banded update against the per-rect oracle and the dense blur, both kernel arms too) and 10 s of the boundary-edge fuzzer, each against its oracle; 10 s of the litho kernel's assembly routines (the blur's rank-1 update, the square, the threshold word) against their Go loops, the rank-1 update over 0–7 rows with guard words between them; 10 s of geom's region ops and area queries against the slab oracle; 10 s of the spatial index over a fuzzed extent against brute force; 10 s of the band walk, clipped area, clip and connected components of a normal-form set against a linear scan, ClipArea, Intersect and a brute-force union-find; 10 s of the deck's facing-edge scans and MinArea against their oracles; 10 s of the tile wire's one reader, tiling.ReadRequest and ReadResult, on arbitrary bytes (no panic, bounded allocation, re-encode is a fixed point with the same key); 10 s of the stage-A stitch on random tile outputs against the whole-chip oracle, and of a delta over a random set of recomputed tiles against a from-scratch stitch; 10 s of a unit's packed-key sort against the comparator sort; 10 s of keysort's radix sort against slices.Sort and its permutation against a gather; 10 s of a pattern's two-form canonical hash against the eight-orientation oracle; 10 s of the router's rendezvous placement over 1–8 backend names (a permutation whose head is the argmax, kept when another name is dropped, moved only onto a name added); 10 s of the router's per-backend health record against its reference model over any sequence of probe results, admissions and request outcomes; 10 s of the one job route of dfmd and of the router on arbitrary bodies and placement claims (200, 400 or 413 with a JSON body, no dropped connection, the router's answer dfmd's); 10 s of the job wire's one-pass reading against its two-stage reading, as a request and as an answer, on arbitrary bytes (a body the one pass takes, the two-stage reading takes into the same job or answer, re-encoded to the same bytes)
 	$(GO) test -run='^$$' -fuzz=FuzzBitmapMorphology -fuzztime=20s -fuzzminimizetime=2s ./internal/litho
 	$(GO) test -run='^$$' -fuzz=FuzzSparseBlur -fuzztime=10s -fuzzminimizetime=2s ./internal/litho
 	$(GO) test -run='^$$' -fuzz=FuzzKernelLoops -fuzztime=10s -fuzzminimizetime=2s ./internal/litho
@@ -82,6 +82,7 @@ fuzz-smoke: ## 20 s of the morphology fuzzer (the streaming erosion and dilation
 	$(GO) test -run='^$$' -fuzz=FuzzBanded -fuzztime=10s -fuzzminimizetime=2s ./internal/geom
 	$(GO) test -run='^$$' -fuzz=FuzzDeckScans -fuzztime=10s -fuzzminimizetime=2s ./internal/drc
 	$(GO) test -run='^$$' -fuzz=FuzzTileWire -fuzztime=10s -fuzzminimizetime=2s ./internal/tiling
+	$(GO) test -run='^$$' -fuzz=FuzzStitch -fuzztime=10s -fuzzminimizetime=2s ./internal/tiling
 	$(GO) test -run='^$$' -fuzz=FuzzCanonicalize -fuzztime=10s -fuzzminimizetime=2s ./internal/tiling
 	$(GO) test -run='^$$' -fuzz=FuzzKeySort -fuzztime=10s -fuzzminimizetime=2s ./internal/keysort
 	$(GO) test -run='^$$' -fuzz=FuzzCanonHash -fuzztime=10s -fuzzminimizetime=2s ./internal/pattern
@@ -193,7 +194,7 @@ cover-dfm: ## scorecard coverage gate: no function of internal/dfm's techniques.
 # Where drcprofile keeps its binary and profiles (bin/ is gitignored).
 DRCPROFILE_DIR ?= bin/drcprofile
 
-drcprofile: ## CPU profile of the signoff DRC path over 30 uncached passes of the 100k-rect chip (BenchmarkChipSignoff: dfmscore -chip -chiprects 100000 -chipcache 0's pass) with its sample count, and an allocation profile of one dfmscore pass, drc.* and geom.* by cumulative cost (a tile worker reuses one extraction buffer and one drc.Context for all its tiles, so NewContext, Normalize and BoundarySides allocate per worker, not per tile); then the counters of what the deck asked: facing pairs found / kept, endcap gates asked / built
+drcprofile: ## CPU profile of the signoff DRC path over 30 uncached passes of the 100k-rect chip (BenchmarkChipSignoff: dfmscore -chip -chiprects 100000 -chipcache 0's pass) with its sample count, and an allocation profile of one dfmscore pass, drc.* and geom.* by cumulative cost (a tile worker reuses one extraction buffer and one drc.Context for all its tiles, so NewContext, Normalize and BoundarySides allocate per worker, not per tile); then the counters of what the deck asked: facing pairs found / kept, endcap gates asked / built; and the stitch's time in that pass (tiling.stitch.ns, one observation per evaluation)
 	@mkdir -p $(DRCPROFILE_DIR)
 	$(GO) build -o $(DRCPROFILE_DIR)/dfmscore ./cmd/dfmscore
 	$(DRCPROFILE_DIR)/dfmscore -chip -chiprects 100000 -chipcache 0 -metrics $(DRCPROFILE_DIR)/metrics.json \
@@ -204,6 +205,7 @@ drcprofile: ## CPU profile of the signoff DRC path over 30 uncached passes of th
 	$(GO) tool pprof -top -cum -nodecount=40 -show='drc\.|geom\.' $(DRCPROFILE_DIR)/repro.test $(DRCPROFILE_DIR)/cpu.prof
 	$(GO) tool pprof -sample_index=alloc_space -top -cum -nodecount=25 -show='drc\.|geom\.' $(DRCPROFILE_DIR)/dfmscore $(DRCPROFILE_DIR)/mem.prof
 	@grep -oE '"(drc\.facing\.pairs\.(found|kept)|drc\.endcap\.gates\.(asked|built))": *[0-9]+' $(DRCPROFILE_DIR)/metrics.json
+	@grep -A3 '"tiling\.stitch\.ns"' $(DRCPROFILE_DIR)/metrics.json | tr -d ' \n' | sed 's/,$$/\n/'
 
 # Where scoreprofile keeps its test binary and profiles (bin/ is gitignored).
 SCOREPROFILE_DIR ?= bin/scoreprofile
@@ -250,13 +252,14 @@ lithoprofile: ## which arm of the kernel's float loops runs (litho.kernel.simd: 
 bench: ## every root-module benchmark (BenchmarkExperiment/<id> times the paper's experiments), time and allocations only; writes no file and regenerates no table (records come from `bash benchmark/run.sh`, the tables from `go test -run TestExperimentTables -update .`)
 	$(GO) test -run='^$$' -bench=. -benchmem .
 
-bench-smoke: ## one iteration of the five kernel micro-rows (the geometry Booleans, a block DRC, the erosion and dilation row stages opening a scan window, the scan window with its streaming detector, the wall-to-wall window), of the scorecard that scoreprofile profiles (four seeds, every evaluator, litho's banded blur — one rank-1 update per y-band footprint cluster — under most of it), of one experiment of the table, of the fleet's fullest tile as a job each way through the job wire, of the tile key and of the sort before it, of the key sort's two arms, of the index build (a dense set and a sparse one over a 190 µm extent), of the sweep under each coverage rule, of the boundary extraction, of the deck on a tile (a fresh context per tile, and one reset across three) and of the endcap rule, of a layer's query mix on its bands, of the pattern hash's two arms and of drc-plus's pattern scan, so the gate executes the benchmarks and does not merely compile them
+bench-smoke: ## one iteration of the five kernel micro-rows (the geometry Booleans, a block DRC, the erosion and dilation row stages opening a scan window, the scan window with its streaming detector, the wall-to-wall window), of the scorecard that scoreprofile profiles (four seeds, every evaluator, litho's banded blur — one rank-1 update per y-band footprint cluster — under most of it), of one experiment of the table, of the fleet's fullest tile as a job each way through the job wire, of the tile key and of the sort before it, of the stitch of the 100k-rect signoff chip (from scratch, and a one-tile delta), of the key sort's two arms, of the index build (a dense set and a sparse one over a 190 µm extent), of the sweep under each coverage rule, of the boundary extraction, of the deck on a tile (a fresh context per tile, and one reset across three) and of the endcap rule (in one context reset per run, as a tile worker keeps one), of a layer's query mix on its bands, of the pattern hash's two arms and of drc-plus's pattern scan, so the gate executes the benchmarks and does not merely compile them
 	$(GO) test -run='^$$' -bench='^Benchmark(GeomBoolean|DRCBlock|BitmapOpen|ScanWindow|ScanWindowDense)$$' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='^BenchmarkScorecard$$' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='^BenchmarkExperiment$$/^F5$$' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='^BenchmarkJobWire$$' -benchtime=1x -benchmem ./internal/server
 	$(GO) test -run='^$$' -bench='^BenchmarkTileKey$$' -benchtime=1x -benchmem ./internal/tiling
 	$(GO) test -run='^$$' -bench='^BenchmarkCanonicalize$$' -benchtime=1x -benchmem ./internal/tiling
+	$(GO) test -run='^$$' -bench='^BenchmarkStitch$$' -benchtime=1x -benchmem ./internal/tiling
 	$(GO) test -run='^$$' -bench='^BenchmarkKeySort$$' -benchtime=1x -benchmem ./internal/keysort
 	$(GO) test -run='^$$' -bench='^Benchmark(IndexBuildQuery|Sweep|BoundarySides)$$' -benchtime=1x -benchmem ./internal/geom
 	$(GO) test -run='^$$' -bench='^Benchmark(DeckTile|Endcap|LayerQuery)$$' -benchtime=1x -benchmem ./internal/drc

@@ -62,8 +62,10 @@ func TestNewContextSplitsAsByLayer(t *testing.T) {
 
 // One Context reset from shape list to shape list — a 48000 tile, no
 // shapes, one layer of a 24000 tile, shapes past tech.NumLayers, the
-// 48000 tile again — holds what NewContext builds for each, and the deck
-// finds in it what it finds in a fresh one.
+// 24000 tile, two gates with short endcaps, the 48000 tile again — holds
+// what NewContext builds for each, and the deck finds in it what it
+// finds in a fresh one. Both tiles hold gates, each set its own, so a
+// gate layer kept from the list before would show.
 func TestContextResetMatchesNew(t *testing.T) {
 	tt := tech.N45()
 	big, mid := chipTile(t, tt, 48000), chipTile(t, tt, 24000)
@@ -78,9 +80,16 @@ func TestContextResetMatchesNew(t *testing.T) {
 		{Layer: tech.Layer(200), R: geom.R(5, 5, 10, 10)},
 		{Layer: tech.Layer(200), R: geom.R(0, 0, 8, 8)},
 	}
+	short := []layout.Shape{
+		{Layer: tech.Poly, R: geom.R(200, -100, 250, 260)},
+		{Layer: tech.Poly, R: geom.R(-40, 580, 600, 630)},
+		{Layer: tech.Diff, R: geom.R(0, 0, 500, 200)},
+		{Layer: tech.Diff, R: geom.R(0, 500, 500, 700)},
+	}
+	endcap := drc.Endcap{Ext: 100}.Name()
 	deck := drc.StandardDeck(tt)
 	var ctx drc.Context
-	for k, shapes := range [][]layout.Shape{big, nil, metal2, far, big} {
+	for k, shapes := range [][]layout.Shape{big, nil, metal2, far, mid, short, big} {
 		ctx.Reset(tt, shapes)
 		want := drc.NewContext(tt, shapes)
 		if len(ctx.Layers) != len(want.Layers) {
@@ -91,9 +100,16 @@ func TestContextResetMatchesNew(t *testing.T) {
 				t.Fatalf("list %d: layer %v differs after a reset", k, l)
 			}
 		}
+		gates := len(geom.Intersect(want.Layers[tech.Poly], want.Layers[tech.Diff]))
+		if (k == 0 || k == 4 || k == 5) && gates == 0 {
+			t.Fatalf("list %d holds no gates; the gate layer goes unchecked", k)
+		}
 		got, fresh := deck.Run(&ctx), deck.Run(want)
 		if !slices.Equal(got.Violations, fresh.Violations) || !maps.Equal(got.ByRule, fresh.ByRule) {
 			t.Fatalf("list %d: the deck finds %d violations after a reset, %d fresh", k, got.Count(), fresh.Count())
+		}
+		if k == 5 && got.ByRule[endcap] != 2 {
+			t.Fatalf("two short endcaps: %s finds %d", endcap, got.ByRule[endcap])
 		}
 	}
 }

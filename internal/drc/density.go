@@ -53,69 +53,92 @@ func (r DensityWindow) OutOfRange(d float64) bool { return d < r.Min || d > r.Ma
 // (internal/tiling), which computes window densities from per-tile
 // extractions, emits byte-identical violations to a flat run.
 func (r DensityWindow) Violation(w geom.Rect, d float64) Violation {
-	return Violation{
-		Rule:   r.Name(),
-		Layer:  r.Layer,
-		Marker: w,
-		Detail: fmt.Sprintf("density %.3f outside [%.2f, %.2f]", d, r.Min, r.Max),
-	}
+	return Violation{Rule: r.Name(), Layer: r.Layer, Marker: w, Detail: r.detail(d)}
+}
+
+func (r DensityWindow) detail(d float64) string {
+	return fmt.Sprintf("density %.3f outside [%.2f, %.2f]", d, r.Min, r.Max)
 }
 
 // DensityRenderer builds one rule's violations for many windows,
 // running the formatter once per distinct measured density: a chip has
 // tens of thousands of out-of-range windows and a few hundred distinct
 // values among them (areas are integer ratios of a fixed window), and
-// the %.3f rendering is most of what a violation costs to build. Every
-// string comes from DensityWindow.Violation, so a shared Detail is
-// byte-identical to a freshly formatted one. Not safe for concurrent
-// use; make one per rule per pass.
+// the %.3f rendering is most of what a violation costs to build. Most
+// windows of a layer read what the window before them read (an empty
+// window reads 0), so the previous call's value is asked before the map.
+// The rule's name is formatted once and every Detail by the formatter
+// DensityWindow.Violation uses, so a shared string is byte-identical to
+// a freshly formatted one. Not safe for concurrent use; make one per rule
+// per pass.
 type DensityRenderer struct {
 	rule DensityWindow
+	name string
 	seen map[uint64]Violation // by math.Float64bits(d); the Marker is per call
+	// last is the previous call's violation, lastKey its value's bits;
+	// last.Rule is empty before the first call.
+	last    Violation
+	lastKey uint64
 }
 
 // Renderer returns an empty renderer for r.
 func (r DensityWindow) Renderer() *DensityRenderer {
-	return &DensityRenderer{rule: r, seen: make(map[uint64]Violation)}
+	return &DensityRenderer{rule: r, name: r.Name(), seen: make(map[uint64]Violation)}
 }
 
 // Violation equals rule.Violation(w, d).
 func (dr *DensityRenderer) Violation(w geom.Rect, d float64) Violation {
 	// Keyed by bit pattern, not value: -0 equals 0 but renders "-0.000".
-	key := math.Float64bits(d)
-	v, ok := dr.seen[key]
-	if !ok {
-		v = dr.rule.Violation(geom.Rect{}, d)
-		dr.seen[key] = v
+	if key := math.Float64bits(d); key != dr.lastKey || dr.last.Rule == "" {
+		dr.lookup(key, d)
 	}
+	v := dr.last
 	v.Marker = w
 	return v
 }
 
+// lookup makes the violation for value d, whose bits are key, the last
+// one: from the map, or formatted and added to it.
+func (dr *DensityRenderer) lookup(key uint64, d float64) {
+	v, ok := dr.seen[key]
+	if !ok {
+		v = Violation{Rule: dr.name, Layer: dr.rule.Layer, Detail: dr.rule.detail(d)}
+		dr.seen[key] = v
+	}
+	dr.last, dr.lastKey = v, key
+}
+
 // WindowGrid tiles the extent with window-sized boxes stepped by step
-// (overlapping when step < window, as foundry density rules specify).
-// Windows are clipped to the extent; tiny clipped remainders (under a
-// half window) are merged into their neighbor rather than emitted.
+// (overlapping when step < window, as foundry density rules specify),
+// row by row from the lower-left corner. Windows are clipped to the
+// extent, and a clipped remainder under half a window in either
+// dimension is dropped: when step is at most half a window, as every
+// caller passes, the window one step back already reaches that edge.
+// The window count is arithmetic, so the slice is sized once.
 func WindowGrid(extent geom.Rect, window, step int64) []geom.Rect {
 	if extent.Empty() || window <= 0 || step <= 0 {
 		return nil
 	}
-	var out []geom.Rect
-	for y := extent.Y0; y < extent.Y1; y += step {
-		y1 := y + window
-		if y1 > extent.Y1 {
-			y1 = extent.Y1
+	// The offsets kept along a side of length n are 0, step, ... up to
+	// the last one below n that leaves at least half a window.
+	count := func(n int64) int {
+		last := min(n-window/2, n-1)
+		if last < 0 {
+			return 0
 		}
-		for x := extent.X0; x < extent.X1; x += step {
-			x1 := x + window
-			if x1 > extent.X1 {
-				x1 = extent.X1
-			}
-			w := geom.R(x, y, x1, y1)
-			if w.Width() < window/2 || w.Height() < window/2 {
-				continue
-			}
-			out = append(out, w)
+		return int(last/step) + 1
+	}
+	nx, ny := count(extent.Width()), count(extent.Height())
+	if nx == 0 || ny == 0 {
+		return nil
+	}
+	out := make([]geom.Rect, 0, nx*ny)
+	for iy := range ny {
+		y := extent.Y0 + int64(iy)*step
+		y1 := min(y+window, extent.Y1)
+		for ix := range nx {
+			x := extent.X0 + int64(ix)*step
+			out = append(out, geom.R(x, y, min(x+window, extent.X1), y1))
 		}
 	}
 	return out
@@ -160,11 +183,11 @@ func (r Endcap) Check(ctx *Context) []Violation {
 		return nil
 	}
 	name, detail := r.Name(), fmt.Sprintf("gate endcap < %d", r.Ext)
-	gates := new(preparedLayer)
-	gates.Reset(geom.Intersect(poly.Rects(), diff.Rects()))
+	gates := ctx.gateLayer()
 	var out []Violation
-	for _, g := range gates.Components() {
-		bb := geom.BBoxOf(g)
+	var comp []geom.Rect // the gate's rects, gathered only to build its demand region
+	for c, g := range gates.regions() {
+		bb := g.BBox
 		// The endcap is only required in the gate's transit direction
 		// (where poly crosses the diff edge); the perpendicular sides
 		// are source/drain extension, governed by diff rules. Probe
@@ -189,7 +212,8 @@ func (r Endcap) Check(ctx *Context) []Violation {
 		cEndcapBuilt.Inc()
 		// Only the diff and poly that reach the band can cover any of
 		// the demand region.
-		demand := geom.Subtract(geom.Intersect(geom.Dilate(g, r.Ext), []geom.Rect{band}), diff.touching(band))
+		comp = gates.labels.AppendComponent(comp[:0], &gates.Banded, c)
+		demand := geom.Subtract(geom.Intersect(geom.Dilate(comp, r.Ext), []geom.Rect{band}), diff.touching(band))
 		missing := geom.Subtract(demand, poly.touching(band))
 		if geom.AreaOf(missing) > 0 {
 			out = append(out, Violation{

@@ -13,7 +13,8 @@ import (
 // Sprintf gives, at the values where %.3f rounding decides a digit, one
 // ULP either side of them, and for both zeros (equal as numbers,
 // different as text) — on the first call for a value and on the
-// replayed ones, whatever window they are for.
+// replayed ones, whatever window they are for, and when a call repeats
+// the value of the call before it.
 func TestDensityRendererSharesExactDetail(t *testing.T) {
 	rule := DensityWindow{Layer: tech.Metal2, Window: 3000, Min: 0.2, Max: 0.8}
 	var vals []float64
@@ -36,5 +37,14 @@ func TestDensityRendererSharesExactDetail(t *testing.T) {
 	}
 	if n := len(render.seen); n != len(vals) {
 		t.Errorf("renderer formatted %d values for %d distinct bit patterns", n, len(vals))
+	}
+	// The previous call's value is reused only for the same bits: a
+	// window reading -0 after one reading 0 (and back) gets its own text.
+	negZero := math.Copysign(0, -1)
+	for i, d := range []float64{0, 0, negZero, negZero, 0, 0.5, 0.5, 0, negZero} {
+		w := geom.R(int64(i)*1500, 0, int64(i)*1500+3000, 3000)
+		if got, want := render.Violation(w, d), rule.Violation(w, d); got != want {
+			t.Errorf("call %d, d = %v (%#x): %+v, want %+v", i, d, math.Float64bits(d), got, want)
+		}
 	}
 }

@@ -50,7 +50,8 @@ type Context struct {
 	Shapes []layout.Shape             // original flat shapes (net-annotated)
 
 	prep    [tech.NumLayers]preparedLayer
-	backing []geom.Rect // the shapes' rects split by layer; Layers alias it
+	gates   preparedLayer // poly over diff, for the endcap rule
+	backing []geom.Rect   // the shapes' rects split by layer; Layers alias it
 }
 
 // NewContext normalizes a flat shape list for checking: Layers holds
@@ -101,6 +102,7 @@ func (c *Context) Reset(t *tech.Tech, flat []layout.Shape) {
 	for l := range c.prep {
 		c.prep[l].forget()
 	}
+	c.gates.forget()
 	for l := range len(at) - 1 {
 		lo, hi := at[l], at[l+1]
 		if hi == lo {
@@ -174,6 +176,12 @@ func CompareViolations(a, b Violation) int {
 	if c := cmp.Compare(a.Rule, b.Rule); c != 0 {
 		return c
 	}
+	return CompareWithinRule(a, b)
+}
+
+// CompareWithinRule is CompareViolations for two violations of one rule:
+// the order past the rule name, which it does not read.
+func CompareWithinRule(a, b Violation) int {
 	if c := a.Marker.Compare(b.Marker); c != 0 {
 		return c
 	}

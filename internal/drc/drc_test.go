@@ -275,6 +275,56 @@ func TestWindowGrid(t *testing.T) {
 	}
 }
 
+// windowGridOracle is WindowGrid as an append loop over every step,
+// clipping each window and skipping a remainder under half a window:
+// the reference for the arithmetic window count.
+func windowGridOracle(extent geom.Rect, window, step int64) []geom.Rect {
+	if extent.Empty() || window <= 0 || step <= 0 {
+		return nil
+	}
+	var out []geom.Rect
+	for y := extent.Y0; y < extent.Y1; y += step {
+		for x := extent.X0; x < extent.X1; x += step {
+			w := geom.R(x, y, min(x+window, extent.X1), min(y+window, extent.Y1))
+			if w.Width() < window/2 || w.Height() < window/2 {
+				continue
+			}
+			out = append(out, w)
+		}
+	}
+	return out
+}
+
+// The sized grid equals the append loop over extents whose sides leave
+// every kind of remainder (none, under and over half a window, under one
+// step, smaller than half a window altogether), odd windows and steps
+// included, and allocates once.
+func TestWindowGridMatchesAppendLoop(t *testing.T) {
+	n := 0
+	for _, ws := range [][2]int64{{1000, 500}, {3000, 1500}, {1001, 500}, {999, 333}, {7, 3}, {1, 1}, {1000, 1000}, {1000, 700}} {
+		window, step := ws[0], ws[1]
+		for _, w := range []int64{0, 1, 3, window / 2, window/2 + 1, window - 1, window, window + 1, 2*window + step/2, 5*window + 3, 17*step + window/2 - 1} {
+			for _, h := range []int64{1, window / 2, window + 1, 3*window + 7} {
+				extent := geom.R(-40, 13, -40+w, 13+h)
+				got, want := WindowGrid(extent, window, step), windowGridOracle(extent, window, step)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%v, window %d step %d: %d windows, the append loop %d\n got %v\nwant %v",
+						extent, window, step, len(got), len(want), got, want)
+				}
+				if len(want) > 0 {
+					n++
+					if a := testing.AllocsPerRun(5, func() { WindowGrid(extent, window, step) }); a != 1 {
+						t.Fatalf("%v, window %d step %d: %v allocations, want 1", extent, window, step, a)
+					}
+				}
+			}
+		}
+	}
+	if n < 100 {
+		t.Fatalf("only %d non-empty grids compared", n)
+	}
+}
+
 func TestEndcapRule(t *testing.T) {
 	tt := tech.N45()
 	rule := Endcap{Ext: 100}

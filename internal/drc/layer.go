@@ -43,6 +43,17 @@ func (c *Context) layer(l tech.Layer) *preparedLayer {
 	return p
 }
 
+// gateLayer returns the prepared gates, poly over diff, intersected into
+// the layer's own buffer like a layer's normal form.
+func (c *Context) gateLayer() *preparedLayer {
+	p := &c.gates
+	p.once.Do(func() {
+		p.norm = geom.AppendIntersect(p.norm[:0], c.Layers[tech.Poly], c.Layers[tech.Diff])
+		p.Reset(p.norm)
+	})
+	return p
+}
+
 // boundary returns the layer's boundary edges by interior side, indexed
 // by geom.Side. Each side is in (At, Lo) order and its edges on one line
 // are disjoint, as geom.BoundarySides returns them.

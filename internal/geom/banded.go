@@ -184,6 +184,21 @@ func (l *Labels) Regions(b *Banded) []Region {
 	return out
 }
 
+// AppendComponent appends to dst the rects of b's component c, numbered
+// as the last Regions call on l numbered b's, in position order: those
+// of the rects near the component's bounding box that it holds, so the
+// cost is the box's, not the set's. l must not have labelled another
+// set since.
+func (l *Labels) AppendComponent(dst []Rect, b *Banded, c int) []Rect {
+	comp := l.parent // each rect's component, as label left it
+	b.Near(l.regions[c].BBox, func(i int, r Rect) {
+		if comp[i] == int32(c) {
+			dst = append(dst, r)
+		}
+	})
+	return dst
+}
+
 // label numbers the connected components of b by first rect and returns
 // each rect's component and each component's size, both in l's arrays.
 // In normal form two rects can only touch across the line one band ends

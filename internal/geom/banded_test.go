@@ -53,7 +53,8 @@ func bandedQueries(rs []Rect, lim int64) []Rect {
 // checkBanded holds the banded form of rs, and of rs moved by ±2^40 each
 // way, to the whole-set functions: Components to componentsOracle, the
 // same partition numbered by first rect, Regions to each component's
-// area and bounding box, and over bandedQueries(rs, lim)
+// area and bounding box, AppendComponent to each component's rects
+// after what dst held, and over bandedQueries(rs, lim)
 // Near to a linear touch-inclusive scan, ClipArea to ClipArea, and Clip
 // to Intersect rect for rect, also when it appends to rects already in
 // dst.
@@ -82,6 +83,12 @@ func checkBanded(t *testing.T, rs []Rect, lim int64) {
 		var l Labels
 		if got := l.Regions(b); !slices.Equal(got, want) {
 			t.Fatalf("Regions() over %v\n got %v\nwant %v", moved, got, want)
+		}
+		held := []Rect{R(-1, -1, 0, 0)}
+		for c, comp := range comps {
+			if got := l.AppendComponent(held, b, c); len(got) != len(comp)+1 || got[0] != held[0] || !slices.Equal(got[1:], comp) {
+				t.Fatalf("AppendComponent(%d) over %v = %v, want %v after %v", c, moved, got, comp, held)
+			}
 		}
 		for _, q := range bandedQueries(moved, lim) {
 			var got []int

@@ -103,6 +103,13 @@ func Intersect(a, b []Rect) []Rect {
 	return bands(nil, opIntersect, a, b)
 }
 
+// AppendIntersect appends the region covered by both a and b to dst and
+// returns it, the form of Intersect for a caller that keeps one buffer
+// across many sets, as AppendNormal is Normalize's.
+func AppendIntersect(dst, a, b []Rect) []Rect {
+	return bands(dst, opIntersect, a, b)
+}
+
 // Subtract returns the region covered by a but not b.
 func Subtract(a, b []Rect) []Rect {
 	return bands(nil, opSubtract, a, b)

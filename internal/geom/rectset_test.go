@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -70,6 +71,14 @@ func TestIntersectSets(t *testing.T) {
 	}
 	if len(Intersect(a, nil)) != 0 {
 		t.Fatalf("Intersect with empty set should be empty")
+	}
+	// The append form writes the same rects after what dst holds, into
+	// dst's own array when it has room.
+	dst := make([]Rect, 1, 8)
+	dst[0] = R(-9, -9, -8, -8)
+	got := AppendIntersect(dst, a, b)
+	if !slices.Equal(got[1:], out) || got[0] != dst[0] || &got[0] != &dst[0] {
+		t.Fatalf("AppendIntersect = %v, want %v after %v in dst's array", got, out, dst)
 	}
 }
 

@@ -1,6 +1,7 @@
 package tiling
 
 import (
+	"cmp"
 	"math"
 	"slices"
 
@@ -36,16 +37,29 @@ type stitched struct {
 // tile sees its full local context — can only move when a tile under
 // its marker was recomputed. Every density window is owned by exactly
 // one tile, the one holding its lower-left corner, whatever cores it
-// overhangs. And SortViolations is a total order, so sorted lists merge
-// to one well-defined list and a changed value has one position in it.
-// The cost is therefore the recomputed tiles' lists plus segment copies
-// of the retained one; nothing is formatted, compared or ranked for a
-// tile that was spliced.
+// overhangs. And SortViolations is a total order that sorts by rule
+// first, so a sorted list is a run of per-rule blocks, sorted lists
+// merge to one well-defined list and a changed value has one position in
+// it.
+//
+// So the stitch is one walk over the rules in order, and each rule's
+// block of the result is written once, straight into it, from only what
+// holds that rule: its block of each recomputed tile's old and new list,
+// its windows if it is a density rule, and its segment of the retained
+// list. A rule no recomputed list touches is its retained segment,
+// copied. A rule one list alone holds is that list's block, copied with
+// its runs; from scratch that is how a density rule's out-of-range
+// windows are rendered, in place. Only a rule several lists hold is
+// merged, among those lists (mergeBlocks), and where some of it was
+// retained the merged old and new sides patch its segment (patchRule).
+// Nothing is formatted, compared or ranked for a tile that was spliced.
 //
 // outs' dirty entries are replaced by sorted copies where a result came
 // back unsorted (an older node's cache): outs are shared with the cache
 // and must not be reordered in place.
 func (p *plan) stitchTiles(res *Result, outs []*TileResult, dirty []int, prev *Snapshot) *stitched {
+	span := hStitchNS.Start()
+	defer span.End()
 	var old stitched // zero: nothing retained
 	if prev != nil {
 		old = *prev.st
@@ -54,15 +68,12 @@ func (p *plan) stitchTiles(res *Result, outs []*TileResult, dirty []int, prev *S
 	for _, name := range p.rules {
 		st.byRule[name] = 0
 	}
-	for name, n := range old.byRule {
-		st.byRule[name] = n
-	}
 
-	// The sorted lists the recomputed tiles held before and hold now:
-	// one per tile, and per density rule one of the out-of-range windows
-	// those tiles own.
+	// The unread tails of the sorted lists the recomputed tiles held
+	// before and hold now, empty ones left out. grow bounds what the
+	// result holds beyond the retained list.
 	var was, now [][]drc.Violation
-	var wins []int
+	grow := 0
 	for _, ti := range dirty {
 		if !slices.IsSortedFunc(outs[ti].Violations, drc.CompareViolations) {
 			sorted := *outs[ti]
@@ -70,20 +81,40 @@ func (p *plan) stitchTiles(res *Result, outs []*TileResult, dirty []int, prev *S
 			drc.SortViolations(sorted.Violations)
 			outs[ti] = &sorted
 		}
-		now = append(now, outs[ti].Violations)
-		if prev != nil {
+		if l := outs[ti].Violations; len(l) > 0 {
+			now, grow = append(now, l), grow+len(l)
+		}
+		if prev != nil && len(prev.outs[ti].Violations) > 0 {
 			was = append(was, prev.outs[ti].Violations)
 		}
-		if len(p.densRules) > 0 {
+	}
+
+	// Density. The windows a change can reach are those the recomputed
+	// tiles own, in grid order, which is marker order; nil stands for
+	// every window, when every tile was recomputed. dens lists the rules
+	// by name, the order the walk reaches them in.
+	var wins []int
+	if len(dirty) < len(outs) && len(p.densRules) > 0 {
+		wins = []int{}
+		for _, ti := range dirty {
 			wins = append(wins, p.perTileWins[ti]...)
 		}
+		slices.Sort(wins)
 	}
-	slices.Sort(wins) // grid order, which is marker order
-	for di := range p.densRules {
-		var wasOut, nowOut []drc.Violation
-		st.dens[di], wasOut, nowOut = p.patchDensity(di, old.dens, outs, dirty, wins)
-		was, now = append(was, wasOut), append(now, nowOut)
+	type densRule struct {
+		name  string
+		di    int
+		moved bool // a value changed: the windows are a source
 	}
+	dens := make([]densRule, len(p.densRules))
+	for di, dr := range p.densRules {
+		var out int
+		dens[di] = densRule{name: dr.Name(), di: di}
+		st.dens[di], dens[di].moved, out = p.densityValues(di, old.dens, outs, dirty)
+		grow += out
+	}
+	slices.SortFunc(dens, func(a, b densRule) int { return cmp.Compare(a.name, b.name) })
+
 	var clean []bool // the spliced tiles; nil when there are none
 	if len(dirty) < len(outs) {
 		clean = make([]bool, len(outs))
@@ -94,7 +125,69 @@ func (p *plan) stitchTiles(res *Result, outs []*TileResult, dirty []int, prev *S
 			clean[ti] = false
 		}
 	}
-	st.viol = p.patchViolations(old.viol, was, now, outs, clean, st.byRule)
+
+	all := make([]drc.Violation, 0, len(old.viol)+grow)
+	retained := old.viol
+	var wasBlocks, nowBlocks [][]drc.Violation
+	var densWas, densNow []drc.Violation
+	for {
+		// The rule is the least one any source still holds.
+		rule, ok := "", false
+		least := func(r string) {
+			if !ok || r < rule {
+				rule, ok = r, true
+			}
+		}
+		if len(retained) > 0 {
+			least(retained[0].Rule)
+		}
+		for _, l := range was {
+			least(l[0].Rule)
+		}
+		for _, l := range now {
+			least(l[0].Rule)
+		}
+		if len(dens) > 0 {
+			least(dens[0].name)
+		}
+		if !ok {
+			break
+		}
+		seg := cutBlock(&retained, rule)
+		wasBlocks, was = cutBlocks(wasBlocks[:0], was, rule)
+		nowBlocks, now = cutBlocks(nowBlocks[:0], now, rule)
+		start := len(all)
+		if len(dens) > 0 && dens[0].name == rule {
+			d := dens[0]
+			dens = dens[1:]
+			if d.moved {
+				render := p.densRules[d.di].Renderer()
+				if len(seg) == 0 && len(wasBlocks) == 0 && len(nowBlocks) == 0 {
+					// The windows alone hold the rule: rendered in place.
+					// Nothing of it was retained, so no window was out of
+					// range before.
+					_, all = p.densityChanges(nil, all, d.di, old.dens, st.dens[d.di], wins, render)
+				} else {
+					densWas, densNow = p.densityChanges(densWas[:0], densNow[:0], d.di, old.dens, st.dens[d.di], wins, render)
+					wasBlocks = appendNonEmpty(wasBlocks, densWas)
+					nowBlocks = appendNonEmpty(nowBlocks, densNow)
+				}
+			}
+		}
+		if len(seg) == 0 && len(wasBlocks) == 0 {
+			// Nothing retained, so no clean tile holds the rule either:
+			// its blocks merge straight into the result.
+			all = mergeBlocks(all, nowBlocks)
+		} else {
+			all = p.patchRule(all, seg, wasBlocks, nowBlocks, outs, clean)
+		}
+		if n := len(all) - start; n > 0 {
+			st.byRule[rule] = n
+		}
+	}
+	if len(all) > 0 {
+		st.viol = all[:len(all):len(all)]
+	} // else nil, as the flat result's list is when nothing violates
 
 	res.Stats.Tiles = len(outs)
 	for name, n := range st.byRule {
@@ -109,15 +202,15 @@ func (p *plan) stitchTiles(res *Result, outs []*TileResult, dirty []int, prev *S
 	return st
 }
 
-// patchDensity brings density rule di's global value array up to date
-// with the recomputed tiles and returns it with the rule's violations
-// before and after, over wins — the windows those tiles own, ascending —
-// and only where the value moved. old holds the retained arrays (nil
-// from scratch, when every window counts as moved); the returned array
-// is old's own unless a value differs, so an edit that leaves a layer's
-// densities alone copies nothing. Details come from one renderer, which
-// formats each distinct value once.
-func (p *plan) patchDensity(di int, old [][]float64, outs []*TileResult, dirty, wins []int) (vals []float64, was, now []drc.Violation) {
+// densityValues brings density rule di's global value array up to date
+// with the recomputed tiles. old holds the retained arrays (nil from
+// scratch, when every window counts as moved); the returned array is
+// old's own unless a value differs, so an edit that leaves a layer's
+// densities alone copies nothing. moved reports whether the array is a
+// new one, and out counts the windows that moved out of range: the most
+// violations densityChanges can add.
+func (p *plan) densityValues(di int, old [][]float64, outs []*TileResult, dirty []int) (vals []float64, moved bool, out int) {
+	dr := p.densRules[di]
 	shared := old != nil
 	if shared {
 		vals = old[di]
@@ -127,7 +220,11 @@ func (p *plan) patchDensity(di int, old [][]float64, outs []*TileResult, dirty, 
 	for _, ti := range dirty {
 		for j, wi := range p.perTileWins[ti] {
 			d := outs[ti].Dens[di][j]
-			if math.Float64bits(d) == math.Float64bits(vals[wi]) {
+			same := math.Float64bits(d) == math.Float64bits(vals[wi])
+			if (old == nil || !same) && dr.OutOfRange(d) {
+				out++
+			}
+			if same {
 				continue
 			}
 			if shared {
@@ -136,21 +233,26 @@ func (p *plan) patchDensity(di int, old [][]float64, outs []*TileResult, dirty, 
 			vals[wi] = d
 		}
 	}
+	return vals, !shared, out
+}
+
+// densityChanges appends density rule di's violations over wins (every
+// window when nil), in marker order and only where the value moved: to
+// was those the retained value old made, to now those the current value
+// vals makes. With nothing retained every window has moved. Details come
+// from render, which formats each distinct value once.
+func (p *plan) densityChanges(was, now []drc.Violation, di int, old [][]float64, vals []float64, wins []int,
+	render *drc.DensityRenderer) ([]drc.Violation, []drc.Violation) {
 	dr := p.densRules[di]
-	render := dr.Renderer()
-	if old == nil {
-		// From scratch every out-of-range window is a violation: count
-		// them and size now once, where append would regrow (and zero) a
-		// chip-sized list a dozen times over.
-		n := 0
-		for _, wi := range wins {
-			if dr.OutOfRange(vals[wi]) {
-				n++
-			}
-		}
-		now = make([]drc.Violation, 0, n)
+	n := len(p.wins)
+	if wins != nil {
+		n = len(wins)
 	}
-	for _, wi := range wins {
+	for k := range n {
+		wi := k
+		if wins != nil {
+			wi = wins[k]
+		}
 		d := vals[wi]
 		if old != nil {
 			o := old[di][wi]
@@ -165,44 +267,29 @@ func (p *plan) patchDensity(di int, old [][]float64, outs []*TileResult, dirty, 
 			now = append(now, render.Violation(p.wins[wi], d))
 		}
 	}
-	return vals, was, now
+	return was, now
 }
 
-// patchViolations returns the retained merged list with the recomputed
-// tiles' part of it brought up to date: was and now are the sorted lists
-// they held and hold. Both sides are walked in order. A value whose
-// longest run among them did not move keeps its place; one that did is
-// re-resolved against the clean tiles under its marker and written
-// between copied segments of the retained list, byRule moving with it.
-func (p *plan) patchViolations(retained []drc.Violation, was, now [][]drc.Violation,
-	outs []*TileResult, clean []bool, byRule map[string]int) []drc.Violation {
-	grow := 0
-	for _, l := range now {
-		grow += len(l)
-	}
-	all := make([]drc.Violation, 0, len(retained)+grow)
-	// byRule is written once per run of a rule, not once per value.
-	rule, moved := "", 0
-	flush := func(next string) {
-		if moved != 0 {
-			byRule[rule] += moved
-		}
-		rule, moved = next, 0
-	}
-	wasRuns, nowRuns := newRunMerger(was), newRunMerger(now)
-	for {
-		wv, nv := wasRuns.head(), nowRuns.head()
-		if wv == nil && nv == nil {
-			break
-		}
+// patchRule appends to dst one rule's block of the result: seg, the
+// rule's retained block, with the recomputed part of it brought up to
+// date. was and now are the rule's blocks of the lists the recomputed
+// tiles held and hold, and of its windows; they are reordered. Both
+// sides are merged in order. A value whose longest run among them did
+// not move keeps its place; one that did is re-resolved against the
+// clean tiles under its marker and written between copied parts of seg.
+// With was and now empty, seg is copied whole.
+func (p *plan) patchRule(dst, seg []drc.Violation, was, now [][]drc.Violation,
+	outs []*TileResult, clean []bool) []drc.Violation {
+	wasRuns, nowRuns := newBlockHeap(was), newBlockHeap(now)
+	for len(wasRuns) > 0 || len(nowRuns) > 0 {
 		c := 0
 		switch {
-		case wv == nil:
+		case len(wasRuns) == 0:
 			c = 1
-		case nv == nil:
+		case len(nowRuns) == 0:
 			c = -1
 		default:
-			c = drc.CompareViolations(*wv, *nv)
+			c = drc.CompareWithinRule(wasRuns[0][0], nowRuns[0][0])
 		}
 		var v drc.Violation
 		var nWas, nNow int
@@ -218,28 +305,68 @@ func (p *plan) patchViolations(retained []drc.Violation, was, now [][]drc.Violat
 		if clean != nil {
 			nNow = max(nNow, p.longestCleanRun(v, outs, clean))
 		}
-		at, _ := slices.BinarySearchFunc(retained, v, drc.CompareViolations)
-		all = append(all, retained[:at]...)
-		retained = retained[at:]
-		had := 0
-		for had < len(retained) && retained[had] == v {
-			had++
+		at, found := slices.BinarySearchFunc(seg, v, drc.CompareWithinRule)
+		dst = append(dst, seg[:at]...)
+		if seg = seg[at:]; found {
+			seg = seg[runOf(seg):]
 		}
-		retained = retained[had:]
 		for k := 0; k < nNow; k++ {
-			all = append(all, v)
+			dst = append(dst, v)
 		}
-		if v.Rule != rule {
-			flush(v.Rule)
+	}
+	return append(dst, seg...)
+}
+
+// runOf returns how many copies of vs[0] vs starts with, 0 for an empty
+// list.
+func runOf(vs []drc.Violation) int {
+	k := 0
+	for k < len(vs) && vs[k] == vs[0] {
+		k++
+	}
+	return k
+}
+
+// cutBlock removes rule's block from the front of *vs, a sorted list
+// whose head is not below rule, and returns it: empty unless the head
+// is of rule. The block's end is found by binary search.
+func cutBlock(vs *[]drc.Violation, rule string) []drc.Violation {
+	l := *vs
+	if len(l) == 0 || l[0].Rule != rule {
+		return nil
+	}
+	lo, hi := 1, len(l) // l[lo-1] is of rule; l[hi:] is not
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if l[h].Rule == rule {
+			lo = h + 1
+		} else {
+			hi = h
 		}
-		moved += nNow - had
 	}
-	flush("")
-	all = append(all, retained...)
-	if len(all) == 0 {
-		return nil // as the flat result's list is when nothing violates
+	*vs = l[lo:]
+	return l[:lo]
+}
+
+// cutBlocks cuts rule's block from the front of every list of tails,
+// appends the non-empty ones to blocks, and returns both, tails without
+// the lists that have nothing left.
+func cutBlocks(blocks, tails [][]drc.Violation, rule string) ([][]drc.Violation, [][]drc.Violation) {
+	kept := tails[:0]
+	for _, l := range tails {
+		blocks = appendNonEmpty(blocks, cutBlock(&l, rule))
+		if len(l) > 0 {
+			kept = append(kept, l)
+		}
 	}
-	return all[:len(all):len(all)]
+	return blocks, kept
+}
+
+func appendNonEmpty(blocks [][]drc.Violation, b []drc.Violation) [][]drc.Violation {
+	if len(b) == 0 {
+		return blocks
+	}
+	return append(blocks, b)
 }
 
 // longestCleanRun returns the longest run of v any spliced tile holds.
@@ -283,70 +410,107 @@ func (p *plan) forTilesNear(r geom.Rect, pad int64, visit func(ti int)) {
 	}
 }
 
-// runMerger walks a set of sorted violation lists as one: it yields, in
-// SortViolations order, each distinct violation with the longest run
-// any one list holds of it. The lists are only read.
-type runMerger struct {
-	// tails holds the unread remainder of every list that has one, as a
-	// binary min-heap on the head element.
-	tails [][]drc.Violation
-}
-
-func newRunMerger(lists [][]drc.Violation) *runMerger {
-	m := &runMerger{tails: make([][]drc.Violation, 0, len(lists))}
-	for _, l := range lists {
-		if len(l) > 0 {
-			m.tails = append(m.tails, l)
+// mergeBlocks appends to dst the merge of blocks, non-empty sorted lists
+// of one rule, which it reorders: each distinct violation as many times
+// as the longest run any one block holds of it. Where the least block's
+// head is below every other head, its elements up to the next other head
+// are copied at once, runs and all; only a value at the head of several
+// blocks is resolved on its own.
+func mergeBlocks(dst []drc.Violation, blocks [][]drc.Violation) []drc.Violation {
+	h := newBlockHeap(blocks)
+	for len(h) > 1 {
+		next := &h[1][0] // the least head of another block
+		if len(h) > 2 && drc.CompareWithinRule(h[2][0], *next) < 0 {
+			next = &h[2][0]
+		}
+		if m := below(h[0], next); m > 0 {
+			dst = append(dst, h[0][:m]...)
+			h.advance(m)
+			continue
+		}
+		v, n := h.next()
+		for ; n > 0; n-- {
+			dst = append(dst, v)
 		}
 	}
-	for i := len(m.tails)/2 - 1; i >= 0; i-- {
-		m.sink(i)
+	if len(h) == 1 {
+		dst = append(dst, h[0]...)
 	}
-	return m
+	return dst
 }
 
-// head returns the next violation without consuming it, nil when every
-// list is read.
-func (m *runMerger) head() *drc.Violation {
-	if len(m.tails) == 0 {
-		return nil
+// below returns how many elements of the sorted block l order before
+// *v: a gallop from the front, then a binary search.
+func below(l []drc.Violation, v *drc.Violation) int {
+	if drc.CompareWithinRule(l[0], *v) >= 0 {
+		return 0
 	}
-	return &m.tails[0][0]
-}
-
-// next consumes the head violation from every list that holds it.
-func (m *runMerger) next() (v drc.Violation, n int) {
-	v = m.tails[0][0]
-	for len(m.tails) > 0 && m.tails[0][0] == v {
-		l := m.tails[0]
-		k := 1
-		for k < len(l) && l[k] == v {
-			k++
-		}
-		n = max(n, k)
-		if k < len(l) {
-			m.tails[0] = l[k:]
+	lo, hi := 1, 2 // l[lo-1] is below v
+	for hi < len(l) && drc.CompareWithinRule(l[hi], *v) < 0 {
+		lo, hi = hi+1, 2*hi+1
+	}
+	hi = min(hi, len(l))
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if drc.CompareWithinRule(l[m], *v) < 0 {
+			lo = m + 1
 		} else {
-			last := len(m.tails) - 1
-			m.tails[0] = m.tails[last]
-			m.tails = m.tails[:last]
+			hi = m
 		}
-		m.sink(0)
+	}
+	return lo
+}
+
+// blockHeap is one rule's non-empty blocks as a binary min-heap on their
+// heads, ordered past the rule name, which every block shares. The
+// blocks are only read.
+type blockHeap [][]drc.Violation
+
+// newBlockHeap heap-orders blocks in place.
+func newBlockHeap(blocks [][]drc.Violation) blockHeap {
+	h := blockHeap(blocks)
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.sink(i)
+	}
+	return h
+}
+
+// next consumes the least head from every block that starts with it and
+// returns it with the longest run one of them held.
+func (h *blockHeap) next() (v drc.Violation, n int) {
+	v = (*h)[0][0]
+	for len(*h) > 0 && (*h)[0][0] == v {
+		k := runOf((*h)[0])
+		n = max(n, k)
+		h.advance(k)
 	}
 	return v, n
 }
 
-func (m *runMerger) sink(i int) {
-	h := m.tails
+// advance consumes k elements of the least block.
+func (h *blockHeap) advance(k int) {
+	t := *h
+	if k < len(t[0]) {
+		t[0] = t[0][k:]
+	} else {
+		last := len(t) - 1
+		t[0] = t[last]
+		t = t[:last]
+	}
+	t.sink(0)
+	*h = t
+}
+
+func (h blockHeap) sink(i int) {
 	for {
 		c := 2*i + 1
 		if c >= len(h) {
 			return
 		}
-		if c+1 < len(h) && drc.CompareViolations(h[c+1][0], h[c][0]) < 0 {
+		if c+1 < len(h) && drc.CompareWithinRule(h[c+1][0], h[c][0]) < 0 {
 			c++
 		}
-		if drc.CompareViolations(h[c][0], h[i][0]) >= 0 {
+		if drc.CompareWithinRule(h[c][0], h[i][0]) >= 0 {
 			return
 		}
 		h[i], h[c] = h[c], h[i]

@@ -3,6 +3,8 @@ package tiling
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -331,5 +333,290 @@ func TestViolationsInSortOrder(t *testing.T) {
 		if !slices.IsSortedFunc(r.res.Violations, drc.CompareViolations) {
 			t.Errorf("%s: violations are not in SortViolations order", r.name)
 		}
+	}
+}
+
+// fuzzStitchPlan is a hand-built 3 x 2 grid of 1000nm tiles with two
+// density rules over 1000nm windows stepped by 500 (24 windows, owned as
+// newPlan assigns them) and rules named on both sides of each density
+// rule's name.
+func fuzzStitchPlan() *plan {
+	p := &plan{
+		opts: Opts{Tile: 1000, KeepDensityMaps: true}, die: geom.R(0, 0, 3000, 2000), nx: 3, ny: 2,
+		densRules: []drc.DensityWindow{
+			{Layer: tech.Metal3, Window: 1000, Min: 0.2, Max: 0.8},
+			{Layer: tech.Metal2, Window: 1000, Min: 0.2, Max: 0.8},
+		},
+	}
+	p.rules = slices.Clone(fuzzStitchRules)
+	for _, dr := range p.densRules {
+		p.rules = append(p.rules, dr.Name())
+	}
+	p.wins = drc.WindowGrid(p.die, 1000, 500)
+	p.perTileWins = make([][]int, p.nx*p.ny)
+	for wi, w := range p.wins {
+		ti := int(w.X0/1000) + p.nx*int(w.Y0/1000)
+		p.perTileWins[ti] = append(p.perTileWins[ti], wi)
+	}
+	return p
+}
+
+// fuzzStitchRules sort below, between and above metal2.density and
+// metal3.density.
+var fuzzStitchRules = []string{"metal1.space", "metal2.area", "metal2.width", "metal3.area", "metal3.z", "via1.space"}
+
+// fuzzDensities are the values a window reads: repeats, zero of both
+// signs (-0 renders "-0.000"), the bounds, and values out of range on
+// both sides.
+var fuzzDensities = []float64{0, math.Copysign(0, -1), 0.5, 0.1, 0.9, 0.05, 1, 0.2, 0.8, 0.35}
+
+// stitchBytes reads a fuzz input as small choices; past its end every
+// choice is 0.
+type stitchBytes []byte
+
+func (b *stitchBytes) next(n int) int {
+	if len(*b) == 0 {
+		return 0
+	}
+	c := int((*b)[0]) % n
+	*b = (*b)[1:]
+	return c
+}
+
+// violations reads tile ti's list: up to 7 entries, each a rule, a
+// marker inside the core or straddling one of its four seams (so the
+// neighbour may report the same one), a layer and detail, and a run of
+// 1 to 4 copies; then whether the list comes unsorted.
+func (b *stitchBytes) violations(p *plan, ti int) []drc.Violation {
+	core := p.core(ti)
+	var vs []drc.Violation
+	for n := b.next(8); n > 0; n-- {
+		rule := fuzzStitchRules[b.next(len(fuzzStitchRules))]
+		place, off := b.next(5), int64(b.next(4))*100
+		var m geom.Rect
+		switch place {
+		case 0: // inside
+			m = geom.R(core.X0+100+off, core.Y0+100, core.X0+150+off, core.Y0+150)
+		case 1: // right seam
+			m = geom.R(core.X1-5, core.Y0+off, core.X1+5, core.Y0+off+10)
+		case 2: // left seam
+			m = geom.R(core.X0-5, core.Y0+off, core.X0+5, core.Y0+off+10)
+		case 3: // top seam
+			m = geom.R(core.X0+off, core.Y1-5, core.X0+off+10, core.Y1+5)
+		default: // bottom seam
+			m = geom.R(core.X0+off, core.Y0-5, core.X0+off+10, core.Y0+5)
+		}
+		v := drc.Violation{Rule: rule, Layer: tech.Metal1 + tech.Layer(b.next(2)), Marker: m, Detail: []string{"a", "b"}[b.next(2)]}
+		for k := 1 + b.next(4); k > 0; k-- {
+			vs = append(vs, v)
+		}
+	}
+	drc.SortViolations(vs)
+	if b.next(4) == 0 {
+		slices.Reverse(vs)
+	}
+	return vs
+}
+
+// densities reads the values of the windows tile ti owns, per rule.
+func (b *stitchBytes) densities(p *plan, ti int) [][]float64 {
+	dens := make([][]float64, len(p.densRules))
+	for di := range dens {
+		dens[di] = make([]float64, len(p.perTileWins[ti]))
+		for j := range dens[di] {
+			dens[di][j] = fuzzDensities[b.next(len(fuzzDensities))]
+		}
+	}
+	return dens
+}
+
+// stitchSeed writes a fuzz input: each tile's entries (rule, place,
+// offset, layer, detail, run-1), unsorted or not, then per tile whether
+// it is recomputed and, if so, whether it keeps its output or reads a
+// new list. Densities are left to the bytes past the end: every window
+// reads 0.
+type seedTile struct {
+	entries  [][6]byte
+	unsorted bool
+}
+
+func stitchSeed(first []seedTile, dirty []int, next map[int]seedTile) []byte {
+	var out []byte
+	tile := func(st seedTile) {
+		out = append(out, byte(len(st.entries)))
+		for _, e := range st.entries {
+			out = append(out, e[:]...)
+		}
+		if st.unsorted {
+			out = append(out, 0)
+		} else {
+			out = append(out, 1)
+		}
+	}
+	for _, st := range first {
+		tile(st)
+	}
+	for ti := range first {
+		if !slices.Contains(dirty, ti) {
+			out = append(out, 0)
+			continue
+		}
+		out = append(out, 1)
+		if st, ok := next[ti]; ok {
+			out = append(out, 1)
+			tile(st)
+		} else {
+			out = append(out, 0)
+		}
+	}
+	return out
+}
+
+// FuzzStitch holds the stitch to the whole-chip oracle on random tile
+// outputs — cross-tile duplicates at every seam, in-tile runs, unsorted
+// lists, densities out of range on both sides — and a delta over a
+// random set of recomputed tiles to a from-scratch stitch of the same
+// outputs. Seeded with the cases of the tests above: the longest run
+// kept over tiles, an unsorted list and a density violation among them;
+// a seam violation whose recomputed run shrinks, vanishes, grows and
+// matches the clean tile's.
+func FuzzStitch(f *testing.F) {
+	e := func(rule, place, off, run byte) [6]byte { return [6]byte{rule, place, off, 0, 0, run - 1} }
+	f.Add(stitchSeed([]seedTile{
+		{entries: [][6]byte{e(2, 1, 0, 2), e(1, 0, 0, 1)}, unsorted: true},
+		{entries: [][6]byte{e(2, 2, 0, 1), e(2, 0, 1, 3)}},
+		{entries: [][6]byte{e(2, 2, 0, 2), e(0, 0, 2, 1)}},
+	}, nil, nil))
+	for _, run := range []byte{0, 1, 2, 3, 4} {
+		next := seedTile{}
+		if run > 0 {
+			next.entries = [][6]byte{e(3, 2, 0, run)}
+		}
+		f.Add(stitchSeed([]seedTile{
+			{entries: [][6]byte{e(3, 1, 0, 2)}},
+			{entries: [][6]byte{e(3, 2, 0, 3)}},
+			{entries: [][6]byte{e(3, 0, 3, 1)}},
+		}, []int{1}, map[int]seedTile{1: next}))
+	}
+	rnd := rand.New(rand.NewSource(1))
+	for range 8 {
+		b := make([]byte, 40+rnd.Intn(200))
+		rnd.Read(b)
+		f.Add(b)
+	}
+	p := fuzzStitchPlan() // only read by the stitch
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := stitchBytes(data)
+		n := p.nx * p.ny
+		outs := make([]*TileResult, n)
+		for ti := range outs {
+			outs[ti] = &TileResult{Violations: in.violations(p, ti)}
+		}
+		next := slices.Clone(outs)
+		var dirty []int
+		for ti := range next {
+			if in.next(2) == 0 {
+				continue
+			}
+			dirty = append(dirty, ti)
+			if in.next(2) == 1 {
+				next[ti] = &TileResult{Violations: in.violations(p, ti)}
+			}
+		}
+		for ti := range outs {
+			outs[ti].Dens = in.densities(p, ti)
+		}
+		for _, ti := range dirty {
+			if next[ti] == outs[ti] { // kept its list; may still read new densities
+				next[ti] = &TileResult{Violations: outs[ti].Violations}
+			}
+			next[ti].Dens = in.densities(p, ti)
+		}
+
+		got := newResult()
+		p.stitchTiles(got, slices.Clone(outs), allTiles(n), nil)
+		if want := p.stitchOracle(newResult(), outs); !Equivalent(got, want) {
+			t.Fatalf("from scratch:\n got %v %v\nwant %v %v", got.Violations, got.ByRule, want.Violations, want.ByRule)
+		}
+		prev := snapshotOf(p, outs)
+		kept := slices.Clone(prev.st.viol)
+		delta := newResult()
+		p.stitchTiles(delta, slices.Clone(next), dirty, prev)
+		want := newResult()
+		p.stitchTiles(want, slices.Clone(next), allTiles(n), nil)
+		if !Equivalent(delta, want) {
+			t.Fatalf("delta over tiles %v:\n got %v %v\nwant %v %v", dirty, delta.Violations, delta.ByRule, want.Violations, want.ByRule)
+		}
+		if !Equivalent(want, p.stitchOracle(newResult(), next)) {
+			t.Fatalf("from scratch after the edit differs from the oracle")
+		}
+		if !slices.Equal(prev.st.viol, kept) {
+			t.Fatal("the delta wrote into the snapshot it was spliced from")
+		}
+	})
+}
+
+// allTiles is every tile of an n-tile grid, the dirty list of a
+// from-scratch stitch.
+func allTiles(n int) []int {
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	return all
+}
+
+// BenchmarkStitch times the stitch alone on the 100k-rect signoff chip's
+// 64 tile outputs (BenchmarkChipSignoff's pass): scratch merges them all
+// with nothing retained, as Evaluate does; delta patches the chip's
+// stitched state with one recomputed tile that lost a violation and
+// moved a density value, as EvaluateDelta does after a small edit.
+func BenchmarkStitch(b *testing.B) {
+	tt := tech.N45()
+	l, _, err := layout.GenerateChip(tt, layout.ChipOpts{Seed: 11, TargetRects: 100_000, Defects: 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	o := Opts{Tile: 24000, Halo: 2000, DRC: true, Density: true, DensityWindow: 3000}
+	res, snap, err := EvaluateSnap(context.Background(), tt, NewExtractor(l.Top), o)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := snap.plan
+	// The delta's tile: the fullest one, less its first violation and with
+	// its first window reading a value no window read before.
+	k := 0
+	for i, out := range snap.outs {
+		if len(out.Violations) > len(snap.outs[k].Violations) {
+			k = i
+		}
+	}
+	edited := *snap.outs[k]
+	edited.Violations = edited.Violations[1:]
+	edited.Dens = slices.Clone(edited.Dens)
+	for di := range edited.Dens {
+		if len(edited.Dens[di]) > 0 {
+			edited.Dens[di] = slices.Clone(edited.Dens[di])
+			edited.Dens[di][0] = 0.987654
+		}
+	}
+	next := slices.Clone(snap.outs)
+	next[k] = &edited
+	b.Logf("%d tiles, %d violations, tile %d holds %d", len(snap.outs), len(res.Violations), k, len(snap.outs[k].Violations))
+	for _, row := range []struct {
+		name  string
+		outs  []*TileResult
+		dirty []int
+		prev  *Snapshot
+	}{
+		{"scratch", snap.outs, allTiles(len(snap.outs)), nil},
+		{"delta", next, []int{k}, snap},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p.stitchTiles(newResult(), slices.Clone(row.outs), row.dirty, row.prev)
+			}
+		})
 	}
 }

@@ -425,9 +425,12 @@ func TestComputeTileWithNothingToCheck(t *testing.T) {
 
 // One worker's scratch carried through tiles chosen to leave stale tails
 // behind — the chip's largest tile, an empty one, a single-layer one of
-// fewer regions (metal1 islands under the area rule), the largest again
-// — answers each as a fresh context does, and what it returned for a
-// tile still holds after the tiles that followed wrote over the scratch.
+// fewer regions (metal1 islands under the area rule), one of two gates
+// with short endcaps, the largest again — answers each as a fresh
+// context does, and what it returned for a tile still holds after the
+// tiles that followed wrote over the scratch. The largest tile holds
+// gates of its own, so a gate layer kept from the tile before would
+// show.
 func TestTileScratchReuse(t *testing.T) {
 	tt := tech.N45()
 	l, _, err := layout.GenerateChip(tt, layout.ChipOpts{Seed: 11, Slots: 4, Defects: 8})
@@ -442,12 +445,30 @@ func TestTileScratchReuse(t *testing.T) {
 			big = u
 		}
 	}
-	empty, single := *big, *big
+	empty, single, gated := *big, *big, *big
 	empty.Shapes, single.Shapes = nil, nil
 	for x := int64(1000); x < 13000; x += 600 {
 		single.Shapes = append(single.Shapes, layout.Shape{Layer: tech.Metal1, R: geom.R(x, 1000, x+100, 1100)})
 	}
-	units := []*TileRequest{big, &empty, &single, big}
+	gated.Shapes = []layout.Shape{
+		{Layer: tech.Poly, R: geom.R(1200, 900, 1250, 1260)},
+		{Layer: tech.Poly, R: geom.R(960, 1580, 1600, 1630)},
+		{Layer: tech.Diff, R: geom.R(1000, 1000, 1500, 1200)},
+		{Layer: tech.Diff, R: geom.R(1000, 1500, 1500, 1700)},
+	}
+	var poly, diff []geom.Rect
+	for _, s := range big.Shapes {
+		switch s.Layer {
+		case tech.Poly:
+			poly = append(poly, s.R)
+		case tech.Diff:
+			diff = append(diff, s.R)
+		}
+	}
+	if len(geom.Intersect(geom.Normalize(poly), geom.Normalize(diff))) == 0 {
+		t.Fatal("the largest tile holds no gates; the gate layer goes unchecked")
+	}
+	units := []*TileRequest{big, &empty, &single, &gated, big}
 	core := geom.R(0, 0, big.CoreW, big.CoreH)
 	fresh := func(u *TileRequest) *TileResult {
 		out, err := computeTile(context.Background(), tt, p.std, p.densRules, nil, u.Shapes, core, core.Bloat(u.Pad), u.Windows)
@@ -470,9 +491,15 @@ func TestTileScratchReuse(t *testing.T) {
 		}
 		got = append(got, out)
 	}
-	if len(got[0].Violations) == 0 || len(got[2].Violations) != len(single.Shapes) {
-		t.Fatalf("largest tile: %d violations; %d islands: %d violations; the case is vacuous",
-			len(got[0].Violations), len(single.Shapes), len(got[2].Violations))
+	endcaps := 0
+	for _, v := range got[3].Violations {
+		if v.Rule == (drc.Endcap{Ext: 100}).Name() {
+			endcaps++
+		}
+	}
+	if len(got[0].Violations) == 0 || len(got[2].Violations) != len(single.Shapes) || endcaps != 2 {
+		t.Fatalf("largest tile: %d violations; %d islands: %d violations; two short gates: %d endcap violations; the case is vacuous",
+			len(got[0].Violations), len(single.Shapes), len(got[2].Violations), endcaps)
 	}
 	for k, u := range units {
 		if !reflect.DeepEqual(got[k], fresh(u)) {

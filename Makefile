@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: tier1 check build vet test race-fast fuzz-smoke cover-kernel cover-engine cover-deck cover-harness cover-wire cover-opc cover-dfm drcprofile scoreprofile editprofile fleetprofile lithoprofile bench bench-smoke examples-smoke regold docs-check fmt-check unit-check
+.PHONY: tier1 check build vet test race-fast fuzz-smoke cover-kernel cover-engine cover-deck cover-harness cover-wire cover-opc cover-dfm cover-fleet drcprofile scoreprofile editprofile fleetprofile lithoprofile bench bench-smoke examples-smoke regold docs-check fmt-check unit-check
 
 # benchmark/ is a module of its own, so ./... above never reaches it;
 # without this an exported-name change breaks the benchmark silently.
@@ -33,6 +33,7 @@ tier1: ## build + vet + gofmt gate + full tests under the race detector
 	$(MAKE) cover-wire
 	$(MAKE) cover-opc
 	$(MAKE) cover-dfm
+	$(MAKE) cover-fleet
 	$(MAKE) bench-smoke
 	$(MAKE) examples-smoke
 	$(MAKE) docs-check
@@ -190,6 +191,16 @@ cover-opc: ## OPC coverage gate: no function of internal/opc's opc.go/pwopc.go/i
 # dfmscore -chip, which no other test reached before TestEvalChipTiling.
 cover-dfm: ## scorecard coverage gate: no function of internal/dfm's techniques.go/dpt_eval.go/runall.go/chip.go at 0 % under the package's own tests
 	$(call cover-gate,cover-dfm,./internal/dfm,techniques|dpt_eval|runall|chip,)
+
+# And on the serving tier's failure vocabulary: what a failed call is
+# (client.ClassOf), how long to back off (RetryPolicy.Wait), the retry
+# loop and the tile submitter on the client side; the router's route,
+# its health record and its HTTP answers, overload and no-backend
+# included, on the other. Each decision is made in one place, so a
+# branch no test runs is a decision nothing checks.
+cover-fleet: ## serving-tier coverage gate: no function of internal/client's client.go/retry.go/tile.go, nor of internal/router's router.go/health.go/http.go, at 0 % under the package's own tests
+	$(call cover-gate,cover-fleet-client,./internal/client,client|retry|tile,)
+	$(call cover-gate,cover-fleet-router,./internal/router,router|health|http,)
 
 # Where drcprofile keeps its binary and profiles (bin/ is gitignored).
 DRCPROFILE_DIR ?= bin/drcprofile

@@ -28,7 +28,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -117,15 +116,8 @@ func run(cfg loadCfg) error {
 	// the wait-ready budget; the clock starts only once it does.
 	readyCtx, cancel := context.WithTimeout(context.Background(), waitReady)
 	defer cancel()
-	for {
-		if err := c.Healthz(readyCtx); err == nil {
-			break
-		}
-		select {
-		case <-readyCtx.Done():
-			return fmt.Errorf("server at %s not ready within %v", cfg.addr, waitReady)
-		case <-time.After(100 * time.Millisecond):
-		}
+	if err := c.WaitReady(readyCtx); err != nil {
+		return fmt.Errorf("server at %s not ready within %v: %w", cfg.addr, waitReady, err)
 	}
 
 	// Deterministic request stream: every arrival is drawn up front.
@@ -151,7 +143,7 @@ func run(cfg loadCfg) error {
 
 	type outcome struct {
 		lat    time.Duration
-		state  string // ok | shed | draining | failed
+		class  client.Class // a job that settled failed is a fault
 		cached bool
 		dedup  bool
 	}
@@ -171,27 +163,21 @@ func run(cfg loadCfg) error {
 			defer cancel()
 			t0 := time.Now()
 			st, err := c.EvalWithRetry(ctx, reqs[i], retryPolicy)
-			lat := time.Since(t0)
-			switch {
-			case err == nil && st.State == server.StateDone:
-				outs[i] = outcome{lat: lat, state: "ok", cached: st.Cached, dedup: st.Deduped}
-			case isOverloaded(err):
-				outs[i] = outcome{lat: lat, state: "shed"}
-			case errors.Is(err, client.ErrDraining):
-				outs[i] = outcome{lat: lat, state: "draining"}
-			default:
-				outs[i] = outcome{lat: lat, state: "failed"}
+			o := outcome{lat: time.Since(t0), class: client.ClassOf(err), cached: st.Cached, dedup: st.Deduped}
+			if o.class == client.ClassOK && st.State != server.StateDone {
+				o.class = client.ClassFault
 			}
+			outs[i] = o
 		}(i)
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	var ok, shed, failed, cached, dedup int
+	var ok, shed, draining, failed, cached, dedup int
 	var lats []time.Duration
 	for _, o := range outs {
-		switch o.state {
-		case "ok":
+		switch o.class {
+		case client.ClassOK:
 			ok++
 			lats = append(lats, o.lat)
 			if o.cached {
@@ -200,8 +186,10 @@ func run(cfg loadCfg) error {
 			if o.dedup {
 				dedup++
 			}
-		case "shed":
+		case client.ClassOverloaded:
 			shed++
+		case client.ClassDraining:
+			draining++
 		default:
 			failed++
 		}
@@ -221,8 +209,8 @@ func run(cfg loadCfg) error {
 		return lats[i]
 	}
 
-	fmt.Printf("dfmload: %d requests over %.1fs (open-loop %.1f/s, dup %.0f%%, %d unique): %d ok, %d shed, %d failed\n",
-		total, elapsed.Seconds(), cfg.rate, 100*cfg.dup, cfg.unique, ok, shed, failed)
+	fmt.Printf("dfmload: %d requests over %.1fs (open-loop %.1f/s, dup %.0f%%, %d unique): %d ok, %d shed, %d draining, %d failed\n",
+		total, elapsed.Seconds(), cfg.rate, 100*cfg.dup, cfg.unique, ok, shed, draining, failed)
 	if ok > 0 {
 		fmt.Printf("client e2e latency: p50 %v  p95 %v  p99 %v  max %v\n",
 			pct(0.50).Round(time.Microsecond), pct(0.95).Round(time.Microsecond),
@@ -250,11 +238,6 @@ func run(cfg loadCfg) error {
 		return fmt.Errorf("%d requests failed", failed)
 	}
 	return nil
-}
-
-func isOverloaded(err error) bool {
-	var ov *client.Overloaded
-	return errors.As(err, &ov)
 }
 
 // startInProcess runs a dfmd instance inside this process on an

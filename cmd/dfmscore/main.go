@@ -286,10 +286,11 @@ func runChip(ctx context.Context, t *tech.Tech, cfg chipConfig) error {
 			fmt.Printf("  defects:   %d/%d injected litho defects found (recall %.2f)\n",
 				rep.DefectsFound, rep.DefectSites, rep.DefectRecall)
 		}
-		fmt.Printf("  peak heap: %.1f MB tiled", float64(rep.PeakHeapTiled)/(1<<20))
+		// MB is 1e6 bytes, as the benchmark's peak_heap_mb.
+		fmt.Printf("  peak heap: %.1f MB tiled", float64(rep.PeakHeapTiled)/1e6)
 		if cfg.flat {
 			fmt.Printf(", %.1f MB flat (%.1fx); flat run %v",
-				float64(rep.PeakHeapFlat)/(1<<20),
+				float64(rep.PeakHeapFlat)/1e6,
 				float64(rep.PeakHeapFlat)/float64(rep.PeakHeapTiled),
 				rep.FlatElapsed.Round(time.Millisecond))
 		}

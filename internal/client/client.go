@@ -191,6 +191,27 @@ func (c *Client) Healthz(ctx context.Context) error {
 	return c.get(ctx, "/healthz", nil)
 }
 
+// readyPoll is how often WaitReady asks.
+const readyPoll = 25 * time.Millisecond
+
+// WaitReady polls Healthz until the server accepts work. When ctx ends
+// first it returns the last probe's error.
+func (c *Client) WaitReady(ctx context.Context) error {
+	for {
+		err := c.Healthz(ctx)
+		if err == nil {
+			return nil
+		}
+		t := time.NewTimer(readyPoll)
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			t.Stop()
+			return err
+		}
+	}
+}
+
 // Metrics fetches the server stats and registry snapshot.
 func (c *Client) Metrics(ctx context.Context) (server.Stats, json.RawMessage, error) {
 	var body struct {

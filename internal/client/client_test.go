@@ -97,6 +97,34 @@ func TestClientMapsOverloadAndDraining(t *testing.T) {
 	}
 }
 
+// WaitReady asks until the server accepts work, and gives up with an
+// error when its context ends first.
+func TestWaitReadyPollsUntilServing(t *testing.T) {
+	var probes, sick atomic.Int64
+	sick.Store(2)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if probes.Add(1) <= sick.Load() {
+			server.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+			return
+		}
+		server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	}))
+	defer ts.Close()
+	c := New(ts.URL, ts.Client())
+	if err := c.WaitReady(context.Background()); err != nil {
+		t.Fatalf("WaitReady: %v", err)
+	}
+	if n := probes.Load(); n != 3 {
+		t.Fatalf("%d probes, want 3: two draining answers, then ready", n)
+	}
+	sick.Store(1 << 30)
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	if err := c.WaitReady(ctx); err == nil {
+		t.Fatal("WaitReady on a server that never comes up returned nil")
+	}
+}
+
 // testUnit is a small valid stage-A unit and the key a node files it
 // under.
 func testUnit(t *testing.T) (*tiling.TileRequest, string) {
@@ -138,7 +166,7 @@ func TestEvalTileHoldsTheNodeToItsKey(t *testing.T) {
 	}
 	answer.Key = "sha256:" + strings.Repeat("0", 64)
 	calls.Store(0)
-	if _, _, err := sub.EvalTile(context.Background(), unit); err == nil || !strings.Contains(err.Error(), "disagree") {
+	if _, _, err := sub.EvalTile(context.Background(), unit); !errors.Is(err, errKeyMismatch) || !strings.Contains(err.Error(), "disagree") {
 		t.Fatalf("node that keyed the unit differently: err = %v, want the disagreement named", err)
 	}
 	if n := calls.Load(); n != 1 {
@@ -147,6 +175,38 @@ func TestEvalTileHoldsTheNodeToItsKey(t *testing.T) {
 	calls.Store(0)
 	if _, _, err := sub.EvalTile(context.Background(), &tiling.TileRequest{}); err == nil || calls.Load() != 0 {
 		t.Errorf("a unit with no key: err = %v after %d requests, want it refused before any byte leaves", err, calls.Load())
+	}
+}
+
+// A tile job that settles failed is the node's fault, not the unit's:
+// the submitter sends the unit again and takes the result of the second
+// call. A node that dies mid-evaluation answers this way.
+func TestTileSubmitterAbsorbsAFailedSettle(t *testing.T) {
+	unit, key := testUnit(t)
+	want := &tiling.TileResult{Violations: []drc.Violation{{Rule: "metal2.width", Layer: tech.Metal2, Marker: geom.R(1500, 1500, 1800, 1570), Detail: "w"}}}
+	var calls atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body) //nolint:errcheck // test server
+		st := server.JobStatus{State: server.StateDone, Kind: server.KindTile, Key: key, Tile: want}
+		if calls.Add(1) == 1 {
+			st = server.JobStatus{State: server.StateFailed, Kind: server.KindTile, Key: key, Error: "worker panicked"}
+		}
+		server.WriteJobStatus(w, st)
+	}))
+	defer ts.Close()
+	p := NewRetryPolicy(4, 1)
+	p.Base, p.Max = time.Millisecond, time.Millisecond
+	sub := &TileSubmitter{C: New(ts.URL, ts.Client()), Policy: p}
+
+	got, _, err := sub.EvalTile(context.Background(), unit)
+	if err != nil {
+		t.Fatalf("EvalTile: %v", err)
+	}
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("the unit was sent %d times, want 2: one failed settle, then the result", n)
+	}
+	if len(got.Violations) != 1 || got.Violations[0] != want.Violations[0] {
+		t.Fatalf("result = %v, want %v", got.Violations, want.Violations)
 	}
 }
 

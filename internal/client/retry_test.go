@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -168,13 +170,10 @@ func TestDelayHintFloorsBackoff(t *testing.T) {
 	p.Base, p.Max = 10*time.Millisecond, 100*time.Millisecond
 	hint := 80 * time.Millisecond
 	for retry := 1; retry <= 3; retry++ {
-		d := p.Delay(retry, hint)
-		if d < hint/2 || d > hint {
-			// Early retries' exponential backoff (10ms, 20ms) is far
-			// below the hint, so the hint must take over.
-			if d < hint/2 {
-				t.Fatalf("retry %d delay %v dipped under half the server hint %v", retry, d, hint)
-			}
+		// Every retry's exponential step (10ms, 20ms, 40ms) is below
+		// the hint, so the wait is drawn from [hint/2, hint].
+		if d := p.Delay(retry, hint); d < hint/2 || d > hint {
+			t.Fatalf("retry %d delay %v outside [%v, %v]", retry, d, hint/2, hint)
 		}
 	}
 }
@@ -189,23 +188,44 @@ func TestDelayDeterministicPerSeed(t *testing.T) {
 	}
 }
 
+// TestRetryableClassification is ClassOf's table: each error a call can
+// return, its class, and whether the clients' retry loop tries again —
+// on an overload or a fault, and on nothing else.
 func TestRetryableClassification(t *testing.T) {
 	cases := []struct {
 		err  error
-		want bool
+		want Class
 	}{
-		{nil, false},
-		{context.Canceled, false},
-		{context.DeadlineExceeded, false},
-		{ErrDraining, false},
-		{&StatusError{Code: 400}, false},
-		{&StatusError{Code: 502}, true},
-		{&Overloaded{RetryAfter: time.Second}, true},
-		{errors.New("dial tcp: connection refused"), true},
+		{nil, ClassOK},
+		{context.Canceled, ClassCanceled},
+		{context.DeadlineExceeded, ClassCanceled},
+		{&url.Error{Op: "Post", URL: "http://n0/v1/jobs", Err: context.DeadlineExceeded}, ClassCanceled},
+		{ErrDraining, ClassDraining},
+		{&StatusError{Code: 400, Msg: "unknown technique"}, ClassRejected},
+		{&StatusError{Code: 499}, ClassRejected},
+		{&StatusError{Code: 500}, ClassFault},
+		{&StatusError{Code: 502}, ClassFault},
+		{fmt.Errorf("%w: the job settled under another key", errKeyMismatch), ClassRejected},
+		{&Overloaded{RetryAfter: time.Millisecond}, ClassOverloaded},
+		{fmt.Errorf("attempt 2: %w", &Overloaded{RetryAfter: time.Millisecond}), ClassOverloaded},
+		{&TileFailed{Key: "sha256:0", Msg: "worker panicked"}, ClassFault},
+		{errors.New("dial tcp: connection refused"), ClassFault},
 	}
+	p := NewRetryPolicy(2, 1)
+	p.Base, p.Max = time.Millisecond, time.Millisecond
 	for _, tc := range cases {
-		if got := Retryable(tc.err); got != tc.want {
-			t.Fatalf("Retryable(%v) = %v, want %v", tc.err, got, tc.want)
-		}
+		t.Run(fmt.Sprint(tc.err), func(t *testing.T) {
+			if got := ClassOf(tc.err); got != tc.want {
+				t.Fatalf("ClassOf(%v) = %d, want %d", tc.err, got, tc.want)
+			}
+			calls, want := 0, 1
+			if tc.want == ClassOverloaded || tc.want == ClassFault {
+				want = 2
+			}
+			p.do(context.Background(), func() error { calls++; return tc.err }) //nolint:errcheck // calls are under test
+			if calls != want {
+				t.Fatalf("%v was tried %d times under a 2-attempt policy, want %d", tc.err, calls, want)
+			}
+		})
 	}
 }

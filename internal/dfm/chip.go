@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/metrics"
 	"time"
 
 	"repro/internal/layout"
@@ -55,8 +56,9 @@ type ChipEvalReport struct {
 	GenElapsed  time.Duration `json:"gen_elapsed_ns"`
 	Elapsed     time.Duration `json:"elapsed_ns"`
 	TilesPerSec float64       `json:"tiles_per_sec"`
-	// PeakHeapTiled/Flat are sampled peak Go heap during each phase,
-	// bytes. PeakHeapFlat is 0 when CompareFlat is off.
+	// PeakHeapTiled/Flat are the sampled peak of the bytes in heap
+	// objects during each phase (heapPeak). PeakHeapFlat is 0 when
+	// CompareFlat is off.
 	PeakHeapTiled uint64 `json:"peak_heap_tiled"`
 	PeakHeapFlat  uint64 `json:"peak_heap_flat"`
 
@@ -66,21 +68,26 @@ type ChipEvalReport struct {
 	Match bool `json:"match"`
 }
 
-// heapPeak samples the live heap while fn runs and returns its peak.
-// Each phase starts from a forced GC so phase peaks are comparable.
+// heapPeak samples the live heap while fn runs and returns its peak,
+// the way the benchmark's meter does: the bytes in heap objects,
+// garbage awaiting collection included (/memory/classes/heap/objects),
+// read through runtime/metrics, which does not stop the world, at the
+// start, every 10 ms and at the end. Each phase starts from a forced GC
+// so phase peaks are comparable.
 func heapPeak(fn func() error) (uint64, error) {
 	runtime.GC()
 	stop := make(chan struct{})
 	done := make(chan uint64)
 	go func() {
-		var ms runtime.MemStats
+		s := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
 		var peak uint64
 		sample := func() uint64 {
-			runtime.ReadMemStats(&ms)
-			peak = max(peak, ms.HeapAlloc)
+			metrics.Read(s)
+			peak = max(peak, s[0].Value.Uint64())
 			return peak
 		}
-		tick := time.NewTicker(5 * time.Millisecond)
+		sample()
+		tick := time.NewTicker(10 * time.Millisecond)
 		defer tick.Stop()
 		for {
 			select {

@@ -120,22 +120,15 @@ func Start(o Options) (*Cluster, error) {
 	return cl, nil
 }
 
-// WaitReady polls the router's health endpoint until it answers 200
-// (at least one backend up) or the budget runs out.
+// WaitReady polls the router's health endpoint (client.WaitReady) until
+// it answers 200 (at least one backend up) or the budget runs out.
 func (cl *Cluster) WaitReady(budget time.Duration) error {
-	c := client.New(cl.URL, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), budget)
 	defer cancel()
-	for {
-		if err := c.Healthz(ctx); err == nil {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("fleet: router at %s not ready within %v", cl.URL, budget)
-		case <-time.After(25 * time.Millisecond):
-		}
+	if err := client.New(cl.URL, nil).WaitReady(ctx); err != nil {
+		return fmt.Errorf("fleet: router at %s not ready within %v: %w", cl.URL, budget, err)
 	}
+	return nil
 }
 
 // BackendSums aggregates server counters across the live nodes.

@@ -2,7 +2,6 @@ package router
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"time"
 
@@ -70,20 +69,22 @@ func (h *health) admitting() bool {
 	return h.state != down
 }
 
-// probed folds in one probe's result (nil, client.ErrDraining or any
-// other error) and returns the state before and after.
+// probed folds in one probe's result, read by client.ClassOf (answered,
+// draining, or anything else: a failed probe), and returns the state
+// before and after.
 func (h *health) probed(err error) (from, to state) {
+	c := client.ClassOf(err)
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	from = h.state
-	switch {
-	case err == nil:
+	switch c {
+	case client.ClassOK:
 		h.probeFails = 0
 		h.probeOKs++
 		if h.state == down && h.probeOKs >= h.riseAfter {
 			h.state = trial
 		}
-	case errors.Is(err, client.ErrDraining):
+	case client.ClassDraining:
 		h.evict()
 	default:
 		h.probeFails++
@@ -95,21 +96,21 @@ func (h *health) probed(err error) (from, to state) {
 	return from, h.state
 }
 
-// settle folds in the outcome of one admitted request and returns the
-// state before and after. A down backend leaves down on probes only:
-// a late answer to a request admitted before the eviction moves
-// nothing but the data-path streak.
-func (h *health) settle(isTrial bool, o outcome) (from, to state) {
+// settle folds in the class of one admitted request's outcome and
+// returns the state before and after. A down backend leaves down on
+// probes only: a late answer to a request admitted before the eviction
+// moves nothing but the data-path streak.
+func (h *health) settle(isTrial bool, c client.Class) (from, to state) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	from = h.state
 	if isTrial {
 		h.trialOut = false
 	}
-	switch o {
-	case outcomeDraining:
+	switch c {
+	case client.ClassDraining:
 		h.evict()
-	case outcomeFault:
+	case client.ClassFault:
 		h.dataFails++
 		if h.state != down && (h.dataFails >= h.failAfter || isTrial) {
 			h.evict()

@@ -141,14 +141,14 @@ func runHealth(t *testing.T, in []byte) state {
 			k := int(c/byte(numHops)) % len(out)
 			isTrial, fault := out[k], e == hDataFault
 			out = append(out[:k], out[k+1:]...)
-			o := outcomeOK
+			c := client.ClassOK
 			if fault {
-				o = outcomeFault
+				c = client.ClassFault
 				dataFaults++
 			} else {
 				dataFaults = 0
 			}
-			h.settle(isTrial, o)
+			h.settle(isTrial, c)
 			m.settle(isTrial, fault)
 		}
 		if h.state != m.st {

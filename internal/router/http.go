@@ -5,11 +5,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
-	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/client"
 	"repro/internal/obs"
@@ -105,39 +103,32 @@ func relay(w http.ResponseWriter, rep *client.Reply) {
 }
 
 // writeRouteError maps a routing failure onto the wire. Overload and
-// drain keep their single-node shapes (429 with the hint, 503);
-// transport-level exhaustion is the router's own 502.
+// drain keep their single-node shapes (429 with the hint, 503); a
+// backend's 4xx verdict passes through unchanged; a request no backend
+// was left to take is the router's 503, and transport-level exhaustion
+// its 502.
 func (r *Router) writeRouteError(w http.ResponseWriter, err error) {
-	var ov *client.Overloaded
-	switch {
-	case errors.As(err, &ov):
-		// Same contract as a single dfmd node: the header carries the
-		// hint in whole seconds with a 1s floor (a sub-second estimate
-		// would round to 0 and spin naive callers), the JSON body the
-		// millisecond-precision value.
-		secs := int64(ov.RetryAfter / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
-		server.WriteJSON(w, http.StatusTooManyRequests, server.ErrorBody{
-			Error:        "cluster overloaded",
-			RetryAfterMS: ov.RetryAfter.Milliseconds(),
-		})
-	case errors.Is(err, client.ErrDraining):
+	var (
+		ov *client.Overloaded
+		se *client.StatusError
+	)
+	switch client.ClassOf(err) {
+	case client.ClassOverloaded:
+		errors.As(err, &ov)
+		server.WriteOverloaded(w, "cluster overloaded", ov.RetryAfter)
+	case client.ClassDraining:
 		server.WriteError(w, http.StatusServiceUnavailable, "all backends draining")
-	case errors.Is(err, errNoBackend):
-		server.WriteError(w, http.StatusServiceUnavailable, "no available backend")
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+	case client.ClassCanceled:
 		server.WriteError(w, http.StatusRequestTimeout, "canceled while routing: "+err.Error())
 	default:
-		var se *client.StatusError
-		if errors.As(err, &se) && se.Code < 500 {
-			// Backend validation verdicts pass through unchanged.
+		switch {
+		case errors.As(err, &se) && se.Code < 500:
 			server.WriteError(w, se.Code, se.Msg)
-			return
+		case errors.Is(err, errNoBackend):
+			server.WriteError(w, http.StatusServiceUnavailable, "no available backend")
+		default:
+			server.WriteError(w, http.StatusBadGateway, "all replicas failed: "+err.Error())
 		}
-		server.WriteError(w, http.StatusBadGateway, "all replicas failed: "+err.Error())
 	}
 }
 

@@ -229,10 +229,7 @@ func (r *Router) route(ctx context.Context, key string, call func(context.Contex
 	r.requests.Add(1)
 	start := time.Now()
 	tried := make(map[*Backend]bool)
-	var (
-		lastErr error
-		hint    time.Duration
-	)
+	var lastErr error
 	for attempt := 1; attempt <= r.cfg.MaxAttempts; attempt++ {
 		if attempt > 1 {
 			if !r.budget.allowRetry() {
@@ -240,17 +237,12 @@ func (r *Router) route(ctx context.Context, key string, call func(context.Contex
 				break
 			}
 			r.retries.Add(1)
-			d := r.retry.Delay(attempt-1, hint)
-			if dl, ok := ctx.Deadline(); ok && time.Until(dl) < d {
-				break
-			}
-			t := time.NewTimer(d)
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				r.abandoned.Add(1)
-				return nil, nil, ctx.Err()
+			if !r.retry.Wait(ctx, attempt-1, lastErr) {
+				if ctx.Err() != nil {
+					r.abandoned.Add(1)
+					return nil, nil, ctx.Err()
+				}
+				break // the deadline is too near for the backoff
 			}
 		}
 		b, isTrial := r.pick(key, tried)
@@ -277,91 +269,52 @@ func (r *Router) route(ctx context.Context, key string, call func(context.Contex
 		rep, err := call(actx, b)
 		cancel()
 		b.inflight.Add(-1)
-		hint = 0
-		o := classify(err)
-		if o == outcomeTerminal && errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
+		c := client.ClassOf(err)
+		if c == client.ClassCanceled && ctx.Err() == nil && errors.Is(err, context.DeadlineExceeded) {
 			// The *attempt* timed out, not the caller: a black-holed
-			// backend. That is a transport fault — fail over.
-			o = outcomeFault
+			// backend. That is a fault — fail over.
+			c = client.ClassFault
 		}
-		from, to := b.health.settle(isTrial, o)
+		from, to := b.health.settle(isTrial, c)
 		r.note(b, from, to, err)
-		switch o {
-		case outcomeOK:
+		switch c {
+		case client.ClassOK:
 			b.oks.Add(1)
 			r.budget.onSuccess()
 			r.ok.Add(1)
 			mE2E.ObserveSince(start)
 			return rep, b, nil
-		case outcomeOverloaded:
+		case client.ClassOverloaded:
 			// The node is alive and pushing back; that is not a
 			// fault, but it does spend retry budget — retrying into an
 			// overloaded cluster is amplification too.
 			b.sheds.Add(1)
 			r.budget.onFailure()
-			hint = client.RetryHint(err)
-			lastErr = err
-		case outcomeDraining:
+		case client.ClassDraining:
 			// Deliberate drain: settle has evicted the node without
 			// waiting out the probe threshold. Don't charge the budget
 			// — the node told us cleanly, nothing is burning.
-			lastErr = err
-		case outcomeTerminal:
-			// Validation errors and context expiry: the other
-			// replicas would say exactly the same thing.
-			var se *client.StatusError
+		case client.ClassFault:
+			b.fails.Add(1)
+			r.budget.onFailure()
+		default:
+			// Rejected or canceled: the other replicas would say
+			// exactly the same thing. The request ends under whose
+			// failure it is.
 			switch {
 			case ctx.Err() != nil:
 				r.abandoned.Add(1)
-			case errors.As(err, &se):
+			case c == client.ClassRejected:
 				r.rejected.Add(1)
 			default:
 				r.failed.Add(1)
 			}
 			return nil, b, err
-		case outcomeFault:
-			b.fails.Add(1)
-			r.budget.onFailure()
-			lastErr = err
 		}
+		lastErr = err
 	}
 	r.failed.Add(1)
 	return nil, nil, lastErr
-}
-
-// request outcomes, classified from the backend client's error.
-type outcome int
-
-const (
-	outcomeOK outcome = iota
-	outcomeOverloaded
-	outcomeDraining
-	outcomeFault
-	outcomeTerminal
-)
-
-func classify(err error) outcome {
-	switch {
-	case err == nil:
-		return outcomeOK
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		return outcomeTerminal
-	case errors.Is(err, client.ErrDraining):
-		return outcomeDraining
-	}
-	var ov *client.Overloaded
-	if errors.As(err, &ov) {
-		return outcomeOverloaded
-	}
-	var se *client.StatusError
-	if errors.As(err, &se) {
-		if se.Code >= 500 {
-			return outcomeFault
-		}
-		return outcomeTerminal
-	}
-	// Transport-level: dial refused, reset, EOF mid-body, ...
-	return outcomeFault
 }
 
 // admit lets one submission in, unless the router is draining; an

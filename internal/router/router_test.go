@@ -19,7 +19,11 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/faultinject"
+	"repro/internal/geom"
+	"repro/internal/layout"
 	"repro/internal/server"
+	"repro/internal/tech"
+	"repro/internal/tiling"
 )
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -627,6 +631,61 @@ func TestRouterHTTPRewriteAndProxy(t *testing.T) {
 	}
 	if mb.Router.Requests < 1 || len(mb.Router.Backends) != 2 {
 		t.Fatalf("metrics body unexpected: %+v", mb.Router)
+	}
+}
+
+// A router whose every backend is evicted answers a submission 503 "no
+// available backend" and counts it under NoBackend. client.Forward reads
+// any 503 as a drain, so a TileSubmitter takes that answer as final: it
+// sends the unit once, whatever its retry budget.
+func TestNoBackendIsA503TheSubmitterDoesNotRetry(t *testing.T) {
+	var jobs atomic.Int64
+	draining := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.URL.Path != "/healthz" {
+			jobs.Add(1)
+		}
+		server.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+	}))
+	defer draining.Close()
+	r, err := New(Config{Backends: []string{draining.URL}, CheckInterval: 10 * time.Millisecond, Logf: quiet})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Shutdown(context.Background())
+	waitFor(t, "the drain eviction", func() bool { return !r.backends[0].health.admitting() })
+	ts := httptest.NewServer(r.Handler())
+	defer ts.Close()
+
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"technique":"sraf","seed":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eb server.ErrorBody
+	json.NewDecoder(resp.Body).Decode(&eb) //nolint:errcheck // checked through eb
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || eb.Error != "no available backend" {
+		t.Fatalf("answer %d %q, want 503 %q", resp.StatusCode, eb.Error, "no available backend")
+	}
+	if st := r.Stats(); st.NoBackend != 1 || st.Failed != 1 {
+		t.Fatalf("noBackend/failed = %d/%d, want 1/1", st.NoBackend, st.Failed)
+	}
+
+	unit := &tiling.TileRequest{
+		Schema: tiling.TileSchema, Stage: tiling.StageTile, Tech: *tech.N45(), DRC: true,
+		CoreW: 8000, CoreH: 8000, Pad: 2000,
+		Shapes: []layout.Shape{{Layer: tech.Metal2, R: geom.R(1500, 1500, 1800, 1570)}},
+	}
+	p := client.NewRetryPolicy(4, 1)
+	p.Base, p.Max = time.Millisecond, time.Millisecond
+	sub := &client.TileSubmitter{C: client.New(ts.URL, ts.Client()), Policy: p}
+	if _, _, err := sub.EvalTile(context.Background(), unit); !errors.Is(err, client.ErrDraining) {
+		t.Fatalf("EvalTile through a router with no backend: %v, want ErrDraining", err)
+	}
+	if st := r.Stats(); st.Requests != 2 || st.NoBackend != 2 {
+		t.Fatalf("requests/noBackend = %d/%d after the unit, want 2/2: it was sent once", st.Requests, st.NoBackend)
+	}
+	if n := jobs.Load(); n != 0 {
+		t.Fatalf("an evicted backend received %d submissions", n)
 	}
 }
 

@@ -53,6 +53,16 @@ func WriteError(w http.ResponseWriter, code int, msg string) {
 	WriteJSON(w, code, ErrorBody{Error: msg})
 }
 
+// WriteOverloaded answers a shed the one way both tiers do: 429 with
+// msg, the hint — the live estimate of when queue room frees up — in
+// the body to the millisecond, and in a Retry-After header in whole
+// seconds, never below 1s: a sub-second hint would round to 0 there and
+// send naive callers into a busy loop.
+func WriteOverloaded(w http.ResponseWriter, msg string, retryAfter time.Duration) {
+	w.Header().Set("Retry-After", strconv.FormatInt(max(int64(retryAfter/time.Second), 1), 10))
+	WriteJSON(w, http.StatusTooManyRequests, ErrorBody{Error: msg, RetryAfterMS: retryAfter.Milliseconds()})
+}
+
 // maxRequestBytes bounds one POST /v1/jobs body. The largest real unit
 // is a tile's extracted shape list, tens of kB as a packed column (a
 // few hundred before tile schema 3); 64 MiB leaves three orders of
@@ -126,17 +136,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusServiceUnavailable, "shutting down")
 		return
 	case errors.Is(err, errOverloaded):
-		// Retry-After is the live estimate of when queue room frees
-		// up, never below 1s (the header is whole seconds).
-		secs := int64(retryAfter / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
-		WriteJSON(w, http.StatusTooManyRequests, ErrorBody{
-			Error:        "overloaded",
-			RetryAfterMS: retryAfter.Milliseconds(),
-		})
+		WriteOverloaded(w, "overloaded", retryAfter)
 		return
 	case err != nil:
 		WriteError(w, http.StatusBadRequest, err.Error())

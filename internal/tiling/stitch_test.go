@@ -71,11 +71,25 @@ func (p *plan) stitchOracle(res *Result, outs []*TileResult) *Result {
 			i = j
 		}
 	}
-	// Out-of-range density windows go through the rule's own formatter.
+	// Out-of-range density windows go through the rule's own formatter,
+	// once per rule and value bits (-0 renders apart from 0): the marker
+	// is the only part of a violation that depends on the window.
+	type densKey struct {
+		di   int
+		bits uint64
+	}
+	formatted := make(map[densKey]drc.Violation)
 	for di, dr := range p.densRules {
 		for wi, d := range densVals[di] {
 			if d < dr.Min || d > dr.Max {
-				runs = append(runs, run{dr.Violation(p.wins[wi], d), 1})
+				k := densKey{di, math.Float64bits(d)}
+				v, ok := formatted[k]
+				if !ok {
+					v = dr.Violation(geom.Rect{}, d)
+					formatted[k] = v
+				}
+				v.Marker = p.wins[wi]
+				runs = append(runs, run{v, 1})
 				seen++
 			}
 		}
@@ -539,6 +553,13 @@ func FuzzStitch(f *testing.F) {
 			t.Fatalf("from scratch:\n got %v %v\nwant %v %v", got.Violations, got.ByRule, want.Violations, want.ByRule)
 		}
 		prev := snapshotOf(p, outs)
+		// A spliced tile's output is the snapshot's, sorted as its stitch
+		// left it (Snapshot.outs), never a list that came back unsorted.
+		for ti := range next {
+			if next[ti] == outs[ti] {
+				next[ti] = prev.outs[ti]
+			}
+		}
 		kept := slices.Clone(prev.st.viol)
 		delta := newResult()
 		p.stitchTiles(delta, slices.Clone(next), dirty, prev)

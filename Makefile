@@ -221,12 +221,15 @@ drcprofile: ## CPU profile of the signoff DRC path over 30 uncached passes of th
 # Where scoreprofile keeps its test binary and profiles (bin/ is gitignored).
 SCOREPROFILE_DIR ?= bin/scoreprofile
 
-scoreprofile: ## CPU + allocation profile of the scorecard (BenchmarkScorecard: dfm.RunAllConfig over seeds 11-14, 40 iterations), dfm.*, pattern.*, fill.*, drc.*, geom.*, litho.* and opc.* by cumulative cost; the benchmark row ends on the sweep's y-events per scorecard
+scoreprofile: ## CPU + allocation profile of the scorecard (BenchmarkScorecard: dfm.RunAllConfig over seeds 11-14, 40 iterations), dfm.*, pattern.*, fill.*, drc.*, geom.*, litho.* and opc.* by cumulative cost; the benchmark row ends on the sweep's y-events per scorecard; then the counters of one dfmscore pass at seed 11: where its renders' grids came from (litho.raster.grid.new / reused), its raster misses and its OPC runs
 	@mkdir -p $(SCOREPROFILE_DIR)
 	$(GO) test -run='^$$' -bench='^BenchmarkScorecard$$' -benchtime=40x -benchmem \
 		-cpuprofile $(SCOREPROFILE_DIR)/cpu.prof -memprofile $(SCOREPROFILE_DIR)/mem.prof -o $(SCOREPROFILE_DIR)/repro.test .
 	$(GO) tool pprof -top -cum -nodecount=40 -show='dfm\.|pattern\.|fill\.|drc\.|geom\.|litho\.|opc\.' $(SCOREPROFILE_DIR)/repro.test $(SCOREPROFILE_DIR)/cpu.prof
 	$(GO) tool pprof -sample_index=alloc_space -top -cum -nodecount=25 -show='dfm\.|pattern\.|fill\.|drc\.|geom\.|litho\.|opc\.' $(SCOREPROFILE_DIR)/repro.test $(SCOREPROFILE_DIR)/mem.prof
+	$(GO) build -o $(SCOREPROFILE_DIR)/dfmscore ./cmd/dfmscore
+	$(SCOREPROFILE_DIR)/dfmscore -seed 11 -metrics $(SCOREPROFILE_DIR)/metrics.json > /dev/null
+	@grep -oE '"(litho\.raster\.grid\.(new|reused)|litho\.raster\.cache\.miss|opc\.model\.runs)": *[0-9]+' $(SCOREPROFILE_DIR)/metrics.json
 
 # Where editprofile keeps its binary and profile (bin/ is gitignored).
 EDITPROFILE_DIR ?= bin/editprofile

@@ -97,10 +97,10 @@ func simulate(tb testing.TB, mask []geom.Rect, window geom.Rect, t *tech.Tech, c
 // finalRMS is the RMS EPE a model-OPC run converged to.
 func finalRMS(res opc.Result) float64 { return res.RMSHistory[len(res.RMSHistory)-1] }
 
-// modelOPC runs opc.ModelBased to completion.
+// modelOPC runs opc.ModelBased to completion on a handle of its own.
 func modelOPC(tb testing.TB, drawn []geom.Rect, window geom.Rect, t *tech.Tech, mo opc.ModelOpts) opc.Result {
 	tb.Helper()
-	res, err := opc.ModelBased(context.Background(), drawn, window, t.Optics, mo)
+	res, err := opc.ModelBased(context.Background(), drawn, window, litho.NewRasterMask(nil, window, t.Optics, 0), mo)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -423,7 +423,7 @@ var experiments = []experiment{
 					rmsAt(mask, litho.Nominal), rmsAt(mask, litho.Condition{Defocus: 80, Dose: 1}))
 			}
 			row("nominal-opc:", modelOPC(tb, drawn, window, t, mo).Mask)
-			pw, err := opc.ProcessWindowOPC(context.Background(), drawn, window, t.Optics, mo, opc.StandardPWCorners(80))
+			pw, err := opc.ProcessWindowOPC(context.Background(), drawn, window, litho.NewRasterMask(nil, window, t.Optics, 80), mo, opc.StandardPWCorners(80))
 			if err != nil {
 				tb.Fatal(err)
 			}

@@ -176,6 +176,17 @@ func TestEvalTileHoldsTheNodeToItsKey(t *testing.T) {
 	if _, _, err := sub.EvalTile(context.Background(), &tiling.TileRequest{}); err == nil || calls.Load() != 0 {
 		t.Errorf("a unit with no key: err = %v after %d requests, want it refused before any byte leaves", err, calls.Load())
 	}
+	// The refusal is the unit's fault: the submitter's loop makes one
+	// attempt under a policy that allows four.
+	attempts := 0
+	err := sub.Policy.do(context.Background(), func() error {
+		attempts++
+		_, _, err := sub.C.EvalTile(context.Background(), &tiling.TileRequest{})
+		return err
+	})
+	if c := ClassOf(err); c != ClassRejected || attempts != 1 {
+		t.Errorf("a unit with no key: class %d after %d attempts, want ClassRejected (%d) after 1", c, attempts, ClassRejected)
+	}
 }
 
 // A tile job that settles failed is the node's fault, not the unit's:

@@ -24,8 +24,9 @@ const (
 	// ClassDraining: the node is shutting down (503, ErrDraining).
 	ClassDraining
 	// ClassRejected: the request is at fault — a 4xx verdict
-	// (*StatusError below 500) or a node that keys a tile unit
-	// differently — and every node would say the same again.
+	// (*StatusError below 500), a tile unit this client cannot key, or
+	// a node that keys a tile unit differently — and every node would
+	// say the same again.
 	ClassRejected
 	// ClassCanceled: the call's context ended.
 	ClassCanceled
@@ -55,7 +56,7 @@ func ClassOf(err error) Class {
 			return ClassFault
 		}
 		return ClassRejected
-	case errors.Is(err, errKeyMismatch):
+	case errors.Is(err, errKeyMismatch), errors.Is(err, errUnkeyable):
 		return ClassRejected
 	}
 	return ClassFault

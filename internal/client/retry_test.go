@@ -206,6 +206,7 @@ func TestRetryableClassification(t *testing.T) {
 		{&StatusError{Code: 500}, ClassFault},
 		{&StatusError{Code: 502}, ClassFault},
 		{fmt.Errorf("%w: the job settled under another key", errKeyMismatch), ClassRejected},
+		{fmt.Errorf("%w: tiling: unknown schema", errUnkeyable), ClassRejected},
 		{&Overloaded{RetryAfter: time.Millisecond}, ClassOverloaded},
 		{fmt.Errorf("attempt 2: %w", &Overloaded{RetryAfter: time.Millisecond}), ClassOverloaded},
 		{&TileFailed{Key: "sha256:0", Msg: "worker panicked"}, ClassFault},

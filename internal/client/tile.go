@@ -28,6 +28,10 @@ func (e *TileFailed) Error() string {
 // same way every time, so it is not worth another attempt.
 var errKeyMismatch = errors.New("dfmd: client and node disagree on a tile unit's content address")
 
+// errUnkeyable marks a tile unit this client cannot key. It never
+// leaves, and the same unit is refused the same way every time.
+var errUnkeyable = errors.New("dfmd: tile unit has no content address")
+
 // EvalTile submits one tile work unit and returns its settled result in
 // the tiling engine's form. An answer that is not settled is an error:
 // every node of this build answers a submission only once it settles.
@@ -43,7 +47,7 @@ func (c *Client) EvalTile(ctx context.Context, req *tiling.TileRequest) (*tiling
 	jr := server.JobRequest{Kind: server.KindTile, Tile: req}
 	claim, err := server.KeyForRequest(jr)
 	if err != nil {
-		return nil, tiling.TileServed{}, err
+		return nil, tiling.TileServed{}, fmt.Errorf("%w: %w", errUnkeyable, err)
 	}
 	st, err := c.eval(ctx, jr, claim)
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/layout"
 	"repro/internal/litho"
+	"repro/internal/obs"
 	"repro/internal/tech"
 )
 
@@ -152,7 +153,8 @@ func evaluated(t *testing.T, name string, seed int64, opts layout.BlockOpts) Out
 	if !ok {
 		t.Fatalf("no technique %q", name)
 	}
-	o := d.evaluate(context.Background(), tech.N45(), seed, opts)
+	tt := tech.N45()
+	o := d.evaluate(context.Background(), tt, newWorkload(tt, seed, opts))
 	if o.Err != nil {
 		t.Fatal(o.Err)
 	}
@@ -231,11 +233,28 @@ func TestEvalDRCPlusCapturesMoreThanDRC(t *testing.T) {
 	}
 }
 
+// TestExtractGateLengths also holds the extraction to one grid a call:
+// the four cells render through one handle, the largest window first,
+// with OPC at nominal and without it off nominal alike.
 func TestExtractGateLengths(t *testing.T) {
+	defer obs.SetEnabled(obs.Enabled())
+	obs.SetEnabled(true)
+	newGrids := func() int64 { return obs.Default().Snapshot().Counters["litho.raster.grid.new"] }
 	tt := tech.N45()
+	before := newGrids()
 	gl, err := ExtractGateLengths(context.Background(), tt, litho.Nominal, true)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := newGrids() - before; n != 1 {
+		t.Errorf("extraction with OPC took %d new grids, want 1", n)
+	}
+	before = newGrids()
+	if _, err := ExtractGateLengths(context.Background(), tt, litho.Condition{Defocus: 60, Dose: 0.95}, false); err != nil {
+		t.Fatal(err)
+	}
+	if n := newGrids() - before; n != 1 {
+		t.Errorf("extraction off nominal took %d new grids, want 1", n)
 	}
 	for _, gt := range []circuit.GateType{circuit.Inv, circuit.Nand2, circuit.Nor2, circuit.Buf} {
 		d, ok := gl.Delay[gt]

@@ -29,9 +29,9 @@ func dptSameMask(t *tech.Tech) int64 { return t.Rules[tech.Metal2].MinSpace * 17
 // measure of the undecomposed layer reads either. (On the scorecard's
 // blocks at seeds 0-39 the plain decomposition leaves no conflict, so
 // no stitch is made and the two adjacency counts agree.)
-func dptDecomposition(ctx context.Context, name string, t *tech.Tech, opts layout.BlockOpts) (v values, err error) {
+func dptDecomposition(ctx context.Context, name string, t *tech.Tech, w workload) (v values, err error) {
 	sp := stage(name, "fixture")
-	flat, err := flatBlock(t, opts)
+	flat, err := w.block()
 	sp.End()
 	if err != nil {
 		return v, err

@@ -62,6 +62,7 @@ func TestFixersAreIdempotent(t *testing.T) {
 	ctx, tt := context.Background(), tech.N45()
 	opts := DefaultBlock()
 	opts.Seed = 11
+	w := newWorkload(tt, opts.Seed, opts)
 
 	t.Run("redundant-via", func(t *testing.T) {
 		flat, err := flatBlock(tt, opts)
@@ -78,7 +79,7 @@ func TestFixersAreIdempotent(t *testing.T) {
 	})
 
 	t.Run("dummy-fill", func(t *testing.T) {
-		d, err := dieFixture(tt, opts)
+		d, err := dieFixture(tt, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,14 +96,14 @@ func TestFixersAreIdempotent(t *testing.T) {
 		// The loop's state is its fragments' biases, so the loop run
 		// for twice its iterations is the loop restarted from its
 		// converged mask.
-		p, _ := opcFixture(tt, opts)
+		p, _ := opcFixture(tt, w)
 		mo := opc.DefaultModelOpts()
-		once, err := opc.ModelBased(ctx, p.drawn, p.window, tt.Optics, mo)
+		once, err := opc.ModelBased(ctx, p.drawn, p.window, p.rm, mo)
 		if err != nil {
 			t.Fatal(err)
 		}
 		mo.Iterations *= 2
-		twice, err := opc.ModelBased(ctx, p.drawn, p.window, tt.Optics, mo)
+		twice, err := opc.ModelBased(ctx, p.drawn, p.window, p.rm, mo)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +127,7 @@ func TestFixersAreIdempotent(t *testing.T) {
 	})
 
 	t.Run("sraf", func(t *testing.T) {
-		p, _ := srafFixture(tt, opts)
+		p, _ := srafFixture(tt, w)
 		once, gain := secondGain(t, "sraf", p, srafFix, srafMeasure)
 		if gain >= idempotentEps {
 			t.Errorf("a second assist pass gains %.4f", gain)

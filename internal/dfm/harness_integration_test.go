@@ -2,8 +2,10 @@ package dfm
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -212,10 +214,90 @@ func TestHookErrorSkipsEvaluator(t *testing.T) {
 	}
 }
 
+// blockTechniques are the rows that read a workload's block.
+var blockTechniques = []string{"redundant-via", "dummy-fill", "dpt-decomposition"}
+
+// blocksGenerated reads the GenerateBlock counter.
+func blocksGenerated() int64 { return obs.Default().Snapshot().Counters["layout.block.generated"] }
+
+// TestRunAllBuildsEachBlockOnce: a scorecard seed generates three
+// blocks, its own and drc-plus's two, and renders into seven grids,
+// whatever the pool size, and the scorecard does not depend on it. The block the three block rows share
+// is read-only: after the run it hashes as a fresh generation does.
+func TestRunAllBuildsEachBlockOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two full scorecards are slow")
+	}
+	defer obs.SetEnabled(obs.Enabled())
+	obs.SetEnabled(true)
+	ctx, tt := context.Background(), tech.N45()
+	hash := func(flat []layout.Shape) [32]byte { return sha256.Sum256(fmt.Append(nil, flat)) }
+	opts := DefaultBlock()
+	opts.Seed = 11
+	fresh, err := flatBlock(tt, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cards []*Scorecard
+	for _, parallel := range []int{1, 8} {
+		w := newWorkload(tt, 11, DefaultBlock())
+		before := obs.Default().Snapshot().Counters
+		sc := runAll(ctx, tt, w, Config{Parallel: parallel})
+		after := obs.Default().Snapshot().Counters
+		if n := after["layout.block.generated"] - before["layout.block.generated"]; n != 3 {
+			t.Errorf("Parallel %d: %d blocks generated, want 3", parallel, n)
+		}
+		// The renders of a seed land in seven grids: one for model-opc,
+		// one for litho-aware-timing, one for each of restricted-rules'
+		// two CD losses and three for sraf.
+		if n, m := after["litho.raster.grid.new"]-before["litho.raster.grid.new"], after["litho.raster.cache.miss"]-before["litho.raster.cache.miss"]; n != 7 || m != 68 {
+			t.Errorf("Parallel %d: %d raster misses into %d new grids, want 68 into 7", parallel, m, n)
+		}
+		for i := range sc.Outcomes {
+			if sc.Outcomes[i].Err != nil {
+				t.Fatalf("Parallel %d: %s: %v", parallel, sc.Outcomes[i].Technique, sc.Outcomes[i].Err)
+			}
+			sc.Outcomes[i].Runtime = 0
+		}
+		if flat, err := w.block(); err != nil || hash(flat) != hash(fresh) {
+			t.Errorf("Parallel %d: the shared block changed under the run (err %v)", parallel, err)
+		}
+		cards = append(cards, sc)
+	}
+	if !reflect.DeepEqual(cards[0], cards[1]) {
+		t.Errorf("the scorecard at Parallel 1 differs from Parallel 8:\n%s\n%s", cards[0].Detail(), cards[1].Detail())
+	}
+}
+
 // TestGenerationFailureIsTerminal: a workload that cannot be generated
 // fails its technique once, as a workload error that names the seed the
-// outcome is labelled with.
+// outcome is labelled with. A workload shared by the block rows fails
+// each of them so, from one generation; one whose generation panics
+// fails each as a panic.
 func TestGenerationFailureIsTerminal(t *testing.T) {
+	defer obs.SetEnabled(obs.Enabled())
+	obs.SetEnabled(true)
+	tt := tech.N45()
+	shared := newWorkload(tt, 42, layout.BlockOpts{Rows: 0, RowWidth: 10000})
+	panicking := newWorkload(nil, 42, DefaultBlock())
+	before := blocksGenerated()
+	for _, name := range blockTechniques {
+		d, _ := techniqueNamed(name)
+		if o := d.evaluate(context.Background(), tt, shared); !errors.Is(o.Err, harness.ErrWorkload) || !strings.Contains(o.Err.Error(), "42") {
+			t.Errorf("%s on an ungeneratable shared block: err = %v, want a workload error naming seed 42", name, o.Err)
+		}
+		r := harness.Run(context.Background(), []harness.Task{{Name: name, Run: func(ctx context.Context, _ int) (any, error) {
+			o := d.evaluate(ctx, tt, panicking)
+			return o, o.Err
+		}}}, harness.Options{})[0]
+		if !errors.Is(r.Err, harness.ErrPanic) {
+			t.Errorf("%s on a block whose generation panics: err = %v, want a panic", name, r.Err)
+		}
+	}
+	if n := blocksGenerated() - before; n != 2 {
+		t.Errorf("%d generations for two shared blocks, want 2", n)
+	}
+
 	task, err := TechniqueTask(tech.N45(), "redundant-via", 42, layout.BlockOpts{Rows: 0, RowWidth: 10000})
 	if err != nil {
 		t.Fatal(err)
@@ -322,7 +404,7 @@ func (c *cancelAt) Err() error {
 func TestEvalCancellationMidFlight(t *testing.T) {
 	sraf, _ := techniqueNamed("sraf")
 	count := newCancelAt(0)
-	if o := sraf.evaluate(count, tech.N45(), 0, DefaultBlock()); o.Err != nil {
+	if o := sraf.evaluate(count, tech.N45(), newWorkload(tech.N45(), 0, DefaultBlock())); o.Err != nil {
 		t.Fatalf("uncancelled run: %v", o.Err)
 	}
 	last := count.calls.Load()
@@ -331,7 +413,7 @@ func TestEvalCancellationMidFlight(t *testing.T) {
 	}
 	t.Logf("an uncancelled run passes %d checkpoints", last)
 	for _, k := range []int64{2, last} {
-		if o := sraf.evaluate(newCancelAt(k), tech.N45(), 0, DefaultBlock()); !errors.Is(o.Err, context.Canceled) {
+		if o := sraf.evaluate(newCancelAt(k), tech.N45(), newWorkload(tech.N45(), 0, DefaultBlock())); !errors.Is(o.Err, context.Canceled) {
 			t.Errorf("cancelled at checkpoint %d of %d: err = %v, want context.Canceled", k, last, o.Err)
 		}
 	}

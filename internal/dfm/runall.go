@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/harness"
@@ -69,10 +70,27 @@ type technique struct {
 	eval    evaluation
 }
 
-// evaluation evaluates one technique at the seed in opts.Seed (block
-// techniques draw their block from opts; the others ignore the shape),
-// naming its stage spans after name.
-type evaluation func(ctx context.Context, name string, t *tech.Tech, opts layout.BlockOpts) (values, error)
+// evaluation evaluates one technique on the workload, at the seed in
+// w.opts.Seed (block techniques draw the workload's block; the others
+// ignore its shape), naming its stage spans after name.
+type evaluation func(ctx context.Context, name string, t *tech.Tech, w workload) (values, error)
+
+// workload is what an evaluation draws on: the block shape at the
+// seed (opts.Seed), and block, the flat block generated from it. The
+// block is generated on the first call and shared, read-only, by every
+// evaluation handed the same workload: a scorecard's redundant-via,
+// dummy-fill and dpt-decomposition read one block, and a generation
+// error or panic reaches each of them.
+type workload struct {
+	opts  layout.BlockOpts
+	block func() ([]layout.Shape, error)
+}
+
+// newWorkload is the workload of the block shape at the seed.
+func newWorkload(t *tech.Tech, seed int64, opts layout.BlockOpts) workload {
+	opts.Seed = seed
+	return workload{opts, sync.OnceValues(func() ([]layout.Shape, error) { return flatBlock(t, opts) })}
+}
 
 // values is what an evaluation reports: one before and one after value
 // per metric of its row, and the cost.
@@ -90,15 +108,15 @@ type cost struct {
 // fixer is the evaluation of a technique that changes a layout: its
 // fixture, fixed, then the fix and the fixture measured by the same
 // measure. The fix reports the cost of what it added. Fixing first
-// keeps the evaluation's render handle empty while the fix runs (the
-// OPC loop renders through its own), and measuring the fix first lets
-// an image the fix hands over go before the fixture's mask renders.
-func fixer[L any](fixture func(t *tech.Tech, opts layout.BlockOpts) (L, error),
+// leaves the evaluation's render handle to the fix (the OPC loop
+// renders through it), and measuring the fix first lets an image the
+// fix hands over go before the fixture's mask renders over its grid.
+func fixer[L any](fixture func(t *tech.Tech, w workload) (L, error),
 	fix func(ctx context.Context, t *tech.Tech, in L) (L, cost, error),
 	measure func(ctx context.Context, t *tech.Tech, l L) ([]float64, error)) evaluation {
-	return func(ctx context.Context, name string, t *tech.Tech, opts layout.BlockOpts) (v values, err error) {
+	return func(ctx context.Context, name string, t *tech.Tech, w workload) (v values, err error) {
 		sp := stage(name, "fixture")
-		in, err := fixture(t, opts)
+		in, err := fixture(t, w)
 		sp.End()
 		if err != nil {
 			return v, err
@@ -129,7 +147,7 @@ var techniques = []technique{
 			{Name: "block via yield", Unit: "frac", HigherIsBetter: true},
 			{Name: "single-via fraction", Unit: "frac"},
 		},
-		fixer(flatBlock, viaFix, viaMeasure)},
+		fixer(blockFixture, viaFix, viaMeasure)},
 	{Threshold{"dummy-fill", 0.10, 0.40, "fill is dead metal, electrically cheap, so the cost cap is loose"},
 		[]Metric{
 			{Name: "density sigma", Unit: "frac", Primary: true},
@@ -183,20 +201,19 @@ var techniques = []technique{
 		dptDecomposition},
 }
 
-// evaluate runs one row at a seed: the outcome's clock and context
+// evaluate runs one row on a workload: the outcome's clock and context
 // check, the evaluation, its values zipped into the row's metrics, the
 // cost, and the verdict against the row's bar. A failed evaluation's
 // outcome carries its error and no metrics. Where an evaluation reports
 // fewer before values than after values (model-opc's two corrections of
 // one fixture), the befores repeat.
-func (d technique) evaluate(ctx context.Context, t *tech.Tech, seed int64, opts layout.BlockOpts) (o Outcome) {
+func (d technique) evaluate(ctx context.Context, t *tech.Tech, w workload) (o Outcome) {
 	o = Outcome{Technique: d.Technique}
 	defer track(&o)()
 	if o.Err = ctx.Err(); o.Err != nil {
 		return o
 	}
-	opts.Seed = seed
-	v, err := d.eval(ctx, d.Technique, t, opts)
+	v, err := d.eval(ctx, d.Technique, t, w)
 	if err != nil {
 		o.Err = err
 		return o
@@ -252,14 +269,15 @@ var ErrUnknownTechnique = errors.New("dfm: unknown technique")
 // TechniqueTask builds the harness task for one named technique on an
 // explicit workload shape — the entry point the serving layer uses to
 // evaluate a single technique per request. seed is the workload base
-// seed; base is the block shape for block-driven techniques.
+// seed; base is the block shape for block-driven techniques, whose
+// block each run of the task generates for itself.
 func TechniqueTask(t *tech.Tech, name string, seed int64, base layout.BlockOpts) (harness.Task, error) {
 	d, ok := techniqueNamed(name)
 	if !ok {
 		return harness.Task{}, fmt.Errorf("%w: %q", ErrUnknownTechnique, name)
 	}
 	return harness.Task{Name: name, Run: func(ctx context.Context, _ int) (any, error) {
-		o := d.evaluate(ctx, t, seed, base)
+		o := d.evaluate(ctx, t, newWorkload(t, seed, base))
 		return o, o.Err
 	}}, nil
 }
@@ -270,8 +288,14 @@ func TechniqueTask(t *tech.Tech, name string, seed int64, base layout.BlockOpts)
 // technique always yields exactly one outcome: a failed, timed-out,
 // panicked, or canceled evaluator degrades to an outcome whose Err
 // carries the harness's typed classification while the remaining
-// techniques report real verdicts.
+// techniques report real verdicts. The seed's block is generated once,
+// by the first technique that reads it.
 func RunAllConfig(ctx context.Context, t *tech.Tech, seed int64, cfg Config) *Scorecard {
+	return runAll(ctx, t, newWorkload(t, seed, DefaultBlock()), cfg)
+}
+
+// runAll is RunAllConfig on one workload, which every technique shares.
+func runAll(ctx context.Context, t *tech.Tech, w workload, cfg Config) *Scorecard {
 	tasks := make([]harness.Task, len(techniques))
 	for i, d := range techniques {
 		tasks[i] = harness.Task{Name: d.Technique, Timeout: cfg.Timeout, Run: func(ctx context.Context, _ int) (any, error) {
@@ -280,7 +304,7 @@ func RunAllConfig(ctx context.Context, t *tech.Tech, seed int64, cfg Config) *Sc
 					return nil, err
 				}
 			}
-			o := d.evaluate(ctx, t, seed, DefaultBlock())
+			o := d.evaluate(ctx, t, w)
 			return o, o.Err
 		}}
 	}

@@ -1,10 +1,12 @@
 package dfm
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 
 	"repro/internal/circuit"
 	"repro/internal/device"
@@ -32,9 +34,9 @@ import (
 // plays out.
 const FullChipVias = 1e8
 
-// flatBlock generates a routed block and flattens it: the fixture of
-// the block techniques. A failure is a harness.Workload error that
-// names the seed.
+// flatBlock generates a routed block and flattens it: the block of a
+// workload, and drc-plus's two blocks. A failure is a harness.Workload
+// error that names the seed.
 func flatBlock(t *tech.Tech, opts layout.BlockOpts) ([]layout.Shape, error) {
 	l, err := layout.GenerateBlock(t, opts)
 	if err != nil {
@@ -42,6 +44,9 @@ func flatBlock(t *tech.Tech, opts layout.BlockOpts) ([]layout.Shape, error) {
 	}
 	return l.Flatten(), nil
 }
+
+// blockFixture is the workload's flat block, as redundant-via fixes it.
+func blockFixture(_ *tech.Tech, w workload) ([]layout.Shape, error) { return w.block() }
 
 // viaFix doubles every single via of a flat layout that has room for a
 // second cut. The cuts cost no area and no timing.
@@ -81,8 +86,8 @@ type die struct {
 
 const fillWindow, fillStep = 3000, 1500
 
-func dieFixture(t *tech.Tech, opts layout.BlockOpts) (die, error) {
-	flat, err := flatBlock(t, opts)
+func dieFixture(_ *tech.Tech, w workload) (die, error) {
+	flat, err := w.block()
 	if err != nil {
 		return die{}, err
 	}
@@ -144,12 +149,12 @@ func (p printed) image(ctx context.Context, i int) (*litho.Image, error) {
 		p.masks[i].img = nil
 		return img, nil
 	}
-	p.rm.Remask(p.masks[i].rects)
+	p.rm.Remask(p.masks[i].rects, p.window)
 	return p.rm.Image(ctx, litho.Nominal)
 }
 
 // opcFixture is a mixed dense/iso/line-end pattern.
-func opcFixture(t *tech.Tech, _ layout.BlockOpts) (printed, error) {
+func opcFixture(t *tech.Tech, _ workload) (printed, error) {
 	var drawn []geom.Rect
 	for i := int64(0); i < 4; i++ {
 		drawn = append(drawn, geom.R(i*140, 0, i*140+70, 1200))
@@ -162,14 +167,15 @@ func opcFixture(t *tech.Tech, _ layout.BlockOpts) (printed, error) {
 }
 
 // opcFix corrects the drawn pattern twice: model-based, then
-// rule-based for reference. The model loop's last image is its
-// corrected mask at nominal over this window, so that mask is not
-// rendered again. Inverse OPC is compared on the isolated structure it
-// is scoped for (see the ilt-vs-model experiment); the pixel solver's
-// hinge bands overlap on sub-2*Band dense pitches, where edge-based OPC
-// remains the production answer.
+// rule-based for reference. The model loop renders through the
+// layout's handle, and its last image is its corrected mask at nominal
+// over this window, so that mask is not rendered again and both
+// measures render over the loop's grid. Inverse OPC is compared on the
+// isolated structure it is scoped for (see the ilt-vs-model
+// experiment); the pixel solver's hinge bands overlap on sub-2*Band
+// dense pitches, where edge-based OPC remains the production answer.
 func opcFix(ctx context.Context, t *tech.Tech, p printed) (printed, cost, error) {
-	res, err := opc.ModelBased(ctx, p.drawn, p.window, t.Optics, opc.DefaultModelOpts())
+	res, err := opc.ModelBased(ctx, p.drawn, p.window, p.rm, opc.DefaultModelOpts())
 	if err != nil {
 		return printed{}, cost{}, err
 	}
@@ -198,7 +204,7 @@ var (
 )
 
 // srafFixture is an isolated line, the feature assists are for.
-func srafFixture(t *tech.Tech, _ layout.BlockOpts) (printed, error) {
+func srafFixture(t *tech.Tech, _ workload) (printed, error) {
 	return newPrinted(t, geom.Normalize([]geom.Rect{geom.R(0, 0, 70, 3000)}), geom.R(-450, 1200, 550, 1800),
 		srafDefocus[len(srafDefocus)-1]), nil
 }
@@ -243,7 +249,7 @@ func srafMeasure(ctx context.Context, _ *tech.Tech, p printed) ([]float64, error
 // and its restricted-rules twin (tech.N45R): the rules are a setting of
 // the generator, not a change to a layout. The area the restricted
 // library grows by is the cost.
-func restrictedRules(ctx context.Context, name string, t *tech.Tech, _ layout.BlockOpts) (v values, err error) {
+func restrictedRules(ctx context.Context, name string, t *tech.Tech, _ workload) (v values, err error) {
 	sp := stage(name, "measure")
 	defer sp.End()
 	if v.before, err = rulesMeasure(ctx, t); err != nil {
@@ -278,24 +284,9 @@ func rulesMeasure(ctx context.Context, t *tech.Tech) ([]float64, error) {
 		band = float64(pv.BandArea()) / float64(covered)
 	}
 
-	x := float64(3*r.Pitch + r.MinWidth/2) // centre line
-	rm := litho.NewRasterMask(m1, geom.R(int64(x)-700, 1200, int64(x)+700, 1800), t.Optics, 120)
-	img0, err := rm.Image(ctx, litho.Nominal)
+	loss, err := cdLoss(ctx, t, m1, float64(3*r.Pitch+r.MinWidth/2)) // centre line
 	if err != nil {
 		return nil, err
-	}
-	imgF, err := rm.Image(ctx, litho.Condition{Defocus: 120, Dose: 1})
-	if err != nil {
-		return nil, err
-	}
-	cd0, ok0 := img0.CDAt(x, 1500, true)
-	cdF, okF := imgF.CDAt(x, 1500, true)
-	loss := math.Abs(cd0 - cdF)
-	switch {
-	case !ok0:
-		loss = math.Inf(1)
-	case !okF:
-		loss = cd0
 	}
 
 	lib := layout.NewLib(t)
@@ -304,6 +295,33 @@ func rulesMeasure(ctx context.Context, t *tech.Tech) ([]float64, error) {
 		area += float64(lib.Cells[n].BBox().Width()) * float64(t.CellHeight)
 	}
 	return []float64{band, loss, area}, nil
+}
+
+// cdLoss is the through-focus CD loss of the line at x: its CD at
+// nominal less its CD at 120 nm defocus, infinite when it does not
+// print at nominal and its whole nominal CD when it is lost at
+// defocus. The nominal CD is read before the defocused image is asked
+// for, so that image renders over the nominal one's grid.
+func cdLoss(ctx context.Context, t *tech.Tech, m1 []geom.Rect, x float64) (float64, error) {
+	window := geom.R(int64(x)-700, 1200, int64(x)+700, 1800)
+	rm := litho.NewRasterMask(m1, window, t.Optics, 120)
+	img, err := rm.Image(ctx, litho.Nominal)
+	if err != nil {
+		return 0, err
+	}
+	cd0, ok := img.CDAt(x, 1500, true)
+	if !ok {
+		return math.Inf(1), nil
+	}
+	rm.Remask(m1, window)
+	if img, err = rm.Image(ctx, litho.Condition{Defocus: 120, Dose: 1}); err != nil {
+		return 0, err
+	}
+	cdF, ok := img.CDAt(x, 1500, true)
+	if !ok {
+		return cd0, nil
+	}
+	return math.Abs(cd0 - cdF), nil
 }
 
 // drcPlusBlock generates the drc-plus workload block of one seed and
@@ -353,8 +371,8 @@ var StressCond = litho.Condition{Defocus: 110, Dose: 0.95}
 // drcPlus is a check: it trains a pattern library from the litho
 // hotspots of the block at the seed and measures hotspot capture on
 // the block at the next seed, against the plain-DRC baseline.
-func drcPlus(ctx context.Context, name string, t *tech.Tech, opts layout.BlockOpts) (v values, err error) {
-	trainSeed, testSeed := opts.Seed, opts.Seed+1
+func drcPlus(ctx context.Context, name string, t *tech.Tech, w workload) (v values, err error) {
+	trainSeed, testSeed := w.opts.Seed, w.opts.Seed+1
 	sp := stage(name, "workload")
 	trainM1, trainHS, err := drcPlusBlock(ctx, t, trainSeed)
 	if err != nil {
@@ -447,9 +465,11 @@ type GateLengths struct {
 // (optionally after model OPC), intersects the printed contours with
 // the drawn diffusion, slices the non-rectangular gates, and returns
 // the delay- and leakage-equivalent lengths per gate type — the
-// post-OPC extraction step of the litho-aware timing flow. On
-// cancellation it returns the lengths extracted so far alongside the
-// context error.
+// post-OPC extraction step of the litho-aware timing flow. The cells
+// render through one handle, moved from cell to cell largest window
+// first, so every cell after the first renders over the grid of the
+// one before. On cancellation it returns the lengths extracted so far
+// alongside the context error.
 func ExtractGateLengths(ctx context.Context, t *tech.Tech, cond litho.Condition, useOPC bool) (GateLengths, error) {
 	lib := layout.NewLib(t)
 	nmos := device.NMOS45()
@@ -457,18 +477,26 @@ func ExtractGateLengths(ctx context.Context, t *tech.Tech, cond litho.Condition,
 		Delay: make(map[circuit.GateType]float64),
 		Leak:  make(map[circuit.GateType]float64),
 	}
+	type gateCell struct {
+		gt     circuit.GateType
+		cell   *layout.Cell
+		window geom.Rect
+	}
+	var cells []gateCell
 	for _, gt := range []circuit.GateType{circuit.Inv, circuit.Nand2, circuit.Nor2, circuit.Buf} {
-		cell, err := lib.Cell(gt.CellName())
-		if err != nil {
-			continue
+		if cell, err := lib.Cell(gt.CellName()); err == nil {
+			cells = append(cells, gateCell{gt, cell, cell.BBox().Bloat(300)})
 		}
-		poly := geom.Normalize(cell.LayerRects(tech.Poly))
-		diff := geom.Normalize(cell.LayerRects(tech.Diff))
-		window := cell.BBox().Bloat(300)
+	}
+	slices.SortStableFunc(cells, func(a, b gateCell) int { return cmp.Compare(b.window.Area(), a.window.Area()) })
+	rm := litho.NewRasterMask(nil, geom.Rect{}, t.Optics, cond.Defocus) // each cell moves it to its window
+	for _, c := range cells {
+		poly := geom.Normalize(c.cell.LayerRects(tech.Poly))
+		diff := geom.Normalize(c.cell.LayerRects(tech.Diff))
 		mask := poly
 		var img *litho.Image // at nominal, the OPC loop's last image is the one to read
 		if useOPC {
-			res, err := opc.ModelBased(ctx, poly, window, t.Optics, opc.DefaultModelOpts())
+			res, err := opc.ModelBased(ctx, poly, c.window, rm, opc.DefaultModelOpts())
 			if err != nil {
 				return gl, err
 			}
@@ -478,8 +506,9 @@ func ExtractGateLengths(ctx context.Context, t *tech.Tech, cond litho.Condition,
 			}
 		}
 		if img == nil {
+			rm.Remask(mask, c.window)
 			var err error
-			if img, err = litho.Simulate(ctx, mask, window, t.Optics, cond); err != nil {
+			if img, err = rm.Image(ctx, cond); err != nil {
 				return gl, err
 			}
 		}
@@ -498,12 +527,12 @@ func ExtractGateLengths(ctx context.Context, t *tech.Tech, cond litho.Condition,
 			wSum += w
 		}
 		if wSum > 0 {
-			gl.Delay[gt] = dSum / wSum
-			gl.Leak[gt] = kSum / wSum
+			gl.Delay[c.gt] = dSum / wSum
+			gl.Leak[c.gt] = kSum / wSum
 		} else {
 			// Gates failed to print at this condition: dead silicon.
-			gl.Delay[gt] = nmos.LNom * 3
-			gl.Leak[gt] = nmos.LNom
+			gl.Delay[c.gt] = nmos.LNom * 3
+			gl.Leak[c.gt] = nmos.LNom
 		}
 	}
 	return gl, nil
@@ -512,8 +541,8 @@ func ExtractGateLengths(ctx context.Context, t *tech.Tech, cond litho.Condition,
 // lithoTiming is an analysis: the signoff error that STA with drawn
 // lengths makes, against STA with post-OPC extracted lengths, on the
 // random logic block of the seed. After the analysis the error is 0.
-func lithoTiming(ctx context.Context, name string, t *tech.Tech, opts layout.BlockOpts) (v values, err error) {
-	nl := circuit.RandomLogic(10, 14, 16, opts.Seed)
+func lithoTiming(ctx context.Context, name string, t *tech.Tech, w workload) (v values, err error) {
+	nl := circuit.RandomLogic(10, 14, 16, w.opts.Seed)
 	lib := sta.DefaultLib()
 
 	sp := stage(name, "sta-drawn")

@@ -6,8 +6,13 @@ import (
 	"sort"
 
 	"repro/internal/geom"
+	"repro/internal/obs"
 	"repro/internal/tech"
 )
+
+// cBlocks counts GenerateBlock calls, so that a caller sharing one
+// block among its readers can be held to it.
+var cBlocks = obs.C("layout.block.generated")
 
 // Block generator: places rows of random standard cells and routes
 // random multi-pin signal nets over them on metal2 (horizontal tracks)
@@ -39,6 +44,7 @@ type pinRef struct {
 
 // GenerateBlock builds a placed-and-routed block layout.
 func GenerateBlock(t *tech.Tech, opts BlockOpts) (*Layout, error) {
+	cBlocks.Inc()
 	if opts.Rows <= 0 || opts.RowWidth <= 0 {
 		return nil, fmt.Errorf("layout: block needs positive Rows and RowWidth")
 	}

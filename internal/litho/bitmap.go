@@ -102,33 +102,6 @@ func (b *Bitmap) rows(sink rowFunc) {
 	}
 }
 
-// AndNot returns b AND NOT o.
-func (b *Bitmap) AndNot(o *Bitmap) *Bitmap {
-	out := b.clone()
-	for i, w := range o.words {
-		out.words[i] &^= w
-	}
-	return out
-}
-
-// And returns b AND o.
-func (b *Bitmap) And(o *Bitmap) *Bitmap {
-	out := b.clone()
-	for i, w := range o.words {
-		out.words[i] &= w
-	}
-	return out
-}
-
-// Or returns b OR o.
-func (b *Bitmap) Or(o *Bitmap) *Bitmap {
-	out := b.clone()
-	for i, w := range o.words {
-		out.words[i] |= w
-	}
-	return out
-}
-
 // pixelRect returns the nm rect of pixels [i0, i1) x [j0, j1) of a
 // raster with the given origin and pitch.
 func pixelRect(origin geom.Point, pitch float64, i0, i1, j0, j1 int) geom.Rect {

@@ -495,8 +495,6 @@ func checkPacked(t *testing.T, p *Bitmap, r int) {
 	same("Dilate", p.morph(r, dilation), o.Dilate(r))
 	same("Open", p.Open(r), o.Open(r))
 	same("Close", p.Close(r), o.Close(r))
-	same("AndNot(Open)", p.AndNot(p.Open(r)), o.AndNot(o.Open(r)))
-	same("Close.AndNot", p.Close(r).AndNot(p), o.Close(r).AndNot(o))
 	want := o.Blobs()
 	slices.SortFunc(want, rectOrder)
 	if got := blobs(p); !reflect.DeepEqual(got, want) {

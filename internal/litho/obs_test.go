@@ -157,7 +157,7 @@ func TestFEMatrixRendersOverOneGrid(t *testing.T) {
 		t.Errorf("a 13-defocus matrix on a fresh handle took %d new and %d reused grids, want at most 2 new and 13 in all", n1-n0, r1-r0)
 	}
 
-	rm.Remask(assisted)
+	rm.Remask(assisted, window)
 	got := matrix(rm)
 	n2, r2 := gridCounts()
 	if n2 != n1 || r2-r1 != int64(len(defocus)) {
@@ -167,7 +167,7 @@ func TestFEMatrixRendersOverOneGrid(t *testing.T) {
 		t.Error("the matrix rendered over spent grids differs from a fresh handle's")
 	}
 
-	rm.Remask(bare)
+	rm.Remask(bare, window)
 	held, err := rm.Image(ctx, Condition{Defocus: 80, Dose: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -183,6 +183,55 @@ func TestFEMatrixRendersOverOneGrid(t *testing.T) {
 	}
 	if moved := snapKernel().minus(before); moved.hit != 1 || moved.miss != 0 {
 		t.Error("the matrix retired a |defocus| the caller had cached")
+	}
+}
+
+// A handle moves across windows: a miss renders over the smallest
+// spent grid whose capacity covers the new window, resliced to it, and
+// calls NewGrid only when none does. Every image is a fresh handle's,
+// bit for bit and in placement.
+func TestRemaskMovesAcrossWindows(t *testing.T) {
+	withObs(t)
+	ctx := context.Background()
+	o := tech.N45().Optics
+	mask := []geom.Rect{geom.R(0, 0, 70, 2000), geom.R(140, 300, 210, 1700)}
+	small, large := geom.R(-200, 400, 400, 1600), geom.R(-600, 0, 800, 2000)
+	rm := NewRasterMask(nil, small, o, 60)
+	for _, step := range []struct {
+		window     geom.Rect
+		cond       Condition
+		newGrids   int64
+		sameAsPrev bool
+	}{
+		{small, Nominal, 1, false},
+		{large, Nominal, 1, false},                       // the small grid cannot hold it
+		{small, Nominal, 0, false},                       // the small grid is the tighter fit
+		{geom.R(-100, 500, 300, 1500), Nominal, 0, true}, // smaller still: the same grid, resliced
+		{large, Condition{Defocus: 60, Dose: 1}, 0, false},
+	} {
+		var prev *float64
+		if c := rm.cache[0]; c != nil {
+			prev = &c.Data[0]
+		}
+		rm.Remask(mask, step.window)
+		n0, _ := gridCounts()
+		img, err := rm.Image(ctx, step.cond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, _ := gridCounts(); n-n0 != step.newGrids {
+			t.Errorf("%v: %d new grids, want %d", step.window, n-n0, step.newGrids)
+		}
+		if step.sameAsPrev && &img.Data[0] != prev {
+			t.Errorf("%v: not rendered over the grid the window before used", step.window)
+		}
+		want, err := NewRasterMask(mask, step.window, o, 60).Image(ctx, step.cond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(img, want) {
+			t.Errorf("%v: image over a spent grid differs from a fresh handle's", step.window)
+		}
 	}
 }
 

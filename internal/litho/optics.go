@@ -43,10 +43,11 @@ type Image struct {
 // inside each kernel pass, so a canceled or timed-out caller gets
 // control back mid-image rather than after it; optics the kernel
 // rejects are an error, never a nil image. Simulate is for a mask
-// looked at once: callers that simulate the same mask/window pair more
-// than once — FE matrices, PV-band corners, the OPC loop — build a
-// RasterMask and ask it for each Image, which normalizes once and
-// caches per-defocus intensity fields.
+// looked at once: callers that simulate a mask more than once — FE
+// matrices, the OPC loop — or many masks in turn — a cell library —
+// build a RasterMask and ask it for each Image, which normalizes once,
+// caches per-defocus intensity fields and renders each mask the handle
+// is moved to over the grids of the one before.
 func Simulate(ctx context.Context, mask []geom.Rect, window geom.Rect, opt tech.Optics, cond Condition) (*Image, error) {
 	// The mask is dropped on return, so the grid its cache holds is
 	// this call's alone and may be scaled in place.

@@ -38,7 +38,7 @@ type RasterMask struct {
 	mu    sync.Mutex
 	spans []pxSpan          // normalized mask on the padded grid, built once on first simulation
 	cache map[float64]*Grid // the mask's unit-dose intensity per |defocus|
-	spent []*Grid           // grids no image reads any more, to render over: all are the window's size
+	spent []*Grid           // grids no image reads any more, of any window the handle has had, to render over
 }
 
 // NewRasterMask prepares the mask for repeated simulation inside the
@@ -53,15 +53,21 @@ func NewRasterMask(mask []geom.Rect, window geom.Rect, opt tech.Optics, maxDefoc
 	}
 	rm := &RasterMask{
 		mask:       mask,
-		window:     window,
 		opt:        opt,
 		maxDefocus: maxDefocus,
-		padded:     window.Bloat(SimPadNM(opt, maxDefocus)),
 		pitch:      pitch,
 		cache:      make(map[float64]*Grid),
 	}
-	rm.rW, rm.rH = gridDims(rm.padded, pitch)
+	rm.setWindow(window)
 	return rm
+}
+
+// setWindow points the handle at the window and the padded grid its
+// defocus budget needs around it.
+func (rm *RasterMask) setWindow(window geom.Rect) {
+	rm.window = window
+	rm.padded = window.Bloat(SimPadNM(rm.opt, rm.maxDefocus))
+	rm.rW, rm.rH = gridDims(rm.padded, rm.pitch)
 }
 
 // SimPadNM returns the pixel-registered pad a simulation adds around
@@ -105,16 +111,19 @@ func defocusFactor(opt tech.Optics, defocus float64) float64 {
 	return math.Sqrt(1 + q*q)
 }
 
-// Remask points the handle at the next mask over the same window,
-// optics and defocus budget, for a loop that simulates a mask, measures
-// it and moves it (the OPC loop). Every image handed out before the
-// call is invalid from the moment of it: the next renders, at any
-// |defocus|, write over the grids the old mask's images used instead
-// of allocating.
-func (rm *RasterMask) Remask(mask []geom.Rect) {
+// Remask points the handle at the next mask over the given window,
+// under the optics and defocus budget fixed at NewRasterMask, for a
+// loop that simulates a mask, measures it and moves it (the OPC loop),
+// or walks several masks and windows (one per standard cell). Every
+// image handed out before the call is invalid from the moment of it:
+// the next renders, at any |defocus|, write over the grids the old
+// mask's images used instead of allocating, wherever such a grid is
+// large enough for the window.
+func (rm *RasterMask) Remask(mask []geom.Rect, window geom.Rect) {
 	rm.mu.Lock()
 	defer rm.mu.Unlock()
 	rm.mask, rm.spans = mask, nil
+	rm.setWindow(window)
 	for _, g := range rm.cache {
 		rm.spent = append(rm.spent, g)
 	}
@@ -165,9 +174,11 @@ func (rm *RasterMask) Image(ctx context.Context, cond Condition) (*Image, error)
 
 // unitIntensity returns the dose-1 intensity field cropped to the
 // window at the given defocus, cached per |defocus|. The returned grid
-// belongs to the cache. On a miss the field is written over a spent
-// grid, whatever |defocus| it last held (every pixel is overwritten,
-// so it need not be cleared), into a fresh grid when none is spent.
+// belongs to the cache. On a miss the field is written over the
+// smallest spent grid whose capacity covers the window, whatever
+// |defocus| and window it last held: it is resliced to the window, and
+// every pixel is overwritten, so it need not be cleared. When no spent
+// grid is large enough the field goes into a fresh grid.
 func (rm *RasterMask) unitIntensity(ctx context.Context, defocus float64) (*Grid, error) {
 	key := math.Abs(defocus)
 	rm.mu.Lock()
@@ -177,9 +188,18 @@ func (rm *RasterMask) unitIntensity(ctx context.Context, defocus float64) (*Grid
 		countPerDefocus("litho.raster.cache.hit", key)
 		return g, nil
 	}
+	w, h := gridDims(rm.window, rm.pitch)
+	best := -1
+	for i, g := range rm.spent {
+		if c := cap(g.Data); c >= w*h && (best < 0 || c < cap(rm.spent[best].Data)) {
+			best = i
+		}
+	}
 	var g *Grid
-	if n := len(rm.spent); n > 0 {
-		g, rm.spent = rm.spent[n-1], rm.spent[:n-1]
+	if best >= 0 {
+		g = rm.spent[best]
+		rm.spent = slices.Delete(rm.spent, best, best+1)
+		g.Origin, g.W, g.H, g.Data = rm.window.LL(), w, h, g.Data[:w*h]
 		cGridReused.Inc()
 	} else {
 		g = NewGrid(rm.window, rm.pitch)

@@ -397,8 +397,8 @@ func TestRemaskRendersOverPredecessorGrid(t *testing.T) {
 		t.Fatal("the two masks have the same image: the test cannot tell them apart")
 	}
 
-	rm.Remask(mask)
-	rm.Remask(mask) // a second Remask before any render keeps the grid
+	rm.Remask(mask, window)
+	rm.Remask(mask, window) // a second Remask before any render keeps the grid
 	nom, err := rm.Image(ctx, Nominal)
 	if err != nil {
 		t.Fatal(err)

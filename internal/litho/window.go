@@ -142,52 +142,95 @@ type PVBand struct {
 }
 
 // ComputePVBandCtx simulates every corner condition and overlays the
-// printed regions, with a cancellation checkpoint per corner
-// condition. The mask is normalized once and shared across
-// corners; dose-only corners reuse the focus corner's intensity field
-// with a rescaled threshold, so the standard 5-corner set costs two
-// convolution stacks, not five simulations. Corners are visited by
-// |defocus| and each field is retired after its last corner, so the
-// next renders over its grid: the standard set holds one grid. AND
-// and OR are exact and order-free, so the band does not depend on the
-// order the corners come in.
+// printed regions, with a cancellation checkpoint per distinct
+// |defocus|. The mask is normalized once and rendered once per
+// |defocus|, so the standard 5-corner set costs two convolution
+// stacks, not five simulations, and no intensity grid: each amplitude
+// row of a render is thresholded, 64 pixels a word, once for every
+// corner at that |defocus| (a dose enters as the threshold
+// Threshold/dose, exactly the view withDose gives the unit-dose
+// image), and the words are ANDed into the always rows and ORed into
+// the ever rows as they come. AND and OR are exact and order-free, so
+// the band does not depend on the order the corners come in.
 func ComputePVBandCtx(ctx context.Context, mask []geom.Rect, window geom.Rect, opt tech.Optics, corners []Condition) (PVBand, error) {
 	var pv PVBand
+	if len(corners) == 0 {
+		return pv, nil
+	}
+	always, ever, err := overlayCorners(ctx, mask, window, opt, corners)
+	if err != nil {
+		return pv, err
+	}
+	pv.Always = always.ToRects()
+	pv.Ever = ever.ToRects()
+	for i, a := range always.words {
+		ever.words[i] &^= a
+	}
+	pv.Band = ever.ToRects()
+	return pv, nil
+}
+
+// overlayCorners returns the window's printed bitmaps under the
+// corners, which must not be empty, ANDed (always) and ORed (ever),
+// streamed row by row out of one render per distinct |defocus|.
+func overlayCorners(ctx context.Context, mask []geom.Rect, window geom.Rect, opt tech.Optics, corners []Condition) (always, ever *Bitmap, err error) {
 	maxF := 0.0
 	for _, c := range corners {
-		if a := math.Abs(c.Defocus); a > maxF {
-			maxF = a
-		}
+		maxF = max(maxF, math.Abs(c.Defocus))
 	}
 	byFocus := slices.Clone(corners)
 	slices.SortStableFunc(byFocus, func(a, b Condition) int {
 		return cmp.Compare(math.Abs(a.Defocus), math.Abs(b.Defocus))
 	})
 	rm := NewRasterMask(mask, window, opt, maxF)
-	var always, ever *Bitmap
-	for i, c := range byFocus {
-		img, err := rm.Image(ctx, Condition{Defocus: c.Defocus, Dose: 1})
+	w, h := gridDims(window, rm.pitch)
+	always, ever = NewBitmap(w, h), NewBitmap(w, h)
+	always.Origin, always.Pitch = window.LL(), rm.pitch
+	ever.Origin, ever.Pitch = always.Origin, always.Pitch
+	for i := range always.words {
+		always.words[i] = ^uint64(0)
+	}
+	tail := tailMask(w)
+	rm.mu.Lock()
+	defer rm.mu.Unlock()
+	for len(byFocus) > 0 {
+		n := 1
+		for n < len(byFocus) && math.Abs(byFocus[n].Defocus) == math.Abs(byFocus[0].Defocus) {
+			n++
+		}
+		// thr[c] is corner c's threshold on the unit-dose intensity, and
+		// blank[c] its word for 64 untouched pixels (amplitude +0),
+		// evaluated once as printedRows does.
+		thr, blank := make([]float64, n), make([]uint64, n)
+		for c, cond := range byFocus[:n] {
+			thr[c] = opt.Threshold * 1 / cond.Dose
+			if thresholdWord([]float64{0}, 1, thr[c]) != 0 {
+				blank[c] = ^uint64(0)
+			}
+		}
+		err := rm.renderLocked(ctx, byFocus[0].Defocus, w, h, bandRows, func(j int, a []float64, live []bool) {
+			al, ev := always.row(j), ever.row(j)
+			for k := range al {
+				for c := range thr {
+					word := blank[c]
+					if live[k] {
+						word = thresholdWord(a[k<<6:min(k<<6+64, w)], 1, thr[c])
+					}
+					al[k] &= word
+					ev[k] |= word
+				}
+			}
+			// A blank word of ones sets the tail bits, which a Bitmap
+			// keeps clear.
+			al[len(al)-1] &= tail
+			ev[len(ev)-1] &= tail
+		})
 		if err != nil {
-			return pv, err
+			return nil, nil, err
 		}
-		b := img.withDose(c.Dose).PrintedBitmap()
-		if i+1 == len(byFocus) || math.Abs(byFocus[i+1].Defocus) != math.Abs(c.Defocus) {
-			rm.drop(c.Defocus)
-		}
-		if always == nil {
-			always, ever = b.clone(), b.clone()
-			continue
-		}
-		always = always.And(b)
-		ever = ever.Or(b)
+		byFocus = byFocus[n:]
 	}
-	if always == nil {
-		return pv, nil
-	}
-	pv.Always = always.ToRects()
-	pv.Ever = ever.ToRects()
-	pv.Band = ever.AndNot(always).ToRects()
-	return pv, nil
+	return always, ever, nil
 }
 
 // BandArea returns the PV band area in nm^2.

@@ -12,7 +12,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/litho"
 	"repro/internal/obs"
-	"repro/internal/tech"
 )
 
 // OPC loop instrumentation: runs and iterations spent (convergence
@@ -222,14 +221,16 @@ type Result struct {
 	// ModelBased) over the loop's window: the last iteration's image,
 	// which its final RMS was read from, so a caller measuring the
 	// corrected mask there need not render it again. Set only when the
-	// loop completes.
+	// loop completes; it lives in the caller's handle and is valid
+	// until that handle's next Remask.
 	Image *litho.Image
 }
 
 // ModelBased runs the simulate-then-move loop at the nominal
 // condition: ProcessWindowOPC at the one corner {litho.Nominal, 1},
-// whose EPEs and RMS are then exactly the nominal image's. Window is
-// the simulation region (drawn geometry plus optical ambit).
-func ModelBased(ctx context.Context, drawn []geom.Rect, window geom.Rect, opt tech.Optics, mo ModelOpts) (Result, error) {
-	return ProcessWindowOPC(ctx, drawn, window, opt, mo, []PWCorner{{Cond: litho.Nominal, Weight: 1}})
+// whose EPEs and RMS are then exactly the nominal image's, rendered
+// through rm. Window is the simulation region (drawn geometry plus
+// optical ambit).
+func ModelBased(ctx context.Context, drawn []geom.Rect, window geom.Rect, rm *litho.RasterMask, mo ModelOpts) (Result, error) {
+	return ProcessWindowOPC(ctx, drawn, window, rm, mo, []PWCorner{{Cond: litho.Nominal, Weight: 1}})
 }

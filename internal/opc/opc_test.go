@@ -14,10 +14,16 @@ import (
 
 func opt() tech.Optics { return tech.N45().Optics }
 
-// modelBased runs ModelBased to completion.
+// handle is an empty RasterMask over the window, for the loop to
+// render through.
+func handle(window geom.Rect, o tech.Optics, maxDefocus float64) *litho.RasterMask {
+	return litho.NewRasterMask(nil, window, o, maxDefocus)
+}
+
+// modelBased runs ModelBased to completion on a handle of its own.
 func modelBased(t testing.TB, drawn []geom.Rect, window geom.Rect, o tech.Optics, mo ModelOpts) Result {
 	t.Helper()
-	res, err := ModelBased(context.Background(), drawn, window, o, mo)
+	res, err := ModelBased(context.Background(), drawn, window, handle(window, o, 0), mo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,10 +423,10 @@ func TestModelBasedGridReuseMatchesFreshImages(t *testing.T) {
 		run     func() (Result, error)
 	}{
 		{"nominal", []PWCorner{{Cond: litho.Nominal, Weight: 1}}, func() (Result, error) {
-			return ModelBased(ctx, drawn, window, opt(), mo)
+			return ModelBased(ctx, drawn, window, handle(window, opt(), 0), mo)
 		}},
 		{"pw", StandardPWCorners(80), func() (Result, error) {
-			return ProcessWindowOPC(ctx, drawn, window, opt(), mo, StandardPWCorners(80))
+			return ProcessWindowOPC(ctx, drawn, window, handle(window, opt(), 80), mo, StandardPWCorners(80))
 		}},
 	} {
 		got, err := tc.run()
@@ -477,6 +483,28 @@ func TestModelBasedGridReuseMatchesFreshImages(t *testing.T) {
 			}
 		}
 	}
+
+	// One handle moved across windows that grow and shrink: each loop
+	// on it renders over the grids of the loops before, resliced to its
+	// window where they are large enough, and gives the history, mask
+	// and image a fresh handle gives, bit for bit.
+	rm := handle(window, opt(), 0)
+	for _, w := range []geom.Rect{window, window.Bloat(300), window.Bloat(-150), geom.R(-100, 100, 300, 900), window.Bloat(500), window} {
+		part := geom.Intersect(drawn, []geom.Rect{w.Bloat(-100)})
+		got, err := ModelBased(ctx, part, w, rm, mo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := modelBased(t, part, w, opt(), mo)
+		if !reflect.DeepEqual(got.RMSHistory, want.RMSHistory) || !reflect.DeepEqual(got.Mask, want.Mask) {
+			t.Errorf("window %v: moved handle's history %v, fresh handle's %v", w, got.RMSHistory, want.RMSHistory)
+		}
+		if g, f := got.Image, want.Image; g.W != f.W || g.H != f.H || g.Origin != f.Origin || !slices.EqualFunc(g.Data, f.Data, func(a, b float64) bool {
+			return math.Float64bits(a) == math.Float64bits(b)
+		}) {
+			t.Errorf("window %v: moved handle's %dx%d image at %v differs from a fresh handle's %dx%d at %v", w, g.W, g.H, g.Origin, f.W, f.H, f.Origin)
+		}
+	}
 }
 
 // The image a completed loop hands back is the corrected mask at
@@ -487,7 +515,7 @@ func TestModelBasedImageEqualsResimulation(t *testing.T) {
 	ctx := context.Background()
 	drawn := []geom.Rect{geom.R(0, 0, 70, 1500), geom.R(160, 300, 230, 1200), geom.R(300, 0, 370, 600)}
 	window := geom.R(-400, -200, 700, 1900)
-	res, err := ModelBased(ctx, drawn, window, opt(), DefaultModelOpts())
+	res, err := ModelBased(ctx, drawn, window, handle(window, opt(), 0), DefaultModelOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,7 +541,7 @@ func TestModelBasedImageEqualsResimulation(t *testing.T) {
 
 	dead, cancel := context.WithCancel(ctx)
 	cancel()
-	if res, err := ModelBased(dead, drawn, window, opt(), DefaultModelOpts()); err == nil || res.Image != nil {
+	if res, err := ModelBased(dead, drawn, window, handle(window, opt(), 0), DefaultModelOpts()); err == nil || res.Image != nil {
 		t.Errorf("canceled loop returned (image %v, err %v), want no image and an error", res.Image != nil, err)
 	}
 }

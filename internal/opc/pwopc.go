@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/litho"
-	"repro/internal/tech"
 )
 
 // Process-window OPC: instead of correcting at best focus only, the
@@ -34,12 +33,20 @@ func StandardPWCorners(defocus float64) []PWCorner {
 // corners (StandardPWCorners(80) when there are none): each iteration
 // simulates the current mask at every corner, measures EPE at every
 // fragment's control site against the drawn target, and moves the
-// fragment against its weight-averaged EPE, modelGain·Σw·EPE/Σw. The
-// context is checked per feedback iteration (and per band inside each
-// simulation). On cancellation, or optics the kernel rejects, it returns
-// the mask so far alongside the error, so callers can distinguish a
-// converged result from an interrupted one.
-func ProcessWindowOPC(ctx context.Context, drawn []geom.Rect, window geom.Rect, opt tech.Optics, mo ModelOpts, corners []PWCorner) (Result, error) {
+// fragment against its weight-averaged EPE, modelGain·Σw·EPE/Σw.
+//
+// The loop renders through the caller's handle: each iteration points
+// it at the mask over window (Remask), so the optics and the defocus
+// budget are rm's, a corner beyond the budget is the renderer's error,
+// and each iteration renders over the grids of the one before. Corners
+// that differ only in dose share a convolution stack. Result.Image is
+// valid until rm's next Remask.
+//
+// The context is checked per feedback iteration (and per band inside
+// each simulation). On cancellation, or optics the kernel rejects, it
+// returns the mask so far alongside the error, so callers can
+// distinguish a converged result from an interrupted one.
+func ProcessWindowOPC(ctx context.Context, drawn []geom.Rect, window geom.Rect, rm *litho.RasterMask, mo ModelOpts, corners []PWCorner) (Result, error) {
 	if len(corners) == 0 {
 		corners = StandardPWCorners(80)
 	}
@@ -50,24 +57,18 @@ func ProcessWindowOPC(ctx context.Context, drawn []geom.Rect, window geom.Rect, 
 	capOutward(drawn, frags)
 	res := Result{Fragments: frags}
 
-	var wsum, maxF float64
+	var wsum float64
 	for _, c := range corners {
 		wsum += c.Weight
-		maxF = max(maxF, math.Abs(c.Cond.Defocus))
 	}
 	if wsum == 0 {
 		wsum = 1
 	}
-	// Nothing of an iteration's images outlives the EPEs read from them
-	// below, so one handle serves the whole loop and each iteration is
-	// rendered over the grids of the one before; corners that differ
-	// only in dose share a convolution stack.
-	rm := litho.NewRasterMask(nil, window, opt, maxF)
 	imgs := make([]*litho.Image, len(corners))
 	sq := make([]float64, len(corners))
 	for it := 0; it <= mo.Iterations; it++ {
 		mask := ApplyBias(drawn, frags)
-		rm.Remask(mask)
+		rm.Remask(mask, window)
 		for k, c := range corners {
 			var err error
 			if imgs[k], err = rm.Image(ctx, c.Cond); err != nil {

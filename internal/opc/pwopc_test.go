@@ -26,7 +26,7 @@ func TestProcessWindowOPCImprovesWorstCorner(t *testing.T) {
 	}
 	nomWorst := rmsAt(nomRes.Mask, corners[1].Cond)
 
-	pw, err := ProcessWindowOPC(context.Background(), drawn, window, tt.Optics, mo, corners)
+	pw, err := ProcessWindowOPC(context.Background(), drawn, window, handle(window, tt.Optics, 80), mo, corners)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,11 +56,11 @@ func TestProcessWindowOPCDefaultsCorners(t *testing.T) {
 	window := geom.BBoxOf(drawn).Bloat(300)
 	mo := DefaultModelOpts()
 	mo.Iterations = 2
-	pw, err := ProcessWindowOPC(context.Background(), drawn, window, tt.Optics, mo, nil)
+	pw, err := ProcessWindowOPC(context.Background(), drawn, window, handle(window, tt.Optics, 80), mo, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ProcessWindowOPC(context.Background(), drawn, window, tt.Optics, mo, StandardPWCorners(80))
+	want, err := ProcessWindowOPC(context.Background(), drawn, window, handle(window, tt.Optics, 80), mo, StandardPWCorners(80))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,19 +74,23 @@ func TestProcessWindowOPCDefaultsCorners(t *testing.T) {
 
 // TestProcessWindowOPCReportsSimulationErrors: optics the kernel
 // rejects are an error, as they are from ModelBased, not an image the
-// loop dereferences.
+// loop dereferences; so is a corner beyond the handle's defocus budget.
 func TestProcessWindowOPCReportsSimulationErrors(t *testing.T) {
 	tt := tech.N45()
 	tt.Optics.Sigmas[0] = 0
 	drawn := []geom.Rect{geom.R(0, 0, 90, 800)}
 	window := geom.BBoxOf(drawn).Bloat(300)
-	_, err := ProcessWindowOPC(context.Background(), drawn, window, tt.Optics, DefaultModelOpts(), nil)
+	_, err := ProcessWindowOPC(context.Background(), drawn, window, handle(window, tt.Optics, 80), DefaultModelOpts(), nil)
 	if err == nil || !strings.Contains(err.Error(), "non-positive sigma") {
 		t.Fatalf("err = %v, want the kernel's non-positive sigma error", err)
 	}
+	res, err := ProcessWindowOPC(context.Background(), drawn, window, handle(window, tech.N45().Optics, 40), DefaultModelOpts(), nil)
+	if err == nil || !strings.Contains(err.Error(), "exceeds RasterMask budget") || res.Image != nil {
+		t.Fatalf("80 nm corner on a 40 nm handle: err = %v, image %v; want the renderer's budget error and no image", err, res.Image != nil)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ProcessWindowOPC(ctx, drawn, window, tech.N45().Optics, DefaultModelOpts(), nil); !errors.Is(err, context.Canceled) {
+	if _, err := ProcessWindowOPC(ctx, drawn, window, handle(window, tech.N45().Optics, 80), DefaultModelOpts(), nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled run: err = %v, want context.Canceled", err)
 	}
 }
